@@ -6,10 +6,9 @@ models those failure modes as *data*, not code paths: a frozen
 :class:`FaultConfig` describes the fault models of one experiment and is
 part of a :class:`~repro.harness.exec.RunSpec`'s identity (unlike
 observability, faults change simulated physics), and
-:class:`FaultSchedule` compiles it — with a dedicated
-:class:`~repro.sim.rng.DeterministicRng` stream keyed by the fault seed —
-into per-link/per-node fault timelines that are reproducible bit-for-bit
-and independent of traffic randomness.
+:class:`FaultSchedule` compiles it — with dedicated random streams keyed
+by the fault seed — into per-link/per-node fault timelines that are
+reproducible bit-for-bit and independent of traffic randomness.
 
 Degradation semantics are the backend's job (see DESIGN.md section 10):
 Phastlane absorbs a faulted crossing through the paper's drop-signal +

@@ -8,10 +8,16 @@ is faulty at cycle ``c`` must not depend on how many packets happened to
 traverse it earlier, or two backends (or a retry of the same packet) would
 see different physics from the same seed.  Two mechanisms deliver that:
 
-- **Stateless draws** (Bernoulli loss, control corruption): each
-  ``(node, port, cycle)`` query hashes into its own one-shot
-  :class:`~repro.sim.rng.DeterministicRng` stream, so the answer is a pure
-  function of the fault seed and the coordinates.
+- **Stateless draws** (Bernoulli loss, control corruption, loss inside a
+  burst): each ``(kind, cycle)`` owns one row of 64-bit uniforms, one slot
+  per ``node * 4 + port``, generated in one shot from a counter-based
+  Philox generator keyed on ``sha256(f"{seed}/faults/{kind}/{cycle}")``.
+  A crossing fails when its slot falls below ``prob * 2**64``, so the
+  answer is a pure function of the fault seed and the coordinates, and
+  the failing sets are *nested* in the rate: whatever fails at ``p`` fails
+  at every ``p' >= p``.  Only a few rows per kind are kept (the simulators
+  query the current cycle); an evicted row is regenerated on a miss, so
+  memory does not grow with run length.
 - **Interval chains** (Gilbert–Elliott bursts, NIC stalls): each link/node
   owns a lazily-extended alternating good/bad segment list generated from
   its private stream, looked up by bisection — arbitrary-order queries see
@@ -28,9 +34,18 @@ from bisect import bisect_right
 from typing import Union
 
 from repro.faults.config import FaultConfig
-from repro.sim.rng import DeterministicRng
+from repro.sim.rng import DeterministicRng, stream_key
 from repro.topology import Topology, as_topology
 from repro.util.geometry import MeshGeometry
+
+
+#: Rows kept per stateless kind.  Every simulator queries the current cycle
+#: only, so one would do; a few make out-of-order probing cheap.
+_ROWS_KEPT = 4
+
+#: ``prob * _CERTAIN`` is the threshold a 64-bit uniform must fall below;
+#: a threshold of ``_CERTAIN`` itself (``prob == 1``) can never be missed.
+_CERTAIN = 1 << 64
 
 
 class _IntervalChain:
@@ -81,8 +96,8 @@ class FaultSchedule:
 
     Construction is cheap (dead-port sampling only); transient timelines
     materialise lazily per link/node on first query.  All randomness comes
-    from ``DeterministicRng(config.seed, ...)`` streams, never from the
-    traffic rng — see the module docstring for why.
+    from streams keyed on ``config.seed``, never from the traffic rng — see
+    the module docstring for why.
     """
 
     def __init__(
@@ -96,6 +111,13 @@ class FaultSchedule:
         self.dead_ports: frozenset[tuple[int, int]] = self._compile_dead_ports()
         self._burst_chains: dict[tuple[int, int], _IntervalChain] = {}
         self._stall_chains: dict[int, _IntervalChain] = {}
+        self._slots = self.topology.num_nodes * 4
+        self._rows: dict[str, dict[int, memoryview]] = {
+            "flip": {}, "corrupt": {}, "burst-loss": {},
+        }
+        self._flip = int(config.link_flip_prob * _CERTAIN)
+        self._corrupt = int(config.corrupt_prob * _CERTAIN)
+        self._burst_loss = int(config.burst_loss_prob * _CERTAIN)
 
     @property
     def enabled(self) -> bool:
@@ -135,28 +157,26 @@ class FaultSchedule:
         severity order — a permanently dead port shadows any transient
         model on the same link.
         """
-        config = self.config
         if (node, port) in self.dead_ports:
             return "dead_port"
-        if config.burst_enter_prob > 0.0:
+        if self._burst_loss and self.config.burst_enter_prob > 0.0:
             chain = self._burst_chains.get((node, port))
             if chain is None:
+                config = self.config
                 chain = _IntervalChain(
                     DeterministicRng(config.seed, f"faults/burst/{node}/{port}"),
                     config.burst_enter_prob,
                     config.burst_exit_prob,
                 )
                 self._burst_chains[(node, port)] = chain
-            if chain.in_bad_state(cycle) and self._draw(
-                "burst-loss", node, port, cycle, config.burst_loss_prob
+            if chain.in_bad_state(cycle) and self._hit(
+                "burst-loss", node, port, cycle, self._burst_loss
             ):
                 return "burst"
-        if config.link_flip_prob > 0.0 and self._draw(
-            "flip", node, port, cycle, config.link_flip_prob
-        ):
+        if self._flip and self._hit("flip", node, port, cycle, self._flip):
             return "link"
-        if config.corrupt_prob > 0.0 and self._draw(
-            "corrupt", node, port, cycle, config.corrupt_prob
+        if self._corrupt and self._hit(
+            "corrupt", node, port, cycle, self._corrupt
         ):
             return "corrupt"
         return None
@@ -177,10 +197,26 @@ class FaultSchedule:
             self._stall_chains[node] = chain
         return chain.in_bad_state(cycle)
 
-    def _draw(
-        self, kind: str, node: int, port: int, cycle: int, prob: float
+    def _hit(
+        self, kind: str, node: int, port: int, cycle: int, threshold: int
     ) -> bool:
-        rng = DeterministicRng(
-            self.config.seed, f"faults/{kind}/{node}/{port}/{cycle}"
-        )
-        return rng.random() < prob
+        """True when ``kind`` strikes ``(node, port)`` at ``cycle``.
+
+        ``threshold`` is nonzero (callers skip impossible kinds); a certain
+        one is answered without generating a row.
+        """
+        if threshold >= _CERTAIN:
+            return True
+        rows = self._rows[kind]
+        row = rows.get(cycle)
+        if row is None:
+            if len(rows) >= _ROWS_KEPT:
+                del rows[next(iter(rows))]
+            # numpy loads here, not with the module: every run spec imports
+            # ``repro.faults``, and only faulted runs should pay for it.
+            from numpy.random import Philox
+
+            key = stream_key(self.config.seed, f"faults/{kind}/{cycle}")
+            row = memoryview(Philox(key=key).random_raw(self._slots))
+            rows[cycle] = row
+        return row[node * 4 + port] < threshold

@@ -44,7 +44,7 @@ from repro.util.geometry import MeshGeometry
 #: Code-calibration stamp baked into every cache key.  Bump whenever the
 #: simulators or calibration constants change in a way that alters results;
 #: old cache entries then become invisible rather than silently stale.
-CALIBRATION_STAMP = "2026.08.0"
+CALIBRATION_STAMP = "2026.09.0"
 
 #: Default location of the on-disk result cache.
 DEFAULT_CACHE_DIR = ".repro-cache"

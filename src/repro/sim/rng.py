@@ -13,6 +13,16 @@ import hashlib
 import random
 
 
+def stream_key(root_seed: int, stream: str) -> int:
+    """The 64-bit key of stream ``stream`` under ``root_seed``.
+
+    Every generator in the repo — Mersenne or counter-based — is keyed
+    this way, so distinct stream labels never share a sequence.
+    """
+    digest = hashlib.sha256(f"{root_seed}/{stream}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 class DeterministicRng(random.Random):
     """A ``random.Random`` seeded from a root seed and a stream label.
 
@@ -25,8 +35,7 @@ class DeterministicRng(random.Random):
     def __init__(self, root_seed: int, stream: str = "") -> None:
         self.root_seed = int(root_seed)
         self.stream = stream
-        digest = hashlib.sha256(f"{self.root_seed}/{stream}".encode()).digest()
-        super().__init__(int.from_bytes(digest[:8], "big"))
+        super().__init__(stream_key(self.root_seed, stream))
 
     def fork(self, substream: str) -> "DeterministicRng":
         """A new independent generator labelled ``substream`` under this one."""

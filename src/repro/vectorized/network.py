@@ -728,6 +728,7 @@ class VectorizedNetwork(MeshNetworkBase):
                     f"budget: {[packet.uid for packet in active]}"
                 )
             return
+        crossing_fault = faults.crossing_fault if faults is not None else None
         for _wave in range(self.config.max_hops_per_cycle):
             # Contention groups in arrival order: a lone contender is
             # stored bare; a second arrival promotes the slot to a list
@@ -738,10 +739,13 @@ class VectorizedNetwork(MeshNetworkBase):
                 index = packet.hop + 1
                 packet.hop = index
                 plan = packet.plan
-                if faults is not None and self._fault_crossing(
-                    packet, plan, index, cycle, hub
-                ):
-                    continue
+                if crossing_fault is not None:
+                    kind = crossing_fault(
+                        plan.nodes[index - 1], plan.exits[index - 1], cycle
+                    )
+                    if kind is not None:
+                        self._fault_crossing(packet, plan, index, kind, cycle, hub)
+                        continue
                 hops += 1
                 if hub:
                     hub.emit("hop", cycle, plan.nodes[index], packet.uid)
@@ -790,16 +794,14 @@ class VectorizedNetwork(MeshNetworkBase):
         packet: VecPacket,
         plan: PlanInfo,
         index: int,
+        kind: str,
         cycle: int,
         hub: TraceHub | None,
-    ) -> bool:
-        faults = self._faults
-        assert faults is not None
+    ) -> None:
+        """Drop ``packet``, whose crossing into ``plan.nodes[index]`` the
+        fault schedule failed with ``kind``."""
         previous_node = plan.nodes[index - 1]
         previous_exit = plan.exits[index - 1]
-        kind = faults.crossing_fault(previous_node, previous_exit, cycle)
-        if kind is None:
-            return False
         fault_node = plan.nodes[index] if kind == "corrupt" else previous_node
         stats = self.stats
         stats.record_fault(kind)
@@ -817,7 +819,6 @@ class VectorizedNetwork(MeshNetworkBase):
                 },
             )
             hub.emit("dropped", cycle, fault_node, packet.uid)
-        return True
 
     # -- transit outcomes -------------------------------------------------------
 

@@ -33,11 +33,11 @@ touches only the cycles that actually inject.  Three pre-generation paths:
 
 from __future__ import annotations
 
-import hashlib
 from itertools import repeat
 
 import numpy as np
 
+from repro.sim.rng import stream_key
 from repro.traffic.injection import BernoulliInjector
 from repro.traffic.trace import SyntheticSource, TraceSource
 from repro.util.errors import FabricError
@@ -59,8 +59,7 @@ def philox_key(seed: int, pattern_name: str) -> int:
     """The fast-mode Philox key: a distinct, documented stream per
     (seed, pattern), disjoint by construction from every
     :class:`~repro.sim.rng.DeterministicRng` stream label."""
-    digest = hashlib.sha256(f"{seed}/vectorized/{pattern_name}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    return stream_key(seed, f"vectorized/{pattern_name}")
 
 
 def philox_supported(source: SyntheticSource) -> bool:

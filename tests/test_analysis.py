@@ -124,7 +124,7 @@ class TestExactSumLaw:
         )
         events, _ = traced_run(
             config, TraceSource(trace), trace.last_cycle + 1, faults=faults,
-            drain=faults is None,
+            drain=True,
         )
         assert_exact_sum(reconstruct_spans(events, link_delay=0))
 

@@ -13,12 +13,18 @@ Covers the three guarantees the fault subsystem makes:
   accounted as lost (conservation; see also test_properties.py).
 """
 
+import math
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import PhastlaneConfig
 from repro.electrical.config import ElectricalConfig
 from repro.fabric import FabricError, IdealConfig, make_network
 from repro.faults import FaultConfig, FaultSchedule
+from repro.faults.schedule import _ROWS_KEPT
 from repro.harness.exec import Executor, RunSpec, SyntheticWorkload, TraceFileWorkload
 from repro.harness.report import (
     result_from_dict,
@@ -33,10 +39,13 @@ from repro.obs.tracers import CollectingTracer
 from repro.sim.engine import SimulationEngine
 from repro.traffic.trace import Trace, TraceEvent, TraceSource
 from repro.util.geometry import MeshGeometry
+from repro.vectorized import VectorizedConfig
 
 MESH = MeshGeometry(4, 4)
 OPT = PhastlaneConfig(mesh=MESH, max_hops_per_cycle=4)
 ELE = ElectricalConfig(mesh=MESH)
+VEC = VectorizedConfig(mesh=MESH)
+MESH16 = MeshGeometry(16, 16)
 
 
 class TestFaultConfig:
@@ -93,27 +102,99 @@ class TestFaultConfig:
 
 class TestFaultSchedule:
     def test_query_order_does_not_matter(self):
-        """Forward and reverse scans of the same schedule agree exactly
-        (the traffic-independence invariant: retries re-query later
-        cycles before earlier links are ever touched)."""
+        """Forward, reverse and shuffled scans of the same schedule agree
+        exactly (the traffic-independence invariant: retries re-query later
+        cycles before earlier links are ever touched).  The scan visits
+        more cycles than the row cache holds, cycle innermost, so nearly
+        every query evicts and regenerates a row."""
         config = FaultConfig(
-            seed=3, link_flip_prob=0.05, burst_enter_prob=0.02, nic_stall_prob=0.01
+            seed=3, link_flip_prob=0.05, corrupt_prob=0.05,
+            burst_enter_prob=0.02, burst_loss_prob=0.5, nic_stall_prob=0.01,
         )
+        cycles = range(0, 120, 7)
+        assert len(cycles) > _ROWS_KEPT
         queries = [
             (node, port, cycle)
             for node in (0, 5, 15)
             for port in range(4)
-            for cycle in range(0, 120, 7)
+            for cycle in cycles
         ]
         forward = FaultSchedule(config, MESH)
+        want = dict(zip(queries, (forward.crossing_fault(*q) for q in queries)))
+        assert {"link", "corrupt", "burst", None} <= set(want.values())
+        shuffled = list(queries)
+        random.Random(0).shuffle(shuffled)
+        for order in (list(reversed(queries)), shuffled):
+            schedule = FaultSchedule(config, MESH)
+            assert {q: schedule.crossing_fault(*q) for q in order} == want
         backward = FaultSchedule(config, MESH)
-        want = [forward.crossing_fault(*q) for q in queries]
-        got = [backward.crossing_fault(*q) for q in reversed(queries)]
-        assert want == list(reversed(got))
         stalls = [(node, cycle) for node in range(16) for cycle in range(0, 80, 11)]
         want_stalls = [forward.nic_stalled(*q) for q in stalls]
         got_stalls = [backward.nic_stalled(*q) for q in reversed(stalls)]
         assert want_stalls == list(reversed(got_stalls))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from(["link_flip_prob", "corrupt_prob"]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_failing_sets_are_nested_in_the_rate(self, seed, field, p, q):
+        """Whatever fails at rate p fails at every rate p' >= p."""
+        low, high = sorted((p, q))
+        queries = [
+            (node, port, cycle)
+            for cycle in range(12) for node in range(16) for port in range(4)
+        ]
+
+        def failing(prob):
+            schedule = FaultSchedule(FaultConfig(seed=seed, **{field: prob}), MESH)
+            return {q for q in queries if schedule.crossing_fault(*q) is not None}
+
+        assert failing(low) <= failing(high)
+
+    @pytest.mark.parametrize("prob", [0.01, 0.05, 0.1])
+    def test_hit_rate_matches_the_probability(self, prob):
+        """Empirical rate over 16x16x4x100 crossings within 5 sigma of p."""
+        schedule = FaultSchedule(FaultConfig(seed=11, link_flip_prob=prob), MESH16)
+        trials = 100 * MESH16.num_nodes * 4
+        hits = sum(
+            schedule.crossing_fault(node, port, cycle) is not None
+            for cycle in range(100)
+            for node in range(MESH16.num_nodes)
+            for port in range(4)
+        )
+        sigma = math.sqrt(trials * prob * (1 - prob))
+        assert abs(hits - trials * prob) <= 5 * sigma
+
+    def test_kinds_draw_from_distinct_rows(self):
+        """Flips and corruption at one cycle are independent draws."""
+        slots = [(node, port) for node in range(MESH16.num_nodes) for port in range(4)]
+
+        def struck(**kwargs):
+            schedule = FaultSchedule(FaultConfig(seed=11, **kwargs), MESH16)
+            return {s for s in slots if schedule.crossing_fault(*s, 0) is not None}
+
+        flips, corrupt = struck(link_flip_prob=0.1), struck(corrupt_prob=0.1)
+        assert flips and corrupt and flips != corrupt
+
+    def test_certain_and_impossible_draws_generate_no_row(self):
+        config = FaultConfig(
+            link_flip_prob=1.0, burst_enter_prob=0.5, burst_loss_prob=0.0
+        )
+        schedule = FaultSchedule(config, MESH)
+        assert {schedule.crossing_fault(5, 2, c) for c in range(50)} == {"link"}
+        assert not any(schedule._rows.values())
+
+    def test_row_cache_is_bounded_by_run_length(self):
+        """A 10 000-cycle forward scan on 32x32 keeps a fixed number of rows."""
+        config = FaultConfig(seed=5, link_flip_prob=0.01, corrupt_prob=0.01)
+        schedule = FaultSchedule(config, MeshGeometry(32, 32))
+        for cycle in range(10_000):
+            schedule.crossing_fault(cycle % 1024, cycle % 4, cycle)
+        assert all(len(rows) <= _ROWS_KEPT for rows in schedule._rows.values())
+        assert len(schedule._rows["flip"]) == _ROWS_KEPT
 
     def test_seed_changes_schedule(self):
         base = FaultConfig(seed=1, link_flip_prob=0.05)
@@ -354,6 +435,21 @@ class TestDegradationSweep:
         assert injected == sorted(injected)
         assert injected[0] == 0 and injected[-1] > 0
         assert points[0].delivery_ratio >= points[-1].delivery_ratio
+
+
+    @pytest.mark.parametrize(
+        "config", [OPT, ELE, VEC], ids=["reference", "electrical", "vectorized"]
+    )
+    def test_sweep_is_monotone_and_anchored_at_fault_free(self, config):
+        """The tier-1 twin of the repo benchmark's ``fault.*`` checks."""
+        rates = (0.0, 0.01, 0.05, 0.1)
+        results = Executor().map(
+            fault_sweep_specs(config, "uniform", 0.1, rates, cycles=200)
+        )
+        injected = [result.stats.faults_injected for result in results]
+        assert injected == sorted(injected) and injected[-1] > 0
+        clean = run(RunSpec(config, SyntheticWorkload("uniform", 0.1), cycles=200))
+        assert results[0] == clean
 
 
 @pytest.mark.slow
