@@ -13,7 +13,7 @@ import argparse
 
 from repro.core import PhastlaneConfig, PhastlaneNetwork
 from repro.sim.engine import SimulationEngine
-from repro.sim.probes import attach_phastlane_probe
+from repro.sim.probes import attach_probe
 from repro.traffic.splash2 import generate_splash2_trace
 from repro.traffic.trace import TraceSource
 
@@ -21,7 +21,7 @@ from repro.traffic.trace import TraceSource
 def run_instrumented(buffers, trace):
     config = PhastlaneConfig(buffer_entries=buffers)
     network = PhastlaneNetwork(config, TraceSource(trace))
-    probe = attach_phastlane_probe(network)
+    probe = attach_probe(network)
     engine = SimulationEngine()
     engine.register(network)
     engine.run(trace.last_cycle + 1)

@@ -51,6 +51,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.obs.events import EVENT_KINDS, PacketEvent
 from repro.obs.tracers import TRACE_SCHEMA
+from repro.sim.stats import nearest_rank
 
 #: The wait components every delivered latency decomposes into.
 COMPONENTS = (
@@ -284,16 +285,6 @@ def reconstruct_spans(
     return spans
 
 
-def _percentile(latencies: list[int], p: float) -> int | None:
-    """Nearest-rank percentile over sorted latencies (matches the
-    windowed :func:`~repro.obs.timeseries._bucket_percentile` semantics).
-    """
-    if not latencies:
-        return None
-    target = max(1, int(round(len(latencies) * p / 100.0)))
-    return latencies[min(target, len(latencies)) - 1]
-
-
 @dataclass
 class BlameReport:
     """Aggregated cycle attribution over one traced run.
@@ -405,9 +396,11 @@ def analyze_spans(
         entry["total"] = (
             entry["contention"] + entry["backoff"] + entry["source_queue"]
         )
-    latencies = sorted(span.latency for span in delivered)
+    latencies = [span.latency for span in delivered]
+    pairs = sorted(Counter(latencies).items())
     tail: dict[str, Any] = {
-        name: _percentile(latencies, p) for name, p in TAIL_PERCENTILES
+        name: nearest_rank(pairs, len(latencies), p) if latencies else None
+        for name, p in TAIL_PERCENTILES
     }
     threshold = tail["p99"]
     tail_spans = (

@@ -28,8 +28,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.obs.events import PacketEvent
-from repro.obs.tracers import Tracer
+from repro.obs.tracers import NodeEventCounter
+from repro.sim.stats import nearest_rank
 
 #: Percentiles reported per window, as (field suffix, p) pairs.
 _PERCENTILES = (("p50", 50.0), ("p95", 95.0), ("p99", 99.0), ("p999", 99.9))
@@ -128,20 +128,6 @@ class SpatialSeries:
         )
 
 
-class _NodeEventTracer(Tracer):
-    """Read-only tracer counting drops/deliveries per mesh node."""
-
-    def __init__(self) -> None:
-        self.drops: Counter = Counter()
-        self.deliveries: Counter = Counter()
-
-    def emit(self, event: PacketEvent) -> None:
-        if event.kind == "dropped":
-            self.drops[event.node] += 1
-        elif event.kind == "delivered":
-            self.deliveries[event.node] += 1
-
-
 @dataclass
 class TimeSeries:
     """An ordered list of :class:`Window` records at a fixed interval.
@@ -221,20 +207,6 @@ def _opt_int(value: Any) -> int | None:
     return None if value is None else int(value)
 
 
-def _bucket_percentile(buckets: Counter, count: int, p: float) -> int | None:
-    """Percentile of a windowed latency histogram delta (matches
-    :meth:`repro.sim.stats.Histogram.percentile` semantics)."""
-    if count == 0:
-        return None
-    target = max(1, int(round(count * p / 100.0)))
-    running = 0
-    for bucket in sorted(buckets):
-        running += buckets[bucket]
-        if running >= target:
-            return bucket
-    return max(buckets)  # pragma: no cover - defensive
-
-
 class MetricsWatcher:
     """Engine watcher that folds a run into a :class:`TimeSeries`.
 
@@ -258,13 +230,13 @@ class MetricsWatcher:
         self.series = TimeSeries(interval=interval)
         self._window_start = 0
         self._occupancy_sum = 0
-        self._tracer: _NodeEventTracer | None = None
+        self._tracer: NodeEventCounter | None = None
         self._node_occupancy: list[int] | None = None
         self._listeners: list[Callable[[Window, dict[str, Any] | None], None]] = []
         if spatial:
             mesh = network.mesh
             self.series.spatial = SpatialSeries(mesh.width, mesh.height)
-            self._tracer = _NodeEventTracer()
+            self._tracer = NodeEventCounter()
             network.add_tracer(self._tracer)
             self._node_occupancy = [0] * mesh.num_nodes
         self._last = self._snapshot()
@@ -325,8 +297,11 @@ class MetricsWatcher:
         delta_hist = now["histogram"] - last["histogram"]
         delta_count = sum(delta_hist.values())
         cycles = end - self._window_start
+        pairs = sorted(delta_hist.items())
         percentiles = {
-            f"latency_{suffix}": _bucket_percentile(delta_hist, delta_count, p)
+            f"latency_{suffix}": nearest_rank(pairs, delta_count, p)
+            if delta_count
+            else None
             for suffix, p in _PERCENTILES
         }
         self.series.windows.append(

@@ -20,8 +20,9 @@ trace is still internally consistent.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.obs.events import EVENT_KINDS, PacketEvent
 
@@ -55,6 +56,38 @@ class CollectingTracer(Tracer):
 
     def by_kind(self, kind: str) -> list[PacketEvent]:
         return [event for event in self.events if event.kind == kind]
+
+
+class NodeEventCounter(Tracer):
+    """Read-only tracer counting drops and deliveries per node.
+
+    The one attribution of the two spatial event kinds: spatial
+    time-series snapshot its counters per window, and
+    :func:`repro.sim.probes.attach_probe` hands in a probe's own
+    counters plus its per-cycle occupancy sampler as ``on_cycle``.
+    """
+
+    def __init__(
+        self,
+        drops: Counter[int] | None = None,
+        deliveries: Counter[int] | None = None,
+        on_cycle: Callable[[Any, int], None] | None = None,
+    ) -> None:
+        self.drops: Counter[int] = Counter() if drops is None else drops
+        self.deliveries: Counter[int] = (
+            Counter() if deliveries is None else deliveries
+        )
+        self._on_cycle = on_cycle
+
+    def emit(self, event: PacketEvent) -> None:
+        if event.kind == "dropped":
+            self.drops[event.node] += 1
+        elif event.kind == "delivered":
+            self.deliveries[event.node] += 1
+
+    def on_cycle(self, network: Any, cycle: int) -> None:
+        if self._on_cycle is not None:
+            self._on_cycle(network, cycle)
 
 
 class _FileTracer(Tracer):

@@ -1,7 +1,7 @@
 """Cycle-driven simulation kernel: clocked components, stats, deterministic RNG."""
 
 from repro.sim.engine import Clocked, SimulationEngine
-from repro.sim.probes import MeshProbe, attach_phastlane_probe, attach_probe
+from repro.sim.probes import MeshProbe, attach_probe
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import (
     Histogram,
@@ -21,6 +21,5 @@ __all__ = [
     "RunningMean",
     "SaturationError",
     "SimulationEngine",
-    "attach_phastlane_probe",
     "attach_probe",
 ]

@@ -19,8 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence, Union
 
-from repro.obs.events import PacketEvent
-from repro.obs.tracers import Tracer
+from repro.obs.tracers import NodeEventCounter
 from repro.util.geometry import MeshGeometry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -105,6 +104,12 @@ class MeshProbe:
             self.occupancy_sum[node] += occupancy
         self.samples += 1
 
+    def sample_network(self, network: Any, cycle: int) -> None:
+        """End-of-cycle tracer hook: sample every router's occupancy."""
+        self.sample_occupancy(
+            {router.node: router.occupancy() for router in network.routers}
+        )
+
     def _check(self, node: int) -> None:
         if node < 0 or node >= self.mesh.num_nodes:
             raise ValueError(f"node {node} outside {self.mesh}")
@@ -149,24 +154,6 @@ class MeshProbe:
         )
 
 
-class _ProbeTracer(Tracer):
-    """Adapter feeding lifecycle events and cycle samples into a probe."""
-
-    def __init__(self, probe: MeshProbe) -> None:
-        self.probe = probe
-
-    def emit(self, event: PacketEvent) -> None:
-        if event.kind == "dropped":
-            self.probe.record_drop(event.node)
-        elif event.kind == "delivered":
-            self.probe.record_delivery(event.node)
-
-    def on_cycle(self, network: Any, cycle: int) -> None:
-        self.probe.sample_occupancy(
-            {router.node: router.occupancy() for router in network.routers}
-        )
-
-
 def attach_probe(network: Any) -> MeshProbe:
     """Instrument a network (optical or electrical) with a spatial probe.
 
@@ -180,10 +167,7 @@ def attach_probe(network: Any) -> MeshProbe:
     titles name the real graph (e.g. ``8x8 torus``).
     """
     probe = MeshProbe(getattr(network, "topology", None) or network.mesh)
-    network.add_tracer(_ProbeTracer(probe))
+    network.add_tracer(
+        NodeEventCounter(probe.drops, probe.deliveries, probe.sample_network)
+    )
     return probe
-
-
-def attach_phastlane_probe(network: Any) -> MeshProbe:
-    """Backwards-compatible alias for :func:`attach_probe`."""
-    return attach_probe(network)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 class SaturationError(RuntimeError):
@@ -53,6 +54,23 @@ class RunningMean:
         return f"RunningMean(count={self.count}, mean={self.mean:.3f})"
 
 
+def nearest_rank(pairs: Iterable[tuple[int, int]], count: int, p: float) -> int:
+    """Nearest-rank ``p``-th percentile of a non-empty distribution.
+
+    ``pairs`` are ``(value, occurrences)`` in ascending value order and
+    ``count`` is the sum of the occurrences.  The rank is
+    ``max(1, round(count * p / 100))`` — the one rule behind run-level,
+    windowed and blame-report percentiles, so they agree to the cycle.
+    """
+    target = max(1, int(round(count * p / 100.0)))
+    running = 0
+    for value, occurrences in pairs:
+        running += occurrences
+        if running >= target:
+            return value
+    raise ValueError(f"no rank {target} among {running} recorded values")
+
+
 class Histogram:
     """Integer-bucketed histogram (used for latency distributions)."""
 
@@ -70,13 +88,7 @@ class Histogram:
             raise ValueError(f"percentile must be in (0, 100], got {p}")
         if self.count == 0:
             raise ValueError("empty histogram has no percentiles")
-        target = max(1, int(round(self.count * p / 100.0)))
-        running = 0
-        for bucket in sorted(self._buckets):
-            running += self._buckets[bucket]
-            if running >= target:
-                return bucket
-        return max(self._buckets)  # pragma: no cover - defensive
+        return nearest_rank(self.items(), self.count, p)
 
     def items(self) -> list[tuple[int, int]]:
         return sorted(self._buckets.items())

@@ -145,8 +145,10 @@ class VecNic(BaseNic):
 
     Event expansion routes through the owning network's plan cache and
     packet-uid counter; the injection discipline (one packet per cycle
-    into the LOCAL queue, space permitting) lives in the network so the
-    sparse and dense injection paths share one implementation.
+    into the LOCAL queue, space permitting) is the network's ``_feed``,
+    which the dense per-cycle pull and the sparse path's per-node
+    ``_pump`` both call.  Only the sparse path's uncontended single
+    arrival skips the NIC queues (see ``_sparse_inject``).
     """
 
     def __init__(self, node: int, network: "VectorizedNetwork") -> None:

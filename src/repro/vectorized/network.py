@@ -1,4 +1,4 @@
-"""The vectorized batched Phastlane engine (ROADMAP item 1).
+"""The vectorized batched Phastlane engine.
 
 A fourth registered fabric backend that reproduces
 :class:`~repro.core.network.PhastlaneNetwork` physics — resolve / inject /
@@ -363,9 +363,9 @@ class VectorizedNetwork(MeshNetworkBase):
         NIC carries a backlog the common case — one arrival for a node
         whose LOCAL queue has space — goes straight into the router
         without touching the NIC deques.  Backlogged nodes and multi-
-        arrival runs take :meth:`_pump`, which inlines ``VecNic.expand``
-        + ``BaseNic._refill`` + the one-per-cycle feed with the same
-        state, order, stats and emit sites as the dense path."""
+        arrival runs take :meth:`_pump`, which drives ``VecNic.expand``,
+        ``BaseNic._refill`` and :meth:`_feed` — the very calls the dense
+        path makes — and then updates the backlog set."""
         injections = self._events.pop(cycle, None)
         nic_pending = self._nic_pending
         if injections is None and not nic_pending:
@@ -462,49 +462,12 @@ class VectorizedNetwork(MeshNetworkBase):
         """Generic per-node injection: expand arrivals through the NIC
         queues, refill, feed one packet, and track the NIC backlog."""
         nic = self.nics[node]
-        buffer = nic._buffer
-        backlog = nic._generation_queue
         if arrivals:
-            stats = self.stats
-            plan = self.plan
-            uid = self._next_uid
             for _node, destination, generated_cycle in arrivals:
-                route = plan(node, destination)
-                stats.record_generated(cycle)
-                packet = VecPacket(uid, route, generated_cycle)
-                uid += 1
-                backlog.append(packet)
-                if hub:
-                    hub.emit(
-                        "generated", cycle, node, packet.uid,
-                        extra={"dst": route.final},
-                    )
-            self._next_uid = uid
-        nic_capacity = self.config.nic_buffer_entries
-        while backlog and len(buffer) < nic_capacity:
-            buffer.append(backlog.popleft())
-        if buffer:
-            router = self.routers[node]
-            local = router.queues[LOCAL_QUEUE]
-            capacity = self.config.buffer_entries
-            if (
-                capacity is None
-                or len(local) + router.pending_by_queue[LOCAL_QUEUE]
-                < capacity
-            ):
-                packet = buffer.popleft()
-                packet.eligible = cycle
-                local.append(packet)
-                router.mask |= 16
-                router.queued += 1
-                self._occupancy += 1
-                self._active.add(node)
-                self.stats.record_injected(cycle)
-                if hub:
-                    hub.emit("injected", cycle, node, packet.uid)
-                if backlog and len(buffer) < nic_capacity:
-                    buffer.append(backlog.popleft())
-        if buffer:
+                nic.expand(destination, generated_cycle, cycle)
+        nic._refill()
+        self._feed(node, nic, cycle, hub)
+        if nic._buffer:
             self._nic_pending.add(node)
         else:
             self._nic_pending.discard(node)
@@ -624,117 +587,44 @@ class VectorizedNetwork(MeshNetworkBase):
     def _run_waves(
         self, flights: list[VecPacket], cycle: int, hub: TraceHub | None
     ) -> None:
+        """Advance ``flights`` up to ``max_hops_per_cycle`` optical waves.
+
+        One loop serves every run.  The fault-free, untraced bench path
+        pays two ``is not None`` tests per crossing for the fault query
+        and the emits; everything else is shared, so there is no second
+        copy to keep in step with the reference.
+        """
         faults = self._faults
+        crossing_fault = faults.crossing_fault if faults is not None else None
+        fault_hit = self._fault_hit
         stats = self.stats
         energy = stats.energy_pj
         claims = self._claims
         claims_add = claims.add
         e_receive_control = self._e_receive_control
-        finish_local = self._finish_local
-        block = self._block
-        active = flights
+        e_receive_packet = self._e_receive_packet
+        buffer_or_drop = self._buffer_or_drop
+        # Delivery accounting inlined from ``NetworkStats.record_delivered``
+        # / ``LatencyStats.record``: the float running-mean updates keep
+        # their per-delivery order; the integer hop and delivered tallies
+        # are batched at the end (exact for ints).  The receiver ledger —
+        # which nothing called from here touches — is likewise summed
+        # locally in per-event order and stored once.
+        measurement_start = stats.measurement_start
+        mean = stats.latency.mean
+        histogram = stats.latency.histogram
+        buckets = histogram._buckets
+        delivered = 0
         hops = 0
-        if faults is None and hub is None:
-            # Specialized copy of the loop below for the fault-free,
-            # untraced case (the bench path): no per-hop fault or emit
-            # checks, and the delivery tail of ``_finish_local`` inlined.
-            # Effects and their order are identical to the generic loop.
-            e_receive_packet = self._e_receive_packet
-            buffer_or_drop = self._buffer_or_drop
-            # Delivery accounting inlined from ``NetworkStats.record_delivered``
-            # / ``LatencyStats.record``: the float running-mean updates keep
-            # their per-delivery order; the integer delivered tally is
-            # batched at the end (exact for ints).  The receiver ledger is
-            # likewise accumulated locally in per-event order and flushed
-            # around ``_block`` (which also charges the receiver).
-            measurement_start = stats.measurement_start
-            mean = stats.latency.mean
-            histogram = stats.latency.histogram
-            buckets = histogram._buckets
-            delivered = 0
-            receiver_sum = energy["receiver"]
-            for _wave in range(self.config.max_hops_per_cycle):
-                contenders: dict[int, Any] = {}
-                contenders_get = contenders.get
-                hops += len(active)  # no faults: every flight crosses
-                for packet in active:
-                    index = packet.hop + 1
-                    packet.hop = index
-                    receiver_sum += e_receive_control
-                    key = packet.plan.keys[index]
-                    if key < 0:
-                        receiver_sum += e_receive_packet
-                        plan = packet.plan
-                        if index == plan.length - 1:
-                            delivered += 1
-                            generated_cycle = packet.generated_cycle
-                            if generated_cycle >= measurement_start:
-                                latency = cycle - generated_cycle + 1
-                                count = mean.count + 1
-                                mean.count = count
-                                mean.mean += (latency - mean.mean) / count
-                                if latency < mean.min:
-                                    mean.min = latency
-                                if latency > mean.max:
-                                    mean.max = latency
-                                buckets[latency] += 1
-                                histogram.count += 1
-                        else:
-                            buffer_or_drop(packet, cycle, None)
-                        continue
-                    group = contenders_get(key)
-                    if group is None:
-                        contenders[key] = packet
-                    elif type(group) is list:
-                        group.append(packet)
-                    else:
-                        contenders[key] = [group, packet]
-                if not contenders:
-                    energy["receiver"] = receiver_sum
-                    stats.hops_traversed += hops
-                    stats.packets_delivered += delivered
-                    return
-                continuing: list[VecPacket] = []
-                for key, group in contenders.items():
-                    if type(group) is list:
-                        if key in claims:
-                            for packet in group:
-                                energy["receiver"] = receiver_sum
-                                block(packet, cycle, None)
-                                receiver_sum = energy["receiver"]
-                            continue
-                        group.sort(key=_priority_key)
-                        claims_add(key)
-                        continuing.append(group[0])
-                        for packet in group[1:]:
-                            energy["receiver"] = receiver_sum
-                            block(packet, cycle, None)
-                            receiver_sum = energy["receiver"]
-                    elif key in claims:
-                        energy["receiver"] = receiver_sum
-                        block(group, cycle, None)
-                        receiver_sum = energy["receiver"]
-                    else:
-                        claims_add(key)
-                        continuing.append(group)
-                active = continuing
-            energy["receiver"] = receiver_sum
-            stats.hops_traversed += hops
-            stats.packets_delivered += delivered
-            if active:  # pragma: no cover - plans guarantee termination
-                raise RuntimeError(
-                    f"transits exceeded the "
-                    f"{self.config.max_hops_per_cycle}-hop "
-                    f"budget: {[packet.uid for packet in active]}"
-                )
-            return
-        crossing_fault = faults.crossing_fault if faults is not None else None
+        receiver_sum = energy["receiver"]
+        active = flights
         for _wave in range(self.config.max_hops_per_cycle):
             # Contention groups in arrival order: a lone contender is
             # stored bare; a second arrival promotes the slot to a list
             # (collisions are rare, so most keys never allocate one).
             contenders: dict[int, Any] = {}
             contenders_get = contenders.get
+            hops += len(active)  # minus the crossings that fault, below
             for packet in active:
                 index = packet.hop + 1
                 packet.hop = index
@@ -744,15 +634,35 @@ class VectorizedNetwork(MeshNetworkBase):
                         plan.nodes[index - 1], plan.exits[index - 1], cycle
                     )
                     if kind is not None:
+                        hops -= 1
                         self._fault_crossing(packet, plan, index, kind, cycle, hub)
                         continue
-                hops += 1
-                if hub:
+                if hub is not None:
                     hub.emit("hop", cycle, plan.nodes[index], packet.uid)
-                energy["receiver"] += e_receive_control
+                receiver_sum += e_receive_control
                 key = plan.keys[index]
                 if key < 0:
-                    finish_local(packet, cycle, hub)
+                    receiver_sum += e_receive_packet
+                    if index != plan.length - 1:
+                        buffer_or_drop(packet, cycle, hub)
+                        continue
+                    delivered += 1
+                    generated_cycle = packet.generated_cycle
+                    if generated_cycle >= measurement_start:
+                        latency = cycle - generated_cycle + 1
+                        count = mean.count + 1
+                        mean.count = count
+                        mean.mean += (latency - mean.mean) / count
+                        if latency < mean.min:
+                            mean.min = latency
+                        if latency > mean.max:
+                            mean.max = latency
+                        buckets[latency] += 1
+                        histogram.count += 1
+                    if crossing_fault is not None and packet.uid in fault_hit:
+                        stats.record_fault_survivor()
+                    if hub is not None:
+                        hub.emit("delivered", cycle, plan.final, packet.uid)
                     continue
                 group = contenders_get(key)
                 if group is None:
@@ -761,28 +671,41 @@ class VectorizedNetwork(MeshNetworkBase):
                     group.append(packet)
                 else:
                     contenders[key] = [group, packet]
-            if not contenders:
-                stats.hops_traversed += hops
-                return
+            # Resolving contention only reads and extends the claims, so
+            # the losers can be handled after it, in the same order.
             continuing: list[VecPacket] = []
+            blocked: list[VecPacket] = []
             for key, group in contenders.items():
                 if type(group) is list:
                     if key in claims:
-                        for packet in group:
-                            block(packet, cycle, hub)
+                        blocked += group
                         continue
                     group.sort(key=_priority_key)
                     claims_add(key)
                     continuing.append(group[0])
-                    for packet in group[1:]:
-                        block(packet, cycle, hub)
+                    blocked += group[1:]
                 elif key in claims:
-                    block(group, cycle, hub)
+                    blocked.append(group)
                 else:
                     claims_add(key)
                     continuing.append(group)
+            for packet in blocked:
+                if hub is not None:
+                    hub.emit(
+                        "blocked", cycle, packet.plan.nodes[packet.hop], packet.uid
+                    )
+                receiver_sum += e_receive_packet
+                buffer_or_drop(packet, cycle, hub)
             active = continuing
-        stats.hops_traversed += hops
+            if not active:
+                break
+        if hops:
+            # Every counted crossing charged the receiver; with none (all
+            # flights faulted on the first wave) the ledger key must not
+            # appear, as in the reference.
+            energy["receiver"] = receiver_sum
+            stats.hops_traversed += hops
+        stats.packets_delivered += delivered
         if active:  # pragma: no cover - plans guarantee termination
             raise RuntimeError(
                 f"transits exceeded the {self.config.max_hops_per_cycle}-hop "
@@ -821,27 +744,6 @@ class VectorizedNetwork(MeshNetworkBase):
             hub.emit("dropped", cycle, fault_node, packet.uid)
 
     # -- transit outcomes -------------------------------------------------------
-
-    def _finish_local(
-        self, packet: VecPacket, cycle: int, hub: TraceHub | None
-    ) -> None:
-        plan = packet.plan
-        self.stats.energy_pj["receiver"] += self._e_receive_packet
-        if packet.hop == plan.length - 1:
-            self.stats.record_delivered(packet.generated_cycle, cycle)
-            self._note_fault_delivery(packet.uid)
-            if hub:
-                hub.emit("delivered", cycle, plan.final, packet.uid)
-            return
-        self._buffer_or_drop(packet, cycle, hub)
-
-    def _block(self, packet: VecPacket, cycle: int, hub: TraceHub | None) -> None:
-        if hub:
-            hub.emit(
-                "blocked", cycle, packet.plan.nodes[packet.hop], packet.uid
-            )
-        self.stats.energy_pj["receiver"] += self._e_receive_packet
-        self._buffer_or_drop(packet, cycle, hub)
 
     def _buffer_or_drop(
         self, packet: VecPacket, cycle: int, hub: TraceHub | None

@@ -84,15 +84,19 @@ def assert_stats_identical(ref_stats, vec_stats, context=""):
         )
 
 
-def drive(config, source, *, faults=None, tracer=None, cycles=None):
-    """Run a network to drain (or for ``cycles``) outside the runner."""
+def drive(config, source, *, faults=None, tracer=None, cycles=None, attach_at=0):
+    """Run a network to drain (or for ``cycles``) outside the runner.
+
+    ``tracer`` attaches after ``attach_at`` cycles (0: traced throughout).
+    """
     network = make_network(config, source, faults=faults)
-    if tracer is not None:
-        network.add_tracer(tracer)
     engine = SimulationEngine()
     engine.register(network)
+    engine.run(attach_at)
+    if tracer is not None:
+        network.add_tracer(tracer)
     if cycles is not None:
-        engine.run(cycles)
+        engine.run(cycles - attach_at)
     else:
         engine.run(1)
         assert engine.run_until(lambda: network.idle(engine.cycle), 100_000)
@@ -365,43 +369,90 @@ def normalized_events(tracer):
     return stream
 
 
+def bursty_source(mesh, rate=0.5):
+    return SyntheticSource(
+        pattern_by_name("uniform", mesh),
+        lambda: BurstyInjector(rate, 2.0, 6.0),
+        seed=11, stop_cycle=100,
+    )
+
+
 class TestObservability:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_tracer_attachment_never_perturbs_stats(self, mode):
-        mesh = MeshGeometry(4, 4)
-        vec_config = VectorizedConfig(mesh=mesh, mode=mode)
-
-        def source():
-            return SyntheticSource(
-                pattern_by_name("uniform", mesh),
-                lambda: BurstyInjector(0.5, 2.0, 6.0),
-                seed=11, stop_cycle=100,
-            )
-
+    def check_tracer_neutral(self, vec_config, rate):
+        """Traced == untraced == reference stats; returns the tracer."""
+        mesh = vec_config.mesh
         tracer = CollectingTracer()
-        bare = drive(vec_config, source())
-        traced = drive(vec_config, source(), tracer=tracer)
+        ref = drive(as_phastlane(vec_config), bursty_source(mesh, rate))
+        bare = drive(vec_config, bursty_source(mesh, rate))
+        traced = drive(vec_config, bursty_source(mesh, rate), tracer=tracer)
         assert_stats_identical(bare.stats, traced.stats, " (tracer attached)")
+        # Bursty sources replay the reference draws in either mode.
+        assert_stats_identical(ref.stats, bare.stats, " (vs reference)")
         assert tracer.events, "tracer attached but saw no events"
         kinds = {event.kind for event in tracer.events}
         assert {"generated", "injected", "delivered"} <= kinds
+        return tracer
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tracer_attachment_never_perturbs_stats(self, mode):
+        config = VectorizedConfig(mesh=MeshGeometry(4, 4), mode=mode)
+        self.check_tracer_neutral(config, rate=0.5)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tracer_attachment_never_perturbs_saturated_stats(self, mode):
+        # One-entry router buffers under a heavy bursty load: drop storms,
+        # and LOCAL queues that refuse the NIC so arrivals back up behind
+        # it (the sparse path's per-node ``_pump``).
+        config = VectorizedConfig(
+            mesh=MeshGeometry(4, 4), mode=mode, buffer_entries=1
+        )
+        tracer = self.check_tracer_neutral(config, rate=0.9)
+        assert tracer.by_kind("dropped")
+        generated = {
+            event.uid: event.cycle for event in tracer.by_kind("generated")
+        }
+        assert any(
+            event.cycle > generated[event.uid]
+            for event in tracer.by_kind("injected")
+        ), "no packet ever waited in a NIC: the case is not saturated"
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "faults",
+        [None, FaultConfig(seed=2, link_flip_prob=0.08, retry_limit=5)],
+        ids=["fault-free", "faulted"],
+    )
+    def test_mid_run_tracer_attachment_is_neutral(self, mode, faults):
+        # Attaching a tracer while packets are in flight must change
+        # nothing but what is observed: stats equal the never-traced
+        # run's, and the events seen are exactly the tail of a run traced
+        # from cycle 0 (uids included: the allocator is per network).
+        mesh = MeshGeometry(4, 4)
+        vec_config = VectorizedConfig(mesh=mesh, mode=mode)
+        attach_at = 40
+        full, late = CollectingTracer(), CollectingTracer()
+        bare = drive(vec_config, bursty_source(mesh), faults=faults)
+        drive(vec_config, bursty_source(mesh), faults=faults, tracer=full)
+        attached = drive(
+            vec_config, bursty_source(mesh), faults=faults, tracer=late,
+            attach_at=attach_at,
+        )
+        assert_stats_identical(bare.stats, attached.stats, " (attached mid-run)")
+        tail = [event for event in full.events if event.cycle >= attach_at]
+        assert late.events == tail
+        assert 0 < len(tail) < len(full.events)
+        if faults is not None:
+            assert any(event.kind.startswith("fault") for event in tail)
 
     def test_fault_event_streams_bit_identical_in_exact_mode(self):
         mesh = MeshGeometry(4, 4)
         faults = FaultConfig(seed=2, link_flip_prob=0.08, retry_limit=5)
         vec_config = VectorizedConfig(mesh=mesh, mode="exact")
-
-        def source():
-            return SyntheticSource(
-                pattern_by_name("uniform", mesh),
-                lambda: BurstyInjector(0.5, 2.0, 6.0),
-                seed=11, stop_cycle=100,
-            )
-
         ref_tracer, vec_tracer = CollectingTracer(), CollectingTracer()
-        ref = drive(as_phastlane(vec_config), source(), faults=faults,
+        ref = drive(as_phastlane(vec_config), bursty_source(mesh), faults=faults,
                     tracer=ref_tracer)
-        vec = drive(vec_config, source(), faults=faults, tracer=vec_tracer)
+        vec = drive(vec_config, bursty_source(mesh), faults=faults,
+                    tracer=vec_tracer)
         assert_stats_identical(ref.stats, vec.stats, " (faulted, traced)")
         # Packet uids come from each backend's own allocator (the reference
         # counter is process-global), so compare streams with uids

@@ -20,9 +20,7 @@ from repro.obs import (
     Window,
     sampled,
 )
-from repro.obs.timeseries import _bucket_percentile
-from collections import Counter
-from repro.sim.stats import NetworkStats
+from repro.sim.stats import Histogram, NetworkStats, nearest_rank
 
 
 class TestTraceHub:
@@ -263,10 +261,18 @@ class TestTimeSeries:
             self.WINDOW.rate("mean_occupancy")
 
     def test_bucket_percentile_matches_histogram_semantics(self):
-        buckets = Counter({3: 2, 7: 1, 100: 1})
-        assert _bucket_percentile(buckets, 4, 50.0) == 3
-        assert _bucket_percentile(buckets, 4, 100.0) == 100
-        assert _bucket_percentile(Counter(), 0, 50.0) is None
+        # Windowed, run-level and blame percentiles are one routine
+        # (the empty-window None is pinned in TestMetricsWatcherEdges).
+        pairs = [(3, 2), (7, 1), (100, 1)]
+        histogram = Histogram()
+        for value, occurrences in pairs:
+            for _ in range(occurrences):
+                histogram.add(value)
+        for p, expected in ((50.0, 3), (75.0, 7), (100.0, 100), (0.01, 3)):
+            assert nearest_rank(pairs, 4, p) == expected
+            assert histogram.percentile(p) == expected
+        with pytest.raises(ValueError, match="no rank"):
+            nearest_rank([], 0, 50.0)
 
 
 class TestEngineProfiler:

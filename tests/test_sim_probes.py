@@ -6,7 +6,6 @@ from repro.core import PhastlaneConfig, PhastlaneNetwork
 from repro.electrical import ElectricalConfig, ElectricalNetwork
 from repro.sim.probes import (
     MeshProbe,
-    attach_phastlane_probe,
     attach_probe,
     render_heatmap,
 )
@@ -118,7 +117,7 @@ class TestPhastlaneAttachment:
         ]
         trace = Trace("t", 64, events=events)
         network = PhastlaneNetwork(config, TraceSource(trace))
-        probe = attach_phastlane_probe(network)
+        probe = attach_probe(network)
         drain(network, 11)
 
         assert sum(probe.drops.values()) == network.stats.packets_dropped
@@ -136,7 +135,7 @@ class TestPhastlaneAttachment:
             TraceEvent(0, 16, 26),
         ]
         network = PhastlaneNetwork(config, TraceSource(Trace("t", 64, events=events)))
-        probe = attach_phastlane_probe(network)
+        probe = attach_probe(network)
         drain(network, 1)
         assert set(probe.drops) <= {17, 18}
         assert sum(probe.drops.values()) >= 1
