@@ -9,15 +9,14 @@ injection per workload), trading fidelity against wall-clock time.
 
 from __future__ import annotations
 
-import pytest
+import os
 
-from repro.perf.matrix import bench_cycles as _bench_cycles
+import pytest
 
 
 def bench_cycles(default: int = 1500) -> int:
-    """``REPRO_BENCH_CYCLES`` or ``default`` — the same knob as ``repro
-    bench``, with the figure benchmarks' longer default window."""
-    return _bench_cycles(default)
+    """Injection window from ``REPRO_BENCH_CYCLES`` (or ``default``)."""
+    return int(os.environ.get("REPRO_BENCH_CYCLES", default))
 
 
 @pytest.fixture(scope="session")

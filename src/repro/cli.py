@@ -10,12 +10,7 @@ Exposes the experiment harness without writing any Python:
 - ``repro run --config Optical4 --trace ocean.trace`` — replay a trace;
 - ``repro fault-sweep --link-flip-prob 0.01`` — a degradation curve;
 - ``repro campaign`` — the full Fig 10/11 SPLASH2 campaign;
-- ``repro bench`` — the pinned performance matrix: writes a
-  schema-versioned ``BENCH.json`` (wall seconds, cycles/sec, flits/sec,
-  per-component time shares, top-N hot functions per entry) and, with
-  ``--compare BASELINE``, exits non-zero when any entry's wall time
-  regresses past the threshold (default +25%; ``--warn-only`` downgrades
-  the gate to a warning).
+- ``repro analyze run.jsonl`` — a latency blame report from a JSONL trace.
 
 ``sweep``, ``run`` and ``fault-sweep`` also accept the fault-injection
 flags (``--fault-seed``, ``--fault-model``, ``--link-flip-prob``,
@@ -42,7 +37,7 @@ import json
 import sys
 from typing import Sequence, TextIO
 
-from repro.fabric import FabricError
+from repro.fabric import FabricError, NetworkConfig
 from repro.faults import FaultConfig
 from repro.harness.exec import (
     Executor,
@@ -79,23 +74,6 @@ from repro.obs import (
     diff_reports,
     render_diff_markdown,
     render_markdown,
-)
-from repro.perf import (
-    DEFAULT_BENCH_PATH,
-    DEFAULT_REPEATS,
-    bench_report,
-    compare,
-    default_matrix,
-    format_bench_markdown,
-    format_bench_table,
-    format_compare,
-    format_compare_markdown,
-    format_component_shares,
-    format_hot_functions,
-    format_hot_functions_markdown,
-    load_bench,
-    run_matrix,
-    write_bench,
 )
 from repro.topology import registered_topologies
 from repro.traffic.patterns import PATTERNS
@@ -177,6 +155,30 @@ def _dead_ports(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(ports)
 
 
+class _UsageError(Exception):
+    """A bad flag value: ``main`` prints the message and exits 2."""
+
+
+def _config_from_args(args: argparse.Namespace) -> NetworkConfig:
+    """Look ``--config`` up among the configs built on ``--topology``."""
+    configs = cli_configs(topology=args.topology)
+    if args.config not in configs:
+        raise _UsageError(
+            f"unknown config {args.config!r}; choose from {sorted(configs)}"
+        )
+    return configs[args.config]
+
+
+def _float_list(text: str, flag: str) -> list[float]:
+    """Parse the comma-separated floats given to ``flag``."""
+    try:
+        return [float(item) for item in text.split(",")]
+    except ValueError:
+        raise _UsageError(
+            f"invalid {flag} {text!r}; expected comma-separated floats"
+        )
+
+
 def _faults_from_args(args: argparse.Namespace) -> FaultConfig | None:
     """Build the fault config from the shared CLI flags (None if disabled)."""
     if args.fault_model == "burst":
@@ -204,7 +206,6 @@ def _obs_from_args(args: argparse.Namespace) -> ObsConfig | None:
             trace_sample=args.trace_sample,
             metrics_interval=args.metrics_interval,
             spatial=args.spatial_metrics,
-            profile=args.profile,
             health=args.health,
             health_interval=args.health_interval,
             health_stall_windows=args.stall_windows,
@@ -285,25 +286,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    configs = cli_configs(topology=args.topology)
-    if args.config not in configs:
-        print(
-            f"unknown config {args.config!r}; choose from {sorted(configs)}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        rates = [float(r) for r in args.rates.split(",")]
-    except ValueError:
-        print(
-            f"invalid --rates {args.rates!r}; expected comma-separated floats",
-            file=sys.stderr,
-        )
-        return 2
+    config = _config_from_args(args)
+    rates = _float_list(args.rates, "--rates")
     executor = _executor_from_args(args)
     faults = _faults_from_args(args)
     points = latency_vs_injection(
-        configs[args.config],
+        config,
         args.pattern,
         rates,
         cycles=args.cycles,
@@ -368,15 +356,8 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    configs = cli_configs(topology=args.topology)
-    if args.config not in configs:
-        print(
-            f"unknown config {args.config!r}; choose from {sorted(configs)}",
-            file=sys.stderr,
-        )
-        return 2
     spec = RunSpec(
-        config=configs[args.config],
+        config=_config_from_args(args),
         workload=TraceFileWorkload(args.trace),
         faults=_faults_from_args(args),
     )
@@ -396,85 +377,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     table.add_row(["wall_time_s", f"{result.wall_time_s:.3f}"])
     table.add_row(["packets_per_second", f"{result.packets_per_second:.0f}"])
     print(table.render())
-    if result.profile is not None:
-        # --profile on a single run: surface the summary right here, not
-        # only in the campaign manifest.
-        print()
-        print(format_component_shares(result.profile))
     _finish_campaign(executor, args)
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    baseline = None
-    if args.compare:
-        try:
-            baseline = load_bench(args.compare)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"repro: cannot load baseline {args.compare}: {exc}",
-                  file=sys.stderr)
-            return 2
-    matrix = default_matrix(cycles=args.cycles, repeats=args.repeats)
-    if args.only:
-        matrix = [bench for bench in matrix if args.only in bench.name]
-        if not matrix:
-            print(f"repro: --only {args.only!r} matches no matrix entry",
-                  file=sys.stderr)
-            return 2
-
-    def progress(index: int, total: int, result) -> None:
-        print(
-            f"[{index + 1}/{total}] {result.name}: {result.wall_s:.3f}s "
-            f"({result.cycles_per_s:,.0f} cycles/s)",
-            file=sys.stderr,
-        )
-
-    results = run_matrix(
-        matrix, cprofile=not args.no_cprofile, top=args.top, progress=progress
-    )
-    payload = bench_report(results)
-    path = write_bench(args.out, payload)
-    markdown = args.format == "markdown"
-    print(format_bench_markdown(results) if markdown else format_bench_table(results))
-    if not args.no_cprofile and results:
-        slowest = max(results, key=lambda result: result.wall_s)
-        title = f"top hot functions of the slowest entry ({slowest.name})"
-        print()
-        if markdown:
-            print(format_hot_functions_markdown(slowest.hot_functions, title=title))
-        else:
-            print(format_hot_functions(slowest.hot_functions, title=title))
-    print(f"wrote {path}", file=sys.stderr)
-    if baseline is not None:
-        report = compare(payload, baseline, threshold=args.threshold / 100.0)
-        print()
-        print(format_compare_markdown(report) if markdown else format_compare(report))
-        if not report.ok:
-            if args.warn_only:
-                print("repro bench: regression gate in warn-only mode",
-                      file=sys.stderr)
-            else:
-                return 1
-    return 0
-
-
 def _cmd_fault_sweep(args: argparse.Namespace) -> int:
-    configs = cli_configs(topology=args.topology)
-    if args.config not in configs:
-        print(
-            f"unknown config {args.config!r}; choose from {sorted(configs)}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        fault_rates = [float(r) for r in args.fault_rates.split(",")]
-    except ValueError:
-        print(
-            f"invalid --fault-rates {args.fault_rates!r}; expected "
-            "comma-separated floats",
-            file=sys.stderr,
-        )
-        return 2
+    config = _config_from_args(args)
+    fault_rates = _float_list(args.fault_rates, "--fault-rates")
     # The template carries every knob except the swept probability; sweep
     # it even when the base config would otherwise be disabled.
     template = _faults_from_args(args) or FaultConfig(
@@ -482,7 +391,7 @@ def _cmd_fault_sweep(args: argparse.Namespace) -> int:
     )
     executor = _executor_from_args(args)
     points = throughput_vs_fault_rate(
-        configs[args.config],
+        config,
         args.pattern,
         args.rate,
         fault_rates,
@@ -652,11 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
         "delivery series (requires --metrics-interval)",
     )
     executor_flags.add_argument(
-        "--profile", action="store_true",
-        help="account per-component step/commit wall time (summarised in "
-        "the campaign manifest; `repro run` also prints it)",
-    )
-    executor_flags.add_argument(
         "--health", action="store_true",
         help="run the health watchdogs (flit conservation, credit leaks, "
         "stall/livelock detection) at metrics-window boundaries; the "
@@ -709,6 +613,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="retransmissions before a faulted packet is abandoned (default 16)",
     )
 
+    config_flags = argparse.ArgumentParser(add_help=False)
+    config_flags.add_argument("--config", default="Optical4")
+    config_flags.add_argument(
+        "--topology", default="mesh", choices=registered_topologies(),
+        help="network topology to run the configs on (default mesh)",
+    )
+
     sub.add_parser("tables", help="print Tables 1-4").set_defaults(func=_cmd_tables)
 
     figure = sub.add_parser(
@@ -722,12 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep",
         help="latency vs injection-rate sweep",
-        parents=[executor_flags, fault_flags],
-    )
-    sweep.add_argument("--config", default="Optical4")
-    sweep.add_argument(
-        "--topology", default="mesh", choices=registered_topologies(),
-        help="network topology to run the configs on (default mesh)",
+        parents=[config_flags, executor_flags, fault_flags],
     )
     sweep.add_argument("--pattern", default="uniform", choices=sorted(PATTERNS))
     sweep.add_argument("--rates", default="0.02,0.05,0.1,0.2,0.3,0.4,0.5")
@@ -752,12 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser(
         "run",
         help="replay a trace through one configuration",
-        parents=[executor_flags, fault_flags],
-    )
-    run.add_argument("--config", default="Optical4")
-    run.add_argument(
-        "--topology", default="mesh", choices=registered_topologies(),
-        help="network topology to run the configs on (default mesh)",
+        parents=[config_flags, executor_flags, fault_flags],
     )
     run.add_argument("--trace", required=True)
     run.add_argument("--manifest", help="write the campaign manifest JSON here")
@@ -766,12 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     fault_sweep = sub.add_parser(
         "fault-sweep",
         help="throughput vs fault-rate degradation curve",
-        parents=[executor_flags, fault_flags],
-    )
-    fault_sweep.add_argument("--config", default="Optical4")
-    fault_sweep.add_argument(
-        "--topology", default="mesh", choices=registered_topologies(),
-        help="network topology to run the configs on (default mesh)",
+        parents=[config_flags, executor_flags, fault_flags],
     )
     fault_sweep.add_argument("--pattern", default="uniform", choices=sorted(PATTERNS))
     fault_sweep.add_argument(
@@ -787,53 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     fault_sweep.add_argument("--report", help="write the curve points as JSON here")
     fault_sweep.add_argument("--manifest", help="write the campaign manifest JSON here")
     fault_sweep.set_defaults(func=_cmd_fault_sweep)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the pinned performance matrix; write (and gate on) BENCH.json",
-    )
-    bench.add_argument(
-        "--out", default=DEFAULT_BENCH_PATH,
-        help=f"where to write the benchmark record (default {DEFAULT_BENCH_PATH})",
-    )
-    bench.add_argument(
-        "--cycles", type=int, default=None,
-        help="injection window per entry (default: REPRO_BENCH_CYCLES or 600)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=DEFAULT_REPEATS,
-        help=f"timed repeats per entry, best-of-k (default {DEFAULT_REPEATS})",
-    )
-    bench.add_argument(
-        "--compare", metavar="BASELINE",
-        help="diff against this committed BENCH.json and gate on regressions",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=25.0, metavar="PCT",
-        help="regression gate as percent wall-time increase (default 25)",
-    )
-    bench.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions but exit zero (CI smoke mode)",
-    )
-    bench.add_argument(
-        "--no-cprofile", action="store_true",
-        help="skip the cProfile pass (no hot-function tables)",
-    )
-    bench.add_argument(
-        "--top", type=int, default=10, metavar="N",
-        help="hot functions kept per entry (default 10)",
-    )
-    bench.add_argument(
-        "--only", metavar="SUBSTR",
-        help="run only matrix entries whose name contains SUBSTR",
-    )
-    bench.add_argument(
-        "--format", choices=("ascii", "markdown"), default="ascii",
-        help="table format: ascii for terminals, markdown for CI step "
-        "summaries (default ascii)",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     campaign = sub.add_parser(
         "campaign", help="full Fig 10/11 SPLASH2 campaign", parents=[executor_flags]
@@ -891,6 +740,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except FabricError as exc:
         # Honest refusals (e.g. a cycle-accurate backend asked to run on a
         # non-grid topology) print as one-line errors, not tracebacks.

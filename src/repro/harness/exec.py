@@ -184,7 +184,7 @@ class RunSpec:
     cache key and digest pin) byte-identical to a tree without faults.
 
     ``obs`` configures observability (tracing / time-series metrics /
-    profiling) and is *not* part of the spec's identity: it is excluded
+    health watchdogs) and is *not* part of the spec's identity: it is excluded
     from equality, ``to_dict`` and the content digest, because it never
     changes simulation results (see :mod:`repro.obs`).
     """
@@ -281,14 +281,17 @@ class ResultCache:
         path = self.path_for(spec)
         try:
             payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # torn JSON and non-UTF-8 bytes included
+            return None
+        if not isinstance(payload, dict):
             return None
         if payload.get("calibration") != self.calibration:
             return None
         try:
             result = result_from_dict(payload["result"])
             wall_time = float(payload.get("wall_time_s", 0.0))
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, AttributeError):
+            # AttributeError: a list or scalar where the schema has an object.
             return None
         return replace(result, wall_time_s=wall_time)
 

@@ -208,10 +208,6 @@ def manifest_to_dict(events: Iterable[Any]) -> dict[str, Any]:
             "packets_per_second": event.result.packets_per_second,
             "spec": event.spec.to_dict(),
         }
-        # Engine profiles are wall-clock observability, so they belong
-        # here (next to timings), not in the result report.
-        if event.result.profile is not None:
-            entry["profile"] = event.result.profile
         # Additive key: manifests from watchdog-less runs are unchanged.
         if event.result.health is not None:
             entry["health"] = event.result.health.status

@@ -40,12 +40,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 class RunResult:
     """Summary of one simulation run.
 
-    ``wall_time_s``, ``timeseries``, ``profile`` and ``health`` are
-    observability, not physics: all are excluded from equality so a cached
-    or parallel run compares equal to a fresh serial one.  Wall time and
-    the profile summary belong to the campaign manifest;
-    :func:`repro.harness.report.result_to_dict` serialises the time series
-    and health report (when collected) but omits the other two.
+    ``wall_time_s``, ``timeseries`` and ``health`` are observability, not
+    physics: all are excluded from equality so a cached or parallel run
+    compares equal to a fresh serial one.  Wall time belongs to the
+    campaign manifest; :func:`repro.harness.report.result_to_dict`
+    serialises the time series and health report (when collected) but
+    omits it.
     """
 
     label: str
@@ -55,7 +55,6 @@ class RunResult:
     drained: bool
     wall_time_s: float = field(default=0.0, compare=False)
     timeseries: TimeSeries | None = field(default=None, compare=False)
-    profile: dict | None = field(default=None, compare=False)
     health: HealthReport | None = field(default=None, compare=False)
 
     @property
@@ -280,7 +279,7 @@ def _execute_trace(
     drained = engine.run_until(
         lambda: network.idle(engine.cycle), max_drain_cycles
     )
-    timeseries, profile, health = session.finish()
+    timeseries, health = session.finish()
     if watcher is not None:
         watcher.emit(engine.cycle, done=True)
     if not drained:
@@ -295,7 +294,6 @@ def _execute_trace(
         stats=network.stats,
         drained=drained,
         timeseries=timeseries,
-        profile=profile,
         health=health,
     )
 
@@ -334,7 +332,7 @@ def _execute_synthetic(
     session = ObsSession(obs, network, engine, meta=meta)
     watcher = _attach_progress(progress, network, session, engine, cycles)
     engine.run(cycles)
-    timeseries, profile, health = session.finish()
+    timeseries, health = session.finish()
     if watcher is not None:
         watcher.emit(engine.cycle, done=True)
     return RunResult(
@@ -344,6 +342,5 @@ def _execute_synthetic(
         stats=network.stats,
         drained=network.idle(engine.cycle),
         timeseries=timeseries,
-        profile=profile,
         health=health,
     )

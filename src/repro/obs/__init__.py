@@ -1,7 +1,7 @@
-"""Cross-cutting observability: tracing, time-series metrics, profiling.
+"""Cross-cutting observability: tracing, time-series metrics, health, analytics.
 
-The subsystem has three independent legs, all opt-in and all governed by
-one :class:`ObsConfig`:
+The subsystem's legs are independent, all opt-in and all governed by one
+:class:`ObsConfig`:
 
 - **packet-lifecycle tracing** — both simulators carry a
   :class:`~repro.obs.events.TraceHub` with explicit emit points (no
@@ -15,10 +15,6 @@ one :class:`ObsConfig`:
   buffer occupancy and latency percentiles into a
   :class:`~repro.obs.timeseries.TimeSeries` that serialises into the JSON
   report.
-- **engine profiling** — an :class:`~repro.obs.profile.EngineProfiler`
-  accounts per-component ``step``/``commit`` wall time inside
-  :class:`~repro.sim.engine.SimulationEngine`, summarised per run in the
-  campaign manifest.
 - **runtime health watchdogs** — a :class:`~repro.obs.health.HealthMonitor`
   engine watcher runs pluggable invariant checks (flit conservation,
   credit leaks, livelock/stall/starvation) at window boundaries, emitting
@@ -73,7 +69,6 @@ from repro.obs.health import (
     register_health_check,
 )
 from repro.obs.live import LiveDashboard
-from repro.obs.profile import EngineProfiler
 from repro.obs.session import ObsSession
 from repro.obs.timeseries import MetricsWatcher, SpatialSeries, TimeSeries, Window
 from repro.obs.tracers import (
@@ -91,7 +86,6 @@ __all__ = [
     "BlameReport",
     "ChromeTraceWriter",
     "CollectingTracer",
-    "EngineProfiler",
     "HealthCheck",
     "HealthFinding",
     "HealthMonitor",

@@ -474,8 +474,10 @@ def read_trace_file(
 
     Traces written since the ``repro-trace/v1`` header lead with a schema
     record carrying run identity and ``link_delay``; older header-less
-    traces parse fine with empty metadata.  An unrecognised schema tag is
-    an error — the analyzer's input validation.
+    traces parse fine with empty metadata.  An unrecognised schema tag, a
+    line that is not a JSON object and an event record lacking a field are
+    errors — the analyzer's input validation — raised as ``ValueError``
+    naming ``path:line``.
     """
     path = Path(path)
     events: list[PacketEvent] = []
@@ -487,6 +489,10 @@ def read_trace_file(
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{number + 1}: not JSONL: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"{path}:{number + 1}: record is not a JSON object: {line.strip()}"
+            )
         if "schema" in payload:
             if payload["schema"] != TRACE_SCHEMA:
                 raise ValueError(
@@ -500,7 +506,16 @@ def read_trace_file(
                 f"{path}:{number + 1}: unknown event kind "
                 f"{payload.get('kind')!r}; is this a JSONL packet trace?"
             )
-        events.append(_event_from_payload(payload))
+        try:
+            events.append(_event_from_payload(payload))
+        except KeyError as exc:
+            raise ValueError(
+                f"{path}:{number + 1}: {payload['kind']} event lacks field {exc}"
+            ) from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path}:{number + 1}: malformed {payload['kind']} event: {exc}"
+            ) from exc
     return events, meta
 
 

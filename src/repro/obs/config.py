@@ -29,8 +29,7 @@ class ObsConfig:
     (deterministically by uid).  ``metrics_interval`` enables the windowed
     time series (cycles per window); ``spatial`` extends it with the
     per-router occupancy/drop/delivery companion series (it needs the
-    window clock, so it requires ``metrics_interval``); ``profile``
-    enables engine step/commit wall-time accounting.
+    window clock, so it requires ``metrics_interval``).
 
     ``health`` enables the runtime watchdogs
     (:class:`~repro.obs.health.HealthMonitor`): invariant checks evaluated
@@ -46,7 +45,6 @@ class ObsConfig:
     trace_sample: float = 1.0
     metrics_interval: int | None = None
     spatial: bool = False
-    profile: bool = False
     health: bool = False
     health_interval: int | None = None
     health_stall_windows: int = 5
@@ -87,7 +85,6 @@ class ObsConfig:
         return (
             self.trace_path is not None
             or self.metrics_interval is not None
-            or self.profile
             or self.health
             or self.stream_path is not None
         )

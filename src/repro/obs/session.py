@@ -2,10 +2,9 @@
 
 :class:`ObsSession` is the one place the runner touches observability: it
 translates an :class:`~repro.obs.config.ObsConfig` into attached tracers,
-watchers, watchdogs and profilers before the run, and collects their
-outputs after.  A session built from ``None`` (or an all-off config)
-attaches nothing, so the uninstrumented path is exactly the
-pre-observability code path.
+watchers and watchdogs before the run, and collects their outputs after.
+A session built from ``None`` (or an all-off config) attaches nothing, so
+the uninstrumented path is exactly the pre-observability code path.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Any
 from repro.obs.config import ObsConfig
 from repro.obs.export import JsonlStreamWriter
 from repro.obs.health import HealthMonitor, HealthReport
-from repro.obs.profile import EngineProfiler
 from repro.obs.timeseries import MetricsWatcher, TimeSeries
 from repro.obs.tracers import ChromeTraceWriter, JsonlTraceWriter, sampled
 
@@ -63,18 +61,14 @@ class ObsSession:
             self._watcher.add_listener(self._stream.on_window)
             if self._monitor is not None:
                 self._monitor.add_listener(self._stream.on_finding)
-        if self.config.profile:
-            engine.profiler = EngineProfiler()
 
     @property
     def health_status(self) -> str | None:
         """The watchdogs' current verdict mid-run (None when disabled)."""
         return self._monitor.status if self._monitor is not None else None
 
-    def finish(
-        self,
-    ) -> tuple[TimeSeries | None, dict[str, Any] | None, HealthReport | None]:
-        """Close all sinks; return (time series, profile, health report)."""
+    def finish(self) -> tuple[TimeSeries | None, HealthReport | None]:
+        """Close all sinks; return (time series, health report)."""
         if self._tracer is not None:
             self._tracer.close()
         timeseries = (
@@ -87,14 +81,9 @@ class ObsSession:
             if self._monitor is not None
             else None
         )
-        profile = (
-            self._engine.profiler.summary()
-            if self._engine.profiler is not None
-            else None
-        )
         if self._stream is not None:
             summary: dict[str, Any] = {"final_cycle": self._engine.cycle}
             if health is not None:
                 summary["health"] = health.status
             self._stream.close(summary)
-        return timeseries, profile, health
+        return timeseries, health

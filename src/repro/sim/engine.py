@@ -17,11 +17,7 @@ tests meaningful.
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.profile import EngineProfiler
+from typing import Callable, Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -48,10 +44,6 @@ class SimulationEngine:
         self._components: list[Clocked] = []
         self.cycle = 0
         self._watchers: list[Callable[[int], None]] = []
-        #: Opt-in per-component step/commit wall-time accounting.  The
-        #: profiled tick is a separate code path so the default path pays
-        #: one ``is None`` check and nothing else.
-        self.profiler: "EngineProfiler | None" = None
 
     def register(self, component: Clocked) -> None:
         if not isinstance(component, Clocked):
@@ -65,30 +57,13 @@ class SimulationEngine:
     def tick(self) -> None:
         """Advance the simulation by one cycle."""
         cycle = self.cycle
-        if self.profiler is None:
-            for component in self._components:
-                component.step(cycle)
-            for component in self._components:
-                component.commit(cycle)
-        else:
-            self._tick_profiled(cycle)
+        for component in self._components:
+            component.step(cycle)
+        for component in self._components:
+            component.commit(cycle)
         self.cycle += 1
         for watcher in self._watchers:
             watcher(cycle)
-
-    def _tick_profiled(self, cycle: int) -> None:
-        """One cycle with per-component wall-time accounting."""
-        profiler = self.profiler
-        assert profiler is not None
-        for component in self._components:
-            started = perf_counter()
-            component.step(cycle)
-            profiler.account(component, "step", perf_counter() - started)
-        for component in self._components:
-            started = perf_counter()
-            component.commit(cycle)
-            profiler.account(component, "commit", perf_counter() - started)
-        profiler.tick()
 
     def run(self, cycles: int) -> None:
         """Advance by ``cycles`` cycles."""

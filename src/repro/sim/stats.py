@@ -199,8 +199,8 @@ class NetworkStats:
 
         Both networks carry single-flit packets (an 80-byte cache line per
         flit), so the simulator's flit workload is every injection plus
-        every router-to-router hop.  ``repro.perf`` divides this by wall
-        time to report flits/sec.
+        every router-to-router hop.  The repo benchmark (``bench/``)
+        divides host wall time by it to report ``host_us_per_flit``.
         """
         return self.packets_injected + self.hops_traversed
 

@@ -341,6 +341,31 @@ class TestTraceFileValidation:
         with pytest.raises(ValueError, match="not JSONL"):
             read_trace_file(path)
 
+    @pytest.mark.parametrize(
+        "tail, complaint",
+        [
+            ('{"kind": "hop", "cycle": 1}\n', "hop event lacks field 'node'"),
+            ("[1, 2]\n", "record is not a JSON object: [1, 2]"),
+            ('{"kind": "injected", "cyc', "not JSONL: "),  # cut mid-line
+        ],
+        ids=["missing-field", "non-object", "cut-mid-line"],
+    )
+    def test_malformed_record_is_a_one_line_cli_error(
+        self, tmp_path, capsys, tail, complaint
+    ):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"kind": "generated", "cycle": 0, "node": 0, "uid": 1, "dst": 3}\n'
+            + tail
+        )
+        with pytest.raises(ValueError, match="t.jsonl:2: "):
+            read_trace_file(path)
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro: {path}:2: {complaint}")
+        assert captured.err.count("\n") == 1
+
     def test_headerless_trace_still_parses(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text(

@@ -120,17 +120,6 @@ class TestTraceWorkflow:
         main(["trace", "generate", "lu", "--out", str(path), "--cycles", "50"])
         assert main(["run", "--config", "Nope", "--trace", str(path)]) == 2
 
-    def test_run_profile_prints_component_shares(self, tmp_path, capsys):
-        path = tmp_path / "fft.trace"
-        main(["trace", "generate", "fft", "--out", str(path), "--cycles", "100"])
-        capsys.readouterr()
-        args = ["run", "--config", "Optical4", "--trace", str(path), "--profile"]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "engine profile" in out
-        assert "PhastlaneNetwork" in out
-        assert "share" in out
-
     def test_spatial_metrics_requires_interval(self, tmp_path):
         path = tmp_path / "t.trace"
         main(["trace", "generate", "lu", "--out", str(path), "--cycles", "50"])

@@ -16,11 +16,13 @@ constants in the same commit and say so in the commit message.
 import hashlib
 import json
 
+import pytest
+
 from repro.core.config import PhastlaneConfig
 from repro.electrical.config import ElectricalConfig
 from repro.faults import FaultConfig
 from repro.harness.exec import RunSpec, Splash2Workload, SyntheticWorkload
-from repro.harness.report import point_to_dict, stats_to_dict
+from repro.harness.report import point_to_dict, result_to_dict, stats_to_dict
 from repro.harness.runner import run
 from repro.harness.sweeps import latency_vs_injection
 from repro.util.geometry import MeshGeometry
@@ -82,6 +84,18 @@ FIG9_HASHES = {
 FIG10_HASHES = {
     "Optical4": "6c169430e522a342f325409123b700e97373ecce4fd9923e438c306fb1fe32f7",
     "Electrical3": "09bd6dd2094a58fe36ee0935caa47bf2a7578e35c400ad93cb1ec4258fce8473",
+}
+
+# Canonical result-report pins (the whole ``result_to_dict`` payload, not
+# only the stats): what a plain ``run()`` of these two specs serialises to.
+PIN_SPECS = {
+    "opt": RunSpec(OPT, SyntheticWorkload("uniform", 0.1), cycles=200),
+    "ele": RunSpec(ELE, SyntheticWorkload("uniform", 0.1), cycles=200),
+}
+
+REPORT_SHAS = {
+    "opt": "a9f6605bb88a3287d8b374beee3959e76440f31705e1065ede18b8288d2b2d1a",
+    "ele": "a737c04fc49c3ac26824988654d479ef7252eac0e1bf09a233629454b14bfc9e",
 }
 
 
@@ -190,3 +204,8 @@ def test_fig10_splash2_stats_byte_identical():
         result = run(RunSpec(config, Splash2Workload("radix"), cycles=300, seed=2))
         hashes[label] = canonical_sha(stats_to_dict(result.stats))
     assert hashes == FIG10_HASHES
+
+
+@pytest.mark.parametrize("key", sorted(PIN_SPECS))
+def test_canonical_report_byte_identical(key):
+    assert canonical_sha(result_to_dict(run(PIN_SPECS[key]))) == REPORT_SHAS[key]

@@ -228,6 +228,31 @@ class TestResultCache:
         # ... and the entry was rewritten intact.
         assert json.loads(cache.path_for(spec).read_text())["digest"] == spec.digest()
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda intact: b"[]",
+            lambda intact: b"null",
+            lambda intact: b"\xff\xfe\x00 not utf-8",
+            lambda intact: json.dumps(
+                {"calibration": CALIBRATION_STAMP, "result": []}
+            ).encode(),
+            lambda intact: intact[: len(intact) // 2],  # torn mid-write
+        ],
+        ids=["list", "null", "non-utf8", "result-not-object", "torn"],
+    )
+    def test_malformed_entry_recovers_by_resimulating(self, tmp_path, corrupt):
+        spec = small_specs(rates=(0.05,), cycles=100)[0]
+        cache = ResultCache(tmp_path)
+        cold = Executor(cache=cache).map([spec])
+        path = cache.path_for(spec)
+        path.write_bytes(corrupt(path.read_bytes()))
+        assert cache.load(spec) is None
+        executor = Executor(cache=cache)
+        assert executor.map([spec]) == cold
+        assert executor.cache_hits == 0
+        assert cache.load(spec) == cold[0]  # the bad file was overwritten
+
     def test_no_cache_executor_never_touches_disk(self, tmp_path):
         executor = Executor(workers=1, cache=None)
         executor.map(small_specs(rates=(0.05,), cycles=100))

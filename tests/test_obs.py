@@ -9,7 +9,6 @@ from repro.obs import (
     TRACE_SCHEMA,
     ChromeTraceWriter,
     CollectingTracer,
-    EngineProfiler,
     JsonlTraceWriter,
     MetricsWatcher,
     ObsConfig,
@@ -182,7 +181,7 @@ class TestObsConfig:
         [
             {"trace_path": "t.json"},
             {"metrics_interval": 100},
-            {"profile": True},
+            {"metrics_interval": 100, "spatial": True},
             {"health": True},
             {"metrics_interval": 100, "stream_path": "s.jsonl"},
         ],
@@ -224,7 +223,7 @@ class TestObsConfig:
     def test_with_run_index_suffixes_path(self):
         config = ObsConfig(trace_path="out/drops.json")
         assert config.with_run_index(3).trace_path == "out/drops-0003.json"
-        assert ObsConfig(profile=True).with_run_index(3) == ObsConfig(profile=True)
+        assert ObsConfig(health=True).with_run_index(3) == ObsConfig(health=True)
 
     def test_with_run_index_suffixes_stream_path(self):
         config = ObsConfig(metrics_interval=50, stream_path="out/s.jsonl")
@@ -273,45 +272,6 @@ class TestTimeSeries:
             assert histogram.percentile(p) == expected
         with pytest.raises(ValueError, match="no rank"):
             nearest_rank([], 0, 50.0)
-
-
-class TestEngineProfiler:
-    def test_summary_shares_sum_to_one(self):
-        profiler = EngineProfiler()
-        profiler.account("net", "step", 0.3)
-        profiler.account("net", "commit", 0.1)
-        profiler.account(42, "step", 0.1)
-        profiler.tick()
-        summary = profiler.summary()
-        assert summary["cycles"] == 1
-        assert summary["total_s"] == pytest.approx(0.5)
-        assert summary["components"]["str"]["calls"] == 2  # step + commit
-        assert sum(c["share"] for c in summary["components"].values()) == (
-            pytest.approx(1.0)
-        )
-
-    def test_both_phases_count_as_calls(self):
-        profiler = EngineProfiler()
-        profiler.account("net", "step", 0.2)
-        profiler.account("net", "commit", 0.1)
-        entry = profiler.summary()["components"]["str"]
-        assert entry["step_calls"] == 1
-        assert entry["commit_calls"] == 1
-        assert entry["calls"] == 2
-
-    def test_commit_only_component_reports_its_calls(self):
-        # Regression: `calls` used to increment only on step, so a
-        # commit-only component accumulated commit_s with calls == 0.
-        profiler = EngineProfiler()
-        profiler.account("latch", "commit", 0.4)
-        entry = profiler.summary()["components"]["str"]
-        assert entry["commit_s"] == pytest.approx(0.4)
-        assert entry["calls"] == entry["commit_calls"] == 1
-        assert entry["step_calls"] == 0
-
-    def test_empty_profiler_summary(self):
-        summary = EngineProfiler().summary()
-        assert summary == {"cycles": 0, "total_s": 0.0, "components": {}}
 
 
 class _StubRouter:

@@ -9,7 +9,11 @@ from repro.cli import main
 from repro.core.config import PhastlaneConfig
 from repro.electrical.config import ElectricalConfig
 from repro.harness.exec import Executor, ResultCache, RunSpec, SyntheticWorkload
-from repro.harness.report import result_from_dict, result_to_dict
+from repro.harness.report import (
+    manifest_to_dict,
+    result_from_dict,
+    result_to_dict,
+)
 from repro.harness.runner import run
 from repro.obs import ObsConfig
 from repro.util.geometry import MeshGeometry
@@ -33,7 +37,8 @@ class TestNoPerturbation:
         obs = ObsConfig(
             trace_path=str(tmp_path / "trace.json"),
             metrics_interval=100,
-            profile=True,
+            spatial=True,
+            health=True,
         )
         plain = run(spec(config))
         observed = run(spec(config, obs=obs))
@@ -49,7 +54,7 @@ class TestNoPerturbation:
         assert run(spec(obs=obs)) == run(spec())
 
     def test_obs_excluded_from_spec_identity(self, tmp_path):
-        with_obs = spec(obs=ObsConfig(profile=True))
+        with_obs = spec(obs=ObsConfig(health=True))
         without = spec()
         assert with_obs == without
         assert with_obs.digest() == without.digest()
@@ -132,13 +137,6 @@ class TestArtifacts:
         payload = result_to_dict(run(spec()))
         assert "timeseries" not in payload
 
-    def test_profile_summary_attributes_engine_time(self):
-        result = run(spec(obs=ObsConfig(profile=True)))
-        assert result.profile is not None
-        assert result.profile["cycles"] == 300
-        assert "PhastlaneNetwork" in result.profile["components"]
-        assert result.profile["total_s"] > 0
-
 
 class TestSpatialTelemetry:
     def test_spatial_run_does_not_perturb(self):
@@ -198,6 +196,20 @@ class TestExecutorObs:
         second.map([spec()])
         assert second.events[0].cache_hit
 
+    def test_obs_free_manifest_key_set_is_pinned(self):
+        # Observability is additive: a campaign without it emits exactly
+        # these keys (only "health" may join an entry, with --health).
+        executor = Executor(workers=1)
+        executor.map([spec()])
+        manifest = manifest_to_dict(executor.events)
+        assert set(manifest) == {
+            "runs", "cache_hits", "total_wall_time_s", "entries",
+        }
+        assert set(manifest["entries"][0]) == {
+            "index", "digest", "label", "workload", "cycles", "seed",
+            "cache_hit", "wall_time_s", "packets_per_second", "spec",
+        }
+
     def test_campaign_trace_paths_are_per_run(self, tmp_path):
         obs = ObsConfig(trace_path=str(tmp_path / "trace.json"))
         executor = Executor(workers=1, obs=obs)
@@ -232,14 +244,14 @@ class TestCliObs:
             "--cycles", "200",
             "--trace-out", str(trace),
             "--metrics-interval", "50",
-            "--profile",
+            "--health",
             "--manifest", str(manifest),
         ]
         assert main(argv) == 0
         assert "wrote packet trace" in capsys.readouterr().err
         assert json.loads(trace.read_text())["traceEvents"]
         entry = json.loads(manifest.read_text())["entries"][0]
-        assert entry["profile"]["components"]
+        assert entry["health"] == "ok"
 
     def test_trace_sample_flag_validated(self, capsys):
         with pytest.raises(SystemExit):
