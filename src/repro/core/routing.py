@@ -42,7 +42,7 @@ from repro.util.geometry import Direction, MeshGeometry
 TopologyLike = Union[Topology, MeshGeometry]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RouteStep:
     """One router on a predecoded route.
 
@@ -61,10 +61,49 @@ class RouteStep:
             raise ValueError("exit must be a mesh direction or None")
 
 
-def _resolve_policy(policy: RoutingPolicy | str) -> RoutingPolicy:
-    if isinstance(policy, RoutingPolicy):
-        return policy
-    return policy_by_name(policy)
+#: Plan slots per ``(max_hops, policy)`` table of one topology, handed out
+#: a source row (``num_nodes`` slots) at a time.  A constant, not an
+#: option: it holds every route of an 8x8 network (64 rows) and bounds a
+#: table at a few MB on 16x16 (the first 64 sources) and 32x32 (the first
+#: 16); a route from a source past the cap is simply built per call.
+PLAN_TABLE_CAP = 16384
+
+#: Every untapped step of every plan, shared: ``(node * 6 + exit) * 2 +
+#: local`` -> step, with exit 5 standing for None.  At most ten per node.
+_STEPS: dict[int, RouteStep] = {}
+
+
+def _encode_route(
+    topo: Topology,
+    source: int,
+    destination: int,
+    max_hops: int,
+    policy: RoutingPolicy | str,
+) -> tuple[RouteStep, ...]:
+    """Compute the route and encode it, untapped, out of shared steps."""
+    if policy == "dor" and isinstance(topo, GridTopology):
+        # Skip the policy-registry lookup and the grid re-check on the
+        # default dimension-order policy.
+        nodes = topo.dor_route(source, destination)
+        directions = topo.dor_directions(source, destination)
+    else:
+        if not isinstance(policy, RoutingPolicy):
+            policy = policy_by_name(policy)
+        nodes, directions = policy.plan(topo, source, destination)
+    steps: list[RouteStep] = []
+    last = len(nodes) - 1
+    for index, node in enumerate(nodes):
+        # Local at the destination and at every max_hops-th router, except
+        # that a mark one hop before the destination is redundant but
+        # harmless; we keep the strict periodic placement of section 2.1.3.
+        local = index == last or (index > 0 and index % max_hops == 0)
+        exit_ = None if index == last else directions[index]
+        code = (node * 6 + (5 if exit_ is None else exit_)) * 2 + local
+        step = _STEPS.get(code)
+        if step is None:
+            step = _STEPS[code] = RouteStep(node, exit_, local)
+        steps.append(step)
+    return tuple(steps)
 
 
 def build_plan(
@@ -82,6 +121,12 @@ def build_plan(
     final step always has ``local=True``; for multicast packets the caller
     includes the destination in ``taps`` so the final node also delivers.
 
+    The untapped route is a pure function of ``(topology, source,
+    destination, max_hops, policy)`` and plans are immutable, so it is
+    looked up in the topology's lazily filled plan table — per
+    ``(max_hops, policy)``, one ``row[destination]`` list per source seen —
+    and shared between packets; taps are overlaid on a copy.
+
     >>> mesh = MeshGeometry(8, 8)
     >>> plan = build_plan(mesh, 0, 63, max_hops=5)
     >>> [s.node for s in plan if s.local]
@@ -92,35 +137,31 @@ def build_plan(
     if max_hops < 1:
         raise ValueError("max hops must be at least 1")
     topo = topology if isinstance(topology, Topology) else as_topology(topology)
-    if policy == "dor" and isinstance(topo, GridTopology):
-        # Fast path for the simulators' per-packet planning: skip the
-        # policy-registry lookup and the grid re-check on the default
-        # dimension-order policy.
-        nodes = topo.dor_route(source, destination)
-        directions = topo.dor_directions(source, destination)
-    else:
-        nodes, directions = _resolve_policy(policy).plan(topo, source, destination)
+    num_nodes = topo.num_nodes
+    for node in (source, destination):
+        if not 0 <= node < num_nodes:  # a stray id must not alias a table slot
+            raise ValueError(f"node {node} out of range for {topo.mesh}")
+    rows = topo.plan_tables.setdefault((max_hops, policy), {})
+    row = rows.get(source)
+    if row is None and len(rows) * num_nodes < PLAN_TABLE_CAP:
+        row = rows[source] = [None] * num_nodes
+    plan = None if row is None else row[destination]
+    if plan is None:
+        plan = _encode_route(topo, source, destination, max_hops, policy)
+        if row is not None:
+            row[destination] = plan
     tap_set = set(taps)
-    stray = tap_set - set(nodes)
+    if not tap_set:
+        return plan
+    stray = tap_set.difference(step.node for step in plan)
     if stray:
         raise ValueError(f"taps {sorted(stray)} are not on the DOR path")
-
-    steps: list[RouteStep] = []
-    for index, node in enumerate(nodes):
-        is_last = index == len(nodes) - 1
-        # Local at the destination and at every max_hops-th router, except
-        # that a mark one hop before the destination is redundant but
-        # harmless; we keep the strict periodic placement of section 2.1.3.
-        local = is_last or (index > 0 and index % max_hops == 0)
-        steps.append(
-            RouteStep(
-                node=node,
-                exit=None if is_last else directions[index],
-                local=local,
-                multicast=node in tap_set,
-            )
-        )
-    return tuple(steps)
+    return tuple(
+        RouteStep(step.node, step.exit, step.local, True)
+        if step.node in tap_set
+        else step
+        for step in plan
+    )
 
 
 def replan_from(

@@ -5,6 +5,12 @@ switch allocator.  iSLIP is a separable grant/accept scheme with rotating
 priority pointers that advance only when their grant is accepted in the
 first iteration, which is what de-synchronises the pointers and gives the
 algorithm its 100%-throughput behaviour under uniform traffic.
+
+Request sets are integer bitmasks, as the request lines of the hardware
+are: bit ``line = input_port * num_vcs + vc`` of an output port's mask is
+set while that input VC requests the port, and an input's granted outputs
+are a ``num_ports``-bit mask.  Rotating priority is then "the lowest set
+bit at or after the pointer" (:meth:`RoundRobinArbiter.pick`).
 """
 
 from __future__ import annotations
@@ -22,16 +28,24 @@ class RoundRobinArbiter:
         self.size = size
         self.pointer = 0
 
+    def pick(self, mask: int) -> int:
+        """The set bit of ``mask`` at or after the pointer, wrapping around.
+
+        ``-1`` for an empty mask; no pointer update.  ``mask`` may only
+        have bits below ``size`` set.
+        """
+        ahead = mask >> self.pointer
+        if ahead:
+            return self.pointer + (ahead & -ahead).bit_length() - 1
+        return (mask & -mask).bit_length() - 1
+
     def choose(self, requests: Iterable[int]) -> int | None:
-        """The requesting line at or after the pointer (no pointer update)."""
-        active = set(requests)
-        if not active:
-            return None
-        for offset in range(self.size):
-            line = (self.pointer + offset) % self.size
-            if line in active:
-                return line
-        return None
+        """:meth:`pick` over an iterable of line numbers (``None`` if empty)."""
+        mask = 0
+        for line in requests:
+            if 0 <= line < self.size:
+                mask |= 1 << line
+        return self.pick(mask) if mask else None
 
     def advance_past(self, line: int) -> None:
         """Move the pointer one past ``line`` (iSLIP accepted-grant rule)."""
@@ -77,11 +91,10 @@ class SwitchAllocator:
         self._grant = [RoundRobinArbiter(num_ports * num_vcs) for _ in range(num_ports)]
         self._accept = [RoundRobinArbiter(num_ports) for _ in range(num_ports)]
 
-    def _line(self, input_port: int, vc: int) -> int:
-        return input_port * self.num_vcs + vc
-
     def allocate(self, requests: Sequence[Request]) -> list[Request]:
-        """Grant a conflict-free subset of ``requests``."""
+        """Grant a conflict-free subset of ``requests`` (validating front)."""
+        masks = [0] * self.num_ports
+        order: list[tuple[int, int]] = []
         for request in requests:
             if not 0 <= request.input_port < self.num_ports:
                 raise ValueError(f"bad input port in {request}")
@@ -89,84 +102,95 @@ class SwitchAllocator:
                 raise ValueError(f"bad output port in {request}")
             if not 0 <= request.vc < self.num_vcs:
                 raise ValueError(f"bad vc in {request}")
+            line = request.input_port * self.num_vcs + request.vc
+            masks[request.output_port] |= 1 << line
+            order.append((line, request.output_port))
+        return [
+            Request(line // self.num_vcs, line % self.num_vcs, output_port)
+            for line, output_port in self.allocate_masks(masks, order)
+        ]
 
-        pending = list(requests)
-        accepted: list[Request] = []
-        output_slots = [self.output_speedup] * self.num_ports
-        input_slots = [self.input_speedup] * self.num_ports
+    def allocate_masks(
+        self, masks: list[int], order: Sequence[tuple[int, int]]
+    ) -> list[tuple[int, int]]:
+        """Grant a conflict-free subset of the requests in ``masks``.
+
+        ``masks[output_port]`` holds the requesting lines of each output
+        and is consumed.  ``order`` lists ``(line, output_port)`` pairs in
+        arrival order; pairs whose bit is clear are ignored, so it may be a
+        superset of the requests.  Returns the accepted pairs in the order
+        the crossbar serves them, which three rules fix: outputs grant in
+        order of their first live pair in ``order``; inputs accept in order
+        of their first grant; an input takes its grants in accept-pointer
+        rotation.
+        """
+        num_ports, num_vcs = self.num_ports, self.num_vcs
+        vc_field = (1 << num_vcs) - 1
+        accepted: list[tuple[int, int]] = []
+        output_slots = [self.output_speedup] * num_ports
+        input_slots = [self.input_speedup] * num_ports
 
         for iteration in range(self.iterations):
-            granted = self._grant_phase(pending, output_slots)
-            newly = self._accept_phase(granted, input_slots, first=iteration == 0)
+            # Grant: every output offers its free slots to its requesters
+            # in rotating priority from the (unmoved) grant pointer.
+            granted = [0] * num_ports
+            offers: dict[int, int] = {}  # input port -> outputs granting it
+            visited = 0
+            for line, output in order:
+                if (visited >> output) & 1 or not (masks[output] >> line) & 1:
+                    continue
+                visited |= 1 << output
+                mask = masks[output]
+                arbiter = self._grant[output]
+                for _ in range(output_slots[output]):
+                    if not mask:
+                        break
+                    winner = arbiter.pick(mask)
+                    mask ^= 1 << winner
+                    granted[output] |= 1 << winner
+                    input_port = winner // num_vcs
+                    offers[input_port] = offers.get(input_port, 0) | (1 << output)
+
+            # Accept: every input takes offers in rotating priority while
+            # it has crossbar slots.  An output with several slots may have
+            # granted more than one VC of the same input; they all ride.
+            newly: list[tuple[int, int]] = []
+            for input_port, offered in offers.items():
+                accept = self._accept[input_port]
+                slots = input_slots[input_port]
+                while offered and slots > 0:
+                    output = accept.pick(offered)
+                    offered ^= 1 << output
+                    grant = self._grant[output]
+                    lines = granted[output] & (vc_field << input_port * num_vcs)
+                    while lines and slots > 0:
+                        line = grant.pick(lines)
+                        lines ^= 1 << line
+                        slots -= 1
+                        newly.append((line, output))
+                        if iteration == 0:
+                            # iSLIP: pointers advance only on a
+                            # first-iteration accept.
+                            grant.advance_past(line)
+                            accept.advance_past(output)
             if not newly:
                 break
             accepted.extend(newly)
-            # A VC may win several outputs in one cycle (multicast replication
-            # through the speedup-4 crossbar), but each (VC, output) pair at
-            # most once.
-            taken = {(r.input_port, r.vc, r.output_port) for r in accepted}
-            for request in newly:
-                output_slots[request.output_port] -= 1
-                input_slots[request.input_port] -= 1
-            pending = [
-                r
-                for r in pending
-                if (r.input_port, r.vc, r.output_port) not in taken
-                and output_slots[r.output_port] > 0
-                and input_slots[r.input_port] > 0
-            ]
-        return accepted
-
-    def _grant_phase(
-        self, pending: Sequence[Request], output_slots: list[int]
-    ) -> list[Request]:
-        granted: list[Request] = []
-        by_output: dict[int, list[Request]] = {}
-        for request in pending:
-            by_output.setdefault(request.output_port, []).append(request)
-        for output_port, candidates in by_output.items():
-            if output_slots[output_port] <= 0:
-                continue
-            lines = {self._line(r.input_port, r.vc): r for r in candidates}
-            chosen_lines: set[int] = set()
-            for _ in range(output_slots[output_port]):
-                line = self._grant[output_port].choose(
-                    set(lines) - chosen_lines
-                )
-                if line is None:
-                    break
-                chosen_lines.add(line)
-                granted.append(lines[line])
-        return granted
-
-    def _accept_phase(
-        self, granted: Sequence[Request], input_slots: list[int], first: bool
-    ) -> list[Request]:
-        accepted: list[Request] = []
-        by_input: dict[int, list[Request]] = {}
-        for request in granted:
-            by_input.setdefault(request.input_port, []).append(request)
-        for input_port, candidates in by_input.items():
-            slots = input_slots[input_port]
-            if slots <= 0:
-                continue
-            by_output = {r.output_port: r for r in candidates}
-            chosen_outputs: set[int] = set()
-            for _ in range(slots):
-                output = self._accept[input_port].choose(
-                    set(by_output) - chosen_outputs
-                )
-                if output is None:
-                    break
-                chosen_outputs.add(output)
-                request = by_output[output]
-                accepted.append(request)
-                if first:
-                    # iSLIP: pointers advance only on a first-iteration accept.
-                    self._grant[output].advance_past(
-                        self._line(request.input_port, request.vc)
-                    )
-                    self._accept[input_port].advance_past(output)
+            if iteration + 1 == self.iterations:
+                break
+            # A VC may win several outputs in one cycle (multicast
+            # replication through the speedup-4 crossbar), but each
+            # (VC, output) pair at most once; ports out of slots withdraw.
+            for line, output in newly:
+                masks[output] ^= 1 << line
+                output_slots[output] -= 1
+                input_slots[line // num_vcs] -= 1
+            for port in range(num_ports):
+                if output_slots[port] <= 0:
+                    masks[port] = 0
+                if input_slots[port] <= 0:
+                    keep = ~(vc_field << port * num_vcs)
+                    masks[:] = [mask & keep for mask in masks]
         return accepted
 
 
@@ -175,6 +199,8 @@ class VcAllocator:
 
     Each requesting input VC asks for *any* free VC on one output port; each
     output port hands its free VCs to requesters in rotating-priority order.
+    Output ports are independent of one another, so the unit of work is
+    :meth:`assign` for one port.
     """
 
     def __init__(self, num_ports: int, num_vcs: int):
@@ -184,15 +210,31 @@ class VcAllocator:
             RoundRobinArbiter(num_ports * num_vcs) for _ in range(num_ports)
         ]
 
-    def _line(self, input_port: int, vc: int) -> int:
-        return input_port * self.num_vcs + vc
+    def assign(
+        self, output_port: int, mask: int, free_vcs: Iterable[int]
+    ) -> list[tuple[int, int]]:
+        """Hand ``free_vcs``, in order, to the requesting lines of ``mask``.
+
+        Returns ``(line, downstream vc)`` pairs; the pointer moves past
+        every winner.
+        """
+        arbiter = self._arbiters[output_port]
+        grants: list[tuple[int, int]] = []
+        for out_vc in free_vcs:
+            if not mask:
+                break
+            line = arbiter.pick(mask)
+            mask ^= 1 << line
+            arbiter.advance_past(line)
+            grants.append((line, out_vc))
+        return grants
 
     def allocate(
         self,
         requests: list[tuple[int, int, int]],
         free_vcs: dict[int, list[int]],
     ) -> dict[tuple[int, int, int], int]:
-        """Assign output VCs.
+        """Assign output VCs to a list of requests (front over :meth:`assign`).
 
         ``requests`` is a list of ``(input_port, vc, output_port)`` — one
         entry per multicast replication group, so a VC holding a multicast
@@ -200,24 +242,14 @@ class VcAllocator:
         ``free_vcs`` maps output port -> currently free downstream VC ids.
         Returns ``(input_port, vc, output_port) -> granted downstream vc``.
         """
-        grants: dict[tuple[int, int, int], int] = {}
-        by_output: dict[int, list[tuple[int, int]]] = {}
+        masks: dict[int, int] = {}
         for input_port, vc, output_port in requests:
-            by_output.setdefault(output_port, []).append((input_port, vc))
-        for output_port, requesters in by_output.items():
-            available = list(free_vcs.get(output_port, []))
-            if not available:
-                continue
-            arbiter = self._arbiters[output_port]
-            lines = {self._line(p, v): (p, v) for p, v in requesters}
-            remaining = set(lines)
-            while available and remaining:
-                line = arbiter.choose(remaining)
-                if line is None:
-                    break
-                remaining.discard(line)
-                out_vc = available.pop(0)
-                port, vc = lines[line]
-                grants[(port, vc, output_port)] = out_vc
-                arbiter.advance_past(line)
-        return grants
+            line = input_port * self.num_vcs + vc
+            masks[output_port] = masks.get(output_port, 0) | 1 << line
+        return {
+            (line // self.num_vcs, line % self.num_vcs, output_port): out_vc
+            for output_port, mask in masks.items()
+            for line, out_vc in self.assign(
+                output_port, mask, free_vcs.get(output_port, ())
+            )
+        }

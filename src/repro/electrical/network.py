@@ -31,7 +31,6 @@ from repro.faults.schedule import FaultSchedule
 from repro.sim.stats import NetworkStats
 from repro.topology import require_grid
 from repro.traffic.trace import TrafficSource
-from repro.util.geometry import OPPOSITE, Direction
 
 
 class ElectricalNetwork(MeshNetworkBase):
@@ -221,7 +220,7 @@ class ElectricalNetwork(MeshNetworkBase):
             if self.trace_hub:
                 self.trace_hub.emit("buffered", cycle, node, flit.uid)
         for node, input_port, vc in self._credits.pop(cycle, ()):
-            upstream = self.topology.neighbor(node, OPPOSITE[Direction(input_port)])
+            upstream = self.routers[node].upstream[input_port]
             if upstream is None:
                 raise RuntimeError(
                     f"credit from node {node} port {input_port} has no upstream"

@@ -27,10 +27,10 @@ from typing import TYPE_CHECKING
 
 from repro.electrical.config import ElectricalConfig
 from repro.electrical.flit import Flit
-from repro.electrical.islip import Request, SwitchAllocator, VcAllocator
+from repro.electrical.islip import SwitchAllocator, VcAllocator
 from repro.electrical.vctm import split_by_output
 from repro.topology import GridTopology, require_grid, topology_of
-from repro.util.geometry import Direction
+from repro.util.geometry import OPPOSITE, Direction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.electrical.network import ElectricalNetwork
@@ -96,6 +96,14 @@ class ElectricalRouter:
             iterations=config.islip_iterations,
         )
         self._active: set[tuple[int, int]] = set()
+        #: Node behind each mesh output port (None at a mesh edge), and the
+        #: node feeding each mesh input port: a flit travelling in
+        #: direction ``d`` arrives on input port ``d`` from the neighbour
+        #: opposite to ``d``.
+        self.neighbors = tuple(self.topology.neighbor(node, d) for d in MESH_PORTS)
+        self.upstream = tuple(
+            self.topology.neighbor(node, OPPOSITE[Direction(d)]) for d in MESH_PORTS
+        )
 
     @property
     def busy(self) -> bool:
@@ -130,9 +138,10 @@ class ElectricalRouter:
         state = _VcState(
             flit=flit,
             arrival_cycle=cycle,
+            # Ascending output order: the allocators see a VC's groups in it.
             groups={
                 int(direction): _Group(destinations=dests)
-                for direction, dests in partitions.items()
+                for direction, dests in sorted(partitions.items())
             },
             local_pending=bool(local),
         )
@@ -179,61 +188,57 @@ class ElectricalRouter:
     # -- per-cycle allocation pipeline ----------------------------------------
 
     def tick(self, cycle: int, network: "ElectricalNetwork") -> None:
-        """Run VC allocation, switch allocation and departures for one cycle."""
+        """Run VC allocation, switch allocation and departures for one cycle.
+
+        One pass over the occupied VCs raises the request lines of both
+        allocators (``line = port * num_vcs + vc``): a replication group
+        without a downstream VC requests one from its output's VC
+        allocator, a group holding one requests the crossbar.  Multicast
+        groups request in parallel, so a branch router can set up all its
+        tree edges in one cycle, and a VC granted this cycle joins switch
+        allocation in the same cycle.  ``order`` keeps the pass's sequence
+        because departure order is observable (replica uids, link-event
+        order): see :meth:`SwitchAllocator.allocate_masks`.
+        """
         if not self._active:
             return
-        self._allocate_vcs()
-        self._allocate_switch_and_depart(cycle, network)
-
-    def _allocate_vcs(self) -> None:
-        """Grant downstream VCs to every group that lacks one.
-
-        Multicast replication groups request in parallel — the VC allocator
-        serves each (VC, output) pair independently, so a branch router can
-        set up all its tree edges in one cycle.
-        """
-        requests: list[tuple[int, int, int]] = []
+        num_vcs = self.config.num_vcs
+        vcs = self.vcs
+        wanted = [0] * NUM_PORTS  # output -> lines asking for a downstream VC
+        ready = [0] * NUM_PORTS  # output -> lines asking for the crossbar
+        order: list[tuple[int, int]] = []
         for port, vc in self._active:
-            state = self.vcs[port][vc]
-            if state is None:
-                continue
-            for output_port, group in sorted(state.groups.items()):
-                if group.out_vc is None:
-                    requests.append((port, vc, output_port))
-        if not requests:
-            return
-        free = {
-            output: [v for v, ok in enumerate(self.credits[output]) if ok]
-            for output in {output for _, _, output in requests}
-        }
-        grants = self._vc_allocator.allocate(requests, free)
-        for (port, vc, output_port), out_vc in grants.items():
-            state = self.vcs[port][vc]
+            state = vcs[port][vc]
             assert state is not None
-            state.groups[output_port].out_vc = out_vc
-            # Reserve: no other requester may be promised this downstream VC.
-            self.credits[output_port][out_vc] = False
-
-    def _allocate_switch_and_depart(
-        self, cycle: int, network: "ElectricalNetwork"
-    ) -> None:
-        requests = [
-            Request(port, vc, output_port)
-            for port, vc in self._active
-            if (state := self.vcs[port][vc]) is not None
-            for output_port, group in sorted(state.groups.items())
-            if group.out_vc is not None
-        ]
-        if not requests:
+            line = port * num_vcs + vc
+            for output_port, group in state.groups.items():
+                order.append((line, output_port))
+                if group.out_vc is None:
+                    wanted[output_port] |= 1 << line
+                else:
+                    ready[output_port] |= 1 << line
+        for output_port, mask in enumerate(wanted):
+            if not mask:
+                continue
+            credits = self.credits[output_port]
+            free = [v for v, ok in enumerate(credits) if ok]
+            for line, out_vc in self._vc_allocator.assign(output_port, mask, free):
+                state = vcs[line // num_vcs][line % num_vcs]
+                assert state is not None
+                state.groups[output_port].out_vc = out_vc
+                # Reserve: no other requester may be promised this downstream VC.
+                credits[out_vc] = False
+                ready[output_port] |= 1 << line
+        if not any(ready):
             return
         network.charge_allocation(self.node)
-        for granted in self._sw_allocator.allocate(requests):
-            self._depart(granted, cycle, network)
+        for line, output_port in self._sw_allocator.allocate_masks(ready, order):
+            self._depart(line // num_vcs, line % num_vcs, output_port, cycle, network)
 
     def _depart(
-        self, granted: Request, cycle: int, network: "ElectricalNetwork"
+        self, port: int, vc: int, output_port: int, cycle: int,
+        network: "ElectricalNetwork",
     ) -> None:
-        port, vc, output_port = granted.input_port, granted.vc, granted.output_port
         state = self.vcs[port][vc]
         assert state is not None
         group = state.groups.pop(output_port)
@@ -245,7 +250,7 @@ class ElectricalRouter:
             flit.destinations = group.destinations
         network.charge_buffer_read(self.node)
         network.charge_traversal(self.node)
-        neighbor = self.topology.neighbor(self.node, Direction(output_port))
+        neighbor = self.neighbors[output_port]
         if neighbor is None:
             raise RuntimeError(
                 f"router {self.node}: DOR routed {flit!r} off the mesh edge"

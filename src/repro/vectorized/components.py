@@ -24,6 +24,7 @@ Invariants mirrored from :mod:`repro.core.router`:
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import TYPE_CHECKING
 
@@ -155,7 +156,11 @@ class VecNic(BaseNic):
         super().__init__(
             node, network.config, network.stats, trace_hub=network.trace_hub
         )
-        self._network = network
+        # A weak back-reference: a strong one closes a network <-> NIC
+        # cycle, and a finished run's network (hundreds of routers, deques
+        # and RNGs) then waits for the cyclic collector instead of being
+        # freed when the run returns.
+        self._network: "VectorizedNetwork" = weakref.proxy(network)
 
     def _expand_event(self, event: "TraceEvent", cycle: int) -> None:
         if event.destination is None:

@@ -43,6 +43,16 @@ class TestRoundRobinArbiter:
         with pytest.raises(ValueError):
             RoundRobinArbiter(0)
 
+    def test_pick_is_choose_over_a_bitmask(self):
+        arbiter = RoundRobinArbiter(50)
+        for pointer in range(50):
+            arbiter.pointer = pointer
+            for lines in ({0}, {49}, {3, 17, 40}, {pointer}, set(range(50))):
+                mask = sum(1 << line for line in lines)
+                expected = min(lines, key=lambda line: (line - pointer) % 50)
+                assert arbiter.pick(mask) == arbiter.choose(lines) == expected
+        assert arbiter.pick(0) == -1
+
 
 class TestSwitchAllocator:
     def make(self, speedup=1):
@@ -95,6 +105,26 @@ class TestSwitchAllocator:
         requests = [Request(0, 0, 1), Request(0, 0, 2)]
         granted = allocator.allocate(requests)
         assert len(granted) == 2
+
+
+    def test_output_with_two_slots_serves_two_vcs_of_one_input(self):
+        """An input with crossbar slots to spare rides both of an output's
+        grants; the second used to be overwritten in the accept phase."""
+        allocator = SwitchAllocator(5, 2, input_speedup=4, output_speedup=2)
+        granted = allocator.allocate([Request(0, 0, 1), Request(0, 1, 1)])
+        assert granted == [Request(0, 0, 1), Request(0, 1, 1)]
+
+    def test_input_slots_still_bound_one_outputs_grants(self):
+        allocator = SwitchAllocator(5, 2, input_speedup=1, output_speedup=2)
+        assert allocator.allocate([Request(0, 0, 1), Request(0, 1, 1)]) == [
+            Request(0, 0, 1)
+        ]
+
+    def test_masks_core_ignores_order_pairs_that_do_not_request(self):
+        allocator = SwitchAllocator(5, 2, input_speedup=4)
+        masks = [0, 0b0100, 0b0001, 0, 0]  # line 2 -> output 1, line 0 -> output 2
+        order = [(0, 1), (0, 2), (2, 1)]  # (0, 1) is not requesting
+        assert allocator.allocate_masks(masks, order) == [(0, 2), (2, 1)]
 
 
 class TestVcAllocator:

@@ -1,0 +1,170 @@
+"""The bitmask iSLIP core against the set-based allocators it replaced.
+
+``Reference*`` below is the grant/accept/VC-allocation code this repo
+shipped before ``repro.electrical.islip`` was restated over bitmasks, kept
+here as the oracle.  It is restricted to ``output_speedup == 1``, where it
+is correct (with more slots it drops a second grant to the same input).
+Requests are plain ``(input_port, vc, output_port)`` tuples.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.electrical.islip import Request, SwitchAllocator, VcAllocator
+
+PORTS = 5
+
+
+def choose(pointer, size, lines):
+    for offset in range(size):
+        if (line := (pointer + offset) % size) in lines:
+            return line
+    return None
+
+
+class ReferenceSwitchAllocator:
+    def __init__(self, num_vcs, input_speedup, iterations):
+        self.num_vcs = num_vcs
+        self.input_speedup = input_speedup
+        self.iterations = iterations
+        self.grant = [0] * PORTS
+        self.accept = [0] * PORTS
+
+    def allocate(self, requests):
+        pending, accepted = list(requests), []
+        output_free = [True] * PORTS
+        input_slots = [self.input_speedup] * PORTS
+        for iteration in range(self.iterations):
+            granted = self._grant_phase(pending)
+            newly = self._accept_phase(granted, input_slots, first=iteration == 0)
+            if not newly:
+                break
+            accepted.extend(newly)
+            for input_port, _, output_port in newly:
+                output_free[output_port] = False
+                input_slots[input_port] -= 1
+            pending = [
+                r
+                for r in pending
+                if r not in accepted and output_free[r[2]] and input_slots[r[0]] > 0
+            ]
+        return accepted
+
+    def _grant_phase(self, pending):
+        by_output = {}
+        for request in pending:
+            by_output.setdefault(request[2], []).append(request)
+        granted = []
+        for output_port, candidates in by_output.items():
+            lines = {p * self.num_vcs + v: (p, v, o) for p, v, o in candidates}
+            size = PORTS * self.num_vcs
+            granted.append(lines[choose(self.grant[output_port], size, lines)])
+        return granted
+
+    def _accept_phase(self, granted, input_slots, first):
+        by_input = {}
+        for request in granted:
+            by_input.setdefault(request[0], []).append(request)
+        accepted = []
+        for input_port, candidates in by_input.items():
+            by_output = {r[2]: r for r in candidates}
+            for _ in range(input_slots[input_port]):
+                output = choose(self.accept[input_port], PORTS, by_output)
+                if output is None:
+                    break
+                _, vc, _ = request = by_output.pop(output)
+                accepted.append(request)
+                if first:
+                    size = PORTS * self.num_vcs
+                    self.grant[output] = (input_port * self.num_vcs + vc + 1) % size
+                    self.accept[input_port] = (output + 1) % PORTS
+        return accepted
+
+
+class ReferenceVcAllocator:
+    def __init__(self, num_vcs):
+        self.num_vcs = num_vcs
+        self.pointers = [0] * PORTS
+
+    def allocate(self, requests, free_vcs):
+        by_output = {}
+        for input_port, vc, output_port in requests:
+            by_output.setdefault(output_port, []).append((input_port, vc))
+        grants = {}
+        size = PORTS * self.num_vcs
+        for output_port, requesters in by_output.items():
+            available = list(free_vcs.get(output_port, []))
+            remaining = {p * self.num_vcs + v: (p, v) for p, v in requesters}
+            while available and remaining:
+                line = choose(self.pointers[output_port], size, remaining)
+                port, vc = remaining.pop(line)
+                grants[(port, vc, output_port)] = available.pop(0)
+                self.pointers[output_port] = (line + 1) % size
+        return grants
+
+
+@st.composite
+def request_cycles(draw):
+    """(num_vcs, cycles of unique requests in arbitrary order); a VC may ask
+    for several outputs in one cycle, as a multicast flit does."""
+    num_vcs = draw(st.sampled_from([1, 2, 4, 10]))
+    request = st.tuples(
+        st.integers(0, PORTS - 1), st.integers(0, num_vcs - 1), st.integers(0, PORTS - 1)
+    )
+    cycles = draw(
+        st.lists(st.lists(request, max_size=24, unique=True), min_size=1, max_size=8)
+    )
+    return num_vcs, cycles
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    request_cycles(),
+    st.sampled_from([1, 4]),
+    st.sampled_from([1, 2, 3]),
+)
+def test_switch_allocation_matches_the_set_based_reference(
+    drawn, input_speedup, iterations
+):
+    num_vcs, cycles = drawn
+    allocator = SwitchAllocator(
+        PORTS, num_vcs, input_speedup=input_speedup, iterations=iterations
+    )
+    reference = ReferenceSwitchAllocator(num_vcs, input_speedup, iterations)
+    for requests in cycles:
+        accepted = allocator.allocate([Request(*r) for r in requests])
+        assert [(r.input_port, r.vc, r.output_port) for r in accepted] == (
+            reference.allocate(requests)
+        )
+        assert [a.pointer for a in allocator._grant] == reference.grant
+        assert [a.pointer for a in allocator._accept] == reference.accept
+
+
+@settings(max_examples=200, deadline=None)
+@given(request_cycles(), st.data())
+def test_vc_allocation_matches_the_set_based_reference(drawn, data):
+    num_vcs, cycles = drawn
+    allocator = VcAllocator(PORTS, num_vcs)
+    reference = ReferenceVcAllocator(num_vcs)
+    free = st.dictionaries(
+        st.integers(0, PORTS - 1),
+        st.lists(st.integers(0, num_vcs - 1), unique=True).map(sorted),
+    )
+    for requests in cycles:
+        free_vcs = data.draw(free)
+        assert allocator.allocate(requests, free_vcs) == (
+            reference.allocate(requests, free_vcs)
+        )
+        assert [a.pointer for a in allocator._arbiters] == reference.pointers
+
+
+@pytest.mark.parametrize(
+    "request_", [Request(5, 0, 0), Request(-1, 0, 0), Request(0, 2, 0), Request(0, 0, 5)]
+)
+def test_out_of_range_requests_still_raise(request_):
+    allocator = SwitchAllocator(PORTS, 2, input_speedup=4, iterations=2)
+    with pytest.raises(ValueError):
+        allocator.allocate([Request(0, 0, 1), request_])
+    # Validation precedes allocation: the valid request moved no pointer.
+    assert [a.pointer for a in allocator._grant + allocator._accept] == [0] * 10

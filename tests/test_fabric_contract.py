@@ -27,6 +27,7 @@ from repro.faults import FaultConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload, TraceFileWorkload
 from repro.harness.report import stats_to_dict
 from repro.harness.runner import run
+from repro.obs.config import ObsConfig
 from repro.obs.tracers import CollectingTracer
 from repro.sim.engine import SimulationEngine
 from repro.traffic.trace import Trace, TraceEvent, TraceSource
@@ -249,3 +250,55 @@ def test_fault_events_interleave_causally(config):
                 uid,
                 names,
             )
+
+
+def contended_trace():
+    """Bursts of unicasts and broadcasts: every router sees VC and switch
+    contention, and VCTM replicates at the branch routers."""
+    events = [
+        TraceEvent(cycle, src, None if (src + cycle) % 4 == 0 else (src * 7 + cycle) % 15)
+        for cycle in range(0, 12, 2)
+        for src in range(16)
+    ]
+    return Trace(
+        "contended",
+        MESH.num_nodes,
+        events=[e for e in events if e.destination != e.source],
+    )
+
+
+@pytest.mark.parametrize("topology", TOPOLOGY_SUPPORT["electrical"])
+@pytest.mark.parametrize("output_speedup", [1, 2])
+@pytest.mark.parametrize("islip_iterations", [1, 2])
+def test_electrical_allocator_settings_conserve_drain_and_keep_credits(
+    islip_iterations, output_speedup, topology, tmp_path
+):
+    """The allocator settings no paper figure moves (several iSLIP
+    iterations, more than one grant per output) keep the contract too:
+    drain, exact conservation, and the credit audit explaining every
+    withheld downstream VC at every health window.  With one crossbar slot
+    per input and four VCs, a second iteration does accept grants the
+    first left over, and a two-slot output does serve two flits a cycle."""
+    config = replace(
+        _config_on("electrical", topology),
+        num_vcs=4,
+        input_speedup=1,
+        islip_iterations=islip_iterations,
+        output_speedup=output_speedup,
+    )
+    path = tmp_path / "contended.trace"
+    contended_trace().save(path)
+    result = run(
+        RunSpec(
+            config,
+            TraceFileWorkload(str(path)),
+            obs=ObsConfig(health=True, health_interval=5),
+        )
+    )
+    assert result.drained
+    stats = result.stats
+    assert stats.multicast_packets > 0
+    assert stats.packets_delivered == stats.packets_generated
+    assert result.health.status == "ok"
+    for name in ("credit_leak", "flit_conservation"):
+        assert result.health.checks[name]["status"] == "ok"
