@@ -6,9 +6,9 @@ of its packets at one column, the paper's worst case for Phastlane's
 bufferless fast path), collecting both legs of the observability layer at
 once:
 
-- a :class:`~repro.obs.timeseries.MetricsWatcher` folds the run into
-  per-window injection/drop rates and latency percentiles (the *when* of
-  a drop storm);
+- an :class:`~repro.obs.session.ObsSession` with a metrics window folds
+  the run into per-window injection/drop rates and latency percentiles
+  (the *when* of a drop storm);
 - a :class:`~repro.sim.probes.MeshProbe` attributes every drop to the
   blocking router (the *where*).
 
@@ -18,7 +18,7 @@ Run:  python examples/drop_storm_timeline.py [--cycles N] [--rate R]
 import argparse
 
 from repro.core import PhastlaneConfig, PhastlaneNetwork
-from repro.obs import MetricsWatcher
+from repro.obs import ObsConfig, ObsSession
 from repro.sim.engine import SimulationEngine
 from repro.sim.probes import attach_probe
 from repro.traffic.injection import BernoulliInjector
@@ -39,12 +39,12 @@ def run_instrumented(rate: float, cycles: int, interval: int):
     )
     network = PhastlaneNetwork(config, source)
     probe = attach_probe(network)
-    watcher = MetricsWatcher(network, interval)
     engine = SimulationEngine()
     engine.register(network)
-    engine.add_watcher(watcher)
+    session = ObsSession(ObsConfig(metrics_interval=interval), network, engine)
     engine.run(cycles)
-    return network, probe, watcher.finalize(engine.cycle)
+    series, _health = session.finish()
+    return network, probe, series
 
 
 def render_timeline(series) -> str:

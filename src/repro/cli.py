@@ -194,7 +194,7 @@ def _faults_from_args(args: argparse.Namespace) -> FaultConfig | None:
             retry_limit=args.retry_limit,
         )
     except ValueError as exc:
-        raise SystemExit(f"repro: invalid fault config: {exc}")
+        raise _UsageError(f"repro: invalid fault config: {exc}")
     return faults if faults.enabled else None
 
 
@@ -212,7 +212,7 @@ def _obs_from_args(args: argparse.Namespace) -> ObsConfig | None:
             stream_path=args.stream_out,
         )
     except ValueError as exc:
-        raise SystemExit(f"repro: invalid observability config: {exc}")
+        raise _UsageError(f"repro: invalid observability config: {exc}")
     return obs if obs.enabled else None
 
 
@@ -461,13 +461,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.diff and args.trace:
-        print("repro: give either a trace or --diff A B, not both",
-              file=sys.stderr)
-        return 2
+        raise _UsageError("repro: give either a trace or --diff A B, not both")
     if not args.diff and not args.trace:
-        print("repro: need a trace file to analyze (or --diff A B)",
-              file=sys.stderr)
-        return 2
+        raise _UsageError("repro: need a trace file to analyze (or --diff A B)")
     try:
         if args.diff:
             first, second = (
@@ -488,9 +484,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         report = analyze_trace_file(
             args.trace, top=args.top, link_delay=args.link_delay
         )
-    except (OSError, ValueError) as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:  # a malformed trace names its file and line
+        raise _UsageError(f"repro: {exc}")
     if args.format == "json":
         print(report.to_json(), end="")
     else:
@@ -743,9 +738,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except FabricError as exc:
+    except (FabricError, OSError) as exc:
         # Honest refusals (e.g. a cycle-accurate backend asked to run on a
-        # non-grid topology) print as one-line errors, not tracebacks.
+        # non-grid topology) and unreadable or unwritable files print as
+        # one-line errors, not tracebacks.
         print(f"repro: {exc}", file=sys.stderr)
         return 2
 

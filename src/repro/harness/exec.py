@@ -37,8 +37,9 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro.fabric import NetworkConfig, config_kind, config_type_for
 from repro.faults.config import FaultConfig
-from repro.harness.runner import ProgressSample, RunResult, run
+from repro.harness.runner import RunResult, run
 from repro.obs.config import ObsConfig
+from repro.obs.session import ProgressSample, ProgressSink
 from repro.util.geometry import MeshGeometry
 
 #: Code-calibration stamp baked into every cache key.  Bump whenever the
@@ -340,7 +341,7 @@ class RunProgress:
     the per-run complement to the completion-level :class:`RunEvent`.
     ``sample`` carries cycles-completed, counters, the worst router and
     the watchdog verdict (see
-    :class:`~repro.harness.runner.ProgressSample`).
+    :class:`~repro.obs.session.ProgressSample`).
     """
 
     index: int
@@ -353,13 +354,20 @@ class RunProgress:
 LiveCallback = Callable[[RunProgress], None]
 
 
-def _run_spec(spec: RunSpec) -> RunResult:
-    """Top-level pool worker (must be picklable by reference)."""
-    return run(spec)
+def _progress_sink(
+    emit: Callable[[RunProgress], Any], index: int, total: int, spec: RunSpec
+) -> ProgressSink:
+    """A run's progress sink: label each sample and hand it to ``emit``."""
+
+    def sink(sample: ProgressSample) -> None:
+        emit(RunProgress(index, total, spec.label, spec.workload_name, sample))
+
+    return sink
 
 
-#: Worker-global progress queue, installed by the pool initializer.  Plain
-#: module state is the only channel a ``Pool`` worker function can reach.
+#: Worker-global progress queue, installed by the pool initializer (None
+#: when live telemetry is off).  Plain module state is the only channel a
+#: ``Pool`` worker function can reach.
 _progress_queue: Any = None
 
 
@@ -368,17 +376,13 @@ def _init_progress_queue(queue: Any) -> None:
     _progress_queue = queue
 
 
-def _run_spec_forwarding(task: tuple[int, int, RunSpec]) -> RunResult:
-    """Pool worker that forwards progress samples over the shared queue."""
+def _run_spec(task: tuple[int, int, RunSpec]) -> RunResult:
+    """Top-level pool worker (must be picklable by reference)."""
     index, total, spec = task
     queue = _progress_queue
-    if queue is None:  # pragma: no cover - defensive (initializer always set)
+    if queue is None:
         return run(spec)
-
-    def sink(sample: ProgressSample) -> None:
-        queue.put((index, total, spec.label, spec.workload_name, sample))
-
-    return run(spec, progress=sink)
+    return run(spec, progress=_progress_sink(queue.put, index, total, spec))
 
 
 class Executor:
@@ -474,90 +478,46 @@ class Executor:
         ``indices`` are the specs' positions in the originally submitted
         list, used to label :class:`RunProgress` records.
         """
+        tasks = [(index, total, spec) for index, spec in zip(indices, specs)]
         if self.workers == 1 or len(specs) == 1:
-            for index, spec in zip(indices, specs):
-                yield run(spec, progress=self._live_sink(index, total, spec))
+            for index, _total, spec in tasks:
+                sink = (
+                    None
+                    if self.live is None
+                    else _progress_sink(self.live, index, total, spec)
+                )
+                yield run(spec, progress=sink)
             return
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
             context = multiprocessing.get_context()
-        workers = min(self.workers, len(specs))
-        if self.live is None:
-            # The historical pool path, untouched when live telemetry is off.
-            with context.Pool(processes=workers) as pool:
-                yield from pool.imap(_run_spec, specs, chunksize=1)
-            return
-        yield from self._compute_live(context, workers, specs, indices, total)
+        # With live telemetry, workers put RunProgress records on a shared
+        # queue and a daemon thread hands them to the callback until the
+        # None sentinel arrives.  Results stream back through imap in
+        # submission order either way.
+        queue: Any = None
+        thread: threading.Thread | None = None
+        if self.live is not None:
+            live, queue = self.live, context.Queue()
 
-    def _live_sink(self, index: int, total: int, spec: RunSpec):
-        """An in-process ProgressSink wrapping :attr:`live` (None when off)."""
-        if self.live is None:
-            return None
+            def drain() -> None:
+                for record in iter(queue.get, None):
+                    live(record)
 
-        def sink(sample: ProgressSample) -> None:
-            assert self.live is not None
-            self.live(
-                RunProgress(
-                    index=index,
-                    total=total,
-                    label=spec.label,
-                    workload=spec.workload_name,
-                    sample=sample,
-                )
-            )
-
-        return sink
-
-    def _compute_live(
-        self,
-        context: Any,
-        workers: int,
-        specs: list[RunSpec],
-        indices: list[int],
-        total: int,
-    ) -> Iterator[RunResult]:
-        """Pool execution with progress records drained off a shared queue.
-
-        Workers put raw tuples on the queue; a daemon thread rebuilds
-        :class:`RunProgress` records and invokes :attr:`live` until the
-        ``None`` sentinel arrives.  Results still stream back through
-        ``imap`` in submission order, exactly like the plain pool path.
-        """
-        queue = context.Queue()
-
-        def drain() -> None:
-            while True:
-                item = queue.get()
-                if item is None:
-                    return
-                index, run_total, label, workload, sample = item
-                assert self.live is not None
-                self.live(
-                    RunProgress(
-                        index=index,
-                        total=run_total,
-                        label=label,
-                        workload=workload,
-                        sample=sample,
-                    )
-                )
-
-        thread = threading.Thread(target=drain, daemon=True)
-        thread.start()
-        tasks = [
-            (index, total, spec) for index, spec in zip(indices, specs)
-        ]
+            thread = threading.Thread(target=drain, daemon=True)
+            thread.start()
         try:
             with context.Pool(
-                processes=workers,
+                processes=min(self.workers, len(specs)),
                 initializer=_init_progress_queue,
                 initargs=(queue,),
             ) as pool:
-                yield from pool.imap(_run_spec_forwarding, tasks, chunksize=1)
+                yield from pool.imap(_run_spec, tasks, chunksize=1)
         finally:
-            queue.put(None)
-            thread.join()
+            if thread is not None:
+                queue.put(None)
+                thread.join()
 
     def _emit(
         self,

@@ -14,12 +14,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.fabric import NetworkConfig, make_network
 from repro.obs.config import ObsConfig
 from repro.obs.health import HealthReport
-from repro.obs.session import ObsSession
+from repro.obs.session import ObsSession, ProgressSink
 from repro.obs.timeseries import TimeSeries
 from repro.photonics.constants import CYCLE_TIME_PS
 from repro.sim.engine import SimulationEngine
@@ -86,101 +86,13 @@ class RunResult:
         }
 
 
-@dataclass(frozen=True)
-class ProgressSample:
-    """A point-in-time snapshot of a running simulation.
-
-    Emitted to a :data:`ProgressSink` at fixed cycle intervals (and once
-    more with ``done=True`` when the run completes), read-only over the
-    simulator's live state.  ``cycles_total`` is the planned injection
-    span; ``cycle`` may exceed it while a trace run drains.
-    """
-
-    cycle: int
-    cycles_total: int
-    generated: int
-    delivered: int
-    dropped: int
-    flits: int
-    worst_node: int
-    worst_occupancy: int
-    health: str | None = None
-    done: bool = False
-
-
-#: Receives intra-run :class:`ProgressSample` snapshots.
-ProgressSink = Callable[[ProgressSample], None]
-
-
-class _ProgressWatcher:
-    """Engine watcher feeding :class:`ProgressSample` records to a sink.
-
-    Read-only over network state (the no-perturbation contract): it copies
-    stats counters and scans router occupancies, nothing more.
-    """
-
-    def __init__(
-        self,
-        network: Any,
-        session: ObsSession,
-        sink: ProgressSink,
-        interval: int,
-        cycles_total: int,
-    ) -> None:
-        self._network = network
-        self._session = session
-        self._sink = sink
-        self._interval = max(1, interval)
-        self._cycles_total = cycles_total
-
-    def __call__(self, cycle: int) -> None:
-        if (cycle + 1) % self._interval == 0:
-            self.emit(cycle + 1)
-
-    def emit(self, cycle: int, done: bool = False) -> None:
-        stats = self._network.stats
-        worst_node, worst_occupancy = 0, 0
-        for router in self._network.routers:
-            occupancy = router.occupancy()
-            if occupancy > worst_occupancy:
-                worst_node, worst_occupancy = router.node, occupancy
-        self._sink(
-            ProgressSample(
-                cycle=cycle,
-                cycles_total=self._cycles_total,
-                generated=stats.packets_generated,
-                delivered=stats.packets_delivered,
-                dropped=stats.packets_dropped,
-                flits=stats.flits_processed,
-                worst_node=worst_node,
-                worst_occupancy=worst_occupancy,
-                health=self._session.health_status,
-                done=done,
-            )
-        )
-
-
-def _attach_progress(
-    progress: ProgressSink | None,
-    network: Any,
-    session: ObsSession,
-    engine: SimulationEngine,
-    cycles_total: int,
-) -> _ProgressWatcher | None:
-    if progress is None:
-        return None
-    interval = session.config.metrics_interval or max(1, cycles_total // 20)
-    watcher = _ProgressWatcher(network, session, progress, interval, cycles_total)
-    engine.add_watcher(watcher)
-    return watcher
-
-
 def run(spec: "RunSpec", progress: ProgressSink | None = None) -> RunResult:
     """Execute one :class:`~repro.harness.exec.RunSpec`.
 
     The single entry point for all workload kinds; dispatches on the spec's
     workload type and stamps the result with its wall time.  ``progress``,
-    when given, receives intra-run :class:`ProgressSample` snapshots at a
+    when given, receives intra-run
+    :class:`~repro.obs.session.ProgressSample` snapshots at a
     fixed cycle cadence (plus a final ``done=True`` sample).
     """
     from repro.harness.exec import (
@@ -272,16 +184,13 @@ def _execute_trace(
     engine = SimulationEngine()
     engine.register(network)
     session = ObsSession(obs, network, engine, meta=meta)
-    watcher = _attach_progress(
-        progress, network, session, engine, trace.last_cycle + 1
-    )
+    if progress is not None:
+        session.report_progress(progress, trace.last_cycle + 1)
     engine.run(trace.last_cycle + 1)
     drained = engine.run_until(
         lambda: network.idle(engine.cycle), max_drain_cycles
     )
     timeseries, health = session.finish()
-    if watcher is not None:
-        watcher.emit(engine.cycle, done=True)
     if not drained:
         raise SaturationError(
             f"{config.label} failed to drain trace {trace.name!r} "
@@ -330,11 +239,10 @@ def _execute_synthetic(
     engine = SimulationEngine()
     engine.register(network)
     session = ObsSession(obs, network, engine, meta=meta)
-    watcher = _attach_progress(progress, network, session, engine, cycles)
+    if progress is not None:
+        session.report_progress(progress, cycles)
     engine.run(cycles)
     timeseries, health = session.finish()
-    if watcher is not None:
-        watcher.emit(engine.cycle, done=True)
     return RunResult(
         label=config.label,
         workload=f"{pattern}@{rate:g}",

@@ -1,7 +1,8 @@
 """Cross-cutting observability: tracing, time-series metrics, health, analytics.
 
-The subsystem's legs are independent, all opt-in and all governed by one
-:class:`ObsConfig`:
+One :class:`ObsConfig` governs every leg and one
+:class:`~repro.obs.session.ObsSession` per run attaches them (see its
+module docstring for the attach set and the order reducers are fed):
 
 - **packet-lifecycle tracing** — both simulators carry a
   :class:`~repro.obs.events.TraceHub` with explicit emit points (no
@@ -10,21 +11,18 @@ The subsystem's legs are independent, all opt-in and all governed by one
   (``generated``, ``injected``, ``hop``, ``blocked``, ``buffered``,
   ``dropped``, ``retransmitted``, ``delivered``).  Exporters write JSONL or
   Chrome ``trace_event`` JSON (loadable in Perfetto / ``chrome://tracing``).
-- **windowed time-series metrics** — a :class:`~repro.obs.timeseries.MetricsWatcher`
-  engine watcher aggregates per-window injection/delivery/drop rates, mean
-  buffer occupancy and latency percentiles into a
-  :class:`~repro.obs.timeseries.TimeSeries` that serialises into the JSON
-  report.
+- **windowed time-series metrics** — a
+  :class:`~repro.obs.timeseries.SeriesBuilder` folds per-window
+  injection/delivery/drop rates, mean buffer occupancy and latency
+  percentiles into a :class:`~repro.obs.timeseries.TimeSeries` that
+  serialises into the JSON report.
 - **runtime health watchdogs** — a :class:`~repro.obs.health.HealthMonitor`
-  engine watcher runs pluggable invariant checks (flit conservation,
-  credit leaks, livelock/stall/starvation) at window boundaries, emitting
-  ``health_*`` trace events and a :class:`~repro.obs.health.HealthReport`
-  in the JSON report.
-- **streaming exporters** — a :class:`~repro.obs.export.MetricsRegistry`
-  unifies stats, windows, spatial slices and health behind named series
-  with JSONL/CSV/Prometheus renderers, and a
-  :class:`~repro.obs.export.JsonlStreamWriter` tails windows and findings
-  to a file *while the run executes*.
+  runs invariant checks (flit conservation, credit leaks,
+  livelock/stall/starvation) at window boundaries, emitting ``health_*``
+  trace events and a :class:`~repro.obs.health.HealthReport` in the JSON
+  report.
+- **live streaming** — a :class:`~repro.obs.export.JsonlStreamWriter`
+  tails windows and findings to a file *while the run executes*.
 - **causal trace analytics** — :mod:`repro.obs.analysis` reconstructs
   per-packet :class:`~repro.obs.analysis.PacketSpan` records from the
   event stream (in memory or post-hoc from a JSONL trace), decomposes
@@ -51,30 +49,16 @@ from repro.obs.analysis import (
 )
 from repro.obs.config import ObsConfig
 from repro.obs.events import EVENT_KINDS, PacketEvent, TraceHub
-from repro.obs.export import (
-    JsonlStreamWriter,
-    MetricsRegistry,
-    registry_from_blame,
-    registry_from_result,
-    to_csv,
-    to_jsonl,
-    to_prometheus,
-    write_registry,
-)
-from repro.obs.health import (
-    HealthCheck,
-    HealthFinding,
-    HealthMonitor,
-    HealthReport,
-    register_health_check,
-)
+from repro.obs.export import JsonlStreamWriter
+from repro.obs.health import HealthCheck, HealthFinding, HealthMonitor, HealthReport
 from repro.obs.live import LiveDashboard
 from repro.obs.session import ObsSession
-from repro.obs.timeseries import MetricsWatcher, SpatialSeries, TimeSeries, Window
+from repro.obs.timeseries import SeriesBuilder, SpatialSeries, TimeSeries, Window
 from repro.obs.tracers import (
     TRACE_SCHEMA,
     ChromeTraceWriter,
     CollectingTracer,
+    EventTally,
     JsonlTraceWriter,
     Tracer,
     sampled,
@@ -86,6 +70,7 @@ __all__ = [
     "BlameReport",
     "ChromeTraceWriter",
     "CollectingTracer",
+    "EventTally",
     "HealthCheck",
     "HealthFinding",
     "HealthMonitor",
@@ -93,12 +78,11 @@ __all__ = [
     "JsonlStreamWriter",
     "JsonlTraceWriter",
     "LiveDashboard",
-    "MetricsRegistry",
-    "MetricsWatcher",
     "ObsConfig",
     "ObsSession",
     "PacketEvent",
     "PacketSpan",
+    "SeriesBuilder",
     "SpatialSeries",
     "TimeSeries",
     "TraceHub",
@@ -108,14 +92,7 @@ __all__ = [
     "analyze_trace_file",
     "diff_reports",
     "reconstruct_spans",
-    "register_health_check",
-    "registry_from_blame",
-    "registry_from_result",
     "render_diff_markdown",
     "render_markdown",
     "sampled",
-    "to_csv",
-    "to_jsonl",
-    "to_prometheus",
-    "write_registry",
 ]

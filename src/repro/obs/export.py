@@ -1,300 +1,20 @@
-"""Metrics registry and exporters: one naming scheme, three wire formats.
+"""Live JSONL streaming of closed windows and health findings.
 
-A :class:`MetricsRegistry` unifies everything a run can report — final
-:class:`~repro.sim.stats.NetworkStats` counters, windowed time-series
-fields, per-router spatial slices and health status — behind named,
-labelled :class:`Sample` records.  :func:`registry_from_result` builds one
-from a finished :class:`~repro.harness.runner.RunResult`; three exporters
-render it:
-
-- :func:`to_jsonl` — one JSON object per sample per line (greppable,
-  ``tail``-able, trivially ingested);
-- :func:`to_csv` — flat ``series,cycle,value,labels`` rows for
-  spreadsheets and pandas;
-- :func:`to_prometheus` — Prometheus text exposition format (latest
-  sample per series+labels as a gauge), so a node exporter can scrape a
-  run directory.
-
-:class:`JsonlStreamWriter` is the *live* half: subscribed to a
-:class:`~repro.obs.timeseries.MetricsWatcher` and a
-:class:`~repro.obs.health.HealthMonitor`, it appends one line per closed
-window and per health finding as they happen (flushing each line), so
-``tail -f`` follows a run in progress.  Enable it with
-``ObsConfig(stream_path=...)``.
+:class:`JsonlStreamWriter` is the file sink :class:`~repro.obs.session.ObsSession`
+feeds while a run executes: one line per closed metrics window and per
+health finding as they happen (flushing each line), so ``tail -f``
+follows a run in progress.  Enable it with ``ObsConfig(stream_path=...)``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import IO, Any, Iterable
 
-from repro.obs.health import HealthFinding, HealthReport
-from repro.obs.timeseries import TimeSeries, Window, _WINDOW_COUNTERS
-
-#: Numeric encoding of health status for the ``health.level`` series.
-HEALTH_LEVELS = {"ok": 0, "warn": 1, "critical": 2}
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One named, labelled measurement at a cycle."""
-
-    series: str
-    cycle: int
-    value: float
-    labels: tuple[tuple[str, str], ...] = ()
-
-    @property
-    def label_dict(self) -> dict[str, str]:
-        return dict(self.labels)
-
-
-class MetricsRegistry:
-    """An append-only, ordered collection of :class:`Sample` records."""
-
-    def __init__(self) -> None:
-        self._samples: list[Sample] = []
-
-    def add(
-        self, series: str, cycle: int, value: float, **labels: Any
-    ) -> None:
-        self._samples.append(
-            Sample(
-                series=series,
-                cycle=int(cycle),
-                value=value,
-                labels=tuple(sorted((k, str(v)) for k, v in labels.items())),
-            )
-        )
-
-    @property
-    def samples(self) -> tuple[Sample, ...]:
-        return tuple(self._samples)
-
-    @property
-    def series(self) -> tuple[str, ...]:
-        """Distinct series names, in first-seen order."""
-        seen: dict[str, None] = {}
-        for sample in self._samples:
-            seen.setdefault(sample.series, None)
-        return tuple(seen)
-
-    def latest(self) -> list[Sample]:
-        """The last sample of every (series, labels) combination."""
-        last: dict[tuple[str, tuple[tuple[str, str], ...]], Sample] = {}
-        for sample in self._samples:
-            last[(sample.series, sample.labels)] = sample
-        return list(last.values())
-
-
-def registry_from_result(result: Any) -> MetricsRegistry:
-    """Flatten a finished run's telemetry into one registry.
-
-    Final stats counters land as ``stats.*`` gauges at the final cycle;
-    time-series windows as ``window.*`` samples at each window end;
-    spatial slices as node-labelled ``spatial.*`` samples; the health
-    verdict as ``health.level`` / ``health.findings``.  Legs the run did
-    not collect are simply absent.
-    """
-    registry = MetricsRegistry()
-    stats = result.stats
-    final = stats.final_cycle
-    for name, value in (
-        ("stats.packets_generated", stats.packets_generated),
-        ("stats.packets_injected", stats.packets_injected),
-        ("stats.packets_delivered", stats.packets_delivered),
-        ("stats.packets_dropped", stats.packets_dropped),
-        ("stats.retransmissions", stats.retransmissions),
-        ("stats.packets_lost", stats.packets_lost),
-        ("stats.faults_injected", stats.faults_injected),
-        ("stats.hops_traversed", stats.hops_traversed),
-        ("stats.delivery_ratio", stats.delivery_ratio),
-    ):
-        registry.add(name, final, value)
-    if stats.latency.mean.count:
-        registry.add("stats.mean_latency_cycles", final, stats.latency.mean.mean)
-    for category, picojoules in sorted(stats.energy_pj.items()):
-        registry.add("stats.energy_pj", final, picojoules, category=category)
-    timeseries: TimeSeries | None = getattr(result, "timeseries", None)
-    if timeseries is not None:
-        for window in timeseries.windows:
-            _add_window(registry, window)
-        spatial = timeseries.spatial
-        if spatial is not None:
-            for index, window in enumerate(timeseries.windows):
-                for node in range(spatial.num_nodes):
-                    registry.add(
-                        "spatial.occupancy",
-                        window.end,
-                        spatial.occupancy[index][node],
-                        node=node,
-                    )
-                    registry.add(
-                        "spatial.drops", window.end, spatial.drops[index][node],
-                        node=node,
-                    )
-                    registry.add(
-                        "spatial.deliveries",
-                        window.end,
-                        spatial.deliveries[index][node],
-                        node=node,
-                    )
-    health: HealthReport | None = getattr(result, "health", None)
-    if health is not None:
-        registry.add("health.level", final, HEALTH_LEVELS[health.status])
-        registry.add(
-            "health.findings", final, len(health.findings) + health.truncated
-        )
-    return registry
-
-
-def registry_from_blame(report: Any, final_cycle: int = 0) -> MetricsRegistry:
-    """Flatten a :class:`~repro.obs.analysis.BlameReport` into a registry.
-
-    Blame cycles land as ``blame.component_cycles`` samples labelled by
-    component, per-router attribution as node-labelled
-    ``blame.router_cycles``, per-link transit as ``blame.link_cycles``,
-    and the tail percentiles as ``blame.tail_latency`` labelled by
-    percentile — scrape-able next to the run's ``stats.*``/``window.*``
-    series through the same three exporters.
-    """
-    registry = MetricsRegistry()
-    cycle = final_cycle or int(report.meta.get("cycles", 0))
-    for name, value in (
-        ("blame.packets", report.packets),
-        ("blame.delivered", report.delivered),
-        ("blame.lost", report.lost),
-        ("blame.total_latency_cycles", report.total_latency),
-    ):
-        registry.add(name, cycle, value)
-    for component, cycles in report.components.items():
-        registry.add("blame.component_cycles", cycle, cycles, component=component)
-    for node, entry in sorted(report.routers.items()):
-        registry.add("blame.router_cycles", cycle, entry["total"], node=node)
-    for (a, b), entry in sorted(report.links.items()):
-        registry.add(
-            "blame.link_cycles", cycle, entry["transit"], link=f"{a}->{b}"
-        )
-    for name in ("p50", "p95", "p99", "p999"):
-        value = report.tail.get(name)
-        if value is not None:
-            registry.add("blame.tail_latency", cycle, value, percentile=name)
-    return registry
-
-
-def _add_window(registry: MetricsRegistry, window: Window) -> None:
-    for counter in _WINDOW_COUNTERS:
-        registry.add(f"window.{counter}", window.end, getattr(window, counter))
-    registry.add("window.mean_occupancy", window.end, window.mean_occupancy)
-    for suffix in ("p50", "p95", "p99", "p999"):
-        value = getattr(window, f"latency_{suffix}")
-        if value is not None:
-            registry.add(f"window.latency_{suffix}", window.end, value)
-
-
-# -- renderers ----------------------------------------------------------------
-
-
-def to_jsonl(registry: MetricsRegistry) -> str:
-    """One JSON object per sample per line."""
-    lines = []
-    for sample in registry.samples:
-        payload: dict[str, Any] = {
-            "series": sample.series,
-            "cycle": sample.cycle,
-            "value": sample.value,
-        }
-        if sample.labels:
-            payload["labels"] = sample.label_dict
-        lines.append(json.dumps(payload, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def to_csv(registry: MetricsRegistry) -> str:
-    """Flat ``series,cycle,value,labels`` rows (labels as ``k=v;k=v``)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["series", "cycle", "value", "labels"])
-    for sample in registry.samples:
-        writer.writerow(
-            [
-                sample.series,
-                sample.cycle,
-                sample.value,
-                ";".join(f"{k}={v}" for k, v in sample.labels),
-            ]
-        )
-    return buffer.getvalue()
-
-
-def to_prometheus(registry: MetricsRegistry, prefix: str = "repro") -> str:
-    """Prometheus text exposition format: latest sample per series+labels.
-
-    Series names are sanitised (``.`` → ``_``) and prefixed; every metric
-    is exposed as a gauge with the sample cycle attached as a ``cycle``
-    label rather than a timestamp (simulated cycles are not wall time).
-    """
-    by_metric: dict[str, list[Sample]] = {}
-    for sample in registry.latest():
-        by_metric.setdefault(sample.series, []).append(sample)
-    lines: list[str] = []
-    for series in registry.series:
-        if series not in by_metric:
-            continue
-        metric = f"{prefix}_{series.replace('.', '_')}"
-        lines.append(f"# TYPE {metric} gauge")
-        for sample in by_metric.pop(series):
-            labels = dict(sample.labels)
-            labels["cycle"] = str(sample.cycle)
-            rendered = ",".join(
-                f'{key}="{value}"' for key, value in sorted(labels.items())
-            )
-            lines.append(f"{metric}{{{rendered}}} {_format_value(sample.value)}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _format_value(value: float) -> str:
-    if isinstance(value, bool):  # pragma: no cover - defensive
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
-_RENDERERS = {
-    "jsonl": to_jsonl,
-    "csv": to_csv,
-    "prom": to_prometheus,
-}
-
-
-def write_registry(
-    path: str | Path, registry: MetricsRegistry, fmt: str | None = None
-) -> Path:
-    """Render a registry to ``path``; format inferred from the suffix.
-
-    ``.jsonl`` → JSONL, ``.csv`` → CSV, ``.prom``/``.txt`` → Prometheus
-    text format; pass ``fmt`` explicitly to override.
-    """
-    path = Path(path)
-    if fmt is None:
-        suffix = path.suffix.lstrip(".").lower()
-        fmt = {"txt": "prom"}.get(suffix, suffix)
-    renderer = _RENDERERS.get(fmt or "")
-    if renderer is None:
-        raise ValueError(
-            f"unknown export format {fmt!r}; expected one of {sorted(_RENDERERS)}"
-        )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(renderer(registry))
-    return path
-
-
-# -- live streaming -----------------------------------------------------------
+from repro.obs.health import HealthFinding
+from repro.obs.timeseries import Window
 
 
 class JsonlStreamWriter:
@@ -304,8 +24,7 @@ class JsonlStreamWriter:
     metrics window, with an optional per-node spatial slice), ``health``
     (one watchdog finding) and a final ``end`` summary.  Lines are flushed
     as written, so ``tail -f`` (or any log shipper) follows the run live —
-    this is the on-ramp for the campaign-service streaming described in
-    the roadmap.
+    no record is buffered.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -313,45 +32,24 @@ class JsonlStreamWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle: IO[str] | None = self.path.open("w")
 
-    def on_window(
+    def window(
         self, window: Window, spatial_slice: dict[str, Any] | None = None
     ) -> None:
-        """MetricsWatcher listener: one closed window."""
-        payload: dict[str, Any] = {
-            "event": "window",
-            "start": window.start,
-            "end": window.end,
-            "generated": window.generated,
-            "injected": window.injected,
-            "delivered": window.delivered,
-            "dropped": window.dropped,
-            "retransmitted": window.retransmitted,
-            "mean_occupancy": window.mean_occupancy,
-            "latency_p50": window.latency_p50,
-            "latency_p95": window.latency_p95,
-            "latency_p99": window.latency_p99,
-            "latency_p999": window.latency_p999,
-            "faulted": window.faulted,
-            "lost": window.lost,
-        }
+        """One closed metrics window, with its per-node slice if spatial."""
+        payload: dict[str, Any] = {"event": "window", **asdict(window)}
         if spatial_slice is not None:
             payload["spatial"] = spatial_slice
         self._write(payload)
 
-    def on_finding(self, finding: HealthFinding) -> None:
-        """HealthMonitor listener: one watchdog finding."""
-        payload = {"event": "health"}
-        payload.update(finding.to_dict())
-        self._write(payload)
+    def finding(self, finding: HealthFinding) -> None:
+        """One watchdog finding."""
+        self._write({"event": "health", **finding.to_dict()})
 
-    def close(self, summary: dict[str, Any] | None = None) -> None:
+    def close(self, summary: dict[str, Any]) -> None:
         """Write the final ``end`` record and close the file."""
         if self._handle is None:
             return
-        payload: dict[str, Any] = {"event": "end"}
-        if summary:
-            payload.update(summary)
-        self._write(payload)
+        self._write({"event": "end", **summary})
         self._handle.close()
         self._handle = None
 

@@ -1,10 +1,10 @@
 """Runtime health watchdogs: invariant checks evaluated while a run executes.
 
-A :class:`HealthMonitor` is an engine watcher (like
-:class:`~repro.obs.timeseries.MetricsWatcher`) that wakes at fixed cycle
-intervals and runs pluggable :class:`HealthCheck` instances over live
-simulator state.  The stock checks are the three failure classes the
-simulators can silently wedge on:
+A :class:`HealthMonitor` is the reducer :class:`~repro.obs.session.ObsSession`
+feeds at each health-window boundary: it runs its :class:`HealthCheck`
+instances over live simulator state and the session's
+:class:`~repro.obs.tracers.EventTally`.  The stock checks are the three
+failure classes the simulators can silently wedge on:
 
 - **flit conservation** (:class:`ConservationCheck`) — every generated
   packet is either still queued in a NIC or has been injected, and the
@@ -26,7 +26,7 @@ Violations become :class:`HealthFinding` records, ``health_warn`` /
 first-violation cycle.
 
 The monitor honours the observability no-perturbation contract: it only
-*reads* simulator state (its tracer counts events; its checks walk router
+*reads* simulator state (the tally counts events; the checks walk router
 and queue state without mutating it), so a health-enabled run produces a
 bit-identical :class:`~repro.sim.stats.NetworkStats` ledger.  Checks are
 white-box by design — the credit audit walks the electrical router's VC
@@ -38,10 +38,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
-from repro.obs.events import PacketEvent
-from repro.obs.tracers import Tracer
+from repro.obs.tracers import EventTally
 from repro.topology import as_topology
 from repro.util.geometry import OPPOSITE, Direction
 
@@ -54,24 +53,6 @@ _SEVERITY_RANK = {severity: rank for rank, severity in enumerate(SEVERITIES)}
 #: credits).  Defined locally so this module stays simulator-agnostic.
 _MESH_PORTS = tuple(
     int(d) for d in (Direction.NORTH, Direction.EAST, Direction.SOUTH, Direction.WEST)
-)
-
-#: Event kinds counted as "this router did something this window".
-#: ``generated`` is NIC-side and monitor events are excluded, so a busy
-#: router with zero activity events is genuinely wedged.
-_ACTIVITY_KINDS = frozenset(
-    {
-        "injected",
-        "hop",
-        "blocked",
-        "buffered",
-        "dropped",
-        "retransmitted",
-        "delivered",
-        "fault_injected",
-        "fault_masked",
-        "fault_dropped",
-    }
 )
 
 
@@ -180,14 +161,11 @@ class HealthContext:
 
     network: Any
     stats: Any
-    window: int  # zero-based index of the window being closed
-    start: int
     end: int
     #: Cumulative event counts by kind since cycle 0.
     events: Counter
-    #: Event-count deltas by kind over this window.
-    delta: Counter
-    #: Per-node activity-event deltas over this window (see module doc).
+    #: Per-node activity-event deltas over this window (see
+    #: :data:`~repro.obs.tracers.ACTIVITY_KINDS`).
     node_activity: Counter
     #: Per-node ``injected``-event deltas over this window.
     node_injected: Counter
@@ -198,9 +176,8 @@ class HealthContext:
 class HealthCheck:
     """Base class for pluggable invariant checks.
 
-    Checks may keep per-run state (streak counters), so campaigns get a
-    fresh instance per run — register a *factory*, not an instance, with
-    :func:`register_health_check`.
+    Checks may keep per-run state (streak counters), so every monitor
+    builds fresh instances.
     """
 
     name = "check"
@@ -495,77 +472,21 @@ class ProgressCheck(HealthCheck):
         return findings
 
 
-#: Registered check factories, instantiated fresh per monitor (checks keep
-#: per-run streak state).  Factories take the monitor's stall_windows.
-_CHECK_FACTORIES: dict[str, Callable[[int], HealthCheck]] = {}
-
-
-def register_health_check(
-    name: str, factory: Callable[[int], HealthCheck]
-) -> None:
-    """Register a check factory; ``factory(stall_windows)`` builds one."""
-    if name in _CHECK_FACTORIES:
-        raise ValueError(f"health check {name!r} already registered")
-    _CHECK_FACTORIES[name] = factory
-
-
-def registered_health_checks() -> tuple[str, ...]:
-    return tuple(sorted(_CHECK_FACTORIES))
-
-
-def default_health_checks(stall_windows: int) -> list[HealthCheck]:
-    """One fresh instance of every registered check."""
-    return [
-        _CHECK_FACTORIES[name](stall_windows)
-        for name in sorted(_CHECK_FACTORIES)
-    ]
-
-
-register_health_check("flit_conservation", lambda _sw: ConservationCheck())
-register_health_check("credit_leak", lambda _sw: CreditLeakCheck())
-register_health_check("progress", lambda sw: ProgressCheck(stall_windows=sw))
-
-
-class _EventAuditor(Tracer):
-    """Read-only tracer keeping the counts the checks reconcile against."""
-
-    def __init__(self) -> None:
-        self.by_kind: Counter = Counter()
-        self.node_activity: Counter = Counter()
-        self.node_injected: Counter = Counter()
-        self.lost = 0
-
-    def emit(self, event: PacketEvent) -> None:
-        kind = event.kind
-        if kind.startswith("health_"):
-            return  # the monitor's own events are not simulator activity
-        self.by_kind[kind] += 1
-        if kind in _ACTIVITY_KINDS:
-            self.node_activity[event.node] += 1
-        if kind == "injected":
-            self.node_injected[event.node] += 1
-        if kind == "fault_dropped" and event.extra is not None:
-            self.lost += int(event.extra.get("lost", 0))
-
-
-#: A listener receives each finding as it is recorded (for streaming).
-HealthListener = Callable[[HealthFinding], None]
-
-
 class HealthMonitor:
-    """Engine watcher that runs the health checks at window boundaries.
+    """Reducer that runs the health checks over each closed window.
 
-    Register with ``engine.add_watcher(monitor)`` and call
-    :meth:`finalize` after the run to evaluate the trailing partial
-    window and collect the :class:`HealthReport`.  Works with any network
-    exposing ``stats``, ``routers``, ``nics`` and ``add_tracer`` (all
-    registered backends do); individual checks further gate themselves
-    via :meth:`HealthCheck.applies`.
+    :class:`~repro.obs.session.ObsSession` owns the window clock and calls
+    :meth:`evaluate` at each boundary, then :meth:`report` after the run.
+    Works with any network exposing ``stats``, ``routers`` and ``nics``
+    (all registered backends do); individual checks further gate
+    themselves via :meth:`HealthCheck.applies`.  ``tally`` must be
+    attached to the network's trace hub for the whole run.
     """
 
     def __init__(
         self,
         network: Any,
+        tally: EventTally,
         interval: int,
         stall_windows: int = 5,
         checks: Iterable[HealthCheck] | None = None,
@@ -576,10 +497,11 @@ class HealthMonitor:
         self.network = network
         self.interval = interval
         self.max_findings = max_findings
-        self._auditor = _EventAuditor()
-        network.add_tracer(self._auditor)
+        self._tally = tally
         candidates = (
-            list(checks) if checks is not None else default_health_checks(stall_windows)
+            (CreditLeakCheck(), ConservationCheck(), ProgressCheck(stall_windows))
+            if checks is None
+            else checks
         )
         self.checks = [check for check in candidates if check.applies(network)]
         self.status = "ok"
@@ -587,27 +509,38 @@ class HealthMonitor:
         self.findings: list[HealthFinding] = []
         self.truncated = 0
         self.windows = 0
-        self._window_start = 0
         self._check_status = {check.name: "ok" for check in self.checks}
         self._check_violations = {check.name: 0 for check in self.checks}
-        self._last_kind: Counter = Counter()
         self._last_activity: Counter = Counter()
         self._last_injected: Counter = Counter()
-        self._listeners: list[HealthListener] = []
 
-    def add_listener(self, listener: HealthListener) -> None:
-        """Call ``listener(finding)`` for every recorded finding."""
-        self._listeners.append(listener)
+    def evaluate(self, end: int) -> list[HealthFinding]:
+        """Run every check over the window ending at ``end``.
 
-    def __call__(self, cycle: int) -> None:
-        """Per-cycle hook; ``cycle`` is the cycle that just committed."""
-        if (cycle + 1) - self._window_start >= self.interval:
-            self._evaluate(cycle + 1)
+        Returns the window's findings after recording them and emitting
+        their ``health_*`` events on the network's trace hub.
+        """
+        tally = self._tally
+        ctx = HealthContext(
+            network=self.network,
+            stats=self.network.stats,
+            end=end,
+            events=tally.by_kind,
+            node_activity=tally.activity - self._last_activity,
+            node_injected=tally.injections - self._last_injected,
+            lost_events=tally.lost,
+        )
+        self._last_activity = Counter(tally.activity)
+        self._last_injected = Counter(tally.injections)
+        self.windows += 1
+        findings = [
+            finding for check in self.checks for finding in check.evaluate(ctx)
+        ]
+        for finding in findings:
+            self._record(finding)
+        return findings
 
-    def finalize(self, final_cycle: int) -> HealthReport:
-        """Evaluate the trailing partial window; return the report."""
-        if final_cycle > self._window_start:
-            self._evaluate(final_cycle)
+    def report(self) -> HealthReport:
         return HealthReport(
             status=self.status,
             first_violation_cycle=self.first_violation_cycle,
@@ -623,31 +556,6 @@ class HealthMonitor:
             findings=list(self.findings),
             truncated=self.truncated,
         )
-
-    # -- internals -------------------------------------------------------------
-
-    def _evaluate(self, end: int) -> None:
-        auditor = self._auditor
-        ctx = HealthContext(
-            network=self.network,
-            stats=self.network.stats,
-            window=self.windows,
-            start=self._window_start,
-            end=end,
-            events=Counter(auditor.by_kind),
-            delta=auditor.by_kind - self._last_kind,
-            node_activity=auditor.node_activity - self._last_activity,
-            node_injected=auditor.node_injected - self._last_injected,
-            lost_events=auditor.lost,
-        )
-        for check in self.checks:
-            for finding in check.evaluate(ctx):
-                self._record(finding)
-        self._last_kind = Counter(auditor.by_kind)
-        self._last_activity = Counter(auditor.node_activity)
-        self._last_injected = Counter(auditor.node_injected)
-        self._window_start = end
-        self.windows += 1
 
     def _record(self, finding: HealthFinding) -> None:
         if _SEVERITY_RANK[finding.severity] > _SEVERITY_RANK[self.status]:
@@ -673,5 +581,3 @@ class HealthMonitor:
                 -1,
                 extra={"check": finding.check, "message": finding.message},
             )
-        for listener in self._listeners:
-            listener(finding)

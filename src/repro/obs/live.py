@@ -23,7 +23,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import IO, TYPE_CHECKING, Any
+from typing import IO, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - the harness imports obs, not vice versa
     from repro.harness.exec import RunEvent, RunProgress
@@ -223,23 +223,3 @@ class LiveDashboard:
         self._painted_lines = len(lines)
         self.stream.write("".join(out))
         self.stream.flush()
-
-
-def run_dashboard(executor_kwargs: dict[str, Any]) -> LiveDashboard:
-    """Convenience for wiring: build a dashboard and patch its callbacks in.
-
-    Mutates ``executor_kwargs`` so ``Executor(**executor_kwargs)`` reports
-    into the returned dashboard (composing with any existing ``progress``
-    callback by calling both).
-    """
-    dashboard = LiveDashboard()
-    previous = executor_kwargs.get("progress")
-
-    def progress(event: RunEvent) -> None:
-        dashboard.on_event(event)
-        if previous is not None:
-            previous(event)
-
-    executor_kwargs["progress"] = progress
-    executor_kwargs["live"] = dashboard.on_progress
-    return dashboard

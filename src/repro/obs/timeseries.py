@@ -1,34 +1,32 @@
 """Windowed time-series metrics: rates, occupancy and latency percentiles.
 
-A :class:`MetricsWatcher` is an engine watcher (called once per committed
-cycle) that snapshots the run's :class:`~repro.sim.stats.NetworkStats`
-counters at fixed cycle intervals and turns the deltas into
-:class:`Window` records — per-window injection/delivery/drop/retransmit
-counts, mean total buffer occupancy, and p50/p95/p99 latency of the
-packets *measured in that window*.  The result is a :class:`TimeSeries`
-that serialises losslessly into the JSON report, which is what the
-latency-over-time and drop-storm plots of the paper's section 5 analysis
-need.
+A :class:`SeriesBuilder` is the reducer :class:`~repro.obs.session.ObsSession`
+feeds at each metrics-window boundary: it differences the run's
+:class:`~repro.sim.stats.NetworkStats` counters against the previous
+boundary and appends one :class:`Window` — per-window
+injection/delivery/drop/retransmit counts, mean total buffer occupancy,
+and p50/p95/p99 latency of the packets *measured in that window*.  The
+result is a :class:`TimeSeries` that serialises losslessly into the JSON
+report, which is what the latency-over-time and drop-storm plots of the
+paper's section 5 analysis need.
 
-With ``spatial=True`` the watcher additionally keeps the *where*: a
-:class:`SpatialSeries` of per-router mean occupancy, drops and deliveries
-per window (drop/delivery attribution rides the network's tracer hub,
-exactly like :mod:`repro.sim.probes`).  That turns the probes' ASCII-only
-congestion heatmaps into a JSON time series that lands in the same report
-file as the windowed metrics.
+Handed the session's :class:`~repro.obs.tracers.EventTally`, the builder
+additionally keeps the *where*: a :class:`SpatialSeries` of per-router
+mean occupancy, drops and deliveries per window.  That turns the probes'
+ASCII-only congestion heatmaps into a JSON time series that lands in the
+same report file as the windowed metrics.
 
-The watcher is strictly read-only over the network (the no-perturbation
-invariant): it copies counters and sums buffer occupancy but never writes
-simulator state.
+The builder is strictly read-only over the network (the no-perturbation
+invariant): it copies counters, never writes simulator state.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import asdict, dataclass, field
+from typing import Any
 
-from repro.obs.tracers import NodeEventCounter
+from repro.obs.tracers import EventTally
 from repro.sim.stats import nearest_rank
 
 #: Percentiles reported per window, as (field suffix, p) pairs.
@@ -69,20 +67,22 @@ class Window:
         """A counter as a per-cycle rate over this window."""
         if counter not in _WINDOW_COUNTERS:
             raise ValueError(
-                f"unknown counter {counter!r}; expected one of {_WINDOW_COUNTERS}"
+                f"unknown counter {counter!r}; "
+                f"expected one of {tuple(_WINDOW_COUNTERS)}"
             )
         return getattr(self, counter) / self.cycles if self.cycles else 0.0
 
 
-_WINDOW_COUNTERS = (
-    "generated",
-    "injected",
-    "delivered",
-    "dropped",
-    "retransmitted",
-    "faulted",
-    "lost",
-)
+#: The window's counter fields, and the stats counter each one differences.
+_WINDOW_COUNTERS = {
+    "generated": "packets_generated",
+    "injected": "packets_injected",
+    "delivered": "packets_delivered",
+    "dropped": "packets_dropped",
+    "retransmitted": "retransmissions",
+    "faulted": "faults_injected",
+    "lost": "packets_lost",
+}
 
 
 @dataclass
@@ -149,25 +149,7 @@ class TimeSeries:
     def to_dict(self) -> dict[str, Any]:
         payload: dict[str, Any] = {
             "interval": self.interval,
-            "windows": [
-                {
-                    "start": w.start,
-                    "end": w.end,
-                    "generated": w.generated,
-                    "injected": w.injected,
-                    "delivered": w.delivered,
-                    "dropped": w.dropped,
-                    "retransmitted": w.retransmitted,
-                    "mean_occupancy": w.mean_occupancy,
-                    "latency_p50": w.latency_p50,
-                    "latency_p95": w.latency_p95,
-                    "latency_p99": w.latency_p99,
-                    "latency_p999": w.latency_p999,
-                    "faulted": w.faulted,
-                    "lost": w.lost,
-                }
-                for w in self.windows
-            ],
+            "windows": [asdict(window) for window in self.windows],
         }
         if self.spatial is not None:
             payload["spatial"] = self.spatial.to_dict()
@@ -207,145 +189,86 @@ def _opt_int(value: Any) -> int | None:
     return None if value is None else int(value)
 
 
-class MetricsWatcher:
-    """Engine watcher that folds a run into a :class:`TimeSeries`.
+class SeriesBuilder:
+    """Reducer that folds closed windows into a :class:`TimeSeries`.
 
-    Register with ``engine.add_watcher(watcher)`` and call
-    :meth:`finalize` after the run to flush the trailing partial window.
-    Works with any network exposing ``stats`` and ``routers`` with an
-    ``occupancy()`` method (both simulators do).
-
-    ``spatial=True`` additionally collects the per-router companion
-    series (see :class:`SpatialSeries`): the watcher registers a
-    read-only tracer on the network's emit hub to attribute drops and
-    deliveries to nodes, and splits its per-cycle occupancy sweep per
-    router.  The network must then also expose ``mesh`` and
-    ``add_tracer`` — again, both simulators do.
+    :class:`~repro.obs.session.ObsSession` owns the window clock and the
+    per-cycle occupancy sweep; at each boundary it calls :meth:`close`
+    with the window's occupancy integrals.  Works with any network
+    exposing ``stats`` (every backend does); with a ``tally`` it also
+    builds the per-router companion series (see :class:`SpatialSeries`)
+    and the network must expose ``mesh`` too.
     """
 
-    def __init__(self, network: Any, interval: int, spatial: bool = False) -> None:
-        if interval <= 0:
-            raise ValueError(f"metrics interval must be positive, got {interval}")
+    def __init__(
+        self, network: Any, interval: int, tally: EventTally | None = None
+    ) -> None:
         self.network = network
         self.series = TimeSeries(interval=interval)
-        self._window_start = 0
-        self._occupancy_sum = 0
-        self._tracer: NodeEventCounter | None = None
-        self._node_occupancy: list[int] | None = None
-        self._listeners: list[Callable[[Window, dict[str, Any] | None], None]] = []
-        if spatial:
+        self._tally = tally
+        if tally is not None:
             mesh = network.mesh
             self.series.spatial = SpatialSeries(mesh.width, mesh.height)
-            self._tracer = NodeEventCounter()
-            network.add_tracer(self._tracer)
-            self._node_occupancy = [0] * mesh.num_nodes
         self._last = self._snapshot()
-
-    def add_listener(
-        self, listener: Callable[[Window, dict[str, Any] | None], None]
-    ) -> None:
-        """Call ``listener(window, spatial_slice)`` at each window close.
-
-        ``spatial_slice`` is the per-node companion data for that window
-        (``None`` for non-spatial watchers) — this is what live streaming
-        (:class:`~repro.obs.export.JsonlStreamWriter`) subscribes to.
-        """
-        self._listeners.append(listener)
 
     def _snapshot(self) -> dict[str, Any]:
         stats = self.network.stats
-        snapshot = {
-            "generated": stats.packets_generated,
-            "injected": stats.packets_injected,
-            "delivered": stats.packets_delivered,
-            "dropped": stats.packets_dropped,
-            "retransmitted": stats.retransmissions,
-            "faulted": stats.faults_injected,
-            "lost": stats.packets_lost,
-            "histogram": Counter(stats.latency.histogram._buckets),
+        snapshot: dict[str, Any] = {
+            name: getattr(stats, counter)
+            for name, counter in _WINDOW_COUNTERS.items()
         }
-        if self._tracer is not None:
-            snapshot["node_drops"] = Counter(self._tracer.drops)
-            snapshot["node_deliveries"] = Counter(self._tracer.deliveries)
+        snapshot["histogram"] = Counter(stats.latency.histogram._buckets)
+        if self._tally is not None:
+            snapshot["node_drops"] = Counter(self._tally.drops)
+            snapshot["node_deliveries"] = Counter(self._tally.deliveries)
         return snapshot
 
-    def __call__(self, cycle: int) -> None:
-        """Per-cycle hook; ``cycle`` is the cycle that just committed."""
-        if self._node_occupancy is None:
-            self._occupancy_sum += sum(
-                router.occupancy() for router in self.network.routers
-            )
-        else:
-            total = 0
-            for router in self.network.routers:
-                occupancy = router.occupancy()
-                total += occupancy
-                self._node_occupancy[router.node] += occupancy
-            self._occupancy_sum += total
-        if (cycle + 1) - self._window_start >= self.series.interval:
-            self._close_window(cycle + 1)
+    def close(
+        self,
+        start: int,
+        end: int,
+        occupancy_sum: int,
+        node_occupancy: list[int] | None = None,
+    ) -> tuple[Window, dict[str, Any] | None]:
+        """Append the window ``[start, end)``; return it and its spatial slice.
 
-    def finalize(self, final_cycle: int) -> TimeSeries:
-        """Flush the trailing partial window; returns the series."""
-        if final_cycle > self._window_start:
-            self._close_window(final_cycle)
-        return self.series
-
-    def _close_window(self, end: int) -> None:
-        now = self._snapshot()
-        last = self._last
+        ``occupancy_sum`` is the summed buffer occupancy of all routers
+        over the window's cycles, ``node_occupancy`` the same per router
+        (spatial builders only).  The slice is ``None`` without a tally.
+        """
+        now, last = self._snapshot(), self._last
+        self._last = now
         delta_hist = now["histogram"] - last["histogram"]
         delta_count = sum(delta_hist.values())
-        cycles = end - self._window_start
         pairs = sorted(delta_hist.items())
-        percentiles = {
-            f"latency_{suffix}": nearest_rank(pairs, delta_count, p)
-            if delta_count
-            else None
-            for suffix, p in _PERCENTILES
-        }
-        self.series.windows.append(
-            Window(
-                start=self._window_start,
-                end=end,
-                generated=now["generated"] - last["generated"],
-                injected=now["injected"] - last["injected"],
-                delivered=now["delivered"] - last["delivered"],
-                dropped=now["dropped"] - last["dropped"],
-                retransmitted=now["retransmitted"] - last["retransmitted"],
-                mean_occupancy=self._occupancy_sum / cycles,
-                faulted=now["faulted"] - last["faulted"],
-                lost=now["lost"] - last["lost"],
-                **percentiles,
-            )
+        cycles = end - start
+        window = Window(
+            start=start,
+            end=end,
+            mean_occupancy=occupancy_sum / cycles,
+            **{name: now[name] - last[name] for name in _WINDOW_COUNTERS},
+            **{
+                f"latency_{suffix}": nearest_rank(pairs, delta_count, p)
+                if delta_count
+                else None
+                for suffix, p in _PERCENTILES
+            },
         )
-        spatial_slice: dict[str, Any] | None = None
-        if self._node_occupancy is not None:
-            spatial = self.series.spatial
-            assert spatial is not None
-            spatial.occupancy.append(
-                [occupancy / cycles for occupancy in self._node_occupancy]
-            )
-            spatial.drops.append(
-                self._node_delta(now["node_drops"], last["node_drops"])
-            )
-            spatial.deliveries.append(
-                self._node_delta(now["node_deliveries"], last["node_deliveries"])
-            )
-            spatial_slice = {
-                "occupancy": spatial.occupancy[-1],
-                "drops": spatial.drops[-1],
-                "deliveries": spatial.deliveries[-1],
-            }
-            self._node_occupancy = [0] * len(self._node_occupancy)
-        self._window_start = end
-        self._occupancy_sum = 0
-        self._last = now
-        for listener in self._listeners:
-            listener(self.series.windows[-1], spatial_slice)
-
-    def _node_delta(self, now: Counter, last: Counter) -> list[int]:
-        """Per-node counter delta over one window, as a dense node list."""
+        self.series.windows.append(window)
         spatial = self.series.spatial
-        assert spatial is not None
-        return [now[node] - last[node] for node in range(spatial.num_nodes)]
+        if spatial is None or node_occupancy is None:
+            return window, None
+        nodes = range(spatial.num_nodes)
+        spatial_slice = {
+            "occupancy": [occupancy / cycles for occupancy in node_occupancy],
+            "drops": [
+                now["node_drops"][n] - last["node_drops"][n] for n in nodes
+            ],
+            "deliveries": [
+                now["node_deliveries"][n] - last["node_deliveries"][n]
+                for n in nodes
+            ],
+        }
+        for name, values in spatial_slice.items():
+            getattr(spatial, name).append(values)
+        return window, spatial_slice

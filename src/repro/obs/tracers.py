@@ -58,11 +58,24 @@ class CollectingTracer(Tracer):
         return [event for event in self.events if event.kind == kind]
 
 
-class NodeEventCounter(Tracer):
-    """Read-only tracer counting drops and deliveries per node.
+#: Event kinds counted as "this router did something".  ``generated`` is
+#: NIC-side and the monitor's own ``health_*`` events are not simulator
+#: activity, so a busy router with none of these is genuinely wedged.
+ACTIVITY_KINDS = frozenset(EVENT_KINDS) - {
+    "generated",
+    "health_warn",
+    "health_critical",
+}
 
-    The one attribution of the two spatial event kinds: spatial
-    time-series snapshot its counters per window, and
+
+class EventTally(Tracer):
+    """The one counting tracer: everything a consumer reads off the stream.
+
+    Cumulative since attach: events :attr:`by_kind`, per-node
+    :attr:`drops`, :attr:`deliveries`, :attr:`injections` and
+    :attr:`activity` (any of :data:`ACTIVITY_KINDS`), and the packets
+    :attr:`lost` to ``fault_dropped`` events.  Spatial time series and
+    the health checks difference these per window;
     :func:`repro.sim.probes.attach_probe` hands in a probe's own
     counters plus its per-cycle occupancy sampler as ``on_cycle``.
     """
@@ -73,17 +86,34 @@ class NodeEventCounter(Tracer):
         deliveries: Counter[int] | None = None,
         on_cycle: Callable[[Any, int], None] | None = None,
     ) -> None:
+        self.by_kind: Counter[str] = Counter()
         self.drops: Counter[int] = Counter() if drops is None else drops
         self.deliveries: Counter[int] = (
             Counter() if deliveries is None else deliveries
         )
+        self.injections: Counter[int] = Counter()
+        self.activity: Counter[int] = Counter()
+        self.lost = 0
+        self._per_node = {
+            "dropped": self.drops,
+            "delivered": self.deliveries,
+            "injected": self.injections,
+        }
         self._on_cycle = on_cycle
 
     def emit(self, event: PacketEvent) -> None:
-        if event.kind == "dropped":
-            self.drops[event.node] += 1
-        elif event.kind == "delivered":
-            self.deliveries[event.node] += 1
+        kind = event.kind
+        if kind in ACTIVITY_KINDS:
+            node = event.node
+            self.activity[node] += 1
+            per_node = self._per_node.get(kind)
+            if per_node is not None:
+                per_node[node] += 1
+            elif kind == "fault_dropped" and event.extra is not None:
+                self.lost += int(event.extra.get("lost", 0))
+        elif kind != "generated":
+            return  # the monitor's own health_* events
+        self.by_kind[kind] += 1
 
     def on_cycle(self, network: Any, cycle: int) -> None:
         if self._on_cycle is not None:
@@ -197,7 +227,9 @@ class _SamplingTracer(Tracer):
         self._threshold = int(rate * 2**32)
 
     def _keep(self, uid: int) -> bool:
-        return ((uid * 2654435761) & 0xFFFFFFFF) < self._threshold
+        # Monitor events (uid < 0: health findings, NIC freezes) belong to
+        # no packet lifecycle; hashing -1 would drop them below rate 0.382.
+        return uid < 0 or ((uid * 2654435761) & 0xFFFFFFFF) < self._threshold
 
     def emit(self, event: PacketEvent) -> None:
         if self._keep(event.uid):
@@ -215,7 +247,7 @@ def sampled(tracer: Tracer, rate: float) -> Tracer:
 
     ``rate=1`` returns the tracer unwrapped; the decision is per packet
     uid, so a kept packet's whole lifecycle (including retransmissions) is
-    kept.
+    kept.  Monitor events (``uid < 0``) are always kept.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"sample rate must be in [0, 1], got {rate}")

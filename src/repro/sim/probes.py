@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence, Union
 
-from repro.obs.tracers import NodeEventCounter
+from repro.obs.tracers import EventTally
 from repro.util.geometry import MeshGeometry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -168,6 +168,6 @@ def attach_probe(network: Any) -> MeshProbe:
     """
     probe = MeshProbe(getattr(network, "topology", None) or network.mesh)
     network.add_tracer(
-        NodeEventCounter(probe.drops, probe.deliveries, probe.sample_network)
+        EventTally(probe.drops, probe.deliveries, probe.sample_network)
     )
     return probe

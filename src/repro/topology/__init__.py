@@ -1,4 +1,4 @@
-"""Pluggable topologies and routing policies (DESIGN.md section 13).
+"""Pluggable topologies and routing policies (DESIGN.md section 12).
 
 Public surface:
 

@@ -49,28 +49,8 @@ class AsciiTable:
             lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
         return "\n".join(line.rstrip() for line in lines)
 
-    def render_markdown(self) -> str:
-        """Render the same rows as a GitHub-flavoured Markdown table.
-
-        The title becomes a bold caption line; cell pipes are escaped so
-        arbitrary entry names cannot break the table grid.
-        """
-        lines = []
-        if self.title:
-            lines.append(f"**{_escape_md(self.title)}**")
-            lines.append("")
-        lines.append("| " + " | ".join(_escape_md(h) for h in self.headers) + " |")
-        lines.append("|" + "|".join(" --- " for _ in self.headers) + "|")
-        for row in self.rows:
-            lines.append("| " + " | ".join(_escape_md(c) for c in row) + " |")
-        return "\n".join(lines)
-
     def __str__(self) -> str:
         return self.render()
-
-
-def _escape_md(cell: str) -> str:
-    return cell.replace("|", "\\|")
 
 
 def _format_cell(value: object) -> str:

@@ -33,7 +33,6 @@ from repro.obs import (
     analyze_trace_file,
     diff_reports,
     reconstruct_spans,
-    registry_from_blame,
     render_diff_markdown,
     render_markdown,
 )
@@ -443,20 +442,6 @@ class TestRenderers:
         assert "## Top blamed links" in render_markdown(report, blame="links")
         assert "## Blame by cause" in render_markdown(report, blame="causes")
 
-    def test_registry_from_blame_series(self):
-        report = self._report()
-        registry = registry_from_blame(report, final_cycle=200)
-        series = set(registry.series)
-        assert {
-            "blame.component_cycles",
-            "blame.router_cycles",
-            "blame.tail_latency",
-            "blame.delivered",
-        } <= series
-        components = [
-            s for s in registry.samples if s.series == "blame.component_cycles"
-        ]
-        assert sum(s.value for s in components) == report.total_latency
 
 
 class TestCli:

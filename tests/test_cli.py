@@ -120,18 +120,42 @@ class TestTraceWorkflow:
         main(["trace", "generate", "lu", "--out", str(path), "--cycles", "50"])
         assert main(["run", "--config", "Nope", "--trace", str(path)]) == 2
 
-    def test_spatial_metrics_requires_interval(self, tmp_path):
+    def test_spatial_metrics_requires_interval(self, tmp_path, capsys):
         path = tmp_path / "t.trace"
         main(["trace", "generate", "lu", "--out", str(path), "--cycles", "50"])
-        with pytest.raises(SystemExit, match="invalid observability config"):
-            main(["run", "--config", "Optical4", "--trace", str(path),
-                  "--spatial-metrics"])
+        argv = ["run", "--config", "Optical4", "--trace", str(path)]
+        assert main(argv + ["--spatial-metrics"]) == 2
+        assert "invalid observability config" in capsys.readouterr().err
 
 
 class TestParser:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestRefusals:
+    """Every refusal is one ``repro: <message>`` stderr line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--trace", "/nonexistent.trace"],
+            ["trace", "info", "/nonexistent"],
+            ["analyze", "/nonexistent.jsonl"],
+            ["analyze"],
+            ["sweep", "--link-flip-prob", "2"],
+            ["sweep", "--health-interval", "10"],
+            ["sweep", "--stream-out", "s.jsonl"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_one_line_and_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: ")
 
 
 class TestFaultFlags:
@@ -195,9 +219,6 @@ class TestFaultFlags:
         assert faults.burst_enter_prob == 0.1
         assert faults.link_flip_prob == 0.0
 
-    def test_invalid_fault_config_exits(self):
-        from repro.cli import _faults_from_args, build_parser
-
-        args = build_parser().parse_args(["sweep", "--link-flip-prob", "2.0"])
-        with pytest.raises(SystemExit):
-            _faults_from_args(args)
+    def test_invalid_fault_config_exits(self, capsys):
+        assert main(["sweep", "--link-flip-prob", "2.0"]) == 2
+        assert "invalid fault config" in capsys.readouterr().err

@@ -174,6 +174,25 @@ class TestExecutorDeterminism:
         with pytest.raises(ValueError):
             Executor(workers=0)
 
+    def test_pool_results_do_not_depend_on_live_telemetry(self):
+        # One pool path: the live queue is an argument of it, not a fork.
+        specs = small_specs(rates=(0.05, 0.1))
+        plain = Executor(workers=2).map(specs)
+        records = []
+        live = Executor(workers=2, live=records.append).map(specs)
+        assert [result_to_dict(r) for r in live] == [
+            result_to_dict(r) for r in plain
+        ]
+        assert {record.index for record in records} == set(range(len(specs)))
+        assert all(
+            [r for r in records if r.index == index][-1].sample.done
+            for index in range(len(specs))
+        )
+        # A later plain pool installs no queue: nothing more is forwarded.
+        forwarded = len(records)
+        assert Executor(workers=2).map(specs) == plain
+        assert len(records) == forwarded
+
 
 class TestResultCache:
     def test_second_campaign_is_all_hits_and_byte_identical(self, tmp_path):

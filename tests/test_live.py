@@ -2,14 +2,19 @@
 ASCII dashboard (non-TTY and TTY rendering) and the HTML campaign report."""
 
 import io
+import itertools
 from types import SimpleNamespace
 
+import pytest
+
 from repro.core.config import PhastlaneConfig
+from repro.fabric import make_network
 from repro.harness.exec import Executor, RunProgress, RunSpec, SyntheticWorkload
 from repro.harness.htmlreport import render_campaign_html, write_campaign_html
-from repro.harness.runner import ProgressSample, run
-from repro.obs import LiveDashboard, ObsConfig
-from repro.obs.live import run_dashboard
+from repro.harness.runner import run
+from repro.obs import EventTally, JsonlTraceWriter, LiveDashboard, ObsConfig, ObsSession
+from repro.obs.session import ProgressSample
+from repro.sim.engine import SimulationEngine
 from repro.util.geometry import MeshGeometry
 
 MESH = MeshGeometry(4, 4)
@@ -102,6 +107,89 @@ class TestRunProgressPlumbing:
         assert live.map([spec()]) == plain.map([spec()])
 
 
+class TestAttachSet:
+    """Zero cost when off, known cost when on — as structure, not timing:
+    what a session registers on a real network and engine."""
+
+    def _attach(self, obs, progress=False):
+        network = make_network(OPTICAL)
+        engine = SimulationEngine()
+        engine.register(network)
+        session = ObsSession(obs, network, engine)
+        if progress:
+            session.report_progress(lambda sample: None, 100)
+        return session, engine, network.trace_hub.tracers
+
+    @pytest.mark.parametrize("obs", [None, ObsConfig()])
+    def test_off_registers_nothing(self, obs):
+        _, engine, tracers = self._attach(obs)
+        assert engine._watchers == [] and tracers == ()
+
+    def test_trace_only_registers_the_file_tracer_and_no_watcher(self, tmp_path):
+        obs = ObsConfig(trace_path=str(tmp_path / "t.jsonl"))
+        _, engine, tracers = self._attach(obs)
+        assert engine._watchers == []
+        assert [type(tracer) for tracer in tracers] == [JsonlTraceWriter]
+
+    def test_every_other_combination_is_one_watcher_and_at_most_one_tally(
+        self, tmp_path
+    ):
+        legs = itertools.product(
+            (None, str(tmp_path / "t.jsonl")),  # trace_path
+            (None, 50),  # metrics_interval
+            (False, True),  # spatial
+            (False, True),  # health
+            (None, 70),  # health_interval
+            (None, str(tmp_path / "s.jsonl")),  # stream_path
+            (False, True),  # a progress sink
+        )
+        checked = 0
+        for trace, metrics, spatial, health, interval, stream, progress in legs:
+            try:
+                obs = ObsConfig(
+                    trace_path=trace,
+                    metrics_interval=metrics,
+                    spatial=spatial,
+                    health=health,
+                    health_interval=interval,
+                    stream_path=stream,
+                )
+            except ValueError:
+                continue  # e.g. spatial without a metrics window
+            if not (metrics or health or progress):
+                continue  # off and trace-only are pinned above
+            session, engine, tracers = self._attach(obs, progress)
+            assert engine._watchers == [session]
+            tallies = [t for t in tracers if isinstance(t, EventTally)]
+            assert len(tallies) == (1 if spatial or health else 0)
+            assert len(tracers) - len(tallies) == (1 if trace else 0)
+            session.finish()
+            checked += 1
+        assert checked == 58  # every valid config x sink, minus off and trace-only
+
+    def test_an_observed_run_is_freed_without_the_cycle_collector(self):
+        # The network drags the trace buffers along: a session <-> engine
+        # cycle would keep a whole run alive until the next gc pass.
+        import gc
+        import weakref
+
+        obs = ObsConfig(metrics_interval=5, spatial=True, health=True)
+        gc.disable()
+        try:
+            network = make_network(OPTICAL)
+            engine = SimulationEngine()
+            engine.register(network)
+            session = ObsSession(obs, network, engine)
+            session.report_progress(lambda sample: None, 20)
+            engine.run(20)
+            session.finish()
+            freed = weakref.ref(network)
+            del network, engine, session
+            assert freed() is None
+        finally:
+            gc.enable()
+
+
 class TestLiveDashboardNonTty:
     def _dashboard(self):
         stream = io.StringIO()
@@ -177,18 +265,6 @@ class TestLiveDashboardTty:
         dashboard.on_progress(progress)
         dashboard.on_progress(progress)
         assert "\x1b[2F" in stream.getvalue()
-
-
-class TestRunDashboardHelper:
-    def test_patches_callbacks_and_composes_progress(self):
-        seen = []
-        kwargs = {"workers": 1, "progress": seen.append}
-        dashboard = run_dashboard(kwargs)
-        assert kwargs["live"] == dashboard.on_progress
-        event = fake_event()
-        kwargs["progress"](event)
-        assert seen == [event]  # the original callback still fires
-        assert dashboard._completed == 1
 
 
 class TestHtmlReport:

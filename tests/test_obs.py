@@ -10,8 +10,8 @@ from repro.obs import (
     ChromeTraceWriter,
     CollectingTracer,
     JsonlTraceWriter,
-    MetricsWatcher,
     ObsConfig,
+    ObsSession,
     PacketEvent,
     SpatialSeries,
     TimeSeries,
@@ -19,6 +19,7 @@ from repro.obs import (
     Window,
     sampled,
 )
+from repro.sim.engine import SimulationEngine
 from repro.sim.stats import Histogram, NetworkStats, nearest_rank
 
 
@@ -115,6 +116,51 @@ class TestSampling:
         for uid in range(50):
             tracer.emit(PacketEvent("generated", cycle=0, node=0, uid=uid))
         assert inner.events == []
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.5])
+    def test_monitor_events_always_pass(self, rate):
+        # uid -1 hashes to 0.382 of the range: a health finding used to
+        # vanish from every trace sampled below that rate.
+        inner = CollectingTracer()
+        finding = PacketEvent("health_critical", 100, -1, -1, {"check": "progress"})
+        sampled(inner, rate).emit(finding)
+        assert inner.events == [finding]
+
+    def test_sampled_trace_of_a_livelocked_run_keeps_its_findings(self, tmp_path):
+        from repro.electrical.config import ElectricalConfig
+        from repro.faults import FaultConfig
+        from repro.harness.exec import RunSpec, SyntheticWorkload
+        from repro.harness.runner import run
+        from repro.util.geometry import MeshGeometry
+
+        def health_lines(rate):
+            path = tmp_path / f"sampled-{rate}.jsonl"
+            run(
+                RunSpec(
+                    ElectricalConfig(mesh=MeshGeometry(2, 1)),
+                    SyntheticWorkload("uniform", 0.3),
+                    cycles=300,
+                    seed=2,
+                    faults=FaultConfig(
+                        seed=1, dead_ports=((0, 1), (1, 3)), retry_limit=1_000_000
+                    ),
+                    obs=ObsConfig(
+                        health=True,
+                        health_interval=50,
+                        health_stall_windows=3,
+                        trace_path=str(path),
+                        trace_sample=rate,
+                    ),
+                )
+            )
+            return [
+                line for line in path.read_text().splitlines() if '"health_' in line
+            ]
+
+        full = health_lines(1.0)
+        assert any("health_warn" in line for line in full)
+        assert any("health_critical" in line for line in full)
+        assert health_lines(0.1) == full
 
 
 class TestFileExporters:
@@ -284,7 +330,7 @@ class _StubRouter:
 
 
 class _StubNetwork:
-    """Minimal MetricsWatcher surface: stats, routers, mesh, tracer hub."""
+    """Minimal observed surface: stats, routers, mesh, tracer hub."""
 
     def __init__(self, width=2, height=1, occupancies=(3, 1)):
         from repro.util.geometry import MeshGeometry
@@ -304,17 +350,21 @@ class _StubNetwork:
             tracer.emit(PacketEvent(kind=kind, cycle=cycle, node=node, uid=1))
 
 
+def observe(network, cycles, **obs):
+    """Tick an engine ``cycles`` times under a session; return its series."""
+    engine = SimulationEngine()
+    session = ObsSession(ObsConfig(**obs), network, engine)
+    engine.run(cycles)
+    return session.finish()[0]
+
+
 class TestMetricsWatcherEdges:
     def test_no_cycles_means_no_windows(self):
-        watcher = MetricsWatcher(_StubNetwork(), interval=10)
-        series = watcher.finalize(0)
+        series = observe(_StubNetwork(), 0, metrics_interval=10)
         assert series.windows == [] and series.spatial is None
 
     def test_empty_window_has_zero_rates_and_no_percentiles(self):
-        watcher = MetricsWatcher(_StubNetwork(), interval=5)
-        for cycle in range(5):
-            watcher(cycle)
-        (window,) = watcher.finalize(5).windows
+        (window,) = observe(_StubNetwork(), 5, metrics_interval=5).windows
         assert window.delivered == window.dropped == 0
         assert window.rate("delivered") == 0.0
         assert window.latency_p50 is window.latency_p95 is None
@@ -324,12 +374,12 @@ class TestMetricsWatcherEdges:
         # Deliveries inside the warm-up raise packets_delivered without
         # touching the latency histogram: count > 0, percentiles None.
         network = _StubNetwork()
-        watcher = MetricsWatcher(network, interval=5)
+        engine = SimulationEngine()
+        session = ObsSession(ObsConfig(metrics_interval=5), network, engine)
         network.stats.measurement_start = 100
         network.stats.record_delivered(0, 3)
-        for cycle in range(5):
-            watcher(cycle)
-        (window,) = watcher.finalize(5).windows
+        engine.run(5)
+        (window,) = session.finish()[0].windows
         assert window.delivered == 1
         assert window.latency_p50 is None and window.latency_p99 is None
 
@@ -353,15 +403,17 @@ class TestMetricsWatcherEdges:
 
     def test_spatial_watcher_attributes_events_per_node(self):
         network = _StubNetwork()
-        watcher = MetricsWatcher(network, interval=5, spatial=True)
-        assert len(network.tracers) == 1  # read-only attribution tracer
+        engine = SimulationEngine()
+        session = ObsSession(
+            ObsConfig(metrics_interval=5, spatial=True), network, engine
+        )
+        assert len(network.tracers) == 1  # the read-only tally
         network.stats.record_dropped()
         network.emit("dropped", 2, 0)
         network.stats.record_delivered(0, 2)
         network.emit("delivered", 2, 1)
-        for cycle in range(5):
-            watcher(cycle)
-        series = watcher.finalize(5)
+        engine.run(5)
+        series = session.finish()[0]
         spatial = series.spatial
         assert spatial.width == 2 and spatial.height == 1
         assert spatial.drops == [[1, 0]]

@@ -1,21 +1,9 @@
-"""Tests for the metrics registry, the three exporters and live streaming."""
-
-import json
-
-import pytest
+"""Tests for live JSONL streaming of windows and health findings."""
 
 from repro.core.config import PhastlaneConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload
 from repro.harness.runner import run
-from repro.obs import (
-    MetricsRegistry,
-    ObsConfig,
-    registry_from_result,
-    to_csv,
-    to_jsonl,
-    to_prometheus,
-    write_registry,
-)
+from repro.obs import ObsConfig
 from repro.obs.export import iter_stream_events, read_stream
 from repro.util.geometry import MeshGeometry
 
@@ -27,151 +15,6 @@ def spec(obs=None, rate=0.15):
     return RunSpec(
         OPTICAL, SyntheticWorkload("uniform", rate), cycles=300, seed=7, obs=obs
     )
-
-
-@pytest.fixture(scope="module")
-def full_result():
-    """One run with every telemetry leg enabled."""
-    return run(
-        spec(obs=ObsConfig(metrics_interval=100, spatial=True, health=True))
-    )
-
-
-class TestRegistry:
-    def test_samples_keep_order_and_sorted_labels(self):
-        registry = MetricsRegistry()
-        registry.add("a", 10, 1.0, z="last", b="first")
-        registry.add("b", 20, 2.0)
-        registry.add("a", 30, 3.0, z="last", b="first")
-        assert registry.series == ("a", "b")
-        assert registry.samples[0].labels == (("b", "first"), ("z", "last"))
-        assert registry.samples[0].label_dict == {"b": "first", "z": "last"}
-
-    def test_latest_keeps_last_per_series_and_labels(self):
-        registry = MetricsRegistry()
-        registry.add("x", 10, 1.0, node=0)
-        registry.add("x", 20, 2.0, node=0)
-        registry.add("x", 20, 9.0, node=1)
-        latest = {(s.series, s.labels): s.value for s in registry.latest()}
-        assert latest[("x", (("node", "0"),))] == 2.0
-        assert latest[("x", (("node", "1"),))] == 9.0
-
-
-class TestRegistryFromResult:
-    def test_all_legs_flatten_into_series(self, full_result):
-        registry = registry_from_result(full_result)
-        series = set(registry.series)
-        assert {
-            "stats.packets_generated",
-            "stats.delivery_ratio",
-            "stats.energy_pj",
-            "window.delivered",
-            "window.mean_occupancy",
-            "spatial.occupancy",
-            "health.level",
-            "health.findings",
-        } <= series
-
-    def test_values_reconcile_with_the_run(self, full_result):
-        registry = registry_from_result(full_result)
-        stats = full_result.stats
-        by_series = {}
-        for sample in registry.samples:
-            by_series.setdefault(sample.series, []).append(sample)
-        (generated,) = by_series["stats.packets_generated"]
-        assert generated.value == stats.packets_generated
-        assert generated.cycle == stats.final_cycle
-        window_delivered = [s.value for s in by_series["window.delivered"]]
-        assert sum(window_delivered) == sum(
-            w.delivered for w in full_result.timeseries.windows
-        )
-        # One spatial sample per node per window, node-labelled.
-        spatial = by_series["spatial.occupancy"]
-        assert len(spatial) == MESH.num_nodes * len(full_result.timeseries.windows)
-        assert spatial[0].label_dict == {"node": "0"}
-        (level,) = by_series["health.level"]
-        assert level.value == 0  # healthy run
-
-    def test_disabled_legs_are_absent(self):
-        registry = registry_from_result(run(spec()))
-        series = set(registry.series)
-        assert "window.delivered" not in series
-        assert "spatial.occupancy" not in series
-        assert "health.level" not in series
-        assert "stats.packets_generated" in series
-
-
-class TestRenderers:
-    def _registry(self):
-        registry = MetricsRegistry()
-        registry.add("stats.count", 100, 7)
-        registry.add("spatial.occupancy", 100, 1.5, node=3)
-        return registry
-
-    def test_jsonl_round_trips(self):
-        lines = to_jsonl(self._registry()).splitlines()
-        records = [json.loads(line) for line in lines]
-        assert records == [
-            {"series": "stats.count", "cycle": 100, "value": 7},
-            {
-                "series": "spatial.occupancy",
-                "cycle": 100,
-                "value": 1.5,
-                "labels": {"node": "3"},
-            },
-        ]
-
-    def test_csv_has_header_and_flat_labels(self):
-        lines = to_csv(self._registry()).splitlines()
-        assert lines[0] == "series,cycle,value,labels"
-        assert lines[1] == "stats.count,100,7,"
-        assert lines[2] == "spatial.occupancy,100,1.5,node=3"
-
-    def test_prometheus_exposition_format(self):
-        text = to_prometheus(self._registry())
-        assert "# TYPE repro_stats_count gauge" in text
-        assert 'repro_stats_count{cycle="100"} 7' in text
-        assert 'repro_spatial_occupancy{cycle="100",node="3"} 1.5' in text
-
-    def test_prometheus_keeps_latest_sample_only(self):
-        registry = MetricsRegistry()
-        registry.add("x", 10, 1)
-        registry.add("x", 20, 2)
-        text = to_prometheus(registry)
-        assert 'repro_x{cycle="20"} 2' in text
-        assert 'cycle="10"' not in text
-
-    def test_empty_registry_renders_empty(self):
-        registry = MetricsRegistry()
-        assert to_jsonl(registry) == ""
-        assert to_prometheus(registry) == ""
-
-
-class TestWriteRegistry:
-    @pytest.mark.parametrize(
-        "name,expected",
-        [
-            ("m.jsonl", '"series"'),
-            ("m.csv", "series,cycle,value,labels"),
-            ("m.prom", "# TYPE"),
-            ("m.txt", "# TYPE"),
-        ],
-    )
-    def test_format_inferred_from_suffix(self, tmp_path, name, expected):
-        registry = MetricsRegistry()
-        registry.add("a", 1, 2)
-        path = write_registry(tmp_path / name, registry)
-        assert expected in path.read_text()
-
-    def test_explicit_format_overrides_suffix(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.add("a", 1, 2)
-        path = write_registry(tmp_path / "m.dat", registry, fmt="csv")
-        assert path.read_text().startswith("series,cycle,value,labels")
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown export format"):
-            write_registry(tmp_path / "m.xml", MetricsRegistry())
 
 
 class TestLiveStream:

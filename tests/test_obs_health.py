@@ -21,11 +21,8 @@ from repro.obs.health import (
     HealthCheck,
     HealthContext,
     ProgressCheck,
-    default_health_checks,
-    register_health_check,
-    registered_health_checks,
 )
-from repro.obs.tracers import CollectingTracer
+from repro.obs.tracers import CollectingTracer, EventTally
 from repro.sim.stats import NetworkStats
 from repro.util.geometry import Direction, MeshGeometry
 
@@ -53,11 +50,8 @@ def ctx_for(network, stats=None, **overrides):
     fields = dict(
         network=network,
         stats=stats if stats is not None else getattr(network, "stats", None),
-        window=0,
-        start=0,
         end=100,
         events=Counter(),
-        delta=Counter(),
         node_activity=Counter(),
         node_injected=Counter(),
         lost_events=0,
@@ -92,25 +86,6 @@ class TestFindingAndReport:
         assert HealthReport.from_dict(report.to_dict()) == report
         assert not report.ok
         assert HealthReport().ok
-
-
-class TestRegistry:
-    def test_stock_checks_registered(self):
-        assert registered_health_checks() == (
-            "credit_leak", "flit_conservation", "progress",
-        )
-
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_health_check("progress", lambda sw: ProgressCheck(sw))
-
-    def test_factories_build_fresh_instances(self):
-        first = default_health_checks(3)
-        second = default_health_checks(3)
-        assert {c.name for c in first} == set(registered_health_checks())
-        assert all(a is not b for a, b in zip(first, second))
-        progress = next(c for c in first if c.name == "progress")
-        assert progress.stall_windows == 3
 
 
 class TestConservationCheck:
@@ -202,7 +177,7 @@ class TestProgressCheck:
         network, stats = self._net(), self._stats()
         severities = []
         for window in range(10):
-            ctx = ctx_for(network, stats=stats, window=window, end=100 * window)
+            ctx = ctx_for(network, stats=stats, end=100 * window)
             severities.append(
                 [(f.severity, "livelock" in f.message)
                  for f in check.evaluate(ctx)
@@ -219,9 +194,9 @@ class TestProgressCheck:
     def test_progress_resets_the_streak(self):
         check = ProgressCheck(stall_windows=2)
         network = self._net()
-        for window, delivered in enumerate([0, 0, 1, 1, 2]):
+        for delivered in [0, 0, 1, 1, 2]:
             findings = check.evaluate(
-                ctx_for(network, stats=self._stats(delivered), window=window)
+                ctx_for(network, stats=self._stats(delivered))
             )
             # Delivery in windows 2 and 4 keeps the flat streak below the
             # critical threshold throughout.
@@ -230,10 +205,8 @@ class TestProgressCheck:
     def test_idle_network_never_flags(self):
         check = ProgressCheck(stall_windows=2)
         network = self._net(busy=False, backlog=0)
-        for window in range(8):
-            assert check.evaluate(
-                ctx_for(network, stats=self._stats(), window=window)
-            ) == []
+        for _window in range(8):
+            assert check.evaluate(ctx_for(network, stats=self._stats())) == []
 
     def test_starved_nic_warns(self):
         check = ProgressCheck(stall_windows=3)
@@ -244,7 +217,7 @@ class TestProgressCheck:
         findings = []
         for window in range(4):
             findings += check.evaluate(
-                ctx_for(network, stats=self._stats(delivered=window), window=window)
+                ctx_for(network, stats=self._stats(delivered=window))
             )
         assert [f.node for f in findings] == [9]
         assert "starved" in findings[0].message
@@ -276,15 +249,32 @@ class _FakeNetwork:
         self.trace_hub.add(tracer)
 
 
+def monitor_on(network, interval, **kwargs):
+    """A monitor fed by a tally on ``network``'s hub, as the session wires it."""
+    tally = EventTally()
+    network.add_tracer(tally)
+    return HealthMonitor(network, tally, interval, **kwargs)
+
+
 class TestHealthMonitor:
     def test_evaluates_at_window_boundaries_only(self):
-        network = _FakeNetwork()
-        monitor = HealthMonitor(network, interval=100, checks=[_AlwaysCritical()])
-        for cycle in range(250):
-            monitor(cycle)
-        assert monitor.windows == 2
-        report = monitor.finalize(250)
-        assert report.windows == 3  # trailing partial window flushed
+        from repro.obs import ObsSession
+        from repro.sim.engine import SimulationEngine
+
+        engine = SimulationEngine()
+        session = ObsSession(
+            ObsConfig(health=True, health_interval=100), _FakeNetwork(), engine
+        )
+        engine.run(250)
+        _, report = session.finish()
+        assert report.windows == 3  # 100, 200, and the trailing partial window
+        assert report.ok
+
+        monitor = monitor_on(_FakeNetwork(), 100, checks=[_AlwaysCritical()])
+        for end in (100, 200, 250):
+            monitor.evaluate(end)
+        report = monitor.report()
+        assert report.windows == 3
         assert report.status == "critical"
         assert report.first_violation_cycle == 100
         assert report.checks["always_critical"] == {
@@ -292,13 +282,12 @@ class TestHealthMonitor:
         }
 
     def test_findings_capped_and_truncation_counted(self):
-        network = _FakeNetwork()
-        monitor = HealthMonitor(
-            network, interval=10, checks=[_AlwaysCritical()], max_findings=2
+        monitor = monitor_on(
+            _FakeNetwork(), 10, checks=[_AlwaysCritical()], max_findings=2
         )
-        for cycle in range(50):
-            monitor(cycle)
-        report = monitor.finalize(50)
+        for end in range(10, 60, 10):
+            monitor.evaluate(end)
+        report = monitor.report()
         assert len(report.findings) == 2
         assert report.truncated == 3
 
@@ -306,26 +295,33 @@ class TestHealthMonitor:
         network = _FakeNetwork()
         tracer = CollectingTracer()
         network.trace_hub.add(tracer)
-        monitor = HealthMonitor(network, interval=10, checks=[_AlwaysCritical()])
-        heard = []
-        monitor.add_listener(heard.append)
-        monitor(9)
+        monitor = monitor_on(network, 10, checks=[_AlwaysCritical()])
+        heard = monitor.evaluate(10)
         events = [e for e in tracer.events if e.kind == "health_critical"]
         assert len(events) == 1
         assert events[0].node == -1 and events[0].uid == -1
         assert events[0].extra == {"check": "always_critical", "message": "boom"}
         assert heard == monitor.findings
+        # The monitor's own events are not simulator activity.
+        assert not monitor._tally.by_kind and not monitor._tally.activity
 
     def test_inapplicable_checks_are_filtered(self):
-        network = _FakeNetwork()  # no NICs: ConservationCheck's applies() holds
-        monitor = HealthMonitor(network, interval=10)
-        names = {check.name for check in monitor.checks}
+        # No NICs on the fake: ConservationCheck's applies() still holds.
+        monitor = monitor_on(_FakeNetwork(), 10)
+        names = [check.name for check in monitor.checks]
         assert "credit_leak" not in names  # no credit state on the fake
-        assert "progress" in names
+        assert names == ["flit_conservation", "progress"]
+
+    def test_each_monitor_builds_fresh_checks_with_its_stall_windows(self):
+        # Checks keep streak state, so monitors must never share instances.
+        first = monitor_on(_FakeNetwork(), 10, stall_windows=3)
+        second = monitor_on(_FakeNetwork(), 10, stall_windows=3)
+        assert all(a is not b for a, b in zip(first.checks, second.checks))
+        assert first.checks[-1].stall_windows == 3
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
-            HealthMonitor(_FakeNetwork(), interval=0)
+            monitor_on(_FakeNetwork(), 0)
 
 
 class TestHealthyRuns:

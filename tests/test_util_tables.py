@@ -47,22 +47,6 @@ class TestAsciiTable:
         table.add_row([1])
         assert str(table) == table.render()
 
-    def test_markdown_rendering(self):
-        table = AsciiTable(["name", "value"], title="A title")
-        table.add_row(["hops", 5])
-        lines = table.render_markdown().splitlines()
-        assert lines[0] == "**A title**"
-        assert lines[1] == ""
-        assert lines[2] == "| name | value |"
-        assert lines[3] == "| --- | --- |"
-        assert lines[4] == "| hops | 5 |"
-
-    def test_markdown_escapes_pipes(self):
-        table = AsciiTable(["a"])
-        table.add_row(["x|y"])
-        assert "x\\|y" in table.render_markdown()
-        assert AsciiTable(["a"]).render_markdown().startswith("| a |")
-
 
 class TestFormatSeries:
     def test_pairs_rendered(self):
