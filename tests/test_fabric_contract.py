@@ -10,9 +10,11 @@ each backend supports (cycle-accurate pipelines run on grid topologies;
 the analytic ideal backend also covers the concentrated mesh).
 """
 
+import json
 from dataclasses import replace
 
 import pytest
+from test_obs_golden import _sha, _trace_sha
 
 from repro.core.config import PhastlaneConfig
 from repro.electrical.config import ElectricalConfig
@@ -25,7 +27,7 @@ from repro.fabric import (
 )
 from repro.faults import FaultConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload, TraceFileWorkload
-from repro.harness.report import stats_to_dict
+from repro.harness.report import result_to_dict, stats_to_dict
 from repro.harness.runner import run
 from repro.obs.config import ObsConfig
 from repro.obs.tracers import CollectingTracer
@@ -302,3 +304,59 @@ def test_electrical_allocator_settings_conserve_drain_and_keep_credits(
     assert result.health.status == "ok"
     for name in ("credit_leak", "flit_conservation"):
         assert result.health.checks[name]["status"] == "ok"
+
+
+#: (islip_iterations, output_speedup) -> (result sha, trace sha) of the
+#: contended burst on the mesh, captured on the tree before the router's
+#: VC state became flat per-line arrays (commit ab83cba).  With more than
+#: one iSLIP iteration the later rounds re-derive the grant order from the
+#: surviving requests, so these are the only pins of that order.
+ALLOCATOR_SETTINGS = {
+    (1, 1): (
+        "7379927ae540c66afb9fd064c9ac55bff1d3e93d3541ae9a5d4ad70c0562fbd2",
+        "48dd3dab5dac181f2e13dd3ea5a790a740185247610b066b86a48c7d6d95f496",
+    ),
+    (1, 2): (
+        "327973590a0eaa3338926e73cb8e5238d68cd075c5cdd830cf73682369a814fe",
+        "f8c31736adcc0d8a23ca48dc47be8905e4aec4149f6aed5f8dd31de2e4bb772a",
+    ),
+    (2, 1): (
+        "c14d5f30a48fd39881f39ae76b8b565caa3c939e7187438b564b633c3d744f8a",
+        "365f524bb6b0829c6949e7fedd70511ed9b66eede18f6538c9ec2a3657780f52",
+    ),
+    (2, 2): (
+        "813aa47ce4e8b6a29d15e1dc5c45103d465a39bbcf643af1aca96a7253ba27b1",
+        "29b8a359d2e85948281a88ae6fe411e20b1eb6ba2d7ba726fb8c428010fc4c67",
+    ),
+}
+
+
+@pytest.mark.parametrize("islip_iterations, output_speedup", sorted(ALLOCATOR_SETTINGS))
+def test_electrical_allocator_settings_outputs_are_pinned(
+    islip_iterations, output_speedup, tmp_path
+):
+    config = replace(
+        CONFIGS["electrical"],
+        num_vcs=4,
+        input_speedup=1,
+        islip_iterations=islip_iterations,
+        output_speedup=output_speedup,
+    )
+    path = tmp_path / "contended.trace"
+    contended_trace().save(path)
+    trace = tmp_path / "trace.jsonl"
+    result = run(
+        RunSpec(
+            config,
+            TraceFileWorkload(str(path)),
+            obs=ObsConfig(health=True, health_interval=5, trace_path=str(trace)),
+        )
+    )
+    # The header's spec digest covers the workload's tmp path; blank it.
+    header, _, events = trace.read_text().partition("\n")
+    meta = dict(json.loads(header), spec=None)
+    trace.write_text(json.dumps(meta, sort_keys=True) + "\n" + events)
+    assert (
+        _sha(json.dumps(result_to_dict(result), sort_keys=True)),
+        _trace_sha(trace),
+    ) == ALLOCATOR_SETTINGS[islip_iterations, output_speedup]
