@@ -16,7 +16,7 @@ bit at or after the pointer" (:meth:`RoundRobinArbiter.pick`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class RoundRobinArbiter:
@@ -38,14 +38,6 @@ class RoundRobinArbiter:
         if ahead:
             return self.pointer + (ahead & -ahead).bit_length() - 1
         return (mask & -mask).bit_length() - 1
-
-    def choose(self, requests: Iterable[int]) -> int | None:
-        """:meth:`pick` over an iterable of line numbers (``None`` if empty)."""
-        mask = 0
-        for line in requests:
-            if 0 <= line < self.size:
-                mask |= 1 << line
-        return self.pick(mask) if mask else None
 
     def advance_past(self, line: int) -> None:
         """Move the pointer one past ``line`` (iSLIP accepted-grant rule)."""
@@ -83,6 +75,8 @@ class SwitchAllocator:
     ):
         if num_ports < 1 or num_vcs < 1:
             raise ValueError("ports and VCs must be at least 1")
+        if input_speedup < 1 or output_speedup < 1 or iterations < 1:
+            raise ValueError("speedups and iterations must be at least 1")
         self.num_ports = num_ports
         self.num_vcs = num_vcs
         self.input_speedup = input_speedup
@@ -125,6 +119,13 @@ class SwitchAllocator:
         rotation.
         """
         num_ports, num_vcs = self.num_ports, self.num_vcs
+        if len(order) == 1:
+            ((line, output),) = order
+            if masks[output] == 1 << line:
+                # A sole request takes its output and its input unopposed.
+                self._grant[output].advance_past(line)
+                self._accept[line // num_vcs].advance_past(output)
+                return [(line, output)]
         vc_field = (1 << num_vcs) - 1
         accepted: list[tuple[int, int]] = []
         output_slots = [self.output_speedup] * num_ports
@@ -211,45 +212,20 @@ class VcAllocator:
         ]
 
     def assign(
-        self, output_port: int, mask: int, free_vcs: Iterable[int]
+        self, output_port: int, mask: int, free_vcs: int
     ) -> list[tuple[int, int]]:
-        """Hand ``free_vcs``, in order, to the requesting lines of ``mask``.
+        """Hand the VCs set in ``free_vcs``, lowest first, to the lines of ``mask``.
 
         Returns ``(line, downstream vc)`` pairs; the pointer moves past
         every winner.
         """
         arbiter = self._arbiters[output_port]
         grants: list[tuple[int, int]] = []
-        for out_vc in free_vcs:
-            if not mask:
-                break
+        while mask and free_vcs:
             line = arbiter.pick(mask)
             mask ^= 1 << line
             arbiter.advance_past(line)
-            grants.append((line, out_vc))
+            lowest = free_vcs & -free_vcs
+            free_vcs ^= lowest
+            grants.append((line, lowest.bit_length() - 1))
         return grants
-
-    def allocate(
-        self,
-        requests: list[tuple[int, int, int]],
-        free_vcs: dict[int, list[int]],
-    ) -> dict[tuple[int, int, int], int]:
-        """Assign output VCs to a list of requests (front over :meth:`assign`).
-
-        ``requests`` is a list of ``(input_port, vc, output_port)`` — one
-        entry per multicast replication group, so a VC holding a multicast
-        flit may request (and win) VCs on several outputs in one cycle;
-        ``free_vcs`` maps output port -> currently free downstream VC ids.
-        Returns ``(input_port, vc, output_port) -> granted downstream vc``.
-        """
-        masks: dict[int, int] = {}
-        for input_port, vc, output_port in requests:
-            line = input_port * self.num_vcs + vc
-            masks[output_port] = masks.get(output_port, 0) | 1 << line
-        return {
-            (line // self.num_vcs, line % self.num_vcs, output_port): out_vc
-            for output_port, mask in masks.items()
-            for line, out_vc in self.assign(
-                output_port, mask, free_vcs.get(output_port, ())
-            )
-        }

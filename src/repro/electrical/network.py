@@ -46,6 +46,11 @@ class ElectricalNetwork(MeshNetworkBase):
         super().__init__(config or ElectricalConfig(), source, stats, faults)
         require_grid(self.topology, "the electrical VC router pipeline")
         self.power = ElectricalPowerModel(packet_bits=self.config.packet_bits)
+        #: Energy of one event of each category, priced once: the kernel
+        #: charges an event as one ``+=`` of its constant.  One addition per
+        #: event, never ``n * e``: the ledger's floats are chains of
+        #: additions and must stay the same chains.
+        self.event_pj = self.power.event_energies_pj(self.mesh.num_nodes)
         self.vctm = VirtualCircuitTreeCache()
         self.routers = [
             ElectricalRouter(node, self.config, topology=self.topology)
@@ -59,9 +64,7 @@ class ElectricalNetwork(MeshNetworkBase):
         ]
         self._arrivals: dict[int, list[tuple[int, int, int, Flit]]] = defaultdict(list)
         self._credits: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-        self._ejections: dict[int, list[tuple[int, int, int, frozenset[int]]]] = (
-            defaultdict(list)
-        )
+        self._ejections: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
         self._in_flight = 0
         #: Link-level retries after a faulted crossing, keyed by the cycle
         #: the nack round trip completes: (sender, neighbor, port, vc,
@@ -163,26 +166,9 @@ class ElectricalNetwork(MeshNetworkBase):
         """A VC at ``node``'s ``input_port`` drained; credit the upstream."""
         self._credits[cycle].append((node, input_port, vc))
 
-    def schedule_ejection(
-        self, cycle: int, node: int, port: int, vc: int, destinations: frozenset[int]
-    ) -> None:
-        self._ejections[cycle].append((node, port, vc, destinations))
-
-    # -- energy hooks ----------------------------------------------------------
-
-    def charge_buffer_write(self, node: int) -> None:
-        self.power.buffer_write(self.stats)
-
-    def charge_buffer_read(self, node: int) -> None:
-        self.power.buffer_read(self.stats)
-
-    def charge_traversal(self, node: int) -> None:
-        self.power.crossbar(self.stats)
-        self.power.link(self.stats)
-        self.stats.record_hops(1)
-
-    def charge_allocation(self, node: int) -> None:
-        self.power.allocation(self.stats)
+    def schedule_ejection(self, cycle: int, node: int, port: int, vc: int) -> None:
+        """The flit in that VC reaches ``node``'s processor at ``cycle``."""
+        self._ejections[cycle].append((node, port, vc))
 
     # -- per-cycle hooks (MeshNetworkBase) --------------------------------------
 
@@ -190,10 +176,11 @@ class ElectricalNetwork(MeshNetworkBase):
         self._apply_events(cycle)
         self._generate_and_inject(cycle)
         for router in self.routers:
-            router.tick(cycle, self)
+            if router._active:  # an idle router costs no call
+                router.tick(cycle, self)
 
     def _end_of_cycle(self, cycle: int) -> None:
-        self.power.leakage(self.stats, self.mesh.num_nodes)
+        self.stats.energy_pj["leakage"] += self.event_pj["leakage"]
 
     # -- internals ---------------------------------------------------------------
 
@@ -214,29 +201,26 @@ class ElectricalNetwork(MeshNetworkBase):
             self.schedule_arrival(
                 cycle + self.config.router_delay_cycles, neighbor, port, vc, flit
             )
+        routers, stats = self.routers, self.stats
+        traced = bool(self.trace_hub)  # tracers attach between cycles only
         for node, port, vc, flit in self._arrivals.pop(cycle, ()):
-            self.routers[node].accept_flit(port, vc, flit, cycle, self)
+            routers[node].accept_flit(port, vc, flit, cycle, self)
             self._in_flight -= 1
-            if self.trace_hub:
+            if traced:
                 self.trace_hub.emit("buffered", cycle, node, flit.uid)
         for node, input_port, vc in self._credits.pop(cycle, ()):
-            upstream = self.routers[node].upstream[input_port]
+            upstream = routers[node].upstream[input_port]
             if upstream is None:
                 raise RuntimeError(
                     f"credit from node {node} port {input_port} has no upstream"
                 )
-            self.routers[upstream].restore_credit(input_port, vc)
-        for node, port, vc, destinations in self._ejections.pop(cycle, ()):
-            router = self.routers[node]
-            state = router.vcs[port][vc]
-            if state is None:
-                raise RuntimeError(f"ejection event on empty VC at node {node}")
-            for _ in destinations:
-                self.stats.record_delivered(state.flit.generated_cycle, cycle)
-                self._note_fault_delivery(state.flit.uid)
-                if self.trace_hub:
-                    self.trace_hub.emit("delivered", cycle, node, state.flit.uid)
-            router.complete_ejection(port, vc, cycle, self)
+            routers[upstream].restore_credit(input_port, vc)
+        for node, port, vc in self._ejections.pop(cycle, ()):
+            flit = routers[node].complete_ejection(port, vc, cycle, self)
+            stats.record_delivered(flit.generated_cycle, cycle)
+            self._note_fault_delivery(flit.uid)
+            if traced:
+                self.trace_hub.emit("delivered", cycle, node, flit.uid)
 
     def _inject_from_nic(self, node: int, nic: ElectricalNic, cycle: int) -> None:
         """Inject the head flit into a free local-port VC, if any."""

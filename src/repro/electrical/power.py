@@ -79,3 +79,17 @@ class ElectricalPowerModel:
         # mW * ps = 1e-3 J/s * 1e-12 s = 1e-15 J = 1e-3 pJ
         picojoules = per_router_mw * self.cycle_time_ps * 1e-3 * num_routers * cycles
         stats.add_energy("leakage", picojoules)
+
+    def event_energies_pj(self, num_routers: int) -> dict[str, float]:
+        """Category -> energy of one event (for leakage, of one network cycle)."""
+        priced = NetworkStats()
+        for charge in (
+            self.buffer_write,
+            self.buffer_read,
+            self.crossbar,
+            self.link,
+            self.allocation,
+        ):
+            charge(priced)
+        self.leakage(priced, num_routers)
+        return {category: float(pj) for category, pj in priced.energy_pj.items()}

@@ -252,12 +252,12 @@ class ConservationCheck(HealthCheck):
 class CreditLeakCheck(HealthCheck):
     """Audit the electrical backend's credit-based flow control.
 
-    For every mesh output port and VC, a withheld credit
-    (``router.credits[port][vc] is False``) must be *explained* by exactly
+    For every mesh output port and VC, a withheld credit (bit ``vc`` of
+    ``router.free_vcs[port]`` clear) must be *explained* by exactly
     the mechanisms that legitimately hold one: a local VC-allocation
     reservation, a flit in flight on the link, an occupied downstream
     input VC, a credit return still in the event queue, or a pending
-    link-level retry.  An unexplained ``False`` is a leaked credit — the
+    link-level retry.  An unexplained clear bit is a leaked credit — the
     port's capacity silently shrank.  The inverse (an *available* credit
     while the downstream VC is occupied) is a double credit in the making
     and is flagged too.
@@ -279,8 +279,8 @@ class CreditLeakCheck(HealthCheck):
             and hasattr(network, "_credits")
             and hasattr(network, "_link_retries")
             and bool(getattr(network, "routers", None))
-            and hasattr(network.routers[0], "credits")
-            and hasattr(network.routers[0], "vcs")
+            and hasattr(network.routers[0], "free_vcs")
+            and hasattr(network.routers[0], "out_vc")
         )
 
     def evaluate(self, ctx: HealthContext) -> list[HealthFinding]:
@@ -293,19 +293,18 @@ class CreditLeakCheck(HealthCheck):
             return topology.neighbor(node, OPPOSITE[Direction(port)])
 
         for router in network.routers:
-            for port_states in router.vcs:
-                for state in port_states:
-                    if state is None:
-                        continue
-                    for output_port, group in state.groups.items():
-                        if group.out_vc is not None:
-                            explained.add((router.node, output_port, group.out_vc))
-            for port in _MESH_PORTS:
-                upstream = upstream_of(router.node, port)
-                if upstream is None:
+            num_vcs = router.num_vcs
+            for line, flit in enumerate(router.flits):
+                if flit is None:
                     continue
-                for vc, state in enumerate(router.vcs[port]):
-                    if state is not None:
+                port, vc = divmod(line, num_vcs)
+                for output_port in _MESH_PORTS:
+                    out_vc = router.out_vc[output_port][line]
+                    if out_vc >= 0:
+                        explained.add((router.node, output_port, out_vc))
+                if port in _MESH_PORTS:
+                    upstream = upstream_of(router.node, port)
+                    if upstream is not None:
                         occupied.add((upstream, port, vc))
         for events in network._arrivals.values():
             for node, port, vc, _flit in events:
@@ -325,7 +324,8 @@ class CreditLeakCheck(HealthCheck):
         findings: list[HealthFinding] = []
         for router in network.routers:
             for port in _MESH_PORTS:
-                for vc, free in enumerate(router.credits[port]):
+                for vc in range(router.num_vcs):
+                    free = router.free_vcs[port] >> vc & 1
                     key = (router.node, port, vc)
                     if not free and key not in explained:
                         findings.append(

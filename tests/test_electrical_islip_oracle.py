@@ -153,9 +153,17 @@ def test_vc_allocation_matches_the_set_based_reference(drawn, data):
     )
     for requests in cycles:
         free_vcs = data.draw(free)
-        assert allocator.allocate(requests, free_vcs) == (
-            reference.allocate(requests, free_vcs)
-        )
+        masks = [0] * PORTS
+        for input_port, vc, output_port in requests:
+            masks[output_port] |= 1 << input_port * num_vcs + vc
+        grants = {
+            (*divmod(line, num_vcs), output_port): out_vc
+            for output_port, mask in enumerate(masks)
+            for line, out_vc in allocator.assign(
+                output_port, mask, sum(1 << v for v in free_vcs.get(output_port, ()))
+            )
+        }
+        assert grants == reference.allocate(requests, free_vcs)
         assert [a.pointer for a in allocator._arbiters] == reference.pointers
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.config import PhastlaneConfig
 from repro.electrical.config import ElectricalConfig
+from repro.electrical.flit import Flit
 from repro.electrical.network import ElectricalNetwork
 from repro.faults import FaultConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload
@@ -135,7 +136,7 @@ class TestCreditLeakCheck:
 
     def test_corrupted_credit_is_caught(self):
         network = ElectricalNetwork(ELECTRICAL)
-        network.routers[5].credits[EAST][0] = False  # leak it
+        network.routers[5].free_vcs[EAST] &= ~1  # leak VC 0's credit
         findings = CreditLeakCheck().evaluate(ctx_for(network))
         assert len(findings) == 1
         assert findings[0].severity == "critical"
@@ -146,7 +147,8 @@ class TestCreditLeakCheck:
         network = ElectricalNetwork(ELECTRICAL)
         # Node 6's EAST input VC holds a flit, so upstream node 5's EAST
         # credit for that VC must be withheld — but it is still available.
-        network.routers[6].vcs[EAST][0] = SimpleNamespace(groups={})
+        router = network.routers[6]
+        router.flits[EAST * router.num_vcs + 0] = Flit(0, {7}, 0)
         findings = CreditLeakCheck().evaluate(ctx_for(network))
         assert len(findings) == 1
         assert findings[0].node == 5
@@ -156,8 +158,7 @@ class TestCreditLeakCheck:
         network = ElectricalNetwork(ELECTRICAL)
         for router in network.routers:
             for port in (EAST, WEST):
-                for vc in range(len(router.credits[port])):
-                    router.credits[port][vc] = False
+                router.free_vcs[port] = 0
         findings = CreditLeakCheck().evaluate(ctx_for(network))
         assert len(findings) == CreditLeakCheck.max_findings_per_window
 
