@@ -43,8 +43,12 @@ class ElectricalConfig:
             )
         if self.num_vcs < 1:
             raise ValueError(f"need at least one VC, got {self.num_vcs}")
-        if self.vc_depth < 1:
-            raise ValueError(f"VC depth must be at least 1, got {self.vc_depth}")
+        if self.vc_depth != 1:
+            raise ValueError(
+                f"only single-entry VCs are modelled (Table 2), got {self.vc_depth}"
+            )
+        if not self.wait_for_tail_credit:
+            raise ValueError("only wait-for-tail credits are modelled (Table 2)")
         if self.router_delay_cycles < 1:
             raise ValueError("router delay must be at least one cycle")
         if self.input_speedup < 1 or self.output_speedup < 1:

@@ -103,3 +103,13 @@ class TestConfigValidation:
             ElectricalConfig(input_speedup=0)
         with pytest.raises(ValueError):
             ElectricalConfig(nic_buffer_entries=0)
+
+    def test_unmodelled_table2_rows_rejected(self):
+        """Nothing in the simulator reads these two rows: a value other than
+        the paper's used to run the defaults under a different cache key."""
+        with pytest.raises(ValueError, match="single-entry VCs"):
+            ElectricalConfig(vc_depth=4)
+        with pytest.raises(ValueError, match="single-entry VCs"):
+            ElectricalConfig(vc_depth=0)
+        with pytest.raises(ValueError, match="wait-for-tail"):
+            ElectricalConfig(wait_for_tail_credit=False)
