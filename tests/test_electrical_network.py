@@ -3,7 +3,9 @@
 import pytest
 
 from repro.electrical import ElectricalConfig, ElectricalNetwork
+from repro.fabric import IdealConfig, make_network
 from repro.sim.engine import SimulationEngine
+from repro.topology import topology_of
 from repro.traffic.injection import BernoulliInjector
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.trace import SyntheticSource, Trace, TraceEvent, TraceSource
@@ -28,11 +30,33 @@ class TestUnicastDelivery:
         assert network.stats.delivery_ratio == 1.0
 
     def test_zero_load_latency_matches_pipeline(self):
-        # 14 hops at 3 cycles/hop + 1 ejection cycle + 1 delivery count.
-        network = run_trace_events([TraceEvent(0, 0, 63)])
-        hops = 14
-        expected = hops * 3 + 1 + 1
-        assert network.stats.mean_latency == pytest.approx(expected, abs=1)
+        """A lone unicast takes exactly ``router_delay_cycles`` per hop (Table
+        2's "total router delay") plus the ejection-bypass cycle plus the
+        delivery cycle itself: one cycle, the bypass, above the ideal network
+        at the same cycles per hop.  Every ordered pair, mesh and torus."""
+        mesh = MeshGeometry(4, 4)
+
+        def lone_latency(config, src, dst):
+            trace = Trace("pair", 16, events=[TraceEvent(0, src, dst)])
+            network = make_network(config, TraceSource(trace))
+            drain(network, 1)
+            assert network.stats.latency.mean.count == 1
+            return network.stats.latency.mean.max
+
+        for topology in ("mesh", "torus"):
+            for delay in (2, 3):
+                config = ElectricalConfig(
+                    mesh=mesh, topology=topology, router_delay_cycles=delay
+                )
+                ideal = IdealConfig(mesh=mesh, topology=topology, cycles_per_hop=delay)
+                hop_count = topology_of(config).hop_count
+                for src in range(16):
+                    for dst in set(range(16)) - {src}:
+                        assert (
+                            lone_latency(config, src, dst)
+                            == delay * hop_count(src, dst) + 2
+                            == lone_latency(ideal, src, dst) + 1
+                        ), (topology, delay, src, dst)
 
     def test_two_cycle_router_is_faster(self):
         mesh = MeshGeometry(8, 8)
