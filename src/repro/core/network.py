@@ -85,7 +85,9 @@ class PhastlaneNetwork(MeshNetworkBase):
             PhastlaneRouter(node, self.config) for node in self.mesh.nodes()
         ]
         self.nics = [
-            PhastlaneNic(node, self.config, self.stats, trace_hub=self.trace_hub)
+            PhastlaneNic(
+                node, self.config, self.stats, trace_hub=self.trace_hub, uids=self.uids
+            )
             for node in self.mesh.nodes()
         ]
         #: Drop signals raised this cycle, delivered to transmitters next

@@ -14,6 +14,8 @@ cycle router feed.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.core.config import PhastlaneConfig
 from repro.core.packet import OpticalPacket
 from repro.core.router import LOCAL_QUEUE, PhastlaneRouter
@@ -34,8 +36,9 @@ class PhastlaneNic(BaseNic):
         config: PhastlaneConfig,
         stats: NetworkStats,
         trace_hub: TraceHub | None = None,
+        uids: Iterator[int] | None = None,
     ):
-        super().__init__(node, config, stats, trace_hub=trace_hub)
+        super().__init__(node, config, stats, trace_hub=trace_hub, uids=uids)
         self.topology = topology_of(config)
         self._next_broadcast_id = node  # strided by node count per broadcast
 
@@ -58,6 +61,7 @@ class PhastlaneNic(BaseNic):
                     generated_cycle=event.cycle,
                     kind=event.kind,
                     broadcast_id=broadcast_id,
+                    uid=next(self.uids),
                 )
                 self._generation_queue.append(packet)
                 if self.trace_hub:
@@ -79,6 +83,7 @@ class PhastlaneNic(BaseNic):
                 plan=plan,
                 generated_cycle=event.cycle,
                 kind=event.kind,
+                uid=next(self.uids),
             )
             self._generation_queue.append(packet)
             if self.trace_hub:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 from repro.traffic.coherence import MessageKind
 
+#: Uids of hand-built flits only (unit tests): every flit a network makes
+#: is numbered by that network's own counter.
 _uid_counter = itertools.count()
 
 
@@ -46,8 +48,9 @@ class Flit:
     def is_multicast(self) -> bool:
         return len(self.destinations) > 1
 
-    def replica(self, destinations: set[int]) -> "Flit":
-        """A VCTM branch copy covering ``destinations`` (a new uid)."""
+    def replica(self, destinations: set[int], uid: int | None = None) -> "Flit":
+        """A VCTM branch copy covering ``destinations`` under a new ``uid``
+        (the network's next one; hand-built flits fall back to the default)."""
         if not destinations <= self.destinations:
             raise ValueError("replica destinations must be a subset")
         return Flit(
@@ -55,6 +58,7 @@ class Flit:
             destinations=set(destinations),
             generated_cycle=self.generated_cycle,
             kind=self.kind,
+            uid=next(_uid_counter) if uid is None else uid,
             injected_cycle=self.injected_cycle,
         )
 

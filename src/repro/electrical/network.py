@@ -58,7 +58,12 @@ class ElectricalNetwork(MeshNetworkBase):
         ]
         self.nics = [
             ElectricalNic(
-                node, self.config, self.stats, self.vctm, trace_hub=self.trace_hub
+                node,
+                self.config,
+                self.stats,
+                self.vctm,
+                trace_hub=self.trace_hub,
+                uids=self.uids,
             )
             for node in self.mesh.nodes()
         ]

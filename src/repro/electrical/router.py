@@ -299,7 +299,7 @@ class ElectricalRouter:
         if parts is not None:
             part = parts.pop(output)
             if remaining:
-                flit = flit.replica(part)
+                flit = flit.replica(part, next(network.uids))
             else:
                 flit.destinations = part
         stats, event_pj = network.stats, network.event_pj

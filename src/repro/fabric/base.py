@@ -25,8 +25,9 @@ refills the finite buffer) plus the occupancy/backlog/idle accessors.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.obs.events import TraceHub
 from repro.sim.stats import NetworkStats
@@ -56,11 +57,15 @@ class BaseNic:
         config: Any,
         stats: NetworkStats,
         trace_hub: TraceHub | None = None,
+        uids: Iterator[int] | None = None,
     ) -> None:
         self.node = node
         self.config = config
         self.stats = stats
         self.trace_hub = trace_hub if trace_hub is not None else TraceHub()
+        #: Where this NIC's packets draw their uids: the owning network's
+        #: counter, shared like the hub (a standalone NIC counts alone).
+        self.uids = uids if uids is not None else itertools.count()
         self._generation_queue: deque[Any] = deque()
         self._buffer: deque[Any] = deque()
 
@@ -132,6 +137,9 @@ class MeshNetworkBase:
         #: Packet-lifecycle emit hub, shared by reference with the NICs so
         #: tracers attached later see generation/injection events too.
         self.trace_hub = TraceHub()
+        #: Packet uids count from zero per network, so the same spec writes
+        #: the same trace whatever else ran in the process before it.
+        self.uids: Iterator[int] = itertools.count()
         self.routers: list[Any] = []
         self.nics: list[Any] = []
         #: Compiled fault timeline, or None for fault-free physics.  NIC

@@ -20,7 +20,6 @@ Two jobs:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from typing import Any
@@ -33,7 +32,6 @@ from repro.traffic.coherence import MessageKind
 from repro.traffic.trace import TraceEvent, TrafficSource
 from repro.util.geometry import MeshGeometry
 
-_uid_counter = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ class IdealPacket:
     generated_cycle: int
     kind: MessageKind = MessageKind.DATA_RESPONSE
     multicast: bool = False
-    uid: int = field(default_factory=lambda: next(_uid_counter))
+    uid: int = field(kw_only=True)
 
 
 class _IdealRouter:
@@ -132,6 +130,7 @@ class IdealNic(BaseNic):
                 generated_cycle=event.cycle,
                 kind=event.kind,
                 multicast=event.is_broadcast and index == 0,
+                uid=next(self.uids),
             )
             self._generation_queue.append(packet)
             if self.trace_hub:
@@ -169,7 +168,9 @@ class IdealNetwork(MeshNetworkBase):
         self.power = None  # the analytic model carries no energy ledger
         self.routers = [_IdealRouter(node) for node in self.mesh.nodes()]
         self.nics = [
-            IdealNic(node, self.config, self.stats, trace_hub=self.trace_hub)
+            IdealNic(
+                node, self.config, self.stats, trace_hub=self.trace_hub, uids=self.uids
+            )
             for node in self.mesh.nodes()
         ]
         #: Scheduled deliveries: delivery cycle -> packets landing then.

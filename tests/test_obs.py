@@ -427,3 +427,31 @@ class TestMetricsWatcherEdges:
     def test_spatial_config_requires_interval(self):
         with pytest.raises(ValueError, match="metrics_interval"):
             ObsConfig(spatial=True)
+
+
+class TestTraceFilesAreReproducible:
+    """Packet uids count from zero per network, not per process: the same
+    spec writes the same trace file whatever ran before it."""
+
+    @pytest.mark.parametrize("label", ["Optical4", "Electrical3", "Ideal"])
+    def test_same_spec_writes_the_same_trace_bytes(self, label, tmp_path):
+        from repro.fabric import IdealConfig
+        from repro.harness.exec import RunSpec, Splash2Workload, SyntheticWorkload
+        from repro.harness.experiments.configs import standard_configs
+        from repro.harness.runner import run
+        from repro.util.geometry import MeshGeometry
+
+        mesh = MeshGeometry(4, 4)
+        configs = dict(standard_configs(mesh), Ideal=IdealConfig(mesh=mesh))
+
+        def traced(name):
+            # Snoopy broadcasts: multicast packets and VCTM replicas draw uids too.
+            obs = ObsConfig(trace_path=str(tmp_path / name))
+            run(RunSpec(configs[label], Splash2Workload("fft"), cycles=150, obs=obs))
+            return (tmp_path / name).read_bytes()
+
+        first, second = traced("a.jsonl"), traced("b.jsonl")
+        for other in configs.values():  # unrelated runs in between
+            run(RunSpec(other, SyntheticWorkload("uniform", 0.2), cycles=40))
+        assert first == second == traced("c.jsonl")
+        assert b'"multicast": true' in first

@@ -94,8 +94,8 @@ def _sha(data):
 
 def _trace_sha(path):
     """sha256 of a JSONL trace with packet uids renumbered by first
-    appearance: the electrical backend draws uids from a process-wide
-    counter, so their absolute values depend on what ran before."""
+    appearance.  The pins below predate per-network uid counters, when
+    absolute uids depended on what had run in the process before."""
     header, *lines = path.read_text().splitlines()
     renumbered = {}
     out = [header]
