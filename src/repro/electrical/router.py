@@ -110,7 +110,6 @@ class ElectricalRouter:
         #: :meth:`_request_order`), and that order is a function of the
         #: set's whole add/discard history.
         self._active: set[tuple[int, int]] = set()
-        self._pairs = [(line // num_vcs, line % num_vcs) for line in range(lines)]
         self._routes: dict[int, int] = {}  # destination -> output port (DOR)
         #: Node behind each mesh output port (None at a mesh edge), and the
         #: node feeding each mesh input port: a flit travelling in
@@ -178,7 +177,7 @@ class ElectricalRouter:
                 }
         self.flits[line] = flit
         self.pending[line] = outputs
-        self._active.add(self._pairs[line])
+        self._active.add((port, vc))
         network.stats.energy_pj["buffer_write"] += network.event_pj["buffer_write"]
         if outputs & _LOCAL_BIT:
             # Ejection bypasses the crossbar: accepted one cycle later.
@@ -201,7 +200,7 @@ class ElectricalRouter:
     def _release(self, line: int, cycle: int, network: "ElectricalNetwork") -> None:
         """The flit has left through every output: free the VC."""
         self.flits[line] = self.parts[line] = None
-        pair = port, vc = self._pairs[line]
+        pair = port, vc = divmod(line, self.num_vcs)
         self._active.discard(pair)
         if port != LOCAL_PORT:
             # Return the credit to the upstream router that sent this flit.
@@ -249,7 +248,7 @@ class ElectricalRouter:
         network.stats.energy_pj["allocation"] += network.event_pj["allocation"]
         allocator = self._sw_allocator
         first_only = allocator.iterations == 1
-        if first_only and not live & live - 1:
+        if first_only and not live & (live - 1):
             # One output grants: there is no order among outputs to keep.
             output = live.bit_length() - 1
             order = [((ready[output] & -ready[output]).bit_length() - 1, output)]
@@ -292,7 +291,7 @@ class ElectricalRouter:
         assert flit is not None
         self.ready[output] ^= 1 << line
         self.granted[line] ^= 1 << output
-        remaining = self.pending[line] = self.pending[line] ^ 1 << output
+        remaining = self.pending[line] = self.pending[line] ^ (1 << output)
         out_vc = self.out_vc[output][line]
         self.out_vc[output][line] = -1
         parts = self.parts[line]
