@@ -83,13 +83,10 @@ class ElectricalPowerModel:
     def event_energies_pj(self, num_routers: int) -> dict[str, float]:
         """Category -> energy of one event (for leakage, of one network cycle)."""
         priced = NetworkStats()
-        for charge in (
-            self.buffer_write,
-            self.buffer_read,
-            self.crossbar,
-            self.link,
-            self.allocation,
-        ):
-            charge(priced)
+        self.buffer_write(priced)
+        self.buffer_read(priced)
+        self.crossbar(priced)
+        self.link(priced)
+        self.allocation(priced)
         self.leakage(priced, num_routers)
         return {category: float(pj) for category, pj in priced.energy_pj.items()}

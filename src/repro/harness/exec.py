@@ -448,7 +448,10 @@ class Executor:
 
         if misses:
             miss_specs = [specs[index] for index in misses]
-            for index, result in zip(misses, self._compute(miss_specs, misses, total)):
+            # strict: zip must run the generator to its end, not drop it at
+            # its last yield, so a pool winds down instead of being killed.
+            computed = self._compute(miss_specs, misses, total)
+            for index, result in zip(misses, computed, strict=True):
                 results[index] = result
                 if self._cacheable(specs[index]):
                     self.cache.store(specs[index], result)
@@ -514,6 +517,12 @@ class Executor:
                 initargs=(queue,),
             ) as pool:
                 yield from pool.imap(_run_spec, tasks, chunksize=1)
+                # Let the workers exit on their own before the with-block
+                # terminates them: one killed while its queue feeder still
+                # holds the queue's write lock would leave the sentinel
+                # below unwritable and the join waiting for ever.
+                pool.close()
+                pool.join()
         finally:
             if thread is not None:
                 queue.put(None)

@@ -194,6 +194,27 @@ class TestExecutorDeterminism:
         assert len(records) == forwarded
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_map_runs_the_compute_generator_to_its_end(self, workers):
+        """``map`` used to drop ``_compute`` at its last yield, so the pool
+        was terminated the moment the last result arrived; a worker killed
+        while its live-queue feeder held the queue's write lock left the
+        parent's sentinel unwritable and ``map`` hung for ever (about one
+        full tier-1 run in four).  The pool must wind down instead."""
+
+        class Watched(Executor):
+            wound_down = False
+
+            def _compute(self, specs, indices, total):
+                yield from super()._compute(specs, indices, total)
+                self.wound_down = True
+
+        executor = Watched(workers=workers, live=lambda record: None)
+        specs = small_specs(rates=(0.05, 0.1), cycles=60)
+        assert len(executor.map(specs)) == len(specs)
+        assert executor.wound_down
+
+
 class TestResultCache:
     def test_second_campaign_is_all_hits_and_byte_identical(self, tmp_path):
         specs = small_specs(rates=(0.05, 0.1), cycles=120)
