@@ -68,7 +68,6 @@ class ElectricalRouter:
     ):
         self.node = node
         self.config = config
-        self.mesh = config.mesh
         self.topology = (
             topology
             if topology is not None
