@@ -17,6 +17,7 @@ and cycle-free.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from importlib import import_module
 from typing import TYPE_CHECKING, Callable, Optional
@@ -29,10 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traffic.trace import TrafficSource
 
 #: A backend factory: ``(config, source, stats)`` -> backend, optionally
-#: accepting a keyword-only ``faults=`` :class:`~repro.faults.schedule.\
-#: FaultSchedule`.  Concrete network classes satisfy this directly via
-#: their constructors; factories predating fault injection keep working
-#: because :func:`make_network` only passes ``faults`` when enabled.
+#: accepting a ``faults=`` :class:`~repro.faults.schedule.FaultSchedule`.
+#: Concrete network classes satisfy this directly via their constructors;
+#: factories predating fault injection keep working because
+#: :func:`make_network` only passes ``faults`` when enabled, and only to a
+#: factory whose signature takes it (read once, at registration).
 BackendFactory = Callable[..., NetworkBackend]
 
 # Keep the historical three-positional-argument alias importable for
@@ -50,6 +52,8 @@ class BackendEntry:
     kind: str
     config_type: type
     factory: BackendFactory
+    #: Whether ``factory`` takes ``faults=``, from its signature.
+    takes_faults: bool = True
 
 
 #: Registration order is preserved: exact-type lookups never depend on it,
@@ -69,6 +73,18 @@ def _ensure_builtins() -> None:
     """Import the built-in backend modules (each self-registers)."""
     for module in _BUILTIN_MODULES:
         import_module(module)
+
+
+def _takes_faults(factory: BackendFactory) -> bool:
+    """Whether ``factory(config, source, stats, faults=...)`` is callable."""
+    try:
+        parameters = inspect.signature(factory).parameters.values()
+    except (TypeError, ValueError):
+        return True  # no signature to read: the call speaks for itself
+    return any(
+        parameter.name == "faults" or parameter.kind is parameter.VAR_KEYWORD
+        for parameter in parameters
+    )
 
 
 def register_backend(
@@ -96,7 +112,7 @@ def register_backend(
                 f"config type {config_type.__name__} is already registered "
                 f"as backend {entry.kind!r}"
             )
-    entry = BackendEntry(kind=kind, config_type=config_type, factory=factory)
+    entry = BackendEntry(kind, config_type, factory, _takes_faults(factory))
     _REGISTRY[kind] = entry
     return entry
 
@@ -171,25 +187,24 @@ def make_network(
 
     When ``faults`` is enabled it is compiled to a
     :class:`~repro.faults.schedule.FaultSchedule` on the config's resolved
-    topology and passed to the factory as keyword-only ``faults=``; a factory that does
-    not model faults (no such parameter) raises :class:`FabricError` rather
-    than silently simulating fault-free physics.  Disabled or absent fault
-    configs use the historical three-argument call, so factories registered
-    before fault injection existed are untouched.
+    topology and passed to the factory as ``faults=``; a factory that does
+    not model faults (its signature has no such parameter) is refused with
+    a :class:`FabricError` rather than silently simulating fault-free
+    physics, and an error the factory itself raises propagates as itself.
+    Disabled or absent fault configs use the historical three-argument
+    call, so factories registered before fault injection existed are
+    untouched.
     """
     entry = entry_for_config(config)
     if faults is None or not faults.enabled:
         return entry.factory(config, source, stats)
+    if not entry.takes_faults:
+        raise FabricError(
+            f"backend {entry.kind!r} does not support fault injection "
+            f"(its factory takes no faults= parameter)"
+        )
     from repro.faults.schedule import FaultSchedule
     from repro.topology import topology_of
 
     schedule = FaultSchedule(faults, topology_of(config))
-    try:
-        return entry.factory(config, source, stats, faults=schedule)
-    except TypeError as exc:
-        if "faults" not in str(exc):
-            raise
-        raise FabricError(
-            f"backend {entry.kind!r} does not support fault injection "
-            f"(its factory takes no faults= parameter)"
-        ) from exc
+    return entry.factory(config, source, stats, faults=schedule)

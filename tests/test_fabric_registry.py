@@ -20,6 +20,7 @@ from repro.fabric import (
     registered_backends,
     unregister_backend,
 )
+from repro.faults import FaultConfig
 from repro.util.geometry import MeshGeometry
 
 
@@ -124,3 +125,45 @@ class TestOpenness:
         snapshot = registered_backends()
         snapshot["bogus"] = None
         assert "bogus" not in registered_backends()
+
+
+class TestFaultSupport:
+    """Whether a factory models faults is read from its signature."""
+
+    FAULTS = FaultConfig(seed=1, link_flip_prob=0.01)
+
+    def test_factory_without_faults_parameter_is_refused(self, toy_backend):
+        assert not entry_for_config(ToyConfig()).takes_faults
+        with pytest.raises(FabricError, match="'toy' does not support fault"):
+            make_network(ToyConfig(), faults=self.FAULTS)
+        # ... and disabled faults never reach it.
+        assert isinstance(make_network(ToyConfig(), faults=FaultConfig()), ToyNetwork)
+
+    def test_a_factorys_own_type_error_propagates_as_itself(self):
+        def broken(config, source=None, stats=None, faults=None):
+            raise TypeError("unsupported operand for faults table: 'NoneType'")
+
+        register_backend("toy", ToyConfig, broken)
+        try:
+            with pytest.raises(TypeError, match="faults table"):
+                make_network(ToyConfig(), faults=self.FAULTS)
+        finally:
+            unregister_backend("toy")
+
+    def test_keyword_catch_all_counts_as_taking_faults(self):
+        seen = {}
+
+        def factory(config, source=None, stats=None, **options):
+            seen.update(options)
+            return ToyNetwork(config, source, stats)
+
+        register_backend("toy", ToyConfig, factory)
+        try:
+            make_network(ToyConfig(), faults=self.FAULTS)
+        finally:
+            unregister_backend("toy")
+        assert seen["faults"].enabled
+
+    def test_builtin_backends_all_take_faults(self):
+        # The ideal backend takes the parameter to refuse it in its own words.
+        assert all(entry.takes_faults for entry in registered_backends().values())
