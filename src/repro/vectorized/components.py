@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 
 from repro.fabric.base import BaseNic
 from repro.sim.rng import DeterministicRng
-from repro.util.errors import FabricError
 
 from repro.vectorized.plans import PlanInfo
 
@@ -67,7 +66,7 @@ SCAN_ORDER = _scan_orders()
 
 
 class VecPacket:
-    """A unicast packet in flight (flat counterpart of ``OpticalPacket``).
+    """A packet in flight (flat counterpart of ``OpticalPacket``).
 
     Queue and pending bookkeeping live *on the packet* (``eligible``,
     ``queue_id``, ``launched``) so router queues and pending lists hold
@@ -76,7 +75,7 @@ class VecPacket:
 
     __slots__ = (
         "uid", "plan", "generated_cycle", "attempts",
-        "eligible", "queue_id", "launched", "hop",
+        "eligible", "queue_id", "launched", "hop", "broadcast_id",
     )
 
     def __init__(self, uid: int, plan: PlanInfo, generated_cycle: int) -> None:
@@ -84,6 +83,10 @@ class VecPacket:
         self.plan = plan
         self.generated_cycle = generated_cycle
         self.attempts = 0
+        #: The broadcast a multicast packet belongs to (its NIC sets it);
+        #: -1 on unicast.  Being multicast is the packet's property, the
+        #: taps are its current plan's: a resend may carry none.
+        self.broadcast_id = -1
         #: Cycle from which this packet may launch (while queued).
         self.eligible = 0
         #: Queue it launched from / pends on (while pending).
@@ -161,18 +164,37 @@ class VecNic(BaseNic):
         # and RNGs) then waits for the cyclic collector instead of being
         # freed when the run returns.
         self._network: "VectorizedNetwork" = weakref.proxy(network)
+        self._next_broadcast_id = node  # strided by node count per broadcast
 
     def _expand_event(self, event: "TraceEvent", cycle: int) -> None:
-        if event.destination is None:
-            raise FabricError(
-                "the vectorized engine routes unicast traffic only; "
-                "broadcast events need the phastlane backend"
-            )
         self.expand(event.destination, event.cycle, cycle)
 
-    def expand(self, destination: int, generated_cycle: int, cycle: int) -> None:
-        """Queue one unicast packet (mirrors ``PhastlaneNic._expand_event``)."""
+    def expand(
+        self, destination: int | None, generated_cycle: int, cycle: int
+    ) -> None:
+        """Queue the packets of one event: one unicast packet, or — for a
+        broadcast, ``destination is None`` — one multicast packet per column
+        sweep (mirrors ``PhastlaneNic._expand_event``)."""
         network = self._network
+        if destination is None:
+            num_nodes = network.mesh.num_nodes
+            broadcast_id = self._next_broadcast_id
+            self._next_broadcast_id += num_nodes
+            network.begin_broadcast(broadcast_id, self.node)
+            # One message per other node (one on a single-node grid, as
+            # the reference counts it), the first of them the multicast.
+            self.stats.multicast_packets += 1
+            self.stats.packets_generated += max(num_nodes - 1, 1)
+            for plan in network.broadcast_plans(self.node):
+                packet = VecPacket(network.take_uid(), plan, generated_cycle)
+                packet.broadcast_id = broadcast_id
+                self._generation_queue.append(packet)
+                if self.trace_hub:
+                    self.trace_hub.emit(
+                        "generated", cycle, self.node, packet.uid,
+                        extra={"dst": plan.final, "multicast": True},
+                    )
+            return
         plan = network.plan(self.node, destination)
         self.stats.record_generated(cycle)
         packet = VecPacket(network.take_uid(), plan, generated_cycle)

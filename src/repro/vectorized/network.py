@@ -18,8 +18,13 @@ every router and NIC every cycle regardless of occupancy; this engine is
   reproducing the reference's every-cycle advance without touching idle
   routers;
 - routes are compiled once into flat :class:`~repro.vectorized.plans.PlanInfo`
-  tuples and cached per (source, destination) — sound because unicast
-  replans are position-independent;
+  tuples, looked up in a :class:`~repro.vectorized.plans.PlanTable` shared by
+  every network on the same grid and hop budget;
+- a snoopy broadcast is the section 2.1.4 fan-out: one multicast packet per
+  column sweep whose plan carries a tap mask, a power-tap delivery at every
+  marked router (first tap wins per broadcast and node), the marks of passed
+  routers cleared on a resend, and the taps still ahead kept when an interim
+  router takes the packet over;
 - per-event energy charges are precomputed constants added to the stats
   Counter in the reference's exact order, so the energy ledger is
   float-bit-identical, not just close.
@@ -34,13 +39,12 @@ Calibration claims (proven by ``tests/test_differential.py``):
   tolerance bands, not bitwise.
 
 Like the reference grid pipelines, non-grid topologies are refused with a
-one-line ``FabricError``; broadcast trace events are refused because the
-flat plans are unicast-only (use the phastlane backend for section 2.1.4
-broadcasts).
+one-line ``FabricError``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any
 
 from repro.electrical.power import (
@@ -48,6 +52,7 @@ from repro.electrical.power import (
     BUFFER_WRITE_PJ_PER_BIT,
     NIC_LEAKAGE_MW,
 )
+from repro.core.config import PhastlaneConfig
 from repro.core.network import DROP_SIGNAL_BITS, OPTICAL_ROUTER_LEAKAGE_MW
 from repro.fabric.base import MeshNetworkBase
 from repro.fabric.registry import register_backend
@@ -68,7 +73,17 @@ from repro.vectorized.components import (
     VecRouter,
 )
 from repro.vectorized.config import VectorizedConfig
-from repro.vectorized.plans import RANK16, PlanInfo, compile_plan, neighbor_table
+from repro.vectorized.plans import (
+    RANK16,
+    STOP,
+    TAP_FLY,
+    TAP_STOP,
+    PlanInfo,
+    PlanTable,
+    cleared,
+    laser_index,
+    replanned,
+)
 from repro.vectorized.traffic import (
     Injection,
     drain_trace,
@@ -85,11 +100,31 @@ VECTORIZED_CALIBRATION = (
     "fast=philox(sha256('{seed}/vectorized/{pattern}')[:8]) traces=bit-identical"
 )
 
-#: Compiled-plan caches shared across network instances: a plan is a pure
-#: function of (grid kind, shape, hop budget, source, destination), so
-#: bench repeats and differential sweeps re-use each other's routes
-#: instead of recompiling them.  Values are immutable :class:`PlanInfo`s.
-_PLAN_CACHES: dict[tuple[str, int, int, int], dict[int, PlanInfo]] = {}
+#: Plan tables shared across network instances: a plan is a pure function
+#: of (grid kind, shape, hop budget, source, destination, taps), so bench
+#: repeats and differential sweeps re-use each other's routes instead of
+#: recompiling them.  The plans in them are immutable.
+_PLAN_CACHES: dict[tuple[str, int, int, int], PlanTable] = {}
+
+
+@lru_cache(maxsize=None)
+def _laser_table(
+    mesh_nodes: int, payload_wdm: int, crossing_efficiency: float, max_hops: int
+) -> tuple[float, ...]:
+    """The laser charge of every launch a network with these parameters can
+    make, by :func:`~repro.vectorized.plans.laser_index` (the reference's
+    expression, evaluated once per parameter set)."""
+    power = OpticalPowerModel(mesh_nodes=mesh_nodes)
+    table = [0.0]  # no launch covers zero hops
+    for segment in range(1, max_hops + 1):
+        for taps in range(segment + 1):
+            assert len(table) == laser_index(segment, taps)
+            table.append(
+                power.transmit_laser_energy_pj(
+                    payload_wdm, segment, crossing_efficiency, multicast_taps=taps
+                )
+            )
+    return tuple(table)
 
 
 class VectorizedNetwork(MeshNetworkBase):
@@ -97,7 +132,7 @@ class VectorizedNetwork(MeshNetworkBase):
 
     def __init__(
         self,
-        config: VectorizedConfig | None = None,
+        config: VectorizedConfig | PhastlaneConfig | None = None,
         source: TrafficSource | None = None,
         stats: NetworkStats | None = None,
         faults: FaultSchedule | None = None,
@@ -105,6 +140,10 @@ class VectorizedNetwork(MeshNetworkBase):
         super().__init__(config or VectorizedConfig(), source, stats, faults)
         self._grid = require_grid(self.topology, "the vectorized batched engine")
         config = self.config
+        #: Philox traffic is a ``VectorizedConfig`` request; a
+        #: ``PhastlaneConfig`` (see ``_phastlane_network``) is exact replay
+        #: and is otherwise read only through the fields both types share.
+        self._fast = isinstance(config, VectorizedConfig) and config.mode == "fast"
         self.power = OpticalPowerModel(mesh_nodes=self.mesh.num_nodes)
         self.routers: list[VecRouter] = [
             VecRouter(node) for node in self.mesh.nodes()
@@ -128,29 +167,36 @@ class VectorizedNetwork(MeshNetworkBase):
         self._ingested_source: TrafficSource | None = None
         self._ingested = False
         self._next_uid = 0
-        self._plans = _PLAN_CACHES.setdefault(
-            (
-                self._grid.name,
-                self._grid.width,
-                self._grid.height,
-                config.max_hops_per_cycle,
-            ),
-            {},
+        table_key = (
+            self._grid.name,
+            self._grid.width,
+            self._grid.height,
+            config.max_hops_per_cycle,
         )
-        self._neighbors = neighbor_table(self._grid)
+        plans = _PLAN_CACHES.get(table_key)
+        if plans is None:
+            plans = _PLAN_CACHES[table_key] = PlanTable(
+                self._grid, config.max_hops_per_cycle
+            )
+        #: ``plans[source * num_nodes + destination]`` is the untapped route.
+        self._plans = plans
+        self._num_nodes = self.mesh.num_nodes
+        #: Nodes each live broadcast still owes a delivery, as a bitmask by
+        #: broadcast id; the entry goes when the last of them is tapped.  A
+        #: tap at a node already served (the turn row lies on both vertical
+        #: sweeps of a column) or of a finished broadcast delivers nothing.
+        self._owed_taps: dict[int, int] = {}
         self._capacity = config.buffer_entries
         #: Routers that launched this cycle — exactly the ones with pending
         #: transmissions at the next resolve (appended in node order).
         self._pending_routers: list[VecRouter] = []
-        #: Laser charge by first-segment hop count (reference expression).
-        self._laser_by_seg = [0.0] * (config.max_hops_per_cycle + 1)
-        for segment in range(1, config.max_hops_per_cycle + 1):
-            self._laser_by_seg[segment] = self.power.transmit_laser_energy_pj(
-                config.payload_wdm,
-                segment,
-                config.crossing_efficiency,
-                multicast_taps=0,
-            )
+        #: Laser charge of a launch, by ``PlanInfo.laser``.
+        self._laser = _laser_table(
+            self.mesh.num_nodes,
+            config.payload_wdm,
+            config.crossing_efficiency,
+            config.max_hops_per_cycle,
+        )
         #: Output-port claims this cycle, as ``node * 4 + port`` ints.
         self._claims: set[int] = set()
         #: Total buffered packets across all routers (incremental; the
@@ -185,17 +231,15 @@ class VectorizedNetwork(MeshNetworkBase):
 
     def plan(self, source: int, destination: int) -> PlanInfo:
         """The compiled route (cached; raises ValueError on self-traffic)."""
-        key = (source << 16) | destination
-        info = self._plans.get(key)
-        if info is None:
-            info = self._plans[key] = compile_plan(
-                self._grid,
-                self._neighbors,
-                source,
-                destination,
-                self.config.max_hops_per_cycle,
-            )
-        return info
+        return self._plans[source * self._num_nodes + destination]
+
+    def broadcast_plans(self, source: int) -> tuple[PlanInfo, ...]:
+        """The tapped plans of one broadcast from ``source`` (cached)."""
+        return self._plans.broadcast(source)
+
+    def begin_broadcast(self, broadcast_id: int, source: int) -> None:
+        """Open the delivery ledger of one broadcast: every other node."""
+        self._owed_taps[broadcast_id] = ((1 << self._num_nodes) - 1) ^ (1 << source)
 
     def take_uid(self) -> int:
         uid = self._next_uid
@@ -226,7 +270,7 @@ class VectorizedNetwork(MeshNetworkBase):
         if isinstance(source, TraceSource):
             self._events, self._unconsumed = drain_trace(source, cycle)
         elif isinstance(source, SyntheticSource) and source.stop_cycle is not None:
-            if self.config.mode == "fast" and philox_supported(source):
+            if self._fast and philox_supported(source):
                 self._events, self._unconsumed = philox_events(source, cycle)
             else:
                 self._events, self._unconsumed = replay_synthetic(source, cycle)
@@ -345,13 +389,25 @@ class VectorizedNetwork(MeshNetworkBase):
                     stats.record_fault_masked()
                     if hub:
                         hub.emit("fault_masked", cycle, node, packet.uid)
+                if packet.plan.taps:
+                    # Section 2.1.4: the routers before the dropper were
+                    # tapped; the resend does not tap them again.
+                    packet.plan = cleared(
+                        self._plans, packet.plan, signals[packet.uid]
+                    )
             if retry_limit is not None:
                 for packet in abandoned:
-                    stats.record_fault_loss(1)
+                    # An abandoned multicast loses the taps it never reached.
+                    lost = (
+                        1
+                        if packet.broadcast_id < 0
+                        else (packet.plan.taps >> signals[packet.uid]).bit_count()
+                    )
+                    stats.record_fault_loss(lost)
                     if hub:
                         hub.emit(
                             "fault_dropped", cycle, node, packet.uid,
-                            extra={"lost": 1, "attempts": packet.attempts},
+                            extra={"lost": lost, "attempts": packet.attempts},
                         )
         pending_routers.clear()
 
@@ -362,10 +418,10 @@ class VectorizedNetwork(MeshNetworkBase):
         node order (a documented invariant of :mod:`.traffic`), so when no
         NIC carries a backlog the common case — one arrival for a node
         whose LOCAL queue has space — goes straight into the router
-        without touching the NIC deques.  Backlogged nodes and multi-
-        arrival runs take :meth:`_pump`, which drives ``VecNic.expand``,
-        ``BaseNic._refill`` and :meth:`_feed` — the very calls the dense
-        path makes — and then updates the backlog set."""
+        without touching the NIC deques.  Backlogged nodes, multi-arrival
+        runs and broadcasts take :meth:`_pump`, which drives
+        ``VecNic.expand``, ``BaseNic._refill`` and :meth:`_feed` — the very
+        calls the dense path makes — and then updates the backlog set."""
         injections = self._events.pop(cycle, None)
         nic_pending = self._nic_pending
         if injections is None and not nic_pending:
@@ -376,8 +432,8 @@ class VectorizedNetwork(MeshNetworkBase):
             stats = self.stats
             routers = self.routers
             plans = self._plans
+            num_nodes = self._num_nodes
             capacity = self.config.buffer_entries
-            max_hops = self.config.max_hops_per_cycle
             active = self._active
             uid = self._next_uid
             generated = 0
@@ -387,9 +443,12 @@ class VectorizedNetwork(MeshNetworkBase):
             while index < total:
                 node, destination, generated_cycle = injections[index]
                 index += 1
-                if index < total and injections[index][0] == node:
-                    # A multi-arrival run for one node (bursty traces):
-                    # hand the whole run to the generic NIC path.
+                if destination is None or (
+                    index < total and injections[index][0] == node
+                ):
+                    # A broadcast, or a multi-arrival run for one node
+                    # (bursty traces): hand the node's whole run to the
+                    # generic NIC path.
                     end = index
                     while end < total and injections[end][0] == node:
                         end += 1
@@ -403,12 +462,7 @@ class VectorizedNetwork(MeshNetworkBase):
                     uid = self._next_uid
                     index = end
                     continue
-                key = (node << 16) | destination
-                route = plans.get(key)
-                if route is None:
-                    route = plans[key] = compile_plan(
-                        self._grid, self._neighbors, node, destination, max_hops
-                    )
+                route = plans[node * num_nodes + destination]
                 # Generation/injection tallies are plain integer adds, so
                 # batching them per cycle is exact (unlike the float ledger).
                 generated += 1
@@ -510,7 +564,7 @@ class VectorizedNetwork(MeshNetworkBase):
         energy = self.stats.energy_pj
         e_modulator = self._e_modulator
         e_buffer_read = self._e_buffer_read
-        laser_by_seg = self._laser_by_seg
+        laser = self._laser
         pending_routers = self._pending_routers
         scan_order = SCAN_ORDER
         retired: list[int] | None = None
@@ -564,7 +618,7 @@ class VectorizedNetwork(MeshNetworkBase):
                 # transmit charges, port claim, transit record.
                 modulator_sum += e_modulator
                 buffer_read_sum += e_buffer_read
-                laser_sum += laser_by_seg[plan.first_segment]
+                laser_sum += laser[plan.laser]
                 claims.add(node * 4 + output)
                 flights.append(packet)
             if launched:
@@ -589,10 +643,11 @@ class VectorizedNetwork(MeshNetworkBase):
     ) -> None:
         """Advance ``flights`` up to ``max_hops_per_cycle`` optical waves.
 
-        One loop serves every run.  The fault-free, untraced bench path
-        pays two ``is not None`` tests per crossing for the fault query
-        and the emits; everything else is shared, so there is no second
-        copy to keep in step with the reference.
+        One loop serves every run.  The fault-free, untraced unicast bench
+        path pays two ``is not None`` tests per crossing for the fault
+        query and the emits; a power tap is found by the same ``key < 0``
+        test that finds a stop.  Everything else is shared, so there is no
+        second copy to keep in step with the reference.
         """
         faults = self._faults
         crossing_fault = faults.crossing_fault if faults is not None else None
@@ -617,6 +672,8 @@ class VectorizedNetwork(MeshNetworkBase):
         delivered = 0
         hops = 0
         receiver_sum = energy["receiver"]
+        owed_taps = self._owed_taps
+        record_tap_delivery = stats.record_delivered
         active = flights
         for _wave in range(self.config.max_hops_per_cycle):
             # Contention groups in arrival order: a lone contender is
@@ -642,28 +699,57 @@ class VectorizedNetwork(MeshNetworkBase):
                 receiver_sum += e_receive_control
                 key = plan.keys[index]
                 if key < 0:
-                    receiver_sum += e_receive_packet
-                    if index != plan.length - 1:
-                        buffer_or_drop(packet, cycle, hub)
+                    if key == STOP:
+                        receiver_sum += e_receive_packet
+                        if index != plan.length - 1:
+                            buffer_or_drop(packet, cycle, hub)
+                            continue
+                        if packet.broadcast_id >= 0:
+                            continue  # a multicast records at its taps only
+                        delivered += 1
+                        generated_cycle = packet.generated_cycle
+                        if generated_cycle >= measurement_start:
+                            latency = cycle - generated_cycle + 1
+                            count = mean.count + 1
+                            mean.count = count
+                            mean.mean += (latency - mean.mean) / count
+                            if latency < mean.min:
+                                mean.min = latency
+                            if latency > mean.max:
+                                mean.max = latency
+                            buckets[latency] += 1
+                            histogram.count += 1
+                        if crossing_fault is not None and packet.uid in fault_hit:
+                            stats.record_fault_survivor()
+                        if hub is not None:
+                            hub.emit("delivered", cycle, plan.final, packet.uid)
                         continue
-                    delivered += 1
-                    generated_cycle = packet.generated_cycle
-                    if generated_cycle >= measurement_start:
-                        latency = cycle - generated_cycle + 1
-                        count = mean.count + 1
-                        mean.count = count
-                        mean.mean += (latency - mean.mean) / count
-                        if latency < mean.min:
-                            mean.min = latency
-                        if latency > mean.max:
-                            mean.max = latency
-                        buckets[latency] += 1
-                        histogram.count += 1
-                    if crossing_fault is not None and packet.uid in fault_hit:
-                        stats.record_fault_survivor()
-                    if hub is not None:
-                        hub.emit("delivered", cycle, plan.final, packet.uid)
-                    continue
+                    # A power tap (``PlanInfo.keys``), in the reference's
+                    # order: the tap is a second receiver, the first tap
+                    # wins per broadcast and node, then the Local stop or
+                    # the next crossing.
+                    receiver_sum += e_receive_packet
+                    node = plan.nodes[index]
+                    broadcast_id = packet.broadcast_id
+                    owed = owed_taps.get(broadcast_id, 0)
+                    bit = 1 << node
+                    if owed & bit:
+                        if owed == bit:
+                            del owed_taps[broadcast_id]
+                        else:
+                            owed_taps[broadcast_id] = owed ^ bit
+                        record_tap_delivery(packet.generated_cycle, cycle)
+                        if crossing_fault is not None and packet.uid in fault_hit:
+                            stats.record_fault_survivor()
+                        if hub is not None:
+                            hub.emit("delivered", cycle, node, packet.uid)
+                    if key == TAP_STOP:
+                        # The final stop records nothing more: its tap did.
+                        receiver_sum += e_receive_packet
+                        if index != plan.length - 1:
+                            buffer_or_drop(packet, cycle, hub)
+                        continue
+                    key = TAP_FLY - key
                 group = contenders_get(key)
                 if group is None:
                     contenders[key] = packet
@@ -760,20 +846,13 @@ class VectorizedNetwork(MeshNetworkBase):
             < capacity
         ):
             # The buffering router assumes responsibility with a fresh
-            # route from its own position (unicast replan_from ≡ build_plan).
-            final = plan.final
-            plans = self._plans
-            key = (node << 16) | final
-            new_plan = plans.get(key)
-            if new_plan is None:
-                new_plan = plans[key] = compile_plan(
-                    self._grid,
-                    self._neighbors,
-                    node,
-                    final,
-                    self.config.max_hops_per_cycle,
-                )
-            packet.plan = new_plan
+            # route from its own position, the taps still ahead preserved
+            # (``replan_from``; on an untapped plan ≡ ``build_plan``).
+            packet.plan = (
+                replanned(self._plans, plan, index)
+                if plan.taps
+                else self._plans[node * self._num_nodes + plan.final]
+            )
             packet.eligible = cycle + 1
             router.queues[queue_id].append(packet)
             router.mask |= 1 << queue_id

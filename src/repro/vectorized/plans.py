@@ -11,10 +11,21 @@ segment's hop count for the laser-energy charge.  Compilation bypasses
 reference DOR route (same nodes, same exits, same periodic Local marks)
 without constructing any ``RouteStep`` objects — the differential suite
 pins the resulting schedules bit-identical on both mesh and torus.
-Plans are cached per network, which is sound because
-``max_hops_per_cycle`` is fixed for a network's lifetime and unicast
-replans are position-independent (``replan_from`` ≡
-``build_plan(here, final)`` when there are no multicast taps).
+
+Multicast power taps (paper section 2.1.4) ride on the plan as a bitmask:
+bit ``i`` of ``PlanInfo.taps`` is the Multicast bit of the ``i``-th router.
+A dimension-order route's tail is the dimension-order route of the router
+it starts at, so the two rewrites of a tapped plan are shifts of that
+mask: a router that buffers the packet at index ``i`` resends it on its
+own route to the same final node with the taps still ahead
+(``taps >> i``, its own bit dropped — :func:`replanned`, the reference's
+``replan_from``), and a source told of a drop at index ``i`` resends with
+the bits before ``i`` cleared (:func:`cleared`, the reference's
+``clear_passed_taps``).
+
+Plans live in a :class:`PlanTable` per (grid, hop budget), shared by every
+network on it, which is sound because a plan is a pure function of (grid,
+hop budget, source, destination, taps).
 
 :data:`RANK16` flattens the reference arbitration key: index
 ``arrival * 4 + exit`` holds the turn rank (straight=0 < left=1 <
@@ -44,11 +55,22 @@ def _rank_table() -> tuple[int, ...]:
 RANK16: tuple[int, ...] = _rank_table()
 
 
+def laser_index(segment_hops: int, taps: int) -> int:
+    """Flat index of a launch's (first-segment hops, taps on that segment);
+    dense, because a segment of ``n`` hops has at most ``n`` taps."""
+    return segment_hops * (segment_hops + 1) // 2 + taps
+
+
+#: The negative values of ``PlanInfo.keys`` (see there).
+STOP, TAP_STOP, TAP_FLY = -1, -2, -3
+
+
 class PlanInfo:
-    """A compiled unicast route (flat tuples, see module docstring)."""
+    """A compiled route (flat tuples and a tap mask, see module docstring)."""
 
     __slots__ = (
         "nodes", "exits", "locals", "keys", "length", "first_segment", "final",
+        "taps", "laser",
     )
 
     def __init__(
@@ -56,16 +78,25 @@ class PlanInfo:
         nodes: tuple[int, ...],
         exits: tuple[int, ...],
         locals_: tuple[bool, ...],
+        taps: int = 0,
     ) -> None:
         self.nodes = nodes
         self.exits = exits
         self.locals = locals_
         self.length = len(nodes)
+        #: Multicast bits: bit ``i`` set where router ``i`` power-taps the
+        #: packet.  Zero on every unicast plan.
+        self.taps = taps
         # Per-hop contention key: ``node * 4 + exit`` where the packet
-        # keeps flying, -1 where it stops (a Local mark).  One tuple load
-        # replaces the nodes/exits/locals triple in the wave hot loop.
+        # keeps flying, ``STOP`` where it stops (a Local mark).  One tuple
+        # load replaces the nodes/exits/locals triple in the wave hot loop.
+        # A power tap folds into the same int, so the loop's one ``key < 0``
+        # test also finds the taps: ``TAP_STOP`` taps and then stops,
+        # ``TAP_FLY - key`` taps and flies on under ``key``.
         self.keys = tuple(
-            -1 if locals_[i] else nodes[i] * 4 + exits[i]
+            (TAP_STOP if locals_[i] else TAP_FLY - (nodes[i] * 4 + exits[i]))
+            if taps >> i & 1
+            else (STOP if locals_[i] else nodes[i] * 4 + exits[i])
             for i in range(self.length)
         )
         # Hop count of the first optical segment (index of the first Local
@@ -77,6 +108,10 @@ class PlanInfo:
                 first = index
                 break
         self.first_segment = first
+        #: What a launch from the head of this plan charges the laser, as
+        #: an index into the network's table (:func:`laser_index`): the
+        #: first segment's hops and the taps on it, which it also feeds.
+        self.laser = laser_index(first, (taps & ((2 << first) - 1)).bit_count())
         self.final = nodes[-1]
 
 
@@ -196,3 +231,105 @@ def compile_plan(
         locals_[index] = True
     locals_[last] = True
     return PlanInfo(tuple(nodes), tuple(exits), tuple(locals_))
+
+
+#: Tapped plans one :class:`PlanTable` keeps before it starts over.  Every
+#: tapped plan of an 8x8 run fits many times over; past the cap the memo
+#: is emptied and refills with what the run still uses.
+TAPPED_PLAN_CAP = 1 << 16
+
+
+class PlanTable(dict[int, PlanInfo]):
+    """Every compiled plan of one grid at one hop budget, built on first use.
+
+    The table itself maps ``source * num_nodes + destination`` to the
+    untapped route, compiling it on a miss, so the engine's hot sites are
+    one subscript.  Tapped plans — the broadcast sweeps of a source and
+    what :func:`replanned` and :func:`cleared` derive from them — are
+    memoised beside it, bounded by :data:`TAPPED_PLAN_CAP`.
+    """
+
+    def __init__(self, topology: GridTopology, max_hops: int) -> None:
+        super().__init__()
+        self.topology = topology
+        self.max_hops = max_hops
+        self.num_nodes = topology.num_nodes
+        self.neighbors = neighbor_table(topology)
+        self._tapped: dict[tuple[int, int], PlanInfo] = {}
+        self._sweeps: dict[int, tuple[PlanInfo, ...]] = {}
+
+    def __missing__(self, key: int) -> PlanInfo:
+        source, destination = divmod(key, self.num_nodes)
+        plan = self[key] = compile_plan(
+            self.topology, self.neighbors, source, destination, self.max_hops
+        )
+        return plan
+
+    def plan(self, source: int, destination: int) -> PlanInfo:
+        """The untapped route (raises ValueError on self-traffic)."""
+        return self[source * self.num_nodes + destination]
+
+    def tapped(self, plan: PlanInfo, taps: int) -> PlanInfo:
+        """``plan``'s route and Local marks under the tap mask ``taps``."""
+        if taps == plan.taps:
+            return plan
+        pair = plan.nodes[0] * self.num_nodes + plan.final
+        if not taps:
+            return self[pair]
+        key = (pair, taps)
+        tapped = self._tapped.get(key)
+        if tapped is None:
+            if len(self._tapped) >= TAPPED_PLAN_CAP:
+                self._tapped.clear()
+            tapped = self._tapped[key] = PlanInfo(
+                plan.nodes, plan.exits, plan.locals, taps
+            )
+        return tapped
+
+    def broadcast(self, source: int) -> tuple[PlanInfo, ...]:
+        """The multicast plans of one broadcast from ``source``, in the
+        topology's sweep order (``broadcast_plans`` of the reference)."""
+        plans = self._sweeps.get(source)
+        if plans is None:
+            sweeps = self.topology.broadcast_sweeps(source)
+            if (len(self._sweeps) + 1) * len(sweeps) > TAPPED_PLAN_CAP:
+                self._sweeps.clear()
+            plans = tuple(self._sweep(source, final, taps) for final, taps in sweeps)
+            covered = {
+                node
+                for plan in plans
+                for index, node in enumerate(plan.nodes)
+                if plan.taps >> index & 1
+            }
+            missing = set(self.topology.nodes()) - covered - {source}
+            if missing:
+                raise RuntimeError(
+                    f"broadcast from {source} misses nodes {sorted(missing)}"
+                )
+            self._sweeps[source] = plans
+        return plans
+
+    def _sweep(self, source: int, final: int, tap_nodes: set[int]) -> PlanInfo:
+        plan = self.plan(source, final)
+        taps = 0
+        for index, node in enumerate(plan.nodes):
+            if node in tap_nodes:
+                taps |= 1 << index
+        if taps.bit_count() != len(tap_nodes):
+            stray = sorted(tap_nodes.difference(plan.nodes))
+            raise ValueError(f"taps {stray} are not on the DOR path")
+        return self.tapped(plan, taps)
+
+
+def replanned(table: PlanTable, plan: PlanInfo, index: int) -> PlanInfo:
+    """The plan the router at ``plan.nodes[index]`` resends on when it
+    buffers the packet: its own route to the same final node, the taps not
+    yet passed preserved (see module docstring)."""
+    fresh = table[plan.nodes[index] * table.num_nodes + plan.final]
+    return table.tapped(fresh, plan.taps >> index & -2) if plan.taps else fresh
+
+
+def cleared(table: PlanTable, plan: PlanInfo, drop_index: int) -> PlanInfo:
+    """``plan`` with the Multicast bits before ``drop_index`` cleared: those
+    routers were tapped before the packet dropped (see module docstring)."""
+    return table.tapped(plan, plan.taps >> drop_index << drop_index)

@@ -4,8 +4,9 @@ The reference simulators pull ``source.injections(node, cycle)`` for every
 (node, cycle) pair — at 8×8 that is 64 Python calls and up to 128 Mersenne
 draws per cycle, most of which produce nothing.  The vectorized engine
 materialises the whole injection schedule once, up front, into a
-``{cycle: [(node, destination, generated_cycle), ...]}`` map, and then
-touches only the cycles that actually inject.  Three pre-generation paths:
+``{cycle: [(node, destination, generated_cycle), ...]}`` map (a broadcast
+keeps its ``destination`` of None), and then touches only the cycles that
+actually inject.  Three pre-generation paths:
 
 ``drain_trace``
     Drains a :class:`~repro.traffic.trace.TraceSource` in one pass.  The
@@ -40,10 +41,10 @@ import numpy as np
 from repro.sim.rng import stream_key
 from repro.traffic.injection import BernoulliInjector
 from repro.traffic.trace import SyntheticSource, TraceSource
-from repro.util.errors import FabricError
 
-#: One injection: (node, destination, generated_cycle).
-Injection = tuple[int, int, int]
+#: One injection: (node, destination, generated_cycle); a broadcast's
+#: destination is None.
+Injection = tuple[int, int | None, int]
 #: The pre-generated schedule: cycle -> injections, plus the total count.
 Schedule = tuple[dict[int, list[Injection]], int]
 
@@ -82,11 +83,6 @@ def drain_trace(source: TraceSource, ingest_cycle: int) -> Schedule:
     last_cycle = source.trace.last_cycle
     for node in range(source.trace.num_nodes):
         for event in source.injections(node, last_cycle):
-            if event.destination is None:
-                raise FabricError(
-                    "the vectorized engine routes unicast traffic only; "
-                    "broadcast events need the phastlane backend"
-                )
             cycle = event.cycle if event.cycle > ingest_cycle else ingest_cycle
             bucket = events.get(cycle)
             if bucket is None:

@@ -21,20 +21,27 @@ exact replay, which the fallback tests pin instead).
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.routing import build_plan
+from repro.core.network import PhastlaneNetwork
+from repro.core.routing import (
+    broadcast_plans,
+    build_plan,
+    clear_passed_taps,
+    replan_from,
+)
 from repro.fabric import FabricError, make_network
 from repro.faults import FaultConfig
-from repro.harness.exec import Executor, RunSpec, SyntheticWorkload
+from repro.harness.exec import Executor, RunSpec, Splash2Workload, SyntheticWorkload
 from repro.harness.report import stats_to_dict
 from repro.harness.runner import run
 from repro.obs import CollectingTracer
 from repro.sim.engine import SimulationEngine
-from repro.topology import topology_of
+from repro.topology import topology_for, topology_of
 from repro.traffic.injection import BurstyInjector
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.trace import SyntheticSource, Trace, TraceEvent, TraceSource
@@ -47,7 +54,17 @@ from repro.vectorized import (
     philox_key,
     philox_supported,
 )
-from repro.vectorized.plans import compile_plan, neighbor_table
+from repro.vectorized.plans import (
+    STOP,
+    TAP_FLY,
+    TAP_STOP,
+    PlanTable,
+    cleared,
+    compile_plan,
+    laser_index,
+    neighbor_table,
+    replanned,
+)
 
 # -- helpers -----------------------------------------------------------------
 
@@ -356,6 +373,166 @@ class TestTraceBitIdentity:
         assert_stats_identical(ref.stats, vec.stats, f" (trace {mode})")
 
 
+# -- broadcasts: section 2.1.4 multicast taps, bit-identical -----------------
+
+
+def assert_replay_identical(vec_config, trace, faults=None, context=""):
+    """Stats and the whole event stream (uids and extras included: both
+    sides count uids per network) equal the reference's on one trace."""
+    ref_tracer, vec_tracer = CollectingTracer(), CollectingTracer()
+    ref = drive(as_phastlane(vec_config), TraceSource(trace), faults=faults,
+                tracer=ref_tracer)
+    vec = drive(vec_config, TraceSource(trace), faults=faults, tracer=vec_tracer)
+    assert_stats_identical(ref.stats, vec.stats, context)
+    for index, (ours, theirs) in enumerate(
+        zip(vec_tracer.events, ref_tracer.events)
+    ):
+        assert ours == theirs, (
+            f"event {index} diverged{context}: reference={theirs} "
+            f"vectorized={ours}"
+        )
+    assert len(vec_tracer.events) == len(ref_tracer.events)
+    return ref
+
+
+@st.composite
+def mixed_traces(draw, num_nodes, max_events=40):
+    """Unicast and broadcast events, bunched so they contend: same-cycle
+    runs on one node, several broadcasts in flight at once."""
+    events = []
+    for _ in range(draw(st.integers(1, max_events))):
+        cycle = draw(st.integers(0, 12))
+        source = draw(st.integers(0, num_nodes - 1))
+        if draw(st.integers(0, 3)) == 0:
+            events.append(TraceEvent(cycle, source, None))
+        else:
+            destination = draw(st.integers(0, num_nodes - 2))
+            events.append(
+                TraceEvent(cycle, source, destination + (destination >= source))
+            )
+    return Trace("mixed", num_nodes, events=events)
+
+
+broadcast_faults = st.sampled_from(
+    [
+        None,
+        FaultConfig(seed=2, link_flip_prob=0.1, retry_limit=1),
+        FaultConfig(seed=3, corrupt_prob=0.08, retry_limit=2),
+        FaultConfig(seed=4, link_flip_prob=0.05),
+        FaultConfig(seed=5, dead_port_count=2, retry_limit=3),
+        # NIC stalls take the dense per-cycle pull, which expands broadcasts
+        # through ``VecNic._expand_event`` instead of ``_pump``.
+        FaultConfig(seed=6, nic_stall_prob=0.1, nic_stall_cycles=3),
+    ]
+)
+
+
+def check_mixed_trace(data, shape, topology, max_hops, buffer_entries, faults, mode):
+    mesh = MeshGeometry(*shape)
+    trace = data.draw(mixed_traces(mesh.num_nodes))
+    vec_config = VectorizedConfig(
+        mesh=mesh, topology=topology, max_hops_per_cycle=max_hops,
+        buffer_entries=buffer_entries, nic_buffer_entries=6, mode=mode,
+    )
+    assert_replay_identical(
+        vec_config, trace, faults,
+        f" ({shape} {topology} hops={max_hops} buffer={buffer_entries} "
+        f"{mode} {faults})",
+    )
+
+
+class TestBroadcastBitIdentity:
+    """A snoopy broadcast fans out, taps, resends and is abandoned exactly
+    as the reference does it, fault-free and under every fault model."""
+
+    @DIFF
+    @given(
+        st.data(), st.sampled_from([(4, 4), (3, 5), (2, 2)]), grid_topologies,
+        st.sampled_from([1, 2, 4, 5]), st.sampled_from([1, 2, 10, None]),
+        broadcast_faults, st.sampled_from(MODES),
+    )
+    def test_mixed_traces_bit_identical(
+        self, data, shape, topology, max_hops, buffer_entries, faults, mode
+    ):
+        check_mixed_trace(
+            data, shape, topology, max_hops, buffer_entries, faults, mode
+        )
+
+    @pytest.mark.slow
+    @settings(
+        max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        st.data(), st.sampled_from([(8, 8), (16, 16)]), grid_topologies,
+        st.sampled_from([4, 5, 8]), st.sampled_from([2, 10, None]),
+        broadcast_faults, st.sampled_from(MODES),
+    )
+    def test_large_mixed_traces_bit_identical(
+        self, data, shape, topology, max_hops, buffer_entries, faults, mode
+    ):
+        check_mixed_trace(
+            data, shape, topology, max_hops, buffer_entries, faults, mode
+        )
+
+    @pytest.mark.parametrize("topology", ["mesh", "torus"])
+    def test_lone_broadcast_reaches_every_other_node_once(self, topology):
+        mesh = MeshGeometry(4, 4)
+        trace = Trace("bcast", mesh.num_nodes, events=[TraceEvent(0, 5, None)])
+        config = VectorizedConfig(mesh=mesh, topology=topology)
+        tracer = CollectingTracer()
+        network = drive(config, TraceSource(trace), tracer=tracer)
+        assert network.stats.multicast_packets == 1
+        assert network.stats.packets_generated == mesh.num_nodes - 1
+        assert network.stats.packets_delivered == mesh.num_nodes - 1
+        served = sorted(event.node for event in tracer.by_kind("delivered"))
+        assert served == [node for node in mesh.nodes() if node != 5]
+        assert not network._owed_taps, "a finished broadcast keeps no ledger"
+        assert_replay_identical(config, trace, context=f" (lone, {topology})")
+
+    def test_contended_broadcasts_drop_resend_and_clear_taps(self):
+        # Every node broadcasts at once into one-entry buffers: multicast
+        # packets drop, resend with passed taps cleared, and duplicates at
+        # the turn row are discarded by the first-tap-wins ledger.
+        mesh = MeshGeometry(4, 4)
+        trace = Trace(
+            "storm", mesh.num_nodes,
+            events=[TraceEvent(0, node, None) for node in mesh.nodes()],
+        )
+        config = VectorizedConfig(mesh=mesh, buffer_entries=1)
+        ref = assert_replay_identical(config, trace, context=" (storm)")
+        assert ref.stats.retransmissions > 0
+        assert ref.stats.packets_delivered == ref.stats.packets_generated
+
+    def test_abandoned_multicast_loses_its_remaining_taps(self):
+        mesh = MeshGeometry(4, 4)
+        trace = Trace(
+            "lossy", mesh.num_nodes,
+            events=[TraceEvent(cycle, 0, None) for cycle in range(6)],
+        )
+        faults = FaultConfig(seed=1, link_flip_prob=0.3, retry_limit=1)
+        ref = assert_replay_identical(
+            VectorizedConfig(mesh=mesh), trace, faults, " (lossy)"
+        )
+        stats = ref.stats
+        assert stats.packets_lost > 0
+        assert stats.packets_generated == stats.packets_delivered + stats.packets_lost
+
+    @pytest.mark.parametrize("label", ["Vector4", "Vector4X"])
+    @pytest.mark.parametrize("app", ["fft", "radix"])
+    def test_splash2_runs_equal_optical4(self, label, app):
+        # What ``repro run --config Vector4 --trace <SPLASH2 trace>`` replays.
+        mode = "exact" if label == "Vector4X" else "fast"
+        vec_config = VectorizedConfig(mesh=MeshGeometry(4, 4), mode=mode)
+        ref, vec = pair_specs(
+            vec_config, Splash2Workload(app), cycles=300, seed=2
+        )
+        reference = run(ref)
+        assert reference.stats.multicast_packets > 0
+        assert_stats_identical(
+            reference.stats, run(vec).stats, f" ({label} {app})"
+        )
+
+
 # -- observability: reduced fidelity, zero perturbation ----------------------
 
 
@@ -495,13 +672,6 @@ class TestRefusals:
         with pytest.raises(FabricError, match="grid topology"):
             make_network(config)
 
-    def test_broadcast_trace_refused(self):
-        mesh = MeshGeometry(4, 4)
-        trace = Trace("bcast", mesh.num_nodes,
-                      events=[TraceEvent(0, 0, None)])
-        with pytest.raises(FabricError, match="unicast"):
-            drive(VectorizedConfig(mesh=mesh), TraceSource(trace))
-
     def test_unknown_mode_refused(self):
         with pytest.raises(ValueError, match="unknown engine mode"):
             VectorizedConfig(mesh=MeshGeometry(4, 4), mode="warp")
@@ -512,6 +682,23 @@ class TestRefusals:
 
 
 # -- compiled plans: bit-identical to build_plan -----------------------------
+
+
+def flat_steps(plan):
+    """A compiled plan as ``(node, exit, local, multicast)`` per router."""
+    return [
+        (plan.nodes[i], plan.exits[i], plan.locals[i], bool(plan.taps >> i & 1))
+        for i in range(plan.length)
+    ]
+
+
+def reference_steps(reference):
+    return [
+        (step.node, -1 if step.exit is None else int(step.exit), step.local,
+         step.multicast)
+        for step in reference
+    ]
+
 
 
 class TestCompiledPlans:
@@ -538,6 +725,74 @@ class TestCompiledPlans:
                 )
                 assert plan.locals == tuple(step.local for step in reference)
                 assert plan.final == destination
+
+    @pytest.mark.parametrize("max_hops", [1, 3, 4, 5])
+    @pytest.mark.parametrize("topology", ["mesh", "torus"])
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 8)])
+    def test_tapped_plans_match_the_reference_exhaustively(
+        self, shape, topology, max_hops
+    ):
+        """Every source's broadcast plans against ``broadcast_plans``, every
+        drop index of each against ``clear_passed_taps``, every buffering
+        index against ``replan_from`` — and on 4x4 each rewrite of each
+        rewrite, which is as deep as a packet's history distinguishes."""
+        topo = topology_for(topology, MeshGeometry(*shape))
+        table = PlanTable(topo, max_hops)
+
+        def check(plan, reference, depth):
+            assert flat_steps(plan) == reference_steps(reference)
+            assert plan.laser == laser_index(
+                *PhastlaneNetwork._first_segment(SimpleNamespace(plan=reference))
+            )
+            if depth == 0:
+                return
+            for index in range(1, plan.length):
+                check(
+                    cleared(table, plan, index),
+                    clear_passed_taps(reference, index),
+                    depth - 1,
+                )
+            for index in range(1, plan.length - 1):
+                check(
+                    replanned(table, plan, index),
+                    replan_from(topo, reference, index, max_hops),
+                    depth - 1,
+                )
+
+        for source in topo.nodes():
+            plans = table.broadcast(source)
+            references = broadcast_plans(topo, source, max_hops)
+            assert len(plans) == len(references)
+            for plan, reference in zip(plans, references):
+                check(plan, reference, depth=2 if shape == (4, 4) else 1)
+
+    def test_tapped_keys_fold_the_tap_into_the_contention_key(self):
+        topo = topology_for("mesh", MeshGeometry(4, 4))
+        table = PlanTable(topo, 2)
+        for plan in table.broadcast(5):
+            assert plan.taps and not plan.taps & 1  # the source is never tapped
+            for index in range(plan.length):
+                fly = plan.nodes[index] * 4 + plan.exits[index]
+                tapped = plan.taps >> index & 1
+                if plan.locals[index]:
+                    assert plan.keys[index] == (TAP_STOP if tapped else STOP)
+                else:
+                    assert plan.keys[index] == (TAP_FLY - fly if tapped else fly)
+                    assert TAP_FLY - plan.keys[index] == fly or not tapped
+
+    def test_a_resend_that_passed_every_tap_is_the_untapped_plan(self):
+        topo = topology_for("mesh", MeshGeometry(4, 4))
+        table = PlanTable(topo, 4)
+        plan = table.broadcast(0)[0]
+        assert cleared(table, plan, 1) is plan  # nothing before the first hop
+        bare = table.tapped(plan, 0)
+        assert bare is table.plan(plan.nodes[0], plan.final) and bare.taps == 0
+        assert replanned(table, bare, 1) is table.plan(plan.nodes[1], plan.final)
+
+    def test_stray_taps_refused_like_build_plan(self):
+        topo = topology_for("mesh", MeshGeometry(4, 4))
+        with pytest.raises(ValueError, match="not on the DOR path"):
+            PlanTable(topo, 4)._sweep(0, 3, {1, 7})
 
     def test_self_route_refused_like_build_plan(self):
         mesh = MeshGeometry(4, 4)

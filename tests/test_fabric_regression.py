@@ -27,7 +27,11 @@ from repro.harness.runner import run
 from repro.harness.sweeps import latency_vs_injection
 from repro.obs.config import ObsConfig
 from repro.util.geometry import MeshGeometry
-from repro.vectorized import VECTORIZED_CALIBRATION, VectorizedConfig
+from repro.vectorized import (
+    VECTORIZED_CALIBRATION,
+    VectorizedConfig,
+    VectorizedNetwork,
+)
 
 MESH = MeshGeometry(4, 4)
 OPT = PhastlaneConfig(mesh=MESH, max_hops_per_cycle=4)
@@ -210,6 +214,20 @@ def test_fig10_splash2_stats_byte_identical():
 @pytest.mark.parametrize("key", sorted(PIN_SPECS))
 def test_canonical_report_byte_identical(key):
     assert canonical_sha(result_to_dict(run(PIN_SPECS[key]))) == REPORT_SHAS[key]
+
+
+def test_plan_cache_key_does_not_alias_above_65536_nodes(monkeypatch):
+    """``(source << 16) | destination`` gave (1, 65541) the key of (1, 5) on
+    any grid past 65 536 nodes, so one pair routed on the other's plan.
+    Routers and NICs are stubbed out: the 257x256 network is two lists of
+    None around the plan cache under test, which goes with the test."""
+    monkeypatch.setattr("repro.vectorized.network._PLAN_CACHES", {})
+    monkeypatch.setattr("repro.vectorized.network.VecRouter", lambda node: None)
+    monkeypatch.setattr("repro.vectorized.network.VecNic", lambda node, network: None)
+    network = VectorizedNetwork(VectorizedConfig(mesh=MeshGeometry(257, 256)))
+    far, near = network.plan(1, 65541), network.plan(1, 5)
+    assert (far.final, near.final) == (65541, 5)
+    assert far.nodes[0] == near.nodes[0] == 1
 
 
 # -- SPLASH2 broadcast pins, recorded from the reference ---------------------
