@@ -34,7 +34,6 @@ from repro.core.packet import OpticalPacket
 from repro.core.router import INPUT_PORT_PRIORITY, PhastlaneRouter
 from repro.core.routing import build_plan, clear_passed_taps, replan_from
 from repro.fabric.base import MeshNetworkBase
-from repro.fabric.registry import register_backend
 from repro.faults.schedule import FaultSchedule
 from repro.electrical.power import (
     BUFFER_READ_PJ_PER_BIT,
@@ -481,6 +480,3 @@ class PhastlaneNetwork(MeshNetworkBase):
     def _pending_work(self) -> bool:
         """Packets awaiting a drop signal block :meth:`idle`."""
         return bool(self._drop_signals)
-
-
-register_backend("phastlane", PhastlaneConfig, PhastlaneNetwork)

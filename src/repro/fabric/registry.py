@@ -60,12 +60,13 @@ class BackendEntry:
 #: but isinstance fallback (config subclasses) scans in this order.
 _REGISTRY: dict[str, BackendEntry] = {}
 
-#: Modules whose import registers the built-in backends.
+#: Modules whose import registers the built-in backends.  The vectorized
+#: module registers both Phastlane kinds: it decides which network serves a
+#: ``PhastlaneConfig`` (DESIGN.md section 9).
 _BUILTIN_MODULES = (
-    "repro.core.network",
+    "repro.vectorized.network",
     "repro.electrical.network",
     "repro.fabric.ideal",
-    "repro.vectorized.network",
 )
 
 

@@ -51,10 +51,12 @@ def reference_configs(mesh: MeshGeometry | None = None) -> dict[str, NetworkConf
 
     ``Ideal`` (the zero-contention fabric backend) is the
     contention-free floor for one-hop-per-cycle transport;
-    ``Vector4``/``Vector4X`` are the vectorized batched engine's fast
-    and exact calibrations of ``Optical4``.  All are kept out of
-    :func:`standard_configs` so the Fig 9-11 campaigns keep reproducing
-    exactly the paper's series.
+    ``Vector4``/``Vector4X`` are ``Optical4``'s engine asked for by its
+    own config type: ``Vector4X`` computes exactly what ``Optical4``
+    does, ``Vector4`` draws synthetic traffic from its Philox stream
+    instead (traces, SPLASH2 broadcasts included, are bit-identical in
+    both).  All are kept out of :func:`standard_configs` so the Fig 9-11
+    campaigns keep reproducing exactly the paper's series.
     """
     mesh = mesh or MeshGeometry(8, 8)
     return {

@@ -1,10 +1,12 @@
 """The vectorized batched simulation engine (fourth fabric backend).
 
 A sparse, event-driven reimplementation of the Phastlane cycle-accurate
-pipeline that pre-generates traffic and visits only busy components,
-registered as backend kind ``"vectorized"``.  See
-:mod:`repro.vectorized.network` for the engine and its calibration claims,
-and ``tests/test_differential.py`` for the proof harness.
+pipeline that pre-generates traffic and visits only busy components.  It
+is registered as backend kind ``"vectorized"`` and it also serves every
+``PhastlaneConfig`` on the paper's design point (kind ``"phastlane"``),
+bit for bit what the :mod:`repro.core` reference computes.  See
+:mod:`repro.vectorized.network` for the engine, its calibration claims and
+the dispatch rule, and ``tests/test_differential.py`` for the proof harness.
 """
 
 from repro.vectorized.config import MODES, VectorizedConfig, as_phastlane

@@ -1,4 +1,4 @@
-"""Configuration of the vectorized batched engine (ROADMAP item 1).
+"""Configuration of the vectorized batched engine.
 
 :class:`VectorizedConfig` exposes the physics surface of
 :class:`~repro.core.config.PhastlaneConfig` — the paper's preferred
@@ -17,8 +17,10 @@ operating point plus the grid-topology axis — and adds one engine knob,
 The paper's arbitration/contention alternatives (round-robin network
 arbitration, oldest-first buffer arbitration, deflection, buffer sharing)
 are deliberately not exposed: the vectorized engine implements the paper's
-preferred design only, and the differential harness proves exactly that
-surface.
+preferred design only — unicast and section 2.1.4 broadcast traffic alike —
+and the differential harness proves exactly that surface.  A
+``PhastlaneConfig`` that stays on that design point is run by this engine
+too (:func:`as_phastlane` is the test).
 """
 
 from __future__ import annotations
@@ -93,11 +95,16 @@ class VectorizedConfig:
         return f"Vector{self.max_hops_per_cycle}{suffix}"
 
 
-def as_phastlane(config: VectorizedConfig) -> PhastlaneConfig:
-    """The reference configuration this vectorized instance is calibrated to.
+def as_phastlane(config: VectorizedConfig | PhastlaneConfig) -> PhastlaneConfig:
+    """The paper's design point with this config's physics: every field the
+    sparse kernel models, copied; every other ``PhastlaneConfig`` field at
+    its default, the paper's choice.
 
-    The differential harness runs this config on the Phastlane backend and
-    compares stats field-by-field against the vectorized run.
+    For a ``VectorizedConfig`` that is the reference configuration it is
+    calibrated to (the differential harness runs both and compares stats
+    field by field).  A ``PhastlaneConfig`` comes back equal exactly when
+    it is on the design point, which is how the ``"phastlane"`` backend
+    decides that the kernel can serve it.
     """
     return PhastlaneConfig(
         mesh=config.mesh,

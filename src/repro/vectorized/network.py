@@ -53,7 +53,11 @@ from repro.electrical.power import (
     NIC_LEAKAGE_MW,
 )
 from repro.core.config import PhastlaneConfig
-from repro.core.network import DROP_SIGNAL_BITS, OPTICAL_ROUTER_LEAKAGE_MW
+from repro.core.network import (
+    DROP_SIGNAL_BITS,
+    OPTICAL_ROUTER_LEAKAGE_MW,
+    PhastlaneNetwork,
+)
 from repro.fabric.base import MeshNetworkBase
 from repro.fabric.registry import register_backend
 from repro.faults.schedule import FaultSchedule
@@ -72,7 +76,7 @@ from repro.vectorized.components import (
     VecPacket,
     VecRouter,
 )
-from repro.vectorized.config import VectorizedConfig
+from repro.vectorized.config import VectorizedConfig, as_phastlane
 from repro.vectorized.plans import (
     RANK16,
     STOP,
@@ -138,7 +142,7 @@ class VectorizedNetwork(MeshNetworkBase):
         faults: FaultSchedule | None = None,
     ) -> None:
         super().__init__(config or VectorizedConfig(), source, stats, faults)
-        self._grid = require_grid(self.topology, "the vectorized batched engine")
+        self._grid = require_grid(self.topology, "the Phastlane cycle-accurate pipeline")
         config = self.config
         #: Philox traffic is a ``VectorizedConfig`` request; a
         #: ``PhastlaneConfig`` (see ``_phastlane_network``) is exact replay
@@ -899,4 +903,30 @@ def _priority_key(packet: VecPacket) -> tuple[int, int]:
     return (RANK16[arrival * 4 + exits[index]], arrival)
 
 
+def _phastlane_network(
+    config: PhastlaneConfig,
+    source: TrafficSource | None = None,
+    stats: NetworkStats | None = None,
+    faults: FaultSchedule | None = None,
+) -> MeshNetworkBase:
+    """The network of a ``PhastlaneConfig``, chosen from the config alone.
+
+    The sparse kernel models the paper's design point.  A config is on it
+    when every field the kernel does not model — the section 5 and
+    footnote 3 alternatives: ``network_arbitration``, ``buffer_arbitration``,
+    ``contention_policy``, ``buffer_sharing`` — holds the paper's value,
+    which is to say the config survives the round trip through
+    :func:`as_phastlane` (a field added later fails it until the kernel
+    carries it).  Such a config runs on the kernel, built on the config
+    itself in exact replay, bit for bit what the reference computes; any
+    other runs on :class:`~repro.core.network.PhastlaneNetwork`, the only
+    implementation of the alternatives and the oracle the kernel is
+    proven against.
+    """
+    if as_phastlane(config) == config:
+        return VectorizedNetwork(config, source, stats, faults)
+    return PhastlaneNetwork(config, source, stats, faults)
+
+
+register_backend("phastlane", PhastlaneConfig, _phastlane_network)
 register_backend("vectorized", VectorizedConfig, VectorizedNetwork)

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
+from repro.core.config import PhastlaneConfig
+from repro.core.network import PhastlaneNetwork
+from repro.fabric import entry_for_kind, register_backend
 from repro.sim.engine import SimulationEngine
 
 
@@ -14,3 +20,23 @@ def drain(network, inject_cycles: int, max_extra: int = 20_000) -> SimulationEng
         lambda: network.idle(engine.cycle), max_extra
     ), "network failed to drain"
     return engine
+
+
+@contextmanager
+def reference_oracle() -> Iterator[None]:
+    """Inside the block every ``PhastlaneConfig`` runs on ``repro.core``.
+
+    The registry sends a ``PhastlaneConfig`` on the paper's design point to
+    the sparse kernel, so a test that compares that kernel with the
+    reference — or that means to cover the reference's own fault and
+    multicast paths through ``run()`` / ``make_network()`` — has to ask for
+    the reference.  This shadows the ``"phastlane"`` registration with
+    :class:`~repro.core.network.PhastlaneNetwork` (the registry documents
+    shadowing for tests) and puts the dispatching factory back on exit.
+    """
+    dispatch = entry_for_kind("phastlane").factory
+    register_backend("phastlane", PhastlaneConfig, PhastlaneNetwork)
+    try:
+        yield
+    finally:
+        register_backend("phastlane", PhastlaneConfig, dispatch)

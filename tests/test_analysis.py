@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.config import PhastlaneConfig
+from repro.core.network import PhastlaneNetwork
 from repro.electrical.config import ElectricalConfig
 from repro.fabric import IdealConfig, make_network
 from repro.faults import FaultConfig
@@ -48,7 +49,9 @@ from repro.traffic.trace import (
     TraceSource,
 )
 from repro.util.geometry import MeshGeometry
-from repro.vectorized import VectorizedConfig, as_phastlane
+from repro.vectorized import VectorizedConfig, VectorizedNetwork, as_phastlane
+
+from helpers import reference_oracle
 
 SLOW = settings(
     max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -275,15 +278,22 @@ class TestByteIdentity:
             seed=seed,
             stop_cycle=cycles,
         )
-        events, _ = traced_run(config, source, cycles)
-        return analyze_events(events, link_delay=0, top=5)
+        events, network = traced_run(config, source, cycles)
+        return analyze_events(events, link_delay=0, top=5), type(network)
 
     def test_reference_and_vectorized_exact_reports_identical(self):
+        # Three engines-by-config: the reference asked for by name (the
+        # registry sends this config to the sparse kernel), the same config
+        # as dispatched, and the vectorized config in exact mode.
         vec_config = VectorizedConfig(mode="exact")
-        ref = self._blame(as_phastlane(vec_config))
-        vec = self._blame(vec_config)
+        with reference_oracle():
+            ref, ref_engine = self._blame(as_phastlane(vec_config))
+        dispatched, dispatched_engine = self._blame(as_phastlane(vec_config))
+        vec, _ = self._blame(vec_config)
+        assert ref_engine is PhastlaneNetwork
+        assert dispatched_engine is VectorizedNetwork
         assert ref.delivered > 0
-        assert ref.to_json() == vec.to_json()
+        assert ref.to_json() == dispatched.to_json() == vec.to_json()
 
     def test_in_memory_and_file_analyses_identical(self, tmp_path):
         path = tmp_path / "t.jsonl"

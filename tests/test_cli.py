@@ -115,6 +115,28 @@ class TestTraceWorkflow:
         assert "Optical4 on fft" in out
         assert "delivery_ratio" in out and "1.000" in out
 
+    @pytest.mark.parametrize("label", ["Vector4", "Vector4X"])
+    def test_vectorized_configs_replay_a_splash2_trace(self, label, tmp_path, capsys):
+        # Snoopy broadcasts included: the same stats table as Optical4,
+        # wall-clock rows and the title aside.
+        path = tmp_path / "fft.trace"
+        main(["trace", "generate", "fft", "--out", str(path), "--cycles", "150"])
+        capsys.readouterr()
+
+        def table(config):
+            argv = ["run", "--config", config, "--trace", str(path), "--no-cache"]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert f"{config} on fft" in out
+            return [
+                line for line in out.splitlines()
+                if "wall_time" not in line and "per_second" not in line
+                and f"{config} on fft" not in line
+            ]
+
+        assert " * " in path.read_text(), "the trace carries no broadcast"
+        assert table(label) == table("Optical4")
+
     def test_run_unknown_config_errors(self, tmp_path):
         path = tmp_path / "t.trace"
         main(["trace", "generate", "lu", "--out", str(path), "--cycles", "50"])

@@ -10,12 +10,16 @@ multicast taps.
 import pytest
 
 from repro.core import PhastlaneConfig, PhastlaneNetwork
+from repro.fabric import make_network
+from repro.obs import CollectingTracer
 from repro.sim.engine import SimulationEngine
+from repro.topology import topology_of
 from repro.traffic.coherence import MessageKind
 from repro.traffic.injection import BernoulliInjector
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.trace import SyntheticSource, Trace, TraceEvent, TraceSource
 from repro.util.geometry import MeshGeometry
+from repro.vectorized import VectorizedNetwork
 
 from helpers import drain
 
@@ -28,6 +32,70 @@ def run_events(events, config=None, max_extra=20_000):
     network = PhastlaneNetwork(config, TraceSource(trace))
     engine = drain(network, trace.last_cycle + 1, max_extra)
     return network, engine
+
+
+def dispatched(config, source):
+    """What the registry builds for a config on the paper's design point."""
+    network = make_network(config, source)
+    assert type(network) is VectorizedNetwork
+    return network
+
+
+#: The two engines of such a config: the sparse kernel it is dispatched to,
+#: and this module's subject, the reference that kernel is proven against.
+ENGINES = [dispatched, PhastlaneNetwork]
+
+
+class TestZeroLoadLaw:
+    """Contention-free Phastlane latency is a closed form (the optical side
+    of the analytic-bound law; the electrical side is
+    ``test_electrical_network.py::test_zero_load_latency_matches_pipeline``)."""
+
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda engine: engine.__name__)
+    @pytest.mark.parametrize("topology", ["mesh", "torus"])
+    def test_lone_unicast_takes_one_cycle_per_optical_segment(self, engine, topology):
+        """Every ordered pair of a 4x4 grid: ``ceil(hops / max_hops)``, the
+        delivery cycle counted (section 2.1.3: one cycle per segment of at
+        most ``max_hops_per_cycle`` routers)."""
+        mesh = MeshGeometry(4, 4)
+        for max_hops in (1, 2, 4, 5):
+            config = PhastlaneConfig(
+                mesh=mesh, topology=topology, max_hops_per_cycle=max_hops
+            )
+            hop_count = topology_of(config).hop_count
+            for src in mesh.nodes():
+                for dst in set(mesh.nodes()) - {src}:
+                    trace = Trace("pair", 16, events=[TraceEvent(0, src, dst)])
+                    network = engine(config, TraceSource(trace))
+                    drain(network, 1)
+                    latency = network.stats.latency.mean
+                    assert latency.count == 1
+                    assert latency.max == -(-hop_count(src, dst) // max_hops), (
+                        max_hops, src, dst,
+                    )
+
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda engine: engine.__name__)
+    @pytest.mark.parametrize("topology", ["mesh", "torus"])
+    def test_lone_broadcast_reaches_every_other_node_exactly_once(
+        self, engine, topology
+    ):
+        mesh = MeshGeometry(4, 4)
+        for max_hops in (1, 2, 4, 5):
+            config = PhastlaneConfig(
+                mesh=mesh, topology=topology, max_hops_per_cycle=max_hops
+            )
+            for src in mesh.nodes():
+                trace = Trace("bcast", 16, events=[TraceEvent(0, src, None)])
+                network = engine(config, TraceSource(trace))
+                tracer = CollectingTracer()
+                network.add_tracer(tracer)
+                drain(network, 1)
+                stats = network.stats
+                assert stats.multicast_packets == 1
+                assert stats.packets_delivered == stats.packets_generated == 15
+                assert stats.packets_dropped == 0
+                served = sorted(e.node for e in tracer.by_kind("delivered"))
+                assert served == sorted(set(mesh.nodes()) - {src}), (max_hops, src)
 
 
 class TestSingleCycleTransit:

@@ -13,6 +13,16 @@ tiers, and this suite is the proof of exactly that claim — no more:
   field is either bit-identical or named in the explicit tolerance
   allowlist below.  A field in neither class fails the run.
 
+Which side is which is stated, not assumed: the registry sends a
+``PhastlaneConfig`` on the paper's design point to the sparse kernel
+itself, so the reference side of every comparison here is built inside
+``helpers.reference_oracle()``, which shadows the ``"phastlane"``
+registration with ``repro.core``'s ``PhastlaneNetwork``.  Exact
+comparisons are three-way: the oracle, the same ``PhastlaneConfig`` as the
+registry dispatches it, and the ``VectorizedConfig`` in exact mode.
+``drive`` asserts the class it built and ``TestOracleIsReal`` is the
+canary for the runner-based comparisons.
+
 What this harness does **not** prove: fast-mode synthetic schedules are
 statistically — not draw-for-draw — equivalent to the reference, so
 fast-mode latency/energy numbers carry the tolerance bands, and nothing
@@ -27,6 +37,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import PhastlaneConfig
 from repro.core.network import PhastlaneNetwork
 from repro.core.routing import (
     broadcast_plans,
@@ -50,6 +61,7 @@ from repro.vectorized import (
     MODES,
     VECTORIZED_CALIBRATION,
     VectorizedConfig,
+    VectorizedNetwork,
     as_phastlane,
     philox_key,
     philox_supported,
@@ -65,6 +77,8 @@ from repro.vectorized.plans import (
     neighbor_table,
     replanned,
 )
+
+from helpers import reference_oracle
 
 # -- helpers -----------------------------------------------------------------
 
@@ -90,6 +104,13 @@ def pair_specs(vec_config, workload, *, cycles, seed, faults=None):
     return ref, vec
 
 
+def reference_run(spec):
+    """``run(spec)`` on the oracle (see the module docstring)."""
+    with reference_oracle():
+        assert type(make_network(spec.config)) is PhastlaneNetwork
+        return run(spec)
+
+
 def assert_stats_identical(ref_stats, vec_stats, context=""):
     """Field-by-field bit-identity; a failure names the diverging field."""
     ref = flatten(stats_to_dict(ref_stats))
@@ -101,12 +122,33 @@ def assert_stats_identical(ref_stats, vec_stats, context=""):
         )
 
 
-def drive(config, source, *, faults=None, tracer=None, cycles=None, attach_at=0):
+def assert_exact_runs_identical(ref, vec, context=""):
+    """The oracle's stats, bit for bit, from the reference spec as the
+    registry dispatches it and from the exact-mode vectorized spec."""
+    reference = reference_run(ref).stats
+    assert_stats_identical(reference, run(ref).stats, f"{context} [dispatched]")
+    assert_stats_identical(reference, run(vec).stats, context)
+    return reference
+
+
+def drive(
+    config, source, *, reference=False, faults=None, tracer=None, cycles=None,
+    attach_at=0,
+):
     """Run a network to drain (or for ``cycles``) outside the runner.
 
-    ``tracer`` attaches after ``attach_at`` cycles (0: traced throughout).
+    ``reference=True`` builds the oracle; otherwise the registry decides,
+    and every config this module drives is then the sparse kernel's — the
+    class is asserted either way, so no comparison here can quietly put
+    one engine on both sides.  ``tracer`` attaches after ``attach_at``
+    cycles (0: traced throughout).
     """
-    network = make_network(config, source, faults=faults)
+    if reference:
+        with reference_oracle():
+            network = make_network(config, source, faults=faults)
+    else:
+        network = make_network(config, source, faults=faults)
+    assert type(network) is (PhastlaneNetwork if reference else VectorizedNetwork)
     engine = SimulationEngine()
     engine.register(network)
     engine.run(attach_at)
@@ -118,6 +160,19 @@ def drive(config, source, *, faults=None, tracer=None, cycles=None, attach_at=0)
         engine.run(1)
         assert engine.run_until(lambda: network.idle(engine.cycle), 100_000)
     return network
+
+
+def assert_drives_identical(vec_config, make_source, context="", **options):
+    """Oracle, dispatched reference config and vectorized config, each on a
+    fresh ``make_source()``: identical stats.  Returns the oracle."""
+    ref_config = as_phastlane(vec_config)
+    ref = drive(ref_config, make_source(), reference=True, **options)
+    dispatched = drive(ref_config, make_source(), **options)
+    vec = drive(vec_config, make_source(), **options)
+    assert dispatched.config is ref_config
+    assert_stats_identical(ref.stats, dispatched.stats, f"{context} [dispatched]")
+    assert_stats_identical(ref.stats, vec.stats, context)
+    return ref
 
 
 # -- exact mode: bit-identity under fuzzed RunSpecs --------------------------
@@ -158,9 +213,8 @@ class TestExactModeBitIdentity:
             vec_config, SyntheticWorkload(pattern, rate),
             cycles=150, seed=seed, faults=faults,
         )
-        assert_stats_identical(
-            run(ref).stats, run(vec).stats,
-            f" ({shape} {topology} {pattern}@{rate} seed={seed})",
+        assert_exact_runs_identical(
+            ref, vec, f" ({shape} {topology} {pattern}@{rate} seed={seed})"
         )
 
     @DIFF
@@ -173,9 +227,7 @@ class TestExactModeBitIdentity:
         ref, vec = pair_specs(
             vec_config, SyntheticWorkload("uniform", 0.2), cycles=150, seed=seed
         )
-        assert_stats_identical(
-            run(ref).stats, run(vec).stats, f" (hops={max_hops} seed={seed})"
-        )
+        assert_exact_runs_identical(ref, vec, f" (hops={max_hops} seed={seed})")
 
     @pytest.mark.slow
     @pytest.mark.parametrize("topology", ["mesh", "torus"])
@@ -186,9 +238,7 @@ class TestExactModeBitIdentity:
         ref, vec = pair_specs(
             vec_config, SyntheticWorkload("uniform", 0.1), cycles=200, seed=1
         )
-        assert_stats_identical(
-            run(ref).stats, run(vec).stats, f" (16x16 {topology})"
-        )
+        assert_exact_runs_identical(ref, vec, f" (16x16 {topology})")
 
 
 # -- fast mode: explicit tolerance allowlist ---------------------------------
@@ -246,7 +296,7 @@ class TestFastModeTolerances:
         ref, vec = pair_specs(
             vec_config, SyntheticWorkload(pattern, rate), cycles=400, seed=seed
         )
-        ref_flat = flatten(stats_to_dict(run(ref).stats))
+        ref_flat = flatten(stats_to_dict(reference_run(ref).stats))
         vec_flat = flatten(stats_to_dict(run(vec).stats))
         for field in sorted(set(ref_flat) | set(vec_flat)):
             if field.startswith(HISTOGRAM_PREFIX):
@@ -327,9 +377,9 @@ class TestFallbackBitIdentity:
         # fast mode the schedule is an exact replay of the reference draws.
         mesh = MeshGeometry(4, 4)
         vec_config = VectorizedConfig(mesh=mesh)
-        ref = drive(as_phastlane(vec_config), self.make_bursty(mesh, 150))
-        vec = drive(vec_config, self.make_bursty(mesh, 150))
-        assert_stats_identical(ref.stats, vec.stats, " (bursty bounded)")
+        assert_drives_identical(
+            vec_config, lambda: self.make_bursty(mesh, 150), " (bursty bounded)"
+        )
 
     def test_unbounded_source_identical_at_fixed_cycle(self):
         # stop_cycle=None forces the dense per-cycle pull fallback; the
@@ -337,10 +387,10 @@ class TestFallbackBitIdentity:
         # running to drain.
         mesh = MeshGeometry(4, 4)
         vec_config = VectorizedConfig(mesh=mesh)
-        ref = drive(as_phastlane(vec_config), self.make_bursty(mesh, None),
-                    cycles=120)
-        vec = drive(vec_config, self.make_bursty(mesh, None), cycles=120)
-        assert_stats_identical(ref.stats, vec.stats, " (unbounded)")
+        assert_drives_identical(
+            vec_config, lambda: self.make_bursty(mesh, None), " (unbounded)",
+            cycles=120,
+        )
 
 
 # -- trace workloads: bit-identical in BOTH modes ----------------------------
@@ -368,30 +418,38 @@ class TestTraceBitIdentity:
         mesh = MeshGeometry(4, 4)
         trace = dense_trace(mesh, seed=3)
         vec_config = VectorizedConfig(mesh=mesh, topology=topology, mode=mode)
-        ref = drive(as_phastlane(vec_config), TraceSource(trace))
-        vec = drive(vec_config, TraceSource(trace))
-        assert_stats_identical(ref.stats, vec.stats, f" (trace {mode})")
+        assert_drives_identical(
+            vec_config, lambda: TraceSource(trace), f" (trace {mode})"
+        )
 
 
 # -- broadcasts: section 2.1.4 multicast taps, bit-identical -----------------
 
 
-def assert_replay_identical(vec_config, trace, faults=None, context=""):
-    """Stats and the whole event stream (uids and extras included: both
-    sides count uids per network) equal the reference's on one trace."""
-    ref_tracer, vec_tracer = CollectingTracer(), CollectingTracer()
-    ref = drive(as_phastlane(vec_config), TraceSource(trace), faults=faults,
-                tracer=ref_tracer)
-    vec = drive(vec_config, TraceSource(trace), faults=faults, tracer=vec_tracer)
-    assert_stats_identical(ref.stats, vec.stats, context)
-    for index, (ours, theirs) in enumerate(
-        zip(vec_tracer.events, ref_tracer.events)
-    ):
-        assert ours == theirs, (
-            f"event {index} diverged{context}: reference={theirs} "
-            f"vectorized={ours}"
+def assert_events_identical(ours, theirs, context=""):
+    """Whole event streams, uids and extras included (every engine counts
+    uids per network); a failure names the first diverging event."""
+    for index, (mine, reference) in enumerate(zip(ours, theirs)):
+        assert mine == reference, (
+            f"event {index} diverged{context}: reference={reference} ours={mine}"
         )
-    assert len(vec_tracer.events) == len(ref_tracer.events)
+    assert len(ours) == len(theirs)
+
+
+def assert_replay_identical(vec_config, trace, faults=None, context=""):
+    """One trace, traced, on the oracle, on the reference config as the
+    registry dispatches it and on the vectorized config: the same stats
+    and the same event stream.  Returns the oracle."""
+    ref_config = as_phastlane(vec_config)
+    tracers = [CollectingTracer() for _ in range(3)]
+    ref = drive(ref_config, TraceSource(trace), reference=True, faults=faults,
+                tracer=tracers[0])
+    for config, tracer, side in (
+        (ref_config, tracers[1], " [dispatched]"), (vec_config, tracers[2], ""),
+    ):
+        ours = drive(config, TraceSource(trace), faults=faults, tracer=tracer)
+        assert_stats_identical(ref.stats, ours.stats, context + side)
+        assert_events_identical(tracer.events, tracers[0].events, context + side)
     return ref
 
 
@@ -526,11 +584,8 @@ class TestBroadcastBitIdentity:
         ref, vec = pair_specs(
             vec_config, Splash2Workload(app), cycles=300, seed=2
         )
-        reference = run(ref)
-        assert reference.stats.multicast_packets > 0
-        assert_stats_identical(
-            reference.stats, run(vec).stats, f" ({label} {app})"
-        )
+        reference = assert_exact_runs_identical(ref, vec, f" ({label} {app})")
+        assert reference.multicast_packets > 0
 
 
 # -- observability: reduced fidelity, zero perturbation ----------------------
@@ -559,12 +614,12 @@ class TestObservability:
         """Traced == untraced == reference stats; returns the tracer."""
         mesh = vec_config.mesh
         tracer = CollectingTracer()
-        ref = drive(as_phastlane(vec_config), bursty_source(mesh, rate))
-        bare = drive(vec_config, bursty_source(mesh, rate))
         traced = drive(vec_config, bursty_source(mesh, rate), tracer=tracer)
-        assert_stats_identical(bare.stats, traced.stats, " (tracer attached)")
         # Bursty sources replay the reference draws in either mode.
-        assert_stats_identical(ref.stats, bare.stats, " (vs reference)")
+        ref = assert_drives_identical(
+            vec_config, lambda: bursty_source(mesh, rate), " (vs reference)"
+        )
+        assert_stats_identical(ref.stats, traced.stats, " (tracer attached)")
         assert tracer.events, "tracer attached but saw no events"
         kinds = {event.kind for event in tracer.events}
         assert {"generated", "injected", "delivered"} <= kinds
@@ -626,8 +681,8 @@ class TestObservability:
         faults = FaultConfig(seed=2, link_flip_prob=0.08, retry_limit=5)
         vec_config = VectorizedConfig(mesh=mesh, mode="exact")
         ref_tracer, vec_tracer = CollectingTracer(), CollectingTracer()
-        ref = drive(as_phastlane(vec_config), bursty_source(mesh), faults=faults,
-                    tracer=ref_tracer)
+        ref = drive(as_phastlane(vec_config), bursty_source(mesh), reference=True,
+                    faults=faults, tracer=ref_tracer)
         vec = drive(vec_config, bursty_source(mesh), faults=faults,
                     tracer=vec_tracer)
         assert_stats_identical(ref.stats, vec.stats, " (faulted, traced)")
@@ -661,6 +716,49 @@ class TestExecutorBitIdentity:
             for result in Executor(workers=2).map(specs)
         ]
         assert serial == pooled
+
+
+# -- the oracle is real -------------------------------------------------------
+
+
+class TestOracleIsReal:
+    """The canary: the two sides of the comparisons above are two engines."""
+
+    CONFIG = as_phastlane(VectorizedConfig(mesh=MeshGeometry(4, 4)))
+
+    def test_registry_dispatches_the_reference_config_to_the_kernel(self):
+        network = make_network(self.CONFIG)
+        assert type(network) is VectorizedNetwork and network.config is self.CONFIG
+
+    def test_the_oracle_block_builds_the_reference_and_restores_the_dispatch(self):
+        with reference_oracle():
+            assert type(make_network(self.CONFIG)) is PhastlaneNetwork
+            assert type(make_network(VectorizedConfig())) is VectorizedNetwork
+        assert type(make_network(self.CONFIG)) is VectorizedNetwork
+
+    def test_the_dispatch_comes_back_after_a_failure_inside_the_block(self):
+        with pytest.raises(RuntimeError):
+            with reference_oracle():
+                raise RuntimeError("a failing comparison")
+        assert type(make_network(self.CONFIG)) is VectorizedNetwork
+
+    def test_the_two_engines_share_no_simulation_code(self):
+        # Not a subclass either way: only the MeshNetworkBase scaffolding.
+        assert not issubclass(VectorizedNetwork, PhastlaneNetwork)
+        assert not issubclass(PhastlaneNetwork, VectorizedNetwork)
+        for phase in ("_step_cycle", "_run_waves", "_launch_transmissions",
+                      "_resolve_drop_signals", "_buffer_or_drop"):
+            assert getattr(VectorizedNetwork, phase) is not getattr(
+                PhastlaneNetwork, phase
+            )
+
+    def test_drive_asserts_the_class_it_built(self):
+        deflecting = PhastlaneConfig(
+            mesh=MeshGeometry(4, 4), contention_policy="deflect"
+        )
+        trace = Trace("t", 16, events=[TraceEvent(0, 0, 5)])
+        with pytest.raises(AssertionError):
+            drive(deflecting, TraceSource(trace))  # the reference, unasked
 
 
 # -- refusals: same one-line FabricError pattern as cmesh --------------------

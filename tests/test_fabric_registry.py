@@ -1,9 +1,12 @@
 """Tests for the fabric backend registry."""
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.config import PhastlaneConfig
 from repro.core.network import PhastlaneNetwork
 from repro.electrical.config import ElectricalConfig
@@ -21,7 +24,10 @@ from repro.fabric import (
     unregister_backend,
 )
 from repro.faults import FaultConfig
+from repro.harness.experiments.configs import optical_configs
+from repro.traffic.trace import Trace, TraceEvent, TraceSource
 from repro.util.geometry import MeshGeometry
+from repro.vectorized import VectorizedConfig, VectorizedNetwork
 
 
 @dataclass(frozen=True)
@@ -47,18 +53,83 @@ def toy_backend():
     unregister_backend("toy")
 
 
+#: The section 5 / footnote 3 alternatives, which only the reference models.
+ALTERNATIVES = [
+    {"network_arbitration": "round_robin"},
+    {"buffer_arbitration": "oldest_first"},
+    {"contention_policy": "deflect"},
+    {"buffer_sharing": True},
+]
+
+
 class TestDispatch:
     def test_builtin_backends(self):
         mesh = MeshGeometry(4, 4)
         cases = [
-            (PhastlaneConfig(mesh=mesh), PhastlaneNetwork, "phastlane"),
+            (PhastlaneConfig(mesh=mesh), VectorizedNetwork, "phastlane"),
+            (VectorizedConfig(mesh=mesh), VectorizedNetwork, "vectorized"),
             (ElectricalConfig(mesh=mesh), ElectricalNetwork, "electrical"),
             (IdealConfig(mesh=mesh), IdealNetwork, "ideal"),
         ]
         for config, network_type, kind in cases:
-            assert isinstance(make_network(config), network_type)
+            assert type(make_network(config)) is network_type
             assert config_kind(config) == kind
             assert config_type_for(kind) is type(config)
+
+    @pytest.mark.parametrize("topology", ["mesh", "torus"])
+    @pytest.mark.parametrize("label", sorted(optical_configs()))
+    def test_paper_design_point_builds_the_sparse_kernel(self, label, topology):
+        config = replace(optical_configs()[label], topology=topology)
+        network = make_network(config)
+        assert type(network) is VectorizedNetwork
+        assert network.config is config  # built on the config itself
+        assert config_kind(config) == "phastlane"
+
+    @pytest.mark.parametrize("alternative", ALTERNATIVES, ids=lambda a: next(iter(a)))
+    def test_each_alternative_builds_the_reference(self, alternative):
+        (field_name,) = alternative
+        assert field_name in {f.name for f in fields(PhastlaneConfig)}
+        config = PhastlaneConfig(mesh=MeshGeometry(4, 4), **alternative)
+        network = make_network(config)
+        assert type(network) is PhastlaneNetwork
+        assert network.config is config
+        assert config_kind(config) == "phastlane"
+
+    def test_alternatives_are_every_field_the_kernel_does_not_share(self):
+        # The rule is "the config survives as_phastlane": the fields that
+        # can fail it are exactly those VectorizedConfig does not carry.
+        shared = {f.name for f in fields(VectorizedConfig)}
+        unshared = {f.name for f in fields(PhastlaneConfig)} - shared
+        assert unshared == {next(iter(a)) for a in ALTERNATIVES}
+
+    def test_a_field_the_kernel_has_never_heard_of_goes_to_the_reference(self):
+        @dataclass(frozen=True)
+        class FutureConfig(PhastlaneConfig):
+            wavelength_routing: bool = False
+
+        assert type(make_network(FutureConfig())) is PhastlaneNetwork
+
+    def test_dispatch_reads_the_config_and_nothing_else(self):
+        mesh = MeshGeometry(4, 4)
+        trace = Trace("t", 16, events=[TraceEvent(0, 0, None), TraceEvent(1, 2, 9)])
+        faults = FaultConfig(seed=1, nic_stall_prob=0.1, retry_limit=1)
+        for alternative, network_type in (
+            ({}, VectorizedNetwork), (ALTERNATIVES[2], PhastlaneNetwork)
+        ):
+            config = PhastlaneConfig(mesh=mesh, **alternative)
+            for source in (None, TraceSource(trace)):
+                for fault_model in (None, faults):
+                    network = make_network(config, source, faults=fault_model)
+                    assert type(network) is network_type
+
+    def test_exactly_one_phastlane_registration_under_src(self):
+        source_root = Path(repro.__file__).parent
+        calls = [
+            str(path.relative_to(source_root))
+            for path in sorted(source_root.rglob("*.py"))
+            if re.search(r'register_backend\(\s*"phastlane"', path.read_text())
+        ]
+        assert calls == ["vectorized/network.py"]
 
     def test_unknown_config_error_names_class_and_backends(self):
         class MysteryConfig:

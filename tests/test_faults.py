@@ -15,12 +15,14 @@ Covers the three guarantees the fault subsystem makes:
 
 import math
 import random
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import PhastlaneConfig
+from repro.core.network import PhastlaneNetwork
 from repro.electrical.config import ElectricalConfig
 from repro.fabric import FabricError, IdealConfig, make_network
 from repro.faults import FaultConfig, FaultSchedule
@@ -40,6 +42,8 @@ from repro.sim.engine import SimulationEngine
 from repro.traffic.trace import Trace, TraceEvent, TraceSource
 from repro.util.geometry import MeshGeometry
 from repro.vectorized import VectorizedConfig
+
+from helpers import reference_oracle
 
 MESH = MeshGeometry(4, 4)
 OPT = PhastlaneConfig(mesh=MESH, max_hops_per_cycle=4)
@@ -284,9 +288,28 @@ def drain(network, max_cycles=20_000):
     return engine, drained
 
 
+def on_reference(config):
+    """Mark a parametrised phastlane config as "on ``repro.core``": the
+    registry sends it to the sparse kernel (the ``optical`` cases), and the
+    reference's own fault and multicast paths keep a case (``reference``)."""
+    return pytest.param(config, True, id="reference")
+
+
+def engine_block(oracle):
+    return reference_oracle() if oracle else nullcontext()
+
+
+#: (config, on the oracle) for the optical/electrical degradation cases.
+DEGRADING = [
+    pytest.param(OPT, False, id="optical"),
+    on_reference(OPT),
+    pytest.param(ELE, False, id="electrical"),
+]
+
+
 class TestGracefulDegradation:
-    @pytest.mark.parametrize("config", [OPT, ELE], ids=["optical", "electrical"])
-    def test_dead_port_run_drains_and_conserves(self, config):
+    @pytest.mark.parametrize("config,oracle", DEGRADING)
+    def test_dead_port_run_drains_and_conserves(self, config, oracle):
         # Node 5's East port is on the only XY route from 4 to 7, so the
         # extra 4->7 packets are guaranteed to hit the dead link.
         faults = FaultConfig(dead_ports=((5, 1),), retry_limit=4)
@@ -294,7 +317,9 @@ class TestGracefulDegradation:
         events = trace.events + [TraceEvent(cycle, 4, 7) for cycle in range(8)]
         events.sort(key=lambda event: event.cycle)
         trace = Trace("dead-link", 16, events=events)
-        network = make_network(config, TraceSource(trace), faults=faults)
+        with engine_block(oracle):
+            network = make_network(config, TraceSource(trace), faults=faults)
+        assert isinstance(network, PhastlaneNetwork) == oracle
         _, drained = drain(network)
         assert drained, "dead ports must not livelock the drain"
         stats = network.stats
@@ -302,11 +327,13 @@ class TestGracefulDegradation:
         assert stats.packets_generated == stats.packets_delivered + stats.packets_lost
         assert stats.fault_kinds["dead_port"] == stats.faults_injected
 
-    @pytest.mark.parametrize("config", [OPT, ELE], ids=["optical", "electrical"])
-    def test_transient_faults_are_mostly_masked(self, config):
+    @pytest.mark.parametrize("config,oracle", DEGRADING)
+    def test_transient_faults_are_mostly_masked(self, config, oracle):
         faults = FaultConfig(seed=4, link_flip_prob=0.05)
         trace = burst_trace()
-        network = make_network(config, TraceSource(trace), faults=faults)
+        with engine_block(oracle):
+            network = make_network(config, TraceSource(trace), faults=faults)
+        assert isinstance(network, PhastlaneNetwork) == oracle
         _, drained = drain(network)
         assert drained
         stats = network.stats
@@ -438,18 +465,34 @@ class TestDegradationSweep:
 
 
     @pytest.mark.parametrize(
-        "config", [OPT, ELE, VEC], ids=["reference", "electrical", "vectorized"]
+        "config,oracle",
+        [
+            on_reference(OPT),
+            pytest.param(OPT, False, id="optical"),
+            pytest.param(ELE, False, id="electrical"),
+            pytest.param(VEC, False, id="vectorized"),
+        ],
     )
-    def test_sweep_is_monotone_and_anchored_at_fault_free(self, config):
+    def test_sweep_is_monotone_and_anchored_at_fault_free(self, config, oracle):
         """The tier-1 twin of the repo benchmark's ``fault.*`` checks."""
         rates = (0.0, 0.01, 0.05, 0.1)
-        results = Executor().map(
-            fault_sweep_specs(config, "uniform", 0.1, rates, cycles=200)
-        )
+        with engine_block(oracle):
+            results = Executor().map(
+                fault_sweep_specs(config, "uniform", 0.1, rates, cycles=200)
+            )
+            clean = run(
+                RunSpec(config, SyntheticWorkload("uniform", 0.1), cycles=200)
+            )
         injected = [result.stats.faults_injected for result in results]
         assert injected == sorted(injected) and injected[-1] > 0
-        clean = run(RunSpec(config, SyntheticWorkload("uniform", 0.1), cycles=200))
         assert results[0] == clean
+
+    def test_reference_and_dispatched_sweeps_are_the_same_sweep(self):
+        specs = fault_sweep_specs(OPT, "uniform", 0.1, (0.0, 0.05, 0.1), cycles=200)
+        with reference_oracle():
+            reference = Executor().map(specs)
+        assert Executor().map(specs) == reference
+        assert reference[-1].stats.faults_injected > 0
 
 
 @pytest.mark.slow
@@ -460,14 +503,15 @@ class TestFaultStress:
     BIG = MeshGeometry(8, 8)
 
     @pytest.mark.parametrize(
-        "config",
+        "config,oracle",
         [
-            PhastlaneConfig(mesh=BIG, max_hops_per_cycle=4),
-            ElectricalConfig(mesh=BIG),
+            pytest.param(PhastlaneConfig(mesh=BIG, max_hops_per_cycle=4), False,
+                         id="optical"),
+            on_reference(PhastlaneConfig(mesh=BIG, max_hops_per_cycle=4)),
+            pytest.param(ElectricalConfig(mesh=BIG), False, id="electrical"),
         ],
-        ids=["optical", "electrical"],
     )
-    def test_large_mesh_survives_heavy_faults(self, config):
+    def test_large_mesh_survives_heavy_faults(self, config, oracle):
         faults = FaultConfig(
             seed=13,
             dead_port_count=4,
@@ -481,7 +525,9 @@ class TestFaultStress:
             if (7 * index) % 64 != (11 * index + 3) % 64
         ]
         trace = Trace("stress", 64, events=sorted(events, key=lambda e: e.cycle))
-        network = make_network(config, TraceSource(trace), faults=faults)
+        with engine_block(oracle):
+            network = make_network(config, TraceSource(trace), faults=faults)
+        assert isinstance(network, PhastlaneNetwork) == oracle
         _, drained = drain(network, max_cycles=200_000)
         assert drained
         stats = network.stats

@@ -1,5 +1,7 @@
 """Tests for the experiment runner and sweeps."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import PhastlaneConfig
@@ -32,8 +34,13 @@ class TestMakeNetwork:
     def test_dispatch_on_config_type(self):
         from repro.core.network import PhastlaneNetwork
         from repro.electrical.network import ElectricalNetwork
+        from repro.vectorized import VectorizedNetwork
 
-        assert isinstance(make_network(OPTICAL), PhastlaneNetwork)
+        # The paper's design point runs on the sparse kernel; an alternative
+        # only the reference models runs on the reference.
+        assert type(make_network(OPTICAL)) is VectorizedNetwork
+        deflecting = replace(OPTICAL, contention_policy="deflect")
+        assert type(make_network(deflecting)) is PhastlaneNetwork
         assert isinstance(make_network(ELECTRICAL), ElectricalNetwork)
 
     def test_unknown_config_rejected(self):

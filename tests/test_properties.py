@@ -7,6 +7,7 @@ never exceed capacity, and delivery latency is bounded below by the
 physical minimum.
 """
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
@@ -24,6 +25,8 @@ from repro.sim.engine import SimulationEngine
 from repro.traffic.trace import Trace, TraceEvent, TraceSource
 from repro.util.geometry import MeshGeometry
 from repro.vectorized import VectorizedConfig
+
+from helpers import reference_oracle
 
 SLOW = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -48,6 +51,14 @@ def burst_trace(mesh: MeshGeometry, seed: int, packets: int) -> Trace:
         if src != dst:
             events.append(TraceEvent(0, src, dst))
     return Trace("burst", n, events=events)
+
+
+def build(kind, config, source, faults):
+    """``make_network``, on the oracle for the ``"reference"`` kind."""
+    with reference_oracle() if kind == "reference" else nullcontext():
+        network = make_network(config, source, faults=faults)
+    assert (type(network) is PhastlaneNetwork) == (kind == "reference")
+    return network
 
 
 def run_network(network, trace, max_extra=100_000):
@@ -166,9 +177,15 @@ class TestElectricalConservation:
         assert network.stats.mean_latency >= 5
 
 
+#: The registered kinds plus ``"reference"``: the phastlane config on
+#: ``repro.core``, asked for by name — the registry sends that config to the
+#: sparse kernel, and the reference's fault paths stay under the property.
+backend_kinds = st.sampled_from(sorted(registered_backends()) + ["reference"])
+
+
 def _contract_config(kind: str, mesh: MeshGeometry):
     """A small config per registered backend kind (mirrors the contract suite)."""
-    if kind == "phastlane":
+    if kind in ("phastlane", "reference"):
         return PhastlaneConfig(mesh=mesh, max_hops_per_cycle=4)
     if kind == "electrical":
         return ElectricalConfig(mesh=mesh)
@@ -223,7 +240,7 @@ class TestFaultConservation:
 
     @FAULT_SETTINGS
     @given(
-        st.sampled_from(sorted(registered_backends())),
+        backend_kinds,
         st.sampled_from([(4, 4), (4, 2), (3, 5)]),
         all_topologies,
         fault_models,
@@ -244,7 +261,7 @@ class TestFaultConservation:
             with pytest.raises(FabricError):
                 make_network(config, TraceSource(trace), faults=faults)
             return
-        network = make_network(config, TraceSource(trace), faults=faults)
+        network = build(kind, config, TraceSource(trace), faults)
         run_network(network, trace)  # asserts the drain terminates
         stats = network.stats
         assert stats.packets_generated == len(trace)
@@ -258,7 +275,7 @@ class TestFaultConservation:
 
     @FAULT_SETTINGS
     @given(
-        st.sampled_from(["phastlane", "electrical"]),
+        st.sampled_from(["phastlane", "reference", "electrical"]),
         fault_models,
         st.integers(0, 1000),
     )
@@ -268,7 +285,7 @@ class TestFaultConservation:
         mesh = MeshGeometry(4, 4)
         config = _contract_config(kind, mesh)
         trace = burst_trace(mesh, seed, packets=2 * mesh.num_nodes)
-        network = make_network(config, TraceSource(trace), faults=faults)
+        network = build(kind, config, TraceSource(trace), faults)
         run_network(network, trace)
         stats = network.stats
         assert sum(stats.fault_kinds.values()) == stats.faults_injected
