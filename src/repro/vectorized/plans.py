@@ -69,8 +69,7 @@ class PlanInfo:
     """A compiled route (flat tuples and a tap mask, see module docstring)."""
 
     __slots__ = (
-        "nodes", "exits", "locals", "keys", "length", "first_segment", "final",
-        "taps", "laser",
+        "nodes", "exits", "locals", "keys", "length", "final", "taps", "laser",
     )
 
     def __init__(
@@ -94,24 +93,25 @@ class PlanInfo:
         # test also finds the taps: ``TAP_STOP`` taps and then stops,
         # ``TAP_FLY - key`` taps and flies on under ``key``.
         self.keys = tuple(
-            (TAP_STOP if locals_[i] else TAP_FLY - (nodes[i] * 4 + exits[i]))
-            if taps >> i & 1
-            else (STOP if locals_[i] else nodes[i] * 4 + exits[i])
+            STOP if locals_[i] else nodes[i] * 4 + exits[i]
             for i in range(self.length)
         )
-        # Hop count of the first optical segment (index of the first Local
-        # mark past the source) — the laser charge of a transmission from
-        # the head of this plan, mirroring ``PhastlaneNetwork._first_segment``.
-        first = 0
-        for index in range(1, self.length):
-            if locals_[index]:
-                first = index
-                break
-        self.first_segment = first
-        #: What a launch from the head of this plan charges the laser, as
-        #: an index into the network's table (:func:`laser_index`): the
-        #: first segment's hops and the taps on it, which it also feeds.
-        self.laser = laser_index(first, (taps & ((2 << first) - 1)).bit_count())
+        # What a launch from the head of this plan charges the laser, as an
+        # index into the network's table: ``laser_index`` (inlined: plans
+        # are compiled by the hundred thousand) of the hops of the first
+        # optical segment, to the first Local mark past the source, and the
+        # taps on it, which the laser also feeds — the pair
+        # ``PhastlaneNetwork._first_segment`` returns.
+        first = 1
+        while not locals_[first]:
+            first += 1
+        self.laser = first * (first + 1) // 2
+        if taps:
+            self.laser += (taps & ((2 << first) - 1)).bit_count()
+            self.keys = tuple(
+                (TAP_STOP if key == STOP else TAP_FLY - key) if taps >> i & 1 else key
+                for i, key in enumerate(self.keys)
+            )
         self.final = nodes[-1]
 
 
