@@ -180,12 +180,11 @@ class VecNic(BaseNic):
             num_nodes = network.mesh.num_nodes
             broadcast_id = self._next_broadcast_id
             self._next_broadcast_id += num_nodes
-            network.begin_broadcast(broadcast_id, self.node)
             # One message per other node (one on a single-node grid, as
             # the reference counts it), the first of them the multicast.
             self.stats.multicast_packets += 1
             self.stats.packets_generated += max(num_nodes - 1, 1)
-            for plan in network.broadcast_plans(self.node):
+            for plan in network.begin_broadcast(broadcast_id, self.node):
                 packet = VecPacket(network.take_uid(), plan, generated_cycle)
                 packet.broadcast_id = broadcast_id
                 self._generation_queue.append(packet)

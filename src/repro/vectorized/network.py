@@ -84,9 +84,7 @@ from repro.vectorized.plans import (
     TAP_STOP,
     PlanInfo,
     PlanTable,
-    cleared,
     laser_index,
-    replanned,
 )
 from repro.vectorized.traffic import (
     Injection,
@@ -111,7 +109,7 @@ VECTORIZED_CALIBRATION = (
 _PLAN_CACHES: dict[tuple[str, int, int, int], PlanTable] = {}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _laser_table(
     mesh_nodes: int, payload_wdm: int, crossing_efficiency: float, max_hops: int
 ) -> tuple[float, ...]:
@@ -119,14 +117,11 @@ def _laser_table(
     make, by :func:`~repro.vectorized.plans.laser_index` (the reference's
     expression, evaluated once per parameter set)."""
     power = OpticalPowerModel(mesh_nodes=mesh_nodes)
-    table = [0.0]  # no launch covers zero hops
+    table = [0.0] * (laser_index(max_hops, max_hops) + 1)
     for segment in range(1, max_hops + 1):
         for taps in range(segment + 1):
-            assert len(table) == laser_index(segment, taps)
-            table.append(
-                power.transmit_laser_energy_pj(
-                    payload_wdm, segment, crossing_efficiency, multicast_taps=taps
-                )
+            table[laser_index(segment, taps)] = power.transmit_laser_energy_pj(
+                payload_wdm, segment, crossing_efficiency, multicast_taps=taps
             )
     return tuple(table)
 
@@ -235,15 +230,13 @@ class VectorizedNetwork(MeshNetworkBase):
 
     def plan(self, source: int, destination: int) -> PlanInfo:
         """The compiled route (cached; raises ValueError on self-traffic)."""
-        return self._plans[source * self._num_nodes + destination]
+        return self._plans.plan(source, destination)
 
-    def broadcast_plans(self, source: int) -> tuple[PlanInfo, ...]:
-        """The tapped plans of one broadcast from ``source`` (cached)."""
-        return self._plans.broadcast(source)
-
-    def begin_broadcast(self, broadcast_id: int, source: int) -> None:
-        """Open the delivery ledger of one broadcast: every other node."""
+    def begin_broadcast(self, broadcast_id: int, source: int) -> tuple[PlanInfo, ...]:
+        """Open the delivery ledger of one broadcast from ``source`` — every
+        other node is owed it — and return its tapped plans (cached)."""
         self._owed_taps[broadcast_id] = ((1 << self._num_nodes) - 1) ^ (1 << source)
+        return self._plans.broadcast(source)
 
     def take_uid(self) -> int:
         uid = self._next_uid
@@ -396,8 +389,8 @@ class VectorizedNetwork(MeshNetworkBase):
                 if packet.plan.taps:
                     # Section 2.1.4: the routers before the dropper were
                     # tapped; the resend does not tap them again.
-                    packet.plan = cleared(
-                        self._plans, packet.plan, signals[packet.uid]
+                    packet.plan = self._plans.cleared(
+                        packet.plan, signals[packet.uid]
                     )
             if retry_limit is not None:
                 for packet in abandoned:
@@ -853,7 +846,7 @@ class VectorizedNetwork(MeshNetworkBase):
             # route from its own position, the taps still ahead preserved
             # (``replan_from``; on an untapped plan ≡ ``build_plan``).
             packet.plan = (
-                replanned(self._plans, plan, index)
+                self._plans.replanned(plan, index)
                 if plan.taps
                 else self._plans[node * self._num_nodes + plan.final]
             )

@@ -4,8 +4,9 @@ The reference pipeline re-walks tuples of frozen
 :class:`~repro.core.routing.RouteStep` dataclasses on every wave.  The
 vectorized engine compiles each (source, destination) route once into a
 :class:`PlanInfo` of flat integer tuples — node ids, exit-port ids
-(``-1`` at the final router), Local marks — plus the first optical
-segment's hop count for the laser-energy charge.  Compilation bypasses
+(``-1`` at the final router), Local marks — plus the index of the launch's
+laser-energy charge (first optical segment's hops and taps).  Compilation
+bypasses
 :func:`~repro.core.routing.build_plan` entirely: the grid topology's
 ``dor_directions`` plus a per-network neighbour table reproduce the
 reference DOR route (same nodes, same exits, same periodic Local marks)
@@ -18,10 +19,10 @@ A dimension-order route's tail is the dimension-order route of the router
 it starts at, so the two rewrites of a tapped plan are shifts of that
 mask: a router that buffers the packet at index ``i`` resends it on its
 own route to the same final node with the taps still ahead
-(``taps >> i``, its own bit dropped — :func:`replanned`, the reference's
-``replan_from``), and a source told of a drop at index ``i`` resends with
-the bits before ``i`` cleared (:func:`cleared`, the reference's
-``clear_passed_taps``).
+(``taps >> i``, its own bit dropped — :meth:`PlanTable.replanned`, the
+reference's ``replan_from``), and a source told of a drop at index ``i``
+resends with the bits before ``i`` cleared (:meth:`PlanTable.cleared`, the
+reference's ``clear_passed_taps``).
 
 Plans live in a :class:`PlanTable` per (grid, hop budget), shared by every
 network on it, which is sound because a plan is a pure function of (grid,
@@ -97,17 +98,15 @@ class PlanInfo:
             for i in range(self.length)
         )
         # What a launch from the head of this plan charges the laser, as an
-        # index into the network's table: ``laser_index`` (inlined: plans
-        # are compiled by the hundred thousand) of the hops of the first
-        # optical segment, to the first Local mark past the source, and the
-        # taps on it, which the laser also feeds — the pair
+        # index into the network's table: the hops of the first optical
+        # segment (to the first Local mark past the source) and the taps on
+        # it, which the laser also feeds — the pair
         # ``PhastlaneNetwork._first_segment`` returns.
         first = 1
         while not locals_[first]:
             first += 1
-        self.laser = first * (first + 1) // 2
+        self.laser = laser_index(first, (taps & ((2 << first) - 1)).bit_count())
         if taps:
-            self.laser += (taps & ((2 << first) - 1)).bit_count()
             self.keys = tuple(
                 (TAP_STOP if key == STOP else TAP_FLY - key) if taps >> i & 1 else key
                 for i, key in enumerate(self.keys)
@@ -245,7 +244,7 @@ class PlanTable(dict[int, PlanInfo]):
     The table itself maps ``source * num_nodes + destination`` to the
     untapped route, compiling it on a miss, so the engine's hot sites are
     one subscript.  Tapped plans — the broadcast sweeps of a source and
-    what :func:`replanned` and :func:`cleared` derive from them — are
+    what :meth:`replanned` and :meth:`cleared` derive from them — are
     memoised beside it, bounded by :data:`TAPPED_PLAN_CAP`.
     """
 
@@ -320,16 +319,15 @@ class PlanTable(dict[int, PlanInfo]):
             raise ValueError(f"taps {stray} are not on the DOR path")
         return self.tapped(plan, taps)
 
+    def replanned(self, plan: PlanInfo, index: int) -> PlanInfo:
+        """The plan the router at ``plan.nodes[index]`` resends on when it
+        buffers the packet: its own route to the same final node, the taps
+        not yet passed preserved (see module docstring)."""
+        fresh = self.plan(plan.nodes[index], plan.final)
+        return self.tapped(fresh, plan.taps >> index & -2)
 
-def replanned(table: PlanTable, plan: PlanInfo, index: int) -> PlanInfo:
-    """The plan the router at ``plan.nodes[index]`` resends on when it
-    buffers the packet: its own route to the same final node, the taps not
-    yet passed preserved (see module docstring)."""
-    fresh = table[plan.nodes[index] * table.num_nodes + plan.final]
-    return table.tapped(fresh, plan.taps >> index & -2) if plan.taps else fresh
-
-
-def cleared(table: PlanTable, plan: PlanInfo, drop_index: int) -> PlanInfo:
-    """``plan`` with the Multicast bits before ``drop_index`` cleared: those
-    routers were tapped before the packet dropped (see module docstring)."""
-    return table.tapped(plan, plan.taps >> drop_index << drop_index)
+    def cleared(self, plan: PlanInfo, drop_index: int) -> PlanInfo:
+        """``plan`` with the Multicast bits before ``drop_index`` cleared:
+        those routers were tapped before the packet dropped (see module
+        docstring)."""
+        return self.tapped(plan, plan.taps >> drop_index << drop_index)

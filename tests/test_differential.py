@@ -71,11 +71,9 @@ from repro.vectorized.plans import (
     TAP_FLY,
     TAP_STOP,
     PlanTable,
-    cleared,
     compile_plan,
     laser_index,
     neighbor_table,
-    replanned,
 )
 
 from helpers import reference_oracle
@@ -533,18 +531,15 @@ class TestBroadcastBitIdentity:
         )
 
     @pytest.mark.parametrize("topology", ["mesh", "torus"])
-    def test_lone_broadcast_reaches_every_other_node_once(self, topology):
+    def test_finished_broadcast_keeps_no_ledger(self, topology):
+        # (That a lone broadcast reaches every other node exactly once, from
+        # every source, is ``test_core_network.py::TestZeroLoadLaw``.)
         mesh = MeshGeometry(4, 4)
         trace = Trace("bcast", mesh.num_nodes, events=[TraceEvent(0, 5, None)])
         config = VectorizedConfig(mesh=mesh, topology=topology)
-        tracer = CollectingTracer()
-        network = drive(config, TraceSource(trace), tracer=tracer)
-        assert network.stats.multicast_packets == 1
-        assert network.stats.packets_generated == mesh.num_nodes - 1
+        network = drive(config, TraceSource(trace))
         assert network.stats.packets_delivered == mesh.num_nodes - 1
-        served = sorted(event.node for event in tracer.by_kind("delivered"))
-        assert served == [node for node in mesh.nodes() if node != 5]
-        assert not network._owed_taps, "a finished broadcast keeps no ledger"
+        assert not network._owed_taps
         assert_replay_identical(config, trace, context=f" (lone, {topology})")
 
     def test_contended_broadcasts_drop_resend_and_clear_taps(self):
@@ -846,13 +841,13 @@ class TestCompiledPlans:
                 return
             for index in range(1, plan.length):
                 check(
-                    cleared(table, plan, index),
+                    table.cleared(plan, index),
                     clear_passed_taps(reference, index),
                     depth - 1,
                 )
             for index in range(1, plan.length - 1):
                 check(
-                    replanned(table, plan, index),
+                    table.replanned(plan, index),
                     replan_from(topo, reference, index, max_hops),
                     depth - 1,
                 )
@@ -882,10 +877,10 @@ class TestCompiledPlans:
         topo = topology_for("mesh", MeshGeometry(4, 4))
         table = PlanTable(topo, 4)
         plan = table.broadcast(0)[0]
-        assert cleared(table, plan, 1) is plan  # nothing before the first hop
+        assert table.cleared(plan, 1) is plan  # nothing before the first hop
         bare = table.tapped(plan, 0)
         assert bare is table.plan(plan.nodes[0], plan.final) and bare.taps == 0
-        assert replanned(table, bare, 1) is table.plan(plan.nodes[1], plan.final)
+        assert table.replanned(bare, 1) is table.plan(plan.nodes[1], plan.final)
 
     def test_stray_taps_refused_like_build_plan(self):
         topo = topology_for("mesh", MeshGeometry(4, 4))
