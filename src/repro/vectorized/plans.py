@@ -101,12 +101,14 @@ class PlanInfo:
         # index into the network's table: the hops of the first optical
         # segment (to the first Local mark past the source) and the taps on
         # it, which the laser also feeds — the pair
-        # ``PhastlaneNetwork._first_segment`` returns.
+        # ``PhastlaneNetwork._first_segment`` returns.  ``laser_index``,
+        # inlined: a cold 32x32 run compiles plans by the hundred thousand.
         first = 1
         while not locals_[first]:
             first += 1
-        self.laser = laser_index(first, (taps & ((2 << first) - 1)).bit_count())
+        self.laser = first * (first + 1) // 2
         if taps:
+            self.laser += (taps & ((2 << first) - 1)).bit_count()
             self.keys = tuple(
                 (TAP_STOP if key == STOP else TAP_FLY - key) if taps >> i & 1 else key
                 for i, key in enumerate(self.keys)
@@ -258,9 +260,8 @@ class PlanTable(dict[int, PlanInfo]):
         self._sweeps: dict[int, tuple[PlanInfo, ...]] = {}
 
     def __missing__(self, key: int) -> PlanInfo:
-        source, destination = divmod(key, self.num_nodes)
         plan = self[key] = compile_plan(
-            self.topology, self.neighbors, source, destination, self.max_hops
+            self.topology, self.neighbors, *divmod(key, self.num_nodes), self.max_hops
         )
         return plan
 
