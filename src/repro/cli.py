@@ -35,60 +35,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence, TextIO
+from importlib import import_module
+from typing import TYPE_CHECKING, Sequence, TextIO
 
-from repro.fabric import FabricError, NetworkConfig
-from repro.faults import FaultConfig
-from repro.harness.exec import (
-    Executor,
-    ResultCache,
-    RunEvent,
-    RunSpec,
-    TraceFileWorkload,
-)
-from repro.harness.experiments import (
-    fig04,
-    fig05,
-    fig06,
-    fig07,
-    fig08,
-    fig09,
-    fig10,
-    fig11,
-    tables,
-)
-from repro.harness.experiments.configs import cli_configs
-from repro.harness.experiments.splash2_runs import compute_matrix
-from repro.harness.report import (
-    manifest_to_dict,
-    point_to_dict,
-    result_to_dict,
-    write_report,
-)
-from repro.harness.htmlreport import write_campaign_html
-from repro.harness.sweeps import latency_vs_injection, throughput_vs_fault_rate
-from repro.obs import (
-    LiveDashboard,
-    ObsConfig,
-    analyze_trace_file,
-    diff_reports,
-    render_diff_markdown,
-    render_markdown,
-)
+# Imports follow the command: only what building the parser needs is
+# loaded here, and every handler imports what it runs.  ``--help`` and
+# ``repro analyze`` therefore never import numpy or a simulator.
 from repro.topology import registered_topologies
 from repro.traffic.patterns import PATTERNS
-from repro.traffic.splash2 import SPLASH2_PROFILES, generate_splash2_trace
-from repro.traffic.trace import Trace
+from repro.traffic.splash2 import SPLASH2_PROFILES
+from repro.util.errors import FabricError
 from repro.util.geometry import Direction
 from repro.util.tables import AsciiTable
 
-_ANALYTIC_FIGURES = {
-    "fig04": fig04,
-    "fig05": fig05,
-    "fig06": fig06,
-    "fig07": fig07,
-    "fig08": fig08,
-}
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fabric import NetworkConfig
+    from repro.faults import FaultConfig
+    from repro.harness.exec import Executor, RunEvent
+    from repro.obs import ObsConfig
+
+_ANALYTIC_FIGURES = ("fig04", "fig05", "fig06", "fig07", "fig08")
 
 
 def _ascii_progress(stream: TextIO):
@@ -161,6 +127,8 @@ class _UsageError(Exception):
 
 def _config_from_args(args: argparse.Namespace) -> NetworkConfig:
     """Look ``--config`` up among the configs built on ``--topology``."""
+    from repro.harness.experiments.configs import cli_configs
+
     configs = cli_configs(topology=args.topology)
     if args.config not in configs:
         raise _UsageError(
@@ -181,6 +149,8 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 def _faults_from_args(args: argparse.Namespace) -> FaultConfig | None:
     """Build the fault config from the shared CLI flags (None if disabled)."""
+    from repro.faults import FaultConfig
+
     if args.fault_model == "burst":
         enter, flip = args.link_flip_prob, 0.0
     else:
@@ -200,6 +170,8 @@ def _faults_from_args(args: argparse.Namespace) -> FaultConfig | None:
 
 def _obs_from_args(args: argparse.Namespace) -> ObsConfig | None:
     """Build the observability config from the shared CLI flags."""
+    from repro.obs import ObsConfig
+
     try:
         obs = ObsConfig(
             trace_path=args.trace_out,
@@ -217,6 +189,8 @@ def _obs_from_args(args: argparse.Namespace) -> ObsConfig | None:
 
 
 def _executor_from_args(args: argparse.Namespace) -> Executor:
+    from repro.harness.exec import Executor, ResultCache
+
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     kwargs: dict = {
         "workers": args.workers,
@@ -227,6 +201,8 @@ def _executor_from_args(args: argparse.Namespace) -> Executor:
     if getattr(args, "live", False):
         # The dashboard replaces the plain progress line entirely — it
         # prints its own per-completion lines off-TTY.
+        from repro.obs import LiveDashboard
+
         dashboard = LiveDashboard()
         kwargs["progress"] = dashboard.on_event
         kwargs["live"] = dashboard.on_progress
@@ -236,6 +212,8 @@ def _executor_from_args(args: argparse.Namespace) -> Executor:
 
 def _finish_campaign(executor: Executor, args: argparse.Namespace) -> None:
     """Summarise the executor's event log; write the manifest if asked."""
+    from repro.harness.report import manifest_to_dict, write_report
+
     dashboard = getattr(args, "_dashboard", None)
     if dashboard is not None:
         dashboard.close()
@@ -249,6 +227,8 @@ def _finish_campaign(executor: Executor, args: argparse.Namespace) -> None:
         path = write_report(args.manifest, manifest)
         print(f"wrote manifest to {path}", file=sys.stderr)
     if getattr(args, "html", None):
+        from repro.harness.htmlreport import write_campaign_html
+
         path = write_campaign_html(args.html, executor.events)
         print(f"wrote HTML campaign report to {path}", file=sys.stderr)
     if getattr(args, "trace_out", None):
@@ -258,6 +238,8 @@ def _finish_campaign(executor: Executor, args: argparse.Namespace) -> None:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    from repro.harness.experiments import tables
+
     print(tables.render_all())
     return 0
 
@@ -265,9 +247,12 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     name = args.name
     if name in _ANALYTIC_FIGURES:
-        module = _ANALYTIC_FIGURES[name]
+        module = import_module(f"repro.harness.experiments.{name}")
         print(module.render(module.compute()))
         return 0
+    from repro.harness.experiments import fig09, fig10, fig11
+    from repro.harness.experiments.splash2_runs import compute_matrix
+
     executor = _executor_from_args(args)
     if name == "fig09":
         data = fig09.compute(cycles=args.cycles, executor=executor)
@@ -286,6 +271,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.harness.report import point_to_dict, write_report
+    from repro.harness.sweeps import latency_vs_injection
+
     config = _config_from_args(args)
     rates = _float_list(args.rates, "--rates")
     executor = _executor_from_args(args)
@@ -332,6 +320,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_generate(args: argparse.Namespace) -> int:
+    from repro.traffic.splash2 import generate_splash2_trace
+
     trace = generate_splash2_trace(
         args.benchmark, seed=args.seed, duration_cycles=args.cycles
     )
@@ -344,6 +334,8 @@ def _cmd_trace_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_info(args: argparse.Namespace) -> int:
+    from repro.traffic.trace import Trace
+
     trace = Trace.load(args.file)
     table = AsciiTable(["property", "value"], title=f"Trace {trace.name}")
     table.add_row(["nodes", trace.num_nodes])
@@ -356,6 +348,8 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.harness.exec import RunSpec, TraceFileWorkload
+
     spec = RunSpec(
         config=_config_from_args(args),
         workload=TraceFileWorkload(args.trace),
@@ -372,7 +366,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         table.add_row(["faults_injected", result.stats.faults_injected])
         table.add_row(["faults_masked", result.stats.faults_masked])
         table.add_row(["packets_lost", result.stats.packets_lost])
-    table.add_row(["power_w", f"{result.power_w:.3f}"])
     table.add_row(["cycles", result.cycles])
     table.add_row(["wall_time_s", f"{result.wall_time_s:.3f}"])
     table.add_row(["packets_per_second", f"{result.packets_per_second:.0f}"])
@@ -382,6 +375,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fault_sweep(args: argparse.Namespace) -> int:
+    from repro.faults import FaultConfig
+    from repro.harness.report import write_report
+    from repro.harness.sweeps import throughput_vs_fault_rate
+
     config = _config_from_args(args)
     fault_rates = _float_list(args.fault_rates, "--fault-rates")
     # The template carries every knob except the swept probability; sweep
@@ -436,6 +433,10 @@ def _cmd_fault_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.harness.experiments import fig10, fig11
+    from repro.harness.experiments.splash2_runs import compute_matrix
+    from repro.harness.report import result_to_dict, write_report
+
     executor = _executor_from_args(args)
     matrix = compute_matrix(
         duration_cycles=args.cycles, seed=args.seed, executor=executor
@@ -460,6 +461,18 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.obs.analysis import (
+        analyze_trace_file,
+        diff_reports,
+        render_diff_markdown,
+        render_markdown,
+    )
+
+    if args.out:
+        # The report writer lives beside the runner: only --out pays for
+        # the simulators that module imports.
+        from repro.harness.report import write_report
+
     if args.diff and args.trace:
         raise _UsageError("repro: give either a trace or --diff A B, not both")
     if not args.diff and not args.trace:
@@ -620,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure = sub.add_parser(
         "figure", help="regenerate one figure", parents=[executor_flags]
     )
-    figure.add_argument("name", choices=sorted(_ANALYTIC_FIGURES) + ["fig09", "fig10", "fig11"])
+    figure.add_argument("name", choices=[*_ANALYTIC_FIGURES, "fig09", "fig10", "fig11"])
     figure.add_argument("--cycles", type=int, default=1500)
     figure.add_argument("--manifest", help="write the campaign manifest JSON here")
     figure.set_defaults(func=_cmd_figure)

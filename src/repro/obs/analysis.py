@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.obs.events import EVENT_KINDS, PacketEvent
-from repro.obs.tracers import TRACE_SCHEMA
+from repro.obs.tracers import COMMON_RECORD, TRACE_SCHEMA
 from repro.sim.stats import nearest_rank
 
 #: The wait components every delivered latency decomposes into.
@@ -482,7 +482,13 @@ def read_trace_file(
     path = Path(path)
     events: list[PacketEvent] = []
     meta: dict[str, Any] = {}
+    common = COMMON_RECORD.fullmatch
     for number, line in enumerate(path.read_text().splitlines()):
+        record = common(line)
+        if record is not None:  # the writer's common record, as json reads it
+            cycle, kind, node, uid = record.groups()
+            events.append(PacketEvent(kind, int(cycle), int(node), int(uid)))
+            continue
         if not line.strip():
             continue
         try:

@@ -46,8 +46,7 @@ consumers can rely on it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracers import Tracer
@@ -72,14 +71,14 @@ EVENT_KINDS = (
 _KIND_SET = frozenset(EVENT_KINDS)
 
 
-@dataclass(frozen=True, slots=True)
-class PacketEvent:
+class PacketEvent(NamedTuple):
     """One structured lifecycle event.
 
     ``node`` is where the event physically happened (for ``dropped`` that
     is the blocking router, matching the paper's drop-storm attribution);
     ``uid`` identifies the packet across its whole lifecycle, including
-    retransmissions.
+    retransmissions.  A tuple because a traced run builds one per event:
+    consumers read the fields by name or unpack all five.
     """
 
     kind: str
@@ -124,7 +123,7 @@ class TraceHub:
         """Build one :class:`PacketEvent` and hand it to every tracer."""
         if kind not in _KIND_SET:
             raise ValueError(f"unknown event kind {kind!r}; expected {EVENT_KINDS}")
-        event = PacketEvent(kind=kind, cycle=cycle, node=node, uid=uid, extra=extra)
+        event = PacketEvent(kind, cycle, node, uid, extra)
         for tracer in self._tracers:
             tracer.emit(event)
 

@@ -20,6 +20,7 @@ trace is still internally consistent.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from pathlib import Path
 from typing import Any, Callable
@@ -30,6 +31,29 @@ from repro.obs.events import EVENT_KINDS, PacketEvent
 #: version when the event vocabulary or line layout changes incompatibly;
 #: :func:`repro.obs.analysis.read_trace_file` validates against it.
 TRACE_SCHEMA = "repro-trace/v1"
+
+# A record is ``json.dumps(payload, sort_keys=True)`` of the four fields
+# plus the flattened extras, so the *common record* — no extras, a
+# vocabulary kind, ``cycle``/``node``/``uid`` exactly ``int`` — has one
+# layout.  Writer and reader treat it as fixed and everything else as JSON
+# (DESIGN.md section 8); its two statements sit side by side.
+
+#: kind -> ``%``-template: byte for byte what ``json.dumps`` writes.
+_COMMON_TEMPLATES = {
+    kind: f'{{"cycle": %d, "kind": "{kind}", "node": %d, "uid": %d}}'
+    for kind in EVENT_KINDS
+}
+
+#: The layout as a pattern to ``fullmatch`` a line against (groups: cycle,
+#: kind, node, uid).  It accepts a *strict subset* of what ``json.loads``
+#: accepts — fixed key order and spacing, ASCII digits, no leading zero, no
+#: ``-0``, at most 18 digits — so a matching line is the event ``json.loads``
+#: would give and every other line is left to it.
+COMMON_RECORD = re.compile(
+    r'\{"cycle": INT, "kind": "(KIND)", "node": INT, "uid": INT\}'.replace(
+        "INT", "(0|-?[1-9][0-9]{0,17})"
+    ).replace("KIND", "|".join(EVENT_KINDS))
+)
 
 
 class Tracer:
@@ -165,16 +189,28 @@ class JsonlTraceWriter(_FileTracer):
         }
         header.update(self.meta)
         lines = [json.dumps(header, sort_keys=True)]
-        for event in events:
-            payload: dict[str, Any] = {
-                "kind": event.kind,
-                "cycle": event.cycle,
-                "node": event.node,
-                "uid": event.uid,
-            }
-            if event.extra:
-                payload.update(event.extra)
-            lines.append(json.dumps(payload, sort_keys=True))
+        for kind, cycle, node, uid, extra in events:
+            if (
+                not extra
+                and type(cycle) is int
+                and type(node) is int
+                and type(uid) is int
+                and type(kind) is str
+                and kind in _COMMON_TEMPLATES
+            ):
+                lines.append(_COMMON_TEMPLATES[kind] % (cycle, node, uid))
+            else:
+                # Extras, a foreign kind, a bool or numpy integer: json
+                # decides how each prints, or that it does not.
+                payload: dict[str, Any] = {
+                    "kind": kind,
+                    "cycle": cycle,
+                    "node": node,
+                    "uid": uid,
+                }
+                if extra:
+                    payload.update(extra)
+                lines.append(json.dumps(payload, sort_keys=True))
         return "\n".join(lines) + "\n"
 
 

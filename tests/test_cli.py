@@ -1,10 +1,28 @@
 """Tests for the command-line interface."""
 
 import json
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_rows(out: str) -> list[tuple[str, str]]:
+    """The ``(metric, value)`` rows of a rendered ``repro run`` table."""
+    cells = [
+        tuple(cell.strip() for cell in line.split("|"))
+        for line in out.splitlines()
+        if "|" in line
+    ]
+    assert cells[0] == ("metric", "value")
+    return cells[1:]
 
 
 class TestTablesAndFigures:
@@ -123,19 +141,32 @@ class TestTraceWorkflow:
         main(["trace", "generate", "fft", "--out", str(path), "--cycles", "150"])
         capsys.readouterr()
 
+        # Parsed rows, not rendered lines: the rule under the header is as
+        # wide as the widest value, which is the wall-clock row left out.
         def table(config):
             argv = ["run", "--config", config, "--trace", str(path), "--no-cache"]
             assert main(argv) == 0
             out = capsys.readouterr().out
             assert f"{config} on fft" in out
             return [
-                line for line in out.splitlines()
-                if "wall_time" not in line and "per_second" not in line
-                and f"{config} on fft" not in line
+                row for row in run_rows(out)
+                if row[0] not in ("wall_time_s", "packets_per_second")
             ]
 
         assert " * " in path.read_text(), "the trace carries no broadcast"
-        assert table(label) == table("Optical4")
+        rows = table(label)
+        assert rows == table("Optical4")
+        assert len(rows) >= 7
+
+    def test_run_prints_each_metric_once(self, tmp_path, capsys):
+        path = tmp_path / "fft.trace"
+        main(["trace", "generate", "fft", "--out", str(path), "--cycles", "100"])
+        capsys.readouterr()
+        argv = ["run", "--config", "Vector4", "--trace", str(path), "--no-cache"]
+        assert main(argv) == 0
+        labels = [metric for metric, _ in run_rows(capsys.readouterr().out)]
+        assert len(labels) == len(set(labels)), labels
+        assert {"power_w", "cycles", "wall_time_s"} <= set(labels)
 
     def test_run_unknown_config_errors(self, tmp_path):
         path = tmp_path / "t.trace"
@@ -244,3 +275,135 @@ class TestFaultFlags:
     def test_invalid_fault_config_exits(self, capsys):
         assert main(["sweep", "--link-flip-prob", "2.0"]) == 2
         assert "invalid fault config" in capsys.readouterr().err
+
+
+#: Packages a command that simulates nothing must not import.
+HEAVY = (
+    "numpy",
+    "repro.core",
+    "repro.electrical",
+    "repro.vectorized",
+    "repro.photonics",
+    "repro.harness.experiments",
+)
+
+#: Runs ``repro.cli.main`` on argv and reports which of HEAVY got imported.
+PROBE = """
+import contextlib, io, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    try:
+        code = main(sys.argv[2:])
+    except SystemExit as exit:
+        code = exit.code
+heavy = tuple(sys.argv[1].split(","))
+inside = tuple(name + "." for name in heavy)
+loaded = sorted(m for m in sys.modules if m in heavy or m.startswith(inside))
+print(code, len(out.getvalue()), ",".join(loaded))
+"""
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter finding ``repro`` the way this one did."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120
+    )
+
+
+class TestImportsFollowTheCommand:
+    @pytest.fixture(scope="class")
+    def small_trace(self, tmp_path_factory):
+        from repro.obs import JsonlTraceWriter, PacketEvent
+
+        path = tmp_path_factory.mktemp("hygiene") / "small.jsonl"
+        writer = JsonlTraceWriter(path, meta={"label": "Optical4", "link_delay": 0})
+        for event in (
+            PacketEvent("generated", 0, 5, 1, {"dst": 9}),
+            PacketEvent("injected", 2, 5, 1),
+            PacketEvent("hop", 3, 9, 1),
+            PacketEvent("delivered", 3, 9, 1),
+        ):
+            writer.emit(event)
+        writer.close()
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["sweep", "--help"], ["analyze", "TRACE"]],
+        ids=" ".join,
+    )
+    def test_no_simulator_and_no_numpy(self, argv, small_trace):
+        argv = [small_trace if arg == "TRACE" else arg for arg in argv]
+        done = python("-c", PROBE, ",".join(HEAVY), *argv)
+        assert done.returncode == 0, done.stderr
+        code, printed, loaded = done.stdout.rstrip("\n").split(" ")
+        assert code == "0" and int(printed) > 0
+        assert loaded == ""
+
+    def test_the_probe_sees_a_command_that_simulates(self):
+        # The canary: `tables` reads the photonic models, so the probe
+        # reports them — an empty answer above is not the probe's blindness.
+        done = python("-c", PROBE, ",".join(HEAVY), "tables")
+        assert done.returncode == 0, done.stderr
+        assert "repro.photonics" in done.stdout
+        assert "repro.harness.experiments" in done.stdout
+
+    def test_module_entry_point_prints_help(self):
+        done = python("-m", "repro", "--help")
+        assert done.returncode == 0
+        assert "analyze" in done.stdout and "campaign" in done.stdout
+
+
+class TestPackageRoot:
+    def test_import_loads_no_subpackage(self):
+        done = python(
+            "-c",
+            "import repro, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.')))",
+        )
+        assert done.stdout.strip() == "[]", done.stdout + done.stderr
+
+    def test_every_public_name_is_its_defining_modules_object(self):
+        from importlib import import_module
+
+        assert isinstance(repro.__version__, str)
+        for name in set(repro.__all__) - {"__version__"}:
+            value = getattr(repro, name)
+            assert value is getattr(import_module(value.__module__), name), name
+            assert repro.__dict__[name] is value  # resolved once
+
+    def test_dir_and_star_import(self):
+        assert "__all__" in dir(repro)
+        assert set(repro.__all__) <= set(dir(repro))
+        namespace: dict = {}
+        exec("from repro import *", namespace)
+        assert set(repro.__all__) <= set(namespace)
+        assert namespace["run"] is repro.run
+
+    def test_unknown_attribute_names_the_package(self):
+        with pytest.raises(AttributeError, match="'repro'.*'warp_drive'"):
+            repro.warp_drive
+        assert not hasattr(repro, "warp_drive")
+
+    def test_readme_quick_start_runs_as_written(self):
+        text = (ROOT / "README.md").read_text()
+        fence = "```python\n"
+        start = text.index(fence, text.index("## Quickstart")) + len(fence)
+        snippet = text[start:text.index("```", start)]
+        assert snippet.startswith("from repro import PhastlaneConfig")
+        done = python("-c", snippet)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip()
+
+    def test_one_version_statement(self):
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())
+        assert "version" not in project["project"]
+        assert project["project"]["dynamic"] == ["version"]
+        assert project["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
+        # setuptools reads the attribute as a literal, without importing.
+        literal = [
+            line for line in (ROOT / "src/repro/__init__.py").read_text().splitlines()
+            if line.startswith("__version__ = ")
+        ]
+        assert literal == [f'__version__ = "{repro.__version__}"']
