@@ -75,7 +75,7 @@ class VecPacket:
 
     __slots__ = (
         "uid", "plan", "generated_cycle", "attempts",
-        "eligible", "queue_id", "launched", "hop", "broadcast_id",
+        "eligible", "queue_id", "launched", "origin", "hop", "broadcast_id",
     )
 
     def __init__(self, uid: int, plan: PlanInfo, generated_cycle: int) -> None:
@@ -93,6 +93,9 @@ class VecPacket:
         self.queue_id = 0
         #: Cycle it launched (while pending).
         self.launched = -1
+        #: Plan index of the router that holds (or launched) the packet: the
+        #: source, then each router that buffers it (section 2.1.3).
+        self.origin = 0
         #: Plan index while mid-flight this cycle (the packet *is* the
         #: flight record — no per-launch wrapper allocation).
         self.hop = 0

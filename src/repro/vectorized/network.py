@@ -17,9 +17,11 @@ every router and NIC every cycle regardless of occupancy; this engine is
 - the rotating arbiter pointer is stored lazily (:class:`.components.VecRouter`),
   reproducing the reference's every-cycle advance without touching idle
   routers;
-- routes are compiled once into flat :class:`~repro.vectorized.plans.PlanInfo`
-  tuples, looked up in a :class:`~repro.vectorized.plans.PlanTable` shared by
-  every network on the same grid and hop budget;
+- a route is compiled once per pair into a flat
+  :class:`~repro.vectorized.plans.PlanInfo`, looked up in a
+  :class:`~repro.vectorized.plans.PlanTable` shared by every network on the
+  same grid, and a packet keeps it for life: its position is ``(plan,
+  origin, hop)`` and a flight stops at the final router or on the last wave;
 - a snoopy broadcast is the section 2.1.4 fan-out: one multicast packet per
   column sweep whose plan carries a tap mask, a power-tap delivery at every
   marked router (first tap wins per broadcast and node), the marks of passed
@@ -103,10 +105,10 @@ VECTORIZED_CALIBRATION = (
 )
 
 #: Plan tables shared across network instances: a plan is a pure function
-#: of (grid kind, shape, hop budget, source, destination, taps), so bench
-#: repeats and differential sweeps re-use each other's routes instead of
-#: recompiling them.  The plans in them are immutable.
-_PLAN_CACHES: dict[tuple[str, int, int, int], PlanTable] = {}
+#: of (grid kind, shape, source, destination, taps), so bench repeats,
+#: hop-budget sweeps and differential sweeps re-use each other's routes
+#: instead of recompiling them.  The plans in them are immutable.
+_PLAN_CACHES: dict[tuple[str, int, int], PlanTable] = {}
 
 
 @lru_cache(maxsize=64)
@@ -166,17 +168,10 @@ class VectorizedNetwork(MeshNetworkBase):
         self._ingested_source: TrafficSource | None = None
         self._ingested = False
         self._next_uid = 0
-        table_key = (
-            self._grid.name,
-            self._grid.width,
-            self._grid.height,
-            config.max_hops_per_cycle,
-        )
+        table_key = (self._grid.name, self._grid.width, self._grid.height)
         plans = _PLAN_CACHES.get(table_key)
         if plans is None:
-            plans = _PLAN_CACHES[table_key] = PlanTable(
-                self._grid, config.max_hops_per_cycle
-            )
+            plans = _PLAN_CACHES[table_key] = PlanTable(self._grid)
         #: ``plans[source * num_nodes + destination]`` is the untapped route.
         self._plans = plans
         self._num_nodes = self.mesh.num_nodes
@@ -189,7 +184,7 @@ class VectorizedNetwork(MeshNetworkBase):
         #: Routers that launched this cycle — exactly the ones with pending
         #: transmissions at the next resolve (appended in node order).
         self._pending_routers: list[VecRouter] = []
-        #: Laser charge of a launch, by ``PlanInfo.laser``.
+        #: Laser charge of a launch, by ``laser_index(segment hops, taps)``.
         self._laser = _laser_table(
             self.mesh.num_nodes,
             config.payload_wdm,
@@ -562,6 +557,7 @@ class VectorizedNetwork(MeshNetworkBase):
         e_modulator = self._e_modulator
         e_buffer_read = self._e_buffer_read
         laser = self._laser
+        max_hops = self.config.max_hops_per_cycle
         pending_routers = self._pending_routers
         scan_order = SCAN_ORDER
         retired: list[int] | None = None
@@ -595,7 +591,8 @@ class VectorizedNetwork(MeshNetworkBase):
                 if packet.eligible > cycle:
                     continue
                 plan = packet.plan
-                output = plan.exits[0]
+                origin = packet.origin
+                output = plan.exits[origin]
                 bit = 1 << output
                 if claimed_outputs & bit:
                     continue
@@ -606,7 +603,7 @@ class VectorizedNetwork(MeshNetworkBase):
                 launched += 1
                 packet.queue_id = queue_id
                 packet.launched = cycle
-                packet.hop = 0
+                packet.hop = origin
                 router.pending.append(packet)
                 router.pending_by_queue[queue_id] += 1
                 if first_served < 0:
@@ -615,7 +612,18 @@ class VectorizedNetwork(MeshNetworkBase):
                 # transmit charges, port claim, transit record.
                 modulator_sum += e_modulator
                 buffer_read_sum += e_buffer_read
-                laser_sum += laser[plan.laser]
+                # The laser feeds the segment this launch can fly (to the
+                # last wave or the final router) and the taps on it: the
+                # reference's ``_first_segment``, as ``laser_index`` inlined.
+                segment = plan.length - 1 - origin
+                if segment > max_hops:
+                    segment = max_hops
+                charge = segment * (segment + 1) // 2
+                if plan.taps:
+                    charge += (
+                        plan.taps >> (origin + 1) & ((1 << segment) - 1)
+                    ).bit_count()
+                laser_sum += laser[charge]
                 claims.add(node * 4 + output)
                 flights.append(packet)
             if launched:
@@ -642,9 +650,13 @@ class VectorizedNetwork(MeshNetworkBase):
 
         One loop serves every run.  The fault-free, untraced unicast bench
         path pays two ``is not None`` tests per crossing for the fault
-        query and the emits; a power tap is found by the same ``key < 0``
-        test that finds a stop.  Everything else is shared, so there is no
-        second copy to keep in step with the reference.
+        query and the emits, and one bool for the last wave: every flight
+        launched at wave 0, so whatever still flies there is
+        ``max_hops_per_cycle`` routers from its origin — the reference's
+        periodic Local mark, which the shared plan does not carry — and
+        stops as if its key said so.  A power tap is found by the same
+        ``key < 0`` test that finds a stop.  Everything else is shared, so
+        there is no second copy to keep in step with the reference.
         """
         faults = self._faults
         crossing_fault = faults.crossing_fault if faults is not None else None
@@ -672,7 +684,9 @@ class VectorizedNetwork(MeshNetworkBase):
         owed_taps = self._owed_taps
         record_tap_delivery = stats.record_delivered
         active = flights
-        for _wave in range(self.config.max_hops_per_cycle):
+        last_wave = self.config.max_hops_per_cycle - 1
+        for wave in range(last_wave + 1):
+            stopping = wave == last_wave
             # Contention groups in arrival order: a lone contender is
             # stored bare; a second arrival promotes the slot to a list
             # (collisions are rare, so most keys never allocate one).
@@ -695,6 +709,11 @@ class VectorizedNetwork(MeshNetworkBase):
                     hub.emit("hop", cycle, plan.nodes[index], packet.uid)
                 receiver_sum += e_receive_control
                 key = plan.keys[index]
+                if stopping:
+                    if key >= 0:
+                        key = STOP
+                    elif key <= TAP_FLY:
+                        key = TAP_STOP
                 if key < 0:
                     if key == STOP:
                         receiver_sum += e_receive_packet
@@ -842,14 +861,9 @@ class VectorizedNetwork(MeshNetworkBase):
             or len(router.queues[queue_id]) + router.pending_by_queue[queue_id]
             < capacity
         ):
-            # The buffering router assumes responsibility with a fresh
-            # route from its own position, the taps still ahead preserved
-            # (``replan_from``; on an untapped plan ≡ ``build_plan``).
-            packet.plan = (
-                self._plans.replanned(plan, index)
-                if plan.taps
-                else self._plans[node * self._num_nodes + plan.final]
-            )
+            # The buffering router assumes responsibility and resends on
+            # the rest of this route (what ``replan_from`` builds afresh).
+            packet.origin = index
             packet.eligible = cycle + 1
             router.queues[queue_id].append(packet)
             router.mask |= 1 << queue_id

@@ -3,30 +3,33 @@
 The reference pipeline re-walks tuples of frozen
 :class:`~repro.core.routing.RouteStep` dataclasses on every wave.  The
 vectorized engine compiles each (source, destination) route once into a
-:class:`PlanInfo` of flat integer tuples — node ids, exit-port ids
-(``-1`` at the final router), Local marks — plus the index of the launch's
-laser-energy charge (first optical segment's hops and taps).  Compilation
-bypasses
+:class:`PlanInfo` of flat integer tuples — node ids and exit-port ids
+(``-1`` at the final router).  Compilation bypasses
 :func:`~repro.core.routing.build_plan` entirely: the grid topology's
 ``dor_directions`` plus a per-network neighbour table reproduce the
-reference DOR route (same nodes, same exits, same periodic Local marks)
-without constructing any ``RouteStep`` objects — the differential suite
-pins the resulting schedules bit-identical on both mesh and torus.
+reference DOR route (same nodes, same exits) without constructing any
+``RouteStep`` objects — the differential suite pins the resulting
+schedules bit-identical on both mesh and torus.
+
+A plan is the route and nothing else: every packet on the pair holds the
+same one for its whole life, as the paper's packet keeps its predecoded
+control bits (sections 2.1, 2.1.3).  A dimension-order route's tail is the
+dimension-order route of the router it starts at, so what the reference's
+``replan_from`` builds when the router at index ``i`` buffers the packet
+is this plan from ``i`` on; its periodic Local marks, every ``max_hops``
+routers from ``i``, are not in the plan: the engine reads them off
+``VecPacket.origin`` and the wave count.
 
 Multicast power taps (paper section 2.1.4) ride on the plan as a bitmask:
 bit ``i`` of ``PlanInfo.taps`` is the Multicast bit of the ``i``-th router.
-A dimension-order route's tail is the dimension-order route of the router
-it starts at, so the two rewrites of a tapped plan are shifts of that
-mask: a router that buffers the packet at index ``i`` resends it on its
-own route to the same final node with the taps still ahead
-(``taps >> i``, its own bit dropped — :meth:`PlanTable.replanned`, the
-reference's ``replan_from``), and a source told of a drop at index ``i``
-resends with the bits before ``i`` cleared (:meth:`PlanTable.cleared`, the
-reference's ``clear_passed_taps``).
+The bits behind a packet are never read again, so a buffered packet keeps
+its mask too, and the one rewrite left is a source told of a drop at index
+``i``, which resends with the bits before ``i`` cleared
+(:meth:`PlanTable.cleared`, the reference's ``clear_passed_taps``).
 
-Plans live in a :class:`PlanTable` per (grid, hop budget), shared by every
-network on it, which is sound because a plan is a pure function of (grid,
-hop budget, source, destination, taps).
+Plans live in a :class:`PlanTable` per grid, shared by every network on
+it whatever its hop budget, which is sound because a plan is a pure
+function of (grid, source, destination, taps).
 
 :data:`RANK16` flattens the reference arbitration key: index
 ``arrival * 4 + exit`` holds the turn rank (straight=0 < left=1 <
@@ -69,51 +72,32 @@ STOP, TAP_STOP, TAP_FLY = -1, -2, -3
 class PlanInfo:
     """A compiled route (flat tuples and a tap mask, see module docstring)."""
 
-    __slots__ = (
-        "nodes", "exits", "locals", "keys", "length", "final", "taps", "laser",
-    )
+    __slots__ = ("nodes", "exits", "keys", "length", "final", "taps")
 
     def __init__(
-        self,
-        nodes: tuple[int, ...],
-        exits: tuple[int, ...],
-        locals_: tuple[bool, ...],
-        taps: int = 0,
+        self, nodes: tuple[int, ...], exits: tuple[int, ...], taps: int = 0
     ) -> None:
         self.nodes = nodes
         self.exits = exits
-        self.locals = locals_
         self.length = len(nodes)
+        self.final = nodes[-1]
         #: Multicast bits: bit ``i`` set where router ``i`` power-taps the
         #: packet.  Zero on every unicast plan.
         self.taps = taps
-        # Per-hop contention key: ``node * 4 + exit`` where the packet
-        # keeps flying, ``STOP`` where it stops (a Local mark).  One tuple
-        # load replaces the nodes/exits/locals triple in the wave hot loop.
-        # A power tap folds into the same int, so the loop's one ``key < 0``
-        # test also finds the taps: ``TAP_STOP`` taps and then stops,
-        # ``TAP_FLY - key`` taps and flies on under ``key``.
-        self.keys = tuple(
-            STOP if locals_[i] else nodes[i] * 4 + exits[i]
-            for i in range(self.length)
-        )
-        # What a launch from the head of this plan charges the laser, as an
-        # index into the network's table: the hops of the first optical
-        # segment (to the first Local mark past the source) and the taps on
-        # it, which the laser also feeds — the pair
-        # ``PhastlaneNetwork._first_segment`` returns.  ``laser_index``,
-        # inlined: a cold 32x32 run compiles plans by the hundred thousand.
-        first = 1
-        while not locals_[first]:
-            first += 1
-        self.laser = first * (first + 1) // 2
+        # Per-hop contention key: ``node * 4 + exit`` at every router the
+        # route flies through, ``STOP`` at the final one.  One tuple load
+        # replaces the nodes/exits pair in the wave hot loop.  A power tap
+        # folds into the same int, so the loop's one ``key < 0`` test also
+        # finds the taps: ``TAP_STOP`` taps and then stops, ``TAP_FLY -
+        # key`` taps and flies on under ``key``.
+        keys = [node * 4 + port for node, port in zip(nodes, exits)]
+        keys[-1] = STOP
         if taps:
-            self.laser += (taps & ((2 << first) - 1)).bit_count()
-            self.keys = tuple(
+            keys = [
                 (TAP_STOP if key == STOP else TAP_FLY - key) if taps >> i & 1 else key
-                for i, key in enumerate(self.keys)
-            )
-        self.final = nodes[-1]
+                for i, key in enumerate(keys)
+            ]
+        self.keys = tuple(keys)
 
 
 def neighbor_table(topology: GridTopology) -> tuple[tuple[int, ...], ...]:
@@ -133,15 +117,15 @@ def compile_plan(
     neighbors: tuple[tuple[int, ...], ...],
     source: int,
     destination: int,
-    max_hops: int,
+    _max_hops: int = 0,  # unread: bench/probes.py still passes a hop budget
 ) -> PlanInfo:
     """The DOR route as a :class:`PlanInfo`, skipping ``build_plan``.
 
-    Reproduces ``build_plan(topology, source, destination, max_hops)``
-    exactly: the node walk follows ``dor_directions`` through the
-    neighbour table (identical to ``dor_route``), exits are the direction
-    ints (-1 at the destination), and Local marks sit at the destination
-    and every ``max_hops``-th router.  The built-in grids compute the
+    Reproduces the route of ``build_plan(topology, source, destination,
+    max_hops)`` exactly, at any hop budget: the node walk follows
+    ``dor_directions`` through the neighbour table (identical to
+    ``dor_route``) and exits are the direction ints (-1 at the
+    destination).  The built-in grids compute the
     per-axis (port, hop count) pairs arithmetically — X-then-Y offsets on
     the mesh, minimal wrap with positive-direction tie-break on the torus
     — matching ``MeshGeometry.dor_directions`` / ``Torus2D.dor_directions``
@@ -226,42 +210,45 @@ def compile_plan(
             node = neighbors[node][port]
             nodes.append(node)
     exits.append(-1)
-    last = len(nodes) - 1
-    locals_ = [False] * (last + 1)
-    for index in range(max_hops, last, max_hops):
-        locals_[index] = True
-    locals_[last] = True
-    return PlanInfo(tuple(nodes), tuple(exits), tuple(locals_))
+    return PlanInfo(tuple(nodes), tuple(exits))
 
 
-#: Tapped plans one :class:`PlanTable` keeps before it starts over.  Every
-#: tapped plan of an 8x8 run fits many times over; past the cap the memo
-#: is emptied and refills with what the run still uses.
-TAPPED_PLAN_CAP = 1 << 16
+#: Plans one :class:`PlanTable` keeps in each of its stores — the untapped
+#: routes, the tapped rewrites, the broadcast sweeps — before that store
+#: starts over.  Every route of a 16x16 grid (65 280 pairs, 53 MB) and every
+#: tapped plan of an 8x8 run fit; a 32x32 grid has 1 047 552 pairs and a
+#: campaign worker lives long.  Past the cap the store is emptied and refills
+#: with what the run still uses.  Measured, a route costs about 240 bytes plus
+#: 80 a router, so a full store of 32x32 routes (22 routers on average) is
+#: about 130 MB.
+PLAN_CAP = 1 << 16
 
 
 class PlanTable(dict[int, PlanInfo]):
-    """Every compiled plan of one grid at one hop budget, built on first use.
+    """Every compiled plan of one grid, built on first use.
 
     The table itself maps ``source * num_nodes + destination`` to the
     untapped route, compiling it on a miss, so the engine's hot sites are
     one subscript.  Tapped plans — the broadcast sweeps of a source and
-    what :meth:`replanned` and :meth:`cleared` derive from them — are
-    memoised beside it, bounded by :data:`TAPPED_PLAN_CAP`.
+    what :meth:`cleared` derives from them — are memoised beside it.  Each
+    store holds at most :data:`PLAN_CAP` plans (see there for the bound in
+    MB); emptying one mid-run is safe because plans are immutable and a
+    packet holds its own reference.
     """
 
-    def __init__(self, topology: GridTopology, max_hops: int) -> None:
+    def __init__(self, topology: GridTopology) -> None:
         super().__init__()
         self.topology = topology
-        self.max_hops = max_hops
         self.num_nodes = topology.num_nodes
         self.neighbors = neighbor_table(topology)
         self._tapped: dict[tuple[int, int], PlanInfo] = {}
         self._sweeps: dict[int, tuple[PlanInfo, ...]] = {}
 
     def __missing__(self, key: int) -> PlanInfo:
+        if len(self) >= PLAN_CAP:
+            self.clear()
         plan = self[key] = compile_plan(
-            self.topology, self.neighbors, *divmod(key, self.num_nodes), self.max_hops
+            self.topology, self.neighbors, *divmod(key, self.num_nodes)
         )
         return plan
 
@@ -270,7 +257,7 @@ class PlanTable(dict[int, PlanInfo]):
         return self[source * self.num_nodes + destination]
 
     def tapped(self, plan: PlanInfo, taps: int) -> PlanInfo:
-        """``plan``'s route and Local marks under the tap mask ``taps``."""
+        """``plan``'s route under the tap mask ``taps``."""
         if taps == plan.taps:
             return plan
         pair = plan.nodes[0] * self.num_nodes + plan.final
@@ -279,11 +266,9 @@ class PlanTable(dict[int, PlanInfo]):
         key = (pair, taps)
         tapped = self._tapped.get(key)
         if tapped is None:
-            if len(self._tapped) >= TAPPED_PLAN_CAP:
+            if len(self._tapped) >= PLAN_CAP:
                 self._tapped.clear()
-            tapped = self._tapped[key] = PlanInfo(
-                plan.nodes, plan.exits, plan.locals, taps
-            )
+            tapped = self._tapped[key] = PlanInfo(plan.nodes, plan.exits, taps)
         return tapped
 
     def broadcast(self, source: int) -> tuple[PlanInfo, ...]:
@@ -292,7 +277,7 @@ class PlanTable(dict[int, PlanInfo]):
         plans = self._sweeps.get(source)
         if plans is None:
             sweeps = self.topology.broadcast_sweeps(source)
-            if (len(self._sweeps) + 1) * len(sweeps) > TAPPED_PLAN_CAP:
+            if (len(self._sweeps) + 1) * len(sweeps) > PLAN_CAP:
                 self._sweeps.clear()
             plans = tuple(self._sweep(source, final, taps) for final, taps in sweeps)
             covered = {
@@ -319,13 +304,6 @@ class PlanTable(dict[int, PlanInfo]):
             stray = sorted(tap_nodes.difference(plan.nodes))
             raise ValueError(f"taps {stray} are not on the DOR path")
         return self.tapped(plan, taps)
-
-    def replanned(self, plan: PlanInfo, index: int) -> PlanInfo:
-        """The plan the router at ``plan.nodes[index]`` resends on when it
-        buffers the packet: its own route to the same final node, the taps
-        not yet passed preserved (see module docstring)."""
-        fresh = self.plan(plan.nodes[index], plan.final)
-        return self.tapped(fresh, plan.taps >> index & -2)
 
     def cleared(self, plan: PlanInfo, drop_index: int) -> PlanInfo:
         """``plan`` with the Multicast bits before ``drop_index`` cleared:

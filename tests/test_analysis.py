@@ -12,6 +12,7 @@ The two load-bearing guarantees (ISSUE 10 acceptance criteria):
 """
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -197,6 +198,71 @@ class TestExactSumLaw:
         assert all(span.multicast for span in spans)
         assert sum(span.deliveries for span in spans) == mesh.num_nodes - 1
         assert_exact_sum(spans)
+
+
+def flew_every_cycle(span):
+    """No wait recorded: the packet was never blocked, dropped, resent or
+    faulted, and crossed a link in every cycle from generation to delivery
+    (no source-queue wait, no cycle parked behind another packet)."""
+    kinds = {kind for _, kind, _ in span.timeline}
+    flying = {cycle for cycle, kind, _ in span.timeline if kind == "hop"}
+    return kinds <= {"generated", "injected", "hop", "buffered", "delivered"} and (
+        flying == set(range(span.generated_cycle, span.delivered_cycle + 1))
+    )
+
+
+class TestLatencyBoundUnderLoad:
+    """The analytic bound next to the exact-sum law: a delivered unicast
+    took at least one cycle per optical segment of at most
+    ``max_hops_per_cycle`` routers — ``ceil(hops / max_hops)``, the delivery
+    cycle counted as ``TestZeroLoadLaw`` counts it — and exactly that when
+    nothing made it wait.  A stop rule that let a flight cross one router
+    too many in a cycle would break the bound; one that stopped it early,
+    the equality."""
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["kernel", "oracle"])
+    @pytest.mark.parametrize("max_hops", [2, 4])
+    @pytest.mark.parametrize("topology", ["mesh", "torus"])
+    @pytest.mark.parametrize("pattern, rate", [("hotspot", 0.1), ("uniform", 0.3)])
+    def test_latency_is_at_least_the_segment_count(
+        self, pattern, rate, topology, max_hops, reference
+    ):
+        config = PhastlaneConfig(
+            mesh=MeshGeometry(8, 8), topology=topology, max_hops_per_cycle=max_hops
+        )
+        topo = topology_of(config)
+        source = SyntheticSource(
+            pattern_by_name(pattern, topo),
+            lambda: BernoulliInjector(rate),
+            seed=11,
+            stop_cycle=150,
+        )
+        if reference:
+            with reference_oracle():
+                events, network = traced_run(config, source, 150, drain=True)
+        else:
+            events, network = traced_run(config, source, 150, drain=True)
+        assert type(network) is (PhastlaneNetwork if reference else VectorizedNetwork)
+        delivered = [
+            span for span in reconstruct_spans(events) if span.delivered
+        ]
+        unimpeded = 0
+        for span in delivered:
+            segments = -(-topo.hop_count(span.origin, span.destination) // max_hops)
+            crossings = Counter(
+                cycle for cycle, kind, _ in span.timeline if kind == "hop"
+            )
+            assert max(crossings.values()) <= max_hops, span.timeline
+            if flew_every_cycle(span):
+                unimpeded += 1
+                assert span.latency + 1 == segments, span.timeline
+            else:
+                assert span.latency + 1 >= segments, span.timeline
+        # Loaded, so both halves of the law are exercised.
+        assert 0 < unimpeded < len(delivered)
+        assert network.stats.packets_dropped > 0 or any(
+            span.blocked for span in delivered
+        )
 
 
 class TestSpanWalker:

@@ -30,6 +30,7 @@ here validates patterns outside the supported set (those fall back to
 exact replay, which the fallback tests pin instead).
 """
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -53,7 +54,7 @@ from repro.harness.runner import run
 from repro.obs import CollectingTracer
 from repro.sim.engine import SimulationEngine
 from repro.topology import topology_for, topology_of
-from repro.traffic.injection import BurstyInjector
+from repro.traffic.injection import BernoulliInjector, BurstyInjector
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.trace import SyntheticSource, Trace, TraceEvent, TraceSource
 from repro.util.geometry import Direction, MeshGeometry
@@ -66,6 +67,7 @@ from repro.vectorized import (
     philox_key,
     philox_supported,
 )
+from repro.vectorized.components import LOCAL_QUEUE, VecPacket
 from repro.vectorized.plans import (
     STOP,
     TAP_FLY,
@@ -777,27 +779,70 @@ class TestRefusals:
 # -- compiled plans: bit-identical to build_plan -----------------------------
 
 
-def flat_steps(plan):
-    """A compiled plan as ``(node, exit, local, multicast)`` per router."""
+def flat_steps(plan, origin=0):
+    """A compiled plan from ``origin`` on as ``(node, exit, multicast)`` per
+    router; the router at ``origin`` holds the packet and taps nothing."""
     return [
-        (plan.nodes[i], plan.exits[i], plan.locals[i], bool(plan.taps >> i & 1))
-        for i in range(plan.length)
+        (plan.nodes[i], plan.exits[i], i > origin and bool(plan.taps >> i & 1))
+        for i in range(origin, plan.length)
     ]
 
 
 def reference_steps(reference):
     return [
-        (step.node, -1 if step.exit is None else int(step.exit), step.local,
-         step.multicast)
+        (step.node, -1 if step.exit is None else int(step.exit), step.multicast)
         for step in reference
     ]
 
 
+def local_marks(reference):
+    """Indices past the first where a reference plan stops a flight."""
+    return [i for i, step in enumerate(reference) if step.local and i]
+
+
+def positional_stops(length, origin, max_hops):
+    """Where a packet launched at plan index ``origin`` and never blocked
+    comes to rest, cycle by cycle, as the kernel decides it: the last wave
+    (``max_hops`` routers on) or the final router, from each new origin."""
+    stops = []
+    while origin < length - 1:
+        origin = min(origin + max_hops, length - 1)
+        stops.append(origin)
+    return stops
+
+
+SHAPES = [(4, 4), (5, 3), (2, 6), (8, 8)]
+
 
 class TestCompiledPlans:
-    @pytest.mark.parametrize("max_hops", [1, 3, 4])
+    """The three laws a shared plan rests on.  (i) Suffix: a route's tail is
+    the route of the router it starts at, so a buffered packet's fresh plan
+    in the reference is the old one from there on.  (ii) Positional stops:
+    the reference's Local marks are ``k * max_hops`` and the last index,
+    re-based wherever it replans, which is what the kernel computes from
+    ``(origin, wave)``.  (iii) Taps and laser: the taps a replanned
+    reference packet carries are the plan's bits ahead, a resend clears the
+    same bits, and a launch from ``(plan, origin)`` charges the reference's
+    first segment."""
+
     @pytest.mark.parametrize("topology", ["mesh", "torus"])
-    @pytest.mark.parametrize("shape", [(4, 4), (5, 3), (2, 6), (8, 8)])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_route_tail_is_the_route_from_there(self, shape, topology):
+        table = PlanTable(topology_for(topology, MeshGeometry(*shape)))
+        for source in range(table.num_nodes):
+            for destination in range(table.num_nodes):
+                if source == destination:
+                    continue
+                plan = table.plan(source, destination)
+                for index in range(1, plan.length - 1):
+                    tail = table.plan(plan.nodes[index], destination)
+                    assert tail.nodes == plan.nodes[index:]
+                    assert tail.exits == plan.exits[index:]
+                    assert tail.keys == plan.keys[index:]
+
+    @pytest.mark.parametrize("max_hops", [1, 3, 4, 5])
+    @pytest.mark.parametrize("topology", ["mesh", "torus"])
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_compile_plan_matches_build_plan(self, shape, topology, max_hops):
         mesh = MeshGeometry(*shape)
         topo = topology_of(
@@ -809,46 +854,78 @@ class TestCompiledPlans:
             for destination in range(mesh.num_nodes):
                 if source == destination:
                     continue
-                plan = compile_plan(topo, neighbors, source, destination, max_hops)
+                plan = compile_plan(topo, neighbors, source, destination)
                 reference = build_plan(topo, source, destination, max_hops)
-                assert plan.nodes == tuple(step.node for step in reference)
-                assert plan.exits == tuple(
-                    -1 if step.exit is None else int(step.exit)
-                    for step in reference
-                )
-                assert plan.locals == tuple(step.local for step in reference)
+                assert flat_steps(plan) == reference_steps(reference)
                 assert plan.final == destination
+                assert local_marks(reference) == positional_stops(
+                    plan.length, 0, max_hops
+                )
+                for index in range(1, plan.length - 1):
+                    assert local_marks(
+                        replan_from(topo, reference, index, max_hops)
+                    ) == [
+                        stop - index
+                        for stop in positional_stops(plan.length, index, max_hops)
+                    ]
 
     @pytest.mark.parametrize("max_hops", [1, 3, 4, 5])
     @pytest.mark.parametrize("topology", ["mesh", "torus"])
-    @pytest.mark.parametrize("shape", [(4, 4), (8, 8)])
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_tapped_plans_match_the_reference_exhaustively(
         self, shape, topology, max_hops
     ):
         """Every source's broadcast plans against ``broadcast_plans``, every
         drop index of each against ``clear_passed_taps``, every buffering
         index against ``replan_from`` — and on 4x4 each rewrite of each
-        rewrite, which is as deep as a packet's history distinguishes."""
-        topo = topology_for(topology, MeshGeometry(*shape))
-        table = PlanTable(topo, max_hops)
+        rewrite, which is as deep as a packet's history distinguishes.  The
+        kernel's side of a buffering is ``(plan, origin)``; its launch
+        charge is read off a real launch."""
+        mesh = MeshGeometry(*shape)
+        topo = topology_for(topology, mesh)
+        network = VectorizedNetwork(
+            VectorizedConfig(mesh=mesh, topology=topology,
+                             max_hops_per_cycle=max_hops, mode="exact")
+        )
+        table = network._plans
+        energy = network.stats.energy_pj
+        cycles = itertools.count(0, 2)
 
-        def check(plan, reference, depth):
-            assert flat_steps(plan) == reference_steps(reference)
-            assert plan.laser == laser_index(
+        def launch_charge(plan, origin):
+            packet = VecPacket(0, plan, 0)
+            packet.origin = origin
+            node = plan.nodes[origin]
+            router = network.routers[node]
+            router.queues[LOCAL_QUEUE].append(packet)
+            router.mask |= 1 << LOCAL_QUEUE
+            router.queued += 1
+            network._active.add(node)
+            cycle = next(cycles)
+            energy["laser"] = 0.0
+            assert network._launch_transmissions(cycle, None) == [packet]
+            assert packet.hop == origin
+            network._resolve_drop_signals(cycle + 1, None)  # confirms it
+            return energy["laser"]
+
+        def check(plan, origin, reference, depth):
+            assert flat_steps(plan, origin) == reference_steps(reference)
+            assert launch_charge(plan, origin) == network._laser[laser_index(
                 *PhastlaneNetwork._first_segment(SimpleNamespace(plan=reference))
-            )
+            )]
             if depth == 0:
                 return
-            for index in range(1, plan.length):
+            for index in range(origin + 1, plan.length):
                 check(
                     table.cleared(plan, index),
-                    clear_passed_taps(reference, index),
+                    origin,
+                    clear_passed_taps(reference, index - origin),
                     depth - 1,
                 )
-            for index in range(1, plan.length - 1):
+            for index in range(origin + 1, plan.length - 1):
                 check(
-                    table.replanned(plan, index),
-                    replan_from(topo, reference, index, max_hops),
+                    plan,
+                    index,
+                    replan_from(topo, reference, index - origin, max_hops),
                     depth - 1,
                 )
 
@@ -857,17 +934,17 @@ class TestCompiledPlans:
             references = broadcast_plans(topo, source, max_hops)
             assert len(plans) == len(references)
             for plan, reference in zip(plans, references):
-                check(plan, reference, depth=2 if shape == (4, 4) else 1)
+                check(plan, 0, reference, depth=2 if shape == (4, 4) else 1)
 
     def test_tapped_keys_fold_the_tap_into_the_contention_key(self):
         topo = topology_for("mesh", MeshGeometry(4, 4))
-        table = PlanTable(topo, 2)
+        table = PlanTable(topo)
         for plan in table.broadcast(5):
             assert plan.taps and not plan.taps & 1  # the source is never tapped
             for index in range(plan.length):
                 fly = plan.nodes[index] * 4 + plan.exits[index]
                 tapped = plan.taps >> index & 1
-                if plan.locals[index]:
+                if index == plan.length - 1:
                     assert plan.keys[index] == (TAP_STOP if tapped else STOP)
                 else:
                     assert plan.keys[index] == (TAP_FLY - fly if tapped else fly)
@@ -875,35 +952,112 @@ class TestCompiledPlans:
 
     def test_a_resend_that_passed_every_tap_is_the_untapped_plan(self):
         topo = topology_for("mesh", MeshGeometry(4, 4))
-        table = PlanTable(topo, 4)
+        table = PlanTable(topo)
         plan = table.broadcast(0)[0]
         assert table.cleared(plan, 1) is plan  # nothing before the first hop
         bare = table.tapped(plan, 0)
         assert bare is table.plan(plan.nodes[0], plan.final) and bare.taps == 0
-        assert table.replanned(bare, 1) is table.plan(plan.nodes[1], plan.final)
+        assert table.cleared(plan, plan.length) is bare
 
     def test_stray_taps_refused_like_build_plan(self):
         topo = topology_for("mesh", MeshGeometry(4, 4))
         with pytest.raises(ValueError, match="not on the DOR path"):
-            PlanTable(topo, 4)._sweep(0, 3, {1, 7})
+            PlanTable(topo)._sweep(0, 3, {1, 7})
 
     def test_self_route_refused_like_build_plan(self):
         mesh = MeshGeometry(4, 4)
         topo = topology_of(VectorizedConfig(mesh=mesh))
         with pytest.raises(ValueError, match="distinct endpoints"):
-            compile_plan(topo, neighbor_table(topo), 3, 3, 4)
+            compile_plan(topo, neighbor_table(topo), 3, 3)
 
     def test_plan_keys_mirror_exit_marks(self):
+        """A key stops only at the final router, at any hop budget: the
+        trailing parameter ``bench/probes.py`` still passes is not read."""
         mesh = MeshGeometry(4, 4)
         topo = topology_of(VectorizedConfig(mesh=mesh))
-        plan = compile_plan(topo, neighbor_table(topo), 0, 15, 2)
+        neighbors = neighbor_table(topo)
+        plan = compile_plan(topo, neighbors, 0, 15, 2)
+        assert plan.keys == compile_plan(topo, neighbors, 0, 15).keys
         for index in range(plan.length):
-            if plan.locals[index]:
-                assert plan.keys[index] == -1
+            if index == plan.length - 1:
+                assert plan.keys[index] == STOP and plan.exits[index] == -1
             else:
                 assert plan.keys[index] == (
                     plan.nodes[index] * 4 + plan.exits[index]
                 )
+
+
+class TestPlanStore:
+    """One route per injected pair, per grid, and never more than the cap."""
+
+    def contended_run(self, max_hops, tracer=None):
+        config = VectorizedConfig(
+            mesh=MeshGeometry(16, 16), max_hops_per_cycle=max_hops, mode="exact"
+        )
+        source = SyntheticSource(
+            pattern_by_name("uniform", topology_of(config)),
+            lambda: BernoulliInjector(0.1),
+            seed=3, stop_cycle=300,
+        )
+        return drive(config, source, tracer=tracer, cycles=300)
+
+    def test_a_run_compiles_one_plan_per_injected_pair(self, monkeypatch):
+        """The gain of sharing as a count: buffering compiles nothing (it
+        used to compile a route per buffering router), nor does a second
+        hop budget on the same grid."""
+        monkeypatch.setattr("repro.vectorized.network._PLAN_CACHES", {})
+        tracer = CollectingTracer()
+        network = self.contended_run(4, tracer)
+        assert network.stats.energy_pj["buffer_write"] > 0  # packets did buffer
+        pairs = {
+            (event.node, event.extra["dst"]) for event in tracer.by_kind("generated")
+        }
+        table = network._plans
+        assert len(table) == len(pairs)
+        assert set(table) == {src * 256 + dst for src, dst in pairs}
+        for max_hops in (2, 5):
+            assert self.contended_run(max_hops)._plans is table
+            assert len(table) == len(pairs)
+
+    def test_a_table_filled_past_the_cap_still_returns_the_route(self, monkeypatch):
+        monkeypatch.setattr("repro.vectorized.plans.PLAN_CAP", 50)
+        topo = topology_for("torus", MeshGeometry(4, 4))
+        table, neighbors = PlanTable(topo), neighbor_table(topo)
+        for _sweep in range(2):
+            for source in topo.nodes():
+                for destination in set(topo.nodes()) - {source}:
+                    plan = table.plan(source, destination)
+                    fresh = compile_plan(topo, neighbors, source, destination)
+                    assert (plan.nodes, plan.exits, plan.keys, plan.taps) == (
+                        fresh.nodes, fresh.exits, fresh.keys, 0
+                    )
+                    assert len(table) <= 50
+                for plan in table.broadcast(source):
+                    for index in range(1, plan.length):
+                        resend = table.cleared(plan, index)
+                        assert resend.nodes == plan.nodes
+                        assert resend.taps == plan.taps >> index << index
+                assert len(table._tapped) <= 50 and len(table._sweeps) <= 50
+
+    @pytest.mark.parametrize(
+        "workload", [SyntheticWorkload("uniform", 0.3), Splash2Workload("fft")],
+        ids=lambda workload: workload.name,
+    )
+    def test_crossing_the_cap_mid_run_changes_nothing(self, monkeypatch, workload):
+        """Emptying a store while packets fly on its plans is invisible: a
+        packet holds its own reference and a recompiled plan is equal."""
+        spec = RunSpec(
+            VectorizedConfig(mesh=MeshGeometry(8, 8), buffer_entries=2, mode="exact"),
+            workload, cycles=200, seed=4,
+        )
+        monkeypatch.setattr("repro.vectorized.network._PLAN_CACHES", {})
+        roomy = run(spec).stats
+        monkeypatch.setattr("repro.vectorized.network._PLAN_CACHES", caches := {})
+        monkeypatch.setattr("repro.vectorized.plans.PLAN_CAP", 7)
+        assert_stats_identical(roomy, run(spec).stats, " (cap 7)")
+        (table,) = caches.values()
+        assert len(table) <= 7 and roomy.packets_generated > 7
+        assert roomy.packets_dropped > 0  # resends crossed the cap too
 
 
 # -- config surface ----------------------------------------------------------

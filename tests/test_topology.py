@@ -232,6 +232,22 @@ class TestRoutingPolicies:
             assert nodes[0] == 0 and nodes[-1] == 15
             assert len(directions) == len(nodes) - 1 == topo.hop_count(0, 15)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 3), (2, 6), (8, 8)])
+    @pytest.mark.parametrize("grid", [Mesh2D, Torus2D])
+    def test_a_dor_route_tail_is_the_dor_route_from_there(self, grid, shape):
+        """The suffix law both Phastlane engines lean on: the router that
+        buffers a packet resends it on the rest of the same route (section
+        2.1.3), wrap tie-breaks included, so the oracle's ``replan_from``
+        and the kernel's shared plan agree by construction."""
+        topo = grid(MeshGeometry(*shape))
+        for src in topo.nodes():
+            for dst in topo.nodes():
+                nodes = topo.dor_route(src, dst)
+                directions = topo.dor_directions(src, dst)
+                for index, node in enumerate(nodes):
+                    assert topo.dor_route(node, dst) == nodes[index:]
+                    assert topo.dor_directions(node, dst) == directions[index:]
+
 
 class TestBaseMetrics:
     def test_unreachable_nodes_raise(self):
