@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from repro.topology import (
-    GridTopology,
     RoutingPolicy,
     Topology,
     as_topology,
@@ -81,15 +80,9 @@ def _encode_route(
     policy: RoutingPolicy | str,
 ) -> tuple[RouteStep, ...]:
     """Compute the route and encode it, untapped, out of shared steps."""
-    if policy == "dor" and isinstance(topo, GridTopology):
-        # Skip the policy-registry lookup and the grid re-check on the
-        # default dimension-order policy.
-        nodes = topo.dor_route(source, destination)
-        directions = topo.dor_directions(source, destination)
-    else:
-        if not isinstance(policy, RoutingPolicy):
-            policy = policy_by_name(policy)
-        nodes, directions = policy.plan(topo, source, destination)
+    if not isinstance(policy, RoutingPolicy):
+        policy = policy_by_name(policy)
+    nodes, directions = policy.plan(topo, source, destination)
     steps: list[RouteStep] = []
     last = len(nodes) - 1
     for index, node in enumerate(nodes):

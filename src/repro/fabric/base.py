@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.obs.events import TraceHub
 from repro.sim.stats import NetworkStats
 from repro.topology import Topology, topology_of
+from repro.util.errors import FabricError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.schedule import FaultSchedule
@@ -132,6 +133,12 @@ class MeshNetworkBase:
         #: over its mesh; bare-mesh configs resolve to ``Mesh2D``).  All
         #: port/link enumeration and route computation go through this.
         self.topology: Topology = topology_of(config)
+        if source is not None and source.num_nodes not in (None, self.mesh.num_nodes):
+            # Ids past the grid would alias other pairs' plan keys.
+            raise FabricError(
+                f"the traffic source addresses {source.num_nodes} nodes but "
+                f"{config.label} runs on {self.mesh.num_nodes} ({self.topology})"
+            )
         self.source = source
         self.stats = stats or NetworkStats()
         #: Packet-lifecycle emit hub, shared by reference with the NICs so

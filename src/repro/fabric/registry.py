@@ -20,7 +20,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from importlib import import_module
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from repro.fabric.protocol import FabricError, NetworkBackend, NetworkConfig
 
@@ -36,13 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: :func:`make_network` only passes ``faults`` when enabled, and only to a
 #: factory whose signature takes it (read once, at registration).
 BackendFactory = Callable[..., NetworkBackend]
-
-# Keep the historical three-positional-argument alias importable for
-# out-of-tree factories typed against it.
-StrictBackendFactory = Callable[
-    [NetworkConfig, Optional["TrafficSource"], Optional["NetworkStats"]],
-    NetworkBackend,
-]
 
 
 @dataclass(frozen=True)

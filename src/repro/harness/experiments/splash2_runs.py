@@ -85,11 +85,3 @@ def compute_matrix(
     matrix = Splash2Matrix(benchmarks=benchmarks, labels=labels, results=results)
     _CACHE[key] = matrix
     return matrix
-
-
-def clear_cache() -> None:
-    """Drop in-process memoised campaigns (used by tests that vary constants)."""
-    from repro.harness.runner import _splash2_trace
-
-    _CACHE.clear()
-    _splash2_trace.cache_clear()

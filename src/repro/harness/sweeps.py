@@ -124,25 +124,6 @@ def zero_load_latency(points: Sequence[LatencyPoint]) -> float:
     raise ValueError("every swept point is saturated")
 
 
-def sweep_summary(
-    config: NetworkConfig,
-    pattern: str,
-    rates: Sequence[float],
-    cycles: int = 1500,
-    seed: int = 1,
-    executor: Executor | None = None,
-) -> dict[str, float]:
-    """Zero-load latency and saturation bandwidth for one config/pattern."""
-    points = latency_vs_injection(
-        config, pattern, rates, cycles, seed, executor=executor
-    )
-    return {
-        "label": config.label,  # type: ignore[dict-item]
-        "zero_load_latency": zero_load_latency(points),
-        "saturation_rate": saturation_rate(points),
-    }
-
-
 # -- fault-degradation sweep ---------------------------------------------------
 
 

@@ -18,9 +18,6 @@ from repro.photonics.latency import RouterLatencyModel
 from repro.photonics.power import REASONABLE_PEAK_W, OpticalPowerModel
 from repro.photonics.wdm import PacketLayout
 
-#: Scenario implied by each evaluated hop count (section 5, first paragraph).
-HOPS_TO_SCENARIO = {4: "pessimistic", 5: "average", 8: "optimistic"}
-
 
 @dataclass(frozen=True)
 class DesignPoint:

@@ -46,14 +46,6 @@ class CriticalPathDelays:
     packet_accept_ps: float
     packet_interim_accept_ps: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "PP": self.packet_pass_ps,
-            "PB": self.packet_block_ps,
-            "PA": self.packet_accept_ps,
-            "PIA": self.packet_interim_accept_ps,
-        }
-
 
 @dataclass(frozen=True)
 class PathComponentBreakdown:

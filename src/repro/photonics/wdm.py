@@ -34,11 +34,6 @@ class WdmChannelPlan:
         """Waveguides needed to carry all bits in one cycle."""
         return math.ceil(self.bits / self.wdm_degree)
 
-    @property
-    def wavelengths_used(self) -> int:
-        """Total resonator/receiver pairs per port for this channel."""
-        return self.bits
-
 
 @dataclass(frozen=True)
 class PacketLayout:
@@ -62,10 +57,6 @@ class PacketLayout:
     @property
     def payload_plan(self) -> WdmChannelPlan:
         return WdmChannelPlan(self.payload_bits, self.payload_wdm)
-
-    @property
-    def control_plan(self) -> WdmChannelPlan:
-        return WdmChannelPlan(self.control_bits, self.control_wdm)
 
     @property
     def payload_waveguides(self) -> int:

@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import abc
 from collections import deque
+from functools import cached_property
 from typing import Any, ClassVar, Iterator, Sequence
 
 from repro.util.errors import FabricError
-from repro.util.geometry import Coord, Direction, MeshGeometry
+from repro.util.geometry import OPPOSITE, Coord, Direction, MeshGeometry
 
 
 class TopologyError(FabricError):
@@ -209,6 +210,17 @@ class Topology(abc.ABC):
         return f"{self.width}x{self.height} {self.name}"
 
 
+#: One row or column as :attr:`GridTopology.lines` holds it for one travel
+#: direction: its node ids in travel order, the same routers as the sparse
+#: kernel's contention keys ``node * 4 + port``, and where a node stands in
+#: both.  A line that closes on itself is held twice over, so a run that
+#: takes the wrap link is still one slice.
+Line = tuple[tuple[int, ...], tuple[int, ...], int]
+
+_X_PORTS = (int(Direction.WEST), int(Direction.EAST))
+_Y_PORTS = (int(Direction.SOUTH), int(Direction.NORTH))
+
+
 class GridTopology(Topology):
     """A W x H grid (mesh or torus) that supports the paper's routing.
 
@@ -216,11 +228,18 @@ class GridTopology(Topology):
     graph: dimension-order (X-then-Y) routes that the predecoded
     source-routing pipeline can follow hop by hop, and the section
     2.1.4 column-sweep broadcast decomposition.
+
+    A dimension-order route is at most two straight runs, so it is two
+    slices of :attr:`lines`; a subclass states its links
+    (:meth:`neighbor`) and which way round an axis it travels
+    (:meth:`axis_hops`), and routes on every backend.
     """
 
     @abc.abstractmethod
-    def dor_directions(self, src: int, dst: int) -> list[Direction]:
-        """Travel directions of the X-then-Y route (empty if src == dst)."""
+    def axis_hops(self, delta: int, size: int) -> int:
+        """Hops a route takes along one axis of ``size`` nodes to cover the
+        coordinate difference ``delta``: positive toward EAST / NORTH,
+        negative toward WEST / SOUTH."""
 
     @abc.abstractmethod
     def dor_first_direction(self, src: int, dst: int) -> Direction:
@@ -241,20 +260,55 @@ class GridTopology(Topology):
         are safe: delivery is deduplicated per ``(broadcast, node)``.
         """
 
+    def _ray(self, origin: int, port: int) -> tuple[list[int], bool]:
+        """Nodes met going ``port`` from ``origin`` (first), and whether the
+        walk closed on ``origin`` rather than reach the grid's end."""
+        run = [origin]
+        while (there := self.neighbor(run[-1], port)) is not None and there != origin:
+            run.append(there)
+        return run, there is not None
+
+    @cached_property
+    def lines(self) -> tuple[list[Line], ...]:
+        """``lines[port][node]``: the :data:`Line` through ``node`` along
+        travel direction ``port``, found by walking :meth:`neighbor` on the
+        first route asked of this grid."""
+        tables = []
+        for port in range(int(Direction.LOCAL)):
+            back = int(OPPOSITE[Direction(port)])
+            table: dict[int, Line] = {}
+            for node in self.nodes():
+                if node in table:
+                    continue
+                behind, _ = self._ray(node, back)
+                run, closed = self._ray(behind[-1], port)
+                nodes = tuple(run * 2 if closed else run)
+                keys = tuple(there * 4 + port for there in nodes)
+                for at, there in enumerate(run):
+                    table[there] = (nodes, keys, at)
+            tables.append([table[node] for node in self.nodes()])
+        return tuple(tables)
+
+    def dor_runs(self, src: int, dst: int) -> tuple[int, int, int, int]:
+        """The X-then-Y route as ``(X port, X hops, Y port, Y hops)``."""
+        width, height = self.mesh.width, self.mesh.height
+        if not (0 <= src < width * height and 0 <= dst < width * height):
+            raise ValueError(f"nodes {src}, {dst} out of range for {self}")
+        x_hops = self.axis_hops(dst % width - src % width, width)
+        y_hops = self.axis_hops(dst // width - src // width, height)
+        return _X_PORTS[x_hops > 0], abs(x_hops), _Y_PORTS[y_hops > 0], abs(y_hops)
+
+    def dor_directions(self, src: int, dst: int) -> list[Direction]:
+        """Travel directions of the X-then-Y route (empty if src == dst)."""
+        x_port, x_hops, y_port, y_hops = self.dor_runs(src, dst)
+        return [Direction(x_port)] * x_hops + [Direction(y_port)] * y_hops
+
     def dor_route(self, src: int, dst: int) -> list[int]:
         """Node ids visited under X-then-Y routing, inclusive of endpoints."""
-        route = [src]
-        here = src
-        for direction in self.dor_directions(src, dst):
-            there = self.neighbor(here, direction)
-            if there is None:  # pragma: no cover - defensive
-                raise TopologyError(
-                    f"dor route walks off {self} at node {here} going "
-                    f"{direction.name}"
-                )
-            here = there
-            route.append(here)
-        return route
+        x_port, x_hops, y_port, y_hops = self.dor_runs(src, dst)
+        x_nodes, _, x = self.lines[x_port][src]
+        y_nodes, _, y = self.lines[y_port][x_nodes[x + x_hops]]
+        return list(x_nodes[x : x + x_hops] + y_nodes[y : y + y_hops + 1])
 
 
 def require_grid(topology: Topology, what: str) -> GridTopology:

@@ -1,10 +1,13 @@
 """``Mesh2D`` — the paper's 2D mesh as a registered topology.
 
-A thin adapter over :class:`~repro.util.geometry.MeshGeometry`: every
-query delegates to the geometry's cached tables, so routes, neighbour
-lookups and link enumeration are bit-identical to the pre-topology
-code paths (the RunSpec digest and Fig 9/10 byte-identity pins in
-``tests/test_fabric_regression.py`` depend on that).
+A thin adapter over :class:`~repro.util.geometry.MeshGeometry`: neighbour
+lookups, hop counts and the first-direction table delegate to the
+geometry's cached tables, so link enumeration and per-hop routing are
+bit-identical to the pre-topology code paths (the RunSpec digest and
+Fig 9/10 byte-identity pins in ``tests/test_fabric_regression.py`` depend
+on that).  Whole routes come from :class:`GridTopology`'s line tables;
+``MeshGeometry.dor_route`` stays the naive statement the tests compare
+them with.
 """
 
 from __future__ import annotations
@@ -24,11 +27,8 @@ class Mesh2D(GridTopology):
     def hop_count(self, src: int, dst: int) -> int:
         return self.mesh.hop_count(src, dst)
 
-    def dor_directions(self, src: int, dst: int) -> list[Direction]:
-        return self.mesh.dor_directions(src, dst)
-
-    def dor_route(self, src: int, dst: int) -> list[int]:
-        return self.mesh.dor_route(src, dst)
+    def axis_hops(self, delta: int, size: int) -> int:
+        return delta  # no wrap links: the signed coordinate difference
 
     def dor_first_direction(self, src: int, dst: int) -> Direction:
         return self.mesh.dor_first_direction(src, dst)

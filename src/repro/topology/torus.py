@@ -93,22 +93,9 @@ class Torus2D(GridTopology):
         dy = abs(a.y - b.y)
         return min(dx, self.width - dx) + min(dy, self.height - dy)
 
-    def dor_directions(self, src: int, dst: int) -> list[Direction]:
-        a, b = self.coord(src), self.coord(dst)
-        path: list[Direction] = []
-        dx_east = (b.x - a.x) % self.width
-        if dx_east:
-            if dx_east <= self.width - dx_east:
-                path.extend([Direction.EAST] * dx_east)
-            else:
-                path.extend([Direction.WEST] * (self.width - dx_east))
-        dy_north = (b.y - a.y) % self.height
-        if dy_north:
-            if dy_north <= self.height - dy_north:
-                path.extend([Direction.NORTH] * dy_north)
-            else:
-                path.extend([Direction.SOUTH] * (self.height - dy_north))
-        return path
+    def axis_hops(self, delta: int, size: int) -> int:
+        ahead = delta % size  # minimal wrap; a tie goes EAST / NORTH
+        return ahead if 2 * ahead <= size else ahead - size
 
     def dor_first_direction(self, src: int, dst: int) -> Direction:
         if src == dst:

@@ -161,6 +161,10 @@ class Trace:
 class TrafficSource(abc.ABC):
     """Per-node, per-cycle packet generation interface for the simulators."""
 
+    #: Nodes the source addresses when it is bound to a count, as a trace
+    #: is; a network of another size refuses it (``MeshNetworkBase``).
+    num_nodes: int | None = None
+
     @abc.abstractmethod
     def injections(self, node: int, cycle: int) -> list[TraceEvent]:
         """Packets generated on ``node`` at ``cycle`` (possibly empty)."""
@@ -175,6 +179,7 @@ class TraceSource(TrafficSource):
 
     def __init__(self, trace: Trace):
         self.trace = trace
+        self.num_nodes = trace.num_nodes
         self._queues: dict[int, deque[TraceEvent]] = {
             node: deque() for node in range(trace.num_nodes)
         }

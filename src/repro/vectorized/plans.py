@@ -4,12 +4,13 @@ The reference pipeline re-walks tuples of frozen
 :class:`~repro.core.routing.RouteStep` dataclasses on every wave.  The
 vectorized engine compiles each (source, destination) route once into a
 :class:`PlanInfo` of flat integer tuples — node ids and exit-port ids
-(``-1`` at the final router).  Compilation bypasses
-:func:`~repro.core.routing.build_plan` entirely: the grid topology's
-``dor_directions`` plus a per-network neighbour table reproduce the
-reference DOR route (same nodes, same exits) without constructing any
-``RouteStep`` objects — the differential suite pins the resulting
-schedules bit-identical on both mesh and torus.
+(``-1`` at the final router).  A dimension-order route is at most two
+straight runs, so :func:`compile_plan` is two slices of the grid's line
+tables (:attr:`~repro.topology.base.GridTopology.lines`): the topology says
+which way and how far along each axis, the lines hold every row and column
+once, and a route owns three short tuples of references and no int of its
+own.  The differential suite pins the routes and the resulting schedules
+bit-identical to ``build_plan``'s on both mesh and torus.
 
 A plan is the route and nothing else: every packet on the pair holds the
 same one for its whole life, as the paper's packet keeps its predecoded
@@ -40,7 +41,7 @@ exactly — ``INPUT_PORT_PRIORITY.index(d) == int(d)`` by construction.
 
 from __future__ import annotations
 
-from repro.topology.base import GridTopology
+from repro.topology.base import GridTopology, Line
 from repro.util.geometry import TURN_KIND, Direction, TurnKind
 
 _TURN_RANK = {TurnKind.STRAIGHT: 0, TurnKind.LEFT: 1, TurnKind.RIGHT: 2}
@@ -75,7 +76,11 @@ class PlanInfo:
     __slots__ = ("nodes", "exits", "keys", "length", "final", "taps")
 
     def __init__(
-        self, nodes: tuple[int, ...], exits: tuple[int, ...], taps: int = 0
+        self,
+        nodes: tuple[int, ...],
+        exits: tuple[int, ...],
+        keys: tuple[int, ...],
+        taps: int = 0,
     ) -> None:
         self.nodes = nodes
         self.exits = exits
@@ -84,143 +89,57 @@ class PlanInfo:
         #: Multicast bits: bit ``i`` set where router ``i`` power-taps the
         #: packet.  Zero on every unicast plan.
         self.taps = taps
-        # Per-hop contention key: ``node * 4 + exit`` at every router the
-        # route flies through, ``STOP`` at the final one.  One tuple load
-        # replaces the nodes/exits pair in the wave hot loop.  A power tap
-        # folds into the same int, so the loop's one ``key < 0`` test also
-        # finds the taps: ``TAP_STOP`` taps and then stops, ``TAP_FLY -
-        # key`` taps and flies on under ``key``.
-        keys = [node * 4 + port for node, port in zip(nodes, exits)]
-        keys[-1] = STOP
+        # Per-hop contention key, handed in untapped: ``node * 4 + exit`` at
+        # every router the route flies through, ``STOP`` at the final one.
+        # One tuple load replaces the nodes/exits pair in the wave hot loop.
+        # A power tap folds into the same int, so the loop's one ``key < 0``
+        # test also finds the taps: ``TAP_STOP`` taps and then stops,
+        # ``TAP_FLY - key`` taps and flies on under ``key``.
         if taps:
-            keys = [
+            keys = tuple(
                 (TAP_STOP if key == STOP else TAP_FLY - key) if taps >> i & 1 else key
                 for i, key in enumerate(keys)
-            ]
-        self.keys = tuple(keys)
+            )
+        self.keys = keys
 
 
-def neighbor_table(topology: GridTopology) -> tuple[tuple[int, ...], ...]:
-    """``table[node][port]`` -> neighbour id (-1 off-grid; DOR never hits it)."""
-    ports = (Direction.NORTH, Direction.EAST, Direction.SOUTH, Direction.WEST)
-    return tuple(
-        tuple(
-            -1 if (there := topology.neighbor(node, port)) is None else there
-            for port in ports
-        )
-        for node in topology.nodes()
-    )
+def neighbor_table(topology: GridTopology) -> tuple[list[Line], ...]:
+    """The grid's line tables, which are what :func:`compile_plan` reads.
+    The name is the one ``bench/probes.py`` imports (ROADMAP item 6)."""
+    return topology.lines
 
 
 def compile_plan(
     topology: GridTopology,
-    neighbors: tuple[tuple[int, ...], ...],
+    lines: tuple[list[Line], ...],
     source: int,
     destination: int,
     _max_hops: int = 0,  # unread: bench/probes.py still passes a hop budget
 ) -> PlanInfo:
-    """The DOR route as a :class:`PlanInfo`, skipping ``build_plan``.
-
-    Reproduces the route of ``build_plan(topology, source, destination,
-    max_hops)`` exactly, at any hop budget: the node walk follows
-    ``dor_directions`` through the neighbour table (identical to
-    ``dor_route``) and exits are the direction ints (-1 at the
-    destination).  The built-in grids compute the
-    per-axis (port, hop count) pairs arithmetically — X-then-Y offsets on
-    the mesh, minimal wrap with positive-direction tie-break on the torus
-    — matching ``MeshGeometry.dor_directions`` / ``Torus2D.dor_directions``
-    without materialising Direction lists.
-    """
+    """The DOR route as a :class:`PlanInfo`: the X run and the Y run, each a
+    slice of a line the grid holds once, so the route of
+    ``build_plan(topology, source, destination, max_hops)`` at any hop
+    budget (same nodes, same exits, -1 at the destination)."""
     if source == destination:
         raise ValueError("a route needs distinct endpoints")
-    width = topology.width
-    ax, ay = source % width, source // width
-    bx, by = destination % width, destination // width
-    name = topology.name
-    nodes = [source]
-    exits: list[int]
-    if name == "mesh":
-        if bx > ax:
-            nodes += range(source + 1, source + (bx - ax) + 1)
-            exits = [1] * (bx - ax)
-        elif bx < ax:
-            nodes += range(source - 1, source - (ax - bx) - 1, -1)
-            exits = [3] * (ax - bx)
-        else:
-            exits = []
-        mid = nodes[-1]
-        if by > ay:
-            count = by - ay
-            nodes += range(mid + width, mid + width * count + 1, width)
-            exits += [0] * count
-        elif by < ay:
-            count = ay - by
-            nodes += range(mid - width, mid - width * count - 1, -width)
-            exits += [2] * count
-    elif name == "torus":
-        height = topology.height
-        row = source - ax  # node id of (x=0, y=ay)
-        dx_east = (bx - ax) % width
-        if dx_east:
-            if 2 * dx_east <= width:  # EAST (ties break positive)
-                clear = width - 1 - ax  # hops before the wrap link
-                if dx_east <= clear:
-                    nodes += range(source + 1, source + dx_east + 1)
-                else:
-                    nodes += range(source + 1, source + clear + 1)
-                    nodes += range(row, row + dx_east - clear)
-                exits = [1] * dx_east
-            else:
-                count = width - dx_east
-                if count <= ax:
-                    nodes += range(source - 1, source - count - 1, -1)
-                else:
-                    nodes += range(source - 1, source - ax - 1, -1)
-                    right = row + width - 1
-                    nodes += range(right, right - (count - ax), -1)
-                exits = [3] * count
-        else:
-            exits = []
-        mid = nodes[-1]
-        dy_north = (by - ay) % height
-        if dy_north:
-            if 2 * dy_north <= height:  # NORTH (ties break positive)
-                clear = height - 1 - ay
-                if dy_north <= clear:
-                    nodes += range(mid + width, mid + width * dy_north + 1, width)
-                else:
-                    nodes += range(mid + width, mid + width * clear + 1, width)
-                    nodes += range(bx, bx + width * (dy_north - clear), width)
-                exits += [0] * dy_north
-            else:
-                count = height - dy_north
-                if count <= ay:
-                    nodes += range(mid - width, mid - width * count - 1, -width)
-                else:
-                    nodes += range(mid - width, mid - width * ay - 1, -width)
-                    top = bx + width * (height - 1)
-                    nodes += range(top, top - width * (count - ay), -width)
-                exits += [2] * count
-    else:  # pragma: no cover - out-of-tree grids take the generic walk
-        exits = []
-        node = source
-        for direction in topology.dor_directions(source, destination):
-            port = int(direction)
-            exits.append(port)
-            node = neighbors[node][port]
-            nodes.append(node)
-    exits.append(-1)
-    return PlanInfo(tuple(nodes), tuple(exits))
+    x_port, x_hops, y_port, y_hops = topology.dor_runs(source, destination)
+    x_nodes, x_keys, x = lines[x_port][source]
+    y_nodes, y_keys, y = lines[y_port][x_nodes[x + x_hops]]
+    return PlanInfo(
+        x_nodes[x : x + x_hops] + y_nodes[y : y + y_hops + 1],
+        (x_port,) * x_hops + (y_port,) * y_hops + (-1,),
+        x_keys[x : x + x_hops] + y_keys[y : y + y_hops] + (STOP,),
+    )
 
 
 #: Plans one :class:`PlanTable` keeps in each of its stores — the untapped
 #: routes, the tapped rewrites, the broadcast sweeps — before that store
-#: starts over.  Every route of a 16x16 grid (65 280 pairs, 53 MB) and every
+#: starts over.  Every route of a 16x16 grid (65 280 pairs, 34 MB) and every
 #: tapped plan of an 8x8 run fit; a 32x32 grid has 1 047 552 pairs and a
 #: campaign worker lives long.  Past the cap the store is emptied and refills
-#: with what the run still uses.  Measured, a route costs about 240 bytes plus
-#: 80 a router, so a full store of 32x32 routes (22 routers on average) is
-#: about 130 MB.
+#: with what the run still uses.  Measured, an untapped route costs about 190
+#: bytes plus 24 a router (three tuples of references into the grid's lines),
+#: so a full store of 32x32 routes (22 routers on average) is about 47 MB.
 PLAN_CAP = 1 << 16
 
 
@@ -240,7 +159,6 @@ class PlanTable(dict[int, PlanInfo]):
         super().__init__()
         self.topology = topology
         self.num_nodes = topology.num_nodes
-        self.neighbors = neighbor_table(topology)
         self._tapped: dict[tuple[int, int], PlanInfo] = {}
         self._sweeps: dict[int, tuple[PlanInfo, ...]] = {}
 
@@ -248,7 +166,7 @@ class PlanTable(dict[int, PlanInfo]):
         if len(self) >= PLAN_CAP:
             self.clear()
         plan = self[key] = compile_plan(
-            self.topology, self.neighbors, *divmod(key, self.num_nodes)
+            self.topology, self.topology.lines, *divmod(key, self.num_nodes)
         )
         return plan
 
@@ -268,7 +186,9 @@ class PlanTable(dict[int, PlanInfo]):
         if tapped is None:
             if len(self._tapped) >= PLAN_CAP:
                 self._tapped.clear()
-            tapped = self._tapped[key] = PlanInfo(plan.nodes, plan.exits, taps)
+            tapped = self._tapped[key] = PlanInfo(
+                plan.nodes, plan.exits, self[pair].keys, taps
+            )
         return tapped
 
     def broadcast(self, source: int) -> tuple[PlanInfo, ...]:

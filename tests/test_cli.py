@@ -210,6 +210,18 @@ class TestRefusals:
         (line,) = captured.err.splitlines()
         assert line.startswith("repro: ")
 
+    def test_a_trace_for_another_grid_names_both_counts(self, tmp_path, capsys):
+        from repro.traffic.trace import Trace, TraceEvent
+
+        path = tmp_path / "wide.trace"
+        Trace("wide", 100, [TraceEvent(0, 0, 99), TraceEvent(1, 3, 70)]).save(path)
+        argv = ["run", "--config", "Optical4", "--trace", str(path), "--no-cache"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: ") and "100 nodes" in line and " 64 " in line
+
 
 class TestFaultFlags:
     def test_dead_ports_accept_letters_and_digits(self):

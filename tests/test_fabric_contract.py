@@ -158,6 +158,16 @@ def test_drains_small_trace(config, tmp_path):
     assert result.mean_latency >= 1.0
 
 
+@pytest.mark.parametrize("nodes", [100, 9])
+def test_a_source_sized_for_another_grid_is_refused(config, nodes):
+    """Ids past the grid alias other pairs' plan keys on the sparse kernel
+    (it used to misroute and report success) and fall off a table
+    elsewhere; a smaller count leaves nodes without a source queue."""
+    trace = Trace("stray", nodes, events=[TraceEvent(0, 0, nodes - 1)])
+    with pytest.raises(FabricError, match=rf"{nodes} nodes but \S+ runs on 16 "):
+        make_network(config, TraceSource(trace))
+
+
 def test_idle_semantics(config, tmp_path):
     path = tmp_path / "contract.trace"
     small_trace().save(path)

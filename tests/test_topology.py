@@ -248,6 +248,32 @@ class TestRoutingPolicies:
                     assert topo.dor_route(node, dst) == nodes[index:]
                     assert topo.dor_directions(node, dst) == directions[index:]
 
+    def test_an_out_of_tree_grid_routes_on_the_kernel(self):
+        """A grid is its links and which way round an axis it goes: the plan
+        compiler asks for nothing else, least of all a name it knows."""
+        from repro.vectorized.plans import STOP, PlanTable
+
+        class WestwardTies(Torus2D):
+            name = "test-westward"
+
+            def axis_hops(self, delta, size):
+                ahead = delta % size
+                return ahead if 2 * ahead < size else ahead - size
+
+        topo = WestwardTies(MESH44)
+        assert topo.dor_route(0, 10) == [0, 3, 2, 14, 10]
+        table = PlanTable(topo)
+        for src in topo.nodes():
+            for dst in set(topo.nodes()) - {src}:
+                plan = table.plan(src, dst)
+                assert plan.nodes[0] == src and plan.final == dst
+                assert plan.length - 1 == topo.hop_count(src, dst)
+                assert plan.exits[-1] == -1 and plan.keys[-1] == STOP
+                for index, port in enumerate(plan.exits[:-1]):
+                    here = plan.nodes[index]
+                    assert topo.neighbor(here, port) == plan.nodes[index + 1]
+                    assert plan.keys[index] == here * 4 + port
+
 
 class TestBaseMetrics:
     def test_unreachable_nodes_raise(self):

@@ -9,6 +9,7 @@ torus where EAST and WEST wrap to the same node — are part of the
 sample space on purpose.
 """
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -65,20 +66,64 @@ def test_grid_links_are_symmetric(name, shape):
         assert topo.neighbor(there, OPPOSITE[Direction(port)]) == node
 
 
+HORIZONTAL = (Direction.EAST, Direction.WEST)
+
+
+def assert_route_laws(topo, src, dst):
+    """What a dimension-order route is, stated through ``neighbor()`` and
+    the BFS alone, so the line tables the routes are sliced from are the
+    thing under test and never the reference."""
+    shortest = topo.shortest_route(src, dst)
+    route = topo.dor_route(src, dst)
+    for walk in (route, shortest):
+        assert walk[0] == src and walk[-1] == dst
+        assert len(set(walk)) == len(walk)  # minimal routes never revisit
+        for here, there in zip(walk, walk[1:]):
+            assert there in {topo.neighbor(here, p) for p in topo.ports(here)}
+        assert len(walk) - 1 == topo.hop_count(src, dst)
+    assert len(route) == len(shortest)  # the BFS distance, not a closed form
+    directions = topo.dor_directions(src, dst)
+    replayed = [src]
+    for direction in directions:
+        replayed.append(topo.neighbor(replayed[-1], direction))
+    assert replayed == route
+    turn = sum(direction in HORIZONTAL for direction in directions)
+    assert all(direction in HORIZONTAL for direction in directions[:turn])
+    assert not any(direction in HORIZONTAL for direction in directions[turn:])
+    assert len(set(directions[:turn])) <= 1 and len(set(directions[turn:])) <= 1
+    if src != dst:  # the electrical routers' table states the first run again
+        assert topo.dor_first_direction(src, dst) == directions[0]
+    return directions
+
+
 @given(
     grid_names, shapes, st.integers(0, 10_000), st.integers(0, 10_000)
 )
 def test_routes_walk_real_links_and_realise_the_hop_count(name, shape, a, b):
     topo = make(name, shape)
-    src, dst = a % topo.num_nodes, b % topo.num_nodes
-    if src == dst:
-        return
-    for route in (topo.dor_route(src, dst), topo.shortest_route(src, dst)):
-        assert route[0] == src and route[-1] == dst
-        assert len(set(route)) == len(route)  # minimal routes never revisit
-        for here, there in zip(route, route[1:]):
-            assert there in {topo.neighbor(here, p) for p in topo.ports(here)}
-        assert len(route) - 1 == topo.hop_count(src, dst)
+    assert_route_laws(topo, a % topo.num_nodes, b % topo.num_nodes)
+
+
+@pytest.mark.parametrize("name", ["mesh", "torus"])
+@pytest.mark.parametrize(
+    "shape", [(1, 5), (5, 1), (2, 2), (2, 3), (4, 4), (5, 7), (6, 6)], ids=str
+)
+def test_every_route_of_the_small_grids_obeys_the_laws(name, shape):
+    """Exhaustive where the property above samples.  Half way round an even
+    torus ring both ways are minimal, and EAST / NORTH win."""
+    topo = make(name, shape)
+    width, height = shape
+    for src in topo.nodes():
+        for dst in topo.nodes():
+            directions = assert_route_laws(topo, src, dst)
+            if name == "mesh":
+                assert directions == topo.mesh.dor_directions(src, dst)
+                continue
+            dx, dy = topo.coord(dst).x - topo.coord(src).x, topo.coord(dst).y - topo.coord(src).y
+            if 2 * (dx % width) == width:
+                assert directions[0] is Direction.EAST
+            if 2 * (dy % height) == height:
+                assert directions[-1] is Direction.NORTH
 
 
 @given(grid_names, shapes, st.integers(0, 10_000), st.integers(0, 10_000))
