@@ -36,7 +36,7 @@ import argparse
 import json
 import sys
 from importlib import import_module
-from typing import TYPE_CHECKING, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Sequence, TextIO
 
 # Imports follow the command: only what building the parser needs is
 # loaded here, and every handler imports what it runs.  ``--help`` and
@@ -51,7 +51,7 @@ from repro.util.tables import AsciiTable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fabric import NetworkConfig
     from repro.faults import FaultConfig
-    from repro.harness.exec import Executor, RunEvent
+    from repro.harness.exec import Executor, RunEvent, RunSpec
     from repro.obs import ObsConfig
 
 _ANALYTIC_FIGURES = ("fig04", "fig05", "fig06", "fig07", "fig08")
@@ -145,6 +145,15 @@ def _float_list(text: str, flag: str) -> list[float]:
         raise _UsageError(
             f"invalid {flag} {text!r}; expected comma-separated floats"
         )
+
+
+def _specs(build: Callable[..., list[RunSpec]], *values: Any) -> list[RunSpec]:
+    """The run specs ``build`` makes of flag values; one a spec refuses (a
+    rate outside [0, 1], ``--cycles 0``) is a usage error, not a traceback."""
+    try:
+        return build(*values)
+    except ValueError as exc:
+        raise _UsageError(f"repro: {exc}")
 
 
 def _faults_from_args(args: argparse.Namespace) -> FaultConfig | None:
@@ -272,21 +281,20 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.report import point_to_dict, write_report
-    from repro.harness.sweeps import latency_vs_injection
+    from repro.harness.sweeps import point_from_result, sweep_specs
 
     config = _config_from_args(args)
     rates = _float_list(args.rates, "--rates")
-    executor = _executor_from_args(args)
     faults = _faults_from_args(args)
-    points = latency_vs_injection(
-        config,
-        args.pattern,
-        rates,
-        cycles=args.cycles,
-        seed=args.seed,
-        executor=executor,
-        faults=faults,
+    specs = _specs(
+        sweep_specs, config, args.pattern, rates, args.cycles, args.seed, faults
     )
+    executor = _executor_from_args(args)
+    num_nodes = config.mesh.num_nodes
+    points = [
+        point_from_result(rate, result, num_nodes)
+        for rate, result in zip(rates, executor.map(specs))
+    ]
     table = AsciiTable(
         ["rate", "mean latency", "throughput", "delivered"],
         title=f"{args.config} / {args.pattern}",
@@ -377,7 +385,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_fault_sweep(args: argparse.Namespace) -> int:
     from repro.faults import FaultConfig
     from repro.harness.report import write_report
-    from repro.harness.sweeps import throughput_vs_fault_rate
+    from repro.harness.sweeps import fault_point_from_result, fault_sweep_specs
 
     config = _config_from_args(args)
     fault_rates = _float_list(args.fault_rates, "--fault-rates")
@@ -386,17 +394,16 @@ def _cmd_fault_sweep(args: argparse.Namespace) -> int:
     template = _faults_from_args(args) or FaultConfig(
         seed=args.fault_seed, retry_limit=args.retry_limit
     )
-    executor = _executor_from_args(args)
-    points = throughput_vs_fault_rate(
-        config,
-        args.pattern,
-        args.rate,
-        fault_rates,
-        cycles=args.cycles,
-        seed=args.seed,
-        faults=template,
-        executor=executor,
+    specs = _specs(
+        fault_sweep_specs, config, args.pattern, args.rate, fault_rates,
+        args.cycles, args.seed, template,
     )
+    executor = _executor_from_args(args)
+    num_nodes = config.mesh.num_nodes
+    points = [
+        fault_point_from_result(fault_rate, result, num_nodes)
+        for fault_rate, result in zip(fault_rates, executor.map(specs))
+    ]
     table = AsciiTable(
         ["fault rate", "throughput", "delivered", "lost", "faults", "mean latency"],
         title=f"{args.config} / {args.pattern}@{args.rate:g} degradation",

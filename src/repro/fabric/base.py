@@ -153,6 +153,11 @@ class MeshNetworkBase:
         #: stall windows are honoured here in the shared injection path;
         #: crossing faults are each backend's business.
         self._faults = faults if faults is not None and faults.enabled else None
+        #: Whether that timeline has NIC stall windows at all, and the
+        #: nodes inside one now (a window is counted once, on entry).
+        self._nic_stalls = (
+            self._faults is not None and self._faults.config.nic_stall_prob > 0.0
+        )
         self._stalled_nodes: set[int] = set()
         #: Packets hit by at least one fault, for delivered-despite-faults
         #: accounting at the backend's delivery sites.
@@ -192,24 +197,32 @@ class MeshNetworkBase:
         traffic (the open-loop source never blocks) but injects nothing;
         the stall is counted and traced once per window, on entry.
         """
-        faults = self._faults
+        stalls = self._nic_stalls
         for node, nic in enumerate(self.nics):
             if self.source is not None:
                 events = self.source.injections(node, cycle)
                 if events:
                     nic.generate(events, cycle)
-            if faults is not None and faults.nic_stalled(node, cycle):
-                if node not in self._stalled_nodes:
-                    self._stalled_nodes.add(node)
-                    self.stats.record_fault("nic_stall")
-                    if self.trace_hub:
-                        self.trace_hub.emit(
-                            "fault_injected", cycle, node, -1,
-                            extra={"fault": "nic_stall"},
-                        )
+            if stalls and self._nic_stalled(node, cycle):
                 continue
-            self._stalled_nodes.discard(node)
             self._inject_from_nic(node, nic, cycle)
+
+    def _nic_stalled(self, node: int, cycle: int) -> bool:
+        """True while ``node``'s NIC sits in a stall window of the fault
+        schedule; counts and traces the window on the cycle it opens."""
+        assert self._faults is not None  # callers gate on ``_nic_stalls``
+        if not self._faults.nic_stalled(node, cycle):
+            self._stalled_nodes.discard(node)
+            return False
+        if node not in self._stalled_nodes:
+            self._stalled_nodes.add(node)
+            self.stats.record_fault("nic_stall")
+            if self.trace_hub:
+                self.trace_hub.emit(
+                    "fault_injected", cycle, node, -1,
+                    extra={"fault": "nic_stall"},
+                )
+        return True
 
     def _inject_from_nic(self, node: int, nic: Any, cycle: int) -> None:
         """Move work from one NIC into the network, space permitting."""

@@ -73,6 +73,10 @@ class SyntheticWorkload:
     pattern: str
     rate: float
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.rate <= 1.0:
+            raise ValueError(f"injection rate must be in [0, 1], got {self.rate}")
+
     @property
     def name(self) -> str:
         return f"{self.pattern}@{self.rate:g}"

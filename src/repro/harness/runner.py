@@ -16,8 +16,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any
 
-from repro.fabric import NetworkConfig, make_network
-from repro.obs.config import ObsConfig
+from repro.fabric import make_network
 from repro.obs.health import HealthReport
 from repro.obs.session import ObsSession, ProgressSink
 from repro.obs.timeseries import TimeSeries
@@ -28,11 +27,10 @@ from repro.traffic.injection import BernoulliInjector
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.splash2 import generate_splash2_trace
 from repro.topology import topology_of
-from repro.traffic.trace import SyntheticSource, Trace, TraceSource
+from repro.traffic.trace import SyntheticSource, Trace, TraceSource, TrafficSource
 from repro.util.geometry import MeshGeometry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.faults.config import FaultConfig
     from repro.harness.exec import RunSpec
 
 
@@ -102,40 +100,35 @@ def run(spec: "RunSpec", progress: ProgressSink | None = None) -> RunResult:
     )
 
     started = time.perf_counter()
-    workload = spec.workload
-    # Only traced runs pay for the digest in the header metadata.
-    traced = spec.obs is not None and spec.obs.trace_path is not None
-    meta = _trace_meta(spec) if traced else None
+    workload, config = spec.workload, spec.config
     if isinstance(workload, SyntheticWorkload):
-        result = _execute_synthetic(
-            spec.config,
-            workload.pattern,
-            workload.rate,
-            cycles=spec.cycles,
-            warmup=spec.warmup,
+        # Open loop: Bernoulli injection at the rate for the whole window and
+        # no drain; latency is measured only for packets generated after the
+        # warm-up, the standard interconnection-network methodology.
+        source: TrafficSource = SyntheticSource(
+            pattern_by_name(workload.pattern, topology_of(config)),
+            lambda: BernoulliInjector(workload.rate),
             seed=spec.seed,
-            obs=spec.obs,
-            faults=spec.faults,
-            progress=progress,
-            meta=meta,
+            stop_cycle=spec.cycles,
         )
-    elif isinstance(workload, Splash2Workload):
-        mesh = spec.config.mesh
-        trace = _splash2_trace(
-            workload.benchmark, mesh.width, mesh.height, spec.seed, spec.cycles
-        )
-        result = _execute_trace(
-            spec.config, trace, spec.max_drain_cycles, spec.obs, spec.faults,
-            progress=progress, meta=meta,
-        )
-    elif isinstance(workload, TraceFileWorkload):
-        trace = Trace.load(workload.path)
-        result = _execute_trace(
-            spec.config, trace, spec.max_drain_cycles, spec.obs, spec.faults,
-            progress=progress, meta=meta,
+        warmup = spec.cycles // 5 if spec.warmup is None else spec.warmup
+        result = _execute(
+            spec, source, workload.name, spec.cycles, progress,
+            stats=NetworkStats(measurement_start=warmup),
         )
     else:
-        raise TypeError(f"unknown workload type {type(workload).__name__}")
+        if isinstance(workload, Splash2Workload):
+            trace = _splash2_trace(
+                workload.benchmark, config.mesh, spec.seed, spec.cycles
+            )
+        elif isinstance(workload, TraceFileWorkload):
+            trace = Trace.load(workload.path)
+        else:
+            raise TypeError(f"unknown workload type {type(workload).__name__}")
+        result = _execute(
+            spec, TraceSource(trace), trace.name, trace.last_cycle + 1, progress,
+            drain=True,
+        )
     return replace(result, wall_time_s=time.perf_counter() - started)
 
 
@@ -159,96 +152,55 @@ def _trace_meta(spec: "RunSpec") -> dict[str, Any]:
 
 @lru_cache(maxsize=32)
 def _splash2_trace(
-    benchmark: str, width: int, height: int, seed: int, duration_cycles: int
+    benchmark: str, mesh: MeshGeometry, seed: int, duration_cycles: int
 ) -> Trace:
     """Per-process memo: one generated trace drives many configurations."""
     return generate_splash2_trace(
-        benchmark,
-        mesh=MeshGeometry(width, height),
-        seed=seed,
-        duration_cycles=duration_cycles,
+        benchmark, mesh=mesh, seed=seed, duration_cycles=duration_cycles
     )
 
 
-def _execute_trace(
-    config: NetworkConfig,
-    trace: Trace,
-    max_drain_cycles: int,
-    obs: ObsConfig | None = None,
-    faults: "FaultConfig | None" = None,
-    progress: ProgressSink | None = None,
-    meta: dict[str, Any] | None = None,
+def _execute(
+    spec: "RunSpec",
+    source: TrafficSource,
+    workload: str,
+    span: int,
+    progress: ProgressSink | None,
+    stats: NetworkStats | None = None,
+    drain: bool = False,
 ) -> RunResult:
-    """Replay a trace to completion (injection phase plus full drain)."""
-    network = make_network(config, TraceSource(trace), faults=faults)
+    """Drive ``source`` through the spec's network for ``span`` cycles, then
+    (a trace replay) on until every packet has left it."""
+    config = spec.config
+    # Only traced runs pay for the digest in the header metadata.
+    traced = spec.obs is not None and spec.obs.trace_path is not None
+    network = make_network(config, source, stats, faults=spec.faults)
     engine = SimulationEngine()
     engine.register(network)
-    session = ObsSession(obs, network, engine, meta=meta)
-    if progress is not None:
-        session.report_progress(progress, trace.last_cycle + 1)
-    engine.run(trace.last_cycle + 1)
-    drained = engine.run_until(
-        lambda: network.idle(engine.cycle), max_drain_cycles
+    session = ObsSession(
+        spec.obs, network, engine, meta=_trace_meta(spec) if traced else None
     )
+    if progress is not None:
+        session.report_progress(progress, span)
+    engine.run(span)
+    if drain:
+        drained = engine.run_until(
+            lambda: network.idle(engine.cycle), spec.max_drain_cycles
+        )
+    else:
+        drained = network.idle(engine.cycle)
     timeseries, health = session.finish()
-    if not drained:
+    if drain and not drained:
         raise SaturationError(
-            f"{config.label} failed to drain trace {trace.name!r} "
-            f"within {max_drain_cycles} extra cycles"
+            f"{config.label} failed to drain trace {workload!r} "
+            f"within {spec.max_drain_cycles} extra cycles"
         )
     return RunResult(
         label=config.label,
-        workload=trace.name,
+        workload=workload,
         cycles=engine.cycle,
         stats=network.stats,
         drained=drained,
-        timeseries=timeseries,
-        health=health,
-    )
-
-
-def _execute_synthetic(
-    config: NetworkConfig,
-    pattern: str,
-    rate: float,
-    cycles: int,
-    warmup: int | None,
-    seed: int,
-    obs: ObsConfig | None = None,
-    faults: "FaultConfig | None" = None,
-    progress: ProgressSink | None = None,
-    meta: dict[str, Any] | None = None,
-) -> RunResult:
-    """Open-loop synthetic run: Bernoulli injection at ``rate`` per node.
-
-    The network keeps injecting for the full ``cycles`` window (no drain);
-    latency is measured only for packets generated after the warm-up, the
-    standard interconnection-network measurement methodology.
-    """
-    if cycles <= 0:
-        raise ValueError("cycles must be positive")
-    warmup = cycles // 5 if warmup is None else warmup
-    source = SyntheticSource(
-        pattern_by_name(pattern, topology_of(config)),
-        lambda: BernoulliInjector(rate),
-        seed=seed,
-        stop_cycle=cycles,
-    )
-    stats = NetworkStats(measurement_start=warmup)
-    network = make_network(config, source, stats, faults=faults)
-    engine = SimulationEngine()
-    engine.register(network)
-    session = ObsSession(obs, network, engine, meta=meta)
-    if progress is not None:
-        session.report_progress(progress, cycles)
-    engine.run(cycles)
-    timeseries, health = session.finish()
-    return RunResult(
-        label=config.label,
-        workload=f"{pattern}@{rate:g}",
-        cycles=engine.cycle,
-        stats=network.stats,
-        drained=network.idle(engine.cycle),
         timeseries=timeseries,
         health=health,
     )

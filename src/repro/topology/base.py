@@ -232,7 +232,9 @@ class GridTopology(Topology):
     A dimension-order route is at most two straight runs, so it is two
     slices of :attr:`lines`; a subclass states its links
     (:meth:`neighbor`) and which way round an axis it travels
-    (:meth:`axis_hops`), and routes on every backend.
+    (:meth:`axis_hops`), and routes on every backend.  Hop counts, the
+    electrical routers' first directions, edge rows and the broadcast
+    sweeps are written here once from those two.
     """
 
     @abc.abstractmethod
@@ -240,25 +242,6 @@ class GridTopology(Topology):
         """Hops a route takes along one axis of ``size`` nodes to cover the
         coordinate difference ``delta``: positive toward EAST / NORTH,
         negative toward WEST / SOUTH."""
-
-    @abc.abstractmethod
-    def dor_first_direction(self, src: int, dst: int) -> Direction:
-        """First travel direction of the X-then-Y route (cached table)."""
-
-    @abc.abstractmethod
-    def is_edge_row(self, node: int) -> bool:
-        """True when broadcast fan-out halves at this node (section 2.1.4)."""
-
-    @abc.abstractmethod
-    def broadcast_sweeps(self, source: int) -> list[tuple[int, set[int]]]:
-        """Decompose a broadcast into column sweeps.
-
-        Returns ``(final, taps)`` pairs — one multicast packet per
-        column and vertical direction, tapping every node on its DOR
-        path — whose taps jointly cover all nodes except ``source``.
-        Overlapping taps (the turn row appears in both vertical sweeps)
-        are safe: delivery is deduplicated per ``(broadcast, node)``.
-        """
 
     def _ray(self, origin: int, port: int) -> tuple[list[int], bool]:
         """Nodes met going ``port`` from ``origin`` (first), and whether the
@@ -309,6 +292,67 @@ class GridTopology(Topology):
         x_nodes, _, x = self.lines[x_port][src]
         y_nodes, _, y = self.lines[y_port][x_nodes[x + x_hops]]
         return list(x_nodes[x : x + x_hops] + y_nodes[y : y + y_hops + 1])
+
+    def hop_count(self, src: int, dst: int) -> int:
+        """Links a dimension-order route crosses, which on a grid is the
+        minimum (the BFS agrees: ``tests/test_topology_properties.py``)."""
+        _, x_hops, _, y_hops = self.dor_runs(src, dst)
+        return x_hops + y_hops
+
+    @cached_property
+    def _first_directions(self) -> dict[int, tuple[Direction, ...]]:
+        return {}
+
+    def dor_first_direction(self, src: int, dst: int) -> Direction:
+        """First travel direction of the X-then-Y route.
+
+        The per-hop routing function of the electrical routers, so one
+        source's answers are a row kept from the first time it asks.
+        """
+        if src == dst:
+            raise ValueError("no direction from a node to itself")
+        try:
+            return self._first_directions[src][dst]
+        except KeyError:
+            row = []
+            for there in self.nodes():
+                x_port, x_hops, y_port, y_hops = self.dor_runs(src, there)
+                first = x_port if x_hops else y_port if y_hops else Direction.LOCAL
+                row.append(Direction(first))
+            self._first_directions[src] = tuple(row)
+            return row[dst]
+
+    def is_edge_row(self, node: int) -> bool:
+        """True when broadcast fan-out halves at this node (section 2.1.4:
+        "eight if it is located on the top or bottom rows"): a vertical
+        port with no link leaves one sweep per column."""
+        return None in (self.neighbor(node, port) for port in _Y_PORTS)
+
+    def broadcast_sweeps(self, source: int) -> list[tuple[int, set[int]]]:
+        """Decompose a broadcast into column sweeps.
+
+        Returns ``(final, taps)`` pairs — one multicast packet per
+        column and vertical direction, tapping every node on its DOR
+        path — whose taps jointly cover all nodes except ``source``.
+        A sweep runs as far as dimension-order routes from its turn node
+        do that way: to the grid's end, or half way round a closed
+        column.  Overlapping taps (the turn row appears in both vertical
+        sweeps) are safe: delivery is deduplicated per ``(broadcast,
+        node)``.
+        """
+        row = source - source % self.width
+        sweeps: list[tuple[int, set[int]]] = []
+        for turn in range(row, row + self.width):
+            for port in reversed(_Y_PORTS):  # NORTH first
+                nodes, _, at = self.lines[port][turn]
+                arc = [turn]
+                for there in nodes[at + 1 : at + self.height]:
+                    if self.dor_runs(turn, there)[2:] != (port, len(arc)):
+                        break
+                    arc.append(there)
+                if len(arc) > 1:
+                    sweeps.append((arc[-1], set(arc) - {source}))
+        return sweeps
 
 
 def require_grid(topology: Topology, what: str) -> GridTopology:

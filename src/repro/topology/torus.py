@@ -47,35 +47,6 @@ def _torus_neighbor_table(
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
-def _torus_first_direction_table(
-    width: int, height: int
-) -> tuple[tuple[Direction, ...], ...]:
-    """src -> dst -> first minimal-wrap X-then-Y direction."""
-    mesh = MeshGeometry(width, height)
-    table = []
-    for src in mesh.nodes():
-        sx, sy = mesh.coord(src)
-        row: list[Direction] = []
-        for dst in mesh.nodes():
-            dx_east = (mesh.coord(dst).x - sx) % width
-            dy_north = (mesh.coord(dst).y - sy) % height
-            if dx_east:
-                if dx_east <= width - dx_east:
-                    row.append(Direction.EAST)
-                else:
-                    row.append(Direction.WEST)
-            elif dy_north:
-                if dy_north <= height - dy_north:
-                    row.append(Direction.NORTH)
-                else:
-                    row.append(Direction.SOUTH)
-            else:
-                row.append(Direction.LOCAL)  # src == dst; callers reject
-        table.append(tuple(row))
-    return tuple(table)
-
-
 class Torus2D(GridTopology):
     """A ``width x height`` 2D torus with minimal-wrap X-then-Y routing."""
 
@@ -87,23 +58,9 @@ class Torus2D(GridTopology):
         table = _torus_neighbor_table(self.width, self.height)
         return table[node][int(direction)]
 
-    def hop_count(self, src: int, dst: int) -> int:
-        a, b = self.coord(src), self.coord(dst)
-        dx = abs(a.x - b.x)
-        dy = abs(a.y - b.y)
-        return min(dx, self.width - dx) + min(dy, self.height - dy)
-
     def axis_hops(self, delta: int, size: int) -> int:
         ahead = delta % size  # minimal wrap; a tie goes EAST / NORTH
         return ahead if 2 * ahead <= size else ahead - size
-
-    def dor_first_direction(self, src: int, dst: int) -> Direction:
-        if src == dst:
-            raise ValueError("no direction from a node to itself")
-        return _torus_first_direction_table(self.width, self.height)[src][dst]
-
-    def is_edge_row(self, node: int) -> bool:
-        return False  # a torus has no edge rows; broadcast fan-out never halves
 
     def is_wrap_link(self, node: int, port: int) -> bool:
         """True when this link wraps around the grid boundary."""
@@ -123,23 +80,3 @@ class Torus2D(GridTopology):
         # Folded-torus layout: every link along a folded dimension is two
         # mesh pitches long; a 1- or 2-wide dimension needs no folding.
         return 2.0 * hop_length_mm if span > 2 else hop_length_mm
-
-    def broadcast_sweeps(self, source: int) -> list[tuple[int, set[int]]]:
-        src = self.coord(source)
-        height = self.height
-        k_north = height // 2  # == ceil((H - 1) / 2)
-        k_south = (height - 1) // 2
-        sweeps: list[tuple[int, set[int]]] = []
-        for column in range(self.width):
-            for dy, length in ((1, k_north), (-1, k_south)):
-                if length == 0:
-                    continue  # a 1-row torus has no vertical arcs
-                end_y = (src.y + dy * length) % height
-                final = self.node(Coord(column, end_y))
-                taps = {
-                    self.node(Coord(column, (src.y + dy * i) % height))
-                    for i in range(length + 1)
-                }
-                taps.discard(source)
-                sweeps.append((final, taps))
-        return sweeps

@@ -157,14 +157,10 @@ class MeshGeometry:
         return route
 
     def dor_first_direction(self, src: int, dst: int) -> Direction:
-        """First travel direction of the X-then-Y route (cached table).
-
-        This is the per-hop routing function both simulators evaluate on
-        every flit arrival, so it is precomputed for the whole mesh.
-        """
+        """First travel direction of the X-then-Y route."""
         if src == dst:
             raise ValueError("no direction from a node to itself")
-        return _first_direction_table(self.width, self.height)[src][dst]
+        return self.dor_directions(src, dst)[0]
 
     def neighbor(self, node: int, direction: Direction) -> int | None:
         """Neighbouring node id in ``direction``, or None at the mesh edge."""
@@ -195,31 +191,5 @@ def _neighbor_table(width: int, height: int) -> tuple[tuple[int | None, ...], ..
         for direction in Direction:
             coord = mesh.coord(node).step(direction)
             row.append(mesh.node(coord) if mesh.contains(coord) else None)
-        table.append(tuple(row))
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def _first_direction_table(
-    width: int, height: int
-) -> tuple[tuple[Direction, ...], ...]:
-    """src -> dst -> first X-then-Y travel direction (src==dst slot unused)."""
-    mesh = MeshGeometry(width, height)
-    table = []
-    for src in mesh.nodes():
-        sx, sy = mesh.coord(src)
-        row: list[Direction] = []
-        for dst in mesh.nodes():
-            dx, dy = mesh.coord(dst)
-            if dx > sx:
-                row.append(Direction.EAST)
-            elif dx < sx:
-                row.append(Direction.WEST)
-            elif dy > sy:
-                row.append(Direction.NORTH)
-            elif dy < sy:
-                row.append(Direction.SOUTH)
-            else:
-                row.append(Direction.LOCAL)  # src == dst; callers reject
         table.append(tuple(row))
     return tuple(table)

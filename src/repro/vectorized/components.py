@@ -34,8 +34,6 @@ from repro.sim.rng import DeterministicRng
 from repro.vectorized.plans import PlanInfo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.traffic.trace import TraceEvent
-
     from repro.vectorized.network import VectorizedNetwork
 
 NUM_QUEUES = 5
@@ -150,11 +148,11 @@ class VecRouter:
 class VecNic(BaseNic):
     """Phastlane NIC semantics over the shared :class:`BaseNic` queues.
 
-    Event expansion routes through the owning network's plan cache and
-    packet-uid counter; the injection discipline (one packet per cycle
+    Event expansion (:meth:`expand`, fed the schedule's tuples where
+    ``generate`` takes trace events) routes through the owning network's
+    plan cache and packet-uid counter; the injection discipline (one packet per cycle
     into the LOCAL queue, space permitting) is the network's ``_feed``,
-    which the dense per-cycle pull and the sparse path's per-node
-    ``_pump`` both call.  Only the sparse path's uncontended single
+    called by its per-node ``_pump``.  Only an uncontended single
     arrival skips the NIC queues (see ``_sparse_inject``).
     """
 
@@ -168,9 +166,6 @@ class VecNic(BaseNic):
         # freed when the run returns.
         self._network: "VectorizedNetwork" = weakref.proxy(network)
         self._next_broadcast_id = node  # strided by node count per broadcast
-
-    def _expand_event(self, event: "TraceEvent", cycle: int) -> None:
-        self.expand(event.destination, event.cycle, cycle)
 
     def expand(
         self, destination: int | None, generated_cycle: int, cycle: int

@@ -157,12 +157,12 @@ class VectorizedNetwork(MeshNetworkBase):
         #: Routers with queued packets or pending transmissions; the only
         #: ones the resolve/launch phases visit.
         self._active: set[int] = set()
-        #: NICs with backlogged packets awaiting injection (sparse mode).
+        #: NICs with backlogged packets awaiting injection.
         self._nic_pending: set[int] = set()
-        #: Pre-generated injections by cycle (sparse mode; see _ingest).
-        self._events: dict[int, list[Injection]] = {}
+        #: Pre-generated injections by cycle (see _ingest); None for a
+        #: source that cannot be materialised and is pulled cycle by cycle.
+        self._events: dict[int, list[Injection]] | None = {}
         self._unconsumed = 0
-        self._dense_inject = False
         #: The source the current schedule was generated from; ingestion
         #: re-runs lazily whenever the caller swaps ``self.source``.
         self._ingested_source: TrafficSource | None = None
@@ -241,35 +241,24 @@ class VectorizedNetwork(MeshNetworkBase):
     # -- traffic ingestion ------------------------------------------------------
 
     def _ingest(self, cycle: int) -> None:
-        """Choose the injection path for the current source (see module
-        docstring of :mod:`repro.vectorized.traffic`)."""
+        """Materialise the current source's schedule (see module docstring
+        of :mod:`repro.vectorized.traffic`)."""
         source = self.source
         self._ingested_source = source
         self._ingested = True
         self._events = {}
         self._unconsumed = 0
-        self._dense_inject = False
-        self._nic_pending = {
-            node for node, nic in enumerate(self.nics) if not nic.idle()
-        }
-        if self._faults is not None and self._faults.config.nic_stall_prob > 0.0:
-            # Stall windows need the reference's per-node entry-edge
-            # accounting; fall back to the shared dense pull.
-            self._dense_inject = True
-            return
-        if source is None:
-            return
         if isinstance(source, TraceSource):
             self._events, self._unconsumed = drain_trace(source, cycle)
         elif isinstance(source, SyntheticSource) and source.stop_cycle is not None:
-            if self._fast and philox_supported(source):
+            # A run with NIC stall windows has always replayed the
+            # reference's draws; its results stay what they were.
+            if self._fast and not self._nic_stalls and philox_supported(source):
                 self._events, self._unconsumed = philox_events(source, cycle)
             else:
                 self._events, self._unconsumed = replay_synthetic(source, cycle)
-        else:
-            # Unbounded or unknown sources can't be materialised; pull
-            # per cycle exactly like the reference.
-            self._dense_inject = True
+        elif source is not None:
+            self._events = None  # unbounded or unknown: pulled per cycle
 
     # -- per-cycle hooks (MeshNetworkBase) --------------------------------------
 
@@ -278,10 +267,7 @@ class VectorizedNetwork(MeshNetworkBase):
             self._ingest(cycle)
         hub = self.trace_hub if self.trace_hub else None
         self._resolve_drop_signals(cycle, hub)
-        if self._dense_inject:
-            self._generate_and_inject(cycle)
-        else:
-            self._sparse_inject(cycle, hub)
+        self._sparse_inject(cycle, hub)
         flights = self._launch_transmissions(cycle, hub)
         if flights:
             self._run_waves(flights, cycle, hub)
@@ -290,9 +276,6 @@ class VectorizedNetwork(MeshNetworkBase):
         stats = self.stats
         stats.energy_pj["static"] += self._e_static
         stats.buffer_occupancy_samples.add(self._occupancy)
-
-    def _inject_from_nic(self, node: int, nic: VecNic, cycle: int) -> None:
-        self._feed(node, nic, cycle, self.trace_hub if self.trace_hub else None)
 
     # -- cycle phases -----------------------------------------------------------
 
@@ -404,23 +387,35 @@ class VectorizedNetwork(MeshNetworkBase):
         pending_routers.clear()
 
     def _sparse_inject(self, cycle: int, hub: TraceHub | None) -> None:
-        """Per-node injection over the pre-generated schedule.
+        """Per-node injection over the schedule.
 
-        The schedule generators emit each cycle's injections in ascending
-        node order (a documented invariant of :mod:`.traffic`), so when no
-        NIC carries a backlog the common case — one arrival for a node
-        whose LOCAL queue has space — goes straight into the router
-        without touching the NIC deques.  Backlogged nodes, multi-arrival
-        runs and broadcasts take :meth:`_pump`, which drives
-        ``VecNic.expand``, ``BaseNic._refill`` and :meth:`_feed` — the very
-        calls the dense path makes — and then updates the backlog set."""
-        injections = self._events.pop(cycle, None)
+        Each cycle's bucket is in ascending node order (a documented
+        invariant of :mod:`.traffic`; a source that could not be
+        materialised is pulled node by node now, as the reference pulls
+        it), so when no NIC carries a backlog the common case — one arrival
+        for a node whose LOCAL queue has space — goes straight into the
+        router without touching the NIC deques.  Backlogged nodes,
+        multi-arrival runs and broadcasts take :meth:`_pump`; under NIC
+        stall windows every node takes it every cycle, so a window is
+        counted on the cycle it opens even at an idle NIC."""
+        events = self._events
+        if events is None:
+            source = self.source
+            assert source is not None  # only a source makes ``_events`` None
+            injections = [
+                (node, event.destination, event.cycle)
+                for node in range(self._num_nodes)
+                for event in source.injections(node, cycle)
+            ] or None
+        else:
+            injections = events.pop(cycle, None)
+            if injections is not None:
+                self._unconsumed -= len(injections)
         nic_pending = self._nic_pending
-        if injections is None and not nic_pending:
+        stalls = self._nic_stalls
+        if injections is None and not nic_pending and not stalls:
             return
-        if injections is not None:
-            self._unconsumed -= len(injections)
-        if not nic_pending and injections is not None:
+        if injections is not None and not nic_pending and not stalls:
             stats = self.stats
             routers = self.routers
             plans = self._plans
@@ -495,7 +490,8 @@ class VectorizedNetwork(MeshNetworkBase):
                 if bucket is None:
                     bucket = by_node[injection[0]] = []
                 bucket.append(injection)
-        for node in sorted(nic_pending.union(by_node)):
+        nodes = range(self._num_nodes) if stalls else sorted(nic_pending.union(by_node))
+        for node in nodes:
             self._pump(node, by_node.get(node), cycle, hub)
 
     def _pump(
@@ -506,13 +502,15 @@ class VectorizedNetwork(MeshNetworkBase):
         hub: TraceHub | None,
     ) -> None:
         """Generic per-node injection: expand arrivals through the NIC
-        queues, refill, feed one packet, and track the NIC backlog."""
+        queues, refill, feed one packet unless the NIC is stalled (it keeps
+        accepting source traffic), and track the NIC backlog."""
         nic = self.nics[node]
         if arrivals:
             for _node, destination, generated_cycle in arrivals:
                 nic.expand(destination, generated_cycle, cycle)
         nic._refill()
-        self._feed(node, nic, cycle, hub)
+        if not (self._nic_stalls and self._nic_stalled(node, cycle)):
+            self._feed(node, nic, cycle, hub)
         if nic._buffer:
             self._nic_pending.add(node)
         else:
@@ -888,12 +886,6 @@ class VectorizedNetwork(MeshNetworkBase):
         source = self.source
         if source is not None and not source.exhausted(cycle):
             return False
-        if self._dense_inject or not self._ingested or (
-            self._ingested_source is not source
-        ):
-            if any(not nic.idle() for nic in self.nics):
-                return False
-            return all(not router.busy for router in self.routers)
         if self._nic_pending:
             return False
         return not self._active

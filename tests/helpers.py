@@ -9,6 +9,8 @@ from repro.core.config import PhastlaneConfig
 from repro.core.network import PhastlaneNetwork
 from repro.fabric import entry_for_kind, register_backend
 from repro.sim.engine import SimulationEngine
+from repro.topology import GridTopology, register_topology, unregister_topology
+from repro.util.geometry import Direction
 
 
 def drain(network, inject_cycles: int, max_extra: int = 20_000) -> SimulationEngine:
@@ -40,3 +42,41 @@ def reference_oracle() -> Iterator[None]:
         yield
     finally:
         register_backend("phastlane", PhastlaneConfig, dispatch)
+
+
+class Cylinder(GridTopology):
+    """A grid no package ships, stated the way ``GridTopology`` asks: its
+    links and which way round an axis a route goes.  Rows close on
+    themselves, columns end, and a tie half way round a row goes EAST.
+
+    ``axis_hops`` is told a size, not an axis, so the toy keeps to grids
+    whose two sizes differ.
+    """
+
+    name = "test-cylinder"
+
+    def neighbor(self, node, direction):
+        direction = Direction(direction)
+        if direction in (Direction.NORTH, Direction.SOUTH, Direction.LOCAL):
+            return self.mesh.neighbor(node, direction)
+        if self.width == 1:
+            return None
+        x = node % self.width + (1 if direction is Direction.EAST else -1)
+        return node - node % self.width + x % self.width
+
+    def axis_hops(self, delta, size):
+        assert self.width != self.height
+        if size != self.width:
+            return delta
+        ahead = delta % size
+        return ahead if 2 * ahead <= size else ahead - size
+
+
+@contextmanager
+def cylinder_registered() -> Iterator[str]:
+    """Inside the block a config may name the :class:`Cylinder`."""
+    register_topology(Cylinder.name, Cylinder)
+    try:
+        yield Cylinder.name
+    finally:
+        unregister_topology(Cylinder.name)

@@ -265,6 +265,39 @@ class TestLatencyBoundUnderLoad:
         )
 
 
+    @pytest.mark.parametrize("delay", [2, 3])
+    @pytest.mark.parametrize("topology", ["mesh", "torus"])
+    def test_electrical_latency_is_at_least_the_pipeline(self, topology, delay):
+        """The baseline's half: ``router_delay_cycles`` a hop, the ejection
+        bypass and the delivery cycle, which ``tests/test_electrical_network``
+        finds exact for a lone packet, is a floor for every packet of a
+        loaded run and is met by the ones nothing held up.  A pipeline that
+        skipped the bypass cycle (``+ 1`` for ``+ 2``) or a hop count that
+        overstated a wrapped route would break the floor; a first direction
+        that sent a flit the long way round, the equality."""
+        config = ElectricalConfig(
+            mesh=MeshGeometry(8, 8), topology=topology, router_delay_cycles=delay
+        )
+        topo = topology_of(config)
+        source = SyntheticSource(
+            pattern_by_name("uniform", topo),
+            lambda: BernoulliInjector(0.15),
+            seed=11,
+            stop_cycle=150,
+        )
+        events, network = traced_run(config, source, 150, drain=True)
+        slack = [
+            span.latency + 1
+            - (delay * topo.hop_count(span.origin, span.destination) + 2)
+            for span in reconstruct_spans(events, link_delay=delay)
+            if span.delivered
+        ]
+        assert len(slack) == network.stats.packets_delivered > 1000
+        assert min(slack) == 0
+        # Loaded, so both halves of the law are exercised.
+        assert 0 < slack.count(0) < len(slack)
+
+
 class TestSpanWalker:
     """Hand-built event streams pin the attribution rules themselves."""
 

@@ -7,7 +7,9 @@ benchmark still imports fails only after the PR is gone.  This reads
 ``bench/*.py`` by :mod:`ast`, without importing or touching it, and checks
 every name it takes from ``repro`` against the package as it is now.  The
 second half does by AST what ``ruff`` (absent from the builder's container)
-does in CI: no unused import under ``src/repro``.
+does in CI: no unused import under ``src/repro``.  The third is the rule no
+linter has: module-level state under ``src/repro`` is a short list of named
+caches and registries, and the next one has to be added to it by name.
 """
 
 import ast
@@ -140,3 +142,115 @@ def test_src_imports_nothing_it_does_not_use():
     assert SOURCE_FILES
     unused = [finding for path in SOURCE_FILES for finding in unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+# -- module-level state is a named list ----------------------------------------
+
+#: Every module-level container under ``src/repro`` that code fills or
+#: edits: two registries and a policy table written at import, three memos
+#: keyed by pure inputs (each bounded or per-grid, see where it is defined)
+#: and the campaign matrix memo.  All other module-level containers are
+#: tables written once, where they are defined.
+NAMED_STATE = {
+    "core/routing.py": {"_STEPS"},
+    "fabric/registry.py": {"_REGISTRY"},
+    "harness/experiments/splash2_runs.py": {"_CACHE"},
+    "topology/policies.py": {"_POLICIES"},
+    "topology/registry.py": {"_REGISTRY"},
+    "vectorized/network.py": {"_PLAN_CACHES"},
+    "vectorized/traffic.py": {"_PHILOX_MEMO"},
+}
+CONTAINER_MAKERS = {
+    "dict", "list", "set", "bytearray", "defaultdict", "deque", "Counter",
+    "OrderedDict", "WeakValueDictionary", "WeakKeyDictionary", "WeakSet",
+}
+MUTATORS = {
+    "add", "append", "appendleft", "clear", "discard", "extend", "insert", "pop",
+    "popitem", "popleft", "remove", "setdefault", "update",
+}
+
+
+def called_name(node):
+    function = node.func
+    return getattr(function, "id", getattr(function, "attr", None))
+
+
+def module_level_containers(tree):
+    """``{name: born empty}`` of the containers a module binds at top level."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if isinstance(value, (ast.Dict, ast.List, ast.Set)):
+            empty = not (value.keys if isinstance(value, ast.Dict) else value.elts)
+        elif isinstance(value, (ast.DictComp, ast.ListComp, ast.SetComp)):
+            empty = False
+        elif isinstance(value, ast.Call) and called_name(value) in CONTAINER_MAKERS:
+            # ``defaultdict(list)`` is as empty as ``{}``; ``set(x)`` is a copy.
+            empty = all(isinstance(arg, ast.Name) and arg.id in CONTAINER_MAKERS
+                        for arg in value.args) and not value.keywords
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                found[target.id] = empty
+    return found
+
+
+def edited_names(tree):
+    """Names a module stores into, deletes from or calls a mutator on."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            if isinstance(node.value, ast.Name):
+                yield node.value.id
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATORS
+            and isinstance(node.func.value, ast.Name)
+        ):
+            yield node.func.value.id
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
+def module_state(path):
+    tree = ast.parse(path.read_text())
+    containers = module_level_containers(tree)
+    edited = set(edited_names(tree))
+    return {name for name, empty in containers.items() if empty or name in edited}
+
+
+def test_module_level_state_is_the_named_list():
+    """A container born empty at module level, or edited by its module, is
+    process-wide state: one test's run reaches the next through it.  The
+    ones that exist are named above with why they are safe."""
+    package = ROOT / "src" / "repro"
+    found = {
+        str(path.relative_to(package)): state
+        for path in SOURCE_FILES
+        if (state := module_state(path))
+    }
+    assert found == NAMED_STATE
+
+
+def test_the_state_scan_sees_what_it_should(tmp_path):
+    """The canary: each shape of state is seen, a constant table is not."""
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from collections import defaultdict\n"
+        "TABLE = {'a': 1}\n"
+        "NAMES = ['a']\n"
+        "_MEMO: dict[int, int] = {}\n"
+        "_BY_KIND = defaultdict(list)\n"
+        "_SEEN = set()\n"
+        "def f(x):\n"
+        "    NAMES.append(x)\n"
+        "    local = {}\n"
+        "    local[x] = TABLE[x]\n"
+    )
+    assert module_state(sample) == {"NAMES", "_MEMO", "_BY_KIND", "_SEEN"}

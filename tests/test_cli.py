@@ -200,6 +200,12 @@ class TestRefusals:
             ["sweep", "--link-flip-prob", "2"],
             ["sweep", "--health-interval", "10"],
             ["sweep", "--stream-out", "s.jsonl"],
+            # A value a run spec refuses, caught where the specs are built:
+            # before PR 22 the first ran 0.1 to the end and died inside
+            # run() (under --workers 2 inside the pool).
+            ["sweep", "--rates", "0.1,1.5"],
+            ["fault-sweep", "--fault-rates", "0.0,2.0"],
+            ["sweep", "--cycles", "0"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -344,8 +350,10 @@ class TestImportsFollowTheCommand:
         ids=" ".join,
     )
     def test_no_simulator_and_no_numpy(self, argv, small_trace):
+        # ``analyze`` is the one command here that observes anything.
+        heavy = HEAVY if argv[0] == "analyze" else (*HEAVY, "repro.obs")
         argv = [small_trace if arg == "TRACE" else arg for arg in argv]
-        done = python("-c", PROBE, ",".join(HEAVY), *argv)
+        done = python("-c", PROBE, ",".join(heavy), *argv)
         assert done.returncode == 0, done.stderr
         code, printed, loaded = done.stdout.rstrip("\n").split(" ")
         assert code == "0" and int(printed) > 0

@@ -78,7 +78,7 @@ from repro.vectorized.plans import (
     neighbor_table,
 )
 
-from helpers import reference_oracle
+from helpers import cylinder_registered, reference_oracle
 
 # -- helpers -----------------------------------------------------------------
 
@@ -382,9 +382,9 @@ class TestFallbackBitIdentity:
         )
 
     def test_unbounded_source_identical_at_fixed_cycle(self):
-        # stop_cycle=None forces the dense per-cycle pull fallback; the
-        # source never exhausts, so compare at a fixed cycle instead of
-        # running to drain.
+        # stop_cycle=None cannot be materialised: each cycle's bucket is
+        # pulled from the source node by node.  It never exhausts, so
+        # compare at a fixed cycle instead of running to drain.
         mesh = MeshGeometry(4, 4)
         vec_config = VectorizedConfig(mesh=mesh)
         assert_drives_identical(
@@ -478,8 +478,8 @@ broadcast_faults = st.sampled_from(
         FaultConfig(seed=3, corrupt_prob=0.08, retry_limit=2),
         FaultConfig(seed=4, link_flip_prob=0.05),
         FaultConfig(seed=5, dead_port_count=2, retry_limit=3),
-        # NIC stalls take the dense per-cycle pull, which expands broadcasts
-        # through ``VecNic._expand_event`` instead of ``_pump``.
+        # Under NIC stall windows every node takes ``_pump`` every cycle: a
+        # stalled NIC expands its broadcasts and feeds nothing.
         FaultConfig(seed=6, nic_stall_prob=0.1, nic_stall_cycles=3),
     ]
 )
@@ -515,6 +515,24 @@ class TestBroadcastBitIdentity:
         check_mixed_trace(
             data, shape, topology, max_hops, buffer_entries, faults, mode
         )
+
+    def test_a_grid_stated_by_two_methods_replays_bit_identical(self):
+        """``helpers.Cylinder`` defines ``neighbor`` and ``axis_hops``; its
+        routes, sweeps and tap masks are derived, and the kernel and the
+        oracle agree on them event for event."""
+        with cylinder_registered() as name:
+
+            @DIFF
+            @given(
+                st.data(), st.sampled_from([1, 2, 4]), st.sampled_from([1, 10, None]),
+                broadcast_faults, st.sampled_from(MODES),
+            )
+            def check(data, max_hops, buffer_entries, faults, mode):
+                check_mixed_trace(
+                    data, (4, 3), name, max_hops, buffer_entries, faults, mode
+                )
+
+            check()
 
     @pytest.mark.slow
     @settings(

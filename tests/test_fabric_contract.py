@@ -37,7 +37,7 @@ from repro.traffic.trace import Trace, TraceEvent, TraceSource
 from repro.util.geometry import MeshGeometry
 from repro.vectorized import VectorizedConfig
 
-from helpers import reference_oracle
+from helpers import cylinder_registered, reference_oracle
 
 MESH = MeshGeometry(4, 4)
 
@@ -285,19 +285,41 @@ def test_fault_events_interleave_causally(config):
             )
 
 
-def contended_trace():
+def contended_trace(num_nodes=MESH.num_nodes):
     """Bursts of unicasts and broadcasts: every router sees VC and switch
     contention, and VCTM replicates at the branch routers."""
     events = [
-        TraceEvent(cycle, src, None if (src + cycle) % 4 == 0 else (src * 7 + cycle) % 15)
+        TraceEvent(
+            cycle, src,
+            None if (src + cycle) % 4 == 0 else (src * 7 + cycle) % (num_nodes - 1),
+        )
         for cycle in range(0, 12, 2)
-        for src in range(16)
+        for src in range(num_nodes)
     ]
     return Trace(
         "contended",
-        MESH.num_nodes,
+        num_nodes,
         events=[e for e in events if e.destination != e.source],
     )
+
+
+def assert_contended_burst_keeps_the_contract(config, tmp_path):
+    path = tmp_path / "contended.trace"
+    contended_trace(config.mesh.num_nodes).save(path)
+    result = run(
+        RunSpec(
+            config,
+            TraceFileWorkload(str(path)),
+            obs=ObsConfig(health=True, health_interval=5),
+        )
+    )
+    assert result.drained
+    stats = result.stats
+    assert stats.multicast_packets > 0
+    assert stats.packets_delivered == stats.packets_generated
+    assert result.health.status == "ok"
+    for name in ("credit_leak", "flit_conservation"):
+        assert result.health.checks[name]["status"] == "ok"
 
 
 @pytest.mark.parametrize("topology", TOPOLOGY_SUPPORT["electrical"])
@@ -319,22 +341,19 @@ def test_electrical_allocator_settings_conserve_drain_and_keep_credits(
         islip_iterations=islip_iterations,
         output_speedup=output_speedup,
     )
-    path = tmp_path / "contended.trace"
-    contended_trace().save(path)
-    result = run(
-        RunSpec(
-            config,
-            TraceFileWorkload(str(path)),
-            obs=ObsConfig(health=True, health_interval=5),
+    assert_contended_burst_keeps_the_contract(config, tmp_path)
+
+
+def test_a_grid_stated_by_two_methods_keeps_the_electrical_contract(tmp_path):
+    """The routers ask a grid for first directions and nothing else, and
+    those are derived: ``helpers.Cylinder`` (rings in X, like the torus, so
+    the torus case's four VCs) drains the burst with every flit and credit
+    accounted for."""
+    with cylinder_registered() as name:
+        config = ElectricalConfig(
+            mesh=MeshGeometry(4, 3), topology=name, num_vcs=4, input_speedup=1
         )
-    )
-    assert result.drained
-    stats = result.stats
-    assert stats.multicast_packets > 0
-    assert stats.packets_delivered == stats.packets_generated
-    assert result.health.status == "ok"
-    for name in ("credit_leak", "flit_conservation"):
-        assert result.health.checks[name]["status"] == "ok"
+        assert_contended_burst_keeps_the_contract(config, tmp_path)
 
 
 #: (islip_iterations, output_speedup) -> (result sha, trace sha) of the

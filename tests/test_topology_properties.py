@@ -7,6 +7,14 @@ enumeration contracts (ports ascending, links node-major) that the
 fault scheduler depends on.  Degenerate shapes — 1xN meshes, the 2x2
 torus where EAST and WEST wrap to the same node — are part of the
 sample space on purpose.
+
+Since PR 22 a grid states ``neighbor`` and ``axis_hops`` and everything
+else here is derived in ``GridTopology``, so the grid laws also run on
+``helpers.Cylinder``, a grid that states those two and nothing more.
+What each law is there to catch: a first direction taken from the Y run
+before the X run, or a tie broken the other way in one place only, fails
+the route laws; a sweep one hop short fails the coverage law, one hop
+long the DOR-path law.
 """
 
 import pytest
@@ -15,21 +23,32 @@ from hypothesis import strategies as st
 
 from repro.topology import (
     GridTopology,
+    Mesh2D,
     Torus2D,
     registered_topologies,
     topology_for,
 )
 from repro.util.geometry import OPPOSITE, Direction, MeshGeometry
 
+from helpers import Cylinder
+
 shapes = st.sampled_from(
     [(1, 1), (1, 4), (4, 1), (2, 2), (3, 3), (4, 2), (4, 4), (3, 5), (8, 8)]
 )
 topology_names = st.sampled_from(sorted(registered_topologies()))
 grid_names = st.sampled_from(["mesh", "torus"])
+CYLINDER_SHAPES = [(1, 3), (3, 1), (2, 5), (5, 2), (4, 3), (6, 4), (7, 8)]
 
 
 def make(name, shape):
     return topology_for(name, MeshGeometry(*shape))
+
+
+#: Every grid the laws are stated on: the registered two and the toy.
+grids = st.one_of(
+    st.builds(make, grid_names, shapes),
+    st.sampled_from(CYLINDER_SHAPES).map(lambda shape: Cylinder(MeshGeometry(*shape))),
+)
 
 
 @given(topology_names, shapes)
@@ -57,10 +76,9 @@ def test_neighbor_none_exactly_off_the_port_list(name, shape):
                 assert there != node  # no self-links, even on a 2-torus
 
 
-@given(grid_names, shapes)
-def test_grid_links_are_symmetric(name, shape):
+@given(grids)
+def test_grid_links_are_symmetric(topo):
     """Every grid link has a reverse link through the opposite port."""
-    topo = make(name, shape)
     for node, port in topo.links():
         there = topo.neighbor(node, port)
         assert topo.neighbor(there, OPPOSITE[Direction(port)]) == node
@@ -96,11 +114,8 @@ def assert_route_laws(topo, src, dst):
     return directions
 
 
-@given(
-    grid_names, shapes, st.integers(0, 10_000), st.integers(0, 10_000)
-)
-def test_routes_walk_real_links_and_realise_the_hop_count(name, shape, a, b):
-    topo = make(name, shape)
+@given(grids, st.integers(0, 10_000), st.integers(0, 10_000))
+def test_routes_walk_real_links_and_realise_the_hop_count(topo, a, b):
     assert_route_laws(topo, a % topo.num_nodes, b % topo.num_nodes)
 
 
@@ -126,9 +141,8 @@ def test_every_route_of_the_small_grids_obeys_the_laws(name, shape):
                 assert directions[-1] is Direction.NORTH
 
 
-@given(grid_names, shapes, st.integers(0, 10_000), st.integers(0, 10_000))
-def test_route_directions_replay_the_route(name, shape, a, b):
-    topo = make(name, shape)
+@given(grids, st.integers(0, 10_000), st.integers(0, 10_000))
+def test_route_directions_replay_the_route(topo, a, b):
     src, dst = a % topo.num_nodes, b % topo.num_nodes
     route = topo.shortest_route(src, dst)
     here = src
@@ -137,9 +151,8 @@ def test_route_directions_replay_the_route(name, shape, a, b):
     assert here == dst
 
 
-@given(grid_names, shapes, st.integers(0, 10_000), st.integers(0, 10_000))
-def test_dor_first_direction_matches_the_route(name, shape, a, b):
-    topo = make(name, shape)
+@given(grids, st.integers(0, 10_000), st.integers(0, 10_000))
+def test_dor_first_direction_matches_the_route(topo, a, b):
     src, dst = a % topo.num_nodes, b % topo.num_nodes
     if src == dst:
         return
@@ -158,19 +171,49 @@ def test_hop_count_is_a_symmetric_metric(name, shape, a, b):
     )
 
 
-@given(grid_names, shapes, st.integers(0, 10_000))
-def test_broadcast_sweeps_cover_everything_once_per_tap_set(name, shape, s):
-    topo = make(name, shape)
-    if topo.height < 2:
-        return  # row-only grids have no vertical sweeps (documented)
-    assert isinstance(topo, GridTopology)
-    source = s % topo.num_nodes
+def assert_sweep_laws(topo, source):
+    """Section 2.1.4 through the routes alone: the sweeps tap every node but
+    the source, and each is the vertical run of the dimension-order route
+    from the source to its last node, turn node included."""
     covered = set()
     for final, taps in topo.broadcast_sweeps(source):
         assert source not in taps
-        assert final in taps | {source}
+        route = topo.dor_route(source, final)
+        turn = topo.dor_runs(source, final)[1]
+        assert taps == set(route[turn:]) - {source} and len(route) > turn + 1
         covered.update(taps)
     assert covered == set(topo.nodes()) - {source}
+
+
+@given(grids, st.integers(0, 10_000))
+def test_broadcast_sweeps_cover_everything_once_per_tap_set(topo, s):
+    if topo.height < 2:
+        return  # row-only grids have no vertical sweeps (documented)
+    assert isinstance(topo, GridTopology)
+    assert_sweep_laws(topo, s % topo.num_nodes)
+
+
+@pytest.mark.parametrize("shape", CYLINDER_SHAPES, ids=str)
+def test_a_grid_that_states_two_methods_obeys_every_law(shape):
+    """Exhaustive on the toy: ``neighbor`` and ``axis_hops`` are all it
+    defines, and the routes, hop counts, first directions, edge rows and
+    sweeps derived from them obey the laws the shipped grids obey."""
+    for grid in (Cylinder, Mesh2D):
+        stated = {name for name, value in vars(grid).items() if callable(value)}
+        assert stated == {"neighbor", "axis_hops"}
+    topo = Cylinder(MeshGeometry(*shape))
+    width, height = shape
+    for src in topo.nodes():
+        assert topo.is_edge_row(src) == (src // width in (0, height - 1))
+        if height > 1:
+            assert_sweep_laws(topo, src)
+            per_column = 1 if topo.is_edge_row(src) else 2
+            assert len(topo.broadcast_sweeps(src)) == per_column * width
+        for dst in topo.nodes():
+            directions = assert_route_laws(topo, src, dst)
+            if 2 * ((dst - src) % width) == width:
+                assert directions[0] is Direction.EAST
+            assert Direction.NORTH not in directions or dst // width > src // width
 
 
 def test_two_by_two_torus_east_and_west_reach_the_same_node():
