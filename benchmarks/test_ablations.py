@@ -1,15 +1,13 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation bench for the design choice the paper states a claim about.
 
-Three ablations, each matching a discussion point in the paper:
+**Network arbitration** (footnote 3): fixed priority (straight beats
+turns) versus round-robin — the paper found "no performance advantage"
+for round-robin while it would increase crossbar latency.  Both rows run
+on the sparse kernel.
 
-1. **Network arbitration** (footnote 3): fixed priority (straight beats
-   turns) versus round-robin — the paper found "no performance advantage"
-   for round-robin while it would increase crossbar latency.
-2. **Buffer management** (section 5 / future work): private per-port
-   buffers vs a shared pool, and rotating vs oldest-first queue
-   arbitration, on the drop-sensitive Ocean workload.
-3. **Drop-network alternative** (conclusions / future work): dropping +
-   retransmission vs deflecting blocked packets to a neighbour.
+The buffer-management and drop-network ablations (section 7, "future
+work", which the paper never evaluates) were retired with the options they
+varied; their last tables are in EXPERIMENTS.md, "Ablations".
 """
 
 import tempfile
@@ -82,43 +80,3 @@ def test_ablation_network_arbitration(benchmark):
         f"round-robin={hops_rr} hops/cycle"
     )
     assert hops_rr < hops_fixed
-
-
-def test_ablation_buffer_management(benchmark):
-    """Future work: smarter buffer management reduces drops on Ocean."""
-    cycles = min(bench_cycles(), 1000)
-    variants = {
-        "private-rotating (paper)": PhastlaneConfig(),
-        "shared-pool": PhastlaneConfig(buffer_sharing=True),
-        "oldest-first": PhastlaneConfig(buffer_arbitration="oldest_first"),
-        "shared+oldest": PhastlaneConfig(
-            buffer_sharing=True, buffer_arbitration="oldest_first"
-        ),
-    }
-    results = run_once(benchmark, _run_variants, variants, "ocean", cycles)
-    _print_table("Ablation: buffer management (ocean)", results)
-    # Ablation findings: a shared pool absorbs *transient* per-port
-    # asymmetry (see tests/test_core_alternatives.py) but at Ocean's
-    # sustained near-saturation load it lets burst traffic monopolise the
-    # pool — drops do not improve, and naive sharing without per-port
-    # escape reservations livelocks outright.  Oldest-first arbitration
-    # performs on par with the paper's rotating priority.  Both findings
-    # support the paper's private-buffer, rotating-priority design.
-    base = results["private-rotating (paper)"].stats
-    oldest = results["oldest-first"].stats
-    assert oldest.packets_dropped <= 2.0 * base.packets_dropped
-    for result in results.values():
-        assert result.stats.delivery_ratio == 1.0
-
-
-def test_ablation_drop_alternative(benchmark):
-    """Future work: deflection as an alternative to the drop network."""
-    cycles = min(bench_cycles(), 1000)
-    variants = {
-        "drop+retransmit (paper)": PhastlaneConfig(),
-        "deflect-to-neighbour": PhastlaneConfig(contention_policy="deflect"),
-    }
-    results = run_once(benchmark, _run_variants, variants, "ocean", cycles)
-    _print_table("Ablation: contention policy (ocean)", results)
-    for result in results.values():
-        assert result.stats.delivery_ratio == 1.0

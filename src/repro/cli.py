@@ -36,7 +36,7 @@ import argparse
 import json
 import sys
 from importlib import import_module
-from typing import TYPE_CHECKING, Any, Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Sequence, TextIO
 
 # Imports follow the command: only what building the parser needs is
 # loaded here, and every handler imports what it runs.  ``--help`` and
@@ -51,7 +51,7 @@ from repro.util.tables import AsciiTable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fabric import NetworkConfig
     from repro.faults import FaultConfig
-    from repro.harness.exec import Executor, RunEvent, RunSpec
+    from repro.harness.exec import Executor, RunEvent
     from repro.obs import ObsConfig
 
 _ANALYTIC_FIGURES = ("fig04", "fig05", "fig06", "fig07", "fig08")
@@ -145,15 +145,6 @@ def _float_list(text: str, flag: str) -> list[float]:
         raise _UsageError(
             f"invalid {flag} {text!r}; expected comma-separated floats"
         )
-
-
-def _specs(build: Callable[..., list[RunSpec]], *values: Any) -> list[RunSpec]:
-    """The run specs ``build`` makes of flag values; one a spec refuses (a
-    rate outside [0, 1], ``--cycles 0``) is a usage error, not a traceback."""
-    try:
-        return build(*values)
-    except ValueError as exc:
-        raise _UsageError(f"repro: {exc}")
 
 
 def _faults_from_args(args: argparse.Namespace) -> FaultConfig | None:
@@ -286,9 +277,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     rates = _float_list(args.rates, "--rates")
     faults = _faults_from_args(args)
-    specs = _specs(
-        sweep_specs, config, args.pattern, rates, args.cycles, args.seed, faults
-    )
+    specs = sweep_specs(config, args.pattern, rates, args.cycles, args.seed, faults)
     executor = _executor_from_args(args)
     num_nodes = config.mesh.num_nodes
     points = [
@@ -394,9 +383,8 @@ def _cmd_fault_sweep(args: argparse.Namespace) -> int:
     template = _faults_from_args(args) or FaultConfig(
         seed=args.fault_seed, retry_limit=args.retry_limit
     )
-    specs = _specs(
-        fault_sweep_specs, config, args.pattern, args.rate, fault_rates,
-        args.cycles, args.seed, template,
+    specs = fault_sweep_specs(
+        config, args.pattern, args.rate, fault_rates, args.cycles, args.seed, template
     )
     executor = _executor_from_args(args)
     num_nodes = config.mesh.num_nodes

@@ -4,10 +4,9 @@ The public API of the reproduction's primary contribution:
 
 - :class:`PhastlaneConfig` — the Table 1 network configuration;
 - :class:`PhastlaneNetwork` — the cycle-accurate flit-level reference
-  simulator: the only implementation of the section 5 / footnote 3
-  alternatives and the oracle of ``tests/test_differential.py`` (a config
-  on the paper's design point is run, bit for bit, by
-  :mod:`repro.vectorized`; see DESIGN.md section 9);
+  simulator: the oracle of ``tests/test_differential.py`` and nothing else
+  (every ``PhastlaneConfig`` is run, bit for bit, by :mod:`repro.vectorized`;
+  see DESIGN.md section 9);
 - :func:`build_plan` / :func:`broadcast_plans` — predecoded source routes;
 - :class:`PhastlaneRouter` — electrical buffers + rotating-priority arbiter;
 - :class:`OpticalPacket` — a single-flit cache-line packet with its control

@@ -1,4 +1,11 @@
-"""Phastlane network configuration (paper Table 1 and section 5 variants)."""
+"""Phastlane network configuration (paper Table 1 and section 5 variants).
+
+``network_arbitration`` is the one design alternative carried as a field:
+the only one the paper states a claim about (footnote 3).  Section 7's
+"future work" ideas (oldest-first buffer arbitration, shared buffer pools,
+deflection) are not options: the paper never evaluates them, and what they
+measured here is on record in EXPERIMENTS.md, "Ablations".
+"""
 
 from __future__ import annotations
 
@@ -48,21 +55,6 @@ class PhastlaneConfig:
     #: paper's footnote 3 evaluated and rejected (no performance advantage,
     #: higher crossbar latency).
     network_arbitration: str = "fixed"
-    #: Selection among the five electrical queues each cycle.
-    #: ``"rotating"`` is the paper's rotating-priority arbiter;
-    #: ``"oldest_first"`` is an age-based alternative (the paper's stated
-    #: future work on buffer arbitration).
-    buffer_arbitration: str = "rotating"
-    #: What a blocked packet does when its input-port buffer is full.
-    #: ``"drop"`` is the paper's design (drop + return-path signal +
-    #: retransmit); ``"deflect"`` first tries to escape through any free
-    #: output port and buffer at the neighbour (a drop-network alternative
-    #: in the spirit of the paper's future work).
-    contention_policy: str = "drop"
-    #: ``False`` gives each input port a private ``buffer_entries`` queue
-    #: (the paper's design); ``True`` lets the five queues share one pool
-    #: of ``5 * buffer_entries`` slots (future-work buffer management).
-    buffer_sharing: bool = False
 
     def __post_init__(self) -> None:
         from repro.topology import registered_topologies
@@ -89,14 +81,6 @@ class PhastlaneConfig:
         if self.network_arbitration not in ("fixed", "round_robin"):
             raise ValueError(
                 f"unknown network arbitration {self.network_arbitration!r}"
-            )
-        if self.buffer_arbitration not in ("rotating", "oldest_first"):
-            raise ValueError(
-                f"unknown buffer arbitration {self.buffer_arbitration!r}"
-            )
-        if self.contention_policy not in ("drop", "deflect"):
-            raise ValueError(
-                f"unknown contention policy {self.contention_policy!r}"
             )
         if self.packet_bits < 1:
             raise ValueError("packets must carry at least one bit")

@@ -32,7 +32,7 @@ from repro.core.config import PhastlaneConfig
 from repro.core.nic import PhastlaneNic
 from repro.core.packet import OpticalPacket
 from repro.core.router import INPUT_PORT_PRIORITY, PhastlaneRouter
-from repro.core.routing import build_plan, clear_passed_taps, replan_from
+from repro.core.routing import clear_passed_taps, replan_from
 from repro.fabric.base import MeshNetworkBase
 from repro.faults.schedule import FaultSchedule
 from repro.electrical.power import (
@@ -98,7 +98,6 @@ class PhastlaneNetwork(MeshNetworkBase):
         self._delivered_broadcast: set[tuple[int, int]] = set()
         #: Round-robin pointers for the footnote-3 arbitration alternative.
         self._rr_pointers: dict[tuple[int, Direction], int] = {}
-        self.deflections = 0
 
     # -- per-cycle hooks (MeshNetworkBase) -----------------------------------------
 
@@ -339,71 +338,11 @@ class PhastlaneNetwork(MeshNetworkBase):
             if self.trace_hub:
                 self.trace_hub.emit("buffered", cycle, node, packet.uid)
             return
-        if self.config.contention_policy == "deflect" and self._try_deflect(
-            transit, cycle
-        ):
-            return
         self.stats.record_dropped()
         self._drop_signals[packet.uid] = transit.index
         self._charge_drop_signal()
         if self.trace_hub:
             self.trace_hub.emit("dropped", cycle, node, packet.uid)
-
-    def _try_deflect(self, transit: _Transit, cycle: int) -> bool:
-        """Drop-network alternative: escape through a free port and buffer
-        at the neighbour.
-
-        Applies to unicast packets only (a deflected multicast's remaining
-        taps would no longer lie on its dimension-order path).  The packet
-        claims any unclaimed output port whose neighbour has buffer space,
-        travels that one extra hop, and the neighbour assumes delivery
-        responsibility with a fresh route.
-        """
-        packet = transit.packet
-        if packet.is_multicast:
-            return False
-        node = packet.plan[transit.index].node
-        arrival = packet.plan[transit.index - 1].exit
-        assert arrival is not None
-        for direction in INPUT_PORT_PRIORITY:
-            if (node, direction) in self._port_claims:
-                continue
-            neighbor = self.topology.neighbor(node, direction)
-            if neighbor is None:
-                continue
-            queue_id = int(direction)
-            if neighbor != packet.final_node and not self.routers[
-                neighbor
-            ].has_space(queue_id):
-                continue
-            self._port_claims.add((node, direction))
-            self.stats.record_hops(1)
-            self.deflections += 1
-            self._charge_receive(self.config.packet_bits)
-            if self.trace_hub:
-                self.trace_hub.emit(
-                    "hop", cycle, neighbor, packet.uid, extra={"deflected": True}
-                )
-            if neighbor == packet.final_node:
-                self.stats.record_delivered(packet.generated_cycle, cycle)
-                self._note_fault_delivery(packet.uid)
-                if self.trace_hub:
-                    self.trace_hub.emit("delivered", cycle, neighbor, packet.uid)
-                return True
-            packet.plan = build_plan(
-                self.topology,
-                neighbor,
-                packet.final_node,
-                self.config.max_hops_per_cycle,
-            )
-            self.routers[neighbor].enqueue(queue_id, packet, eligible_cycle=cycle + 1)
-            self.stats.add_energy(
-                "buffer_write", self.config.packet_bits * BUFFER_WRITE_PJ_PER_BIT
-            )
-            if self.trace_hub:
-                self.trace_hub.emit("buffered", cycle, neighbor, packet.uid)
-            return True
-        return False
 
     def _deliver_tap(self, packet: OpticalPacket, node: int, cycle: int) -> None:
         self._charge_receive(self.config.packet_bits)

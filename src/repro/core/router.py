@@ -69,34 +69,10 @@ class PhastlaneRouter:
 
     def has_space(self, queue_id: int) -> bool:
         """Space check; a pending transmission still holds its buffer slot
-        until the drop window passes (it may have to be requeued).
-
-        With ``buffer_sharing`` the five queues draw from one pool of
-        ``5 * buffer_entries`` slots — except that one slot stays reserved
-        for every currently-empty queue.  Without that reservation a
-        router's pool can be monopolised by one queue, and two routers
-        whose pools are mutually full of packets that must buffer at each
-        other livelock on the drop/retransmit path (each retry re-drops
-        forever).  Reserving an escape slot per port guarantees every
-        input port can always accept at least one blocked packet, which
-        keeps the retry loop making progress.
-        """
+        until the drop window passes (it may have to be requeued)."""
         capacity = self.config.buffer_entries
         if capacity is None:
             return True
-        if self.config.buffer_sharing:
-            used_by = [len(queue) for queue in self.queues]
-            for entry in self.pending:
-                used_by[entry.queue_id] += 1
-            free = capacity * NUM_QUEUES - sum(used_by)
-            if used_by[queue_id] == 0:
-                return free >= 1  # my own reserved escape slot
-            reserved_others = sum(
-                1
-                for other in range(NUM_QUEUES)
-                if other != queue_id and used_by[other] == 0
-            )
-            return free > reserved_others
         held = sum(1 for p in self.pending if p.queue_id == queue_id)
         return len(self.queues[queue_id]) + held < capacity
 
@@ -143,17 +119,17 @@ class PhastlaneRouter:
     def select_transmissions(self, cycle: int) -> list[tuple[int, OpticalPacket]]:
         """Select up to four queue heads for transmission (one per output).
 
-        The paper's arbiter visits the five queues in rotating-priority
-        order; the ``oldest_first`` alternative (future work on buffer
-        arbitration) instead orders the heads by packet age.  Each queue
-        offers only its head (one buffer read port), and each output port
-        is granted at most once.  Selected packets move to pending slots
-        awaiting a possible drop signal.  Returns ``(queue_id, packet)``.
+        The arbiter visits the five queues in rotating-priority order.
+        Each queue offers only its head (one buffer read port), and each
+        output port is granted at most once.  Selected packets move to
+        pending slots awaiting a possible drop signal.  Returns
+        ``(queue_id, packet)``.
         """
         selections: list[tuple[int, OpticalPacket]] = []
         claimed_outputs: set[Direction] = set()
         first_served: int | None = None
-        for queue_id in self._arbitration_order(cycle):
+        for offset in range(NUM_QUEUES):
+            queue_id = (self._arbiter_pointer + offset) % NUM_QUEUES
             queue = self.queues[queue_id]
             if not queue or queue[0].eligible_cycle > cycle:
                 continue
@@ -172,21 +148,6 @@ class PhastlaneRouter:
         else:
             self._arbiter_pointer = (self._arbiter_pointer + 1) % NUM_QUEUES
         return selections
-
-    def _arbitration_order(self, cycle: int) -> list[int]:
-        if self.config.buffer_arbitration == "rotating":
-            return [
-                (self._arbiter_pointer + offset) % NUM_QUEUES
-                for offset in range(NUM_QUEUES)
-            ]
-        # oldest_first: eligible heads by generation age, ties by queue id.
-        def age_key(queue_id: int) -> tuple[int, int]:
-            queue = self.queues[queue_id]
-            if not queue or queue[0].eligible_cycle > cycle:
-                return (1 << 62, queue_id)
-            return (queue[0].packet.generated_cycle, queue_id)
-
-        return sorted(range(NUM_QUEUES), key=age_key)
 
     # -- pending resolution ------------------------------------------------------------
 

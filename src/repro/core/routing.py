@@ -7,11 +7,14 @@ of :class:`RouteStep`, inserting *interim nodes* (Local bit set) every
 ``max_hops`` hops so no optical transit exceeds the single-cycle hop
 budget of Fig 6.
 
-Routes come from a :class:`~repro.topology.policies.RoutingPolicy` over
-a :class:`~repro.topology.base.Topology` — the paper's dimension-order
-(X-then-Y) routing by default.  Every entry point also accepts a bare
-:class:`~repro.util.geometry.MeshGeometry`, which adapts to the
-registered ``mesh`` topology.
+Routes are the paper's dimension-order (X-then-Y) routing over a grid
+:class:`~repro.topology.base.Topology`; every entry point also accepts a
+bare :class:`~repro.util.geometry.MeshGeometry`, which adapts to the
+registered ``mesh`` topology.  This is the reference's statement of section
+2.1.3 and is kept naive on purpose: every call walks the route and builds
+its steps, and the Local marks are what ``tests/test_differential.py``
+checks the kernel's positional stops against and what
+:mod:`repro.core.control` checks against the 70-bit control budget.
 
 :func:`broadcast_plans` implements the section 2.1.4 broadcast: one
 multicast packet per (column x vertical direction) sweep, as decomposed
@@ -28,13 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from repro.topology import (
-    RoutingPolicy,
-    Topology,
-    as_topology,
-    policy_by_name,
-    require_grid,
-)
+from repro.topology import Topology, as_topology, policy_by_name, require_grid
 from repro.util.geometry import Direction, MeshGeometry
 
 #: Every routing entry point accepts a topology or a bare mesh geometry.
@@ -60,65 +57,19 @@ class RouteStep:
             raise ValueError("exit must be a mesh direction or None")
 
 
-#: Plan slots per ``(max_hops, policy)`` table of one topology, handed out
-#: a source row (``num_nodes`` slots) at a time.  A constant, not an
-#: option: it holds every route of an 8x8 network (64 rows) and bounds a
-#: table at a few MB on 16x16 (the first 64 sources) and 32x32 (the first
-#: 16); a route from a source past the cap is simply built per call.
-PLAN_TABLE_CAP = 16384
-
-#: Every untapped step of every plan, shared: ``(node * 6 + exit) * 2 +
-#: local`` -> step, with exit 5 standing for None.  At most ten per node.
-_STEPS: dict[int, RouteStep] = {}
-
-
-def _encode_route(
-    topo: Topology,
-    source: int,
-    destination: int,
-    max_hops: int,
-    policy: RoutingPolicy | str,
-) -> tuple[RouteStep, ...]:
-    """Compute the route and encode it, untapped, out of shared steps."""
-    if not isinstance(policy, RoutingPolicy):
-        policy = policy_by_name(policy)
-    nodes, directions = policy.plan(topo, source, destination)
-    steps: list[RouteStep] = []
-    last = len(nodes) - 1
-    for index, node in enumerate(nodes):
-        # Local at the destination and at every max_hops-th router, except
-        # that a mark one hop before the destination is redundant but
-        # harmless; we keep the strict periodic placement of section 2.1.3.
-        local = index == last or (index > 0 and index % max_hops == 0)
-        exit_ = None if index == last else directions[index]
-        code = (node * 6 + (5 if exit_ is None else exit_)) * 2 + local
-        step = _STEPS.get(code)
-        if step is None:
-            step = _STEPS[code] = RouteStep(node, exit_, local)
-        steps.append(step)
-    return tuple(steps)
-
-
 def build_plan(
     topology: TopologyLike,
     source: int,
     destination: int,
     max_hops: int,
     taps: Iterable[int] = (),
-    policy: RoutingPolicy | str = "dor",
 ) -> tuple[RouteStep, ...]:
-    """The route from ``source`` to ``destination`` under ``policy``.
+    """The dimension-order route from ``source`` to ``destination``.
 
     Interim nodes (Local) are placed every ``max_hops`` hops.  ``taps``
     marks multicast power-tap nodes; each must lie on the route.  The
     final step always has ``local=True``; for multicast packets the caller
     includes the destination in ``taps`` so the final node also delivers.
-
-    The untapped route is a pure function of ``(topology, source,
-    destination, max_hops, policy)`` and plans are immutable, so it is
-    looked up in the topology's lazily filled plan table — per
-    ``(max_hops, policy)``, one ``row[destination]`` list per source seen —
-    and shared between packets; taps are overlaid on a copy.
 
     >>> mesh = MeshGeometry(8, 8)
     >>> plan = build_plan(mesh, 0, 63, max_hops=5)
@@ -129,31 +80,25 @@ def build_plan(
         raise ValueError("a route needs distinct endpoints")
     if max_hops < 1:
         raise ValueError("max hops must be at least 1")
-    topo = topology if isinstance(topology, Topology) else as_topology(topology)
-    num_nodes = topo.num_nodes
-    for node in (source, destination):
-        if not 0 <= node < num_nodes:  # a stray id must not alias a table slot
-            raise ValueError(f"node {node} out of range for {topo.mesh}")
-    rows = topo.plan_tables.setdefault((max_hops, policy), {})
-    row = rows.get(source)
-    if row is None and len(rows) * num_nodes < PLAN_TABLE_CAP:
-        row = rows[source] = [None] * num_nodes
-    plan = None if row is None else row[destination]
-    if plan is None:
-        plan = _encode_route(topo, source, destination, max_hops, policy)
-        if row is not None:
-            row[destination] = plan
+    nodes, directions = policy_by_name("dor").plan(
+        as_topology(topology), source, destination
+    )
     tap_set = set(taps)
-    if not tap_set:
-        return plan
-    stray = tap_set.difference(step.node for step in plan)
+    stray = tap_set.difference(nodes)
     if stray:
         raise ValueError(f"taps {sorted(stray)} are not on the DOR path")
+    last = len(nodes) - 1
+    # Local at the destination and at every max_hops-th router: the strict
+    # periodic placement of section 2.1.3 (a mark one hop before the
+    # destination is redundant but harmless).
     return tuple(
-        RouteStep(step.node, step.exit, step.local, True)
-        if step.node in tap_set
-        else step
-        for step in plan
+        RouteStep(
+            node,
+            None if index == last else directions[index],
+            local=index == last or (index > 0 and index % max_hops == 0),
+            multicast=node in tap_set,
+        )
+        for index, node in enumerate(nodes)
     )
 
 
@@ -162,7 +107,6 @@ def replan_from(
     plan: Sequence[RouteStep],
     current_index: int,
     max_hops: int,
-    policy: RoutingPolicy | str = "dor",
 ) -> tuple[RouteStep, ...]:
     """A fresh plan from the router at ``current_index`` to the same target.
 
@@ -178,9 +122,7 @@ def replan_from(
     remaining_taps = {
         step.node for step in plan[current_index + 1 :] if step.multicast
     }
-    return build_plan(
-        topology, here, final, max_hops, taps=remaining_taps, policy=policy
-    )
+    return build_plan(topology, here, final, max_hops, taps=remaining_taps)
 
 
 def clear_passed_taps(

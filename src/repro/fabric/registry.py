@@ -54,8 +54,8 @@ class BackendEntry:
 _REGISTRY: dict[str, BackendEntry] = {}
 
 #: Modules whose import registers the built-in backends.  The vectorized
-#: module registers both Phastlane kinds: it decides which network serves a
-#: ``PhastlaneConfig`` (DESIGN.md section 9).
+#: module registers both Phastlane kinds: one engine serves them (DESIGN.md
+#: section 9).
 _BUILTIN_MODULES = (
     "repro.vectorized.network",
     "repro.electrical.network",

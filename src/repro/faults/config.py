@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any
 
+from repro.util.errors import SpecError
+
 #: The fault-kind vocabulary a schedule can report for one crossing or
 #: node, in rough severity order.  ``dead_port`` is permanent; the rest
 #: are transient.  Stats ledgers and trace events carry these strings.
@@ -78,30 +80,30 @@ class FaultConfig:
 
     def __post_init__(self) -> None:
         if self.seed < 0:
-            raise ValueError("fault seed must be non-negative")
+            raise SpecError("fault seed must be non-negative")
         normalised = tuple(
             sorted({(int(node), int(port)) for node, port in self.dead_ports})
         )
         for node, port in normalised:
             if node < 0:
-                raise ValueError(f"dead port names negative node {node}")
+                raise SpecError(f"dead port names negative node {node}")
             if not 0 <= port <= 3:
-                raise ValueError(
+                raise SpecError(
                     f"dead port {port} for node {node} is not a mesh port (0-3)"
                 )
         object.__setattr__(self, "dead_ports", normalised)
         if self.dead_port_count < 0:
-            raise ValueError("dead port count must be non-negative")
+            raise SpecError("dead port count must be non-negative")
         for name in _PROBABILITY_FIELDS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+                raise SpecError(f"{name} must be in [0, 1], got {value}")
         if self.burst_enter_prob > 0.0 and self.burst_exit_prob <= 0.0:
-            raise ValueError("burst faults need burst_exit_prob > 0 to end")
+            raise SpecError("burst faults need burst_exit_prob > 0 to end")
         if self.nic_stall_cycles < 1:
-            raise ValueError("NIC stalls must last at least one cycle")
+            raise SpecError("NIC stalls must last at least one cycle")
         if self.retry_limit < 1:
-            raise ValueError("retry limit must be at least one attempt")
+            raise SpecError("retry limit must be at least one attempt")
 
     @property
     def enabled(self) -> bool:

@@ -35,11 +35,12 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.fabric import NetworkConfig, config_kind, config_type_for
+from repro.fabric import FabricError, NetworkConfig, config_kind, config_type_for
 from repro.faults.config import FaultConfig
 from repro.harness.runner import RunResult, run
 from repro.obs.config import ObsConfig
 from repro.obs.session import ProgressSample, ProgressSink
+from repro.util.errors import SpecError
 from repro.util.geometry import MeshGeometry
 
 #: Code-calibration stamp baked into every cache key.  Bump whenever the
@@ -75,7 +76,7 @@ class SyntheticWorkload:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"injection rate must be in [0, 1], got {self.rate}")
+            raise SpecError(f"injection rate must be in [0, 1], got {self.rate}")
 
     @property
     def name(self) -> str:
@@ -135,6 +136,17 @@ def workload_from_dict(payload: dict[str, Any]) -> Workload:
 
 # -- configuration (de)serialisation -----------------------------------------
 
+#: Keys a serialised ``"phastlane"`` config still carries although the
+#: fields are gone: the paper's section 7 "future work" knobs, which it
+#: never evaluates, at the only values left.  Written so that every spec
+#: digest, cache key and manifest stays byte-identical; read back and
+#: dropped, and any other value is refused.
+RETIRED_PHASTLANE_KEYS = {
+    "buffer_arbitration": "rotating",
+    "contention_policy": "drop",
+    "buffer_sharing": False,
+}
+
 
 def config_to_dict(config: NetworkConfig) -> dict[str, Any]:
     """Flatten a network configuration to JSON-friendly types.
@@ -158,6 +170,8 @@ def config_to_dict(config: NetworkConfig) -> dict[str, Any]:
             continue
         else:
             payload[field_.name] = value
+    if payload["kind"] == "phastlane":
+        payload.update(RETIRED_PHASTLANE_KEYS)
     return payload
 
 
@@ -165,6 +179,15 @@ def config_from_dict(payload: dict[str, Any]) -> NetworkConfig:
     payload = dict(payload)
     kind = payload.pop("kind", "")
     config_type = config_type_for(kind)
+    if kind == "phastlane":
+        for key, paper in RETIRED_PHASTLANE_KEYS.items():
+            value = payload.pop(key, paper)
+            if value != paper:
+                raise FabricError(
+                    f"{key}={value!r} was retired with the section 7 "
+                    f"alternatives the paper never evaluates; only {paper!r} "
+                    f"is simulated"
+                )
     width, height = payload.pop("mesh")
     return config_type(mesh=MeshGeometry(width, height), **payload)
 
@@ -205,11 +228,11 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         if self.cycles <= 0:
-            raise ValueError("cycles must be positive")
+            raise SpecError("cycles must be positive")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise SpecError("seed must be non-negative")
         if self.max_drain_cycles < 0:
-            raise ValueError("max drain cycles must be non-negative")
+            raise SpecError("max drain cycles must be non-negative")
         if self.faults is not None and not self.faults.enabled:
             object.__setattr__(self, "faults", None)
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import abc
 from collections import deque
 from functools import cached_property
-from typing import Any, ClassVar, Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 from repro.util.errors import FabricError
 from repro.util.geometry import OPPOSITE, Coord, Direction, MeshGeometry
@@ -61,10 +61,6 @@ class Topology(abc.ABC):
     def __init__(self, mesh: MeshGeometry) -> None:
         self.mesh = mesh
         self._distance_cache: dict[int, tuple[int, ...]] = {}
-        #: Memo of predecoded routes, owned and filled lazily by
-        #: :func:`repro.core.routing.build_plan` (which documents the
-        #: layout); it lives here so that it dies with the topology.
-        self.plan_tables: dict[tuple[int, object], dict[int, list[Any]]] = {}
 
     # ------------------------------------------------------------------
     # node enumeration (delegated to the addressable grid)

@@ -16,3 +16,14 @@ from __future__ import annotations
 
 class FabricError(Exception):
     """A fabric-layer failure: unknown backend, bad registration, etc."""
+
+
+class SpecError(FabricError, ValueError):
+    """A value a run spec, workload or fault model refuses (``--cycles 0``, a
+    rate outside [0, 1]).
+
+    A :class:`ValueError` for callers that guard construction with one, and
+    a :class:`FabricError` so the CLI reports it in one line wherever the
+    spec was built (``campaign`` and ``figure`` build theirs deep inside
+    the experiment layer).
+    """

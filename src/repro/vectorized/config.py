@@ -14,13 +14,11 @@ operating point plus the grid-topology axis — and adds one engine knob,
   per-node Mersenne draws, so synthetic runs are *statistically* equivalent
   to the reference, and trace runs remain bit-identical.
 
-The paper's arbitration/contention alternatives (round-robin network
-arbitration, oldest-first buffer arbitration, deflection, buffer sharing)
-are deliberately not exposed: the vectorized engine implements the paper's
-preferred design only — unicast and section 2.1.4 broadcast traffic alike —
-and the differential harness proves exactly that surface.  A
-``PhastlaneConfig`` that stays on that design point is run by this engine
-too (:func:`as_phastlane` is the test).
+The one field of ``PhastlaneConfig`` this type does not carry is
+``network_arbitration`` (paper footnote 3): a ``VectorizedConfig`` is the
+paper's fixed priority.  The engine itself runs every ``PhastlaneConfig``,
+round-robin included, and is registered for both types; the differential
+harness proves each against :mod:`repro.core`.
 """
 
 from __future__ import annotations
@@ -96,15 +94,13 @@ class VectorizedConfig:
 
 
 def as_phastlane(config: VectorizedConfig | PhastlaneConfig) -> PhastlaneConfig:
-    """The paper's design point with this config's physics: every field the
-    sparse kernel models, copied; every other ``PhastlaneConfig`` field at
-    its default, the paper's choice.
+    """The paper's design point with this config's physics: every field
+    the two types share, copied; ``network_arbitration`` at its default, the
+    paper's choice.
 
     For a ``VectorizedConfig`` that is the reference configuration it is
     calibrated to (the differential harness runs both and compares stats
-    field by field).  A ``PhastlaneConfig`` comes back equal exactly when
-    it is on the design point, which is how the ``"phastlane"`` backend
-    decides that the kernel can serve it.
+    field by field).
     """
     return PhastlaneConfig(
         mesh=config.mesh,

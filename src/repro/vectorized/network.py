@@ -27,6 +27,10 @@ every router and NIC every cycle regardless of occupancy; this engine is
   marked router (first tap wins per broadcast and node), the marks of passed
   routers cleared on a resend, and the taps still ahead kept when an interim
   router takes the packet over;
+- same-wave contenders for an output port are ranked by the paper's fixed
+  priority, or by footnote 3's round-robin when a ``PhastlaneConfig`` asks
+  for it: one pointer over the input ports per contention key, which every
+  winner moves;
 - per-event energy charges are precomputed constants added to the stats
   Counter in the reference's exact order, so the energy ledger is
   float-bit-identical, not just close.
@@ -55,11 +59,7 @@ from repro.electrical.power import (
     NIC_LEAKAGE_MW,
 )
 from repro.core.config import PhastlaneConfig
-from repro.core.network import (
-    DROP_SIGNAL_BITS,
-    OPTICAL_ROUTER_LEAKAGE_MW,
-    PhastlaneNetwork,
-)
+from repro.core.network import DROP_SIGNAL_BITS, OPTICAL_ROUTER_LEAKAGE_MW
 from repro.fabric.base import MeshNetworkBase
 from repro.fabric.registry import register_backend
 from repro.faults.schedule import FaultSchedule
@@ -78,7 +78,7 @@ from repro.vectorized.components import (
     VecPacket,
     VecRouter,
 )
-from repro.vectorized.config import VectorizedConfig, as_phastlane
+from repro.vectorized.config import VectorizedConfig
 from repro.vectorized.plans import (
     RANK16,
     STOP,
@@ -141,10 +141,18 @@ class VectorizedNetwork(MeshNetworkBase):
         super().__init__(config or VectorizedConfig(), source, stats, faults)
         self._grid = require_grid(self.topology, "the Phastlane cycle-accurate pipeline")
         config = self.config
-        #: Philox traffic is a ``VectorizedConfig`` request; a
-        #: ``PhastlaneConfig`` (see ``_phastlane_network``) is exact replay
-        #: and is otherwise read only through the fields both types share.
+        #: The two fields the config types do not share.  Philox traffic is
+        #: a ``VectorizedConfig`` request; a ``PhastlaneConfig`` is exact
+        #: replay.  Round-robin arbitration (paper footnote 3) is a
+        #: ``PhastlaneConfig`` request: one pointer over the input ports per
+        #: output port, by contention key, ``None`` under fixed priority.
         self._fast = isinstance(config, VectorizedConfig) and config.mode == "fast"
+        self._rr_pointers: dict[int, int] | None = (
+            {}
+            if isinstance(config, PhastlaneConfig)
+            and config.network_arbitration == "round_robin"
+            else None
+        )
         self.power = OpticalPowerModel(mesh_nodes=self.mesh.num_nodes)
         self.routers: list[VecRouter] = [
             VecRouter(node) for node in self.mesh.nodes()
@@ -681,6 +689,7 @@ class VectorizedNetwork(MeshNetworkBase):
         receiver_sum = energy["receiver"]
         owed_taps = self._owed_taps
         record_tap_delivery = stats.record_delivered
+        pointers = self._rr_pointers
         active = flights
         last_wave = self.config.max_hops_per_cycle - 1
         for wave in range(last_wave + 1):
@@ -780,7 +789,15 @@ class VectorizedNetwork(MeshNetworkBase):
                     if key in claims:
                         blocked += group
                         continue
-                    group.sort(key=_priority_key)
+                    if pointers is None:
+                        group.sort(key=_priority_key)
+                    else:
+                        pointer = pointers.get(key, 0)
+                        group.sort(
+                            key=lambda packet: (
+                                packet.plan.exits[packet.hop - 1] - pointer
+                            ) % 4
+                        )
                     claims_add(key)
                     continuing.append(group[0])
                     blocked += group[1:]
@@ -789,6 +806,15 @@ class VectorizedNetwork(MeshNetworkBase):
                 else:
                     claims_add(key)
                     continuing.append(group)
+            if pointers is not None:
+                # Every winner, a lone one too, moves its port's pointer to
+                # the input after the one it came in by.
+                for packet in continuing:
+                    plan = packet.plan
+                    index = packet.hop
+                    pointers[plan.nodes[index] * 4 + plan.exits[index]] = (
+                        plan.exits[index - 1] + 1
+                    ) % 4
             for packet in blocked:
                 if hub is not None:
                     hub.emit(
@@ -902,30 +928,6 @@ def _priority_key(packet: VecPacket) -> tuple[int, int]:
     return (RANK16[arrival * 4 + exits[index]], arrival)
 
 
-def _phastlane_network(
-    config: PhastlaneConfig,
-    source: TrafficSource | None = None,
-    stats: NetworkStats | None = None,
-    faults: FaultSchedule | None = None,
-) -> MeshNetworkBase:
-    """The network of a ``PhastlaneConfig``, chosen from the config alone.
-
-    The sparse kernel models the paper's design point.  A config is on it
-    when every field the kernel does not model — the section 5 and
-    footnote 3 alternatives: ``network_arbitration``, ``buffer_arbitration``,
-    ``contention_policy``, ``buffer_sharing`` — holds the paper's value,
-    which is to say the config survives the round trip through
-    :func:`as_phastlane` (a field added later fails it until the kernel
-    carries it).  Such a config runs on the kernel, built on the config
-    itself in exact replay, bit for bit what the reference computes; any
-    other runs on :class:`~repro.core.network.PhastlaneNetwork`, the only
-    implementation of the alternatives and the oracle the kernel is
-    proven against.
-    """
-    if as_phastlane(config) == config:
-        return VectorizedNetwork(config, source, stats, faults)
-    return PhastlaneNetwork(config, source, stats, faults)
-
-
-register_backend("phastlane", PhastlaneConfig, _phastlane_network)
+#: One engine serves both Phastlane config types (DESIGN.md section 9).
+register_backend("phastlane", PhastlaneConfig, VectorizedNetwork)
 register_backend("vectorized", VectorizedConfig, VectorizedNetwork)

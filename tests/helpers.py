@@ -28,20 +28,20 @@ def drain(network, inject_cycles: int, max_extra: int = 20_000) -> SimulationEng
 def reference_oracle() -> Iterator[None]:
     """Inside the block every ``PhastlaneConfig`` runs on ``repro.core``.
 
-    The registry sends a ``PhastlaneConfig`` on the paper's design point to
-    the sparse kernel, so a test that compares that kernel with the
-    reference — or that means to cover the reference's own fault and
-    multicast paths through ``run()`` / ``make_network()`` — has to ask for
-    the reference.  This shadows the ``"phastlane"`` registration with
-    :class:`~repro.core.network.PhastlaneNetwork` (the registry documents
-    shadowing for tests) and puts the dispatching factory back on exit.
+    The registry sends every ``PhastlaneConfig`` to the sparse kernel, so a
+    test that compares that kernel with the reference — or that means to
+    cover the reference's own fault and multicast paths through ``run()`` /
+    ``make_network()`` — has to ask for the reference, and this is the only
+    way to get it through the registry.  It shadows the ``"phastlane"``
+    registration with :class:`~repro.core.network.PhastlaneNetwork` (the
+    registry documents shadowing for tests) and puts the kernel back on exit.
     """
-    dispatch = entry_for_kind("phastlane").factory
+    kernel = entry_for_kind("phastlane").factory
     register_backend("phastlane", PhastlaneConfig, PhastlaneNetwork)
     try:
         yield
     finally:
-        register_backend("phastlane", PhastlaneConfig, dispatch)
+        register_backend("phastlane", PhastlaneConfig, kernel)
 
 
 class Cylinder(GridTopology):

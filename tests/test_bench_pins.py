@@ -147,12 +147,11 @@ def test_src_imports_nothing_it_does_not_use():
 # -- module-level state is a named list ----------------------------------------
 
 #: Every module-level container under ``src/repro`` that code fills or
-#: edits: two registries and a policy table written at import, three memos
+#: edits: two registries and a policy table written at import, two memos
 #: keyed by pure inputs (each bounded or per-grid, see where it is defined)
 #: and the campaign matrix memo.  All other module-level containers are
 #: tables written once, where they are defined.
 NAMED_STATE = {
-    "core/routing.py": {"_STEPS"},
     "fabric/registry.py": {"_REGISTRY"},
     "harness/experiments/splash2_runs.py": {"_CACHE"},
     "topology/policies.py": {"_POLICIES"},
@@ -254,3 +253,87 @@ def test_the_state_scan_sees_what_it_should(tmp_path):
         "    local[x] = TABLE[x]\n"
     )
     assert module_state(sample) == {"NAMES", "_MEMO", "_BY_KIND", "_SEEN"}
+
+
+# -- the strict-mypy packages are fully annotated --------------------------------
+
+
+def strict_mypy_files():
+    """Source files of the ``[[tool.mypy.overrides]]`` entry of
+    ``pyproject.toml`` that sets ``disallow_untyped_defs``."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    overrides = tomllib.loads((ROOT / "pyproject.toml").read_text())["tool"]["mypy"][
+        "overrides"
+    ]
+    (strict,) = [entry for entry in overrides if entry.get("disallow_untyped_defs")]
+    files = []
+    for module in strict["module"]:
+        relative = module.removesuffix(".*").replace(".", "/")
+        found = (
+            sorted((ROOT / "src" / relative).rglob("*.py"))
+            if module.endswith(".*")
+            else [ROOT / "src" / f"{relative}.py"]
+        )
+        assert found and all(path.is_file() for path in found), module
+        files += found
+    return files
+
+
+def unannotated_defs(path):
+    """``file:line: def name: what is missing``, as ``mypy``'s
+    ``disallow_untyped_defs`` and ``disallow_incomplete_defs`` would find it:
+    every parameter but a method's ``self``/``cls`` and the return, which
+    only an ``__init__`` with an annotated parameter may leave out."""
+    tree = ast.parse(path.read_text())
+    methods = {
+        id(node)
+        for owner in ast.walk(tree) if isinstance(owner, ast.ClassDef)
+        for node in owner.body
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        spec = node.args
+        positional = spec.posonlyargs + spec.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        if id(node) in methods and not static:
+            positional = positional[1:]
+        parameters = positional + spec.kwonlyargs + [
+            arg for arg in (spec.vararg, spec.kwarg) if arg is not None
+        ]
+        missing = [arg.arg for arg in parameters if arg.annotation is None]
+        bare_init = node.name == "__init__" and parameters and not missing
+        if node.returns is None and not bare_init:
+            missing.append("return")
+        if missing:
+            yield (
+                f"{path}:{node.lineno}: def {node.name}: "
+                f"{', '.join(missing)}"
+            )
+
+
+def test_every_def_in_the_strict_mypy_packages_is_fully_annotated():
+    """``mypy`` is not installed where the builder runs; this is the part of
+    its strict overrides an AST can hold: no untyped or half-typed ``def``."""
+    findings = [
+        finding for path in strict_mypy_files() for finding in unannotated_defs(path)
+    ]
+    assert not findings, "unannotated defs:\n" + "\n".join(findings)
+
+
+def test_the_annotation_scan_sees_what_it_should(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "class A:\n"
+        "    def __init__(self, x: int):\n"
+        "        def inner(y): return y\n"
+        "    def __repr__(self): return ''\n"
+        "    def typed(self, *rest: int, **more: int) -> None: ...\n"
+        "    @staticmethod\n"
+        "    def free(x) -> int: return x\n"
+        "def f(a: int, b=0, *, c) -> int: return a\n"
+    )
+    found = [line.split(": def ")[1] for line in unannotated_defs(sample)]
+    assert sorted(found) == sorted(
+        ["inner: y, return", "__repr__: return", "free: x", "f: b, c"]
+    )

@@ -200,12 +200,18 @@ class TestRefusals:
             ["sweep", "--link-flip-prob", "2"],
             ["sweep", "--health-interval", "10"],
             ["sweep", "--stream-out", "s.jsonl"],
-            # A value a run spec refuses, caught where the specs are built:
-            # before PR 22 the first ran 0.1 to the end and died inside
-            # run() (under --workers 2 inside the pool).
+            # A value a run spec refuses is refused in the spec's own words
+            # wherever the spec is built: before PR 22 the first ran 0.1 to
+            # the end and died inside run() (under --workers 2 inside the
+            # pool).
             ["sweep", "--rates", "0.1,1.5"],
             ["fault-sweep", "--fault-rates", "0.0,2.0"],
             ["sweep", "--cycles", "0"],
+            # ... also deep inside compute_matrix / fig09.compute, where
+            # these three ended in a ValueError traceback before PR 23.
+            ["campaign", "--cycles", "0", "--no-cache"],
+            ["figure", "fig09", "--cycles", "0", "--no-cache"],
+            ["figure", "fig10", "--cycles", "0", "--no-cache"],
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -1,16 +1,10 @@
 """Tests for predecoded route plans, interim nodes and broadcast fan-out."""
 
-import tracemalloc
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import repro.core.network as core_network
-from repro.core.config import PhastlaneConfig
-from repro.core.network import PhastlaneNetwork
 from repro.core.routing import (
-    PLAN_TABLE_CAP,
     RouteStep,
     broadcast_plans,
     build_plan,
@@ -19,9 +13,7 @@ from repro.core.routing import (
     plan_hops,
     replan_from,
 )
-from repro.sim.engine import SimulationEngine
 from repro.topology import topology_from_name
-from repro.traffic.trace import Trace, TraceEvent, TraceSource
 from repro.util.geometry import MeshGeometry
 
 MESH = MeshGeometry(8, 8)
@@ -170,8 +162,8 @@ class TestPlanMetrics:
 
 
 def fresh_plan(topo, source, destination, max_hops, taps=()):
-    """``build_plan`` as it was before the plan table: nothing looked up,
-    nothing shared, every step constructed."""
+    """``build_plan`` stated a second time, from the grid's route and its
+    directions: where the Local marks and the taps fall."""
     nodes = topo.dor_route(source, destination)
     directions = topo.dor_directions(source, destination)
     last = len(nodes) - 1
@@ -186,15 +178,6 @@ def fresh_plan(topo, source, destination, max_hops, taps=()):
     )
 
 
-def table_entries(topo):
-    """``(max_hops, source, destination, plan)`` of every stored plan."""
-    for (max_hops, _policy), rows in topo.plan_tables.items():
-        for source, row in rows.items():
-            for destination, plan in enumerate(row):
-                if plan is not None:
-                    yield max_hops, source, destination, plan
-
-
 GRIDS = [
     pytest.param(name, side, id=f"{name}-{side}x{side}")
     for name in ("mesh", "torus")
@@ -203,7 +186,10 @@ GRIDS = [
 
 
 class TestPlanTable:
-    """The lazily filled per-topology table behind ``build_plan``."""
+    """``build_plan`` against ``fresh_plan``, exhaustively.  (The class and
+    its tests keep the names they had when ``build_plan`` looked routes up
+    in a per-topology table, so their ids are the ones earlier runs
+    recorded; every call builds its route now.)"""
 
     @pytest.mark.parametrize("name,side", GRIDS)
     @pytest.mark.parametrize("max_hops", range(1, 6))
@@ -213,11 +199,9 @@ class TestPlanTable:
         topo = topology_from_name(name, MeshGeometry(side, side))
         pairs = [(a, b) for a in topo.nodes() for b in topo.nodes() if a != b]
         for src, dst in pairs:
-            expected = fresh_plan(topo, src, dst, max_hops)
-            cold = build_plan(topo, src, dst, max_hops)
-            assert cold == expected
-            assert build_plan(topo, src, dst, max_hops) is cold  # warm: shared
-        assert len(list(table_entries(topo))) == len(pairs)
+            assert build_plan(topo, src, dst, max_hops) == fresh_plan(
+                topo, src, dst, max_hops
+            )
 
     @pytest.mark.parametrize("name,side", GRIDS)
     @pytest.mark.parametrize("max_hops", range(1, 6))
@@ -239,10 +223,6 @@ class TestPlanTable:
                     assert replan_from(topo, plan, index, max_hops) == fresh_plan(
                         topo, plan[index].node, final, max_hops, remaining
                     )
-        # Taps are an overlay: no stored plan ever carries one.
-        assert not any(
-            step.multicast for *_, plan in table_entries(topo) for step in plan
-        )
 
     @pytest.mark.parametrize(
         "args",
@@ -256,79 +236,5 @@ class TestPlanTable:
         ids=["stray-tap", "equal-endpoints", "zero-hops", "past-the-grid", "negative"],
     )
     def test_refusals_are_the_same_on_a_hit_as_on_a_miss(self, args):
-        topo = topology_from_name("mesh", MESH)
-        with pytest.raises(ValueError) as miss:
-            build_plan(topo, **args)
-        for src, dst in ((0, 2), (5, 6), (63, 1)):
-            build_plan(topo, src, dst, 4)  # the neighbouring entries exist now
-        with pytest.raises(ValueError) as hit:
-            build_plan(topo, **args)
-        assert str(hit.value) == str(miss.value)
-
-    def test_saturated_run_never_mutates_a_shared_plan(self, monkeypatch):
-        """Drops, replans and tap clearing all reassign ``packet.plan``."""
-        calls = {"replan_from": 0, "clear_passed_taps": 0}
-        for name in calls:
-            original = getattr(core_network, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(core_network, name, counted)
-        mesh = MeshGeometry(4, 4)
-        events = [
-            TraceEvent(cycle, src, None if (src + cycle) % 3 == 0 else (src + 5) % 16)
-            for cycle in range(6)
-            for src in range(16)
-        ]
-        config = PhastlaneConfig(mesh=mesh, buffer_entries=1, max_hops_per_cycle=2)
-        network = PhastlaneNetwork(
-            config, TraceSource(Trace("storm", 16, events=events))
-        )
-        engine = SimulationEngine()
-        engine.register(network)
-        engine.run(6)
-        assert engine.run_until(lambda: network.idle(engine.cycle), 100_000)
-        assert network.stats.packets_dropped > 0
-        assert calls["replan_from"] > 0 and calls["clear_passed_taps"] > 0
-        entries = list(table_entries(network.topology))
-        assert entries
-        for max_hops, src, dst, plan in entries:
-            assert plan == fresh_plan(network.topology, src, dst, max_hops)
-
-    def test_full_8x8_table_fits_in_a_megabyte(self):
-        topo = topology_from_name("mesh", MESH)
-        build_plan(topology_from_name("mesh", MESH), 0, 63, 4)  # warm the imports
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for src in range(64):
-                for dst in range(64):
-                    if src != dst:
-                        build_plan(topo, src, dst, 4)
-            grown = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert len(list(table_entries(topo))) == 4032
-        # Measured 0.44 MB: ~0.36 MB of plan tuples, 64 rows of 64 slots,
-        # and whatever share of the <= 640 interned steps this process had
-        # not met yet (~64 bytes each).
-        assert grown < 600_000, grown
-
-    def test_table_stops_growing_at_the_cap(self):
-        topo = topology_from_name("mesh", MeshGeometry(16, 16))
-        cached_sources = PLAN_TABLE_CAP // 256
-        assert cached_sources < 256
-        for src in topo.nodes():
-            for dst in (0, 17, 255):
-                if src != dst:
-                    build_plan(topo, src, dst, 4)
-        rows = topo.plan_tables[(4, "dor")]
-        assert sorted(rows) == list(range(cached_sources))
-        # A source past the cap gets its route built per call, as before.
-        plan = build_plan(topo, 255, 0, 4)
-        assert plan == fresh_plan(topo, 255, 0, 4)
-        assert build_plan(topo, 255, 0, 4) is not plan
-        assert build_plan(topo, 3, 0, 4) is build_plan(topo, 3, 0, 4)
-        assert len(rows) == cached_sources
+        with pytest.raises(ValueError):
+            build_plan(topology_from_name("mesh", MESH), **args)

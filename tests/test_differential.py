@@ -13,15 +13,16 @@ tiers, and this suite is the proof of exactly that claim — no more:
   field is either bit-identical or named in the explicit tolerance
   allowlist below.  A field in neither class fails the run.
 
-Which side is which is stated, not assumed: the registry sends a
-``PhastlaneConfig`` on the paper's design point to the sparse kernel
-itself, so the reference side of every comparison here is built inside
-``helpers.reference_oracle()``, which shadows the ``"phastlane"``
-registration with ``repro.core``'s ``PhastlaneNetwork``.  Exact
-comparisons are three-way: the oracle, the same ``PhastlaneConfig`` as the
-registry dispatches it, and the ``VectorizedConfig`` in exact mode.
-``drive`` asserts the class it built and ``TestOracleIsReal`` is the
-canary for the runner-based comparisons.
+Which side is which is stated, not assumed: the registry sends every
+``PhastlaneConfig`` to the sparse kernel itself, so the reference side of
+every comparison here is built inside ``helpers.reference_oracle()``, which
+shadows the ``"phastlane"`` registration with ``repro.core``'s
+``PhastlaneNetwork``.  Exact comparisons are three-way: the oracle, the
+same ``PhastlaneConfig`` as the registry dispatches it, and the
+``VectorizedConfig`` in exact mode; under round-robin arbitration (paper
+footnote 3), which a ``VectorizedConfig`` cannot ask for, they are the
+first two.  ``drive`` asserts the class it built and ``TestOracleIsReal``
+is the canary for the runner-based comparisons.
 
 What this harness does **not** prove: fast-mode synthetic schedules are
 statistically — not draw-for-draw — equivalent to the reference, so
@@ -32,13 +33,13 @@ exact replay, which the fallback tests pin instead).
 
 import itertools
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import PhastlaneConfig
 from repro.core.network import PhastlaneNetwork
 from repro.core.routing import (
     broadcast_plans,
@@ -436,21 +437,40 @@ def assert_events_identical(ours, theirs, context=""):
     assert len(ours) == len(theirs)
 
 
-def assert_replay_identical(vec_config, trace, faults=None, context=""):
-    """One trace, traced, on the oracle, on the reference config as the
-    registry dispatches it and on the vectorized config: the same stats
-    and the same event stream.  Returns the oracle."""
-    ref_config = as_phastlane(vec_config)
-    tracers = [CollectingTracer() for _ in range(3)]
-    ref = drive(ref_config, TraceSource(trace), reference=True, faults=faults,
-                tracer=tracers[0])
-    for config, tracer, side in (
-        (ref_config, tracers[1], " [dispatched]"), (vec_config, tracers[2], ""),
-    ):
-        ours = drive(config, TraceSource(trace), faults=faults, tracer=tracer)
+#: ``PhastlaneConfig.network_arbitration``: the paper's choice and the
+#: alternative its footnote 3 rejects.
+ARBITRATIONS = ("fixed", "round_robin")
+
+
+def assert_traced_drives_identical(
+    vec_config, make_source, faults=None, context="", arbitration="fixed"
+):
+    """A fresh ``make_source()`` per side, traced, on the oracle, on the
+    reference config as the registry dispatches it and — under fixed
+    priority, all a vectorized config can mean — on the vectorized config:
+    the same stats and the same event stream.  Returns the oracle."""
+    ref_config = replace(as_phastlane(vec_config), network_arbitration=arbitration)
+    sides = [(ref_config, " [dispatched]")]
+    if arbitration == "fixed":
+        sides.append((vec_config, ""))
+    reference_tracer = CollectingTracer()
+    ref = drive(ref_config, make_source(), reference=True, faults=faults,
+                tracer=reference_tracer)
+    for config, side in sides:
+        tracer = CollectingTracer()
+        ours = drive(config, make_source(), faults=faults, tracer=tracer)
         assert_stats_identical(ref.stats, ours.stats, context + side)
-        assert_events_identical(tracer.events, tracers[0].events, context + side)
+        assert_events_identical(tracer.events, reference_tracer.events, context + side)
     return ref
+
+
+def assert_replay_identical(
+    vec_config, trace, faults=None, context="", arbitration="fixed"
+):
+    """:func:`assert_traced_drives_identical` for one trace."""
+    return assert_traced_drives_identical(
+        vec_config, lambda: TraceSource(trace), faults, context, arbitration
+    )
 
 
 @st.composite
@@ -488,6 +508,7 @@ broadcast_faults = st.sampled_from(
 def check_mixed_trace(data, shape, topology, max_hops, buffer_entries, faults, mode):
     mesh = MeshGeometry(*shape)
     trace = data.draw(mixed_traces(mesh.num_nodes))
+    arbitration = data.draw(st.sampled_from(ARBITRATIONS))
     vec_config = VectorizedConfig(
         mesh=mesh, topology=topology, max_hops_per_cycle=max_hops,
         buffer_entries=buffer_entries, nic_buffer_entries=6, mode=mode,
@@ -495,7 +516,8 @@ def check_mixed_trace(data, shape, topology, max_hops, buffer_entries, faults, m
     assert_replay_identical(
         vec_config, trace, faults,
         f" ({shape} {topology} hops={max_hops} buffer={buffer_entries} "
-        f"{mode} {faults})",
+        f"{mode} {faults} {arbitration})",
+        arbitration,
     )
 
 
@@ -601,6 +623,80 @@ class TestBroadcastBitIdentity:
         )
         reference = assert_exact_runs_identical(ref, vec, f" ({label} {app})")
         assert reference.multicast_packets > 0
+
+
+# -- footnote 3: round-robin arbitration, on the kernel as on the oracle -----
+
+
+def saturating_source(config, pattern, rate, seed):
+    return SyntheticSource(
+        pattern_by_name(pattern, topology_of(config)),
+        lambda: BernoulliInjector(rate),
+        seed=seed, stop_cycle=150,
+    )
+
+
+def assert_round_robin_identical_and_biting(
+    vec_config, make_source, faults=None, context=""
+):
+    """Round-robin on the oracle and as dispatched agree on every stats
+    field and event for event, and differ from the fixed-priority twin: a
+    case in which no same-wave contest occurs (transpose never has one)
+    would prove nothing about the axis."""
+    ref = assert_traced_drives_identical(
+        vec_config, make_source, faults, context, arbitration="round_robin"
+    )
+    fixed = drive(as_phastlane(vec_config), make_source(), faults=faults)
+    assert stats_to_dict(fixed.stats) != stats_to_dict(ref.stats), (
+        f"round-robin never changed an outcome{context}"
+    )
+    return ref
+
+
+class TestRoundRobinBitIdentity:
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("pattern,rate", [("uniform", 0.5), ("hotspot", 0.2)])
+    @pytest.mark.parametrize(
+        "max_hops",
+        [pytest.param(3, marks=pytest.mark.slow), 4,
+         pytest.param(5, marks=pytest.mark.slow)],
+    )
+    @pytest.mark.parametrize("topology", ["mesh", "torus"])
+    def test_saturated_8x8_runs_bit_identical(
+        self, topology, max_hops, pattern, rate, seed
+    ):
+        config = VectorizedConfig(
+            mesh=MeshGeometry(8, 8), topology=topology, max_hops_per_cycle=max_hops
+        )
+        assert_round_robin_identical_and_biting(
+            config, lambda: saturating_source(config, pattern, rate, seed),
+            context=f" ({topology} hops={max_hops} {pattern}@{rate} seed={seed})",
+        )
+
+    def test_mixed_unicast_and_broadcast_storm_bit_identical(self):
+        # Every node broadcasts and sends into two-entry buffers: multicast
+        # packets meet unicast ones at the same output ports, wave after wave.
+        mesh = MeshGeometry(4, 4)
+        nodes = mesh.num_nodes
+        events = [
+            TraceEvent(cycle, node, None if (node + cycle) % 3 == 0 else (node + 5) % nodes)
+            for cycle in range(6) for node in mesh.nodes()
+        ]
+        trace = Trace("mixed-storm", nodes, events=events)
+        config = VectorizedConfig(mesh=mesh, buffer_entries=2)
+        ref = assert_round_robin_identical_and_biting(
+            config, lambda: TraceSource(trace), context=" (mixed storm)"
+        )
+        assert ref.stats.multicast_packets > 0 and ref.stats.retransmissions > 0
+
+    def test_faulted_run_with_a_retry_limit_bit_identical(self):
+        config = VectorizedConfig(mesh=MeshGeometry(8, 8))
+        faults = FaultConfig(seed=2, link_flip_prob=0.05, retry_limit=2)
+        ref = assert_round_robin_identical_and_biting(
+            config, lambda: saturating_source(config, "uniform", 0.4, seed=3),
+            faults, " (faulted)",
+        )
+        assert ref.stats.packets_lost > 0 and ref.stats.faults_masked > 0
 
 
 # -- observability: reduced fidelity, zero perturbation ----------------------
@@ -741,9 +837,13 @@ class TestOracleIsReal:
 
     CONFIG = as_phastlane(VectorizedConfig(mesh=MeshGeometry(4, 4)))
 
-    def test_registry_dispatches_the_reference_config_to_the_kernel(self):
-        network = make_network(self.CONFIG)
-        assert type(network) is VectorizedNetwork and network.config is self.CONFIG
+    @pytest.mark.parametrize("arbitration", ARBITRATIONS)
+    def test_registry_dispatches_the_reference_config_to_the_kernel(
+        self, arbitration
+    ):
+        config = replace(self.CONFIG, network_arbitration=arbitration)
+        network = make_network(config)
+        assert type(network) is VectorizedNetwork and network.config is config
 
     def test_the_oracle_block_builds_the_reference_and_restores_the_dispatch(self):
         with reference_oracle():
@@ -768,12 +868,9 @@ class TestOracleIsReal:
             )
 
     def test_drive_asserts_the_class_it_built(self):
-        deflecting = PhastlaneConfig(
-            mesh=MeshGeometry(4, 4), contention_policy="deflect"
-        )
         trace = Trace("t", 16, events=[TraceEvent(0, 0, 5)])
-        with pytest.raises(AssertionError):
-            drive(deflecting, TraceSource(trace))  # the reference, unasked
+        with reference_oracle(), pytest.raises(AssertionError):
+            drive(self.CONFIG, TraceSource(trace))  # the reference, unasked
 
 
 # -- refusals: same one-line FabricError pattern as cmesh --------------------

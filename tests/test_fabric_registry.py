@@ -8,7 +8,6 @@ import pytest
 
 import repro
 from repro.core.config import PhastlaneConfig
-from repro.core.network import PhastlaneNetwork
 from repro.electrical.config import ElectricalConfig
 from repro.electrical.network import ElectricalNetwork
 from repro.fabric import (
@@ -53,13 +52,8 @@ def toy_backend():
     unregister_backend("toy")
 
 
-#: The section 5 / footnote 3 alternatives, which only the reference models.
-ALTERNATIVES = [
-    {"network_arbitration": "round_robin"},
-    {"buffer_arbitration": "oldest_first"},
-    {"contention_policy": "deflect"},
-    {"buffer_sharing": True},
-]
+#: The one alternative a ``PhastlaneConfig`` carries (paper footnote 3).
+ARBITRATIONS = ["fixed", "round_robin"]
 
 
 class TestDispatch:
@@ -76,51 +70,39 @@ class TestDispatch:
             assert config_kind(config) == kind
             assert config_type_for(kind) is type(config)
 
+    @pytest.mark.parametrize("arbitration", ARBITRATIONS)
     @pytest.mark.parametrize("topology", ["mesh", "torus"])
     @pytest.mark.parametrize("label", sorted(optical_configs()))
-    def test_paper_design_point_builds_the_sparse_kernel(self, label, topology):
-        config = replace(optical_configs()[label], topology=topology)
+    def test_paper_design_point_builds_the_sparse_kernel(
+        self, label, topology, arbitration
+    ):
+        config = replace(
+            optical_configs()[label], topology=topology,
+            network_arbitration=arbitration,
+        )
         network = make_network(config)
         assert type(network) is VectorizedNetwork
         assert network.config is config  # built on the config itself
         assert config_kind(config) == "phastlane"
 
-    @pytest.mark.parametrize("alternative", ALTERNATIVES, ids=lambda a: next(iter(a)))
-    def test_each_alternative_builds_the_reference(self, alternative):
-        (field_name,) = alternative
-        assert field_name in {f.name for f in fields(PhastlaneConfig)}
-        config = PhastlaneConfig(mesh=MeshGeometry(4, 4), **alternative)
-        network = make_network(config)
-        assert type(network) is PhastlaneNetwork
-        assert network.config is config
-        assert config_kind(config) == "phastlane"
-
     def test_alternatives_are_every_field_the_kernel_does_not_share(self):
-        # The rule is "the config survives as_phastlane": the fields that
-        # can fail it are exactly those VectorizedConfig does not carry.
-        shared = {f.name for f in fields(VectorizedConfig)}
-        unshared = {f.name for f in fields(PhastlaneConfig)} - shared
-        assert unshared == {next(iter(a)) for a in ALTERNATIVES}
-
-    def test_a_field_the_kernel_has_never_heard_of_goes_to_the_reference(self):
-        @dataclass(frozen=True)
-        class FutureConfig(PhastlaneConfig):
-            wavelength_routing: bool = False
-
-        assert type(make_network(FutureConfig())) is PhastlaneNetwork
+        # One engine reads both config types, so a field added to either
+        # fails here until the kernel carries it.
+        optical = {f.name for f in fields(PhastlaneConfig)}
+        vectorized = {f.name for f in fields(VectorizedConfig)}
+        assert optical - vectorized == {"network_arbitration"}
+        assert vectorized - optical == {"mode"}
 
     def test_dispatch_reads_the_config_and_nothing_else(self):
         mesh = MeshGeometry(4, 4)
         trace = Trace("t", 16, events=[TraceEvent(0, 0, None), TraceEvent(1, 2, 9)])
         faults = FaultConfig(seed=1, nic_stall_prob=0.1, retry_limit=1)
-        for alternative, network_type in (
-            ({}, VectorizedNetwork), (ALTERNATIVES[2], PhastlaneNetwork)
-        ):
-            config = PhastlaneConfig(mesh=mesh, **alternative)
+        for arbitration in ARBITRATIONS:
+            config = PhastlaneConfig(mesh=mesh, network_arbitration=arbitration)
             for source in (None, TraceSource(trace)):
                 for fault_model in (None, faults):
                     network = make_network(config, source, faults=fault_model)
-                    assert type(network) is network_type
+                    assert type(network) is VectorizedNetwork
 
     def test_exactly_one_phastlane_registration_under_src(self):
         source_root = Path(repro.__file__).parent

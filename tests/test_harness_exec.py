@@ -1,6 +1,7 @@
 """Tests for the parallel campaign executor, run-spec API and result cache."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -54,10 +55,43 @@ class TestLabels:
 
 
 class TestSpecSerialisation:
-    @pytest.mark.parametrize("config", [OPTICAL, ELECTRICAL])
+    @pytest.mark.parametrize(
+        "config",
+        [OPTICAL, ELECTRICAL, replace(OPTICAL, network_arbitration="round_robin")],
+    )
     def test_config_round_trip(self, config):
         restored = config_from_dict(config_to_dict(config))
         assert restored == config
+
+    def test_retired_phastlane_keys_stay_on_the_wire_at_the_papers_values(self):
+        # The three section 7 knobs are no longer fields, but the spec a
+        # digest or a cache entry was made of still spells them out.
+        payload = config_to_dict(OPTICAL)
+        retired = {
+            "buffer_arbitration": "rotating",
+            "contention_policy": "drop",
+            "buffer_sharing": False,
+        }
+        assert {key: payload[key] for key in retired} == retired
+        assert "buffer_sharing" not in config_to_dict(ELECTRICAL)
+        bare = {key: value for key, value in payload.items() if key not in retired}
+        assert config_from_dict(bare) == OPTICAL == config_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("contention_policy", "deflect"),
+            ("buffer_arbitration", "oldest_first"),
+            ("buffer_sharing", True),
+        ],
+    )
+    def test_a_retired_alternative_is_refused_in_one_line(self, key, value):
+        spec = RunSpec(OPTICAL, SyntheticWorkload("uniform", 0.1), cycles=200)
+        payload = spec.to_dict()
+        payload["config"][key] = value
+        with pytest.raises(FabricError, match=f"{key}=.*retired") as refusal:
+            RunSpec.from_dict(payload)
+        assert "\n" not in str(refusal.value)
 
     def test_unknown_config_kind_rejected(self):
         with pytest.raises(FabricError):
@@ -109,8 +143,15 @@ class TestSpecSerialisation:
             assert other.digest() != spec.digest()
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError):
-            RunSpec(OPTICAL, SyntheticWorkload("uniform", 0.1), cycles=0)
+        # Both: a ValueError to whoever guards construction, a FabricError
+        # so the CLI prints one line wherever the spec was built.
+        for build in (
+            lambda: RunSpec(OPTICAL, SyntheticWorkload("uniform", 0.1), cycles=0),
+            lambda: SyntheticWorkload("uniform", 1.5),
+        ):
+            with pytest.raises(ValueError) as refusal:
+                build()
+            assert isinstance(refusal.value, FabricError)
 
 
 class TestRun:

@@ -32,15 +32,14 @@ def run_trace_file(config, trace, tmp_path, **spec_kwargs):
 
 class TestMakeNetwork:
     def test_dispatch_on_config_type(self):
-        from repro.core.network import PhastlaneNetwork
         from repro.electrical.network import ElectricalNetwork
         from repro.vectorized import VectorizedNetwork
 
-        # The paper's design point runs on the sparse kernel; an alternative
-        # only the reference models runs on the reference.
+        # Every optical config runs on the sparse kernel, the footnote 3
+        # alternative included.
         assert type(make_network(OPTICAL)) is VectorizedNetwork
-        deflecting = replace(OPTICAL, contention_policy="deflect")
-        assert type(make_network(deflecting)) is PhastlaneNetwork
+        round_robin = replace(OPTICAL, network_arbitration="round_robin")
+        assert type(make_network(round_robin)) is VectorizedNetwork
         assert isinstance(make_network(ELECTRICAL), ElectricalNetwork)
 
     def test_unknown_config_rejected(self):
