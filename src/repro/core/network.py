@@ -47,13 +47,6 @@ from repro.topology import require_grid
 from repro.traffic.trace import TrafficSource
 from repro.util.geometry import TURN_KIND, Direction, TurnKind
 
-#: Static leakage of a Phastlane router's electrical side (buffers, drivers,
-#: receiver amplifiers) — no crossbar or allocator logic, so well below the
-#: electrical baseline's router leakage.
-OPTICAL_ROUTER_LEAKAGE_MW = 3.0
-#: Drop-signal payload: Packet Dropped bit + six-bit node id (section 2.1.2).
-DROP_SIGNAL_BITS = 7
-
 #: Priority rank of a turn kind at a contended output port (lower wins).
 _TURN_RANK = {TurnKind.STRAIGHT: 0, TurnKind.LEFT: 1, TurnKind.RIGHT: 2}
 
@@ -398,7 +391,7 @@ class PhastlaneNetwork(MeshNetworkBase):
     def _charge_drop_signal(self) -> None:
         self.stats.add_energy(
             "drop_network",
-            DROP_SIGNAL_BITS
+            constants.DROP_SIGNAL_BITS
             * (
                 constants.MODULATOR_ENERGY_PJ_PER_BIT
                 + constants.RECEIVER_ENERGY_PJ_PER_BIT
@@ -407,7 +400,7 @@ class PhastlaneNetwork(MeshNetworkBase):
 
     def _static_energy(self) -> None:
         per_node_mw = (
-            OPTICAL_ROUTER_LEAKAGE_MW
+            constants.OPTICAL_ROUTER_LEAKAGE_MW
             + NIC_LEAKAGE_MW
             + constants.THERMAL_TUNING_MW_PER_ROUTER
         )

@@ -24,7 +24,6 @@ from repro.fabric.base import BaseNic
 from repro.obs.events import TraceHub
 from repro.sim.stats import NetworkStats
 from repro.topology import topology_of
-from repro.traffic.trace import TraceEvent
 
 
 class PhastlaneNic(BaseNic):
@@ -42,10 +41,12 @@ class PhastlaneNic(BaseNic):
         self.topology = topology_of(config)
         self._next_broadcast_id = node  # strided by node count per broadcast
 
-    def _expand_event(self, event: TraceEvent, cycle: int) -> None:
-        """Expand one trace event into route-planned optical packets."""
+    def _expand(
+        self, destination: int | None, generated_cycle: int, cycle: int
+    ) -> None:
+        """Expand one injection into route-planned optical packets."""
         topology = self.topology
-        if event.is_broadcast:
+        if destination is None:
             plans = broadcast_plans(
                 topology, self.node, self.config.max_hops_per_cycle
             )
@@ -58,8 +59,7 @@ class PhastlaneNic(BaseNic):
                 packet = OpticalPacket(
                     origin=self.node,
                     plan=plan,
-                    generated_cycle=event.cycle,
-                    kind=event.kind,
+                    generated_cycle=generated_cycle,
                     broadcast_id=broadcast_id,
                     uid=next(self.uids),
                 )
@@ -70,19 +70,17 @@ class PhastlaneNic(BaseNic):
                         extra={"dst": packet.final_node, "multicast": True},
                     )
         else:
-            assert event.destination is not None
             plan = build_plan(
                 topology,
                 self.node,
-                event.destination,
+                destination,
                 self.config.max_hops_per_cycle,
             )
             self.stats.record_generated(cycle)
             packet = OpticalPacket(
                 origin=self.node,
                 plan=plan,
-                generated_cycle=event.cycle,
-                kind=event.kind,
+                generated_cycle=generated_cycle,
                 uid=next(self.uids),
             )
             self._generation_queue.append(packet)

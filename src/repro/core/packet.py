@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.core.routing import RouteStep, plan_hops
-from repro.traffic.coherence import MessageKind
 
 _uid_counter = itertools.count()
 
@@ -30,7 +29,6 @@ class OpticalPacket:
     origin: int
     plan: tuple[RouteStep, ...]
     generated_cycle: int
-    kind: MessageKind = MessageKind.DATA_RESPONSE
     broadcast_id: int | None = None
     uid: int = field(default_factory=lambda: next(_uid_counter))
     attempts: int = 0

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.traffic.coherence import MessageKind
 
 #: Uids of hand-built flits only (unit tests): every flit a network makes
 #: is numbered by that network's own counter.
@@ -32,7 +31,6 @@ class Flit:
     source: int
     destinations: set[int]
     generated_cycle: int
-    kind: MessageKind = MessageKind.DATA_RESPONSE
     uid: int = field(default_factory=lambda: next(_uid_counter))
     injected_cycle: int = -1
 
@@ -57,7 +55,6 @@ class Flit:
             source=self.source,
             destinations=set(destinations),
             generated_cycle=self.generated_cycle,
-            kind=self.kind,
             uid=next(_uid_counter) if uid is None else uid,
             injected_cycle=self.injected_cycle,
         )

@@ -117,18 +117,53 @@ class SwitchAllocator:
         order of their first live pair in ``order``; inputs accept in order
         of their first grant; an input takes its grants in accept-pointer
         rotation.
+
+        With one iteration, and no more grants in this call than an input
+        has crossbar slots (outputs with requests × ``output_speedup`` ≤
+        ``input_speedup``: the 4× baseline on every call, since only the
+        four mesh outputs allocate), no input can refuse a grant.  Every
+        grant is then accepted, served by those three rules, and every
+        pointer moves one past the last grant it took; no slot is counted.
+        Otherwise the general grant/accept rounds below run.
         """
         num_ports, num_vcs = self.num_ports, self.num_vcs
-        if len(order) == 1:
-            ((line, output),) = order
-            if masks[output] == 1 << line:
-                # A sole request takes its output and its input unopposed.
-                self._grant[output].advance_past(line)
-                self._accept[line // num_vcs].advance_past(output)
-                return [(line, output)]
+        output_speedup = self.output_speedup
+        if self.iterations == 1 and (
+            num_ports - masks.count(0)
+        ) * output_speedup <= self.input_speedup:
+            # Grant, each output from its unmoved pointer (``pick`` inlined).
+            accepted: list[tuple[int, int]] = []
+            inputs = shared = visited = 0
+            for line, output in order:
+                mask = masks[output]
+                if (visited >> output) & 1 or not (mask >> line) & 1:
+                    continue
+                visited |= 1 << output
+                pointer = self._grant[output].pointer
+                for _ in range(output_speedup):
+                    ahead = mask >> pointer
+                    winner = (
+                        pointer + (ahead & -ahead).bit_length() - 1
+                        if ahead
+                        else (mask & -mask).bit_length() - 1
+                    )
+                    accepted.append((winner, output))
+                    bit = 1 << winner // num_vcs
+                    shared |= inputs & bit
+                    inputs |= bit
+                    mask ^= 1 << winner
+                    if not mask:
+                        break
+            if shared:  # an input holds several grants: serve them in turn
+                accepted = self._serve_order(accepted)
+            size = num_ports * num_vcs
+            for line, output in accepted:
+                self._grant[output].pointer = (line + 1) % size
+                self._accept[line // num_vcs].pointer = (output + 1) % num_ports
+            return accepted
         vc_field = (1 << num_vcs) - 1
-        accepted: list[tuple[int, int]] = []
-        output_slots = [self.output_speedup] * num_ports
+        accepted = []
+        output_slots = [output_speedup] * num_ports
         input_slots = [self.input_speedup] * num_ports
 
         for iteration in range(self.iterations):
@@ -193,6 +228,32 @@ class SwitchAllocator:
                     keep = ~(vc_field << port * num_vcs)
                     masks[:] = [mask & keep for mask in masks]
         return accepted
+
+    def _serve_order(self, grants: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        """``grants`` (in grant order) in the order the accept phase serves
+        them when it takes them all: inputs in order of their first grant;
+        an input's outputs in accept-pointer rotation, and the lines one
+        output granted it in rotation from that output's grant pointer as
+        the inputs served before left it."""
+        num_ports, num_vcs = self.num_ports, self.num_vcs
+        size = num_ports * num_vcs
+        by_input: dict[int, list[tuple[int, int]]] = {}
+        for grant in grants:
+            by_input.setdefault(grant[0] // num_vcs, []).append(grant)
+        pointers = [arbiter.pointer for arbiter in self._grant]
+        served: list[tuple[int, int]] = []
+        for input_port, taken in by_input.items():
+            accept = self._accept[input_port].pointer
+            taken.sort(
+                key=lambda grant: (
+                    (grant[1] - accept) % num_ports,
+                    (grant[0] - pointers[grant[1]]) % size,
+                )
+            )
+            for line, output in taken:
+                pointers[output] = line + 1
+            served += taken
+        return served
 
 
 class VcAllocator:

@@ -246,13 +246,7 @@ class ElectricalRouter:
             return
         network.stats.energy_pj["allocation"] += network.event_pj["allocation"]
         allocator = self._sw_allocator
-        first_only = allocator.iterations == 1
-        if first_only and not live & (live - 1):
-            # One output grants: there is no order among outputs to keep.
-            output = live.bit_length() - 1
-            order = [((ready[output] & -ready[output]).bit_length() - 1, output)]
-        else:
-            order = self._request_order(live, first_only)
+        order = self._request_order(live, allocator.iterations == 1)
         for line, output in allocator.allocate_masks(ready.copy(), order):
             self._depart(line, output, cycle, network)
 

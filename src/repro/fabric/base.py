@@ -3,8 +3,10 @@
 Both cycle-accurate simulators (and the analytic ideal backend) share a
 lot of lifecycle scaffolding that used to be duplicated per backend:
 finite-buffer NIC admission with an unbounded open-loop generation queue,
-the per-cycle source pull, TraceHub plumbing, end-of-cycle stats stamping
-and the idle-detection skeleton.  This module hoists all of it.
+the injection schedule (:mod:`repro.traffic.schedule`, built once per
+source) and the per-cycle NIC visits it drives, TraceHub plumbing,
+end-of-cycle stats stamping and the idle-detection skeleton.  This module
+hoists all of it.
 
 :class:`MeshNetworkBase` fixes the per-cycle template::
 
@@ -14,13 +16,15 @@ and the idle-detection skeleton.  This module hoists all of it.
         stats.final_cycle = cycle + 1
         trace_hub.on_cycle(...)   # when tracers are attached
 
-and the idle skeleton (backend pending work, then source exhaustion, then
-NIC queues, then router business).  Subclasses implement ``_step_cycle``
-and the :meth:`MeshNetworkBase._pending_work` / ``_inject_from_nic`` hooks.
+and the idle skeleton (unconsumed schedule, NIC queues and backend pending
+work, then source exhaustion, then router business).  Subclasses implement
+``_step_cycle`` and the :meth:`MeshNetworkBase._pending_work` /
+``_inject_from_nic`` hooks.
 
-:class:`BaseNic` fixes event expansion (``generate`` validates the
-source-node invariant, delegates each event to ``_expand_event`` and then
-refills the finite buffer) plus the occupancy/backlog/idle accessors.
+:class:`BaseNic` fixes event expansion (``_expand`` turns one injection
+into queued packets; ``generate`` validates trace events against the
+source-node invariant, expands them and then refills the finite buffer)
+plus the occupancy/backlog/idle accessors.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.obs.events import TraceHub
 from repro.sim.stats import NetworkStats
 from repro.topology import Topology, topology_of
+from repro.traffic.schedule import Injection, Schedule, drain_trace, replay_synthetic
+from repro.traffic.trace import SyntheticSource, TraceSource
 from repro.util.errors import FabricError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,11 +50,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class BaseNic:
     """Generation queue + finite NIC buffer shared by every backend NIC.
 
-    Trace events enter an unbounded generation queue (the open-loop source
+    Injections enter an unbounded generation queue (the open-loop source
     never blocks, matching Booksim measurement methodology); up to
     ``config.nic_buffer_entries`` of the queued items wait in the NIC
-    proper.  Subclasses implement :meth:`_expand_event` to turn one trace
-    event into queued packets/flits, and their own injection discipline to
+    proper.  Subclasses implement :meth:`_expand` to turn one injection
+    into queued packets/flits, and their own injection discipline to
     drain the buffer into the network.
     """
 
@@ -77,11 +83,14 @@ class BaseNic:
                 raise ValueError(
                     f"event for node {event.source} delivered to NIC {self.node}"
                 )
-            self._expand_event(event, cycle)
+            self._expand(event.destination, event.cycle, cycle)
         self._refill()
 
-    def _expand_event(self, event: "TraceEvent", cycle: int) -> None:
-        """Append the packets/flits for one trace event to the queue."""
+    def _expand(
+        self, destination: int | None, generated_cycle: int, cycle: int
+    ) -> None:
+        """Append the packets/flits of one injection to the queue; a
+        broadcast's ``destination`` is None."""
         raise NotImplementedError
 
     def _refill(self) -> None:
@@ -162,6 +171,16 @@ class MeshNetworkBase:
         #: Packets hit by at least one fault, for delivered-despite-faults
         #: accounting at the backend's delivery sites.
         self._fault_hit: set[int] = set()
+        #: The injection schedule by cycle, built from ``_ingested_source``
+        #: on the first step that sees it (swapping ``source`` rebuilds it);
+        #: None for a source with no bounded window, pulled cycle by cycle.
+        self._events: dict[int, list[Injection]] | None = {}
+        self._ingested_source: "TrafficSource | None" = None
+        #: Scheduled injections not yet handed to a NIC.
+        self._unconsumed = 0
+        #: Nodes whose NIC holds packets: with the cycle's arrivals, the
+        #: only nodes a cycle visits (an idle NIC's visit does nothing).
+        self._nic_pending: set[int] = set()
 
     def add_tracer(self, tracer: "Tracer") -> None:
         """Attach a packet-lifecycle tracer (see :mod:`repro.obs`)."""
@@ -189,23 +208,90 @@ class MeshNetworkBase:
     def _end_of_cycle(self, cycle: int) -> None:
         """End-of-cycle accrual (leakage, occupancy sampling)."""
 
-    def _generate_and_inject(self, cycle: int) -> None:
-        """Pull this cycle's injections from the source into every NIC,
-        then give each NIC its injection opportunity.
+    def _injections_at(self, cycle: int) -> list[Injection] | None:
+        """This cycle's injections, node-ascending, or None for none.
 
-        A NIC inside a fault-schedule stall window keeps accepting source
-        traffic (the open-loop source never blocks) but injects nothing;
-        the stall is counted and traced once per window, on entry.
+        The schedule is built on the first cycle that sees the current
+        source (see :mod:`repro.traffic.schedule`); a source with no
+        bounded window is pulled node by node now, as it always was.
         """
-        stalls = self._nic_stalls
-        for node, nic in enumerate(self.nics):
-            if self.source is not None:
-                events = self.source.injections(node, cycle)
-                if events:
-                    nic.generate(events, cycle)
-            if stalls and self._nic_stalled(node, cycle):
-                continue
+        source = self.source
+        if source is not self._ingested_source:
+            self._ingested_source = source
+            self._events, self._unconsumed = self._schedule(source, cycle)
+        events = self._events
+        if events is None:
+            assert source is not None  # only a source makes ``_events`` None
+            return [
+                (node, event.destination, event.cycle)
+                for node in range(len(self.nics))
+                for event in source.injections(node, cycle)
+            ] or None
+        arrivals = events.pop(cycle, None)
+        if arrivals is not None:
+            self._unconsumed -= len(arrivals)
+        return arrivals
+
+    def _schedule(
+        self, source: "TrafficSource | None", cycle: int
+    ) -> tuple[dict[int, list[Injection]] | None, int]:
+        """Materialise ``source`` from ``cycle`` on; None when it has no
+        bounded window."""
+        if source is None:
+            return {}, 0
+        if isinstance(source, TraceSource):
+            return drain_trace(source, cycle)
+        if isinstance(source, SyntheticSource) and source.stop_cycle is not None:
+            return self._synthetic_schedule(source, cycle)
+        return None, 0
+
+    def _synthetic_schedule(self, source: SyntheticSource, cycle: int) -> Schedule:
+        """The schedule of a bounded synthetic source: the reference draws."""
+        return replay_synthetic(source, cycle)
+
+    def _generate_and_inject(self, cycle: int) -> None:
+        """Hand this cycle's injections to their NICs, then give every NIC
+        that holds packets its injection opportunity."""
+        arrivals = self._injections_at(cycle)
+        if arrivals is not None or self._nic_pending or self._nic_stalls:
+            self._visit_nics(arrivals, cycle)
+
+    def _visit_nics(self, arrivals: list[Injection] | None, cycle: int) -> None:
+        """Visit, lowest node first, every node with arrivals or a non-idle
+        NIC: under NIC stall windows every node, so that a window is
+        counted on the cycle it opens.  Skipping the rest is exact: a visit
+        to an idle NIC emits, counts and draws nothing."""
+        by_node: dict[int, list[Injection]] = {}
+        if arrivals is not None:
+            for injection in arrivals:
+                run = by_node.get(injection[0])
+                if run is None:
+                    by_node[injection[0]] = [injection]
+                else:
+                    run.append(injection)
+        nodes = (
+            range(len(self.nics))
+            if self._nic_stalls
+            else sorted(self._nic_pending.union(by_node))
+        )
+        for node in nodes:
+            self._visit(node, by_node.get(node), cycle)
+
+    def _visit(self, node: int, run: list[Injection] | None, cycle: int) -> None:
+        """One node's cycle: expand its arrivals through the NIC queues,
+        then inject unless the NIC sits in a stall window (it keeps
+        accepting source traffic, the open-loop source never blocks)."""
+        nic = self.nics[node]
+        if run:
+            for _node, destination, generated_cycle in run:
+                nic._expand(destination, generated_cycle, cycle)
+            nic._refill()
+        if not (self._nic_stalls and self._nic_stalled(node, cycle)):
             self._inject_from_nic(node, nic, cycle)
+        if nic.idle():
+            self._nic_pending.discard(node)
+        else:
+            self._nic_pending.add(node)
 
     def _nic_stalled(self, node: int, cycle: int) -> bool:
         """True while ``node``'s NIC sits in a stall window of the fault
@@ -241,11 +327,9 @@ class MeshNetworkBase:
 
     def idle(self, cycle: int) -> bool:
         """True when nothing is queued, pending or in flight anywhere."""
-        if self._pending_work():
+        if self._unconsumed or self._nic_pending or self._pending_work():
             return False
         if self.source is not None and not self.source.exhausted(cycle):
-            return False
-        if any(not nic.idle() for nic in self.nics):
             return False
         return all(not router.busy for router in self.routers)
 

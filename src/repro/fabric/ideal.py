@@ -28,8 +28,7 @@ from repro.fabric.base import BaseNic, MeshNetworkBase
 from repro.fabric.protocol import FabricError
 from repro.fabric.registry import register_backend
 from repro.sim.stats import NetworkStats
-from repro.traffic.coherence import MessageKind
-from repro.traffic.trace import TraceEvent, TrafficSource
+from repro.traffic.trace import TrafficSource
 from repro.util.geometry import MeshGeometry
 
 
@@ -86,7 +85,6 @@ class IdealPacket:
     origin: int
     destination: int
     generated_cycle: int
-    kind: MessageKind = MessageKind.DATA_RESPONSE
     multicast: bool = False
     uid: int = field(kw_only=True)
 
@@ -110,9 +108,12 @@ class _IdealRouter:
 class IdealNic(BaseNic):
     """One node's NIC: broadcasts expand to one packet per destination."""
 
-    def _expand_event(self, event: TraceEvent, cycle: int) -> None:
+    def _expand(
+        self, destination: int | None, generated_cycle: int, cycle: int
+    ) -> None:
         mesh = self.config.mesh
-        if event.is_broadcast:
+        broadcast = destination is None
+        if destination is None:
             destinations = [
                 node for node in mesh.nodes() if node != self.node
             ]
@@ -120,23 +121,21 @@ class IdealNic(BaseNic):
             for _ in range(len(destinations) - 1):
                 self.stats.record_generated(cycle)
         else:
-            assert event.destination is not None
-            destinations = [event.destination]
+            destinations = [destination]
             self.stats.record_generated(cycle)
-        for index, destination in enumerate(destinations):
+        for index, target in enumerate(destinations):
             packet = IdealPacket(
                 origin=self.node,
-                destination=destination,
-                generated_cycle=event.cycle,
-                kind=event.kind,
-                multicast=event.is_broadcast and index == 0,
+                destination=target,
+                generated_cycle=generated_cycle,
+                multicast=broadcast and index == 0,
                 uid=next(self.uids),
             )
             self._generation_queue.append(packet)
             if self.trace_hub:
                 self.trace_hub.emit(
                     "generated", cycle, self.node, packet.uid,
-                    extra={"dst": destination, "multicast": event.is_broadcast},
+                    extra={"dst": target, "multicast": broadcast},
                 )
 
     def pop_ready(self) -> IdealPacket | None:

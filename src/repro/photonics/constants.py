@@ -108,6 +108,12 @@ MODULATOR_ENERGY_PJ_PER_BIT = 0.020  # E/O conversion incl. ring driver
 RECEIVER_ENERGY_PJ_PER_BIT = 0.015  # O/E conversion incl. amplifier
 #: Static ring-resonator thermal tuning per router (all rings).
 THERMAL_TUNING_MW_PER_ROUTER = 1.0
+#: Static leakage of a Phastlane router's electrical side (buffers, drivers,
+#: receiver amplifiers) — no crossbar or allocator logic, so well below the
+#: electrical baseline's router leakage.
+OPTICAL_ROUTER_LEAKAGE_MW = 3.0
+#: Drop-signal payload: Packet Dropped bit + six-bit node id (section 2.1.2).
+DROP_SIGNAL_BITS = 7
 #: Receiver sensitivity: optical power that must reach each receiver.
 RECEIVER_SENSITIVITY_UW = 10.0
 #: Laser wall-plug efficiency (electrical power = optical power / efficiency).

@@ -27,20 +27,20 @@ from repro.util.bits import (
     shuffle_bits,
     transpose_bits,
 )
-from repro.util.errors import FabricError
+from repro.util.errors import SpecError
 from repro.util.geometry import MeshGeometry
 
 #: What pattern constructors accept: the historical bare mesh or a topology.
 MeshLike = Union[MeshGeometry, Topology]
 
 
-class PatternUndefinedError(FabricError, ValueError):
+class PatternUndefinedError(SpecError):
     """A traffic pattern is mathematically undefined on this topology.
 
-    Subclasses :class:`ValueError` so callers predating the topology layer
-    (which guarded pattern construction with ``except ValueError``) keep
-    working, and :class:`FabricError` so the harness reports it as an
-    honest refusal rather than a crash.
+    A spec refusal: a :class:`ValueError` for callers predating the
+    topology layer (which guarded pattern construction with ``except
+    ValueError``), and a :class:`FabricError` so the harness reports it as
+    an honest refusal rather than a crash.
     """
 
 

@@ -148,12 +148,11 @@ class VecRouter:
 class VecNic(BaseNic):
     """Phastlane NIC semantics over the shared :class:`BaseNic` queues.
 
-    Event expansion (:meth:`expand`, fed the schedule's tuples where
-    ``generate`` takes trace events) routes through the owning network's
-    plan cache and packet-uid counter; the injection discipline (one packet per cycle
-    into the LOCAL queue, space permitting) is the network's ``_feed``,
-    called by its per-node ``_pump``.  Only an uncontended single
-    arrival skips the NIC queues (see ``_sparse_inject``).
+    Event expansion (:meth:`_expand`) routes through the owning network's
+    plan cache and packet-uid counter; the injection discipline (one packet
+    per cycle into the LOCAL queue, space permitting) is the network's
+    ``_inject_from_nic``.  Only an uncontended single arrival skips the NIC
+    queues (see ``_sparse_inject``).
     """
 
     def __init__(self, node: int, network: "VectorizedNetwork") -> None:
@@ -167,12 +166,12 @@ class VecNic(BaseNic):
         self._network: "VectorizedNetwork" = weakref.proxy(network)
         self._next_broadcast_id = node  # strided by node count per broadcast
 
-    def expand(
+    def _expand(
         self, destination: int | None, generated_cycle: int, cycle: int
     ) -> None:
-        """Queue the packets of one event: one unicast packet, or — for a
-        broadcast, ``destination is None`` — one multicast packet per column
-        sweep (mirrors ``PhastlaneNic._expand_event``)."""
+        """Queue the packets of one injection: one unicast packet, or — for
+        a broadcast, ``destination is None`` — one multicast packet per
+        column sweep (mirrors ``PhastlaneNic._expand``)."""
         network = self._network
         if destination is None:
             num_nodes = network.mesh.num_nodes

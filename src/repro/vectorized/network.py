@@ -8,8 +8,9 @@ exponential backoff, the fault schedule, and the full energy ledger — at
 every router and NIC every cycle regardless of occupancy; this engine is
 *sparse and event-driven over the same schedule*:
 
-- traffic is pre-generated into a per-cycle map (:mod:`.traffic`), so idle
-  NICs cost nothing;
+- traffic arrives through the injection schedule every mesh backend
+  builds (:mod:`repro.traffic.schedule`; Philox in fast mode,
+  :mod:`.traffic`), and an uncontended arrival skips the NIC queues;
 - only routers in the ``_active`` set (non-empty queues or pending
   transmissions) are visited by the resolve and launch phases, in node
   order, so phase results are identical to the reference's visit-everyone
@@ -59,7 +60,6 @@ from repro.electrical.power import (
     NIC_LEAKAGE_MW,
 )
 from repro.core.config import PhastlaneConfig
-from repro.core.network import DROP_SIGNAL_BITS, OPTICAL_ROUTER_LEAKAGE_MW
 from repro.fabric.base import MeshNetworkBase
 from repro.fabric.registry import register_backend
 from repro.faults.schedule import FaultSchedule
@@ -69,7 +69,8 @@ from repro.photonics.power import OpticalPowerModel
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import NetworkStats
 from repro.topology import require_grid
-from repro.traffic.trace import SyntheticSource, TraceSource, TrafficSource
+from repro.traffic.schedule import Schedule
+from repro.traffic.trace import SyntheticSource, TrafficSource
 
 from repro.vectorized.components import (
     LOCAL_QUEUE,
@@ -88,13 +89,7 @@ from repro.vectorized.plans import (
     PlanTable,
     laser_index,
 )
-from repro.vectorized.traffic import (
-    Injection,
-    drain_trace,
-    philox_events,
-    philox_supported,
-    replay_synthetic,
-)
+from repro.vectorized.traffic import philox_events, philox_supported
 
 #: Pinned calibration stamp.  Bump when the engine's identity/tolerance
 #: claims or the fast-mode traffic stream change; pinned byte-identical in
@@ -165,16 +160,6 @@ class VectorizedNetwork(MeshNetworkBase):
         #: Routers with queued packets or pending transmissions; the only
         #: ones the resolve/launch phases visit.
         self._active: set[int] = set()
-        #: NICs with backlogged packets awaiting injection.
-        self._nic_pending: set[int] = set()
-        #: Pre-generated injections by cycle (see _ingest); None for a
-        #: source that cannot be materialised and is pulled cycle by cycle.
-        self._events: dict[int, list[Injection]] | None = {}
-        self._unconsumed = 0
-        #: The source the current schedule was generated from; ingestion
-        #: re-runs lazily whenever the caller swaps ``self.source``.
-        self._ingested_source: TrafficSource | None = None
-        self._ingested = False
         self._next_uid = 0
         table_key = (self._grid.name, self._grid.width, self._grid.height)
         plans = _PLAN_CACHES.get(table_key)
@@ -216,12 +201,12 @@ class VectorizedNetwork(MeshNetworkBase):
         self._e_receive_control = (
             constants.PACKET_CONTROL_BITS * constants.RECEIVER_ENERGY_PJ_PER_BIT
         )
-        self._e_drop_signal = DROP_SIGNAL_BITS * (
+        self._e_drop_signal = constants.DROP_SIGNAL_BITS * (
             constants.MODULATOR_ENERGY_PJ_PER_BIT
             + constants.RECEIVER_ENERGY_PJ_PER_BIT
         )
         per_node_mw = (
-            OPTICAL_ROUTER_LEAKAGE_MW
+            constants.OPTICAL_ROUTER_LEAKAGE_MW
             + NIC_LEAKAGE_MW
             + constants.THERMAL_TUNING_MW_PER_ROUTER
         )
@@ -246,33 +231,19 @@ class VectorizedNetwork(MeshNetworkBase):
         self._next_uid = uid + 1
         return uid
 
-    # -- traffic ingestion ------------------------------------------------------
+    # -- traffic (MeshNetworkBase) ----------------------------------------------
 
-    def _ingest(self, cycle: int) -> None:
-        """Materialise the current source's schedule (see module docstring
-        of :mod:`repro.vectorized.traffic`)."""
-        source = self.source
-        self._ingested_source = source
-        self._ingested = True
-        self._events = {}
-        self._unconsumed = 0
-        if isinstance(source, TraceSource):
-            self._events, self._unconsumed = drain_trace(source, cycle)
-        elif isinstance(source, SyntheticSource) and source.stop_cycle is not None:
-            # A run with NIC stall windows has always replayed the
-            # reference's draws; its results stay what they were.
-            if self._fast and not self._nic_stalls and philox_supported(source):
-                self._events, self._unconsumed = philox_events(source, cycle)
-            else:
-                self._events, self._unconsumed = replay_synthetic(source, cycle)
-        elif source is not None:
-            self._events = None  # unbounded or unknown: pulled per cycle
+    def _synthetic_schedule(self, source: SyntheticSource, cycle: int) -> Schedule:
+        """Fast mode draws the Philox stream where it can; a run with NIC
+        stall windows has always replayed the reference's draws, and its
+        results stay what they were."""
+        if self._fast and not self._nic_stalls and philox_supported(source):
+            return philox_events(source, cycle)
+        return super()._synthetic_schedule(source, cycle)
 
     # -- per-cycle hooks (MeshNetworkBase) --------------------------------------
 
     def _step_cycle(self, cycle: int) -> None:
-        if not self._ingested or self._ingested_source is not self.source:
-            self._ingest(cycle)
         hub = self.trace_hub if self.trace_hub else None
         self._resolve_drop_signals(cycle, hub)
         self._sparse_inject(cycle, hub)
@@ -397,134 +368,85 @@ class VectorizedNetwork(MeshNetworkBase):
     def _sparse_inject(self, cycle: int, hub: TraceHub | None) -> None:
         """Per-node injection over the schedule.
 
-        Each cycle's bucket is in ascending node order (a documented
-        invariant of :mod:`.traffic`; a source that could not be
-        materialised is pulled node by node now, as the reference pulls
-        it), so when no NIC carries a backlog the common case — one arrival
-        for a node whose LOCAL queue has space — goes straight into the
-        router without touching the NIC deques.  Backlogged nodes,
-        multi-arrival runs and broadcasts take :meth:`_pump`; under NIC
-        stall windows every node takes it every cycle, so a window is
-        counted on the cycle it opens even at an idle NIC."""
-        events = self._events
-        if events is None:
-            source = self.source
-            assert source is not None  # only a source makes ``_events`` None
-            injections = [
-                (node, event.destination, event.cycle)
-                for node in range(self._num_nodes)
-                for event in source.injections(node, cycle)
-            ] or None
-        else:
-            injections = events.pop(cycle, None)
-            if injections is not None:
-                self._unconsumed -= len(injections)
+        When no NIC carries a backlog and no stall window can open, the
+        common case — one arrival for a node whose LOCAL queue has space —
+        goes straight into the router without touching the NIC deques;
+        broadcasts and multi-arrival runs take the shared per-node visit
+        (:meth:`~repro.fabric.base.MeshNetworkBase._visit`).  Otherwise every
+        node with work takes it (:meth:`_visit_nics`)."""
+        injections = self._injections_at(cycle)
         nic_pending = self._nic_pending
-        stalls = self._nic_stalls
-        if injections is None and not nic_pending and not stalls:
+        if nic_pending or self._nic_stalls:
+            self._visit_nics(injections, cycle)
             return
-        if injections is not None and not nic_pending and not stalls:
-            stats = self.stats
-            routers = self.routers
-            plans = self._plans
-            num_nodes = self._num_nodes
-            capacity = self.config.buffer_entries
-            active = self._active
-            uid = self._next_uid
-            generated = 0
-            injected = 0
-            index = 0
-            total = len(injections)
-            while index < total:
-                node, destination, generated_cycle = injections[index]
-                index += 1
-                if destination is None or (
-                    index < total and injections[index][0] == node
-                ):
-                    # A broadcast, or a multi-arrival run for one node
-                    # (bursty traces): hand the node's whole run to the
-                    # generic NIC path.
-                    end = index
-                    while end < total and injections[end][0] == node:
-                        end += 1
-                    self._next_uid = uid
-                    stats.packets_generated += generated
-                    stats.packets_injected += injected
-                    generated = injected = 0
-                    self._pump(
-                        node, injections[index - 1 : end], cycle, hub
-                    )
-                    uid = self._next_uid
-                    index = end
-                    continue
-                route = plans[node * num_nodes + destination]
-                # Generation/injection tallies are plain integer adds, so
-                # batching them per cycle is exact (unlike the float ledger).
-                generated += 1
-                packet = VecPacket(uid, route, generated_cycle)
-                uid += 1
+        if injections is None:
+            return
+        stats = self.stats
+        routers = self.routers
+        plans = self._plans
+        num_nodes = self._num_nodes
+        capacity = self.config.buffer_entries
+        active = self._active
+        uid = self._next_uid
+        generated = 0
+        injected = 0
+        index = 0
+        total = len(injections)
+        while index < total:
+            node, destination, generated_cycle = injections[index]
+            index += 1
+            if destination is None or (
+                index < total and injections[index][0] == node
+            ):
+                # A broadcast, or a multi-arrival run for one node
+                # (bursty traces): hand the node's whole run to the
+                # generic NIC path.
+                end = index
+                while end < total and injections[end][0] == node:
+                    end += 1
+                self._next_uid = uid
+                stats.packets_generated += generated
+                stats.packets_injected += injected
+                generated = injected = 0
+                self._visit(node, injections[index - 1 : end], cycle)
+                uid = self._next_uid
+                index = end
+                continue
+            route = plans[node * num_nodes + destination]
+            # Generation/injection tallies are plain integer adds, so
+            # batching them per cycle is exact (unlike the float ledger).
+            generated += 1
+            packet = VecPacket(uid, route, generated_cycle)
+            uid += 1
+            if hub:
+                hub.emit(
+                    "generated", cycle, node, packet.uid,
+                    extra={"dst": route.final},
+                )
+            router = routers[node]
+            local = router.queues[LOCAL_QUEUE]
+            if (
+                capacity is None
+                or len(local) + router.pending_by_queue[LOCAL_QUEUE]
+                < capacity
+            ):
+                packet.eligible = cycle
+                local.append(packet)
+                router.mask |= 16
+                router.queued += 1
+                self._occupancy += 1
+                active.add(node)
+                injected += 1
                 if hub:
-                    hub.emit(
-                        "generated", cycle, node, packet.uid,
-                        extra={"dst": route.final},
-                    )
-                router = routers[node]
-                local = router.queues[LOCAL_QUEUE]
-                if (
-                    capacity is None
-                    or len(local) + router.pending_by_queue[LOCAL_QUEUE]
-                    < capacity
-                ):
-                    packet.eligible = cycle
-                    local.append(packet)
-                    router.mask |= 16
-                    router.queued += 1
-                    self._occupancy += 1
-                    active.add(node)
-                    injected += 1
-                    if hub:
-                        hub.emit("injected", cycle, node, packet.uid)
-                else:
-                    self.nics[node]._buffer.append(packet)
-                    nic_pending.add(node)
-            self._next_uid = uid
-            stats.packets_generated += generated
-            stats.packets_injected += injected
-            return
-        by_node: dict[int, list[Injection]] = {}
-        if injections is not None:
-            for injection in injections:
-                bucket = by_node.get(injection[0])
-                if bucket is None:
-                    bucket = by_node[injection[0]] = []
-                bucket.append(injection)
-        nodes = range(self._num_nodes) if stalls else sorted(nic_pending.union(by_node))
-        for node in nodes:
-            self._pump(node, by_node.get(node), cycle, hub)
+                    hub.emit("injected", cycle, node, packet.uid)
+            else:
+                self.nics[node]._buffer.append(packet)
+                nic_pending.add(node)
+        self._next_uid = uid
+        stats.packets_generated += generated
+        stats.packets_injected += injected
 
-    def _pump(
-        self,
-        node: int,
-        arrivals: "list[Injection] | None",
-        cycle: int,
-        hub: TraceHub | None,
-    ) -> None:
-        """Generic per-node injection: expand arrivals through the NIC
-        queues, refill, feed one packet unless the NIC is stalled (it keeps
-        accepting source traffic), and track the NIC backlog."""
-        nic = self.nics[node]
-        if arrivals:
-            for _node, destination, generated_cycle in arrivals:
-                nic.expand(destination, generated_cycle, cycle)
-        nic._refill()
-        if not (self._nic_stalls and self._nic_stalled(node, cycle)):
-            self._feed(node, nic, cycle, hub)
-        if nic._buffer:
-            self._nic_pending.add(node)
-        else:
-            self._nic_pending.discard(node)
-
-    def _feed(self, node: int, nic: VecNic, cycle: int, hub: TraceHub | None) -> None:
+    def _inject_from_nic(self, node: int, nic: VecNic, cycle: int) -> None:
         """One packet per cycle from the NIC into the LOCAL queue, space
         permitting (mirrors ``PhastlaneNic.feed_router``)."""
         buffer = nic._buffer
@@ -545,8 +467,8 @@ class VectorizedNetwork(MeshNetworkBase):
                 self._occupancy += 1
                 self._active.add(node)
                 self.stats.record_injected(cycle)
-                if hub:
-                    hub.emit("injected", cycle, node, packet.uid)
+                if self.trace_hub:
+                    self.trace_hub.emit("injected", cycle, node, packet.uid)
         nic._refill()
 
     def _launch_transmissions(
@@ -906,18 +828,10 @@ class VectorizedNetwork(MeshNetworkBase):
 
     # -- run control ------------------------------------------------------------
 
-    def idle(self, cycle: int) -> bool:
-        if self._drop_signals or self._unconsumed:
-            return False
-        source = self.source
-        if source is not None and not source.exhausted(cycle):
-            return False
-        if self._nic_pending:
-            return False
-        return not self._active
-
     def _pending_work(self) -> bool:
-        return bool(self._drop_signals) or self._unconsumed > 0
+        """Drop signals in flight, and routers with queued or pending
+        packets (so the base's router scan runs only once all are idle)."""
+        return bool(self._drop_signals) or bool(self._active)
 
 
 def _priority_key(packet: VecPacket) -> tuple[int, int]:

@@ -1,27 +1,11 @@
-"""Traffic pre-generation for the vectorized engine.
+"""Fast-mode traffic for the vectorized engine: the Philox schedule.
 
-The reference simulators pull ``source.injections(node, cycle)`` for every
-(node, cycle) pair — at 8×8 that is 64 Python calls and up to 128 Mersenne
-draws per cycle, most of which produce nothing.  The vectorized engine
-materialises the whole injection schedule once, up front, into a
-``{cycle: [(node, destination, generated_cycle), ...]}`` map (a broadcast
-keeps its ``destination`` of None), and then touches only the cycles that
-actually inject.  Three pre-generation paths:
+Every mesh backend reads its traffic as one injection schedule built when
+the run starts (:mod:`repro.traffic.schedule`, whose ``replay_synthetic``
+consumes exactly the reference draws).  A ``VectorizedConfig`` in
+``mode="fast"`` may take a synthetic schedule from here instead:
 
-``drain_trace``
-    Drains a :class:`~repro.traffic.trace.TraceSource` in one pass.  The
-    bucketing reproduces the reference pull exactly (an event due at or
-    before the ingest cycle is delivered at the ingest cycle; per-cycle
-    buckets are node-ascending, then trace order), so trace workloads are
-    bit-identical in *both* engine modes.
-
-``replay_synthetic`` (``mode="exact"``, and the ``mode="fast"`` fallback)
-    Replays :class:`~repro.traffic.trace.SyntheticSource` draws node-major
-    instead of cycle-major.  Each node owns an independent RNG stream and
-    an independent injection process, so the node-major order consumes
-    exactly the reference draws and yields the identical schedule.
-
-``philox_events`` (``mode="fast"``, supported patterns only)
+``philox_events`` (supported patterns only)
     Skips the per-draw Python loop entirely: one numpy Philox generator,
     keyed by ``sha256(f"{seed}/vectorized/{pattern}")`` (the documented,
     digest-distinguished calibration stream), draws the full
@@ -40,13 +24,11 @@ import numpy as np
 
 from repro.sim.rng import stream_key
 from repro.traffic.injection import BernoulliInjector
-from repro.traffic.trace import SyntheticSource, TraceSource
+from repro.traffic.schedule import Injection, Schedule
 
-#: One injection: (node, destination, generated_cycle); a broadcast's
-#: destination is None.
-Injection = tuple[int, int | None, int]
-#: The pre-generated schedule: cycle -> injections, plus the total count.
-Schedule = tuple[dict[int, list[Injection]], int]
+# ``bench/probes.py`` times the exact replay under this module's name.
+from repro.traffic.schedule import replay_synthetic as replay_synthetic
+from repro.traffic.trace import SyntheticSource
 
 #: Patterns the Philox path can generate without consulting the reference
 #: RNG: destination is either rng-free (the address permutations and
@@ -74,43 +56,6 @@ def philox_supported(source: SyntheticSource) -> bool:
     return all(
         type(injector) is BernoulliInjector for injector in source._injectors
     )
-
-
-def drain_trace(source: TraceSource, ingest_cycle: int) -> Schedule:
-    """Materialise a trace source (see module docstring)."""
-    events: dict[int, list[Injection]] = {}
-    count = 0
-    last_cycle = source.trace.last_cycle
-    for node in range(source.trace.num_nodes):
-        for event in source.injections(node, last_cycle):
-            cycle = event.cycle if event.cycle > ingest_cycle else ingest_cycle
-            bucket = events.get(cycle)
-            if bucket is None:
-                bucket = events[cycle] = []
-            bucket.append((node, event.destination, event.cycle))
-            count += 1
-    return events, count
-
-
-def replay_synthetic(source: SyntheticSource, ingest_cycle: int) -> Schedule:
-    """Replay the reference synthetic draws node-major (see module docstring)."""
-    stop_cycle = source.stop_cycle
-    assert stop_cycle is not None  # callers gate on a bounded window
-    events: dict[int, list[Injection]] = {}
-    count = 0
-    num_nodes = source.pattern.mesh.num_nodes
-    for node in range(num_nodes):
-        for cycle in range(ingest_cycle, stop_cycle):
-            for event in source.injections(node, cycle):
-                bucket = events.get(cycle)
-                if bucket is None:
-                    bucket = events[cycle] = []
-                bucket.append((node, event.destination, event.cycle))
-                count += 1
-    # Node-major buckets arrive node-sorted per cycle for free; within a
-    # node the reference emits at most one event per cycle, so no further
-    # ordering is needed.
-    return events, count
 
 
 #: Memoized fast-mode schedules: a schedule is a pure function of the

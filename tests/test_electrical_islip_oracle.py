@@ -5,13 +5,27 @@ shipped before ``repro.electrical.islip`` was restated over bitmasks, kept
 here as the oracle.  It is restricted to ``output_speedup == 1``, where it
 is correct (with more slots it drops a second grant to the same input).
 Requests are plain ``(input_port, vc, output_port)`` tuples.
+
+Input speedups 1, 2, 4 and 5 put the allocator on both sides of its slot
+rule (one iteration, requesting outputs ≤ input slots: every grant is
+accepted without counting slots; otherwise the general rounds).  Mutants
+the comparison kills: an accept pointer moved past the *first* output an
+input took; grants served in output-port order, or inputs in port order,
+instead of first-grant order; the rule's ``≤`` turned into ``<`` (killed by
+:func:`test_the_slot_rule_takes_the_side_it_states`, the only test that
+sees which side ran: the two sides agree whenever both may run).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from repro.electrical.islip import Request, SwitchAllocator, VcAllocator
+from repro.electrical.islip import (
+    Request,
+    RoundRobinArbiter,
+    SwitchAllocator,
+    VcAllocator,
+)
 
 PORTS = 5
 
@@ -118,10 +132,15 @@ def request_cycles(draw):
     return num_vcs, cycles
 
 
-@settings(max_examples=300, deadline=None)
+def slots_cannot_run_out(requests, input_speedup, iterations):
+    """The allocator's rule for taking every grant (``output_speedup`` 1)."""
+    return iterations == 1 and len({r[2] for r in requests}) <= input_speedup
+
+
+@settings(max_examples=400, deadline=None)
 @given(
     request_cycles(),
-    st.sampled_from([1, 4]),
+    st.sampled_from([1, 2, 4, 5]),
     st.sampled_from([1, 2, 3]),
 )
 def test_switch_allocation_matches_the_set_based_reference(
@@ -133,12 +152,94 @@ def test_switch_allocation_matches_the_set_based_reference(
     )
     reference = ReferenceSwitchAllocator(num_vcs, input_speedup, iterations)
     for requests in cycles:
+        event(
+            "every grant taken"
+            if slots_cannot_run_out(requests, input_speedup, iterations)
+            else "general rounds"
+        )
         accepted = allocator.allocate([Request(*r) for r in requests])
         assert [(r.input_port, r.vc, r.output_port) for r in accepted] == (
             reference.allocate(requests)
         )
         assert [a.pointer for a in allocator._grant] == reference.grant
         assert [a.pointer for a in allocator._accept] == reference.accept
+
+
+@pytest.mark.parametrize("input_speedup", [1, 2, 4, 5])
+@pytest.mark.parametrize("iterations", [1, 2])
+def test_the_slot_rule_takes_the_side_it_states(
+    input_speedup, iterations, monkeypatch
+):
+    """A multicast VC asking for ``outputs`` ports beside a rival per port,
+    on both sides of ``outputs == input_speedup``, against the reference.
+    Only the general rounds call ``RoundRobinArbiter.pick`` (the other side
+    inlines it), so the calls show which side ran."""
+    picks = []
+    pick = RoundRobinArbiter.pick
+    monkeypatch.setattr(
+        RoundRobinArbiter,
+        "pick",
+        lambda self, mask: picks.append(mask) or pick(self, mask),
+    )
+    for outputs in (input_speedup, input_speedup + 1):
+        if outputs > PORTS:
+            continue
+        requests = [(0, 0, port) for port in range(outputs)] + [
+            (port, 1, port) for port in range(1, outputs)
+        ]
+        allocator = SwitchAllocator(
+            PORTS, 2, input_speedup=input_speedup, iterations=iterations
+        )
+        reference = ReferenceSwitchAllocator(2, input_speedup, iterations)
+        for _ in range(3):  # the pointers move between calls
+            picks.clear()
+            accepted = allocator.allocate([Request(*r) for r in requests])
+            assert [(r.input_port, r.vc, r.output_port) for r in accepted] == (
+                reference.allocate(requests)
+            )
+            assert [a.pointer for a in allocator._grant] == reference.grant
+            assert [a.pointer for a in allocator._accept] == reference.accept
+            taken = slots_cannot_run_out(requests, input_speedup, iterations)
+            assert taken == (iterations == 1 and outputs == input_speedup)
+            assert not picks if taken else picks
+
+
+@settings(max_examples=200, deadline=None)
+@given(request_cycles(), st.sampled_from([1, 2, 3]))
+# Output 1's pointer left at line 5, inside input 1's lines 4 and 6; input
+# 0, first granted by output 0, takes its line of output 1 first and moves
+# that pointer, so input 1 then takes lines 4 and 6 in that order.
+@example(
+    drawn=(4, [[(1, 0, 1)], [(0, 0, 0), (1, 0, 1), (1, 2, 1), (0, 1, 1)]]),
+    output_speedup=3,
+)
+# Alone, input 1 takes them from the pointer: line 6, then line 4.
+@example(drawn=(4, [[(1, 0, 1)], [(1, 0, 1), (1, 2, 1)]]), output_speedup=2)
+def test_one_round_with_slots_to_spare_is_two_rounds(drawn, output_speedup):
+    """With an input slot for every grant any call can make, a second round
+    finds every output withdrawn or out of requesters, so two rounds (the
+    general path) state what one round (every grant taken) must do: equal
+    call for call, pointers included.  The reference stops at one grant per
+    output; this is the check of several, to one input or to many (kills
+    an input's lines served in line order, and the grant pointer read
+    unmoved for a later input)."""
+    num_vcs, cycles = drawn
+    one, two = (
+        SwitchAllocator(
+            PORTS,
+            num_vcs,
+            input_speedup=PORTS * output_speedup,
+            output_speedup=output_speedup,
+            iterations=iterations,
+        )
+        for iterations in (1, 2)
+    )
+    for requests in cycles:
+        batch = [Request(*r) for r in requests]
+        assert one.allocate(batch) == two.allocate(batch)
+        assert [a.pointer for a in one._grant + one._accept] == [
+            a.pointer for a in two._grant + two._accept
+        ]
 
 
 @settings(max_examples=200, deadline=None)

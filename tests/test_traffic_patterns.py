@@ -14,6 +14,7 @@ from repro.traffic.patterns import (
     UniformRandomPattern,
     pattern_by_name,
 )
+from repro.util.errors import SpecError
 from repro.util.geometry import MeshGeometry
 
 MESH = MeshGeometry(8, 8)
@@ -61,8 +62,10 @@ class TestPermutations:
         assert pattern.destination(0, rng()) == 63
 
     def test_permutations_need_power_of_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             pattern_by_name("shuffle", MeshGeometry(3, 3))
+        # A spec refusal: one ``repro: ...`` line from the CLI.
+        assert isinstance(refused.value, SpecError)
 
     def test_out_of_range_source_rejected(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,14 @@
 """Tests for the trace format and traffic sources."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.topology import topology_from_name
 from repro.traffic.coherence import MessageKind
-from repro.traffic.injection import BernoulliInjector
-from repro.traffic.patterns import pattern_by_name
+from repro.traffic.injection import BernoulliInjector, BurstyInjector, PhasedInjector
+from repro.traffic.patterns import PATTERNS, pattern_by_name
+from repro.traffic.schedule import drain_trace, replay_synthetic
 from repro.traffic.trace import (
     SyntheticSource,
     Trace,
@@ -143,6 +145,92 @@ class TestSyntheticSource:
             for node in range(4):
                 for event in source.injections(node, cycle):
                     assert event.destination != node
+
+
+def pulled(source, first_cycle, last_cycle):
+    """The per-(node, cycle) pull every backend used to make, as schedule
+    buckets: cycle-major, node-ascending, empty cycles left out."""
+    buckets = {}
+    for cycle in range(first_cycle, last_cycle):
+        bucket = [
+            (node, event.destination, event.cycle)
+            for node in range(source.pattern.mesh.num_nodes)
+            for event in source.injections(node, cycle)
+        ]
+        if bucket:
+            buckets[cycle] = bucket
+    return buckets
+
+
+INJECTORS = {
+    "bernoulli-0": lambda: BernoulliInjector(0.0),
+    "bernoulli-0.1": lambda: BernoulliInjector(0.1),
+    "bernoulli-1": lambda: BernoulliInjector(1.0),
+    "bursty": lambda: BurstyInjector(0.6, burst_length=4, gap_length=6),
+    "phased": lambda: PhasedInjector(0.5, burst_length=3, gap_length=5),
+}
+
+
+class TestSchedule:
+    """The schedule every backend reads is the per-(node, cycle) pull.
+
+    Kills: a ``random()`` drawn twice for a self-addressed destination (the
+    schedules and the RNG states part); the destination draw skipped on a
+    rate-1 node (uniform and hotspot at rate 1 then disagree); a bucket
+    built cycle-major in another node order; an injection draw made
+    beyond ``stop_cycle`` or before the ingest cycle."""
+
+    @pytest.mark.parametrize("grid", ["mesh", "torus"])
+    @pytest.mark.parametrize("pattern", sorted(PATTERNS))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        injector=st.sampled_from(sorted(INJECTORS)),
+        ingest_cycle=st.integers(1, 12),
+        stop_cycle=st.sampled_from([0, 1, 8, 30]),
+        seed=st.integers(0, 3),
+    )
+    def test_replay_is_the_pull(
+        self, pattern, grid, injector, ingest_cycle, stop_cycle, seed
+    ):
+        topology = topology_from_name(grid, MeshGeometry(4, 4))
+
+        def build():
+            return SyntheticSource(
+                pattern_by_name(pattern, topology),
+                INJECTORS[injector],
+                seed=seed,
+                stop_cycle=stop_cycle,
+            )
+
+        a, b = build(), build()
+        events, count = replay_synthetic(a, ingest_cycle)
+        # Past ``stop_cycle`` the pull draws nothing: pulling on shows it.
+        assert events == pulled(b, ingest_cycle, max(stop_cycle, ingest_cycle) + 3)
+        assert count == sum(map(len, events.values()))
+        for node in range(16):
+            assert a._rngs[node].getstate() == b._rngs[node].getstate()
+            assert vars(a._injectors[node]) == vars(b._injectors[node])
+
+    def test_drain_delivers_overdue_events_at_the_ingest_cycle(self):
+        trace = Trace(
+            "t",
+            4,
+            events=[
+                TraceEvent(0, 2, 1),
+                TraceEvent(3, 0, None),
+                TraceEvent(5, 1, 3),
+                TraceEvent(5, 0, 2),
+                TraceEvent(9, 3, 0),
+            ],
+        )
+        events, count = drain_trace(TraceSource(trace), 5)
+        assert count == 5
+        assert events == {
+            # Due at or before cycle 5: node-ascending, then trace order,
+            # each keeping the cycle it was generated.
+            5: [(0, None, 3), (0, 2, 5), (1, 3, 5), (2, 1, 0)],
+            9: [(3, 0, 9)],
+        }
 
 
 class TestMergeTraces:
