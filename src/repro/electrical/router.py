@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.electrical.config import ElectricalConfig
+from repro.electrical.config import CREDIT_DELAY_CYCLES, INPUT_SPEEDUP, ElectricalConfig
 from repro.electrical.flit import Flit
 from repro.electrical.islip import SwitchAllocator, VcAllocator
 from repro.electrical.vctm import split_by_output
@@ -67,7 +67,6 @@ class ElectricalRouter:
         topology: GridTopology | None = None,
     ):
         self.node = node
-        self.config = config
         self.topology = (
             topology
             if topology is not None
@@ -97,13 +96,7 @@ class ElectricalRouter:
         self.wanted = [0] * NUM_PORTS
         self.ready = [0] * NUM_PORTS
         self._vc_allocator = VcAllocator(NUM_PORTS, num_vcs)
-        self._sw_allocator = SwitchAllocator(
-            NUM_PORTS,
-            num_vcs,
-            input_speedup=config.input_speedup,
-            output_speedup=config.output_speedup,
-            iterations=config.islip_iterations,
-        )
+        self._sw_allocator = SwitchAllocator(NUM_PORTS, num_vcs, INPUT_SPEEDUP)
         #: Occupied input VCs.  A set of ``(port, vc)`` tuples because its
         #: iteration order *is* the order outputs grant in (see
         #: :meth:`_request_order`), and that order is a function of the
@@ -203,9 +196,7 @@ class ElectricalRouter:
         self._active.discard(pair)
         if port != LOCAL_PORT:
             # Return the credit to the upstream router that sent this flit.
-            network.schedule_credit(
-                cycle + self.config.credit_delay_cycles, self.node, port, vc
-            )
+            network.schedule_credit(cycle + CREDIT_DELAY_CYCLES, self.node, port, vc)
 
     def restore_credit(self, output_port: int, vc: int) -> None:
         """A downstream VC we used has drained; its credit returns."""
@@ -245,35 +236,33 @@ class ElectricalRouter:
         if not live:
             return
         network.stats.energy_pj["allocation"] += network.event_pj["allocation"]
-        allocator = self._sw_allocator
-        order = self._request_order(live, allocator.iterations == 1)
-        for line, output in allocator.allocate_masks(ready.copy(), order):
+        order = self._request_order(live)
+        for line, output in self._sw_allocator.allocate_masks(ready, order):
             self._depart(line, output, cycle, network)
 
-    def _request_order(self, live: int, first_only: bool) -> list[tuple[int, int]]:
-        """The ready ``(line, output)`` pairs in ``_active`` iteration order.
+    def _request_order(self, live: int) -> list[tuple[int, int]]:
+        """Each ``live`` output's first ready ``(line, output)`` pair in
+        ``_active`` iteration order.
 
         Departure order is observable (replica uids, link-event order) and
         its first rule — outputs grant in order of their first live pair,
         see :meth:`SwitchAllocator.allocate_masks` — takes this sequence as
-        input.  A single iSLIP iteration reads only each output's first
-        pair, so with ``first_only`` the scan lists just those and stops
-        once every ``live`` output has one; later iterations re-derive the
-        order from the surviving requests and need the whole sequence.
+        input.  The one iSLIP iteration reads nothing else, so the scan
+        stops once every ``live`` output has its pair.
         """
         num_vcs, granted = self.num_vcs, self.granted
         order: list[tuple[int, int]] = []
         seen = 0
         for port, vc in self._active:
             line = port * num_vcs + vc
-            outputs = granted[line] & ~seen if first_only else granted[line]
+            outputs = granted[line] & ~seen
             if not outputs:
                 continue
             seen |= outputs
             for output in MESH_PORTS:  # ascending, as a line's requests are raised
                 if outputs >> output & 1:
                     order.append((line, output))
-            if first_only and seen == live:
+            if seen == live:
                 break
         return order
 

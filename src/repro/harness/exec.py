@@ -136,15 +136,27 @@ def workload_from_dict(payload: dict[str, Any]) -> Workload:
 
 # -- configuration (de)serialisation -----------------------------------------
 
-#: Keys a serialised ``"phastlane"`` config still carries although the
-#: fields are gone: the paper's section 7 "future work" knobs, which it
-#: never evaluates, at the only values left.  Written so that every spec
-#: digest, cache key and manifest stays byte-identical; read back and
-#: dropped, and any other value is refused.
-RETIRED_PHASTLANE_KEYS = {
-    "buffer_arbitration": "rotating",
-    "contention_policy": "drop",
-    "buffer_sharing": False,
+#: Keys a serialised config of each kind still carries although the fields
+#: are gone, at the only values left: for ``"phastlane"`` the paper's
+#: section 7 "future work" knobs, which it never evaluates; for
+#: ``"electrical"`` the Table 2 rows no figure varies (the constants of
+#: ``repro.electrical.config``).  Written so that every spec digest, cache
+#: key and manifest stays byte-identical; read back and dropped, and any
+#: other value is refused.
+RETIRED_KEYS: dict[str, dict[str, Any]] = {
+    "phastlane": {
+        "buffer_arbitration": "rotating",
+        "contention_policy": "drop",
+        "buffer_sharing": False,
+    },
+    "electrical": {
+        "vc_depth": 1,
+        "input_speedup": 4,
+        "output_speedup": 1,
+        "wait_for_tail_credit": True,
+        "islip_iterations": 1,
+        "credit_delay_cycles": 1,
+    },
 }
 
 
@@ -170,8 +182,7 @@ def config_to_dict(config: NetworkConfig) -> dict[str, Any]:
             continue
         else:
             payload[field_.name] = value
-    if payload["kind"] == "phastlane":
-        payload.update(RETIRED_PHASTLANE_KEYS)
+    payload.update(RETIRED_KEYS.get(payload["kind"], {}))
     return payload
 
 
@@ -179,15 +190,13 @@ def config_from_dict(payload: dict[str, Any]) -> NetworkConfig:
     payload = dict(payload)
     kind = payload.pop("kind", "")
     config_type = config_type_for(kind)
-    if kind == "phastlane":
-        for key, paper in RETIRED_PHASTLANE_KEYS.items():
-            value = payload.pop(key, paper)
-            if value != paper:
-                raise FabricError(
-                    f"{key}={value!r} was retired with the section 7 "
-                    f"alternatives the paper never evaluates; only {paper!r} "
-                    f"is simulated"
-                )
+    for key, paper in RETIRED_KEYS.get(kind, {}).items():
+        value = payload.pop(key, paper)
+        if value != paper:
+            raise FabricError(
+                f"{key}={value!r} was retired with the {kind} alternatives "
+                f"no paper figure evaluates; only {paper!r} is simulated"
+            )
     width, height = payload.pop("mesh")
     return config_type(mesh=MeshGeometry(width, height), **payload)
 

@@ -9,7 +9,8 @@ every name it takes from ``repro`` against the package as it is now.  The
 second half does by AST what ``ruff`` (absent from the builder's container)
 does in CI: no unused import under ``src/repro``.  The third is the rule no
 linter has: module-level state under ``src/repro`` is a short list of named
-caches and registries, and the next one has to be added to it by name.
+caches and registries, and the next one has to be added to it by name.  The
+last is a census of config fields, so a new option is a visible edit here.
 """
 
 import ast
@@ -253,6 +254,40 @@ def test_the_state_scan_sees_what_it_should(tmp_path):
         "    local[x] = TABLE[x]\n"
     )
     assert module_state(sample) == {"NAMES", "_MEMO", "_BY_KIND", "_SEEN"}
+
+
+# -- every config field is a knob someone chose --------------------------------
+
+#: The fields of each registered config type, in declaration order.  A
+#: design-space search enumerates them, so each one is a dimension; a new
+#: one is added here together with the figure or experiment that sets it.
+#: The Table 2 rows no figure varies are constants of
+#: ``repro.electrical.config``, not fields.
+_OPTICAL_FIELDS = (
+    "mesh", "topology", "max_hops_per_cycle", "buffer_entries",
+    "nic_buffer_entries", "payload_wdm", "crossing_efficiency",
+    "retry_penalty_cycles", "backoff_cap_log2", "packet_bits", "seed",
+)
+CONFIG_FIELDS = {
+    "electrical": (
+        "mesh", "topology", "num_vcs", "router_delay_cycles",
+        "nic_buffer_entries", "packet_bits",
+    ),
+    "ideal": ("mesh", "topology", "cycles_per_hop", "nic_buffer_entries", "packet_bits"),
+    "phastlane": _OPTICAL_FIELDS + ("network_arbitration",),
+    "vectorized": _OPTICAL_FIELDS + ("mode",),
+}
+
+
+def test_every_config_field_is_in_the_census():
+    from dataclasses import fields
+
+    from repro.fabric import config_type_for, registered_backends
+
+    assert {
+        kind: tuple(field_.name for field_ in fields(config_type_for(kind)))
+        for kind in registered_backends()
+    } == CONFIG_FIELDS
 
 
 # -- the strict-mypy packages are fully annotated --------------------------------

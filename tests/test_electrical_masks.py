@@ -103,15 +103,12 @@ def run_storm(config, cycles, faults=None):
     return network
 
 
-CASES = [(num_vcs, iterations) for num_vcs in (2, 10) for iterations in (1, 2)]
+CASES = [2, 10]
 
 
-@pytest.mark.parametrize("num_vcs, islip_iterations", CASES)
-def test_masks_equal_a_rebuild_after_every_cycle(num_vcs, islip_iterations):
-    config = ElectricalConfig(
-        mesh=MESH, num_vcs=num_vcs, islip_iterations=islip_iterations
-    )
-    network = run_storm(config, cycles=8)
+@pytest.mark.parametrize("num_vcs", CASES)
+def test_masks_equal_a_rebuild_after_every_cycle(num_vcs):
+    network = run_storm(ElectricalConfig(mesh=MESH, num_vcs=num_vcs), cycles=8)
     assert network.stats.packets_lost == 0
 
 
@@ -123,15 +120,6 @@ def test_masks_equal_a_rebuild_across_link_retries_and_abandoned_flits():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("output_speedup", [1, 2])
-@pytest.mark.parametrize("num_vcs, islip_iterations", CASES)
-def test_masks_equal_a_rebuild_through_a_long_storm(
-    num_vcs, islip_iterations, output_speedup
-):
-    config = ElectricalConfig(
-        mesh=MESH,
-        num_vcs=num_vcs,
-        islip_iterations=islip_iterations,
-        output_speedup=output_speedup,
-    )
-    run_storm(config, cycles=40)
+@pytest.mark.parametrize("num_vcs", CASES)
+def test_masks_equal_a_rebuild_through_a_long_storm(num_vcs):
+    run_storm(ElectricalConfig(mesh=MESH, num_vcs=num_vcs), cycles=40)

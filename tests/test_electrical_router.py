@@ -91,6 +91,7 @@ class TestConfigValidation:
         assert table["number_of_entries_per_vc"] == 1
         assert table["vc_allocator"] == "ISLIP"
         assert table["input_speedup"] == 4
+        assert table["output_speedup"] == 1
         assert table["buffer_entries_in_nic"] == 50
         assert table["wait_for_tail_credit"] == "YES"
 
@@ -100,16 +101,4 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ElectricalConfig(router_delay_cycles=0)
         with pytest.raises(ValueError):
-            ElectricalConfig(input_speedup=0)
-        with pytest.raises(ValueError):
             ElectricalConfig(nic_buffer_entries=0)
-
-    def test_unmodelled_table2_rows_rejected(self):
-        """Nothing in the simulator reads these two rows: a value other than
-        the paper's used to run the defaults under a different cache key."""
-        with pytest.raises(ValueError, match="single-entry VCs"):
-            ElectricalConfig(vc_depth=4)
-        with pytest.raises(ValueError, match="single-entry VCs"):
-            ElectricalConfig(vc_depth=0)
-        with pytest.raises(ValueError, match="wait-for-tail"):
-            ElectricalConfig(wait_for_tail_credit=False)

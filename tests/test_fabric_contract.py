@@ -19,6 +19,7 @@ from test_obs_golden import _sha, _trace_sha
 from repro.core.config import PhastlaneConfig
 from repro.core.network import PhastlaneNetwork
 from repro.electrical.config import ElectricalConfig
+from repro.electrical.islip import SwitchAllocator
 from repro.fabric import (
     FabricError,
     IdealConfig,
@@ -303,7 +304,19 @@ def contended_trace(num_nodes=MESH.num_nodes):
     )
 
 
-def assert_contended_burst_keeps_the_contract(config, tmp_path):
+def assert_contended_burst_keeps_the_contract(config, tmp_path, monkeypatch):
+    """Drain, exact conservation and the credit audit explaining every
+    withheld downstream VC at every health window, on a burst that does
+    contend: some switch allocation sees two or more lines asking for one
+    output, so the case cannot turn into a free-flow run unnoticed."""
+    widest = []
+    allocate_masks = SwitchAllocator.allocate_masks
+
+    def counting(self, masks, order):
+        widest.append(max(mask.bit_count() for mask in masks))
+        return allocate_masks(self, masks, order)
+
+    monkeypatch.setattr(SwitchAllocator, "allocate_masks", counting)
     path = tmp_path / "contended.trace"
     contended_trace(config.mesh.num_nodes).save(path)
     result = run(
@@ -320,78 +333,44 @@ def assert_contended_burst_keeps_the_contract(config, tmp_path):
     assert result.health.status == "ok"
     for name in ("credit_leak", "flit_conservation"):
         assert result.health.checks[name]["status"] == "ok"
+    assert max(widest) >= 2, "no switch allocation was contended"
 
 
 @pytest.mark.parametrize("topology", TOPOLOGY_SUPPORT["electrical"])
-@pytest.mark.parametrize("output_speedup", [1, 2])
-@pytest.mark.parametrize("islip_iterations", [1, 2])
-def test_electrical_allocator_settings_conserve_drain_and_keep_credits(
-    islip_iterations, output_speedup, topology, tmp_path
+def test_electrical_contended_burst_conserves_drains_and_keeps_credits(
+    topology, tmp_path, monkeypatch
 ):
-    """The allocator settings no paper figure moves (several iSLIP
-    iterations, more than one grant per output) keep the contract too:
-    drain, exact conservation, and the credit audit explaining every
-    withheld downstream VC at every health window.  With one crossbar slot
-    per input and four VCs, a second iteration does accept grants the
-    first left over, and a two-slot output does serve two flits a cycle."""
-    config = replace(
-        _config_on("electrical", topology),
-        num_vcs=4,
-        input_speedup=1,
-        islip_iterations=islip_iterations,
-        output_speedup=output_speedup,
-    )
-    assert_contended_burst_keeps_the_contract(config, tmp_path)
+    """The baseline router at four VCs per port.  The torus needs them:
+    its rings have no dateline VC classes, and at two VCs the burst
+    deadlocks there."""
+    config = replace(_config_on("electrical", topology), num_vcs=4)
+    assert_contended_burst_keeps_the_contract(config, tmp_path, monkeypatch)
 
 
-def test_a_grid_stated_by_two_methods_keeps_the_electrical_contract(tmp_path):
+def test_a_grid_stated_by_two_methods_keeps_the_electrical_contract(
+    tmp_path, monkeypatch
+):
     """The routers ask a grid for first directions and nothing else, and
     those are derived: ``helpers.Cylinder`` (rings in X, like the torus, so
     the torus case's four VCs) drains the burst with every flit and credit
     accounted for."""
     with cylinder_registered() as name:
-        config = ElectricalConfig(
-            mesh=MeshGeometry(4, 3), topology=name, num_vcs=4, input_speedup=1
-        )
-        assert_contended_burst_keeps_the_contract(config, tmp_path)
+        config = ElectricalConfig(mesh=MeshGeometry(4, 3), topology=name, num_vcs=4)
+        assert_contended_burst_keeps_the_contract(config, tmp_path, monkeypatch)
 
 
-#: (islip_iterations, output_speedup) -> (result sha, trace sha) of the
-#: contended burst on the mesh, captured on the tree before the router's
-#: VC state became flat per-line arrays (commit ab83cba).  With more than
-#: one iSLIP iteration the later rounds re-derive the grant order from the
-#: surviving requests, so these are the only pins of that order.
-ALLOCATOR_SETTINGS = {
-    (1, 1): (
-        "7379927ae540c66afb9fd064c9ac55bff1d3e93d3541ae9a5d4ad70c0562fbd2",
-        "48dd3dab5dac181f2e13dd3ea5a790a740185247610b066b86a48c7d6d95f496",
-    ),
-    (1, 2): (
-        "327973590a0eaa3338926e73cb8e5238d68cd075c5cdd830cf73682369a814fe",
-        "f8c31736adcc0d8a23ca48dc47be8905e4aec4149f6aed5f8dd31de2e4bb772a",
-    ),
-    (2, 1): (
-        "c14d5f30a48fd39881f39ae76b8b565caa3c939e7187438b564b633c3d744f8a",
-        "365f524bb6b0829c6949e7fedd70511ed9b66eede18f6538c9ec2a3657780f52",
-    ),
-    (2, 2): (
-        "813aa47ce4e8b6a29d15e1dc5c45103d465a39bbcf643af1aca96a7253ba27b1",
-        "29b8a359d2e85948281a88ae6fe411e20b1eb6ba2d7ba726fb8c428010fc4c67",
-    ),
-}
+#: (result sha, trace sha) of the contended burst on the mesh at four VCs
+#: and the baseline speedup, captured on the tree before the switch
+#: allocator became one path (commit 8304140): it pins the departure order
+#: that path had to keep, not the order it happens to produce.
+BASELINE_BURST = (
+    "f6d0d4bf5919850087477726aaabe75cdb32c2fa444d3731b82da812140ec5b0",
+    "e7863f735e207b21c90ecc866a55d1dc5e2c572257c2f4c8e5c4f874df9f3163",
+)
 
 
-@pytest.mark.parametrize("islip_iterations, output_speedup", sorted(ALLOCATOR_SETTINGS))
-def test_electrical_allocator_settings_outputs_are_pinned(
-    islip_iterations, output_speedup, tmp_path
-):
-    config = replace(
-        CONFIGS["electrical"],
-        num_vcs=4,
-        input_speedup=1,
-        islip_iterations=islip_iterations,
-        output_speedup=output_speedup,
-    )
+def test_the_contended_burst_at_the_baseline_speedup_is_pinned(tmp_path):
+    config = replace(CONFIGS["electrical"], num_vcs=4)
     path = tmp_path / "contended.trace"
     contended_trace().save(path)
     trace = tmp_path / "trace.jsonl"
@@ -409,4 +388,4 @@ def test_electrical_allocator_settings_outputs_are_pinned(
     assert (
         _sha(json.dumps(result_to_dict(result), sort_keys=True)),
         _trace_sha(trace),
-    ) == ALLOCATOR_SETTINGS[islip_iterations, output_speedup]
+    ) == BASELINE_BURST

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.config import PhastlaneConfig
+from repro.electrical import config as electrical_config
 from repro.electrical.config import ElectricalConfig
 from repro.fabric import FabricError
 from repro.harness.exec import (
@@ -35,6 +36,15 @@ from repro.util.geometry import MeshGeometry
 MESH = MeshGeometry(4, 4)
 OPTICAL = PhastlaneConfig(mesh=MESH, max_hops_per_cycle=4)
 ELECTRICAL = ElectricalConfig(mesh=MESH)
+#: The electrical rows retired from the config, at the paper's values.
+ELECTRICAL_RETIRED = {
+    "vc_depth": 1,
+    "input_speedup": 4,
+    "output_speedup": 1,
+    "wait_for_tail_credit": True,
+    "islip_iterations": 1,
+    "credit_delay_cycles": 1,
+}
 
 
 def small_specs(rates=(0.05, 0.1, 0.2), cycles=150):
@@ -92,6 +102,49 @@ class TestSpecSerialisation:
         with pytest.raises(FabricError, match=f"{key}=.*retired") as refusal:
             RunSpec.from_dict(payload)
         assert "\n" not in str(refusal.value)
+
+    def test_retired_electrical_keys_stay_on_the_wire_at_the_papers_values(self):
+        # The six Table 2 rows no figure varies are module constants now;
+        # the spec a digest or a cache entry was made of still spells them
+        # out, at the values the constants state.
+        payload = config_to_dict(ELECTRICAL)
+        assert {key: payload[key] for key in ELECTRICAL_RETIRED} == ELECTRICAL_RETIRED
+        assert ELECTRICAL_RETIRED == {
+            key: getattr(electrical_config, key.upper()) for key in ELECTRICAL_RETIRED
+        }
+        assert "input_speedup" not in config_to_dict(OPTICAL)
+        bare = {
+            key: value for key, value in payload.items() if key not in ELECTRICAL_RETIRED
+        }
+        assert config_from_dict(bare) == ELECTRICAL == config_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("vc_depth", 4),
+            ("wait_for_tail_credit", False),
+            ("input_speedup", 1),
+            ("output_speedup", 2),
+            ("islip_iterations", 2),
+            ("credit_delay_cycles", 0),
+        ],
+    )
+    def test_a_retired_electrical_setting_is_refused_in_one_line(self, key, value):
+        """Nothing in the simulator ever read ``vc_depth`` or
+        ``wait_for_tail_credit``: a value other than the paper's used to run
+        the defaults under a different cache key.  The other four chose
+        allocator and credit modes no figure runs."""
+        spec = RunSpec(ELECTRICAL, SyntheticWorkload("uniform", 0.1), cycles=200)
+        payload = spec.to_dict()
+        payload["config"][key] = value
+        with pytest.raises(FabricError, match=f"{key}=.*retired") as refusal:
+            RunSpec.from_dict(payload)
+        assert "\n" not in str(refusal.value)
+
+    def test_a_retired_electrical_field_is_not_a_keyword(self):
+        for key, paper in ELECTRICAL_RETIRED.items():
+            with pytest.raises(TypeError):
+                ElectricalConfig(**{key: paper})
 
     def test_unknown_config_kind_rejected(self):
         with pytest.raises(FabricError):
