@@ -1,21 +1,52 @@
 """Phastlane network configuration (paper Table 1 and section 5 variants).
 
-``network_arbitration`` is the one design alternative carried as a field:
-the only one the paper states a claim about (footnote 3).  Section 7's
-"future work" ideas (oldest-first buffer arbitration, shared buffer pools,
-deflection) are not options: the paper never evaluates them, and what they
-measured here is on record in EXPERIMENTS.md, "Ablations".
+A config holds what section 5 varies: the hop budget and the router
+buffer.  ``network_arbitration`` is the one design alternative carried as a
+field: the only one the paper states a claim about (footnote 3).  Section
+7's "future work" ideas (oldest-first buffer arbitration, shared buffer
+pools, deflection) are not options: the paper never evaluates them, and
+what they measured here is on record in EXPERIMENTS.md, "Ablations".  The
+rest of the design point is constants: the packet layout, WDM degree,
+crossing efficiency and NIC size of :mod:`repro.photonics.constants`, and
+the drop-retry backoff below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.photonics.constants import SCALING_SCENARIOS
 from repro.util.geometry import MeshGeometry
 
 #: Section 5 maps hop budgets to the scaling scenario that affords them.
 HOPS_FOR_SCENARIO = {"pessimistic": 4, "average": 5, "optimistic": 8}
+
+#: Base resend delay after a drop: the drop signal arrives the next cycle,
+#: but the node's protocol engine re-issues the message through its retry
+#: path, and backing off prevents retry storms from re-colliding at the
+#: still-congested router.
+RETRY_PENALTY_CYCLES = 4
+#: Maximum exponent for binary exponential backoff after a drop.
+BACKOFF_CAP_LOG2 = 5
+#: Seed of every router's backoff jitter stream.
+BACKOFF_SEED = 1
+
+
+def check_design_point(config: Any) -> None:
+    """The checks every Phastlane config type shares: a registered
+    topology, a positive hop budget and a positive (or infinite) buffer."""
+    from repro.topology import registered_topologies
+
+    if config.topology not in registered_topologies():
+        raise ValueError(
+            f"unknown topology {config.topology!r}; registered: "
+            f"{', '.join(registered_topologies())}"
+        )
+    if config.max_hops_per_cycle < 1:
+        raise ValueError("max hops per cycle must be at least 1")
+    if config.buffer_entries is not None and config.buffer_entries < 1:
+        raise ValueError("buffer entries must be at least 1 (or None)")
 
 
 @dataclass(frozen=True)
@@ -24,9 +55,9 @@ class PhastlaneConfig:
 
     The defaults are the paper's preferred configuration: the four-hop
     network (pessimistic component scaling) with 10 electrical buffer
-    entries per router input port and local queue, a 50-entry NIC and
-    64-way payload WDM.  Section 5 additionally evaluates ``max_hops`` of 5
-    and 8 and ``buffer_entries`` of 32, 64 and infinite (``None``).
+    entries per router input port and local queue.  Section 5 additionally
+    evaluates ``max_hops`` of 5 and 8 and ``buffer_entries`` of 32, 64 and
+    infinite (``None``).
     """
 
     mesh: MeshGeometry = field(default_factory=lambda: MeshGeometry(8, 8))
@@ -37,18 +68,6 @@ class PhastlaneConfig:
     topology: str = "mesh"
     max_hops_per_cycle: int = 4
     buffer_entries: int | None = 10
-    nic_buffer_entries: int = 50
-    payload_wdm: int = 64
-    crossing_efficiency: float = 0.98
-    #: Base resend delay after a drop: the drop signal arrives the next
-    #: cycle, but the node's protocol engine re-issues the message through
-    #: its retry path, and backing off prevents retry storms from
-    #: re-colliding at the still-congested router.
-    retry_penalty_cycles: int = 4
-    #: Maximum exponent for binary exponential backoff after a drop.
-    backoff_cap_log2: int = 5
-    packet_bits: int = 80 * 8
-    seed: int = 1
     #: Optical output-port arbitration among same-wave contenders.
     #: ``"fixed"`` is the paper's choice (straight beats turns, then fixed
     #: input-port order); ``"round_robin"`` is the fairer alternative the
@@ -57,41 +76,11 @@ class PhastlaneConfig:
     network_arbitration: str = "fixed"
 
     def __post_init__(self) -> None:
-        from repro.topology import registered_topologies
-
-        if self.topology not in registered_topologies():
-            raise ValueError(
-                f"unknown topology {self.topology!r}; registered: "
-                f"{', '.join(registered_topologies())}"
-            )
-        if self.max_hops_per_cycle < 1:
-            raise ValueError("max hops per cycle must be at least 1")
-        if self.buffer_entries is not None and self.buffer_entries < 1:
-            raise ValueError("buffer entries must be at least 1 (or None)")
-        if self.nic_buffer_entries < 1:
-            raise ValueError("NIC needs at least one buffer entry")
-        if self.payload_wdm < 1:
-            raise ValueError("payload WDM degree must be positive")
-        if not 0.0 < self.crossing_efficiency <= 1.0:
-            raise ValueError("crossing efficiency must be in (0, 1]")
-        if self.backoff_cap_log2 < 0:
-            raise ValueError("backoff cap must be non-negative")
-        if self.retry_penalty_cycles < 1:
-            raise ValueError("retry penalty must be at least one cycle")
+        check_design_point(self)
         if self.network_arbitration not in ("fixed", "round_robin"):
             raise ValueError(
                 f"unknown network arbitration {self.network_arbitration!r}"
             )
-        if self.packet_bits < 1:
-            raise ValueError("packets must carry at least one bit")
-
-    @property
-    def scenario(self) -> str:
-        """The scaling scenario that affords this hop budget (section 5)."""
-        for scenario, hops in HOPS_FOR_SCENARIO.items():
-            if hops == self.max_hops_per_cycle:
-                return scenario
-        return "average"
 
     @property
     def label(self) -> str:

@@ -285,7 +285,7 @@ class PhastlaneNetwork(MeshNetworkBase):
     def _finish_local(self, transit: _Transit, cycle: int) -> None:
         """Local-bit stop: final delivery or interim-node responsibility."""
         packet = transit.packet
-        self._charge_receive(self.config.packet_bits)
+        self._charge_receive(constants.PACKET_PAYLOAD_BITS)
         if transit.index == len(packet.plan) - 1:
             if not packet.is_multicast:
                 self.stats.record_delivered(packet.generated_cycle, cycle)
@@ -307,7 +307,7 @@ class PhastlaneNetwork(MeshNetworkBase):
                 transit.packet.plan[transit.index].node,
                 transit.packet.uid,
             )
-        self._charge_receive(self.config.packet_bits)
+        self._charge_receive(constants.PACKET_PAYLOAD_BITS)
         self._buffer_or_drop(transit, cycle)
 
     def _buffer_or_drop(self, transit: _Transit, cycle: int) -> None:
@@ -326,7 +326,7 @@ class PhastlaneNetwork(MeshNetworkBase):
             )
             router.enqueue(queue_id, packet, eligible_cycle=cycle + 1)
             self.stats.add_energy(
-                "buffer_write", self.config.packet_bits * BUFFER_WRITE_PJ_PER_BIT
+                "buffer_write", constants.PACKET_PAYLOAD_BITS * BUFFER_WRITE_PJ_PER_BIT
             )
             if self.trace_hub:
                 self.trace_hub.emit("buffered", cycle, node, packet.uid)
@@ -338,7 +338,7 @@ class PhastlaneNetwork(MeshNetworkBase):
             self.trace_hub.emit("dropped", cycle, node, packet.uid)
 
     def _deliver_tap(self, packet: OpticalPacket, node: int, cycle: int) -> None:
-        self._charge_receive(self.config.packet_bits)
+        self._charge_receive(constants.PACKET_PAYLOAD_BITS)
         key = (packet.broadcast_id if packet.is_multicast else packet.uid, node)
         if key in self._delivered_broadcast:
             return
@@ -351,20 +351,20 @@ class PhastlaneNetwork(MeshNetworkBase):
     # -- energy accounting ----------------------------------------------------------------
 
     def _charge_transmit(self, packet: OpticalPacket) -> None:
-        bits = self.config.packet_bits + constants.PACKET_CONTROL_BITS
+        bits = constants.PACKET_PAYLOAD_BITS + constants.PACKET_CONTROL_BITS
         self.stats.add_energy(
             "modulator", bits * constants.MODULATOR_ENERGY_PJ_PER_BIT
         )
         self.stats.add_energy(
-            "buffer_read", self.config.packet_bits * BUFFER_READ_PJ_PER_BIT
+            "buffer_read", constants.PACKET_PAYLOAD_BITS * BUFFER_READ_PJ_PER_BIT
         )
         segment, taps = self._first_segment(packet)
         self.stats.add_energy(
             "laser",
             self.power.transmit_laser_energy_pj(
-                self.config.payload_wdm,
+                constants.PAYLOAD_WDM,
                 segment,
-                self.config.crossing_efficiency,
+                constants.CROSSING_EFFICIENCY,
                 multicast_taps=taps,
             ),
         )

@@ -1,12 +1,11 @@
-"""Phastlane network-interface controller (Table 1: 50 buffer entries).
+"""Phastlane network-interface controller.
 
 The NIC turns trace events into :class:`OpticalPacket` instances — expanding
 each broadcast into its up-to-16 multicast packets (section 2.1.4) — holds
-them in the finite 50-entry NIC buffer (overflow waits in an unbounded
-open-loop generation queue, as in the electrical baseline), and feeds the
-router's local transmit queue whenever it has space.
+them in its FIFO, and feeds the router's local transmit queue whenever it
+has space.
 
-Queueing, admission and idle detection live in
+Queueing and idle detection live in
 :class:`~repro.fabric.base.BaseNic`; this class adds the optical-specific
 event expansion (route plans, broadcast fan-out) and the one-packet-per-
 cycle router feed.
@@ -63,7 +62,7 @@ class PhastlaneNic(BaseNic):
                     broadcast_id=broadcast_id,
                     uid=next(self.uids),
                 )
-                self._generation_queue.append(packet)
+                self._queue.append(packet)
                 if self.trace_hub:
                     self.trace_hub.emit(
                         "generated", cycle, self.node, packet.uid,
@@ -83,7 +82,7 @@ class PhastlaneNic(BaseNic):
                 generated_cycle=generated_cycle,
                 uid=next(self.uids),
             )
-            self._generation_queue.append(packet)
+            self._queue.append(packet)
             if self.trace_hub:
                 self.trace_hub.emit(
                     "generated", cycle, self.node, packet.uid,
@@ -97,13 +96,11 @@ class PhastlaneNic(BaseNic):
         of modulator drivers per node), space permitting.  Returns the
         number of packets moved.
         """
-        moved = 0
-        if self._buffer and router.has_space(LOCAL_QUEUE):
-            packet = self._buffer.popleft()
-            router.enqueue(LOCAL_QUEUE, packet, eligible_cycle=cycle)
-            self.stats.record_injected(cycle)
-            if self.trace_hub:
-                self.trace_hub.emit("injected", cycle, self.node, packet.uid)
-            moved += 1
-        self._refill()
-        return moved
+        if not (self._queue and router.has_space(LOCAL_QUEUE)):
+            return 0
+        packet = self._queue.popleft()
+        router.enqueue(LOCAL_QUEUE, packet, eligible_cycle=cycle)
+        self.stats.record_injected(cycle)
+        if self.trace_hub:
+            self.trace_hub.emit("injected", cycle, self.node, packet.uid)
+        return 1

@@ -18,7 +18,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.core.config import PhastlaneConfig
+from repro.core.config import (
+    BACKOFF_CAP_LOG2,
+    BACKOFF_SEED,
+    RETRY_PENALTY_CYCLES,
+    PhastlaneConfig,
+)
 from repro.core.packet import OpticalPacket
 from repro.sim.rng import DeterministicRng
 from repro.util.geometry import Direction
@@ -60,7 +65,7 @@ class PhastlaneRouter:
         self.queues: list[deque[_QueueEntry]] = [deque() for _ in range(NUM_QUEUES)]
         self.pending: list[PendingTransmission] = []
         self._arbiter_pointer = 0
-        self._rng = DeterministicRng(config.seed, f"router{node}/backoff")
+        self._rng = DeterministicRng(BACKOFF_SEED, f"router{node}/backoff")
         #: Packets that exhausted their retry budget (fault-injection runs
         #: only); the network drains this via :meth:`take_abandoned`.
         self._abandoned: list[tuple[OpticalPacket, int]] = []
@@ -103,16 +108,17 @@ class PhastlaneRouter:
     def backoff_cycles(self, attempts: int) -> int:
         """Binary exponential backoff with jitter after ``attempts`` drops.
 
-        The first retry waits ``retry_penalty_cycles`` (the protocol
+        The first retry waits ``RETRY_PENALTY_CYCLES`` (the protocol
         engine's resend path), doubling per further drop up to
-        ``2 ** backoff_cap_log2`` base periods, plus uniform jitter of one
+        ``2 ** BACKOFF_CAP_LOG2`` base periods, plus uniform jitter of one
         base period to de-synchronise colliding retriers.
         """
         if attempts < 1:
             raise ValueError("backoff needs at least one failed attempt")
-        penalty = self.config.retry_penalty_cycles
-        window = 1 << min(attempts - 1, self.config.backoff_cap_log2)
-        return penalty * window + self._rng.randrange(penalty)
+        window = 1 << min(attempts - 1, BACKOFF_CAP_LOG2)
+        return RETRY_PENALTY_CYCLES * window + self._rng.randrange(
+            RETRY_PENALTY_CYCLES
+        )
 
     # -- arbitration -----------------------------------------------------------------
 

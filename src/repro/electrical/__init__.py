@@ -3,7 +3,7 @@
 An input-queued virtual-channel mesh router in the Booksim mould: 10 VCs per
 port with one entry each, iSLIP VC and switch allocation, a speculative 2- or
 3-cycle per-hop pipeline, input speedup 4, credit-based flow control with
-wait-for-tail, direct local ejection, finite NIC buffering and Virtual
+wait-for-tail, direct local ejection, an open-loop NIC FIFO and Virtual
 Circuit Tree Multicasting for broadcasts.
 """
 

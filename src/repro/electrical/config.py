@@ -4,12 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.photonics.constants import NIC_BUFFER_ENTRIES
 from repro.util.geometry import MeshGeometry
 
 #: The Table 2 rows the baseline fixes, stated once.  They are not config
 #: fields: no figure varies them, so a search over configs has nothing to
 #: find along them.  A serialised spec still spells them out at these
-#: values (``repro.harness.exec.RETIRED_KEYS``).
+#: values (``repro.harness.exec.RETIRED_KEYS``), as it does the NIC size
+#: and packet width the baseline shares with Table 1
+#: (:mod:`repro.photonics.constants`).
 VC_DEPTH = 1
 WAIT_FOR_TAIL_CREDIT = True
 #: Grants one input port may take per cycle; each output grants one.
@@ -24,10 +27,9 @@ CREDIT_DELAY_CYCLES = 1
 class ElectricalConfig:
     """Parameters of the baseline electrical VC router (Table 2).
 
-    The defaults are exactly the paper's: a one-flit (80-byte) packet, ten
-    VCs per port, a three-cycle per-hop router delay (two for the very
-    aggressive variant) and a 50-entry NIC buffer.  The rows no figure
-    varies are the module constants above.
+    The defaults are exactly the paper's: ten VCs per port and a
+    three-cycle per-hop router delay (two for the very aggressive variant).
+    The rows no figure varies are the module constants above.
     """
 
     mesh: MeshGeometry = field(default_factory=lambda: MeshGeometry(8, 8))
@@ -36,8 +38,6 @@ class ElectricalConfig:
     topology: str = "mesh"
     num_vcs: int = 10
     router_delay_cycles: int = 3
-    nic_buffer_entries: int = 50
-    packet_bits: int = 80 * 8
 
     def __post_init__(self) -> None:
         from repro.topology import registered_topologies
@@ -51,10 +51,6 @@ class ElectricalConfig:
             raise ValueError(f"need at least one VC, got {self.num_vcs}")
         if self.router_delay_cycles < 1:
             raise ValueError("router delay must be at least one cycle")
-        if self.nic_buffer_entries < 1:
-            raise ValueError("NIC needs at least one buffer entry")
-        if self.packet_bits < 1:
-            raise ValueError("packets must carry at least one bit")
 
     @property
     def label(self) -> str:
@@ -74,5 +70,5 @@ class ElectricalConfig:
             "total_router_delay": f"{self.router_delay_cycles} cycles",
             "input_speedup": INPUT_SPEEDUP,
             "output_speedup": OUTPUT_SPEEDUP,
-            "buffer_entries_in_nic": self.nic_buffer_entries,
+            "buffer_entries_in_nic": NIC_BUFFER_ENTRIES,
         }

@@ -45,7 +45,7 @@ class ElectricalNetwork(MeshNetworkBase):
     ):
         super().__init__(config or ElectricalConfig(), source, stats, faults)
         require_grid(self.topology, "the electrical VC router pipeline")
-        self.power = ElectricalPowerModel(packet_bits=self.config.packet_bits)
+        self.power = ElectricalPowerModel()
         #: Energy of one event of each category, priced once: the kernel
         #: charges an event as one ``+=`` of its constant.  One addition per
         #: event, never ``n * e``: the ledger's floats are chains of

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.photonics.constants import CYCLE_TIME_PS, HOP_LENGTH_MM
+from repro.photonics.constants import CYCLE_TIME_PS, HOP_LENGTH_MM, PACKET_PAYLOAD_BITS
 from repro.sim.stats import NetworkStats
 
 #: Per-bit energies (pJ/bit) at 16 nm, 1.0 V.
@@ -44,7 +44,7 @@ NIC_LEAKAGE_MW = 1.5
 class ElectricalPowerModel:
     """Charges electrical energy events into a :class:`NetworkStats` ledger."""
 
-    packet_bits: int = 640
+    packet_bits: int = PACKET_PAYLOAD_BITS
     hop_length_mm: float = HOP_LENGTH_MM
     cycle_time_ps: float = CYCLE_TIME_PS
 

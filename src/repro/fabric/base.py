@@ -2,11 +2,10 @@
 
 Both cycle-accurate simulators (and the analytic ideal backend) share a
 lot of lifecycle scaffolding that used to be duplicated per backend:
-finite-buffer NIC admission with an unbounded open-loop generation queue,
-the injection schedule (:mod:`repro.traffic.schedule`, built once per
-source) and the per-cycle NIC visits it drives, TraceHub plumbing,
-end-of-cycle stats stamping and the idle-detection skeleton.  This module
-hoists all of it.
+the NIC's one open-loop FIFO, the injection schedule
+(:mod:`repro.traffic.schedule`, built once per source) and the per-cycle
+NIC visits it drives, TraceHub plumbing, end-of-cycle stats stamping and
+the idle-detection skeleton.  This module hoists all of it.
 
 :class:`MeshNetworkBase` fixes the per-cycle template::
 
@@ -23,8 +22,7 @@ work, then source exhaustion, then router business).  Subclasses implement
 
 :class:`BaseNic` fixes event expansion (``_expand`` turns one injection
 into queued packets; ``generate`` validates trace events against the
-source-node invariant, expands them and then refills the finite buffer)
-plus the occupancy/backlog/idle accessors.
+source-node invariant and expands them) plus the backlog/idle accessors.
 """
 
 from __future__ import annotations
@@ -48,14 +46,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class BaseNic:
-    """Generation queue + finite NIC buffer shared by every backend NIC.
+    """The one FIFO every backend NIC queues its packets in.
 
-    Injections enter an unbounded generation queue (the open-loop source
-    never blocks, matching Booksim measurement methodology); up to
-    ``config.nic_buffer_entries`` of the queued items wait in the NIC
-    proper.  Subclasses implement :meth:`_expand` to turn one injection
-    into queued packets/flits, and their own injection discipline to
-    drain the buffer into the network.
+    The open-loop source never blocks (Booksim measurement methodology), so
+    the queue is unbounded and Table 1/2's 50 NIC entries
+    (:data:`~repro.photonics.constants.NIC_BUFFER_ENTRIES`) bound nothing a
+    result can see.  Subclasses implement :meth:`_expand` to turn one
+    injection into queued packets/flits, and their own injection discipline
+    to drain the head into the network.
     """
 
     def __init__(
@@ -73,18 +71,16 @@ class BaseNic:
         #: Where this NIC's packets draw their uids: the owning network's
         #: counter, shared like the hub (a standalone NIC counts alone).
         self.uids = uids if uids is not None else itertools.count()
-        self._generation_queue: deque[Any] = deque()
-        self._buffer: deque[Any] = deque()
+        self._queue: deque[Any] = deque()
 
     def generate(self, events: list["TraceEvent"], cycle: int) -> None:
-        """Expand trace events onto the generation queue, then refill."""
+        """Expand trace events onto the queue."""
         for event in events:
             if event.source != self.node:
                 raise ValueError(
                     f"event for node {event.source} delivered to NIC {self.node}"
                 )
             self._expand(event.destination, event.cycle, cycle)
-        self._refill()
 
     def _expand(
         self, destination: int | None, generated_cycle: int, cycle: int
@@ -93,25 +89,13 @@ class BaseNic:
         broadcast's ``destination`` is None."""
         raise NotImplementedError
 
-    def _refill(self) -> None:
-        """Move queued items into the finite buffer while space remains."""
-        while (
-            self._generation_queue
-            and len(self._buffer) < self.config.nic_buffer_entries
-        ):
-            self._buffer.append(self._generation_queue.popleft())
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._buffer)
-
     @property
     def backlog(self) -> int:
-        """Packets still waiting anywhere in this NIC."""
-        return len(self._buffer) + len(self._generation_queue)
+        """Packets waiting in this NIC."""
+        return len(self._queue)
 
     def idle(self) -> bool:
-        return not self._buffer and not self._generation_queue
+        return not self._queue
 
 
 class MeshNetworkBase:
@@ -278,14 +262,13 @@ class MeshNetworkBase:
             self._visit(node, by_node.get(node), cycle)
 
     def _visit(self, node: int, run: list[Injection] | None, cycle: int) -> None:
-        """One node's cycle: expand its arrivals through the NIC queues,
-        then inject unless the NIC sits in a stall window (it keeps
-        accepting source traffic, the open-loop source never blocks)."""
+        """One node's cycle: expand its arrivals onto the NIC queue, then
+        inject unless the NIC sits in a stall window (it keeps accepting
+        source traffic, the open-loop source never blocks)."""
         nic = self.nics[node]
         if run:
             for _node, destination, generated_cycle in run:
                 nic._expand(destination, generated_cycle, cycle)
-            nic._refill()
         if not (self._nic_stalls and self._nic_stalled(node, cycle)):
             self._inject_from_nic(node, nic, cycle)
         if nic.idle():

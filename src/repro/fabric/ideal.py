@@ -4,7 +4,7 @@
 contention: every injected packet is delivered exactly
 ``hop_count * cycles_per_hop`` cycles later (minimum one cycle), no
 matter what else is in flight.  It shares the full backend lifecycle —
-finite NIC buffering, one injection per node per cycle, stats, TraceHub
+the NIC FIFO, one injection per node per cycle, stats, TraceHub
 lifecycle events, ``idle()`` drain — so it runs through run specs,
 sweeps, campaigns and the observability layer unchanged.
 
@@ -52,8 +52,6 @@ class IdealConfig:
     #: the cycle-accurate backends refuse.
     topology: str = "mesh"
     cycles_per_hop: int = 1
-    nic_buffer_entries: int = 50
-    packet_bits: int = 80 * 8
 
     def __post_init__(self) -> None:
         from repro.topology import registered_topologies
@@ -65,10 +63,6 @@ class IdealConfig:
             )
         if self.cycles_per_hop < 1:
             raise ValueError("cycles per hop must be at least 1")
-        if self.nic_buffer_entries < 1:
-            raise ValueError("NIC needs at least one buffer entry")
-        if self.packet_bits < 1:
-            raise ValueError("packets must carry at least one bit")
 
     @property
     def label(self) -> str:
@@ -131,7 +125,7 @@ class IdealNic(BaseNic):
                 multicast=broadcast and index == 0,
                 uid=next(self.uids),
             )
-            self._generation_queue.append(packet)
+            self._queue.append(packet)
             if self.trace_hub:
                 self.trace_hub.emit(
                     "generated", cycle, self.node, packet.uid,
@@ -139,12 +133,8 @@ class IdealNic(BaseNic):
                 )
 
     def pop_ready(self) -> IdealPacket | None:
-        """The head packet, consumed, or None when the buffer is empty."""
-        if not self._buffer:
-            return None
-        packet = self._buffer.popleft()
-        self._refill()
-        return packet
+        """The head packet, consumed, or None when the queue is empty."""
+        return self._queue.popleft() if self._queue else None
 
 
 class IdealNetwork(MeshNetworkBase):

@@ -9,7 +9,7 @@ module pins down what "a network backend" *is*, as structural protocols:
   network design point (a mesh plus a figure label); the registry maps
   config types to backend factories, so the config *is* the selector;
 - :class:`FabricNic` — the per-node interface between a traffic source and
-  a backend (generation queue, finite NIC buffer, idle detection);
+  a backend (one FIFO, idle detection);
 - :class:`NetworkBackend` — the simulator itself: a
   :class:`~repro.sim.engine.Clocked` component with a traffic source, a
   stats ledger, a shared :class:`~repro.obs.events.TraceHub` and an
@@ -55,9 +55,9 @@ class NetworkConfig(Protocol):
 class FabricNic(Protocol):
     """One node's interface between the traffic source and the network.
 
-    Every backend NIC owns an unbounded generation queue (the open-loop
-    source never blocks) feeding a finite NIC buffer; the backend drains
-    the buffer into the network at its own injection discipline.
+    Every backend NIC owns one unbounded FIFO (the open-loop source never
+    blocks); the backend drains its head into the network at its own
+    injection discipline.
     """
 
     node: int
@@ -69,13 +69,8 @@ class FabricNic(Protocol):
         ...  # pragma: no cover - protocol
 
     @property
-    def occupancy(self) -> int:
-        """Entries currently held in the finite NIC buffer."""
-        ...  # pragma: no cover - protocol
-
-    @property
     def backlog(self) -> int:
-        """Entries waiting anywhere in this NIC (buffer + generation)."""
+        """Entries waiting in this NIC."""
         ...  # pragma: no cover - protocol
 
     def idle(self) -> bool:

@@ -136,20 +136,38 @@ def workload_from_dict(payload: dict[str, Any]) -> Workload:
 
 # -- configuration (de)serialisation -----------------------------------------
 
+#: The Table 1/2 rows every mesh backend once carried as fields: the NIC
+#: size and packet width (``repro.photonics.constants``).
+_TABLE_ROWS: dict[str, Any] = {"nic_buffer_entries": 50, "packet_bits": 640}
+#: The optical design point's: WDM degree and crossing efficiency
+#: (``repro.photonics.constants``) and the drop-retry backoff
+#: (``repro.core.config``).
+_OPTICAL_ROWS: dict[str, Any] = {
+    **_TABLE_ROWS,
+    "payload_wdm": 64,
+    "crossing_efficiency": 0.98,
+    "retry_penalty_cycles": 4,
+    "backoff_cap_log2": 5,
+    "seed": 1,
+}
+
 #: Keys a serialised config of each kind still carries although the fields
-#: are gone, at the only values left: for ``"phastlane"`` the paper's
+#: are gone, at the only values left: the design-point rows no figure
+#: varies, each a named constant now; for ``"phastlane"`` also the paper's
 #: section 7 "future work" knobs, which it never evaluates; for
-#: ``"electrical"`` the Table 2 rows no figure varies (the constants of
-#: ``repro.electrical.config``).  Written so that every spec digest, cache
-#: key and manifest stays byte-identical; read back and dropped, and any
-#: other value is refused.
+#: ``"electrical"`` the Table 2 rows of ``repro.electrical.config``.
+#: Written so that every spec digest, cache key and manifest stays
+#: byte-identical; read back and dropped, and any other value is refused.
 RETIRED_KEYS: dict[str, dict[str, Any]] = {
     "phastlane": {
+        **_OPTICAL_ROWS,
         "buffer_arbitration": "rotating",
         "contention_policy": "drop",
         "buffer_sharing": False,
     },
+    "vectorized": _OPTICAL_ROWS,
     "electrical": {
+        **_TABLE_ROWS,
         "vc_depth": 1,
         "input_speedup": 4,
         "output_speedup": 1,
@@ -157,6 +175,7 @@ RETIRED_KEYS: dict[str, dict[str, Any]] = {
         "islip_iterations": 1,
         "credit_delay_cycles": 1,
     },
+    "ideal": _TABLE_ROWS,
 }
 
 
@@ -194,8 +213,8 @@ def config_from_dict(payload: dict[str, Any]) -> NetworkConfig:
         value = payload.pop(key, paper)
         if value != paper:
             raise FabricError(
-                f"{key}={value!r} was retired with the {kind} alternatives "
-                f"no paper figure evaluates; only {paper!r} is simulated"
+                f"{key}={value!r} is retired: no paper figure varies it, and "
+                f"a {kind} config simulates only {paper!r}"
             )
     width, height = payload.pop("mesh")
     return config_type(mesh=MeshGeometry(width, height), **payload)

@@ -71,6 +71,13 @@ WRITE_ENABLE_DELAY_PS = 1.0
 # Packet layout (paper Table 1 / Fig 3).
 # --------------------------------------------------------------------------
 PACKET_PAYLOAD_BITS = 80 * 8  # 640: 64B data + addr/type/source/EDC/misc
+#: Payload WDM degree of the design point: the Fig 8 area sweet spot.
+PAYLOAD_WDM = 64
+#: Per-crossing optical efficiency the simulated laser is charged at (Fig 7).
+CROSSING_EFFICIENCY = 0.98
+#: Table 1/2 "buffer entries in NIC".  A printed row only: the source is open
+#: loop, so every NIC is one unbounded FIFO and no result can see this size.
+NIC_BUFFER_ENTRIES = 50
 PACKET_CONTROL_BITS = 70  # 14 routers x 5 bits (S, L, R, Local, Multicast)
 CONTROL_BITS_PER_ROUTER = 5
 MAX_CONTROL_GROUPS = 14

@@ -41,7 +41,7 @@ class DesignPoint:
 class DesignSpaceExplorer:
     """Evaluates WDM/scenario design points and picks the Table 1 choice."""
 
-    def __init__(self, crossing_efficiency: float = 0.98):
+    def __init__(self, crossing_efficiency: float = constants.CROSSING_EFFICIENCY):
         self.crossing_efficiency = crossing_efficiency
         self._area = RouterAreaModel()
         self._power = OpticalPowerModel()
@@ -91,7 +91,7 @@ def table1_configuration() -> dict[str, object]:
         "packet_control_bits": layout.control_bits,
         "packet_control_wdm": layout.control_wdm,
         "packet_control_waveguides": layout.control_waveguides,
-        "buffer_entries_in_nic": 50,
+        "buffer_entries_in_nic": constants.NIC_BUFFER_ENTRIES,
         "max_hops_per_cycle": ", ".join(str(h) for h in hops),
         "node_transmit_arbitration": "Rotating Priority",
         "network_path_arbitration": "Fixed Priority",

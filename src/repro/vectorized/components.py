@@ -146,13 +146,13 @@ class VecRouter:
 
 
 class VecNic(BaseNic):
-    """Phastlane NIC semantics over the shared :class:`BaseNic` queues.
+    """Phastlane NIC semantics over the shared :class:`BaseNic` FIFO.
 
     Event expansion (:meth:`_expand`) routes through the owning network's
     plan cache and packet-uid counter; the injection discipline (one packet
     per cycle into the LOCAL queue, space permitting) is the network's
     ``_inject_from_nic``.  Only an uncontended single arrival skips the NIC
-    queues (see ``_sparse_inject``).
+    queue (see ``_sparse_inject``).
     """
 
     def __init__(self, node: int, network: "VectorizedNetwork") -> None:
@@ -184,7 +184,7 @@ class VecNic(BaseNic):
             for plan in network.begin_broadcast(broadcast_id, self.node):
                 packet = VecPacket(network.take_uid(), plan, generated_cycle)
                 packet.broadcast_id = broadcast_id
-                self._generation_queue.append(packet)
+                self._queue.append(packet)
                 if self.trace_hub:
                     self.trace_hub.emit(
                         "generated", cycle, self.node, packet.uid,
@@ -194,7 +194,7 @@ class VecNic(BaseNic):
         plan = network.plan(self.node, destination)
         self.stats.record_generated(cycle)
         packet = VecPacket(network.take_uid(), plan, generated_cycle)
-        self._generation_queue.append(packet)
+        self._queue.append(packet)
         if self.trace_hub:
             self.trace_hub.emit(
                 "generated", cycle, self.node, packet.uid,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import PhastlaneConfig
+from repro.core.config import PhastlaneConfig, check_design_point
 from repro.util.geometry import MeshGeometry
 
 #: The engine's traffic-generation modes (see module docstring).
@@ -37,8 +37,8 @@ class VectorizedConfig:
     """Parameters of a vectorized Phastlane network instance.
 
     Physics fields mirror :class:`~repro.core.config.PhastlaneConfig`
-    defaults (Table 1: four-hop network, 10 buffer entries, 50-entry NIC,
-    64-way payload WDM); ``mode`` selects the traffic calibration.
+    defaults (Table 1: four-hop network, 10 buffer entries); ``mode``
+    selects the traffic calibration.
     """
 
     mesh: MeshGeometry = field(default_factory=lambda: MeshGeometry(8, 8))
@@ -46,41 +46,12 @@ class VectorizedConfig:
     topology: str = "mesh"
     max_hops_per_cycle: int = 4
     buffer_entries: int | None = 10
-    nic_buffer_entries: int = 50
-    payload_wdm: int = 64
-    crossing_efficiency: float = 0.98
-    retry_penalty_cycles: int = 4
-    backoff_cap_log2: int = 5
-    packet_bits: int = 80 * 8
-    seed: int = 1
     #: Traffic calibration: ``"fast"`` (Philox synthetic pre-generation) or
     #: ``"exact"`` (bit-identical replay of the reference draws).
     mode: str = "fast"
 
     def __post_init__(self) -> None:
-        from repro.topology import registered_topologies
-
-        if self.topology not in registered_topologies():
-            raise ValueError(
-                f"unknown topology {self.topology!r}; registered: "
-                f"{', '.join(registered_topologies())}"
-            )
-        if self.max_hops_per_cycle < 1:
-            raise ValueError("max hops per cycle must be at least 1")
-        if self.buffer_entries is not None and self.buffer_entries < 1:
-            raise ValueError("buffer entries must be at least 1 (or None)")
-        if self.nic_buffer_entries < 1:
-            raise ValueError("NIC needs at least one buffer entry")
-        if self.payload_wdm < 1:
-            raise ValueError("payload WDM degree must be positive")
-        if not 0.0 < self.crossing_efficiency <= 1.0:
-            raise ValueError("crossing efficiency must be in (0, 1]")
-        if self.backoff_cap_log2 < 0:
-            raise ValueError("backoff cap must be non-negative")
-        if self.retry_penalty_cycles < 1:
-            raise ValueError("retry penalty must be at least one cycle")
-        if self.packet_bits < 1:
-            raise ValueError("packets must carry at least one bit")
+        check_design_point(self)
         if self.mode not in MODES:
             raise ValueError(
                 f"unknown engine mode {self.mode!r}; choose from {MODES}"
@@ -107,11 +78,4 @@ def as_phastlane(config: VectorizedConfig | PhastlaneConfig) -> PhastlaneConfig:
         topology=config.topology,
         max_hops_per_cycle=config.max_hops_per_cycle,
         buffer_entries=config.buffer_entries,
-        nic_buffer_entries=config.nic_buffer_entries,
-        payload_wdm=config.payload_wdm,
-        crossing_efficiency=config.crossing_efficiency,
-        retry_penalty_cycles=config.retry_penalty_cycles,
-        backoff_cap_log2=config.backoff_cap_log2,
-        packet_bits=config.packet_bits,
-        seed=config.seed,
     )

@@ -10,7 +10,7 @@ every router and NIC every cycle regardless of occupancy; this engine is
 
 - traffic arrives through the injection schedule every mesh backend
   builds (:mod:`repro.traffic.schedule`; Philox in fast mode,
-  :mod:`.traffic`), and an uncontended arrival skips the NIC queues;
+  :mod:`.traffic`), and an uncontended arrival skips the NIC queue;
 - only routers in the ``_active`` set (non-empty queues or pending
   transmissions) are visited by the resolve and launch phases, in node
   order, so phase results are identical to the reference's visit-everyone
@@ -59,7 +59,12 @@ from repro.electrical.power import (
     BUFFER_WRITE_PJ_PER_BIT,
     NIC_LEAKAGE_MW,
 )
-from repro.core.config import PhastlaneConfig
+from repro.core.config import (
+    BACKOFF_CAP_LOG2,
+    BACKOFF_SEED,
+    RETRY_PENALTY_CYCLES,
+    PhastlaneConfig,
+)
 from repro.fabric.base import MeshNetworkBase
 from repro.fabric.registry import register_backend
 from repro.faults.schedule import FaultSchedule
@@ -107,9 +112,7 @@ _PLAN_CACHES: dict[tuple[str, int, int], PlanTable] = {}
 
 
 @lru_cache(maxsize=64)
-def _laser_table(
-    mesh_nodes: int, payload_wdm: int, crossing_efficiency: float, max_hops: int
-) -> tuple[float, ...]:
+def _laser_table(mesh_nodes: int, max_hops: int) -> tuple[float, ...]:
     """The laser charge of every launch a network with these parameters can
     make, by :func:`~repro.vectorized.plans.laser_index` (the reference's
     expression, evaluated once per parameter set)."""
@@ -118,7 +121,10 @@ def _laser_table(
     for segment in range(1, max_hops + 1):
         for taps in range(segment + 1):
             table[laser_index(segment, taps)] = power.transmit_laser_energy_pj(
-                payload_wdm, segment, crossing_efficiency, multicast_taps=taps
+                constants.PAYLOAD_WDM,
+                segment,
+                constants.CROSSING_EFFICIENCY,
+                multicast_taps=taps,
             )
     return tuple(table)
 
@@ -178,12 +184,7 @@ class VectorizedNetwork(MeshNetworkBase):
         #: transmissions at the next resolve (appended in node order).
         self._pending_routers: list[VecRouter] = []
         #: Laser charge of a launch, by ``laser_index(segment hops, taps)``.
-        self._laser = _laser_table(
-            self.mesh.num_nodes,
-            config.payload_wdm,
-            config.crossing_efficiency,
-            config.max_hops_per_cycle,
-        )
+        self._laser = _laser_table(self.mesh.num_nodes, config.max_hops_per_cycle)
         #: Output-port claims this cycle, as ``node * 4 + port`` ints.
         self._claims: set[int] = set()
         #: Total buffered packets across all routers (incremental; the
@@ -191,7 +192,7 @@ class VectorizedNetwork(MeshNetworkBase):
         self._occupancy = 0
         # Per-event energy charges, precomputed with the reference's exact
         # float expressions so repeated additions accumulate identically.
-        packet_bits = config.packet_bits
+        packet_bits = constants.PACKET_PAYLOAD_BITS
         self._e_modulator = (
             packet_bits + constants.PACKET_CONTROL_BITS
         ) * constants.MODULATOR_ENERGY_PJ_PER_BIT
@@ -285,7 +286,6 @@ class VectorizedNetwork(MeshNetworkBase):
             self._faults.config.retry_limit if self._faults is not None else None
         )
         stats = self.stats
-        config = self.config
         # Launch appends in ascending node order, so this visit order
         # matches the reference's every-router sweep.
         for router in pending_routers:
@@ -316,14 +316,12 @@ class VectorizedNetwork(MeshNetworkBase):
                 rng = router.rng
                 if rng is None:
                     rng = router.rng = DeterministicRng(
-                        config.seed, f"router{node}/backoff"
+                        BACKOFF_SEED, f"router{node}/backoff"
                     )
-                window = 1 << min(
-                    packet.attempts - 1, config.backoff_cap_log2
-                )
+                window = 1 << min(packet.attempts - 1, BACKOFF_CAP_LOG2)
                 packet.eligible = cycle + (
-                    config.retry_penalty_cycles * window
-                    + rng.randrange(config.retry_penalty_cycles)
+                    RETRY_PENALTY_CYCLES * window
+                    + rng.randrange(RETRY_PENALTY_CYCLES)
                 )
                 router.queues[queue_id].appendleft(packet)
                 router.mask |= 1 << queue_id
@@ -370,7 +368,7 @@ class VectorizedNetwork(MeshNetworkBase):
 
         When no NIC carries a backlog and no stall window can open, the
         common case — one arrival for a node whose LOCAL queue has space —
-        goes straight into the router without touching the NIC deques;
+        goes straight into the router without touching the NIC queue;
         broadcasts and multi-arrival runs take the shared per-node visit
         (:meth:`~repro.fabric.base.MeshNetworkBase._visit`).  Otherwise every
         node with work takes it (:meth:`_visit_nics`)."""
@@ -440,7 +438,7 @@ class VectorizedNetwork(MeshNetworkBase):
                 if hub:
                     hub.emit("injected", cycle, node, packet.uid)
             else:
-                self.nics[node]._buffer.append(packet)
+                self.nics[node]._queue.append(packet)
                 nic_pending.add(node)
         self._next_uid = uid
         stats.packets_generated += generated
@@ -449,8 +447,8 @@ class VectorizedNetwork(MeshNetworkBase):
     def _inject_from_nic(self, node: int, nic: VecNic, cycle: int) -> None:
         """One packet per cycle from the NIC into the LOCAL queue, space
         permitting (mirrors ``PhastlaneNic.feed_router``)."""
-        buffer = nic._buffer
-        if buffer:
+        queue = nic._queue
+        if queue:
             router = self.routers[node]
             capacity = self.config.buffer_entries
             if (
@@ -459,7 +457,7 @@ class VectorizedNetwork(MeshNetworkBase):
                 + router.pending_by_queue[LOCAL_QUEUE]
                 < capacity
             ):
-                packet: VecPacket = buffer.popleft()
+                packet: VecPacket = queue.popleft()
                 packet.eligible = cycle
                 router.queues[LOCAL_QUEUE].append(packet)
                 router.mask |= 16
@@ -469,7 +467,6 @@ class VectorizedNetwork(MeshNetworkBase):
                 self.stats.record_injected(cycle)
                 if self.trace_hub:
                     self.trace_hub.emit("injected", cycle, node, packet.uid)
-        nic._refill()
 
     def _launch_transmissions(
         self, cycle: int, hub: TraceHub | None

@@ -261,33 +261,41 @@ def test_the_state_scan_sees_what_it_should(tmp_path):
 #: The fields of each registered config type, in declaration order.  A
 #: design-space search enumerates them, so each one is a dimension; a new
 #: one is added here together with the figure or experiment that sets it.
-#: The Table 2 rows no figure varies are constants of
-#: ``repro.electrical.config``, not fields.
-_OPTICAL_FIELDS = (
-    "mesh", "topology", "max_hops_per_cycle", "buffer_entries",
-    "nic_buffer_entries", "payload_wdm", "crossing_efficiency",
-    "retry_penalty_cycles", "backoff_cap_log2", "packet_bits", "seed",
-)
+#: The Table 1/2 rows no figure varies are constants, not fields
+#: (``harness.exec.RETIRED_KEYS`` keeps them on the wire).
+_OPTICAL_FIELDS = ("mesh", "topology", "max_hops_per_cycle", "buffer_entries")
 CONFIG_FIELDS = {
-    "electrical": (
-        "mesh", "topology", "num_vcs", "router_delay_cycles",
-        "nic_buffer_entries", "packet_bits",
-    ),
-    "ideal": ("mesh", "topology", "cycles_per_hop", "nic_buffer_entries", "packet_bits"),
+    "electrical": ("mesh", "topology", "num_vcs", "router_delay_cycles"),
+    "ideal": ("mesh", "topology", "cycles_per_hop"),
     "phastlane": _OPTICAL_FIELDS + ("network_arbitration",),
     "vectorized": _OPTICAL_FIELDS + ("mode",),
 }
 
 
-def test_every_config_field_is_in_the_census():
+def registered_fields():
     from dataclasses import fields
 
     from repro.fabric import config_type_for, registered_backends
 
-    assert {
+    return {
         kind: tuple(field_.name for field_ in fields(config_type_for(kind)))
         for kind in registered_backends()
-    } == CONFIG_FIELDS
+    }
+
+
+def test_every_config_field_is_in_the_census():
+    assert registered_fields() == CONFIG_FIELDS
+
+
+def test_every_retired_key_belongs_to_a_kind_and_is_no_field_of_it():
+    """A wire key kept for a kind nobody registers, or kept although the
+    field came back, would write a stale value into every digest."""
+    from repro.harness.exec import RETIRED_KEYS
+
+    census = registered_fields()
+    assert set(RETIRED_KEYS) <= set(census)
+    for kind, keys in RETIRED_KEYS.items():
+        assert not set(keys) & set(census[kind]), kind
 
 
 # -- the strict-mypy packages are fully annotated --------------------------------

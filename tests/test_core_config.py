@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import HOPS_FOR_SCENARIO, PhastlaneConfig
 from repro.core.packet import OpticalPacket
 from repro.core.routing import build_plan
+from repro.photonics.constants import NIC_BUFFER_ENTRIES, PAYLOAD_WDM
 from repro.util.geometry import Direction, MeshGeometry
 
 MESH = MeshGeometry(8, 8)
@@ -15,19 +16,14 @@ class TestConfig:
         config = PhastlaneConfig()
         assert config.max_hops_per_cycle == 4
         assert config.buffer_entries == 10
-        assert config.nic_buffer_entries == 50
-        assert config.payload_wdm == 64
+        assert NIC_BUFFER_ENTRIES == 50
+        assert PAYLOAD_WDM == 64
 
     def test_labels_match_figure10(self):
         assert PhastlaneConfig().label == "Optical4"
         assert PhastlaneConfig(max_hops_per_cycle=5).label == "Optical5"
         assert PhastlaneConfig(buffer_entries=32).label == "Optical4B32"
         assert PhastlaneConfig(buffer_entries=None).label == "Optical4IB"
-
-    def test_scenario_mapping(self):
-        assert PhastlaneConfig(max_hops_per_cycle=4).scenario == "pessimistic"
-        assert PhastlaneConfig(max_hops_per_cycle=5).scenario == "average"
-        assert PhastlaneConfig(max_hops_per_cycle=8).scenario == "optimistic"
 
     def test_for_scenario_builder(self):
         config = PhastlaneConfig.for_scenario("optimistic")
@@ -41,9 +37,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             PhastlaneConfig(buffer_entries=0)
         with pytest.raises(ValueError):
-            PhastlaneConfig(crossing_efficiency=0.0)
-        with pytest.raises(ValueError):
-            PhastlaneConfig(retry_penalty_cycles=0)
+            PhastlaneConfig(topology="hypercube")
 
 
 class TestOpticalPacket:

@@ -10,6 +10,7 @@ multicast taps.
 import pytest
 
 from repro.core import PhastlaneConfig, PhastlaneNetwork
+from repro.core.config import RETRY_PENALTY_CYCLES
 from repro.fabric import make_network
 from repro.obs import CollectingTracer
 from repro.sim.engine import SimulationEngine
@@ -233,7 +234,7 @@ class TestDropAndRetransmit:
             self.drop_scenario_events(), config=self.drop_scenario_config()
         )
         # The dropped packet waits out the retry penalty before resending.
-        assert network.stats.latency.mean.max >= 1 + network.config.retry_penalty_cycles
+        assert network.stats.latency.mean.max >= 1 + RETRY_PENALTY_CYCLES
 
     def test_infinite_buffers_never_drop(self):
         config = PhastlaneConfig(mesh=MESH, max_hops_per_cycle=4, buffer_entries=None)

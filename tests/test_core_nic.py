@@ -23,7 +23,7 @@ class TestUnicastGeneration:
     def test_event_becomes_packet(self):
         nic, router, stats = make_nic()
         nic.generate([TraceEvent(0, 9, 12)], 0)
-        assert nic.occupancy == 1
+        assert nic.backlog == 1
         assert stats.packets_generated == 1
 
     def test_wrong_node_event_rejected(self):
@@ -44,13 +44,6 @@ class TestUnicastGeneration:
         nic.feed_router(router, 0)
         assert nic.feed_router(router, 1) == 0  # local queue full
 
-    def test_overflow_waits_in_generation_queue(self):
-        nic, _, _ = make_nic(nic_buffer_entries=2)
-        events = [TraceEvent(0, 9, 12) for _ in range(5)]
-        nic.generate(events, 0)
-        assert nic.occupancy == 2
-        assert nic.backlog == 5
-
 
 class TestBroadcastExpansion:
     def test_broadcast_becomes_multicast_packets(self):
@@ -68,8 +61,7 @@ class TestBroadcastExpansion:
     def test_broadcast_ids_unique_per_broadcast(self):
         nic, _, _ = make_nic(node=9)
         nic.generate([TraceEvent(0, 9, None), TraceEvent(0, 9, None)], 0)
-        ids = {p.broadcast_id for p in nic._generation_queue}
-        ids |= {p.broadcast_id for p in nic._buffer}
+        ids = {p.broadcast_id for p in nic._queue}
         assert len(ids) == 2
 
     def test_broadcast_ids_unique_across_nodes(self):
@@ -77,8 +69,8 @@ class TestBroadcastExpansion:
         nics = [PhastlaneNic(n, config, NetworkStats()) for n in (9, 10)]
         for nic in nics:
             nic.generate([TraceEvent(0, nic.node, None)], 0)
-        ids_a = {p.broadcast_id for p in list(nics[0]._buffer) + list(nics[0]._generation_queue)}
-        ids_b = {p.broadcast_id for p in list(nics[1]._buffer) + list(nics[1]._generation_queue)}
+        ids_a = {p.broadcast_id for p in nics[0]._queue}
+        ids_b = {p.broadcast_id for p in nics[1]._queue}
         assert not ids_a & ids_b
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import PhastlaneConfig
+from repro.core.config import BACKOFF_CAP_LOG2, RETRY_PENALTY_CYCLES, PhastlaneConfig
 from repro.core.packet import OpticalPacket
 from repro.core.router import LOCAL_QUEUE, PhastlaneRouter
 from repro.core.routing import build_plan
@@ -97,7 +97,7 @@ class TestArbitration:
 class TestBackoff:
     def test_exponential_growth(self):
         router = make_router()
-        penalty = router.config.retry_penalty_cycles
+        penalty = RETRY_PENALTY_CYCLES
         first = [router.backoff_cycles(1) for _ in range(50)]
         fifth = [router.backoff_cycles(5) for _ in range(50)]
         assert min(first) >= penalty
@@ -105,9 +105,11 @@ class TestBackoff:
         assert min(fifth) >= penalty * 16
 
     def test_cap_applies(self):
-        router = make_router(backoff_cap_log2=2)
-        penalty = router.config.retry_penalty_cycles
-        assert max(router.backoff_cycles(50) for _ in range(50)) <= penalty * 4 + penalty
+        router = make_router()
+        capped = RETRY_PENALTY_CYCLES << BACKOFF_CAP_LOG2
+        for attempts in (BACKOFF_CAP_LOG2 + 1, 50):
+            waits = {router.backoff_cycles(attempts) for _ in range(50)}
+            assert waits == set(range(capped, capped + RETRY_PENALTY_CYCLES))
 
     def test_zero_attempts_rejected(self):
         with pytest.raises(ValueError):

@@ -511,7 +511,7 @@ def check_mixed_trace(data, shape, topology, max_hops, buffer_entries, faults, m
     arbitration = data.draw(st.sampled_from(ARBITRATIONS))
     vec_config = VectorizedConfig(
         mesh=mesh, topology=topology, max_hops_per_cycle=max_hops,
-        buffer_entries=buffer_entries, nic_buffer_entries=6, mode=mode,
+        buffer_entries=buffer_entries, mode=mode,
     )
     assert_replay_identical(
         vec_config, trace, faults,
@@ -1189,16 +1189,10 @@ class TestVectorizedConfig:
     def test_as_phastlane_mirrors_physics(self):
         config = VectorizedConfig(
             mesh=MeshGeometry(4, 2), topology="torus", max_hops_per_cycle=3,
-            buffer_entries=7, nic_buffer_entries=9, payload_wdm=32,
-            crossing_efficiency=0.9, retry_penalty_cycles=2,
-            backoff_cap_log2=3, packet_bits=128, seed=6,
+            buffer_entries=7,
         )
         mirror = as_phastlane(config)
-        for field in (
-            "mesh", "topology", "max_hops_per_cycle", "buffer_entries",
-            "nic_buffer_entries", "payload_wdm", "crossing_efficiency",
-            "retry_penalty_cycles", "backoff_cap_log2", "packet_bits", "seed",
-        ):
+        for field in ("mesh", "topology", "max_hops_per_cycle", "buffer_entries"):
             assert getattr(mirror, field) == getattr(config, field), field
 
     def test_direction_ints_are_the_plan_port_ids(self):

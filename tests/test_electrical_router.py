@@ -100,5 +100,3 @@ class TestConfigValidation:
             ElectricalConfig(num_vcs=0)
         with pytest.raises(ValueError):
             ElectricalConfig(router_delay_cycles=0)
-        with pytest.raises(ValueError):
-            ElectricalConfig(nic_buffer_entries=0)

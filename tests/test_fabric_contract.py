@@ -33,6 +33,7 @@ from repro.harness.report import result_to_dict, stats_to_dict
 from repro.harness.runner import run
 from repro.obs.config import ObsConfig
 from repro.obs.tracers import CollectingTracer
+from repro.photonics.constants import NIC_BUFFER_ENTRIES
 from repro.sim.engine import SimulationEngine
 from repro.traffic.trace import Trace, TraceEvent, TraceSource
 from repro.util.geometry import MeshGeometry
@@ -219,6 +220,32 @@ def test_trace_hub_lifecycle_order(config):
             assert names[-1] == "delivered", (uid, names)
         cycles = [event.cycle for event in history]
         assert cycles == sorted(cycles), (uid, names, cycles)
+
+
+def test_a_burst_leaves_the_nic_in_generation_order(config):
+    """The NIC is one FIFO.  A burst larger than Table 1/2's NIC, from one
+    node in one cycle, is injected in the order it was generated, and the
+    NIC's backlog falls by at most one packet per cycle."""
+    burst = NIC_BUFFER_ENTRIES + 10
+    destinations = [1 + i % (MESH.num_nodes - 1) for i in range(burst)]
+    trace = Trace(
+        "burst", MESH.num_nodes, events=[TraceEvent(0, 0, d) for d in destinations]
+    )
+    network = make_network(config, TraceSource(trace))
+    recorder = CollectingTracer()
+    network.add_tracer(recorder)
+    engine = SimulationEngine()
+    engine.register(network)
+    backlog = [burst]
+    engine.add_watcher(lambda _cycle: backlog.append(network.nics[0].backlog))
+    assert engine.run_until(lambda: network.idle(engine.cycle), 5000)
+    generated, injected = (
+        [event.uid for event in recorder.by_kind(kind) if event.node == 0]
+        for kind in ("generated", "injected")
+    )
+    assert len(generated) == burst
+    assert injected == generated
+    assert all(0 <= before - after <= 1 for before, after in zip(backlog, backlog[1:]))
 
 
 def test_two_runs_are_bit_identical(config):

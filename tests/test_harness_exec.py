@@ -5,12 +5,14 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core import config as core_config
 from repro.core.config import PhastlaneConfig
 from repro.electrical import config as electrical_config
 from repro.electrical.config import ElectricalConfig
-from repro.fabric import FabricError
+from repro.fabric import FabricError, IdealConfig
 from repro.harness.exec import (
     CALIBRATION_STAMP,
+    RETIRED_KEYS,
     Executor,
     ResultCache,
     RunSpec,
@@ -29,9 +31,11 @@ from repro.harness.report import (
 )
 from repro.harness.runner import run
 from repro.harness.sweeps import latency_vs_injection
+from repro.photonics import constants
 from repro.traffic.splash2 import generate_splash2_trace
 from repro.traffic.trace import Trace, TraceEvent
 from repro.util.geometry import MeshGeometry
+from repro.vectorized import VectorizedConfig
 
 MESH = MeshGeometry(4, 4)
 OPTICAL = PhastlaneConfig(mesh=MESH, max_hops_per_cycle=4)
@@ -44,6 +48,47 @@ ELECTRICAL_RETIRED = {
     "wait_for_tail_credit": True,
     "islip_iterations": 1,
     "credit_delay_cycles": 1,
+}
+#: One config of every kind with retired keys.
+RETIRED_KIND_CONFIGS = {
+    "phastlane": OPTICAL,
+    "vectorized": VectorizedConfig(mesh=MESH),
+    "electrical": ELECTRICAL,
+    "ideal": IdealConfig(mesh=MESH),
+}
+#: The named constant that states each retired key's value; the section 7
+#: knobs, which nothing reads, at the paper's choice.
+PAPER_VALUES = {
+    "nic_buffer_entries": constants.NIC_BUFFER_ENTRIES,
+    "packet_bits": constants.PACKET_PAYLOAD_BITS,
+    "payload_wdm": constants.PAYLOAD_WDM,
+    "crossing_efficiency": constants.CROSSING_EFFICIENCY,
+    "retry_penalty_cycles": core_config.RETRY_PENALTY_CYCLES,
+    "backoff_cap_log2": core_config.BACKOFF_CAP_LOG2,
+    "seed": core_config.BACKOFF_SEED,
+    **{key: getattr(electrical_config, key.upper()) for key in ELECTRICAL_RETIRED},
+    "buffer_arbitration": "rotating",
+    "contention_policy": "drop",
+    "buffer_sharing": False,
+}
+#: A value other than the paper's for each retired key.
+OTHER_VALUES = {
+    "nic_buffer_entries": 100_000,
+    "packet_bits": 128,
+    "payload_wdm": 32,
+    "crossing_efficiency": 0.9,
+    "retry_penalty_cycles": 2,
+    "backoff_cap_log2": 3,
+    "seed": 6,
+    "vc_depth": 4,
+    "input_speedup": 1,
+    "output_speedup": 2,
+    "wait_for_tail_credit": False,
+    "islip_iterations": 2,
+    "credit_delay_cycles": 0,
+    "buffer_arbitration": "oldest_first",
+    "contention_policy": "deflect",
+    "buffer_sharing": True,
 }
 
 
@@ -145,6 +190,30 @@ class TestSpecSerialisation:
         for key, paper in ELECTRICAL_RETIRED.items():
             with pytest.raises(TypeError):
                 ElectricalConfig(**{key: paper})
+
+    @pytest.mark.parametrize("kind", sorted(RETIRED_KEYS))
+    def test_retired_keys_stay_on_the_wire_at_the_papers_values(self, kind):
+        """Design-point rows no figure varies are constants, not fields; the
+        spec a digest or a cache entry was made of still spells them out,
+        at the values the constants state.  Nothing read ``vc_depth`` or
+        ``wait_for_tail_credit``, and no result could see the NIC size: a
+        value other than the paper's used to run the same physics under
+        another cache key, so it is refused."""
+        config = RETIRED_KIND_CONFIGS[kind]
+        retired = RETIRED_KEYS[kind]
+        payload = RunSpec(config, SyntheticWorkload("uniform", 0.1)).to_dict()
+        wire = payload["config"]
+        assert {key: wire[key] for key in retired} == retired
+        assert retired == {key: PAPER_VALUES[key] for key in retired}
+        bare = {key: value for key, value in wire.items() if key not in retired}
+        assert config_from_dict(bare) == config == config_from_dict(wire)
+        for key in retired:
+            other = dict(payload, config={**wire, key: OTHER_VALUES[key]})
+            with pytest.raises(FabricError, match=f"{key}=.*retired") as refusal:
+                RunSpec.from_dict(other)
+            assert "\n" not in str(refusal.value)
+            with pytest.raises(TypeError):
+                type(config)(**{key: retired[key]})
 
     def test_unknown_config_kind_rejected(self):
         with pytest.raises(FabricError):
