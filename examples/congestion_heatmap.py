@@ -20,8 +20,8 @@ from repro.core import PhastlaneConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload
 from repro.harness.runner import run
 from repro.obs import ObsConfig
-from repro.sim.probes import render_heatmap
 from repro.util.geometry import MeshGeometry
+from repro.util.plot import render_heatmap
 
 
 def main() -> None:

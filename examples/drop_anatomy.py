@@ -1,32 +1,40 @@
 #!/usr/bin/env python
 """Drop anatomy: where Phastlane's packet drops happen, and why.
 
-Instruments the optical network with a spatial probe while replaying the
-Ocean trace (the paper's most drop-prone workload, section 5), then prints
-heatmaps of drops, deliveries and mean buffer occupancy across the 8x8
-mesh, for 10- versus 64-entry buffers.
+Replays the Ocean trace (the paper's most drop-prone workload, section 5)
+with spatial metrics on, sums the per-router series over its windows, then
+prints heatmaps of drops and deliveries across the 8x8 mesh, for 10-
+versus 64-entry buffers.
 
 Run:  python examples/drop_anatomy.py [--cycles N]
 """
 
 import argparse
 
-from repro.core import PhastlaneConfig, PhastlaneNetwork
-from repro.sim.engine import SimulationEngine
-from repro.sim.probes import attach_probe
+from repro.core import PhastlaneConfig
+from repro.harness.exec import RunSpec, Splash2Workload
+from repro.harness.runner import run
+from repro.obs import ObsConfig
 from repro.traffic.splash2 import generate_splash2_trace
-from repro.traffic.trace import TraceSource
+from repro.util.geometry import MeshGeometry
+from repro.util.plot import render_heatmap
 
 
-def run_instrumented(buffers, trace):
-    config = PhastlaneConfig(buffer_entries=buffers)
-    network = PhastlaneNetwork(config, TraceSource(trace))
-    probe = attach_probe(network)
-    engine = SimulationEngine()
-    engine.register(network)
-    engine.run(trace.last_cycle + 1)
-    engine.run_until(lambda: network.idle(engine.cycle), 100_000)
-    return network, probe
+def run_instrumented(buffers, cycles):
+    """The run's stats, its mesh and per-node run totals of drops and
+    deliveries (the window before the drain plus the drain window)."""
+    result = run(
+        RunSpec(
+            PhastlaneConfig(buffer_entries=buffers),
+            Splash2Workload("ocean"),
+            cycles=cycles,
+            obs=ObsConfig(metrics_interval=cycles, spatial=True),
+        )
+    )
+    spatial = result.timeseries.spatial
+    drops = [sum(column) for column in zip(*spatial.drops)]
+    deliveries = [sum(column) for column in zip(*spatial.deliveries)]
+    return result.stats, MeshGeometry(spatial.width, spatial.height), drops, deliveries
 
 
 def main() -> None:
@@ -41,23 +49,24 @@ def main() -> None:
     )
 
     for buffers in (10, 64):
-        network, probe = run_instrumented(buffers, trace)
-        stats = network.stats
+        stats, mesh, drops, deliveries = run_instrumented(buffers, args.cycles)
         print(
             f"=== {buffers}-entry buffers: "
             f"latency {stats.mean_latency:.1f} cycles, "
             f"{stats.packets_dropped} drops, "
             f"{stats.retransmissions} retransmissions ==="
         )
-        print(probe.heatmap("drops", title="drops per router:"))
+        print(render_heatmap(drops, mesh, title="drops per router:"))
         print()
-        hottest = probe.hottest_nodes("drops", top=3)
-        if hottest and probe.drops[hottest[0]]:
+        hottest = sorted(
+            (n for n in range(mesh.num_nodes) if drops[n]), key=lambda n: -drops[n]
+        )[:3]
+        if hottest:
             print(
                 "hottest droppers: "
-                + ", ".join(f"node {n} ({probe.drops[n]})" for n in hottest)
+                + ", ".join(f"node {n} ({drops[n]})" for n in hottest)
             )
-        print(probe.heatmap("deliveries", title="deliveries per node:"))
+        print(render_heatmap(deliveries, mesh, title="deliveries per node:"))
         print()
 
 

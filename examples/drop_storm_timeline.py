@@ -9,8 +9,8 @@ once:
 - an :class:`~repro.obs.session.ObsSession` with a metrics window folds
   the run into per-window injection/drop rates and latency percentiles
   (the *when* of a drop storm);
-- a :class:`~repro.sim.probes.MeshProbe` attributes every drop to the
-  blocking router (the *where*).
+- its spatial companion series attributes every drop to the blocking
+  router (the *where*), summed here over the windows.
 
 Run:  python examples/drop_storm_timeline.py [--cycles N] [--rate R]
 """
@@ -20,10 +20,10 @@ import argparse
 from repro.core import PhastlaneConfig, PhastlaneNetwork
 from repro.obs import ObsConfig, ObsSession
 from repro.sim.engine import SimulationEngine
-from repro.sim.probes import attach_probe
 from repro.traffic.injection import BernoulliInjector
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.trace import SyntheticSource
+from repro.util.plot import render_heatmap
 
 #: Width of the ASCII rate bars.
 BAR = 40
@@ -38,13 +38,14 @@ def run_instrumented(rate: float, cycles: int, interval: int):
         stop_cycle=cycles,
     )
     network = PhastlaneNetwork(config, source)
-    probe = attach_probe(network)
     engine = SimulationEngine()
     engine.register(network)
-    session = ObsSession(ObsConfig(metrics_interval=interval), network, engine)
+    session = ObsSession(
+        ObsConfig(metrics_interval=interval, spatial=True), network, engine
+    )
     engine.run(cycles)
     series, _health = session.finish()
-    return network, probe, series
+    return network, series
 
 
 def render_timeline(series) -> str:
@@ -74,7 +75,7 @@ def main() -> None:
     parser.add_argument("--interval", type=int, default=100)
     args = parser.parse_args()
 
-    network, probe, series = run_instrumented(args.rate, args.cycles, args.interval)
+    network, series = run_instrumented(args.rate, args.cycles, args.interval)
     stats = network.stats
 
     print(
@@ -85,12 +86,15 @@ def main() -> None:
     print("drop-rate timeline (storms ramp as buffers fill):")
     print(render_timeline(series))
     print()
-    print(probe.heatmap("drops", title="where the drops happen:"))
-    hottest = probe.hottest_nodes("drops", top=3)
-    if hottest and probe.drops[hottest[0]]:
+    drops = [sum(column) for column in zip(*series.spatial.drops)]
+    print(render_heatmap(drops, network.mesh, title="where the drops happen:"))
+    hottest = sorted(
+        (n for n in range(len(drops)) if drops[n]), key=lambda n: -drops[n]
+    )[:3]
+    if hottest:
         print(
             "hottest droppers: "
-            + ", ".join(f"node {n} ({probe.drops[n]})" for n in hottest)
+            + ", ".join(f"node {n} ({drops[n]})" for n in hottest)
         )
 
 

@@ -13,7 +13,6 @@ the idle-detection skeleton.  This module hoists all of it.
         _step_cycle(cycle)        # backend-specific simulation phases
         _end_of_cycle(cycle)      # leakage accrual / occupancy sampling
         stats.final_cycle = cycle + 1
-        trace_hub.on_cycle(...)   # when tracers are attached
 
 and the idle skeleton (unconsumed schedule, NIC queues and backend pending
 work, then source exhaustion, then router business).  Subclasses implement
@@ -176,8 +175,6 @@ class MeshNetworkBase:
         self._step_cycle(cycle)
         self._end_of_cycle(cycle)
         self.stats.final_cycle = cycle + 1
-        if self.trace_hub:
-            self.trace_hub.on_cycle(self, cycle)
 
     def commit(self, cycle: int) -> None:
         """All backends apply effects in step(); events/signals carry any

@@ -126,12 +126,3 @@ class TraceHub:
         event = PacketEvent(kind, cycle, node, uid, extra)
         for tracer in self._tracers:
             tracer.emit(event)
-
-    def on_cycle(self, network: Any, cycle: int) -> None:
-        """End-of-cycle hook: lets tracers sample network state (read-only)."""
-        for tracer in self._tracers:
-            tracer.on_cycle(network, cycle)
-
-    def close(self) -> None:
-        for tracer in self._tracers:
-            tracer.close()

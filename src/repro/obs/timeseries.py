@@ -94,8 +94,8 @@ class SpatialSeries:
     is the mean buffer occupancy of each router over the window;
     ``drops``/``deliveries`` are the event counts attributed to the router
     where they physically happened.  Feed one slice to
-    :func:`repro.sim.probes.render_heatmap` to see the congestion map at
-    that moment of the run.
+    :func:`repro.util.plot.render_heatmap` to see the congestion map at
+    that moment of the run; sum the slices for the whole run's.
     """
 
     width: int

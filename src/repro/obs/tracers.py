@@ -23,7 +23,7 @@ import json
 import re
 from collections import Counter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.obs.events import EVENT_KINDS, PacketEvent
 
@@ -62,15 +62,12 @@ class Tracer:
     def emit(self, event: PacketEvent) -> None:
         """Receive one lifecycle event."""
 
-    def on_cycle(self, network: Any, cycle: int) -> None:
-        """End-of-cycle callback (network state is read-only here)."""
-
     def close(self) -> None:
         """Flush any buffered output; called once after the run."""
 
 
 class CollectingTracer(Tracer):
-    """Keep every event in memory (tests, probes, ad-hoc analysis)."""
+    """Keep every event in memory (tests, ad-hoc analysis)."""
 
     def __init__(self) -> None:
         self.events: list[PacketEvent] = []
@@ -99,22 +96,13 @@ class EventTally(Tracer):
     :attr:`drops`, :attr:`deliveries`, :attr:`injections` and
     :attr:`activity` (any of :data:`ACTIVITY_KINDS`), and the packets
     :attr:`lost` to ``fault_dropped`` events.  Spatial time series and
-    the health checks difference these per window;
-    :func:`repro.sim.probes.attach_probe` hands in a probe's own
-    counters plus its per-cycle occupancy sampler as ``on_cycle``.
+    the health checks difference these per window.
     """
 
-    def __init__(
-        self,
-        drops: Counter[int] | None = None,
-        deliveries: Counter[int] | None = None,
-        on_cycle: Callable[[Any, int], None] | None = None,
-    ) -> None:
+    def __init__(self) -> None:
         self.by_kind: Counter[str] = Counter()
-        self.drops: Counter[int] = Counter() if drops is None else drops
-        self.deliveries: Counter[int] = (
-            Counter() if deliveries is None else deliveries
-        )
+        self.drops: Counter[int] = Counter()
+        self.deliveries: Counter[int] = Counter()
         self.injections: Counter[int] = Counter()
         self.activity: Counter[int] = Counter()
         self.lost = 0
@@ -123,7 +111,6 @@ class EventTally(Tracer):
             "delivered": self.deliveries,
             "injected": self.injections,
         }
-        self._on_cycle = on_cycle
 
     def emit(self, event: PacketEvent) -> None:
         kind = event.kind
@@ -138,10 +125,6 @@ class EventTally(Tracer):
         elif kind != "generated":
             return  # the monitor's own health_* events
         self.by_kind[kind] += 1
-
-    def on_cycle(self, network: Any, cycle: int) -> None:
-        if self._on_cycle is not None:
-            self._on_cycle(network, cycle)
 
 
 class _FileTracer(Tracer):
@@ -270,9 +253,6 @@ class _SamplingTracer(Tracer):
     def emit(self, event: PacketEvent) -> None:
         if self._keep(event.uid):
             self.inner.emit(event)
-
-    def on_cycle(self, network: Any, cycle: int) -> None:
-        self.inner.on_cycle(network, cycle)
 
     def close(self) -> None:
         self.inner.close()

@@ -51,7 +51,7 @@ class SimulationEngine:
         self._components.append(component)
 
     def add_watcher(self, watcher: Callable[[int], None]) -> None:
-        """Call ``watcher(cycle)`` after each committed cycle (for probes)."""
+        """Call ``watcher(cycle)`` after each committed cycle (an obs session)."""
         self._watchers.append(watcher)
 
     def tick(self) -> None:

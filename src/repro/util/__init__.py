@@ -17,7 +17,7 @@ from repro.util.geometry import (
     TURN_KIND,
     TurnKind,
 )
-from repro.util.plot import AsciiPlot, plot_latency_curves
+from repro.util.plot import AsciiPlot, plot_latency_curves, render_heatmap
 from repro.util.tables import AsciiTable, format_series
 from repro.util.units import (
     GHZ,
@@ -54,6 +54,7 @@ __all__ = [
     "format_series",
     "from_db",
     "plot_latency_curves",
+    "render_heatmap",
     "set_bits",
     "shuffle_bits",
     "to_db",

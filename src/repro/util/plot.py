@@ -1,20 +1,26 @@
-"""Terminal line plots for experiment output.
+"""Terminal line plots and mesh heatmaps for experiment output.
 
 The harness renders figures as ASCII tables for precision; these plots give
 the *shape* at a glance (latency-vs-load knees, area U-curves) without any
 plotting dependency.  Series are drawn on a shared character grid with one
 marker per series; points past saturation (``inf``) are clipped to the top
-row with a ``^`` marker.
+row with a ``^`` marker.  :func:`render_heatmap` shades per-node values
+on the node grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
+
+from repro.util.geometry import MeshGeometry
 
 #: Marker characters assigned to series in order.
 MARKERS = "ox+*#@%&"
+
+#: Heatmap shade characters from empty to full.
+_SHADES = " .:-=+*#%@"
 
 
 @dataclass
@@ -140,3 +146,39 @@ def plot_latency_curves(
             [p.mean_latency for p in points],
         )
     return plot.render()
+
+
+def render_heatmap(
+    values: Mapping[int, float] | Sequence[float],
+    mesh: MeshGeometry,
+    title: str | None = None,
+) -> str:
+    """Render per-node values as an ASCII shade map of the node grid.
+
+    ``values`` is either a mapping from node to value (missing nodes read
+    as zero, so a :class:`collections.Counter` works directly) or a dense
+    per-node sequence in node order, e.g. one window slice of a
+    :class:`repro.obs.timeseries.SpatialSeries`.  Row 0 of the grid
+    (south) prints at the bottom, matching :mod:`repro.util.geometry`.
+    """
+    if isinstance(values, Mapping):
+        dense = [float(values.get(node, 0)) for node in range(mesh.num_nodes)]
+    else:
+        dense = [float(value) for value in values]
+        if len(dense) != mesh.num_nodes:
+            raise ValueError(
+                f"expected {mesh.num_nodes} per-node values for {mesh}, "
+                f"got {len(dense)}"
+            )
+    peak = max(dense, default=0.0)
+    lines = [title if title is not None else f"heatmap ({mesh}), peak={peak:g}"]
+    for y in reversed(range(mesh.height)):
+        row = []
+        for x in range(mesh.width):
+            value = dense[y * mesh.width + x]
+            if peak == 0:
+                row.append(_SHADES[0])
+            else:
+                row.append(_SHADES[round(value / peak * (len(_SHADES) - 1))])
+        lines.append("".join(row))
+    return "\n".join(lines)

@@ -9,12 +9,15 @@ every name it takes from ``repro`` against the package as it is now.  The
 second half does by AST what ``ruff`` (absent from the builder's container)
 does in CI: no unused import under ``src/repro``.  The third is the rule no
 linter has: module-level state under ``src/repro`` is a short list of named
-caches and registries, and the next one has to be added to it by name.  The
-last is a census of config fields, so a new option is a visible edit here.
+caches and registries, and the next one has to be added to it by name.  A
+layering gate keeps ``repro.sim`` and ``repro.util`` below ``repro.obs`` and
+the trace hub free of a per-cycle hook.  The last is a census of config
+fields, so a new option is a visible edit here.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -143,6 +146,46 @@ def test_src_imports_nothing_it_does_not_use():
     assert SOURCE_FILES
     unused = [finding for path in SOURCE_FILES for finding in unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+# -- layering: one per-cycle observer, and the leaf packages stay leaves -------
+
+
+def test_sim_and_util_do_not_import_obs():
+    """The simulation kernel and the utilities sit below ``repro.obs``."""
+    layered = [
+        path
+        for package in ("sim", "util")
+        for path in sorted((ROOT / "src" / "repro" / package).rglob("*.py"))
+    ]
+    assert len(layered) >= 10
+    upward = []
+    for path in layered:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            upward += [
+                f"{path.relative_to(ROOT)}:{node.lineno}: {module}"
+                for module in modules
+                if module == "repro.obs" or module.startswith("repro.obs.")
+            ]
+    assert not upward, "\n".join(upward)
+
+
+def test_no_tracer_is_called_per_cycle():
+    """The engine's watcher (an obs session) is the one per-cycle observer:
+    the trace hub carries events and nothing else."""
+    hooked = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in SOURCE_FILES
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\bon_cycle\b", line)
+    ]
+    assert not hooked, hooked
 
 
 # -- module-level state is a named list ----------------------------------------

@@ -1,5 +1,6 @@
 """Smoke tests: every example script runs end-to-end (scaled down)."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,9 +62,15 @@ class TestExamples:
     def test_drop_storm_timeline(self):
         out = run_example("drop_storm_timeline.py", "--cycles", "400")
         assert "drop-rate timeline" in out
-        assert "where the drops happen" in out
-        assert out.count("\n0-") <= out.count("-")  # sanity: table rendered
         assert "0-100" in out and "300-400" in out
+        lines = out.splitlines()
+        at = lines.index("where the drops happen:")
+        heatmap, droppers = lines[at + 1 : at + 9], lines[at + 9]
+        assert [len(row) for row in heatmap] == [8] * 8
+        assert droppers.startswith("hottest droppers: ")
+        total = int(re.search(r"(\d+) drops", lines[0]).group(1))
+        hottest = [int(n) for n in re.findall(r"node \d+ \((\d+)\)", droppers)]
+        assert 0 < sum(hottest) <= total
 
     def test_congestion_heatmap(self, tmp_path):
         out_json = tmp_path / "spatial.json"

@@ -63,24 +63,6 @@ class TestTraceHub:
             "health_critical",
         )
 
-    def test_close_and_on_cycle_reach_tracers(self):
-        class Recorder(CollectingTracer):
-            closed = False
-            cycles = 0
-
-            def on_cycle(self, network, cycle):
-                self.cycles += 1
-
-            def close(self):
-                self.closed = True
-
-        hub = TraceHub()
-        tracer = Recorder()
-        hub.add(tracer)
-        hub.on_cycle(network=None, cycle=0)
-        hub.close()
-        assert tracer.cycles == 1 and tracer.closed
-
 
 class TestSampling:
     def test_rate_one_returns_tracer_unwrapped(self):

@@ -7,7 +7,10 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import PhastlaneConfig
+from repro.core.network import PhastlaneNetwork
 from repro.electrical.config import ElectricalConfig
+from repro.electrical.network import ElectricalNetwork
+from repro.fabric import make_network
 from repro.harness.exec import Executor, ResultCache, RunSpec, SyntheticWorkload
 from repro.harness.report import (
     manifest_to_dict,
@@ -15,7 +18,9 @@ from repro.harness.report import (
     result_to_dict,
 )
 from repro.harness.runner import run
-from repro.obs import ObsConfig
+from repro.obs import ObsConfig, ObsSession
+from repro.sim.engine import SimulationEngine
+from repro.traffic.trace import Trace, TraceEvent, TraceSource
 from repro.util.geometry import MeshGeometry
 
 MESH = MeshGeometry(4, 4)
@@ -176,6 +181,71 @@ class TestSpatialTelemetry:
         obs = ObsConfig(metrics_interval=100)
         payload = result_to_dict(run(spec(obs=obs)))
         assert "spatial" not in payload["timeseries"]
+
+
+MESH8 = MeshGeometry(8, 8)
+#: Three unicasts that collide beside node 17 with one-entry buffers (a
+#: tuple: ``Trace`` sorts the list it is given in place).
+COLLISION = (TraceEvent(0, 18, 34), TraceEvent(0, 17, 26), TraceEvent(0, 16, 26))
+#: The oracle and the kernel Phastlane runs on, built from a trace source.
+PHASTLANE_BACKENDS = {"oracle": PhastlaneNetwork, "kernel": make_network}
+
+
+def spatial_totals(network, inject_cycles, interval):
+    """Observe ``network`` through drain; per-node run totals of the
+    spatial series (every window, the trailing partial one included)."""
+    engine = SimulationEngine()
+    engine.register(network)
+    session = ObsSession(
+        ObsConfig(metrics_interval=interval, spatial=True), network, engine
+    )
+    engine.run(inject_cycles)
+    assert engine.run_until(lambda: network.idle(engine.cycle), 20_000)
+    spatial = session.finish()[0].spatial
+    return {
+        name: [sum(column) for column in zip(*getattr(spatial, name))]
+        for name in ("drops", "deliveries", "occupancy")
+    }
+
+
+# A short interval sums several windows; one longer than the run leaves
+# everything to the trailing window ``finish`` closes.
+@pytest.mark.parametrize("interval", [3, 100_000])
+class TestSpatialAttribution:
+    """Each drop and delivery lands on the router where it happened, and the
+    per-node totals reconcile with the stats ledger on every backend."""
+
+    @pytest.mark.parametrize("backend", PHASTLANE_BACKENDS)
+    def test_phastlane_totals_match_stats(self, backend, interval):
+        config = PhastlaneConfig(mesh=MESH8, max_hops_per_cycle=4, buffer_entries=1)
+        trace = Trace("t", 64, events=[*COLLISION, TraceEvent(10, 27, None)])
+        network = PHASTLANE_BACKENDS[backend](config, TraceSource(trace))
+        totals = spatial_totals(network, 11, interval)
+        assert sum(totals["drops"]) == network.stats.packets_dropped > 0
+        # The 63 broadcast taps plus the unicasts, each on its node.
+        assert sum(totals["deliveries"]) == network.stats.packets_delivered >= 63
+
+    @pytest.mark.parametrize("backend", PHASTLANE_BACKENDS)
+    def test_phastlane_drops_land_on_the_blocking_router(self, backend, interval):
+        config = PhastlaneConfig(mesh=MESH8, max_hops_per_cycle=4, buffer_entries=1)
+        trace = Trace("t", 64, events=[*COLLISION])
+        network = PHASTLANE_BACKENDS[backend](config, TraceSource(trace))
+        drops = spatial_totals(network, 1, interval)["drops"]
+        # 16's packet waits at 17, which resends it into 18's buffer that
+        # 17's own packet holds: the drop is 18's, not the resender's.
+        assert {node: count for node, count in enumerate(drops) if count} == {18: 1}
+
+    def test_electrical_totals_match_stats(self, interval):
+        events = [*COLLISION[:2], TraceEvent(10, 27, None)]
+        trace = Trace("t", 64, events=events)
+        network = ElectricalNetwork(ElectricalConfig(mesh=MESH8), TraceSource(trace))
+        totals = spatial_totals(network, 11, interval)
+        # The baseline never drops; every unicast and each of the 63
+        # broadcast ejections lands on its node.
+        assert sum(totals["drops"]) == 0
+        assert sum(totals["deliveries"]) == network.stats.packets_delivered
+        assert totals["deliveries"][34] == 2  # its unicast plus one ejection
+        assert sum(totals["occupancy"]) > 0
 
 
 class TestExecutorObs:

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.util.plot import MARKERS, AsciiPlot, plot_latency_curves
+from repro.util.geometry import MeshGeometry
+from repro.util.plot import MARKERS, AsciiPlot, plot_latency_curves, render_heatmap
 
 
 class TestAsciiPlot:
@@ -82,3 +83,30 @@ class TestLatencyCurvePlot:
         assert "Fig 9 panel" in text
         assert "o=Optical4" in text
         assert "^" in text  # the saturated optical point
+
+
+class TestRenderHeatmap:
+    def test_mapping_and_dense_sequence_agree(self):
+        mesh = MeshGeometry(2, 2)
+        as_mapping = render_heatmap({3: 10, 0: 1}, mesh, title="t")
+        as_sequence = render_heatmap([1.0, 0.0, 0.0, 10.0], mesh, title="t")
+        assert as_mapping == as_sequence
+        assert as_mapping.splitlines()[1][1] == "@"  # node 3 top-right
+
+    def test_dense_sequence_length_validated(self):
+        with pytest.raises(ValueError, match="4 per-node values"):
+            render_heatmap([1.0, 2.0], MeshGeometry(2, 2))
+
+    def test_default_title_carries_peak(self):
+        text = render_heatmap([0.0, 0.0, 0.0, 2.5], MeshGeometry(2, 2))
+        assert text.splitlines()[0] == "heatmap (2x2 mesh), peak=2.5"
+
+    def test_renders_mesh_shape_with_row_0_at_the_bottom(self):
+        values = [0.0] * 12
+        values[1] = 1.0  # (1, 0): bottom row, second column
+        lines = render_heatmap(values, MeshGeometry(4, 3), title="t").splitlines()
+        assert lines == ["t", "    ", "    ", " @  "]
+
+    def test_an_all_zero_map_is_blank(self):
+        lines = render_heatmap({}, MeshGeometry(2, 2)).splitlines()
+        assert lines == ["heatmap (2x2 mesh), peak=0", "  ", "  "]
