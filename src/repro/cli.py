@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import import_module
 from typing import TYPE_CHECKING, Sequence, TextIO
@@ -742,7 +743,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro tables | head -1``).  Point stdout
+        # at devnull so the flush at exit cannot raise again, and exit 1
+        # with nothing on stderr: the Python docs' SIGPIPE recipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 2

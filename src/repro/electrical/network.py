@@ -23,7 +23,7 @@ from repro.electrical.config import ElectricalConfig
 from repro.electrical.flit import Flit
 from repro.electrical.nic import ElectricalNic
 from repro.electrical.power import ElectricalPowerModel
-from repro.electrical.router import LOCAL_PORT, ElectricalRouter
+from repro.electrical.router import LOCAL_PORT, MESH_PORTS, ElectricalRouter
 from repro.electrical.vctm import VirtualCircuitTreeCache
 from repro.fabric.base import MeshNetworkBase
 from repro.fabric.registry import register_backend
@@ -241,6 +241,76 @@ class ElectricalNetwork(MeshNetworkBase):
             return
         nic.consume_head(cycle)
         router.accept_flit(LOCAL_PORT, vc, flit, cycle, self)
+
+    # -- health audit -------------------------------------------------------------
+
+    def credit_audit(self, limit: int) -> list[tuple[int, str]]:
+        """The first ``limit`` credit violations, as ``(node, message)``.
+
+        For every mesh output port and VC, a withheld credit (bit ``vc`` of
+        ``router.free_vcs[port]`` clear) must be *explained* by exactly the
+        mechanisms that legitimately hold one: a local VC-allocation
+        reservation, a flit in flight on the link, an occupied downstream
+        input VC, a credit return still queued, or a pending link-level
+        retry.  An unexplained clear bit is a leaked credit: the port's
+        capacity silently shrank.  An *available* credit while the
+        downstream VC is occupied is a double credit in the making.
+        Violations come in router, port, VC order; the audit only reads.
+        """
+        routers = self.routers
+        occupied: set[tuple[int, int, int]] = set()
+        explained: set[tuple[int, int, int]] = set()
+        for router in routers:
+            for line, flit in enumerate(router.flits):
+                if flit is None:
+                    continue
+                for output in MESH_PORTS:
+                    out_vc = router.out_vc[output][line]
+                    if out_vc >= 0:
+                        explained.add((router.node, output, out_vc))
+                port, vc = divmod(line, router.num_vcs)
+                if port != LOCAL_PORT and router.upstream[port] is not None:
+                    occupied.add((router.upstream[port], port, vc))
+        in_transit = [
+            (node, port, vc)
+            for events in self._arrivals.values()
+            for node, port, vc, _flit in events
+        ] + [event for events in self._credits.values() for event in events]
+        for node, port, vc in in_transit:
+            upstream = routers[node].upstream[port]
+            if upstream is not None:
+                explained.add((upstream, port, vc))
+        for events in self._link_retries.values():
+            for sender, _neighbor, port, vc, _flit, _attempts in events:
+                explained.add((sender, port, vc))
+        explained |= occupied
+
+        violations: list[tuple[int, str]] = []
+        for router in routers:
+            node = router.node
+            for port in MESH_PORTS:
+                for vc in range(router.num_vcs):
+                    key = (node, port, vc)
+                    if not router.free_vcs[port] >> vc & 1:
+                        if key in explained:
+                            continue
+                        problem = (
+                            "credit leaked on port {} vc {}: withheld with no "
+                            "reservation, in-flight flit, occupied VC or "
+                            "pending return"
+                        )
+                    elif key in occupied:
+                        problem = (
+                            "double credit on port {} vc {}: available while "
+                            "the downstream VC is occupied"
+                        )
+                    else:
+                        continue
+                    label = self.topology.port_label(node, port)
+                    violations.append((node, problem.format(label, vc)))
+                    if len(violations) == limit:
+                        return violations
+        return violations
 
     # -- run control ----------------------------------------------------------------
 

@@ -23,6 +23,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.harness.exec import RunEvent
 from repro.obs.analysis import BlameReport, analyze_trace_file
+from repro.obs.health import SEVERITIES
 
 _BADGE_COLOURS = {"ok": "#2e7d32", "warn": "#ef6c00", "critical": "#c62828"}
 
@@ -131,14 +132,15 @@ def render_campaign_html(
     total_wall = sum(event.wall_time_s for event in ordered)
     cache_hits = sum(1 for event in ordered if event.cache_hit)
     total_flits = sum(event.result.stats.flits_processed for event in ordered)
-    worst = "ok"
-    for event in ordered:
-        health = event.result.health
-        if health is not None:
-            if health.status == "critical":
-                worst = "critical"
-            elif health.status == "warn" and worst == "ok":
-                worst = "warn"
+    worst = max(
+        (
+            event.result.health.status
+            for event in ordered
+            if event.result.health is not None
+        ),
+        key=SEVERITIES.index,
+        default="ok",
+    )
     rows = []
     for event in ordered:
         result = event.result

@@ -17,7 +17,7 @@ module docstring for the attach set and the order reducers are fed):
   percentiles into a :class:`~repro.obs.timeseries.TimeSeries` that
   serialises into the JSON report.
 - **runtime health watchdogs** — a :class:`~repro.obs.health.HealthMonitor`
-  runs invariant checks (flit conservation, credit leaks,
+  runs three fixed invariant audits (credit leaks, flit conservation,
   livelock/stall/starvation) at window boundaries, emitting ``health_*``
   trace events and a :class:`~repro.obs.health.HealthReport` in the JSON
   report.
@@ -50,7 +50,7 @@ from repro.obs.analysis import (
 from repro.obs.config import ObsConfig
 from repro.obs.events import EVENT_KINDS, PacketEvent, TraceHub
 from repro.obs.export import JsonlStreamWriter
-from repro.obs.health import HealthCheck, HealthFinding, HealthMonitor, HealthReport
+from repro.obs.health import HealthFinding, HealthMonitor, HealthReport
 from repro.obs.live import LiveDashboard
 from repro.obs.session import ObsSession
 from repro.obs.timeseries import SeriesBuilder, SpatialSeries, TimeSeries, Window
@@ -71,7 +71,6 @@ __all__ = [
     "ChromeTraceWriter",
     "CollectingTracer",
     "EventTally",
-    "HealthCheck",
     "HealthFinding",
     "HealthMonitor",
     "HealthReport",

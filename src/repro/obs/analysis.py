@@ -256,8 +256,10 @@ def reconstruct_spans(
     schedule time); each packet's events are stable-sorted by cycle
     before walking.  Monitor events (``uid < 0``, ``health_*``) are
     skipped.  Spans are returned in first-appearance order, renumbered
-    from zero.
+    from zero.  A negative ``link_delay`` is refused with ``ValueError``.
     """
+    if link_delay < 0:
+        raise ValueError(f"link_delay must be >= 0, got {link_delay}")
     per_uid: dict[int, list[tuple[int, int, PacketEvent]]] = {}
     for index, event in enumerate(events):
         if event.uid < 0 or event.kind.startswith("health_"):
@@ -351,7 +353,13 @@ class BlameReport:
 def analyze_spans(
     spans: list[PacketSpan], top: int = 5, meta: dict[str, Any] | None = None
 ) -> BlameReport:
-    """Aggregate reconstructed spans into a :class:`BlameReport`."""
+    """Aggregate reconstructed spans into a :class:`BlameReport`.
+
+    ``top`` anatomies are kept; a negative ``top`` is refused with
+    ``ValueError``.
+    """
+    if top < 0:
+        raise ValueError(f"top must be >= 0, got {top}")
     delivered = [span for span in spans if span.delivered]
     lost = sum(1 for span in spans if span.lost)
     components = {name: 0 for name in COMPONENTS}

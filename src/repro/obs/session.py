@@ -152,7 +152,7 @@ class ObsSession:
         for period in self._periods:
             if period.trailing and final_cycle > period.start:
                 period.close(self, period.start, final_cycle)
-        health = self._monitor.report() if self._monitor is not None else None
+        health = self._monitor.report if self._monitor is not None else None
         if self._stream is not None:
             summary: dict[str, Any] = {"final_cycle": final_cycle}
             if health is not None:
@@ -240,7 +240,9 @@ class ObsSession:
                 flits=stats.flits_processed,
                 worst_node=worst_node,
                 worst_occupancy=worst_occupancy,
-                health=self._monitor.status if self._monitor is not None else None,
+                health=(
+                    self._monitor.report.status if self._monitor is not None else None
+                ),
                 done=done,
             )
         )

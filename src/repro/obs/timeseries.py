@@ -217,7 +217,7 @@ class SeriesBuilder:
             name: getattr(stats, counter)
             for name, counter in _WINDOW_COUNTERS.items()
         }
-        snapshot["histogram"] = Counter(stats.latency.histogram._buckets)
+        snapshot["histogram"] = Counter(dict(stats.latency.histogram.items()))
         if self._tally is not None:
             snapshot["node_drops"] = Counter(self._tally.drops)
             snapshot["node_deliveries"] = Counter(self._tally.deliveries)

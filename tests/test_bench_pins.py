@@ -176,6 +176,89 @@ def test_sim_and_util_do_not_import_obs():
     assert not upward, "\n".join(upward)
 
 
+OBS_FILES = sorted((ROOT / "src" / "repro" / "obs").glob("*.py"))
+
+
+def runtime_imports(tree):
+    """``(line, module)`` of every absolute import outside the body of an
+    ``if TYPE_CHECKING:`` block (a function-level import counts)."""
+    typing_only = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING")
+        for statement in node.body
+        for inner in ast.walk(statement)
+    }
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.lineno, node.module
+
+
+def foreign_private_reads(tree):
+    """``(line, expression)`` of every ``x._name`` whose ``x`` is not
+    ``self``, ``cls`` or a class the module defines."""
+    own = {"self", "cls"} | {
+        node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+            and not (isinstance(node.value, ast.Name) and node.value.id in own)
+        ):
+            yield node.lineno, ast.unparse(node)
+
+
+def test_obs_imports_only_obs_and_sim_at_run_time():
+    """``repro.obs`` reads simulators through the objects it is handed
+    (duck-typed), never by importing them; typing-only imports are free."""
+    assert len(OBS_FILES) >= 8
+    upward = [
+        f"{path.relative_to(ROOT)}:{line}: {module}"
+        for path in OBS_FILES
+        for line, module in runtime_imports(ast.parse(path.read_text()))
+        if module.split(".")[0] == "repro" and module.split(".")[1:2] not in (["obs"], ["sim"])
+    ]
+    assert not upward, "\n".join(upward)
+
+
+def test_obs_reads_no_private_attribute_of_another_object():
+    """What ``repro.obs`` audits, it reads through public names: a private
+    attribute belongs to the class that owns it."""
+    reads = [
+        f"{path.relative_to(ROOT)}:{line}: {expression}"
+        for path in OBS_FILES
+        for line, expression in foreign_private_reads(ast.parse(path.read_text()))
+    ]
+    assert not reads, "\n".join(reads)
+
+
+def test_the_layering_scans_see_what_they_should():
+    tree = ast.parse(
+        "from typing import TYPE_CHECKING\n"
+        "import repro.topology as topology\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.harness.exec import RunEvent\n"
+        "else:\n"
+        "    import repro.fabric\n"
+        "class Own:\n"
+        "    def f(self, network):\n"
+        "        from repro.util import geometry\n"
+        "        return self._a, Own._b, network._c, network.d._e, network.__dict__\n"
+    )
+    assert [module for _, module in runtime_imports(tree)] == [
+        "typing", "repro.topology", "repro.fabric", "repro.util",
+    ]
+    assert [expression for _, expression in foreign_private_reads(tree)] == [
+        "network._c", "network.d._e",
+    ]
+
+
 def test_no_tracer_is_called_per_cycle():
     """The engine's watcher (an obs session) is the one per-cycle observer:
     the trace hub carries events and nothing else."""

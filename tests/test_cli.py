@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 import tomllib
@@ -23,6 +24,22 @@ def run_rows(out: str) -> list[tuple[str, str]]:
     ]
     assert cells[0] == ("metric", "value")
     return cells[1:]
+
+
+def write_small_trace(path: Path, link_delay: int = 0) -> str:
+    """One packet's JSONL trace, delivered after one hop."""
+    from repro.obs import JsonlTraceWriter, PacketEvent
+
+    writer = JsonlTraceWriter(path, meta={"label": "Optical4", "link_delay": link_delay})
+    for event in (
+        PacketEvent("generated", 0, 5, 1, {"dst": 9}),
+        PacketEvent("injected", 2, 5, 1),
+        PacketEvent("hop", 3, 9, 1),
+        PacketEvent("delivered", 3, 9, 1),
+    ):
+        writer.emit(event)
+    writer.close()
+    return str(path)
 
 
 class TestTablesAndFigures:
@@ -235,6 +252,34 @@ class TestRefusals:
         assert line.startswith("repro: ") and "100 nodes" in line and " 64 " in line
 
 
+    @pytest.mark.parametrize(
+        "flags, header_delay",
+        [(["--top", "-1"], 0), (["--link-delay", "-5"], 0), ([], -5)],
+        ids=["--top -1", "--link-delay -5", "header link_delay -5"],
+    )
+    def test_analyze_refuses_a_negative_count(
+        self, flags, header_delay, tmp_path, capsys
+    ):
+        path = write_small_trace(tmp_path / "small.jsonl", header_delay)
+        assert main(["analyze", path, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: ") and "must be >= 0" in line
+
+    def test_a_closed_stdout_exits_one_with_nothing_on_stderr(self):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first write
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "tables"],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, "")
+
+
 class TestFaultFlags:
     def test_dead_ports_accept_letters_and_digits(self):
         from repro.cli import _dead_ports
@@ -337,19 +382,7 @@ def python(*args: str) -> subprocess.CompletedProcess:
 class TestImportsFollowTheCommand:
     @pytest.fixture(scope="class")
     def small_trace(self, tmp_path_factory):
-        from repro.obs import JsonlTraceWriter, PacketEvent
-
-        path = tmp_path_factory.mktemp("hygiene") / "small.jsonl"
-        writer = JsonlTraceWriter(path, meta={"label": "Optical4", "link_delay": 0})
-        for event in (
-            PacketEvent("generated", 0, 5, 1, {"dst": 9}),
-            PacketEvent("injected", 2, 5, 1),
-            PacketEvent("hop", 3, 9, 1),
-            PacketEvent("delivered", 3, 9, 1),
-        ):
-            writer.emit(event)
-        writer.close()
-        return str(path)
+        return write_small_trace(tmp_path_factory.mktemp("hygiene") / "small.jsonl")
 
     @pytest.mark.parametrize(
         "argv", [["--help"], ["sweep", "--help"], ["analyze", "TRACE"]],

@@ -285,6 +285,32 @@ class TestHtmlReport:
         assert html_text.count("<svg") == 2  # one sparkline per run
         assert "2 runs" in html_text
 
+    def test_overall_health_is_the_worst_run(self):
+        from dataclasses import replace
+
+        from repro.harness.htmlreport import _badge
+        from repro.obs import HealthReport
+
+        events = self._events()
+        for statuses, overall in [
+            (("ok", "warn"), "warn"),
+            (("critical", "warn"), "critical"),
+            (("warn", "critical"), "critical"),
+            ((None, None), "ok"),
+        ]:
+            varied = [
+                replace(
+                    event,
+                    result=replace(
+                        event.result,
+                        health=None if status is None else HealthReport(status),
+                    ),
+                )
+                for event, status in zip(events, statuses)
+            ]
+            html_text = render_campaign_html(varied)
+            assert f"overall health {_badge(overall)}" in html_text, statuses
+
     def test_runs_without_obs_render_dashes(self):
         executor = Executor(workers=1)
         executor.map([spec()])

@@ -1,7 +1,6 @@
-"""Tests for the runtime health watchdogs: check units, the monitor, and
-end-to-end runs (clean, faulted and deliberately livelocked)."""
+"""Tests for the runtime health watchdogs: the three audits, the monitor,
+and end-to-end runs (clean, faulted and deliberately livelocked)."""
 
-from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -16,13 +15,7 @@ from repro.harness.report import result_from_dict, result_to_dict
 from repro.harness.runner import run
 from repro.obs import HealthFinding, HealthMonitor, HealthReport, ObsConfig
 from repro.obs.events import TraceHub
-from repro.obs.health import (
-    ConservationCheck,
-    CreditLeakCheck,
-    HealthCheck,
-    HealthContext,
-    ProgressCheck,
-)
+from repro.obs.health import MAX_CREDIT_FINDINGS, MAX_FINDINGS
 from repro.obs.tracers import CollectingTracer, EventTally
 from repro.sim.stats import NetworkStats
 from repro.util.geometry import Direction, MeshGeometry
@@ -46,19 +39,37 @@ def spec(config=OPTICAL, obs=None, rate=0.15, cycles=300, faults=None):
     )
 
 
-def ctx_for(network, stats=None, **overrides):
-    """A HealthContext over ``network`` with empty event history."""
-    fields = dict(
-        network=network,
-        stats=stats if stats is not None else getattr(network, "stats", None),
-        end=100,
-        events=Counter(),
-        node_activity=Counter(),
-        node_injected=Counter(),
-        lost_events=0,
-    )
-    fields.update(overrides)
-    return HealthContext(**fields)
+class _FakeNetwork:
+    """The surface the monitor reads: stats, routers, NICs and a hub."""
+
+    def __init__(self, routers=(), nics=()):
+        self.stats = NetworkStats()
+        self.trace_hub = TraceHub()
+        self.routers = list(routers)
+        self.nics = list(nics)
+
+    def add_tracer(self, tracer):
+        self.trace_hub.add(tracer)
+
+
+def monitor_on(network, interval=10, **kwargs):
+    """A monitor fed by a tally on ``network``'s hub, as the session wires it."""
+    tally = EventTally()
+    network.add_tracer(tally)
+    return HealthMonitor(network, tally, interval, **kwargs)
+
+
+def found(monitor, end, check):
+    """The findings of audit ``check`` in the window ending at ``end``."""
+    return [f for f in monitor.evaluate(end) if f.check == check]
+
+
+def router(node=0, busy=True):
+    return SimpleNamespace(node=node, busy=busy)
+
+
+def nic(node=0, backlog=1):
+    return SimpleNamespace(node=node, backlog=backlog)
 
 
 class TestFindingAndReport:
@@ -90,171 +101,189 @@ class TestFindingAndReport:
 
 
 class TestConservationCheck:
-    def _net(self, backlog=0):
-        return SimpleNamespace(
-            nics=[SimpleNamespace(backlog=backlog)], stats=NetworkStats()
-        )
+    def _monitor(self, backlog=0, generated=0, injected=0):
+        network = _FakeNetwork(nics=[nic(backlog=backlog)])
+        monitor = monitor_on(network)
+        hub = network.trace_hub
+        for uid in range(generated):
+            hub.emit("generated", 0, 0, uid)
+        for uid in range(injected):
+            hub.emit("injected", 0, 0, uid)
+        network.stats.packets_injected = injected
+        return network, monitor
 
     def test_consistent_state_is_clean(self):
-        network = self._net(backlog=2)
-        ctx = ctx_for(network, events=Counter({"generated": 5, "injected": 3}))
-        network.stats.packets_injected = 3
-        assert ConservationCheck().evaluate(ctx) == []
+        _, monitor = self._monitor(backlog=2, generated=5, injected=3)
+        assert found(monitor, 100, "flit_conservation") == []
 
     def test_queue_identity_violation_is_critical(self):
-        network = self._net(backlog=0)
-        ctx = ctx_for(network, events=Counter({"generated": 5, "injected": 3}))
-        network.stats.packets_injected = 3
-        findings = ConservationCheck().evaluate(ctx)
+        _, monitor = self._monitor(backlog=0, generated=5, injected=3)
+        findings = found(monitor, 100, "flit_conservation")
         assert [f.severity for f in findings] == ["critical"]
         assert "conservation broken" in findings[0].message
 
     def test_ledger_drift_is_critical(self):
-        network = self._net()
+        network, monitor = self._monitor()
         network.stats.retransmissions = 4
-        findings = ConservationCheck().evaluate(ctx_for(network))
-        assert any("stats.retransmissions=4" in f.message for f in findings)
+        findings = found(monitor, 100, "flit_conservation")
+        assert [f.message for f in findings] == [
+            "ledger drift: stats.retransmissions=4 but 0 'retransmitted' "
+            "events were emitted"
+        ]
 
     def test_lost_packets_reconciled_against_events(self):
-        network = self._net()
+        network, monitor = self._monitor()
         network.stats.packets_lost = 2
-        findings = ConservationCheck().evaluate(ctx_for(network, lost_events=0))
-        assert any("packets_lost" in f.message for f in findings)
+        findings = found(monitor, 100, "flit_conservation")
+        assert [f.message for f in findings] == [
+            "ledger drift: stats.packets_lost=2 but fault_dropped events "
+            "account for 0"
+        ]
+        network.trace_hub.emit("fault_dropped", 150, 0, 9, extra={"lost": 2})
+        assert found(monitor, 200, "flit_conservation") == []
 
 
 class TestCreditLeakCheck:
     def test_applies_only_to_credit_based_backends(self):
         from repro.fabric.registry import make_network
 
-        check = CreditLeakCheck()
-        assert check.applies(ElectricalNetwork(ELECTRICAL))
-        assert not check.applies(make_network(OPTICAL))
+        assert list(monitor_on(ElectricalNetwork(ELECTRICAL)).report.checks) == [
+            "credit_leak", "flit_conservation", "progress",
+        ]
+        optical = make_network(OPTICAL)
+        assert getattr(optical, "credit_audit", None) is None
+        assert "credit_leak" not in monitor_on(optical).report.checks
 
     def test_quiet_network_is_clean(self):
         network = ElectricalNetwork(ELECTRICAL)
-        assert CreditLeakCheck().evaluate(ctx_for(network)) == []
+        assert network.credit_audit(MAX_CREDIT_FINDINGS) == []
 
     def test_corrupted_credit_is_caught(self):
         network = ElectricalNetwork(ELECTRICAL)
         network.routers[5].free_vcs[EAST] &= ~1  # leak VC 0's credit
-        findings = CreditLeakCheck().evaluate(ctx_for(network))
-        assert len(findings) == 1
-        assert findings[0].severity == "critical"
-        assert findings[0].node == 5
-        assert "credit leaked" in findings[0].message
+        findings = found(monitor_on(network), 100, "credit_leak")
+        assert [(f.severity, f.node, f.cycle) for f in findings] == [
+            ("critical", 5, 100)
+        ]
+        assert findings[0].message == (
+            "credit leaked on port EAST vc 0: withheld with no reservation, "
+            "in-flight flit, occupied VC or pending return"
+        )
+
+    @pytest.mark.parametrize(
+        "mechanism", ["reservation", "arrival", "credit_return", "link_retry"]
+    )
+    def test_each_pending_mechanism_explains_a_withheld_credit(self, mechanism):
+        # Node 5's EAST credit for VC 0 is withheld; exactly one mechanism
+        # that legitimately holds a credit accounts for it.
+        network = ElectricalNetwork(ELECTRICAL)
+        sender = network.routers[5]
+        sender.free_vcs[EAST] &= ~1
+        flit = Flit(0, {7}, 0)
+        if mechanism == "reservation":
+            line = int(Direction.LOCAL) * sender.num_vcs + 2  # an injected flit
+            sender.flits[line] = flit
+            sender.out_vc[EAST][line] = 0
+        elif mechanism == "arrival":
+            network._arrivals[12].append((6, EAST, 0, flit))
+        elif mechanism == "credit_return":
+            network._credits[12].append((6, EAST, 0))
+        else:
+            network._link_retries[12].append((5, 6, EAST, 0, flit, 1))
+        assert network.credit_audit(MAX_CREDIT_FINDINGS) == []
 
     def test_double_credit_is_caught(self):
         network = ElectricalNetwork(ELECTRICAL)
         # Node 6's EAST input VC holds a flit, so upstream node 5's EAST
         # credit for that VC must be withheld — but it is still available.
-        router = network.routers[6]
-        router.flits[EAST * router.num_vcs + 0] = Flit(0, {7}, 0)
-        findings = CreditLeakCheck().evaluate(ctx_for(network))
-        assert len(findings) == 1
-        assert findings[0].node == 5
-        assert "double credit" in findings[0].message
+        downstream = network.routers[6]
+        downstream.flits[EAST * downstream.num_vcs + 0] = Flit(0, {7}, 0)
+        assert network.credit_audit(MAX_CREDIT_FINDINGS) == [
+            (5, "double credit on port EAST vc 0: available while the "
+                "downstream VC is occupied")
+        ]
 
     def test_findings_capped_per_window(self):
         network = ElectricalNetwork(ELECTRICAL)
-        for router in network.routers:
+        for each in network.routers:
             for port in (EAST, WEST):
-                router.free_vcs[port] = 0
-        findings = CreditLeakCheck().evaluate(ctx_for(network))
-        assert len(findings) == CreditLeakCheck.max_findings_per_window
+                each.free_vcs[port] = 0
+        assert len(network.credit_audit(MAX_CREDIT_FINDINGS)) == MAX_CREDIT_FINDINGS == 8
+        assert len(network.credit_audit(3)) == 3
+        monitor = monitor_on(network)
+        for end in (10, 20):
+            monitor.evaluate(end)
+        assert monitor.report.checks["credit_leak"] == {
+            "status": "critical", "violations": 2 * MAX_CREDIT_FINDINGS,
+        }
 
 
 class TestProgressCheck:
-    def _net(self, busy=True, backlog=1):
-        return SimpleNamespace(
-            routers=[SimpleNamespace(node=0, busy=busy)],
-            nics=[SimpleNamespace(node=0, backlog=backlog)],
-        )
-
-    def _stats(self, delivered=0, lost=0):
-        return SimpleNamespace(packets_delivered=delivered, packets_lost=lost)
+    def _global(self, monitor, end):
+        return [
+            (f.severity, "livelock" in f.message)
+            for f in found(monitor, end, "progress")
+            if f.node is None
+        ]
 
     def test_stalled_run_warns_then_escalates(self):
-        check = ProgressCheck(stall_windows=4)
-        network, stats = self._net(), self._stats()
-        severities = []
-        for window in range(10):
-            ctx = ctx_for(network, stats=stats, end=100 * window)
-            severities.append(
-                [(f.severity, "livelock" in f.message)
-                 for f in check.evaluate(ctx)
-                 if f.node is None]
-            )
+        monitor = monitor_on(
+            _FakeNetwork([router()], [nic()]), stall_windows=4
+        )
+        severities = [self._global(monitor, 100 * window) for window in range(10)]
         # Window 0 establishes the baseline; flat counts start at window 1.
         # Warn at 2 flat windows (stall_windows // 2), critical at 4 flat
         # windows, and again every 4 windows while the livelock persists.
-        assert severities[2] == [("warn", False)]
-        assert severities[4] == [("critical", True)]
-        assert severities[8] == [("critical", True)]
-        assert severities[5] == []
+        assert severities == [
+            [], [], [("warn", False)], [], [("critical", True)],
+            [], [], [], [("critical", True)], [],
+        ]
 
     def test_progress_resets_the_streak(self):
-        check = ProgressCheck(stall_windows=2)
-        network = self._net()
+        network = _FakeNetwork([router()], [nic()])
+        monitor = monitor_on(network, stall_windows=2)
         for delivered in [0, 0, 1, 1, 2]:
-            findings = check.evaluate(
-                ctx_for(network, stats=self._stats(delivered))
-            )
+            network.stats.packets_delivered = delivered
             # Delivery in windows 2 and 4 keeps the flat streak below the
             # critical threshold throughout.
-            assert all(f.severity != "critical" for f in findings)
+            assert ("critical", True) not in self._global(monitor, 100)
+
+    def test_activity_resets_the_router_and_nic_streaks(self):
+        network = _FakeNetwork([router(4)], [nic(4)])
+        monitor = monitor_on(network, stall_windows=3)
+        flagged = []
+        for window in range(6):
+            if window == 2:  # one injection in the third window
+                network.trace_hub.emit("injected", 100 * window, 4, 1)
+            flagged += [
+                (f.cycle, f.message.split()[0])
+                for f in found(monitor, 100 * window + 99, "progress")
+                if f.node is not None
+            ]
+        assert flagged == [(599, "router"), (599, "NIC")]
 
     def test_idle_network_never_flags(self):
-        check = ProgressCheck(stall_windows=2)
-        network = self._net(busy=False, backlog=0)
-        for _window in range(8):
-            assert check.evaluate(ctx_for(network, stats=self._stats())) == []
+        monitor = monitor_on(
+            _FakeNetwork([router(busy=False)], [nic(backlog=0)]), stall_windows=2
+        )
+        for window in range(8):
+            assert monitor.evaluate(100 * window) == []
+        assert monitor.report.ok
 
     def test_starved_nic_warns(self):
-        check = ProgressCheck(stall_windows=3)
-        network = SimpleNamespace(
-            routers=[], nics=[SimpleNamespace(node=9, backlog=5)]
-        )
+        network = _FakeNetwork(nics=[nic(node=9, backlog=5)])
+        monitor = monitor_on(network, stall_windows=3)
         # Deliveries happen (no global livelock), but node 9 never injects.
         findings = []
         for window in range(4):
-            findings += check.evaluate(
-                ctx_for(network, stats=self._stats(delivered=window))
-            )
-        assert [f.node for f in findings] == [9]
+            network.stats.packets_delivered = window
+            findings += found(monitor, 100 * window, "progress")
+        assert [(f.node, f.cycle) for f in findings] == [(9, 200)]
         assert "starved" in findings[0].message
 
     def test_rejects_bad_stall_windows(self):
-        with pytest.raises(ValueError):
-            ProgressCheck(stall_windows=0)
-
-
-class _AlwaysCritical(HealthCheck):
-    name = "always_critical"
-
-    def evaluate(self, ctx):
-        return [
-            HealthFinding(
-                check=self.name, severity="critical", cycle=ctx.end, message="boom"
-            )
-        ]
-
-
-class _FakeNetwork:
-    def __init__(self):
-        self.stats = NetworkStats()
-        self.trace_hub = TraceHub()
-        self.routers = []
-        self.nics = []
-
-    def add_tracer(self, tracer):
-        self.trace_hub.add(tracer)
-
-
-def monitor_on(network, interval, **kwargs):
-    """A monitor fed by a tally on ``network``'s hub, as the session wires it."""
-    tally = EventTally()
-    network.add_tracer(tally)
-    return HealthMonitor(network, tally, interval, **kwargs)
+        with pytest.raises(ValueError, match="stall_windows"):
+            monitor_on(_FakeNetwork(), stall_windows=0)
 
 
 class TestHealthMonitor:
@@ -271,54 +300,71 @@ class TestHealthMonitor:
         assert report.windows == 3  # 100, 200, and the trailing partial window
         assert report.ok
 
-        monitor = monitor_on(_FakeNetwork(), 100, checks=[_AlwaysCritical()])
+        network = _FakeNetwork()
+        network.stats.packets_lost = 1  # one conservation finding per window
+        monitor = monitor_on(network, 100)
         for end in (100, 200, 250):
             monitor.evaluate(end)
-        report = monitor.report()
+        report = monitor.report
         assert report.windows == 3
         assert report.status == "critical"
         assert report.first_violation_cycle == 100
-        assert report.checks["always_critical"] == {
-            "status": "critical", "violations": 3,
+        assert report.checks == {
+            "flit_conservation": {"status": "critical", "violations": 3},
+            "progress": {"status": "ok", "violations": 0},
         }
 
     def test_findings_capped_and_truncation_counted(self):
-        monitor = monitor_on(
-            _FakeNetwork(), 10, checks=[_AlwaysCritical()], max_findings=2
-        )
-        for end in range(10, 60, 10):
-            monitor.evaluate(end)
-        report = monitor.report()
-        assert len(report.findings) == 2
-        assert report.truncated == 3
+        routers = [router(node) for node in range(250)]
+        monitor = monitor_on(_FakeNetwork(routers), stall_windows=1)
+        findings = monitor.evaluate(10)  # every busy router is silent
+        assert len(findings) == 250
+        report = monitor.report
+        assert len(report.findings) == MAX_FINDINGS == 200
+        assert report.truncated == 50
+        assert [f.node for f in report.findings] == list(range(200))
+        assert report.checks["progress"] == {"status": "warn", "violations": 250}
 
     def test_emits_health_events_and_notifies_listeners(self):
         network = _FakeNetwork()
+        network.stats.packets_lost = 1
         tracer = CollectingTracer()
         network.trace_hub.add(tracer)
-        monitor = monitor_on(network, 10, checks=[_AlwaysCritical()])
+        tally = EventTally()
+        network.add_tracer(tally)
+        monitor = HealthMonitor(network, tally, 10)
         heard = monitor.evaluate(10)
         events = [e for e in tracer.events if e.kind == "health_critical"]
         assert len(events) == 1
         assert events[0].node == -1 and events[0].uid == -1
-        assert events[0].extra == {"check": "always_critical", "message": "boom"}
-        assert heard == monitor.findings
+        assert events[0].extra == {
+            "check": "flit_conservation",
+            "message": "ledger drift: stats.packets_lost=1 but fault_dropped "
+            "events account for 0",
+        }
+        assert heard == monitor.report.findings
         # The monitor's own events are not simulator activity.
-        assert not monitor._tally.by_kind and not monitor._tally.activity
+        assert not tally.by_kind and not tally.activity
 
     def test_inapplicable_checks_are_filtered(self):
-        # No NICs on the fake: ConservationCheck's applies() still holds.
-        monitor = monitor_on(_FakeNetwork(), 10)
-        names = [check.name for check in monitor.checks]
-        assert "credit_leak" not in names  # no credit state on the fake
-        assert names == ["flit_conservation", "progress"]
+        # No credit state on the fake: the credit audit does not run.
+        monitor = monitor_on(_FakeNetwork())
+        assert list(monitor.report.checks) == ["flit_conservation", "progress"]
 
     def test_each_monitor_builds_fresh_checks_with_its_stall_windows(self):
-        # Checks keep streak state, so monitors must never share instances.
-        first = monitor_on(_FakeNetwork(), 10, stall_windows=3)
-        second = monitor_on(_FakeNetwork(), 10, stall_windows=3)
-        assert all(a is not b for a, b in zip(first.checks, second.checks))
-        assert first.checks[-1].stall_windows == 3
+        # Streaks are per monitor: a second monitor on the same wedged
+        # network starts counting from zero.
+        network = _FakeNetwork([router(3)])
+
+        def stalled(monitor, end):
+            return [f.node for f in found(monitor, end, "progress") if f.node is not None]
+
+        first = monitor_on(network, stall_windows=3)
+        assert [stalled(first, end) for end in (10, 20)] == [[], []]
+        second = monitor_on(network, stall_windows=3)
+        assert second.stall_windows == 3
+        assert stalled(first, 30) == [3]
+        assert [stalled(second, end) for end in (30, 40, 50)] == [[], [], [3]]
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
