@@ -18,14 +18,16 @@ from dataclasses import dataclass, field
 _uid_counter = itertools.count()
 
 
-@dataclass
+@dataclass(eq=False)
 class Flit:
     """A single-flit packet (possibly a multicast replica).
 
     ``destinations`` is the set of nodes this copy must still reach; it
     shrinks as VCTM replication splits the set at branch routers.  The
     ``generated_cycle`` is inherited by replicas so every delivery's latency
-    is measured from the original injection request.
+    is measured from the original injection request.  A flit equals itself
+    only (every copy is its own packet), so a search for a free VC,
+    ``flits.index(None)``, compares by identity.
     """
 
     source: int

@@ -100,6 +100,24 @@ class SwitchAllocator:
             for line, output_port in self.allocate_masks(masks, order)
         ]
 
+    def allocate_one(self, output: int, mask: int) -> int:
+        """:meth:`allocate_masks` when ``output`` is the only output with
+        requests: its round-robin winner in ``mask``, which the input
+        always accepts (one grant fits any ``input_speedup``).  Both
+        pointers move past the grant, as they would there.
+        """
+        arbiter = self._grant[output]
+        pointer = arbiter.pointer
+        ahead = mask >> pointer  # ``pick`` inlined
+        line = (
+            pointer + (ahead & -ahead).bit_length() - 1
+            if ahead
+            else (mask & -mask).bit_length() - 1
+        )
+        arbiter.pointer = (line + 1) % arbiter.size
+        self._accept[line // self.num_vcs].pointer = (output + 1) % self.num_ports
+        return line
+
     def allocate_masks(
         self, masks: Sequence[int], order: Sequence[tuple[int, int]]
     ) -> list[tuple[int, int]]:
@@ -119,6 +137,7 @@ class SwitchAllocator:
         grant it took.
         """
         num_ports, num_vcs = self.num_ports, self.num_vcs
+        grants, accepts = self._grant, self._accept
         # Grant, each output from its unmoved pointer (``pick`` inlined).
         accepted: list[tuple[int, int]] = []
         inputs = shared = visited = 0
@@ -127,7 +146,7 @@ class SwitchAllocator:
             if (visited >> output) & 1 or not (mask >> line) & 1:
                 continue
             visited |= 1 << output
-            pointer = self._grant[output].pointer
+            pointer = grants[output].pointer
             ahead = mask >> pointer
             winner = (
                 pointer + (ahead & -ahead).bit_length() - 1
@@ -144,13 +163,13 @@ class SwitchAllocator:
                 by_input.setdefault(grant[0] // num_vcs, []).append(grant)
             accepted = []
             for input_port, taken in by_input.items():
-                start = self._accept[input_port].pointer
+                start = accepts[input_port].pointer
                 taken.sort(key=lambda grant: (grant[1] - start) % num_ports)
                 accepted += taken[: self.input_speedup]
         size = num_ports * num_vcs
         for line, output in accepted:
-            self._grant[output].pointer = (line + 1) % size
-            self._accept[line // num_vcs].pointer = (output + 1) % num_ports
+            grants[output].pointer = (line + 1) % size
+            accepts[line // num_vcs].pointer = (output + 1) % num_ports
         return accepted
 
 
@@ -179,12 +198,19 @@ class VcAllocator:
         every winner.
         """
         arbiter = self._arbiters[output_port]
+        pointer, size = arbiter.pointer, arbiter.size
         grants: list[tuple[int, int]] = []
         while mask and free_vcs:
-            line = arbiter.pick(mask)
+            ahead = mask >> pointer  # ``pick`` and ``advance_past`` inlined
+            line = (
+                pointer + (ahead & -ahead).bit_length() - 1
+                if ahead
+                else (mask & -mask).bit_length() - 1
+            )
             mask ^= 1 << line
-            arbiter.advance_past(line)
+            pointer = (line + 1) % size
             lowest = free_vcs & -free_vcs
             free_vcs ^= lowest
             grants.append((line, lowest.bit_length() - 1))
+        arbiter.pointer = pointer
         return grants

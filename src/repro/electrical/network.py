@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.electrical.config import ElectricalConfig
+from repro.electrical.config import CREDIT_DELAY_CYCLES, ElectricalConfig
 from repro.electrical.flit import Flit
 from repro.electrical.nic import ElectricalNic
 from repro.electrical.power import ElectricalPowerModel
@@ -70,7 +70,9 @@ class ElectricalNetwork(MeshNetworkBase):
         self._arrivals: dict[int, list[tuple[int, int, int, Flit]]] = defaultdict(list)
         self._credits: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
         self._ejections: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-        self._in_flight = 0
+        #: Whether the hub has tracers this cycle (they attach between
+        #: cycles only), read once per cycle rather than at every emit site.
+        self._traced = False
         #: Link-level retries after a faulted crossing, keyed by the cycle
         #: the nack round trip completes: (sender, neighbor, port, vc,
         #: flit, attempts so far).
@@ -78,39 +80,7 @@ class ElectricalNetwork(MeshNetworkBase):
             int, list[tuple[int, int, int, int, Flit, int]]
         ] = defaultdict(list)
 
-    # -- event scheduling (called by routers) ---------------------------------
-
-    def schedule_arrival(
-        self, cycle: int, node: int, port: int, vc: int, flit: Flit
-    ) -> None:
-        self._arrivals[cycle].append((node, port, vc, flit))
-        self._in_flight += 1
-        if self.trace_hub:
-            # The hop lands at the downstream router when the link delay
-            # elapses; stamp the event with that arrival cycle.
-            self.trace_hub.emit("hop", cycle, node, flit.uid)
-
-    def schedule_link_traversal(
-        self, cycle: int, sender: int, neighbor: int, port: int, vc: int, flit: Flit
-    ) -> None:
-        """Send a departing flit across the ``sender -> neighbor`` link.
-
-        The fault-free path is exactly the historical behaviour: the flit
-        arrives ``router_delay_cycles`` later.  With fault injection active
-        the crossing is first checked against the schedule; a faulted flit
-        never reaches the neighbour and instead enters the link-level
-        nack/retry loop (see :meth:`_handle_link_fault`).
-        """
-        if self._faults is not None:
-            kind = self._faults.crossing_fault(sender, port, cycle)
-            if kind is not None:
-                self._handle_link_fault(
-                    cycle, sender, neighbor, port, vc, flit, kind, attempts=1
-                )
-                return
-        self.schedule_arrival(
-            cycle + self.config.router_delay_cycles, neighbor, port, vc, flit
-        )
+    # -- link faults and ejections -------------------------------------------
 
     def _handle_link_fault(
         self,
@@ -167,10 +137,6 @@ class ElectricalNetwork(MeshNetworkBase):
             (sender, neighbor, port, vc, flit, attempts)
         )
 
-    def schedule_credit(self, cycle: int, node: int, input_port: int, vc: int) -> None:
-        """A VC at ``node``'s ``input_port`` drained; credit the upstream."""
-        self._credits[cycle].append((node, input_port, vc))
-
     def schedule_ejection(self, cycle: int, node: int, port: int, vc: int) -> None:
         """The flit in that VC reaches ``node``'s processor at ``cycle``."""
         self._ejections[cycle].append((node, port, vc))
@@ -178,18 +144,31 @@ class ElectricalNetwork(MeshNetworkBase):
     # -- per-cycle hooks (MeshNetworkBase) --------------------------------------
 
     def _step_cycle(self, cycle: int) -> None:
-        self._apply_events(cycle)
+        # The queues this cycle's departures and freed VCs join, dropped
+        # again if nothing did: ``_pending_work`` reads their keys.
+        landing = cycle + self.config.router_delay_cycles
+        credit_cycle = cycle + CREDIT_DELAY_CYCLES
+        arrivals, credits = self._arrivals[landing], self._credits[credit_cycle]
+        self._traced = bool(self.trace_hub)
+        self._apply_events(cycle, credits)
         self._generate_and_inject(cycle)
         for router in self.routers:
             if router._active:  # an idle router costs no call
-                router.tick(cycle, self)
+                router.tick(cycle, self, arrivals, credits)
+        if not arrivals:
+            del self._arrivals[landing]
+        if not credits:
+            del self._credits[credit_cycle]
 
     def _end_of_cycle(self, cycle: int) -> None:
         self.stats.energy_pj["leakage"] += self.event_pj["leakage"]
 
     # -- internals ---------------------------------------------------------------
 
-    def _apply_events(self, cycle: int) -> None:
+    def _apply_events(self, cycle: int, credits: list[tuple[int, int, int]]) -> None:
+        """Apply the events due at ``cycle``; an ejection that frees its VC
+        queues the credit on ``credits``."""
+        hub, traced = self.trace_hub, self._traced
         for sender, neighbor, port, vc, flit, attempts in self._link_retries.pop(
             cycle, ()
         ):
@@ -201,18 +180,16 @@ class ElectricalNetwork(MeshNetworkBase):
                 )
                 continue
             self.stats.record_fault_masked()
-            if self.trace_hub:
-                self.trace_hub.emit("fault_masked", cycle, sender, flit.uid)
-            self.schedule_arrival(
-                cycle + self.config.router_delay_cycles, neighbor, port, vc, flit
-            )
+            landing = cycle + self.config.router_delay_cycles
+            self._arrivals[landing].append((neighbor, port, vc, flit))
+            if traced:
+                hub.emit("fault_masked", cycle, sender, flit.uid)
+                hub.emit("hop", landing, neighbor, flit.uid)
         routers, stats = self.routers, self.stats
-        traced = bool(self.trace_hub)  # tracers attach between cycles only
         for node, port, vc, flit in self._arrivals.pop(cycle, ()):
             routers[node].accept_flit(port, vc, flit, cycle, self)
-            self._in_flight -= 1
             if traced:
-                self.trace_hub.emit("buffered", cycle, node, flit.uid)
+                hub.emit("buffered", cycle, node, flit.uid)
         for node, input_port, vc in self._credits.pop(cycle, ()):
             upstream = routers[node].upstream[input_port]
             if upstream is None:
@@ -221,11 +198,11 @@ class ElectricalNetwork(MeshNetworkBase):
                 )
             routers[upstream].restore_credit(input_port, vc)
         for node, port, vc in self._ejections.pop(cycle, ()):
-            flit = routers[node].complete_ejection(port, vc, cycle, self)
+            flit = routers[node].complete_ejection(port, vc, self, credits)
             stats.record_delivered(flit.generated_cycle, cycle)
             self._note_fault_delivery(flit.uid)
             if traced:
-                self.trace_hub.emit("delivered", cycle, node, flit.uid)
+                hub.emit("delivered", cycle, node, flit.uid)
 
     def _inject_from_nic(self, node: int, nic: ElectricalNic, cycle: int) -> None:
         """Inject the head flit into a free local-port VC, if any."""
@@ -317,8 +294,7 @@ class ElectricalNetwork(MeshNetworkBase):
     def _pending_work(self) -> bool:
         """In-flight link traversals and scheduled events block :meth:`idle`."""
         return bool(
-            self._in_flight
-            or self._arrivals
+            self._arrivals
             or self._ejections
             or self._credits
             or self._link_retries

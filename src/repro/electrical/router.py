@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.electrical.config import CREDIT_DELAY_CYCLES, INPUT_SPEEDUP, ElectricalConfig
+from repro.electrical.config import INPUT_SPEEDUP, ElectricalConfig
 from repro.electrical.flit import Flit
 from repro.electrical.islip import SwitchAllocator, VcAllocator
 from repro.electrical.vctm import split_by_output
@@ -125,17 +125,18 @@ class ElectricalRouter:
 
     def find_free_vc(self, port: int) -> int | None:
         base = port * self.num_vcs
-        for vc in range(self.num_vcs):
-            if self.flits[base + vc] is None:
-                return vc
-        return None
+        try:
+            return self.flits.index(None, base, base + self.num_vcs) - base
+        except ValueError:  # every VC of the port holds a flit
+            return None
 
     def accept_flit(
         self, port: int, vc: int, flit: Flit, cycle: int, network: "ElectricalNetwork"
     ) -> None:
         """Install an arriving (or injected) flit into an input VC."""
         line = port * self.num_vcs + vc
-        if self.flits[line] is not None:
+        flits = self.flits
+        if flits[line] is not None:
             raise RuntimeError(
                 f"router {self.node}: VC ({port},{vc}) occupied on arrival"
             )
@@ -167,7 +168,7 @@ class ElectricalRouter:
                     for output, part in partitions.items()
                     if output != LOCAL_PORT
                 }
-        self.flits[line] = flit
+        flits[line] = flit
         self.pending[line] = outputs
         self._active.add((port, vc))
         network.stats.energy_pj["buffer_write"] += network.event_pj["buffer_write"]
@@ -176,7 +177,11 @@ class ElectricalRouter:
             network.schedule_ejection(cycle + 1, self.node, port, vc)
 
     def complete_ejection(
-        self, port: int, vc: int, cycle: int, network: "ElectricalNetwork"
+        self,
+        port: int,
+        vc: int,
+        network: "ElectricalNetwork",
+        credits: list[tuple[int, int, int]],
     ) -> Flit:
         """Finish the crossbar-bypass local delivery scheduled at arrival."""
         line = port * self.num_vcs + vc
@@ -186,17 +191,17 @@ class ElectricalRouter:
         remaining = self.pending[line] = self.pending[line] & ~_LOCAL_BIT
         network.stats.energy_pj["buffer_read"] += network.event_pj["buffer_read"]
         if not remaining:
-            self._release(line, cycle, network)
+            self._release(line, credits)
         return flit
 
-    def _release(self, line: int, cycle: int, network: "ElectricalNetwork") -> None:
-        """The flit has left through every output: free the VC."""
+    def _release(self, line: int, credits: list[tuple[int, int, int]]) -> None:
+        """The flit has left through every output: free the VC and queue
+        the credit it owes the upstream router that sent it."""
         self.flits[line] = self.parts[line] = None
         pair = port, vc = divmod(line, self.num_vcs)
         self._active.discard(pair)
         if port != LOCAL_PORT:
-            # Return the credit to the upstream router that sent this flit.
-            network.schedule_credit(cycle + CREDIT_DELAY_CYCLES, self.node, port, vc)
+            credits.append((self.node, port, vc))
 
     def restore_credit(self, output_port: int, vc: int) -> None:
         """A downstream VC we used has drained; its credit returns."""
@@ -208,37 +213,91 @@ class ElectricalRouter:
 
     # -- per-cycle allocation pipeline ----------------------------------------
 
-    def tick(self, cycle: int, network: "ElectricalNetwork") -> None:
-        """Run VC allocation, switch allocation and departures for one cycle.
+    def tick(
+        self,
+        cycle: int,
+        network: "ElectricalNetwork",
+        arrivals: list[tuple[int, int, int, Flit]],
+        credits: list[tuple[int, int, int]],
+    ) -> None:
+        """VC allocation, switch allocation and every departure of one
+        cycle, in one pass.
 
         Every output with both a ``wanted`` line and a free downstream VC
         hands VCs out (lowest free VC first, requesters in rotating
         priority); a line granted this cycle joins switch allocation in
         the same cycle.  Multicast partitions request in parallel, so a
-        branch router can set up all its tree edges in one cycle.
+        branch router can set up all its tree edges in one cycle.  A
+        departing flit joins ``arrivals``, the downstream routers' input
+        for cycle ``cycle + router_delay_cycles`` (unless the link faults
+        it), and a line it empties queues its credit on ``credits``.
         """
         wanted, ready, free_vcs = self.wanted, self.ready, self.free_vcs
+        granted = self.granted
         live = 0  # outputs with a line asking for the crossbar
         for output in MESH_PORTS:
             if wanted[output] and free_vcs[output]:
-                out_vc = self.out_vc[output]
-                for line, vc in self._vc_allocator.assign(
-                    output, wanted[output], free_vcs[output]
-                ):
+                out_vc, bit = self.out_vc[output], 1 << output
+                requests, free, asking = wanted[output], free_vcs[output], ready[output]
+                for line, vc in self._vc_allocator.assign(output, requests, free):
                     out_vc[line] = vc
                     # Reserve: no other requester may be promised this VC.
-                    free_vcs[output] ^= 1 << vc
-                    wanted[output] ^= 1 << line
-                    ready[output] |= 1 << line
-                    self.granted[line] |= 1 << output
+                    free ^= 1 << vc
+                    requests ^= 1 << line
+                    asking |= 1 << line
+                    granted[line] |= bit
+                wanted[output], free_vcs[output], ready[output] = requests, free, asking
             if ready[output]:
                 live |= 1 << output
         if not live:
             return
-        network.stats.energy_pj["allocation"] += network.event_pj["allocation"]
-        order = self._request_order(live)
-        for line, output in self._sw_allocator.allocate_masks(ready, order):
-            self._depart(line, output, cycle, network)
+        stats, event_pj = network.stats, network.event_pj
+        energy = stats.energy_pj
+        energy["allocation"] += event_pj["allocation"]
+        if live & (live - 1):
+            grants = self._sw_allocator.allocate_masks(ready, self._request_order(live))
+        else:  # one output asks: it grants its winner, which is accepted
+            output = live.bit_length() - 1
+            grants = [(self._sw_allocator.allocate_one(output, ready[output]), output)]
+        stats.hops_traversed += len(grants)
+        flits, pending, parts_of = self.flits, self.pending, self.parts
+        node, faults, traced = self.node, network._faults, network._traced
+        for line, output in grants:
+            flit = flits[line]
+            assert flit is not None
+            ready[output] ^= 1 << line
+            granted[line] ^= 1 << output
+            remaining = pending[line] = pending[line] ^ (1 << output)
+            out_vc = self.out_vc[output]
+            vc = out_vc[line]
+            out_vc[line] = -1
+            parts = parts_of[line]
+            if parts is not None:
+                part = parts.pop(output)
+                if remaining:
+                    flit = flit.replica(part, next(network.uids))
+                else:
+                    flit.destinations = part
+            energy["buffer_read"] += event_pj["buffer_read"]
+            energy["crossbar"] += event_pj["crossbar"]
+            energy["link"] += event_pj["link"]
+            neighbor = self.neighbors[output]
+            if neighbor is None:
+                raise RuntimeError(
+                    f"router {node}: DOR routed {flit!r} off the mesh edge"
+                )
+            kind = None if faults is None else faults.crossing_fault(node, output, cycle)
+            if kind is None:
+                arrivals.append((neighbor, output, vc, flit))
+                if traced:  # stamped with the cycle the hop lands downstream
+                    landing = cycle + network.config.router_delay_cycles
+                    network.trace_hub.emit("hop", landing, neighbor, flit.uid)
+            else:
+                network._handle_link_fault(
+                    cycle, node, neighbor, output, vc, flit, kind, attempts=1
+                )
+            if not remaining:
+                self._release(line, credits)
 
     def _request_order(self, live: int) -> list[tuple[int, int]]:
         """Each ``live`` output's first ready ``(line, output)`` pair in
@@ -252,50 +311,17 @@ class ElectricalRouter:
         """
         num_vcs, granted = self.num_vcs, self.granted
         order: list[tuple[int, int]] = []
-        seen = 0
+        unseen = live  # a line's granted outputs are live ones
         for port, vc in self._active:
             line = port * num_vcs + vc
-            outputs = granted[line] & ~seen
+            outputs = granted[line] & unseen
             if not outputs:
                 continue
-            seen |= outputs
-            for output in MESH_PORTS:  # ascending, as a line's requests are raised
-                if outputs >> output & 1:
-                    order.append((line, output))
-            if seen == live:
+            unseen ^= outputs
+            while outputs:  # ascending, as a line's requests are raised
+                lowest = outputs & -outputs
+                order.append((line, lowest.bit_length() - 1))
+                outputs ^= lowest
+            if not unseen:
                 break
         return order
-
-    def _depart(
-        self, line: int, output: int, cycle: int, network: "ElectricalNetwork"
-    ) -> None:
-        flit = self.flits[line]
-        assert flit is not None
-        self.ready[output] ^= 1 << line
-        self.granted[line] ^= 1 << output
-        remaining = self.pending[line] = self.pending[line] ^ (1 << output)
-        out_vc = self.out_vc[output][line]
-        self.out_vc[output][line] = -1
-        parts = self.parts[line]
-        if parts is not None:
-            part = parts.pop(output)
-            if remaining:
-                flit = flit.replica(part, next(network.uids))
-            else:
-                flit.destinations = part
-        stats, event_pj = network.stats, network.event_pj
-        energy = stats.energy_pj
-        energy["buffer_read"] += event_pj["buffer_read"]
-        energy["crossbar"] += event_pj["crossbar"]
-        energy["link"] += event_pj["link"]
-        stats.hops_traversed += 1
-        neighbor = self.neighbors[output]
-        if neighbor is None:
-            raise RuntimeError(
-                f"router {self.node}: DOR routed {flit!r} off the mesh edge"
-            )
-        network.schedule_link_traversal(
-            cycle, self.node, neighbor, output, out_vc, flit
-        )
-        if not remaining:
-            self._release(line, cycle, network)

@@ -63,6 +63,10 @@ class VirtualCircuitTreeCache:
     hits: int = 0
     misses: int = 0
 
+    def __post_init__(self) -> None:
+        if self.capacity < 1:
+            raise ValueError("VCT cache capacity must be at least 1")
+
     def lookup(self, source: int, destinations: set[int]) -> tuple[int, bool]:
         """Tree id for this multicast and whether it was already set up.
 
@@ -70,8 +74,6 @@ class VirtualCircuitTreeCache:
         oldest entry when the per-source table is full (FIFO, matching the
         simple replacement of the original proposal's evaluation).
         """
-        if self.capacity < 1:
-            raise ValueError("VCT cache capacity must be at least 1")
         table = self._tables.setdefault(source, {})
         key = frozenset(destinations)
         if key in table:

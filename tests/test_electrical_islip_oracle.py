@@ -169,6 +169,39 @@ def test_a_refused_grant_leaves_its_output_pointer_unmoved(input_speedup):
     assert allocator._accept[0].pointer == (rotation[-2] + 1) % PORTS
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2, 4, 10]), st.integers(1, 5), st.data())
+def test_the_one_live_output_grant_equals_the_full_allocation(
+    num_vcs, input_speedup, data
+):
+    """When one output holds every ready line, the router grants with
+    ``allocate_one``: the same accepted pair as ``allocate_masks`` over all
+    of that output's lines, in any order, and every pointer equal."""
+    size = PORTS * num_vcs
+    output = data.draw(st.integers(0, PORTS - 1))
+    mask = data.draw(st.integers(1, (1 << size) - 1))
+    grant = data.draw(st.lists(st.integers(0, size - 1), min_size=PORTS, max_size=PORTS))
+    accept = data.draw(st.lists(st.integers(0, PORTS - 1), min_size=PORTS, max_size=PORTS))
+    order = data.draw(
+        st.permutations([(line, output) for line in range(size) if mask >> line & 1])
+    )
+    direct, full = (
+        SwitchAllocator(PORTS, num_vcs, input_speedup=input_speedup) for _ in range(2)
+    )
+    for allocator in (direct, full):
+        for arbiter, pointer in zip(allocator._grant, grant):
+            arbiter.pointer = pointer
+        for arbiter, pointer in zip(allocator._accept, accept):
+            arbiter.pointer = pointer
+    masks = [mask if port == output else 0 for port in range(PORTS)]
+    assert [(direct.allocate_one(output, mask), output)] == full.allocate_masks(
+        masks, order
+    )
+    assert [a.pointer for a in direct._grant + direct._accept] == [
+        a.pointer for a in full._grant + full._accept
+    ]
+
+
 @settings(max_examples=200, deadline=None)
 @given(request_cycles(), st.data())
 def test_vc_allocation_matches_the_set_based_reference(drawn, data):

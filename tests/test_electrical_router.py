@@ -7,7 +7,7 @@ from repro.electrical.flit import Flit
 from repro.electrical.network import ElectricalNetwork
 from repro.electrical.router import LOCAL_PORT
 from repro.sim.engine import SimulationEngine
-from repro.util.geometry import MeshGeometry
+from repro.util.geometry import Direction, MeshGeometry
 
 
 class TestFlit:
@@ -68,6 +68,16 @@ class TestRouterState:
         router = network.routers[0]
         with pytest.raises(RuntimeError):
             router.restore_credit(0, 0)  # credit already free
+
+    def test_routing_off_the_mesh_edge_is_refused(self):
+        network = self.make_network()
+        router = network.routers[0]  # x = 0: no WEST neighbour
+        west = int(Direction.WEST)
+        assert router.neighbors[west] is None
+        router._routes[1] = west  # a corrupt route memo
+        router.accept_flit(LOCAL_PORT, 0, Flit(0, {1}, 0), 0, network)
+        with pytest.raises(RuntimeError, match="off the mesh edge"):
+            network.step(0)
 
     def test_local_only_flit_ejects_without_crossbar(self):
         network = self.make_network()

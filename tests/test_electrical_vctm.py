@@ -72,6 +72,5 @@ class TestVctCache:
         assert cache.hit_rate == pytest.approx(2 / 3)
 
     def test_zero_capacity_rejected(self):
-        cache = VirtualCircuitTreeCache(capacity=0)
         with pytest.raises(ValueError):
-            cache.lookup(0, {1})
+            VirtualCircuitTreeCache(capacity=0)

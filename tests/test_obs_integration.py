@@ -2,6 +2,7 @@
 harness/CLI plumbing (cache bypass, per-run trace paths, report payloads)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,13 @@ from repro.core.network import PhastlaneNetwork
 from repro.electrical.config import ElectricalConfig
 from repro.electrical.network import ElectricalNetwork
 from repro.fabric import make_network
-from repro.harness.exec import Executor, ResultCache, RunSpec, SyntheticWorkload
+from repro.harness.exec import (
+    Executor,
+    ResultCache,
+    RunSpec,
+    Splash2Workload,
+    SyntheticWorkload,
+)
 from repro.harness.report import (
     manifest_to_dict,
     result_from_dict,
@@ -51,6 +58,38 @@ class TestNoPerturbation:
         # energy counters included); observability fields are excluded.
         assert observed == plain
         assert observed.stats == plain.stats
+
+    @pytest.mark.parametrize(
+        "electrical",
+        [
+            # Snoopy broadcasts: VCTM replicas draw their uids as they depart.
+            RunSpec(ELECTRICAL, Splash2Workload("radix"), cycles=300, seed=7),
+            # Wrapped rings, every VC of a four-VC port in play.
+            RunSpec(
+                replace(ELECTRICAL, topology="torus", num_vcs=4),
+                SyntheticWorkload("uniform", 0.3),
+                cycles=300,
+                seed=7,
+            ),
+        ],
+        ids=["splash2-broadcasts", "torus-4vc"],
+    )
+    def test_traced_electrical_hops_match_untraced(self, tmp_path, electrical):
+        """The router's departures carry the trace emit and the fault check
+        as inline guards; neither path of the hop may depend on them."""
+        obs = ObsConfig(
+            trace_path=str(tmp_path / "trace.jsonl"),
+            metrics_interval=100,
+            spatial=True,
+            health=True,
+        )
+        plain = run(electrical)
+        observed = run(replace(electrical, obs=obs))
+        assert observed == plain
+        assert observed.stats == plain.stats
+        assert plain.stats.hops_traversed > 0
+        if isinstance(electrical.workload, Splash2Workload):
+            assert plain.stats.multicast_packets > 0
 
     def test_sampled_trace_still_does_not_perturb(self, tmp_path):
         obs = ObsConfig(
