@@ -16,7 +16,7 @@ Run:  python examples/congestion_heatmap.py [--cycles N] [--rate R] [--out F]
 import argparse
 import json
 
-from repro.core import PhastlaneConfig
+from repro.core.config import PhastlaneConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload
 from repro.harness.runner import run
 from repro.obs import ObsConfig

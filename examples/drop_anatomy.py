@@ -11,7 +11,7 @@ Run:  python examples/drop_anatomy.py [--cycles N]
 
 import argparse
 
-from repro.core import PhastlaneConfig
+from repro.core.config import PhastlaneConfig
 from repro.harness.exec import RunSpec, Splash2Workload
 from repro.harness.runner import run
 from repro.obs import ObsConfig

@@ -17,7 +17,8 @@ Run:  python examples/drop_storm_timeline.py [--cycles N] [--rate R]
 
 import argparse
 
-from repro.core import PhastlaneConfig, PhastlaneNetwork
+from repro.core.config import PhastlaneConfig
+from repro.core.network import PhastlaneNetwork
 from repro.obs import ObsConfig, ObsSession
 from repro.sim.engine import SimulationEngine
 from repro.traffic.injection import BernoulliInjector

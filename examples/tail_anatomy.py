@@ -15,7 +15,8 @@ Run:  python examples/tail_anatomy.py [--cycles N]
 
 import argparse
 
-from repro.core import PhastlaneConfig, PhastlaneNetwork
+from repro.core.config import PhastlaneConfig
+from repro.core.network import PhastlaneNetwork
 from repro.obs import CollectingTracer, analyze_events, render_markdown
 from repro.sim.engine import SimulationEngine
 from repro.sim.stats import NetworkStats

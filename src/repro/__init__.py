@@ -24,7 +24,7 @@ type, and ``register_backend`` adds new ones (see DESIGN.md section 9).
 """
 
 from importlib import import_module
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 __version__ = "1.1.0"
 
@@ -115,13 +115,29 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str) -> object:
-    if name not in _HOME_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(_HOME_OF[name]), name)
-    globals()[name] = value  # resolved once; later reads bypass this hook
-    return value
+def lazy_names(
+    namespace: dict[str, Any], home_of: dict[str, str]
+) -> tuple[Callable[[str], object], Callable[[], list[str]]]:
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a package whose public
+    names load on first access.
+
+    ``namespace`` is the package's ``globals()``; ``home_of`` maps each name
+    to the module that defines it.  A resolved name is stored in
+    ``namespace``, so later reads bypass the hook.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str) -> object:
+        if name not in home_of:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(import_module(home_of[name]), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *home_of})
+
+    return __getattr__, __dir__
 
 
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+__getattr__, __dir__ = lazy_names(globals(), _HOME_OF)

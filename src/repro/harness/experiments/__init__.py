@@ -1,33 +1,3 @@
-"""One module per paper figure/table; each exposes ``compute`` and ``render``."""
+"""One module per paper figure/table; each exposes ``compute`` and ``render``.
 
-from repro.harness.experiments import (
-    fig04,
-    fig05,
-    fig06,
-    fig07,
-    fig08,
-    fig09,
-    fig10,
-    fig11,
-    tables,
-)
-from repro.harness.experiments.configs import (
-    BASELINE_LABEL,
-    optical_configs,
-    standard_configs,
-)
-
-__all__ = [
-    "BASELINE_LABEL",
-    "fig04",
-    "fig05",
-    "fig06",
-    "fig07",
-    "fig08",
-    "fig09",
-    "fig10",
-    "fig11",
-    "optical_configs",
-    "standard_configs",
-    "tables",
-]
+The package itself loads none of them, nor the shared ``configs``."""

@@ -3,8 +3,8 @@
 Both simulators own a :class:`TraceHub` created at construction time and
 shared with their NICs; every lifecycle emit point in the simulators is an
 explicit call on that hub, guarded by its truthiness (an empty hub is
-falsy), so disabled tracing costs one boolean check per potential event and
-allocates nothing.
+falsy), so disabled tracing costs one length test per potential event, calls
+nothing and allocates nothing.
 
 The event vocabulary is fixed (:data:`EVENT_KINDS`) so exporters and
 consumers can rely on it:
@@ -88,29 +88,25 @@ class PacketEvent(NamedTuple):
     extra: Mapping[str, Any] | None = None
 
 
-class TraceHub:
+class TraceHub(list["Tracer"]):
     """Fan-out point between a simulator's emit sites and its tracers.
 
     The hub is *shared by reference* between a network and its NICs, so
     tracers attached after construction (``network.add_tracer``) see events
     from every component.  Hub truthiness doubles as the fast-path guard:
-    ``if hub: hub.emit(...)``.
+    ``if hub: hub.emit(...)``.  The hub is the list of its tracers, so that
+    guard is the list's own length test and costs no Python call: an
+    unobserved run makes no call into :mod:`repro.obs`.
     """
 
-    __slots__ = ("_tracers",)
-
-    def __init__(self) -> None:
-        self._tracers: list["Tracer"] = []
-
-    def __bool__(self) -> bool:
-        return bool(self._tracers)
+    __slots__ = ()
 
     @property
     def tracers(self) -> tuple["Tracer", ...]:
-        return tuple(self._tracers)
+        return tuple(self)
 
     def add(self, tracer: "Tracer") -> None:
-        self._tracers.append(tracer)
+        self.append(tracer)
 
     def emit(
         self,
@@ -124,5 +120,5 @@ class TraceHub:
         if kind not in _KIND_SET:
             raise ValueError(f"unknown event kind {kind!r}; expected {EVENT_KINDS}")
         event = PacketEvent(kind, cycle, node, uid, extra)
-        for tracer in self._tracers:
+        for tracer in self:
             tracer.emit(event)

@@ -1,45 +1,3 @@
-"""Nanophotonic device and router models (paper sections 2-3, Figs 4-8)."""
+"""Nanophotonic device and router models (paper sections 2-3, Figs 4-8).
 
-from repro.photonics.area import AreaBreakdown, RouterAreaModel
-from repro.photonics.components import (
-    Modulator,
-    OpticalLink,
-    Receiver,
-    RingResonator,
-    Waveguide,
-)
-from repro.photonics.lossbudget import ComponentLosses, LossBudget
-from repro.photonics.latency import (
-    CriticalPathDelays,
-    RouterLatencyModel,
-    max_hops_per_cycle,
-)
-from repro.photonics.power import OpticalPowerModel, PeakPowerPoint
-from repro.photonics.scaling import (
-    DelayScalingModel,
-    ScalingScenario,
-    scenario_delays,
-)
-from repro.photonics.wdm import PacketLayout, WdmChannelPlan
-
-__all__ = [
-    "AreaBreakdown",
-    "ComponentLosses",
-    "CriticalPathDelays",
-    "DelayScalingModel",
-    "LossBudget",
-    "Modulator",
-    "OpticalLink",
-    "OpticalPowerModel",
-    "PacketLayout",
-    "PeakPowerPoint",
-    "Receiver",
-    "RingResonator",
-    "RouterAreaModel",
-    "RouterLatencyModel",
-    "ScalingScenario",
-    "Waveguide",
-    "WdmChannelPlan",
-    "max_hops_per_cycle",
-    "scenario_delays",
-]
+One module per model; the package itself loads none of them."""

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from itertools import repeat
 
-import numpy as np
-
 from repro.sim.rng import stream_key
 from repro.traffic.injection import BernoulliInjector
 from repro.traffic.schedule import Injection, Schedule
@@ -88,6 +86,10 @@ def philox_events(source: SyntheticSource, ingest_cycle: int) -> Schedule:
     if cached is not None:
         events, count = cached
         return dict(events), count
+    # numpy loads here, not with the module: the backend registry imports
+    # this module for every run, and only fast-mode schedules draw.
+    import numpy as np
+
     generator = np.random.Generator(
         np.random.Philox(key=philox_key(source._rngs[0].root_seed, pattern.name))
     )

@@ -180,8 +180,9 @@ OBS_FILES = sorted((ROOT / "src" / "repro" / "obs").glob("*.py"))
 
 
 def runtime_imports(tree):
-    """``(line, module)`` of every absolute import outside the body of an
-    ``if TYPE_CHECKING:`` block (a function-level import counts)."""
+    """``(line, module, names)`` of every absolute import outside the body
+    of an ``if TYPE_CHECKING:`` block (a function-level import counts);
+    ``names`` are what a ``from`` import takes, ``()`` for a plain one."""
     typing_only = {
         id(inner)
         for node in ast.walk(tree)
@@ -193,9 +194,9 @@ def runtime_imports(tree):
         if id(node) in typing_only:
             continue
         if isinstance(node, ast.Import):
-            yield from ((node.lineno, alias.name) for alias in node.names)
+            yield from ((node.lineno, alias.name, ()) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level:
-            yield node.lineno, node.module
+            yield node.lineno, node.module, tuple(alias.name for alias in node.names)
 
 
 def foreign_private_reads(tree):
@@ -214,6 +215,19 @@ def foreign_private_reads(tree):
             yield node.lineno, ast.unparse(node)
 
 
+def upward_imports(tree):
+    """``(line, module)`` of each run-time import that leaves ``repro.obs``
+    and ``repro.sim``.  The one exemption is ``from repro import
+    lazy_names``, the lazy-name hook of the package's ``__init__``."""
+    for line, module, names in runtime_imports(tree):
+        if (module, names) == ("repro", ("lazy_names",)):
+            continue
+        if module.split(".")[0] == "repro" and module.split(".")[1:2] not in (
+            ["obs"], ["sim"]
+        ):
+            yield line, module
+
+
 def test_obs_imports_only_obs_and_sim_at_run_time():
     """``repro.obs`` reads simulators through the objects it is handed
     (duck-typed), never by importing them; typing-only imports are free."""
@@ -221,8 +235,7 @@ def test_obs_imports_only_obs_and_sim_at_run_time():
     upward = [
         f"{path.relative_to(ROOT)}:{line}: {module}"
         for path in OBS_FILES
-        for line, module in runtime_imports(ast.parse(path.read_text()))
-        if module.split(".")[0] == "repro" and module.split(".")[1:2] not in (["obs"], ["sim"])
+        for line, module in upward_imports(ast.parse(path.read_text()))
     ]
     assert not upward, "\n".join(upward)
 
@@ -251,9 +264,17 @@ def test_the_layering_scans_see_what_they_should():
         "        from repro.util import geometry\n"
         "        return self._a, Own._b, network._c, network.d._e, network.__dict__\n"
     )
-    assert [module for _, module in runtime_imports(tree)] == [
+    assert [module for _, module, _ in runtime_imports(tree)] == [
         "typing", "repro.topology", "repro.fabric", "repro.util",
     ]
+    root = ast.parse(
+        "from repro import lazy_names\n"
+        "from repro import run\n"
+        "from repro import lazy_names, ElectricalNetwork\n"
+        "import repro\n"
+        "from repro.obs import events\n"
+    )
+    assert list(upward_imports(root)) == [(2, "repro"), (3, "repro"), (4, "repro")]
     assert [expression for _, expression in foreign_private_reads(tree)] == [
         "network._c", "network.d._e",
     ]

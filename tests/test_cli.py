@@ -356,6 +356,9 @@ HEAVY = (
     "repro.harness.experiments",
 )
 
+#: The reference simulator's modules: tests build it, no run does.
+ORACLE_MODULES = ("network", "router", "routing", "control", "nic", "packet")
+
 #: Runs ``repro.cli.main`` on argv and reports which of HEAVY got imported.
 PROBE = """
 import contextlib, io, sys
@@ -405,6 +408,31 @@ class TestImportsFollowTheCommand:
         assert done.returncode == 0, done.stderr
         assert "repro.photonics" in done.stdout
         assert "repro.harness.experiments" in done.stdout
+
+    #: What an unfaulted electrical sweep never runs: numpy, the reference
+    #: oracle, the live dashboard and the figure-only photonic models.
+    UNRUN = (
+        "numpy",
+        *(f"repro.core.{name}" for name in ORACLE_MODULES),
+        "repro.obs.live",
+        "repro.photonics.dse",
+    )
+    SWEEP = ["sweep", "--config", "Electrical3", "--pattern", "uniform",
+             "--rates", "0.02", "--cycles", "30", "--no-cache"]
+
+    def test_a_sweep_loads_only_what_it_runs(self):
+        done = python("-c", PROBE, ",".join(self.UNRUN), *self.SWEEP)
+        assert done.returncode == 0, done.stderr
+        code, printed, loaded = done.stdout.rstrip("\n").split(" ")
+        assert code == "0" and int(printed) > 0
+        assert loaded == ""
+
+    def test_the_probe_sees_numpy_in_a_faulted_sweep(self):
+        # The canary: fault draws load numpy, so the probe reports it.
+        argv = [*self.SWEEP, "--link-flip-prob", "0.01"]
+        done = python("-c", PROBE, ",".join(self.UNRUN), *argv)
+        assert done.returncode == 0, done.stderr
+        assert "numpy" in done.stdout.rstrip("\n").split(" ")[2].split(",")
 
     def test_module_entry_point_prints_help(self):
         done = python("-m", "repro", "--help")

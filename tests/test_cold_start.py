@@ -1,0 +1,183 @@
+"""A process loads only what it runs, and observing nothing costs O(1) calls.
+
+Start-up cost is paid once per launched process (every CLI command, every
+figure job), so three laws keep it down:
+
+- importing ``repro.core``, ``repro.photonics``, ``repro.obs`` or
+  ``repro.harness.experiments`` loads none of their modules: three of them
+  re-export nothing, and ``repro.obs`` (like the root) imports a module on
+  first use of one of its names, each name being its defining module's
+  object;
+- numpy loads inside the two functions that draw with it (fast-mode
+  schedules, fault rows), and a run that first loads it there computes the
+  result the pins record;
+- with observability and faults off, the emit guards and fault gates cost
+  no Python call: the calls a run makes into ``repro.obs`` and
+  ``repro.faults`` do not grow with its length.
+"""
+
+import subprocess
+import sys
+from collections import Counter
+from contextlib import nullcontext
+from importlib import import_module
+
+import pytest
+
+from helpers import reference_oracle
+from repro.fabric import IdealConfig
+from repro.harness.exec import RunSpec, SyntheticWorkload
+from repro.harness.experiments.configs import standard_configs
+from repro.harness.runner import run
+from repro.obs.config import ObsConfig
+from repro.vectorized import VectorizedConfig
+from test_fabric_regression import VEC_FAST_STATS_SHA
+
+#: Each package, and the submodules its import must not load.
+PACKAGE_LOADS_NONE_OF = {
+    "repro.core": ("network", "router", "routing", "control", "nic", "packet"),
+    "repro.photonics": ("area", "components", "dse", "latency", "lossbudget",
+                        "scaling"),
+    "repro.obs": ("analysis", "live", "session", "health"),
+    "repro.harness.experiments": ("configs", "fig04", "fig05", "fig06", "fig07",
+                                  "fig08", "fig09", "tables"),
+}
+
+#: The packages whose public names load on first access (``repro.lazy_names``).
+LAZY_NAME_PACKAGES = ("repro", "repro.obs")
+
+
+def fresh(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that finds ``repro``."""
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize("package", PACKAGE_LOADS_NONE_OF)
+def test_importing_a_package_loads_none_of_its_modules(package):
+    modules = [f"{package}.{name}" for name in PACKAGE_LOADS_NONE_OF[package]]
+    printed = fresh(
+        f"import sys, {package}; "
+        f"print([m for m in {modules!r} if m in sys.modules])"
+    )
+    assert printed == "[]"
+
+
+class TestLazyNames:
+    @pytest.mark.parametrize("package", LAZY_NAME_PACKAGES)
+    def test_every_public_name_is_its_defining_modules_object(self, package):
+        module = import_module(package)
+        assert set(module._HOME_OF) == set(module.__all__) - {"__version__"}
+        for name in module._HOME_OF:
+            value = getattr(module, name)
+            if hasattr(value, "__module__"):
+                assert value is getattr(import_module(value.__module__), name)
+            assert module.__dict__[name] is value  # resolved once
+        assert set(module.__all__) <= set(dir(module))
+
+    @pytest.mark.parametrize("package", LAZY_NAME_PACKAGES)
+    def test_star_import_and_unknown_names(self, package):
+        module = import_module(package)
+        namespace: dict = {}
+        exec(f"from {package} import *", namespace)
+        assert set(module.__all__) <= set(namespace)
+        with pytest.raises(AttributeError, match=f"'{package}'.*'warp_drive'"):
+            module.warp_drive
+
+
+#: A faulted 4x4 Electrical3 run's stats sha256 (canonical JSON), recorded
+#: on the tree before numpy left start-up.
+FAULTED_ELECTRICAL_STATS_SHA = (
+    "7657cc12e2d6abdf1f95804f612d643eb624baabec11328b9abcdeb3882b5cbb"
+)
+
+#: Runs one spec where nothing has loaded numpy yet; prints whether numpy
+#: was loaded before and after the run, and the stats sha256.
+NUMPY_ON_DEMAND = """
+import hashlib, json, sys
+from repro.electrical.config import ElectricalConfig
+from repro.faults import FaultConfig
+from repro.harness.exec import RunSpec, SyntheticWorkload
+from repro.harness.report import stats_to_dict
+from repro.harness.runner import run
+from repro.util.geometry import MeshGeometry
+from repro.vectorized import VectorizedConfig
+
+mesh = MeshGeometry(4, 4)
+specs = {{
+    "fast": RunSpec(VectorizedConfig(mesh=mesh, mode="fast"),
+                    SyntheticWorkload("uniform", 0.1), cycles=200),
+    "faulted": RunSpec(ElectricalConfig(mesh=mesh),
+                       SyntheticWorkload("uniform", 0.1), cycles=200,
+                       faults=FaultConfig(seed=1, link_flip_prob=0.05)),
+}}
+before = "numpy" in sys.modules
+stats = stats_to_dict(run(specs["{key}"]).stats)
+canon = json.dumps(stats, sort_keys=True, separators=(",", ":"))
+print(before, "numpy" in sys.modules, hashlib.sha256(canon.encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize(
+    "key, pinned",
+    [("fast", VEC_FAST_STATS_SHA), ("faulted", FAULTED_ELECTRICAL_STATS_SHA)],
+)
+def test_a_run_that_first_loads_numpy_reproduces_its_pin(key, pinned):
+    before, after, sha = fresh(NUMPY_ON_DEMAND.format(key=key)).split()
+    assert (before, after) == ("False", "True")
+    assert sha == pinned
+
+
+# -- an unobserved, unfaulted run calls neither repro.obs nor repro.faults ----
+
+OPTICAL4 = standard_configs()["Optical4"]
+BACKENDS = {
+    "Optical4": OPTICAL4,
+    "Vector4-fast": VectorizedConfig(mode="fast"),
+    "Electrical3": standard_configs()["Electrical3"],
+    "Ideal": IdealConfig(),
+    "reference": OPTICAL4,
+}
+
+
+def calls_into(config, cycles, oracle=False, obs=None):
+    """``{package: calls}`` of Python functions in ``repro.obs`` and
+    ``repro.faults`` that one ``bitcomp@0.1`` run makes."""
+    counts = Counter({"repro.obs": 0, "repro.faults": 0})
+
+    def profile(frame, event, arg):
+        if event == "call":
+            package = ".".join(frame.f_globals.get("__name__", "").split(".")[:2])
+            if package in counts:
+                counts[package] += 1
+
+    spec = RunSpec(config, SyntheticWorkload("bitcomp", 0.1), cycles=cycles, obs=obs)
+    with reference_oracle() if oracle else nullcontext():
+        sys.setprofile(profile)
+        try:
+            run(spec)
+        finally:
+            sys.setprofile(None)
+    return dict(counts)
+
+
+@pytest.mark.parametrize("label", BACKENDS)
+def test_unobserved_calls_do_not_grow_with_the_run(label):
+    oracle = label == "reference"
+    short, long = (
+        calls_into(BACKENDS[label], cycles, oracle) for cycles in (100, 200)
+    )
+    assert short == long
+    assert short["repro.faults"] == 0
+
+
+def test_the_call_count_sees_an_observed_run():
+    """The canary: an observed run's calls into ``repro.obs`` are counted."""
+    obs = ObsConfig(metrics_interval=50)
+    short, long = (
+        calls_into(BACKENDS["Electrical3"], cycles, obs=obs) for cycles in (100, 200)
+    )
+    assert long["repro.obs"] > short["repro.obs"] > 0

@@ -9,8 +9,8 @@ multicast taps.
 
 import pytest
 
-from repro.core import PhastlaneConfig, PhastlaneNetwork
-from repro.core.config import RETRY_PENALTY_CYCLES
+from repro.core.config import RETRY_PENALTY_CYCLES, PhastlaneConfig
+from repro.core.network import PhastlaneNetwork
 from repro.fabric import make_network
 from repro.obs import CollectingTracer
 from repro.sim.engine import SimulationEngine
