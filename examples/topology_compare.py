@@ -1,15 +1,14 @@
 #!/usr/bin/env python
-"""Compare registered topologies under one workload.
+"""Compare the two topologies, mesh and torus, under one workload.
 
 Part 1 drives the cycle-accurate Phastlane pipeline with the same
 uniform traffic on the 2D mesh and on the 2D torus — the wrap links cut
 the mean hop count, which shows up directly as lower latency.  Part 2
-sweeps the analytic ideal backend over *every* registered topology,
-including the concentrated mesh the cycle-accurate pipeline honestly
-refuses, isolating the pure topology effect from contention.  Part 3
-prices one corner-to-corner packet with the photonics latency model on
-each grid topology (the folded torus pays longer waveguides per hop but
-needs fewer hops).
+sweeps the analytic ideal backend over every registered topology,
+isolating the pure topology effect from contention.  Part 3 prices one
+corner-to-corner packet with the photonics latency model on each
+topology (the folded torus pays longer waveguides per hop but needs
+fewer hops).
 
 Run:  python examples/topology_compare.py [--cycles N]
 """
@@ -64,8 +63,7 @@ def cycle_accurate_comparison(cycles: int) -> None:
 def analytic_comparison(cycles: int) -> None:
     print(
         "\nAnalytic (contention-free) backend across every registered "
-        "topology — including cmesh, which the cycle-accurate pipeline "
-        "refuses:"
+        "topology:"
     )
     workload = SyntheticWorkload("uniform", RATE)
     table = AsciiTable(["topology", "mean latency (cycles)", "graph"])
@@ -81,12 +79,12 @@ def analytic_comparison(cycles: int) -> None:
 def photonics_comparison() -> None:
     print(
         "\nPhotonics path delay, corner to corner (node 0 -> 63) on each "
-        "grid topology:"
+        "topology:"
     )
     model = RouterLatencyModel("average")
     mesh = MeshGeometry(8, 8)
     table = AsciiTable(["topology", "hops", "path delay (ps)"])
-    for name in ("mesh", "torus"):
+    for name in registered_topologies():
         topology = topology_for(name, mesh)
         delay = model.topology_path_delay_ps(topology, 0, 63)
         table.add_row([name, topology.hop_count(0, 63), f"{delay:.1f}"])

@@ -18,9 +18,9 @@ Campaigns (many independent runs) go through the parallel executor::
     from repro import Executor, ResultCache
     results = Executor(workers=4, cache=ResultCache()).map(specs)
 
-Network implementations are pluggable backends behind :mod:`repro.fabric`:
-``make_network`` builds whichever simulator is registered for a config
-type, and ``register_backend`` adds new ones (see DESIGN.md section 9).
+Network implementations are backends behind :mod:`repro.fabric`:
+``make_network`` builds the simulator of a config type (see DESIGN.md
+section 9).
 """
 
 from importlib import import_module
@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - what type checkers and IDEs see
         IdealConfig,
         IdealNetwork,
         make_network,
-        register_backend,
     )
     from repro.harness.exec import (
         Executor,
@@ -82,7 +81,6 @@ _HOME_OF = {
     "TraceFileWorkload": "repro.harness.exec",
     "generate_splash2_trace": "repro.traffic.splash2",
     "make_network": "repro.fabric",
-    "register_backend": "repro.fabric",
     "run": "repro.harness.runner",
 }
 
@@ -110,7 +108,6 @@ __all__ = [
     "__version__",
     "generate_splash2_trace",
     "make_network",
-    "register_backend",
     "run",
 ]
 

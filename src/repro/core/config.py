@@ -34,15 +34,11 @@ BACKOFF_SEED = 1
 
 
 def check_design_point(config: Any) -> None:
-    """The checks every Phastlane config type shares: a registered
-    topology, a positive hop budget and a positive (or infinite) buffer."""
-    from repro.topology import registered_topologies
+    """The checks every Phastlane config type shares: a known topology,
+    a positive hop budget and a positive (or infinite) buffer."""
+    from repro.topology import check_topology
 
-    if config.topology not in registered_topologies():
-        raise ValueError(
-            f"unknown topology {config.topology!r}; registered: "
-            f"{', '.join(registered_topologies())}"
-        )
+    check_topology(config.topology)
     if config.max_hops_per_cycle < 1:
         raise ValueError("max hops per cycle must be at least 1")
     if config.buffer_entries is not None and config.buffer_entries < 1:

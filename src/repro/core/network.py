@@ -43,7 +43,6 @@ from repro.electrical.power import (
 from repro.photonics import constants
 from repro.photonics.power import OpticalPowerModel
 from repro.sim.stats import NetworkStats
-from repro.topology import require_grid
 from repro.traffic.trace import TrafficSource
 from repro.util.geometry import TURN_KIND, Direction, TurnKind
 
@@ -71,7 +70,6 @@ class PhastlaneNetwork(MeshNetworkBase):
         faults: FaultSchedule | None = None,
     ):
         super().__init__(config or PhastlaneConfig(), source, stats, faults)
-        require_grid(self.topology, "the Phastlane cycle-accurate pipeline")
         self.power = OpticalPowerModel(mesh_nodes=self.mesh.num_nodes)
         self.routers = [
             PhastlaneRouter(node, self.config) for node in self.mesh.nodes()

@@ -10,7 +10,7 @@ budget of Fig 6.
 Routes are the paper's dimension-order (X-then-Y) routing over a grid
 :class:`~repro.topology.base.Topology`; every entry point also accepts a
 bare :class:`~repro.util.geometry.MeshGeometry`, which adapts to the
-registered ``mesh`` topology.  This is the reference's statement of section
+``mesh`` topology.  This is the reference's statement of section
 2.1.3 and is kept naive on purpose: every call walks the route and builds
 its steps, and the Local marks are what ``tests/test_differential.py``
 checks the kernel's positional stops against and what
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from repro.topology import Topology, as_topology, policy_by_name, require_grid
+from repro.topology import Topology, as_topology
 from repro.util.geometry import Direction, MeshGeometry
 
 #: Every routing entry point accepts a topology or a bare mesh geometry.
@@ -80,9 +80,9 @@ def build_plan(
         raise ValueError("a route needs distinct endpoints")
     if max_hops < 1:
         raise ValueError("max hops must be at least 1")
-    nodes, directions = policy_by_name("dor").plan(
-        as_topology(topology), source, destination
-    )
+    grid = as_topology(topology)
+    nodes = grid.dor_route(source, destination)
+    directions = grid.dor_directions(source, destination)
     tap_set = set(taps)
     stray = tap_set.difference(nodes)
     if stray:
@@ -153,7 +153,7 @@ def broadcast_plans(
     source).  Every node other than the source appears in the
     tap/destination set of at least one plan.
     """
-    topo = require_grid(as_topology(topology), "broadcast routing")
+    topo = as_topology(topology)
     plans: list[tuple[RouteStep, ...]] = []
     for final, taps in topo.broadcast_sweeps(source):
         plans.append(build_plan(topo, source, final, max_hops, taps=taps))

@@ -40,13 +40,9 @@ class ElectricalConfig:
     router_delay_cycles: int = 3
 
     def __post_init__(self) -> None:
-        from repro.topology import registered_topologies
+        from repro.topology import check_topology
 
-        if self.topology not in registered_topologies():
-            raise ValueError(
-                f"unknown topology {self.topology!r}; registered: "
-                f"{', '.join(registered_topologies())}"
-            )
+        check_topology(self.topology)
         if self.num_vcs < 1:
             raise ValueError(f"need at least one VC, got {self.num_vcs}")
         if self.router_delay_cycles < 1:

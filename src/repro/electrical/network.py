@@ -26,10 +26,8 @@ from repro.electrical.power import ElectricalPowerModel
 from repro.electrical.router import LOCAL_PORT, MESH_PORTS, ElectricalRouter
 from repro.electrical.vctm import VirtualCircuitTreeCache
 from repro.fabric.base import MeshNetworkBase
-from repro.fabric.registry import register_backend
 from repro.faults.schedule import FaultSchedule
 from repro.sim.stats import NetworkStats
-from repro.topology import require_grid
 from repro.traffic.trace import TrafficSource
 
 
@@ -44,7 +42,6 @@ class ElectricalNetwork(MeshNetworkBase):
         faults: FaultSchedule | None = None,
     ):
         super().__init__(config or ElectricalConfig(), source, stats, faults)
-        require_grid(self.topology, "the electrical VC router pipeline")
         self.power = ElectricalPowerModel()
         #: Energy of one event of each category, priced once: the kernel
         #: charges an event as one ``+=`` of its constant.  One addition per
@@ -299,6 +296,3 @@ class ElectricalNetwork(MeshNetworkBase):
             or self._credits
             or self._link_retries
         )
-
-
-register_backend("electrical", ElectricalConfig, ElectricalNetwork)

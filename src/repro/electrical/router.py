@@ -42,7 +42,7 @@ from repro.electrical.config import INPUT_SPEEDUP, ElectricalConfig
 from repro.electrical.flit import Flit
 from repro.electrical.islip import SwitchAllocator, VcAllocator
 from repro.electrical.vctm import split_by_output
-from repro.topology import GridTopology, require_grid, topology_of
+from repro.topology import Topology, topology_of
 from repro.util.geometry import OPPOSITE, Direction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -64,14 +64,10 @@ class ElectricalRouter:
         self,
         node: int,
         config: ElectricalConfig,
-        topology: GridTopology | None = None,
+        topology: Topology | None = None,
     ):
         self.node = node
-        self.topology = (
-            topology
-            if topology is not None
-            else require_grid(topology_of(config), "the electrical router")
-        )
+        self.topology = topology if topology is not None else topology_of(config)
         num_vcs = self.num_vcs = config.num_vcs
         lines = NUM_PORTS * num_vcs
         #: The flit buffered in each input VC.

@@ -23,13 +23,13 @@ from typing import TYPE_CHECKING, Union
 from repro.util.geometry import Direction, MeshGeometry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.topology import GridTopology
+    from repro.topology import Topology
 
 
 def split_by_output(
     node: int,
     destinations: set[int],
-    mesh: "Union[MeshGeometry, GridTopology]",
+    mesh: "Union[MeshGeometry, Topology]",
 ) -> dict[Direction, set[int]]:
     """Partition ``destinations`` by the DOR output port at ``node``.
 

@@ -1,21 +1,13 @@
-"""The network-fabric backend layer: protocols, registry, shared bases.
+"""The network-fabric backend layer: protocols, backend table, shared bases.
 
 ``repro.fabric`` is the seam between the experiment harness and the
 network simulators.  The harness constructs every network through
 :func:`make_network` and types against the :class:`NetworkBackend` /
-:class:`NetworkConfig` protocols; simulators register themselves with
-:func:`register_backend` and inherit the shared lifecycle from
-:class:`MeshNetworkBase` / :class:`BaseNic`.
-
-Adding a backend (see DESIGN.md section 9):
-
-1. define a frozen dataclass config with a ``mesh`` field and ``label``;
-2. implement the network on :class:`MeshNetworkBase` (or satisfy
-   :class:`NetworkBackend` structurally);
-3. ``register_backend("mykind", MyConfig, MyNetwork)`` at module bottom.
-
-The built-ins — ``phastlane``, ``electrical`` and the analytic ``ideal``
-reference — self-register on first registry lookup.
+:class:`NetworkConfig` protocols; the simulators inherit the shared
+lifecycle from :class:`MeshNetworkBase` / :class:`BaseNic`.  The four
+backends — ``phastlane``, ``vectorized``, ``electrical`` and the analytic
+``ideal`` reference — are the fixed table :data:`BACKENDS`, whose modules
+load on first lookup (DESIGN.md section 9).
 """
 
 from repro.fabric.base import BaseNic, MeshNetworkBase
@@ -27,19 +19,14 @@ from repro.fabric.protocol import (
     NetworkConfig,
 )
 from repro.fabric.registry import (
-    BackendEntry,
+    BACKENDS,
     config_kind,
     config_type_for,
-    entry_for_config,
-    entry_for_kind,
     make_network,
-    register_backend,
-    registered_backends,
-    unregister_backend,
 )
 
 __all__ = [
-    "BackendEntry",
+    "BACKENDS",
     "BaseNic",
     "FabricError",
     "FabricNic",
@@ -52,10 +39,5 @@ __all__ = [
     "NetworkConfig",
     "config_kind",
     "config_type_for",
-    "entry_for_config",
-    "entry_for_kind",
     "make_network",
-    "register_backend",
-    "registered_backends",
-    "unregister_backend",
 ]

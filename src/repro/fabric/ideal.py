@@ -8,14 +8,9 @@ the NIC FIFO, one injection per node per cycle, stats, TraceHub
 lifecycle events, ``idle()`` drain — so it runs through run specs,
 sweeps, campaigns and the observability layer unchanged.
 
-Two jobs:
-
-- a *registry proof*: a third registered backend demonstrates that
-  :mod:`repro.fabric.registry` is genuinely open (nothing in the harness
-  special-cases two simulators any more);
-- a *reference curve*: plotting an Fig 9-style sweep of ``Ideal`` next to
-  ``Optical4``/``Electrical3`` separates topology-imposed latency from
-  contention, buffering and router pipeline costs.
+Its job is a *reference curve*: plotting a Fig 9-style sweep of
+``Ideal`` next to ``Optical4``/``Electrical3`` separates topology-imposed
+latency from contention, buffering and router pipeline costs.
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ from typing import Any
 
 from repro.fabric.base import BaseNic, MeshNetworkBase
 from repro.fabric.protocol import FabricError
-from repro.fabric.registry import register_backend
 from repro.sim.stats import NetworkStats
 from repro.traffic.trace import TrafficSource
 from repro.util.geometry import MeshGeometry
@@ -46,21 +40,15 @@ class IdealConfig:
     """
 
     mesh: MeshGeometry = field(default_factory=lambda: MeshGeometry(8, 8))
-    #: Registered topology family over the mesh's addressable grid.  The
-    #: analytic backend routes on metrics alone, so it accepts *any*
-    #: registered topology — including non-grid ones like ``cmesh`` that
-    #: the cycle-accurate backends refuse.
+    #: Topology family over the mesh's addressable grid (``"mesh"`` or
+    #: ``"torus"``); latency is its dimension-order hop count.
     topology: str = "mesh"
     cycles_per_hop: int = 1
 
     def __post_init__(self) -> None:
-        from repro.topology import registered_topologies
+        from repro.topology import check_topology
 
-        if self.topology not in registered_topologies():
-            raise ValueError(
-                f"unknown topology {self.topology!r}; registered: "
-                f"{', '.join(registered_topologies())}"
-            )
+        check_topology(self.topology)
         if self.cycles_per_hop < 1:
             raise ValueError("cycles per hop must be at least 1")
 
@@ -193,6 +181,3 @@ class IdealNetwork(MeshNetworkBase):
 
     def _pending_work(self) -> bool:
         return bool(self._pending)
-
-
-register_backend("ideal", IdealConfig, IdealNetwork)

@@ -1,26 +1,19 @@
-"""Config-type → backend registry: the one place networks get built.
+"""Config type → backend table: the one place networks get built.
 
-Every simulator registers itself here (at import time, from its defining
-module) as a :class:`BackendEntry` binding a serialisation ``kind`` string,
-a config type and a factory.  The harness then constructs networks only
-through :func:`make_network` and (de)serialises configs only through
-:func:`config_kind` / :func:`config_type_for` — no layer above
-:mod:`repro.fabric` dispatches on concrete config classes.
-
-The registry is genuinely open: :func:`register_backend` accepts any
-config type / factory pair, so an out-of-tree backend participates in run
-specs, campaigns, caching and sweeps without touching the harness.  The
-built-in backends (Phastlane optical, electrical baseline, analytic ideal)
-are imported lazily on first lookup so importing this module stays cheap
-and cycle-free.
+The package has four backends, and :data:`BACKENDS` names them: each
+serialisation ``kind`` maps to its config type and its network class.
+The harness constructs networks only through :func:`make_network` and
+(de)serialises configs only through :func:`config_kind` /
+:func:`config_type_for` — no layer above :mod:`repro.fabric` dispatches
+on concrete config classes.  The table holds dotted paths, so importing
+this module loads no simulator: a backend module is imported by the
+first lookup that needs it.
 """
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass
 from importlib import import_module
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.fabric.protocol import FabricError, NetworkBackend, NetworkConfig
 
@@ -29,146 +22,67 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.stats import NetworkStats
     from repro.traffic.trace import TrafficSource
 
-#: A backend factory: ``(config, source, stats)`` -> backend, optionally
-#: accepting a ``faults=`` :class:`~repro.faults.schedule.FaultSchedule`.
-#: Concrete network classes satisfy this directly via their constructors;
-#: factories predating fault injection keep working because
-#: :func:`make_network` only passes ``faults`` when enabled, and only to a
-#: factory whose signature takes it (read once, at registration).
+#: A backend factory: ``(config, source, stats, faults=None)`` -> backend.
+#: Every network class's constructor is one.
 BackendFactory = Callable[..., NetworkBackend]
 
-
-@dataclass(frozen=True)
-class BackendEntry:
-    """One registered backend: serialisation kind, config type, factory."""
-
-    kind: str
-    config_type: type
-    factory: BackendFactory
-    #: Whether ``factory`` takes ``faults=``, from its signature.
-    takes_faults: bool = True
-
-
-#: Registration order is preserved: exact-type lookups never depend on it,
-#: but isinstance fallback (config subclasses) scans in this order.
-_REGISTRY: dict[str, BackendEntry] = {}
-
-#: Modules whose import registers the built-in backends.  The vectorized
-#: module registers both Phastlane kinds: one engine serves them (DESIGN.md
+#: kind -> (config type, network class), as dotted paths.  The sparse
+#: kernel serves both Phastlane kinds: one engine runs them (DESIGN.md
 #: section 9).
-_BUILTIN_MODULES = (
-    "repro.vectorized.network",
-    "repro.electrical.network",
-    "repro.fabric.ideal",
-)
+BACKENDS: dict[str, tuple[str, str]] = {
+    "phastlane": (
+        "repro.core.config.PhastlaneConfig",
+        "repro.vectorized.network.VectorizedNetwork",
+    ),
+    "vectorized": (
+        "repro.vectorized.config.VectorizedConfig",
+        "repro.vectorized.network.VectorizedNetwork",
+    ),
+    "electrical": (
+        "repro.electrical.config.ElectricalConfig",
+        "repro.electrical.network.ElectricalNetwork",
+    ),
+    "ideal": ("repro.fabric.ideal.IdealConfig", "repro.fabric.ideal.IdealNetwork"),
+}
 
 
-def _ensure_builtins() -> None:
-    """Import the built-in backend modules (each self-registers)."""
-    for module in _BUILTIN_MODULES:
-        import_module(module)
-
-
-def _takes_faults(factory: BackendFactory) -> bool:
-    """Whether ``factory(config, source, stats, faults=...)`` is callable."""
-    try:
-        parameters = inspect.signature(factory).parameters.values()
-    except (TypeError, ValueError):
-        return True  # no signature to read: the call speaks for itself
-    return any(
-        parameter.name == "faults" or parameter.kind is parameter.VAR_KEYWORD
-        for parameter in parameters
-    )
-
-
-def register_backend(
-    kind: str,
-    config_type: type,
-    factory: BackendFactory,
-) -> BackendEntry:
-    """Register (or replace) the backend for one config type.
-
-    ``kind`` is the stable string stored in serialised run specs (it feeds
-    cache digests, so renaming a kind invalidates cached results).  Returns
-    the new entry.  Registering an already-known kind replaces it, which
-    lets tests and experiments shadow a backend; :func:`unregister_backend`
-    restores nothing, so shadowing built-ins is on the caller.
-    """
-    if not kind:
-        raise FabricError("backend kind must be a non-empty string")
-    if not isinstance(config_type, type):
-        raise FabricError(
-            f"config_type must be a class, got {config_type!r}"
-        )
-    for entry in _REGISTRY.values():
-        if entry.kind != kind and entry.config_type is config_type:
-            raise FabricError(
-                f"config type {config_type.__name__} is already registered "
-                f"as backend {entry.kind!r}"
-            )
-    entry = BackendEntry(kind, config_type, factory, _takes_faults(factory))
-    _REGISTRY[kind] = entry
-    return entry
-
-
-def unregister_backend(kind: str) -> None:
-    """Drop one registered backend (primarily for test cleanup)."""
-    _REGISTRY.pop(kind, None)
-
-
-def registered_backends() -> dict[str, BackendEntry]:
-    """A snapshot of every registered backend, keyed by kind."""
-    _ensure_builtins()
-    return dict(_REGISTRY)
+def _load(path: str) -> Any:
+    module, _, name = path.rpartition(".")
+    return getattr(import_module(module), name)
 
 
 def _known_kinds() -> str:
-    kinds = ", ".join(sorted(_REGISTRY)) or "<none>"
-    return kinds
-
-
-def entry_for_config(config: NetworkConfig) -> BackendEntry:
-    """The registry entry whose config type matches ``config``.
-
-    Exact type match first; configs subclassing a registered type fall back
-    to an ``isinstance`` scan in registration order.  Raises
-    :class:`FabricError` naming the config class and every registered
-    backend when nothing matches.
-    """
-    _ensure_builtins()
-    for entry in _REGISTRY.values():
-        if type(config) is entry.config_type:
-            return entry
-    for entry in _REGISTRY.values():
-        if isinstance(config, entry.config_type):
-            return entry
-    raise FabricError(
-        f"no backend registered for configuration type "
-        f"{type(config).__name__}; registered backends: {_known_kinds()} "
-        f"(register one with repro.fabric.register_backend)"
-    )
-
-
-def entry_for_kind(kind: str) -> BackendEntry:
-    """The registry entry for one serialisation kind string."""
-    _ensure_builtins()
-    try:
-        return _REGISTRY[kind]
-    except KeyError:
-        raise FabricError(
-            f"unknown backend kind {kind!r}; registered backends: "
-            f"{_known_kinds()}"
-        ) from None
+    return ", ".join(sorted(BACKENDS))
 
 
 def config_kind(config: NetworkConfig) -> str:
-    """The serialisation kind string for a config instance."""
-    return entry_for_config(config).kind
+    """The serialisation kind string for a config instance.
+
+    Matched on the config's exact type, read by name, so no backend
+    module is imported.  Raises :class:`FabricError` naming the config
+    class and every backend when nothing matches.
+    """
+    config_type = type(config)
+    path = f"{config_type.__module__}.{config_type.__qualname__}"
+    for kind, (config_path, _) in BACKENDS.items():
+        if config_path == path:
+            return kind
+    raise FabricError(
+        f"no backend for configuration type {config_type.__name__}; "
+        f"known backends: {_known_kinds()}"
+    )
 
 
 def config_type_for(kind: str) -> type:
-    """The config class registered under ``kind``."""
-    return entry_for_kind(kind).config_type
+    """The config class of backend ``kind``."""
+    try:
+        config_path, _ = BACKENDS[kind]
+    except KeyError:
+        raise FabricError(
+            f"unknown backend kind {kind!r}; known backends: {_known_kinds()}"
+        ) from None
+    config_type: type = _load(config_path)
+    return config_type
 
 
 def make_network(
@@ -177,28 +91,19 @@ def make_network(
     stats: "NetworkStats | None" = None,
     faults: "FaultConfig | None" = None,
 ) -> NetworkBackend:
-    """Build the simulator registered for the configuration type.
+    """Build the simulator for the configuration type.
 
     When ``faults`` is enabled it is compiled to a
     :class:`~repro.faults.schedule.FaultSchedule` on the config's resolved
-    topology and passed to the factory as ``faults=``; a factory that does
-    not model faults (its signature has no such parameter) is refused with
-    a :class:`FabricError` rather than silently simulating fault-free
-    physics, and an error the factory itself raises propagates as itself.
-    Disabled or absent fault configs use the historical three-argument
-    call, so factories registered before fault injection existed are
-    untouched.
+    topology and passed as ``faults=``; a backend that cannot model faults
+    refuses it in its own words.  Disabled or absent fault configs pass
+    nothing.
     """
-    entry = entry_for_config(config)
+    factory: BackendFactory = _load(BACKENDS[config_kind(config)][1])
     if faults is None or not faults.enabled:
-        return entry.factory(config, source, stats)
-    if not entry.takes_faults:
-        raise FabricError(
-            f"backend {entry.kind!r} does not support fault injection "
-            f"(its factory takes no faults= parameter)"
-        )
+        return factory(config, source, stats)
     from repro.faults.schedule import FaultSchedule
     from repro.topology import topology_of
 
     schedule = FaultSchedule(faults, topology_of(config))
-    return entry.factory(config, source, stats, faults=schedule)
+    return factory(config, source, stats, faults=schedule)

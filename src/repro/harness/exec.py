@@ -182,10 +182,10 @@ RETIRED_KEYS: dict[str, dict[str, Any]] = {
 def config_to_dict(config: NetworkConfig) -> dict[str, Any]:
     """Flatten a network configuration to JSON-friendly types.
 
-    The ``kind`` discriminator comes from the fabric registry, so any
-    registered backend's config serialises (and digests) without this
-    module knowing its class.  Raises
-    :class:`~repro.fabric.FabricError` for unregistered types.
+    The ``kind`` discriminator comes from the fabric backend table, so
+    every backend's config serialises (and digests) without this module
+    knowing its class.  Raises :class:`~repro.fabric.FabricError` for a
+    type the table does not have.
 
     A ``topology`` field holding the default (``"mesh"``) is omitted —
     mirroring the disabled-``FaultConfig`` normalisation — so every

@@ -3,9 +3,8 @@
 The single entry point is :func:`run`, which executes a frozen
 :class:`~repro.harness.exec.RunSpec` and returns a :class:`RunResult` with
 wall-time observability attached.  Network construction goes through the
-:mod:`repro.fabric` registry — any configuration type with a registered
-backend (Phastlane optical, the electrical baseline, the analytic ideal
-reference, or an out-of-tree backend) runs through the same paths — so
+:mod:`repro.fabric` backend table — Phastlane optical, the electrical
+baseline and the analytic ideal reference run through the same paths — so
 every experiment treats all implementations uniformly.
 """
 

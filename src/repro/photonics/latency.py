@@ -175,15 +175,16 @@ class RouterLatencyModel:
         destination: int,
         hop_length_mm: float = constants.HOP_LENGTH_MM,
     ) -> float:
-        """Worst-case delay along a topology's shortest route.
+        """Worst-case delay along a topology's dimension-order route, which
+        is a shortest one on every grid.
 
         Like :meth:`network_path_delay_ps`, but the per-link waveguide
         lengths come from the topology's metric (wrap links on a folded
         torus are twice the hop length), so the Fig 5/6 timing analysis
         extends beyond the uniform mesh.
         """
-        route = topology.shortest_route(source, destination)
-        directions = topology.route_directions(route)
+        route = topology.dor_route(source, destination)
+        directions = topology.dor_directions(source, destination)
         if not directions:
             raise ValueError(
                 f"a network path needs distinct endpoints, got "

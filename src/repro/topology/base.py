@@ -1,28 +1,22 @@
-"""The topology abstraction: nodes, ports, links, routes and distances.
+"""The topology abstraction: a W x H grid of routers and its routes.
 
 Both simulators, the fault scheduler and the photonics models were
 written against the paper's 2D mesh (:class:`~repro.util.geometry.
 MeshGeometry`).  This module lifts the parts they actually depend on
-into an abstract :class:`Topology`:
+into one class, :class:`Topology`:
 
 - **node enumeration** — dense integer ids laid out on the W x H
   addressable grid of the underlying :class:`MeshGeometry` (traffic
-  patterns, traces and NIC arrays keep addressing nodes the same way on
-  every topology);
+  patterns, traces and NIC arrays address nodes the same way on every
+  topology);
 - **ports and links** — per-node output ports named by
   :class:`~repro.util.geometry.Direction`, enumerated deterministically
   (node-ascending, then port-ascending) so fault schedules draw the
   same candidate stream the mesh always produced;
-- **metrics** — hop counts, deterministic BFS shortest paths and
-  physical link lengths for the photonics latency/power models.
-
-:class:`GridTopology` refines it with what the cycle-accurate
-simulators additionally require: dimension-order (X-then-Y) routing and
-the paper's section-2.1.4 column-sweep broadcast.  Non-grid topologies
-(e.g. :class:`~repro.topology.cmesh.ConcentratedMesh`) are only
-supported by backends that route on metrics alone, such as
-``IdealNetwork``; :func:`require_grid` is the gate the cycle-accurate
-paths use to refuse them honestly.
+- **routes** — the paper's dimension-order (X-then-Y) routes that the
+  predecoded source-routing pipeline follows hop by hop, their hop
+  counts, and the section 2.1.4 column-sweep broadcast;
+- **link lengths** for the photonics latency/power models.
 
 No module here imports :mod:`repro.fabric` — the fabric package init
 instantiates the simulators, which sit *above* this layer.
@@ -33,34 +27,53 @@ instantiates the simulators, which sit *above* this layer.
 from __future__ import annotations
 
 import abc
-from collections import deque
 from functools import cached_property
-from typing import ClassVar, Iterator, Sequence
+from typing import ClassVar, Iterator
 
 from repro.util.errors import FabricError
 from repro.util.geometry import OPPOSITE, Coord, Direction, MeshGeometry
 
 
-class TopologyError(FabricError):
-    """A topology-layer failure: unknown name, undefined operation, etc."""
+class TopologyError(FabricError, ValueError):
+    """A topology the package does not have, or a route it cannot take.
+
+    A :class:`ValueError` for callers that guard config construction with
+    one, and a :class:`FabricError` so the CLI reports it in one line.
+    """
+
+
+#: One row or column as :attr:`Topology.lines` holds it for one travel
+#: direction: its node ids in travel order, the same routers as the sparse
+#: kernel's contention keys ``node * 4 + port``, and where a node stands in
+#: both.  A line that closes on itself is held twice over, so a run that
+#: takes the wrap link is still one slice.
+Line = tuple[tuple[int, ...], tuple[int, ...], int]
+
+_X_PORTS = (int(Direction.WEST), int(Direction.EAST))
+_Y_PORTS = (int(Direction.SOUTH), int(Direction.NORTH))
 
 
 class Topology(abc.ABC):
-    """A network graph over the dense node ids of a ``MeshGeometry``.
+    """A W x H grid (mesh or torus) over the dense node ids of a
+    ``MeshGeometry``, with the paper's routing.
 
     Node ids stay row-major on the underlying ``width x height``
     addressable grid whatever the link structure, so traffic patterns,
-    trace files and per-node arrays are topology-agnostic.  Subclasses
-    define the connectivity (:meth:`neighbor`) and may override the
-    metric methods with closed forms.
+    trace files and per-node arrays are topology-agnostic.
+
+    A dimension-order route is at most two straight runs, so it is two
+    slices of :attr:`lines`; a subclass states its links
+    (:meth:`neighbor`) and which way round an axis it travels
+    (:meth:`axis_hops`), and routes on every backend.  Hop counts, the
+    electrical routers' first directions, edge rows and the broadcast
+    sweeps are written here once from those two.
     """
 
-    #: Registry name of this topology family (e.g. ``"mesh"``).
+    #: Name of this topology family (e.g. ``"mesh"``).
     name: ClassVar[str]
 
     def __init__(self, mesh: MeshGeometry) -> None:
         self.mesh = mesh
-        self._distance_cache: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # node enumeration (delegated to the addressable grid)
@@ -88,7 +101,7 @@ class Topology(abc.ABC):
         return self.mesh.node(coord)
 
     # ------------------------------------------------------------------
-    # ports and links
+    # what a subclass states
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
@@ -98,6 +111,16 @@ class Topology(abc.ABC):
         ``None`` when the port is unconnected (a mesh edge).  ``LOCAL``
         maps to the node itself, matching ``MeshGeometry.neighbor``.
         """
+
+    @abc.abstractmethod
+    def axis_hops(self, delta: int, size: int) -> int:
+        """Hops a route takes along one axis of ``size`` nodes to cover the
+        coordinate difference ``delta``: positive toward EAST / NORTH,
+        negative toward WEST / SOUTH."""
+
+    # ------------------------------------------------------------------
+    # ports and links
+    # ------------------------------------------------------------------
 
     def ports(self, node: int) -> tuple[int, ...]:
         """Connected (non-Local) output ports of ``node``, ascending."""
@@ -125,119 +148,16 @@ class Topology(abc.ABC):
         """
         return [(node, port) for node in self.nodes() for port in self.ports(node)]
 
-    # ------------------------------------------------------------------
-    # metrics
-    # ------------------------------------------------------------------
-
-    def hop_count(self, src: int, dst: int) -> int:
-        """Minimum number of link traversals from ``src`` to ``dst``."""
-        distance = self._distances(src)[dst]
-        if distance < 0:
-            raise TopologyError(f"node {dst} unreachable from {src} in {self}")
-        return distance
-
-    def shortest_route(self, src: int, dst: int) -> list[int]:
-        """A deterministic BFS shortest path, inclusive of both endpoints.
-
-        Ties break toward the lowest port index at every divergence
-        (BFS discovery order), so the same pair always yields the same
-        route.
-        """
-        if src == dst:
-            return [src]
-        self.coord(src), self.coord(dst)  # range-check both endpoints
-        parent: dict[int, int] = {src: src}
-        queue: deque[int] = deque([src])
-        while queue:
-            here = queue.popleft()
-            if here == dst:
-                break
-            for port in self.ports(here):
-                there = self.neighbor(here, port)
-                if there is not None and there not in parent:
-                    parent[there] = here
-                    queue.append(there)
-        if dst not in parent:
-            raise TopologyError(f"node {dst} unreachable from {src} in {self}")
-        route = [dst]
-        while route[-1] != src:
-            route.append(parent[route[-1]])
-        route.reverse()
-        return route
-
-    def route_directions(self, route: Sequence[int]) -> list[Direction]:
-        """Travel directions along a route of pairwise-adjacent nodes."""
-        directions: list[Direction] = []
-        for here, there in zip(route, route[1:]):
-            for port in self.ports(here):
-                if self.neighbor(here, port) == there:
-                    directions.append(Direction(port))
-                    break
-            else:
-                raise TopologyError(
-                    f"nodes {here} and {there} are not adjacent in {self}"
-                )
-        return directions
-
     def link_length_mm(self, node: int, port: int, hop_length_mm: float) -> float:
         """Physical waveguide length of one link, given the grid pitch."""
         return hop_length_mm
 
-    def _distances(self, src: int) -> tuple[int, ...]:
-        cached = self._distance_cache.get(src)
-        if cached is not None:
-            return cached
-        self.coord(src)  # range check
-        dist = [-1] * self.num_nodes
-        dist[src] = 0
-        queue: deque[int] = deque([src])
-        while queue:
-            here = queue.popleft()
-            for port in self.ports(here):
-                there = self.neighbor(here, port)
-                if there is not None and dist[there] < 0:
-                    dist[there] = dist[here] + 1
-                    queue.append(there)
-        result = tuple(dist)
-        self._distance_cache[src] = result
-        return result
-
     def __str__(self) -> str:
         return f"{self.width}x{self.height} {self.name}"
 
-
-#: One row or column as :attr:`GridTopology.lines` holds it for one travel
-#: direction: its node ids in travel order, the same routers as the sparse
-#: kernel's contention keys ``node * 4 + port``, and where a node stands in
-#: both.  A line that closes on itself is held twice over, so a run that
-#: takes the wrap link is still one slice.
-Line = tuple[tuple[int, ...], tuple[int, ...], int]
-
-_X_PORTS = (int(Direction.WEST), int(Direction.EAST))
-_Y_PORTS = (int(Direction.SOUTH), int(Direction.NORTH))
-
-
-class GridTopology(Topology):
-    """A W x H grid (mesh or torus) that supports the paper's routing.
-
-    Adds what the cycle-accurate simulators require beyond the generic
-    graph: dimension-order (X-then-Y) routes that the predecoded
-    source-routing pipeline can follow hop by hop, and the section
-    2.1.4 column-sweep broadcast decomposition.
-
-    A dimension-order route is at most two straight runs, so it is two
-    slices of :attr:`lines`; a subclass states its links
-    (:meth:`neighbor`) and which way round an axis it travels
-    (:meth:`axis_hops`), and routes on every backend.  Hop counts, the
-    electrical routers' first directions, edge rows and the broadcast
-    sweeps are written here once from those two.
-    """
-
-    @abc.abstractmethod
-    def axis_hops(self, delta: int, size: int) -> int:
-        """Hops a route takes along one axis of ``size`` nodes to cover the
-        coordinate difference ``delta``: positive toward EAST / NORTH,
-        negative toward WEST / SOUTH."""
+    # ------------------------------------------------------------------
+    # dimension-order routes
+    # ------------------------------------------------------------------
 
     def _ray(self, origin: int, port: int) -> tuple[list[int], bool]:
         """Nodes met going ``port`` from ``origin`` (first), and whether the
@@ -291,7 +211,8 @@ class GridTopology(Topology):
 
     def hop_count(self, src: int, dst: int) -> int:
         """Links a dimension-order route crosses, which on a grid is the
-        minimum (the BFS agrees: ``tests/test_topology_properties.py``)."""
+        minimum (a breadth-first search agrees:
+        ``tests/test_topology_properties.py``)."""
         _, x_hops, _, y_hops = self.dor_runs(src, dst)
         return x_hops + y_hops
 
@@ -317,6 +238,10 @@ class GridTopology(Topology):
                 row.append(Direction(first))
             self._first_directions[src] = tuple(row)
             return row[dst]
+
+    # ------------------------------------------------------------------
+    # broadcast (section 2.1.4)
+    # ------------------------------------------------------------------
 
     def is_edge_row(self, node: int) -> bool:
         """True when broadcast fan-out halves at this node (section 2.1.4:
@@ -349,13 +274,3 @@ class GridTopology(Topology):
                 if len(arc) > 1:
                     sweeps.append((arc[-1], set(arc) - {source}))
         return sweeps
-
-
-def require_grid(topology: Topology, what: str) -> GridTopology:
-    """Gate: ``what`` is only defined on grid topologies (mesh/torus)."""
-    if not isinstance(topology, GridTopology):
-        raise TopologyError(
-            f"{what} requires a grid topology (mesh or torus); "
-            f"{topology.name!r} does not support it"
-        )
-    return topology

@@ -1,4 +1,4 @@
-"""``Mesh2D`` — the paper's 2D mesh as a registered topology.
+"""``Mesh2D`` — the paper's 2D mesh.
 
 Two statements: the links are those of :class:`~repro.util.geometry.
 MeshGeometry` (its cached neighbour table, so link enumeration is
@@ -6,17 +6,17 @@ bit-identical to the pre-topology code paths the RunSpec digest and
 Fig 9/10 byte-identity pins in ``tests/test_fabric_regression.py`` depend
 on), and a route covers the signed coordinate difference along each axis.
 Routes, hop counts, first directions and broadcast sweeps follow from
-those in :class:`GridTopology`; ``MeshGeometry.dor_route`` and its
+those in :class:`Topology`; ``MeshGeometry.dor_route`` and its
 siblings stay the naive statements the tests compare them with.
 """
 
 from __future__ import annotations
 
-from repro.topology.base import GridTopology
+from repro.topology.base import Topology
 from repro.util.geometry import Direction
 
 
-class Mesh2D(GridTopology):
+class Mesh2D(Topology):
     """The paper's ``width x height`` 2D mesh with X-then-Y routing."""
 
     name = "mesh"

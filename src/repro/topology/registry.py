@@ -1,64 +1,51 @@
-"""Name -> topology registry, mirroring the fabric backend registry.
+"""Name -> topology: the two grids the package has, in a fixed table.
 
-A topology family is registered under a short name (``"mesh"``,
-``"torus"``, ``"cmesh"``) with a factory taking the addressable
-:class:`~repro.util.geometry.MeshGeometry`.  Configs carry the name in
-their ``topology`` field (``"mesh"`` by default, normalised away in
-serialisation so pre-topology digests stay byte-identical);
-:func:`topology_of` resolves a config to its shared topology instance.
+Configs carry the name in their ``topology`` field (``"mesh"`` by
+default, normalised away in serialisation so pre-topology digests stay
+byte-identical); :func:`check_topology` is the one place a name is
+validated, and :func:`topology_of` resolves a config to its shared
+topology instance.
 
 Instances are cached per ``(name, mesh)`` — topologies are stateless
 apart from internal memo tables, so sharing them across networks,
-fault schedules and photonics models is safe and keeps the BFS caches
+fault schedules and photonics models is safe and keeps the line tables
 warm.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
 
 from repro.topology.base import Topology, TopologyError
-from repro.util.geometry import MeshGeometry
+from repro.topology.mesh import Mesh2D
+from repro.topology.torus import Torus2D
+from repro.util.geometry import Direction, MeshGeometry
 
-TopologyFactory = Callable[[MeshGeometry], Topology]
-
-_REGISTRY: dict[str, TopologyFactory] = {}
+#: Every topology a config may name.
+TOPOLOGIES: dict[str, type[Topology]] = {"mesh": Mesh2D, "torus": Torus2D}
 
 #: The default topology name configs normalise away.
 DEFAULT_TOPOLOGY = "mesh"
 
 
-def register_topology(name: str, factory: TopologyFactory) -> None:
-    """Register a topology factory under ``name``."""
-    if name in _REGISTRY:
-        raise TopologyError(f"topology {name!r} already registered")
-    _REGISTRY[name] = factory
-
-
-def unregister_topology(name: str) -> None:
-    """Remove a registration (tests clean up custom topologies with this)."""
-    if name not in _REGISTRY:
-        raise TopologyError(f"topology {name!r} is not registered")
-    del _REGISTRY[name]
-    topology_for.cache_clear()
-
-
 def registered_topologies() -> tuple[str, ...]:
-    """Registered topology names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """Topology names, sorted."""
+    return tuple(sorted(TOPOLOGIES))
+
+
+def check_topology(name: str) -> None:
+    """Refuse a topology name the package does not have, in one line."""
+    if name not in TOPOLOGIES:
+        raise TopologyError(
+            f"unknown topology {name!r}; known topologies: "
+            f"{', '.join(registered_topologies())}"
+        )
 
 
 def topology_from_name(name: str, mesh: MeshGeometry) -> Topology:
-    """Instantiate a fresh topology by registry name."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise TopologyError(
-            f"unknown topology {name!r}; registered topologies: {known}"
-        ) from None
-    return factory(mesh)
+    """Instantiate a fresh topology by name."""
+    check_topology(name)
+    return TOPOLOGIES[name](mesh)
 
 
 @lru_cache(maxsize=None)
@@ -86,3 +73,25 @@ def topology_of(config: object) -> Topology:
     """
     mesh: MeshGeometry = getattr(config, "mesh")
     return topology_for(str(getattr(config, "topology", DEFAULT_TOPOLOGY)), mesh)
+
+
+class _DorPolicy:
+    """The paper's dimension-order (X-then-Y) routing as a route planner."""
+
+    def plan(
+        self, topology: Topology, src: int, dst: int
+    ) -> tuple[list[int], list[Direction]]:
+        return topology.dor_route(src, dst), topology.dor_directions(src, dst)
+
+
+def policy_by_name(name: str) -> _DorPolicy:
+    """The ``"dor"`` route planner, the one routing the package has.
+
+    Only the benchmark's ``topology.route_us`` probe calls it; it goes
+    when that probe is re-pointed (ROADMAP.md, item 1).
+    """
+    if name != "dor":
+        raise TopologyError(
+            f"unknown routing policy {name!r}; the one policy is 'dor'"
+        )
+    return _DorPolicy()

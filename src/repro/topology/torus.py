@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.topology.base import GridTopology
+from repro.topology.base import Topology
 from repro.util.geometry import Coord, Direction, MeshGeometry, _DELTA
 
 
@@ -47,7 +47,7 @@ def _torus_neighbor_table(
     return tuple(table)
 
 
-class Torus2D(GridTopology):
+class Torus2D(Topology):
     """A ``width x height`` 2D torus with minimal-wrap X-then-Y routing."""
 
     name = "torus"

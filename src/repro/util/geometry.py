@@ -27,10 +27,6 @@ class Direction(enum.IntEnum):
     WEST = 3
     LOCAL = 4
 
-    @property
-    def short(self) -> str:
-        return "NESWL"[int(self)]
-
 
 OPPOSITE: dict[Direction, Direction] = {
     Direction.NORTH: Direction.SOUTH,

@@ -17,7 +17,7 @@ operating point plus the grid-topology axis — and adds one engine knob,
 The one field of ``PhastlaneConfig`` this type does not carry is
 ``network_arbitration`` (paper footnote 3): a ``VectorizedConfig`` is the
 paper's fixed priority.  The engine itself runs every ``PhastlaneConfig``,
-round-robin included, and is registered for both types; the differential
+round-robin included, and is the backend of both types; the differential
 harness proves each against :mod:`repro.core`.
 """
 

@@ -1,6 +1,6 @@
 """The vectorized batched Phastlane engine.
 
-A fourth registered fabric backend that reproduces
+A fourth fabric backend that reproduces
 :class:`~repro.core.network.PhastlaneNetwork` physics — resolve / inject /
 launch / waves, the rotating arbiter, drop-signal retransmission with
 exponential backoff, the fault schedule, and the full energy ledger — at
@@ -66,14 +66,12 @@ from repro.core.config import (
     PhastlaneConfig,
 )
 from repro.fabric.base import MeshNetworkBase
-from repro.fabric.registry import register_backend
 from repro.faults.schedule import FaultSchedule
 from repro.obs.events import TraceHub
 from repro.photonics import constants
 from repro.photonics.power import OpticalPowerModel
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import NetworkStats
-from repro.topology import require_grid
 from repro.traffic.schedule import Schedule
 from repro.traffic.trace import SyntheticSource, TrafficSource
 
@@ -140,7 +138,6 @@ class VectorizedNetwork(MeshNetworkBase):
         faults: FaultSchedule | None = None,
     ) -> None:
         super().__init__(config or VectorizedConfig(), source, stats, faults)
-        self._grid = require_grid(self.topology, "the Phastlane cycle-accurate pipeline")
         config = self.config
         #: The two fields the config types do not share.  Philox traffic is
         #: a ``VectorizedConfig`` request; a ``PhastlaneConfig`` is exact
@@ -167,10 +164,10 @@ class VectorizedNetwork(MeshNetworkBase):
         #: ones the resolve/launch phases visit.
         self._active: set[int] = set()
         self._next_uid = 0
-        table_key = (self._grid.name, self._grid.width, self._grid.height)
+        table_key = (self.topology.name, self.topology.width, self.topology.height)
         plans = _PLAN_CACHES.get(table_key)
         if plans is None:
-            plans = _PLAN_CACHES[table_key] = PlanTable(self._grid)
+            plans = _PLAN_CACHES[table_key] = PlanTable(self.topology)
         #: ``plans[source * num_nodes + destination]`` is the untapped route.
         self._plans = plans
         self._num_nodes = self.mesh.num_nodes
@@ -837,8 +834,3 @@ def _priority_key(packet: VecPacket) -> tuple[int, int]:
     index = packet.hop
     arrival = exits[index - 1]
     return (RANK16[arrival * 4 + exits[index]], arrival)
-
-
-#: One engine serves both Phastlane config types (DESIGN.md section 9).
-register_backend("phastlane", PhastlaneConfig, VectorizedNetwork)
-register_backend("vectorized", VectorizedConfig, VectorizedNetwork)

@@ -6,7 +6,7 @@ vectorized engine compiles each (source, destination) route once into a
 :class:`PlanInfo` of flat integer tuples — node ids and exit-port ids
 (``-1`` at the final router).  A dimension-order route is at most two
 straight runs, so :func:`compile_plan` is two slices of the grid's line
-tables (:attr:`~repro.topology.base.GridTopology.lines`): the topology says
+tables (:attr:`~repro.topology.base.Topology.lines`): the topology says
 which way and how far along each axis, the lines hold every row and column
 once, and a route owns three short tuples of references and no int of its
 own.  The differential suite pins the routes and the resulting schedules
@@ -41,7 +41,7 @@ exactly — ``INPUT_PORT_PRIORITY.index(d) == int(d)`` by construction.
 
 from __future__ import annotations
 
-from repro.topology.base import GridTopology, Line
+from repro.topology.base import Line, Topology
 from repro.util.geometry import TURN_KIND, Direction, TurnKind
 
 _TURN_RANK = {TurnKind.STRAIGHT: 0, TurnKind.LEFT: 1, TurnKind.RIGHT: 2}
@@ -103,14 +103,14 @@ class PlanInfo:
         self.keys = keys
 
 
-def neighbor_table(topology: GridTopology) -> tuple[list[Line], ...]:
+def neighbor_table(topology: Topology) -> tuple[list[Line], ...]:
     """The grid's line tables, which are what :func:`compile_plan` reads.
     The name is the one ``bench/probes.py`` imports (ROADMAP item 6)."""
     return topology.lines
 
 
 def compile_plan(
-    topology: GridTopology,
+    topology: Topology,
     lines: tuple[list[Line], ...],
     source: int,
     destination: int,
@@ -155,7 +155,7 @@ class PlanTable(dict[int, PlanInfo]):
     packet holds its own reference.
     """
 
-    def __init__(self, topology: GridTopology) -> None:
+    def __init__(self, topology: Topology) -> None:
         super().__init__()
         self.topology = topology
         self.num_nodes = topology.num_nodes

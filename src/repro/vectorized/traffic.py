@@ -86,8 +86,8 @@ def philox_events(source: SyntheticSource, ingest_cycle: int) -> Schedule:
     if cached is not None:
         events, count = cached
         return dict(events), count
-    # numpy loads here, not with the module: the backend registry imports
-    # this module for every run, and only fast-mode schedules draw.
+    # numpy loads here, not with the module: every Phastlane run imports
+    # this module, and only fast-mode schedules draw.
     import numpy as np
 
     generator = np.random.Generator(

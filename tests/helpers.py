@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import Iterator
+from unittest import mock
 
-from repro.core.config import PhastlaneConfig
-from repro.core.network import PhastlaneNetwork
-from repro.fabric import entry_for_kind, register_backend
+from repro.fabric import BACKENDS
 from repro.sim.engine import SimulationEngine
-from repro.topology import GridTopology, register_topology, unregister_topology
+from repro.topology import TOPOLOGIES, Topology, topology_for
 from repro.util.geometry import Direction
 
 
@@ -28,24 +27,21 @@ def drain(network, inject_cycles: int, max_extra: int = 20_000) -> SimulationEng
 def reference_oracle() -> Iterator[None]:
     """Inside the block every ``PhastlaneConfig`` runs on ``repro.core``.
 
-    The registry sends every ``PhastlaneConfig`` to the sparse kernel, so a
-    test that compares that kernel with the reference — or that means to
-    cover the reference's own fault and multicast paths through ``run()`` /
-    ``make_network()`` — has to ask for the reference, and this is the only
-    way to get it through the registry.  It shadows the ``"phastlane"``
-    registration with :class:`~repro.core.network.PhastlaneNetwork` (the
-    registry documents shadowing for tests) and puts the kernel back on exit.
+    The backend table sends every ``PhastlaneConfig`` to the sparse kernel,
+    so a test that compares that kernel with the reference — or that means
+    to cover the reference's own fault and multicast paths through
+    ``run()`` / ``make_network()`` — has to ask for the reference, and this
+    is the only way to get it through the table.  It points the
+    ``"phastlane"`` row at :class:`~repro.core.network.PhastlaneNetwork`
+    and puts the kernel back on exit.
     """
-    kernel = entry_for_kind("phastlane").factory
-    register_backend("phastlane", PhastlaneConfig, PhastlaneNetwork)
-    try:
+    reference = "repro.core.network.PhastlaneNetwork"
+    with mock.patch.dict(BACKENDS, phastlane=(BACKENDS["phastlane"][0], reference)):
         yield
-    finally:
-        register_backend("phastlane", PhastlaneConfig, kernel)
 
 
-class Cylinder(GridTopology):
-    """A grid no package ships, stated the way ``GridTopology`` asks: its
+class Cylinder(Topology):
+    """A grid no package ships, stated the way ``Topology`` asks: its
     links and which way round an axis a route goes.  Rows close on
     themselves, columns end, and a tie half way round a row goes EAST.
 
@@ -75,8 +71,8 @@ class Cylinder(GridTopology):
 @contextmanager
 def cylinder_registered() -> Iterator[str]:
     """Inside the block a config may name the :class:`Cylinder`."""
-    register_topology(Cylinder.name, Cylinder)
     try:
-        yield Cylinder.name
+        with mock.patch.dict(TOPOLOGIES, {Cylinder.name: Cylinder}):
+            yield Cylinder.name
     finally:
-        unregister_topology(Cylinder.name)
+        topology_for.cache_clear()  # no instance outlives its table row

@@ -295,15 +295,12 @@ def test_no_tracer_is_called_per_cycle():
 # -- module-level state is a named list ----------------------------------------
 
 #: Every module-level container under ``src/repro`` that code fills or
-#: edits: two registries and a policy table written at import, two memos
-#: keyed by pure inputs (each bounded or per-grid, see where it is defined)
-#: and the campaign matrix memo.  All other module-level containers are
-#: tables written once, where they are defined.
+#: edits: two memos keyed by pure inputs (each bounded or per-grid, see
+#: where it is defined) and the campaign matrix memo.  All other
+#: module-level containers are tables written once, where they are
+#: defined — the backend and topology tables among them.
 NAMED_STATE = {
-    "fabric/registry.py": {"_REGISTRY"},
     "harness/experiments/splash2_runs.py": {"_CACHE"},
-    "topology/policies.py": {"_POLICIES"},
-    "topology/registry.py": {"_REGISTRY"},
     "vectorized/network.py": {"_PLAN_CACHES"},
     "vectorized/traffic.py": {"_PHILOX_MEMO"},
 }
@@ -403,6 +400,146 @@ def test_the_state_scan_sees_what_it_should(tmp_path):
     assert module_state(sample) == {"NAMES", "_MEMO", "_BY_KIND", "_SEEN"}
 
 
+# -- every public name under src/ has a caller ----------------------------------
+
+#: Where a caller may live: the package, its examples and its benchmarks.
+CALLER_FILES = sorted(
+    path
+    for root in ("src", "examples", "bench", "benchmarks")
+    for path in (ROOT / root).rglob("*.py")
+)
+
+#: Public names no caller reads, each with why it stays.  A name leaves
+#: this list when it gets a caller or is deleted with its tests.
+_PHOTONICS = "photonics chain: a caller in the derived design point, or deletion"
+_TESTED_ONLY = "a statement the tests check and no run reads"
+UNCALLED = {
+    "core/control.py:decode_control_bits": "section 2.1.3 bit layout; " + _TESTED_ONLY,
+    "core/control.py:encode_plan": "section 2.1.3 bit layout; " + _TESTED_ONLY,
+    "core/control.py:pack_control_bits": "section 2.1.3 bit layout; " + _TESTED_ONLY,
+    "core/control.py:shift_groups": "section 2.1.3 bit layout; " + _TESTED_ONLY,
+    "core/packet.py:OpticalPacket.remaining_hops": _TESTED_ONLY,
+    "core/routing.py:max_segment_hops": "the Fig 6 hop-budget law; " + _TESTED_ONLY,
+    "electrical/islip.py:RoundRobinArbiter.advance_past": "the one-arbiter "
+    "statement the mask allocator is tested against",
+    "electrical/islip.py:RoundRobinArbiter.pick": "the one-arbiter statement "
+    "the mask allocator is tested against",
+    "electrical/vctm.py:VirtualCircuitTreeCache.hit_rate": "the Fig 10 "
+    "deviation study is to read it",
+    "fabric/protocol.py:FabricNic": "the NIC protocol every BaseNic meets, "
+    "stated for readers and type checkers",
+    "harness/experiments/tables.py:phastlane_matches_table1": _TESTED_ONLY,
+    "harness/report.py:load_report": "report read-back; " + _TESTED_ONLY,
+    "harness/report.py:point_from_dict": "report read-back; " + _TESTED_ONLY,
+    "obs/export.py:iter_stream_events": "stream read-back; " + _TESTED_ONLY,
+    "obs/export.py:read_stream": "stream read-back; " + _TESTED_ONLY,
+    "photonics/area.py:RouterAreaModel.fits_node": _PHOTONICS,
+    "photonics/area.py:figure8_series": _PHOTONICS,
+    "photonics/components.py:Modulator.transmit_energy_pj": _PHOTONICS,
+    "photonics/components.py:Receiver.receive_energy_pj": _PHOTONICS,
+    "photonics/components.py:RouterOptics.resonator": _PHOTONICS,
+    "photonics/lossbudget.py:LossBudget.for_topology": _PHOTONICS,
+    "photonics/lossbudget.py:cross_validate_anchor": _PHOTONICS,
+    "photonics/power.py:OpticalPowerModel.for_topology": _PHOTONICS,
+    "photonics/power.py:OpticalPowerModel.max_reasonable_hops": _PHOTONICS,
+    "photonics/scaling.py:all_scenarios": _PHOTONICS,
+    "photonics/wdm.py:PacketLayout.control_groups": _PHOTONICS,
+    "photonics/wdm.py:PacketLayout.receivers_per_input_port": _PHOTONICS,
+    "photonics/wdm.py:design_point_layout": _PHOTONICS,
+    "topology/base.py:Topology.is_edge_row": "section 2.1.4's fan-out rule, "
+    "which the sweep-count law states",
+    "traffic/coherence.py:CoherenceMessageMix.broadcast_fraction": _TESTED_ONLY,
+    "traffic/trace.py:merge_traces": "trace tooling; " + _TESTED_ONLY,
+    "util/bits.py:extract_bits": "bit-field helper; " + _TESTED_ONLY,
+    "util/bits.py:set_bits": "bit-field helper; " + _TESTED_ONLY,
+    "util/geometry.py:MeshGeometry.is_edge_row": "section 2.1.4's fan-out "
+    "rule, the naive statement ``Topology.is_edge_row`` is tested against",
+}
+
+
+def public_definitions(tree):
+    """``(line, name)`` of each public top-level def and class, and of each
+    public method of a top-level class as ``Class.method``."""
+    defining = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defining):
+            continue
+        if not node.name.startswith("_"):
+            yield node.lineno, node.name
+        if isinstance(node, ast.ClassDef):
+            for inner in node.body:
+                if isinstance(inner, defining[:2]) and not inner.name.startswith("_"):
+                    yield inner.lineno, f"{node.name}.{inner.name}"
+
+
+def referenced_names(path):
+    """Names ``path`` reads: a bare name, an attribute, or a part of a
+    dotted string such as a backend table row.  An import, and a string in
+    a package ``__init__`` (its re-export lists), is no reference."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and path.name != "__init__.py"
+            and re.fullmatch(r"[\w.]+", node.value)
+        ):
+            yield from node.value.split(".")
+
+
+def uncalled_names(sources, callers, package=ROOT / "src" / "repro"):
+    """``file:name`` of each public definition in ``sources`` whose last
+    name part no file in ``callers`` reads."""
+    read = {name for path in callers for name in referenced_names(path)}
+    for path in sources:
+        for _, name in public_definitions(ast.parse(path.read_text())):
+            if name.rpartition(".")[2] not in read:
+                yield f"{path.relative_to(package)}:{name}"
+
+
+def test_every_public_name_under_src_has_a_caller():
+    """A public def, class or method that nothing in the package, its
+    examples or its benchmarks reads is test-only surface: it gets a caller,
+    goes with its tests, or is listed in ``UNCALLED`` with why it stays."""
+    found = set(uncalled_names(SOURCE_FILES, CALLER_FILES))
+    assert found == set(UNCALLED), (
+        f"uncalled, not listed: {sorted(found - set(UNCALLED))}; "
+        f"listed, now called or gone: {sorted(set(UNCALLED) - found)}"
+    )
+
+
+def test_the_caller_census_sees_what_it_should(tmp_path):
+    """The canary: a name read as a name, an attribute or a dotted string
+    is called; a name only defined, imported or re-exported is not."""
+    (defining := tmp_path / "defining.py").write_text(
+        "class Shape:\n"
+        "    def area(self): ...\n"
+        "    def _private(self): ...\n"
+        "    def unused(self): ...\n"
+        "def called(): ...\n"
+        "def dotted(): ...\n"
+        "def exported(): ...\n"
+        "def imported(): ...\n"
+        "def _helper(): ...\n"
+    )
+    (calling := tmp_path / "calling.py").write_text(
+        "from defining import Shape, imported\n"
+        "TABLE = {'row': 'defining.dotted'}\n"
+        "called()\n"
+        "Shape().area()\n"
+    )
+    (reexport := tmp_path / "__init__.py").write_text(
+        "from defining import exported\n__all__ = ['exported']\n"
+    )
+    found = set(uncalled_names([defining], [defining, calling, reexport], tmp_path))
+    assert found == {
+        f"defining.py:{name}" for name in ("Shape.unused", "exported", "imported")
+    }
+
+
 # -- every config field is a knob someone chose --------------------------------
 
 #: The fields of each registered config type, in declaration order.  A
@@ -422,11 +559,11 @@ CONFIG_FIELDS = {
 def registered_fields():
     from dataclasses import fields
 
-    from repro.fabric import config_type_for, registered_backends
+    from repro.fabric import BACKENDS, config_type_for
 
     return {
         kind: tuple(field_.name for field_ in fields(config_type_for(kind)))
-        for kind in registered_backends()
+        for kind in BACKENDS
     }
 
 

@@ -47,7 +47,7 @@ from repro.core.routing import (
     clear_passed_taps,
     replan_from,
 )
-from repro.fabric import FabricError, make_network
+from repro.fabric import make_network
 from repro.faults import FaultConfig
 from repro.harness.exec import Executor, RunSpec, Splash2Workload, SyntheticWorkload
 from repro.harness.report import stats_to_dict
@@ -873,15 +873,10 @@ class TestOracleIsReal:
             drive(self.CONFIG, TraceSource(trace))  # the reference, unasked
 
 
-# -- refusals: same one-line FabricError pattern as cmesh --------------------
+# -- refusals -----------------------------------------------------------------
 
 
 class TestRefusals:
-    def test_non_grid_topology_refused(self):
-        config = VectorizedConfig(mesh=MeshGeometry(4, 4), topology="cmesh")
-        with pytest.raises(FabricError, match="grid topology"):
-            make_network(config)
-
     def test_unknown_mode_refused(self):
         with pytest.raises(ValueError, match="unknown engine mode"):
             VectorizedConfig(mesh=MeshGeometry(4, 4), mode="warp")

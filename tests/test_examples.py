@@ -51,7 +51,7 @@ class TestExamples:
         out = run_example("topology_compare.py", "--cycles", "300")
         assert "Phastlane on mesh vs torus" in out
         assert "every registered topology" in out
-        assert "cmesh" in out and "torus" in out
+        assert "mesh" in out and "torus" in out
         assert "path delay (ps)" in out
 
     def test_drop_anatomy(self):

@@ -1,13 +1,10 @@
 """Cross-backend contract suite for the fabric layer.
 
-Every backend in the registry — optical, electrical, ideal, and any
-future addition — must honour the same lifecycle: build from a config,
-drain a finite trace, report idle correctly, keep honest stats
-counters, and emit TraceHub lifecycle events in causal order.  The
-tests parametrize over ``registered_backends()`` so a newly registered
-backend is covered automatically, and over every registered topology
-each backend supports (cycle-accurate pipelines run on grid topologies;
-the analytic ideal backend also covers the concentrated mesh).
+Every backend in the table — optical, electrical, ideal — must honour
+the same lifecycle: build from a config, drain a finite trace, report
+idle correctly, keep honest stats counters, and emit TraceHub lifecycle
+events in causal order.  The tests parametrize over the backend table
+and over both topologies.
 """
 
 import json
@@ -21,11 +18,11 @@ from repro.core.network import PhastlaneNetwork
 from repro.electrical.config import ElectricalConfig
 from repro.electrical.islip import SwitchAllocator
 from repro.fabric import (
+    BACKENDS,
     FabricError,
     IdealConfig,
     NetworkBackend,
     make_network,
-    registered_backends,
 )
 from repro.faults import FaultConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload, TraceFileWorkload
@@ -51,19 +48,17 @@ CONFIGS = {
     "vectorized": VectorizedConfig(mesh=MESH),
 }
 
-#: The registered topologies each backend kind must honour the contract
-#: on.  Cycle-accurate pipelines need a grid (mesh or torus); the analytic
-#: ideal backend also accepts the concentrated mesh.
+#: The topologies each backend kind must honour the contract on.
 TOPOLOGY_SUPPORT = {
     "phastlane": ("mesh", "torus"),
     "electrical": ("mesh", "torus"),
-    "ideal": ("mesh", "torus", "cmesh"),
+    "ideal": ("mesh", "torus"),
     "vectorized": ("mesh", "torus"),
 }
 
 
 def all_kinds():
-    return sorted(registered_backends())
+    return sorted(BACKENDS)
 
 
 def _config_on(kind, topology):
@@ -120,22 +115,19 @@ def test_every_builtin_kind_is_registered():
     )
 
 
-def test_contract_covers_at_least_three_registered_topologies():
+def test_contract_covers_every_topology():
     from repro.topology import registered_topologies
 
-    covered = {t for topologies in TOPOLOGY_SUPPORT.values() for t in topologies}
-    assert covered <= set(registered_topologies())
-    assert len(covered) >= 3, (
-        "the contract suite must exercise at least three registered "
-        "topologies"
-    )
+    for kind, topologies in TOPOLOGY_SUPPORT.items():
+        assert topologies == registered_topologies(), kind
 
 
 @pytest.mark.parametrize("kind", ["phastlane", "electrical", "vectorized"])
 def test_cycle_accurate_backends_refuse_non_grid_topologies(kind):
-    """A pipeline that cannot model a topology must refuse at build time."""
-    with pytest.raises(FabricError, match="grid topology"):
-        make_network(_config_on(kind, "cmesh"))
+    """Every topology is a grid: a config naming any other is refused
+    when it is built, in one line naming the two there are."""
+    with pytest.raises(FabricError, match="unknown topology 'cmesh'.*mesh, torus"):
+        _config_on(kind, "cmesh")
 
 
 def test_backend_satisfies_protocol(config):

@@ -221,6 +221,18 @@ class TestSpecSerialisation:
         with pytest.raises(FabricError):
             config_to_dict(object())
 
+    def test_a_stored_spec_on_a_retired_topology_is_refused_in_one_line(self):
+        """``cmesh`` ran only on the ideal backend; a spec stored with it
+        names the topologies there are instead of building something else."""
+        spec = RunSpec(IdealConfig(mesh=MESH), SyntheticWorkload("uniform", 0.1))
+        payload = spec.to_dict()
+        payload["config"]["topology"] = "cmesh"
+        with pytest.raises(FabricError, match="unknown topology 'cmesh'") as refusal:
+            RunSpec.from_dict(payload)
+        assert isinstance(refusal.value, ValueError)
+        assert str(refusal.value).endswith("mesh, torus")
+        assert "\n" not in str(refusal.value)
+
     @pytest.mark.parametrize(
         "workload",
         [SyntheticWorkload("transpose", 0.25), Splash2Workload("radix")],

@@ -101,6 +101,24 @@ class TestNetworkPathDelay:
         model = RouterLatencyModel(scenario_delays("optimistic"))
         assert model.max_hops_per_cycle() == 8
 
+    @pytest.mark.parametrize(
+        "name,hops,delay_ps",
+        [("mesh", 14, 625.1182378425137), ("torus", 2, 134.03263938357537)],
+    )
+    def test_corner_to_corner_topology_delay_is_pinned(self, name, hops, delay_ps):
+        """Node 0 -> 63 on 8x8, the numbers ``examples/topology_compare.py``
+        prints: the dimension-order route is a minimal one, and the folded
+        torus pays two pitches per link."""
+        from repro.topology import topology_for
+        from repro.util.geometry import MeshGeometry
+
+        topology = topology_for(name, MeshGeometry(8, 8))
+        model = RouterLatencyModel("average")
+        assert topology.hop_count(0, 63) == hops
+        assert model.topology_path_delay_ps(topology, 0, 63) == delay_ps
+        with pytest.raises(ValueError, match="distinct endpoints"):
+            model.topology_path_delay_ps(topology, 5, 5)
+
 
 class TestRoundRobinArbitrationLatency:
     """Footnote 3: round-robin 'increases crossbar latency'."""

@@ -19,7 +19,7 @@ from repro.core.network import PhastlaneNetwork
 from repro.core.routing import build_plan, max_segment_hops
 from repro.electrical.config import ElectricalConfig
 from repro.electrical.network import ElectricalNetwork
-from repro.fabric import FabricError, IdealConfig, make_network, registered_backends
+from repro.fabric import BACKENDS, FabricError, IdealConfig, make_network
 from repro.faults import FaultConfig
 from repro.sim.engine import SimulationEngine
 from repro.traffic.trace import Trace, TraceEvent, TraceSource
@@ -37,8 +37,6 @@ hop_budgets = st.sampled_from([1, 2, 4, 5, 8])
 buffer_sizes = st.sampled_from([1, 2, 10, None])
 #: Topologies the cycle-accurate pipelines support (grid graphs).
 grid_topologies = st.sampled_from(["mesh", "torus"])
-#: Every registered topology, for backends that accept non-grid graphs.
-all_topologies = st.sampled_from(["mesh", "torus", "cmesh"])
 
 
 def burst_trace(mesh: MeshGeometry, seed: int, packets: int) -> Trace:
@@ -180,7 +178,7 @@ class TestElectricalConservation:
 #: The registered kinds plus ``"reference"``: the phastlane config on
 #: ``repro.core``, asked for by name — the registry sends that config to the
 #: sparse kernel, and the reference's fault paths stay under the property.
-backend_kinds = st.sampled_from(sorted(registered_backends()) + ["reference"])
+backend_kinds = st.sampled_from(sorted(BACKENDS) + ["reference"])
 
 
 def _contract_config(kind: str, mesh: MeshGeometry):
@@ -242,7 +240,7 @@ class TestFaultConservation:
     @given(
         backend_kinds,
         st.sampled_from([(4, 4), (4, 2), (3, 5)]),
-        all_topologies,
+        grid_topologies,
         fault_models,
         st.integers(0, 1000),
     )
@@ -252,11 +250,6 @@ class TestFaultConservation:
         mesh = MeshGeometry(*shape)
         config = replace(_contract_config(kind, mesh), topology=topology)
         trace = burst_trace(mesh, seed, packets=3 * mesh.num_nodes)
-        if topology == "cmesh" and kind != "ideal":
-            # Cycle-accurate pipelines honestly refuse non-grid graphs.
-            with pytest.raises(FabricError):
-                make_network(config, TraceSource(trace), faults=faults)
-            return
         if kind == "ideal" and faults.enabled:
             with pytest.raises(FabricError):
                 make_network(config, TraceSource(trace), faults=faults)
