@@ -34,6 +34,10 @@ top-K slowest-packet anatomies, tail percentiles);
 (validating the ``repro-trace/v1`` schema header when present);
 :func:`diff_reports` compares two reports keyed by their RunSpec digests.
 
+One parser (:func:`_records`), one walker (:func:`_walk`) over flat
+per-packet streams and one aggregator (:func:`analyze_spans`) serve the
+file path and the in-memory one (:class:`PacketEvent` is a record tuple).
+
 Packets are identified by *first-appearance index* in the event stream,
 not raw uid — reference uid counters are process-global, so this is what
 makes blame reports from reference and vectorized ``mode="exact"``
@@ -44,10 +48,12 @@ identical modulo uid by the differential suite).
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import starmap
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator
 
 from repro.obs.events import EVENT_KINDS, PacketEvent
 from repro.obs.tracers import COMMON_RECORD, TRACE_SCHEMA
@@ -95,6 +101,9 @@ class PacketSpan:
     #: node -> cycles lost to drop signalling and retry backoff there.
     backoff: Counter = field(default_factory=Counter)
     timeline: list = field(default_factory=list)
+    #: (from, to) -> ``hop`` arrivals over that directed link, counted for
+    #: every packet (the report's link traversals), not in :meth:`to_dict`.
+    traversals: Counter = field(default_factory=Counter)
 
     @property
     def delivered(self) -> bool:
@@ -141,109 +150,209 @@ class PacketSpan:
         }
 
 
-class _SpanWalker:
-    """The per-packet state machine attributing inter-event gaps.
+#: One trace record in :class:`PacketEvent` field order:
+#: ``(kind, cycle, node, uid, extra)``.
+Record = tuple[str, int, int, int, Any]
+#: One packet's events in arrival order, each a :attr:`PacketSpan.timeline`
+#: entry ``(cycle, kind, node)``.
+Stream = list[tuple[int, str, int]]
 
-    Every *anchor-advancing* event (injected, hop, buffered, dropped,
-    retransmitted, fault_masked, delivered) attributes exactly the gap
-    since the previous anchor to one bucket and moves the anchor; marker
-    events (blocked, fault_injected) attribute nothing.  The buckets
-    therefore partition ``[generated, last event]`` with no gap counted
-    twice — the exact-sum invariant is true by construction.
+#: The kinds that attribute the gap since the previous one and move the
+#: anchor; every other kind is a marker (or unknown) and attributes nothing.
+_ANCHORS = frozenset(
+    ("injected", "hop", "buffered", "dropped", "retransmitted",
+     "fault_masked", "fault_dropped", "delivered")
+)
+#: Anchors that move the packet into their node over a link.
+_ARRIVALS = frozenset(("hop", "buffered", "dropped"))
+_CYCLE = itemgetter(0)
+
+
+def _counter() -> Counter:
+    """An empty :class:`Counter` without ``Counter.__init__``, whose two
+    Python calls only fill it from arguments (the walker builds four a
+    packet, and they cost more than building the span itself)."""
+    return Counter.__new__(Counter)
+
+
+def _records(path: Path, meta: dict[str, Any]) -> Iterator[Record]:
+    """The one trace parser: every event record of a JSONL trace, in file
+    order; a ``repro-trace/v1`` header's run identity goes into ``meta``.
+
+    A line that fully matches :data:`~repro.obs.tracers.COMMON_RECORD` is
+    read off the pattern; any other line goes through ``json`` and is
+    validated, every refusal a ``ValueError`` naming ``path:line``.
     """
+    common = COMMON_RECORD.fullmatch
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        record = common(line)
+        if record is not None:  # the writer's common record, as json reads it
+            cycle, kind, node, uid = record.groups()
+            yield kind, int(cycle), int(node), int(uid), None
+            continue
+        if not line.strip():
+            continue
+        where = f"{path}:{number}"
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: not JSONL: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ValueError(f"{where}: record is not a JSON object: {line.strip()}")
+        if "schema" in payload:
+            if payload["schema"] != TRACE_SCHEMA:
+                raise ValueError(
+                    f"{path}: unsupported trace schema {payload['schema']!r}; "
+                    f"this analyzer reads {TRACE_SCHEMA!r}"
+                )
+            meta.clear()
+            meta.update(
+                (k, v) for k, v in payload.items() if k not in ("schema", "kinds")
+            )
+            continue
+        kind = payload.pop("kind", None)
+        if kind not in EVENT_KINDS:
+            raise ValueError(
+                f"{where}: unknown event kind {kind!r}; "
+                "is this a JSONL packet trace?"
+            )
+        for name in ("cycle", "node", "uid"):
+            if name not in payload:
+                raise ValueError(f"{where}: {kind} event lacks field {name!r}")
+            value = payload[name]
+            if type(value) is not int:  # not 2.9, true or "2": no truncation
+                raise ValueError(
+                    f"{where}: malformed {kind} event: "
+                    f"{name} {json.dumps(value)} is not an integer"
+                )
+        cycle, node, uid = (payload.pop(name) for name in ("cycle", "node", "uid"))
+        # The file exporter flattens ``extra`` into the record: the residue.
+        yield kind, cycle, node, uid, payload or None
 
-    __slots__ = ("span", "link_delay", "mode", "node", "anchor", "backoff_node")
 
-    def __init__(self, span: PacketSpan, link_delay: int) -> None:
-        self.span = span
-        self.link_delay = link_delay
-        self.mode = "source"  # source | queued | flying | backoff
-        self.node = span.origin
-        self.anchor = span.generated_cycle
-        self.backoff_node = span.origin
+def _group(records: Iterable[Record]) -> tuple[list[Stream], dict[int, Any]]:
+    """Per-packet streams in first-appearance order, and the extras of the
+    entries that carry one, keyed by ``id(entry)`` (two events of one
+    packet can be equal; every entry outlives the walk).  Monitor events
+    (``uid < 0``, ``health_*``) are skipped."""
+    streams: defaultdict[int, Stream] = defaultdict(list)
+    extras: dict[int, Any] = {}
+    for kind, cycle, node, uid, extra in records:
+        if uid < 0 or kind.startswith("health_"):
+            continue
+        entry = (cycle, kind, node)
+        streams[uid].append(entry)
+        if extra is not None:
+            extras[id(entry)] = extra
+    return list(streams.values()), extras
 
-    def feed(self, event: PacketEvent) -> None:
-        span = self.span
-        kind = event.kind
-        span.timeline.append((event.cycle, kind, event.node))
-        gap = event.cycle - self.anchor
-        if kind == "blocked":
-            span.blocked += 1  # marker: the time still accrues to the
-            return  # bucket of the state the packet is waiting in
-        if kind == "fault_injected":
-            span.faults += 1
-            return
-        if kind == "injected":
-            if self.mode == "source":
-                span.source_queue += gap
-            else:  # pragma: no cover - defensive
-                self._charge(gap)
-            self._advance(event, "queued")
-        elif kind == "hop":
-            self._arrive(event, gap)
-            span.hops += 1
-            self._advance(event, "flying")
-        elif kind == "buffered":
-            self._arrive(event, gap)
-            self._advance(event, "queued")
-        elif kind == "dropped":
-            self._arrive(event, gap)
-            span.drops += 1
-            self._advance(event, "backoff")
-            self.backoff_node = event.node
-        elif kind == "retransmitted":
-            span.retransmits += 1
-            # The drop-signal round trip is blamed on the router that
-            # dropped; a link-level retry (no dropped event) on the
-            # retransmitting router itself.
-            blame = self.backoff_node if self.mode == "backoff" else event.node
-            span.backoff[blame] += gap
-            self._advance(event, "backoff")
-            self.backoff_node = event.node
-        elif kind == "fault_masked":
-            self._charge(gap)
-            self._advance(event, "queued")
-        elif kind == "fault_dropped":
-            self._charge(gap)
-            span.lost = True
-            self._advance(event, "backoff")
-        elif kind == "delivered":
-            if event.node != self.node and self.mode in ("queued", "flying"):
+
+def _walk(
+    streams: list[Stream], extras: dict[int, Any], link_delay: int
+) -> list[PacketSpan]:
+    """The one span walker: each stream stable-sorted by cycle (so ties keep
+    arrival order), then walked through the four-mode state machine
+    ``source / queued / flying / backoff``.
+
+    Every anchor (:data:`_ANCHORS`) attributes exactly the gap since the
+    previous anchor to one bucket and moves the anchor; markers (blocked,
+    fault_injected) attribute nothing.  The buckets therefore partition
+    ``[generated, last event]`` with no gap counted twice — the exact-sum
+    invariant is true by construction.
+    """
+    if link_delay < 0:
+        raise ValueError(f"link_delay must be >= 0, got {link_delay}")
+    spans: list[PacketSpan] = []
+    for packet, timeline in enumerate(streams):
+        timeline.sort(key=_CYCLE)
+        first = timeline[0]
+        generated_cycle, _, origin = first
+        extra = extras.get(id(first)) or {}
+        destination: int | None = extra.get("dst")
+        delivered_cycle: int | None = None
+        contention, transit, backoff, traversals = (
+            _counter(), _counter(), _counter(), _counter()
+        )
+        hops = blocked = drops = retransmits = faults = deliveries = source_queue = 0
+        lost, mode, anchor = False, "source", generated_cycle
+        node = backoff_node = origin
+        last: int | None = None  # the node of the last move, for traversals
+        for cycle, kind, at in timeline:
+            if kind not in _ANCHORS:
+                if kind == "blocked":
+                    blocked += 1  # the time still accrues to the bucket
+                elif kind == "fault_injected":  # of the state it waits in
+                    faults += 1
+                elif kind == "generated":
+                    last = at
+                continue
+            gap = cycle - anchor
+            if kind in _ARRIVALS:
+                if gap and at != node:
+                    # Movement into ``at``: up to ``link_delay`` of the gap
+                    # is link transit, the rest waiting at the previous node.
+                    moving = link_delay if link_delay < gap else gap
+                    if moving:
+                        link = (node, at)
+                        transit[link] = transit.get(link, 0) + moving
+                        gap -= moving
+            elif kind == "retransmitted":
+                # The drop-signal round trip is blamed on the router that
+                # dropped; a link-level retry (no dropped event) on the
+                # retransmitting router itself.
+                blame = backoff_node if mode == "backoff" else at
+                backoff[blame] = backoff.get(blame, 0) + gap
+                gap = 0
+            elif kind == "delivered" and at != node and mode in ("queued", "flying"):
                 # Analytic flight (ideal backend): no per-hop events, the
                 # whole gap is transit on the origin->destination "link".
-                span.transit[(self.node, event.node)] += gap
-            else:
-                self._charge(gap)
-            span.deliveries += 1
-            span.delivered_cycle = event.cycle
-            span.destination = event.node
-            self._advance(event, "flying" if self.mode == "source" else self.mode)
-
-    def _arrive(self, event: PacketEvent, gap: int) -> None:
-        """Movement into ``event.node``: split the gap into link transit
-        (up to ``link_delay`` when the node changed) plus waiting time."""
-        if event.node != self.node:
-            transit = min(self.link_delay, gap)
-            if transit:
-                self.span.transit[(self.node, event.node)] += transit
-            gap -= transit
-        self._charge(gap)
-
-    def _charge(self, gap: int) -> None:
-        """Waiting time to the current mode's bucket at the current node."""
-        if not gap:
-            return
-        if self.mode == "backoff":
-            self.span.backoff[self.backoff_node] += gap
-        elif self.mode == "source":
-            self.span.source_queue += gap
-        else:
-            self.span.contention[self.node] += gap
-
-    def _advance(self, event: PacketEvent, mode: str) -> None:
-        self.mode = mode
-        self.node = event.node
-        self.anchor = event.cycle
+                link = (node, at)
+                transit[link] = transit.get(link, 0) + gap
+                gap = 0
+            if gap:  # waiting: the current mode's bucket at the current node
+                if mode == "backoff":
+                    backoff[backoff_node] = backoff.get(backoff_node, 0) + gap
+                elif mode == "source":
+                    source_queue += gap
+                else:
+                    contention[node] = contention.get(node, 0) + gap
+            if kind == "hop":
+                hops += 1
+                if last is not None and last != at:
+                    link = (last, at)
+                    traversals[link] = traversals.get(link, 0) + 1
+                last = at
+                mode = "flying"
+            elif kind == "buffered" or kind == "injected":
+                last = at
+                mode = "queued"
+            elif kind == "delivered":
+                deliveries += 1
+                delivered_cycle = cycle
+                destination = last = at
+                if mode == "source":
+                    mode = "flying"
+            elif kind == "dropped":
+                drops += 1
+                mode, backoff_node = "backoff", at
+            elif kind == "retransmitted":
+                retransmits += 1
+                mode, backoff_node = "backoff", at
+            elif kind == "fault_masked":
+                mode = "queued"
+            else:  # fault_dropped
+                lost = True
+                mode = "backoff"
+            node = at
+            anchor = cycle
+        # Positional, in field order: nineteen keywords were a tenth of the walk.
+        spans.append(PacketSpan(
+            packet, origin, generated_cycle, destination, delivered_cycle,
+            bool(extra.get("multicast", False)), lost, deliveries, hops, blocked,
+            drops, retransmits, faults, source_queue, contention, transit,
+            backoff, timeline, traversals,
+        ))
+    return spans
 
 
 def reconstruct_spans(
@@ -258,33 +367,7 @@ def reconstruct_spans(
     skipped.  Spans are returned in first-appearance order, renumbered
     from zero.  A negative ``link_delay`` is refused with ``ValueError``.
     """
-    if link_delay < 0:
-        raise ValueError(f"link_delay must be >= 0, got {link_delay}")
-    per_uid: dict[int, list[tuple[int, int, PacketEvent]]] = {}
-    for index, event in enumerate(events):
-        if event.uid < 0 or event.kind.startswith("health_"):
-            continue
-        per_uid.setdefault(event.uid, []).append((event.cycle, index, event))
-    spans: list[PacketSpan] = []
-    for packet, stream in enumerate(per_uid.values()):
-        stream.sort(key=lambda entry: (entry[0], entry[1]))
-        first = stream[0][2]
-        extra: Mapping[str, Any] = first.extra or {}
-        span = PacketSpan(
-            packet=packet,
-            origin=first.node,
-            generated_cycle=first.cycle,
-            destination=extra.get("dst"),
-            multicast=bool(extra.get("multicast", False)),
-        )
-        walker = _SpanWalker(span, link_delay)
-        for _, _, event in stream:
-            if event.kind == "generated":
-                span.timeline.append((event.cycle, event.kind, event.node))
-                continue
-            walker.feed(event)
-        spans.append(span)
-    return spans
+    return _walk(*_group(events), link_delay)
 
 
 @dataclass
@@ -353,81 +436,68 @@ class BlameReport:
 def analyze_spans(
     spans: list[PacketSpan], top: int = 5, meta: dict[str, Any] | None = None
 ) -> BlameReport:
-    """Aggregate reconstructed spans into a :class:`BlameReport`.
+    """The one aggregator: reconstructed spans into a :class:`BlameReport`.
 
+    Traversals and cause counters cover every packet, including ones that
+    died en route; cycle blame is taken over *delivered* packets only, so
+    the report decomposes exactly the latency the run's stats measured.
     ``top`` anatomies are kept; a negative ``top`` is refused with
     ``ValueError``.
     """
     if top < 0:
         raise ValueError(f"top must be >= 0, got {top}")
-    delivered = [span for span in spans if span.delivered]
-    lost = sum(1 for span in spans if span.lost)
-    components = {name: 0 for name in COMPONENTS}
     routers: dict[int, dict[str, int]] = {}
-    links: dict[tuple[int, int], dict[str, int]] = {}
 
     def router(node: int) -> dict[str, int]:
         return routers.setdefault(
-            node, {"contention": 0, "backoff": 0, "source_queue": 0, "total": 0}
+            node, {"contention": 0, "backoff": 0, "source_queue": 0}
         )
 
-    def link(key: tuple[int, int]) -> dict[str, int]:
-        return links.setdefault(key, {"transit": 0, "traversals": 0})
-
-    counts: Counter = Counter()
+    traversals: dict[tuple[int, int], int] = {}
+    transit: dict[tuple[int, int], int] = {}
+    drops = retransmits = blocked = faults = lost = 0
+    delivered: list[tuple[int, PacketSpan]] = []
     for span in spans:
-        counts["drops"] += span.drops
-        counts["retransmits"] += span.retransmits
-        counts["blocked"] += span.blocked
-        counts["faults"] += span.faults
-        # Traversal counts come from the hop timeline so they cover
-        # every packet, including ones that died en route.
-        previous: int | None = None
-        for _, kind, node in span.timeline:
-            if kind == "hop" and previous is not None and previous != node:
-                link((previous, node))["traversals"] += 1
-            if kind in ("generated", "injected", "hop", "buffered", "delivered"):
-                previous = node
-    # Cycle blame is taken over *delivered* packets only, so the report
-    # decomposes exactly the latency the run's stats measured.
-    for span in delivered:
-        for name, cycles in span.components().items():
-            components[name] += cycles
+        drops += span.drops
+        retransmits += span.retransmits
+        blocked += span.blocked
+        faults += span.faults
+        lost += span.lost
+        for key, count in span.traversals.items():
+            traversals[key] = traversals.get(key, 0) + count
+        if span.delivered_cycle is None:
+            continue
+        delivered.append((span.latency, span))
         router(span.origin)["source_queue"] += span.source_queue
         for node, cycles in span.contention.items():
             router(node)["contention"] += cycles
         for node, cycles in span.backoff.items():
             router(node)["backoff"] += cycles
         for key, cycles in span.transit.items():
-            link(key)["transit"] += cycles
+            transit[key] = transit.get(key, 0) + cycles
     for entry in routers.values():
-        entry["total"] = (
-            entry["contention"] + entry["backoff"] + entry["source_queue"]
-        )
-    latencies = [span.latency for span in delivered]
+        entry["total"] = entry["contention"] + entry["backoff"] + entry["source_queue"]
+    # The run's split is its tables' sums: every delivered span's buckets.
+    components = {
+        "source_queue": sum(entry["source_queue"] for entry in routers.values()),
+        "router_contention": sum(entry["contention"] for entry in routers.values()),
+        "link_transit": sum(transit.values()),
+        "retransmit_backoff": sum(entry["backoff"] for entry in routers.values()),
+    }
+    latencies = [latency for latency, _ in delivered]
     pairs = sorted(Counter(latencies).items())
     tail: dict[str, Any] = {
         name: nearest_rank(pairs, len(latencies), p) if latencies else None
         for name, p in TAIL_PERCENTILES
     }
-    threshold = tail["p99"]
-    tail_spans = (
-        [span for span in delivered if span.latency >= threshold]
-        if threshold is not None
-        else []
-    )
-    tail["tail_packets"] = len(tail_spans)
-    tail_components = {name: 0 for name in COMPONENTS}
-    for span in tail_spans:
-        for name, cycles in span.components().items():
-            tail_components[name] += cycles
-    tail["tail_components"] = tail_components
-    slowest = sorted(
-        delivered, key=lambda span: (-span.latency, span.packet)
-    )[:top]
-    causes = dict(components)
-    for key in ("drops", "retransmits", "blocked", "faults"):
-        causes[key] = counts[key]
+    beyond = [
+        span.components() for latency, span in delivered if latency >= tail["p99"]
+    ]
+    tail["tail_packets"] = len(beyond)
+    tail["tail_components"] = {
+        name: sum(split[name] for split in beyond) for name in COMPONENTS
+    }
+    slowest = sorted(delivered, key=lambda entry: (-entry[0], entry[1].packet))[:top]
     return BlameReport(
         packets=len(spans),
         delivered=len(delivered),
@@ -436,10 +506,14 @@ def analyze_spans(
         total_latency=sum(latencies),
         components=components,
         routers=routers,
-        links=links,
-        causes=causes,
+        links={
+            key: {"transit": transit.get(key, 0), "traversals": traversals.get(key, 0)}
+            for key in {**traversals, **transit}
+        },
+        causes={**components, "drops": drops, "retransmits": retransmits,
+                "blocked": blocked, "faults": faults},
         tail=tail,
-        anatomies=[span.to_dict() for span in slowest],
+        anatomies=[span.to_dict() for _, span in slowest],
         meta=dict(meta or {}),
     )
 
@@ -457,24 +531,6 @@ def analyze_events(
     )
 
 
-def _event_from_payload(payload: dict[str, Any]) -> PacketEvent:
-    """One JSONL trace line back into a :class:`PacketEvent` (the file
-    exporter flattens ``extra`` into the payload, so the residue is it).
-    """
-    extra = {
-        key: value
-        for key, value in payload.items()
-        if key not in ("kind", "cycle", "node", "uid")
-    }
-    return PacketEvent(
-        kind=str(payload["kind"]),
-        cycle=int(payload["cycle"]),
-        node=int(payload["node"]),
-        uid=int(payload["uid"]),
-        extra=extra or None,
-    )
-
-
 def read_trace_file(
     path: str | Path,
 ) -> tuple[list[PacketEvent], dict[str, Any]]:
@@ -483,68 +539,30 @@ def read_trace_file(
     Traces written since the ``repro-trace/v1`` header lead with a schema
     record carrying run identity and ``link_delay``; older header-less
     traces parse fine with empty metadata.  An unrecognised schema tag, a
-    line that is not a JSON object and an event record lacking a field are
-    errors — the analyzer's input validation — raised as ``ValueError``
-    naming ``path:line``.
+    line that is not a JSON object, an event record lacking a field and a
+    ``cycle``/``node``/``uid`` that is not a JSON integer are errors — the
+    analyzer's input validation — raised as ``ValueError`` naming
+    ``path:line``.
     """
-    path = Path(path)
-    events: list[PacketEvent] = []
     meta: dict[str, Any] = {}
-    common = COMMON_RECORD.fullmatch
-    for number, line in enumerate(path.read_text().splitlines()):
-        record = common(line)
-        if record is not None:  # the writer's common record, as json reads it
-            cycle, kind, node, uid = record.groups()
-            events.append(PacketEvent(kind, int(cycle), int(node), int(uid)))
-            continue
-        if not line.strip():
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{number + 1}: not JSONL: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ValueError(
-                f"{path}:{number + 1}: record is not a JSON object: {line.strip()}"
-            )
-        if "schema" in payload:
-            if payload["schema"] != TRACE_SCHEMA:
-                raise ValueError(
-                    f"{path}: unsupported trace schema {payload['schema']!r}; "
-                    f"this analyzer reads {TRACE_SCHEMA!r}"
-                )
-            meta = {k: v for k, v in payload.items() if k not in ("schema", "kinds")}
-            continue
-        if payload.get("kind") not in EVENT_KINDS:
-            raise ValueError(
-                f"{path}:{number + 1}: unknown event kind "
-                f"{payload.get('kind')!r}; is this a JSONL packet trace?"
-            )
-        try:
-            events.append(_event_from_payload(payload))
-        except KeyError as exc:
-            raise ValueError(
-                f"{path}:{number + 1}: {payload['kind']} event lacks field {exc}"
-            ) from exc
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"{path}:{number + 1}: malformed {payload['kind']} event: {exc}"
-            ) from exc
+    events = list(starmap(PacketEvent, _records(Path(path), meta)))
     return events, meta
 
 
 def analyze_trace_file(
     path: str | Path, top: int = 5, link_delay: int | None = None
 ) -> BlameReport:
-    """Post-hoc analysis of a JSONL trace file.
+    """Post-hoc analysis of a JSONL trace file: records straight into
+    per-packet streams, with no :class:`PacketEvent` built.
 
     ``link_delay`` defaults to the trace header's value (0 for
     header-less traces); pass it explicitly to override.
     """
-    events, meta = read_trace_file(path)
+    meta: dict[str, Any] = {}
+    streams, extras = _group(_records(Path(path), meta))
     if link_delay is None:
         link_delay = int(meta.get("link_delay", 0))
-    return analyze_events(events, link_delay=link_delay, top=top, meta=meta)
+    return analyze_spans(_walk(streams, extras, link_delay), top=top, meta=meta)
 
 
 # -- cross-run diffing --------------------------------------------------------
@@ -570,12 +588,13 @@ def diff_reports(a: BlameReport, b: BlameReport) -> dict[str, Any]:
         entry["delta"] = (y - x) if (x is not None and y is not None) else None
         return entry
 
-    routers = {}
-    for node in sorted(set(a.routers) | set(b.routers)):
-        routers[str(node)] = delta(
+    routers = {
+        str(node): delta(
             a.routers.get(node, {}).get("total", 0),
             b.routers.get(node, {}).get("total", 0),
         )
+        for node in sorted(set(a.routers) | set(b.routers))
+    }
     return {
         "schema": "repro-blame-diff/v1",
         "a": identity(a),
@@ -600,13 +619,8 @@ def diff_reports(a: BlameReport, b: BlameReport) -> dict[str, Any]:
 
 
 def _md_table(headers: list[str], rows: list[list[Any]]) -> str:
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "| " + " | ".join("---" for _ in headers) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
-    return "\n".join(lines)
+    lines: list[list[Any]] = [headers, ["---"] * len(headers), *rows]
+    return "\n".join("| " + " | ".join(map(str, line)) + " |" for line in lines)
 
 
 def _share(part: int, whole: int) -> str:
@@ -643,47 +657,24 @@ def render_markdown(
         "",
     ]
     if blame == "routers":
-        out += [
-            "## Top blamed routers",
-            "",
-            _md_table(
-                ["router", "contention", "backoff", "source queue", "total"],
-                [
-                    [
-                        node,
-                        entry["contention"],
-                        entry["backoff"],
-                        entry["source_queue"],
-                        entry["total"],
-                    ]
-                    for node, entry in report.top_routers(top)
-                ],
-            ),
-            "",
+        heading = "Top blamed routers"
+        headers = ["router", "contention", "backoff", "source queue", "total"]
+        rows: list[list[Any]] = [
+            [node, entry["contention"], entry["backoff"], entry["source_queue"],
+             entry["total"]]
+            for node, entry in report.top_routers(top)
         ]
     elif blame == "links":
-        out += [
-            "## Top blamed links",
-            "",
-            _md_table(
-                ["link", "transit cycles", "traversals"],
-                [
-                    [f"{a}->{b}", entry["transit"], entry["traversals"]]
-                    for (a, b), entry in report.top_links(top)
-                ],
-            ),
-            "",
+        heading = "Top blamed links"
+        headers = ["link", "transit cycles", "traversals"]
+        rows = [
+            [f"{a}->{b}", entry["transit"], entry["traversals"]]
+            for (a, b), entry in report.top_links(top)
         ]
     else:
-        out += [
-            "## Blame by cause",
-            "",
-            _md_table(
-                ["cause", "value"],
-                [[name, value] for name, value in report.causes.items()],
-            ),
-            "",
-        ]
+        heading, headers = "Blame by cause", ["cause", "value"]
+        rows = [[name, value] for name, value in report.causes.items()]
+    out += [f"## {heading}", "", _md_table(headers, rows), ""]
     tail_rows = [
         [name, report.tail.get(name) if report.tail.get(name) is not None else "-"]
         for name, _ in TAIL_PERCENTILES
@@ -741,29 +732,21 @@ def render_diff_markdown(diff: dict[str, Any], top: int = 10) -> str:
             return "-"
         return f"+{value}" if value > 0 else str(value)
 
+    def row(label: str, entry: dict[str, Any]) -> list[str]:
+        return [label, fmt(entry["a"]), fmt(entry["b"]), signed(entry["delta"])]
+
+    totals = ("packets", "delivered", "lost", "total_latency")
+    rows = (
+        [row(key, diff[key]) for key in totals]
+        + [row(f"component {key}", entry) for key, entry in diff["components"].items()]
+        + [row(f"tail {key}", entry) for key, entry in diff["tail"].items()]
+    )
     out = [
         f"# Blame diff: {name(diff['a'])} vs {name(diff['b'])}",
         "",
         "Positive deltas mean the second run spent more cycles.",
         "",
-        _md_table(
-            ["metric", "A", "B", "delta"],
-            [
-                [key, fmt(diff[key]["a"]), fmt(diff[key]["b"]),
-                 signed(diff[key]["delta"])]
-                for key in ("packets", "delivered", "lost", "total_latency")
-            ]
-            + [
-                [f"component {key}", fmt(entry["a"]), fmt(entry["b"]),
-                 signed(entry["delta"])]
-                for key, entry in diff["components"].items()
-            ]
-            + [
-                [f"tail {key}", fmt(entry["a"]), fmt(entry["b"]),
-                 signed(entry["delta"])]
-                for key, entry in diff["tail"].items()
-            ],
-        ),
+        _md_table(["metric", "A", "B", "delta"], rows),
         "",
     ]
     movers = sorted(
@@ -777,11 +760,7 @@ def render_diff_markdown(diff: dict[str, Any], top: int = 10) -> str:
             "",
             _md_table(
                 ["router", "A", "B", "delta"],
-                [
-                    [node, fmt(entry["a"]), fmt(entry["b"]),
-                     signed(entry["delta"])]
-                    for node, entry in movers
-                ],
+                [row(node, entry) for node, entry in movers],
             ),
             "",
         ]

@@ -11,6 +11,8 @@ The two load-bearing guarantees (ISSUE 10 acceptance criteria):
    byte-identical, as are in-memory and JSONL-file analyses of one run.
 """
 
+import dataclasses
+import hashlib
 import json
 from collections import Counter
 
@@ -24,7 +26,8 @@ from repro.core.network import PhastlaneNetwork
 from repro.electrical.config import ElectricalConfig
 from repro.fabric import IdealConfig, make_network
 from repro.faults import FaultConfig
-from repro.harness.exec import Executor, RunSpec, SyntheticWorkload
+from repro.harness.exec import Executor, RunSpec, Splash2Workload, SyntheticWorkload
+from repro.harness.experiments.configs import standard_configs
 from repro.harness.htmlreport import render_campaign_html
 from repro.harness.runner import run
 from repro.obs import (
@@ -359,6 +362,63 @@ class TestSpanWalker:
         assert len(spans) == 1
         assert spans[0].source_queue == 4
 
+    def test_traversals_follow_the_last_move(self):
+        # A drop and its resend move nothing: the second hop into 2 is no
+        # new crossing.  A buffer write into a new node is a move.
+        events = [
+            PacketEvent("generated", 0, 0, 4),
+            PacketEvent("injected", 0, 0, 4),
+            PacketEvent("buffered", 1, 1, 4),
+            PacketEvent("hop", 2, 2, 4),
+            PacketEvent("dropped", 2, 2, 4),
+            PacketEvent("retransmitted", 5, 1, 4),
+            PacketEvent("hop", 5, 2, 4),
+            PacketEvent("hop", 5, 3, 4),
+            PacketEvent("delivered", 5, 3, 4),
+        ]
+        (span,) = reconstruct_spans(events)
+        assert dict(span.traversals) == {(1, 2): 1, (2, 3): 1}
+        links = analyze_events(events).links
+        assert {key: entry["traversals"] for key, entry in links.items()} == {
+            (1, 2): 1, (2, 3): 1,
+        }
+
+    def test_a_wait_without_a_move_pays_no_transit(self):
+        events = [
+            PacketEvent("generated", 0, 0, 5),
+            PacketEvent("injected", 0, 0, 5),
+            PacketEvent("hop", 3, 1, 5),
+            PacketEvent("buffered", 7, 1, 5),  # 4 cycles parked at 1
+            PacketEvent("hop", 10, 2, 5),
+            PacketEvent("delivered", 10, 2, 5),
+        ]
+        (span,) = reconstruct_spans(events, link_delay=3)
+        assert dict(span.transit) == {(0, 1): 3, (1, 2): 3}
+        assert dict(span.contention) == {1: 4}
+
+    def test_a_cross_node_delivery_from_flight_is_transit(self):
+        events = [
+            PacketEvent("generated", 0, 0, 6),
+            PacketEvent("injected", 0, 0, 6),
+            PacketEvent("hop", 1, 1, 6),
+            PacketEvent("delivered", 4, 3, 6),
+        ]
+        (span,) = reconstruct_spans(events)
+        assert dict(span.transit) == {(1, 3): 3}
+        assert dict(span.contention) == {0: 1}
+
+    def test_a_monitor_kind_is_skipped_whatever_its_uid(self):
+        events = [
+            PacketEvent("generated", 0, 1, 3),
+            PacketEvent("health_critical", 1, 1, 3, {"check": "progress"}),
+            PacketEvent("injected", 2, 1, 3),
+            PacketEvent("delivered", 2, 1, 3),
+        ]
+        (span,) = reconstruct_spans(events)
+        assert [kind for _, kind, _ in span.timeline] == [
+            "generated", "injected", "delivered",
+        ]
+
     def test_packets_renumbered_by_first_appearance(self):
         events = [
             PacketEvent("generated", 0, 0, 900),
@@ -413,6 +473,63 @@ class TestByteIdentity:
         assert from_file.meta["label"] == spec.config.label
         assert from_file.meta["link_delay"] == 0
 
+    @pytest.mark.parametrize(
+        "label, workload, faults, headerless",
+        [
+            ("Optical4", SyntheticWorkload("uniform", 0.3), None, False),
+            ("Vector4X", SyntheticWorkload("uniform", 0.3), None, False),
+            ("Electrical3", SyntheticWorkload("uniform", 0.15), None, False),
+            ("Electrical3", SyntheticWorkload("uniform", 0.15),
+             FaultConfig(seed=2, link_flip_prob=0.05, retry_limit=5), False),
+            ("Electrical3", Splash2Workload("fft"), None, False),
+            ("Optical4", Splash2Workload("fft"), None, False),
+            ("Ideal", SyntheticWorkload("uniform", 0.2), None, False),
+            ("Electrical3", SyntheticWorkload("uniform", 0.15), None, True),
+        ],
+        ids=["optical", "vector-exact", "electrical", "electrical-link-retries",
+             "electrical-broadcast", "optical-broadcast", "ideal", "headerless"],
+    )
+    def test_file_and_in_memory_compositions_agree_on_every_backend(
+        self, tmp_path, label, workload, faults, headerless
+    ):
+        """``analyze_trace_file`` (records straight into streams) and
+        ``analyze_events`` over ``read_trace_file`` (events, then streams)
+        are one walker and one aggregator fed two ways: their reports agree
+        byte for byte on every backend and on every shape a trace takes."""
+        mesh = MeshGeometry(4, 4)
+        configs = {
+            **standard_configs(mesh),
+            "Vector4X": VectorizedConfig(mesh=mesh, mode="exact"),
+            "Ideal": IdealConfig(mesh=mesh),
+        }
+        path = tmp_path / "t.jsonl"
+        run(RunSpec(configs[label], workload, cycles=200, seed=3, faults=faults,
+                    obs=ObsConfig(trace_path=str(path))))
+        if headerless:
+            path.write_text(path.read_text().split("\n", 1)[1])
+        from_file = analyze_trace_file(path)
+        events, meta = read_trace_file(path)
+        in_memory = analyze_events(
+            events, link_delay=int(meta.get("link_delay", 0)), top=5, meta=meta
+        )
+        assert from_file.delivered > 0
+        assert from_file.to_json() == in_memory.to_json()
+        for blame in ("routers", "links", "causes"):
+            assert render_markdown(from_file, blame=blame) == render_markdown(
+                in_memory, blame=blame
+            )
+        spans = reconstruct_spans(events, link_delay=int(meta.get("link_delay", 0)))
+        assert {
+            key: entry["traversals"]
+            for key, entry in from_file.links.items()
+            if entry["traversals"]
+        } == timeline_traversals(spans)
+        if faults is not None:  # the case is what its name says
+            assert from_file.causes["retransmits"] > 0
+        if isinstance(workload, Splash2Workload):
+            assert any(span.multicast for span in spans)
+        assert (meta == {}) is headerless
+
     def test_electrical_header_supplies_link_delay(self, tmp_path):
         path = tmp_path / "t.jsonl"
         config = ElectricalConfig(mesh=MeshGeometry(4, 4))
@@ -428,6 +545,68 @@ class TestByteIdentity:
         report = analyze_trace_file(path)
         assert report.meta["link_delay"] == config.router_delay_cycles
         assert report.components["link_transit"] > 0
+
+
+def timeline_traversals(spans):
+    """Link traversals re-counted from the timelines: a ``hop`` into a node
+    other than the one the packet last moved to (``generated``,
+    ``injected``, ``hop``, ``buffered``, ``delivered``) crosses that link."""
+    counts = Counter()
+    for span in spans:
+        previous = None
+        for _, kind, node in span.timeline:
+            if kind == "hop" and previous is not None and previous != node:
+                counts[previous, node] += 1
+            if kind in ("generated", "injected", "hop", "buffered", "delivered"):
+                previous = node
+    return counts
+
+
+class TestReportPins:
+    """Blame reports of fixed runs, pinned by sha256 of the JSON body and
+    the three markdown tables (run meta cleared).  The values were recorded
+    before the analyzer became one parser, one walker and one aggregator; a
+    restatement of it must not move them."""
+
+    CASES = {
+        "optical-hotspot": ("Optical4", SyntheticWorkload("hotspot", 0.3), None),
+        "optical-broadcast": ("Optical4", Splash2Workload("ocean"), None),
+        "electrical-link-retries": (
+            "Electrical3",
+            SyntheticWorkload("uniform", 0.2),
+            FaultConfig(seed=2, link_flip_prob=0.05, retry_limit=5),
+        ),
+        "electrical-broadcast": ("Electrical3", Splash2Workload("ocean"), None),
+        "optical-corrupt": (
+            "Optical4",
+            SyntheticWorkload("uniform", 0.2),
+            FaultConfig(seed=4, corrupt_prob=0.08, retry_limit=1),
+        ),
+        "ideal": ("Ideal", SyntheticWorkload("uniform", 0.2), None),
+    }
+    PINS = {
+        "optical-hotspot": "87c3fd356ff127a5c94eaf6df0546903f190bf4dbdc22ef1ef298c49f845b42b",
+        "optical-broadcast": "cda7334133639f40c3f99e9ca596d9a343cbf5704015750c1900a5b8e073d9ac",
+        "electrical-link-retries": "b3b43d0397186ef70309552fac0790ca420f8e6f35a4b93c5c1ce1f022aa230b",
+        "electrical-broadcast": "031ac5e280ed9d2909de65ab90ea5c19a42ce959fc494351f915ed2d0689a2ab",
+        "optical-corrupt": "5b4f3cb19e1cfa45c7d6df9e2db0b5b82d1225e0c1ed6dc96ff5492843e0d87e",
+        "ideal": "a82fecd691840da375650162d25dbce34874afea60e51901f1b340221d823706",
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_report_is_pinned(self, tmp_path, case):
+        label, workload, faults = self.CASES[case]
+        mesh = MeshGeometry(4, 4)
+        config = {**standard_configs(mesh), "Ideal": IdealConfig(mesh=mesh)}[label]
+        path = tmp_path / "t.jsonl"
+        run(RunSpec(config, workload, cycles=200, seed=3, faults=faults,
+                    obs=ObsConfig(trace_path=str(path))))
+        report = dataclasses.replace(analyze_trace_file(path), meta={})
+        text = report.to_json() + "".join(
+            render_markdown(report, blame=blame)
+            for blame in ("routers", "links", "causes")
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINS[case]
 
 
 class TestTraceFileValidation:
