@@ -1,8 +1,11 @@
 """Phastlane network configuration (paper Table 1 and section 5 variants).
 
 A config holds what section 5 varies: the hop budget and the router
-buffer.  ``network_arbitration`` is the one design alternative carried as a
-field: the only one the paper states a claim about (footnote 3).  Section
+buffer.  The section 5 budgets are not typed here: the standard configs
+(``repro.harness.experiments.configs``) read them from the Fig 6 solver,
+:func:`repro.photonics.latency.max_hops_per_cycle`.
+``network_arbitration`` is the one design alternative carried as a field:
+the only one the paper states a claim about (footnote 3).  Section
 7's "future work" ideas (oldest-first buffer arbitration, shared buffer
 pools, deflection) are not options: the paper never evaluates them, and
 what they measured here is on record in EXPERIMENTS.md, "Ablations".  The
@@ -16,11 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.photonics.constants import SCALING_SCENARIOS
 from repro.util.geometry import MeshGeometry
-
-#: Section 5 maps hop budgets to the scaling scenario that affords them.
-HOPS_FOR_SCENARIO = {"pessimistic": 4, "average": 5, "optimistic": 8}
 
 #: Base resend delay after a drop: the drop signal arrives the next cycle,
 #: but the node's protocol engine re-issues the message through its retry
@@ -50,10 +49,11 @@ class PhastlaneConfig:
     """Parameters of a Phastlane network instance.
 
     The defaults are the paper's preferred configuration: the four-hop
-    network (pessimistic component scaling) with 10 electrical buffer
-    entries per router input port and local queue.  Section 5 additionally
-    evaluates ``max_hops`` of 5 and 8 and ``buffer_entries`` of 32, 64 and
-    infinite (``None``).
+    network (the solver's budget under pessimistic component scaling; a
+    test pins the two equal) with 10 electrical buffer entries per router
+    input port and local queue.  Section 5 additionally evaluates
+    ``max_hops`` of 5 and 8 and ``buffer_entries`` of 32, 64 and infinite
+    (``None``).
     """
 
     mesh: MeshGeometry = field(default_factory=lambda: MeshGeometry(8, 8))
@@ -86,10 +86,3 @@ class PhastlaneConfig:
         if self.buffer_entries == 10:
             return f"Optical{self.max_hops_per_cycle}"
         return f"Optical{self.max_hops_per_cycle}B{self.buffer_entries}"
-
-    @classmethod
-    def for_scenario(cls, scenario: str, **overrides) -> "PhastlaneConfig":
-        """The configuration implied by a scaling scenario (Fig 6 hops)."""
-        if scenario not in SCALING_SCENARIOS:
-            raise ValueError(f"unknown scaling scenario {scenario!r}")
-        return cls(max_hops_per_cycle=HOPS_FOR_SCENARIO[scenario], **overrides)

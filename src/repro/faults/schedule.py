@@ -36,6 +36,7 @@ from typing import Union
 from repro.faults.config import FaultConfig
 from repro.sim.rng import DeterministicRng, stream_key
 from repro.topology import Topology, as_topology
+from repro.util.errors import SpecError
 from repro.util.geometry import MeshGeometry
 
 
@@ -129,7 +130,7 @@ class FaultSchedule:
         dead = set()
         for node, port in self.config.dead_ports:
             if node >= self.topology.num_nodes:
-                raise ValueError(
+                raise SpecError(
                     f"dead port names node {node}, but the {self.mesh} "
                     f"has only {self.topology.num_nodes} nodes"
                 )

@@ -7,6 +7,8 @@ from dataclasses import replace
 from repro.core.config import PhastlaneConfig
 from repro.electrical.config import ElectricalConfig
 from repro.fabric import IdealConfig, NetworkConfig
+from repro.photonics.constants import PAYLOAD_WDM, SCALING_SCENARIOS
+from repro.photonics.latency import max_hops_per_cycle
 from repro.util.geometry import MeshGeometry
 from repro.vectorized import VectorizedConfig
 
@@ -15,15 +17,22 @@ BASELINE_LABEL = "Electrical3"
 
 
 def optical_configs(mesh: MeshGeometry | None = None) -> dict[str, PhastlaneConfig]:
-    """The optical variants of section 5 (hop budgets and buffer sizes)."""
+    """The optical variants of section 5: Optical4/5/8 run the Fig 6
+    solver's pessimistic / average / optimistic hop budget at the design
+    point's WDM degree, and the buffer variants the pessimistic one."""
     mesh = mesh or MeshGeometry(8, 8)
+    hops = {
+        scenario: max_hops_per_cycle(scenario, PAYLOAD_WDM)
+        for scenario in SCALING_SCENARIOS
+    }
     configs = [
-        PhastlaneConfig(mesh=mesh, max_hops_per_cycle=4),
-        PhastlaneConfig(mesh=mesh, max_hops_per_cycle=5),
-        PhastlaneConfig(mesh=mesh, max_hops_per_cycle=8),
-        PhastlaneConfig(mesh=mesh, max_hops_per_cycle=4, buffer_entries=32),
-        PhastlaneConfig(mesh=mesh, max_hops_per_cycle=4, buffer_entries=64),
-        PhastlaneConfig(mesh=mesh, max_hops_per_cycle=4, buffer_entries=None),
+        PhastlaneConfig(mesh=mesh, max_hops_per_cycle=hops[scenario])
+        for scenario in ("pessimistic", "average", "optimistic")
+    ] + [
+        PhastlaneConfig(
+            mesh=mesh, max_hops_per_cycle=hops["pessimistic"], buffer_entries=buffers
+        )
+        for buffers in (32, 64, None)
     ]
     return {config.label: config for config in configs}
 

@@ -21,7 +21,14 @@ class Figure4:
 
 
 def compute(nodes_nm: tuple[float, ...] = NODES_NM) -> Figure4:
-    series = scaling.figure4_series(nodes_nm)
+    models = {"transmit": scaling.transmit_model, "receive": scaling.receive_model}
+    series = {
+        component: {
+            scenario: model(fit_kind).trend(nodes_nm)
+            for scenario, fit_kind in scaling.SCENARIO_FIT.items()
+        }
+        for component, model in models.items()
+    }
     endpoints = {
         "transmit": dict(constants.TRANSMIT_DELAY_PS),
         "receive": dict(constants.RECEIVE_DELAY_PS),

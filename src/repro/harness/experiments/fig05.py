@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.photonics.latency import CriticalPathDelays, figure5_delays
+from repro.photonics.constants import SCALING_SCENARIOS
+from repro.photonics.latency import CriticalPathDelays, RouterLatencyModel
 from repro.util.tables import AsciiTable
 
 WDM_DEGREES = (32, 64, 128)
@@ -16,7 +17,14 @@ class Figure5:
 
 
 def compute(wdm_degrees: tuple[int, ...] = WDM_DEGREES) -> Figure5:
-    return Figure5(delays=figure5_delays(wdm_degrees))
+    """All Fig 5 bars: 4 paths x 3 scenarios x the given WDM degrees."""
+    return Figure5(
+        delays=[
+            RouterLatencyModel(scenario, wdm).critical_paths()
+            for scenario in SCALING_SCENARIOS
+            for wdm in wdm_degrees
+        ]
+    )
 
 
 def render(data: Figure5 | None = None) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.photonics.constants import SCALING_SCENARIOS
-from repro.photonics.latency import figure6_hops
+from repro.photonics.latency import max_hops_per_cycle
 from repro.util.tables import AsciiTable
 
 WDM_DEGREES = (32, 64, 128)
@@ -24,7 +24,13 @@ class Figure6:
 
 
 def compute(wdm_degrees: tuple[int, ...] = WDM_DEGREES) -> Figure6:
-    return Figure6(hops=figure6_hops(wdm_degrees))
+    """{scenario: {wdm_degree: max hops per 4 GHz cycle}}."""
+    return Figure6(
+        hops={
+            scenario: {wdm: max_hops_per_cycle(scenario, wdm) for wdm in wdm_degrees}
+            for scenario in SCALING_SCENARIOS
+        }
+    )
 
 
 def render(data: Figure6 | None = None) -> str:

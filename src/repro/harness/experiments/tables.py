@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.config import PhastlaneConfig
 from repro.electrical.config import ElectricalConfig
-from repro.photonics.constants import NIC_BUFFER_ENTRIES, PAYLOAD_WDM
 from repro.photonics.dse import table1_configuration
 from repro.traffic.splash2 import CACHE_CONFIGURATION, SPLASH2_INPUT_SETS
 from repro.util.tables import AsciiTable
@@ -45,14 +43,3 @@ def render_all() -> str:
         _render_kv("Table 4: cache and memory parameters", table4()),
     ]
     return "\n\n".join(blocks)
-
-
-def phastlane_matches_table1(config: PhastlaneConfig | None = None) -> bool:
-    """Check a Phastlane config against the Table 1 design point."""
-    config = config or PhastlaneConfig()
-    derived = table1()
-    return (
-        PAYLOAD_WDM == derived["packet_payload_wdm"]
-        and NIC_BUFFER_ENTRIES == derived["buffer_entries_in_nic"]
-        and str(config.max_hops_per_cycle) in str(derived["max_hops_per_cycle"])
-    )

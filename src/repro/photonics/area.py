@@ -23,14 +23,6 @@ from typing import Sequence
 from repro.photonics import constants
 from repro.photonics.wdm import PacketLayout
 
-#: Kumar-style node areas (mm^2) per core count sharing one L2 + MC.
-NODE_AREA_MM2 = {
-    1: constants.NODE_AREA_SINGLE_CORE_MM2,
-    2: constants.NODE_AREA_DUAL_CORE_MM2,
-    4: constants.NODE_AREA_QUAD_CORE_MM2,
-}
-
-
 @dataclass(frozen=True)
 class AreaBreakdown:
     """One Fig 8 data point: router area components at one WDM degree."""
@@ -54,27 +46,16 @@ class AreaBreakdown:
 
 
 class RouterAreaModel:
-    """Area of one Phastlane optical router as a function of WDM degree."""
-
-    def __init__(
-        self,
-        k_wg_um: float = constants.K_WG_UM,
-        k_port_um: float = constants.K_PORT_UM,
-        base_um: float = constants.AREA_BASE_UM,
-    ):
-        if min(k_wg_um, k_port_um) <= 0 or base_um < 0:
-            raise ValueError("area coefficients must be positive")
-        self.k_wg_um = k_wg_um
-        self.k_port_um = k_port_um
-        self.base_um = base_um
+    """Area of one Phastlane optical router as a function of WDM degree,
+    at the calibrated coefficients of :mod:`repro.photonics.constants`."""
 
     def breakdown(self, payload_wdm: int) -> AreaBreakdown:
         layout = PacketLayout(payload_wdm=payload_wdm)
         return AreaBreakdown(
             payload_wdm=payload_wdm,
-            waveguide_side_um=2 * self.k_wg_um * layout.waveguides_per_direction,
-            port_side_um=self.k_port_um * payload_wdm,
-            base_side_um=self.base_um,
+            waveguide_side_um=2 * constants.K_WG_UM * layout.waveguides_per_direction,
+            port_side_um=constants.K_PORT_UM * payload_wdm,
+            base_side_um=constants.AREA_BASE_UM,
         )
 
     def area_mm2(self, payload_wdm: int) -> float:
@@ -89,22 +70,3 @@ class RouterAreaModel:
         if not wdm_degrees:
             raise ValueError("need at least one WDM degree to sweep")
         return min(wdm_degrees, key=self.area_mm2)
-
-    def fits_node(self, payload_wdm: int, cores_per_node: int = 1) -> bool:
-        """Does the optical router fit under the processor node above it?
-
-        The optical die is 3D-stacked on the processor die (Fig 1), so each
-        router should not exceed its node's footprint (section 3.3).
-        """
-        if cores_per_node not in NODE_AREA_MM2:
-            raise ValueError(
-                f"no Kumar-style area estimate for {cores_per_node} cores per node"
-            )
-        return self.area_mm2(payload_wdm) <= NODE_AREA_MM2[cores_per_node] + 1e-9
-
-
-def figure8_series(
-    wdm_degrees: Sequence[int] = (16, 24, 32, 48, 64, 96, 128, 192, 256),
-) -> list[AreaBreakdown]:
-    """The Fig 8 sweep at its default WDM grid."""
-    return RouterAreaModel().sweep(wdm_degrees)

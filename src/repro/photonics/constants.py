@@ -35,10 +35,6 @@ WAVEGUIDE_DELAY_PS_PER_MM = 10.45
 # --------------------------------------------------------------------------
 #: Single core + 64KB L1s + 2MB L2 + memory controller.
 NODE_AREA_SINGLE_CORE_MM2 = 3.5
-#: Two cores sharing an L2.
-NODE_AREA_DUAL_CORE_MM2 = 4.5
-#: Four cores sharing an L2.
-NODE_AREA_QUAD_CORE_MM2 = 6.5
 #: Inter-router hop length = pitch of a 3.5 mm² node.
 HOP_LENGTH_MM = NODE_AREA_SINGLE_CORE_MM2**0.5  # 1.871 mm
 
@@ -81,9 +77,7 @@ NIC_BUFFER_ENTRIES = 50
 PACKET_CONTROL_BITS = 70  # 14 routers x 5 bits (S, L, R, Local, Multicast)
 CONTROL_BITS_PER_ROUTER = 5
 MAX_CONTROL_GROUPS = 14
-PAYLOAD_WAVEGUIDES_AT_64WDM = 10
 CONTROL_WAVEGUIDES = 2
-CONTROL_WDM = 35
 
 # --------------------------------------------------------------------------
 # Area model (paper Fig 8); calibrated as derived in DESIGN.md section 4.

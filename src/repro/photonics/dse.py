@@ -4,7 +4,9 @@ The paper sweeps the WDM degree and maximum hops-per-cycle under the three
 scaling scenarios, then settles on the Table 1 configuration: 64-way payload
 WDM (the area sweet spot that fits a single-core node), a four-hop network
 (best performance/peak-power tradeoff) with five- and eight-hop variants for
-the average and optimistic scaling assumptions.
+the average and optimistic scaling assumptions.  Every hop count here is
+the Fig 6 solver's (:func:`repro.photonics.latency.max_hops_per_cycle`),
+the same statement the simulated configurations read.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Sequence
 
 from repro.photonics import constants
 from repro.photonics.area import RouterAreaModel
-from repro.photonics.latency import RouterLatencyModel
+from repro.photonics.latency import max_hops_per_cycle
 from repro.photonics.power import REASONABLE_PEAK_W, OpticalPowerModel
 from repro.photonics.wdm import PacketLayout
 
@@ -41,20 +43,19 @@ class DesignPoint:
 class DesignSpaceExplorer:
     """Evaluates WDM/scenario design points and picks the Table 1 choice."""
 
-    def __init__(self, crossing_efficiency: float = constants.CROSSING_EFFICIENCY):
-        self.crossing_efficiency = crossing_efficiency
+    def __init__(self) -> None:
         self._area = RouterAreaModel()
         self._power = OpticalPowerModel()
 
     def evaluate(self, payload_wdm: int, scenario: str) -> DesignPoint:
-        hops = RouterLatencyModel(scenario, payload_wdm).max_hops_per_cycle()
+        hops = max_hops_per_cycle(scenario, payload_wdm)
         return DesignPoint(
             payload_wdm=payload_wdm,
             scenario=scenario,
             max_hops_per_cycle=hops,
             router_area_mm2=self._area.area_mm2(payload_wdm),
             peak_power_w_at_98pct=self._power.peak_power_w(
-                payload_wdm, max(1, hops), self.crossing_efficiency
+                payload_wdm, max(1, hops), constants.CROSSING_EFFICIENCY
             ),
         )
 
@@ -76,19 +77,17 @@ class DesignSpaceExplorer:
 
 def table1_configuration() -> dict[str, object]:
     """The paper's Table 1 rows, derived from the models where applicable."""
-    explorer = DesignSpaceExplorer()
-    wdm = explorer.select_wdm()
+    wdm = DesignSpaceExplorer().select_wdm()
     layout = PacketLayout(payload_wdm=wdm)
     hops = sorted(
-        RouterLatencyModel(scenario, wdm).max_hops_per_cycle()
-        for scenario in constants.SCALING_SCENARIOS
+        max_hops_per_cycle(scenario, wdm) for scenario in constants.SCALING_SCENARIOS
     )
-    config: dict[str, object] = {
+    return {
         "flits_per_packet": "1 (80 Bytes)",
-        "packet_payload_wdm": layout.payload_wdm,
+        "packet_payload_wdm": wdm,
         "packet_payload_waveguides": layout.payload_waveguides,
         "routing_function": "Dimension-Order",
-        "packet_control_bits": layout.control_bits,
+        "packet_control_bits": constants.PACKET_CONTROL_BITS,
         "packet_control_wdm": layout.control_wdm,
         "packet_control_waveguides": layout.control_waveguides,
         "buffer_entries_in_nic": constants.NIC_BUFFER_ENTRIES,
@@ -96,4 +95,3 @@ def table1_configuration() -> dict[str, object]:
         "node_transmit_arbitration": "Rotating Priority",
         "network_path_arbitration": "Fixed Priority",
     }
-    return config

@@ -19,7 +19,9 @@ The longest network path is: drive the source modulators, X Packet Passes,
 X+1 inter-router links, one Packet Accept, plus register overhead and clock
 skew.  Solving for the largest X that fits in a 250 ps cycle yields the
 paper's 8 / 5 / 4 hops for optimistic / average / pessimistic scaling,
-independent of the WDM degree (Fig 6).
+independent of the WDM degree (Fig 6).  :func:`max_hops_per_cycle` is the
+one statement of that budget: the simulated Optical4/5/8 configurations
+read it, so a device delay moves the network that is simulated.
 """
 
 from __future__ import annotations
@@ -28,11 +30,61 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.photonics import constants
-from repro.photonics.components import OpticalLink, RouterOptics
-from repro.photonics.scaling import ScalingScenario, scenario_delays
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology import Topology
+
+
+@dataclass(frozen=True)
+class ScalingScenario:
+    """Canonical 16 nm component delays for one scaling assumption."""
+
+    name: str
+    transmit_ps: float
+    receive_ps: float
+    resonator_drive_ps: float
+
+
+def scenario_delays(name: str) -> ScalingScenario:
+    """The canonical 16 nm delays for ``name`` (Fig 4 endpoints).
+
+    >>> scenario_delays("average").transmit_ps
+    12.0
+    """
+    if name not in constants.SCALING_SCENARIOS:
+        raise ValueError(
+            f"unknown scaling scenario {name!r}; "
+            f"expected one of {constants.SCALING_SCENARIOS}"
+        )
+    return ScalingScenario(
+        name=name,
+        transmit_ps=constants.TRANSMIT_DELAY_PS[name],
+        receive_ps=constants.RECEIVE_DELAY_PS[name],
+        resonator_drive_ps=constants.RESONATOR_DRIVE_DELAY_PS[name],
+    )
+
+
+def link_delay_ps(length_mm: float) -> float:
+    """Propagation delay of ``length_mm`` of silicon waveguide.
+
+    >>> round(link_delay_ps(2.0), 2)
+    20.9
+    """
+    return length_mm * constants.WAVEGUIDE_DELAY_PS_PER_MM
+
+
+def crossbar_traversal_ps(payload_wdm: int) -> float:
+    """Waveguide delay across the router's internal crossbar.
+
+    Grows weakly with the WDM degree because each extra wavelength adds
+    one resonator/receiver pair of port length (section 3.3).
+    """
+    if payload_wdm <= 0:
+        raise ValueError(f"WDM degree must be positive, got {payload_wdm}")
+    return (
+        constants.ROUTER_TRAVERSAL_BASE_PS
+        + constants.ROUTER_TRAVERSAL_PER_WAVELENGTH_PS * payload_wdm
+    )
 
 
 @dataclass(frozen=True)
@@ -74,7 +126,7 @@ class RouterLatencyModel:
     def __init__(
         self,
         scenario: ScalingScenario | str,
-        payload_wdm: int = 64,
+        payload_wdm: int = constants.PAYLOAD_WDM,
         round_robin_arbitration: bool = False,
     ):
         if isinstance(scenario, str):
@@ -82,10 +134,9 @@ class RouterLatencyModel:
         self.scenario = scenario
         self.payload_wdm = payload_wdm
         self.round_robin_arbitration = round_robin_arbitration
-        self.optics = RouterOptics(scenario)
         self._t_rx = scenario.receive_ps
         self._t_drive = scenario.resonator_drive_ps
-        self._t_cross = self.optics.crossbar_traversal_ps(payload_wdm)
+        self._t_cross = crossbar_traversal_ps(payload_wdm)
 
     # -- individual paths ---------------------------------------------------
 
@@ -146,34 +197,27 @@ class RouterLatencyModel:
 
     # -- end-to-end path ----------------------------------------------------
 
-    def network_path_delay_ps(
-        self, hops: int, link: OpticalLink | None = None
-    ) -> float:
+    def network_path_delay_ps(self, hops: int) -> float:
         """Worst-case source-to-acceptance delay over ``hops`` mesh hops.
 
-        ``hops`` counts inter-router links.  Per the paper, X routers
-        between source and destination means X Packet Pass delays and X+1
-        link delays, i.e. ``hops = X + 1`` links and ``hops - 1``
-        intermediate routers to pass through.
+        ``hops`` counts inter-router links, each one node pitch long.  Per
+        the paper, X routers between source and destination means X Packet
+        Pass delays and X+1 link delays, i.e. ``hops = X + 1`` links and
+        ``hops - 1`` intermediate routers to pass through.
         """
         if hops < 1:
             raise ValueError(f"a network path needs at least one hop, got {hops}")
-        link = link or OpticalLink()
         transit_routers = hops - 1
         return (
             self.scenario.transmit_ps
             + transit_routers * self.packet_pass_breakdown().total_ps
-            + hops * link.delay_ps
+            + hops * link_delay_ps(constants.HOP_LENGTH_MM)
             + self.packet_accept_breakdown().total_ps
             + constants.REGISTER_AND_SKEW_PS
         )
 
     def topology_path_delay_ps(
-        self,
-        topology: "Topology",
-        source: int,
-        destination: int,
-        hop_length_mm: float = constants.HOP_LENGTH_MM,
+        self, topology: "Topology", source: int, destination: int
     ) -> float:
         """Worst-case delay along a topology's dimension-order route, which
         is a shortest one on every grid.
@@ -191,9 +235,11 @@ class RouterLatencyModel:
                 f"{source} -> {destination}"
             )
         links_ps = sum(
-            OpticalLink(
-                topology.link_length_mm(node, int(direction), hop_length_mm)
-            ).delay_ps
+            link_delay_ps(
+                topology.link_length_mm(
+                    node, int(direction), constants.HOP_LENGTH_MM
+                )
+            )
             for node, direction in zip(route[:-1], directions)
         )
         transit_routers = len(directions) - 1
@@ -205,43 +251,23 @@ class RouterLatencyModel:
             + constants.REGISTER_AND_SKEW_PS
         )
 
-    def max_hops_per_cycle(
-        self,
-        cycle_time_ps: float = constants.CYCLE_TIME_PS,
-        link: OpticalLink | None = None,
-    ) -> int:
-        """Largest hop count whose worst-case delay fits in one cycle (Fig 6)."""
-        if cycle_time_ps <= 0:
-            raise ValueError("cycle time must be positive")
+    def max_hops_per_cycle(self) -> int:
+        """Largest hop count whose worst-case delay fits in one 4 GHz cycle
+        (Fig 6)."""
         hops = 0
-        while self.network_path_delay_ps(hops + 1, link) <= cycle_time_ps:
+        while self.network_path_delay_ps(hops + 1) <= constants.CYCLE_TIME_PS:
             hops += 1
             if hops > 1024:  # pragma: no cover - defensive
                 raise RuntimeError("hop solver failed to terminate")
         return hops
 
 
-def max_hops_per_cycle(scenario: str, payload_wdm: int = 64) -> int:
-    """Convenience wrapper: Fig 6 value for one scenario and WDM degree.
+def max_hops_per_cycle(scenario: str, payload_wdm: int) -> int:
+    """The hop budget of one scaling scenario at one WDM degree (Fig 6).
 
-    >>> max_hops_per_cycle("average")
+    Every simulated Phastlane configuration reads its budget here.
+
+    >>> max_hops_per_cycle("average", 64)
     5
     """
     return RouterLatencyModel(scenario, payload_wdm).max_hops_per_cycle()
-
-
-def figure5_delays(wdm_degrees: tuple[int, ...] = (32, 64, 128)) -> list[CriticalPathDelays]:
-    """All Fig 5 bars: 4 paths x 3 scenarios x the given WDM degrees."""
-    return [
-        RouterLatencyModel(scenario, wdm).critical_paths()
-        for scenario in constants.SCALING_SCENARIOS
-        for wdm in wdm_degrees
-    ]
-
-
-def figure6_hops(wdm_degrees: tuple[int, ...] = (32, 64, 128)) -> dict[str, dict[int, int]]:
-    """Fig 6: {scenario: {wdm_degree: max hops per 4 GHz cycle}}."""
-    return {
-        scenario: {wdm: max_hops_per_cycle(scenario, wdm) for wdm in wdm_degrees}
-        for scenario in constants.SCALING_SCENARIOS
-    }

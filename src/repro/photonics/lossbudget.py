@@ -4,9 +4,9 @@ The Fig 7 peak-power model in :mod:`repro.photonics.power` is *calibrated*
 to the paper's quoted operating points.  This module builds the same
 quantity bottom-up from per-component losses quoted in the device
 literature the paper cites (couplers, waveguide propagation, crossings,
-ring through/drop losses, bends) and checks that the two approaches agree
-to within a small factor — evidence that the calibrated constants are
-physically plausible rather than arbitrary.
+ring through/drop losses, bends); the Fig 7 benchmark and the tests check
+that the two approaches agree to within a small factor — evidence that
+the calibrated constants are physically plausible rather than arbitrary.
 
 All losses are in dB; the required laser power per wavelength is the
 receiver sensitivity multiplied by the total path loss plus a system
@@ -16,14 +16,14 @@ margin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.photonics import constants
 from repro.photonics.wdm import PacketLayout
 from repro.util.units import from_db, to_db
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.topology import Topology
+#: Simultaneously-receiving input ports in the Fig 7 worst case: four mesh
+#: ports on each router of the 8x8 design point.
+INPUT_PORTS = 4 * 64
 
 
 @dataclass(frozen=True)
@@ -32,17 +32,18 @@ class ComponentLosses:
 
     - coupler: fibre/laser-to-chip grating coupler;
     - propagation: silicon waveguide loss per millimetre;
-    - crossing: one waveguide crossing (0.088 dB ~ 98% efficiency,
-      Bogaerts et al. 2007 report 0.1-0.2 dB/crossing);
     - ring_through: passing one off-resonance ring;
     - ring_drop: coupling through an on-resonance ring (a turn);
     - bend: one 90-degree waveguide bend;
     - margin: system margin for laser RIN, temperature and aging.
+
+    A crossing's loss is no field: it follows from the crossing efficiency
+    (:attr:`LossBudget.crossing_db`, 0.088 dB at 98%; Bogaerts et al. 2007
+    report 0.1-0.2 dB/crossing).
     """
 
     coupler_db: float = 1.0
     propagation_db_per_mm: float = 0.1
-    crossing_db: float = -10.0 * 0.0  # derived from efficiency, see below
     ring_through_db: float = 0.004
     ring_drop_db: float = 0.5
     bend_db: float = 0.01
@@ -55,42 +56,12 @@ class LossBudget:
     def __init__(
         self,
         losses: ComponentLosses | None = None,
-        crossing_efficiency: float = 0.98,
-        mesh_nodes: int = 64,
-        input_ports: int | None = None,
-    ):
+        crossing_efficiency: float = constants.CROSSING_EFFICIENCY,
+    ) -> None:
         if not 0.0 < crossing_efficiency <= 1.0:
             raise ValueError("crossing efficiency must be in (0, 1]")
-        if mesh_nodes <= 0:
-            raise ValueError("mesh must have nodes")
         self.losses = losses or ComponentLosses()
         self.crossing_efficiency = crossing_efficiency
-        self.mesh_nodes = mesh_nodes
-        #: Simultaneously-receiving input ports in the Fig 7 worst case.
-        #: ``None`` keeps the historical full-mesh assumption (four mesh
-        #: ports per node); :meth:`for_topology` supplies the real count
-        #: of connected links, which is lower on mesh edges and higher
-        #: never (each link is one receiving input port).
-        if input_ports is None:
-            input_ports = 4 * mesh_nodes
-        if input_ports <= 0:
-            raise ValueError("the network needs at least one input port")
-        self.input_ports = input_ports
-
-    @classmethod
-    def for_topology(
-        cls,
-        topology: "Topology",
-        losses: ComponentLosses | None = None,
-        crossing_efficiency: float = 0.98,
-    ) -> "LossBudget":
-        """A budget sized from a topology's actual link enumeration."""
-        return cls(
-            losses,
-            crossing_efficiency,
-            mesh_nodes=topology.num_nodes,
-            input_ports=len(topology.links()),
-        )
 
     @property
     def crossing_db(self) -> float:
@@ -132,35 +103,14 @@ class LossBudget:
     def network_peak_power_w(self, payload_wdm: int, hops: int) -> float:
         """Fig 7's worst case: every input port of every router receiving.
 
-        Each connected input port (four per router on a full mesh; fewer
-        at mesh edges when sized via :meth:`for_topology`) carries a full
-        packet's wavelengths (payload + control bits); every one of them
-        needs its per-wavelength budget simultaneously, and every packet
-        is turning (one ring drop on its path).
+        Each of the :data:`INPUT_PORTS` carries a full packet's wavelengths
+        (payload + control bits); every one of them needs its per-wavelength
+        budget simultaneously, and every packet is turning (one ring drop on
+        its path).
         """
-        signals = self.input_ports * (
+        signals = INPUT_PORTS * (
             constants.PACKET_PAYLOAD_BITS + constants.PACKET_CONTROL_BITS
         )
         return signals * self.required_power_per_wavelength_w(
             payload_wdm, hops, turns=1
         )
-
-
-def cross_validate_anchor(tolerance_factor: float = 5.0) -> tuple[float, float]:
-    """Compare the physical chain against the calibrated Fig 7 anchor.
-
-    Returns ``(bottom_up_watts, calibrated_watts)`` for the 64-wavelength,
-    four-hop, 98%-crossing-efficiency design point; raises if they differ
-    by more than ``tolerance_factor``.
-    """
-    from repro.photonics.power import OpticalPowerModel
-
-    bottom_up = LossBudget().network_peak_power_w(64, 4)
-    calibrated = OpticalPowerModel().peak_power_w(64, 4, 0.98)
-    ratio = max(bottom_up, calibrated) / min(bottom_up, calibrated)
-    if ratio > tolerance_factor:
-        raise AssertionError(
-            f"loss-budget cross-check failed: bottom-up {bottom_up:.1f} W vs "
-            f"calibrated {calibrated:.1f} W (factor {ratio:.1f})"
-        )
-    return bottom_up, calibrated

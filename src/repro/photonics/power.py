@@ -22,15 +22,11 @@ the paper's other quoted points (128λ/5-hop/98% -> 32 W, 128λ/4-hop/98% ->
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.photonics import constants
 from repro.photonics.wdm import PacketLayout
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.topology import Topology
 
 #: The paper's calibration anchor for Fig 7.
 ANCHOR_WDM = 64
@@ -72,27 +68,13 @@ class PeakPowerPoint:
 class OpticalPowerModel:
     """Peak and per-packet optical power for a Phastlane configuration."""
 
-    def __init__(self, mesh_nodes: int = 64, input_ports: int | None = None):
+    def __init__(self, mesh_nodes: int = 64) -> None:
         if mesh_nodes <= 0:
             raise ValueError(f"mesh must have nodes, got {mesh_nodes}")
-        self.mesh_nodes = mesh_nodes
-        #: Connected input ports the average-power fraction is spread over.
-        #: ``None`` keeps the historical four-ports-per-node assumption;
-        #: :meth:`for_topology` supplies the topology's real link count.
-        if input_ports is None:
-            input_ports = 4 * mesh_nodes
-        if input_ports <= 0:
-            raise ValueError(f"input port count must be positive, got {input_ports}")
-        self.input_ports = input_ports
+        #: Input ports the average-power fraction is spread over: four per
+        #: router, as in the Fig 7 worst case.
+        self.input_ports = 4 * mesh_nodes
         self._p_base = self._calibrate_base()
-
-    @classmethod
-    def for_topology(cls, topology: "Topology") -> "OpticalPowerModel":
-        """A power model sized from a topology's actual link enumeration."""
-        return cls(
-            mesh_nodes=topology.num_nodes,
-            input_ports=len(topology.links()),
-        )
 
     @staticmethod
     def loss_exponent(payload_wdm: int) -> float:
@@ -130,26 +112,13 @@ class OpticalPowerModel:
             peak_power_w=self.peak_power_w(payload_wdm, max_hops, crossing_efficiency),
         )
 
-    def max_reasonable_hops(
-        self, payload_wdm: int, crossing_efficiency: float, budget_w: float = REASONABLE_PEAK_W
-    ) -> int:
-        """Largest hop count whose peak power fits a laser budget (0 if none)."""
-        if budget_w <= 0:
-            raise ValueError("power budget must be positive")
-        if budget_w < self._p_base:
-            return 0
-        if crossing_efficiency >= 1.0:
-            return constants.MAX_CONTROL_GROUPS  # lossless: layout-limited
-        per_hop = self.loss_exponent(payload_wdm) * math.log(1.0 / crossing_efficiency)
-        return int(math.log(budget_w / self._p_base) / per_hop)
-
     def contour(
         self,
-        wdm_degrees: Sequence[int] = (32, 64, 128),
-        hop_counts: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8),
-        efficiencies: Sequence[float] = (0.95, 0.96, 0.97, 0.98, 0.99, 0.995, 1.0),
+        wdm_degrees: Sequence[int],
+        hop_counts: Sequence[int],
+        efficiencies: Sequence[float],
     ) -> list[PeakPowerPoint]:
-        """The full Fig 7 contour grid."""
+        """Peak power over a (WDM degree x hops x efficiency) grid."""
         return [
             self.peak_point(wdm, hops, eta)
             for wdm in wdm_degrees
@@ -164,12 +133,11 @@ class OpticalPowerModel:
         payload_wdm: int,
         hops: int,
         crossing_efficiency: float = ANCHOR_EFFICIENCY,
-        cycle_time_ps: float = constants.CYCLE_TIME_PS,
         multicast_taps: int = 0,
     ) -> float:
         """Laser (wall-plug) energy for one packet transmission of ``hops``.
 
-        The laser must supply, for one cycle, enough power for every
+        The laser must supply, for one 4 GHz cycle, enough power for every
         wavelength of this one packet to survive ``hops`` routers of loss.
         Peak power above is the worst case of *all* ports active with full
         multicast extraction; one average transmission is 1/(4 * mesh_nodes)
@@ -196,4 +164,4 @@ class OpticalPowerModel:
             * AVERAGE_LASER_DERATING
         )
         wall_plug_w = optical_w / constants.LASER_EFFICIENCY
-        return wall_plug_w * cycle_time_ps  # W * ps = pJ
+        return wall_plug_w * constants.CYCLE_TIME_PS  # W * ps = pJ

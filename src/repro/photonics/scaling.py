@@ -10,18 +10,15 @@ to 22 nm) and extrapolates to 16 nm with three curve fits:
 We do not have the raw Kirman dataset, so :data:`TRANSMIT_ANCHORS_PS` and
 :data:`RECEIVE_ANCHORS_PS` are synthetic anchor points chosen so that the
 three fits land near the paper's stated 16 nm endpoints (transmit
-8.0-19.4 ps, receive 1.8-3.7 ps).  The *canonical* per-scenario 16 nm delays
-used by the latency solver are the paper's exact values, stored in
-:mod:`repro.photonics.constants`; the fits here regenerate Fig 4's trends.
+8.0-19.4 ps, receive 1.8-3.7 ps).  The fits regenerate Fig 4's trends
+only: the *canonical* per-scenario 16 nm delays the hop solver reads are
+the paper's exact values (:func:`repro.photonics.latency.scenario_delays`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
-
-from repro.photonics import constants
 
 #: Feature sizes (nm) of the synthetic Kirman-style anchor dataset.
 ANCHOR_NODES_NM = (45.0, 32.0, 22.0)
@@ -29,8 +26,6 @@ ANCHOR_NODES_NM = (45.0, 32.0, 22.0)
 TRANSMIT_ANCHORS_PS = (42.0, 28.0, 19.0)
 #: Aggregate receive-path delay (detector + TIA + deserialization), ps.
 RECEIVE_ANCHORS_PS = (8.0, 5.3, 3.6)
-#: The paper's extrapolation target.
-TARGET_NODE_NM = 16.0
 
 #: Mapping from scaling scenario name to the functional form it uses.
 SCENARIO_FIT: dict[str, str] = {
@@ -38,44 +33,6 @@ SCENARIO_FIT: dict[str, str] = {
     "average": "linear",
     "pessimistic": "exponential",
 }
-
-
-@dataclass(frozen=True)
-class ScalingScenario:
-    """Canonical 16 nm component delays for one scaling assumption."""
-
-    name: str
-    transmit_ps: float
-    receive_ps: float
-    resonator_drive_ps: float
-
-    @property
-    def fit_kind(self) -> str:
-        return SCENARIO_FIT[self.name]
-
-
-def scenario_delays(name: str) -> ScalingScenario:
-    """The canonical 16 nm delays for ``name`` (Fig 4 endpoints).
-
-    >>> scenario_delays("average").transmit_ps
-    12.0
-    """
-    if name not in constants.SCALING_SCENARIOS:
-        raise ValueError(
-            f"unknown scaling scenario {name!r}; "
-            f"expected one of {constants.SCALING_SCENARIOS}"
-        )
-    return ScalingScenario(
-        name=name,
-        transmit_ps=constants.TRANSMIT_DELAY_PS[name],
-        receive_ps=constants.RECEIVE_DELAY_PS[name],
-        resonator_drive_ps=constants.RESONATOR_DRIVE_DELAY_PS[name],
-    )
-
-
-def all_scenarios() -> list[ScalingScenario]:
-    """All three scaling scenarios in the paper's order."""
-    return [scenario_delays(name) for name in constants.SCALING_SCENARIOS]
 
 
 def _least_squares_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
@@ -147,25 +104,14 @@ class DelayScalingModel:
 
 
 def transmit_model(fit_kind: str) -> DelayScalingModel:
-    """Scaling model for the aggregate transmit delay."""
+    """Scaling model for the aggregate transmit delay.
+
+    >>> round(transmit_model("linear").delay_at(16.0), 1)
+    12.6
+    """
     return DelayScalingModel(ANCHOR_NODES_NM, TRANSMIT_ANCHORS_PS, fit_kind)
 
 
 def receive_model(fit_kind: str) -> DelayScalingModel:
     """Scaling model for the aggregate receive delay."""
     return DelayScalingModel(ANCHOR_NODES_NM, RECEIVE_ANCHORS_PS, fit_kind)
-
-
-def figure4_series(
-    nodes_nm: Sequence[float] = (45.0, 40.0, 36.0, 32.0, 28.0, 25.0, 22.0, 19.0, 16.0),
-) -> dict[str, dict[str, list[float]]]:
-    """The six Fig 4 series: {component: {scenario: delays over nodes}}.
-
-    Component keys are ``"transmit"`` and ``"receive"``; scenario keys are
-    the three scaling-scenario names.
-    """
-    series: dict[str, dict[str, list[float]]] = {"transmit": {}, "receive": {}}
-    for scenario, fit_kind in SCENARIO_FIT.items():
-        series["transmit"][scenario] = transmit_model(fit_kind).trend(nodes_nm)
-        series["receive"][scenario] = receive_model(fit_kind).trend(nodes_nm)
-    return series

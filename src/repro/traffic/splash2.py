@@ -35,6 +35,7 @@ from repro.traffic.injection import (
 )
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.trace import Trace, TraceEvent
+from repro.util.errors import SpecError
 from repro.util.geometry import MeshGeometry
 
 #: Table 3 of the paper: benchmark -> experimental data set.
@@ -262,6 +263,8 @@ def generate_splash2_trace(
 
     The same ``(benchmark, mesh, seed, duration)`` always produces the
     identical trace, so optical and electrical runs see the same workload.
+    ``duration_cycles=None`` takes the profile's duration; a duration below
+    one cycle is refused.
     """
     if benchmark not in SPLASH2_PROFILES:
         raise ValueError(
@@ -270,7 +273,9 @@ def generate_splash2_trace(
         )
     profile = SPLASH2_PROFILES[benchmark]
     mesh = mesh or MeshGeometry(8, 8)
-    duration = duration_cycles or profile.duration_cycles
+    duration = profile.duration_cycles if duration_cycles is None else duration_cycles
+    if duration < 1:
+        raise SpecError(f"a trace lasts at least one cycle, got {duration} cycles")
 
     patterns = {
         name: pattern_by_name(name, mesh) for name in profile.pattern_mix

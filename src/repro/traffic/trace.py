@@ -27,6 +27,7 @@ from repro.sim.rng import DeterministicRng
 from repro.traffic.coherence import MessageKind
 from repro.traffic.injection import InjectionProcess
 from repro.traffic.patterns import TrafficPattern
+from repro.util.errors import SpecError
 
 #: Sentinel destination value in the text format for broadcasts.
 _BROADCAST_TOKEN = "*"
@@ -136,26 +137,37 @@ class Trace:
 
     @classmethod
     def load(cls, path: str | Path) -> "Trace":
+        """Read a trace file.  A malformed file is refused in one line, a
+        :class:`~repro.util.errors.SpecError` naming the path (and the line,
+        when one line is at fault)."""
         path = Path(path)
         name = path.stem
         num_nodes: int | None = None
         events: list[TraceEvent] = []
         with path.open() as handle:
-            for line in handle:
+            for number, line in enumerate(handle, 1):
                 line = line.strip()
                 if not line:
                     continue
-                if line.startswith("#"):
+                try:
+                    if not line.startswith("#"):
+                        events.append(TraceEvent.from_line(line))
+                        continue
                     fields = line[1:].split()
                     if fields[:1] == ["trace"] and len(fields) > 1:
                         name = fields[1]
                     elif fields[:1] == ["nodes"] and len(fields) > 1:
                         num_nodes = int(fields[1])
-                    continue
-                events.append(TraceEvent.from_line(line))
+                        if num_nodes <= 0:
+                            raise ValueError(f"non-positive node count {num_nodes}")
+                except ValueError as exc:
+                    raise SpecError(f"{path}:{number}: {exc}") from None
         if num_nodes is None:
-            raise ValueError(f"trace file {path} is missing the '# nodes' header")
-        return cls(name=name, num_nodes=num_nodes, events=events)
+            raise SpecError(f"trace file {path} is missing the '# nodes' header")
+        try:
+            return cls(name=name, num_nodes=num_nodes, events=events)
+        except ValueError as exc:
+            raise SpecError(f"{path}: {exc}") from None
 
 
 class TrafficSource(abc.ABC):

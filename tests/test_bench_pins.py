@@ -411,7 +411,6 @@ CALLER_FILES = sorted(
 
 #: Public names no caller reads, each with why it stays.  A name leaves
 #: this list when it gets a caller or is deleted with its tests.
-_PHOTONICS = "photonics chain: a caller in the derived design point, or deletion"
 _TESTED_ONLY = "a statement the tests check and no run reads"
 UNCALLED = {
     "core/control.py:decode_control_bits": "section 2.1.3 bit layout; " + _TESTED_ONLY,
@@ -428,24 +427,10 @@ UNCALLED = {
     "deviation study is to read it",
     "fabric/protocol.py:FabricNic": "the NIC protocol every BaseNic meets, "
     "stated for readers and type checkers",
-    "harness/experiments/tables.py:phastlane_matches_table1": _TESTED_ONLY,
     "harness/report.py:load_report": "report read-back; " + _TESTED_ONLY,
     "harness/report.py:point_from_dict": "report read-back; " + _TESTED_ONLY,
     "obs/export.py:iter_stream_events": "stream read-back; " + _TESTED_ONLY,
     "obs/export.py:read_stream": "stream read-back; " + _TESTED_ONLY,
-    "photonics/area.py:RouterAreaModel.fits_node": _PHOTONICS,
-    "photonics/area.py:figure8_series": _PHOTONICS,
-    "photonics/components.py:Modulator.transmit_energy_pj": _PHOTONICS,
-    "photonics/components.py:Receiver.receive_energy_pj": _PHOTONICS,
-    "photonics/components.py:RouterOptics.resonator": _PHOTONICS,
-    "photonics/lossbudget.py:LossBudget.for_topology": _PHOTONICS,
-    "photonics/lossbudget.py:cross_validate_anchor": _PHOTONICS,
-    "photonics/power.py:OpticalPowerModel.for_topology": _PHOTONICS,
-    "photonics/power.py:OpticalPowerModel.max_reasonable_hops": _PHOTONICS,
-    "photonics/scaling.py:all_scenarios": _PHOTONICS,
-    "photonics/wdm.py:PacketLayout.control_groups": _PHOTONICS,
-    "photonics/wdm.py:PacketLayout.receivers_per_input_port": _PHOTONICS,
-    "photonics/wdm.py:design_point_layout": _PHOTONICS,
     "topology/base.py:Topology.is_edge_row": "section 2.1.4's fan-out rule, "
     "which the sweep-count law states",
     "traffic/coherence.py:CoherenceMessageMix.broadcast_fraction": _TESTED_ONLY,

@@ -229,6 +229,9 @@ class TestRefusals:
             ["campaign", "--cycles", "0", "--no-cache"],
             ["figure", "fig09", "--cycles", "0", "--no-cache"],
             ["figure", "fig10", "--cycles", "0", "--no-cache"],
+            # A dead port off the grid ended in a ValueError traceback.
+            ["sweep", "--dead-ports", "999:E", "--rates", "0.02",
+             "--cycles", "30", "--no-cache"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -250,6 +253,46 @@ class TestRefusals:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("repro: ") and "100 nodes" in line and " 64 " in line
+
+    @pytest.mark.parametrize("cycles", ["0", "-5"])
+    def test_a_trace_of_no_cycles_is_refused(self, cycles, tmp_path, capsys):
+        # Before, 0 wrote the profile's 4 000-cycle trace and -5 an empty
+        # one, both with exit 0.
+        path = tmp_path / "ocean.trace"
+        argv = ["trace", "generate", "ocean", "--cycles", cycles, "--out", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not path.exists()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: ")
+
+    @pytest.mark.parametrize(
+        "text, bad_line",
+        [
+            ("# nodes 4\n1 2 3\n", 2),  # a field short
+            ("# nodes 4\n0 1 2 data_response\n1 x 2 data_response\n", 3),
+            ("# nodes 4\n1 2 3 gossip\n", 2),  # an unknown kind
+            ("# nodes 4\n-1 2 3 data_response\n", 2),
+            ("# trace t\n# nodes four\n", 2),
+            ("# nodes 0\n", 1),
+        ],
+        ids=["fields", "integer", "kind", "negative", "header", "no nodes"],
+    )
+    @pytest.mark.parametrize("command", ["trace info", "run"])
+    def test_a_malformed_trace_names_its_line(
+        self, command, text, bad_line, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.trace"
+        path.write_text(text)
+        argv = (
+            ["trace", "info", str(path)] if command == "trace info"
+            else ["run", "--config", "Optical4", "--trace", str(path), "--no-cache"]
+        )
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro: {path}:{bad_line}: ")
 
 
     @pytest.mark.parametrize(
@@ -415,7 +458,8 @@ class TestImportsFollowTheCommand:
         "numpy",
         *(f"repro.core.{name}" for name in ORACLE_MODULES),
         "repro.obs.live",
-        "repro.photonics.dse",
+        *(f"repro.photonics.{name}"
+          for name in ("area", "dse", "lossbudget", "scaling")),
     )
     SWEEP = ["sweep", "--config", "Electrical3", "--pattern", "uniform",
              "--rates", "0.02", "--cycles", "30", "--no-cache"]

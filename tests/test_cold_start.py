@@ -36,8 +36,7 @@ from test_fabric_regression import VEC_FAST_STATS_SHA
 #: Each package, and the submodules its import must not load.
 PACKAGE_LOADS_NONE_OF = {
     "repro.core": ("network", "router", "routing", "control", "nic", "packet"),
-    "repro.photonics": ("area", "components", "dse", "latency", "lossbudget",
-                        "scaling"),
+    "repro.photonics": ("area", "dse", "latency", "lossbudget", "scaling"),
     "repro.obs": ("analysis", "live", "session", "health"),
     "repro.harness.experiments": ("configs", "fig04", "fig05", "fig06", "fig07",
                                   "fig08", "fig09", "tables"),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import HOPS_FOR_SCENARIO, PhastlaneConfig
+from repro.core.config import PhastlaneConfig
 from repro.core.packet import OpticalPacket
 from repro.core.routing import build_plan
 from repro.photonics.constants import NIC_BUFFER_ENTRIES, PAYLOAD_WDM
@@ -24,12 +24,6 @@ class TestConfig:
         assert PhastlaneConfig(max_hops_per_cycle=5).label == "Optical5"
         assert PhastlaneConfig(buffer_entries=32).label == "Optical4B32"
         assert PhastlaneConfig(buffer_entries=None).label == "Optical4IB"
-
-    def test_for_scenario_builder(self):
-        config = PhastlaneConfig.for_scenario("optimistic")
-        assert config.max_hops_per_cycle == HOPS_FOR_SCENARIO["optimistic"]
-        with pytest.raises(ValueError):
-            PhastlaneConfig.for_scenario("wild-guess")
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):

@@ -14,8 +14,13 @@ from repro.harness.experiments import (
     fig11,
     tables,
 )
+from repro.core.config import PhastlaneConfig
 from repro.harness.experiments.configs import optical_configs, standard_configs
 from repro.harness.experiments.splash2_runs import compute_matrix
+from repro.photonics.constants import NIC_BUFFER_ENTRIES, PAYLOAD_WDM
+from repro.photonics.dse import DesignSpaceExplorer
+from repro.photonics.latency import max_hops_per_cycle
+from repro.vectorized import VectorizedConfig
 
 
 class TestAnalyticFigures:
@@ -69,7 +74,16 @@ class TestTables:
         assert tables.table4()["block_size"] == "32B L1, 64B L2"
 
     def test_default_config_matches_table1(self):
-        assert tables.phastlane_matches_table1()
+        """The config defaults are the derived design point: the solver's
+        pessimistic budget at the WDM degree the area model selects."""
+        derived = tables.table1()
+        pessimistic = max_hops_per_cycle("pessimistic", PAYLOAD_WDM)
+        assert PhastlaneConfig().max_hops_per_cycle == pessimistic
+        assert VectorizedConfig().max_hops_per_cycle == pessimistic
+        assert str(pessimistic) in str(derived["max_hops_per_cycle"]).split(", ")
+        assert PAYLOAD_WDM == DesignSpaceExplorer().select_wdm()
+        assert PAYLOAD_WDM == derived["packet_payload_wdm"]
+        assert NIC_BUFFER_ENTRIES == derived["buffer_entries_in_nic"]
 
 
 class TestConfigSets:

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.harness.experiments import fig08
 from repro.photonics import constants
-from repro.photonics.area import NODE_AREA_MM2, RouterAreaModel, figure8_series
+from repro.photonics.area import RouterAreaModel
 
 
 @pytest.fixture(scope="module")
@@ -19,17 +20,6 @@ class TestSweetSpot:
         assert model.area_mm2(64) == pytest.approx(
             constants.NODE_AREA_SINGLE_CORE_MM2, rel=0.02
         )
-
-    def test_fits_node_classification(self, model):
-        assert model.fits_node(64, cores_per_node=1)
-        assert not model.fits_node(32, cores_per_node=1)
-        # Larger dual/quad-core nodes admit 32/128 wavelengths (section 3.3).
-        assert model.fits_node(32, cores_per_node=4)
-        assert model.fits_node(128, cores_per_node=4)
-
-    def test_unknown_core_count_rejected(self, model):
-        with pytest.raises(ValueError):
-            model.fits_node(64, cores_per_node=3)
 
 
 class TestAreaComponents:
@@ -66,21 +56,10 @@ class TestAreaComponents:
 
 
 class TestModelValidation:
-    def test_invalid_coefficients_rejected(self):
-        with pytest.raises(ValueError):
-            RouterAreaModel(k_wg_um=0.0)
-        with pytest.raises(ValueError):
-            RouterAreaModel(base_um=-1.0)
-
     def test_empty_sweep_rejected(self, model):
         with pytest.raises(ValueError):
             model.sweet_spot(())
 
     def test_figure8_series_shape(self):
-        series = figure8_series()
+        series = fig08.compute().breakdowns
         assert [b.payload_wdm for b in series] == [16, 24, 32, 48, 64, 96, 128, 192, 256]
-
-    def test_node_area_table(self):
-        assert NODE_AREA_MM2[1] == 3.5
-        assert NODE_AREA_MM2[2] == 4.5
-        assert NODE_AREA_MM2[4] == 6.5

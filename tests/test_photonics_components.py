@@ -1,90 +1,54 @@
-"""Tests for device-level optical component models."""
+"""Tests for the device-level delays the hop solver reads: waveguide
+propagation, the inter-router link, the crossbar traversal and the 16 nm
+per-scenario component delays (all in :mod:`repro.photonics.latency`)."""
 
 import pytest
 
 from repro.photonics import constants
-from repro.photonics.components import (
-    Modulator,
-    OpticalLink,
-    Receiver,
-    RingResonator,
-    RouterOptics,
-    Waveguide,
+from repro.photonics.latency import (
+    crossbar_traversal_ps,
+    link_delay_ps,
+    scenario_delays,
 )
-from repro.photonics.scaling import scenario_delays
 
 
 class TestWaveguide:
     def test_propagation_delay(self):
-        assert Waveguide(1.0).propagation_delay_ps == pytest.approx(10.45)
-        assert Waveguide(2.0).propagation_delay_ps == pytest.approx(20.9)
+        assert link_delay_ps(1.0) == pytest.approx(10.45)
+        assert link_delay_ps(2.0) == pytest.approx(20.9)
 
     def test_zero_length_allowed(self):
-        assert Waveguide(0.0).propagation_delay_ps == 0.0
-
-    def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            Waveguide(-0.1)
+        assert link_delay_ps(0.0) == 0.0
 
 
 class TestRingResonator:
     def test_scenario_drive_delay(self):
-        ring = RingResonator.for_scenario(scenario_delays("average"))
-        assert ring.drive_delay_ps == constants.RESONATOR_DRIVE_DELAY_PS["average"]
-
-    def test_loss_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            RingResonator(1.0, through_loss=0.0)
-        with pytest.raises(ValueError):
-            RingResonator(1.0, drop_loss=1.5)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            RingResonator(-1.0)
+        ring = scenario_delays("average")
+        assert ring.resonator_drive_ps == constants.RESONATOR_DRIVE_DELAY_PS["average"]
 
 
 class TestModulatorReceiver:
     def test_scenario_delays(self):
         scenario = scenario_delays("pessimistic")
-        assert Modulator.for_scenario(scenario).transmit_delay_ps == 19.4
-        assert Receiver.for_scenario(scenario).receive_delay_ps == 3.7
-
-    def test_transmit_energy_scales_with_bits(self):
-        modulator = Modulator(10.0)
-        assert modulator.transmit_energy_pj(640) == pytest.approx(
-            640 * constants.MODULATOR_ENERGY_PJ_PER_BIT
-        )
-        assert modulator.transmit_energy_pj(0) == 0.0
-
-    def test_receive_energy_scales_with_bits(self):
-        receiver = Receiver(2.0)
-        assert receiver.receive_energy_pj(100) == pytest.approx(
-            100 * constants.RECEIVER_ENERGY_PJ_PER_BIT
-        )
-
-    def test_negative_bits_rejected(self):
-        with pytest.raises(ValueError):
-            Modulator(1.0).transmit_energy_pj(-1)
-        with pytest.raises(ValueError):
-            Receiver(1.0).receive_energy_pj(-1)
+        assert scenario.transmit_ps == 19.4
+        assert scenario.receive_ps == 3.7
 
 
 class TestLinkAndRouterOptics:
     def test_default_link_is_one_node_pitch(self):
-        link = OpticalLink()
-        assert link.length_mm == pytest.approx(constants.HOP_LENGTH_MM)
-        assert link.delay_ps == pytest.approx(
+        assert constants.HOP_LENGTH_MM == pytest.approx(
+            constants.NODE_AREA_SINGLE_CORE_MM2**0.5
+        )
+        assert link_delay_ps(constants.HOP_LENGTH_MM) == pytest.approx(
             constants.HOP_LENGTH_MM * constants.WAVEGUIDE_DELAY_PS_PER_MM
         )
 
     def test_crossbar_traversal_grows_weakly_with_wdm(self):
-        optics = RouterOptics(scenario_delays("average"))
-        t32 = optics.crossbar_traversal_ps(32)
-        t128 = optics.crossbar_traversal_ps(128)
+        t32 = crossbar_traversal_ps(32)
+        t128 = crossbar_traversal_ps(128)
         assert t32 < t128
         assert (t128 - t32) < 0.1  # weak enough to keep Fig 6 WDM-independent
 
     def test_crossbar_traversal_rejects_bad_wdm(self):
-        optics = RouterOptics(scenario_delays("average"))
         with pytest.raises(ValueError):
-            optics.crossbar_traversal_ps(0)
+            crossbar_traversal_ps(0)

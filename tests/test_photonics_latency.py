@@ -2,13 +2,9 @@
 
 import pytest
 
+from repro.harness.experiments import fig05, fig06
 from repro.photonics import constants
-from repro.photonics.latency import (
-    RouterLatencyModel,
-    figure5_delays,
-    figure6_hops,
-    max_hops_per_cycle,
-)
+from repro.photonics.latency import RouterLatencyModel, max_hops_per_cycle
 
 PAPER_HOPS = {"optimistic": 8, "average": 5, "pessimistic": 4}
 
@@ -18,7 +14,7 @@ class TestFigure6:
 
     @pytest.mark.parametrize("scenario,expected", sorted(PAPER_HOPS.items()))
     def test_paper_hop_counts(self, scenario, expected):
-        assert max_hops_per_cycle(scenario) == expected
+        assert max_hops_per_cycle(scenario, constants.PAYLOAD_WDM) == expected
 
     @pytest.mark.parametrize("wdm", [32, 64, 128])
     def test_wdm_independence(self, wdm):
@@ -26,17 +22,15 @@ class TestFigure6:
             assert max_hops_per_cycle(scenario, wdm) == expected
 
     def test_figure6_matrix(self):
-        hops = figure6_hops()
+        hops = fig06.compute().hops
         for scenario, expected in PAPER_HOPS.items():
             assert set(hops[scenario].values()) == {expected}
 
-    def test_longer_cycle_allows_more_hops(self):
+    def test_longer_cycle_allows_more_hops(self, monkeypatch):
         model = RouterLatencyModel("average")
-        assert model.max_hops_per_cycle(500.0) > model.max_hops_per_cycle(250.0)
-
-    def test_invalid_cycle_time_rejected(self):
-        with pytest.raises(ValueError):
-            RouterLatencyModel("average").max_hops_per_cycle(0.0)
+        at_4ghz = model.max_hops_per_cycle()
+        monkeypatch.setattr(constants, "CYCLE_TIME_PS", 500.0)
+        assert model.max_hops_per_cycle() > at_4ghz
 
 
 class TestFigure5:
@@ -67,7 +61,7 @@ class TestFigure5:
         assert abs(pp128 - pp32) / pp32 < 0.01
 
     def test_figure5_covers_all_combinations(self):
-        delays = figure5_delays((32, 64, 128))
+        delays = fig05.compute((32, 64, 128)).delays
         assert len(delays) == 9
         assert {(d.scenario, d.payload_wdm) for d in delays} == {
             (s, w) for s in constants.SCALING_SCENARIOS for w in (32, 64, 128)
@@ -96,7 +90,7 @@ class TestNetworkPathDelay:
             RouterLatencyModel("average").network_path_delay_ps(0)
 
     def test_accepts_scenario_object(self):
-        from repro.photonics.scaling import scenario_delays
+        from repro.photonics.latency import scenario_delays
 
         model = RouterLatencyModel(scenario_delays("optimistic"))
         assert model.max_hops_per_cycle() == 8

@@ -65,18 +65,6 @@ class TestModelShape:
         assert all(p.payload_wdm == 64 for p in points)
 
 
-class TestMaxReasonableHops:
-    def test_64wdm_98pct_allows_four_hops(self, model):
-        assert model.max_reasonable_hops(64, 0.98) == 4
-
-    def test_32wdm_98pct_limited_to_two(self, model):
-        assert model.max_reasonable_hops(32, 0.98) <= 3
-
-    def test_budget_must_be_positive(self, model):
-        with pytest.raises(ValueError):
-            model.max_reasonable_hops(64, 0.98, budget_w=0.0)
-
-
 class TestLaserEnergy:
     def test_energy_grows_with_hops(self, model):
         assert model.transmit_laser_energy_pj(64, 4) > model.transmit_laser_energy_pj(64, 1)

@@ -2,15 +2,14 @@
 
 import pytest
 
+from repro.harness.experiments import fig04
 from repro.photonics import constants
+from repro.photonics.latency import scenario_delays
 from repro.photonics.scaling import (
     ANCHOR_NODES_NM,
     DelayScalingModel,
     SCENARIO_FIT,
-    all_scenarios,
-    figure4_series,
     receive_model,
-    scenario_delays,
     transmit_model,
 )
 
@@ -24,7 +23,7 @@ class TestScenarioDelays:
         assert scenario_delays("pessimistic").receive_ps == 3.7
 
     def test_average_is_between_extremes(self):
-        opt, avg, pess = all_scenarios()
+        opt, avg, pess = map(scenario_delays, constants.SCALING_SCENARIOS)
         assert opt.transmit_ps < avg.transmit_ps < pess.transmit_ps
         assert opt.receive_ps < avg.receive_ps < pess.receive_ps
         assert opt.resonator_drive_ps < avg.resonator_drive_ps < pess.resonator_drive_ps
@@ -34,9 +33,11 @@ class TestScenarioDelays:
             scenario_delays("hopeful")
 
     def test_fit_kind_mapping(self):
-        assert scenario_delays("optimistic").fit_kind == "logarithmic"
-        assert scenario_delays("average").fit_kind == "linear"
-        assert scenario_delays("pessimistic").fit_kind == "exponential"
+        assert SCENARIO_FIT == {
+            "optimistic": "logarithmic",
+            "average": "linear",
+            "pessimistic": "exponential",
+        }
 
 
 class TestCurveFits:
@@ -89,13 +90,13 @@ class TestCurveFits:
 
 class TestFigure4Series:
     def test_series_structure(self):
-        series = figure4_series()
+        series = fig04.compute().series
         assert set(series) == {"transmit", "receive"}
         for component in series.values():
             assert set(component) == set(SCENARIO_FIT)
 
     def test_transmit_above_receive_everywhere(self):
-        series = figure4_series()
+        series = fig04.compute().series
         for scenario in constants.SCALING_SCENARIOS:
             for tx, rx in zip(series["transmit"][scenario], series["receive"][scenario]):
                 assert tx > rx

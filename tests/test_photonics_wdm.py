@@ -4,57 +4,56 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.photonics.wdm import PacketLayout, WdmChannelPlan, design_point_layout
+from repro.photonics import constants
+from repro.photonics.wdm import PacketLayout
+
+DESIGN_POINT = PacketLayout(payload_wdm=64)
 
 
 class TestChannelPlan:
+    """The payload channel: 640 bits over as few waveguides as carry them
+    in one cycle."""
+
     def test_exact_fit(self):
-        assert WdmChannelPlan(640, 64).waveguides == 10
+        for wdm in (32, 64, 128, 640):
+            assert PacketLayout(payload_wdm=wdm).payload_waveguides * wdm == 640
 
     def test_rounds_up(self):
-        assert WdmChannelPlan(641, 64).waveguides == 11
-        assert WdmChannelPlan(1, 64).waveguides == 1
+        assert PacketLayout(payload_wdm=63).payload_waveguides == 11
+        assert PacketLayout(payload_wdm=640).payload_waveguides == 1
+        assert PacketLayout(payload_wdm=1000).payload_waveguides == 1
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            WdmChannelPlan(0, 64)
-        with pytest.raises(ValueError):
-            WdmChannelPlan(64, 0)
+            PacketLayout(payload_wdm=0)
 
-    @given(st.integers(1, 4096), st.integers(1, 256))
-    def test_capacity_bound(self, bits, wdm):
-        plan = WdmChannelPlan(bits, wdm)
-        assert plan.waveguides * wdm >= bits
-        assert (plan.waveguides - 1) * wdm < bits
+    @given(st.integers(1, 4096))
+    def test_capacity_bound(self, wdm):
+        waveguides = PacketLayout(payload_wdm=wdm).payload_waveguides
+        assert waveguides * wdm >= constants.PACKET_PAYLOAD_BITS
+        assert (waveguides - 1) * wdm < constants.PACKET_PAYLOAD_BITS
 
 
 class TestDesignPointLayout:
     """The Table 1 design point must fall out of the layout maths."""
 
     def test_payload_ten_waveguides_at_64wdm(self):
-        layout = design_point_layout()
-        assert layout.payload_waveguides == 10
+        assert DESIGN_POINT.payload_waveguides == 10
 
     def test_control_two_waveguides_35wdm(self):
-        layout = design_point_layout()
-        assert layout.control_waveguides == 2
-        assert layout.control_wdm == 35
+        assert DESIGN_POINT.control_waveguides == 2
+        assert DESIGN_POINT.control_wdm == 35
 
     def test_fourteen_control_groups(self):
-        assert design_point_layout().control_groups == 14
+        # 70 control bits hold 14 five-bit router groups (section 2.1.3).
+        assert (
+            constants.PACKET_CONTROL_BITS // constants.CONTROL_BITS_PER_ROUTER
+            == constants.MAX_CONTROL_GROUPS
+            == 14
+        )
 
     def test_twelve_waveguides_per_direction(self):
-        assert design_point_layout().waveguides_per_direction == 12
-
-    def test_describe_matches_table1(self):
-        rows = design_point_layout().describe()
-        assert rows == {
-            "packet_payload_wdm": 64,
-            "packet_payload_waveguides": 10,
-            "packet_control_bits": 70,
-            "packet_control_wdm": 35,
-            "packet_control_waveguides": 2,
-        }
+        assert DESIGN_POINT.waveguides_per_direction == 12
 
 
 class TestLayoutSweep:
@@ -62,16 +61,6 @@ class TestLayoutSweep:
         w = [PacketLayout(payload_wdm=wdm).payload_waveguides for wdm in (32, 64, 128)]
         assert w == [20, 10, 5]
 
-    def test_receivers_per_port_constant(self):
-        # Total resonator/receiver pairs per port depend on bits, not WDM.
-        counts = {
-            PacketLayout(payload_wdm=wdm).receivers_per_input_port
-            for wdm in (32, 64, 128)
-        }
-        assert counts == {640 + 70}
-
     def test_invalid_layout_rejected(self):
-        with pytest.raises(ValueError):
-            PacketLayout(payload_bits=0)
         with pytest.raises(ValueError):
             PacketLayout(payload_wdm=-1)
