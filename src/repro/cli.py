@@ -8,7 +8,7 @@ Exposes the experiment harness without writing any Python:
 - ``repro trace generate ocean --out ocean.trace`` — write a SPLASH2 trace;
 - ``repro trace info ocean.trace`` — summarise a trace file;
 - ``repro run --config Optical4 --trace ocean.trace`` — replay a trace;
-- ``repro fault-sweep --link-flip-prob 0.01`` — a degradation curve;
+- ``repro fault-sweep --fault-model burst`` — a degradation curve;
 - ``repro campaign`` — the full Fig 10/11 SPLASH2 campaign;
 - ``repro analyze run.jsonl`` — a latency blame report from a JSONL trace.
 
@@ -232,10 +232,22 @@ def _finish_campaign(executor: Executor, args: argparse.Namespace) -> None:
 
         path = write_campaign_html(args.html, executor.events)
         print(f"wrote HTML campaign report to {path}", file=sys.stderr)
-    if getattr(args, "trace_out", None):
-        print(f"wrote packet trace(s) to {args.trace_out}", file=sys.stderr)
-    if getattr(args, "stream_out", None):
-        print(f"streamed metrics to {args.stream_out}", file=sys.stderr)
+    traces = _obs_paths(executor, "trace_path")
+    if traces:
+        print(f"wrote packet trace(s) to {traces}", file=sys.stderr)
+    streams = _obs_paths(executor, "stream_path")
+    if streams:
+        print(f"streamed metrics to {streams}", file=sys.stderr)
+
+
+def _obs_paths(executor: Executor, attribute: str) -> str:
+    """The files the runs wrote for one ``ObsConfig`` path: the one path,
+    else the first, the last and the count."""
+    written = {getattr(event.spec.obs, attribute, None) for event in executor.events}
+    paths = sorted(written - {None})
+    if len(paths) <= 1:
+        return "".join(paths)
+    return f"{paths[0]} ... {paths[-1]} ({len(paths)} files)"
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
@@ -373,20 +385,36 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fault_sweep(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from repro.faults import FaultConfig
+    from repro.harness.exec import RunSpec, SyntheticWorkload
     from repro.harness.report import write_report
-    from repro.harness.sweeps import fault_point_from_result, fault_sweep_specs
+    from repro.harness.sweeps import fault_point_from_result
 
     config = _config_from_args(args)
     fault_rates = _float_list(args.fault_rates, "--fault-rates")
-    # The template carries every knob except the swept probability; sweep
-    # it even when the base config would otherwise be disabled.
+    if args.link_flip_prob:
+        raise _UsageError(
+            "repro: fault-sweep sets the swept probability from --fault-rates; "
+            "drop --link-flip-prob"
+        )
+    # The template carries every knob except the swept probability: the
+    # flip probability of a bernoulli sweep, the entry one of a burst sweep.
     template = _faults_from_args(args) or FaultConfig(
         seed=args.fault_seed, retry_limit=args.retry_limit
     )
-    specs = fault_sweep_specs(
-        config, args.pattern, args.rate, fault_rates, args.cycles, args.seed, template
-    )
+    swept = "burst_enter_prob" if args.fault_model == "burst" else "link_flip_prob"
+    specs = [
+        RunSpec(
+            config,
+            SyntheticWorkload(args.pattern, args.rate),
+            cycles=args.cycles,
+            seed=args.seed,
+            faults=replace(template, **{swept: fault_rate}),
+        )
+        for fault_rate in fault_rates
+    ]
     executor = _executor_from_args(args)
     num_nodes = config.mesh.num_nodes
     points = [
@@ -552,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     executor_flags.add_argument(
         "--trace-sample", type=_sample_rate, default=1.0, metavar="RATE",
-        help="fraction of packet lifecycles to trace, in [0, 1] (default 1)",
+        help="fraction of packet lifecycles to trace, in [0, 1] (default 1); "
+        "requires --trace-out",
     )
     executor_flags.add_argument(
         "--metrics-interval", type=int, metavar="CYCLES",
@@ -578,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     executor_flags.add_argument(
         "--stall-windows", type=int, default=5, metavar="N",
         help="flat windows of zero delivery progress before the livelock "
-        "watchdog escalates to critical (default 5)",
+        "watchdog escalates to critical (default 5); requires --health",
     )
     executor_flags.add_argument(
         "--stream-out", metavar="PATH",
@@ -680,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fault_sweep.add_argument(
         "--fault-rates", default="0.0,0.001,0.005,0.01,0.05,0.1",
-        help="comma-separated per-crossing fault probabilities to sweep",
+        help="comma-separated probabilities of --fault-model to sweep",
     )
     fault_sweep.add_argument("--cycles", type=int, default=900)
     fault_sweep.add_argument("--seed", type=int, default=1)

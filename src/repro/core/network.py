@@ -241,13 +241,11 @@ class PhastlaneNetwork(MeshNetworkBase):
         """Check the crossing just attempted against the fault schedule.
 
         The crossing leaves ``plan[index - 1]`` through its exit port.  A
-        dead port or transient link fault kills the light mid-crossing; a
-        corrupt fault is caught by the CRC-equivalent check at the next
-        router, which discards the packet there.  Either way the packet is
-        gone from the optical domain and the transmitter's pending copy
-        recovers it via the normal drop-signal machinery (the drop index
-        points at the router the packet failed to reach, so passed
-        multicast taps are cleared exactly as for a contention drop).
+        dead port or transient link fault kills the light mid-crossing, so
+        the packet is gone from the optical domain and the transmitter's
+        pending copy recovers it via the normal drop-signal machinery (the
+        drop index points at the router the packet failed to reach, so
+        passed multicast taps are cleared exactly as for a contention drop).
         """
         assert self._faults is not None
         packet = transit.packet
@@ -256,9 +254,6 @@ class PhastlaneNetwork(MeshNetworkBase):
         kind = self._faults.crossing_fault(prev.node, int(prev.exit), cycle)
         if kind is None:
             return False
-        fault_node = (
-            packet.plan[transit.index].node if kind == "corrupt" else prev.node
-        )
         self.stats.record_fault(kind)
         self._fault_hit.add(packet.uid)
         self.stats.record_dropped()
@@ -267,7 +262,7 @@ class PhastlaneNetwork(MeshNetworkBase):
         self._charge_drop_signal()
         if self.trace_hub:
             self.trace_hub.emit(
-                "fault_injected", cycle, fault_node, packet.uid,
+                "fault_injected", cycle, prev.node, packet.uid,
                 extra={
                     "fault": kind,
                     # Label the faulted crossing via the topology so traces
@@ -275,7 +270,7 @@ class PhastlaneNetwork(MeshNetworkBase):
                     "port": self.topology.port_label(prev.node, int(prev.exit)),
                 },
             )
-            self.trace_hub.emit("dropped", cycle, fault_node, packet.uid)
+            self.trace_hub.emit("dropped", cycle, prev.node, packet.uid)
         return True
 
     # -- transit outcomes --------------------------------------------------------------

@@ -93,8 +93,8 @@ class ElectricalNetwork(MeshNetworkBase):
         """One faulted crossing: nack/resend, or give up at the retry limit.
 
         The baseline's recovery is link-level retry: the downstream CRC
-        check nacks the corrupted/lost flit and the sender re-drives it
-        after a nack round trip (two link delays).  The downstream VC
+        check nacks the lost flit and the sender re-drives it after a nack
+        round trip (two link delays).  The downstream VC
         reserved at allocation stays reserved across retries — the resent
         flit lands in it — and is explicitly re-credited when the flit is
         abandoned, since no drain-credit will ever come back for a flit
@@ -103,10 +103,9 @@ class ElectricalNetwork(MeshNetworkBase):
         assert self._faults is not None
         self.stats.record_fault(kind)
         self._fault_hit.add(flit.uid)
-        fault_node = neighbor if kind == "corrupt" else sender
         if self.trace_hub:
             self.trace_hub.emit(
-                "fault_injected", cycle, fault_node, flit.uid,
+                "fault_injected", cycle, sender, flit.uid,
                 extra={
                     "fault": kind,
                     # Topology-derived label of the faulted crossing (the
@@ -118,7 +117,7 @@ class ElectricalNetwork(MeshNetworkBase):
             self.stats.record_fault_loss(len(flit.destinations))
             if self.trace_hub:
                 self.trace_hub.emit(
-                    "fault_dropped", cycle, fault_node, flit.uid,
+                    "fault_dropped", cycle, sender, flit.uid,
                     extra={"lost": len(flit.destinations), "attempts": attempts},
                 )
             self.routers[sender].restore_credit(port, vc)

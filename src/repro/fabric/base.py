@@ -141,16 +141,9 @@ class MeshNetworkBase:
         self.uids: Iterator[int] = itertools.count()
         self.routers: list[Any] = []
         self.nics: list[Any] = []
-        #: Compiled fault timeline, or None for fault-free physics.  NIC
-        #: stall windows are honoured here in the shared injection path;
-        #: crossing faults are each backend's business.
+        #: Compiled fault timeline, or None for fault-free physics; crossing
+        #: faults are each backend's business.
         self._faults = faults if faults is not None and faults.enabled else None
-        #: Whether that timeline has NIC stall windows at all, and the
-        #: nodes inside one now (a window is counted once, on entry).
-        self._nic_stalls = (
-            self._faults is not None and self._faults.config.nic_stall_prob > 0.0
-        )
-        self._stalled_nodes: set[int] = set()
         #: Packets hit by at least one fault, for delivered-despite-faults
         #: accounting at the backend's delivery sites.
         self._fault_hit: set[int] = set()
@@ -234,14 +227,13 @@ class MeshNetworkBase:
         """Hand this cycle's injections to their NICs, then give every NIC
         that holds packets its injection opportunity."""
         arrivals = self._injections_at(cycle)
-        if arrivals is not None or self._nic_pending or self._nic_stalls:
+        if arrivals is not None or self._nic_pending:
             self._visit_nics(arrivals, cycle)
 
     def _visit_nics(self, arrivals: list[Injection] | None, cycle: int) -> None:
         """Visit, lowest node first, every node with arrivals or a non-idle
-        NIC: under NIC stall windows every node, so that a window is
-        counted on the cycle it opens.  Skipping the rest is exact: a visit
-        to an idle NIC emits, counts and draws nothing."""
+        NIC.  Skipping the rest is exact: a visit to an idle NIC emits,
+        counts and draws nothing."""
         by_node: dict[int, list[Injection]] = {}
         if arrivals is not None:
             for injection in arrivals:
@@ -250,45 +242,21 @@ class MeshNetworkBase:
                     by_node[injection[0]] = [injection]
                 else:
                     run.append(injection)
-        nodes = (
-            range(len(self.nics))
-            if self._nic_stalls
-            else sorted(self._nic_pending.union(by_node))
-        )
-        for node in nodes:
+        for node in sorted(self._nic_pending.union(by_node)):
             self._visit(node, by_node.get(node), cycle)
 
     def _visit(self, node: int, run: list[Injection] | None, cycle: int) -> None:
         """One node's cycle: expand its arrivals onto the NIC queue, then
-        inject unless the NIC sits in a stall window (it keeps accepting
-        source traffic, the open-loop source never blocks)."""
+        give the NIC its injection opportunity."""
         nic = self.nics[node]
         if run:
             for _node, destination, generated_cycle in run:
                 nic._expand(destination, generated_cycle, cycle)
-        if not (self._nic_stalls and self._nic_stalled(node, cycle)):
-            self._inject_from_nic(node, nic, cycle)
+        self._inject_from_nic(node, nic, cycle)
         if nic.idle():
             self._nic_pending.discard(node)
         else:
             self._nic_pending.add(node)
-
-    def _nic_stalled(self, node: int, cycle: int) -> bool:
-        """True while ``node``'s NIC sits in a stall window of the fault
-        schedule; counts and traces the window on the cycle it opens."""
-        assert self._faults is not None  # callers gate on ``_nic_stalls``
-        if not self._faults.nic_stalled(node, cycle):
-            self._stalled_nodes.discard(node)
-            return False
-        if node not in self._stalled_nodes:
-            self._stalled_nodes.add(node)
-            self.stats.record_fault("nic_stall")
-            if self.trace_hub:
-                self.trace_hub.emit(
-                    "fault_injected", cycle, node, -1,
-                    extra={"fault": "nic_stall"},
-                )
-        return True
 
     def _inject_from_nic(self, node: int, nic: Any, cycle: int) -> None:
         """Move work from one NIC into the network, space permitting."""

@@ -1,13 +1,13 @@
 """Deterministic fault injection for the network fabric.
 
 Nanophotonic NoCs live or die by device reliability: ring resonators
-detune, waveguide crossings degrade, and control bits flip.  This package
-models those failure modes as *data*, not code paths: a frozen
+detune and waveguide crossings degrade.  This package models those
+failure modes as *data*, not code paths: a frozen
 :class:`FaultConfig` describes the fault models of one experiment and is
 part of a :class:`~repro.harness.exec.RunSpec`'s identity (unlike
 observability, faults change simulated physics), and
 :class:`FaultSchedule` compiles it — with dedicated random streams keyed
-by the fault seed — into per-link/per-node fault timelines that are
+by the fault seed — into per-link fault timelines that are
 reproducible bit-for-bit and independent of traffic randomness.
 
 Degradation semantics are the backend's job (see DESIGN.md section 10):

@@ -12,24 +12,33 @@ byte-identical to a tree that predates this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any
 
-from repro.util.errors import SpecError
+from repro.util.errors import SpecError, drop_retired
 
-#: The fault-kind vocabulary a schedule can report for one crossing or
-#: node, in rough severity order.  ``dead_port`` is permanent; the rest
-#: are transient.  Stats ledgers and trace events carry these strings.
-FAULT_KINDS = ("dead_port", "link", "burst", "corrupt", "nic_stall")
+#: The fault-kind vocabulary a schedule can report for one crossing, in
+#: severity order.  ``dead_port`` is permanent; the rest are transient.
+#: Stats ledgers and trace events carry these strings.
+FAULT_KINDS = ("dead_port", "link", "burst")
 
-_PROBABILITY_FIELDS = (
-    "link_flip_prob",
-    "burst_enter_prob",
-    "burst_exit_prob",
-    "burst_loss_prob",
-    "corrupt_prob",
-    "nic_stall_prob",
-)
+#: Per-cycle probability that a link in a burst returns to its good state.
+#: While bad it loses every crossing.
+BURST_EXIT_PROB = 0.25
+
+#: Keys a serialised fault config still carries although the fields are
+#: gone, at the only values left: the burst chain's exit and loss
+#: probabilities, and control corruption and NIC stall windows, which no
+#: run switches on.  Written so that every faulted spec digest and cache
+#: key stays byte-identical; read back and dropped, and any other value is
+#: refused.
+RETIRED_FAULT_KEYS: dict[str, Any] = {
+    "burst_exit_prob": BURST_EXIT_PROB,
+    "burst_loss_prob": 1.0,
+    "corrupt_prob": 0.0,
+    "nic_stall_prob": 0.0,
+    "nic_stall_cycles": 10,
+}
 
 
 @dataclass(frozen=True)
@@ -46,19 +55,8 @@ class FaultConfig:
         ``link_flip_prob`` is a per-crossing Bernoulli loss probability.
         ``burst_enter_prob`` > 0 enables a per-link Gilbert–Elliott chain:
         a link leaves its good state with that per-cycle probability,
-        returns with ``burst_exit_prob``, and while bad each crossing is
-        lost with ``burst_loss_prob``.
-
-    Control corruption
-        ``corrupt_prob`` flips control bits on a crossing; the CRC-
-        equivalent check catches the corruption at the next router, so the
-        packet is discarded there and the sender's recovery machinery
-        (drop signal / link nack) engages exactly as for a loss.
-
-    NIC stalls
-        ``nic_stall_prob`` is the per-cycle probability an un-stalled NIC
-        freezes for ``nic_stall_cycles`` cycles (it keeps queueing
-        generated packets but injects nothing).
+        returns with :data:`BURST_EXIT_PROB`, and loses every crossing
+        while bad.
 
     ``retry_limit`` bounds recovery: a packet abandoned after that many
     failed resends is counted as lost (``packets_lost``) instead of
@@ -71,11 +69,6 @@ class FaultConfig:
     dead_port_count: int = 0
     link_flip_prob: float = 0.0
     burst_enter_prob: float = 0.0
-    burst_exit_prob: float = 0.25
-    burst_loss_prob: float = 1.0
-    corrupt_prob: float = 0.0
-    nic_stall_prob: float = 0.0
-    nic_stall_cycles: int = 10
     retry_limit: int = 16
 
     def __post_init__(self) -> None:
@@ -94,14 +87,10 @@ class FaultConfig:
         object.__setattr__(self, "dead_ports", normalised)
         if self.dead_port_count < 0:
             raise SpecError("dead port count must be non-negative")
-        for name in _PROBABILITY_FIELDS:
+        for name in ("link_flip_prob", "burst_enter_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise SpecError(f"{name} must be in [0, 1], got {value}")
-        if self.burst_enter_prob > 0.0 and self.burst_exit_prob <= 0.0:
-            raise SpecError("burst faults need burst_exit_prob > 0 to end")
-        if self.nic_stall_cycles < 1:
-            raise SpecError("NIC stalls must last at least one cycle")
         if self.retry_limit < 1:
             raise SpecError("retry limit must be at least one attempt")
 
@@ -113,24 +102,24 @@ class FaultConfig:
             or self.dead_port_count
             or self.link_flip_prob
             or self.burst_enter_prob
-            or self.corrupt_prob
-            or self.nic_stall_prob
         )
 
     def to_dict(self) -> dict[str, Any]:
         """Flatten to JSON-friendly types (feeds the run-spec digest)."""
-        payload: dict[str, Any] = {}
-        for field_ in fields(self):
-            value = getattr(self, field_.name)
-            if field_.name == "dead_ports":
-                payload["dead_ports"] = [list(pair) for pair in value]
-            else:
-                payload[field_.name] = value
-        return payload
+        return {
+            "seed": self.seed,
+            "dead_ports": [list(pair) for pair in self.dead_ports],
+            "dead_port_count": self.dead_port_count,
+            "link_flip_prob": self.link_flip_prob,
+            "burst_enter_prob": self.burst_enter_prob,
+            **RETIRED_FAULT_KEYS,
+            "retry_limit": self.retry_limit,
+        }
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "FaultConfig":
         payload = dict(payload)
+        drop_retired(payload, RETIRED_FAULT_KEYS, "a fault model")
         dead_ports = tuple(
             (int(node), int(port)) for node, port in payload.pop("dead_ports", ())
         )

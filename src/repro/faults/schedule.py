@@ -1,27 +1,26 @@
-"""Compile a :class:`~repro.faults.config.FaultConfig` into query-able timelines.
+"""Compile a :class:`~repro.faults.config.FaultConfig` into a query-able timeline.
 
-A :class:`FaultSchedule` answers two questions the simulators ask in their
-hot loops — "does this crossing fail this cycle?" and "is this NIC stalled
-this cycle?" — deterministically and independently of traffic.  The key
-design constraint is *traffic independence*: whether link ``(node, port)``
-is faulty at cycle ``c`` must not depend on how many packets happened to
+A :class:`FaultSchedule` answers the one question the simulators ask in
+their hot loops — "does this crossing fail this cycle?" —
+deterministically and independently of traffic.  The key design
+constraint is *traffic independence*: whether link ``(node, port)`` is
+faulty at cycle ``c`` must not depend on how many packets happened to
 traverse it earlier, or two backends (or a retry of the same packet) would
 see different physics from the same seed.  Two mechanisms deliver that:
 
-- **Stateless draws** (Bernoulli loss, control corruption, loss inside a
-  burst): each ``(kind, cycle)`` owns one row of 64-bit uniforms, one slot
-  per ``node * 4 + port``, generated in one shot from a counter-based
-  Philox generator keyed on ``sha256(f"{seed}/faults/{kind}/{cycle}")``.
-  A crossing fails when its slot falls below ``prob * 2**64``, so the
-  answer is a pure function of the fault seed and the coordinates, and
-  the failing sets are *nested* in the rate: whatever fails at ``p`` fails
-  at every ``p' >= p``.  Only a few rows per kind are kept (the simulators
-  query the current cycle); an evicted row is regenerated on a miss, so
-  memory does not grow with run length.
-- **Interval chains** (Gilbert–Elliott bursts, NIC stalls): each link/node
-  owns a lazily-extended alternating good/bad segment list generated from
-  its private stream, looked up by bisection — arbitrary-order queries see
-  the same timeline a strictly-forward scan would.
+- **Stateless draws** (Bernoulli loss): each cycle owns one row of 64-bit
+  uniforms, one slot per ``node * 4 + port``, generated in one shot from a
+  counter-based Philox generator keyed on
+  ``sha256(f"{seed}/faults/flip/{cycle}")``.  A crossing fails when its
+  slot falls below ``prob * 2**64``, so the answer is a pure function of
+  the fault seed and the coordinates, and the failing sets are *nested* in
+  the rate: whatever fails at ``p`` fails at every ``p' >= p``.  Only a few
+  rows are kept (the simulators query the current cycle); an evicted row is
+  regenerated on a miss, so memory does not grow with run length.
+- **Interval chains** (Gilbert–Elliott bursts): each link owns a
+  lazily-extended alternating good/bad segment list generated from its
+  private stream, looked up by bisection — arbitrary-order queries see the
+  same timeline a strictly-forward scan would.
 
 Dead ports are resolved once at compile time: the explicit list plus
 ``dead_port_count`` extra ports sampled (without replacement, interior
@@ -33,15 +32,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Union
 
-from repro.faults.config import FaultConfig
+from repro.faults.config import BURST_EXIT_PROB, FaultConfig
 from repro.sim.rng import DeterministicRng, stream_key
 from repro.topology import Topology, as_topology
 from repro.util.errors import SpecError
 from repro.util.geometry import MeshGeometry
 
 
-#: Rows kept per stateless kind.  Every simulator queries the current cycle
-#: only, so one would do; a few make out-of-order probing cheap.
+#: Rows kept.  Every simulator queries the current cycle only, so one
+#: would do; a few make out-of-order probing cheap.
 _ROWS_KEPT = 4
 
 #: ``prob * _CERTAIN`` is the threshold a 64-bit uniform must fall below;
@@ -50,7 +49,7 @@ _CERTAIN = 1 << 64
 
 
 class _IntervalChain:
-    """A lazily-extended alternating good/bad timeline for one link or node.
+    """A lazily-extended alternating good/bad timeline for one link.
 
     ``boundaries`` holds the start cycles of successive segments, beginning
     with the first *good* segment at cycle 0; even segment indices are good,
@@ -59,46 +58,31 @@ class _IntervalChain:
     exactly once regardless of query order.
     """
 
-    __slots__ = ("_rng", "_enter", "_exit", "_fixed_bad", "boundaries")
+    __slots__ = ("_rng", "_enter", "boundaries")
 
-    def __init__(
-        self,
-        rng: DeterministicRng,
-        enter_prob: float,
-        exit_prob: float,
-        fixed_bad_cycles: int | None = None,
-    ) -> None:
+    def __init__(self, rng: DeterministicRng, enter_prob: float) -> None:
         self._rng = rng
         self._enter = enter_prob
-        self._exit = exit_prob
-        self._fixed_bad = fixed_bad_cycles
         self.boundaries = [0]
 
     def in_bad_state(self, cycle: int) -> bool:
         while self.boundaries[-1] <= cycle:
-            self._extend()
+            bad_segment = len(self.boundaries) % 2 == 1
+            length = 1 + self._rng.geometric(
+                BURST_EXIT_PROB if bad_segment else self._enter
+            )
+            self.boundaries.append(self.boundaries[-1] + length)
         segment = bisect_right(self.boundaries, cycle) - 1
         return segment % 2 == 1
-
-    def _extend(self) -> None:
-        bad_segment = len(self.boundaries) % 2 == 1
-        if bad_segment:
-            if self._fixed_bad is not None:
-                length = self._fixed_bad
-            else:
-                length = 1 + self._rng.geometric(self._exit)
-        else:
-            length = 1 + self._rng.geometric(self._enter)
-        self.boundaries.append(self.boundaries[-1] + length)
 
 
 class FaultSchedule:
     """The compiled, query-able fault timeline of one run.
 
-    Construction is cheap (dead-port sampling only); transient timelines
-    materialise lazily per link/node on first query.  All randomness comes
-    from streams keyed on ``config.seed``, never from the traffic rng — see
-    the module docstring for why.
+    Construction is cheap (dead-port sampling only); burst timelines
+    materialise lazily per link on first query.  All randomness comes from
+    streams keyed on ``config.seed``, never from the traffic rng — see the
+    module docstring for why.
     """
 
     def __init__(
@@ -108,17 +92,11 @@ class FaultSchedule:
         #: The topology faults are drawn over; a bare ``MeshGeometry``
         #: (the historical signature) adapts to its ``Mesh2D`` topology.
         self.topology = as_topology(topology)
-        self.mesh = self.topology.mesh
         self.dead_ports: frozenset[tuple[int, int]] = self._compile_dead_ports()
         self._burst_chains: dict[tuple[int, int], _IntervalChain] = {}
-        self._stall_chains: dict[int, _IntervalChain] = {}
         self._slots = self.topology.num_nodes * 4
-        self._rows: dict[str, dict[int, memoryview]] = {
-            "flip": {}, "corrupt": {}, "burst-loss": {},
-        }
+        self._rows: dict[int, memoryview] = {}
         self._flip = int(config.link_flip_prob * _CERTAIN)
-        self._corrupt = int(config.corrupt_prob * _CERTAIN)
-        self._burst_loss = int(config.burst_loss_prob * _CERTAIN)
 
     @property
     def enabled(self) -> bool:
@@ -131,7 +109,7 @@ class FaultSchedule:
         for node, port in self.config.dead_ports:
             if node >= self.topology.num_nodes:
                 raise SpecError(
-                    f"dead port names node {node}, but the {self.mesh} "
+                    f"dead port names node {node}, but the {self.topology.mesh} "
                     f"has only {self.topology.num_nodes} nodes"
                 )
             dead.add((node, port))
@@ -148,7 +126,7 @@ class FaultSchedule:
             dead.update(rng.sample(candidates, count))
         return frozenset(dead)
 
-    # -- hot-loop queries ------------------------------------------------------
+    # -- hot-loop query --------------------------------------------------------
 
     def crossing_fault(self, node: int, port: int, cycle: int) -> str | None:
         """The fault kind hitting a crossing of ``(node, port)`` at ``cycle``,
@@ -160,55 +138,26 @@ class FaultSchedule:
         """
         if (node, port) in self.dead_ports:
             return "dead_port"
-        if self._burst_loss and self.config.burst_enter_prob > 0.0:
+        if self.config.burst_enter_prob > 0.0:
             chain = self._burst_chains.get((node, port))
             if chain is None:
-                config = self.config
                 chain = _IntervalChain(
-                    DeterministicRng(config.seed, f"faults/burst/{node}/{port}"),
-                    config.burst_enter_prob,
-                    config.burst_exit_prob,
+                    DeterministicRng(self.config.seed, f"faults/burst/{node}/{port}"),
+                    self.config.burst_enter_prob,
                 )
                 self._burst_chains[(node, port)] = chain
-            if chain.in_bad_state(cycle) and self._hit(
-                "burst-loss", node, port, cycle, self._burst_loss
-            ):
+            if chain.in_bad_state(cycle):
                 return "burst"
-        if self._flip and self._hit("flip", node, port, cycle, self._flip):
+        if self._flip and self._flipped(node, port, cycle):
             return "link"
-        if self._corrupt and self._hit(
-            "corrupt", node, port, cycle, self._corrupt
-        ):
-            return "corrupt"
         return None
 
-    def nic_stalled(self, node: int, cycle: int) -> bool:
-        """True while node ``node``'s NIC sits in a stall window at ``cycle``."""
-        config = self.config
-        if config.nic_stall_prob <= 0.0:
-            return False
-        chain = self._stall_chains.get(node)
-        if chain is None:
-            chain = _IntervalChain(
-                DeterministicRng(config.seed, f"faults/nic-stall/{node}"),
-                config.nic_stall_prob,
-                0.0,
-                fixed_bad_cycles=config.nic_stall_cycles,
-            )
-            self._stall_chains[node] = chain
-        return chain.in_bad_state(cycle)
-
-    def _hit(
-        self, kind: str, node: int, port: int, cycle: int, threshold: int
-    ) -> bool:
-        """True when ``kind`` strikes ``(node, port)`` at ``cycle``.
-
-        ``threshold`` is nonzero (callers skip impossible kinds); a certain
-        one is answered without generating a row.
-        """
-        if threshold >= _CERTAIN:
+    def _flipped(self, node: int, port: int, cycle: int) -> bool:
+        """True when a Bernoulli link flip strikes ``(node, port)`` at
+        ``cycle``; a certain flip is answered without generating a row."""
+        if self._flip >= _CERTAIN:
             return True
-        rows = self._rows[kind]
+        rows = self._rows
         row = rows.get(cycle)
         if row is None:
             if len(rows) >= _ROWS_KEPT:
@@ -217,7 +166,7 @@ class FaultSchedule:
             # ``repro.faults``, and only faulted runs should pay for it.
             from numpy.random import Philox
 
-            key = stream_key(self.config.seed, f"faults/{kind}/{cycle}")
+            key = stream_key(self.config.seed, f"faults/flip/{cycle}")
             row = memoryview(Philox(key=key).random_raw(self._slots))
             rows[cycle] = row
-        return row[node * 4 + port] < threshold
+        return row[node * 4 + port] < self._flip

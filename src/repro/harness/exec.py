@@ -35,12 +35,12 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.fabric import FabricError, NetworkConfig, config_kind, config_type_for
+from repro.fabric import NetworkConfig, config_kind, config_type_for
 from repro.faults.config import FaultConfig
 from repro.harness.runner import RunResult, run
 from repro.obs.config import ObsConfig
 from repro.obs.session import ProgressSample, ProgressSink
-from repro.util.errors import SpecError
+from repro.util.errors import SpecError, drop_retired
 from repro.util.geometry import MeshGeometry
 
 #: Code-calibration stamp baked into every cache key.  Bump whenever the
@@ -209,13 +209,7 @@ def config_from_dict(payload: dict[str, Any]) -> NetworkConfig:
     payload = dict(payload)
     kind = payload.pop("kind", "")
     config_type = config_type_for(kind)
-    for key, paper in RETIRED_KEYS.get(kind, {}).items():
-        value = payload.pop(key, paper)
-        if value != paper:
-            raise FabricError(
-                f"{key}={value!r} is retired: no paper figure varies it, and "
-                f"a {kind} config simulates only {paper!r}"
-            )
+    drop_retired(payload, RETIRED_KEYS.get(kind, {}), f"a {kind} config")
     width, height = payload.pop("mesh")
     return config_type(mesh=MeshGeometry(width, height), **payload)
 

@@ -23,8 +23,6 @@ from typing import Any, Iterable
 
 from repro.harness.runner import RunResult
 from repro.harness.sweeps import LatencyPoint
-from repro.obs.health import HealthReport
-from repro.obs.timeseries import TimeSeries
 from repro.photonics.constants import CYCLE_TIME_PS
 from repro.sim.stats import Histogram, LatencyStats, NetworkStats, RunningMean
 
@@ -154,16 +152,18 @@ def result_to_dict(result: RunResult) -> dict[str, Any]:
 
 
 def result_from_dict(payload: dict[str, Any]) -> RunResult:
-    timeseries = payload.get("timeseries")
-    health = payload.get("health")
+    """Rebuild a run result from a cached :func:`result_to_dict` payload.
+
+    A cached result never carries a time series or a health report: runs
+    with observability on bypass the cache, and result equality ignores
+    both blocks anyway.
+    """
     return RunResult(
         label=payload["label"],
         workload=payload["workload"],
         cycles=int(payload["cycles"]),
         drained=bool(payload["drained"]),
         stats=stats_from_dict(payload["stats"]),
-        timeseries=None if timeseries is None else TimeSeries.from_dict(timeseries),
-        health=None if health is None else HealthReport.from_dict(health),
     )
 
 
@@ -175,16 +175,6 @@ def point_to_dict(point: LatencyPoint) -> dict[str, Any]:
         "throughput": point.throughput,
         "delivered": point.delivered,
     }
-
-
-def point_from_dict(payload: dict[str, Any]) -> LatencyPoint:
-    mean_latency = payload["mean_latency"]
-    return LatencyPoint(
-        rate=float(payload["rate"]),
-        mean_latency=float("inf") if mean_latency is None else float(mean_latency),
-        throughput=float(payload["throughput"]),
-        delivered=int(payload["delivered"]),
-    )
 
 
 def manifest_to_dict(events: Iterable[Any]) -> dict[str, Any]:
@@ -247,8 +237,3 @@ def write_report(path: str | Path, payload: dict[str, Any]) -> Path:
         json.dump(_jsonify(payload), handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
-
-
-def load_report(path: str | Path) -> dict[str, Any]:
-    with Path(path).open() as handle:
-        return json.load(handle)

@@ -18,6 +18,9 @@ from pathlib import Path
 #: ``health_interval`` and without a metrics window to piggyback on.
 DEFAULT_HEALTH_INTERVAL = 100
 
+#: Flat windows before the stall/livelock watchdog goes critical.
+DEFAULT_STALL_WINDOWS = 5
+
 
 @dataclass(frozen=True)
 class ObsConfig:
@@ -47,7 +50,7 @@ class ObsConfig:
     spatial: bool = False
     health: bool = False
     health_interval: int | None = None
-    health_stall_windows: int = 5
+    health_stall_windows: int = DEFAULT_STALL_WINDOWS
     stream_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -55,6 +58,8 @@ class ObsConfig:
             raise ValueError(
                 f"trace_sample must be in [0, 1], got {self.trace_sample}"
             )
+        if self.trace_sample != 1.0 and self.trace_path is None:
+            raise ValueError("trace_sample without trace_path is inert")
         if self.metrics_interval is not None and self.metrics_interval <= 0:
             raise ValueError(
                 f"metrics_interval must be positive, got {self.metrics_interval}"
@@ -74,6 +79,8 @@ class ObsConfig:
             raise ValueError(
                 f"health_stall_windows must be >= 1, got {self.health_stall_windows}"
             )
+        if self.health_stall_windows != DEFAULT_STALL_WINDOWS and not self.health:
+            raise ValueError("health_stall_windows without health=True is inert")
         if self.stream_path is not None and self.metrics_interval is None:
             raise ValueError(
                 "streaming exports closed metrics windows: set metrics_interval too"

@@ -28,8 +28,8 @@ consumers can rely on it:
 ``delivered``
     The packet (or one multicast tap of it) reached a destination.
 ``fault_injected``
-    An injected device fault hit this packet's crossing (or, with
-    ``uid == -1``, froze a NIC); ``extra["fault"]`` names the fault model
+    An injected device fault hit this packet's crossing;
+    ``extra["fault"]`` names the fault model
     (``extra`` keys must not shadow ``kind`` — file exporters flatten them
     into the event payload).
 ``fault_masked``

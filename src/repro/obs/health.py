@@ -86,18 +86,6 @@ class HealthFinding:
             "node": self.node,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "HealthFinding":
-        node = payload.get("node")
-        return cls(
-            check=str(payload["check"]),
-            severity=str(payload["severity"]),
-            cycle=int(payload["cycle"]),
-            message=str(payload["message"]),
-            node=None if node is None else int(node),
-        )
-
-
 @dataclass
 class HealthReport:
     """What the watchdogs concluded about one run.
@@ -132,29 +120,6 @@ class HealthReport:
             "findings": [finding.to_dict() for finding in self.findings],
             "truncated": self.truncated,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "HealthReport":
-        first = payload.get("first_violation_cycle")
-        return cls(
-            status=str(payload["status"]),
-            first_violation_cycle=None if first is None else int(first),
-            interval=int(payload.get("interval", 0)),
-            windows=int(payload.get("windows", 0)),
-            checks={
-                str(name): {
-                    "status": str(summary["status"]),
-                    "violations": int(summary["violations"]),
-                }
-                for name, summary in payload.get("checks", {}).items()
-            },
-            findings=[
-                HealthFinding.from_dict(finding)
-                for finding in payload.get("findings", [])
-            ],
-            truncated=int(payload.get("truncated", 0)),
-        )
-
 
 class HealthMonitor:
     """Reducer that runs the three audits over each closed window.

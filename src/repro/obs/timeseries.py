@@ -55,8 +55,7 @@ class Window:
     #: that fired in this window, and packets lost to exhausted retries.
     faulted: int = 0
     lost: int = 0
-    #: p99.9 tail latency; defaulted (unlike its siblings) so payloads
-    #: written before it existed still round-trip.
+    #: p99.9 tail latency, ``None`` like its siblings.
     latency_p999: int | None = None
 
     @property
@@ -116,18 +115,6 @@ class SpatialSeries:
             "deliveries": self.deliveries,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "SpatialSeries":
-        width, height = payload["mesh"]
-        return cls(
-            width=int(width),
-            height=int(height),
-            occupancy=[[float(v) for v in row] for row in payload["occupancy"]],
-            drops=[[int(v) for v in row] for row in payload["drops"]],
-            deliveries=[[int(v) for v in row] for row in payload["deliveries"]],
-        )
-
-
 @dataclass
 class TimeSeries:
     """An ordered list of :class:`Window` records at a fixed interval.
@@ -154,40 +141,6 @@ class TimeSeries:
         if self.spatial is not None:
             payload["spatial"] = self.spatial.to_dict()
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "TimeSeries":
-        spatial = payload.get("spatial")
-        return cls(
-            interval=int(payload["interval"]),
-            spatial=None if spatial is None else SpatialSeries.from_dict(spatial),
-            windows=[
-                Window(
-                    start=int(w["start"]),
-                    end=int(w["end"]),
-                    generated=int(w["generated"]),
-                    injected=int(w["injected"]),
-                    delivered=int(w["delivered"]),
-                    dropped=int(w["dropped"]),
-                    retransmitted=int(w["retransmitted"]),
-                    mean_occupancy=float(w["mean_occupancy"]),
-                    latency_p50=_opt_int(w["latency_p50"]),
-                    latency_p95=_opt_int(w["latency_p95"]),
-                    latency_p99=_opt_int(w["latency_p99"]),
-                    # Absent in payloads written before p99.9 landed.
-                    latency_p999=_opt_int(w.get("latency_p999")),
-                    # Absent in payloads written before fault injection.
-                    faulted=int(w.get("faulted", 0)),
-                    lost=int(w.get("lost", 0)),
-                )
-                for w in payload.get("windows", [])
-            ],
-        )
-
-
-def _opt_int(value: Any) -> int | None:
-    return None if value is None else int(value)
-
 
 class SeriesBuilder:
     """Reducer that folds closed windows into a :class:`TimeSeries`.

@@ -169,7 +169,7 @@ class NetworkStats:
         self.retransmissions += 1
 
     def record_fault(self, kind: str) -> None:
-        """An injected fault hit a crossing or NIC (see ``FAULT_KINDS``)."""
+        """An injected fault hit a crossing (see ``FAULT_KINDS``)."""
         self.faults_injected += 1
         self.fault_kinds[kind] += 1
 

@@ -13,6 +13,8 @@ cycle.
 
 from __future__ import annotations
 
+from typing import Any
+
 
 class FabricError(Exception):
     """A fabric-layer failure: unknown backend, bad registration, etc."""
@@ -27,3 +29,15 @@ class SpecError(FabricError, ValueError):
     spec was built (``campaign`` and ``figure`` build theirs deep inside
     the experiment layer).
     """
+
+
+def drop_retired(payload: dict[str, Any], retired: dict[str, Any], owner: str) -> None:
+    """Pop ``retired``'s keys, which the wire keeps at their one value, from
+    a stored ``payload``; refuse any other value in one line."""
+    for key, kept in retired.items():
+        value = payload.pop(key, kept)
+        if value != kept:
+            raise SpecError(
+                f"{key}={value!r} is retired: no paper figure varies it, and "
+                f"{owner} simulates only {kept!r}"
+            )

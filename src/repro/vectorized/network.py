@@ -232,10 +232,8 @@ class VectorizedNetwork(MeshNetworkBase):
     # -- traffic (MeshNetworkBase) ----------------------------------------------
 
     def _synthetic_schedule(self, source: SyntheticSource, cycle: int) -> Schedule:
-        """Fast mode draws the Philox stream where it can; a run with NIC
-        stall windows has always replayed the reference's draws, and its
-        results stay what they were."""
-        if self._fast and not self._nic_stalls and philox_supported(source):
+        """Fast mode draws the Philox stream where it can."""
+        if self._fast and philox_supported(source):
             return philox_events(source, cycle)
         return super()._synthetic_schedule(source, cycle)
 
@@ -363,15 +361,15 @@ class VectorizedNetwork(MeshNetworkBase):
     def _sparse_inject(self, cycle: int, hub: TraceHub | None) -> None:
         """Per-node injection over the schedule.
 
-        When no NIC carries a backlog and no stall window can open, the
-        common case — one arrival for a node whose LOCAL queue has space —
-        goes straight into the router without touching the NIC queue;
-        broadcasts and multi-arrival runs take the shared per-node visit
+        When no NIC carries a backlog, the common case — one arrival for a
+        node whose LOCAL queue has space — goes straight into the router
+        without touching the NIC queue; broadcasts and multi-arrival runs
+        take the shared per-node visit
         (:meth:`~repro.fabric.base.MeshNetworkBase._visit`).  Otherwise every
         node with work takes it (:meth:`_visit_nics`)."""
         injections = self._injections_at(cycle)
         nic_pending = self._nic_pending
-        if nic_pending or self._nic_stalls:
+        if nic_pending:
             self._visit_nics(injections, cycle)
             return
         if injections is None:
@@ -767,7 +765,6 @@ class VectorizedNetwork(MeshNetworkBase):
         fault schedule failed with ``kind``."""
         previous_node = plan.nodes[index - 1]
         previous_exit = plan.exits[index - 1]
-        fault_node = plan.nodes[index] if kind == "corrupt" else previous_node
         stats = self.stats
         stats.record_fault(kind)
         self._fault_hit.add(packet.uid)
@@ -777,13 +774,13 @@ class VectorizedNetwork(MeshNetworkBase):
         stats.energy_pj["drop_network"] += self._e_drop_signal
         if hub:
             hub.emit(
-                "fault_injected", cycle, fault_node, packet.uid,
+                "fault_injected", cycle, previous_node, packet.uid,
                 extra={
                     "fault": kind,
                     "port": self.topology.port_label(previous_node, previous_exit),
                 },
             )
-            hub.emit("dropped", cycle, fault_node, packet.uid)
+            hub.emit("dropped", cycle, previous_node, packet.uid)
 
     # -- transit outcomes -------------------------------------------------------
 

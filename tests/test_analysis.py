@@ -66,8 +66,8 @@ fault_models = st.sampled_from(
     [
         None,
         FaultConfig(seed=2, link_flip_prob=0.05, retry_limit=5),
-        FaultConfig(seed=4, corrupt_prob=0.08, retry_limit=5),
-        FaultConfig(seed=5, nic_stall_prob=0.05, nic_stall_cycles=4),
+        FaultConfig(seed=4, burst_enter_prob=0.02, retry_limit=5),
+        FaultConfig(seed=5, burst_enter_prob=0.01),
     ]
 )
 
@@ -352,7 +352,7 @@ class TestSpanWalker:
 
     def test_monitor_events_are_ignored(self):
         events = [
-            PacketEvent("fault_injected", 0, 0, -1, {"fault": "nic_stall"}),
+            PacketEvent("health_critical", 0, 0, -1, {"check": "credit"}),
             PacketEvent("generated", 0, 1, 3),
             PacketEvent("health_warn", 2, 0, 3, {"check": "progress"}),
             PacketEvent("injected", 4, 1, 3),
@@ -577,10 +577,10 @@ class TestReportPins:
             FaultConfig(seed=2, link_flip_prob=0.05, retry_limit=5),
         ),
         "electrical-broadcast": ("Electrical3", Splash2Workload("ocean"), None),
-        "optical-corrupt": (
+        "optical-link-faults": (
             "Optical4",
             SyntheticWorkload("uniform", 0.2),
-            FaultConfig(seed=4, corrupt_prob=0.08, retry_limit=1),
+            FaultConfig(seed=4, link_flip_prob=0.08, retry_limit=1),
         ),
         "ideal": ("Ideal", SyntheticWorkload("uniform", 0.2), None),
     }
@@ -589,7 +589,7 @@ class TestReportPins:
         "optical-broadcast": "cda7334133639f40c3f99e9ca596d9a343cbf5704015750c1900a5b8e073d9ac",
         "electrical-link-retries": "b3b43d0397186ef70309552fac0790ca420f8e6f35a4b93c5c1ce1f022aa230b",
         "electrical-broadcast": "031ac5e280ed9d2909de65ab90ea5c19a42ce959fc494351f915ed2d0689a2ab",
-        "optical-corrupt": "5b4f3cb19e1cfa45c7d6df9e2db0b5b82d1225e0c1ed6dc96ff5492843e0d87e",
+        "optical-link-faults": "920f2d9367c17120d9b6dd466603e4449492ce9b7c46aca7e3d2599800a4f3e4",
         "ideal": "a82fecd691840da375650162d25dbce34874afea60e51901f1b340221d823706",
     }
 

@@ -427,8 +427,6 @@ UNCALLED = {
     "deviation study is to read it",
     "fabric/protocol.py:FabricNic": "the NIC protocol every BaseNic meets, "
     "stated for readers and type checkers",
-    "harness/report.py:load_report": "report read-back; " + _TESTED_ONLY,
-    "harness/report.py:point_from_dict": "report read-back; " + _TESTED_ONLY,
     "obs/export.py:iter_stream_events": "stream read-back; " + _TESTED_ONLY,
     "obs/export.py:read_stream": "stream read-back; " + _TESTED_ONLY,
     "topology/base.py:Topology.is_edge_row": "section 2.1.4's fan-out rule, "
@@ -554,6 +552,28 @@ def registered_fields():
 
 def test_every_config_field_is_in_the_census():
     assert registered_fields() == CONFIG_FIELDS
+
+
+#: The fault-model fields: those the CLI, ``examples/fault_sweep.py`` and
+#: ``bench/`` set.  The knobs no run set are constants
+#: (``repro.faults.config.RETIRED_FAULT_KEYS`` keeps them on the wire).
+FAULT_FIELDS = (
+    "seed",
+    "dead_ports",
+    "dead_port_count",
+    "link_flip_prob",
+    "burst_enter_prob",
+    "retry_limit",
+)
+
+
+def test_every_fault_config_field_is_in_the_census():
+    from dataclasses import fields
+
+    from repro.faults.config import RETIRED_FAULT_KEYS, FaultConfig
+
+    assert tuple(field_.name for field_ in fields(FaultConfig)) == FAULT_FIELDS
+    assert not set(RETIRED_FAULT_KEYS) & set(FAULT_FIELDS)
 
 
 def test_every_retired_key_belongs_to_a_kind_and_is_no_field_of_it():

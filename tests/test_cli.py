@@ -117,6 +117,39 @@ class TestSweep:
         assert report.read_bytes() == first
         assert json.loads(manifest.read_text())["cache_hits"] == 2
 
+    def test_closing_lines_name_the_files_written(self, tmp_path, capsys):
+        argv = [
+            "sweep", "--rates", "0.05,0.1,0.2", "--cycles", "50", "--no-cache",
+            "--trace-out", str(tmp_path / "t.jsonl"), "--metrics-interval", "10",
+            "--stream-out", str(tmp_path / "s.jsonl"),
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        named = {}
+        for prefix in ("wrote packet trace(s) to ", "streamed metrics to "):
+            (line,) = [line for line in lines if line.startswith(prefix)]
+            named[prefix] = tuple(
+                line.removeprefix(prefix).removesuffix(" (3 files)").split(" ... ")
+            )
+        assert named == {
+            "wrote packet trace(s) to ": (
+                str(tmp_path / "t-0000.jsonl"), str(tmp_path / "t-0002.jsonl")
+            ),
+            "streamed metrics to ": (
+                str(tmp_path / "s-0000.jsonl"), str(tmp_path / "s-0002.jsonl")
+            ),
+        }
+        assert all(Path(path).exists() for pair in named.values() for path in pair)
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_one_run_names_its_one_file(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        argv = ["sweep", "--rates", "0.05", "--cycles", "50", "--no-cache",
+                "--trace-out", str(trace)]
+        assert main(argv) == 0
+        assert f"wrote packet trace(s) to {trace}\n" in capsys.readouterr().err
+        assert trace.exists()
+
     def test_sweep_no_cache_skips_cache_dir(self, tmp_path):
         cache_dir = tmp_path / "cache"
         argv = [
@@ -217,6 +250,11 @@ class TestRefusals:
             ["sweep", "--link-flip-prob", "2"],
             ["sweep", "--health-interval", "10"],
             ["sweep", "--stream-out", "s.jsonl"],
+            # Flags that change nothing without the leg they tune.
+            ["sweep", "--trace-sample", "0.3"],
+            ["sweep", "--stall-windows", "2"],
+            # The sweep sets the probability itself.
+            ["fault-sweep", "--link-flip-prob", "0.1"],
             # A value a run spec refuses is refused in the spec's own words
             # wherever the spec is built: before PR 22 the first ran 0.1 to
             # the end and died inside run() (under --workers 2 inside the
@@ -372,6 +410,34 @@ class TestFaultFlags:
         assert payload["kind"] == "fault-sweep"
         assert [p["fault_rate"] for p in payload["points"]] == [0.0, 0.05]
         assert payload["points"][1]["faults_injected"] > 0
+
+    def test_a_burst_sweep_varies_the_burst_entry_probability(self, tmp_path, capsys):
+        """``--fault-model burst`` used to sweep link flips: every fault of
+        the curve is a burst, and the curve is not the bernoulli one."""
+        def curve(model):
+            report = tmp_path / f"{model}.json"
+            argv = [
+                "fault-sweep", "--fault-model", model,
+                "--fault-rates", "0.0,0.05", "--cycles", "200", "--no-cache",
+                "--report", str(report),
+                "--trace-out", str(tmp_path / f"{model}.jsonl"),
+            ]
+            assert main(argv) == 0
+            kinds = [
+                json.loads(line)["fault"]
+                for path in sorted(tmp_path.glob(f"{model}-*.jsonl"))
+                for line in path.read_text().splitlines()
+                if '"kind": "fault_injected"' in line
+            ]
+            return json.loads(report.read_text())["points"], kinds
+
+        bursts, burst_kinds = curve("burst")
+        flips, flip_kinds = curve("bernoulli")
+        assert burst_kinds and set(burst_kinds) == {"burst"}
+        assert set(flip_kinds) == {"link"}
+        assert bursts[0] == flips[0]  # rate 0: the same fault-free run
+        assert bursts[1] != flips[1]
+        assert bursts[1]["faults_injected"] == len(burst_kinds)
 
     def test_burst_model_maps_flip_prob(self):
         from repro.cli import _faults_from_args, build_parser

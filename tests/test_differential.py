@@ -192,8 +192,8 @@ fault_models = st.sampled_from(
         None,
         FaultConfig(seed=2, link_flip_prob=0.05, retry_limit=5),
         FaultConfig(seed=3, dead_port_count=2, retry_limit=4),
-        FaultConfig(seed=4, corrupt_prob=0.08, retry_limit=5),
-        FaultConfig(seed=5, nic_stall_prob=0.05, nic_stall_cycles=4),
+        FaultConfig(seed=4, burst_enter_prob=0.02, retry_limit=5),
+        FaultConfig(seed=5, burst_enter_prob=0.01),
     ]
 )
 
@@ -495,12 +495,10 @@ broadcast_faults = st.sampled_from(
     [
         None,
         FaultConfig(seed=2, link_flip_prob=0.1, retry_limit=1),
-        FaultConfig(seed=3, corrupt_prob=0.08, retry_limit=2),
+        FaultConfig(seed=3, burst_enter_prob=0.02, retry_limit=2),
         FaultConfig(seed=4, link_flip_prob=0.05),
         FaultConfig(seed=5, dead_port_count=2, retry_limit=3),
-        # Under NIC stall windows every node takes ``_pump`` every cycle: a
-        # stalled NIC expands its broadcasts and feeds nothing.
-        FaultConfig(seed=6, nic_stall_prob=0.1, nic_stall_cycles=3),
+        FaultConfig(seed=6, burst_enter_prob=0.01),
     ]
 )
 

@@ -68,7 +68,7 @@ class TestDispatch:
     def test_dispatch_reads_the_config_and_nothing_else(self):
         mesh = MeshGeometry(4, 4)
         trace = Trace("t", 16, events=[TraceEvent(0, 0, None), TraceEvent(1, 2, 9)])
-        faults = FaultConfig(seed=1, nic_stall_prob=0.1, retry_limit=1)
+        faults = FaultConfig(seed=1, burst_enter_prob=0.1, retry_limit=1)
         for arbitration in ARBITRATIONS:
             config = PhastlaneConfig(mesh=mesh, network_arbitration=arbitration)
             for source in (None, TraceSource(trace)):

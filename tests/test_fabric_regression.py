@@ -244,10 +244,13 @@ def test_plan_cache_key_does_not_alias_above_65536_nodes(monkeypatch):
 # tap clearing and the taps an abandoned multicast loses (the trailing
 # comments record what each run exercised).  Whatever engine serves a
 # ``PhastlaneConfig`` has to reproduce every one of them byte for byte.
+# The ``retry2-flip0.05`` pairs were recorded from the reference at commit
+# 8dafc95, where the sparse kernel gave the same bytes; they keep multicast
+# abandonment at retry 2 pinned.
 
 SPLASH2_FAULTS = {
     "flip0.1-retry1": FaultConfig(seed=1, link_flip_prob=0.1, retry_limit=1),
-    "corrupt0.05-retry2": FaultConfig(seed=1, corrupt_prob=0.05, retry_limit=2),
+    "retry2-flip0.05": FaultConfig(seed=1, link_flip_prob=0.05, retry_limit=2),
     "flip0.05": FaultConfig(seed=1, link_flip_prob=0.05),
 }
 
@@ -403,10 +406,10 @@ SPLASH2_FAULT_PINS = {
         "69ff7d2822f734b70b13be9c52d2806de44518418eaeb756e35992a3a799d7e4",
         "161f677b474d703c425c89cf55ec34d0f5dd8215294c48021f6022f3aae524a9",
     ),  # lost=593 retx=886 drops=1229 faults=1182 survivors=898
-    ("radix", "mesh", "corrupt0.05-retry2"): (
-        "478d0b120e4aa80505949d56de2d17631515282ccb84a914c726dcdbc82cd0ae",
-        "09eb9c02c201c2766fd4948a7decbaee755bbbbf82c191018b668a37bcfc74da",
-    ),  # lost=53 retx=641 drops=669 faults=629 survivors=755
+    ("radix", "mesh", "retry2-flip0.05"): (
+        "3c080b6c29d14f1398ca8e6f07214ac1c61e0ea6d2a74a1cd19aed45330f1d37",
+        "1dba1c4a8a0650d9060a8bcabc047aeaf906394d6e31e0eadbc55cd26ae76726",
+    ),  # lost=30 retx=626 drops=647 faults=599 survivors=729
     ("radix", "mesh", "flip0.05"): (
         "8a24d17a0b4a7f2981b4d4d131f0056b21a1c5bd55f1242afa0a3796c611c1fd",
         "7b73de0f3c40264b41526bddf402efea3507bd686f083e52af6017aa708af786",
@@ -415,10 +418,10 @@ SPLASH2_FAULT_PINS = {
         "66a84c295b716283d3468f7df62f53c5037648b9f70b29c77c9cc46518f16add",
         "c09fffed64ffb7db2d23aab5f42fed7fca9cbfb46ca80501c2fdd13ba9bdcade",
     ),  # lost=492 retx=820 drops=1107 faults=1083 survivors=935
-    ("fft", "torus", "corrupt0.05-retry2"): (
-        "ef488126f6c1f013b2d3125246c5df04e155d72c3b16ae83081cd318c2dfc320",
-        "3db9d080fd7e8c7e743900b917f348bc871f6d3362a94a25935496a8dde4a813",
-    ),  # lost=14 retx=504 drops=512 faults=502 survivors=720
+    ("fft", "torus", "retry2-flip0.05"): (
+        "f9872a72fd23339db478c0a416703bf636c0bbf37d7c5730c1319bd20c84bf0e",
+        "5aa8be647e12d9fbeea8a15e820cd0957e1cb1a13bdc739514ece40591ff2402",
+    ),  # lost=32 retx=563 drops=580 faults=561 survivors=745
     ("fft", "torus", "flip0.05"): (
         "f942b0ea2efff67cf81fa294aa687b1047608ba7987888e9fbfc07f5f723bf18",
         "d923f619b672040865f941ed19ad37b5a245a7d7ca917d7afbcafc72f3141f2f",

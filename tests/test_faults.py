@@ -63,8 +63,8 @@ class TestFaultConfig:
             {"dead_port_count": 1},
             {"link_flip_prob": 0.01},
             {"burst_enter_prob": 0.01},
-            {"corrupt_prob": 0.01},
-            {"nic_stall_prob": 0.01},
+            {"link_flip_prob": 1.0},
+            {"burst_enter_prob": 1.0},
         ],
     )
     def test_any_model_enables(self, kwargs):
@@ -82,9 +82,9 @@ class TestFaultConfig:
             {"dead_ports": ((-1, 0),)},
             {"dead_port_count": -2},
             {"link_flip_prob": 1.5},
-            {"corrupt_prob": -0.1},
-            {"burst_enter_prob": 0.1, "burst_exit_prob": 0.0},
-            {"nic_stall_prob": 0.1, "nic_stall_cycles": 0},
+            {"burst_enter_prob": -0.1},
+            {"burst_enter_prob": 1.5},
+            {"link_flip_prob": -0.01},
             {"retry_limit": 0},
         ],
     )
@@ -98,7 +98,7 @@ class TestFaultConfig:
             dead_ports=((5, 1), (10, 0)),
             link_flip_prob=0.01,
             burst_enter_prob=0.001,
-            nic_stall_prob=0.002,
+            dead_port_count=2,
             retry_limit=4,
         )
         assert FaultConfig.from_dict(config.to_dict()) == config
@@ -111,10 +111,7 @@ class TestFaultSchedule:
         cycles before earlier links are ever touched).  The scan visits
         more cycles than the row cache holds, cycle innermost, so nearly
         every query evicts and regenerates a row."""
-        config = FaultConfig(
-            seed=3, link_flip_prob=0.05, corrupt_prob=0.05,
-            burst_enter_prob=0.02, burst_loss_prob=0.5, nic_stall_prob=0.01,
-        )
+        config = FaultConfig(seed=3, link_flip_prob=0.05, burst_enter_prob=0.02)
         cycles = range(0, 120, 7)
         assert len(cycles) > _ROWS_KEPT
         queries = [
@@ -125,26 +122,16 @@ class TestFaultSchedule:
         ]
         forward = FaultSchedule(config, MESH)
         want = dict(zip(queries, (forward.crossing_fault(*q) for q in queries)))
-        assert {"link", "corrupt", "burst", None} <= set(want.values())
+        assert {"link", "burst", None} <= set(want.values())
         shuffled = list(queries)
         random.Random(0).shuffle(shuffled)
         for order in (list(reversed(queries)), shuffled):
             schedule = FaultSchedule(config, MESH)
             assert {q: schedule.crossing_fault(*q) for q in order} == want
-        backward = FaultSchedule(config, MESH)
-        stalls = [(node, cycle) for node in range(16) for cycle in range(0, 80, 11)]
-        want_stalls = [forward.nic_stalled(*q) for q in stalls]
-        got_stalls = [backward.nic_stalled(*q) for q in reversed(stalls)]
-        assert want_stalls == list(reversed(got_stalls))
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        st.integers(0, 2**32),
-        st.sampled_from(["link_flip_prob", "corrupt_prob"]),
-        st.floats(0.0, 1.0),
-        st.floats(0.0, 1.0),
-    )
-    def test_failing_sets_are_nested_in_the_rate(self, seed, field, p, q):
+    @given(st.integers(0, 2**32), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_failing_sets_are_nested_in_the_rate(self, seed, p, q):
         """Whatever fails at rate p fails at every rate p' >= p."""
         low, high = sorted((p, q))
         queries = [
@@ -153,7 +140,7 @@ class TestFaultSchedule:
         ]
 
         def failing(prob):
-            schedule = FaultSchedule(FaultConfig(seed=seed, **{field: prob}), MESH)
+            schedule = FaultSchedule(FaultConfig(seed=seed, link_flip_prob=prob), MESH)
             return {q for q in queries if schedule.crossing_fault(*q) is not None}
 
         assert failing(low) <= failing(high)
@@ -172,33 +159,22 @@ class TestFaultSchedule:
         sigma = math.sqrt(trials * prob * (1 - prob))
         assert abs(hits - trials * prob) <= 5 * sigma
 
-    def test_kinds_draw_from_distinct_rows(self):
-        """Flips and corruption at one cycle are independent draws."""
-        slots = [(node, port) for node in range(MESH16.num_nodes) for port in range(4)]
-
-        def struck(**kwargs):
-            schedule = FaultSchedule(FaultConfig(seed=11, **kwargs), MESH16)
-            return {s for s in slots if schedule.crossing_fault(*s, 0) is not None}
-
-        flips, corrupt = struck(link_flip_prob=0.1), struck(corrupt_prob=0.1)
-        assert flips and corrupt and flips != corrupt
-
     def test_certain_and_impossible_draws_generate_no_row(self):
-        config = FaultConfig(
-            link_flip_prob=1.0, burst_enter_prob=0.5, burst_loss_prob=0.0
-        )
-        schedule = FaultSchedule(config, MESH)
-        assert {schedule.crossing_fault(5, 2, c) for c in range(50)} == {"link"}
-        assert not any(schedule._rows.values())
+        """A certain flip, and the loss of every crossing inside a burst,
+        are answered without a row; a flip rate of 0 never asks."""
+        flips = FaultSchedule(FaultConfig(link_flip_prob=1.0), MESH)
+        assert {flips.crossing_fault(5, 2, c) for c in range(50)} == {"link"}
+        bursts = FaultSchedule(FaultConfig(burst_enter_prob=0.5), MESH)
+        assert {bursts.crossing_fault(5, 2, c) for c in range(50)} == {"burst", None}
+        assert not flips._rows and not bursts._rows
 
     def test_row_cache_is_bounded_by_run_length(self):
         """A 10 000-cycle forward scan on 32x32 keeps a fixed number of rows."""
-        config = FaultConfig(seed=5, link_flip_prob=0.01, corrupt_prob=0.01)
+        config = FaultConfig(seed=5, link_flip_prob=0.01)
         schedule = FaultSchedule(config, MeshGeometry(32, 32))
         for cycle in range(10_000):
             schedule.crossing_fault(cycle % 1024, cycle % 4, cycle)
-        assert all(len(rows) <= _ROWS_KEPT for rows in schedule._rows.values())
-        assert len(schedule._rows["flip"]) == _ROWS_KEPT
+        assert len(schedule._rows) == _ROWS_KEPT
 
     def test_seed_changes_schedule(self):
         base = FaultConfig(seed=1, link_flip_prob=0.05)
@@ -347,17 +323,6 @@ class TestGracefulDegradation:
             make_network(
                 IdealConfig(mesh=MESH), faults=FaultConfig(link_flip_prob=0.01)
             )
-
-    def test_nic_stall_defers_but_conserves(self):
-        faults = FaultConfig(seed=6, nic_stall_prob=0.05, nic_stall_cycles=5)
-        spec = RunSpec(
-            OPT, SyntheticWorkload("uniform", 0.1), cycles=400, faults=faults
-        )
-        result = run(spec)
-        stats = result.stats
-        assert stats.fault_kinds["nic_stall"] > 0
-        assert stats.packets_lost == 0, "stalls delay injection, never lose packets"
-        assert stats.packets_injected <= stats.packets_generated
 
 
 class TestDeterminismUnderParallelism:
@@ -516,7 +481,7 @@ class TestFaultStress:
             seed=13,
             dead_port_count=4,
             link_flip_prob=0.08,
-            nic_stall_prob=0.01,
+            burst_enter_prob=0.01,
             retry_limit=5,
         )
         events = [

@@ -10,6 +10,7 @@ from repro.core.config import PhastlaneConfig
 from repro.electrical import config as electrical_config
 from repro.electrical.config import ElectricalConfig
 from repro.fabric import FabricError, IdealConfig
+from repro.faults.config import RETIRED_FAULT_KEYS, FaultConfig
 from repro.harness.exec import (
     CALIBRATION_STAMP,
     RETIRED_KEYS,
@@ -89,6 +90,28 @@ OTHER_VALUES = {
     "buffer_arbitration": "oldest_first",
     "contention_policy": "deflect",
     "buffer_sharing": True,
+}
+
+
+#: One faulted spec of each model a run switches on.
+FAULTED_SPECS = {
+    "flips": RunSpec(
+        OPTICAL, SyntheticWorkload("uniform", 0.1), cycles=300,
+        faults=FaultConfig(seed=1, link_flip_prob=0.05),
+    ),
+    "bursts": RunSpec(
+        ELECTRICAL, SyntheticWorkload("transpose", 0.1), cycles=300,
+        faults=FaultConfig(seed=2, burst_enter_prob=0.02, retry_limit=4),
+    ),
+    "dead-ports": RunSpec(
+        OPTICAL, Splash2Workload("ocean"), cycles=300,
+        faults=FaultConfig(seed=3, dead_ports=((5, 1),), dead_port_count=2),
+    ),
+}
+FAULTED_DIGESTS = {
+    "flips": "ce5e90b82a6a99d2adb0d6f53dbf53d59289eb59ebedd844071c49b6b467c367",
+    "bursts": "566467af74fd4823af213491086c38b9f39605e0a51b40f3b44ec7c1c246da9d",
+    "dead-ports": "891aad49650c2c29febfbbc6caf6713f39d32a88f652630ef4ddd83fccdd82ae",
 }
 
 
@@ -214,6 +237,43 @@ class TestSpecSerialisation:
             assert "\n" not in str(refusal.value)
             with pytest.raises(TypeError):
                 type(config)(**{key: retired[key]})
+
+    def test_retired_fault_keys_stay_on_the_wire_at_their_values(self):
+        """Control corruption, NIC stall windows and the burst chain's exit
+        and loss probabilities are no fields; a stored faulted spec still
+        spells them out at the only values any run used, and loads."""
+        spec = FAULTED_SPECS["bursts"]
+        wire = spec.to_dict()["faults"]
+        assert {key: wire[key] for key in RETIRED_FAULT_KEYS} == {
+            "burst_exit_prob": 0.25,
+            "burst_loss_prob": 1.0,
+            "corrupt_prob": 0.0,
+            "nic_stall_prob": 0.0,
+            "nic_stall_cycles": 10,
+        }
+        assert RunSpec.from_dict(spec.to_dict()) == spec
+        bare = {key: wire[key] for key in set(wire) - set(RETIRED_FAULT_KEYS)}
+        assert FaultConfig.from_dict(bare) == spec.faults
+        for key, value in {
+            "burst_exit_prob": 0.3,
+            "burst_loss_prob": 0.5,
+            "corrupt_prob": 0.05,
+            "nic_stall_prob": 0.01,
+            "nic_stall_cycles": 4,
+        }.items():
+            other = dict(spec.to_dict(), faults={**wire, key: value})
+            with pytest.raises(FabricError, match=f"{key}=.*retired") as refusal:
+                RunSpec.from_dict(other)
+            assert isinstance(refusal.value, ValueError)
+            assert "\n" not in str(refusal.value)
+            with pytest.raises(TypeError):
+                FaultConfig(**{key: RETIRED_FAULT_KEYS[key]})
+
+    @pytest.mark.parametrize("name", sorted(FAULTED_SPECS))
+    def test_faulted_digests_are_pinned(self, name):
+        """Recorded at commit 8dafc95, before the retired fault knobs left
+        ``FaultConfig``: the wire they write is the wire it wrote."""
+        assert FAULTED_SPECS[name].digest() == FAULTED_DIGESTS[name]
 
     def test_unknown_config_kind_rejected(self):
         with pytest.raises(FabricError):

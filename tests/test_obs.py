@@ -231,6 +231,23 @@ class TestObsConfig:
         with pytest.raises(ValueError):
             ObsConfig(stream_path="s.jsonl")  # needs metrics windows
 
+    @pytest.mark.parametrize(
+        "kwargs, leg",
+        [
+            ({"trace_sample": 0.3}, "trace_path"),
+            ({"trace_sample": 0.0, "metrics_interval": 10}, "trace_path"),
+            ({"health_stall_windows": 2}, "health"),
+            ({"health_stall_windows": 8, "metrics_interval": 10}, "health"),
+        ],
+    )
+    def test_a_knob_without_its_leg_is_inert_and_refused(self, kwargs, leg):
+        with pytest.raises(ValueError, match=f"without {leg}.* is inert"):
+            ObsConfig(**kwargs)
+
+    def test_a_knob_with_its_leg_is_accepted(self):
+        assert ObsConfig(trace_path="t.jsonl", trace_sample=0.3).trace_sample == 0.3
+        assert ObsConfig(health=True, health_stall_windows=2).health_stall_windows == 2
+
     def test_trace_format_from_suffix(self):
         assert ObsConfig(trace_path="a.jsonl").trace_format == "jsonl"
         assert ObsConfig(trace_path="a.json").trace_format == "chrome"
@@ -275,7 +292,15 @@ class TestTimeSeries:
 
     def test_round_trip(self):
         series = TimeSeries(interval=100, windows=[self.WINDOW])
-        assert TimeSeries.from_dict(series.to_dict()) == series
+        window = {
+            "start": 0, "end": 100, "generated": 50, "injected": 48,
+            "delivered": 40, "dropped": 5, "retransmitted": 5,
+            "mean_occupancy": 2.5, "latency_p50": 10, "latency_p95": 30,
+            "latency_p99": None, "faulted": 0, "lost": 0, "latency_p999": None,
+        }
+        assert json.loads(json.dumps(series.to_dict())) == {
+            "interval": 100, "windows": [window],
+        }
 
     def test_column_and_rate(self):
         series = TimeSeries(interval=100, windows=[self.WINDOW])
@@ -374,14 +399,17 @@ class TestMetricsWatcherEdges:
             deliveries=[[4, 4], [5, 3]],
         )
         series = TimeSeries(interval=5, spatial=spatial)
-        payload = series.to_dict()
-        assert payload["spatial"]["mesh"] == [2, 1]
-        assert TimeSeries.from_dict(payload) == series
+        payload = json.loads(json.dumps(series.to_dict()))
+        assert payload["spatial"] == {
+            "mesh": [2, 1],
+            "occupancy": [[3.0, 1.0], [0.5, 0.0]],
+            "drops": [[1, 0], [0, 2]],
+            "deliveries": [[4, 4], [5, 3]],
+        }
 
     def test_non_spatial_payload_shape_unchanged(self):
         series = TimeSeries(interval=5)
-        assert "spatial" not in series.to_dict()
-        assert TimeSeries.from_dict({"interval": 5, "windows": []}) == series
+        assert series.to_dict() == {"interval": 5, "windows": []}
 
     def test_spatial_watcher_attributes_events_per_node(self):
         network = _StubNetwork()

@@ -175,7 +175,8 @@ class TestArtifacts:
         assert sum(series.column("dropped")) == result.stats.packets_dropped
         payload = result_to_dict(result)
         assert result_from_dict(payload) == result
-        assert result_from_dict(payload).timeseries == series
+        assert json.loads(json.dumps(payload))["timeseries"] == series.to_dict()
+        assert payload["timeseries"]["windows"][1]["start"] == 100
 
     def test_disabled_run_report_has_no_timeseries_key(self):
         payload = result_to_dict(run(spec()))
@@ -204,9 +205,13 @@ class TestSpatialTelemetry:
         ):
             assert sum(drops) == window.dropped
             assert sum(deliveries) == window.delivered
-        payload = result_to_dict(result)
-        assert "spatial" in payload["timeseries"]
-        assert result_from_dict(payload).timeseries == series
+        payload = json.loads(json.dumps(result_to_dict(result)))
+        assert payload["timeseries"]["spatial"] == {
+            "mesh": [MESH.width, MESH.height],
+            "occupancy": spatial.occupancy,
+            "drops": spatial.drops,
+            "deliveries": spatial.deliveries,
+        }
 
     def test_hotspot_concentrates_occupancy(self):
         obs = ObsConfig(metrics_interval=150, spatial=True)

@@ -204,19 +204,14 @@ fault_models = st.sampled_from(
         FaultConfig(seed=1, link_flip_prob=0.05, retry_limit=5),
         FaultConfig(seed=2, link_flip_prob=0.3, retry_limit=3),
         FaultConfig(seed=3, dead_port_count=2, retry_limit=4),
-        FaultConfig(
-            seed=4,
-            burst_enter_prob=0.02,
-            burst_exit_prob=0.3,
-            retry_limit=5,
-        ),
-        FaultConfig(seed=5, corrupt_prob=0.1, retry_limit=5),
-        FaultConfig(seed=6, nic_stall_prob=0.05, nic_stall_cycles=4),
+        FaultConfig(seed=4, burst_enter_prob=0.02, retry_limit=5),
+        FaultConfig(seed=5, burst_enter_prob=0.05, retry_limit=5),
+        FaultConfig(seed=6, burst_enter_prob=0.01),
         FaultConfig(
             seed=7,
             dead_port_count=1,
             link_flip_prob=0.1,
-            nic_stall_prob=0.02,
+            burst_enter_prob=0.02,
             retry_limit=4,
         ),
     ]
