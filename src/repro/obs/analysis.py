@@ -56,7 +56,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from repro.obs.events import EVENT_KINDS, PacketEvent
-from repro.obs.tracers import COMMON_RECORD, TRACE_SCHEMA
+from repro.obs.tracers import COMMON_RECORD, SCALAR_EXTRA, SCALAR_RECORD, TRACE_SCHEMA
 from repro.sim.stats import nearest_rank
 
 #: The wait components every delivered latency decomposes into.
@@ -179,16 +179,32 @@ def _records(path: Path, meta: dict[str, Any]) -> Iterator[Record]:
     """The one trace parser: every event record of a JSONL trace, in file
     order; a ``repro-trace/v1`` header's run identity goes into ``meta``.
 
-    A line that fully matches :data:`~repro.obs.tracers.COMMON_RECORD` is
-    read off the pattern; any other line goes through ``json`` and is
-    validated, every refusal a ``ValueError`` naming ``path:line``.
+    A line that fully matches a layout of the table in
+    :mod:`repro.obs.tracers` (:data:`~repro.obs.tracers.COMMON_RECORD`,
+    :data:`~repro.obs.tracers.SCALAR_RECORD`) is read off the pattern; any
+    other line goes through ``json`` and is validated, every refusal a
+    ``ValueError`` naming ``path:line``.
     """
-    common = COMMON_RECORD.fullmatch
+    common, scalar, pairs = (
+        COMMON_RECORD.fullmatch, SCALAR_RECORD.fullmatch, SCALAR_EXTRA.findall
+    )
     for number, line in enumerate(path.read_text().splitlines(), 1):
         record = common(line)
         if record is not None:  # the writer's common record, as json reads it
             cycle, kind, node, uid = record.groups()
             yield kind, int(cycle), int(node), int(uid), None
+            continue
+        record = scalar(line)
+        if record is not None:  # scalar extras, in file order as json has them
+            fields = record.groups()
+            cycle, kind, node, uid = fields[1::2]
+            extra: dict[str, Any] = {}
+            for name, value in pairs("".join(fields[::2])):
+                extra[name] = (
+                    True if value == "true" else False if value == "false"
+                    else int(value)
+                )
+            yield kind, int(cycle), int(node), int(uid), extra
             continue
         if not line.strip():
             continue

@@ -77,8 +77,10 @@ class PacketEvent(NamedTuple):
     ``node`` is where the event physically happened (for ``dropped`` that
     is the blocking router, matching the paper's drop-storm attribution);
     ``uid`` identifies the packet across its whole lifecycle, including
-    retransmissions.  A tuple because a traced run builds one per event:
-    consumers read the fields by name or unpack all five.
+    retransmissions.  The hub sends sinks the five fields, not this
+    object; it is built for a consumer that keeps events
+    (:class:`~repro.obs.tracers.CollectingTracer`, read-back), which reads
+    the fields by name or unpacks all five.
     """
 
     kind: str
@@ -116,9 +118,9 @@ class TraceHub(list["Tracer"]):
         uid: int,
         extra: Mapping[str, Any] | None = None,
     ) -> None:
-        """Build one :class:`PacketEvent` and hand it to every tracer."""
+        """Hand one event to every tracer as five positional fields
+        (:meth:`~repro.obs.tracers.Tracer.record`); no object is built."""
         if kind not in _KIND_SET:
             raise ValueError(f"unknown event kind {kind!r}; expected {EVENT_KINDS}")
-        event = PacketEvent(kind, cycle, node, uid, extra)
         for tracer in self:
-            tracer.emit(event)
+            tracer.record(kind, cycle, node, uid, extra)

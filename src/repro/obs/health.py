@@ -220,7 +220,8 @@ class HealthMonitor:
         busy router with no events, or a backlogged NIC with no injections,
         for ``stall_windows`` windows warns.
         """
-        network, tally, stall = self.network, self._tally, self.stall_windows
+        network, stall = self.network, self.stall_windows
+        activity, injections = self._tally.activity, self._tally.injections
         findings: list[HealthFinding] = []
         pending = sum(1 for router in network.routers if router.busy) + sum(
             1 for nic in network.nics if nic.backlog
@@ -254,7 +255,7 @@ class HealthMonitor:
             )
         for router in network.routers:
             node = router.node
-            silent = tally.activity[node] == self._last_activity[node]
+            silent = activity[node] == self._last_activity[node]
             streak = self._router_streaks[node] = (
                 self._router_streaks[node] + 1 if router.busy and silent else 0
             )
@@ -271,7 +272,7 @@ class HealthMonitor:
                 )
         for nic in network.nics:
             node = nic.node
-            idle = tally.injections[node] == self._last_injected[node]
+            idle = injections[node] == self._last_injected[node]
             streak = self._nic_streaks[node] = (
                 self._nic_streaks[node] + 1 if nic.backlog and idle else 0
             )
@@ -286,8 +287,7 @@ class HealthMonitor:
                         node,
                     )
                 )
-        self._last_activity = Counter(tally.activity)
-        self._last_injected = Counter(tally.injections)
+        self._last_activity, self._last_injected = activity, injections
         return findings
 
     def _record(self, finding: HealthFinding) -> None:

@@ -1,7 +1,9 @@
 """Tracer implementations: in-memory collection and file exporters.
 
-A :class:`Tracer` receives every :class:`~repro.obs.events.PacketEvent` a
-simulator emits.  Two file exporters are provided:
+A :class:`Tracer` receives every event a simulator emits, as the five
+fields ``record(kind, cycle, node, uid, extra)``; the base class turns them
+into a :class:`~repro.obs.events.PacketEvent` for a tracer that overrides
+``emit(event)`` instead.  Two file exporters are provided:
 
 - :class:`JsonlTraceWriter` — one JSON object per line, trivially
   greppable and streamable;
@@ -21,9 +23,9 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
-from typing import Any
+from typing import Any, Collection, Iterable
 
 from repro.obs.events import EVENT_KINDS, PacketEvent
 
@@ -33,37 +35,92 @@ from repro.obs.events import EVENT_KINDS, PacketEvent
 TRACE_SCHEMA = "repro-trace/v1"
 
 # A record is ``json.dumps(payload, sort_keys=True)`` of the four fields
-# plus the flattened extras, so the *common record* — no extras, a
-# vocabulary kind, ``cycle``/``node``/``uid`` exactly ``int`` — has one
-# layout.  Writer and reader treat it as fixed and everything else as JSON
-# (DESIGN.md section 8); its two statements sit side by side.
+# plus the flattened extras.  The layout table: a record whose kind is in
+# the vocabulary, whose ``cycle``/``node``/``uid`` are exactly ``int`` and
+# whose extras are ASCII-identifier names (none of the four) with exactly
+# ``int`` or ``bool`` values has one layout per kind and set of names.
+# Writer and reader treat it as fixed and everything else as JSON
+# (DESIGN.md section 8); their statements sit side by side.
 
-#: kind -> ``%``-template: byte for byte what ``json.dumps`` writes.
+_FIXED = ("cycle", "kind", "node", "uid")
+
+#: Writer, no extras: kind -> ``%``-template, byte for byte ``json.dumps``.
 _COMMON_TEMPLATES = {
     kind: f'{{"cycle": %d, "kind": "{kind}", "node": %d, "uid": %d}}'
     for kind in EVENT_KINDS
 }
 
-#: The layout as a pattern to ``fullmatch`` a line against (groups: cycle,
-#: kind, node, uid).  It accepts a *strict subset* of what ``json.loads``
-#: accepts — fixed key order and spacing, ASCII digits, no leading zero, no
-#: ``-0``, at most 18 digits — so a matching line is the event ``json.loads``
-#: would give and every other line is left to it.
+
+def _scalar_template(kind: str, names: tuple[Any, ...]) -> str | None:
+    """Writer, scalar extras: the ``%(name)s``-template of a ``kind``
+    record with extras ``names``, or ``None`` when the names leave the
+    table (json decides how they print).  Keys in ``sort_keys`` order."""
+    for name in names:
+        if not (
+            type(name) is str
+            and name.isascii()
+            and name.isidentifier()
+            and name not in _FIXED
+        ):
+            return None
+    fields = (
+        f'"kind": "{kind}"' if key == "kind" else f'"{key}": %({key})s'
+        for key in sorted(_FIXED + names)
+    )
+    return "{" + ", ".join(fields) + "}"
+
+
+#: Reader: the layouts as patterns to ``fullmatch`` a line against.  They
+#: accept a *strict subset* of what ``json.loads`` accepts — fixed key
+#: order and spacing, ASCII digits, no leading zero, no ``-0``, at most 18
+#: digits — so a matching line is the event ``json.loads`` would give and
+#: every other line is left to it.  :data:`COMMON_RECORD` is the record
+#: without extras (groups: cycle, kind, node, uid).  :data:`SCALAR_RECORD`
+#: adds the runs of extras around the four fields (groups: extras, cycle,
+#: extras, kind, extras, node, extras, uid, extras); :data:`SCALAR_EXTRA`
+#: reads their (name, value) pairs in file order.
+_INT = "0|-?[1-9][0-9]{0,17}"
+_KINDS = "|".join(EVENT_KINDS)
+_NAME = f'(?!(?:{"|".join(_FIXED)})")[A-Za-z_][A-Za-z0-9_]*'
+_VALUE = f"{_INT}|true|false"
+_PAIRS = f'((?:"{_NAME}": (?:{_VALUE}), )*)'
 COMMON_RECORD = re.compile(
-    r'\{"cycle": INT, "kind": "(KIND)", "node": INT, "uid": INT\}'.replace(
-        "INT", "(0|-?[1-9][0-9]{0,17})"
-    ).replace("KIND", "|".join(EVENT_KINDS))
+    f'\\{{"cycle": ({_INT}), "kind": "({_KINDS})", "node": ({_INT}), '
+    f'"uid": ({_INT})\\}}'
 )
+SCALAR_RECORD = re.compile(
+    f'\\{{{_PAIRS}"cycle": ({_INT}), {_PAIRS}"kind": "({_KINDS})", '
+    f'{_PAIRS}"node": ({_INT}), {_PAIRS}"uid": ({_INT})'
+    f'((?:, "{_NAME}": (?:{_VALUE}))*)\\}}'
+)
+SCALAR_EXTRA = re.compile(f'"({_NAME})": ({_VALUE})')
 
 
 class Tracer:
     """Base tracer: a no-op sink with the full receiving surface."""
 
+    def record(
+        self, kind: str, cycle: int, node: int, uid: int, extra: Any = None
+    ) -> None:
+        """Receive one event as the hub sends it, five positional fields.
+
+        A sink that reads the fields overrides this; the default builds the
+        :class:`PacketEvent` that a tracer overriding :meth:`emit` keeps.
+        """
+        self.emit(PacketEvent(kind, cycle, node, uid, extra))
+
     def emit(self, event: PacketEvent) -> None:
-        """Receive one lifecycle event."""
+        """Receive one lifecycle event as an object."""
 
     def close(self) -> None:
         """Flush any buffered output; called once after the run."""
+
+
+class _FieldTracer(Tracer):
+    """A sink that overrides :meth:`record`: an object is read as its fields."""
+
+    def emit(self, event: PacketEvent) -> None:
+        self.record(*event)
 
 
 class CollectingTracer(Tracer):
@@ -89,63 +146,92 @@ ACTIVITY_KINDS = frozenset(EVENT_KINDS) - {
 }
 
 
-class EventTally(Tracer):
+class EventTally(_FieldTracer):
     """The one counting tracer: everything a consumer reads off the stream.
 
-    Cumulative since attach: events :attr:`by_kind`, per-node
-    :attr:`drops`, :attr:`deliveries`, :attr:`injections` and
-    :attr:`activity` (any of :data:`ACTIVITY_KINDS`), and the packets
-    :attr:`lost` to ``fault_dropped`` events.  Spatial time series and
-    the health checks difference these per window.
+    It counts events per kind and node, and sums the packets :attr:`lost`
+    to ``fault_dropped`` events, cumulative since attach.  The views that
+    the spatial time series and the health checks difference per window
+    are derived when read: events :attr:`by_kind` (the monitor's own
+    ``health_*`` events excluded), and per node :attr:`drops`,
+    :attr:`deliveries`, :attr:`injections` and :attr:`activity` (any of
+    :data:`ACTIVITY_KINDS`).
     """
 
     def __init__(self) -> None:
-        self.by_kind: Counter[str] = Counter()
-        self.drops: Counter[int] = Counter()
-        self.deliveries: Counter[int] = Counter()
-        self.injections: Counter[int] = Counter()
-        self.activity: Counter[int] = Counter()
+        self._counts: dict[str, defaultdict[int, int]] = {}
         self.lost = 0
-        self._per_node = {
-            "dropped": self.drops,
-            "delivered": self.deliveries,
-            "injected": self.injections,
-        }
 
-    def emit(self, event: PacketEvent) -> None:
-        kind = event.kind
-        if kind in ACTIVITY_KINDS:
-            node = event.node
-            self.activity[node] += 1
-            per_node = self._per_node.get(kind)
-            if per_node is not None:
-                per_node[node] += 1
-            elif kind == "fault_dropped" and event.extra is not None:
-                self.lost += int(event.extra.get("lost", 0))
-        elif kind != "generated":
-            return  # the monitor's own health_* events
-        self.by_kind[kind] += 1
+    def record(
+        self, kind: str, cycle: int, node: int, uid: int, extra: Any = None
+    ) -> None:
+        by_node = self._counts.get(kind)
+        if by_node is None:
+            by_node = self._counts[kind] = defaultdict(int)
+        by_node[node] += 1
+        if extra is not None and kind == "fault_dropped":
+            self.lost += int(extra.get("lost", 0))
+
+    @property
+    def by_kind(self) -> Counter[str]:
+        return Counter(
+            {
+                kind: sum(by_node.values())
+                for kind, by_node in self._counts.items()
+                if kind in ACTIVITY_KINDS or kind == "generated"
+            }
+        )
+
+    def _per_node(self, kinds: Collection[str]) -> Counter[int]:
+        view: Counter[int] = Counter()
+        for kind in kinds:
+            view.update(self._counts.get(kind, {}))
+        return view
+
+    @property
+    def drops(self) -> Counter[int]:
+        return self._per_node(("dropped",))
+
+    @property
+    def deliveries(self) -> Counter[int]:
+        return self._per_node(("delivered",))
+
+    @property
+    def injections(self) -> Counter[int]:
+        return self._per_node(("injected",))
+
+    @property
+    def activity(self) -> Counter[int]:
+        return self._per_node(ACTIVITY_KINDS)
 
 
-class _FileTracer(Tracer):
-    """Shared buffering/writing machinery for the file exporters."""
+class _FileTracer(_FieldTracer):
+    """Shared buffering/writing machinery for the file exporters.
+
+    Each event's five fields are appended to one flat list until
+    :meth:`close` renders them: a traced run keeps no container per event
+    for the cyclic garbage collector to scan.
+    """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._events: list[PacketEvent] = []
+        self._fields: list[Any] = []
         self._closed = False
 
-    def emit(self, event: PacketEvent) -> None:
-        self._events.append(event)
+    def record(
+        self, kind: str, cycle: int, node: int, uid: int, extra: Any = None
+    ) -> None:
+        self._fields.extend((kind, cycle, node, uid, extra))
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(self._render(self._events))
+        fields = iter(self._fields)
+        self.path.write_text(self._render(zip(*[fields] * 5)))
 
-    def _render(self, events: list[PacketEvent]) -> str:
+    def _render(self, events: Iterable[tuple[Any, ...]]) -> str:
         raise NotImplementedError
 
 
@@ -165,35 +251,57 @@ class JsonlTraceWriter(_FileTracer):
         super().__init__(path)
         self.meta = dict(meta or {})
 
-    def _render(self, events: list[PacketEvent]) -> str:
+    def _render(self, events: Iterable[tuple[Any, ...]]) -> str:
         header: dict[str, Any] = {
             "schema": TRACE_SCHEMA,
             "kinds": list(EVENT_KINDS),
         }
         header.update(self.meta)
         lines = [json.dumps(header, sort_keys=True)]
+        # (kind, *names) -> template or None; built here, so a run's
+        # handful of layouts costs one call each.
+        templates: dict[tuple[Any, ...], str | None] = {}
         for kind, cycle, node, uid, extra in events:
             if (
-                not extra
-                and type(cycle) is int
+                type(cycle) is int
                 and type(node) is int
                 and type(uid) is int
                 and type(kind) is str
                 and kind in _COMMON_TEMPLATES
             ):
-                lines.append(_COMMON_TEMPLATES[kind] % (cycle, node, uid))
-            else:
-                # Extras, a foreign kind, a bool or numpy integer: json
-                # decides how each prints, or that it does not.
-                payload: dict[str, Any] = {
-                    "kind": kind,
-                    "cycle": cycle,
-                    "node": node,
-                    "uid": uid,
-                }
-                if extra:
-                    payload.update(extra)
-                lines.append(json.dumps(payload, sort_keys=True))
+                if not extra:
+                    lines.append(_COMMON_TEMPLATES[kind] % (cycle, node, uid))
+                    continue
+                if type(extra) is dict:
+                    key = (kind, *extra)
+                    if key not in templates:
+                        templates[key] = _scalar_template(kind, key[1:])
+                    template = templates[key]
+                    if template is not None:
+                        fields: dict[str, Any] = {
+                            "cycle": cycle, "node": node, "uid": uid
+                        }
+                        for name, value in extra.items():
+                            if type(value) is int:
+                                fields[name] = value
+                            elif type(value) is bool:
+                                fields[name] = "true" if value else "false"
+                            else:
+                                break
+                        else:
+                            lines.append(template % fields)
+                            continue
+            # Another extra, a foreign kind, a bool or numpy integer: json
+            # decides how each prints, or that it does not.
+            payload: dict[str, Any] = {
+                "kind": kind,
+                "cycle": cycle,
+                "node": node,
+                "uid": uid,
+            }
+            if extra:
+                payload.update(extra)
+            lines.append(json.dumps(payload, sort_keys=True))
         return "\n".join(lines) + "\n"
 
 
@@ -204,7 +312,7 @@ class ChromeTraceWriter(_FileTracer):
     network cycle to 1 µs so the timeline reads directly in cycles.
     """
 
-    def _render(self, events: list[PacketEvent]) -> str:
+    def _render(self, events: Iterable[tuple[Any, ...]]) -> str:
         trace_events: list[dict[str, Any]] = [
             {
                 "name": "process_name",
@@ -214,19 +322,19 @@ class ChromeTraceWriter(_FileTracer):
                 "args": {"name": "network"},
             }
         ]
-        for event in events:
-            args: dict[str, Any] = {"uid": event.uid}
-            if event.extra:
-                args.update(event.extra)
+        for kind, cycle, node, uid, extra in events:
+            args: dict[str, Any] = {"uid": uid}
+            if extra:
+                args.update(extra)
             trace_events.append(
                 {
-                    "name": event.kind,
+                    "name": kind,
                     "cat": "packet",
                     "ph": "i",
                     "s": "t",
-                    "ts": event.cycle,
+                    "ts": cycle,
                     "pid": 0,
-                    "tid": event.node,
+                    "tid": node,
                     "args": args,
                 }
             )
@@ -235,7 +343,7 @@ class ChromeTraceWriter(_FileTracer):
         )
 
 
-class _SamplingTracer(Tracer):
+class _SamplingTracer(_FieldTracer):
     """Forward only the lifecycles whose uid hashes under the sample rate."""
 
     def __init__(self, inner: Tracer, rate: float) -> None:
@@ -246,13 +354,15 @@ class _SamplingTracer(Tracer):
         self._threshold = int(rate * 2**32)
 
     def _keep(self, uid: int) -> bool:
-        # Monitor events (uid < 0: health findings, NIC freezes) belong to
-        # no packet lifecycle; hashing -1 would drop them below rate 0.382.
+        # Monitor events (uid < 0: health findings) belong to no packet
+        # lifecycle; hashing -1 would drop them below rate 0.382.
         return uid < 0 or ((uid * 2654435761) & 0xFFFFFFFF) < self._threshold
 
-    def emit(self, event: PacketEvent) -> None:
-        if self._keep(event.uid):
-            self.inner.emit(event)
+    def record(
+        self, kind: str, cycle: int, node: int, uid: int, extra: Any = None
+    ) -> None:
+        if self._keep(uid):
+            self.inner.record(kind, cycle, node, uid, extra)
 
     def close(self) -> None:
         self.inner.close()

@@ -13,7 +13,9 @@ figure job), so three laws keep it down:
   result the pins record;
 - with observability and faults off, the emit guards and fault gates cost
   no Python call: the calls a run makes into ``repro.obs`` and
-  ``repro.faults`` do not grow with its length.
+  ``repro.faults`` do not grow with its length;
+- with a JSONL trace or health on, an event costs the hub's call and one
+  call per sink, and no :class:`~repro.obs.events.PacketEvent` is built.
 """
 
 import subprocess
@@ -21,6 +23,7 @@ import sys
 from collections import Counter
 from contextlib import nullcontext
 from importlib import import_module
+from unittest import mock
 
 import pytest
 
@@ -30,6 +33,8 @@ from repro.harness.exec import RunSpec, SyntheticWorkload
 from repro.harness.experiments.configs import standard_configs
 from repro.harness.runner import run
 from repro.obs.config import ObsConfig
+from repro.obs.events import PacketEvent, TraceHub
+from repro.obs.tracers import CollectingTracer
 from repro.vectorized import VectorizedConfig
 from test_fabric_regression import VEC_FAST_STATS_SHA
 
@@ -144,14 +149,22 @@ BACKENDS = {
 
 def calls_into(config, cycles, oracle=False, obs=None):
     """``{package: calls}`` of Python functions in ``repro.obs`` and
-    ``repro.faults`` that one ``bitcomp@0.1`` run makes."""
-    counts = Counter({"repro.obs": 0, "repro.faults": 0})
+    ``repro.faults`` that one ``bitcomp@0.1`` run makes, plus the events
+    its hub emitted (``"events"``) and the :class:`PacketEvent`\\ s built."""
+    counted = {
+        TraceHub.emit.__code__: "events",
+        PacketEvent.__new__.__code__: "PacketEvent",
+    }
+    packages = ("repro.obs", "repro.faults")
+    counts = Counter(dict.fromkeys(packages + tuple(counted.values()), 0))
 
     def profile(frame, event, arg):
         if event == "call":
             package = ".".join(frame.f_globals.get("__name__", "").split(".")[:2])
-            if package in counts:
+            if package in packages:
                 counts[package] += 1
+            if frame.f_code in counted:
+                counts[counted[frame.f_code]] += 1
 
     spec = RunSpec(config, SyntheticWorkload("bitcomp", 0.1), cycles=cycles, obs=obs)
     with reference_oracle() if oracle else nullcontext():
@@ -180,3 +193,54 @@ def test_the_call_count_sees_an_observed_run():
         calls_into(BACKENDS["Electrical3"], cycles, obs=obs) for cycles in (100, 200)
     )
     assert long["repro.obs"] > short["repro.obs"] > 0
+
+
+# -- an observed run: an event costs the hub and its sinks, and no object --
+
+OBSERVED_BACKENDS = {
+    "Optical4": OPTICAL4,
+    "Vector4X": VectorizedConfig(mode="exact"),
+    "Electrical3": standard_configs()["Electrical3"],
+    "Ideal": IdealConfig(),
+}
+
+#: Calls into ``repro.obs`` per emitted event, and per cycle, of each
+#: consumer (its pin uses the 100- against the 200-cycle run).
+OBSERVED_CALL_BOUNDS = {
+    # TraceHub.emit, then JsonlTraceWriter.record; no watcher.
+    "trace": (2, 0),
+    # TraceHub.emit, then EventTally.record; the session's window clock
+    # once a cycle.  Its interval outlasts both runs: each closes one
+    # trailing window, so per-window work cancels.
+    "health": (2, 1),
+}
+
+
+def observed(consumer, tmp_path):
+    if consumer == "trace":
+        return ObsConfig(trace_path=str(tmp_path / "t.jsonl"))
+    return ObsConfig(health=True, health_interval=1000)
+
+
+@pytest.mark.parametrize("consumer", OBSERVED_CALL_BOUNDS)
+@pytest.mark.parametrize("label", OBSERVED_BACKENDS)
+def test_an_observed_event_costs_the_hub_and_its_sink(label, consumer, tmp_path):
+    obs = observed(consumer, tmp_path)
+    short, long = (
+        calls_into(OBSERVED_BACKENDS[label], cycles, obs=obs) for cycles in (100, 200)
+    )
+    events = long["events"] - short["events"]
+    assert events > 0
+    per_event, per_cycle = OBSERVED_CALL_BOUNDS[consumer]
+    calls = long["repro.obs"] - short["repro.obs"]
+    assert calls <= per_event * events + per_cycle * 100
+    assert long["PacketEvent"] == 0
+
+
+def test_a_collecting_tracer_builds_one_event_object_per_event(tmp_path):
+    """The canary: the traced run with its sink swapped for a
+    :class:`CollectingTracer` builds one :class:`PacketEvent` per event."""
+    with mock.patch("repro.obs.session.sampled", lambda *_: CollectingTracer()):
+        counts = calls_into(OPTICAL4, 100, obs=observed("trace", tmp_path))
+    assert counts["events"] > 0
+    assert counts["PacketEvent"] == counts["events"]

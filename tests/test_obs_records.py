@@ -1,9 +1,10 @@
 """The trace record's fast paths equal the general ``json`` path.
 
-:class:`~repro.obs.tracers.JsonlTraceWriter` formats the common record (no
-extras, vocabulary kind, exact-``int`` fields) from a template and
-:func:`~repro.obs.analysis.read_trace_file` recognises exactly that record
-with a compiled pattern; everything else goes through ``json``.  The
+:class:`~repro.obs.tracers.JsonlTraceWriter` formats the records of the
+layout table (vocabulary kind, exact-``int`` fields, extras that are
+ASCII-identifier names with exact ``int``/``bool`` values) from templates
+and :func:`~repro.obs.analysis.read_trace_file` recognises those records
+with compiled patterns; everything else goes through ``json``.  The
 references below are the loops both functions ran before the fast paths
 existed: whatever an event or a line is, the file written and the events
 (or the error) read must be theirs.
@@ -29,7 +30,7 @@ from repro.obs import (
     Tracer,
 )
 from repro.obs.analysis import read_trace_file
-from repro.obs.tracers import COMMON_RECORD
+from repro.obs.tracers import COMMON_RECORD, SCALAR_RECORD
 
 
 def reference_render(events, meta=None):
@@ -299,6 +300,158 @@ class TestReaderEqualsJson:
     def test_an_error_after_fast_lines_names_its_own_line(self):
         got, expected = read_of(common_line() + "\n" + common_line() + "\n{oops\n")
         assert got == expected and "t.jsonl:4: not JSONL" in got[2]
+
+
+#: ASCII-identifier extras names, sorting before, between and after the
+#: four fixed keys (the table's names, and now and then a fixed key).
+table_names = st.one_of(
+    st.sampled_from(["attempts", "dst", "lost", "multicast", "zeta", "Z", "_n"]),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True),
+)
+#: Extras names: the above, a fixed key, or not ASCII.
+layout_names = st.one_of(
+    table_names,
+    table_names,
+    st.sampled_from(["kind", "uid", "cycle", "node"]),
+    st.text(st.characters(min_codepoint=128, max_codepoint=0x24F), min_size=1,
+            max_size=3),
+    st.just("dst\u00e9"),
+)
+#: Extras values: in the table (int, bool, zero, negative, past the 18
+#: digits the reader takes) or not (float, numpy integer).
+layout_values = st.one_of(
+    st.integers(-5, 500),
+    st.just(0),
+    st.booleans(),
+    st.integers(-(10**30), -(10**18)),
+    st.integers(10**18, 10**30),
+    st.floats(allow_nan=False),
+    st.integers(0, 9).map(np.int64),
+)
+layout_extras = st.one_of(
+    st.just({}), st.dictionaries(layout_names, layout_values, max_size=4)
+)
+
+
+def in_table(extra):
+    """Whether the writer renders ``extra`` from a template."""
+    return all(
+        type(name) is str and name.isascii() and name.isidentifier()
+        and name not in ("cycle", "kind", "node", "uid")
+        and type(value) in (int, bool)
+        for name, value in extra.items()
+    )
+
+
+def payload_of(kind, cycle, node, uid, extra):
+    payload = {"kind": kind, "cycle": cycle, "node": node, "uid": uid}
+    payload.update(extra)
+    return payload
+
+
+def as_law(examples):
+    """Tier-1 runs a law on a few examples, ``slow`` on many."""
+    return pytest.mark.parametrize(
+        "examples", [examples, pytest.param(examples * 25, marks=pytest.mark.slow)]
+    )
+
+
+class TestLayoutTable:
+    """Writer and reader share one layout table; each side equals json."""
+
+    @as_law(60)
+    def test_the_writer_writes_what_json_dumps_writes(self, examples):
+        @settings(max_examples=examples, deadline=None)
+        @given(st.sampled_from(EVENT_KINDS), plain_ints, plain_ints, plain_ints,
+               layout_extras)
+        def law(kind, cycle, node, uid, extra):
+            batch = [PacketEvent(kind, cycle, node, uid, extra)]
+            expected = outcome(reference_render, batch)
+            got = outcome(written, batch)
+            if expected[0] == "ok":
+                assert got == ("ok", expected[1].encode())
+            else:  # numpy integers: json's refusal, for json's reason
+                assert got == expected
+
+        law()
+
+    @as_law(60)
+    def test_the_reader_reads_what_json_loads_reads(self, examples):
+        @settings(max_examples=examples, deadline=None)
+        @given(st.sampled_from(EVENT_KINDS), plain_ints, plain_ints, plain_ints,
+               layout_extras, st.booleans())
+        def law(kind, cycle, node, uid, extra, sort_keys):
+            payload = payload_of(kind, cycle, node, uid, extra)
+            try:
+                line = json.dumps(payload, sort_keys=sort_keys)
+            except (TypeError, ValueError):
+                return  # nothing writes this record
+            got, expected = read_of(line + "\n")
+            assert got == expected
+            small = max(abs(v) for v in (cycle, node, uid, *extra.values())) < 10**18
+            if sort_keys and extra and in_table(extra) and small:
+                # The writer templates it, so the reader's table covers it.
+                assert SCALAR_RECORD.fullmatch(line) is not None
+
+        law()
+
+    @as_law(80)
+    def test_edited_scalar_lines_read_or_fail_as_json_loads_has_it(self, examples):
+        @settings(max_examples=examples, deadline=None)
+        @given(st.lists(edited_scalar_lines(), min_size=1, max_size=3))
+        def law(lines):
+            got, expected = read_of("\n".join(lines) + "\n")
+            assert got == expected
+
+        law()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"cycle": 1, "dst": 2, "dst": 3, "kind": "hop", "node": 4, "uid": 5}',
+            '{"cycle": 1, "kind": "hop", "node": 4, "uid": 5, "cycle": 2}',
+            '{"cycle": 1, "kind": "hop", "node": 4, "uid": 5, "kind": 2}',
+            '{"cycle": 1, "kind": "hop", "node": 4, "uid": 5, "x": 01}',
+            '{"cycle": 1, "kind": "hop", "node": 4, "uid": 5, "x": -0}',
+            '{"cycle": 1, "kind": "hop", "node": 4, "uid": 5, "x": True}',
+            '{"cycle": 1, "kind": "hop", "node": 4, "uid": 5, "x": 1.0}',
+            '{"cycle": 1, "kind": "hop", "node": 4, "uid": 5, "\u00e9": 1}',
+            '{"cycle": 1, "kind": "hop", "node": 4, "uid": 5, "x": 1,}',
+            '{"zeta": true, "cycle": 1, "kind": "hop", "node": 4, "uid": 5}',
+            '{"cycle": 1, "kind": "hop", "node": 4, "uid": 5, "x": 1%s}' % ("0" * 18),
+        ],
+    )
+    def test_near_misses_of_the_table(self, line):
+        got, expected = read_of(line + "\n")
+        assert got == expected
+
+    def test_the_generated_record_is_in_the_table(self):
+        event = PacketEvent("generated", 3, 7, 42, {"multicast": False, "dst": 9})
+        line = written([event]).decode().splitlines()[1]
+        assert line == (
+            '{"cycle": 3, "dst": 9, "kind": "generated", "multicast": false, '
+            '"node": 7, "uid": 42}'
+        )
+        assert SCALAR_RECORD.fullmatch(line) is not None
+
+
+@st.composite
+def edited_scalar_lines(draw):
+    """A record of the table, then up to two edits (see ``edited_lines``)."""
+    names = draw(st.lists(table_names, min_size=1, max_size=3, unique=True))
+    extra = {
+        name: draw(st.one_of(st.integers(-5, 500), st.booleans())) for name in names
+    }
+    line = json.dumps(
+        payload_of(draw(st.sampled_from(EVENT_KINDS)), draw(plain_ints),
+                   draw(plain_ints), draw(plain_ints), extra),
+        sort_keys=True,
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(line)))
+        cut = draw(st.integers(0, 2))
+        line = line[:at] + draw(edit_chars) * draw(st.integers(0, 1)) + line[at + cut:]
+    return line
 
 
 json_values = st.one_of(st.integers(-5, 500), st.booleans(), st.text(max_size=5))
