@@ -12,22 +12,10 @@ Exposes the experiment harness without writing any Python:
 - ``repro campaign`` — the full Fig 10/11 SPLASH2 campaign;
 - ``repro analyze run.jsonl`` — a latency blame report from a JSONL trace.
 
-``sweep``, ``run`` and ``fault-sweep`` also accept the fault-injection
-flags (``--fault-seed``, ``--fault-model``, ``--link-flip-prob``,
-``--dead-ports``, ``--retry-limit``); a fault config is part of run-spec
-identity, so faulted runs never collide with fault-free cache entries.
-
-Simulation commands (``figure fig09..fig11``, ``sweep``, ``run``,
-``campaign``) share the campaign-executor flags: ``--workers N`` fans the
-runs across a process pool, results are cached under ``.repro-cache/``
-(disable with ``--no-cache``, relocate with ``--cache-dir``), an ASCII
-progress line tracks the campaign on stderr, and ``--report``/``--manifest``
-write the deterministic results and the observability manifest as JSON.
-They also accept the runtime-health flags (``--health``,
-``--health-interval``, ``--stall-windows``), ``--stream-out`` for live
-JSONL window/finding streaming, and ``--live`` for the in-terminal
-campaign dashboard; ``repro campaign --html PATH`` additionally writes a
-self-contained HTML report of the finished campaign.
+``repro <command> --help`` lists a command's flags.  The simulation flags
+are the rows of :data:`_FLAGS`: each fills one field of its config by
+name and states no default or check of its own.  Every refusal is one
+``repro: ...`` line on stderr with exit code 2.
 """
 
 from __future__ import annotations
@@ -37,7 +25,7 @@ import json
 import os
 import sys
 from importlib import import_module
-from typing import TYPE_CHECKING, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
 # Imports follow the command: only what building the parser needs is
 # loaded here, and every handler imports what it runs.  ``--help`` and
@@ -52,39 +40,17 @@ from repro.util.tables import AsciiTable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fabric import NetworkConfig
     from repro.faults import FaultConfig
-    from repro.harness.exec import Executor, RunEvent
-    from repro.obs import ObsConfig
+    from repro.harness.exec import Executor, ProgressCallback, RunEvent
 
 _ANALYTIC_FIGURES = ("fig04", "fig05", "fig06", "fig07", "fig08")
 
-
-def _ascii_progress(stream: TextIO):
-    """Progress callback: an in-place line on a TTY, one line per run otherwise."""
-    done = {"runs": 0, "hits": 0}
-
-    def callback(event: RunEvent) -> None:
-        done["runs"] += 1
-        done["hits"] += event.cache_hit
-        status = "cache" if event.cache_hit else f"{event.wall_time_s:.2f}s"
-        line = (
-            f"[{done['runs']}/{event.total}] {event.spec.label} "
-            f"{event.spec.workload_name} ({status}, {done['hits']} cached)"
-        )
-        if stream.isatty():
-            stream.write("\r" + line.ljust(78))
-            if done["runs"] == event.total:
-                stream.write("\n")
-        else:
-            stream.write(line + "\n")
-        stream.flush()
-
-    return callback
-
+#: Cycles per run of a simulated figure when ``--cycles`` is not given.
+_FIGURE_CYCLES = 1500
 
 # Derived from the canonical Direction enum rather than hard-coded, so the
 # accepted letters track the geometry layer (N/E/S/W -> 0-3).
 _PORT_LETTERS = {
-    d.name[0]: int(d) for d in Direction if d is not Direction.LOCAL
+    d.name[0]: str(int(d)) for d in Direction if d is not Direction.LOCAL
 }
 
 
@@ -95,35 +61,131 @@ def _dead_ports(text: str) -> tuple[tuple[int, int], ...]:
     integer 0-3 — e.g. ``--dead-ports 5:E,10:N``.
     """
     ports = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        node_text, sep, port_text = item.partition(":")
-        if not sep:
-            raise argparse.ArgumentTypeError(
-                f"invalid dead port {item!r}; expected node:port (e.g. 5:E)"
-            )
+    for item in filter(None, (item.strip() for item in text.split(","))):
+        node, _, port = item.partition(":")
+        port = port.strip().upper()
         try:
-            node = int(node_text)
+            ports.append((int(node), int(_PORT_LETTERS.get(port, port))))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid node {node_text!r}")
-        port_text = port_text.strip().upper()
-        if port_text in _PORT_LETTERS:
-            port = _PORT_LETTERS[port_text]
-        else:
-            try:
-                port = int(port_text)
-            except ValueError:
-                raise argparse.ArgumentTypeError(
-                    f"invalid port {port_text!r}; expected N/E/S/W or 0-3"
-                )
-        ports.append((node, port))
+            raise argparse.ArgumentTypeError(
+                f"invalid dead port {item!r}; expected node:port with port "
+                "N/E/S/W or 0-3 (e.g. 5:E)"
+            )
     return tuple(ports)
 
 
+def _trace_sample(text: str) -> float:
+    """Parse ``--trace-sample``, refusing a fraction no trace can keep
+    while parsing, in :class:`~repro.obs.ObsConfig`'s own words (the
+    stand-in path leaves only the value's check to fail)."""
+    from repro.obs import ObsConfig
+
+    try:
+        return ObsConfig(trace_path="-", trace_sample=float(text)).trace_sample
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+#: The field each fault model fills with ``--link-flip-prob`` (and with
+#: each of ``fault-sweep``'s ``--fault-rates``).
+_FAULT_MODELS = {"bernoulli": "link_flip_prob", "burst": "burst_enter_prob"}
+
+_PATH, _SWITCH = {"metavar": "PATH"}, {"action": "store_true"}
+
+#: The simulation flags by group, one row per flag: the flag, the field of
+#: the group's config it fills (None: the command reads it), its help and
+#: its argparse keywords.  No row has a default but ``--fault-model``, which
+#: fills no field: an unset flag is absent from the parsed arguments, so
+#: the field keeps its own default and the config's checks are the only
+#: ones.
+_FLAGS: dict[str, tuple[tuple[str, str | None, str, dict[str, Any]], ...]] = {
+    "executor": (  # repro.harness.exec.Executor
+        ("--workers", "workers", "worker processes for campaign fan-out "
+         "(1: in-process)", {"type": int, "metavar": "N"}),
+        ("--manifest", None, "write the campaign manifest JSON here", _PATH),
+    ),
+    "cache": (  # repro.harness.exec.ResultCache
+        ("--no-cache", None, "always simulate; do not read or write the "
+         "result cache", _SWITCH),
+        ("--cache-dir", "root", "result cache location", _PATH),
+    ),
+    "observability": (  # repro.obs.ObsConfig
+        ("--trace-out", "trace_path", "write a packet-lifecycle trace here "
+         "(Chrome trace_event JSON, Perfetto-loadable; a .jsonl suffix "
+         "selects JSONL); campaigns with several runs get per-run suffixed "
+         "paths", _PATH),
+        ("--trace-sample", "trace_sample", "fraction of packet lifecycles to "
+         "trace; requires --trace-out", {"type": _trace_sample, "metavar": "RATE"}),
+        ("--metrics-interval", "metrics_interval", "collect windowed "
+         "time-series metrics every CYCLES cycles (serialised into JSON "
+         "reports)", {"type": int, "metavar": "CYCLES"}),
+        ("--spatial-metrics", "spatial", "extend the windowed metrics with "
+         "per-router occupancy/drop/delivery series (requires "
+         "--metrics-interval)", _SWITCH),
+        ("--health", "health", "run the health watchdogs (flit conservation, "
+         "credit leaks, stall/livelock detection) at metrics-window "
+         "boundaries; the verdict lands in JSON reports and the campaign "
+         "manifest", _SWITCH),
+        ("--health-interval", "health_interval", "health audit window "
+         "(default: the metrics window); requires --health",
+         {"type": int, "metavar": "CYCLES"}),
+        ("--stall-windows", "health_stall_windows", "flat windows of zero "
+         "delivery progress before the livelock watchdog escalates to "
+         "critical; requires --health", {"type": int, "metavar": "N"}),
+        ("--stream-out", "stream_path", "stream per-window metrics and health "
+         "findings to this JSONL file while the run executes (requires "
+         "--metrics-interval); campaigns with several runs get per-run "
+         "suffixed paths", _PATH),
+    ),
+    "fault": (  # repro.faults.FaultConfig
+        ("--fault-seed", "seed", "root seed of the fault schedule "
+         "(independent of traffic seed)", {"type": int, "metavar": "SEED"}),
+        ("--fault-model", None, "how --link-flip-prob is applied: independent "
+         "per-crossing flips (bernoulli) or Gilbert-Elliott bursts entered at "
+         "that probability (burst)",
+         {"choices": tuple(_FAULT_MODELS), "default": "bernoulli"}),
+        ("--link-flip-prob", "link_flip_prob", "transient link-fault "
+         "probability per crossing", {"type": float, "metavar": "PROB"}),
+        ("--dead-ports", "dead_ports", "permanently dead router ports as "
+         "node:port pairs, comma-separated; ports are N/E/S/W or 0-3 (e.g. "
+         "5:E,10:N)", {"type": _dead_ports, "metavar": "LIST"}),
+        ("--retry-limit", "retry_limit", "retransmissions before a faulted "
+         "packet is abandoned", {"type": int, "metavar": "N"}),
+    ),
+}
+
+
 class _UsageError(Exception):
-    """A bad flag value: ``main`` prints the message and exits 2."""
+    """A refused command line: ``main`` prints ``repro: <message>``, exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, refusing a bad command line in one ``repro:`` line."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"repro: {message} (see {self.prog} --help)\n")
+
+
+def _from_flags(
+    config_type: Any,
+    args: argparse.Namespace,
+    group: str,
+    moved: dict[str, str] | None = None,
+    **fields: Any,
+) -> Any:
+    """``config_type(**fields)`` with the field of each ``group`` flag given.
+
+    ``moved`` sends a row's value to another field.  A bad value is
+    refused in the config's own words.
+    """
+    for flag, field, _, _ in _FLAGS[group]:
+        dest = flag[2:].replace("-", "_")
+        if field is not None and dest in args:
+            fields[(moved or {}).get(field, field)] = getattr(args, dest)
+    try:
+        return config_type(**fields)
+    except ValueError as exc:
+        raise _UsageError(f"invalid {group} config: {exc}")
 
 
 def _config_from_args(args: argparse.Namespace) -> NetworkConfig:
@@ -149,75 +211,67 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 
 def _faults_from_args(args: argparse.Namespace) -> FaultConfig | None:
-    """Build the fault config from the shared CLI flags (None if disabled)."""
+    """The fault config the fault flags ask for (None if it injects nothing)."""
     from repro.faults import FaultConfig
 
-    if args.fault_model == "burst":
-        enter, flip = args.link_flip_prob, 0.0
-    else:
-        enter, flip = 0.0, args.link_flip_prob
-    try:
-        faults = FaultConfig(
-            seed=args.fault_seed,
-            dead_ports=args.dead_ports,
-            link_flip_prob=flip,
-            burst_enter_prob=enter,
-            retry_limit=args.retry_limit,
-        )
-    except ValueError as exc:
-        raise _UsageError(f"repro: invalid fault config: {exc}")
+    # The one rule beyond the table: the fault model names the field that
+    # --link-flip-prob fills.
+    moved = {"link_flip_prob": _FAULT_MODELS[args.fault_model]}
+    faults = _from_flags(FaultConfig, args, "fault", moved)
     return faults if faults.enabled else None
 
 
-def _obs_from_args(args: argparse.Namespace) -> ObsConfig | None:
-    """Build the observability config from the shared CLI flags."""
-    from repro.obs import ObsConfig
+def _progress_lines() -> ProgressCallback:
+    """Off a terminal, one plain stderr line per completed run."""
+    done = {"runs": 0, "hits": 0}
 
-    try:
-        obs = ObsConfig(
-            trace_path=args.trace_out,
-            trace_sample=args.trace_sample,
-            metrics_interval=args.metrics_interval,
-            spatial=args.spatial_metrics,
-            health=args.health,
-            health_interval=args.health_interval,
-            health_stall_windows=args.stall_windows,
-            stream_path=args.stream_out,
+    def callback(event: RunEvent) -> None:
+        done["runs"] += 1
+        done["hits"] += event.cache_hit
+        status = "cache" if event.cache_hit else f"{event.wall_time_s:.2f}s"
+        health = event.result.health
+        verdict = "" if health is None else f" health={health.status}"
+        print(
+            f"[{done['runs']}/{event.total}] {event.spec.label} "
+            f"{event.spec.workload_name} ({status}, {done['hits']} cached)"
+            f"{verdict}",
+            file=sys.stderr,
+            flush=True,
         )
-    except ValueError as exc:
-        raise _UsageError(f"repro: invalid observability config: {exc}")
-    return obs if obs.enabled else None
+
+    return callback
 
 
 def _executor_from_args(args: argparse.Namespace) -> Executor:
+    """The executor the executor, cache and observability flags ask for."""
     from repro.harness.exec import Executor, ResultCache
+    from repro.obs import ObsConfig
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    kwargs: dict = {
-        "workers": args.workers,
-        "cache": cache,
-        "progress": _ascii_progress(sys.stderr),
-        "obs": _obs_from_args(args),
-    }
-    if getattr(args, "live", False):
-        # The dashboard replaces the plain progress line entirely — it
-        # prints its own per-completion lines off-TTY.
-        from repro.obs import LiveDashboard
+    obs = _from_flags(ObsConfig, args, "observability")
+    cache = None if "no_cache" in args else _from_flags(ResultCache, args, "cache")
+    progress, live = _progress_lines(), None
+    if sys.stderr.isatty():
+        # On a terminal the live panel is the progress line: each run's
+        # samples move its bar and each completion repaints it.
+        from repro.obs.live import LiveDashboard
 
         dashboard = LiveDashboard()
-        kwargs["progress"] = dashboard.on_event
-        kwargs["live"] = dashboard.on_progress
-        args._dashboard = dashboard
-    return Executor(**kwargs)
+        progress, live = dashboard.on_event, dashboard.on_progress
+    return _from_flags(
+        Executor,
+        args,
+        "executor",
+        cache=cache,
+        progress=progress,
+        obs=obs if obs.enabled else None,
+        live=live,
+    )
 
 
 def _finish_campaign(executor: Executor, args: argparse.Namespace) -> None:
     """Summarise the executor's event log; write the manifest if asked."""
     from repro.harness.report import manifest_to_dict, write_report
 
-    dashboard = getattr(args, "_dashboard", None)
-    if dashboard is not None:
-        dashboard.close()
     manifest = manifest_to_dict(executor.events)
     print(
         f"campaign: {manifest['runs']} runs, {manifest['cache_hits']} cache "
@@ -260,25 +314,26 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     name = args.name
     if name in _ANALYTIC_FIGURES:
+        given = sorted(set(vars(args)) - {"command", "func", "name"})
+        if given:
+            flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
+            raise _UsageError(
+                f"{name} is analytic and runs no simulation; drop {flags}"
+            )
         module = import_module(f"repro.harness.experiments.{name}")
         print(module.render(module.compute()))
         return 0
     from repro.harness.experiments import fig09, fig10, fig11
     from repro.harness.experiments.splash2_runs import compute_matrix
 
+    cycles = getattr(args, "cycles", _FIGURE_CYCLES)
     executor = _executor_from_args(args)
     if name == "fig09":
-        data = fig09.compute(cycles=args.cycles, executor=executor)
-        print(fig09.render(data))
-    elif name in ("fig10", "fig11"):
-        matrix = compute_matrix(duration_cycles=args.cycles, executor=executor)
-        if name == "fig10":
-            print(fig10.render(fig10.from_matrix(matrix)))
-        else:
-            print(fig11.render(fig11.from_matrix(matrix)))
+        print(fig09.render(fig09.compute(cycles=cycles, executor=executor)))
     else:
-        print(f"unknown figure {name!r}", file=sys.stderr)
-        return 2
+        matrix = compute_matrix(duration_cycles=cycles, executor=executor)
+        figure = fig10 if name == "fig10" else fig11
+        print(figure.render(figure.from_matrix(matrix)))
     _finish_campaign(executor, args)
     return 0
 
@@ -385,36 +440,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fault_sweep(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from repro.faults import FaultConfig
-    from repro.harness.exec import RunSpec, SyntheticWorkload
     from repro.harness.report import write_report
-    from repro.harness.sweeps import fault_point_from_result
+    from repro.harness.sweeps import fault_point_from_result, fault_sweep_specs
 
     config = _config_from_args(args)
     fault_rates = _float_list(args.fault_rates, "--fault-rates")
-    if args.link_flip_prob:
+    if "link_flip_prob" in args:
         raise _UsageError(
-            "repro: fault-sweep sets the swept probability from --fault-rates; "
+            "fault-sweep sets the swept probability from --fault-rates; "
             "drop --link-flip-prob"
         )
-    # The template carries every knob except the swept probability: the
-    # flip probability of a bernoulli sweep, the entry one of a burst sweep.
-    template = _faults_from_args(args) or FaultConfig(
-        seed=args.fault_seed, retry_limit=args.retry_limit
+    # The template carries every knob but the probability the model sweeps.
+    template = _from_flags(FaultConfig, args, "fault")
+    specs = fault_sweep_specs(
+        config, args.pattern, args.rate, fault_rates, args.cycles, args.seed,
+        template, swept=_FAULT_MODELS[args.fault_model],
     )
-    swept = "burst_enter_prob" if args.fault_model == "burst" else "link_flip_prob"
-    specs = [
-        RunSpec(
-            config,
-            SyntheticWorkload(args.pattern, args.rate),
-            cycles=args.cycles,
-            seed=args.seed,
-            faults=replace(template, **{swept: fault_rate}),
-        )
-        for fault_rate in fault_rates
-    ]
     executor = _executor_from_args(args)
     num_nodes = config.mesh.num_nodes
     points = [
@@ -498,9 +540,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         from repro.harness.report import write_report
 
     if args.diff and args.trace:
-        raise _UsageError("repro: give either a trace or --diff A B, not both")
+        raise _UsageError("give either a trace or --diff A B, not both")
     if not args.diff and not args.trace:
-        raise _UsageError("repro: need a trace file to analyze (or --diff A B)")
+        raise _UsageError("need a trace file to analyze (or --diff A B)")
     try:
         if args.diff:
             first, second = (
@@ -522,7 +564,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             args.trace, top=args.top, link_delay=args.link_delay
         )
     except ValueError as exc:  # a malformed trace names its file and line
-        raise _UsageError(f"repro: {exc}")
+        raise _UsageError(str(exc))
     if args.format == "json":
         print(report.to_json(), end="")
     else:
@@ -533,148 +575,51 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sample_rate(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid sample rate {text!r}")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError("sample rate must be in [0, 1]")
-    return value
-
-
-def _worker_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid worker count {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("need at least one worker")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro", description="Phastlane (ISCA 2009) reproduction harness"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    executor_flags = argparse.ArgumentParser(add_help=False)
-    executor_flags.add_argument(
-        "--workers", type=_worker_count, default=1,
-        help="worker processes for campaign fan-out (default 1: in-process)",
-    )
-    executor_flags.add_argument(
-        "--no-cache", action="store_true",
-        help="always simulate; do not read or write the result cache",
-    )
-    executor_flags.add_argument(
-        "--cache-dir", default=".repro-cache",
-        help="result cache location (default .repro-cache)",
-    )
-    executor_flags.add_argument(
-        "--trace-out", metavar="PATH",
-        help="write a packet-lifecycle trace here (Chrome trace_event JSON, "
-        "Perfetto-loadable; a .jsonl suffix selects JSONL); campaigns with "
-        "several runs get per-run suffixed paths",
-    )
-    executor_flags.add_argument(
-        "--trace-sample", type=_sample_rate, default=1.0, metavar="RATE",
-        help="fraction of packet lifecycles to trace, in [0, 1] (default 1); "
-        "requires --trace-out",
-    )
-    executor_flags.add_argument(
-        "--metrics-interval", type=int, metavar="CYCLES",
-        help="collect windowed time-series metrics every CYCLES cycles "
-        "(serialised into JSON reports)",
-    )
-    executor_flags.add_argument(
-        "--spatial-metrics", action="store_true",
-        help="extend the windowed metrics with per-router occupancy/drop/"
-        "delivery series (requires --metrics-interval)",
-    )
-    executor_flags.add_argument(
-        "--health", action="store_true",
-        help="run the health watchdogs (flit conservation, credit leaks, "
-        "stall/livelock detection) at metrics-window boundaries; the "
-        "verdict lands in JSON reports and the campaign manifest",
-    )
-    executor_flags.add_argument(
-        "--health-interval", type=int, metavar="CYCLES",
-        help="health audit window (default: --metrics-interval, else 100); "
-        "requires --health",
-    )
-    executor_flags.add_argument(
-        "--stall-windows", type=int, default=5, metavar="N",
-        help="flat windows of zero delivery progress before the livelock "
-        "watchdog escalates to critical (default 5); requires --health",
-    )
-    executor_flags.add_argument(
-        "--stream-out", metavar="PATH",
-        help="stream per-window metrics and health findings to this JSONL "
-        "file while the run executes (requires --metrics-interval); "
-        "campaigns with several runs get per-run suffixed paths",
-    )
-    executor_flags.add_argument(
-        "--live", action="store_true",
-        help="render a live campaign dashboard on stderr (in-place panel "
-        "on a TTY, one line per completed run otherwise)",
-    )
-
-    fault_flags = argparse.ArgumentParser(add_help=False)
-    fault_flags.add_argument(
-        "--fault-seed", type=int, default=0, metavar="SEED",
-        help="root seed of the fault schedule (independent of traffic seed)",
-    )
-    fault_flags.add_argument(
-        "--fault-model", choices=("bernoulli", "burst"), default="bernoulli",
-        help="how --link-flip-prob is applied: independent per-crossing "
-        "flips (bernoulli) or Gilbert-Elliott bursts entered at that "
-        "probability (burst)",
-    )
-    fault_flags.add_argument(
-        "--link-flip-prob", type=float, default=0.0, metavar="PROB",
-        help="transient link-fault probability per crossing (default 0: off)",
-    )
-    fault_flags.add_argument(
-        "--dead-ports", type=_dead_ports, default=(), metavar="LIST",
-        help="permanently dead router ports as node:port pairs, "
-        "comma-separated; ports are N/E/S/W or 0-3 (e.g. 5:E,10:N)",
-    )
-    fault_flags.add_argument(
-        "--retry-limit", type=int, default=16, metavar="N",
-        help="retransmissions before a faulted packet is abandoned (default 16)",
-    )
-
-    config_flags = argparse.ArgumentParser(add_help=False)
-    config_flags.add_argument("--config", default="Optical4")
-    config_flags.add_argument(
+    network = argparse.ArgumentParser(add_help=False)
+    network.add_argument("--config", default="Optical4")
+    network.add_argument(
         "--topology", default="mesh", choices=registered_topologies(),
         help="network topology to run the configs on (default mesh)",
     )
 
-    sub.add_parser("tables", help="print Tables 1-4").set_defaults(func=_cmd_tables)
+    def command(
+        name: str, func: Any, summary: str, *groups: str, **kwargs: Any
+    ) -> argparse.ArgumentParser:
+        """A subcommand with the flag rows of ``groups``."""
+        parsed = sub.add_parser(name, help=summary, **kwargs)
+        parsed.set_defaults(func=func)
+        for group in groups:
+            section = parsed.add_argument_group(f"{group} flags")
+            for flag, _, text, keywords in _FLAGS[group]:
+                keywords = {"default": argparse.SUPPRESS, **keywords}
+                section.add_argument(flag, help=text, **keywords)
+        return parsed
 
-    figure = sub.add_parser(
-        "figure", help="regenerate one figure", parents=[executor_flags]
-    )
+    simulation = ("executor", "cache", "observability")
+    command("tables", _cmd_tables, "print Tables 1-4")
+
+    figure = command("figure", _cmd_figure, "regenerate one figure", *simulation)
     figure.add_argument("name", choices=[*_ANALYTIC_FIGURES, "fig09", "fig10", "fig11"])
-    figure.add_argument("--cycles", type=int, default=1500)
-    figure.add_argument("--manifest", help="write the campaign manifest JSON here")
-    figure.set_defaults(func=_cmd_figure)
+    figure.add_argument(
+        "--cycles", type=int, default=argparse.SUPPRESS,
+        help=f"cycles per run of fig09-fig11 (default {_FIGURE_CYCLES})",
+    )
 
-    sweep = sub.add_parser(
-        "sweep",
-        help="latency vs injection-rate sweep",
-        parents=[config_flags, executor_flags, fault_flags],
+    sweep = command(
+        "sweep", _cmd_sweep, "latency vs injection-rate sweep",
+        *simulation, "fault", parents=[network],
     )
     sweep.add_argument("--pattern", default="uniform", choices=sorted(PATTERNS))
     sweep.add_argument("--rates", default="0.02,0.05,0.1,0.2,0.3,0.4,0.5")
     sweep.add_argument("--cycles", type=int, default=900)
     sweep.add_argument("--seed", type=int, default=1)
     sweep.add_argument("--report", help="write the sweep points as JSON here")
-    sweep.add_argument("--manifest", help="write the campaign manifest JSON here")
-    sweep.set_defaults(func=_cmd_sweep)
 
     trace = sub.add_parser("trace", help="generate or inspect trace files")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
@@ -688,19 +633,16 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("file")
     info.set_defaults(func=_cmd_trace_info)
 
-    run = sub.add_parser(
-        "run",
-        help="replay a trace through one configuration",
-        parents=[config_flags, executor_flags, fault_flags],
+    run = command(
+        "run", _cmd_run, "replay a trace through one configuration",
+        *simulation, "fault", parents=[network],
     )
     run.add_argument("--trace", required=True)
-    run.add_argument("--manifest", help="write the campaign manifest JSON here")
-    run.set_defaults(func=_cmd_run)
 
-    fault_sweep = sub.add_parser(
-        "fault-sweep",
-        help="throughput vs fault-rate degradation curve",
-        parents=[config_flags, executor_flags, fault_flags],
+    fault_sweep = command(
+        "fault-sweep", _cmd_fault_sweep,
+        "throughput vs fault-rate degradation curve",
+        *simulation, "fault", parents=[network],
     )
     fault_sweep.add_argument("--pattern", default="uniform", choices=sorted(PATTERNS))
     fault_sweep.add_argument(
@@ -714,26 +656,23 @@ def build_parser() -> argparse.ArgumentParser:
     fault_sweep.add_argument("--cycles", type=int, default=900)
     fault_sweep.add_argument("--seed", type=int, default=1)
     fault_sweep.add_argument("--report", help="write the curve points as JSON here")
-    fault_sweep.add_argument("--manifest", help="write the campaign manifest JSON here")
-    fault_sweep.set_defaults(func=_cmd_fault_sweep)
 
-    campaign = sub.add_parser(
-        "campaign", help="full Fig 10/11 SPLASH2 campaign", parents=[executor_flags]
+    campaign = command(
+        "campaign", _cmd_campaign, "full Fig 10/11 SPLASH2 campaign", *simulation
     )
     campaign.add_argument("--cycles", type=int, default=1500)
     campaign.add_argument("--seed", type=int, default=1)
     campaign.add_argument("--report", help="write all run results as JSON here")
-    campaign.add_argument("--manifest", help="write the campaign manifest JSON here")
     campaign.add_argument(
         "--html", metavar="PATH",
         help="write a self-contained HTML campaign report here (per-run "
         "timing, health badges, delivered-per-window sparklines)",
     )
-    campaign.set_defaults(func=_cmd_campaign)
 
-    analyze = sub.add_parser(
+    analyze = command(
         "analyze",
-        help="latency blame report from a JSONL packet trace",
+        _cmd_analyze,
+        "latency blame report from a JSONL packet trace",
         description=(
             "Reconstruct per-packet spans from a JSONL trace (written with "
             "--trace-out ....jsonl on any simulation command) and report "
@@ -764,8 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--link-delay", type=int, default=None,
         help="per-hop transit cycles (default: the trace header's value)",
     )
-    analyze.set_defaults(func=_cmd_analyze)
-
     return parser
 
 
@@ -781,13 +718,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # with nothing on stderr: the Python docs' SIGPIPE recipe.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except (FabricError, OSError) as exc:
-        # Honest refusals (e.g. a cycle-accurate backend asked to run on a
-        # non-grid topology) and unreadable or unwritable files print as
-        # one-line errors, not tracebacks.
+    except (_UsageError, FabricError, OSError) as exc:
+        # Refused flags, honest refusals (e.g. a cycle-accurate backend
+        # asked to run on a non-grid topology) and unreadable or unwritable
+        # files print as one-line errors, not tracebacks.
         print(f"repro: {exc}", file=sys.stderr)
         return 2
 

@@ -160,16 +160,18 @@ def fault_sweep_specs(
     cycles: int = 1500,
     seed: int = 1,
     faults: FaultConfig | None = None,
+    swept: str = "link_flip_prob",
 ) -> list[RunSpec]:
     """Run specs of one degradation curve, in fault-rate order.
 
-    Each spec fixes the workload (pattern + injection rate) and varies
-    ``link_flip_prob`` across ``fault_rates``; every other fault-model knob
+    Each spec fixes the workload (pattern + injection rate) and sets the
+    fault-model probability ``swept`` (``link_flip_prob`` or
+    ``burst_enter_prob``) to each of ``fault_rates``; every other knob
     comes from the ``faults`` template (default: a bare
-    :class:`~repro.faults.config.FaultConfig`, Bernoulli link faults only).
-    With the default template a fault rate of exactly 0.0 produces a
-    fault-free spec — the curve's baseline point shares its digest (and
-    cached result) with ordinary runs.
+    :class:`~repro.faults.config.FaultConfig`).  With the default template
+    a fault rate of exactly 0.0 produces a fault-free spec — the curve's
+    baseline point shares its digest (and cached result) with ordinary
+    runs.
     """
     template = faults if faults is not None else FaultConfig()
     return [
@@ -178,7 +180,7 @@ def fault_sweep_specs(
             workload=SyntheticWorkload(pattern, rate),
             cycles=cycles,
             seed=seed,
-            faults=replace(template, link_flip_prob=fault_rate),
+            faults=replace(template, **{swept: fault_rate}),
         )
         for fault_rate in fault_rates
     ]

@@ -1,18 +1,16 @@
-"""ASCII live campaign dashboard: runs-in-flight, rates and health flags.
+"""ASCII live campaign panel: runs-in-flight, rates and health flags.
 
 :class:`LiveDashboard` consumes the two telemetry streams the
 :class:`~repro.harness.exec.Executor` produces — intra-run
 :class:`~repro.harness.exec.RunProgress` records (its ``live`` callback)
 and completion :class:`~repro.harness.exec.RunEvent` records (its
-``progress`` callback) — and renders them to a terminal:
+``progress`` callback) — and paints them on a terminal as one in-place
+panel (ANSI cursor movement): a header with the runs done, aggregate
+flits/s, the worst router occupancy seen and the health flags, then one
+progress bar per run in flight.  It writes nothing to a stream that is
+not a TTY; the CLI prints plain lines there instead.
 
-- on a TTY, an in-place panel (ANSI cursor movement) with one progress bar
-  per run in flight, aggregate flits/s, the worst router occupancy seen
-  and any health flags;
-- on a non-TTY stream (CI logs, pipes), one plain line per completed run
-  plus a closing summary — no control codes, no redraw spam.
-
-The dashboard is thread-safe: with a worker pool the ``live`` callback
+The panel is thread-safe: with a worker pool the ``live`` callback
 fires on the executor's queue-drain thread while completions arrive on
 the main thread.
 """
@@ -22,7 +20,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - the harness imports obs, not vice versa
@@ -41,15 +39,10 @@ class _Row:
     cycle: int = 0
     cycles_total: int = 0
     flits: int = 0
-    delivered: int = 0
-    dropped: int = 0
     worst_node: int = 0
     worst_occupancy: int = 0
     health: str | None = None
     done: bool = False
-    cache_hit: bool = False
-    wall_time_s: float = 0.0
-    samples: int = field(default=0)
 
     @property
     def fraction(self) -> float:
@@ -66,7 +59,7 @@ def _bar(fraction: float, width: int = 12) -> str:
 
 
 class LiveDashboard:
-    """Render campaign telemetry live; see module docstring for modes."""
+    """Paint campaign telemetry live on a terminal; see the module docstring."""
 
     def __init__(
         self,
@@ -103,12 +96,9 @@ class LiveDashboard:
             row.cycle = sample.cycle
             row.cycles_total = sample.cycles_total
             row.flits = sample.flits
-            row.delivered = sample.delivered
-            row.dropped = sample.dropped
             row.worst_node = sample.worst_node
             row.worst_occupancy = sample.worst_occupancy
             row.health = sample.health
-            row.samples += 1
             if sample.done:
                 row.done = True
             if sample.worst_occupancy > self._worst_ever[0]:
@@ -124,11 +114,7 @@ class LiveDashboard:
                 _Row(label=event.spec.label, workload=event.spec.workload_name),
             )
             row.done = True
-            row.cache_hit = event.cache_hit
-            row.wall_time_s = event.wall_time_s
             row.flits = event.result.stats.flits_processed
-            row.delivered = event.result.stats.packets_delivered
-            row.dropped = event.result.stats.packets_dropped
             if event.result.health is not None:
                 row.health = event.result.health.status
             self._completed += 1
@@ -136,21 +122,14 @@ class LiveDashboard:
                 self._cache_hits += 1
             if row.health in self._health_counts:
                 self._health_counts[row.health] += 1
-            if self._tty:
-                self._paint(force=True)
-            else:
-                self._print_completion(event.index, row)
+            self._paint(force=True)
 
     def close(self) -> None:
-        """Final render; always leaves the cursor on a fresh line."""
+        """Freeze the panel: nothing paints after this, so the cursor stays
+        below the last frame (every completion already painted one) and
+        output printed beneath it is never overwritten."""
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-            if self._tty:
-                self._paint(force=True)
-            self.stream.write(self._summary_line() + "\n")
-            self.stream.flush()
 
     # -- rendering -------------------------------------------------------------
 
@@ -160,7 +139,7 @@ class LiveDashboard:
             return 0.0
         return sum(row.flits for row in self._rows.values()) / elapsed
 
-    def _summary_line(self) -> str:
+    def _header(self) -> str:
         worst_occ, worst_node = self._worst_ever
         flags = []
         if self._health_counts["critical"]:
@@ -169,23 +148,14 @@ class LiveDashboard:
             flags.append(f"{self._health_counts['warn']} warn")
         health = ", ".join(flags) if flags else "all ok"
         return (
-            f"campaign: {self._completed}/{self._total or len(self._rows)} runs "
+            f"runs: {self._completed}/{self._total or len(self._rows)} "
             f"({self._cache_hits} cached) | {self._aggregate_flits_per_s():,.0f} "
             f"flits/s | worst router occupancy {worst_occ} (node {worst_node}) "
             f"| health: {health}"
         )
 
-    def _print_completion(self, index: int, row: _Row) -> None:
-        source = "cache" if row.cache_hit else f"{row.wall_time_s:.2f}s"
-        health = f" health={row.health}" if row.health is not None else ""
-        self.stream.write(
-            f"[{self._completed}/{self._total}] {row.label:<14} "
-            f"{row.workload:<16} {source}{health}\n"
-        )
-        self.stream.flush()
-
     def _render_lines(self) -> list[str]:
-        lines = [self._summary_line()]
+        lines = [self._header()]
         in_flight = [
             (index, row) for index, row in sorted(self._rows.items()) if not row.done
         ]
@@ -202,8 +172,8 @@ class LiveDashboard:
         return lines
 
     def _paint(self, force: bool = False) -> None:
-        """Repaint the TTY panel in place (throttled); no-op off-TTY."""
-        if not self._tty:
+        """Repaint the panel in place (throttled); no-op off a TTY or closed."""
+        if not self._tty or self._closed:
             return
         now = time.perf_counter()
         if not force and now - self._last_paint < self._min_redraw_s:
@@ -213,13 +183,11 @@ class LiveDashboard:
         out = []
         if self._painted_lines:
             out.append(f"\x1b[{self._painted_lines}F")  # cursor to panel top
-        for line in lines:
-            out.append("\x1b[K" + line + "\n")
-        # Clear leftover lines from a taller previous frame.
-        extra = self._painted_lines - len(lines)
-        if extra > 0:
-            out.append("\x1b[K\n" * extra)
-            out.append(f"\x1b[{extra}F")
+            if len(lines) < self._painted_lines:
+                out.append("\x1b[J")  # a shorter frame: clear the taller one
+        # Each frame ends on a fresh line below itself, where whatever the
+        # command prints next goes.
+        out.extend("\x1b[K" + line + "\n" for line in lines)
         self._painted_lines = len(lines)
         self.stream.write("".join(out))
         self.stream.flush()

@@ -413,6 +413,7 @@ CALLER_FILES = sorted(
 #: this list when it gets a caller or is deleted with its tests.
 _TESTED_ONLY = "a statement the tests check and no run reads"
 UNCALLED = {
+    "cli.py:_Parser.error": "argparse's refusal hook",
     "core/control.py:decode_control_bits": "section 2.1.3 bit layout; " + _TESTED_ONLY,
     "core/control.py:encode_plan": "section 2.1.3 bit layout; " + _TESTED_ONLY,
     "core/control.py:pack_control_bits": "section 2.1.3 bit layout; " + _TESTED_ONLY,
@@ -574,6 +575,28 @@ def test_every_fault_config_field_is_in_the_census():
 
     assert tuple(field_.name for field_ in fields(FaultConfig)) == FAULT_FIELDS
     assert not set(RETIRED_FAULT_KEYS) & set(FAULT_FIELDS)
+
+
+#: The observability fields: each is filled by one CLI flag (the rows of
+#: ``repro.cli._FLAGS``), so each is a dimension a campaign search covers.
+OBS_FIELDS = (
+    "trace_path",
+    "trace_sample",
+    "metrics_interval",
+    "spatial",
+    "health",
+    "health_interval",
+    "health_stall_windows",
+    "stream_path",
+)
+
+
+def test_every_obs_config_field_is_in_the_census():
+    from dataclasses import fields
+
+    from repro.obs import ObsConfig
+
+    assert tuple(field_.name for field_ in fields(ObsConfig)) == OBS_FIELDS
 
 
 def test_every_retired_key_belongs_to_a_kind_and_is_no_field_of_it():

@@ -53,6 +53,30 @@ class TestTablesAndFigures:
         assert main(["figure", name]) == 0
         assert capsys.readouterr().out.strip()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--trace-out", "x.jsonl", "--manifest", "m.json", "--health",
+             "--cycles", "5"],
+            ["--metrics-interval", "0"],
+            ["--workers", "2"],
+            ["--no-cache"],
+        ],
+        ids=" ".join,
+    )
+    def test_analytic_figures_refuse_simulation_flags(
+        self, flags, tmp_path, monkeypatch, capsys
+    ):
+        # Before, fig06 took these, ran nothing and wrote no file: exit 0.
+        monkeypatch.chdir(tmp_path)
+        assert main(["figure", "fig06", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: fig06 ")
+        named = [flag for flag in flags if flag.startswith("--")]
+        assert all(flag in line for flag in named)
+
     def test_fig06_content(self, capsys):
         main(["figure", "fig06"])
         out = capsys.readouterr().out
@@ -270,6 +294,10 @@ class TestRefusals:
             # A dead port off the grid ended in a ValueError traceback.
             ["sweep", "--dead-ports", "999:E", "--rates", "0.02",
              "--cycles", "30", "--no-cache"],
+            # Refused by the config the flag fills, in its words: the
+            # parser states no check of its own.
+            ["sweep", "--workers", "0"],
+            ["sweep", "--metrics-interval", "0"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -279,6 +307,36 @@ class TestRefusals:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("repro: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # argparse's refusals printed the multi-line usage block.
+            ["sweep", "--trace-sample", "x"],
+            ["sweep", "--dead-ports", "5"],
+            ["sweep", "--metrics-interval", "abc"],
+            ["sweep", "--bogus"],
+            ["sweep", "--pattern", "zigzag"],
+            ["figure", "fig99"],
+            ["trace", "generate", "ocean"],
+            [],
+            # Refused while parsing, in ObsConfig's words.
+            ["sweep", "--trace-sample", "2", "--trace-out", "x.jsonl"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no command",
+    )
+    def test_argparse_refusals_are_one_line_too(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit:
+            main(argv)
+        assert exit.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_trace_for_another_grid_names_both_counts(self, tmp_path, capsys):
         from repro.traffic.trace import Trace, TraceEvent
@@ -453,6 +511,101 @@ class TestFaultFlags:
     def test_invalid_fault_config_exits(self, capsys):
         assert main(["sweep", "--link-flip-prob", "2.0"]) == 2
         assert "invalid fault config" in capsys.readouterr().err
+
+
+#: A value each field-filling flag accepts; all of one group's are valid
+#: together.
+FLAG_VALUES = {
+    "--workers": "3",
+    "--cache-dir": "elsewhere",
+    "--trace-out": "t.jsonl",
+    "--trace-sample": "0.5",
+    "--metrics-interval": "7",
+    "--spatial-metrics": None,
+    "--health": None,
+    "--health-interval": "9",
+    "--stall-windows": "2",
+    "--stream-out": "s.jsonl",
+    "--fault-seed": "4",
+    "--link-flip-prob": "0.25",
+    "--dead-ports": "5:E,3:1",
+    "--retry-limit": "3",
+}
+
+
+def flag_configs():
+    """Each flag group's config type, built the way the CLI builds it."""
+    from repro.faults import FaultConfig
+    from repro.harness.exec import Executor, ResultCache
+    from repro.obs import ObsConfig
+
+    return {
+        "executor": Executor,
+        "cache": ResultCache,
+        "observability": ObsConfig,
+        "fault": FaultConfig,
+    }
+
+
+class TestFlagTable:
+    """Each simulation flag is one row that fills one config field by name."""
+
+    def test_every_row_names_a_field_of_its_config(self):
+        import inspect
+
+        from repro.cli import _FLAGS
+
+        configs = flag_configs()
+        assert set(_FLAGS) == set(configs)
+        for group, rows in _FLAGS.items():
+            parameters = inspect.signature(configs[group]).parameters
+            for flag, field, _, _ in rows:
+                assert field is None or field in parameters, (group, flag)
+
+    def test_no_row_states_a_default_or_a_check(self):
+        from repro.cli import _FLAGS, _dead_ports, _trace_sample
+
+        rows = [row for rows in _FLAGS.values() for row in rows]
+        assert [flag for flag, _, _, keywords in rows if "default" in keywords] == [
+            "--fault-model"  # fills no field
+        ]
+        types = {keywords.get("type") for _, _, _, keywords in rows}
+        # Parsers; the one that refuses a value asks ObsConfig.
+        assert types <= {None, int, float, _dead_ports, _trace_sample}
+
+    def test_an_unset_flag_leaves_the_fields_default(self):
+        from repro.cli import _from_flags, build_parser
+
+        args = build_parser().parse_args(["sweep"])
+        for group, config_type in flag_configs().items():
+            built = _from_flags(config_type, args, group)
+            assert vars(built) == vars(config_type()), group
+
+    def test_a_set_flag_reaches_its_field(self):
+        from repro.cli import _FLAGS, _from_flags, build_parser
+
+        filled = {flag for rows in _FLAGS.values() for flag, field, _, _ in rows
+                  if field is not None}
+        assert set(FLAG_VALUES) == filled
+        for group, config_type in flag_configs().items():
+            argv = ["sweep"]
+            for flag, field, _, _ in _FLAGS[group]:
+                if field is not None:
+                    value = FLAG_VALUES[flag]
+                    argv += [flag] if value is None else [flag, value]
+            args = build_parser().parse_args(argv)
+            built = _from_flags(config_type, args, group)
+            default = config_type()
+            for flag, field, _, _ in _FLAGS[group]:
+                if field is None:
+                    continue
+                dest = flag[2:].replace("-", "_")
+                value = getattr(built, field)
+                assert value != getattr(default, field), flag
+                expected = getattr(args, dest)
+                if field == "dead_ports":
+                    expected = tuple(sorted(expected))  # the config sorts them
+                assert str(value) == str(expected), flag  # root is a Path
 
 
 #: Packages a command that simulates nothing must not import.

@@ -16,6 +16,7 @@ Covers the three guarantees the fault subsystem makes:
 import math
 import random
 from contextlib import nullcontext
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -418,6 +419,16 @@ class TestDegradationSweep:
         plain = RunSpec(OPT, SyntheticWorkload("uniform", 0.05), cycles=200)
         assert specs[0].digest() == plain.digest()
         assert specs[1].digest() != plain.digest()
+
+    def test_the_swept_field_takes_each_rate_and_the_template_the_rest(self):
+        template = FaultConfig(seed=3, dead_ports=((5, 1),), retry_limit=4)
+        specs = fault_sweep_specs(
+            OPT, "uniform", 0.05, [0.0, 0.1], cycles=200, faults=template,
+            swept="burst_enter_prob",
+        )
+        assert [spec.faults for spec in specs] == [
+            replace(template, burst_enter_prob=rate) for rate in (0.0, 0.1)
+        ]
 
     def test_curve_degrades_monotonically_in_faults(self):
         points = throughput_vs_fault_rate(

@@ -1,5 +1,6 @@
 """Tests for live campaign telemetry: executor progress forwarding, the
-ASCII dashboard (non-TTY and TTY rendering) and the HTML campaign report."""
+ASCII panel (silent off a TTY, painted in place on one), the CLI's choice
+of progress renderer and the HTML campaign report."""
 
 import io
 import itertools
@@ -206,24 +207,6 @@ class TestLiveDashboardNonTty:
             )
         assert stream.getvalue() == ""
 
-    def test_completion_lines_and_summary(self):
-        dashboard, stream = self._dashboard()
-        dashboard.on_event(fake_event(index=0))
-        dashboard.on_event(fake_event(index=1, cache_hit=True))
-        dashboard.close()
-        lines = stream.getvalue().splitlines()
-        assert lines[0].startswith("[1/2] Optical4")
-        assert "health=ok" in lines[0]
-        assert "cache" in lines[1]
-        assert lines[2].startswith("campaign: 2/2 runs (1 cached)")
-        assert "health: all ok" in lines[2]
-
-    def test_health_flags_surface_in_summary(self):
-        dashboard, stream = self._dashboard()
-        dashboard.on_event(fake_event(index=0, health_status="critical"))
-        dashboard.close()
-        assert "health: 1 critical" in stream.getvalue()
-
     def test_close_is_idempotent(self):
         dashboard, stream = self._dashboard()
         dashboard.on_event(fake_event())
@@ -254,6 +237,23 @@ class TestLiveDashboardTty:
         dashboard.on_event(fake_event(index=0))
         dashboard.close()
         assert stream.getvalue().endswith("\n")
+
+    def test_nothing_is_written_after_the_last_completion(self):
+        # close() used to repaint after the command's stdout: on a terminal
+        # its cursor-up erased the last table row.
+        stream = self._Tty()
+        dashboard = LiveDashboard(stream=stream, min_redraw_s=0.0)
+        progress = RunProgress(
+            index=0, total=1, label="Optical4",
+            workload="uniform@0.15", sample=sample(100),
+        )
+        dashboard.on_progress(progress)
+        dashboard.on_event(fake_event(index=0))
+        painted = stream.getvalue()
+        assert painted.endswith("\n")
+        dashboard.close()
+        dashboard.on_progress(progress)
+        assert stream.getvalue() == painted
 
     def test_second_frame_moves_the_cursor_up(self):
         stream = self._Tty()
@@ -323,30 +323,56 @@ class TestHtmlReport:
         assert path.read_text().endswith("</html>\n")
 
 
-class TestCliLive:
-    def test_sweep_live_non_tty(self, tmp_path, capsys):
+class TestCliProgress:
+    """The progress renderer follows stderr: the live panel on a terminal,
+    one plain line per run elsewhere; one ``campaign:`` line either way."""
+
+    ARGV = ["sweep", "--rates", "0.05,0.1", "--cycles", "150", "--no-cache",
+            "--workers", "2", "--health"]
+
+    def test_off_a_terminal_each_run_is_one_plain_line(self, capsys):
         from repro.cli import main
 
-        argv = [
-            "sweep", "--rates", "0.05,0.1", "--cycles", "150",
-            "--no-cache", "--live", "--workers", "2",
-        ]
-        assert main(argv) == 0
-        err = capsys.readouterr().err
-        assert "[2/2]" in err
-        assert "campaign: 2/2 runs" in err
-        assert "\x1b[" not in err  # no control codes off-TTY
+        assert main(self.ARGV) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line[:5] for line in lines[:2]] == ["[1/2]", "[2/2]"]
+        assert all(line.endswith(" health=ok") for line in lines[:2])
+        assert [line for line in lines if "campaign:" in line] == lines[2:3]
+        assert "\x1b[" not in "".join(lines)
 
-    def test_campaign_live_renders_and_writes_html(self, tmp_path, capsys):
+    def test_on_a_terminal_the_panel_is_the_progress_line(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        samples = []
+        on_progress = LiveDashboard.on_progress
+
+        def spy(dashboard, progress):
+            samples.append(progress)
+            on_progress(dashboard, progress)
+
+        monkeypatch.setattr(LiveDashboard, "on_progress", spy)
+        stderr = TestLiveDashboardTty._Tty()
+        monkeypatch.setattr("sys.stderr", stderr)
+        assert main(self.ARGV) == 0
+        err = stderr.getvalue()
+        assert {progress.index for progress in samples} == {0, 1}  # the pool's
+        assert "runs: 2/2" in err and "[1/2]" not in err
+        (summary,) = [line for line in err.splitlines() if "campaign:" in line]
+        assert err.endswith(summary + "\n")
+        assert "\x1b[" not in err[err.index(summary):]
+        assert "Optical4 / uniform" in capsys.readouterr().out
+
+
+class TestCampaignHtml:
+    def test_campaign_writes_html(self, tmp_path, capsys):
         from repro.cli import main
 
         html = tmp_path / "campaign.html"
         argv = [
             "campaign", "--cycles", "20", "--no-cache",
-            "--live", "--workers", "2", "--html", str(html),
+            "--workers", "2", "--html", str(html),
         ]
         assert main(argv) == 0
         captured = capsys.readouterr()
-        assert "campaign:" in captured.err
-        assert "\x1b[" not in captured.err
+        assert captured.err.count("campaign:") == 1
         assert html.read_text().startswith("<!DOCTYPE html>")
