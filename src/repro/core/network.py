@@ -35,13 +35,7 @@ from repro.core.router import INPUT_PORT_PRIORITY, PhastlaneRouter
 from repro.core.routing import clear_passed_taps, replan_from
 from repro.fabric.base import MeshNetworkBase
 from repro.faults.schedule import FaultSchedule
-from repro.electrical.power import (
-    BUFFER_READ_PJ_PER_BIT,
-    BUFFER_WRITE_PJ_PER_BIT,
-    NIC_LEAKAGE_MW,
-)
-from repro.photonics import constants
-from repro.photonics.power import OpticalPowerModel
+from repro.photonics.power import laser_index, optical_prices
 from repro.sim.stats import NetworkStats
 from repro.traffic.trace import TrafficSource
 from repro.util.geometry import TURN_KIND, Direction, TurnKind
@@ -70,7 +64,10 @@ class PhastlaneNetwork(MeshNetworkBase):
         faults: FaultSchedule | None = None,
     ):
         super().__init__(config or PhastlaneConfig(), source, stats, faults)
-        self.power = OpticalPowerModel(mesh_nodes=self.mesh.num_nodes)
+        #: The optical price list, shared with every network of this shape.
+        self.prices = optical_prices(
+            self.mesh.num_nodes, self.config.max_hops_per_cycle
+        )
         self.routers = [
             PhastlaneRouter(node, self.config) for node in self.mesh.nodes()
         ]
@@ -99,7 +96,7 @@ class PhastlaneNetwork(MeshNetworkBase):
         self._run_waves(transits, cycle)
 
     def _end_of_cycle(self, cycle: int) -> None:
-        self._static_energy()
+        self.stats.add_energy("static", self.prices.static)
         self.stats.buffer_occupancy_samples.add(
             sum(router.occupancy() for router in self.routers)
         )
@@ -150,12 +147,28 @@ class PhastlaneNetwork(MeshNetworkBase):
         """Arbiter selection at every router; wave-0 output-port claims."""
         self._port_claims: set[tuple[int, Direction]] = set()
         transits: list[_Transit] = []
+        prices = self.prices
         for router in self.routers:
             for _queue_id, packet in router.select_transmissions(cycle):
-                self._charge_transmit(packet)
+                self.stats.add_energy("modulator", prices.modulator)
+                self.stats.add_energy("buffer_read", prices.buffer_read)
+                self.stats.add_energy(
+                    "laser", prices.laser[laser_index(*self._first_segment(packet))]
+                )
                 self._port_claims.add((router.node, packet.desired_output))
                 transits.append(_Transit(packet, transmitter=router.node))
         return transits
+
+    @staticmethod
+    def _first_segment(packet: OpticalPacket) -> tuple[int, int]:
+        """Hop count and broadcast-tap count of the first optical segment:
+        what a launch's laser must feed."""
+        taps = 0
+        for index, step in enumerate(packet.plan[1:], start=1):
+            taps += step.multicast
+            if step.local:
+                return index, taps
+        return len(packet.plan) - 1, taps  # pragma: no cover - plans end local
 
     def _run_waves(self, transits: list[_Transit], cycle: int) -> None:
         active = transits
@@ -181,7 +194,7 @@ class PhastlaneNetwork(MeshNetworkBase):
             step = transit.packet.plan[transit.index]
             if self.trace_hub:
                 self.trace_hub.emit("hop", cycle, step.node, transit.packet.uid)
-            self._charge_control_receive()
+            self.stats.add_energy("receiver", self.prices.receive_control)
             if step.multicast:
                 self._deliver_tap(transit.packet, step.node, cycle)
             if step.local:
@@ -259,7 +272,7 @@ class PhastlaneNetwork(MeshNetworkBase):
         self.stats.record_dropped()
         self._drop_signals[packet.uid] = transit.index
         self._fault_drop_uids.add(packet.uid)
-        self._charge_drop_signal()
+        self.stats.add_energy("drop_network", self.prices.drop_signal)
         if self.trace_hub:
             self.trace_hub.emit(
                 "fault_injected", cycle, prev.node, packet.uid,
@@ -278,7 +291,7 @@ class PhastlaneNetwork(MeshNetworkBase):
     def _finish_local(self, transit: _Transit, cycle: int) -> None:
         """Local-bit stop: final delivery or interim-node responsibility."""
         packet = transit.packet
-        self._charge_receive(constants.PACKET_PAYLOAD_BITS)
+        self.stats.add_energy("receiver", self.prices.receive_packet)
         if transit.index == len(packet.plan) - 1:
             if not packet.is_multicast:
                 self.stats.record_delivered(packet.generated_cycle, cycle)
@@ -300,7 +313,7 @@ class PhastlaneNetwork(MeshNetworkBase):
                 transit.packet.plan[transit.index].node,
                 transit.packet.uid,
             )
-        self._charge_receive(constants.PACKET_PAYLOAD_BITS)
+        self.stats.add_energy("receiver", self.prices.receive_packet)
         self._buffer_or_drop(transit, cycle)
 
     def _buffer_or_drop(self, transit: _Transit, cycle: int) -> None:
@@ -318,20 +331,18 @@ class PhastlaneNetwork(MeshNetworkBase):
                 self.config.max_hops_per_cycle,
             )
             router.enqueue(queue_id, packet, eligible_cycle=cycle + 1)
-            self.stats.add_energy(
-                "buffer_write", constants.PACKET_PAYLOAD_BITS * BUFFER_WRITE_PJ_PER_BIT
-            )
+            self.stats.add_energy("buffer_write", self.prices.buffer_write)
             if self.trace_hub:
                 self.trace_hub.emit("buffered", cycle, node, packet.uid)
             return
         self.stats.record_dropped()
         self._drop_signals[packet.uid] = transit.index
-        self._charge_drop_signal()
+        self.stats.add_energy("drop_network", self.prices.drop_signal)
         if self.trace_hub:
             self.trace_hub.emit("dropped", cycle, node, packet.uid)
 
     def _deliver_tap(self, packet: OpticalPacket, node: int, cycle: int) -> None:
-        self._charge_receive(constants.PACKET_PAYLOAD_BITS)
+        self.stats.add_energy("receiver", self.prices.receive_packet)
         key = (packet.broadcast_id if packet.is_multicast else packet.uid, node)
         if key in self._delivered_broadcast:
             return
@@ -340,65 +351,6 @@ class PhastlaneNetwork(MeshNetworkBase):
         self._note_fault_delivery(packet.uid)
         if self.trace_hub:
             self.trace_hub.emit("delivered", cycle, node, packet.uid)
-
-    # -- energy accounting ----------------------------------------------------------------
-
-    def _charge_transmit(self, packet: OpticalPacket) -> None:
-        bits = constants.PACKET_PAYLOAD_BITS + constants.PACKET_CONTROL_BITS
-        self.stats.add_energy(
-            "modulator", bits * constants.MODULATOR_ENERGY_PJ_PER_BIT
-        )
-        self.stats.add_energy(
-            "buffer_read", constants.PACKET_PAYLOAD_BITS * BUFFER_READ_PJ_PER_BIT
-        )
-        segment, taps = self._first_segment(packet)
-        self.stats.add_energy(
-            "laser",
-            self.power.transmit_laser_energy_pj(
-                constants.PAYLOAD_WDM,
-                segment,
-                constants.CROSSING_EFFICIENCY,
-                multicast_taps=taps,
-            ),
-        )
-
-    @staticmethod
-    def _first_segment(packet: OpticalPacket) -> tuple[int, int]:
-        """Hop count and broadcast-tap count of the first optical segment."""
-        taps = 0
-        for index, step in enumerate(packet.plan[1:], start=1):
-            taps += step.multicast
-            if step.local:
-                return index, taps
-        return len(packet.plan) - 1, taps  # pragma: no cover - plans end local
-
-    def _charge_receive(self, bits: int) -> None:
-        self.stats.add_energy("receiver", bits * constants.RECEIVER_ENERGY_PJ_PER_BIT)
-
-    def _charge_control_receive(self) -> None:
-        self.stats.add_energy(
-            "receiver",
-            constants.PACKET_CONTROL_BITS * constants.RECEIVER_ENERGY_PJ_PER_BIT,
-        )
-
-    def _charge_drop_signal(self) -> None:
-        self.stats.add_energy(
-            "drop_network",
-            constants.DROP_SIGNAL_BITS
-            * (
-                constants.MODULATOR_ENERGY_PJ_PER_BIT
-                + constants.RECEIVER_ENERGY_PJ_PER_BIT
-            ),
-        )
-
-    def _static_energy(self) -> None:
-        per_node_mw = (
-            constants.OPTICAL_ROUTER_LEAKAGE_MW
-            + NIC_LEAKAGE_MW
-            + constants.THERMAL_TUNING_MW_PER_ROUTER
-        )
-        picojoules = per_node_mw * constants.CYCLE_TIME_PS * 1e-3 * self.mesh.num_nodes
-        self.stats.add_energy("static", picojoules)
 
     # -- run control ----------------------------------------------------------------------
 

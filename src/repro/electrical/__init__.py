@@ -11,14 +11,12 @@ from repro.electrical.config import ElectricalConfig
 from repro.electrical.flit import Flit
 from repro.electrical.islip import RoundRobinArbiter, SwitchAllocator, VcAllocator
 from repro.electrical.network import ElectricalNetwork
-from repro.electrical.power import ElectricalPowerModel
 from repro.electrical.router import ElectricalRouter
 from repro.electrical.vctm import VirtualCircuitTreeCache, split_by_output
 
 __all__ = [
     "ElectricalConfig",
     "ElectricalNetwork",
-    "ElectricalPowerModel",
     "ElectricalRouter",
     "Flit",
     "RoundRobinArbiter",

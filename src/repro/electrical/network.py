@@ -22,7 +22,7 @@ from collections import defaultdict
 from repro.electrical.config import CREDIT_DELAY_CYCLES, ElectricalConfig
 from repro.electrical.flit import Flit
 from repro.electrical.nic import ElectricalNic
-from repro.electrical.power import ElectricalPowerModel
+from repro.electrical.power import event_energies_pj
 from repro.electrical.router import LOCAL_PORT, MESH_PORTS, ElectricalRouter
 from repro.electrical.vctm import VirtualCircuitTreeCache
 from repro.fabric.base import MeshNetworkBase
@@ -42,12 +42,11 @@ class ElectricalNetwork(MeshNetworkBase):
         faults: FaultSchedule | None = None,
     ):
         super().__init__(config or ElectricalConfig(), source, stats, faults)
-        self.power = ElectricalPowerModel()
         #: Energy of one event of each category, priced once: the kernel
         #: charges an event as one ``+=`` of its constant.  One addition per
         #: event, never ``n * e``: the ledger's floats are chains of
         #: additions and must stay the same chains.
-        self.event_pj = self.power.event_energies_pj(self.mesh.num_nodes)
+        self.event_pj = event_energies_pj(self.mesh.num_nodes)
         self.vctm = VirtualCircuitTreeCache()
         self.routers = [
             ElectricalRouter(node, self.config, topology=self.topology)

@@ -142,7 +142,6 @@ class IdealNetwork(MeshNetworkBase):
                 "fault experiments on the phastlane or electrical backend"
             )
         super().__init__(config or IdealConfig(), source, stats)
-        self.power = None  # the analytic model carries no energy ledger
         self.routers = [_IdealRouter(node) for node in self.mesh.nodes()]
         self.nics = [
             IdealNic(

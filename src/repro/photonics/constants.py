@@ -107,6 +107,13 @@ K_PORT_LOSS_PER_WAVELENGTH = 0.1125
 # --------------------------------------------------------------------------
 MODULATOR_ENERGY_PJ_PER_BIT = 0.020  # E/O conversion incl. ring driver
 RECEIVER_ENERGY_PJ_PER_BIT = 0.015  # O/E conversion incl. amplifier
+#: CACTI-style SRAM access energy of a router or NIC buffer entry, charged
+#: by both networks (the electrical router's input VCs, the optical
+#: router's input-port buffers).
+BUFFER_WRITE_PJ_PER_BIT = 0.030
+BUFFER_READ_PJ_PER_BIT = 0.030
+#: Static leakage of one 50-entry NIC buffer, in mW (both networks).
+NIC_LEAKAGE_MW = 1.5
 #: Static ring-resonator thermal tuning per router (all rings).
 THERMAL_TUNING_MW_PER_ROUTER = 1.0
 #: Static leakage of a Phastlane router's electrical side (buffers, drivers,

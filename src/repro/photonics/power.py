@@ -1,4 +1,5 @@
-"""Peak optical power model (paper section 3.2, Fig 7).
+"""Peak optical power model (paper section 3.2, Fig 7) and the optical
+price list the Phastlane simulators charge (section 5, Fig 11).
 
 The peak occurs when every input port of every router simultaneously
 receives a multicast packet from its nearest neighbour, all packets turn in
@@ -23,6 +24,7 @@ the paper's other quoted points (128λ/5-hop/98% -> 32 W, 128λ/4-hop/98% ->
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from repro.photonics import constants
@@ -102,16 +104,6 @@ class OpticalPowerModel:
         exponent = max_hops * self.loss_exponent(payload_wdm)
         return self._p_base * crossing_efficiency**-exponent
 
-    def peak_point(
-        self, payload_wdm: int, max_hops: int, crossing_efficiency: float
-    ) -> PeakPowerPoint:
-        return PeakPowerPoint(
-            payload_wdm=payload_wdm,
-            max_hops=max_hops,
-            crossing_efficiency=crossing_efficiency,
-            peak_power_w=self.peak_power_w(payload_wdm, max_hops, crossing_efficiency),
-        )
-
     def contour(
         self,
         wdm_degrees: Sequence[int],
@@ -120,13 +112,13 @@ class OpticalPowerModel:
     ) -> list[PeakPowerPoint]:
         """Peak power over a (WDM degree x hops x efficiency) grid."""
         return [
-            self.peak_point(wdm, hops, eta)
+            PeakPowerPoint(wdm, hops, eta, self.peak_power_w(wdm, hops, eta))
             for wdm in wdm_degrees
             for hops in hop_counts
             for eta in efficiencies
         ]
 
-    # -- average-power helpers used by the network simulator -----------------
+    # -- the laser price of one launch ------------------------------------------
 
     def transmit_laser_energy_pj(
         self,
@@ -165,3 +157,70 @@ class OpticalPowerModel:
         )
         wall_plug_w = optical_w / constants.LASER_EFFICIENCY
         return wall_plug_w * constants.CYCLE_TIME_PS  # W * ps = pJ
+
+
+def laser_index(segment_hops: int, taps: int) -> int:
+    """Flat index of a launch's (first-segment hops, taps on that segment);
+    dense, because a segment of ``n`` hops has at most ``n`` taps."""
+    return segment_hops * (segment_hops + 1) // 2 + taps
+
+
+@dataclass(frozen=True, slots=True)
+class OpticalPrices:
+    """The optical price list: the energy of one event of each kind, in pJ.
+
+    Both Phastlane simulators charge an event as one ``+=`` of its price,
+    so their ledgers are the same chains of float additions.
+    """
+
+    modulator: float  # a launch: payload and control bits, E/O
+    buffer_read: float  # a launch out of a router or NIC buffer
+    buffer_write: float  # a packet taken into an input-port buffer
+    receive_packet: float  # the payload at a Local stop, a block or a tap
+    receive_control: float  # the control bits at every router crossed
+    drop_signal: float  # one Packet Dropped signal, sent and received
+    static: float  # the network's leakage and ring tuning over one cycle
+    #: Laser charge of a launch, by ``laser_index(segment hops, taps)``.
+    laser: tuple[float, ...]
+
+
+@lru_cache(maxsize=64)
+def optical_prices(mesh_nodes: int, max_hops: int) -> OpticalPrices:
+    """The price list of a ``mesh_nodes`` network with this hop budget
+    (cached: every network of one shape shares the one immutable list)."""
+    payload = constants.PACKET_PAYLOAD_BITS
+    model = OpticalPowerModel(mesh_nodes=mesh_nodes)
+    # In laser_index order: slot 0 (a segment of no hops) is never read.
+    laser = (0.0,) + tuple(
+        model.transmit_laser_energy_pj(
+            constants.PAYLOAD_WDM,
+            segment,
+            constants.CROSSING_EFFICIENCY,
+            multicast_taps=taps,
+        )
+        for segment in range(1, max_hops + 1)
+        for taps in range(segment + 1)
+    )
+    return OpticalPrices(
+        modulator=(payload + constants.PACKET_CONTROL_BITS)
+        * constants.MODULATOR_ENERGY_PJ_PER_BIT,
+        buffer_read=payload * constants.BUFFER_READ_PJ_PER_BIT,
+        buffer_write=payload * constants.BUFFER_WRITE_PJ_PER_BIT,
+        receive_packet=payload * constants.RECEIVER_ENERGY_PJ_PER_BIT,
+        receive_control=constants.PACKET_CONTROL_BITS
+        * constants.RECEIVER_ENERGY_PJ_PER_BIT,
+        drop_signal=constants.DROP_SIGNAL_BITS
+        * (
+            constants.MODULATOR_ENERGY_PJ_PER_BIT
+            + constants.RECEIVER_ENERGY_PJ_PER_BIT
+        ),
+        static=(
+            constants.OPTICAL_ROUTER_LEAKAGE_MW
+            + constants.NIC_LEAKAGE_MW
+            + constants.THERMAL_TUNING_MW_PER_ROUTER
+        )
+        * constants.CYCLE_TIME_PS
+        * 1e-3
+        * mesh_nodes,
+        laser=laser,
+    )

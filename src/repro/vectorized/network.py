@@ -32,9 +32,10 @@ every router and NIC every cycle regardless of occupancy; this engine is
   priority, or by footnote 3's round-robin when a ``PhastlaneConfig`` asks
   for it: one pointer over the input ports per contention key, which every
   winner moves;
-- per-event energy charges are precomputed constants added to the stats
-  Counter in the reference's exact order, so the energy ledger is
-  float-bit-identical, not just close.
+- an event's energy is one ``+=`` of its price in the reference's own
+  price list (:func:`~repro.photonics.power.optical_prices`), in the
+  reference's exact order, so the energy ledger is float-bit-identical,
+  not just close.
 
 Calibration claims (proven by ``tests/test_differential.py``):
 
@@ -51,14 +52,8 @@ one-line ``FabricError``.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Any
 
-from repro.electrical.power import (
-    BUFFER_READ_PJ_PER_BIT,
-    BUFFER_WRITE_PJ_PER_BIT,
-    NIC_LEAKAGE_MW,
-)
 from repro.core.config import (
     BACKOFF_CAP_LOG2,
     BACKOFF_SEED,
@@ -68,8 +63,7 @@ from repro.core.config import (
 from repro.fabric.base import MeshNetworkBase
 from repro.faults.schedule import FaultSchedule
 from repro.obs.events import TraceHub
-from repro.photonics import constants
-from repro.photonics.power import OpticalPowerModel
+from repro.photonics.power import optical_prices
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import NetworkStats
 from repro.traffic.schedule import Schedule
@@ -90,7 +84,6 @@ from repro.vectorized.plans import (
     TAP_STOP,
     PlanInfo,
     PlanTable,
-    laser_index,
 )
 from repro.vectorized.traffic import philox_events, philox_supported
 
@@ -107,24 +100,6 @@ VECTORIZED_CALIBRATION = (
 #: hop-budget sweeps and differential sweeps re-use each other's routes
 #: instead of recompiling them.  The plans in them are immutable.
 _PLAN_CACHES: dict[tuple[str, int, int], PlanTable] = {}
-
-
-@lru_cache(maxsize=64)
-def _laser_table(mesh_nodes: int, max_hops: int) -> tuple[float, ...]:
-    """The laser charge of every launch a network with these parameters can
-    make, by :func:`~repro.vectorized.plans.laser_index` (the reference's
-    expression, evaluated once per parameter set)."""
-    power = OpticalPowerModel(mesh_nodes=mesh_nodes)
-    table = [0.0] * (laser_index(max_hops, max_hops) + 1)
-    for segment in range(1, max_hops + 1):
-        for taps in range(segment + 1):
-            table[laser_index(segment, taps)] = power.transmit_laser_energy_pj(
-                constants.PAYLOAD_WDM,
-                segment,
-                constants.CROSSING_EFFICIENCY,
-                multicast_taps=taps,
-            )
-    return tuple(table)
 
 
 class VectorizedNetwork(MeshNetworkBase):
@@ -151,7 +126,6 @@ class VectorizedNetwork(MeshNetworkBase):
             and config.network_arbitration == "round_robin"
             else None
         )
-        self.power = OpticalPowerModel(mesh_nodes=self.mesh.num_nodes)
         self.routers: list[VecRouter] = [
             VecRouter(node) for node in self.mesh.nodes()
         ]
@@ -180,37 +154,15 @@ class VectorizedNetwork(MeshNetworkBase):
         #: Routers that launched this cycle — exactly the ones with pending
         #: transmissions at the next resolve (appended in node order).
         self._pending_routers: list[VecRouter] = []
+        #: The optical price list (the reference holds the same object).
+        self.prices = optical_prices(self._num_nodes, config.max_hops_per_cycle)
         #: Laser charge of a launch, by ``laser_index(segment hops, taps)``.
-        self._laser = _laser_table(self.mesh.num_nodes, config.max_hops_per_cycle)
+        self._laser = self.prices.laser
         #: Output-port claims this cycle, as ``node * 4 + port`` ints.
         self._claims: set[int] = set()
         #: Total buffered packets across all routers (incremental; the
         #: reference recomputes this sum every cycle for occupancy stats).
         self._occupancy = 0
-        # Per-event energy charges, precomputed with the reference's exact
-        # float expressions so repeated additions accumulate identically.
-        packet_bits = constants.PACKET_PAYLOAD_BITS
-        self._e_modulator = (
-            packet_bits + constants.PACKET_CONTROL_BITS
-        ) * constants.MODULATOR_ENERGY_PJ_PER_BIT
-        self._e_buffer_read = packet_bits * BUFFER_READ_PJ_PER_BIT
-        self._e_buffer_write = packet_bits * BUFFER_WRITE_PJ_PER_BIT
-        self._e_receive_packet = packet_bits * constants.RECEIVER_ENERGY_PJ_PER_BIT
-        self._e_receive_control = (
-            constants.PACKET_CONTROL_BITS * constants.RECEIVER_ENERGY_PJ_PER_BIT
-        )
-        self._e_drop_signal = constants.DROP_SIGNAL_BITS * (
-            constants.MODULATOR_ENERGY_PJ_PER_BIT
-            + constants.RECEIVER_ENERGY_PJ_PER_BIT
-        )
-        per_node_mw = (
-            constants.OPTICAL_ROUTER_LEAKAGE_MW
-            + NIC_LEAKAGE_MW
-            + constants.THERMAL_TUNING_MW_PER_ROUTER
-        )
-        self._e_static = (
-            per_node_mw * constants.CYCLE_TIME_PS * 1e-3 * self.mesh.num_nodes
-        )
 
     # -- shared plumbing for the NICs ------------------------------------------
 
@@ -249,7 +201,7 @@ class VectorizedNetwork(MeshNetworkBase):
 
     def _end_of_cycle(self, cycle: int) -> None:
         stats = self.stats
-        stats.energy_pj["static"] += self._e_static
+        stats.energy_pj["static"] += self.prices.static
         stats.buffer_occupancy_samples.add(self._occupancy)
 
     # -- cycle phases -----------------------------------------------------------
@@ -474,8 +426,8 @@ class VectorizedNetwork(MeshNetworkBase):
             return flights
         routers = self.routers
         energy = self.stats.energy_pj
-        e_modulator = self._e_modulator
-        e_buffer_read = self._e_buffer_read
+        e_modulator = self.prices.modulator
+        e_buffer_read = self.prices.buffer_read
         laser = self._laser
         max_hops = self.config.max_hops_per_cycle
         pending_routers = self._pending_routers
@@ -585,8 +537,8 @@ class VectorizedNetwork(MeshNetworkBase):
         energy = stats.energy_pj
         claims = self._claims
         claims_add = claims.add
-        e_receive_control = self._e_receive_control
-        e_receive_packet = self._e_receive_packet
+        e_receive_control = self.prices.receive_control
+        e_receive_packet = self.prices.receive_packet
         buffer_or_drop = self._buffer_or_drop
         # Delivery accounting inlined from ``NetworkStats.record_delivered``
         # / ``LatencyStats.record``: the float running-mean updates keep
@@ -771,7 +723,7 @@ class VectorizedNetwork(MeshNetworkBase):
         stats.record_dropped()
         self._drop_signals[packet.uid] = index
         self._fault_drop_uids.add(packet.uid)
-        stats.energy_pj["drop_network"] += self._e_drop_signal
+        stats.energy_pj["drop_network"] += self.prices.drop_signal
         if hub:
             hub.emit(
                 "fault_injected", cycle, previous_node, packet.uid,
@@ -807,13 +759,13 @@ class VectorizedNetwork(MeshNetworkBase):
             router.queued += 1
             self._occupancy += 1
             self._active.add(node)
-            self.stats.energy_pj["buffer_write"] += self._e_buffer_write
+            self.stats.energy_pj["buffer_write"] += self.prices.buffer_write
             if hub:
                 hub.emit("buffered", cycle, node, packet.uid)
             return
         self.stats.record_dropped()
         self._drop_signals[packet.uid] = index
-        self.stats.energy_pj["drop_network"] += self._e_drop_signal
+        self.stats.energy_pj["drop_network"] += self.prices.drop_signal
         if hub:
             hub.emit("dropped", cycle, node, packet.uid)
 

@@ -60,12 +60,6 @@ def _rank_table() -> tuple[int, ...]:
 RANK16: tuple[int, ...] = _rank_table()
 
 
-def laser_index(segment_hops: int, taps: int) -> int:
-    """Flat index of a launch's (first-segment hops, taps on that segment);
-    dense, because a segment of ``n`` hops has at most ``n`` taps."""
-    return segment_hops * (segment_hops + 1) // 2 + taps
-
-
 #: The negative values of ``PlanInfo.keys`` (see there).
 STOP, TAP_STOP, TAP_FLY = -1, -2, -3
 

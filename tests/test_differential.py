@@ -53,6 +53,7 @@ from repro.harness.exec import Executor, RunSpec, Splash2Workload, SyntheticWork
 from repro.harness.report import stats_to_dict
 from repro.harness.runner import run
 from repro.obs import CollectingTracer
+from repro.photonics.power import laser_index
 from repro.sim.engine import SimulationEngine
 from repro.topology import topology_for, topology_of
 from repro.traffic.injection import BernoulliInjector, BurstyInjector
@@ -75,7 +76,6 @@ from repro.vectorized.plans import (
     TAP_STOP,
     PlanTable,
     compile_plan,
-    laser_index,
     neighbor_table,
 )
 

@@ -1,78 +1,57 @@
-"""Tests for the electrical power model."""
+"""Tests for the electrical price list."""
 
 import pytest
 
 from repro.electrical.power import (
     ALLOCATION_PJ_PER_CYCLE,
-    BUFFER_WRITE_PJ_PER_BIT,
-    ElectricalPowerModel,
+    CROSSBAR_PJ_PER_BIT,
     LINK_PJ_PER_BIT_PER_MM,
+    ROUTER_LEAKAGE_MW,
+    event_energies_pj,
 )
-from repro.photonics.constants import HOP_LENGTH_MM
+from repro.photonics.constants import (
+    BUFFER_READ_PJ_PER_BIT,
+    BUFFER_WRITE_PJ_PER_BIT,
+    CYCLE_TIME_PS,
+    HOP_LENGTH_MM,
+    NIC_LEAKAGE_MW,
+)
 from repro.sim.stats import NetworkStats
 
 
-@pytest.fixture
-def model() -> ElectricalPowerModel:
-    return ElectricalPowerModel()
-
-
 class TestEnergyEvents:
-    def test_buffer_write_energy(self, model):
-        stats = NetworkStats()
-        model.buffer_write(stats)
-        assert stats.energy_pj["buffer_write"] == pytest.approx(
+    def test_buffer_write_energy(self):
+        assert event_energies_pj(64)["buffer_write"] == pytest.approx(
             640 * BUFFER_WRITE_PJ_PER_BIT
         )
 
-    def test_link_energy_scales_with_length(self):
-        stats = NetworkStats()
-        ElectricalPowerModel(hop_length_mm=2.0).link(stats)
-        assert stats.energy_pj["link"] == pytest.approx(
-            640 * LINK_PJ_PER_BIT_PER_MM * 2.0
-        )
+    def test_allocation_energy_fixed(self):
+        assert event_energies_pj(64)["allocation"] == ALLOCATION_PJ_PER_CYCLE
 
-    def test_default_hop_length_is_node_pitch(self, model):
-        assert model.hop_length_mm == pytest.approx(HOP_LENGTH_MM)
+    @pytest.mark.parametrize("routers", [16, 64, 1024])
+    def test_each_price_is_its_constant_expression(self, routers):
+        assert event_energies_pj(routers) == {
+            "buffer_write": 640 * BUFFER_WRITE_PJ_PER_BIT,
+            "buffer_read": 640 * BUFFER_READ_PJ_PER_BIT,
+            "crossbar": 640 * CROSSBAR_PJ_PER_BIT,
+            "link": 640 * LINK_PJ_PER_BIT_PER_MM * HOP_LENGTH_MM,
+            "allocation": ALLOCATION_PJ_PER_CYCLE,
+            "leakage": (ROUTER_LEAKAGE_MW + NIC_LEAKAGE_MW)
+            * CYCLE_TIME_PS
+            * 1e-3
+            * routers,
+        }
 
-    def test_allocation_energy_fixed(self, model):
-        stats = NetworkStats()
-        model.allocation(stats)
-        assert stats.energy_pj["allocation"] == ALLOCATION_PJ_PER_CYCLE
-
-    def test_events_accumulate(self, model):
-        stats = NetworkStats()
-        model.crossbar(stats)
-        model.crossbar(stats)
-        single = NetworkStats()
-        model.crossbar(single)
-        assert stats.energy_pj["crossbar"] == pytest.approx(
-            2 * single.energy_pj["crossbar"]
+    def test_a_link_is_one_node_pitch(self):
+        assert event_energies_pj(64)["link"] == pytest.approx(
+            640 * LINK_PJ_PER_BIT_PER_MM * 3.5**0.5
         )
 
 
 class TestLeakage:
-    def test_leakage_scales_with_routers_and_cycles(self, model):
-        a, b = NetworkStats(), NetworkStats()
-        model.leakage(a, num_routers=64, cycles=1)
-        model.leakage(b, num_routers=32, cycles=2)
-        assert a.energy_pj["leakage"] == pytest.approx(b.energy_pj["leakage"])
-
-    def test_leakage_power_magnitude(self, model):
+    def test_leakage_power_magnitude(self):
         # 64 routers at (9 + 1.5) mW = 672 mW static power.
         stats = NetworkStats()
-        model.leakage(stats, num_routers=64, cycles=1000)
-        stats.final_cycle = 1000
+        stats.add_energy("leakage", event_energies_pj(64)["leakage"])
+        stats.final_cycle = 1
         assert stats.average_power_w(250.0) == pytest.approx(0.672, rel=1e-6)
-
-    def test_invalid_inputs_rejected(self, model):
-        with pytest.raises(ValueError):
-            model.leakage(NetworkStats(), num_routers=0)
-
-
-class TestValidation:
-    def test_invalid_model_rejected(self):
-        with pytest.raises(ValueError):
-            ElectricalPowerModel(packet_bits=0)
-        with pytest.raises(ValueError):
-            ElectricalPowerModel(hop_length_mm=0.0)

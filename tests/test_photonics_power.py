@@ -1,13 +1,22 @@
-"""Tests for the Fig 7 peak-power model and laser energy accounting."""
+"""Tests for the Fig 7 peak-power model and the optical price list."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.config import PhastlaneConfig
+from repro.core.network import PhastlaneNetwork
+from repro.photonics import constants
 from repro.photonics.power import (
     OpticalPowerModel,
     REASONABLE_PEAK_W,
+    laser_index,
+    optical_prices,
 )
+from repro.util.geometry import MeshGeometry
+from repro.vectorized import VectorizedNetwork
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +97,63 @@ class TestLaserEnergy:
             model.transmit_laser_energy_pj(64, 0)
         with pytest.raises(ValueError):
             model.transmit_laser_energy_pj(64, 4, multicast_taps=-1)
+
+
+class TestOpticalPrices:
+    """One price per event, shared by both Phastlane simulators."""
+
+    @pytest.mark.parametrize("nodes, hops", [(16, 2), (64, 4), (64, 8), (1024, 5)])
+    def test_each_price_is_its_constant_expression(self, nodes, hops):
+        prices = optical_prices(nodes, hops)
+        c = constants
+        assert prices.modulator == (640 + 70) * c.MODULATOR_ENERGY_PJ_PER_BIT
+        assert prices.buffer_read == 640 * c.BUFFER_READ_PJ_PER_BIT
+        assert prices.buffer_write == 640 * c.BUFFER_WRITE_PJ_PER_BIT
+        assert prices.receive_packet == 640 * c.RECEIVER_ENERGY_PJ_PER_BIT
+        assert prices.receive_control == 70 * c.RECEIVER_ENERGY_PJ_PER_BIT
+        assert prices.drop_signal == 7 * (
+            c.MODULATOR_ENERGY_PJ_PER_BIT + c.RECEIVER_ENERGY_PJ_PER_BIT
+        )
+        assert prices.static == (
+            c.OPTICAL_ROUTER_LEAKAGE_MW
+            + c.NIC_LEAKAGE_MW
+            + c.THERMAL_TUNING_MW_PER_ROUTER
+        ) * c.CYCLE_TIME_PS * 1e-3 * nodes
+
+    @pytest.mark.parametrize("nodes, hops", [(16, 2), (64, 4), (64, 8)])
+    def test_every_laser_entry_is_the_models_launch_energy(self, nodes, hops):
+        laser = optical_prices(nodes, hops).laser
+        model = OpticalPowerModel(mesh_nodes=nodes)
+        indices = [
+            laser_index(segment, taps)
+            for segment in range(1, hops + 1)
+            for taps in range(segment + 1)
+        ]
+        assert sorted(indices) == list(range(1, len(laser)))
+        for segment in range(1, hops + 1):
+            for taps in range(segment + 1):
+                assert laser[laser_index(segment, taps)] == (
+                    model.transmit_laser_energy_pj(
+                        constants.PAYLOAD_WDM,
+                        segment,
+                        constants.CROSSING_EFFICIENCY,
+                        multicast_taps=taps,
+                    )
+                )
+
+    def test_the_cached_list_cannot_be_mutated(self):
+        prices = optical_prices(64, 4)
+        assert optical_prices(64, 4) is prices
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prices.static = 0.0  # type: ignore[misc]
+        with pytest.raises(TypeError):
+            prices.laser[1] = 0.0  # type: ignore[index]
+
+    @pytest.mark.parametrize("shape, hops", [((8, 8), 4), ((4, 4), 2)])
+    def test_oracle_and_kernel_hold_the_one_list(self, shape, hops):
+        config = PhastlaneConfig(
+            mesh=MeshGeometry(*shape), max_hops_per_cycle=hops
+        )
+        oracle, kernel = PhastlaneNetwork(config), VectorizedNetwork(config)
+        assert oracle.prices is kernel.prices
+        assert kernel.prices is optical_prices(shape[0] * shape[1], hops)
