@@ -29,7 +29,7 @@ class LatencyPoint:
 
     rate: float
     mean_latency: float  # inf when saturated
-    throughput: float  # delivered packets/node/cycle in the window
+    throughput: float  # deliveries/node/cycle of the window's packets
     delivered: int
 
     @property
@@ -132,7 +132,7 @@ class FaultPoint:
     """One point of a throughput-vs-fault-rate degradation curve."""
 
     fault_rate: float  # per-crossing loss probability swept
-    throughput: float  # delivered packets/node/cycle in the window
+    throughput: float  # deliveries/node/cycle of the window's packets
     delivered: int
     lost: int  # packets abandoned after exhausting retries
     faults_injected: int

@@ -119,8 +119,8 @@ class NetworkStats:
 
     Energy counters are in picojoules; callers convert to average power by
     dividing by simulated time.  ``measurement_start`` supports warm-up:
-    packets generated before that cycle are counted for throughput but not
-    latency.
+    packets generated before that cycle count in neither latency nor
+    throughput (the run-wide counters still see them).
     """
 
     measurement_start: int = 0
@@ -231,8 +231,9 @@ class NetworkStats:
         return self.packets_delivered / self.packets_generated
 
     def throughput(self, num_nodes: int) -> float:
-        """Delivered packets per node per cycle over the measured window."""
+        """Deliveries per node per cycle over the measured window: those of
+        the packets the latency column measures, generated in the window."""
         window = self.final_cycle - self.measurement_start
         if window <= 0 or num_nodes <= 0:
             return 0.0
-        return self.packets_delivered / (window * num_nodes)
+        return self.latency.mean.count / (window * num_nodes)

@@ -82,8 +82,8 @@ VEC_CALIBRATION_PIN = (
 )
 
 FIG9_HASHES = {
-    "Optical4": "87f877ae035fc8d7f74b4ba1e1945ecdd1e2c9556584aa70ce996100af9092ae",
-    "Electrical3": "0b5f8b324a9f092bbabdea1d97cc95ce65be87e3b5f6961af7515f2e8f14e6e8",
+    "Optical4": "7c0645a64958fd33793de2b3da36df25154399673d44ebd20db85beea4d1498d",
+    "Electrical3": "afa89f041c72f6ad8c407c9774c9e06bd0b78c6ab3d8f91d1da0909e52ae6e00",
 }
 
 FIG10_HASHES = {

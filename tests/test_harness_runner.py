@@ -1,12 +1,13 @@
 """Tests for the experiment runner and sweeps."""
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
 
 from repro.core.config import PhastlaneConfig
 from repro.electrical.config import ElectricalConfig
-from repro.fabric import FabricError, make_network
+from repro.fabric import FabricError, IdealConfig, make_network
 from repro.harness.exec import RunSpec, SyntheticWorkload, TraceFileWorkload
 from repro.harness.runner import run
 from repro.harness.sweeps import (
@@ -17,6 +18,9 @@ from repro.harness.sweeps import (
 from repro.sim.stats import SaturationError
 from repro.traffic.trace import Trace, TraceEvent
 from repro.util.geometry import MeshGeometry
+from repro.vectorized import VectorizedConfig
+
+from helpers import reference_oracle
 
 MESH = MeshGeometry(4, 4)
 OPTICAL = PhastlaneConfig(mesh=MESH, max_hops_per_cycle=4)
@@ -96,6 +100,33 @@ class TestRunSynthetic:
     def test_workload_label(self):
         spec = RunSpec(OPTICAL, SyntheticWorkload("transpose", 0.25), cycles=100)
         assert run(spec).workload == "transpose@0.25"
+
+
+class TestThroughputLaw:
+    """Below saturation a network delivers what it is offered: throughput
+    is the generated load, less only what is still in flight at the end."""
+
+    @pytest.mark.parametrize(
+        "config, oracle",
+        [
+            pytest.param(OPTICAL, True, id="phastlane"),
+            pytest.param(VectorizedConfig(mesh=MESH), False, id="vectorized"),
+            pytest.param(ELECTRICAL, False, id="electrical"),
+            pytest.param(IdealConfig(mesh=MESH), False, id="ideal"),
+        ],
+    )
+    @pytest.mark.parametrize("pattern", ["uniform", "transpose", "hotspot"])
+    def test_throughput_is_the_offered_load(self, config, oracle, pattern):
+        with reference_oracle() if oracle else nullcontext():
+            for rate in (0.05, 0.1):
+                result = run(
+                    RunSpec(config, SyntheticWorkload(pattern, rate), cycles=1000)
+                )
+                stats = result.stats
+                offered = stats.packets_generated / (stats.final_cycle * 16)
+                assert (
+                    0.90 * offered <= result.throughput(16) <= 1.05 * offered
+                ), (rate, result.throughput(16), offered)
 
 
 class TestSweeps:
