@@ -199,10 +199,10 @@ class HotspotPattern(TrafficPattern):
         grid_center = mesh.node(mesh.coord(mesh.num_nodes // 2 + mesh.width // 2))
         if self.topology.name == "mesh":
             return grid_center
-        # On wrapped or concentrated topologies the grid centre is not
-        # necessarily central; pick the node minimising its eccentricity
-        # (worst-case hop count), breaking ties toward the grid centre
-        # then the lowest node id for determinism.
+        # On a wrapped topology the grid centre is not necessarily central;
+        # pick the node minimising its eccentricity (worst-case hop count),
+        # breaking ties toward the grid centre then the lowest node id for
+        # determinism.
         def eccentricity(node: int) -> tuple[int, int, int]:
             worst = max(
                 self.topology.hop_count(node, other)

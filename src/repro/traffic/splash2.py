@@ -8,10 +8,12 @@ benchmark capturing the traffic characteristics the paper's findings hinge
 on:
 
 - **load** — the mean injection rate (cache sizes were shrunk in the paper
-  precisely to "obtain sufficient network traffic");
-- **burstiness** — barrier- and phase-synchronised codes (Ocean, FMM,
-  Barnes, Cholesky) inject in clustered bursts, which is what exhausts the
-  small Phastlane input buffers and causes drop storms (section 5);
+  precisely to "obtain sufficient network traffic"); the heavy codes
+  (Ocean, FMM, Barnes, Cholesky at 0.22-0.30 packets/node/cycle) exhaust
+  the small Phastlane input buffers and cause drop storms (section 5);
+- **injection process** — every profile but Raytrace is a memoryless
+  Bernoulli process at its mean rate; Raytrace alone alternates bursts
+  and gaps of 25 cycles on average, independently on each node;
 - **spatial structure** — stencil codes talk to neighbours, transform codes
   (FFT, Radix) perform all-to-all permutations, tree codes hammer hotspots;
 - **broadcast fraction** — snoopy L2 miss requests and invalidates are
@@ -131,10 +133,10 @@ def _mix(
     )
 
 
-#: Calibrated per-benchmark profiles.  Load/burstiness/pattern choices are
-#: qualitative models of each code's communication (comments), calibrated so
-#: the Fig 10/11 shapes reproduce: smooth transform codes show the largest
-#: optical speedups; bursty phase codes (Barnes, Cholesky) are buffer
+#: Calibrated per-benchmark profiles.  Load/pattern choices are qualitative
+#: models of each code's communication (comments), calibrated so the Fig
+#: 10/11 shapes reproduce: smooth transform codes show the largest optical
+#: speedups; the heavily loaded hotspot codes (Barnes, Cholesky) are buffer
 #: sensitive; Ocean and FMM drop enough packets at 10 buffers to fall below
 #: the electrical baseline, recovering with 64 and 32 buffers respectively.
 SPLASH2_PROFILES: dict[str, Splash2Profile] = {
