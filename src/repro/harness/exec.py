@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro.fabric import NetworkConfig, config_kind, config_type_for
 from repro.faults.config import FaultConfig
-from repro.harness.runner import RunResult, run
+from repro.harness.runner import MAX_DRAIN_CYCLES, RunResult, run
 from repro.obs.config import ObsConfig
 from repro.obs.session import ProgressSample, ProgressSink
 from repro.util.errors import SpecError, drop_retired
@@ -216,6 +216,15 @@ def config_from_dict(payload: dict[str, Any]) -> NetworkConfig:
 
 # -- run specification -------------------------------------------------------
 
+#: Keys a serialised spec still carries at the one value every run used:
+#: the ``cycles // 5`` warm-up (``None``) and the trace-drain budget
+#: (``runner.MAX_DRAIN_CYCLES``).  Written so that every digest, cache key
+#: and manifest stays byte-identical; any other stored value is refused.
+RETIRED_SPEC_KEYS: dict[str, Any] = {
+    "warmup": None,
+    "max_drain_cycles": MAX_DRAIN_CYCLES,
+}
+
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -223,8 +232,8 @@ class RunSpec:
 
     ``cycles`` is the injection window for generated workloads (synthetic
     and SPLASH2); trace-file workloads replay the file's own span and run
-    to drain.  ``warmup`` applies to synthetic runs only (``None`` means
-    ``cycles // 5``, the standard measurement methodology).
+    to drain.  Synthetic runs measure latency after a ``cycles // 5``
+    warm-up, the standard methodology.
 
     ``faults`` describes injected device faults and — unlike ``obs`` — IS
     part of the spec's identity: faults change simulated physics, so two
@@ -242,9 +251,7 @@ class RunSpec:
     config: NetworkConfig
     workload: Workload
     cycles: int = 1500
-    warmup: int | None = None
     seed: int = 1
-    max_drain_cycles: int = 200_000
     faults: FaultConfig | None = None
     obs: ObsConfig | None = field(default=None, compare=False)
 
@@ -253,8 +260,6 @@ class RunSpec:
             raise SpecError("cycles must be positive")
         if self.seed < 0:
             raise SpecError("seed must be non-negative")
-        if self.max_drain_cycles < 0:
-            raise SpecError("max drain cycles must be non-negative")
         if self.faults is not None and not self.faults.enabled:
             object.__setattr__(self, "faults", None)
 
@@ -271,9 +276,9 @@ class RunSpec:
             "config": config_to_dict(self.config),
             "workload": self.workload.to_dict(),
             "cycles": self.cycles,
-            "warmup": self.warmup,
+            "warmup": RETIRED_SPEC_KEYS["warmup"],
             "seed": self.seed,
-            "max_drain_cycles": self.max_drain_cycles,
+            "max_drain_cycles": RETIRED_SPEC_KEYS["max_drain_cycles"],
         }
         # Key present only for enabled fault models: a fault-free spec
         # serialises exactly as it did before faults existed, so digests
@@ -284,14 +289,13 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "RunSpec":
+        drop_retired(dict(payload), RETIRED_SPEC_KEYS, "a run spec")
         faults = payload.get("faults")
         return cls(
             config=config_from_dict(payload["config"]),
             workload=workload_from_dict(payload["workload"]),
             cycles=int(payload["cycles"]),
-            warmup=payload.get("warmup"),
             seed=int(payload.get("seed", 1)),
-            max_drain_cycles=int(payload.get("max_drain_cycles", 200_000)),
             faults=FaultConfig.from_dict(faults) if faults is not None else None,
         )
 
@@ -304,7 +308,7 @@ class RunSpec:
 
 
 class ResultCache:
-    """Content-addressed result store under ``root/v<calibration>/``.
+    """Content-addressed result store under ``root/v<CALIBRATION_STAMP>/``.
 
     A cached entry is served only when both the spec digest *and* the
     calibration stamp match, so bumping :data:`CALIBRATION_STAMP` (or
@@ -312,16 +316,11 @@ class ResultCache:
     are treated as misses.
     """
 
-    def __init__(
-        self,
-        root: str | Path = DEFAULT_CACHE_DIR,
-        calibration: str = CALIBRATION_STAMP,
-    ):
+    def __init__(self, root: str | Path = DEFAULT_CACHE_DIR):
         self.root = Path(root)
-        self.calibration = calibration
 
     def path_for(self, spec: RunSpec) -> Path:
-        return self.root / f"v{self.calibration}" / f"{spec.digest()}.json"
+        return self.root / f"v{CALIBRATION_STAMP}" / f"{spec.digest()}.json"
 
     def load(self, spec: RunSpec) -> RunResult | None:
         # Imported here, not at module top: report imports sweeps, which
@@ -335,7 +334,7 @@ class ResultCache:
             return None
         if not isinstance(payload, dict):
             return None
-        if payload.get("calibration") != self.calibration:
+        if payload.get("calibration") != CALIBRATION_STAMP:
             return None
         try:
             result = result_from_dict(payload["result"])
@@ -351,7 +350,7 @@ class ResultCache:
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
-            "calibration": self.calibration,
+            "calibration": CALIBRATION_STAMP,
             "digest": spec.digest(),
             "spec": spec.to_dict(),
             "wall_time_s": result.wall_time_s,

@@ -55,7 +55,7 @@ def standard_configs(mesh: MeshGeometry | None = None) -> dict[str, NetworkConfi
     return configs
 
 
-def reference_configs(mesh: MeshGeometry | None = None) -> dict[str, NetworkConfig]:
+def reference_configs() -> dict[str, NetworkConfig]:
     """Alternative engines that are *not* part of the paper's matrix.
 
     ``Ideal`` (the zero-contention fabric backend) is the
@@ -67,27 +67,23 @@ def reference_configs(mesh: MeshGeometry | None = None) -> dict[str, NetworkConf
     both).  All are kept out of :func:`standard_configs` so the Fig 9-11
     campaigns keep reproducing exactly the paper's series.
     """
-    mesh = mesh or MeshGeometry(8, 8)
     return {
-        "Ideal": IdealConfig(mesh=mesh),
-        "Vector4": VectorizedConfig(mesh=mesh),
-        "Vector4X": VectorizedConfig(mesh=mesh, mode="exact"),
+        "Ideal": IdealConfig(),
+        "Vector4": VectorizedConfig(),
+        "Vector4X": VectorizedConfig(mode="exact"),
     }
 
 
-def cli_configs(
-    mesh: MeshGeometry | None = None,
-    topology: str | None = None,
-) -> dict[str, NetworkConfig]:
+def cli_configs(topology: str) -> dict[str, NetworkConfig]:
     """Every configuration selectable from the CLI (paper + references).
 
     ``topology`` switches every config onto a registered topology (e.g.
-    ``"torus"``); ``None`` keeps the paper's default mesh, leaving run-spec
+    ``"torus"``); ``"mesh"`` keeps the paper's default, leaving run-spec
     digests untouched.
     """
-    configs = standard_configs(mesh)
-    configs.update(reference_configs(mesh))
-    if topology is not None and topology != "mesh":
+    configs = standard_configs()
+    configs.update(reference_configs())
+    if topology != "mesh":
         configs = {
             label: replace(config, topology=topology)
             for label, config in configs.items()

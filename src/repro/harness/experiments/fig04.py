@@ -20,11 +20,11 @@ class Figure4:
     endpoints_16nm: dict[str, dict[str, float]]
 
 
-def compute(nodes_nm: tuple[float, ...] = NODES_NM) -> Figure4:
+def compute() -> Figure4:
     models = {"transmit": scaling.transmit_model, "receive": scaling.receive_model}
     series = {
         component: {
-            scenario: model(fit_kind).trend(nodes_nm)
+            scenario: model(fit_kind).trend(NODES_NM)
             for scenario, fit_kind in scaling.SCENARIO_FIT.items()
         }
         for component, model in models.items()
@@ -33,11 +33,10 @@ def compute(nodes_nm: tuple[float, ...] = NODES_NM) -> Figure4:
         "transmit": dict(constants.TRANSMIT_DELAY_PS),
         "receive": dict(constants.RECEIVE_DELAY_PS),
     }
-    return Figure4(nodes_nm=tuple(nodes_nm), series=series, endpoints_16nm=endpoints)
+    return Figure4(nodes_nm=NODES_NM, series=series, endpoints_16nm=endpoints)
 
 
-def render(data: Figure4 | None = None) -> str:
-    data = data or compute()
+def render(data: Figure4) -> str:
     lines = ["Figure 4: transmit/receive delay scaling trends (ps)"]
     for component in ("transmit", "receive"):
         for scenario in constants.SCALING_SCENARIOS:

@@ -16,19 +16,18 @@ class Figure5:
     delays: list[CriticalPathDelays]
 
 
-def compute(wdm_degrees: tuple[int, ...] = WDM_DEGREES) -> Figure5:
-    """All Fig 5 bars: 4 paths x 3 scenarios x the given WDM degrees."""
+def compute() -> Figure5:
+    """All Fig 5 bars: 4 paths x 3 scenarios x the WDM degrees."""
     return Figure5(
         delays=[
             RouterLatencyModel(scenario, wdm).critical_paths()
             for scenario in SCALING_SCENARIOS
-            for wdm in wdm_degrees
+            for wdm in WDM_DEGREES
         ]
     )
 
 
-def render(data: Figure5 | None = None) -> str:
-    data = data or compute()
+def render(data: Figure5) -> str:
     table = AsciiTable(
         ["scenario", "wdm", "PP (ps)", "PB (ps)", "PA (ps)", "PIA (ps)"],
         title="Figure 5: Phastlane router critical-path delays",

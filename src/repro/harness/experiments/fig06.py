@@ -23,18 +23,17 @@ class Figure6:
         return all(len(set(per_wdm.values())) == 1 for per_wdm in self.hops.values())
 
 
-def compute(wdm_degrees: tuple[int, ...] = WDM_DEGREES) -> Figure6:
+def compute() -> Figure6:
     """{scenario: {wdm_degree: max hops per 4 GHz cycle}}."""
     return Figure6(
         hops={
-            scenario: {wdm: max_hops_per_cycle(scenario, wdm) for wdm in wdm_degrees}
+            scenario: {wdm: max_hops_per_cycle(scenario, wdm) for wdm in WDM_DEGREES}
             for scenario in SCALING_SCENARIOS
         }
     )
 
 
-def render(data: Figure6 | None = None) -> str:
-    data = data or compute()
+def render(data: Figure6) -> str:
     wdm_degrees = sorted(next(iter(data.hops.values())))
     table = AsciiTable(
         ["scenario"] + [f"{wdm} wavelengths" for wdm in wdm_degrees] + ["paper"],

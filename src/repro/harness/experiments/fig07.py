@@ -34,17 +34,12 @@ class Figure7:
         raise KeyError(f"no contour point ({wdm}, {hops}, {efficiency})")
 
 
-def compute(
-    wdm_degrees: tuple[int, ...] = WDM_DEGREES,
-    hop_counts: tuple[int, ...] = HOP_COUNTS,
-    efficiencies: tuple[float, ...] = EFFICIENCIES,
-) -> Figure7:
+def compute() -> Figure7:
     model = OpticalPowerModel()
-    return Figure7(points=model.contour(wdm_degrees, hop_counts, efficiencies))
+    return Figure7(points=model.contour(WDM_DEGREES, HOP_COUNTS, EFFICIENCIES))
 
 
-def render(data: Figure7 | None = None) -> str:
-    data = data or compute()
+def render(data: Figure7) -> str:
     lines = []
     for wdm in WDM_DEGREES:
         table = AsciiTable(

@@ -16,16 +16,15 @@ class Figure8:
     sweet_spot: int
 
 
-def compute(wdm_degrees: tuple[int, ...] = WDM_DEGREES) -> Figure8:
+def compute() -> Figure8:
     model = RouterAreaModel()
     return Figure8(
-        breakdowns=model.sweep(wdm_degrees),
-        sweet_spot=model.sweet_spot(wdm_degrees),
+        breakdowns=model.sweep(WDM_DEGREES),
+        sweet_spot=model.sweet_spot(WDM_DEGREES),
     )
 
 
-def render(data: Figure8 | None = None) -> str:
-    data = data or compute()
+def render(data: Figure8) -> str:
     table = AsciiTable(
         [
             "wavelengths",

@@ -14,7 +14,6 @@ from repro.harness.exec import Executor
 from repro.harness.experiments.configs import FIG9_LABELS, standard_configs
 from repro.harness.sweeps import LatencyPoint, point_from_result, sweep_specs
 from repro.traffic.patterns import FIGURE9_PATTERNS
-from repro.util.geometry import MeshGeometry
 from repro.util.plot import plot_latency_curves
 from repro.util.tables import AsciiTable
 
@@ -34,12 +33,11 @@ def compute(
     labels: Sequence[str] = FIG9_LABELS,
     rates: Sequence[float] = DEFAULT_RATES,
     cycles: int = 1500,
-    mesh: MeshGeometry | None = None,
     seed: int = 1,
     executor: Executor | None = None,
 ) -> Figure9:
     """All panels as one flat campaign, so every run fans out in parallel."""
-    configs = standard_configs(mesh)
+    configs = standard_configs()
     executor = executor or Executor()
     specs = [
         spec
@@ -60,7 +58,7 @@ def compute(
     return Figure9(rates=tuple(rates), curves=curves)
 
 
-def render(data: Figure9, with_plots: bool = True) -> str:
+def render(data: Figure9) -> str:
     blocks = []
     for pattern, by_label in data.curves.items():
         table = AsciiTable(
@@ -76,8 +74,7 @@ def render(data: Figure9, with_plots: bool = True) -> str:
                 ]
             )
         blocks.append(table.render())
-        if with_plots:
-            blocks.append(
-                plot_latency_curves(by_label, title=f"Figure 9 panel: {pattern}")
-            )
+        blocks.append(
+            plot_latency_curves(by_label, title=f"Figure 9 panel: {pattern}")
+        )
     return "\n\n".join(blocks)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from repro.harness.experiments.configs import BASELINE_LABEL
-from repro.harness.experiments.splash2_runs import Splash2Matrix, compute_matrix
+from repro.harness.experiments.splash2_runs import Splash2Matrix
 from repro.util.tables import AsciiTable
 
 
@@ -40,10 +40,6 @@ def from_matrix(matrix: Splash2Matrix) -> Figure10:
     return Figure10(
         benchmarks=matrix.benchmarks, labels=matrix.labels, speedups=speedups
     )
-
-
-def compute(duration_cycles: int = 4000, seed: int = 1) -> Figure10:
-    return from_matrix(compute_matrix(duration_cycles=duration_cycles, seed=seed))
 
 
 def render(data: Figure10) -> str:

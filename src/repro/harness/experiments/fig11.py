@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.harness.experiments.configs import BASELINE_LABEL
-from repro.harness.experiments.splash2_runs import Splash2Matrix, compute_matrix
+from repro.harness.experiments.splash2_runs import Splash2Matrix
 from repro.util.tables import AsciiTable
 
 
@@ -39,10 +39,6 @@ def from_matrix(matrix: Splash2Matrix) -> Figure11:
     return Figure11(
         benchmarks=matrix.benchmarks, labels=matrix.labels, power_w=power
     )
-
-
-def compute(duration_cycles: int = 4000, seed: int = 1) -> Figure11:
-    return from_matrix(compute_matrix(duration_cycles=duration_cycles, seed=seed))
 
 
 def render(data: Figure11) -> str:

@@ -4,8 +4,8 @@ The benchmark x configuration campaign is expressed as a flat list of
 :class:`~repro.harness.exec.RunSpec` and executed through an
 :class:`~repro.harness.exec.Executor`, so it fans out across worker
 processes and is served from the on-disk result cache on reruns.  An
-in-process memo additionally lets ``fig10.compute`` and ``fig11.compute``
-share a single campaign within one interpreter.
+in-process memo additionally lets one interpreter's Fig 10 and Fig 11
+share a single campaign.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.harness.exec import Executor, RunSpec, Splash2Workload
 from repro.harness.experiments.configs import standard_configs
 from repro.harness.runner import RunResult
 from repro.traffic.splash2 import SPLASH2_ORDER
-from repro.util.geometry import MeshGeometry
 
 
 @dataclass(frozen=True)
@@ -39,11 +38,9 @@ def matrix_specs(
     labels: tuple[str, ...] | None = None,
     duration_cycles: int = 4000,
     seed: int = 1,
-    mesh: MeshGeometry | None = None,
 ) -> list[RunSpec]:
     """The campaign's run specs, ordered benchmark-major then by label."""
-    mesh = mesh or MeshGeometry(8, 8)
-    configs = standard_configs(mesh)
+    configs = standard_configs()
     labels = labels or tuple(configs)
     return [
         RunSpec(
@@ -62,7 +59,6 @@ def compute_matrix(
     labels: tuple[str, ...] | None = None,
     duration_cycles: int = 4000,
     seed: int = 1,
-    mesh: MeshGeometry | None = None,
     executor: Executor | None = None,
 ) -> Splash2Matrix:
     """Run (or fetch from the in-process memo) the benchmark/config matrix.
@@ -71,14 +67,12 @@ def compute_matrix(
     executor's event log reflects what this campaign actually did (cache
     hits come from the executor's on-disk cache instead).
     """
-    mesh = mesh or MeshGeometry(8, 8)
-    configs = standard_configs(mesh)
-    labels = labels or tuple(configs)
-    key = (benchmarks, labels, duration_cycles, seed, mesh.width, mesh.height)
+    labels = labels or tuple(standard_configs())
+    key = (benchmarks, labels, duration_cycles, seed)
     if executor is None and key in _CACHE:
         return _CACHE[key]
 
-    specs = matrix_specs(benchmarks, labels, duration_cycles, seed, mesh)
+    specs = matrix_specs(benchmarks, labels, duration_cycles, seed)
     run_results = (executor or Executor()).map(specs)
     pairs = [(b, l) for b in benchmarks for l in labels]
     results = dict(zip(pairs, run_results))

@@ -45,10 +45,12 @@ svg.spark { vertical-align: middle; }
 """
 
 
-def _sparkline(values: Sequence[float], width: int = 120, height: int = 22) -> str:
-    """An inline SVG polyline of one window series (empty string if flat)."""
+def _sparkline(values: Sequence[float]) -> str:
+    """A 120 x 22 inline SVG polyline of one window series (empty string if
+    flat)."""
     if len(values) < 2:
         return ""
+    width, height = 120, 22
     top = max(values)
     span = top if top > 0 else 1.0
     step = width / (len(values) - 1)
@@ -124,9 +126,7 @@ def _blame_section(entries: list[tuple[RunEvent, Any]]) -> str:
     return "<h2>Latency blame</h2>" + "".join(blocks)
 
 
-def render_campaign_html(
-    events: Iterable[RunEvent], title: str = "Campaign report"
-) -> str:
+def render_campaign_html(events: Iterable[RunEvent]) -> str:
     """Render a complete HTML document from a campaign's run events."""
     ordered = sorted(events, key=lambda event: event.index)
     total_wall = sum(event.wall_time_s for event in ordered)
@@ -189,17 +189,15 @@ def render_campaign_html(
     blame = _blame_section(blamed) if blamed else ""
     return (
         "<!DOCTYPE html>\n<html><head><meta charset='utf-8'>"
-        f"<title>{html.escape(title)}</title><style>{_STYLE}</style></head>"
-        f"<body><h1>{html.escape(title)}</h1>"
+        f"<title>Campaign report</title><style>{_STYLE}</style></head>"
+        "<body><h1>Campaign report</h1>"
         f'<p class="summary">{summary}</p>{table}{blame}</body></html>\n'
     )
 
 
-def write_campaign_html(
-    path: str | Path, events: Iterable[RunEvent], title: str = "Campaign report"
-) -> Path:
+def write_campaign_html(path: str | Path, events: Iterable[RunEvent]) -> Path:
     """Render and write the report; returns the path written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_campaign_html(events, title))
+    path.write_text(render_campaign_html(events))
     return path

@@ -32,6 +32,10 @@ from repro.util.geometry import MeshGeometry
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.harness.exec import RunSpec
 
+#: Extra cycles a trace replay may take to drain before it is refused as
+#: saturated.
+MAX_DRAIN_CYCLES = 200_000
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -110,10 +114,9 @@ def run(spec: "RunSpec", progress: ProgressSink | None = None) -> RunResult:
             seed=spec.seed,
             stop_cycle=spec.cycles,
         )
-        warmup = spec.cycles // 5 if spec.warmup is None else spec.warmup
         result = _execute(
             spec, source, workload.name, spec.cycles, progress,
-            stats=NetworkStats(measurement_start=warmup),
+            stats=NetworkStats(measurement_start=spec.cycles // 5),
         )
     else:
         if isinstance(workload, Splash2Workload):
@@ -184,7 +187,7 @@ def _execute(
     engine.run(span)
     if drain:
         drained = engine.run_until(
-            lambda: network.idle(engine.cycle), spec.max_drain_cycles
+            lambda: network.idle(engine.cycle), MAX_DRAIN_CYCLES
         )
     else:
         drained = network.idle(engine.cycle)
@@ -192,7 +195,7 @@ def _execute(
     if drain and not drained:
         raise SaturationError(
             f"{config.label} failed to drain trace {workload!r} "
-            f"within {spec.max_drain_cycles} extra cycles"
+            f"within {MAX_DRAIN_CYCLES} extra cycles"
         )
     return RunResult(
         label=config.label,

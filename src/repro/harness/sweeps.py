@@ -90,13 +90,10 @@ def latency_vs_injection(
     cycles: int = 1500,
     seed: int = 1,
     executor: Executor | None = None,
-    faults: FaultConfig | None = None,
 ) -> list[LatencyPoint]:
     """One Fig 9 series: average packet latency at each injection rate."""
     executor = executor or Executor()
-    results = executor.map(
-        sweep_specs(config, pattern, rates, cycles, seed, faults)
-    )
+    results = executor.map(sweep_specs(config, pattern, rates, cycles, seed))
     num_nodes = config.mesh.num_nodes
     return [
         point_from_result(rate, result, num_nodes)

@@ -132,7 +132,7 @@ class HealthMonitor:
     """
 
     def __init__(
-        self, network: Any, tally: EventTally, interval: int, stall_windows: int = 5
+        self, network: Any, tally: EventTally, interval: int, stall_windows: int
     ) -> None:
         if interval <= 0:
             raise ValueError(f"health interval must be positive, got {interval}")

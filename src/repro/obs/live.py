@@ -28,6 +28,11 @@ if TYPE_CHECKING:  # pragma: no cover - the harness imports obs, not vice versa
 
 #: Severity glyphs for the health column.
 _HEALTH_FLAGS = {None: " ", "ok": "+", "warn": "!", "critical": "X"}
+#: In-flight runs the panel lists (the rest are counted on one line), the
+#: least time between two repaints, and the width of a progress bar.
+MAX_ROWS = 12
+MIN_REDRAW_S = 0.1
+BAR_WIDTH = 12
 
 
 @dataclass
@@ -53,20 +58,15 @@ class _Row:
         return min(1.0, self.cycle / self.cycles_total)
 
 
-def _bar(fraction: float, width: int = 12) -> str:
-    filled = int(round(fraction * width))
-    return "#" * filled + "-" * (width - filled)
+def _bar(fraction: float) -> str:
+    filled = int(round(fraction * BAR_WIDTH))
+    return "#" * filled + "-" * (BAR_WIDTH - filled)
 
 
 class LiveDashboard:
     """Paint campaign telemetry live on a terminal; see the module docstring."""
 
-    def __init__(
-        self,
-        stream: IO[str] | None = None,
-        max_rows: int = 12,
-        min_redraw_s: float = 0.1,
-    ) -> None:
+    def __init__(self, stream: IO[str] | None = None) -> None:
         self.stream = stream if stream is not None else sys.stderr
         self._tty = bool(getattr(self.stream, "isatty", lambda: False)())
         self._lock = threading.Lock()
@@ -74,8 +74,6 @@ class LiveDashboard:
         self._total = 0
         self._completed = 0
         self._cache_hits = 0
-        self._max_rows = max_rows
-        self._min_redraw_s = min_redraw_s
         self._started = time.perf_counter()
         self._painted_lines = 0
         self._last_paint = 0.0
@@ -159,14 +157,14 @@ class LiveDashboard:
         in_flight = [
             (index, row) for index, row in sorted(self._rows.items()) if not row.done
         ]
-        for index, row in in_flight[: self._max_rows]:
+        for index, row in in_flight[:MAX_ROWS]:
             flag = _HEALTH_FLAGS.get(row.health, "?")
             lines.append(
                 f" [{_bar(row.fraction)}] {flag} {row.label:<14} "
                 f"{row.workload:<16} {row.cycle}/{row.cycles_total} "
                 f"occ {row.worst_occupancy}@{row.worst_node}"
             )
-        hidden = len(in_flight) - self._max_rows
+        hidden = len(in_flight) - MAX_ROWS
         if hidden > 0:
             lines.append(f" ... and {hidden} more runs in flight")
         return lines
@@ -176,7 +174,7 @@ class LiveDashboard:
         if not self._tty or self._closed:
             return
         now = time.perf_counter()
-        if not force and now - self._last_paint < self._min_redraw_s:
+        if not force and now - self._last_paint < MIN_REDRAW_S:
             return
         self._last_paint = now
         lines = self._render_lines()

@@ -80,36 +80,3 @@ class BurstyInjector(InjectionProcess):
             self._in_burst = True
         return self._in_burst and rng.bernoulli(self.burst_rate)
 
-
-class PhasedInjector(InjectionProcess):
-    """Globally phase-synchronized on/off bursts (barrier-style phases).
-
-    Barrier-synchronised codes (Ocean's red-black sweeps, FMM's phases)
-    make *every* node communicate in the same windows: the network sees
-    deterministic global bursts at ``burst_rate`` per node for
-    ``burst_length`` cycles, then ``gap_length`` quiet cycles.  This is the
-    traffic shape that overwhelms Phastlane's small input buffers and
-    triggers drop storms (paper section 5), which independent per-node
-    bursts (:class:`BurstyInjector`) average away.
-    """
-
-    def __init__(self, burst_rate: float, burst_length: int, gap_length: int):
-        if not 0.0 < burst_rate <= 1.0:
-            raise ValueError(f"burst rate must be in (0, 1], got {burst_rate}")
-        if burst_length < 1 or gap_length < 0:
-            raise ValueError("burst length must be positive, gap non-negative")
-        self.burst_rate = burst_rate
-        self.burst_length = burst_length
-        self.gap_length = gap_length
-
-    @property
-    def period(self) -> int:
-        return self.burst_length + self.gap_length
-
-    @property
-    def mean_rate(self) -> float:
-        return self.burst_rate * self.burst_length / self.period
-
-    def should_inject(self, cycle: int, rng: DeterministicRng) -> bool:
-        in_burst = (cycle % self.period) < self.burst_length
-        return in_burst and rng.bernoulli(self.burst_rate)

@@ -165,33 +165,24 @@ class NeighborPattern(TrafficPattern):
         return rng.choice(neighbors)
 
 
+#: The share of hotspot-pattern packets addressed to the hot node.
+HOTSPOT_FRACTION = 0.5
+
+
 class HotspotPattern(TrafficPattern):
-    """A fraction of traffic targets a few hot nodes; the rest is uniform.
+    """Half the traffic targets one hot node; the rest is uniform.
 
     Models directory/lock/memory-controller hotspots (Cholesky, Barnes).
-    The default hotspot sits at the topology's most central node (minimum
+    The hotspot sits at the topology's most central node (minimum
     worst-case hop count), which on the historical even-sized meshes is the
-    same centre-of-grid node as before.
+    centre-of-grid node.
     """
 
     name = "hotspot"
 
-    def __init__(
-        self,
-        mesh: MeshLike,
-        hotspots: tuple[int, ...] | None = None,
-        fraction: float = 0.5,
-    ):
+    def __init__(self, mesh: MeshLike):
         super().__init__(mesh)
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"hotspot fraction must be in [0, 1], got {fraction}")
-        if hotspots is None:
-            hotspots = (self._default_center(),)
-        for node in hotspots:
-            if node < 0 or node >= self.mesh.num_nodes:
-                raise ValueError(f"hotspot node {node} outside {self.mesh}")
-        self.hotspots = tuple(hotspots)
-        self.fraction = fraction
+        self.hotspot = self._default_center()
         self._uniform = UniformRandomPattern(self.topology)
 
     def _default_center(self) -> int:
@@ -214,10 +205,10 @@ class HotspotPattern(TrafficPattern):
 
     def destination(self, source: int, rng: DeterministicRng) -> int:
         self._check_source(source)
-        if rng.bernoulli(self.fraction):
-            candidates = [h for h in self.hotspots if h != source]
-            if candidates:
-                return rng.choice(candidates)
+        if rng.bernoulli(HOTSPOT_FRACTION) and source != self.hotspot:
+            # A draw from one candidate still advances the stream, which
+            # every recorded trace and run pin depends on.
+            return rng.choice((self.hotspot,))
         return self._uniform.destination(source, rng)
 
 

@@ -29,12 +29,7 @@ from dataclasses import dataclass
 
 from repro.sim.rng import DeterministicRng
 from repro.traffic.coherence import CoherenceMessageMix, MessageKind, memory_controller_for
-from repro.traffic.injection import (
-    BernoulliInjector,
-    BurstyInjector,
-    InjectionProcess,
-    PhasedInjector,
-)
+from repro.traffic.injection import BernoulliInjector, BurstyInjector, InjectionProcess
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.trace import Trace, TraceEvent
 from repro.util.errors import SpecError
@@ -64,14 +59,18 @@ CACHE_CONFIGURATION: dict[str, str] = {
 }
 
 
+#: The share of data responses served by the line's memory controller
+#: rather than by the benchmark's spatial pattern.
+MC_FRACTION = 0.3
+
+
 @dataclass(frozen=True)
 class Splash2Profile:
     """Traffic characteristics of one SPLASH2 benchmark.
 
     ``pattern_mix`` maps synthetic-pattern names to relative weights for
-    point-to-point messages; memory-bound writebacks/responses additionally
-    target the line's interleaved memory controller with probability
-    ``mc_fraction``.
+    point-to-point messages; writebacks, and data responses with probability
+    :data:`MC_FRACTION`, target the line's interleaved memory controller.
     """
 
     name: str
@@ -80,10 +79,6 @@ class Splash2Profile:
     gap_length: float  # mean cycles between bursts
     pattern_mix: dict[str, float]
     coherence: CoherenceMessageMix
-    mc_fraction: float = 0.3
-    duration_cycles: int = 4000
-    #: Barrier-synchronised codes burst on every node simultaneously.
-    synchronized: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.mean_rate < 1.0:
@@ -92,12 +87,6 @@ class Splash2Profile:
             raise ValueError(f"{self.name}: invalid burst/gap lengths")
         if not self.pattern_mix or any(w < 0 for w in self.pattern_mix.values()):
             raise ValueError(f"{self.name}: invalid pattern mix")
-        if not 0.0 <= self.mc_fraction <= 1.0:
-            raise ValueError(f"{self.name}: mc_fraction must be in [0, 1]")
-        if self.duration_cycles <= 0:
-            raise ValueError(f"{self.name}: duration must be positive")
-        if self.synchronized and self.gap_length == 0:
-            raise ValueError(f"{self.name}: synchronized bursts need a gap")
         self.burst_rate  # validate reachability
 
     @property
@@ -115,10 +104,6 @@ class Splash2Profile:
     def make_injector(self) -> InjectionProcess:
         if self.gap_length == 0:
             return BernoulliInjector(self.mean_rate)
-        if self.synchronized:
-            return PhasedInjector(
-                self.burst_rate, int(self.burst_length), int(self.gap_length)
-            )
         return BurstyInjector(self.burst_rate, self.burst_length, self.gap_length)
 
 
@@ -259,14 +244,14 @@ def generate_splash2_trace(
     benchmark: str,
     mesh: MeshGeometry | None = None,
     seed: int = 1,
-    duration_cycles: int | None = None,
+    *,
+    duration_cycles: int,
 ) -> Trace:
     """Generate the synthetic trace for one SPLASH2 benchmark.
 
     The same ``(benchmark, mesh, seed, duration)`` always produces the
     identical trace, so optical and electrical runs see the same workload.
-    ``duration_cycles=None`` takes the profile's duration; a duration below
-    one cycle is refused.
+    A duration below one cycle is refused.
     """
     if benchmark not in SPLASH2_PROFILES:
         raise ValueError(
@@ -275,9 +260,10 @@ def generate_splash2_trace(
         )
     profile = SPLASH2_PROFILES[benchmark]
     mesh = mesh or MeshGeometry(8, 8)
-    duration = profile.duration_cycles if duration_cycles is None else duration_cycles
-    if duration < 1:
-        raise SpecError(f"a trace lasts at least one cycle, got {duration} cycles")
+    if duration_cycles < 1:
+        raise SpecError(
+            f"a trace lasts at least one cycle, got {duration_cycles} cycles"
+        )
 
     patterns = {
         name: pattern_by_name(name, mesh) for name in profile.pattern_mix
@@ -293,7 +279,7 @@ def generate_splash2_trace(
     line_counters = [node * 7919 for node in range(mesh.num_nodes)]
 
     events: list[TraceEvent] = []
-    for cycle in range(duration):
+    for cycle in range(duration_cycles):
         for node in range(mesh.num_nodes):
             rng = rngs[node]
             if not injectors[node].should_inject(cycle, rng):
@@ -303,7 +289,7 @@ def generate_splash2_trace(
                 events.append(TraceEvent(cycle, node, None, kind))
                 continue
             destination = _pick_destination(
-                node, kind, profile, patterns, pattern_names, pattern_weights,
+                node, kind, patterns, pattern_names, pattern_weights,
                 line_counters, mesh, rng,
             )
             if destination != node:
@@ -314,7 +300,6 @@ def generate_splash2_trace(
 def _pick_destination(
     node: int,
     kind: MessageKind,
-    profile: Splash2Profile,
     patterns: dict,
     pattern_names: list[str],
     pattern_weights: list[float],
@@ -329,7 +314,7 @@ def _pick_destination(
     pattern mix.
     """
     if kind is MessageKind.WRITEBACK or (
-        kind is MessageKind.DATA_RESPONSE and rng.bernoulli(profile.mc_fraction)
+        kind is MessageKind.DATA_RESPONSE and rng.bernoulli(MC_FRACTION)
     ):
         line_counters[node] += rng.randrange(1, 17)
         return memory_controller_for(line_counters[node], mesh.num_nodes)

@@ -21,7 +21,7 @@ import abc
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.sim.rng import DeterministicRng
 from repro.traffic.coherence import MessageKind
@@ -221,10 +221,10 @@ class SyntheticSource(TrafficSource):
     def __init__(
         self,
         pattern: TrafficPattern,
-        injector_factory,
+        injector_factory: Callable[[], InjectionProcess],
         seed: int = 1,
         stop_cycle: int | None = None,
-    ):
+    ) -> None:
         self.pattern = pattern
         self.stop_cycle = stop_cycle
         num_nodes = pattern.mesh.num_nodes

@@ -19,34 +19,17 @@ from repro.util.geometry import (
 )
 from repro.util.plot import AsciiPlot, plot_latency_curves, render_heatmap
 from repro.util.tables import AsciiTable, format_series
-from repro.util.units import (
-    GHZ,
-    MM,
-    MW,
-    PJ,
-    PS,
-    UM,
-    W,
-    from_db,
-    to_db,
-)
+from repro.util.units import from_db, to_db
 
 __all__ = [
     "AsciiPlot",
     "AsciiTable",
     "Coord",
     "Direction",
-    "GHZ",
-    "MM",
-    "MW",
     "MeshGeometry",
     "OPPOSITE",
-    "PJ",
-    "PS",
     "TURN_KIND",
     "TurnKind",
-    "UM",
-    "W",
     "bit_complement",
     "bit_reverse",
     "bit_width",

@@ -1,4 +1,4 @@
-"""Unit conventions and conversions.
+"""Unit conventions and decibel conversions.
 
 Internal conventions used consistently across the repository:
 
@@ -7,36 +7,11 @@ Internal conventions used consistently across the repository:
 - distance: millimetres (mm);
 - power: watts (W);
 - energy: picojoules (pJ).
-
-The constants here are multipliers to the internal unit, so e.g.
-``5 * UM`` is 5 micrometres expressed in millimetres.
 """
 
 from __future__ import annotations
 
 import math
-
-# Time (internal unit: picoseconds).
-PS = 1.0
-NS = 1e3
-
-# Distance (internal unit: millimetres).
-MM = 1.0
-UM = 1e-3
-CM = 10.0
-
-# Power (internal unit: watts).
-W = 1.0
-MW = 1e-3
-UW = 1e-6
-
-# Energy (internal unit: picojoules).
-PJ = 1.0
-FJ = 1e-3
-NJ = 1e3
-
-# Frequency helper (Hz); used only for documentation-style conversions.
-GHZ = 1e9
 
 
 def to_db(ratio: float) -> float:
@@ -49,10 +24,3 @@ def to_db(ratio: float) -> float:
 def from_db(db: float) -> float:
     """Decibels -> power ratio."""
     return 10.0 ** (db / 10.0)
-
-
-def cycle_time_ps(frequency_ghz: float) -> float:
-    """Clock period in picoseconds for a frequency in GHz."""
-    if frequency_ghz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_ghz}")
-    return 1e3 / frequency_ghz

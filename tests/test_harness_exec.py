@@ -30,7 +30,7 @@ from repro.harness.report import (
     result_to_dict,
     write_report,
 )
-from repro.harness.runner import run
+from repro.harness.runner import MAX_DRAIN_CYCLES, run
 from repro.harness.sweeps import latency_vs_injection
 from repro.photonics import constants
 from repro.traffic.splash2 import generate_splash2_trace
@@ -309,10 +309,28 @@ class TestSpecSerialisation:
             OPTICAL,
             SyntheticWorkload("transpose", 0.1),
             cycles=300,
-            warmup=50,
             seed=7,
         )
         assert RunSpec.from_dict(spec.to_dict()) == spec
+
+    def test_warmup_and_drain_budget_stay_on_the_wire_at_their_one_value(self):
+        payload = RunSpec(OPTICAL, SyntheticWorkload("uniform", 0.1)).to_dict()
+        assert payload["warmup"] is None
+        assert payload["max_drain_cycles"] == MAX_DRAIN_CYCLES == 200_000
+        bare = {
+            key: value
+            for key, value in payload.items()
+            if key not in ("warmup", "max_drain_cycles")
+        }
+        assert RunSpec.from_dict(bare) == RunSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("key,value", [("warmup", 50), ("max_drain_cycles", 0)])
+    def test_another_warmup_or_drain_budget_is_refused_in_one_line(self, key, value):
+        payload = RunSpec(OPTICAL, SyntheticWorkload("uniform", 0.1)).to_dict()
+        payload[key] = value
+        with pytest.raises(FabricError, match=f"{key}={value}.*retired") as refusal:
+            RunSpec.from_dict(payload)
+        assert "\n" not in str(refusal.value)
 
     def test_trace_file_workload_digests_content(self, tmp_path):
         path = tmp_path / "t.trace"
@@ -482,15 +500,15 @@ class TestResultCache:
         assert [entry["index"] for entry in manifest["entries"]] == [0, 1]
         assert manifest["entries"][0]["digest"] == specs[0].digest()
 
-    def test_calibration_stamp_invalidates(self, tmp_path):
+    def test_calibration_stamp_invalidates(self, tmp_path, monkeypatch):
         spec = small_specs(rates=(0.05,), cycles=100)[0]
-        cache = ResultCache(tmp_path, calibration=CALIBRATION_STAMP)
+        cache = ResultCache(tmp_path)
         Executor(cache=cache).map([spec])
-        recalibrated = Executor(
-            cache=ResultCache(tmp_path, calibration="recalibrated")
-        )
+        monkeypatch.setattr("repro.harness.exec.CALIBRATION_STAMP", "recalibrated")
+        recalibrated = Executor(cache=cache)
         recalibrated.map([spec])
         assert recalibrated.cache_hits == 0
+        assert (tmp_path / "vrecalibrated" / f"{spec.digest()}.json").is_file()
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         spec = small_specs(rates=(0.05,), cycles=100)[0]

@@ -78,12 +78,13 @@ class TestRunTrace:
         assert result.power_w > 0
         assert result.drained
 
-    def test_undrainable_trace_raises(self, tmp_path):
+    def test_undrainable_trace_raises(self, tmp_path, monkeypatch):
         # The electrical network needs several cycles per hop; a zero-cycle
         # drain budget cannot complete the delivery.
+        monkeypatch.setattr("repro.harness.runner.MAX_DRAIN_CYCLES", 0)
         trace = Trace("t", 16, events=[TraceEvent(0, 0, 5)])
-        with pytest.raises(SaturationError):
-            run_trace_file(ELECTRICAL, trace, tmp_path, max_drain_cycles=0)
+        with pytest.raises(SaturationError, match="within 0 extra cycles"):
+            run_trace_file(ELECTRICAL, trace, tmp_path)
 
 
 class TestRunSynthetic:

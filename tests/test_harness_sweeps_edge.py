@@ -39,17 +39,6 @@ class TestSweepHelpers:
 
 
 class TestFig09RenderOptions:
-    def test_render_without_plots(self):
-        from repro.harness.experiments.fig09 import Figure9, render
-
-        data = Figure9(
-            rates=(0.1,),
-            curves={"transpose": {"Optical4": [point(0.1, 2.0)]}},
-        )
-        text = render(data, with_plots=False)
-        assert "Figure 9 (transpose)" in text
-        assert "panel" not in text
-
     def test_render_with_plots(self):
         from repro.harness.experiments.fig09 import Figure9, render
 

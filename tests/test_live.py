@@ -221,9 +221,13 @@ class TestLiveDashboardTty:
         def isatty(self):
             return True
 
+    @pytest.fixture(autouse=True)
+    def _repaint_every_sample(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.live.MIN_REDRAW_S", 0.0)
+
     def test_panel_repaints_in_place(self):
         stream = self._Tty()
-        dashboard = LiveDashboard(stream=stream, min_redraw_s=0.0)
+        dashboard = LiveDashboard(stream=stream)
         dashboard.on_progress(
             RunProgress(
                 index=0, total=1, label="Optical4",
@@ -242,7 +246,7 @@ class TestLiveDashboardTty:
         # close() used to repaint after the command's stdout: on a terminal
         # its cursor-up erased the last table row.
         stream = self._Tty()
-        dashboard = LiveDashboard(stream=stream, min_redraw_s=0.0)
+        dashboard = LiveDashboard(stream=stream)
         progress = RunProgress(
             index=0, total=1, label="Optical4",
             workload="uniform@0.15", sample=sample(100),
@@ -257,7 +261,7 @@ class TestLiveDashboardTty:
 
     def test_second_frame_moves_the_cursor_up(self):
         stream = self._Tty()
-        dashboard = LiveDashboard(stream=stream, min_redraw_s=0.0)
+        dashboard = LiveDashboard(stream=stream)
         progress = RunProgress(
             index=0, total=1, label="Optical4",
             workload="uniform@0.15", sample=sample(100),
@@ -276,9 +280,9 @@ class TestHtmlReport:
         return executor.events
 
     def test_report_contains_rows_badges_and_sparklines(self):
-        html_text = render_campaign_html(self._events(), title="Nightly")
+        html_text = render_campaign_html(self._events())
         assert html_text.startswith("<!DOCTYPE html>")
-        assert "<title>Nightly</title>" in html_text
+        assert "<title>Campaign report</title>" in html_text
         assert html_text.count("uniform@0.05") == 1
         assert html_text.count("uniform@0.1") >= 1
         assert html_text.count('class="badge"') >= 3  # 2 rows + summary

@@ -53,11 +53,11 @@ class _FakeNetwork:
         self.trace_hub.add(tracer)
 
 
-def monitor_on(network, interval=10, **kwargs):
+def monitor_on(network, interval=10, stall_windows=5):
     """A monitor fed by a tally on ``network``'s hub, as the session wires it."""
     tally = EventTally()
     network.add_tracer(tally)
-    return HealthMonitor(network, tally, interval, **kwargs)
+    return HealthMonitor(network, tally, interval, stall_windows)
 
 
 def found(monitor, end, check):
@@ -347,7 +347,7 @@ class TestHealthMonitor:
         network.trace_hub.add(tracer)
         tally = EventTally()
         network.add_tracer(tally)
-        monitor = HealthMonitor(network, tally, 10)
+        monitor = HealthMonitor(network, tally, 10, 5)
         heard = monitor.evaluate(10)
         events = [e for e in tracer.events if e.kind == "health_critical"]
         assert len(events) == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.rng import DeterministicRng
-from repro.traffic.injection import BernoulliInjector, BurstyInjector, PhasedInjector
+from repro.traffic.injection import BernoulliInjector, BurstyInjector
 
 
 def measure_rate(injector, cycles=20_000, label="inj"):
@@ -62,37 +62,3 @@ class TestBursty:
         with pytest.raises(ValueError):
             BurstyInjector(0.5, 10, -1)
 
-
-class TestPhased:
-    def test_mean_rate(self):
-        injector = PhasedInjector(burst_rate=0.5, burst_length=20, gap_length=80)
-        assert injector.mean_rate == pytest.approx(0.1)
-        assert injector.period == 100
-
-    def test_gap_cycles_are_silent(self):
-        injector = PhasedInjector(burst_rate=1.0, burst_length=10, gap_length=90)
-        rng = DeterministicRng(5, "phase")
-        for cycle in range(300):
-            in_burst = (cycle % 100) < 10
-            fired = injector.should_inject(cycle, rng)
-            if not in_burst:
-                assert not fired
-
-    def test_burst_at_rate_one_always_fires(self):
-        injector = PhasedInjector(burst_rate=1.0, burst_length=10, gap_length=90)
-        rng = DeterministicRng(5, "full")
-        assert all(injector.should_inject(c, rng) for c in range(10))
-
-    def test_synchronized_across_instances(self):
-        """Two nodes with independent RNGs still share the burst schedule."""
-        a = PhasedInjector(1.0, 15, 85)
-        b = PhasedInjector(1.0, 15, 85)
-        ra, rb = DeterministicRng(1, "a"), DeterministicRng(2, "b")
-        for cycle in range(200):
-            assert a.should_inject(cycle, ra) == b.should_inject(cycle, rb)
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            PhasedInjector(0.0, 10, 10)
-        with pytest.raises(ValueError):
-            PhasedInjector(0.5, 0, 10)

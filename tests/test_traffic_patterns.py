@@ -112,24 +112,35 @@ class TestNeighbor:
 
 
 class TestHotspot:
-    def test_fraction_one_always_hits_hotspot(self):
-        pattern = HotspotPattern(MESH, hotspots=(10,), fraction=1.0)
+    def test_fraction_one_always_hits_hotspot(self, monkeypatch):
+        monkeypatch.setattr("repro.traffic.patterns.HOTSPOT_FRACTION", 1.0)
+        pattern = HotspotPattern(MESH)
         generator = rng("hs")
-        assert all(pattern.destination(3, generator) == 10 for _ in range(100))
+        hot = pattern.hotspot
+        assert all(pattern.destination(3, generator) == hot for _ in range(100))
 
-    def test_hotspot_never_targets_itself(self):
-        pattern = HotspotPattern(MESH, hotspots=(10,), fraction=1.0)
+    def test_hotspot_never_targets_itself(self, monkeypatch):
+        monkeypatch.setattr("repro.traffic.patterns.HOTSPOT_FRACTION", 1.0)
+        pattern = HotspotPattern(MESH)
         generator = rng("self")
-        assert all(pattern.destination(10, generator) != 10 for _ in range(100))
+        hot = pattern.hotspot
+        assert all(pattern.destination(hot, generator) != hot for _ in range(100))
 
-    def test_fraction_zero_is_uniform(self):
-        pattern = HotspotPattern(MESH, hotspots=(10,), fraction=0.0)
+    def test_fraction_zero_is_uniform(self, monkeypatch):
+        monkeypatch.setattr("repro.traffic.patterns.HOTSPOT_FRACTION", 0.0)
+        pattern = HotspotPattern(MESH)
         generator = rng("zero")
-        hits = sum(pattern.destination(3, generator) == 10 for _ in range(1000))
+        hits = sum(
+            pattern.destination(3, generator) == pattern.hotspot for _ in range(1000)
+        )
         assert hits < 50
 
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            HotspotPattern(MESH, fraction=1.5)
-        with pytest.raises(ValueError):
-            HotspotPattern(MESH, hotspots=(99,))
+    def test_half_the_traffic_hits_the_centre(self):
+        pattern = HotspotPattern(MESH)
+        generator = rng("half")
+        assert pattern.hotspot == MESH.node(MESH.coord(MESH.num_nodes // 2 + 4))
+        hits = sum(
+            pattern.destination(3, generator) == pattern.hotspot for _ in range(2000)
+        )
+        # 1/2 directly, plus the uniform half's 1/63 share.
+        assert 0.46 < hits / 2000 < 0.56

@@ -1,5 +1,7 @@
 """Tests for the SPLASH2 trace substrate."""
 
+import hashlib
+
 import pytest
 
 from repro.traffic.splash2 import (
@@ -100,8 +102,32 @@ class TestGeneration:
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(ValueError, match="unknown SPLASH2"):
-            generate_splash2_trace("linpack")
+            generate_splash2_trace("linpack", duration_cycles=100)
 
     def test_duration_override(self):
         trace = generate_splash2_trace("fft", duration_cycles=123)
         assert trace.last_cycle < 123
+
+
+#: sha256 of the saved ``generate_splash2_trace(b, seed=1,
+#: duration_cycles=300)`` trace, per profile: Raytrace's bursty injector,
+#: the hotspot mixes and the memory-controller share included.
+TRACE_SHA256 = {
+    "barnes": "1a2c215f4d1ea993febd3f4f110705c0c47f0bae2df5dba7b92153c9ca4cc317",
+    "cholesky": "c3b2ffe0f67e97e0d43e347eff37cfa13954949e171eceed5d6f62a4a1dfe719",
+    "fft": "15c4dee128111f2bef1cf10be3746b3e4f55d51e5ee144b4af7c9018bde2e5f8",
+    "lu": "4333f2570d5ab5e705328439431cd5abb3385235d503c57e91ead0f5a6cc2d25",
+    "ocean": "469202d66aebeb3e3336670a05455dbd7668125e2207b657d36228aec62be85d",
+    "radix": "23ba1434f6292d73b7db67ef44f7f65667f87990bad4a0ec124affd307a4c31d",
+    "raytrace": "844079160dabccd1be9ba0229ad223b1201f210991c37a883df8823198f7f941",
+    "water-nsquared": "caed275f6f0afa9376f1cd12a70209081dd8fdf7b963dd38fb974a0ca1259291",
+    "water-spatial": "f0785edc86f122a96aa4bde60622f5ec22ca818de46db84ce4db1611d06a2a73",
+    "fmm": "c48aef57e4313d4c7ff4cb0e98e2220e023a3b5ade4097bae6d8bddeefcd576a",
+}
+
+
+@pytest.mark.parametrize("profile", SPLASH2_ORDER)
+def test_trace_bytes_are_pinned(tmp_path, profile):
+    path = tmp_path / f"{profile}.trace"
+    generate_splash2_trace(profile, seed=1, duration_cycles=300).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_SHA256[profile]

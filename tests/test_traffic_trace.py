@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.topology import topology_from_name
 from repro.traffic.coherence import MessageKind
-from repro.traffic.injection import BernoulliInjector, BurstyInjector, PhasedInjector
+from repro.traffic.injection import BernoulliInjector, BurstyInjector
 from repro.traffic.patterns import PATTERNS, pattern_by_name
 from repro.traffic.schedule import drain_trace, replay_synthetic
 from repro.traffic.trace import (
@@ -167,7 +167,6 @@ INJECTORS = {
     "bernoulli-0.1": lambda: BernoulliInjector(0.1),
     "bernoulli-1": lambda: BernoulliInjector(1.0),
     "bursty": lambda: BurstyInjector(0.6, burst_length=4, gap_length=6),
-    "phased": lambda: PhasedInjector(0.5, burst_length=3, gap_length=5),
 }
 
 

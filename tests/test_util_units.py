@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.units import MM, PJ, PS, UM, cycle_time_ps, from_db, to_db
+from repro.util.units import from_db, to_db
 
 
 class TestDecibels:
@@ -24,26 +24,6 @@ class TestDecibels:
             to_db(0.0)
         with pytest.raises(ValueError):
             to_db(-1.0)
-
-
-class TestCycleTime:
-    def test_4ghz_is_250ps(self):
-        assert cycle_time_ps(4.0) == pytest.approx(250.0)
-
-    def test_1ghz_is_1ns(self):
-        assert cycle_time_ps(1.0) == pytest.approx(1000.0)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            cycle_time_ps(0.0)
-
-
-class TestUnitMultipliers:
-    def test_micrometre_in_millimetres(self):
-        assert 1000 * UM == pytest.approx(1 * MM)
-
-    def test_base_units_are_one(self):
-        assert PS == 1.0 and MM == 1.0 and PJ == 1.0
 
     def test_db_of_square_is_double(self):
         assert to_db(4.0) == pytest.approx(2 * to_db(2.0))
