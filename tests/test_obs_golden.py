@@ -40,18 +40,20 @@ CONFIGS = {
 #: label -> cycles -> (result sha, stream sha, trace sha, progress sha).
 #: The vectorized engine is exact here, so its stream, trace events and
 #: progress equal Optical4's; its result and trace header carry its label.
+#: Each trace ends with the health lines of the trailing partial window,
+#: which ``ObsSession.finish`` closes before it closes the trace.
 OBSERVED = {
     "Optical4": {
         460: (
             "d472c930a5f2caf201cedbc50c3a522fef113ba79f24579df0b6f6a275f8b7dc",
             "0d8a5222965ccde87bbf6c7e08ff9d6a711ff186fb955ebb1b968a69f4c45552",
-            "7709f634e4a4b0b04cd28280f10a64df2c4eec6932fb328fe55d45094fb9b959",
+            "7cd0d030cba7c16a06ca9eed3e58ce0f43e002492791f6700cdb48864eb28915",
             "cdf0e8eea35020a106cca514f703bc2b37dc6c62b84c4c30da9e2e185b3a5fe1",
         ),
         1490: (
             "4b25296ec33cb0770f825abe52edb6eba818ee1a65c297741a4e9f2c9c7e81e6",
             "bcc37a7cc300ca709e8ba2cb3ae9717023f646d84793b64c8c25add40e0abe53",
-            "60556bfd4a964af5ffb3ea6046d975f69bea381e1ae520c366545a7c5ddc4af1",
+            "f5e30f6617918d2cc44e7d18873e0e81d3034bea269b016acf0124f76731eaed",
             "cf62b1c27808e01387c264510cdfdc049c7e12eeb62f4bef6e9d74f61c8df7fb",
         ),
     },
@@ -59,13 +61,13 @@ OBSERVED = {
         460: (
             "391db2a14ec4fe5c4e431471ddfab92fa96ba675067afe73216e74fd83272f21",
             "05f2999fff5f45ccfa7022c892ac2765c112ef2525ff59735c42e6dbaf78e1c1",
-            "bf914554aac04d08f5bf41322e174106691541f1ac6d6de81f3558fa37984b23",
+            "cb3eb5de971592e91f80addc0f77d9bd32ff47736908b4244f9ebd606eb71f74",
             "b199ae9ba59576ca8ae230e6053239e27ab5875a16b21ebae1f33cc55cb986cf",
         ),
         1490: (
             "c18a91840ebabc10e69879a5dd9f0d855e4cd3c83e6bb916594d956bcf9849b2",
             "15a3796bf358871a8af680dc04772e8c6ddc727b1c0014b43c7cf8b556b166d4",
-            "ee7a9d80009f7252ea038f19a502fb903af7ca9fdda488b6c1fd7a96867e6c94",
+            "d9b78e7fa710e5a1d020f23584958ccfcfba717a8611dedeb462239ede6071d4",
             "a0e9f425ea0a5b69f1378b85cf0dc8e234ddf7196af190559b40a617e747902f",
         ),
     },
@@ -73,13 +75,13 @@ OBSERVED = {
         460: (
             "6509db886bae1cf2baf951799e39e2883f99937d84b2e93e7e7ef4709ebb7d50",
             "0d8a5222965ccde87bbf6c7e08ff9d6a711ff186fb955ebb1b968a69f4c45552",
-            "eff1d43a85b5f2be3a5c707974036426e0dce864bb8392f2cf3fc0955d26ed10",
+            "36272a07a45fc9936b175f12771974822284922cc5fb23c3770d2db50ffe9385",
             "cdf0e8eea35020a106cca514f703bc2b37dc6c62b84c4c30da9e2e185b3a5fe1",
         ),
         1490: (
             "58d6fb6dda4fe6b6424dae306d64587af325024b0fead5674f9a347e3148ea43",
             "bcc37a7cc300ca709e8ba2cb3ae9717023f646d84793b64c8c25add40e0abe53",
-            "2a10567304a9944d9b205cf916c3d5a048b232dea277e83109aaf2d4f839826d",
+            "ce143b3ead5b216adae573cd74219396977bf33c59a61ef054497880c0542179",
             "cf62b1c27808e01387c264510cdfdc049c7e12eeb62f4bef6e9d74f61c8df7fb",
         ),
     },
@@ -241,12 +243,12 @@ STORM_FILES = (
 )
 
 
-def storm(obs):
+def storm(obs, cycles=500):
     return run(
         RunSpec(
             ElectricalConfig(mesh=MeshGeometry(2, 1)),
             SyntheticWorkload("uniform", 0.3),
-            cycles=500,
+            cycles=cycles,
             seed=2,
             faults=FaultConfig(
                 seed=1, dead_ports=((0, EAST), (1, WEST)), retry_limit=1_000_000
@@ -282,3 +284,27 @@ def test_dead_port_storm_stream_and_trace_are_pinned(tmp_path):
     assert (_sha(stream.read_bytes()), _trace_sha(trace)) == STORM_FILES
     kinds = [json.loads(line).get("kind") for line in trace.read_text().splitlines()]
     assert "health_warn" in kinds and "health_critical" in kinds
+
+
+def test_the_last_windows_findings_reach_the_trace(tmp_path):
+    """460 cycles end inside a 50-cycle health window: the trailing window
+    that ``finish`` closes finds the livelock at 460, and its trace line is
+    written before the trace file is closed."""
+    trace = tmp_path / "trace.jsonl"
+    report = storm(
+        ObsConfig(
+            health=True,
+            health_interval=50,
+            health_stall_windows=3,
+            trace_path=str(trace),
+        ),
+        cycles=460,
+    ).health
+    assert ("critical", 460) in [(f.severity, f.cycle) for f in report.findings]
+    records = [json.loads(line) for line in trace.read_text().splitlines()[1:]]
+    traced = [
+        (record["kind"], record["cycle"])
+        for record in records
+        if record["kind"].startswith("health_")
+    ]
+    assert traced == [(f"health_{f.severity}", f.cycle) for f in report.findings]
