@@ -6,11 +6,14 @@ of its packets at one column, the paper's worst case for Phastlane's
 bufferless fast path), collecting both legs of the observability layer at
 once:
 
-- an :class:`~repro.obs.session.ObsSession` with a metrics window folds
-  the run into per-window injection/drop rates and latency percentiles
-  (the *when* of a drop storm);
-- its spatial companion series attributes every drop to the blocking
-  router (the *where*), summed here over the windows.
+- a metrics window (``ObsConfig(metrics_interval=...)``) folds the run
+  into per-window injection/drop rates and latency percentiles (the
+  *when* of a drop storm);
+- its spatial companion series (``spatial=True``) attributes every drop
+  to the blocking router (the *where*), summed here over the windows.
+
+Both arrive on the run's result as ``result.timeseries``, as they do in a
+``repro campaign --report`` payload.
 
 Run:  python examples/drop_storm_timeline.py [--cycles N] [--rate R]
 """
@@ -18,35 +21,13 @@ Run:  python examples/drop_storm_timeline.py [--cycles N] [--rate R]
 import argparse
 
 from repro.core.config import PhastlaneConfig
-from repro.core.network import PhastlaneNetwork
-from repro.obs import ObsConfig, ObsSession
-from repro.sim.engine import SimulationEngine
-from repro.traffic.injection import BernoulliInjector
-from repro.traffic.patterns import pattern_by_name
-from repro.traffic.trace import SyntheticSource
+from repro.harness.exec import RunSpec, SyntheticWorkload
+from repro.harness.runner import run
+from repro.obs import ObsConfig
 from repro.util.plot import render_heatmap
 
 #: Width of the ASCII rate bars.
 BAR = 40
-
-
-def run_instrumented(rate: float, cycles: int, interval: int):
-    config = PhastlaneConfig()
-    source = SyntheticSource(
-        pattern_by_name("hotspot", config.mesh),
-        lambda: BernoulliInjector(rate),
-        seed=7,
-        stop_cycle=cycles,
-    )
-    network = PhastlaneNetwork(config, source)
-    engine = SimulationEngine()
-    engine.register(network)
-    session = ObsSession(
-        ObsConfig(metrics_interval=interval, spatial=True), network, engine
-    )
-    engine.run(cycles)
-    series, _health = session.finish()
-    return network, series
 
 
 def render_timeline(series) -> str:
@@ -76,8 +57,17 @@ def main() -> None:
     parser.add_argument("--interval", type=int, default=100)
     args = parser.parse_args()
 
-    network, series = run_instrumented(args.rate, args.cycles, args.interval)
-    stats = network.stats
+    config = PhastlaneConfig()
+    result = run(
+        RunSpec(
+            config,
+            SyntheticWorkload("hotspot", args.rate),
+            cycles=args.cycles,
+            seed=7,
+            obs=ObsConfig(metrics_interval=args.interval, spatial=True),
+        )
+    )
+    stats, series = result.stats, result.timeseries
 
     print(
         f"hotspot @ {args.rate:g} pkts/node/cycle, {args.cycles} cycles: "
@@ -88,7 +78,7 @@ def main() -> None:
     print(render_timeline(series))
     print()
     drops = [sum(column) for column in zip(*series.spatial.drops)]
-    print(render_heatmap(drops, network.mesh, title="where the drops happen:"))
+    print(render_heatmap(drops, config.mesh, title="where the drops happen:"))
     hottest = sorted(
         (n for n in range(len(drops)) if drops[n]), key=lambda n: -drops[n]
     )[:3]

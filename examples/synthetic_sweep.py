@@ -14,12 +14,8 @@ Run:  python examples/synthetic_sweep.py [--pattern transpose] [--cycles N]
 import argparse
 
 from repro.harness.exec import Executor, ResultCache
-from repro.harness.experiments.configs import FIG9_LABELS, standard_configs
-from repro.harness.sweeps import (
-    latency_vs_injection,
-    saturation_rate,
-    zero_load_latency,
-)
+from repro.harness.experiments import fig09
+from repro.harness.sweeps import saturation_rate, zero_load_latency
 from repro.traffic.patterns import PATTERNS
 from repro.util.plot import plot_latency_curves
 from repro.util.tables import AsciiTable
@@ -39,19 +35,15 @@ def main() -> None:
         workers=args.workers,
         cache=None if args.no_cache else ResultCache(),
     )
-    configs = standard_configs()
+    print(f"sweeping {args.pattern} ...")
+    curves = fig09.compute(
+        patterns=[args.pattern], rates=RATES, cycles=args.cycles, executor=executor
+    ).curves[args.pattern]
     table = AsciiTable(
         ["config"] + [f"{r:g}" for r in RATES] + ["zero-load", "saturation"],
         title=f"Average packet latency (cycles) vs injection rate — {args.pattern}",
     )
-    curves = {}
-    for label in FIG9_LABELS:
-        print(f"sweeping {label} ...")
-        points = latency_vs_injection(
-            configs[label], args.pattern, RATES, cycles=args.cycles,
-            executor=executor,
-        )
-        curves[label] = points
+    for label, points in curves.items():
         cells = ["sat" if p.saturated else f"{p.mean_latency:.1f}" for p in points]
         table.add_row(
             [label]

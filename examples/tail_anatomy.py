@@ -2,28 +2,26 @@
 """Tail anatomy: why Phastlane's slowest packets are slow.
 
 Drives a hotspot workload (everyone sending toward one corner — the
-paper's worst case for the drop/retransmit machinery), reconstructs every
-packet's span from the lifecycle trace, and prints the latency blame
-split plus the full anatomy of the five slowest deliveries: where each
-one queued, contended, crossed links and backed off, cycle by cycle.
+paper's worst case for the drop/retransmit machinery) with a JSONL
+lifecycle trace, reconstructs every packet's span from it, and prints the
+latency blame split plus the full anatomy of the five slowest deliveries:
+where each one queued, contended, crossed links and backed off, cycle by
+cycle.
 
-The same analysis runs post-hoc on any JSONL trace via
-``repro analyze trace.jsonl``.
+It takes the path ``repro sweep --trace-out t.jsonl`` and then
+``repro analyze t.jsonl`` take; the analysis runs on any JSONL trace.
 
 Run:  python examples/tail_anatomy.py [--cycles N]
 """
 
 import argparse
+import tempfile
+from pathlib import Path
 
 from repro.core.config import PhastlaneConfig
-from repro.core.network import PhastlaneNetwork
-from repro.obs import CollectingTracer, analyze_events, render_markdown
-from repro.sim.engine import SimulationEngine
-from repro.sim.stats import NetworkStats
-from repro.topology import topology_of
-from repro.traffic.injection import BernoulliInjector
-from repro.traffic.patterns import pattern_by_name
-from repro.traffic.trace import SyntheticSource
+from repro.harness.exec import RunSpec, SyntheticWorkload
+from repro.harness.runner import run
+from repro.obs import ObsConfig, analyze_trace_file, render_markdown
 
 
 def main() -> None:
@@ -32,21 +30,18 @@ def main() -> None:
     parser.add_argument("--rate", type=float, default=0.2)
     args = parser.parse_args()
 
-    config = PhastlaneConfig()
-    source = SyntheticSource(
-        pattern_by_name("hotspot", topology_of(config)),
-        lambda: BernoulliInjector(args.rate),
-        seed=7,
-        stop_cycle=args.cycles,
-    )
-    network = PhastlaneNetwork(config, source, NetworkStats())
-    tracer = CollectingTracer()
-    network.add_tracer(tracer)
-    engine = SimulationEngine()
-    engine.register(network)
-    engine.run(args.cycles)
-
-    report = analyze_events(tracer.events, link_delay=0, top=5)
+    with tempfile.TemporaryDirectory() as scratch:
+        trace = Path(scratch) / "hotspot.jsonl"
+        run(
+            RunSpec(
+                PhastlaneConfig(),
+                SyntheticWorkload("hotspot", args.rate),
+                cycles=args.cycles,
+                seed=7,
+                obs=ObsConfig(trace_path=str(trace)),
+            )
+        )
+        report = analyze_trace_file(trace, top=5)
     print(render_markdown(report, blame="routers", top=5))
 
     print("## Slowest packet, step by step")

@@ -24,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import import_module
 from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
 # Imports follow the command: only what building the parser needs is
@@ -320,8 +319,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             raise _UsageError(
                 f"{name} is analytic and runs no simulation; drop {flags}"
             )
-        module = import_module(f"repro.harness.experiments.{name}")
-        print(module.render(module.compute()))
+        from repro.harness.experiments import fig04, fig05, fig06, fig07, fig08
+
+        figure = {
+            "fig04": fig04, "fig05": fig05, "fig06": fig06, "fig07": fig07,
+            "fig08": fig08,
+        }[name]
+        print(figure.render(figure.compute()))
         return 0
     from repro.harness.experiments import fig09, fig10, fig11
     from repro.harness.experiments.splash2_runs import compute_matrix
@@ -442,7 +446,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_fault_sweep(args: argparse.Namespace) -> int:
     from repro.faults import FaultConfig
     from repro.harness.report import write_report
-    from repro.harness.sweeps import fault_point_from_result, fault_sweep_specs
+    from repro.harness.sweeps import throughput_vs_fault_rate
 
     config = _config_from_args(args)
     fault_rates = _float_list(args.fault_rates, "--fault-rates")
@@ -453,16 +457,11 @@ def _cmd_fault_sweep(args: argparse.Namespace) -> int:
         )
     # The template carries every knob but the probability the model sweeps.
     template = _from_flags(FaultConfig, args, "fault")
-    specs = fault_sweep_specs(
-        config, args.pattern, args.rate, fault_rates, args.cycles, args.seed,
-        template, swept=_FAULT_MODELS[args.fault_model],
-    )
     executor = _executor_from_args(args)
-    num_nodes = config.mesh.num_nodes
-    points = [
-        fault_point_from_result(fault_rate, result, num_nodes)
-        for fault_rate, result in zip(fault_rates, executor.map(specs))
-    ]
+    points = throughput_vs_fault_rate(
+        config, args.pattern, args.rate, fault_rates, args.cycles, args.seed,
+        template, executor, swept=_FAULT_MODELS[args.fault_model],
+    )
     table = AsciiTable(
         ["fault rate", "throughput", "delivered", "lost", "faults", "mean latency"],
         title=f"{args.config} / {args.pattern}@{args.rate:g} degradation",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.core.routing import RouteStep, plan_hops
+from repro.core.routing import RouteStep
 
 _uid_counter = itertools.count()
 
@@ -51,10 +51,6 @@ class OpticalPacket:
     def current_node(self) -> int:
         """The node currently responsible for (and holding) the packet."""
         return self.plan[0].node
-
-    @property
-    def remaining_hops(self) -> int:
-        return plan_hops(self.plan)
 
     @property
     def desired_output(self):

@@ -175,11 +175,6 @@ def _check_broadcast_coverage(
         )
 
 
-def plan_hops(plan: Sequence[RouteStep]) -> int:
-    """Total link hops of a plan."""
-    return len(plan) - 1
-
-
 def max_segment_hops(plan: Sequence[RouteStep]) -> int:
     """The longest optical segment (hops between consecutive Local marks)."""
     longest = 0

@@ -16,7 +16,6 @@ from repro.harness.runner import RunResult, run
 from repro.harness.sweeps import (
     FaultPoint,
     LatencyPoint,
-    latency_vs_injection,
     saturation_rate,
     throughput_vs_fault_rate,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "Splash2Workload",
     "SyntheticWorkload",
     "TraceFileWorkload",
-    "latency_vs_injection",
     "make_network",
     "run",
     "saturation_rate",

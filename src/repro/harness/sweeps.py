@@ -3,8 +3,9 @@
 Each sweep is expressed as a list of :class:`~repro.harness.exec.RunSpec`
 and executed through an :class:`~repro.harness.exec.Executor`, so a sweep
 parallelises across worker processes and benefits from the on-disk result
-cache while producing exactly the serial result stream.  The
-fault-degradation sweep (:func:`throughput_vs_fault_rate`) holds the
+cache while producing exactly the serial result stream.  A Fig 9 series
+is :func:`sweep_specs`, ``Executor.map`` and :func:`point_from_result`.
+The fault-degradation sweep (:func:`throughput_vs_fault_rate`) holds the
 workload fixed and sweeps the per-crossing fault probability instead,
 measuring how throughput and delivery degrade as devices fail.
 """
@@ -80,24 +81,6 @@ def sweep_specs(
             faults=faults,
         )
         for rate in rates
-    ]
-
-
-def latency_vs_injection(
-    config: NetworkConfig,
-    pattern: str,
-    rates: Sequence[float],
-    cycles: int = 1500,
-    seed: int = 1,
-    executor: Executor | None = None,
-) -> list[LatencyPoint]:
-    """One Fig 9 series: average packet latency at each injection rate."""
-    executor = executor or Executor()
-    results = executor.map(sweep_specs(config, pattern, rates, cycles, seed))
-    num_nodes = config.mesh.num_nodes
-    return [
-        point_from_result(rate, result, num_nodes)
-        for rate, result in zip(rates, results)
     ]
 
 
@@ -183,24 +166,6 @@ def fault_sweep_specs(
     ]
 
 
-def fault_point_from_result(fault_rate: float, result: RunResult, num_nodes: int) -> FaultPoint:
-    """Classify one run as a degradation-curve point."""
-    stats = result.stats
-    if stats.latency.mean.count == 0:
-        latency = float("inf")
-    else:
-        latency = stats.mean_latency
-    return FaultPoint(
-        fault_rate=fault_rate,
-        throughput=result.throughput(num_nodes),
-        delivered=stats.packets_delivered,
-        lost=stats.packets_lost,
-        faults_injected=stats.faults_injected,
-        delivery_ratio=stats.delivery_ratio,
-        mean_latency=latency,
-    )
-
-
 def throughput_vs_fault_rate(
     config: NetworkConfig,
     pattern: str,
@@ -210,19 +175,36 @@ def throughput_vs_fault_rate(
     seed: int = 1,
     faults: FaultConfig | None = None,
     executor: Executor | None = None,
+    swept: str = "link_flip_prob",
 ) -> list[FaultPoint]:
     """One degradation curve: throughput and losses at each fault rate.
 
     The sweep runs through the standard executor, so it parallelises and
     caches like any campaign (fault configs are part of run-spec identity,
-    so every fault rate gets its own cache entry).
+    so every fault rate gets its own cache entry).  ``faults`` and
+    ``swept`` are :func:`fault_sweep_specs`'s template and probability.
     """
     executor = executor or Executor()
     results = executor.map(
-        fault_sweep_specs(config, pattern, rate, fault_rates, cycles, seed, faults)
+        fault_sweep_specs(
+            config, pattern, rate, fault_rates, cycles, seed, faults, swept
+        )
     )
     num_nodes = config.mesh.num_nodes
-    return [
-        fault_point_from_result(fault_rate, result, num_nodes)
-        for fault_rate, result in zip(fault_rates, results)
-    ]
+    points = []
+    for fault_rate, result in zip(fault_rates, results):
+        stats = result.stats
+        points.append(
+            FaultPoint(
+                fault_rate=fault_rate,
+                throughput=result.throughput(num_nodes),
+                delivered=stats.packets_delivered,
+                lost=stats.packets_lost,
+                faults_injected=stats.faults_injected,
+                delivery_ratio=stats.delivery_ratio,
+                mean_latency=(
+                    stats.mean_latency if stats.latency.mean.count else float("inf")
+                ),
+            )
+        )
+    return points

@@ -46,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - what type checkers and IDEs see
     from repro.obs.analysis import (
         BlameReport,
         PacketSpan,
-        analyze_events,
         analyze_trace_file,
         diff_reports,
         reconstruct_spans,
@@ -93,7 +92,6 @@ _HOME_OF = {
     "TraceHub": "repro.obs.events",
     "Tracer": "repro.obs.tracers",
     "Window": "repro.obs.timeseries",
-    "analyze_events": "repro.obs.analysis",
     "analyze_trace_file": "repro.obs.analysis",
     "diff_reports": "repro.obs.analysis",
     "reconstruct_spans": "repro.obs.analysis",
@@ -125,7 +123,6 @@ __all__ = [
     "TraceHub",
     "Tracer",
     "Window",
-    "analyze_events",
     "analyze_trace_file",
     "diff_reports",
     "reconstruct_spans",

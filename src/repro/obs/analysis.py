@@ -27,7 +27,7 @@ partitioning its end-to-end latency into four named wait components:
 The walk attributes every inter-event gap to exactly one bucket, so for
 every delivered packet the components **sum exactly** to its delivered
 latency — an invariant the property suite asserts on both cycle-accurate
-simulators.  :func:`analyze_events` aggregates spans into a
+simulators.  :func:`analyze_spans` aggregates spans into a
 :class:`BlameReport` (per-router / per-link / per-cause attribution,
 top-K slowest-packet anatomies, tail percentiles);
 :func:`analyze_trace_file` does the same post-hoc from a JSONL trace
@@ -532,16 +532,6 @@ def analyze_spans(
         anatomies=[span.to_dict() for _, span in slowest],
         meta=dict(meta or {}),
     )
-
-
-def analyze_events(
-    events: Iterable[PacketEvent],
-    link_delay: int = 0,
-    top: int = 5,
-) -> BlameReport:
-    """In-memory analysis: events (e.g. from a
-    :class:`~repro.obs.tracers.CollectingTracer`) straight to blame."""
-    return analyze_spans(reconstruct_spans(events, link_delay=link_delay), top=top)
 
 
 def read_trace_file(

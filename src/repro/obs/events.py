@@ -103,10 +103,6 @@ class TraceHub(list["Tracer"]):
 
     __slots__ = ()
 
-    @property
-    def tracers(self) -> tuple["Tracer", ...]:
-        return tuple(self)
-
     def add(self, tracer: "Tracer") -> None:
         self.append(tracer)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import IO, Any, Iterable
+from typing import IO, Any
 
 from repro.obs.health import HealthFinding
 from repro.obs.timeseries import Window
@@ -67,9 +67,3 @@ def read_stream(path: str | Path) -> list[dict[str, Any]]:
         if line.strip():
             records.append(json.loads(line))
     return records
-
-
-def iter_stream_events(
-    records: Iterable[dict[str, Any]], event: str
-) -> list[dict[str, Any]]:
-    return [record for record in records if record.get("event") == event]

@@ -2,9 +2,9 @@
 
 The Fig 9 latency-vs-injection-rate sweeps use a Bernoulli process at each
 node (a packet generated with probability ``rate`` per node per cycle).  The
-SPLASH2 trace generator additionally uses a two-state Markov (bursty)
-process, which produces the clustered traffic that makes Ocean/FMM drop
-packets under small Phastlane buffers.
+SPLASH2 trace generator uses the same Bernoulli process for every profile
+but Raytrace, whose profile sets a gap between bursts and so draws from the
+two-state Markov (bursty) process (``SPLASH2_PROFILES``).
 """
 
 from __future__ import annotations

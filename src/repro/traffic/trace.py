@@ -21,7 +21,7 @@ import abc
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from repro.sim.rng import DeterministicRng
 from repro.traffic.coherence import MessageKind
@@ -249,17 +249,3 @@ class SyntheticSource(TrafficSource):
 
     def exhausted(self, cycle: int) -> bool:
         return self.stop_cycle is not None and cycle >= self.stop_cycle
-
-
-def merge_traces(name: str, traces: Iterable[Trace]) -> Trace:
-    """Merge several traces over the same mesh into one (sorted) trace."""
-    traces = list(traces)
-    if not traces:
-        raise ValueError("need at least one trace to merge")
-    num_nodes = traces[0].num_nodes
-    if any(t.num_nodes != num_nodes for t in traces):
-        raise ValueError("cannot merge traces with different node counts")
-    events = sorted(
-        (event for trace in traces for event in trace), key=_sort_key
-    )
-    return Trace(name=name, num_nodes=num_nodes, events=events)

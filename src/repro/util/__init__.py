@@ -4,8 +4,6 @@ from repro.util.bits import (
     bit_complement,
     bit_reverse,
     bit_width,
-    extract_bits,
-    set_bits,
     shuffle_bits,
     transpose_bits,
 )
@@ -33,12 +31,10 @@ __all__ = [
     "bit_complement",
     "bit_reverse",
     "bit_width",
-    "extract_bits",
     "format_series",
     "from_db",
     "plot_latency_curves",
     "render_heatmap",
-    "set_bits",
     "shuffle_bits",
     "to_db",
     "transpose_bits",

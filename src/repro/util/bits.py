@@ -1,4 +1,4 @@
-"""Bit-level helpers used by traffic permutations and packet field packing.
+"""Bit-level helpers used by the synthetic traffic permutations.
 
 The synthetic traffic patterns of Dally & Towles (and of the paper's Fig 9)
 are defined as permutations on the bits of the node address; the helpers here
@@ -66,18 +66,3 @@ def transpose_bits(addr: int, width: int) -> int:
     lo = addr & ((1 << half) - 1)
     hi = addr >> half
     return (lo << half) | hi
-
-
-def extract_bits(value: int, offset: int, count: int) -> int:
-    """Extract ``count`` bits of ``value`` starting at bit ``offset``."""
-    if offset < 0 or count < 0:
-        raise ValueError("offset and count must be non-negative")
-    return (value >> offset) & ((1 << count) - 1)
-
-
-def set_bits(value: int, offset: int, count: int, field: int) -> int:
-    """Return ``value`` with ``count`` bits at ``offset`` replaced by ``field``."""
-    if field < 0 or field >= (1 << count):
-        raise ValueError(f"field {field} does not fit in {count} bits")
-    mask = ((1 << count) - 1) << offset
-    return (value & ~mask) | (field << offset)

@@ -23,6 +23,20 @@ def drain(network, inject_cycles: int, max_extra: int = 20_000) -> SimulationEng
     return engine
 
 
+def sweep_points(config, pattern, rates, cycles, seed=1, executor=None):
+    """One Fig 9 series as ``repro sweep`` and ``fig09.compute`` run it:
+    ``sweep_specs``, one ``Executor.map``, ``point_from_result``."""
+    from repro.harness.exec import Executor
+    from repro.harness.sweeps import point_from_result, sweep_specs
+
+    specs = sweep_specs(config, pattern, rates, cycles, seed)
+    results = (executor or Executor()).map(specs)
+    return [
+        point_from_result(rate, result, config.mesh.num_nodes)
+        for rate, result in zip(rates, results)
+    ]
+
+
 @contextmanager
 def reference_oracle() -> Iterator[None]:
     """Inside the block every ``PhastlaneConfig`` runs on ``repro.core``.

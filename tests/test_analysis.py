@@ -34,14 +34,13 @@ from repro.obs import (
     CollectingTracer,
     ObsConfig,
     PacketEvent,
-    analyze_events,
     analyze_trace_file,
     diff_reports,
     reconstruct_spans,
     render_diff_markdown,
     render_markdown,
 )
-from repro.obs.analysis import read_trace_file
+from repro.obs.analysis import analyze_spans, read_trace_file
 from repro.sim.engine import SimulationEngine
 from repro.topology import topology_of
 from repro.traffic.injection import BernoulliInjector
@@ -378,7 +377,7 @@ class TestSpanWalker:
         ]
         (span,) = reconstruct_spans(events)
         assert dict(span.traversals) == {(1, 2): 1, (2, 3): 1}
-        links = analyze_events(events).links
+        links = analyze_spans(reconstruct_spans(events)).links
         assert {key: entry["traversals"] for key, entry in links.items()} == {
             (1, 2): 1, (2, 3): 1,
         }
@@ -438,7 +437,7 @@ class TestByteIdentity:
             stop_cycle=cycles,
         )
         events, network = traced_run(config, source, cycles)
-        return analyze_events(events, link_delay=0, top=5), type(network)
+        return analyze_spans(reconstruct_spans(events)), type(network)
 
     def test_reference_and_vectorized_exact_reports_identical(self):
         # Three engines-by-config: the reference asked for by name (the
@@ -466,7 +465,7 @@ class TestByteIdentity:
         run(spec)
         from_file = analyze_trace_file(path)
         events, meta = read_trace_file(path)
-        in_memory = analyze_events(events, link_delay=0, top=5)
+        in_memory = analyze_spans(reconstruct_spans(events))
         assert from_file.to_json() == in_memory.to_json()
         # The header carries run identity into the report meta.
         assert from_file.meta["spec"] == spec.digest()
@@ -493,7 +492,7 @@ class TestByteIdentity:
         self, tmp_path, label, workload, faults, headerless
     ):
         """``analyze_trace_file`` (records straight into streams) and
-        ``analyze_events`` over ``read_trace_file`` (events, then streams)
+        ``analyze_spans`` over ``read_trace_file`` (events, then streams)
         are one walker and one aggregator fed two ways: their reports agree
         byte for byte on every backend and on every shape a trace takes."""
         mesh = MeshGeometry(4, 4)
@@ -510,7 +509,9 @@ class TestByteIdentity:
         from_file = analyze_trace_file(path)
         events, meta = read_trace_file(path)
         in_memory = dataclasses.replace(
-            analyze_events(events, link_delay=int(meta.get("link_delay", 0)), top=5),
+            analyze_spans(
+                reconstruct_spans(events, int(meta.get("link_delay", 0)))
+            ),
             meta=meta,
         )
         assert from_file.delivered > 0
@@ -714,7 +715,7 @@ class TestRenderers:
             stop_cycle=200,
         )
         events, _ = traced_run(config, source, 200)
-        report = analyze_events(events, top=3)
+        report = analyze_spans(reconstruct_spans(events), top=3)
         return dataclasses.replace(report, meta={"label": "Optical4"})
 
     def test_markdown_sections(self):

@@ -16,6 +16,7 @@ fields, so a new option is a visible edit here.
 """
 
 import ast
+import functools
 import importlib
 import re
 from pathlib import Path
@@ -400,26 +401,44 @@ def test_the_state_scan_sees_what_it_should(tmp_path):
     assert module_state(sample) == {"NAMES", "_MEMO", "_BY_KIND", "_SEEN"}
 
 
-# -- every public name under src/ has a caller ----------------------------------
+# -- every public name under src/ has a caller in src/ ----------------------------
 
-#: Where a caller may live: the package, its examples and its benchmarks.
-CALLER_FILES = sorted(
-    path
-    for root in ("src", "examples", "bench", "benchmarks")
-    for path in (ROOT / root).rglob("*.py")
+#: Where a caller may live: the package itself.  What a command reaches is
+#: called from here; a name only an example or a benchmark reads is listed in
+#: ``REACHED_FROM_OUTSIDE``, and one only tests read in ``UNCALLED``.
+CALLER_FILES = SOURCE_FILES
+#: The directories outside the package whose readers the census names.
+OUTSIDE = ("examples", "bench", "benchmarks")
+
+
+@functools.cache
+def parsed(path):
+    """``path``'s syntax tree, parsed once per session: the census reads
+    every file under src/ up to five times."""
+    return ast.parse(path.read_text())
+
+
+def files_under(*roots):
+    return sorted(path for root in roots for path in (ROOT / root).rglob("*.py"))
+
+
+#: Public names no caller outside the tests reads, each with why it stays.
+#: A name leaves this list when it gets a caller or is deleted with its tests.
+_CONTROL_LAW = (
+    "section 2.1.3 control-bit layout: every route and broadcast at each "
+    "Table 1 hop budget, on mesh and torus, fits PACKET_CONTROL_BITS and "
+    "round-trips (test_core_control)"
 )
-
-#: Public names no caller reads, each with why it stays.  A name leaves
-#: this list when it gets a caller or is deleted with its tests.
-_TESTED_ONLY = "a statement the tests check and no run reads"
 UNCALLED = {
     "cli.py:_Parser.error": "argparse's refusal hook",
-    "core/control.py:decode_control_bits": "section 2.1.3 bit layout; " + _TESTED_ONLY,
-    "core/control.py:encode_plan": "section 2.1.3 bit layout; " + _TESTED_ONLY,
-    "core/control.py:pack_control_bits": "section 2.1.3 bit layout; " + _TESTED_ONLY,
-    "core/control.py:shift_groups": "section 2.1.3 bit layout; " + _TESTED_ONLY,
-    "core/packet.py:OpticalPacket.remaining_hops": _TESTED_ONLY,
-    "core/routing.py:max_segment_hops": "the Fig 6 hop-budget law; " + _TESTED_ONLY,
+    "core/control.py:decode_control_bits": _CONTROL_LAW,
+    "core/control.py:encode_plan": _CONTROL_LAW,
+    "core/control.py:pack_control_bits": _CONTROL_LAW,
+    "core/control.py:shift_groups": _CONTROL_LAW,
+    "core/network.py:PhastlaneNetwork": "the oracle the kernel is proven "
+    "against (ROADMAP, Decided); tests build it through reference_oracle",
+    "core/routing.py:max_segment_hops": "the Fig 6 hop-budget law: no "
+    "optical segment of a plan is longer than its hop budget",
     "electrical/islip.py:RoundRobinArbiter.advance_past": "the one-arbiter "
     "statement the mask allocator is tested against",
     "electrical/islip.py:RoundRobinArbiter.pick": "the one-arbiter statement "
@@ -428,16 +447,65 @@ UNCALLED = {
     "deviation study is to read it",
     "fabric/protocol.py:FabricNic": "the NIC protocol every BaseNic meets, "
     "stated for readers and type checkers",
-    "obs/export.py:iter_stream_events": "stream read-back; " + _TESTED_ONLY,
-    "obs/export.py:read_stream": "stream read-back; " + _TESTED_ONLY,
+    "obs/export.py:read_stream": "CI's campaign-report job reads the "
+    "stream files back with it",
+    "obs/timeseries.py:TimeSeries.column": "the fault-ledger law: window "
+    "columns sum to the run's faults and losses (test_faults)",
     "topology/base.py:Topology.is_edge_row": "section 2.1.4's fan-out rule, "
     "which the sweep-count law states",
-    "traffic/coherence.py:CoherenceMessageMix.broadcast_fraction": _TESTED_ONLY,
-    "traffic/trace.py:merge_traces": "trace tooling; " + _TESTED_ONLY,
-    "util/bits.py:extract_bits": "bit-field helper; " + _TESTED_ONLY,
-    "util/bits.py:set_bits": "bit-field helper; " + _TESTED_ONLY,
+    "traffic/coherence.py:CoherenceMessageMix.broadcast_fraction": "the "
+    "expected value of test_traffic_splash2's broadcast-share law",
     "util/geometry.py:MeshGeometry.is_edge_row": "section 2.1.4's fan-out "
     "rule, the naive statement ``Topology.is_edge_row`` is tested against",
+}
+
+#: Public names that only examples, the benchmark or the paper assertions
+#: reach: ``name: (the directories whose files read it, why)``.  The
+#: benchmark's are ROADMAP item 1's: it deletes a name or gives it a caller.
+_ITEM_1 = "bench-only; ROADMAP item 1 deletes it"
+_BENCH_TOOL = (
+    "bench-only; ROADMAP item 1 keeps it as a bench instrument or deletes it"
+)
+_FIG9_SUMMARY = (
+    "the Fig 9 saturation summary: synthetic_sweep prints it, the Fig 9 "
+    "assertions and the fig9_sweep checks test the paper's ordering with it"
+)
+REACHED_FROM_OUTSIDE = {
+    "electrical/islip.py:SwitchAllocator.allocate": (
+        ("bench",), "the validating front no run calls; " + _ITEM_1),
+    "harness/experiments/fig06.py:Figure6.wdm_independent": (
+        ("benchmarks",), "Fig 6's claim that the hop budget ignores WDM"),
+    "harness/report.py:figure_to_dict": (
+        ("bench",), "the figure payloads the bench checks; " + _BENCH_TOOL),
+    "harness/sweeps.py:saturation_rate": (
+        ("examples", "bench", "benchmarks"), _FIG9_SUMMARY),
+    "harness/sweeps.py:zero_load_latency": (
+        ("examples", "bench", "benchmarks"), _FIG9_SUMMARY),
+    "obs/analysis.py:read_trace_file": (
+        ("bench",), "times the trace parse alone; " + _BENCH_TOOL),
+    "obs/analysis.py:reconstruct_spans": (
+        ("bench",), "times the span walk alone; " + _BENCH_TOOL),
+    "obs/tracers.py:CollectingTracer": (
+        ("bench",), "the in-memory tracer whose cost the bench measures; "
+        + _BENCH_TOOL),
+    "photonics/dse.py:DesignPoint.feasible": (
+        ("examples",), "design_space prints the feasible design points"),
+    "photonics/latency.py:RouterLatencyModel.topology_path_delay_ps": (
+        ("examples",), "topology_compare prints mesh vs torus path delay"),
+    "photonics/lossbudget.py:LossBudget": (
+        ("benchmarks",), "the bottom-up Fig 7 cross-check"),
+    "photonics/lossbudget.py:LossBudget.network_peak_power_w": (
+        ("benchmarks",), "the bottom-up Fig 7 cross-check"),
+    "photonics/power.py:PeakPowerPoint.reasonable": (
+        ("benchmarks",), "Fig 7's feasibility claims"),
+    "topology/registry.py:policy_by_name": (
+        ("bench",), "the route probe's policy; " + _ITEM_1),
+    "util/plot.py:render_heatmap": (
+        ("examples",), "the drop and congestion examples draw the mesh"),
+    "vectorized/config.py:as_phastlane": (
+        ("bench",), "the exact-mode twin; " + _ITEM_1 + " with item 2's fork"),
+    "vectorized/plans.py:neighbor_table": (
+        ("bench",), "the route probe's line tables; " + _ITEM_1),
 }
 
 
@@ -457,21 +525,23 @@ def public_definitions(tree):
 
 
 def referenced_names(path):
-    """Names ``path`` reads: a bare name, an attribute, or a part of a
-    dotted string such as a backend table row.  An import, and a string in
-    a package ``__init__`` (its re-export lists), is no reference."""
-    for node in ast.walk(ast.parse(path.read_text())):
+    """``(name, member)`` of each name ``path`` reads: a bare name
+    (``member`` false), or an attribute or a part of a dotted string such
+    as a backend table row (``member`` true).  An import, and a string in a
+    package ``__init__`` (its re-export lists), is no reference."""
+    for node in ast.walk(parsed(path)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
+            yield node.id, False
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
+            yield node.attr, True
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and path.name != "__init__.py"
             and re.fullmatch(r"[\w.]+", node.value)
         ):
-            yield from node.value.split(".")
+            for part in node.value.split("."):
+                yield part, True
 
 
 def module_of(path, package):
@@ -493,9 +563,12 @@ def dotted(node):
 def qualified_reads(path):
     """``(imported, reads)`` of ``path``: the ``(module, name)`` pairs it
     imports by name, and the ``(module, name)`` pairs it reads through a
-    module: ``fig10.compute`` after ``from ... import fig10``, or a dotted
-    string such as a backend table row (not in a package ``__init__``)."""
-    tree = ast.parse(path.read_text())
+    module: ``fig10.compute`` after ``from ... import fig10``, through a
+    name indexed out of a literal table of modules (``figure =
+    {"fig04": fig04, ...}[name]`` reads ``figure.compute`` from each), or a
+    dotted string such as a backend table row (not in a package
+    ``__init__``)."""
+    tree = parsed(path)
     bound, imported, reads = {}, set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -509,13 +582,26 @@ def qualified_reads(path):
             for alias in node.names:
                 bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
                 imported.add((node.module, alias.name))
+    tables = {head: [module] for head, module in bound.items()}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and [type(target) for target in node.targets] == [ast.Name]
+            and isinstance(node.value, ast.Subscript)
+            and isinstance(node.value.value, ast.Dict)
+        ):
+            rows = [
+                bound.get(getattr(row, "id", None)) for row in node.value.value.values
+            ]
+            if all(rows):
+                tables[node.targets[0].id] = rows
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             chain = dotted(node.value)
-            if chain is not None and chain.partition(".")[0] in bound:
+            if chain is not None:
                 head, _, rest = chain.partition(".")
-                module = ".".join(filter(None, (bound[head], rest)))
-                reads.add((module, node.attr))
+                for module in tables.get(head, ()):
+                    reads.add((".".join(filter(None, (module, rest))), node.attr))
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
@@ -528,14 +614,20 @@ def qualified_reads(path):
 
 def uncalled_names(sources, callers, package=ROOT / "src" / "repro"):
     """``file:name`` of each public definition in ``sources`` that no file
-    in ``callers`` reads.  A method is read wherever its name is.  A
-    top-level def or class is read only in its own module, through its
-    module (``fig10.compute``, a dotted table row), or as a name imported
-    from its module or from a package above it: a namesake in another
-    module is no caller."""
-    names_read = {path: set(referenced_names(path)) for path in callers}
+    in ``callers`` reads.  A method is read as an attribute or as a part of
+    a dotted string, never as a bare name: a loop variable ``column`` calls
+    no ``TimeSeries.column``.  A top-level def or class is read only in its
+    own module, through its module (``fig10.compute``, a dotted table row),
+    or as a name imported from its module or from a package above it: a
+    namesake in another module is no caller."""
+    references = {path: set(referenced_names(path)) for path in callers}
+    names_read = {
+        path: {name for name, _ in found} for path, found in references.items()
+    }
     qualified = {path: qualified_reads(path) for path in callers}
-    read_anywhere = set().union(*names_read.values())
+    members_read = {
+        name for found in references.values() for name, member in found if member
+    }
     for path in sources:
         module = module_of(path, package)
         homes = {module}
@@ -543,10 +635,10 @@ def uncalled_names(sources, callers, package=ROOT / "src" / "repro"):
             module = module.rpartition(".")[0]
             homes.add(module)
         module = module_of(path, package)
-        for _, name in public_definitions(ast.parse(path.read_text())):
+        for _, name in public_definitions(parsed(path)):
             owner, _, last = name.rpartition(".")
             if owner:
-                called = last in read_anywhere
+                called = last in members_read
             else:
                 called = any(
                     (module, name) in reads
@@ -559,20 +651,43 @@ def uncalled_names(sources, callers, package=ROOT / "src" / "repro"):
 
 
 def test_every_public_name_under_src_has_a_caller():
-    """A public def, class or method that nothing in the package, its
-    examples or its benchmarks reads is test-only surface: it gets a caller,
-    goes with its tests, or is listed in ``UNCALLED`` with why it stays."""
+    """A public def, class or method that nothing in the package reads is
+    surface no command reaches: it gets a caller, goes with its tests, or
+    is listed with why it stays, in ``UNCALLED`` if only tests read it and
+    in ``REACHED_FROM_OUTSIDE`` if an example or a benchmark does.  The two
+    lists partition what the census finds."""
     found = set(uncalled_names(SOURCE_FILES, CALLER_FILES))
-    assert found == set(UNCALLED), (
-        f"uncalled, not listed: {sorted(found - set(UNCALLED))}; "
-        f"listed, now called or gone: {sorted(set(UNCALLED) - found)}"
+    assert set(UNCALLED).isdisjoint(REACHED_FROM_OUTSIDE)
+    listed = set(UNCALLED) | set(REACHED_FROM_OUTSIDE)
+    assert found == listed, (
+        f"uncalled, not listed: {sorted(found - listed)}; "
+        f"listed, now called or gone: {sorted(listed - found)}"
     )
 
 
+def test_only_tests_read_an_uncalled_name():
+    """With examples, ``bench/`` and ``benchmarks/`` read as callers too,
+    every ``REACHED_FROM_OUTSIDE`` name drops out and every ``UNCALLED`` one
+    stays: no entry of either list hides where its readers are."""
+    found = set(uncalled_names(SOURCE_FILES, CALLER_FILES + files_under(*OUTSIDE)))
+    assert found == set(UNCALLED)
+
+
+@pytest.mark.parametrize("outside", OUTSIDE)
+def test_each_outside_entry_names_the_directories_that_reach_it(outside):
+    found = set(uncalled_names(SOURCE_FILES, CALLER_FILES + files_under(outside)))
+    claimed = {
+        name for name, (roots, _) in REACHED_FROM_OUTSIDE.items() if outside in roots
+    }
+    assert claimed.isdisjoint(found), f"not reached from {outside}/"
+    assert set(REACHED_FROM_OUTSIDE) - claimed <= found, f"{outside}/ unnamed"
+
+
 def test_the_caller_census_sees_what_it_should(tmp_path):
-    """The canary: a name read as a name, an attribute or a dotted string
-    is called; a name only defined, imported or re-exported is not, and
-    neither is one whose only reader never imports its module."""
+    """The canary: a name read as a name, an attribute, a dotted string or
+    through a literal table of modules is called; a name only defined,
+    imported or re-exported is not, nor one whose only reader never imports
+    its module, nor a method whose name only a local variable shares."""
     (package := tmp_path / "pkg").mkdir()
     (defining := package / "defining.py").write_text(
         "class Shape:\n"
@@ -586,17 +701,23 @@ def test_the_caller_census_sees_what_it_should(tmp_path):
         "def upward(): ...\n"
         "def namesake(): ...\n"
         "def own(): ...\n"
+        "def tabled(): ...\n"
         "def _helper(): ...\n"
         "own()\n"
     )
     (calling := package / "calling.py").write_text(
         "import pkg.defining\n"
+        "from pkg import defining\n"
         "from pkg.defining import Shape, imported\n"
         "from pkg import upward\n"
         "TABLE = {'row': 'pkg.defining.dotted'}\n"
         "pkg.defining.called()\n"
         "Shape().area()\n"
         "upward()\n"
+        "module = {'d': defining}['d']\n"
+        "module.tabled()\n"
+        "for unused in range(2):\n"
+        "    print(unused)\n"
     )
     (other := package / "other.py").write_text(
         "def namesake(): ...\nnamesake()\n"
@@ -698,8 +819,8 @@ SETTABLE_VALUES = {
     "electrical": 20,
     "fabric": 17,
     "faults": 6,
-    "harness": 48,
-    "obs": 77,
+    "harness": 46,
+    "obs": 75,
     "photonics": 18,
     "sim": 24,
     "traffic": 10,

@@ -1,8 +1,9 @@
 """A process loads only what it runs, and observing nothing costs O(1) calls.
 
 Start-up cost is paid once per launched process (every CLI command, every
-figure job), so three laws keep it down:
+figure job), so these laws keep it down:
 
+- ``import repro.cli`` loads the pinned :data:`CLI_IMPORT_LOADS` and no more;
 - importing ``repro.core``, ``repro.photonics``, ``repro.obs`` or
   ``repro.harness.experiments`` loads none of their modules: three of them
   re-export nothing, and ``repro.obs`` (like the root) imports a module on
@@ -50,6 +51,21 @@ PACKAGE_LOADS_NONE_OF = {
 #: The packages whose public names load on first access (``repro.lazy_names``).
 LAZY_NAME_PACKAGES = ("repro", "repro.obs")
 
+#: Every ``repro`` module ``import repro.cli`` loads: what the parser's
+#: choices come from (patterns, SPLASH2 profiles, topologies) and what they
+#: import.  No figure, simulator or numpy; ROADMAP item 17 shrinks this to
+#: ``repro.cli`` alone.
+CLI_IMPORT_LOADS = (
+    "repro", "repro.cli",
+    "repro.sim", "repro.sim.engine", "repro.sim.rng", "repro.sim.stats",
+    "repro.topology", "repro.topology.base", "repro.topology.mesh",
+    "repro.topology.registry", "repro.topology.torus",
+    "repro.traffic", "repro.traffic.coherence", "repro.traffic.injection",
+    "repro.traffic.patterns", "repro.traffic.splash2", "repro.traffic.trace",
+    "repro.util", "repro.util.bits", "repro.util.errors", "repro.util.geometry",
+    "repro.util.plot", "repro.util.tables", "repro.util.units",
+)
+
 
 def fresh(code: str) -> str:
     """stdout of ``code`` run in a new interpreter that finds ``repro``."""
@@ -68,6 +84,14 @@ def test_importing_a_package_loads_none_of_its_modules(package):
         f"print([m for m in {modules!r} if m in sys.modules])"
     )
     assert printed == "[]"
+
+
+def test_importing_the_cli_loads_the_pinned_modules():
+    printed = fresh(
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('repro', 'numpy')))"
+    )
+    assert printed == repr(sorted(CLI_IMPORT_LOADS))
 
 
 class TestLazyNames:

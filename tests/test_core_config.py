@@ -44,7 +44,6 @@ class TestOpticalPacket:
         packet = self.make()
         assert packet.current_node == 0
         assert packet.final_node == 18
-        assert packet.remaining_hops == 4
 
     def test_desired_output_is_first_exit(self):
         assert self.make().desired_output is Direction.EAST

@@ -12,10 +12,22 @@ from repro.core.control import (
     shift_groups,
 )
 from repro.core.routing import broadcast_plans, build_plan
+from repro.harness.experiments.configs import optical_configs
+from repro.photonics.constants import PACKET_CONTROL_BITS
+from repro.topology import registered_topologies, topology_from_name
 from repro.util.geometry import MeshGeometry
 
 MESH = MeshGeometry(8, 8)
 nodes = st.integers(0, 63)
+#: Table 1's hop budgets (Optical4/5/8 and the buffer variants) on every
+#: registered topology: the grids the control-bit law holds on.
+grids = st.sampled_from(
+    [
+        (topology_from_name(name, MESH), hops)
+        for name in registered_topologies()
+        for hops in sorted({c.max_hops_per_cycle for c in optical_configs().values()})
+    ]
+)
 
 
 class TestControlGroup:
@@ -44,25 +56,27 @@ class TestControlGroup:
 
 
 class TestEncodePlan:
-    @given(nodes, nodes)
-    def test_group_count_matches_route_length(self, src, dst):
+    @given(grids, nodes, nodes)
+    def test_group_count_matches_route_length(self, grid, src, dst):
         if src == dst:
             return
-        plan = build_plan(MESH, src, dst, max_hops=4)
+        plan = build_plan(grid[0], src, dst, grid[1])
         groups = encode_plan(plan)
         assert len(groups) == len(plan) - 1
 
-    @given(nodes, nodes)
-    def test_every_route_fits_the_70_bit_budget(self, src, dst):
-        """The 14-group budget covers any 8x8 dimension-order route."""
+    @given(grids, nodes, nodes)
+    def test_every_route_fits_the_70_bit_budget(self, grid, src, dst):
+        """The 14-group budget covers any 8x8 dimension-order route at
+        every Table 1 hop budget, on the mesh and the torus."""
         if src == dst:
             return
-        encode_plan(build_plan(MESH, src, dst, max_hops=4))  # must not raise
+        word = pack_control_bits(encode_plan(build_plan(grid[0], src, dst, grid[1])))
+        assert word < 1 << PACKET_CONTROL_BITS
 
-    @given(nodes)
-    def test_broadcast_plans_fit_budget(self, source):
-        for plan in broadcast_plans(MESH, source, max_hops=4):
-            encode_plan(plan)
+    @given(grids, nodes)
+    def test_broadcast_plans_fit_budget(self, grid, source):
+        for plan in broadcast_plans(grid[0], source, grid[1]):
+            assert pack_control_bits(encode_plan(plan)) < 1 << PACKET_CONTROL_BITS
 
     def test_straight_route_sets_straight_bits(self):
         plan = build_plan(MESH, 0, 3, max_hops=4)
@@ -87,13 +101,14 @@ class TestEncodePlan:
 
 
 class TestPackAndShift:
-    @given(nodes, nodes)
-    def test_pack_decode_round_trip(self, src, dst):
+    @given(grids, nodes, nodes)
+    def test_pack_decode_round_trip(self, grid, src, dst):
         if src == dst:
             return
-        groups = encode_plan(build_plan(MESH, src, dst, max_hops=4))
+        groups = encode_plan(build_plan(grid[0], src, dst, grid[1]))
         word = pack_control_bits(groups)
         assert decode_control_bits(word, len(groups)) == groups
+        assert decode_control_bits(shift_groups(word), len(groups) - 1) == groups[1:]
 
     def test_shift_drops_group_one(self):
         groups = encode_plan(build_plan(MESH, 0, 63, max_hops=4))

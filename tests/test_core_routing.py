@@ -10,7 +10,6 @@ from repro.core.routing import (
     build_plan,
     clear_passed_taps,
     max_segment_hops,
-    plan_hops,
     replan_from,
 )
 from repro.topology import topology_from_name
@@ -154,9 +153,6 @@ class TestBroadcastPlans:
 
 
 class TestPlanMetrics:
-    def test_plan_hops(self):
-        assert plan_hops(build_plan(MESH, 0, 63, 4)) == 14
-
     def test_max_segment_of_direct_plan(self):
         assert max_segment_hops(build_plan(MESH, 0, 3, 4)) == 3
 

@@ -24,7 +24,6 @@ from repro.faults import FaultConfig
 from repro.harness.exec import RunSpec, Splash2Workload, SyntheticWorkload
 from repro.harness.report import point_to_dict, result_to_dict, stats_to_dict
 from repro.harness.runner import run
-from repro.harness.sweeps import latency_vs_injection
 from repro.obs.config import ObsConfig
 from repro.util.geometry import MeshGeometry
 from repro.vectorized import (
@@ -32,6 +31,8 @@ from repro.vectorized import (
     VectorizedConfig,
     VectorizedNetwork,
 )
+
+from helpers import sweep_points
 
 MESH = MeshGeometry(4, 4)
 OPT = PhastlaneConfig(mesh=MESH, max_hops_per_cycle=4)
@@ -161,9 +162,7 @@ def test_disabled_fault_config_keeps_pre_fault_digests():
 def test_fig9_sweep_payloads_byte_identical():
     hashes = {}
     for label, config in (("Optical4", OPT), ("Electrical3", ELE)):
-        points = latency_vs_injection(
-            config, "uniform", (0.02, 0.05, 0.1, 0.2), cycles=300, seed=1
-        )
+        points = sweep_points(config, "uniform", (0.02, 0.05, 0.1, 0.2), 300, seed=1)
         hashes[label] = canonical_sha([point_to_dict(point) for point in points])
     assert hashes == FIG9_HASHES
 

@@ -31,12 +31,13 @@ from repro.harness.report import (
     write_report,
 )
 from repro.harness.runner import MAX_DRAIN_CYCLES, run
-from repro.harness.sweeps import latency_vs_injection
 from repro.photonics import constants
 from repro.traffic.splash2 import generate_splash2_trace
 from repro.traffic.trace import Trace, TraceEvent
 from repro.util.geometry import MeshGeometry
 from repro.vectorized import VectorizedConfig
+
+from helpers import sweep_points
 
 MESH = MeshGeometry(4, 4)
 OPTICAL = PhastlaneConfig(mesh=MESH, max_hops_per_cycle=4)
@@ -408,12 +409,11 @@ class TestExecutorDeterminism:
         assert serial == parallel
 
     def test_sweep_points_identical_across_worker_counts(self):
-        serial = latency_vs_injection(
-            OPTICAL, "transpose", (0.05, 0.2), cycles=150, executor=Executor()
+        serial = sweep_points(
+            OPTICAL, "transpose", (0.05, 0.2), 150, executor=Executor()
         )
-        parallel = latency_vs_injection(
-            OPTICAL, "transpose", (0.05, 0.2), cycles=150,
-            executor=Executor(workers=4),
+        parallel = sweep_points(
+            OPTICAL, "transpose", (0.05, 0.2), 150, executor=Executor(workers=4)
         )
         assert serial == parallel
 
@@ -590,9 +590,7 @@ class TestCampaignWiring:
 
 class TestSweepReport:
     def test_point_payload_marks_saturation_as_null(self):
-        points = latency_vs_injection(
-            ELECTRICAL, "transpose", (0.05, 0.95), cycles=400
-        )
+        points = sweep_points(ELECTRICAL, "transpose", (0.05, 0.95), 400)
         payloads = [point_to_dict(p) for p in points]
         assert payloads[0]["mean_latency"] is not None
         assert payloads[-1]["mean_latency"] is None

@@ -10,17 +10,13 @@ from repro.electrical.config import ElectricalConfig
 from repro.fabric import FabricError, IdealConfig, make_network
 from repro.harness.exec import RunSpec, SyntheticWorkload, TraceFileWorkload
 from repro.harness.runner import run
-from repro.harness.sweeps import (
-    latency_vs_injection,
-    saturation_rate,
-    zero_load_latency,
-)
+from repro.harness.sweeps import saturation_rate, zero_load_latency
 from repro.sim.stats import SaturationError
 from repro.traffic.trace import Trace, TraceEvent
 from repro.util.geometry import MeshGeometry
 from repro.vectorized import VectorizedConfig
 
-from helpers import reference_oracle
+from helpers import reference_oracle, sweep_points
 
 MESH = MeshGeometry(4, 4)
 OPTICAL = PhastlaneConfig(mesh=MESH, max_hops_per_cycle=4)
@@ -132,24 +128,18 @@ class TestThroughputLaw:
 
 class TestSweeps:
     def test_latency_increases_with_rate(self):
-        points = latency_vs_injection(
-            ELECTRICAL, "transpose", rates=(0.05, 0.4), cycles=500
-        )
+        points = sweep_points(ELECTRICAL, "transpose", (0.05, 0.4), 500)
         assert points[0].mean_latency < points[-1].mean_latency or points[-1].saturated
 
     def test_saturated_points_marked(self):
-        points = latency_vs_injection(
-            ELECTRICAL, "transpose", rates=(0.05, 0.95), cycles=600
-        )
+        points = sweep_points(ELECTRICAL, "transpose", (0.05, 0.95), 600)
         assert not points[0].saturated
         assert points[-1].saturated
 
     def test_saturation_rate_extraction(self):
-        points = latency_vs_injection(
-            OPTICAL, "uniform", rates=(0.05, 0.15), cycles=400
-        )
+        points = sweep_points(OPTICAL, "uniform", (0.05, 0.15), 400)
         assert saturation_rate(points) >= 0.15
 
     def test_zero_load_latency(self):
-        points = latency_vs_injection(OPTICAL, "uniform", rates=(0.02,), cycles=400)
+        points = sweep_points(OPTICAL, "uniform", (0.02,), 400)
         assert zero_load_latency(points) < 5.0

@@ -119,7 +119,7 @@ class TestAttachSet:
         session = ObsSession(obs, network, engine)
         if progress:
             session.report_progress(lambda sample: None, 100)
-        return session, engine, network.trace_hub.tracers
+        return session, engine, tuple(network.trace_hub)
 
     @pytest.mark.parametrize("obs", [None, ObsConfig()])
     def test_off_registers_nothing(self, obs):

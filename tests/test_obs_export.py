@@ -4,7 +4,7 @@ from repro.core.config import PhastlaneConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload
 from repro.harness.runner import run
 from repro.obs import ObsConfig
-from repro.obs.export import iter_stream_events, read_stream
+from repro.obs.export import read_stream
 from repro.util.geometry import MeshGeometry
 
 MESH = MeshGeometry(4, 4)
@@ -23,7 +23,7 @@ class TestLiveStream:
         obs = ObsConfig(metrics_interval=100, stream_path=str(path))
         result = run(spec(obs=obs))
         records = read_stream(path)
-        windows = iter_stream_events(records, "window")
+        windows = [r for r in records if r["event"] == "window"]
         assert len(windows) == len(result.timeseries.windows)
         assert [w["end"] for w in windows] == [100, 200, 300]
         assert sum(w["delivered"] for w in windows) == sum(
@@ -36,7 +36,7 @@ class TestLiveStream:
         path = tmp_path / "stream.jsonl"
         obs = ObsConfig(metrics_interval=100, spatial=True, stream_path=str(path))
         run(spec(obs=obs))
-        windows = iter_stream_events(read_stream(path), "window")
+        windows = [r for r in read_stream(path) if r["event"] == "window"]
         assert all(len(w["spatial"]["occupancy"]) == MESH.num_nodes for w in windows)
 
     def test_stream_carries_health_status_in_end_record(self, tmp_path):
@@ -45,7 +45,7 @@ class TestLiveStream:
         run(spec(obs=obs))
         records = read_stream(path)
         assert records[-1]["health"] == "ok"
-        assert iter_stream_events(records, "health") == []  # no findings
+        assert all(r["event"] != "health" for r in records)  # no findings
 
     def test_streamed_run_is_not_perturbed(self, tmp_path):
         obs = ObsConfig(

@@ -14,7 +14,6 @@ from repro.traffic.trace import (
     Trace,
     TraceEvent,
     TraceSource,
-    merge_traces,
 )
 from repro.util.geometry import MeshGeometry
 
@@ -230,19 +229,3 @@ class TestSchedule:
             5: [(0, None, 3), (0, 2, 5), (1, 3, 5), (2, 1, 0)],
             9: [(3, 0, 9)],
         }
-
-
-class TestMergeTraces:
-    def test_merge_sorts_and_combines(self):
-        a = Trace("a", 4, events=[TraceEvent(3, 0, 1)])
-        b = Trace("b", 4, events=[TraceEvent(1, 2, 3)])
-        merged = merge_traces("ab", [a, b])
-        assert [e.cycle for e in merged] == [1, 3]
-
-    def test_merge_rejects_mismatched_meshes(self):
-        with pytest.raises(ValueError):
-            merge_traces("x", [Trace("a", 4), Trace("b", 8)])
-
-    def test_merge_rejects_empty(self):
-        with pytest.raises(ValueError):
-            merge_traces("x", [])

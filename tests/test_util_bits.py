@@ -8,8 +8,6 @@ from repro.util.bits import (
     bit_complement,
     bit_reverse,
     bit_width,
-    extract_bits,
-    set_bits,
     shuffle_bits,
     transpose_bits,
 )
@@ -93,23 +91,3 @@ class TestPermutationProperties:
     def test_results_stay_in_range(self, addr):
         for permutation in (bit_complement, bit_reverse, shuffle_bits, transpose_bits):
             assert 0 <= permutation(addr, WIDTH) < (1 << WIDTH)
-
-
-class TestFieldAccess:
-    @given(
-        st.integers(min_value=0, max_value=2**30),
-        st.integers(min_value=0, max_value=20),
-        st.integers(min_value=1, max_value=8),
-    )
-    def test_set_then_extract_round_trips(self, value, offset, count):
-        field = (value >> 3) & ((1 << count) - 1)
-        updated = set_bits(value, offset, count, field)
-        assert extract_bits(updated, offset, count) == field
-
-    def test_set_bits_rejects_oversized_field(self):
-        with pytest.raises(ValueError):
-            set_bits(0, 0, 2, 4)
-
-    def test_extract_bits_rejects_negative_offset(self):
-        with pytest.raises(ValueError):
-            extract_bits(5, -1, 2)
