@@ -108,7 +108,7 @@ def main() -> None:
     )
     describe("dead-port storm (2x1 mesh, both directions dead)", storm)
 
-    assert healthy.health.ok, "baseline must stay healthy"
+    assert healthy.health.status == "ok", "baseline must stay healthy"
     assert storm.health.status == "critical", "storm must escalate"
     windows = (
         storm.health.first_violation_cycle or args.cycles

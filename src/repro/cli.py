@@ -24,17 +24,12 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Any, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence, TypeVar
 
-# Imports follow the command: only what building the parser needs is
-# loaded here, and every handler imports what it runs.  ``--help`` and
-# ``repro analyze`` therefore never import numpy or a simulator.
-from repro.topology import registered_topologies
-from repro.traffic.patterns import PATTERNS
-from repro.traffic.splash2 import SPLASH2_PROFILES
+# Imports follow the command: the parser is built from literals, so
+# ``import repro.cli`` loads ``repro.util.errors`` and nothing else of the
+# package, and every handler imports what it runs.
 from repro.util.errors import FabricError
-from repro.util.geometry import Direction
-from repro.util.tables import AsciiTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fabric import NetworkConfig
@@ -46,11 +41,18 @@ _ANALYTIC_FIGURES = ("fig04", "fig05", "fig06", "fig07", "fig08")
 #: Cycles per run of a simulated figure when ``--cycles`` is not given.
 _FIGURE_CYCLES = 1500
 
-# Derived from the canonical Direction enum rather than hard-coded, so the
-# accepted letters track the geometry layer (N/E/S/W -> 0-3).
-_PORT_LETTERS = {
-    d.name[0]: str(int(d)) for d in Direction if d is not Direction.LOCAL
-}
+# The parser's choices, restated from the tables they name so that building
+# it imports none of them; tests/test_cli.py pins each equal to its table.
+#: ``repro.topology.registered_topologies()``.
+_TOPOLOGIES = ("mesh", "torus")
+#: ``sorted(repro.traffic.patterns.PATTERNS)``.
+_PATTERNS = ("bitcomp", "bitrev", "hotspot", "neighbor", "shuffle", "tornado",
+             "transpose", "uniform")
+#: ``sorted(repro.traffic.splash2.SPLASH2_PROFILES)``.
+_BENCHMARKS = ("barnes", "cholesky", "fft", "fmm", "lu", "ocean", "radix",
+               "raytrace", "water-nsquared", "water-spatial")
+#: ``--dead-ports`` letters: the mesh ``repro.util.geometry.Direction``s.
+_PORT_LETTERS = {"N": "0", "E": "1", "S": "2", "W": "3"}
 
 
 def _dead_ports(text: str) -> tuple[tuple[int, int], ...]:
@@ -165,13 +167,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"repro: {message} (see {self.prog} --help)\n")
 
 
+_Config = TypeVar("_Config")
+
+
 def _from_flags(
-    config_type: Any,
+    config_type: Callable[..., _Config],
     args: argparse.Namespace,
     group: str,
     moved: dict[str, str] | None = None,
     **fields: Any,
-) -> Any:
+) -> _Config:
     """``config_type(**fields)`` with the field of each ``group`` flag given.
 
     ``moved`` sends a row's value to another field.  A bad value is
@@ -345,6 +350,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.report import point_to_dict, write_report
     from repro.harness.sweeps import point_from_result, sweep_specs
+    from repro.util.tables import AsciiTable
 
     config = _config_from_args(args)
     rates = _float_list(args.rates, "--rates")
@@ -404,6 +410,7 @@ def _cmd_trace_generate(args: argparse.Namespace) -> int:
 
 def _cmd_trace_info(args: argparse.Namespace) -> int:
     from repro.traffic.trace import Trace
+    from repro.util.tables import AsciiTable
 
     trace = Trace.load(args.file)
     table = AsciiTable(["property", "value"], title=f"Trace {trace.name}")
@@ -418,6 +425,7 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.harness.exec import RunSpec, TraceFileWorkload
+    from repro.util.tables import AsciiTable
 
     spec = RunSpec(
         config=_config_from_args(args),
@@ -447,6 +455,7 @@ def _cmd_fault_sweep(args: argparse.Namespace) -> int:
     from repro.faults import FaultConfig
     from repro.harness.report import write_report
     from repro.harness.sweeps import throughput_vs_fault_rate
+    from repro.util.tables import AsciiTable
 
     config = _config_from_args(args)
     fault_rates = _float_list(args.fault_rates, "--fault-rates")
@@ -583,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     network = argparse.ArgumentParser(add_help=False)
     network.add_argument("--config", default="Optical4")
     network.add_argument(
-        "--topology", default="mesh", choices=registered_topologies(),
+        "--topology", default="mesh", choices=_TOPOLOGIES,
         help="network topology to run the configs on (default mesh)",
     )
 
@@ -614,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", _cmd_sweep, "latency vs injection-rate sweep",
         *simulation, "fault", parents=[network],
     )
-    sweep.add_argument("--pattern", default="uniform", choices=sorted(PATTERNS))
+    sweep.add_argument("--pattern", default="uniform", choices=_PATTERNS)
     sweep.add_argument("--rates", default="0.02,0.05,0.1,0.2,0.3,0.4,0.5")
     sweep.add_argument("--cycles", type=int, default=900)
     sweep.add_argument("--seed", type=int, default=1)
@@ -623,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser("trace", help="generate or inspect trace files")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     generate = trace_sub.add_parser("generate", help="write a SPLASH2-like trace")
-    generate.add_argument("benchmark", choices=sorted(SPLASH2_PROFILES))
+    generate.add_argument("benchmark", choices=_BENCHMARKS)
     generate.add_argument("--out", required=True)
     generate.add_argument("--cycles", type=int, default=1500)
     generate.add_argument("--seed", type=int, default=1)
@@ -643,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
         "throughput vs fault-rate degradation curve",
         *simulation, "fault", parents=[network],
     )
-    fault_sweep.add_argument("--pattern", default="uniform", choices=sorted(PATTERNS))
+    fault_sweep.add_argument("--pattern", default="uniform", choices=_PATTERNS)
     fault_sweep.add_argument(
         "--rate", type=float, default=0.05,
         help="fixed injection rate of the workload (default 0.05)",
@@ -708,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code: int = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:

@@ -20,7 +20,7 @@ work, then source exhaustion, then router business).  Subclasses implement
 ``_inject_from_nic`` hooks.
 
 :class:`BaseNic` fixes event expansion (``_expand`` turns one injection
-into queued packets; ``generate`` validates trace events against the
+into queued packets; ``generate`` checks a node's injections against the
 source-node invariant and expands them) plus the backlog/idle accessors.
 """
 
@@ -40,7 +40,7 @@ from repro.util.errors import FabricError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.schedule import FaultSchedule
     from repro.obs.tracers import Tracer
-    from repro.traffic.trace import TraceEvent, TrafficSource
+    from repro.traffic.trace import TrafficSource
     from repro.util.geometry import MeshGeometry
 
 
@@ -72,14 +72,13 @@ class BaseNic:
         self.uids = uids if uids is not None else itertools.count()
         self._queue: deque[Any] = deque()
 
-    def generate(self, events: list["TraceEvent"], cycle: int) -> None:
-        """Expand trace events onto the queue."""
-        for event in events:
-            if event.source != self.node:
-                raise ValueError(
-                    f"event for node {event.source} delivered to NIC {self.node}"
-                )
-            self._expand(event.destination, event.cycle, cycle)
+    def generate(self, injections: list[Injection], cycle: int) -> None:
+        """Expand this node's ``(node, destination, generated_cycle)``
+        injections onto the queue."""
+        for node, destination, generated_cycle in injections:
+            if node != self.node:
+                raise ValueError(f"injection for node {node} handed to NIC {self.node}")
+            self._expand(destination, generated_cycle, cycle)
 
     def _expand(
         self, destination: int | None, generated_cycle: int, cycle: int
@@ -250,8 +249,7 @@ class MeshNetworkBase:
         give the NIC its injection opportunity."""
         nic = self.nics[node]
         if run:
-            for _node, destination, generated_cycle in run:
-                nic._expand(destination, generated_cycle, cycle)
+            nic.generate(run, cycle)
         self._inject_from_nic(node, nic, cycle)
         if nic.idle():
             self._nic_pending.discard(node)

@@ -30,7 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.events import TraceHub
     from repro.obs.tracers import Tracer
     from repro.sim.stats import NetworkStats
-    from repro.traffic.trace import TraceEvent, TrafficSource
+    from repro.traffic.schedule import Injection
+    from repro.traffic.trace import TrafficSource
     from repro.util.geometry import MeshGeometry
 
 
@@ -64,8 +65,8 @@ class FabricNic(Protocol):
     stats: "NetworkStats"
     trace_hub: "TraceHub"
 
-    def generate(self, events: list["TraceEvent"], cycle: int) -> None:
-        """Expand trace events into queued packets/flits."""
+    def generate(self, injections: list["Injection"], cycle: int) -> None:
+        """Expand this node's injections into queued packets/flits."""
         ...  # pragma: no cover - protocol
 
     @property

@@ -104,10 +104,6 @@ class HealthReport:
     findings: list[HealthFinding] = field(default_factory=list)
     truncated: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "status": self.status,

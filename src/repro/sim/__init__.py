@@ -1,22 +1,3 @@
-"""Cycle-driven simulation kernel: clocked components, stats, deterministic RNG."""
+"""Cycle-driven simulation kernel: clocked components, stats, deterministic RNG.
 
-from repro.sim.engine import Clocked, SimulationEngine
-from repro.sim.rng import DeterministicRng
-from repro.sim.stats import (
-    Histogram,
-    LatencyStats,
-    NetworkStats,
-    RunningMean,
-    SaturationError,
-)
-
-__all__ = [
-    "Clocked",
-    "DeterministicRng",
-    "Histogram",
-    "LatencyStats",
-    "NetworkStats",
-    "RunningMean",
-    "SaturationError",
-    "SimulationEngine",
-]
+One module per part; the package itself loads none of them."""

@@ -37,10 +37,6 @@ class DeterministicRng(random.Random):
         self.stream = stream
         super().__init__(stream_key(self.root_seed, stream))
 
-    def fork(self, substream: str) -> "DeterministicRng":
-        """A new independent generator labelled ``substream`` under this one."""
-        return DeterministicRng(self.root_seed, f"{self.stream}/{substream}")
-
     def bernoulli(self, p: float) -> bool:
         """True with probability ``p``."""
         if not 0.0 <= p <= 1.0:

@@ -1,36 +1,3 @@
-"""Workloads: synthetic patterns, injection processes, traces, SPLASH2 profiles."""
+"""Workloads: synthetic patterns, injection processes, traces, SPLASH2 profiles.
 
-from repro.traffic.coherence import CoherenceMessageMix, MessageKind
-from repro.traffic.injection import BernoulliInjector, BurstyInjector, InjectionProcess
-from repro.traffic.patterns import (
-    PATTERNS,
-    PatternUndefinedError,
-    TrafficPattern,
-    pattern_by_name,
-)
-from repro.traffic.splash2 import (
-    SPLASH2_INPUT_SETS,
-    SPLASH2_PROFILES,
-    Splash2Profile,
-    generate_splash2_trace,
-)
-from repro.traffic.trace import Trace, TraceEvent, TrafficSource
-
-__all__ = [
-    "BernoulliInjector",
-    "BurstyInjector",
-    "CoherenceMessageMix",
-    "InjectionProcess",
-    "MessageKind",
-    "PATTERNS",
-    "PatternUndefinedError",
-    "SPLASH2_INPUT_SETS",
-    "SPLASH2_PROFILES",
-    "Splash2Profile",
-    "Trace",
-    "TraceEvent",
-    "TrafficPattern",
-    "TrafficSource",
-    "generate_splash2_trace",
-    "pattern_by_name",
-]
+One module per part; the package itself loads none of them."""

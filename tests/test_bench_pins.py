@@ -451,6 +451,9 @@ UNCALLED = {
     "stream files back with it",
     "obs/timeseries.py:TimeSeries.column": "the fault-ledger law: window "
     "columns sum to the run's faults and losses (test_faults)",
+    "sim/stats.py:Histogram.percentile": "the run-level nearest-rank "
+    "percentile the windowed and blame-report ones are tested against "
+    "(test_obs, test_sim_stats)",
     "topology/base.py:Topology.is_edge_row": "section 2.1.4's fan-out rule, "
     "which the sweep-count law states",
     "traffic/coherence.py:CoherenceMessageMix.broadcast_fraction": "the "
@@ -490,6 +493,9 @@ REACHED_FROM_OUTSIDE = {
         + _BENCH_TOOL),
     "photonics/dse.py:DesignPoint.feasible": (
         ("examples",), "design_space prints the feasible design points"),
+    "harness/exec.py:Executor.cache_hits": (
+        ("examples", "bench"), "the runs the cache served: the sweep examples "
+        "print it, the bench's cache-hit share divides it"),
     "photonics/latency.py:RouterLatencyModel.topology_path_delay_ps": (
         ("examples",), "topology_compare prints mesh vs torus path delay"),
     "photonics/lossbudget.py:LossBudget": (
@@ -526,9 +532,11 @@ def public_definitions(tree):
 
 def referenced_names(path):
     """``(name, member)`` of each name ``path`` reads: a bare name
-    (``member`` false), or an attribute or a part of a dotted string such
-    as a backend table row (``member`` true).  An import, and a string in a
-    package ``__init__`` (its re-export lists), is no reference."""
+    (``member`` false), or an attribute, a part of a dotted string such as
+    a backend table row, or the name a ``getattr``/``hasattr`` call reads
+    (``member`` true).  An import, a bare-word string (a table header, a
+    multiprocessing context) and a string in a package ``__init__`` (its
+    re-export lists) are no reference."""
     for node in ast.walk(parsed(path)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id, False
@@ -538,10 +546,18 @@ def referenced_names(path):
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and path.name != "__init__.py"
-            and re.fullmatch(r"[\w.]+", node.value)
+            and re.fullmatch(r"\w+(\.\w+)+", node.value)
         ):
             for part in node.value.split("."):
                 yield part, True
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in ("getattr", "hasattr")
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            yield node.args[1].value, True
 
 
 def module_of(path, package):
@@ -687,13 +703,16 @@ def test_the_caller_census_sees_what_it_should(tmp_path):
     """The canary: a name read as a name, an attribute, a dotted string or
     through a literal table of modules is called; a name only defined,
     imported or re-exported is not, nor one whose only reader never imports
-    its module, nor a method whose name only a local variable shares."""
+    its module, nor a method whose name only a local variable or a bare-word
+    string shares; a ``getattr`` name is read."""
     (package := tmp_path / "pkg").mkdir()
     (defining := package / "defining.py").write_text(
         "class Shape:\n"
         "    def area(self): ...\n"
         "    def _private(self): ...\n"
         "    def unused(self): ...\n"
+        "    def probed(self): ...\n"
+        "    def headed(self): ...\n"
         "def called(): ...\n"
         "def dotted(): ...\n"
         "def exported(): ...\n"
@@ -718,6 +737,8 @@ def test_the_caller_census_sees_what_it_should(tmp_path):
         "module.tabled()\n"
         "for unused in range(2):\n"
         "    print(unused)\n"
+        "HEADER = ['headed', 'rows']\n"
+        "getattr(Shape(), 'probed', None)\n"
     )
     (other := package / "other.py").write_text(
         "def namesake(): ...\nnamesake()\n"
@@ -730,7 +751,8 @@ def test_the_caller_census_sees_what_it_should(tmp_path):
     found = set(uncalled_names([defining, other], callers, package))
     assert found == {
         f"defining.py:{name}"
-        for name in ("Shape.unused", "exported", "imported", "namesake")
+        for name in ("Shape.unused", "Shape.headed", "exported", "imported",
+                     "namesake")
     }
 
 

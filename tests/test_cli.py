@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import cli
 from repro.cli import main
+from test_cold_start import CLI_IMPORT_LOADS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -649,19 +651,33 @@ class TestImportsFollowTheCommand:
     def small_trace(self, tmp_path_factory):
         return write_small_trace(tmp_path_factory.mktemp("hygiene") / "small.jsonl")
 
-    @pytest.mark.parametrize(
-        "argv", [["--help"], ["sweep", "--help"], ["analyze", "TRACE"]],
-        ids=" ".join,
-    )
-    def test_no_simulator_and_no_numpy(self, argv, small_trace):
-        # ``analyze`` is the one command here that observes anything.
-        heavy = HEAVY if argv[0] == "analyze" else (*HEAVY, "repro.obs")
-        argv = [small_trace if arg == "TRACE" else arg for arg in argv]
-        done = python("-c", PROBE, ",".join(heavy), *argv)
+    @pytest.mark.parametrize("command", CLI_IMPORT_LOADS)
+    def test_no_simulator_and_no_numpy(self, command, small_trace):
+        # Exactly the pinned modules, and no HEAVY one among them.
+        pinned = sorted(CLI_IMPORT_LOADS[command])
+        assert not [m for m in pinned if m.startswith(tuple(HEAVY))]
+        argv = [small_trace if arg == "TRACE" else arg for arg in command.split()]
+        done = python("-c", PROBE, "repro,numpy", *argv)
         assert done.returncode == 0, done.stderr
         code, printed, loaded = done.stdout.rstrip("\n").split(" ")
         assert code == "0" and int(printed) > 0
-        assert loaded == ""
+        assert loaded.split(",") == pinned
+
+    def test_the_parser_choices_restate_their_tables(self):
+        # The parser imports none of these tables, so each literal is
+        # pinned to the one it restates: a pattern added to PATTERNS alone
+        # fails here.
+        from repro.topology.registry import registered_topologies
+        from repro.traffic.patterns import PATTERNS
+        from repro.traffic.splash2 import SPLASH2_PROFILES
+        from repro.util.geometry import Direction
+
+        assert cli._TOPOLOGIES == registered_topologies()
+        assert cli._PATTERNS == tuple(sorted(PATTERNS))
+        assert cli._BENCHMARKS == tuple(sorted(SPLASH2_PROFILES))
+        assert cli._PORT_LETTERS == {
+            d.name[0]: str(int(d)) for d in Direction if d is not Direction.LOCAL
+        }
 
     def test_the_probe_sees_a_command_that_simulates(self):
         # The canary: `tables` reads the photonic models, so the probe

@@ -3,9 +3,12 @@
 Start-up cost is paid once per launched process (every CLI command, every
 figure job), so these laws keep it down:
 
-- ``import repro.cli`` loads the pinned :data:`CLI_IMPORT_LOADS` and no more;
-- importing ``repro.core``, ``repro.photonics``, ``repro.obs`` or
-  ``repro.harness.experiments`` loads none of their modules: three of them
+- ``import repro.cli`` loads the four modules :data:`CLI_IMPORT_LOADS` pins
+  for ``--help`` and no more (``tests/test_cli.py`` runs every command of
+  the table);
+- importing ``repro.core``, ``repro.photonics``, ``repro.obs``,
+  ``repro.harness.experiments``, ``repro.sim``, ``repro.traffic`` or
+  ``repro.util`` loads none of their modules: all but ``repro.obs``
   re-export nothing, and ``repro.obs`` (like the root) imports a module on
   first use of one of its names, each name being its defining module's
   object;
@@ -46,25 +49,28 @@ PACKAGE_LOADS_NONE_OF = {
     "repro.obs": ("analysis", "live", "session", "health"),
     "repro.harness.experiments": ("configs", "fig04", "fig05", "fig06", "fig07",
                                   "fig08", "fig09", "tables"),
+    "repro.sim": ("engine", "rng", "stats"),
+    "repro.traffic": ("coherence", "injection", "patterns", "schedule",
+                      "splash2", "trace"),
+    "repro.util": ("bits", "errors", "geometry", "plot", "tables", "units"),
 }
 
 #: The packages whose public names load on first access (``repro.lazy_names``).
 LAZY_NAME_PACKAGES = ("repro", "repro.obs")
 
-#: Every ``repro`` module ``import repro.cli`` loads: what the parser's
-#: choices come from (patterns, SPLASH2 profiles, topologies) and what they
-#: import.  No figure, simulator or numpy; ROADMAP item 17 shrinks this to
-#: ``repro.cli`` alone.
-CLI_IMPORT_LOADS = (
-    "repro", "repro.cli",
-    "repro.sim", "repro.sim.engine", "repro.sim.rng", "repro.sim.stats",
-    "repro.topology", "repro.topology.base", "repro.topology.mesh",
-    "repro.topology.registry", "repro.topology.torus",
-    "repro.traffic", "repro.traffic.coherence", "repro.traffic.injection",
-    "repro.traffic.patterns", "repro.traffic.splash2", "repro.traffic.trace",
-    "repro.util", "repro.util.bits", "repro.util.errors", "repro.util.geometry",
-    "repro.util.plot", "repro.util.tables", "repro.util.units",
-)
+#: What ``import repro.cli`` loads: the parser is built from literals, so
+#: only the refusal types come with it.
+_CLI = ("repro", "repro.cli", "repro.util", "repro.util.errors")
+
+#: Every ``repro`` and numpy module each command loads, exactly.  ``analyze``
+#: adds the trace reader and the nearest-rank rule it reports with; no
+#: command here loads a figure, a simulator or numpy.
+CLI_IMPORT_LOADS = {
+    "--help": _CLI,
+    "sweep --help": _CLI,
+    "analyze TRACE": (*_CLI, "repro.obs", "repro.obs.analysis", "repro.obs.events",
+                      "repro.obs.tracers", "repro.sim", "repro.sim.stats"),
+}
 
 
 def fresh(code: str) -> str:
@@ -91,7 +97,7 @@ def test_importing_the_cli_loads_the_pinned_modules():
         "import sys, repro.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('repro', 'numpy')))"
     )
-    assert printed == repr(sorted(CLI_IMPORT_LOADS))
+    assert printed == repr(sorted(CLI_IMPORT_LOADS["--help"]))
 
 
 class TestLazyNames:

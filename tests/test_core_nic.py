@@ -6,8 +6,6 @@ from repro.core.config import PhastlaneConfig
 from repro.core.nic import PhastlaneNic
 from repro.core.router import LOCAL_QUEUE, PhastlaneRouter
 from repro.sim.stats import NetworkStats
-from repro.traffic.coherence import MessageKind
-from repro.traffic.trace import TraceEvent
 from repro.util.geometry import MeshGeometry
 
 MESH = MeshGeometry(8, 8)
@@ -22,25 +20,25 @@ def make_nic(node=9, **overrides):
 class TestUnicastGeneration:
     def test_event_becomes_packet(self):
         nic, router, stats = make_nic()
-        nic.generate([TraceEvent(0, 9, 12)], 0)
+        nic.generate([(9, 12, 0)], 0)
         assert nic.backlog == 1
         assert stats.packets_generated == 1
 
     def test_wrong_node_event_rejected(self):
         nic, _, _ = make_nic(node=9)
         with pytest.raises(ValueError):
-            nic.generate([TraceEvent(0, 3, 12)], 0)
+            nic.generate([(3, 12, 0)], 0)
 
     def test_feed_moves_one_packet_per_cycle(self):
         nic, router, stats = make_nic()
-        nic.generate([TraceEvent(0, 9, 12), TraceEvent(0, 9, 13)], 0)
+        nic.generate([(9, 12, 0), (9, 13, 0)], 0)
         assert nic.feed_router(router, 0) == 1
         assert len(router.queues[LOCAL_QUEUE]) == 1
         assert stats.packets_injected == 1
 
     def test_feed_respects_router_capacity(self):
         nic, router, stats = make_nic(buffer_entries=1)
-        nic.generate([TraceEvent(0, 9, 12), TraceEvent(0, 9, 13)], 0)
+        nic.generate([(9, 12, 0), (9, 13, 0)], 0)
         nic.feed_router(router, 0)
         assert nic.feed_router(router, 1) == 0  # local queue full
 
@@ -48,19 +46,19 @@ class TestUnicastGeneration:
 class TestBroadcastExpansion:
     def test_broadcast_becomes_multicast_packets(self):
         nic, _, stats = make_nic(node=9)  # interior row
-        nic.generate([TraceEvent(0, 9, None, MessageKind.MISS_REQUEST)], 0)
+        nic.generate([(9, None, 0)], 0)
         assert nic.backlog == 16
         assert stats.packets_generated == 63  # one per expected delivery
         assert stats.multicast_packets == 1
 
     def test_edge_row_broadcast_is_eight_packets(self):
         nic, _, _ = make_nic(node=3)  # bottom row
-        nic.generate([TraceEvent(0, 3, None, MessageKind.MISS_REQUEST)], 0)
+        nic.generate([(3, None, 0)], 0)
         assert nic.backlog == 8
 
     def test_broadcast_ids_unique_per_broadcast(self):
         nic, _, _ = make_nic(node=9)
-        nic.generate([TraceEvent(0, 9, None), TraceEvent(0, 9, None)], 0)
+        nic.generate([(9, None, 0), (9, None, 0)], 0)
         ids = {p.broadcast_id for p in nic._queue}
         assert len(ids) == 2
 
@@ -68,7 +66,7 @@ class TestBroadcastExpansion:
         config = PhastlaneConfig(mesh=MESH)
         nics = [PhastlaneNic(n, config, NetworkStats()) for n in (9, 10)]
         for nic in nics:
-            nic.generate([TraceEvent(0, nic.node, None)], 0)
+            nic.generate([(nic.node, None, 0)], 0)
         ids_a = {p.broadcast_id for p in nics[0]._queue}
         ids_b = {p.broadcast_id for p in nics[1]._queue}
         assert not ids_a & ids_b
@@ -78,7 +76,7 @@ class TestIdle:
     def test_idle_transitions(self):
         nic, router, _ = make_nic()
         assert nic.idle()
-        nic.generate([TraceEvent(0, 9, 12)], 0)
+        nic.generate([(9, 12, 0)], 0)
         assert not nic.idle()
         nic.feed_router(router, 0)
         assert nic.idle()

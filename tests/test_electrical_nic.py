@@ -6,8 +6,6 @@ from repro.electrical.config import ElectricalConfig
 from repro.electrical.nic import VCTM_SETUP_CYCLES, ElectricalNic
 from repro.electrical.vctm import VirtualCircuitTreeCache
 from repro.sim.stats import NetworkStats
-from repro.traffic.coherence import MessageKind
-from repro.traffic.trace import TraceEvent
 from repro.util.geometry import MeshGeometry
 
 
@@ -20,13 +18,13 @@ def make_nic(node=5):
 class TestGeneration:
     def test_unicast_becomes_single_flit(self):
         nic, stats = make_nic()
-        nic.generate([TraceEvent(0, 5, 9)], 0)
+        nic.generate([(5, 9, 0)], 0)
         assert nic.backlog == 1
         assert stats.packets_generated == 1
 
     def test_broadcast_is_one_flit_many_destinations(self):
         nic, stats = make_nic()
-        nic.generate([TraceEvent(0, 5, None, MessageKind.MISS_REQUEST)], 0)
+        nic.generate([(5, None, 0)], 0)
         flit = nic.next_injectable(VCTM_SETUP_CYCLES)
         assert flit is not None
         assert len(flit.destinations) == 63
@@ -36,26 +34,26 @@ class TestGeneration:
     def test_wrong_node_rejected(self):
         nic, _ = make_nic(node=5)
         with pytest.raises(ValueError):
-            nic.generate([TraceEvent(0, 4, 9)], 0)
+            nic.generate([(4, 9, 0)], 0)
 
 
 class TestVctmSetupDelay:
     def test_cold_tree_delays_injection(self):
         nic, _ = make_nic()
-        nic.generate([TraceEvent(0, 5, None)], 0)
+        nic.generate([(5, None, 0)], 0)
         assert nic.next_injectable(0) is None
         assert nic.next_injectable(VCTM_SETUP_CYCLES) is not None
 
     def test_warm_tree_injects_immediately(self):
         nic, _ = make_nic()
-        nic.generate([TraceEvent(0, 5, None)], 0)
+        nic.generate([(5, None, 0)], 0)
         nic.consume_head(VCTM_SETUP_CYCLES)
-        nic.generate([TraceEvent(20, 5, None)], 20)
+        nic.generate([(5, None, 20)], 20)
         assert nic.next_injectable(20) is not None
 
     def test_unicast_never_delayed(self):
         nic, _ = make_nic()
-        nic.generate([TraceEvent(0, 5, 9)], 0)
+        nic.generate([(5, 9, 0)], 0)
         assert nic.next_injectable(0) is not None
 
 
@@ -67,7 +65,7 @@ class TestBufferLimits:
 
     def test_consume_records_injection(self):
         nic, stats = make_nic()
-        nic.generate([TraceEvent(3, 5, 9)], 3)
+        nic.generate([(5, 9, 3)], 3)
         flit = nic.consume_head(7)
         assert flit.injected_cycle == 7
         assert stats.packets_injected == 1
@@ -75,7 +73,7 @@ class TestBufferLimits:
     def test_idle_transitions(self):
         nic, _ = make_nic()
         assert nic.idle()
-        nic.generate([TraceEvent(0, 5, 9)], 0)
+        nic.generate([(5, 9, 0)], 0)
         assert not nic.idle()
         nic.consume_head(0)
         assert nic.idle()

@@ -111,8 +111,8 @@ class TestFindingAndReport:
             ],
             "truncated": 1,
         }
-        assert not report.ok
-        assert HealthReport().ok
+        assert report.status != "ok"
+        assert HealthReport().status == "ok"
 
 
 class TestConservationCheck:
@@ -283,7 +283,7 @@ class TestProgressCheck:
         )
         for window in range(8):
             assert monitor.evaluate(100 * window) == []
-        assert monitor.report.ok
+        assert monitor.report.status == "ok"
 
     def test_starved_nic_warns(self):
         network = _FakeNetwork(nics=[nic(node=9, backlog=5)])
@@ -313,7 +313,7 @@ class TestHealthMonitor:
         engine.run(250)
         _, report = session.finish()
         assert report.windows == 3  # 100, 200, and the trailing partial window
-        assert report.ok
+        assert report.status == "ok"
 
         network = _FakeNetwork()
         network.stats.packets_lost = 1  # one conservation finding per window
@@ -391,7 +391,7 @@ class TestHealthyRuns:
     def test_clean_run_reports_ok(self, config):
         result = run(spec(config, obs=ObsConfig(health=True)))
         report = result.health
-        assert report is not None and report.ok
+        assert report is not None and report.status == "ok"
         assert report.interval == 100
         assert report.windows >= 3
         assert report.findings == []

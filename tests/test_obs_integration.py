@@ -112,7 +112,7 @@ class TestNoPerturbation:
         # Bit-identical ledger, not just headline equality: NetworkStats
         # equality covers the latency histogram and energy counters.
         assert watched.stats == plain.stats
-        assert watched.health is not None and watched.health.ok
+        assert watched.health is not None and watched.health.status == "ok"
 
     def test_disabled_health_report_is_byte_identical(self):
         plain = json.dumps(result_to_dict(run(spec())), sort_keys=True)

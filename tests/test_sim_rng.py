@@ -23,15 +23,6 @@ class TestDeterminism:
         b = DeterministicRng(2, "x")
         assert a.random() != b.random()
 
-    def test_fork_is_deterministic(self):
-        a = DeterministicRng(7, "root").fork("child")
-        b = DeterministicRng(7, "root").fork("child")
-        assert a.random() == b.random()
-
-    def test_fork_differs_from_parent(self):
-        parent = DeterministicRng(7, "root")
-        child = parent.fork("child")
-        assert parent.random() != child.random()
 
 
 class TestDistributions:
