@@ -18,6 +18,7 @@ Per-cycle order of operations:
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import Callable
 
 from repro.electrical.config import CREDIT_DELAY_CYCLES, ElectricalConfig
 from repro.electrical.flit import Flit
@@ -69,6 +70,9 @@ class ElectricalNetwork(MeshNetworkBase):
         #: Whether the hub has tracers this cycle (they attach between
         #: cycles only), read once per cycle rather than at every emit site.
         self._traced = False
+        #: This cycle's fault lookup (``FaultSchedule.cycle_lookup``), or
+        #: None when no crossing can fail.
+        self._fault_at: Callable[[int], str | None] | None = None
         #: Link-level retries after a faulted crossing, keyed by the cycle
         #: the nack round trip completes: (sender, neighbor, port, vc,
         #: flit, attempts so far).
@@ -145,6 +149,8 @@ class ElectricalNetwork(MeshNetworkBase):
         credit_cycle = cycle + CREDIT_DELAY_CYCLES
         arrivals, credits = self._arrivals[landing], self._credits[credit_cycle]
         self._traced = bool(self.trace_hub)
+        if self._faults is not None:
+            self._fault_at = self._faults.cycle_lookup(cycle)
         self._apply_events(cycle, credits)
         self._generate_and_inject(cycle)
         for router in self.routers:
@@ -167,8 +173,8 @@ class ElectricalNetwork(MeshNetworkBase):
         for sender, neighbor, port, vc, flit, attempts in self._link_retries.pop(
             cycle, ()
         ):
-            assert self._faults is not None
-            kind = self._faults.crossing_fault(sender, port, cycle)
+            fault_at = self._fault_at
+            kind = fault_at(sender * 4 + port) if fault_at is not None else None
             if kind is not None:
                 self._handle_link_fault(
                     cycle, sender, neighbor, port, vc, flit, kind, attempts + 1

@@ -257,7 +257,7 @@ class ElectricalRouter:
             grants = [(self._sw_allocator.allocate_one(output, ready[output]), output)]
         stats.hops_traversed += len(grants)
         flits, pending, parts_of = self.flits, self.pending, self.parts
-        node, faults, traced = self.node, network._faults, network._traced
+        node, fault_at, traced = self.node, network._fault_at, network._traced
         for line, output in grants:
             flit = flits[line]
             assert flit is not None
@@ -282,7 +282,7 @@ class ElectricalRouter:
                 raise RuntimeError(
                     f"router {node}: DOR routed {flit!r} off the mesh edge"
                 )
-            kind = None if faults is None else faults.crossing_fault(node, output, cycle)
+            kind = None if fault_at is None else fault_at(node * 4 + output)
             if kind is None:
                 arrivals.append((neighbor, output, vc, flit))
                 if traced:  # stamped with the cycle the hop lands downstream

@@ -28,12 +28,18 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.obs.events import TraceHub
 from repro.sim.stats import NetworkStats
 from repro.topology import Topology, topology_of
-from repro.traffic.schedule import Injection, Schedule, drain_trace, replay_synthetic
+from repro.traffic.schedule import (
+    Injection,
+    Schedule,
+    drain_trace,
+    replay_synthetic,
+    synthetic_key,
+)
 from repro.traffic.trace import SyntheticSource, TraceSource
 from repro.util.errors import FabricError
 
@@ -42,6 +48,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracers import Tracer
     from repro.traffic.trace import TrafficSource
     from repro.util.geometry import MeshGeometry
+
+#: Synthetic schedules by their pure key (``synthetic_key`` and the
+#: generator), so the points of a sweep that share traffic (one seed,
+#: pattern, grid, rates and window over several backends or fault rates)
+#: build it once per process.  A run pops buckets from its own copy of the
+#: outer dict and never mutates a bucket, so sharing them is safe.
+_SCHEDULES: dict[tuple[Any, ...], Schedule] = {}
 
 
 class BaseNic:
@@ -215,12 +228,26 @@ class MeshNetworkBase:
         if isinstance(source, TraceSource):
             return drain_trace(source, cycle)
         if isinstance(source, SyntheticSource) and source.stop_cycle is not None:
-            return self._synthetic_schedule(source, cycle)
+            generate = self._synthetic_generator(source)
+            key = synthetic_key(source, cycle)
+            if key is None:
+                return generate(source, cycle)
+            key += (generate,)
+            schedule = _SCHEDULES.get(key)
+            if schedule is None:
+                if len(_SCHEDULES) >= 64:  # differential sweeps: bound the memo
+                    _SCHEDULES.clear()
+                schedule = _SCHEDULES[key] = generate(source, cycle)
+            events, count = schedule
+            return dict(events), count
         return None, 0
 
-    def _synthetic_schedule(self, source: SyntheticSource, cycle: int) -> Schedule:
-        """The schedule of a bounded synthetic source: the reference draws."""
-        return replay_synthetic(source, cycle)
+    def _synthetic_generator(
+        self, source: SyntheticSource
+    ) -> Callable[[SyntheticSource, int], Schedule]:
+        """What builds a bounded synthetic source's schedule: the reference
+        draws."""
+        return replay_synthetic
 
     def _generate_and_inject(self, cycle: int) -> None:
         """Hand this cycle's injections to their NICs, then give every NIC

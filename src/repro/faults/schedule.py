@@ -25,12 +25,21 @@ see different physics from the same seed.  Two mechanisms deliver that:
 Dead ports are resolved once at compile time: the explicit list plus
 ``dead_port_count`` extra ports sampled (without replacement, interior
 links only) from the ``faults/dead-ports`` stream.
+
+The simulators ask one lookup per cycle, :meth:`FaultSchedule.cycle_lookup`:
+the dead ports and the cycle's flipped slots are one ``{node * 4 + port:
+kind}`` map, built once per cycle from one row, so a crossing costs a dict
+lookup and a cycle with nothing to fail one truth test.  With bursts on,
+the lookup also asks the crossed link's chain, so only the links crossed
+pay for their timelines.  :meth:`~FaultSchedule.crossing_fault` is the
+point query of the same timeline, in any order, which the reference oracle
+reads.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Union
+from typing import Any, Callable, Union
 
 from repro.faults.config import BURST_EXIT_PROB, FaultConfig
 from repro.sim.rng import DeterministicRng, stream_key
@@ -66,14 +75,15 @@ class _IntervalChain:
         self.boundaries = [0]
 
     def in_bad_state(self, cycle: int) -> bool:
-        while self.boundaries[-1] <= cycle:
-            bad_segment = len(self.boundaries) % 2 == 1
+        boundaries = self.boundaries
+        while boundaries[-1] <= cycle:
+            bad_segment = len(boundaries) % 2 == 1
             length = 1 + self._rng.geometric(
                 BURST_EXIT_PROB if bad_segment else self._enter
             )
-            self.boundaries.append(self.boundaries[-1] + length)
-        segment = bisect_right(self.boundaries, cycle) - 1
-        return segment % 2 == 1
+            boundaries.append(boundaries[-1] + length)
+        # Segment ``bisect - 1`` holds ``cycle``; odd segments are bad.
+        return bisect_right(boundaries, cycle) % 2 == 0
 
 
 class FaultSchedule:
@@ -93,10 +103,20 @@ class FaultSchedule:
         #: (the historical signature) adapts to its ``Mesh2D`` topology.
         self.topology = as_topology(topology)
         self.dead_ports: frozenset[tuple[int, int]] = self._compile_dead_ports()
-        self._burst_chains: dict[tuple[int, int], _IntervalChain] = {}
+        self._dead: dict[int, str] = {
+            node * 4 + port: "dead_port" for node, port in sorted(self.dead_ports)
+        }
+        self._burst_chains: dict[int, _IntervalChain] = {}
         self._slots = self.topology.num_nodes * 4
         self._rows: dict[int, memoryview] = {}
         self._flip = int(config.link_flip_prob * _CERTAIN)
+        #: The one Philox bit generator every row is drawn from, re-keyed
+        #: per row (built with the first row), and the state it is set to.
+        self._philox: Any = None
+        self._philox_state: dict[str, Any] = {}
+        #: The last :meth:`cycle_lookup` and its cycle.
+        self._lookup_cycle = -1
+        self._lookup: Callable[[int], str | None] | None = None
 
     @property
     def enabled(self) -> bool:
@@ -126,47 +146,103 @@ class FaultSchedule:
             dead.update(rng.sample(candidates, count))
         return frozenset(dead)
 
-    # -- hot-loop query --------------------------------------------------------
+    # -- hot-loop queries ------------------------------------------------------
+
+    def cycle_lookup(self, cycle: int) -> Callable[[int], str | None] | None:
+        """What fails at ``cycle``: ``lookup(node * 4 + port)`` is the kind
+        of the fault a crossing of that link meets (``port`` is the sender's
+        output direction), most severe first, or None when it succeeds; no
+        lookup at all when nothing can fail this cycle.
+
+        The lookup of the last cycle asked is kept, so the phases of one
+        cycle share it and its row.
+        """
+        if cycle == self._lookup_cycle:
+            return self._lookup
+        fault_map = self._dead
+        flip = self._flip
+        if flip:
+            if flip >= _CERTAIN:
+                flipped: Any = range(self._slots)
+            else:
+                import numpy as np
+
+                row = np.asarray(self._row(cycle))
+                flipped = np.flatnonzero(row < flip).tolist()
+            fault_map = dict.fromkeys(flipped, "link")
+            fault_map.update(self._dead)
+        lookup: Callable[[int], str | None] | None
+        if self.config.burst_enter_prob > 0.0:
+            chains, new_chain = self._burst_chains, self._chain
+
+            def lookup(slot: int) -> str | None:
+                kind = fault_map.get(slot)
+                if kind != "dead_port":
+                    chain = chains.get(slot) or new_chain(slot)
+                    if chain.in_bad_state(cycle):
+                        return "burst"
+                return kind
+
+        else:
+            lookup = fault_map.get if fault_map else None
+        self._lookup_cycle = cycle
+        self._lookup = lookup
+        return lookup
 
     def crossing_fault(self, node: int, port: int, cycle: int) -> str | None:
         """The fault kind hitting a crossing of ``(node, port)`` at ``cycle``,
-        or None when the crossing succeeds.
+        or None when the crossing succeeds: the point query of
+        :meth:`cycle_lookup`, in any order.
 
         ``port`` is the sender's output direction (0-3).  Checks run in
         severity order — a permanently dead port shadows any transient
         model on the same link.
         """
-        if (node, port) in self.dead_ports:
+        slot = node * 4 + port
+        if slot in self._dead:
             return "dead_port"
-        if self.config.burst_enter_prob > 0.0:
-            chain = self._burst_chains.get((node, port))
-            if chain is None:
-                chain = _IntervalChain(
-                    DeterministicRng(self.config.seed, f"faults/burst/{node}/{port}"),
-                    self.config.burst_enter_prob,
-                )
-                self._burst_chains[(node, port)] = chain
-            if chain.in_bad_state(cycle):
-                return "burst"
-        if self._flip and self._flipped(node, port, cycle):
+        bursts = self.config.burst_enter_prob > 0.0
+        if bursts and self._chain(slot).in_bad_state(cycle):
+            return "burst"
+        flip = self._flip
+        if flip and (flip >= _CERTAIN or self._row(cycle)[slot] < flip):
             return "link"
         return None
 
-    def _flipped(self, node: int, port: int, cycle: int) -> bool:
-        """True when a Bernoulli link flip strikes ``(node, port)`` at
-        ``cycle``; a certain flip is answered without generating a row."""
-        if self._flip >= _CERTAIN:
-            return True
+    # -- the draws -------------------------------------------------------------
+
+    def _row(self, cycle: int) -> memoryview:
+        """The 64-bit uniforms of ``cycle``, one per ``node * 4 + port``."""
         rows = self._rows
         row = rows.get(cycle)
         if row is None:
             if len(rows) >= _ROWS_KEPT:
                 del rows[next(iter(rows))]
-            # numpy loads here, not with the module: every run spec imports
-            # ``repro.faults``, and only faulted runs should pay for it.
-            from numpy.random import Philox
+            philox = self._philox
+            if philox is None:
+                # numpy loads here, not with the module: every run spec
+                # imports ``repro.faults``, and only faulted runs should pay.
+                from numpy.random import Philox
 
+                philox = self._philox = Philox(key=0)
+                # A fresh state: counter zero, buffer empty.  Setting it
+                # copies the arrays, so the template is reused.
+                self._philox_state = philox.state
+            # Re-keying one generator draws the row ``Philox(key=key)``
+            # would, at a fraction of a construction's cost.
             key = stream_key(self.config.seed, f"faults/flip/{cycle}")
-            row = memoryview(Philox(key=key).random_raw(self._slots))
-            rows[cycle] = row
-        return row[node * 4 + port] < self._flip
+            self._philox_state["state"]["key"][0] = key
+            philox.state = self._philox_state
+            row = rows[cycle] = memoryview(philox.random_raw(self._slots))
+        return row
+
+    def _chain(self, slot: int) -> _IntervalChain:
+        """The burst timeline of link ``slot``, built on first use."""
+        chain = self._burst_chains.get(slot)
+        if chain is None:
+            stream = f"faults/burst/{slot >> 2}/{slot & 3}"
+            chain = self._burst_chains[slot] = _IntervalChain(
+                DeterministicRng(self.config.seed, stream),
+                self.config.burst_enter_prob,
+            )
+        return chain

@@ -44,10 +44,12 @@ class DeterministicRng(random.Random):
         return self.random() < p
 
     def geometric(self, p: float) -> int:
-        """Number of failures before the first success (support 0, 1, ...)."""
+        """Number of failures before the first success (support 0, 1, ...):
+        one ``random()`` per trial, the draw :meth:`bernoulli` makes."""
         if not 0.0 < p <= 1.0:
             raise ValueError(f"probability must be in (0, 1], got {p}")
+        random = self.random
         count = 0
-        while not self.bernoulli(p):
+        while random() >= p:
             count += 1
         return count

@@ -22,6 +22,8 @@ the per-(node, cycle) pull would produce.  It is made one of two ways:
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.traffic.injection import BernoulliInjector
 from repro.traffic.trace import SyntheticSource, TraceSource
 
@@ -82,3 +84,28 @@ def replay_synthetic(source: SyntheticSource, ingest_cycle: int) -> Schedule:
             bucket.append((node, destination, cycle))
             count += 1
     return events, count
+
+
+def synthetic_key(
+    source: SyntheticSource, ingest_cycle: int
+) -> tuple[Any, ...] | None:
+    """What the schedule of ``source`` from ``ingest_cycle`` is a pure
+    function of: seed, pattern, grid, rates and window.  None when it is
+    not one: the source has drawn already, or an injector keeps state
+    between draws (a bursty one)."""
+    injectors = source._injectors
+    if source._streams is not None or any(
+        type(injector) is not BernoulliInjector for injector in injectors
+    ):
+        return None
+    topology = source.pattern.topology
+    return (
+        source.seed,
+        type(source.pattern),
+        type(topology),
+        topology.width,
+        topology.height,
+        tuple(injector.rate for injector in injectors),
+        ingest_cycle,
+        source.stop_cycle,
+    )

@@ -226,15 +226,25 @@ class SyntheticSource(TrafficSource):
         stop_cycle: int | None = None,
     ) -> None:
         self.pattern = pattern
+        self.seed = int(seed)
         self.stop_cycle = stop_cycle
         num_nodes = pattern.mesh.num_nodes
         self._injectors: list[InjectionProcess] = [
             injector_factory() for _ in range(num_nodes)
         ]
-        self._rngs = [
-            DeterministicRng(seed, f"synthetic/{pattern.name}/node{n}")
-            for n in range(num_nodes)
-        ]
+        #: The per-node streams, built on first use (:attr:`_rngs`): a
+        #: schedule served from memory draws none.
+        self._streams: list[DeterministicRng] | None = None
+
+    @property
+    def _rngs(self) -> list[DeterministicRng]:
+        """One stream per node, built on first use."""
+        if self._streams is None:
+            self._streams = [
+                DeterministicRng(self.seed, f"synthetic/{self.pattern.name}/node{n}")
+                for n in range(len(self._injectors))
+            ]
+        return self._streams
 
     def injections(self, node: int, cycle: int) -> list[TraceEvent]:
         if self.stop_cycle is not None and cycle >= self.stop_cycle:

@@ -12,9 +12,11 @@ every router and NIC every cycle regardless of occupancy; this engine is
   builds (:mod:`repro.traffic.schedule`; Philox in fast mode,
   :mod:`.traffic`), and an uncontended arrival skips the NIC queue;
 - only routers in the ``_active`` set (non-empty queues or pending
-  transmissions) are visited by the resolve and launch phases, in node
-  order, so phase results are identical to the reference's visit-everyone
-  loops;
+  transmissions) are visited by the launch phase, in node order, so phase
+  results are identical to the reference's visit-everyone loops; a router
+  whose queue heads all wait out a backoff sleeps until the first is
+  eligible, and resolve walks the packets of a router only when a drop
+  signal names it;
 - the rotating arbiter pointer is stored lazily (:class:`.components.VecRouter`),
   reproducing the reference's every-cycle advance without touching idle
   routers;
@@ -52,7 +54,7 @@ one-line ``FabricError``.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.config import (
     BACKOFF_CAP_LOG2,
@@ -134,9 +136,16 @@ class VectorizedNetwork(MeshNetworkBase):
         ]
         self._drop_signals: dict[int, int] = {}
         self._fault_drop_uids: set[int] = set()
-        #: Routers with queued packets or pending transmissions; the only
-        #: ones the resolve/launch phases visit.
+        #: Routers whose pending transmissions a drop signal names.
+        self._signalled: set[int] = set()
+        #: Routers with queued packets or pending transmissions, except those
+        #: whose queue heads all wait out a backoff; the only ones the launch
+        #: phase visits.
         self._active: set[int] = set()
+        #: Routers asleep in a backoff, by the cycle they rejoin ``_active``
+        #: (an entry may be stale: the router woke early, and a visit to it
+        #: that launches nothing is harmless).
+        self._wakes: dict[int, list[int]] = {}
         self._next_uid = 0
         table_key = (self.topology.name, self.topology.width, self.topology.height)
         plans = _PLAN_CACHES.get(table_key)
@@ -183,11 +192,13 @@ class VectorizedNetwork(MeshNetworkBase):
 
     # -- traffic (MeshNetworkBase) ----------------------------------------------
 
-    def _synthetic_schedule(self, source: SyntheticSource, cycle: int) -> Schedule:
+    def _synthetic_generator(
+        self, source: SyntheticSource
+    ) -> Callable[[SyntheticSource, int], Schedule]:
         """Fast mode draws the Philox stream where it can."""
         if self._fast and philox_supported(source):
-            return philox_events(source, cycle)
-        return super()._synthetic_schedule(source, cycle)
+            return philox_events
+        return super()._synthetic_generator(source)
 
     # -- per-cycle hooks (MeshNetworkBase) --------------------------------------
 
@@ -209,26 +220,13 @@ class VectorizedNetwork(MeshNetworkBase):
     def _resolve_drop_signals(self, cycle: int, hub: TraceHub | None) -> None:
         signals = self._drop_signals
         fault_uids = self._fault_drop_uids
+        signalled = self._signalled
         pending_routers = self._pending_routers
         if signals:
             self._drop_signals = {}
             self._fault_drop_uids = set()
-        else:
-            # No drop signals arrived: every pending transmission silently
-            # confirms (resolve runs before launch, so nothing in pending
-            # was launched this cycle).  Order is irrelevant — no RNG
-            # draws, stats or emits happen on silent confirmation.
-            if pending_routers:
-                active = self._active
-                for router in pending_routers:
-                    router.pending.clear()
-                    router.pending_by_queue[:] = (0, 0, 0, 0, 0)
-                    if router.queued == 0:
-                        # Fully drained: retire here so the launch scan
-                        # never has to visit it again.
-                        active.discard(router.node)
-                pending_routers.clear()
-            return
+            self._signalled = set()
+        active = self._active
         retry_limit = (
             self._faults.config.retry_limit if self._faults is not None else None
         )
@@ -237,9 +235,19 @@ class VectorizedNetwork(MeshNetworkBase):
         # matches the reference's every-router sweep.
         for router in pending_routers:
             node = router.node
-            pending = router.pending
-            if not pending:  # pragma: no cover - launch never appends empty
+            if node not in signalled:
+                # No drop signal names this router: every pending
+                # transmission silently confirms (resolve runs before
+                # launch, so nothing in pending was launched this cycle),
+                # and no RNG draws, stats or emits happen on confirmation.
+                router.pending.clear()
+                router.pending_by_queue[:] = (0, 0, 0, 0, 0)
+                if router.queued == 0:
+                    # Fully drained: retire here so the launch scan never
+                    # has to visit it again.
+                    active.discard(node)
                 continue
+            pending = router.pending
             still_pending: list[VecPacket] = []
             retries: list[VecPacket] = []
             abandoned: list[VecPacket] = []
@@ -277,6 +285,8 @@ class VectorizedNetwork(MeshNetworkBase):
                 self._occupancy += 1
                 retries.append(packet)
             router.pending = still_pending
+            if retries:
+                active.add(node)
             for packet in retries:
                 stats.record_retransmission()
                 if hub:
@@ -422,6 +432,9 @@ class VectorizedNetwork(MeshNetworkBase):
         self._claims = claims
         flights: list[VecPacket] = []
         active = self._active
+        woken = self._wakes.pop(cycle, None)
+        if woken is not None:
+            active.update(woken)
         if not active:
             return flights
         routers = self.routers
@@ -432,6 +445,7 @@ class VectorizedNetwork(MeshNetworkBase):
         max_hops = self.config.max_hops_per_cycle
         pending_routers = self._pending_routers
         scan_order = SCAN_ORDER
+        wakes = self._wakes
         retired: list[int] | None = None
         # Ledger keys this loop touches, accumulated locally in the exact
         # per-launch add order (same float sequence, fewer dict hits) and
@@ -503,6 +517,24 @@ class VectorizedNetwork(MeshNetworkBase):
                 router.queued -= launched
                 self._occupancy -= launched
                 pending_routers.append(router)
+            else:
+                # Every head waits out a backoff: the router sleeps until
+                # the first of them is eligible, or until a packet joins
+                # one of its queues.  The lazy pointer advances over the
+                # cycles it is not scanned, as this scan would advance it.
+                wake = min(
+                    queues[queue_id][0].eligible
+                    for queue_id in scan_order[0][router.mask]
+                )
+                sleepers = wakes.get(wake)
+                if sleepers is None:
+                    wakes[wake] = [node]
+                else:
+                    sleepers.append(node)
+                if retired is None:
+                    retired = [node]
+                else:
+                    retired.append(node)
             router.pointer = (
                 (first_served + 1) % 5 if first_served >= 0 else (pointer + 1) % 5
             )
@@ -521,8 +553,9 @@ class VectorizedNetwork(MeshNetworkBase):
         """Advance ``flights`` up to ``max_hops_per_cycle`` optical waves.
 
         One loop serves every run.  The fault-free, untraced unicast bench
-        path pays two ``is not None`` tests per crossing for the fault
-        query and the emits, and one bool for the last wave: every flight
+        path pays two ``is not None`` tests per crossing, for the cycle's
+        fault lookup (a faulted run's crossing is one dict lookup) and the
+        emits, and one bool for the last wave: every flight
         launched at wave 0, so whatever still flies there is
         ``max_hops_per_cycle`` routers from its origin — the reference's
         periodic Local mark, which the shared plan does not carry — and
@@ -531,7 +564,7 @@ class VectorizedNetwork(MeshNetworkBase):
         there is no second copy to keep in step with the reference.
         """
         faults = self._faults
-        crossing_fault = faults.crossing_fault if faults is not None else None
+        fault_at = faults.cycle_lookup(cycle) if faults is not None else None
         fault_hit = self._fault_hit
         stats = self.stats
         energy = stats.energy_pj
@@ -570,10 +603,8 @@ class VectorizedNetwork(MeshNetworkBase):
                 index = packet.hop + 1
                 packet.hop = index
                 plan = packet.plan
-                if crossing_fault is not None:
-                    kind = crossing_fault(
-                        plan.nodes[index - 1], plan.exits[index - 1], cycle
-                    )
+                if fault_at is not None:
+                    kind = fault_at(plan.nodes[index - 1] * 4 + plan.exits[index - 1])
                     if kind is not None:
                         hops -= 1
                         self._fault_crossing(packet, plan, index, kind, cycle, hub)
@@ -608,7 +639,7 @@ class VectorizedNetwork(MeshNetworkBase):
                                 mean.max = latency
                             buckets[latency] += 1
                             histogram.count += 1
-                        if crossing_fault is not None and packet.uid in fault_hit:
+                        if faults is not None and packet.uid in fault_hit:
                             stats.record_fault_survivor()
                         if hub is not None:
                             hub.emit("delivered", cycle, plan.final, packet.uid)
@@ -628,7 +659,7 @@ class VectorizedNetwork(MeshNetworkBase):
                         else:
                             owed_taps[broadcast_id] = owed ^ bit
                         record_tap_delivery(packet.generated_cycle, cycle)
-                        if crossing_fault is not None and packet.uid in fault_hit:
+                        if faults is not None and packet.uid in fault_hit:
                             stats.record_fault_survivor()
                         if hub is not None:
                             hub.emit("delivered", cycle, node, packet.uid)
@@ -722,6 +753,7 @@ class VectorizedNetwork(MeshNetworkBase):
         self._fault_hit.add(packet.uid)
         stats.record_dropped()
         self._drop_signals[packet.uid] = index
+        self._signalled.add(plan.nodes[packet.origin])
         self._fault_drop_uids.add(packet.uid)
         stats.energy_pj["drop_network"] += self.prices.drop_signal
         if hub:
@@ -765,6 +797,7 @@ class VectorizedNetwork(MeshNetworkBase):
             return
         self.stats.record_dropped()
         self._drop_signals[packet.uid] = index
+        self._signalled.add(plan.nodes[packet.origin])
         self.stats.energy_pj["drop_network"] += self.prices.drop_signal
         if hub:
             hub.emit("dropped", cycle, node, packet.uid)
@@ -772,9 +805,10 @@ class VectorizedNetwork(MeshNetworkBase):
     # -- run control ------------------------------------------------------------
 
     def _pending_work(self) -> bool:
-        """Drop signals in flight, and routers with queued or pending
-        packets (so the base's router scan runs only once all are idle)."""
-        return bool(self._drop_signals) or bool(self._active)
+        """Drop signals in flight, routers with pending packets, and queued
+        packets, asleep or not (so the base's router scan runs only once
+        all are idle)."""
+        return bool(self._drop_signals or self._active or self._occupancy)
 
 
 def _priority_key(packet: VecPacket) -> tuple[int, int]:

@@ -99,7 +99,7 @@ class PlanInfo:
 
 def neighbor_table(topology: Topology) -> tuple[list[Line], ...]:
     """The grid's line tables, which are what :func:`compile_plan` reads.
-    The name is the one ``bench/probes.py`` imports (ROADMAP item 6)."""
+    The name is the one ``bench/probes.py`` imports (ROADMAP item 1)."""
     return topology.lines
 
 

@@ -19,6 +19,7 @@ consumes exactly the reference draws).  A ``VectorizedConfig`` in
 from __future__ import annotations
 
 from itertools import repeat
+from typing import Any
 
 from repro.sim.rng import stream_key
 from repro.traffic.injection import BernoulliInjector
@@ -56,14 +57,6 @@ def philox_supported(source: SyntheticSource) -> bool:
     )
 
 
-#: Memoized fast-mode schedules: a schedule is a pure function of the
-#: (seed, pattern, shape, rates, window) tuple, so bench repeats and
-#: differential sweeps re-use it.  Buckets are never mutated by the engine
-#: (only popped from a per-run shallow copy of the outer dict), so sharing
-#: them is safe.
-_PHILOX_MEMO: dict[tuple, Schedule] = {}
-
-
 def philox_events(source: SyntheticSource, ingest_cycle: int) -> Schedule:
     """Vectorized fast-mode schedule generation (see module docstring)."""
     stop_cycle = source.stop_cycle
@@ -73,25 +66,12 @@ def philox_events(source: SyntheticSource, ingest_cycle: int) -> Schedule:
     span = stop_cycle - ingest_cycle
     if span <= 0:
         return {}, 0
-    memo_key = (
-        source._rngs[0].root_seed,
-        pattern.name,
-        pattern.mesh.width,
-        pattern.mesh.height,
-        tuple(injector.rate for injector in source._injectors),
-        ingest_cycle,
-        stop_cycle,
-    )
-    cached = _PHILOX_MEMO.get(memo_key)
-    if cached is not None:
-        events, count = cached
-        return dict(events), count
     # numpy loads here, not with the module: every Phastlane run imports
     # this module, and only fast-mode schedules draw.
     import numpy as np
 
     generator = np.random.Generator(
-        np.random.Philox(key=philox_key(source._rngs[0].root_seed, pattern.name))
+        np.random.Philox(key=philox_key(source.seed, pattern.name))
     )
     rates = np.array(
         [injector.rate for injector in source._injectors], dtype=np.float64
@@ -104,17 +84,15 @@ def philox_events(source: SyntheticSource, ingest_cycle: int) -> Schedule:
         draws = generator.integers(0, num_nodes - 1, size=(span, num_nodes))
         destinations = draws + (draws >= node_ids)
     else:
-        stateless_rng = source._rngs[0]  # never consulted by these patterns
+        # These patterns never consult the rng they are handed.
+        no_rng: Any = None
         permutation = np.array(
-            [pattern.destination(node, stateless_rng) for node in range(num_nodes)]
+            [pattern.destination(node, no_rng) for node in range(num_nodes)]
         )
         destinations = np.broadcast_to(permutation, (span, num_nodes))
     mask &= destinations != node_ids  # self-traffic never enters the network
     rows, cols = np.nonzero(mask)
     events: dict[int, list[Injection]] = {}
-    if len(rows) == 0:
-        _PHILOX_MEMO[memo_key] = (events, 0)
-        return dict(events), 0
     chosen = destinations[rows, cols]
     # ``np.nonzero`` is row-major, so each cycle's bucket is a contiguous,
     # node-ascending slice — build them with C-speed zips.
@@ -128,7 +106,4 @@ def philox_events(source: SyntheticSource, ingest_cycle: int) -> Schedule:
         events[cycle] = list(
             zip(cols_list[start:end], chosen_list[start:end], repeat(cycle))
         )
-    if len(_PHILOX_MEMO) >= 64:  # differential sweeps: bound the memo
-        _PHILOX_MEMO.clear()
-    _PHILOX_MEMO[memo_key] = (events, len(cols_list))
-    return dict(events), len(cols_list)
+    return events, len(cols_list)

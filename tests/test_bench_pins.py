@@ -301,9 +301,9 @@ def test_no_tracer_is_called_per_cycle():
 #: module-level containers are tables written once, where they are
 #: defined — the backend and topology tables among them.
 NAMED_STATE = {
+    "fabric/base.py": {"_SCHEDULES"},
     "harness/experiments/splash2_runs.py": {"_CACHE"},
     "vectorized/network.py": {"_PLAN_CACHES"},
-    "vectorized/traffic.py": {"_PHILOX_MEMO"},
 }
 CONTAINER_MAKERS = {
     "dict", "list", "set", "bytearray", "defaultdict", "deque", "Counter",
@@ -530,13 +530,34 @@ def public_definitions(tree):
                     yield inner.lineno, f"{node.name}.{inner.name}"
 
 
-def referenced_names(path):
+def definitions(sources, package):
+    """``{prefix: names}`` of what ``sources`` define: each module's
+    top-level defs and classes under its dotted name, and each top-level
+    class's methods under the class name."""
+    defined = {}
+    for path in sources:
+        names = defined.setdefault(module_of(path, package), set())
+        for node in parsed(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.setdefault(node.name, set()).update(
+                    inner.name for inner in node.body
+                    if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
+    return defined
+
+
+def referenced_names(path, defined):
     """``(name, member)`` of each name ``path`` reads: a bare name
-    (``member`` false), or an attribute, a part of a dotted string such as
-    a backend table row, or the name a ``getattr``/``hasattr`` call reads
-    (``member`` true).  An import, a bare-word string (a table header, a
-    multiprocessing context) and a string in a package ``__init__`` (its
-    re-export lists) are no reference."""
+    (``member`` false), or an attribute, the last part of a dotted string
+    whose prefix names a module or class in ``defined`` that defines it
+    (a backend table row, a patched method), or the name a
+    ``getattr``/``hasattr`` call reads (``member`` true).  An import, a
+    bare-word string (a table header, a multiprocessing context), a dotted
+    string whose prefix defines nothing of that name (a span or metric
+    name) and a string in a package ``__init__`` (its re-export lists) are
+    no reference."""
     for node in ast.walk(parsed(path)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id, False
@@ -548,8 +569,9 @@ def referenced_names(path):
             and path.name != "__init__.py"
             and re.fullmatch(r"\w+(\.\w+)+", node.value)
         ):
-            for part in node.value.split("."):
-                yield part, True
+            prefix, _, last = node.value.rpartition(".")
+            if last in defined.get(prefix, ()):
+                yield last, True
         elif (
             isinstance(node, ast.Call)
             and getattr(node.func, "id", None) in ("getattr", "hasattr")
@@ -636,7 +658,8 @@ def uncalled_names(sources, callers, package=ROOT / "src" / "repro"):
     own module, through its module (``fig10.compute``, a dotted table row),
     or as a name imported from its module or from a package above it: a
     namesake in another module is no caller."""
-    references = {path: set(referenced_names(path)) for path in callers}
+    defined = definitions(sources, package)
+    references = {path: set(referenced_names(path, defined)) for path in callers}
     names_read = {
         path: {name for name, _ in found} for path, found in references.items()
     }
@@ -703,8 +726,10 @@ def test_the_caller_census_sees_what_it_should(tmp_path):
     """The canary: a name read as a name, an attribute, a dotted string or
     through a literal table of modules is called; a name only defined,
     imported or re-exported is not, nor one whose only reader never imports
-    its module, nor a method whose name only a local variable or a bare-word
-    string shares; a ``getattr`` name is read."""
+    its module, nor a method whose name only a local variable, a bare-word
+    string or the last part of a span name (a dotted string whose prefix
+    defines nothing) shares; a ``getattr`` name is read, and so is a method
+    named through its class in a dotted string."""
     (package := tmp_path / "pkg").mkdir()
     (defining := package / "defining.py").write_text(
         "class Shape:\n"
@@ -713,6 +738,8 @@ def test_the_caller_census_sees_what_it_should(tmp_path):
         "    def unused(self): ...\n"
         "    def probed(self): ...\n"
         "    def headed(self): ...\n"
+        "    def spanned(self): ...\n"
+        "    def patched(self): ...\n"
         "def called(): ...\n"
         "def dotted(): ...\n"
         "def exported(): ...\n"
@@ -739,6 +766,7 @@ def test_the_caller_census_sees_what_it_should(tmp_path):
         "    print(unused)\n"
         "HEADER = ['headed', 'rows']\n"
         "getattr(Shape(), 'probed', None)\n"
+        "SPANS = {'Shape.patched': 'layer.calling.spanned'}\n"
     )
     (other := package / "other.py").write_text(
         "def namesake(): ...\nnamesake()\n"
@@ -751,8 +779,8 @@ def test_the_caller_census_sees_what_it_should(tmp_path):
     found = set(uncalled_names([defining, other], callers, package))
     assert found == {
         f"defining.py:{name}"
-        for name in ("Shape.unused", "Shape.headed", "exported", "imported",
-                     "namesake")
+        for name in ("Shape.unused", "Shape.headed", "Shape.spanned",
+                     "exported", "imported", "namesake")
     }
 
 

@@ -33,6 +33,7 @@ exact replay, which the fallback tests pin instead).
 
 import itertools
 import math
+import random
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -40,6 +41,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import BACKOFF_CAP_LOG2
 from repro.core.network import PhastlaneNetwork
 from repro.core.routing import (
     broadcast_plans,
@@ -695,6 +697,76 @@ class TestRoundRobinBitIdentity:
             faults, " (faulted)",
         )
         assert ref.stats.packets_lost > 0 and ref.stats.faults_masked > 0
+
+
+# -- backoff: a router whose queue heads all wait leaves the launch scan -----
+
+
+def scattered_trace(mesh, packets, seed):
+    """``packets`` unicasts from scattered sources over the first cycles."""
+    nodes = mesh.num_nodes
+    rng = random.Random(seed)
+    events = []
+    for index in range(packets):
+        source, destination = rng.sample(range(nodes), 2)
+        events.append(TraceEvent(index % 8, source, destination))
+    events.sort(key=lambda event: event.cycle)
+    return Trace("scattered", nodes, events=events)
+
+
+class TestBackoffSleep:
+    @pytest.mark.parametrize("arbitration", ARBITRATIONS)
+    @pytest.mark.parametrize("flip", [0.05, 0.1, 0.2])
+    def test_flip_storms_on_16x16_bit_identical(self, flip, arbitration):
+        """Kernel == oracle, stats and events, at flip rates where resends
+        reach the backoff cap: routers sleep through their backoffs, are
+        woken early by arrivals and rejoin the scan at the eligible cycle."""
+        mesh = MeshGeometry(16, 16)
+        trace = scattered_trace(mesh, 600, seed=2)
+        faults = FaultConfig(seed=2, link_flip_prob=flip, retry_limit=8)
+        config = VectorizedConfig(mesh=mesh)
+        ref = assert_replay_identical(
+            config, trace, faults, f" (16x16 flips={flip})", arbitration
+        )
+        assert ref.stats.retransmissions > 0
+        tracer = CollectingTracer()
+        drive(as_phastlane(config), TraceSource(trace), faults=faults, tracer=tracer)
+        attempts = max(
+            event.extra["attempts"] for event in tracer.by_kind("retransmitted")
+        )
+        assert attempts > BACKOFF_CAP_LOG2, "the backoff window never capped"
+
+    def test_a_sleeping_router_is_not_scanned_until_it_wakes(self):
+        """Every crossing fails, so the one packet's router waits out each
+        backoff asleep: put to sleep at cycle c with wake cycle w, it keeps
+        ``pointer_cycle == c`` (no scan moved it) until w, when it launches."""
+        mesh = MeshGeometry(4, 4)
+        trace = Trace("one", 16, events=[TraceEvent(0, 0, 3)])
+        network = make_network(
+            VectorizedConfig(mesh=mesh), TraceSource(trace),
+            faults=FaultConfig(link_flip_prob=1.0, retry_limit=4),
+        )
+        router = network.routers[0]
+        sleeps = 0
+        cycle = 0
+        while cycle < 400 and not network.idle(cycle):
+            network.step(cycle)
+            asleep = [wake for wake, nodes in network._wakes.items() if 0 in nodes]
+            if asleep:
+                (wake,) = asleep
+                slept = cycle
+                assert 0 not in network._active and wake > slept + 1
+                for cycle in range(slept + 1, wake):
+                    network.step(cycle)
+                    assert router.pointer_cycle == slept
+                    assert 0 not in network._active
+                network.step(wake)
+                assert router.pointer_cycle == wake and router.pending
+                sleeps += 1
+                cycle = wake
+            cycle += 1
+        assert network.idle(cycle)
+        assert sleeps == 4 and network.stats.packets_lost == 1
 
 
 # -- observability: reduced fidelity, zero perturbation ----------------------

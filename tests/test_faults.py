@@ -13,6 +13,7 @@ Covers the three guarantees the fault subsystem makes:
   accounted as lost (conservation; see also test_properties.py).
 """
 
+import itertools
 import math
 import random
 from contextlib import nullcontext
@@ -40,6 +41,7 @@ from repro.harness.sweeps import fault_sweep_specs, throughput_vs_fault_rate
 from repro.obs import ObsConfig
 from repro.obs.tracers import CollectingTracer
 from repro.sim.engine import SimulationEngine
+from repro.topology import topology_from_name
 from repro.traffic.trace import Trace, TraceEvent, TraceSource
 from repro.util.geometry import MeshGeometry
 from repro.vectorized import VectorizedConfig
@@ -129,6 +131,51 @@ class TestFaultSchedule:
         for order in (list(reversed(queries)), shuffled):
             schedule = FaultSchedule(config, MESH)
             assert {q: schedule.crossing_fault(*q) for q in order} == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from(["mesh", "torus"]),
+        st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        st.sampled_from([0.0, 0.02, 0.3]),
+        st.integers(0, 3),
+        st.lists(st.integers(1, 9), min_size=1, max_size=25),
+    )
+    def test_the_cycle_lookup_is_the_point_query(
+        self, seed, grid, flip, burst, dead, steps
+    ):
+        """The one lookup per cycle answers every crossing as the point
+        query does, kind for kind: dead ports, flips and bursts together,
+        on mesh and torus.  The lookups come from a forward scan with gaps,
+        asked twice per cycle, and then one step back; the point queries
+        from a forward scan and from a reversed one, on schedules of their
+        own (a cycle with nothing to fail has no lookup and answers None)."""
+        topology = topology_from_name(grid, MESH)
+        config = FaultConfig(
+            seed=seed, link_flip_prob=flip, burst_enter_prob=burst,
+            dead_port_count=dead,
+        )
+        cycles = list(itertools.accumulate(steps)) + [steps[0]]
+        links = [node * 4 + port for node, port in topology.links()]
+        looked_up = FaultSchedule(config, topology)
+
+        def answers(cycle):
+            lookup = looked_up.cycle_lookup(cycle)
+            assert looked_up.cycle_lookup(cycle) is lookup
+            return {(slot, cycle): lookup and lookup(slot) for slot in links}
+
+        got = {key: kind for cycle in cycles for key, kind in answers(cycle).items()}
+        forward = FaultSchedule(config, topology)
+        backward = FaultSchedule(config, topology)
+        ahead = {
+            (slot, c): forward.crossing_fault(slot >> 2, slot & 3, c)
+            for c in cycles for slot in links
+        }
+        behind = {
+            (slot, c): backward.crossing_fault(slot >> 2, slot & 3, c)
+            for c in reversed(cycles) for slot in reversed(links)
+        }
+        assert got == ahead == behind
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32), st.floats(0.0, 1.0), st.floats(0.0, 1.0))

@@ -4,6 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import PhastlaneConfig
+from repro.fabric import base, make_network
+from repro.harness.exec import RunSpec, SyntheticWorkload
+from repro.harness.experiments.configs import standard_configs
+from repro.harness.report import stats_to_dict
+from repro.harness.runner import run
 from repro.topology import topology_from_name
 from repro.traffic.coherence import MessageKind
 from repro.traffic.injection import BernoulliInjector, BurstyInjector
@@ -16,6 +22,8 @@ from repro.traffic.trace import (
     TraceSource,
 )
 from repro.util.geometry import MeshGeometry
+from repro.vectorized import VectorizedConfig
+from repro.vectorized.traffic import philox_events
 
 events_strategy = st.lists(
     st.builds(
@@ -229,3 +237,77 @@ class TestSchedule:
             5: [(0, None, 3), (0, 2, 5), (1, 3, 5), (2, 1, 0)],
             9: [(3, 0, 9)],
         }
+
+
+class TestScheduleMemo:
+    """A bounded Bernoulli source's schedule is built once per pure key and
+    process (``repro.fabric.base._SCHEDULES``): the points of a sweep that
+    share traffic, over backends or fault rates, replay it once."""
+
+    MESH = MeshGeometry(4, 4)
+
+    def source(self, seed=3):
+        return SyntheticSource(
+            pattern_by_name("uniform", self.MESH),
+            lambda: BernoulliInjector(0.2),
+            seed=seed,
+            stop_cycle=60,
+        )
+
+    def test_a_memo_hit_is_a_fresh_replay_and_draws_nothing(self):
+        base._SCHEDULES.clear()
+        network = make_network(PhastlaneConfig(mesh=self.MESH))
+        missed = self.source()
+        first = network._schedule(missed, 2)
+        assert missed._streams is not None  # the miss replayed it
+        served = self.source()
+        events, count = network._schedule(served, 2)
+        assert served._streams is None, "a hit draws nothing"
+        assert (events, count) == replay_synthetic(self.source(), 2) == first
+        events.clear()  # a run pops from its own copy of the outer dict
+        assert network._schedule(self.source(), 2) == first
+        # A source that has drawn is replayed from where its streams stand,
+        # outside the memo.
+        assert network._schedule(missed, 2) != first
+        assert len(base._SCHEDULES) == 1
+
+    def test_other_seeds_windows_and_injectors_miss(self):
+        base._SCHEDULES.clear()
+        network = make_network(PhastlaneConfig(mesh=self.MESH))
+        network._schedule(self.source(), 0)
+        network._schedule(self.source(seed=4), 0)
+        network._schedule(self.source(), 1)
+        bursty = SyntheticSource(
+            pattern_by_name("uniform", self.MESH),
+            lambda: BurstyInjector(0.5, 4, 4),
+            seed=3,
+            stop_cycle=60,
+        )
+        assert network._schedule(bursty, 0)[1] > 0
+        assert len(base._SCHEDULES) == 3
+
+    def test_the_generator_is_part_of_the_key(self):
+        """Fast mode's Philox schedule and the exact replay of one source
+        are two entries, each what its generator builds."""
+        base._SCHEDULES.clear()
+        fast = make_network(VectorizedConfig(mesh=self.MESH, mode="fast"))
+        exact = make_network(VectorizedConfig(mesh=self.MESH, mode="exact"))
+        assert fast._schedule(self.source(), 0) == philox_events(self.source(), 0)
+        assert exact._schedule(self.source(), 0) == replay_synthetic(self.source(), 0)
+        assert len(base._SCHEDULES) == 2
+
+    def test_optical_and_electrical_on_one_schedule_give_fresh_stats(self):
+        configs = standard_configs(MeshGeometry(8, 8))
+        workload = SyntheticWorkload("uniform", 0.1)
+        specs = [
+            RunSpec(configs[label], workload, cycles=120, seed=5)
+            for label in ("Optical4", "Electrical3")
+        ]
+        fresh = []
+        for spec in specs:
+            base._SCHEDULES.clear()
+            fresh.append(stats_to_dict(run(spec).stats))
+        base._SCHEDULES.clear()
+        shared = [stats_to_dict(run(spec).stats) for spec in specs]
+        assert len(base._SCHEDULES) == 1
+        assert shared == fresh
