@@ -19,7 +19,7 @@ import json
 from repro.core.config import PhastlaneConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload
 from repro.harness.runner import run
-from repro.obs import ObsConfig
+from repro.obs.config import ObsConfig
 from repro.util.geometry import MeshGeometry
 from repro.util.plot import render_heatmap
 

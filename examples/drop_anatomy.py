@@ -14,7 +14,7 @@ import argparse
 from repro.core.config import PhastlaneConfig
 from repro.harness.exec import RunSpec, Splash2Workload
 from repro.harness.runner import run
-from repro.obs import ObsConfig
+from repro.obs.config import ObsConfig
 from repro.traffic.splash2 import generate_splash2_trace
 from repro.util.geometry import MeshGeometry
 from repro.util.plot import render_heatmap

@@ -23,7 +23,7 @@ import argparse
 from repro.core.config import PhastlaneConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload
 from repro.harness.runner import run
-from repro.obs import ObsConfig
+from repro.obs.config import ObsConfig
 from repro.util.plot import render_heatmap
 
 #: Width of the ASCII rate bars.

@@ -16,7 +16,7 @@ Run:  python examples/fault_sweep.py [--rate 0.05] [--cycles N]
 
 import argparse
 
-from repro.faults import FaultConfig
+from repro.faults.config import FaultConfig
 from repro.harness.exec import Executor, ResultCache
 from repro.harness.experiments.configs import standard_configs
 from repro.harness.sweeps import throughput_vs_fault_rate

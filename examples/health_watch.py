@@ -23,10 +23,10 @@ Run:  python examples/health_watch.py [--cycles N] [--interval N]
 import argparse
 
 from repro.electrical.config import ElectricalConfig
-from repro.faults import FaultConfig
+from repro.faults.config import FaultConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload
 from repro.harness.runner import run
-from repro.obs import ObsConfig
+from repro.obs.config import ObsConfig
 from repro.util.geometry import Direction, MeshGeometry
 from repro.util.tables import AsciiTable
 

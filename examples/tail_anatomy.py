@@ -21,7 +21,8 @@ from pathlib import Path
 from repro.core.config import PhastlaneConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload
 from repro.harness.runner import run
-from repro.obs import ObsConfig, analyze_trace_file, render_markdown
+from repro.obs.analysis import analyze_trace_file, render_markdown
+from repro.obs.config import ObsConfig
 
 
 def main() -> None:

@@ -16,9 +16,9 @@ Run:  python examples/topology_compare.py [--cycles N]
 import argparse
 
 from repro import PhastlaneConfig, RunSpec, SyntheticWorkload, run
-from repro.fabric import IdealConfig
+from repro.fabric.ideal import IdealConfig
 from repro.photonics.latency import RouterLatencyModel
-from repro.topology import registered_topologies, topology_for
+from repro.topology.registry import registered_topologies, topology_for
 from repro.util.geometry import MeshGeometry
 from repro.util.tables import AsciiTable
 

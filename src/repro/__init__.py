@@ -33,12 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - what type checkers and IDEs see
     from repro.core.network import PhastlaneNetwork
     from repro.electrical.config import ElectricalConfig
     from repro.electrical.network import ElectricalNetwork
-    from repro.fabric import (
-        FabricError,
-        IdealConfig,
-        IdealNetwork,
-        make_network,
-    )
+    from repro.fabric.ideal import IdealConfig, IdealNetwork
+    from repro.fabric.registry import make_network
     from repro.harness.exec import (
         Executor,
         ResultCache,
@@ -48,11 +44,12 @@ if TYPE_CHECKING:  # pragma: no cover - what type checkers and IDEs see
         TraceFileWorkload,
     )
     from repro.harness.runner import RunResult, run
-    from repro.obs import ObsConfig
+    from repro.obs.config import ObsConfig
     from repro.sim.engine import SimulationEngine
     from repro.sim.stats import NetworkStats
     from repro.traffic.splash2 import generate_splash2_trace
     from repro.traffic.trace import Trace, TraceEvent
+    from repro.util.errors import FabricError
     from repro.util.geometry import MeshGeometry
 
 #: Where each public name lives.  ``import repro`` loads none of these: a
@@ -62,12 +59,12 @@ _HOME_OF = {
     "ElectricalConfig": "repro.electrical.config",
     "ElectricalNetwork": "repro.electrical.network",
     "Executor": "repro.harness.exec",
-    "FabricError": "repro.fabric",
-    "IdealConfig": "repro.fabric",
-    "IdealNetwork": "repro.fabric",
+    "FabricError": "repro.util.errors",
+    "IdealConfig": "repro.fabric.ideal",
+    "IdealNetwork": "repro.fabric.ideal",
     "MeshGeometry": "repro.util.geometry",
     "NetworkStats": "repro.sim.stats",
-    "ObsConfig": "repro.obs",
+    "ObsConfig": "repro.obs.config",
     "PhastlaneConfig": "repro.core.config",
     "PhastlaneNetwork": "repro.core.network",
     "ResultCache": "repro.harness.exec",
@@ -80,7 +77,7 @@ _HOME_OF = {
     "TraceEvent": "repro.traffic.trace",
     "TraceFileWorkload": "repro.harness.exec",
     "generate_splash2_trace": "repro.traffic.splash2",
-    "make_network": "repro.fabric",
+    "make_network": "repro.fabric.registry",
     "run": "repro.harness.runner",
 }
 

@@ -32,8 +32,8 @@ from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence, TypeVar
 from repro.util.errors import FabricError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fabric import NetworkConfig
-    from repro.faults import FaultConfig
+    from repro.fabric.protocol import NetworkConfig
+    from repro.faults.config import FaultConfig
     from repro.harness.exec import Executor, ProgressCallback, RunEvent
 
 _ANALYTIC_FIGURES = ("fig04", "fig05", "fig06", "fig07", "fig08")
@@ -43,7 +43,7 @@ _FIGURE_CYCLES = 1500
 
 # The parser's choices, restated from the tables they name so that building
 # it imports none of them; tests/test_cli.py pins each equal to its table.
-#: ``repro.topology.registered_topologies()``.
+#: ``repro.topology.registry.registered_topologies()``.
 _TOPOLOGIES = ("mesh", "torus")
 #: ``sorted(repro.traffic.patterns.PATTERNS)``.
 _PATTERNS = ("bitcomp", "bitrev", "hotspot", "neighbor", "shuffle", "tornado",
@@ -77,9 +77,9 @@ def _dead_ports(text: str) -> tuple[tuple[int, int], ...]:
 
 def _trace_sample(text: str) -> float:
     """Parse ``--trace-sample``, refusing a fraction no trace can keep
-    while parsing, in :class:`~repro.obs.ObsConfig`'s own words (the
+    while parsing, in :class:`~repro.obs.config.ObsConfig`'s own words (the
     stand-in path leaves only the value's check to fail)."""
-    from repro.obs import ObsConfig
+    from repro.obs.config import ObsConfig
 
     try:
         return ObsConfig(trace_path="-", trace_sample=float(text)).trace_sample
@@ -110,7 +110,7 @@ _FLAGS: dict[str, tuple[tuple[str, str | None, str, dict[str, Any]], ...]] = {
          "result cache", _SWITCH),
         ("--cache-dir", "root", "result cache location", _PATH),
     ),
-    "observability": (  # repro.obs.ObsConfig
+    "observability": (  # repro.obs.config.ObsConfig
         ("--trace-out", "trace_path", "write a packet-lifecycle trace here "
          "(Chrome trace_event JSON, Perfetto-loadable; a .jsonl suffix "
          "selects JSONL); campaigns with several runs get per-run suffixed "
@@ -138,7 +138,7 @@ _FLAGS: dict[str, tuple[tuple[str, str | None, str, dict[str, Any]], ...]] = {
          "--metrics-interval); campaigns with several runs get per-run "
          "suffixed paths", _PATH),
     ),
-    "fault": (  # repro.faults.FaultConfig
+    "fault": (  # repro.faults.config.FaultConfig
         ("--fault-seed", "seed", "root seed of the fault schedule "
          "(independent of traffic seed)", {"type": int, "metavar": "SEED"}),
         ("--fault-model", None, "how --link-flip-prob is applied: independent "
@@ -216,7 +216,7 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 def _faults_from_args(args: argparse.Namespace) -> FaultConfig | None:
     """The fault config the fault flags ask for (None if it injects nothing)."""
-    from repro.faults import FaultConfig
+    from repro.faults.config import FaultConfig
 
     # The one rule beyond the table: the fault model names the field that
     # --link-flip-prob fills.
@@ -249,7 +249,7 @@ def _progress_lines() -> ProgressCallback:
 def _executor_from_args(args: argparse.Namespace) -> Executor:
     """The executor the executor, cache and observability flags ask for."""
     from repro.harness.exec import Executor, ResultCache
-    from repro.obs import ObsConfig
+    from repro.obs.config import ObsConfig
 
     obs = _from_flags(ObsConfig, args, "observability")
     cache = None if "no_cache" in args else _from_flags(ResultCache, args, "cache")
@@ -452,7 +452,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fault_sweep(args: argparse.Namespace) -> int:
-    from repro.faults import FaultConfig
+    from repro.faults.config import FaultConfig
     from repro.harness.report import write_report
     from repro.harness.sweeps import throughput_vs_fault_rate
     from repro.util.tables import AsciiTable

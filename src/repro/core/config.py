@@ -35,7 +35,7 @@ BACKOFF_SEED = 1
 def check_design_point(config: Any) -> None:
     """The checks every Phastlane config type shares: a known topology,
     a positive hop budget and a positive (or infinite) buffer."""
-    from repro.topology import check_topology
+    from repro.topology.registry import check_topology
 
     check_topology(config.topology)
     if config.max_hops_per_cycle < 1:

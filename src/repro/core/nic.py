@@ -22,7 +22,7 @@ from repro.core.routing import broadcast_plans, build_plan
 from repro.fabric.base import BaseNic
 from repro.obs.events import TraceHub
 from repro.sim.stats import NetworkStats
-from repro.topology import topology_of
+from repro.topology.registry import topology_of
 
 
 class PhastlaneNic(BaseNic):

@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from repro.topology import Topology, as_topology
+from repro.topology.base import Topology
+from repro.topology.registry import as_topology
 from repro.util.geometry import Direction, MeshGeometry
 
 #: Every routing entry point accepts a topology or a bare mesh geometry.

@@ -40,7 +40,7 @@ class ElectricalConfig:
     router_delay_cycles: int = 3
 
     def __post_init__(self) -> None:
-        from repro.topology import check_topology
+        from repro.topology.registry import check_topology
 
         check_topology(self.topology)
         if self.num_vcs < 1:

@@ -42,7 +42,8 @@ from repro.electrical.config import INPUT_SPEEDUP, ElectricalConfig
 from repro.electrical.flit import Flit
 from repro.electrical.islip import SwitchAllocator, VcAllocator
 from repro.electrical.vctm import split_by_output
-from repro.topology import Topology, topology_of
+from repro.topology.base import Topology
+from repro.topology.registry import topology_of
 from repro.util.geometry import OPPOSITE, Direction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

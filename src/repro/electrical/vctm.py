@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Union
 from repro.util.geometry import Direction, MeshGeometry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.topology import Topology
+    from repro.topology.base import Topology
 
 
 def split_by_output(

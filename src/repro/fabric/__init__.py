@@ -2,42 +2,25 @@
 
 ``repro.fabric`` is the seam between the experiment harness and the
 network simulators.  The harness constructs every network through
-:func:`make_network` and types against the :class:`NetworkBackend` /
-:class:`NetworkConfig` protocols; the simulators inherit the shared
-lifecycle from :class:`MeshNetworkBase` / :class:`BaseNic`.  The four
-backends — ``phastlane``, ``vectorized``, ``electrical`` and the analytic
-``ideal`` reference — are the fixed table :data:`BACKENDS`, whose modules
-load on first lookup (DESIGN.md section 9).
+:func:`~repro.fabric.registry.make_network` and types against the
+:mod:`~repro.fabric.protocol` protocols; the simulators inherit the shared
+lifecycle from :mod:`~repro.fabric.base`.  The four backends —
+``phastlane``, ``vectorized``, ``electrical`` and the analytic ``ideal``
+reference — are the fixed table ``repro.fabric.registry.BACKENDS``, whose
+modules load on first lookup (DESIGN.md section 9).
+
+Import the module that defines a name.  The package loads none of them;
+it serves the names ``bench/`` imports from it on first access, until
+the bench imports them from their homes (ROADMAP item 1).
 """
 
-from repro.fabric.base import BaseNic, MeshNetworkBase
-from repro.fabric.ideal import IdealConfig, IdealNetwork, IdealNic, IdealPacket
-from repro.fabric.protocol import (
-    FabricError,
-    FabricNic,
-    NetworkBackend,
-    NetworkConfig,
-)
-from repro.fabric.registry import (
-    BACKENDS,
-    config_kind,
-    config_type_for,
-    make_network,
-)
+from repro import lazy_names
 
-__all__ = [
-    "BACKENDS",
-    "BaseNic",
-    "FabricError",
-    "FabricNic",
-    "IdealConfig",
-    "IdealNetwork",
-    "IdealNic",
-    "IdealPacket",
-    "MeshNetworkBase",
-    "NetworkBackend",
-    "NetworkConfig",
-    "config_kind",
-    "config_type_for",
-    "make_network",
-]
+_HOME_OF = {
+    "FabricError": "repro.util.errors",
+    "IdealConfig": "repro.fabric.ideal",
+    "config_kind": "repro.fabric.registry",
+    "make_network": "repro.fabric.registry",
+}
+
+__getattr__, __dir__ = lazy_names(globals(), _HOME_OF)

@@ -32,7 +32,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.obs.events import TraceHub
 from repro.sim.stats import NetworkStats
-from repro.topology import Topology, topology_of
+from repro.topology.base import Topology
+from repro.topology.registry import topology_of
 from repro.traffic.schedule import (
     Injection,
     Schedule,
@@ -180,10 +181,6 @@ class MeshNetworkBase:
         self._step_cycle(cycle)
         self._end_of_cycle(cycle)
         self.stats.final_cycle = cycle + 1
-
-    def commit(self, cycle: int) -> None:
-        """All backends apply effects in step(); events/signals carry any
-        cycle split, so the clock edge itself is a no-op."""
 
     # -- per-cycle hooks -------------------------------------------------------
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.fabric.base import BaseNic, MeshNetworkBase
-from repro.fabric.protocol import FabricError
 from repro.sim.stats import NetworkStats
 from repro.traffic.trace import TrafficSource
+from repro.util.errors import FabricError
 from repro.util.geometry import MeshGeometry
 
 
@@ -46,7 +46,7 @@ class IdealConfig:
     cycles_per_hop: int = 1
 
     def __post_init__(self) -> None:
-        from repro.topology import check_topology
+        from repro.topology.registry import check_topology
 
         check_topology(self.topology)
         if self.cycles_per_hop < 1:

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from repro.util.errors import FabricError as FabricError  # canonical home
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.events import TraceHub
     from repro.obs.tracers import Tracer
@@ -83,8 +81,8 @@ class FabricNic(Protocol):
 class NetworkBackend(Protocol):
     """A cycle-accurate network simulator driven by the engine.
 
-    A backend is a :class:`~repro.sim.engine.Clocked` component (``step``
-    then ``commit`` once per cycle) built from a :class:`NetworkConfig`,
+    A backend is a :class:`~repro.sim.engine.Clocked` component (one
+    ``step`` per cycle) built from a :class:`NetworkConfig`,
     pulling injections from an optional traffic source, accounting into a
     :class:`~repro.sim.stats.NetworkStats` ledger, and emitting packet
     lifecycle events through a :class:`~repro.obs.events.TraceHub` shared
@@ -98,11 +96,7 @@ class NetworkBackend(Protocol):
     trace_hub: "TraceHub"
 
     def step(self, cycle: int) -> None:
-        """Advance one cycle (combinational evaluation)."""
-        ...  # pragma: no cover - protocol
-
-    def commit(self, cycle: int) -> None:
-        """Adopt the computed next state (the clock edge)."""
+        """Advance one cycle."""
         ...  # pragma: no cover - protocol
 
     def idle(self, cycle: int) -> bool:

@@ -15,7 +15,8 @@ from __future__ import annotations
 from importlib import import_module
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.fabric.protocol import FabricError, NetworkBackend, NetworkConfig
+from repro.fabric.protocol import NetworkBackend, NetworkConfig
+from repro.util.errors import FabricError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.config import FaultConfig
@@ -103,7 +104,7 @@ def make_network(
     if faults is None or not faults.enabled:
         return factory(config, source, stats)
     from repro.faults.schedule import FaultSchedule
-    from repro.topology import topology_of
+    from repro.topology.registry import topology_of
 
     schedule = FaultSchedule(faults, topology_of(config))
     return factory(config, source, stats, faults=schedule)

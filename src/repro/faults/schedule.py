@@ -43,7 +43,8 @@ from typing import Any, Callable, Union
 
 from repro.faults.config import BURST_EXIT_PROB, FaultConfig
 from repro.sim.rng import DeterministicRng, stream_key
-from repro.topology import Topology, as_topology
+from repro.topology.base import Topology
+from repro.topology.registry import as_topology
 from repro.util.errors import SpecError
 from repro.util.geometry import MeshGeometry
 
@@ -77,7 +78,9 @@ class _IntervalChain:
     def in_bad_state(self, cycle: int) -> bool:
         boundaries = self.boundaries
         while boundaries[-1] <= cycle:
-            bad_segment = len(boundaries) % 2 == 1
+            # The segment drawn is ``len(boundaries) - 1``: a good one
+            # (even) ends with ``enter``, a bad one (odd) with the exit.
+            bad_segment = len(boundaries) % 2 == 0
             length = 1 + self._rng.geometric(
                 BURST_EXIT_PROB if bad_segment else self._enter
             )

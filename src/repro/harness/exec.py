@@ -35,7 +35,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.fabric import NetworkConfig, config_kind, config_type_for
+from repro.fabric.protocol import NetworkConfig
+from repro.fabric.registry import config_kind, config_type_for
 from repro.faults.config import FaultConfig
 from repro.harness.runner import MAX_DRAIN_CYCLES, RunResult, run
 from repro.obs.config import ObsConfig
@@ -46,7 +47,7 @@ from repro.util.geometry import MeshGeometry
 #: Code-calibration stamp baked into every cache key.  Bump whenever the
 #: simulators or calibration constants change in a way that alters results;
 #: old cache entries then become invisible rather than silently stale.
-CALIBRATION_STAMP = "2026.09.0"
+CALIBRATION_STAMP = "2026.10.0"
 
 #: Default location of the on-disk result cache.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -184,7 +185,7 @@ def config_to_dict(config: NetworkConfig) -> dict[str, Any]:
 
     The ``kind`` discriminator comes from the fabric backend table, so
     every backend's config serialises (and digests) without this module
-    knowing its class.  Raises :class:`~repro.fabric.FabricError` for a
+    knowing its class.  Raises :class:`~repro.util.errors.FabricError` for a
     type the table does not have.
 
     A ``topology`` field holding the default (``"mesh"``) is omitted —

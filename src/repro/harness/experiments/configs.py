@@ -6,11 +6,12 @@ from dataclasses import replace
 
 from repro.core.config import PhastlaneConfig
 from repro.electrical.config import ElectricalConfig
-from repro.fabric import IdealConfig, NetworkConfig
+from repro.fabric.ideal import IdealConfig
+from repro.fabric.protocol import NetworkConfig
 from repro.photonics.constants import PAYLOAD_WDM, SCALING_SCENARIOS
 from repro.photonics.latency import max_hops_per_cycle
 from repro.util.geometry import MeshGeometry
-from repro.vectorized import VectorizedConfig
+from repro.vectorized.config import VectorizedConfig
 
 #: Speedups in Fig 10 are relative to the three-cycle electrical router.
 BASELINE_LABEL = "Electrical3"

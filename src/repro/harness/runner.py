@@ -15,17 +15,17 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any
 
-from repro.fabric import make_network
+from repro.fabric.registry import make_network
 from repro.obs.health import HealthReport
 from repro.obs.session import ObsSession, ProgressSink
 from repro.obs.timeseries import TimeSeries
 from repro.photonics.constants import CYCLE_TIME_PS
 from repro.sim.engine import SimulationEngine
 from repro.sim.stats import NetworkStats, SaturationError
+from repro.topology.registry import topology_of
 from repro.traffic.injection import BernoulliInjector
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.splash2 import generate_splash2_trace
-from repro.topology import topology_of
 from repro.traffic.trace import SyntheticSource, Trace, TraceSource, TrafficSource
 from repro.util.geometry import MeshGeometry
 

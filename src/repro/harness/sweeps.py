@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from repro.fabric import NetworkConfig
+from repro.fabric.protocol import NetworkConfig
 from repro.faults.config import FaultConfig
 from repro.harness.exec import Executor, RunSpec, SyntheticWorkload
 from repro.harness.runner import RunResult

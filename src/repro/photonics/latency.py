@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 from repro.photonics import constants
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.topology import Topology
+    from repro.topology.base import Topology
 
 
 @dataclass(frozen=True)

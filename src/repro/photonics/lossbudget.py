@@ -4,9 +4,13 @@ The Fig 7 peak-power model in :mod:`repro.photonics.power` is *calibrated*
 to the paper's quoted operating points.  This module builds the same
 quantity bottom-up from per-component losses quoted in the device
 literature the paper cites (couplers, waveguide propagation, crossings,
-ring through/drop losses, bends); the Fig 7 benchmark and the tests check
-that the two approaches agree to within a small factor — evidence that
-the calibrated constants are physically plausible rather than arbitrary.
+ring through/drop losses, bends).  At the 64-wavelength, 4-hop, 98 %
+anchor the chain gives 20.7 W against the calibrated 32 W.  Scaled to that
+anchor it stays near the calibrated model at 128 wavelengths and 5 hops
+(36.8 vs 32.1 W) but not elsewhere: 27.0 vs 15.0 W at 128/4, 63.8 vs 347 W
+at 32/4 and 129 vs 1 418 W at 64/8 (``tests/test_photonics_lossbudget.py``
+pins the table).  No run reads the chain; the calibrated model prices
+every launch.
 
 All losses are in dB; the required laser power per wavelength is the
 receiver sensitivity multiplied by the total path loss plus a system

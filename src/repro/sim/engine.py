@@ -1,18 +1,12 @@
 """The cycle-driven simulation engine.
 
-Both simulators in this repository (the Phastlane optical network and the
-electrical baseline) are clocked designs evaluated once per network cycle, so
-the kernel is a synchronous two-phase engine rather than a general
-discrete-event queue:
-
-- ``step`` phase: every registered :class:`Clocked` component computes its
-  next state from the current state (combinational evaluation);
-- ``commit`` phase: components atomically adopt the next state (the clock
-  edge).
-
-The two-phase split means component evaluation order within a cycle cannot
-change simulation results, which keeps the simulators deterministic and the
-tests meaningful.
+Every simulator in this repository is a clocked design evaluated once per
+network cycle, so the kernel is a synchronous loop rather than a general
+discrete-event queue: each cycle it calls ``step(cycle)`` on every
+registered :class:`Clocked` component, then its watchers.  A backend
+applies a cycle's effects inside its own ``step``; where an effect lands a
+cycle later (a link traversal, a credit), the backend queues it by cycle
+itself, so one call per cycle is the whole clock.
 """
 
 from __future__ import annotations
@@ -25,20 +19,12 @@ class Clocked(Protocol):
     """A component evaluated every cycle by the engine."""
 
     def step(self, cycle: int) -> None:
-        """Compute next state from current state (no visible mutation)."""
-
-    def commit(self, cycle: int) -> None:
-        """Adopt the computed next state (the clock edge)."""
+        """Advance the component by one cycle."""
 
 
 class SimulationEngine:
-    """Synchronous engine driving a list of :class:`Clocked` components.
-
-    Components are stepped in registration order and then committed in
-    registration order; correctness must not depend on that order (the
-    two-phase protocol enforces it as long as ``step`` does not mutate
-    state visible to other components).
-    """
+    """Synchronous engine stepping a list of :class:`Clocked` components
+    in registration order, once per cycle."""
 
     def __init__(self) -> None:
         self._components: list[Clocked] = []
@@ -51,7 +37,7 @@ class SimulationEngine:
         self._components.append(component)
 
     def add_watcher(self, watcher: Callable[[int], None]) -> None:
-        """Call ``watcher(cycle)`` after each committed cycle (an obs session)."""
+        """Call ``watcher(cycle)`` after each cycle (an obs session)."""
         self._watchers.append(watcher)
 
     def tick(self) -> None:
@@ -59,8 +45,6 @@ class SimulationEngine:
         cycle = self.cycle
         for component in self._components:
             component.step(cycle)
-        for component in self._components:
-            component.commit(cycle)
         self.cycle += 1
         for watcher in self._watchers:
             watcher(cycle)

@@ -1,43 +1,25 @@
 """Grid topologies and their routes (DESIGN.md section 12).
 
-Public surface:
+- :mod:`~repro.topology.base` — :class:`~repro.topology.base.Topology`,
+  the grid abstraction the simulators, fault scheduler and photonics
+  models consume: links, dimension-order routes and broadcast sweeps;
+- :mod:`~repro.topology.mesh`, :mod:`~repro.topology.torus` — the two
+  grids, named ``mesh`` / ``torus`` in the fixed table
+  ``repro.topology.registry.TOPOLOGIES``;
+- :mod:`~repro.topology.registry` — the lookups by name, by config and
+  by geometry.
 
-- :class:`Topology` — the grid abstraction the simulators, fault
-  scheduler and photonics models consume: links, dimension-order routes
-  and broadcast sweeps;
-- :class:`Mesh2D`, :class:`Torus2D` — the two grids, named ``mesh`` /
-  ``torus`` in the fixed table :data:`TOPOLOGIES`;
-- lookups: :func:`check_topology`, :func:`topology_from_name`,
-  :func:`topology_for`, :func:`as_topology`, :func:`topology_of`.
+Import the module that defines a name.  The package loads none of them;
+it serves the names ``bench/`` imports from it on first access, until
+the bench imports them from their homes (ROADMAP item 1).
 """
 
-from repro.topology.base import Topology, TopologyError
-from repro.topology.mesh import Mesh2D
-from repro.topology.registry import (
-    DEFAULT_TOPOLOGY,
-    TOPOLOGIES,
-    as_topology,
-    check_topology,
-    policy_by_name,
-    registered_topologies,
-    topology_for,
-    topology_from_name,
-    topology_of,
-)
-from repro.topology.torus import Torus2D
+from repro import lazy_names
 
-__all__ = [
-    "DEFAULT_TOPOLOGY",
-    "Mesh2D",
-    "TOPOLOGIES",
-    "Topology",
-    "TopologyError",
-    "Torus2D",
-    "as_topology",
-    "check_topology",
-    "policy_by_name",
-    "registered_topologies",
-    "topology_for",
-    "topology_from_name",
-    "topology_of",
-]
+_HOME_OF = {
+    "policy_by_name": "repro.topology.registry",
+    "topology_from_name": "repro.topology.registry",
+    "topology_of": "repro.topology.registry",
+}
+
+__getattr__, __dir__ = lazy_names(globals(), _HOME_OF)

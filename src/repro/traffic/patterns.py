@@ -7,7 +7,7 @@ nearest-neighbour, hotspot) used by the wider test suite and examples.
 A pattern maps a source node to a destination node for each generated
 packet; deterministic permutations ignore the RNG argument.  Patterns
 accept either a bare :class:`~repro.util.geometry.MeshGeometry` (the
-historical signature) or any :class:`~repro.topology.Topology`; patterns
+historical signature) or any :class:`~repro.topology.base.Topology`; patterns
 whose definition does not extend to a given topology refuse construction
 with :class:`PatternUndefinedError` instead of silently producing
 meaningless destinations.
@@ -19,7 +19,8 @@ import abc
 from typing import Union
 
 from repro.sim.rng import DeterministicRng
-from repro.topology import Topology, as_topology
+from repro.topology.base import Topology
+from repro.topology.registry import as_topology
 from repro.util.bits import (
     bit_complement,
     bit_reverse,

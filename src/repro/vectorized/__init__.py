@@ -7,18 +7,14 @@ is backend kind ``"vectorized"`` and it also serves every
 bit for bit what the :mod:`repro.core` reference computes.  See
 :mod:`repro.vectorized.network` for the engine, its calibration claims and
 the dispatch rule, and ``tests/test_differential.py`` for the proof harness.
+
+Import the module that defines a name.  The package loads none of them;
+it serves the name ``bench/`` imports from it on first access, until the
+bench imports it from its home (ROADMAP item 1).
 """
 
-from repro.vectorized.config import MODES, VectorizedConfig, as_phastlane
-from repro.vectorized.network import VECTORIZED_CALIBRATION, VectorizedNetwork
-from repro.vectorized.traffic import philox_key, philox_supported
+from repro import lazy_names
 
-__all__ = [
-    "MODES",
-    "VECTORIZED_CALIBRATION",
-    "VectorizedConfig",
-    "VectorizedNetwork",
-    "as_phastlane",
-    "philox_key",
-    "philox_supported",
-]
+_HOME_OF = {"VectorizedConfig": "repro.vectorized.config"}
+
+__getattr__, __dir__ = lazy_names(globals(), _HOME_OF)

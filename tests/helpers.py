@@ -6,9 +6,10 @@ from contextlib import contextmanager
 from typing import Iterator
 from unittest import mock
 
-from repro.fabric import BACKENDS
+from repro.fabric.registry import BACKENDS
 from repro.sim.engine import SimulationEngine
-from repro.topology import TOPOLOGIES, Topology, topology_for
+from repro.topology.base import Topology
+from repro.topology.registry import TOPOLOGIES, topology_for
 from repro.util.geometry import Direction
 
 

@@ -24,25 +24,27 @@ from repro.cli import main
 from repro.core.config import PhastlaneConfig
 from repro.core.network import PhastlaneNetwork
 from repro.electrical.config import ElectricalConfig
-from repro.fabric import IdealConfig, make_network
-from repro.faults import FaultConfig
+from repro.fabric.ideal import IdealConfig
+from repro.fabric.registry import make_network
+from repro.faults.config import FaultConfig
 from repro.harness.exec import Executor, RunSpec, Splash2Workload, SyntheticWorkload
 from repro.harness.experiments.configs import standard_configs
 from repro.harness.htmlreport import render_campaign_html
 from repro.harness.runner import run
-from repro.obs import (
-    CollectingTracer,
-    ObsConfig,
-    PacketEvent,
+from repro.obs.analysis import (
+    analyze_spans,
     analyze_trace_file,
     diff_reports,
+    read_trace_file,
     reconstruct_spans,
     render_diff_markdown,
     render_markdown,
 )
-from repro.obs.analysis import analyze_spans, read_trace_file
+from repro.obs.config import ObsConfig
+from repro.obs.events import PacketEvent
+from repro.obs.tracers import CollectingTracer
 from repro.sim.engine import SimulationEngine
-from repro.topology import topology_of
+from repro.topology.registry import topology_of
 from repro.traffic.injection import BernoulliInjector
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.trace import (
@@ -52,7 +54,8 @@ from repro.traffic.trace import (
     TraceSource,
 )
 from repro.util.geometry import MeshGeometry
-from repro.vectorized import VectorizedConfig, VectorizedNetwork, as_phastlane
+from repro.vectorized.config import VectorizedConfig, as_phastlane
+from repro.vectorized.network import VectorizedNetwork
 
 from helpers import reference_oracle
 

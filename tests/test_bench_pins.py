@@ -88,7 +88,7 @@ def test_every_span_patch_target_resolves():
 def test_the_plan_probe_call_shape_still_works():
     """``bench/probes.py`` times ``compile_plan(grid, neighbor_table(grid),
     a, b, 4)``: two names, five positional arguments."""
-    from repro.topology import topology_from_name
+    from repro.topology.registry import topology_from_name
     from repro.util.geometry import MeshGeometry
     from repro.vectorized.plans import compile_plan, neighbor_table
 
@@ -803,7 +803,7 @@ CONFIG_FIELDS = {
 def registered_fields():
     from dataclasses import fields
 
-    from repro.fabric import BACKENDS, config_type_for
+    from repro.fabric.registry import BACKENDS, config_type_for
 
     return {
         kind: tuple(field_.name for field_ in fields(config_type_for(kind)))
@@ -854,7 +854,7 @@ OBS_FIELDS = (
 def test_every_obs_config_field_is_in_the_census():
     from dataclasses import fields
 
-    from repro.obs import ObsConfig
+    from repro.obs.config import ObsConfig
 
     assert tuple(field_.name for field_ in fields(ObsConfig)) == OBS_FIELDS
 

@@ -20,7 +20,7 @@ import pytest
 
 from repro.electrical.islip import VcAllocator
 from repro.electrical.router import NUM_PORTS
-from repro.topology import topology_for
+from repro.topology.registry import topology_for
 from repro.util.geometry import Direction, MeshGeometry
 
 #: The VC counts the law covers: one VC up to past Table 2's ten.

@@ -30,7 +30,8 @@ def run_rows(out: str) -> list[tuple[str, str]]:
 
 def write_small_trace(path: Path, link_delay: int = 0) -> str:
     """One packet's JSONL trace, delivered after one hop."""
-    from repro.obs import JsonlTraceWriter, PacketEvent
+    from repro.obs.events import PacketEvent
+    from repro.obs.tracers import JsonlTraceWriter
 
     writer = JsonlTraceWriter(path, meta={"label": "Optical4", "link_delay": link_delay})
     for event in (
@@ -537,9 +538,9 @@ FLAG_VALUES = {
 
 def flag_configs():
     """Each flag group's config type, built the way the CLI builds it."""
-    from repro.faults import FaultConfig
+    from repro.faults.config import FaultConfig
     from repro.harness.exec import Executor, ResultCache
-    from repro.obs import ObsConfig
+    from repro.obs.config import ObsConfig
 
     return {
         "executor": Executor,
@@ -610,14 +611,18 @@ class TestFlagTable:
                 assert str(value) == str(expected), flag  # root is a Path
 
 
-#: Packages a command that simulates nothing must not import.
+#: What a command that simulates nothing must not import: numpy, the
+#: simulators, the fabric and fault layers and the run path.
 HEAVY = (
     "numpy",
     "repro.core",
-    "repro.electrical",
     "repro.vectorized",
-    "repro.photonics",
-    "repro.harness.experiments",
+    "repro.electrical.network",
+    "repro.fabric",
+    "repro.faults",
+    "repro.harness.exec",
+    "repro.harness.runner",
+    "repro.harness.sweeps",
 )
 
 #: The reference simulator's modules: tests build it, no run does.
@@ -680,12 +685,12 @@ class TestImportsFollowTheCommand:
         }
 
     def test_the_probe_sees_a_command_that_simulates(self):
-        # The canary: `tables` reads the photonic models, so the probe
-        # reports them — an empty answer above is not the probe's blindness.
-        done = python("-c", PROBE, ",".join(HEAVY), "tables")
+        # The canary: a sweep runs a simulator, so the probe reports it —
+        # an empty answer above is not the probe's blindness.
+        done = python("-c", PROBE, ",".join(HEAVY), *self.SWEEP)
         assert done.returncode == 0, done.stderr
-        assert "repro.photonics" in done.stdout
-        assert "repro.harness.experiments" in done.stdout
+        assert "repro.electrical.network" in done.stdout
+        assert "repro.harness.runner" in done.stdout
 
     #: What an unfaulted electrical sweep never runs: numpy, the reference
     #: oracle, the live dashboard and the figure-only photonic models.

@@ -3,15 +3,16 @@
 Start-up cost is paid once per launched process (every CLI command, every
 figure job), so these laws keep it down:
 
-- ``import repro.cli`` loads the four modules :data:`CLI_IMPORT_LOADS` pins
-  for ``--help`` and no more (``tests/test_cli.py`` runs every command of
-  the table);
-- importing ``repro.core``, ``repro.photonics``, ``repro.obs``,
-  ``repro.harness.experiments``, ``repro.sim``, ``repro.traffic`` or
-  ``repro.util`` loads none of their modules: all but ``repro.obs``
-  re-export nothing, and ``repro.obs`` (like the root) imports a module on
-  first use of one of its names, each name being its defining module's
-  object;
+- each command loads exactly the modules :data:`CLI_IMPORT_LOADS` pins for
+  it (``tests/test_cli.py`` runs every command of the table): ``--help``
+  four, an analytic figure or the tables no run path, fabric, fault or
+  observability module;
+- every public name has one import path, its defining module: no package
+  ``__init__`` but the root ``repro`` façade imports a ``repro`` module at
+  run time, so importing a package loads none of its modules.  The one
+  exception is :func:`repro.lazy_names` in the three packages whose names
+  ``bench/`` still imports from the package (ROADMAP item 1); each of them
+  serves exactly those names, on first access;
 - numpy loads inside the two functions that draw with it (fast-mode
   schedules, fault rows), and a run that first loads it there computes the
   result the pins record;
@@ -22,54 +23,95 @@ figure job), so these laws keep it down:
   call per sink, and no :class:`~repro.obs.events.PacketEvent` is built.
 """
 
+import ast
 import subprocess
 import sys
 from collections import Counter
 from contextlib import nullcontext
 from importlib import import_module
+from importlib.util import find_spec
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from helpers import reference_oracle
-from repro.fabric import IdealConfig
+from repro.fabric.ideal import IdealConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload
 from repro.harness.experiments.configs import standard_configs
 from repro.harness.runner import run
 from repro.obs.config import ObsConfig
 from repro.obs.events import PacketEvent, TraceHub
 from repro.obs.tracers import CollectingTracer
-from repro.vectorized import VectorizedConfig
+from repro.vectorized.config import VectorizedConfig
+from test_bench_pins import BENCH_FILES, repro_imports
 from test_fabric_regression import VEC_FAST_STATS_SHA
 
-#: Each package, and the submodules its import must not load.
-PACKAGE_LOADS_NONE_OF = {
-    "repro.core": ("network", "router", "routing", "control", "nic", "packet"),
-    "repro.photonics": ("area", "dse", "latency", "lossbudget", "scaling"),
-    "repro.obs": ("analysis", "live", "session", "health"),
-    "repro.harness.experiments": ("configs", "fig04", "fig05", "fig06", "fig07",
-                                  "fig08", "fig09", "tables"),
-    "repro.sim": ("engine", "rng", "stats"),
-    "repro.traffic": ("coherence", "injection", "patterns", "schedule",
-                      "splash2", "trace"),
-    "repro.util": ("bits", "errors", "geometry", "plot", "tables", "units"),
-}
+SRC = Path(__file__).resolve().parent.parent / "src"
+#: Every package ``__init__`` below the root façade.
+PACKAGE_INITS = sorted(
+    init for init in (SRC / "repro").rglob("__init__.py") if init.parent != SRC / "repro"
+)
 
-#: The packages whose public names load on first access (``repro.lazy_names``).
-LAZY_NAME_PACKAGES = ("repro", "repro.obs")
+
+def package_of(init: Path) -> str:
+    return ".".join(init.parent.relative_to(SRC).parts)
+
+
+def modules_in(package: Path) -> tuple[str, ...]:
+    """The names of a package's modules and subpackages."""
+    return tuple(
+        sorted(
+            path.name.removesuffix(".py")
+            for path in package.iterdir()
+            if path.name != "__init__.py"
+            and (path.suffix == ".py" or (path / "__init__.py").exists())
+        )
+    )
+
+
+#: Each package below the root, and its modules: importing it loads none.
+PACKAGE_LOADS_NONE_OF = {package_of(init): modules_in(init.parent) for init in PACKAGE_INITS}
+
+#: The packages whose public names load on first access (``repro.lazy_names``):
+#: the root façade, and the packages ``bench/`` imports names from.
+BENCH_HELD = ("repro.fabric", "repro.topology", "repro.vectorized")
+LAZY_NAME_PACKAGES = ("repro", *BENCH_HELD)
 
 #: What ``import repro.cli`` loads: the parser is built from literals, so
 #: only the refusal types come with it.
 _CLI = ("repro", "repro.cli", "repro.util", "repro.util.errors")
+_EXPERIMENTS = ("repro.harness", "repro.harness.experiments")
 
 #: Every ``repro`` and numpy module each command loads, exactly.  ``analyze``
-#: adds the trace reader and the nearest-rank rule it reports with; no
-#: command here loads a figure, a simulator or numpy.
+#: adds the trace reader and the nearest-rank rule it reports with; the
+#: analytic figures and the tables add the section 3 models they print
+#: (``figure`` imports its five modules for its literal table) and no
+#: simulator, run path or numpy.
 CLI_IMPORT_LOADS = {
     "--help": _CLI,
     "sweep --help": _CLI,
     "analyze TRACE": (*_CLI, "repro.obs", "repro.obs.analysis", "repro.obs.events",
                       "repro.obs.tracers", "repro.sim", "repro.sim.stats"),
+    "figure fig04": (
+        *_CLI, *_EXPERIMENTS,
+        *(f"repro.harness.experiments.fig0{n}" for n in range(4, 9)),
+        "repro.photonics", "repro.photonics.area", "repro.photonics.constants",
+        "repro.photonics.latency", "repro.photonics.power",
+        "repro.photonics.scaling", "repro.photonics.wdm", "repro.util.tables",
+    ),
+    "tables": (
+        *_CLI, *_EXPERIMENTS, "repro.harness.experiments.tables",
+        "repro.electrical", "repro.electrical.config",
+        "repro.photonics", "repro.photonics.area", "repro.photonics.constants",
+        "repro.photonics.dse", "repro.photonics.latency", "repro.photonics.power",
+        "repro.photonics.wdm", "repro.sim", "repro.sim.rng",
+        "repro.topology", "repro.topology.base", "repro.topology.mesh",
+        "repro.topology.registry", "repro.topology.torus",
+        "repro.traffic", "repro.traffic.coherence", "repro.traffic.injection",
+        "repro.traffic.patterns", "repro.traffic.splash2", "repro.traffic.trace",
+        "repro.util.bits", "repro.util.geometry", "repro.util.tables",
+    ),
 }
 
 
@@ -85,6 +127,7 @@ def fresh(code: str) -> str:
 @pytest.mark.parametrize("package", PACKAGE_LOADS_NONE_OF)
 def test_importing_a_package_loads_none_of_its_modules(package):
     modules = [f"{package}.{name}" for name in PACKAGE_LOADS_NONE_OF[package]]
+    assert modules
     printed = fresh(
         f"import sys, {package}; "
         f"print([m for m in {modules!r} if m in sys.modules])"
@@ -100,24 +143,85 @@ def test_importing_the_cli_loads_the_pinned_modules():
     assert printed == repr(sorted(CLI_IMPORT_LOADS["--help"]))
 
 
+def run_time_repro_imports(tree):
+    """The ``repro`` names a module imports at module level, outside
+    ``if TYPE_CHECKING:`` and function bodies, as ``module:name``."""
+    pending = [
+        node
+        for node in tree.body
+        if not (isinstance(node, ast.If) and getattr(node.test, "id", "") == "TYPE_CHECKING")
+    ]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (f"{alias.name}:" for alias in node.names
+                        if alias.name.split(".")[0] == "repro")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
+            yield from (f"{node.module}:{alias.name}" for alias in node.names)
+        pending.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("init", PACKAGE_INITS, ids=package_of)
+def test_a_package_init_imports_no_repro_module(init):
+    allowed = {"repro:lazy_names"} if package_of(init) in BENCH_HELD else set()
+    assert set(run_time_repro_imports(ast.parse(init.read_text()))) == allowed
+
+
+def test_the_init_scan_sees_what_it_should():
+    """The canary: a run-time import is seen wherever it hides, a typing
+    import or a function's import is not."""
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "from repro import lazy_names\n"
+        "import repro.obs.session\n"
+        "if TYPE_CHECKING:\n    from repro.core.config import PhastlaneConfig\n"
+        "try:\n    from repro.fabric.registry import make_network\n"
+        "except ImportError:\n    pass\n"
+        "def later():\n    from repro.harness.runner import run\n"
+    )
+    assert sorted(run_time_repro_imports(ast.parse(source))) == [
+        "repro.fabric.registry:make_network", "repro.obs.session:", "repro:lazy_names",
+    ]
+
+
+def test_the_bench_held_tables_are_what_the_bench_imports():
+    """``bench/`` changes only in a benchmark change (BENCHMARK.json lists it
+    under ``paths``), so three packages still serve the names it imports
+    from them, and nothing more: when the bench imports them from their
+    homes, this fails until the tables go."""
+    served: dict[str, set[str]] = {}
+    for path in BENCH_FILES:
+        for _, module, name, _ in repro_imports(ast.parse(path.read_text())):
+            is_package = find_spec(module).submodule_search_locations is not None
+            if is_package and find_spec(f"{module}.{name}") is None:
+                served.setdefault(module, set()).add(name)
+    assert served == {
+        package: set(import_module(package)._HOME_OF) for package in BENCH_HELD
+    }
+
+
 class TestLazyNames:
     @pytest.mark.parametrize("package", LAZY_NAME_PACKAGES)
     def test_every_public_name_is_its_defining_modules_object(self, package):
         module = import_module(package)
-        assert set(module._HOME_OF) == set(module.__all__) - {"__version__"}
+        if package == "repro":
+            assert set(module._HOME_OF) == set(module.__all__) - {"__version__"}
+            assert set(module.__all__) <= set(dir(module))
         for name in module._HOME_OF:
             value = getattr(module, name)
             if hasattr(value, "__module__"):
                 assert value is getattr(import_module(value.__module__), name)
             assert module.__dict__[name] is value  # resolved once
-        assert set(module.__all__) <= set(dir(module))
+        assert set(module._HOME_OF) <= set(dir(module))
 
     @pytest.mark.parametrize("package", LAZY_NAME_PACKAGES)
     def test_star_import_and_unknown_names(self, package):
         module = import_module(package)
         namespace: dict = {}
         exec(f"from {package} import *", namespace)
-        assert set(module.__all__) <= set(namespace)
+        assert set(getattr(module, "__all__", ())) <= set(namespace)
         with pytest.raises(AttributeError, match=f"'{package}'.*'warp_drive'"):
             module.warp_drive
 
@@ -133,12 +237,12 @@ FAULTED_ELECTRICAL_STATS_SHA = (
 NUMPY_ON_DEMAND = """
 import hashlib, json, sys
 from repro.electrical.config import ElectricalConfig
-from repro.faults import FaultConfig
+from repro.faults.config import FaultConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload
 from repro.harness.report import stats_to_dict
 from repro.harness.runner import run
 from repro.util.geometry import MeshGeometry
-from repro.vectorized import VectorizedConfig
+from repro.vectorized.config import VectorizedConfig
 
 mesh = MeshGeometry(4, 4)
 specs = {{

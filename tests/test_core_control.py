@@ -14,7 +14,7 @@ from repro.core.control import (
 from repro.core.routing import broadcast_plans, build_plan
 from repro.harness.experiments.configs import optical_configs
 from repro.photonics.constants import PACKET_CONTROL_BITS
-from repro.topology import registered_topologies, topology_from_name
+from repro.topology.registry import registered_topologies, topology_from_name
 from repro.util.geometry import MeshGeometry
 
 MESH = MeshGeometry(8, 8)

@@ -11,16 +11,16 @@ import pytest
 
 from repro.core.config import RETRY_PENALTY_CYCLES, PhastlaneConfig
 from repro.core.network import PhastlaneNetwork
-from repro.fabric import make_network
-from repro.obs import CollectingTracer
+from repro.fabric.registry import make_network
+from repro.obs.tracers import CollectingTracer
 from repro.sim.engine import SimulationEngine
-from repro.topology import topology_of
+from repro.topology.registry import topology_of
 from repro.traffic.coherence import MessageKind
 from repro.traffic.injection import BernoulliInjector
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.trace import SyntheticSource, Trace, TraceEvent, TraceSource
 from repro.util.geometry import MeshGeometry
-from repro.vectorized import VectorizedNetwork
+from repro.vectorized.network import VectorizedNetwork
 
 from helpers import drain
 

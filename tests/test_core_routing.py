@@ -12,7 +12,7 @@ from repro.core.routing import (
     max_segment_hops,
     replan_from,
 )
-from repro.topology import topology_from_name
+from repro.topology.registry import topology_from_name
 from repro.util.geometry import MeshGeometry
 
 MESH = MeshGeometry(8, 8)

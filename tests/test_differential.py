@@ -49,29 +49,22 @@ from repro.core.routing import (
     clear_passed_taps,
     replan_from,
 )
-from repro.fabric import make_network
-from repro.faults import FaultConfig
+from repro.fabric.registry import make_network
+from repro.faults.config import FaultConfig
 from repro.harness.exec import Executor, RunSpec, Splash2Workload, SyntheticWorkload
 from repro.harness.report import stats_to_dict
 from repro.harness.runner import run
-from repro.obs import CollectingTracer
+from repro.obs.tracers import CollectingTracer
 from repro.photonics.power import laser_index
 from repro.sim.engine import SimulationEngine
-from repro.topology import topology_for, topology_of
+from repro.topology.registry import topology_for, topology_of
 from repro.traffic.injection import BernoulliInjector, BurstyInjector
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.trace import SyntheticSource, Trace, TraceEvent, TraceSource
 from repro.util.geometry import Direction, MeshGeometry
-from repro.vectorized import (
-    MODES,
-    VECTORIZED_CALIBRATION,
-    VectorizedConfig,
-    VectorizedNetwork,
-    as_phastlane,
-    philox_key,
-    philox_supported,
-)
 from repro.vectorized.components import LOCAL_QUEUE, VecPacket
+from repro.vectorized.config import MODES, VectorizedConfig, as_phastlane
+from repro.vectorized.network import VECTORIZED_CALIBRATION, VectorizedNetwork
 from repro.vectorized.plans import (
     STOP,
     TAP_FLY,
@@ -80,6 +73,7 @@ from repro.vectorized.plans import (
     compile_plan,
     neighbor_table,
 )
+from repro.vectorized.traffic import philox_key, philox_supported
 
 from helpers import cylinder_registered, reference_oracle
 

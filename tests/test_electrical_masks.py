@@ -13,9 +13,9 @@ import pytest
 
 from repro.electrical.config import ElectricalConfig
 from repro.electrical.router import MESH_PORTS, NUM_PORTS
-from repro.fabric import make_network
-from repro.faults import FaultConfig
-from repro.obs import ObsConfig
+from repro.fabric.registry import make_network
+from repro.faults.config import FaultConfig
+from repro.obs.config import ObsConfig
 from repro.obs.session import ObsSession
 from repro.sim.engine import SimulationEngine
 from repro.traffic.trace import Trace, TraceEvent, TraceSource

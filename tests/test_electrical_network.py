@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.electrical import ElectricalConfig, ElectricalNetwork
-from repro.fabric import IdealConfig, make_network
+from repro.electrical.config import ElectricalConfig
+from repro.electrical.network import ElectricalNetwork
+from repro.fabric.ideal import IdealConfig
+from repro.fabric.registry import make_network
 from repro.sim.engine import SimulationEngine
-from repro.topology import topology_of
+from repro.topology.registry import topology_of
 from repro.traffic.injection import BernoulliInjector
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.trace import SyntheticSource, Trace, TraceEvent, TraceSource

@@ -3,6 +3,7 @@ miniature versions of the simulation campaigns)."""
 
 import pytest
 
+from repro.core.config import PhastlaneConfig
 from repro.harness.experiments import (
     fig04,
     fig05,
@@ -14,13 +15,12 @@ from repro.harness.experiments import (
     fig11,
     tables,
 )
-from repro.core.config import PhastlaneConfig
 from repro.harness.experiments.configs import optical_configs, standard_configs
 from repro.harness.experiments.splash2_runs import compute_matrix
 from repro.photonics.constants import NIC_BUFFER_ENTRIES, PAYLOAD_WDM
 from repro.photonics.dse import DesignSpaceExplorer
 from repro.photonics.latency import max_hops_per_cycle
-from repro.vectorized import VectorizedConfig
+from repro.vectorized.config import VectorizedConfig
 
 
 class TestAnalyticFigures:

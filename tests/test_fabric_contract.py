@@ -17,14 +17,10 @@ from repro.core.config import PhastlaneConfig
 from repro.core.network import PhastlaneNetwork
 from repro.electrical.config import ElectricalConfig
 from repro.electrical.islip import SwitchAllocator
-from repro.fabric import (
-    BACKENDS,
-    FabricError,
-    IdealConfig,
-    NetworkBackend,
-    make_network,
-)
-from repro.faults import FaultConfig
+from repro.fabric.ideal import IdealConfig
+from repro.fabric.protocol import NetworkBackend
+from repro.fabric.registry import BACKENDS, make_network
+from repro.faults.config import FaultConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload, TraceFileWorkload
 from repro.harness.report import result_to_dict, stats_to_dict
 from repro.harness.runner import run
@@ -33,8 +29,9 @@ from repro.obs.tracers import CollectingTracer
 from repro.photonics.constants import NIC_BUFFER_ENTRIES
 from repro.sim.engine import SimulationEngine
 from repro.traffic.trace import Trace, TraceEvent, TraceSource
+from repro.util.errors import FabricError
 from repro.util.geometry import MeshGeometry
-from repro.vectorized import VectorizedConfig
+from repro.vectorized.config import VectorizedConfig
 
 from helpers import cylinder_registered, reference_oracle
 
@@ -116,7 +113,7 @@ def test_every_builtin_kind_is_registered():
 
 
 def test_contract_covers_every_topology():
-    from repro.topology import registered_topologies
+    from repro.topology.registry import registered_topologies
 
     for kind, topologies in TOPOLOGY_SUPPORT.items():
         assert topologies == registered_topologies(), kind

@@ -8,20 +8,15 @@ import pytest
 from repro.core.config import PhastlaneConfig
 from repro.electrical.config import ElectricalConfig
 from repro.electrical.network import ElectricalNetwork
-from repro.fabric import (
-    BACKENDS,
-    FabricError,
-    IdealConfig,
-    IdealNetwork,
-    config_kind,
-    config_type_for,
-    make_network,
-)
-from repro.faults import FaultConfig
+from repro.fabric.ideal import IdealConfig, IdealNetwork
+from repro.fabric.registry import BACKENDS, config_kind, config_type_for, make_network
+from repro.faults.config import FaultConfig
 from repro.harness.experiments.configs import optical_configs
 from repro.traffic.trace import Trace, TraceEvent, TraceSource
+from repro.util.errors import FabricError
 from repro.util.geometry import MeshGeometry
-from repro.vectorized import VectorizedConfig, VectorizedNetwork
+from repro.vectorized.config import VectorizedConfig
+from repro.vectorized.network import VectorizedNetwork
 
 
 #: The one alternative a ``PhastlaneConfig`` carries (paper footnote 3).

@@ -20,17 +20,14 @@ import pytest
 
 from repro.core.config import PhastlaneConfig
 from repro.electrical.config import ElectricalConfig
-from repro.faults import FaultConfig
+from repro.faults.config import FaultConfig
 from repro.harness.exec import RunSpec, Splash2Workload, SyntheticWorkload
 from repro.harness.report import point_to_dict, result_to_dict, stats_to_dict
 from repro.harness.runner import run
 from repro.obs.config import ObsConfig
 from repro.util.geometry import MeshGeometry
-from repro.vectorized import (
-    VECTORIZED_CALIBRATION,
-    VectorizedConfig,
-    VectorizedNetwork,
-)
+from repro.vectorized.config import VectorizedConfig
+from repro.vectorized.network import VECTORIZED_CALIBRATION, VectorizedNetwork
 
 from helpers import sweep_points
 

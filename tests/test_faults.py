@@ -26,9 +26,10 @@ from hypothesis import strategies as st
 from repro.core.config import PhastlaneConfig
 from repro.core.network import PhastlaneNetwork
 from repro.electrical.config import ElectricalConfig
-from repro.fabric import FabricError, IdealConfig, make_network
-from repro.faults import FaultConfig, FaultSchedule
-from repro.faults.schedule import _ROWS_KEPT
+from repro.fabric.ideal import IdealConfig
+from repro.fabric.registry import make_network
+from repro.faults.config import BURST_EXIT_PROB, FaultConfig
+from repro.faults.schedule import _ROWS_KEPT, FaultSchedule
 from repro.harness.exec import Executor, RunSpec, SyntheticWorkload, TraceFileWorkload
 from repro.harness.report import (
     result_from_dict,
@@ -38,13 +39,14 @@ from repro.harness.report import (
 )
 from repro.harness.runner import run
 from repro.harness.sweeps import fault_sweep_specs, throughput_vs_fault_rate
-from repro.obs import ObsConfig
+from repro.obs.config import ObsConfig
 from repro.obs.tracers import CollectingTracer
 from repro.sim.engine import SimulationEngine
-from repro.topology import topology_from_name
+from repro.topology.registry import topology_from_name
 from repro.traffic.trace import Trace, TraceEvent, TraceSource
+from repro.util.errors import FabricError
 from repro.util.geometry import MeshGeometry
-from repro.vectorized import VectorizedConfig
+from repro.vectorized.config import VectorizedConfig
 
 from helpers import reference_oracle
 
@@ -52,6 +54,7 @@ MESH = MeshGeometry(4, 4)
 OPT = PhastlaneConfig(mesh=MESH, max_hops_per_cycle=4)
 ELE = ElectricalConfig(mesh=MESH)
 VEC = VectorizedConfig(mesh=MESH)
+MESH8 = MeshGeometry(8, 8)
 MESH16 = MeshGeometry(16, 16)
 
 
@@ -206,6 +209,31 @@ class TestFaultSchedule:
         )
         sigma = math.sqrt(trials * prob * (1 - prob))
         assert abs(hits - trials * prob) <= 5 * sigma
+
+    @pytest.mark.parametrize("enter", [0.01, 0.05])
+    def test_a_burst_chain_is_bad_for_its_stationary_share(self, enter):
+        """Each link's Gilbert-Elliott chain spends ``enter / (enter +
+        BURST_EXIT_PROB)`` of its cycles bad in the long run: over 10 000
+        cycles the mean over an 8x8 mesh's 224 links is within 5 % of it,
+        and every link within 50 % (the spread of one link's share is about
+        an eighth of it at these rates)."""
+        cycles = 10_000
+        schedule = FaultSchedule(FaultConfig(seed=1, burst_enter_prob=enter), MESH8)
+        stationary = enter / (enter + BURST_EXIT_PROB)
+        shares = []
+        for node, port in schedule.topology.links():
+            chain = schedule._chain(node * 4 + port)
+            chain.in_bad_state(cycles)
+            starts = chain.boundaries  # even segments good, odd bad
+            bad = sum(
+                min(end, cycles) - start
+                for start, end in zip(starts[1::2], starts[2::2])
+                if start < cycles
+            )
+            shares.append(bad / cycles)
+        assert len(shares) == 224
+        assert abs(sum(shares) / len(shares) - stationary) <= 0.05 * stationary
+        assert all(abs(share - stationary) <= 0.5 * stationary for share in shares)
 
     def test_certain_and_impossible_draws_generate_no_row(self):
         """A certain flip, and the loss of every crossing inside a burst,

@@ -9,7 +9,7 @@ from repro.core import config as core_config
 from repro.core.config import PhastlaneConfig
 from repro.electrical import config as electrical_config
 from repro.electrical.config import ElectricalConfig
-from repro.fabric import FabricError, IdealConfig
+from repro.fabric.ideal import IdealConfig
 from repro.faults.config import RETIRED_FAULT_KEYS, FaultConfig
 from repro.harness.exec import (
     CALIBRATION_STAMP,
@@ -34,8 +34,9 @@ from repro.harness.runner import MAX_DRAIN_CYCLES, run
 from repro.photonics import constants
 from repro.traffic.splash2 import generate_splash2_trace
 from repro.traffic.trace import Trace, TraceEvent
+from repro.util.errors import FabricError
 from repro.util.geometry import MeshGeometry
-from repro.vectorized import VectorizedConfig
+from repro.vectorized.config import VectorizedConfig
 
 from helpers import sweep_points
 

@@ -7,14 +7,16 @@ import pytest
 
 from repro.core.config import PhastlaneConfig
 from repro.electrical.config import ElectricalConfig
-from repro.fabric import FabricError, IdealConfig, make_network
+from repro.fabric.ideal import IdealConfig
+from repro.fabric.registry import make_network
 from repro.harness.exec import RunSpec, SyntheticWorkload, TraceFileWorkload
 from repro.harness.runner import run
 from repro.harness.sweeps import saturation_rate, zero_load_latency
 from repro.sim.stats import SaturationError
 from repro.traffic.trace import Trace, TraceEvent
+from repro.util.errors import FabricError
 from repro.util.geometry import MeshGeometry
-from repro.vectorized import VectorizedConfig
+from repro.vectorized.config import VectorizedConfig
 
 from helpers import reference_oracle, sweep_points
 
@@ -33,7 +35,7 @@ def run_trace_file(config, trace, tmp_path, **spec_kwargs):
 class TestMakeNetwork:
     def test_dispatch_on_config_type(self):
         from repro.electrical.network import ElectricalNetwork
-        from repro.vectorized import VectorizedNetwork
+        from repro.vectorized.network import VectorizedNetwork
 
         # Every optical config runs on the sparse kernel, the footnote 3
         # alternative included.

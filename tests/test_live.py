@@ -9,12 +9,14 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.config import PhastlaneConfig
-from repro.fabric import make_network
+from repro.fabric.registry import make_network
 from repro.harness.exec import Executor, RunProgress, RunSpec, SyntheticWorkload
 from repro.harness.htmlreport import render_campaign_html, write_campaign_html
 from repro.harness.runner import run
-from repro.obs import EventTally, JsonlTraceWriter, LiveDashboard, ObsConfig, ObsSession
-from repro.obs.session import ProgressSample
+from repro.obs.config import ObsConfig
+from repro.obs.live import LiveDashboard
+from repro.obs.session import ObsSession, ProgressSample
+from repro.obs.tracers import EventTally, JsonlTraceWriter
 from repro.sim.engine import SimulationEngine
 from repro.util.geometry import MeshGeometry
 
@@ -293,7 +295,7 @@ class TestHtmlReport:
         from dataclasses import replace
 
         from repro.harness.htmlreport import _badge
-        from repro.obs import HealthReport
+        from repro.obs.health import HealthReport
 
         events = self._events()
         for statuses, overall in [

@@ -4,19 +4,15 @@ import json
 
 import pytest
 
-from repro.obs import (
-    EVENT_KINDS,
+from repro.obs.config import ObsConfig
+from repro.obs.events import EVENT_KINDS, PacketEvent, TraceHub
+from repro.obs.session import ObsSession
+from repro.obs.timeseries import SpatialSeries, TimeSeries, Window
+from repro.obs.tracers import (
     TRACE_SCHEMA,
     ChromeTraceWriter,
     CollectingTracer,
     JsonlTraceWriter,
-    ObsConfig,
-    ObsSession,
-    PacketEvent,
-    SpatialSeries,
-    TimeSeries,
-    TraceHub,
-    Window,
     sampled,
 )
 from repro.sim.engine import SimulationEngine
@@ -110,7 +106,7 @@ class TestSampling:
 
     def test_sampled_trace_of_a_livelocked_run_keeps_its_findings(self, tmp_path):
         from repro.electrical.config import ElectricalConfig
-        from repro.faults import FaultConfig
+        from repro.faults.config import FaultConfig
         from repro.harness.exec import RunSpec, SyntheticWorkload
         from repro.harness.runner import run
         from repro.util.geometry import MeshGeometry
@@ -445,7 +441,7 @@ class TestTraceFilesAreReproducible:
 
     @pytest.mark.parametrize("label", ["Optical4", "Electrical3", "Ideal"])
     def test_same_spec_writes_the_same_trace_bytes(self, label, tmp_path):
-        from repro.fabric import IdealConfig
+        from repro.fabric.ideal import IdealConfig
         from repro.harness.exec import RunSpec, Splash2Workload, SyntheticWorkload
         from repro.harness.experiments.configs import standard_configs
         from repro.harness.runner import run

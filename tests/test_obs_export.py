@@ -3,7 +3,7 @@
 from repro.core.config import PhastlaneConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload
 from repro.harness.runner import run
-from repro.obs import ObsConfig
+from repro.obs.config import ObsConfig
 from repro.obs.export import read_stream
 from repro.util.geometry import MeshGeometry
 

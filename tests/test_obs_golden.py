@@ -21,14 +21,14 @@ import json
 import pytest
 
 from repro.electrical.config import ElectricalConfig
-from repro.faults import FaultConfig
+from repro.faults.config import FaultConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload
 from repro.harness.experiments.configs import standard_configs
 from repro.harness.report import result_to_dict
 from repro.harness.runner import run
-from repro.obs import ObsConfig
+from repro.obs.config import ObsConfig
 from repro.util.geometry import Direction, MeshGeometry
-from repro.vectorized import VectorizedConfig
+from repro.vectorized.config import VectorizedConfig
 
 MESH = MeshGeometry(8, 8)
 CONFIGS = {

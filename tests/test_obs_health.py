@@ -10,13 +10,19 @@ from repro.core.config import PhastlaneConfig
 from repro.electrical.config import ElectricalConfig
 from repro.electrical.flit import Flit
 from repro.electrical.network import ElectricalNetwork
-from repro.faults import FaultConfig
+from repro.faults.config import FaultConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload
 from repro.harness.report import result_from_dict, result_to_dict
 from repro.harness.runner import run
-from repro.obs import HealthFinding, HealthMonitor, HealthReport, ObsConfig
+from repro.obs.config import ObsConfig
 from repro.obs.events import TraceHub
-from repro.obs.health import MAX_CREDIT_FINDINGS, MAX_FINDINGS
+from repro.obs.health import (
+    MAX_CREDIT_FINDINGS,
+    MAX_FINDINGS,
+    HealthFinding,
+    HealthMonitor,
+    HealthReport,
+)
 from repro.obs.tracers import CollectingTracer, EventTally
 from repro.sim.stats import NetworkStats
 from repro.util.geometry import Direction, MeshGeometry
@@ -303,7 +309,7 @@ class TestProgressCheck:
 
 class TestHealthMonitor:
     def test_evaluates_at_window_boundaries_only(self):
-        from repro.obs import ObsSession
+        from repro.obs.session import ObsSession
         from repro.sim.engine import SimulationEngine
 
         engine = SimulationEngine()

@@ -11,7 +11,7 @@ from repro.core.config import PhastlaneConfig
 from repro.core.network import PhastlaneNetwork
 from repro.electrical.config import ElectricalConfig
 from repro.electrical.network import ElectricalNetwork
-from repro.fabric import make_network
+from repro.fabric.registry import make_network
 from repro.harness.exec import (
     Executor,
     ResultCache,
@@ -25,7 +25,8 @@ from repro.harness.report import (
     result_to_dict,
 )
 from repro.harness.runner import run
-from repro.obs import ObsConfig, ObsSession
+from repro.obs.config import ObsConfig
+from repro.obs.session import ObsSession
 from repro.sim.engine import SimulationEngine
 from repro.traffic.trace import Trace, TraceEvent, TraceSource
 from repro.util.geometry import MeshGeometry
@@ -135,7 +136,7 @@ class TestArtifacts:
         assert all(event["ph"] in ("i", "M") for event in events)
 
     def test_chrome_trace_round_trips_with_full_schema(self, tmp_path):
-        from repro.obs import EVENT_KINDS
+        from repro.obs.events import EVENT_KINDS
 
         path = tmp_path / "trace.json"
         result = run(spec(obs=ObsConfig(trace_path=str(path))))

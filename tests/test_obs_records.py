@@ -20,17 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import (
-    EVENT_KINDS,
+from repro.obs.analysis import read_trace_file
+from repro.obs.events import EVENT_KINDS, PacketEvent, TraceHub
+from repro.obs.tracers import (
+    COMMON_RECORD,
+    SCALAR_RECORD,
     TRACE_SCHEMA,
     CollectingTracer,
     JsonlTraceWriter,
-    PacketEvent,
-    TraceHub,
     Tracer,
 )
-from repro.obs.analysis import read_trace_file
-from repro.obs.tracers import COMMON_RECORD, SCALAR_RECORD
 
 
 def reference_render(events, meta=None):

@@ -103,7 +103,7 @@ class TestNetworkPathDelay:
         """Node 0 -> 63 on 8x8, the numbers ``examples/topology_compare.py``
         prints: the dimension-order route is a minimal one, and the folded
         torus pays two pitches per link."""
-        from repro.topology import topology_for
+        from repro.topology.registry import topology_for
         from repro.util.geometry import MeshGeometry
 
         topology = topology_for(name, MeshGeometry(8, 8))

@@ -62,3 +62,31 @@ class TestCrossValidation:
         assert calibrated == pytest.approx(32.0, rel=0.02)
         ratio = max(bottom_up, calibrated) / min(bottom_up, calibrated)
         assert ratio < 2.0
+
+
+#: Both laser models at 98 % crossing efficiency, in watts, as
+#: ``(wavelengths, hops): (chain, calibrated)``: the bottom-up chain scaled
+#: to the calibrated model's 32 W anchor, and the calibrated Fig 7
+#: exponential.  They meet at the anchor and near it at 128 wavelengths and
+#: 5 hops; elsewhere they part by up to 11x, the chain rising far more
+#: slowly with hops and with fewer wavelengths.
+BOTH_MODELS_W = {
+    (64, 4): (32.0, 32.0),
+    (128, 5): (36.8, 32.1),
+    (128, 4): (27.0, 15.0),
+    (32, 4): (63.8, 347.1),
+    (64, 8): (129.3, 1418.5),
+}
+
+
+@pytest.mark.parametrize(
+    "point", BOTH_MODELS_W, ids=lambda point: f"{point[0]}wl-{point[1]}hops"
+)
+def test_both_laser_models_on_the_fig7_grid(point):
+    chain_w, calibrated_w = BOTH_MODELS_W[point]
+    budget = LossBudget()
+    to_anchor = 32.0 / budget.network_peak_power_w(64, 4)
+    chain = budget.network_peak_power_w(*point) * to_anchor
+    assert chain == pytest.approx(chain_w, abs=0.05)
+    calibrated = OpticalPowerModel().peak_power_w(*point, 0.98)
+    assert calibrated == pytest.approx(calibrated_w, abs=0.05)

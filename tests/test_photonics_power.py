@@ -16,7 +16,7 @@ from repro.photonics.power import (
     optical_prices,
 )
 from repro.util.geometry import MeshGeometry
-from repro.vectorized import VectorizedNetwork
+from repro.vectorized.network import VectorizedNetwork
 
 
 @pytest.fixture(scope="module")

@@ -19,12 +19,14 @@ from repro.core.network import PhastlaneNetwork
 from repro.core.routing import build_plan, max_segment_hops
 from repro.electrical.config import ElectricalConfig
 from repro.electrical.network import ElectricalNetwork
-from repro.fabric import BACKENDS, FabricError, IdealConfig, make_network
-from repro.faults import FaultConfig
+from repro.fabric.ideal import IdealConfig
+from repro.fabric.registry import BACKENDS, make_network
+from repro.faults.config import FaultConfig
 from repro.sim.engine import SimulationEngine
 from repro.traffic.trace import Trace, TraceEvent, TraceSource
+from repro.util.errors import FabricError
 from repro.util.geometry import MeshGeometry
-from repro.vectorized import VectorizedConfig
+from repro.vectorized.config import VectorizedConfig
 
 from helpers import reference_oracle
 

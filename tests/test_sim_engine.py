@@ -1,4 +1,4 @@
-"""Tests for the two-phase cycle engine."""
+"""Tests for the cycle engine."""
 
 import pytest
 
@@ -6,29 +6,13 @@ from repro.sim.engine import SimulationEngine
 
 
 class Counter:
-    """A Clocked component counting step/commit invocations."""
+    """A Clocked component recording the cycles it is stepped at."""
 
     def __init__(self):
         self.steps: list[int] = []
-        self.commits: list[int] = []
 
     def step(self, cycle: int) -> None:
         self.steps.append(cycle)
-
-    def commit(self, cycle: int) -> None:
-        self.commits.append(cycle)
-
-
-class TwoPhaseProbe:
-    """Records whether all steps happen before any commit within a cycle."""
-
-    order: list[str] = []
-
-    def step(self, cycle: int) -> None:
-        TwoPhaseProbe.order.append("step")
-
-    def commit(self, cycle: int) -> None:
-        TwoPhaseProbe.order.append("commit")
 
 
 class TestEngine:
@@ -43,15 +27,6 @@ class TestEngine:
         engine.register(counter)
         engine.run(5)
         assert counter.steps == [0, 1, 2, 3, 4]
-        assert counter.commits == [0, 1, 2, 3, 4]
-
-    def test_all_steps_before_all_commits(self):
-        TwoPhaseProbe.order = []
-        engine = SimulationEngine()
-        engine.register(TwoPhaseProbe())
-        engine.register(TwoPhaseProbe())
-        engine.tick()
-        assert TwoPhaseProbe.order == ["step", "step", "commit", "commit"]
 
     def test_rejects_non_clocked_component(self):
         engine = SimulationEngine()

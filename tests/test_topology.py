@@ -8,11 +8,10 @@ wrap-port labelling, and the route laws both Phastlane engines lean on.
 
 import pytest
 
-from repro.topology import (
+from repro.topology.base import TopologyError
+from repro.topology.mesh import Mesh2D
+from repro.topology.registry import (
     DEFAULT_TOPOLOGY,
-    Mesh2D,
-    TopologyError,
-    Torus2D,
     as_topology,
     policy_by_name,
     registered_topologies,
@@ -20,6 +19,7 @@ from repro.topology import (
     topology_from_name,
     topology_of,
 )
+from repro.topology.torus import Torus2D
 from repro.util.errors import FabricError
 from repro.util.geometry import Direction, MeshGeometry
 

@@ -23,12 +23,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.topology import (
-    Mesh2D,
-    Torus2D,
-    registered_topologies,
-    topology_for,
-)
+from repro.topology.mesh import Mesh2D
+from repro.topology.registry import registered_topologies, topology_for
+from repro.topology.torus import Torus2D
 from repro.util.geometry import OPPOSITE, Direction, MeshGeometry
 
 from helpers import Cylinder

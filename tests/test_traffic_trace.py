@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import PhastlaneConfig
-from repro.fabric import base, make_network
+from repro.fabric import base
+from repro.fabric.registry import make_network
 from repro.harness.exec import RunSpec, SyntheticWorkload
 from repro.harness.experiments.configs import standard_configs
 from repro.harness.report import stats_to_dict
 from repro.harness.runner import run
-from repro.topology import topology_from_name
+from repro.topology.registry import topology_from_name
 from repro.traffic.coherence import MessageKind
 from repro.traffic.injection import BernoulliInjector, BurstyInjector
 from repro.traffic.patterns import PATTERNS, pattern_by_name
@@ -22,7 +23,7 @@ from repro.traffic.trace import (
     TraceSource,
 )
 from repro.util.geometry import MeshGeometry
-from repro.vectorized import VectorizedConfig
+from repro.vectorized.config import VectorizedConfig
 from repro.vectorized.traffic import philox_events
 
 events_strategy = st.lists(
