@@ -324,13 +324,27 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             raise _UsageError(
                 f"{name} is analytic and runs no simulation; drop {flags}"
             )
-        from repro.harness.experiments import fig04, fig05, fig06, fig07, fig08
+        # One import per name: a figure loads only its own models.
+        if name == "fig04":
+            from repro.harness.experiments import fig04
 
-        figure = {
-            "fig04": fig04, "fig05": fig05, "fig06": fig06, "fig07": fig07,
-            "fig08": fig08,
-        }[name]
-        print(figure.render(figure.compute()))
+            print(fig04.render(fig04.compute()))
+        elif name == "fig05":
+            from repro.harness.experiments import fig05
+
+            print(fig05.render(fig05.compute()))
+        elif name == "fig06":
+            from repro.harness.experiments import fig06
+
+            print(fig06.render(fig06.compute()))
+        elif name == "fig07":
+            from repro.harness.experiments import fig07
+
+            print(fig07.render(fig07.compute()))
+        else:
+            from repro.harness.experiments import fig08
+
+            print(fig08.render(fig08.compute()))
         return 0
     from repro.harness.experiments import fig09, fig10, fig11
     from repro.harness.experiments.splash2_runs import compute_matrix

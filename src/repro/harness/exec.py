@@ -11,8 +11,9 @@ on:
   pool (``workers=1`` stays in-process) while preserving input order, so a
   parallel campaign returns the exact result stream of a serial one;
 - :class:`ResultCache` — an on-disk cache under ``.repro-cache/`` keyed by
-  spec digest plus a code-calibration stamp, so re-running a campaign only
-  simulates specs whose inputs (or the simulator itself) changed;
+  spec digest plus the digest of the package's own source
+  (:func:`calibration_stamp`), so re-running a campaign only simulates specs
+  whose inputs (or the simulator itself) changed;
 - :class:`RunEvent` — per-run observability (cache hit, wall time,
   packets/second) collected into the executor's event log, from which
   :func:`repro.harness.report.manifest_to_dict` builds a campaign manifest.
@@ -32,6 +33,7 @@ import multiprocessing
 import os
 import threading
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -43,11 +45,6 @@ from repro.obs.config import ObsConfig
 from repro.obs.session import ProgressSample, ProgressSink
 from repro.util.errors import SpecError, drop_retired
 from repro.util.geometry import MeshGeometry
-
-#: Code-calibration stamp baked into every cache key.  Bump whenever the
-#: simulators or calibration constants change in a way that alters results;
-#: old cache entries then become invisible rather than silently stale.
-CALIBRATION_STAMP = "2026.10.0"
 
 #: Default location of the on-disk result cache.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -308,20 +305,34 @@ class RunSpec:
 # -- on-disk result cache ----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def calibration_stamp() -> str:
+    """The sha256 of every module's path and source under ``repro``, read
+    once per process the first time a cache entry is named: any edit to
+    the package, a comment's included, is a new stamp, so no result an
+    older tree stored is ever served as this one's."""
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
 class ResultCache:
-    """Content-addressed result store under ``root/v<CALIBRATION_STAMP>/``.
+    """Content-addressed result store under ``root/v<calibration_stamp()>/``.
 
     A cached entry is served only when both the spec digest *and* the
-    calibration stamp match, so bumping :data:`CALIBRATION_STAMP` (or
-    changing any spec input) invalidates it.  Corrupt or unreadable entries
-    are treated as misses.
+    calibration stamp match, so editing the package (or changing any spec
+    input) invalidates it.  Corrupt or unreadable entries, and entries
+    stored under another stamp, are treated as misses.
     """
 
     def __init__(self, root: str | Path = DEFAULT_CACHE_DIR):
         self.root = Path(root)
 
     def path_for(self, spec: RunSpec) -> Path:
-        return self.root / f"v{CALIBRATION_STAMP}" / f"{spec.digest()}.json"
+        return self.root / f"v{calibration_stamp()}" / f"{spec.digest()}.json"
 
     def load(self, spec: RunSpec) -> RunResult | None:
         # Imported here, not at module top: report imports sweeps, which
@@ -335,7 +346,7 @@ class ResultCache:
             return None
         if not isinstance(payload, dict):
             return None
-        if payload.get("calibration") != CALIBRATION_STAMP:
+        if payload.get("calibration") != calibration_stamp():
             return None
         try:
             result = result_from_dict(payload["result"])
@@ -351,7 +362,7 @@ class ResultCache:
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
-            "calibration": CALIBRATION_STAMP,
+            "calibration": calibration_stamp(),
             "digest": spec.digest(),
             "spec": spec.to_dict(),
             "wall_time_s": result.wall_time_s,

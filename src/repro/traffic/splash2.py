@@ -35,30 +35,6 @@ from repro.traffic.trace import Trace, TraceEvent
 from repro.util.errors import SpecError
 from repro.util.geometry import MeshGeometry
 
-#: Table 3 of the paper: benchmark -> experimental data set.
-SPLASH2_INPUT_SETS: dict[str, str] = {
-    "barnes": "64 K particles",
-    "cholesky": "tk29.O",
-    "fft": "4 M points",
-    "lu": "2048x2048 matrix",
-    "ocean": "2050x2050 grid",
-    "radix": "64 M integers",
-    "raytrace": "balls4",
-    "water-nsquared": "512 molecules",
-    "water-spatial": "512 molecules",
-    "fmm": "512 K particles",
-}
-
-#: Table 4 of the paper: the cache/memory configuration the traces model.
-CACHE_CONFIGURATION: dict[str, str] = {
-    "simulated_cache_sizes": "32KB L1I, 32KB L1D, 256KB L2",
-    "actual_cache_sizes": "64KB L1I, 64KB L1D, 2MB L2",
-    "cache_associativity": "4 Way L1, 16 Way L2",
-    "block_size": "32B L1, 64B L2",
-    "memory_latency": "80 cycles",
-}
-
-
 #: The share of data responses served by the line's memory controller
 #: rather than by the benchmark's spatial pattern.
 MC_FRACTION = 0.3

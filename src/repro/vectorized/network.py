@@ -478,8 +478,8 @@ class VectorizedNetwork(MeshNetworkBase):
                     continue
                 plan = packet.plan
                 origin = packet.origin
-                output = plan.exits[origin]
-                bit = 1 << output
+                claim = plan.route[origin]
+                bit = 1 << (claim & 3)
                 if claimed_outputs & bit:
                     continue
                 queue.popleft()
@@ -510,7 +510,7 @@ class VectorizedNetwork(MeshNetworkBase):
                         plan.taps >> (origin + 1) & ((1 << segment) - 1)
                     ).bit_count()
                 laser_sum += laser[charge]
-                claims.add(node * 4 + output)
+                claims.add(claim)
                 flights.append(packet)
             if launched:
                 total_launched += launched
@@ -604,13 +604,14 @@ class VectorizedNetwork(MeshNetworkBase):
                 packet.hop = index
                 plan = packet.plan
                 if fault_at is not None:
-                    kind = fault_at(plan.nodes[index - 1] * 4 + plan.exits[index - 1])
+                    kind = fault_at(plan.route[index - 1])
                     if kind is not None:
                         hops -= 1
                         self._fault_crossing(packet, plan, index, kind, cycle, hub)
                         continue
                 if hub is not None:
-                    hub.emit("hop", cycle, plan.nodes[index], packet.uid)
+                    node = plan.route[index] >> 2
+                    hub.emit("hop", cycle, plan.final if node < 0 else node, packet.uid)
                 receiver_sum += e_receive_control
                 key = plan.keys[index]
                 if stopping:
@@ -649,7 +650,9 @@ class VectorizedNetwork(MeshNetworkBase):
                     # wins per broadcast and node, then the Local stop or
                     # the next crossing.
                     receiver_sum += e_receive_packet
-                    node = plan.nodes[index]
+                    node = plan.route[index] >> 2
+                    if node < 0:
+                        node = plan.final
                     broadcast_id = packet.broadcast_id
                     owed = owed_taps.get(broadcast_id, 0)
                     bit = 1 << node
@@ -692,7 +695,7 @@ class VectorizedNetwork(MeshNetworkBase):
                         pointer = pointers.get(key, 0)
                         group.sort(
                             key=lambda packet: (
-                                packet.plan.exits[packet.hop - 1] - pointer
+                                (packet.plan.route[packet.hop - 1] & 3) - pointer
                             ) % 4
                         )
                     claims_add(key)
@@ -707,15 +710,13 @@ class VectorizedNetwork(MeshNetworkBase):
                 # Every winner, a lone one too, moves its port's pointer to
                 # the input after the one it came in by.
                 for packet in continuing:
-                    plan = packet.plan
+                    route = packet.plan.route
                     index = packet.hop
-                    pointers[plan.nodes[index] * 4 + plan.exits[index]] = (
-                        plan.exits[index - 1] + 1
-                    ) % 4
+                    pointers[route[index]] = ((route[index - 1] & 3) + 1) % 4
             for packet in blocked:
                 if hub is not None:
                     hub.emit(
-                        "blocked", cycle, packet.plan.nodes[packet.hop], packet.uid
+                        "blocked", cycle, packet.plan.route[packet.hop] >> 2, packet.uid
                     )
                 receiver_sum += e_receive_packet
                 buffer_or_drop(packet, cycle, hub)
@@ -744,16 +745,15 @@ class VectorizedNetwork(MeshNetworkBase):
         cycle: int,
         hub: TraceHub | None,
     ) -> None:
-        """Drop ``packet``, whose crossing into ``plan.nodes[index]`` the
+        """Drop ``packet``, whose crossing out of router ``index - 1`` the
         fault schedule failed with ``kind``."""
-        previous_node = plan.nodes[index - 1]
-        previous_exit = plan.exits[index - 1]
+        previous_node, previous_exit = divmod(plan.route[index - 1], 4)
         stats = self.stats
         stats.record_fault(kind)
         self._fault_hit.add(packet.uid)
         stats.record_dropped()
         self._drop_signals[packet.uid] = index
-        self._signalled.add(plan.nodes[packet.origin])
+        self._signalled.add(plan.route[packet.origin] >> 2)
         self._fault_drop_uids.add(packet.uid)
         stats.energy_pj["drop_network"] += self.prices.drop_signal
         if hub:
@@ -771,10 +771,11 @@ class VectorizedNetwork(MeshNetworkBase):
     def _buffer_or_drop(
         self, packet: VecPacket, cycle: int, hub: TraceHub | None
     ) -> None:
-        plan = packet.plan
+        route = packet.plan.route
         index = packet.hop
-        node = plan.nodes[index]
-        queue_id = plan.exits[index - 1]
+        # Never the final router: a packet buffers or drops short of it.
+        node = route[index] >> 2
+        queue_id = route[index - 1] & 3
         router = self.routers[node]
         capacity = self._capacity
         if (
@@ -797,7 +798,7 @@ class VectorizedNetwork(MeshNetworkBase):
             return
         self.stats.record_dropped()
         self._drop_signals[packet.uid] = index
-        self._signalled.add(plan.nodes[packet.origin])
+        self._signalled.add(route[packet.origin] >> 2)
         self.stats.energy_pj["drop_network"] += self.prices.drop_signal
         if hub:
             hub.emit("dropped", cycle, node, packet.uid)
@@ -813,7 +814,7 @@ class VectorizedNetwork(MeshNetworkBase):
 
 def _priority_key(packet: VecPacket) -> tuple[int, int]:
     """Fixed-priority rank: straight beats turns, then input-port order."""
-    exits = packet.plan.exits
+    route = packet.plan.route
     index = packet.hop
-    arrival = exits[index - 1]
-    return (RANK16[arrival * 4 + exits[index]], arrival)
+    arrival = route[index - 1] & 3
+    return (RANK16[arrival * 4 + (route[index] & 3)], arrival)

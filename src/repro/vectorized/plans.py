@@ -3,13 +3,14 @@
 The reference pipeline re-walks tuples of frozen
 :class:`~repro.core.routing.RouteStep` dataclasses on every wave.  The
 vectorized engine compiles each (source, destination) route once into a
-:class:`PlanInfo` of flat integer tuples — node ids and exit-port ids
-(``-1`` at the final router).  A dimension-order route is at most two
+:class:`PlanInfo` whose route is one tuple of contention keys,
+``node * 4 + exit`` per router it flies through and ``STOP`` at the final
+one, which it names apart.  A dimension-order route is at most two
 straight runs, so :func:`compile_plan` is two slices of the grid's line
-tables (:attr:`~repro.topology.base.Topology.lines`): the topology says
-which way and how far along each axis, the lines hold every row and column
-once, and a route owns three short tuples of references and no int of its
-own.  The differential suite pins the routes and the resulting schedules
+keys (:attr:`~repro.topology.base.Topology.lines`): the topology says which
+way and how far along each axis, the lines hold every row and column once,
+and a route owns one tuple of references and no int of its own.  The
+differential suite pins the routes and the resulting schedules
 bit-identical to ``build_plan``'s on both mesh and torus.
 
 A plan is the route and nothing else: every packet on the pair holds the
@@ -65,36 +66,34 @@ STOP, TAP_STOP, TAP_FLY = -1, -2, -3
 
 
 class PlanInfo:
-    """A compiled route (flat tuples and a tap mask, see module docstring)."""
+    """A compiled route: one tuple of contention keys and a tap mask (see
+    module docstring)."""
 
-    __slots__ = ("nodes", "exits", "keys", "length", "final", "taps")
+    __slots__ = ("route", "keys", "length", "final", "taps")
 
-    def __init__(
-        self,
-        nodes: tuple[int, ...],
-        exits: tuple[int, ...],
-        keys: tuple[int, ...],
-        taps: int = 0,
-    ) -> None:
-        self.nodes = nodes
-        self.exits = exits
-        self.length = len(nodes)
-        self.final = nodes[-1]
+    def __init__(self, route: tuple[int, ...], final: int, taps: int = 0) -> None:
+        #: ``node * 4 + exit`` at every router the route flies through,
+        #: ``STOP`` at the final one: the router at index ``i`` is
+        #: ``route[i] >> 2`` and its exit ``route[i] & 3``, bar the last.
+        self.route = route
+        self.length = len(route)
+        self.final = final
         #: Multicast bits: bit ``i`` set where router ``i`` power-taps the
         #: packet.  Zero on every unicast plan.
         self.taps = taps
-        # Per-hop contention key, handed in untapped: ``node * 4 + exit`` at
-        # every router the route flies through, ``STOP`` at the final one.
-        # One tuple load replaces the nodes/exits pair in the wave hot loop.
-        # A power tap folds into the same int, so the loop's one ``key < 0``
-        # test also finds the taps: ``TAP_STOP`` taps and then stops,
+        # What the wave loop reads: ``route`` itself unless tapped.  A power
+        # tap folds into the same int, so the loop's one ``key < 0`` test
+        # also finds the taps: ``TAP_STOP`` taps and then stops,
         # ``TAP_FLY - key`` taps and flies on under ``key``.
-        if taps:
-            keys = tuple(
-                (TAP_STOP if key == STOP else TAP_FLY - key) if taps >> i & 1 else key
-                for i, key in enumerate(keys)
-            )
-        self.keys = keys
+        self.keys = route if not taps else tuple(
+            (TAP_STOP if key == STOP else TAP_FLY - key) if taps >> i & 1 else key
+            for i, key in enumerate(route)
+        )
+
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        """The routers in route order, decoded (no hot site reads this)."""
+        return tuple(key >> 2 for key in self.route[:-1]) + (self.final,)
 
 
 def neighbor_table(topology: Topology) -> tuple[list[Line], ...]:
@@ -110,30 +109,28 @@ def compile_plan(
     destination: int,
     _max_hops: int = 0,  # unread: bench/probes.py still passes a hop budget
 ) -> PlanInfo:
-    """The DOR route as a :class:`PlanInfo`: the X run and the Y run, each a
-    slice of a line the grid holds once, so the route of
+    """The DOR route as a :class:`PlanInfo`: the X run's keys and the Y
+    run's, each a slice of a line the grid holds once, so the route of
     ``build_plan(topology, source, destination, max_hops)`` at any hop
-    budget (same nodes, same exits, -1 at the destination)."""
+    budget (same routers, same exits, ``STOP`` at the destination)."""
     if source == destination:
         raise ValueError("a route needs distinct endpoints")
     x_port, x_hops, y_port, y_hops = topology.dor_runs(source, destination)
     x_nodes, x_keys, x = lines[x_port][source]
     y_nodes, y_keys, y = lines[y_port][x_nodes[x + x_hops]]
     return PlanInfo(
-        x_nodes[x : x + x_hops] + y_nodes[y : y + y_hops + 1],
-        (x_port,) * x_hops + (y_port,) * y_hops + (-1,),
-        x_keys[x : x + x_hops] + y_keys[y : y + y_hops] + (STOP,),
+        x_keys[x : x + x_hops] + y_keys[y : y + y_hops] + (STOP,), y_nodes[y + y_hops]
     )
 
 
 #: Plans one :class:`PlanTable` keeps in each of its stores — the untapped
 #: routes, the tapped rewrites, the broadcast sweeps — before that store
-#: starts over.  Every route of a 16x16 grid (65 280 pairs, 34 MB) and every
+#: starts over.  Every route of a 16x16 grid (65 280 pairs, 16 MB) and every
 #: tapped plan of an 8x8 run fit; a 32x32 grid has 1 047 552 pairs and a
 #: campaign worker lives long.  Past the cap the store is emptied and refills
-#: with what the run still uses.  Measured, an untapped route costs about 190
-#: bytes plus 24 a router (three tuples of references into the grid's lines),
-#: so a full store of 32x32 routes (22 routers on average) is about 47 MB.
+#: with what the run still uses.  Measured, an untapped route costs about 150
+#: bytes plus 8 a router (one tuple of references into the grid's lines), so
+#: a full store of 32x32 routes (22 routers on average) is about 22 MB.
 PLAN_CAP = 1 << 16
 
 
@@ -172,7 +169,7 @@ class PlanTable(dict[int, PlanInfo]):
         """``plan``'s route under the tap mask ``taps``."""
         if taps == plan.taps:
             return plan
-        pair = plan.nodes[0] * self.num_nodes + plan.final
+        pair = (plan.route[0] >> 2) * self.num_nodes + plan.final
         if not taps:
             return self[pair]
         key = (pair, taps)
@@ -180,9 +177,7 @@ class PlanTable(dict[int, PlanInfo]):
         if tapped is None:
             if len(self._tapped) >= PLAN_CAP:
                 self._tapped.clear()
-            tapped = self._tapped[key] = PlanInfo(
-                plan.nodes, plan.exits, self[pair].keys, taps
-            )
+            tapped = self._tapped[key] = PlanInfo(plan.route, plan.final, taps)
         return tapped
 
     def broadcast(self, source: int) -> tuple[PlanInfo, ...]:

@@ -38,6 +38,17 @@ def sweep_points(config, pattern, rates, cycles, seed=1, executor=None):
     ]
 
 
+def plan_hops(plan) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A compiled plan's routers and exits, decoded from its route keys
+    (``key >> 2``, ``key & 3``), with exit -1 at the final router as
+    ``build_plan`` marks it."""
+    flown = plan.route[:-1]
+    return (
+        tuple(key >> 2 for key in flown) + (plan.final,),
+        tuple(key & 3 for key in flown) + (-1,),
+    )
+
+
 @contextmanager
 def reference_oracle() -> Iterator[None]:
     """Inside the block every ``PhastlaneConfig`` runs on ``repro.core``.

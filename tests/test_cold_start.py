@@ -86,31 +86,27 @@ _EXPERIMENTS = ("repro.harness", "repro.harness.experiments")
 #: Every ``repro`` and numpy module each command loads, exactly.  ``analyze``
 #: adds the trace reader and the nearest-rank rule it reports with; the
 #: analytic figures and the tables add the section 3 models they print
-#: (``figure`` imports its five modules for its literal table) and no
-#: simulator, run path or numpy.
+#: (``figure`` imports only the figure it is named) and no simulator, run
+#: path, traffic generator or numpy.
 CLI_IMPORT_LOADS = {
     "--help": _CLI,
     "sweep --help": _CLI,
     "analyze TRACE": (*_CLI, "repro.obs", "repro.obs.analysis", "repro.obs.events",
                       "repro.obs.tracers", "repro.sim", "repro.sim.stats"),
     "figure fig04": (
-        *_CLI, *_EXPERIMENTS,
-        *(f"repro.harness.experiments.fig0{n}" for n in range(4, 9)),
-        "repro.photonics", "repro.photonics.area", "repro.photonics.constants",
-        "repro.photonics.latency", "repro.photonics.power",
-        "repro.photonics.scaling", "repro.photonics.wdm", "repro.util.tables",
+        *_CLI, *_EXPERIMENTS, "repro.harness.experiments.fig04",
+        "repro.photonics", "repro.photonics.constants", "repro.photonics.scaling",
+        "repro.util.tables",
     ),
     "tables": (
         *_CLI, *_EXPERIMENTS, "repro.harness.experiments.tables",
         "repro.electrical", "repro.electrical.config",
         "repro.photonics", "repro.photonics.area", "repro.photonics.constants",
         "repro.photonics.dse", "repro.photonics.latency", "repro.photonics.power",
-        "repro.photonics.wdm", "repro.sim", "repro.sim.rng",
+        "repro.photonics.wdm",
         "repro.topology", "repro.topology.base", "repro.topology.mesh",
         "repro.topology.registry", "repro.topology.torus",
-        "repro.traffic", "repro.traffic.coherence", "repro.traffic.injection",
-        "repro.traffic.patterns", "repro.traffic.splash2", "repro.traffic.trace",
-        "repro.util.bits", "repro.util.geometry", "repro.util.tables",
+        "repro.util.geometry", "repro.util.tables",
     ),
 }
 

@@ -34,6 +34,7 @@ exact replay, which the fallback tests pin instead).
 import itertools
 import math
 import random
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -75,7 +76,7 @@ from repro.vectorized.plans import (
 )
 from repro.vectorized.traffic import philox_key, philox_supported
 
-from helpers import cylinder_registered, reference_oracle
+from helpers import cylinder_registered, plan_hops, reference_oracle
 
 # -- helpers -----------------------------------------------------------------
 
@@ -956,8 +957,9 @@ class TestRefusals:
 def flat_steps(plan, origin=0):
     """A compiled plan from ``origin`` on as ``(node, exit, multicast)`` per
     router; the router at ``origin`` holds the packet and taps nothing."""
+    nodes, exits = plan_hops(plan)
     return [
-        (plan.nodes[i], plan.exits[i], i > origin and bool(plan.taps >> i & 1))
+        (nodes[i], exits[i], i > origin and bool(plan.taps >> i & 1))
         for i in range(origin, plan.length)
     ]
 
@@ -988,6 +990,22 @@ def positional_stops(length, origin, max_hops):
 SHAPES = [(4, 4), (5, 3), (2, 6), (8, 8)]
 
 
+@st.composite
+def routed_pairs(draw):
+    """A mesh or torus grid and two distinct nodes on it."""
+    shape = draw(st.sampled_from([(1, 4), (4, 1), (2, 2), *SHAPES, (16, 16)]))
+    grid = topology_for(draw(st.sampled_from(["mesh", "torus"])), MeshGeometry(*shape))
+    nodes = st.integers(0, grid.num_nodes - 1)
+    pair = draw(st.lists(nodes, min_size=2, max_size=2, unique=True))
+    return grid, *pair
+
+
+#: Bytes a full 16x16 mesh table spends per router of its routes (plan,
+#: route tuple and table; the keys are the grid's line ints, shared): ~21
+#: as one tuple per plan, ~45 when a plan held nodes, exits and keys.
+BYTES_PER_ROUTER_16X16 = 28
+
+
 class TestCompiledPlans:
     """The three laws a shared plan rests on.  (i) Suffix: a route's tail is
     the route of the router it starts at, so a buffered packet's fresh plan
@@ -1008,10 +1026,10 @@ class TestCompiledPlans:
                 if source == destination:
                     continue
                 plan = table.plan(source, destination)
+                nodes, exits = plan_hops(plan)
                 for index in range(1, plan.length - 1):
-                    tail = table.plan(plan.nodes[index], destination)
-                    assert tail.nodes == plan.nodes[index:]
-                    assert tail.exits == plan.exits[index:]
+                    tail = table.plan(nodes[index], destination)
+                    assert plan_hops(tail) == (nodes[index:], exits[index:])
                     assert tail.keys == plan.keys[index:]
 
     @pytest.mark.parametrize("max_hops", [1, 3, 4, 5])
@@ -1068,7 +1086,7 @@ class TestCompiledPlans:
         def launch_charge(plan, origin):
             packet = VecPacket(0, plan, 0)
             packet.origin = origin
-            node = plan.nodes[origin]
+            node = plan_hops(plan)[0][origin]
             router = network.routers[node]
             router.queues[LOCAL_QUEUE].append(packet)
             router.mask |= 1 << LOCAL_QUEUE
@@ -1110,13 +1128,45 @@ class TestCompiledPlans:
             for plan, reference in zip(plans, references):
                 check(plan, 0, reference, depth=2 if shape == (4, 4) else 1)
 
+    @given(pair=routed_pairs(), taps=st.integers(0, (1 << 32) - 1),
+           drop=st.integers(1, 31))
+    def test_a_route_is_its_contention_keys(self, pair, taps, drop):
+        """``route[i] >> 2`` and ``route[i] & 3`` walk the DOR route, and
+        every tap rewrite of a plan shares its route."""
+        grid, source, destination = pair
+        table = PlanTable(grid)
+        plan = table.plan(source, destination)
+        route, walk = plan.route, grid.dor_route(source, destination)
+        assert route[-1] == STOP and plan.final == destination == walk[-1]
+        assert [key >> 2 for key in route[:-1]] == walk[:-1]
+        assert [Direction(key & 3) for key in route[:-1]] == grid.dor_directions(
+            source, destination
+        )
+        assert plan.keys is route and plan.length == len(walk)
+        tapped = table.tapped(plan, taps & ((1 << plan.length) - 2))
+        for rewrite in (tapped, table.cleared(tapped, drop)):
+            assert rewrite.route is table.plan(source, rewrite.final).route
+            assert rewrite.final == destination
+
+    def test_a_full_16x16_table_is_one_tuple_per_route(self):
+        table = PlanTable(topology_for("mesh", MeshGeometry(16, 16)))
+        pairs = itertools.permutations(range(table.num_nodes), 2)
+        plans = [table.plan(source, destination) for source, destination in pairs]
+        assert all(plan.keys is plan.route for plan in plans)
+        size = sys.getsizeof(table) + sum(
+            sys.getsizeof(plan) + sys.getsizeof(plan.route) for plan in plans
+        )
+        routers = sum(plan.length for plan in plans)
+        assert size / routers < BYTES_PER_ROUTER_16X16
+
     def test_tapped_keys_fold_the_tap_into_the_contention_key(self):
         topo = topology_for("mesh", MeshGeometry(4, 4))
         table = PlanTable(topo)
         for plan in table.broadcast(5):
             assert plan.taps and not plan.taps & 1  # the source is never tapped
+            nodes, exits = plan_hops(plan)
             for index in range(plan.length):
-                fly = plan.nodes[index] * 4 + plan.exits[index]
+                fly = nodes[index] * 4 + exits[index]
                 tapped = plan.taps >> index & 1
                 if index == plan.length - 1:
                     assert plan.keys[index] == (TAP_STOP if tapped else STOP)
@@ -1130,7 +1180,7 @@ class TestCompiledPlans:
         plan = table.broadcast(0)[0]
         assert table.cleared(plan, 1) is plan  # nothing before the first hop
         bare = table.tapped(plan, 0)
-        assert bare is table.plan(plan.nodes[0], plan.final) and bare.taps == 0
+        assert bare is table.plan(plan_hops(plan)[0][0], plan.final) and bare.taps == 0
         assert table.cleared(plan, plan.length) is bare
 
     def test_stray_taps_refused_like_build_plan(self):
@@ -1152,13 +1202,12 @@ class TestCompiledPlans:
         neighbors = neighbor_table(topo)
         plan = compile_plan(topo, neighbors, 0, 15, 2)
         assert plan.keys == compile_plan(topo, neighbors, 0, 15).keys
+        nodes, exits = plan_hops(plan)
         for index in range(plan.length):
             if index == plan.length - 1:
-                assert plan.keys[index] == STOP and plan.exits[index] == -1
+                assert plan.keys[index] == STOP and exits[index] == -1
             else:
-                assert plan.keys[index] == (
-                    plan.nodes[index] * 4 + plan.exits[index]
-                )
+                assert plan.keys[index] == nodes[index] * 4 + exits[index]
 
 
 class TestPlanStore:
@@ -1202,14 +1251,14 @@ class TestPlanStore:
                 for destination in set(topo.nodes()) - {source}:
                     plan = table.plan(source, destination)
                     fresh = compile_plan(topo, neighbors, source, destination)
-                    assert (plan.nodes, plan.exits, plan.keys, plan.taps) == (
-                        fresh.nodes, fresh.exits, fresh.keys, 0
+                    assert (plan_hops(plan), plan.keys, plan.taps) == (
+                        plan_hops(fresh), fresh.keys, 0
                     )
                     assert len(table) <= 50
                 for plan in table.broadcast(source):
                     for index in range(1, plan.length):
                         resend = table.cleared(plan, index)
-                        assert resend.nodes == plan.nodes
+                        assert plan_hops(resend) == plan_hops(plan)
                         assert resend.taps == plan.taps >> index << index
                 assert len(table._tapped) <= 50 and len(table._sweeps) <= 50
 

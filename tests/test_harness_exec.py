@@ -1,7 +1,12 @@
 """Tests for the parallel campaign executor, run-spec API and result cache."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +17,6 @@ from repro.electrical.config import ElectricalConfig
 from repro.fabric.ideal import IdealConfig
 from repro.faults.config import RETIRED_FAULT_KEYS, FaultConfig
 from repro.harness.exec import (
-    CALIBRATION_STAMP,
     RETIRED_KEYS,
     Executor,
     ResultCache,
@@ -20,6 +24,7 @@ from repro.harness.exec import (
     Splash2Workload,
     SyntheticWorkload,
     TraceFileWorkload,
+    calibration_stamp,
     config_from_dict,
     config_to_dict,
     workload_from_dict,
@@ -505,11 +510,64 @@ class TestResultCache:
         spec = small_specs(rates=(0.05,), cycles=100)[0]
         cache = ResultCache(tmp_path)
         Executor(cache=cache).map([spec])
-        monkeypatch.setattr("repro.harness.exec.CALIBRATION_STAMP", "recalibrated")
+        monkeypatch.setattr(
+            "repro.harness.exec.calibration_stamp", lambda: "recalibrated"
+        )
         recalibrated = Executor(cache=cache)
         recalibrated.map([spec])
         assert recalibrated.cache_hits == 0
         assert (tmp_path / "vrecalibrated" / f"{spec.digest()}.json").is_file()
+
+    def test_an_entry_stored_under_another_stamp_is_a_miss(self, tmp_path):
+        spec = small_specs(rates=(0.05,), cycles=100)[0]
+        cache = ResultCache(tmp_path)
+        Executor(cache=cache).map([spec])
+        path = cache.path_for(spec)
+        payload = json.loads(path.read_text())
+        payload["calibration"] = "2026.10.0"  # the last hand-typed stamp
+        path.write_text(json.dumps(payload))
+        assert cache.load(spec) is None
+        executor = Executor(cache=cache)
+        executor.map([spec])
+        assert executor.cache_hits == 0
+        assert json.loads(path.read_text())["calibration"] == calibration_stamp()
+
+    def test_editing_one_simulator_file_misses_the_cache(self, tmp_path):
+        """The stamp is the package's source: a copy of the tree serves its
+        own entries to a new process until one simulator file changes."""
+        tree = tmp_path / "src"
+        shutil.copytree(
+            Path(sys.modules["repro"].__file__).parent,
+            tree / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        script = (
+            "import sys\n"
+            "from repro.core.config import PhastlaneConfig\n"
+            "from repro.harness import exec\n"
+            "from repro.util.geometry import MeshGeometry\n"
+            "spec = exec.RunSpec(PhastlaneConfig(mesh=MeshGeometry(4, 4)),\n"
+            "                    exec.SyntheticWorkload('uniform', 0.05), cycles=30)\n"
+            "executor = exec.Executor(cache=exec.ResultCache(sys.argv[1]))\n"
+            "executor.map([spec])\n"
+            "print(executor.cache_hits, exec.__file__)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(tree), "PYTHONDONTWRITEBYTECODE": "1"}
+
+        def hits():
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / "cache")],
+                capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
+            )
+            assert done.returncode == 0, done.stderr
+            count, module = done.stdout.split()
+            assert Path(module).is_relative_to(tree)
+            return int(count)
+
+        assert (hits(), hits()) == (0, 1)
+        simulator = tree / "repro" / "vectorized" / "network.py"
+        simulator.write_text(simulator.read_text() + "# edited\n")
+        assert hits() == 0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         spec = small_specs(rates=(0.05,), cycles=100)[0]
@@ -529,7 +587,7 @@ class TestResultCache:
             lambda intact: b"null",
             lambda intact: b"\xff\xfe\x00 not utf-8",
             lambda intact: json.dumps(
-                {"calibration": CALIBRATION_STAMP, "result": []}
+                {"calibration": calibration_stamp(), "result": []}
             ).encode(),
             lambda intact: intact[: len(intact) // 2],  # torn mid-write
         ],

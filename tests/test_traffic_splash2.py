@@ -4,9 +4,8 @@ import hashlib
 
 import pytest
 
+from repro.harness.experiments.tables import CACHE_CONFIGURATION, SPLASH2_INPUT_SETS
 from repro.traffic.splash2 import (
-    CACHE_CONFIGURATION,
-    SPLASH2_INPUT_SETS,
     SPLASH2_ORDER,
     SPLASH2_PROFILES,
     Splash2Profile,
