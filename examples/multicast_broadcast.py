@@ -22,36 +22,39 @@ from repro import (
     TraceFileWorkload,
     run,
 )
-from repro.core.routing import broadcast_plans
 from repro.electrical.vctm import split_by_output
+from repro.topology.registry import topology_of
 from repro.traffic.coherence import MessageKind
-from repro.util.geometry import MeshGeometry
 from repro.util.tables import AsciiTable
+from repro.vectorized.plans import PlanTable
 
-MESH = MeshGeometry(8, 8)
+TOPOLOGY = topology_of(PhastlaneConfig())  # the paper's 8x8 mesh
 SOURCE = 27  # an interior node: full 16-packet fan-out
 
 
 def show_optical_plans() -> None:
-    plans = broadcast_plans(MESH, SOURCE, max_hops=4)
+    # The plans the simulator launches: a route is one contention key
+    # ``router * 4 + exit`` per router it flies through, and bit i of the
+    # tap mask is the Multicast bit of router i.
+    plans = PlanTable(TOPOLOGY).broadcast(SOURCE)
     print(
         f"Phastlane broadcast from node {SOURCE}: {len(plans)} multicast packets"
     )
     table = AsciiTable(["packet", "route", "hops", "taps"])
-    for index, plan in enumerate(plans):
-        route = "->".join(str(step.node) for step in plan)
-        taps = sum(step.multicast for step in plan)
-        table.add_row([index, route, len(plan) - 1, taps])
-    print(table.render())
     covered = set()
-    for plan in plans:
-        covered |= {s.node for s in plan if s.multicast}
+    for index, plan in enumerate(plans):
+        routers = [key >> 2 for key in plan.route[:-1]] + [plan.final]
+        tapped = {node for i, node in enumerate(routers) if plan.taps >> i & 1}
+        route = "->".join(str(node) for node in routers)
+        table.add_row([index, route, plan.length - 1, len(tapped)])
+        covered |= tapped
+    print(table.render())
     print(f"Union of taps covers {len(covered)} of 63 destinations.\n")
 
 
 def show_electrical_tree() -> None:
-    destinations = set(range(MESH.num_nodes)) - {SOURCE}
-    partitions = split_by_output(SOURCE, destinations, MESH)
+    destinations = set(TOPOLOGY.nodes()) - {SOURCE}
+    partitions = split_by_output(SOURCE, destinations, TOPOLOGY)
     print(f"Electrical VCTM tree root at node {SOURCE}:")
     for direction, dests in sorted(partitions.items()):
         print(f"  {direction.name:<6} branch carries {len(dests)} destinations")
@@ -64,7 +67,7 @@ def measure_broadcast_storm() -> None:
         for cycle in range(0, 200, 10)
         for node in (9, 27, 36, 54)
     ]
-    trace = Trace("broadcast-storm", MESH.num_nodes, events=events)
+    trace = Trace("broadcast-storm", TOPOLOGY.num_nodes, events=events)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "broadcast-storm.trace"
         trace.save(path)

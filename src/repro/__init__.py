@@ -30,7 +30,6 @@ __version__ = "1.1.0"
 
 if TYPE_CHECKING:  # pragma: no cover - what type checkers and IDEs see
     from repro.core.config import PhastlaneConfig
-    from repro.core.network import PhastlaneNetwork
     from repro.electrical.config import ElectricalConfig
     from repro.electrical.network import ElectricalNetwork
     from repro.fabric.ideal import IdealConfig, IdealNetwork
@@ -66,7 +65,6 @@ _HOME_OF = {
     "NetworkStats": "repro.sim.stats",
     "ObsConfig": "repro.obs.config",
     "PhastlaneConfig": "repro.core.config",
-    "PhastlaneNetwork": "repro.core.network",
     "ResultCache": "repro.harness.exec",
     "RunResult": "repro.harness.runner",
     "RunSpec": "repro.harness.exec",
@@ -92,7 +90,6 @@ __all__ = [
     "NetworkStats",
     "ObsConfig",
     "PhastlaneConfig",
-    "PhastlaneNetwork",
     "ResultCache",
     "RunResult",
     "RunSpec",

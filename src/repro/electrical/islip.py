@@ -11,7 +11,8 @@ Request sets are integer bitmasks, as the request lines of the hardware
 are: bit ``line = input_port * num_vcs + vc`` of an output port's mask is
 set while that input VC requests the port, and an input's granted outputs
 are a ``num_ports``-bit mask.  Rotating priority is then "the lowest set
-bit at or after the pointer" (:meth:`RoundRobinArbiter.pick`).
+bit at or after the pointer", which the allocators compute inline on each
+:class:`RoundRobinArbiter`'s pointer.
 """
 
 from __future__ import annotations
@@ -30,23 +31,6 @@ class RoundRobinArbiter:
             raise ValueError(f"arbiter needs at least one line, got {size}")
         self.size = size
         self.pointer = 0
-
-    def pick(self, mask: int) -> int:
-        """The set bit of ``mask`` at or after the pointer, wrapping around.
-
-        ``-1`` for an empty mask; no pointer update.  ``mask`` may only
-        have bits below ``size`` set.
-        """
-        ahead = mask >> self.pointer
-        if ahead:
-            return self.pointer + (ahead & -ahead).bit_length() - 1
-        return (mask & -mask).bit_length() - 1
-
-    def advance_past(self, line: int) -> None:
-        """Move the pointer one past ``line`` (iSLIP accepted-grant rule)."""
-        if not 0 <= line < self.size:
-            raise ValueError(f"line {line} out of range")
-        self.pointer = (line + 1) % self.size
 
 
 @dataclass(frozen=True)
@@ -108,7 +92,7 @@ class SwitchAllocator:
         """
         arbiter = self._grant[output]
         pointer = arbiter.pointer
-        ahead = mask >> pointer  # ``pick`` inlined
+        ahead = mask >> pointer  # the set bit at or after the pointer
         line = (
             pointer + (ahead & -ahead).bit_length() - 1
             if ahead
@@ -138,7 +122,7 @@ class SwitchAllocator:
         """
         num_ports, num_vcs = self.num_ports, self.num_vcs
         grants, accepts = self._grant, self._accept
-        # Grant, each output from its unmoved pointer (``pick`` inlined).
+        # Grant, each output the set bit at or after its unmoved pointer.
         accepted: list[tuple[int, int]] = []
         inputs = shared = visited = 0
         for line, output in order:
@@ -201,7 +185,7 @@ class VcAllocator:
         pointer, size = arbiter.pointer, arbiter.size
         grants: list[tuple[int, int]] = []
         while mask and free_vcs:
-            ahead = mask >> pointer  # ``pick`` and ``advance_past`` inlined
+            ahead = mask >> pointer  # pick at or after the pointer, move past
             line = (
                 pointer + (ahead & -ahead).bit_length() - 1
                 if ahead

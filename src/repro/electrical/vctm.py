@@ -18,9 +18,9 @@ tree id — mirroring the original proposal's table-hit behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
-from repro.util.geometry import Direction, MeshGeometry
+from repro.util.geometry import Direction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology.base import Topology
@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def split_by_output(
     node: int,
     destinations: set[int],
-    mesh: "Union[MeshGeometry, Topology]",
+    topology: "Topology",
 ) -> dict[Direction, set[int]]:
     """Partition ``destinations`` by the DOR output port at ``node``.
 
@@ -41,7 +41,7 @@ def split_by_output(
         if dest == node:
             direction = Direction.LOCAL
         else:
-            direction = mesh.dor_first_direction(node, dest)
+            direction = topology.dor_first_direction(node, dest)
         partitions.setdefault(direction, set()).add(dest)
     return partitions
 

@@ -33,7 +33,7 @@ lookup and a cycle with nothing to fail one truth test.  With bursts on,
 the lookup also asks the crossed link's chain, so only the links crossed
 pay for their timelines.  :meth:`~FaultSchedule.crossing_fault` is the
 point query of the same timeline, in any order, which the reference oracle
-reads.
+(``tests/oracle``) reads and ``bench/probes.py`` times.
 """
 
 from __future__ import annotations

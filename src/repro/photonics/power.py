@@ -159,12 +159,6 @@ class OpticalPowerModel:
         return wall_plug_w * constants.CYCLE_TIME_PS  # W * ps = pJ
 
 
-def laser_index(segment_hops: int, taps: int) -> int:
-    """Flat index of a launch's (first-segment hops, taps on that segment);
-    dense, because a segment of ``n`` hops has at most ``n`` taps."""
-    return segment_hops * (segment_hops + 1) // 2 + taps
-
-
 @dataclass(frozen=True, slots=True)
 class OpticalPrices:
     """The optical price list: the energy of one event of each kind, in pJ.
@@ -180,7 +174,9 @@ class OpticalPrices:
     receive_control: float  # the control bits at every router crossed
     drop_signal: float  # one Packet Dropped signal, sent and received
     static: float  # the network's leakage and ring tuning over one cycle
-    #: Laser charge of a launch, by ``laser_index(segment hops, taps)``.
+    #: Laser charge of a launch whose first segment is ``hops`` long with
+    #: ``taps`` on it, at ``hops * (hops + 1) // 2 + taps``: dense, because
+    #: a segment of ``n`` hops has at most ``n`` taps.
     laser: tuple[float, ...]
 
 
@@ -190,7 +186,7 @@ def optical_prices(mesh_nodes: int, max_hops: int) -> OpticalPrices:
     (cached: every network of one shape shares the one immutable list)."""
     payload = constants.PACKET_PAYLOAD_BITS
     model = OpticalPowerModel(mesh_nodes=mesh_nodes)
-    # In laser_index order: slot 0 (a segment of no hops) is never read.
+    # In that order: slot 0 (a segment of no hops) is never read.
     laser = (0.0,) + tuple(
         model.transmit_laser_energy_pj(
             constants.PAYLOAD_WDM,

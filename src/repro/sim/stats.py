@@ -82,14 +82,6 @@ class Histogram:
         self._buckets[int(value)] += 1
         self.count += 1
 
-    def percentile(self, p: float) -> int:
-        """The ``p``-th percentile (0 < p <= 100) of the recorded values."""
-        if not 0.0 < p <= 100.0:
-            raise ValueError(f"percentile must be in (0, 100], got {p}")
-        if self.count == 0:
-            raise ValueError("empty histogram has no percentiles")
-        return nearest_rank(self.items(), self.count, p)
-
     def items(self) -> list[tuple[int, int]]:
         return sorted(self._buckets.items())
 
@@ -187,11 +179,6 @@ class NetworkStats:
 
     def record_hops(self, hops: int) -> None:
         self.hops_traversed += hops
-
-    def add_energy(self, category: str, picojoules: float) -> None:
-        if picojoules < 0:
-            raise ValueError(f"negative energy for {category}")
-        self.energy_pj[category] += picojoules
 
     @property
     def flits_processed(self) -> int:

@@ -6,8 +6,8 @@ bit-identical to the pre-topology code paths the RunSpec digest and
 Fig 9/10 byte-identity pins in ``tests/test_fabric_regression.py`` depend
 on), and a route covers the signed coordinate difference along each axis.
 Routes, hop counts, first directions and broadcast sweeps follow from
-those in :class:`Topology`; ``MeshGeometry.dor_route`` and its
-siblings stay the naive statements the tests compare them with.
+those in :class:`Topology`; the naive statements by coordinates that the
+tests compare them with are ``tests/helpers.py``'s.
 """
 
 from __future__ import annotations

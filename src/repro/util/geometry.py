@@ -1,8 +1,9 @@
-"""2D mesh geometry: coordinates, port directions, dimension-order routes.
+"""2D mesh geometry: coordinates, port directions and links.
 
 Both the Phastlane optical network and the electrical baseline operate on the
-same 8x8 (by default) mesh and the same dimension-order (X-then-Y) routing
-function, so the geometry lives in one shared module.
+same 8x8 (by default) mesh, so the geometry lives in one shared module.  The
+dimension-order (X-then-Y) routes over it are
+:class:`~repro.topology.base.Topology`'s.
 
 Port naming follows the paper's Figure 2: each router has North, South, East
 and West input/output ports plus a Local port.  A packet travelling north
@@ -91,7 +92,7 @@ _DELTA: dict[Direction, tuple[int, int]] = {
 
 @dataclass(frozen=True)
 class MeshGeometry:
-    """A ``width`` x ``height`` 2D mesh with dimension-order (X-then-Y) routing.
+    """A ``width`` x ``height`` 2D mesh: its nodes, coordinates and links.
 
     Node ids are assigned row-major: ``node = y * width + x``.
     """
@@ -125,53 +126,11 @@ class MeshGeometry:
     def nodes(self) -> Iterator[int]:
         return iter(range(self.num_nodes))
 
-    def hop_count(self, src: int, dst: int) -> int:
-        """Manhattan distance between two nodes."""
-        a, b = self.coord(src), self.coord(dst)
-        return abs(a.x - b.x) + abs(a.y - b.y)
-
-    def dor_directions(self, src: int, dst: int) -> list[Direction]:
-        """The sequence of travel directions under X-then-Y routing.
-
-        Empty list when ``src == dst``.
-        """
-        a, b = self.coord(src), self.coord(dst)
-        path: list[Direction] = []
-        step_x = Direction.EAST if b.x > a.x else Direction.WEST
-        path.extend([step_x] * abs(b.x - a.x))
-        step_y = Direction.NORTH if b.y > a.y else Direction.SOUTH
-        path.extend([step_y] * abs(b.y - a.y))
-        return path
-
-    def dor_route(self, src: int, dst: int) -> list[int]:
-        """Node ids visited under X-then-Y routing, inclusive of endpoints."""
-        coord = self.coord(src)
-        route = [src]
-        for direction in self.dor_directions(src, dst):
-            coord = coord.step(direction)
-            route.append(self.node(coord))
-        return route
-
-    def dor_first_direction(self, src: int, dst: int) -> Direction:
-        """First travel direction of the X-then-Y route."""
-        if src == dst:
-            raise ValueError("no direction from a node to itself")
-        return self.dor_directions(src, dst)[0]
-
     def neighbor(self, node: int, direction: Direction) -> int | None:
         """Neighbouring node id in ``direction``, or None at the mesh edge."""
         if node < 0 or node >= self.num_nodes:
             raise ValueError(f"node {node} out of range for {self}")
         return _neighbor_table(self.width, self.height)[node][int(direction)]
-
-    def is_edge_row(self, node: int) -> bool:
-        """True when the node sits on the top or bottom row of the mesh.
-
-        Broadcast fan-out in Phastlane is halved for such nodes (section
-        2.1.4: "eight if it is located on the top or bottom rows").
-        """
-        y = self.coord(node).y
-        return y == 0 or y == self.height - 1
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.width}x{self.height} mesh"

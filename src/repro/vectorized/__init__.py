@@ -4,7 +4,7 @@ A sparse, event-driven reimplementation of the Phastlane cycle-accurate
 pipeline that pre-generates traffic and visits only busy components.  It
 is backend kind ``"vectorized"`` and it also serves every
 ``PhastlaneConfig`` on the paper's design point (kind ``"phastlane"``),
-bit for bit what the :mod:`repro.core` reference computes.  See
+bit for bit what the reference oracle (``tests/oracle``) computes.  See
 :mod:`repro.vectorized.network` for the engine, its calibration claims and
 the dispatch rule, and ``tests/test_differential.py`` for the proof harness.
 

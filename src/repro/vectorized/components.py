@@ -7,7 +7,8 @@ dataclasses.  The vectorized engine keeps the same *state* in flat
 ``__slots__`` records and lets the network drive them directly — no
 per-cycle method calls into idle components.
 
-Invariants mirrored from :mod:`repro.core.router`:
+Invariants mirrored from the reference oracle's router
+(``tests/oracle/router.py``):
 
 - five input queues per router (N/E/S/W/LOCAL), each a deque of packets
   (eligibility rides on ``VecPacket.eligible``) with head-of-line

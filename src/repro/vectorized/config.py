@@ -7,8 +7,8 @@ operating point plus the grid-topology axis — and adds one engine knob,
 
 - ``"exact"`` replays the reference simulators' RNG draws and execution
   order, so every stats field (counters, latency distribution, energy
-  ledger) is bit-identical to :class:`~repro.core.network.PhastlaneNetwork`
-  on the same workload;
+  ledger) is bit-identical to the reference oracle (``tests/oracle``) on
+  the same workload;
 - ``"fast"`` (the default) keeps the engine bit-exact but pre-generates
   synthetic traffic from a numpy Philox stream instead of replaying the
   per-node Mersenne draws, so synthetic runs are *statistically* equivalent
@@ -18,7 +18,7 @@ The one field of ``PhastlaneConfig`` this type does not carry is
 ``network_arbitration`` (paper footnote 3): a ``VectorizedConfig`` is the
 paper's fixed priority.  The engine itself runs every ``PhastlaneConfig``,
 round-robin included, and is the backend of both types; the differential
-harness proves each against :mod:`repro.core`.
+harness proves each against the reference oracle.
 """
 
 from __future__ import annotations

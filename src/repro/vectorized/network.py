@@ -1,7 +1,7 @@
 """The vectorized batched Phastlane engine.
 
-A fourth fabric backend that reproduces
-:class:`~repro.core.network.PhastlaneNetwork` physics — resolve / inject /
+A fourth fabric backend that reproduces the physics of the reference
+oracle (``PhastlaneNetwork``, ``tests/oracle``) — resolve / inject /
 launch / waves, the rotating arbiter, drop-signal retransmission with
 exponential backoff, the fault schedule, and the full energy ledger — at
 10×+ the cycle rate.  The reference burns its wall time dispatching into
@@ -165,7 +165,7 @@ class VectorizedNetwork(MeshNetworkBase):
         self._pending_routers: list[VecRouter] = []
         #: The optical price list (the reference holds the same object).
         self.prices = optical_prices(self._num_nodes, config.max_hops_per_cycle)
-        #: Laser charge of a launch, by ``laser_index(segment hops, taps)``.
+        #: Laser charge of a launch, by its first segment's hops and taps.
         self._laser = self.prices.laser
         #: Output-port claims this cycle, as ``node * 4 + port`` ints.
         self._claims: set[int] = set()
@@ -500,7 +500,7 @@ class VectorizedNetwork(MeshNetworkBase):
                 buffer_read_sum += e_buffer_read
                 # The laser feeds the segment this launch can fly (to the
                 # last wave or the final router) and the taps on it: the
-                # reference's ``_first_segment``, as ``laser_index`` inlined.
+                # reference's ``_first_segment``, indexed as the price list is.
                 segment = plan.length - 1 - origin
                 if segment > max_hops:
                     segment = max_hops

@@ -1,6 +1,6 @@
 """Flattened route plans and the precomputed arbitration table.
 
-The reference pipeline re-walks tuples of frozen
+The reference oracle (``tests/oracle``) re-walks tuples of frozen
 :class:`~repro.core.routing.RouteStep` dataclasses on every wave.  The
 vectorized engine compiles each (source, destination) route once into a
 :class:`PlanInfo` whose route is one tuple of contention keys,

@@ -8,6 +8,7 @@ from unittest import mock
 
 from repro.fabric.registry import BACKENDS
 from repro.sim.engine import SimulationEngine
+from repro.sim.stats import nearest_rank
 from repro.topology.base import Topology
 from repro.topology.registry import TOPOLOGIES, topology_for
 from repro.util.geometry import Direction
@@ -51,17 +52,18 @@ def plan_hops(plan) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 @contextmanager
 def reference_oracle() -> Iterator[None]:
-    """Inside the block every ``PhastlaneConfig`` runs on ``repro.core``.
+    """Inside the block every ``PhastlaneConfig`` runs on the oracle.
 
     The backend table sends every ``PhastlaneConfig`` to the sparse kernel,
     so a test that compares that kernel with the reference — or that means
     to cover the reference's own fault and multicast paths through
     ``run()`` / ``make_network()`` — has to ask for the reference, and this
     is the only way to get it through the table.  It points the
-    ``"phastlane"`` row at :class:`~repro.core.network.PhastlaneNetwork`
-    and puts the kernel back on exit.
+    ``"phastlane"`` row at :class:`oracle.network.PhastlaneNetwork` (the
+    ``tests/oracle`` package, imported by that one name) and puts the
+    kernel back on exit.
     """
-    reference = "repro.core.network.PhastlaneNetwork"
+    reference = "oracle.network.PhastlaneNetwork"
     with mock.patch.dict(BACKENDS, phastlane=(BACKENDS["phastlane"][0], reference)):
         yield
 
@@ -102,3 +104,76 @@ def cylinder_registered() -> Iterator[str]:
             yield Cylinder.name
     finally:
         topology_for.cache_clear()  # no instance outlives its table row
+
+
+# -- reference statements: the naive forms the shipped code is tested against --
+
+
+def percentile(histogram, p):
+    """The ``p``-th percentile (0 < p <= 100) of a
+    :class:`~repro.sim.stats.Histogram`: the run-level nearest-rank
+    statement the windowed and blame-report percentiles are tested against."""
+    if not 0.0 < p <= 100.0:
+        raise ValueError(f"percentile must be in (0, 100], got {p}")
+    if histogram.count == 0:
+        raise ValueError("empty histogram has no percentiles")
+    return nearest_rank(histogram.items(), histogram.count, p)
+
+
+def arbiter_pick(arbiter, mask):
+    """The set bit of ``mask`` at or after a
+    :class:`~repro.electrical.islip.RoundRobinArbiter`'s pointer, wrapping
+    around; ``-1`` for an empty mask, and no pointer update.  The
+    one-arbiter statement the mask allocator is tested against."""
+    ahead = mask >> arbiter.pointer
+    if ahead:
+        return arbiter.pointer + (ahead & -ahead).bit_length() - 1
+    return (mask & -mask).bit_length() - 1
+
+
+def arbiter_advance_past(arbiter, line):
+    """Move the arbiter's pointer one past ``line`` (iSLIP's
+    accepted-grant rule)."""
+    if not 0 <= line < arbiter.size:
+        raise ValueError(f"line {line} out of range")
+    arbiter.pointer = (line + 1) % arbiter.size
+
+
+def mesh_hop_count(mesh, src, dst):
+    """Manhattan distance between two nodes of a
+    :class:`~repro.util.geometry.MeshGeometry`."""
+    a, b = mesh.coord(src), mesh.coord(dst)
+    return abs(a.x - b.x) + abs(a.y - b.y)
+
+
+def mesh_dor_directions(mesh, src, dst):
+    """Travel directions of the X-then-Y route on a bare mesh, by
+    coordinates (empty when ``src == dst``): what ``Mesh2D`` derives from
+    its two statements is compared with this."""
+    a, b = mesh.coord(src), mesh.coord(dst)
+    step_x = Direction.EAST if b.x > a.x else Direction.WEST
+    step_y = Direction.NORTH if b.y > a.y else Direction.SOUTH
+    return [step_x] * abs(b.x - a.x) + [step_y] * abs(b.y - a.y)
+
+
+def mesh_dor_route(mesh, src, dst):
+    """Node ids the X-then-Y route visits, endpoints included."""
+    coord = mesh.coord(src)
+    route = [src]
+    for direction in mesh_dor_directions(mesh, src, dst):
+        coord = coord.step(direction)
+        route.append(mesh.node(coord))
+    return route
+
+
+def mesh_dor_first_direction(mesh, src, dst):
+    """First travel direction of the X-then-Y route."""
+    if src == dst:
+        raise ValueError("no direction from a node to itself")
+    return mesh_dor_directions(mesh, src, dst)[0]
+
+
+def mesh_is_edge_row(mesh, node):
+    """True on the mesh's top or bottom row, where broadcast fan-out halves
+    (section 2.1.4: "eight if it is located on the top or bottom rows")."""
+    return mesh.coord(node).y in (0, mesh.height - 1)

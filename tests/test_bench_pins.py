@@ -426,25 +426,8 @@ def files_under(*roots):
 
 #: Public names no caller outside the tests reads, each with why it stays.
 #: A name leaves this list when it gets a caller or is deleted with its tests.
-_CONTROL_LAW = (
-    "section 2.1.3 control-bit layout: every route and broadcast at each "
-    "Table 1 hop budget, on mesh and torus, fits PACKET_CONTROL_BITS and "
-    "round-trips (test_core_control)"
-)
 UNCALLED = {
     "cli.py:_Parser.error": "argparse's refusal hook",
-    "core/control.py:decode_control_bits": _CONTROL_LAW,
-    "core/control.py:encode_plan": _CONTROL_LAW,
-    "core/control.py:pack_control_bits": _CONTROL_LAW,
-    "core/control.py:shift_groups": _CONTROL_LAW,
-    "core/network.py:PhastlaneNetwork": "the oracle the kernel is proven "
-    "against (ROADMAP, Decided); tests build it through reference_oracle",
-    "core/routing.py:max_segment_hops": "the Fig 6 hop-budget law: no "
-    "optical segment of a plan is longer than its hop budget",
-    "electrical/islip.py:RoundRobinArbiter.advance_past": "the one-arbiter "
-    "statement the mask allocator is tested against",
-    "electrical/islip.py:RoundRobinArbiter.pick": "the one-arbiter statement "
-    "the mask allocator is tested against",
     "electrical/vctm.py:VirtualCircuitTreeCache.hit_rate": "the Fig 10 "
     "deviation study is to read it",
     "fabric/protocol.py:FabricNic": "the NIC protocol every BaseNic meets, "
@@ -453,15 +436,10 @@ UNCALLED = {
     "stream files back with it",
     "obs/timeseries.py:TimeSeries.column": "the fault-ledger law: window "
     "columns sum to the run's faults and losses (test_faults)",
-    "sim/stats.py:Histogram.percentile": "the run-level nearest-rank "
-    "percentile the windowed and blame-report ones are tested against "
-    "(test_obs, test_sim_stats)",
     "topology/base.py:Topology.is_edge_row": "section 2.1.4's fan-out rule, "
     "which the sweep-count law states",
     "traffic/coherence.py:CoherenceMessageMix.broadcast_fraction": "the "
     "expected value of test_traffic_splash2's broadcast-share law",
-    "util/geometry.py:MeshGeometry.is_edge_row": "section 2.1.4's fan-out "
-    "rule, the naive statement ``Topology.is_edge_row`` is tested against",
 }
 
 #: Public names that only examples, the benchmark or the paper assertions
@@ -476,8 +454,14 @@ _FIG9_SUMMARY = (
     "assertions and the fig9_sweep checks test the paper's ordering with it"
 )
 REACHED_FROM_OUTSIDE = {
+    "core/routing.py:build_plan": (
+        ("bench",), "the oracle's per-call route build, which the route "
+        "probe times; " + _ITEM_1 + " from src/"),
     "electrical/islip.py:SwitchAllocator.allocate": (
         ("bench",), "the validating front no run calls; " + _ITEM_1),
+    "faults/schedule.py:FaultSchedule.crossing_fault": (
+        ("bench",), "the oracle's point query, which probe_faults times; "
+        + _ITEM_1 + " from src/"),
     "harness/experiments/fig06.py:Figure6.wdm_independent": (
         ("benchmarks",), "Fig 6's claim that the hop budget ignores WDM"),
     "harness/report.py:figure_to_dict": (
@@ -786,6 +770,111 @@ def test_the_caller_census_sees_what_it_should(tmp_path):
     }
 
 
+# -- src/ is what runs: every module is one the package loads -------------------
+
+#: Modules that load without another module of the package importing them:
+#: the façade, ``python -m repro`` and the CLI it runs.
+ENTRY_POINTS = {"repro", "repro.__main__", "repro.cli"}
+#: Modules that only files outside the package import:
+#: ``module: (the directories whose files import it, why it ships)``.
+IMPORTED_FROM_OUTSIDE = {
+    "repro.core.routing": (
+        ("bench",), "build_plan, the oracle's per-call route build, which the "
+        "route probe times; ROADMAP item 1 re-points the probe, and the "
+        "module joins tests/oracle"),
+    "repro.photonics.lossbudget": (
+        ("benchmarks",), "the bottom-up Fig 7 cross-check the paper "
+        "assertions read; the calibrated model prices every launch"),
+}
+#: The reference oracle: the section 2 simulator only tests build.
+ORACLE_FILES = sorted((ROOT / "tests" / "oracle").glob("*.py"))
+
+
+def imported_modules(path):
+    """The dotted names ``path`` loads: each name an import statement
+    takes (``from package import module`` included), each dotted string (a
+    backend table row, a lazy name's home), and every package above them."""
+    for node in ast.walk(parsed(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and re.fullmatch(r"\w+(\.\w+)+", node.value)
+        ):
+            names = [node.value]
+        else:
+            continue
+        for name in names:
+            while name:
+                yield name
+                name = name.rpartition(".")[0]
+
+
+def unimported_modules(sources, package):
+    """The modules of ``sources`` that no other file of ``sources`` loads."""
+    modules = {path: module_of(path, package) for path in sources}
+    loaded = {
+        name
+        for path in sources
+        for name in imported_modules(path)
+        if name != modules[path]
+    }
+    return set(modules.values()) - loaded
+
+
+def test_every_module_under_src_is_loaded_by_the_package():
+    """A module nothing in the package imports is code no command runs: it
+    moves to where its readers are, or is listed with why it ships."""
+    found = unimported_modules(SOURCE_FILES, ROOT / "src" / "repro") - ENTRY_POINTS
+    assert found == set(IMPORTED_FROM_OUTSIDE)
+    for module, (roots, _) in IMPORTED_FROM_OUTSIDE.items():
+        readers = [
+            path for path in files_under(*roots) if module in set(imported_modules(path))
+        ]
+        assert readers, f"{module}: no file under {roots} imports it"
+
+
+def test_the_oracle_and_the_package_do_not_import_each_other():
+    """The oracle is an independent statement of section 2 (ROADMAP,
+    Decided): it reads nothing of the kernel it proves, and nothing in the
+    package reads it."""
+    assert len(ORACLE_FILES) >= 7
+    kernel = [path.name for path in ORACLE_FILES
+              if "repro.vectorized" in set(imported_modules(path))]
+    assert not kernel, kernel
+    shipped = [str(path.relative_to(ROOT)) for path in SOURCE_FILES
+               if "oracle" in set(imported_modules(path))]
+    assert not shipped, shipped
+
+
+def test_the_module_scan_sees_what_it_should(tmp_path):
+    """The canary: a module imported by a statement, through its package,
+    by a dotted string or as the package above one is loaded; one only
+    naming itself is not, nor an entry point nobody imports."""
+    (package := tmp_path / "pkg").mkdir()
+    (package / "sub").mkdir()
+    files = {
+        "__init__.py": "",
+        "__main__.py": "from pkg import used\nimport pkg.sub.leaf\n",
+        "used.py": "ROWS = {'a': 'pkg.tabled.Thing'}\n",
+        "tabled.py": "class Thing: ...\n",
+        "orphan.py": "from pkg.used import ROWS\nSELF = 'pkg.orphan.SELF'\n",
+        "sub/__init__.py": "",
+        "sub/leaf.py": "def later():\n    from repro.vectorized.plans import PlanTable\n",
+    }
+    for name, source in files.items():
+        (package / name).write_text(source)
+    sources = sorted(package.rglob("*.py"))
+    assert unimported_modules(sources, package) == {"pkg.__main__", "pkg.orphan"}
+    loads = {path.name: set(imported_modules(path)) for path in sources}
+    assert "repro.vectorized" in loads["leaf.py"]
+    assert "pkg.tabled" in loads["used.py"]
+    assert "repro.vectorized" not in loads["orphan.py"]
+
+
 # -- every config field is a knob someone chose --------------------------------
 
 #: The fields of each registered config type, in declaration order.  A
@@ -867,7 +956,7 @@ def test_every_obs_config_field_is_in_the_census():
 #: a constant; a new one is added here together with its caller.
 SETTABLE_VALUES = {
     "cli.py": 2,
-    "core": 26,
+    "core": 8,
     "electrical": 20,
     "fabric": 17,
     "faults": 6,

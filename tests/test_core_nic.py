@@ -2,9 +2,9 @@
 
 import pytest
 
+from oracle.nic import PhastlaneNic
+from oracle.router import LOCAL_QUEUE, PhastlaneRouter
 from repro.core.config import PhastlaneConfig
-from repro.core.nic import PhastlaneNic
-from repro.core.router import LOCAL_QUEUE, PhastlaneRouter
 from repro.sim.stats import NetworkStats
 from repro.util.geometry import MeshGeometry
 

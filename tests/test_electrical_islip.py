@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import arbiter_advance_past, arbiter_pick
 from repro.electrical.islip import (
     Request,
     RoundRobinArbiter,
@@ -11,22 +12,25 @@ from repro.electrical.islip import (
 
 
 class TestRoundRobinArbiter:
+    """The one-arbiter statement (``helpers.arbiter_pick`` /
+    ``arbiter_advance_past``) the mask allocators are tested against."""
+
     def test_picks_at_or_after_pointer(self):
         arbiter = RoundRobinArbiter(4)
         arbiter.pointer = 2
-        assert arbiter.pick(0b1001) == 3
+        assert arbiter_pick(arbiter, 0b1001) == 3
 
     def test_wraps_around(self):
         arbiter = RoundRobinArbiter(4)
         arbiter.pointer = 3
-        assert arbiter.pick(0b0010) == 1
+        assert arbiter_pick(arbiter, 0b0010) == 1
 
     def test_empty_requests_yield_none(self):
-        assert RoundRobinArbiter(4).pick(0) == -1  # no line
+        assert arbiter_pick(RoundRobinArbiter(4), 0) == -1  # no line
 
     def test_advance_past(self):
         arbiter = RoundRobinArbiter(4)
-        arbiter.advance_past(3)
+        arbiter_advance_past(arbiter, 3)
         assert arbiter.pointer == 0
 
     def test_fairness_over_rounds(self):
@@ -34,9 +38,9 @@ class TestRoundRobinArbiter:
         arbiter = RoundRobinArbiter(3)
         grants = []
         for _ in range(9):
-            line = arbiter.pick(0b111)
+            line = arbiter_pick(arbiter, 0b111)
             grants.append(line)
-            arbiter.advance_past(line)
+            arbiter_advance_past(arbiter, line)
         assert grants == [0, 1, 2] * 3
 
     def test_invalid_size_rejected(self):
@@ -51,7 +55,7 @@ class TestRoundRobinArbiter:
             for lines in ({0}, {49}, {3, 17, 40}, {pointer}, set(range(50))):
                 mask = sum(1 << line for line in lines)
                 expected = min(lines, key=lambda line: (line - pointer) % 50)
-                assert arbiter.pick(mask) == expected
+                assert arbiter_pick(arbiter, mask) == expected
 
 
 class TestSwitchAllocator:

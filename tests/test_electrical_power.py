@@ -52,6 +52,6 @@ class TestLeakage:
     def test_leakage_power_magnitude(self):
         # 64 routers at (9 + 1.5) mW = 672 mW static power.
         stats = NetworkStats()
-        stats.add_energy("leakage", event_energies_pj(64)["leakage"])
+        stats.energy_pj["leakage"] += event_energies_pj(64)["leakage"]
         stats.final_cycle = 1
         assert stats.average_power_w(250.0) == pytest.approx(0.672, rel=1e-6)

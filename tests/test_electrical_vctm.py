@@ -2,10 +2,12 @@
 
 import pytest
 
+from helpers import mesh_dor_first_direction
 from repro.electrical.vctm import VirtualCircuitTreeCache, split_by_output
+from repro.topology.registry import topology_for
 from repro.util.geometry import Direction, MeshGeometry
 
-MESH = MeshGeometry(8, 8)
+MESH = topology_for("mesh", MeshGeometry(8, 8))
 
 
 class TestSplitByOutput:
@@ -20,6 +22,10 @@ class TestSplitByOutput:
         parts = split_by_output(20, destinations, MESH)
         total = sum(len(p) for p in parts.values())
         assert total == len(destinations)
+        # Each destination rides the branch of its naive X-then-Y first hop.
+        for direction, members in parts.items():
+            for dest in members:
+                assert mesh_dor_first_direction(MESH.mesh, 20, dest) == direction
 
     def test_local_partition(self):
         parts = split_by_output(5, {5, 6}, MESH)

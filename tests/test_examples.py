@@ -1,20 +1,34 @@
-"""Smoke tests: every example script runs end-to-end (scaled down)."""
+"""Smoke tests: every example script runs end-to-end (scaled down).
 
+Each runs in a temporary directory, as a user's script would run in
+theirs: an example that caches results writes ``./.repro-cache`` there.
+"""
+
+import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import repro
+
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+#: Where this interpreter found ``repro``, as an absolute path: a relative
+#: ``PYTHONPATH`` would not hold in the example's directory.
+SOURCE_ROOT = str(Path(repro.__file__).resolve().parent.parent)
 
 
 def run_example(name: str, *args: str) -> str:
-    result = subprocess.run(
-        [sys.executable, str(EXAMPLES / name), *args],
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
+    with tempfile.TemporaryDirectory() as cwd:
+        result = subprocess.run(
+            [sys.executable, str(EXAMPLES / name), *args],
+            capture_output=True,
+            text=True,
+            timeout=600,
+            cwd=cwd,
+            env={**os.environ, "PYTHONPATH": SOURCE_ROOT},
+        )
     assert result.returncode == 0, result.stderr[-2000:]
     return result.stdout
 

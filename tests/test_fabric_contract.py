@@ -13,8 +13,8 @@ from dataclasses import replace
 import pytest
 from test_obs_golden import _sha, _trace_sha
 
+from oracle.network import PhastlaneNetwork
 from repro.core.config import PhastlaneConfig
-from repro.core.network import PhastlaneNetwork
 from repro.electrical.config import ElectricalConfig
 from repro.electrical.islip import SwitchAllocator
 from repro.fabric.ideal import IdealConfig
@@ -63,8 +63,8 @@ def _config_on(kind, topology):
     return base if topology == "mesh" else replace(base, topology=topology)
 
 
-#: Not a registered kind: the phastlane config on ``repro.core``, asked for
-#: by name.  The registry sends that config to the sparse kernel (the
+#: Not a registered kind: the phastlane config on the oracle (``tests/oracle``),
+#: asked for by name.  The registry sends that config to the sparse kernel (the
 #: ``phastlane-*`` cases); the reference is the only implementation of the
 #: section 5 alternatives and the differential oracle, so it keeps the
 #: whole contract too.

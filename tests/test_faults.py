@@ -23,8 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle.network import PhastlaneNetwork
 from repro.core.config import PhastlaneConfig
-from repro.core.network import PhastlaneNetwork
 from repro.electrical.config import ElectricalConfig
 from repro.fabric.ideal import IdealConfig
 from repro.fabric.registry import make_network
@@ -341,7 +341,7 @@ def drain(network, max_cycles=20_000):
 
 
 def on_reference(config):
-    """Mark a parametrised phastlane config as "on ``repro.core``": the
+    """Mark a parametrised phastlane config as "on the oracle": the
     registry sends it to the sparse kernel (the ``optical`` cases), and the
     reference's own fault and multicast paths keep a case (``reference``)."""
     return pytest.param(config, True, id="reference")

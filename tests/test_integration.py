@@ -9,8 +9,8 @@ is faster at low load, and the electrical network never loses packets.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracle.network import PhastlaneNetwork
 from repro.core.config import PhastlaneConfig
-from repro.core.network import PhastlaneNetwork
 from repro.electrical.config import ElectricalConfig
 from repro.electrical.network import ElectricalNetwork
 from repro.traffic.trace import Trace, TraceEvent, TraceSource

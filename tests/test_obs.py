@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from helpers import percentile
 from repro.obs.config import ObsConfig
 from repro.obs.events import EVENT_KINDS, PacketEvent, TraceHub
 from repro.obs.session import ObsSession
@@ -318,7 +319,7 @@ class TestTimeSeries:
                 histogram.add(value)
         for p, expected in ((50.0, 3), (75.0, 7), (100.0, 100), (0.01, 3)):
             assert nearest_rank(pairs, 4, p) == expected
-            assert histogram.percentile(p) == expected
+            assert percentile(histogram, p) == expected
         with pytest.raises(ValueError, match="no rank"):
             nearest_rank([], 0, 50.0)
 

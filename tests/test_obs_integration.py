@@ -6,9 +6,9 @@ from dataclasses import replace
 
 import pytest
 
+from oracle.network import PhastlaneNetwork
 from repro.cli import main
 from repro.core.config import PhastlaneConfig
-from repro.core.network import PhastlaneNetwork
 from repro.electrical.config import ElectricalConfig
 from repro.electrical.network import ElectricalNetwork
 from repro.fabric.registry import make_network

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracle.network import PhastlaneNetwork, laser_index
 from repro.core.config import PhastlaneConfig
-from repro.core.network import PhastlaneNetwork
 from repro.photonics import constants
 from repro.photonics.power import (
     OpticalPowerModel,
     REASONABLE_PEAK_W,
-    laser_index,
     optical_prices,
 )
 from repro.util.geometry import MeshGeometry

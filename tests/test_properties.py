@@ -14,9 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracle.network import PhastlaneNetwork
+from oracle.routing import max_segment_hops
 from repro.core.config import PhastlaneConfig
-from repro.core.network import PhastlaneNetwork
-from repro.core.routing import build_plan, max_segment_hops
+from repro.core.routing import build_plan
 from repro.electrical.config import ElectricalConfig
 from repro.electrical.network import ElectricalNetwork
 from repro.fabric.ideal import IdealConfig
@@ -28,7 +29,7 @@ from repro.util.errors import FabricError
 from repro.util.geometry import MeshGeometry
 from repro.vectorized.config import VectorizedConfig
 
-from helpers import reference_oracle
+from helpers import mesh_hop_count, reference_oracle
 
 SLOW = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -100,7 +101,7 @@ class TestOpticalConservation:
         config = PhastlaneConfig(mesh=mesh, max_hops_per_cycle=max_hops)
         network = PhastlaneNetwork(config, TraceSource(trace))
         run_network(network, trace)
-        hops = mesh.hop_count(src, dst)
+        hops = mesh_hop_count(mesh, src, dst)
         min_cycles = -(-hops // max_hops)  # ceil
         assert network.stats.mean_latency >= min_cycles
 
@@ -177,8 +178,8 @@ class TestElectricalConservation:
         assert network.stats.mean_latency >= 5
 
 
-#: The registered kinds plus ``"reference"``: the phastlane config on
-#: ``repro.core``, asked for by name — the registry sends that config to the
+#: The registered kinds plus ``"reference"``: the phastlane config on the
+#: oracle (``tests/oracle``), asked for by name — the registry sends that config to the
 #: sparse kernel, and the reference's fault paths stay under the property.
 backend_kinds = st.sampled_from(sorted(BACKENDS) + ["reference"])
 

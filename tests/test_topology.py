@@ -23,7 +23,7 @@ from repro.topology.torus import Torus2D
 from repro.util.errors import FabricError
 from repro.util.geometry import Direction, MeshGeometry
 
-from helpers import plan_hops
+from helpers import mesh_dor_route, mesh_hop_count, plan_hops
 
 MESH44 = MeshGeometry(4, 4)
 
@@ -73,8 +73,8 @@ class TestMesh2D:
                 assert topo.neighbor(node, direction) == MESH44.neighbor(
                     node, direction
                 )
-        assert topo.hop_count(0, 15) == MESH44.hop_count(0, 15)
-        assert topo.dor_route(0, 15) == MESH44.dor_route(0, 15)
+        assert topo.hop_count(0, 15) == mesh_hop_count(MESH44, 0, 15)
+        assert topo.dor_route(0, 15) == mesh_dor_route(MESH44, 0, 15)
 
     def test_link_enumeration_matches_legacy_fault_candidate_order(self):
         topo = Mesh2D(MESH44)

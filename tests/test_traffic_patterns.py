@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import mesh_hop_count
 from repro.sim.rng import DeterministicRng
 from repro.traffic.patterns import (
     FIGURE9_PATTERNS,
@@ -102,7 +103,7 @@ class TestNeighbor:
     def test_destination_is_adjacent(self, source):
         pattern = NeighborPattern(MESH)
         dest = pattern.destination(source, rng(f"n{source}"))
-        assert MESH.hop_count(source, dest) == 1
+        assert mesh_hop_count(MESH, source, dest) == 1
 
     def test_corner_has_two_choices(self):
         pattern = NeighborPattern(MESH)

@@ -1,9 +1,16 @@
-"""Tests for mesh geometry and dimension-order routing."""
+"""Tests for mesh geometry, and for the naive dimension-order statements
+(``helpers.mesh_*``) that ``Mesh2D``'s routes are compared with."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import (
+    mesh_dor_directions,
+    mesh_dor_route,
+    mesh_hop_count,
+    mesh_is_edge_row,
+)
 from repro.util.geometry import (
     OPPOSITE,
     TURN_KIND,
@@ -83,25 +90,25 @@ class TestDimensionOrderRouting:
     @given(nodes64, nodes64)
     def test_route_length_is_manhattan_distance(self, src, dst):
         mesh = MeshGeometry(8, 8)
-        assert len(mesh.dor_route(src, dst)) == mesh.hop_count(src, dst) + 1
+        assert len(mesh_dor_route(mesh, src, dst)) == mesh_hop_count(mesh, src, dst) + 1
 
     @given(nodes64, nodes64)
     def test_route_endpoints(self, src, dst):
         mesh = MeshGeometry(8, 8)
-        route = mesh.dor_route(src, dst)
+        route = mesh_dor_route(mesh, src, dst)
         assert route[0] == src and route[-1] == dst
 
     @given(nodes64, nodes64)
     def test_route_steps_are_adjacent(self, src, dst):
         mesh = MeshGeometry(8, 8)
-        route = mesh.dor_route(src, dst)
+        route = mesh_dor_route(mesh, src, dst)
         for a, b in zip(route, route[1:]):
-            assert mesh.hop_count(a, b) == 1
+            assert mesh_hop_count(mesh, a, b) == 1
 
     @given(nodes64, nodes64)
     def test_x_before_y(self, src, dst):
         mesh = MeshGeometry(8, 8)
-        directions = mesh.dor_directions(src, dst)
+        directions = mesh_dor_directions(mesh, src, dst)
         seen_y = False
         for direction in directions:
             if direction in (Direction.NORTH, Direction.SOUTH):
@@ -112,26 +119,26 @@ class TestDimensionOrderRouting:
     @given(nodes64, nodes64)
     def test_at_most_one_turn(self, src, dst):
         mesh = MeshGeometry(8, 8)
-        directions = mesh.dor_directions(src, dst)
+        directions = mesh_dor_directions(mesh, src, dst)
         turns = sum(1 for a, b in zip(directions, directions[1:]) if a != b)
         assert turns <= 1
 
     def test_self_route_is_single_node(self):
         mesh = MeshGeometry(8, 8)
-        assert mesh.dor_route(5, 5) == [5]
-        assert mesh.dor_directions(5, 5) == []
+        assert mesh_dor_route(mesh, 5, 5) == [5]
+        assert mesh_dor_directions(mesh, 5, 5) == []
 
 
 class TestEdgeRows:
     def test_edge_rows_detected(self):
         mesh = MeshGeometry(8, 8)
-        assert mesh.is_edge_row(0)  # bottom row
-        assert mesh.is_edge_row(7)
-        assert mesh.is_edge_row(56)  # top row
-        assert not mesh.is_edge_row(8)
+        assert mesh_is_edge_row(mesh, 0)  # bottom row
+        assert mesh_is_edge_row(mesh, 7)
+        assert mesh_is_edge_row(mesh, 56)  # top row
+        assert not mesh_is_edge_row(mesh, 8)
 
     def test_rectangular_mesh(self):
         mesh = MeshGeometry(4, 2)
         assert mesh.num_nodes == 8
         assert mesh.coord(5) == Coord(1, 1)
-        assert mesh.is_edge_row(5)
+        assert mesh_is_edge_row(mesh, 5)
