@@ -24,13 +24,14 @@ from repro.core.config import PhastlaneConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload
 from repro.harness.runner import run
 from repro.obs.config import ObsConfig
+from repro.obs.timeseries import TimeSeries
 from repro.util.plot import render_heatmap
 
 #: Width of the ASCII rate bars.
 BAR = 40
 
 
-def render_timeline(series) -> str:
+def render_timeline(series: TimeSeries) -> str:
     """One row per window: drop-rate bar, injection rate, p95 latency."""
     peak = max((w.rate("dropped") for w in series.windows), default=0.0)
     lines = [

@@ -3,11 +3,10 @@
 The package has four backends, and :data:`BACKENDS` names them: each
 serialisation ``kind`` maps to its config type and its network class.
 The harness constructs networks only through :func:`make_network` and
-(de)serialises configs only through :func:`config_kind` /
-:func:`config_type_for` — no layer above :mod:`repro.fabric` dispatches
-on concrete config classes.  The table holds dotted paths, so importing
-this module loads no simulator: a backend module is imported by the
-first lookup that needs it.
+names a config's kind only through :func:`config_kind` — no layer above
+:mod:`repro.fabric` dispatches on concrete config classes.  The table
+holds dotted paths, so importing this module loads no simulator: a
+backend module is imported by the first lookup that needs it.
 """
 
 from __future__ import annotations
@@ -52,10 +51,6 @@ def _load(path: str) -> Any:
     return getattr(import_module(module), name)
 
 
-def _known_kinds() -> str:
-    return ", ".join(sorted(BACKENDS))
-
-
 def config_kind(config: NetworkConfig) -> str:
     """The serialisation kind string for a config instance.
 
@@ -70,20 +65,8 @@ def config_kind(config: NetworkConfig) -> str:
             return kind
     raise FabricError(
         f"no backend for configuration type {config_type.__name__}; "
-        f"known backends: {_known_kinds()}"
+        f"known backends: {', '.join(sorted(BACKENDS))}"
     )
-
-
-def config_type_for(kind: str) -> type:
-    """The config class of backend ``kind``."""
-    try:
-        config_path, _ = BACKENDS[kind]
-    except KeyError:
-        raise FabricError(
-            f"unknown backend kind {kind!r}; known backends: {_known_kinds()}"
-        ) from None
-    config_type: type = _load(config_path)
-    return config_type
 
 
 def make_network(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.util.errors import SpecError, drop_retired
+from repro.util.errors import SpecError
 
 #: The fault-kind vocabulary a schedule can report for one crossing, in
 #: severity order.  ``dead_port`` is permanent; the rest are transient.
@@ -30,8 +30,7 @@ BURST_EXIT_PROB = 0.25
 #: gone, at the only values left: the burst chain's exit and loss
 #: probabilities, and control corruption and NIC stall windows, which no
 #: run switches on.  Written so that every faulted spec digest and cache
-#: key stays byte-identical; read back and dropped, and any other value is
-#: refused.
+#: key stays byte-identical.
 RETIRED_FAULT_KEYS: dict[str, Any] = {
     "burst_exit_prob": BURST_EXIT_PROB,
     "burst_loss_prob": 1.0,
@@ -117,12 +116,3 @@ class FaultConfig:
             **RETIRED_FAULT_KEYS,
             "retry_limit": self.retry_limit,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "FaultConfig":
-        payload = dict(payload)
-        drop_retired(payload, RETIRED_FAULT_KEYS, "a fault model")
-        dead_ports = tuple(
-            (int(node), int(port)) for node, port in payload.pop("dead_ports", ())
-        )
-        return cls(dead_ports=dead_ports, **payload)

@@ -38,13 +38,12 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.fabric.protocol import NetworkConfig
-from repro.fabric.registry import config_kind, config_type_for
+from repro.fabric.registry import config_kind
 from repro.faults.config import FaultConfig
 from repro.harness.runner import MAX_DRAIN_CYCLES, RunResult, run
 from repro.obs.config import ObsConfig
 from repro.obs.session import ProgressSample, ProgressSink
-from repro.util.errors import SpecError, drop_retired
-from repro.util.geometry import MeshGeometry
+from repro.util.errors import SpecError
 
 #: Default location of the on-disk result cache.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -118,21 +117,8 @@ class TraceFileWorkload:
 
 Workload = SyntheticWorkload | Splash2Workload | TraceFileWorkload
 
-_WORKLOAD_KINDS = {"synthetic", "splash2", "trace"}
 
-
-def workload_from_dict(payload: dict[str, Any]) -> Workload:
-    kind = payload.get("kind")
-    if kind == "synthetic":
-        return SyntheticWorkload(payload["pattern"], float(payload["rate"]))
-    if kind == "splash2":
-        return Splash2Workload(payload["benchmark"])
-    if kind == "trace":
-        return TraceFileWorkload(payload["path"])
-    raise ValueError(f"unknown workload kind {kind!r}; expected {_WORKLOAD_KINDS}")
-
-
-# -- configuration (de)serialisation -----------------------------------------
+# -- configuration serialisation ---------------------------------------------
 
 #: The Table 1/2 rows every mesh backend once carried as fields: the NIC
 #: size and packet width (``repro.photonics.constants``).
@@ -155,7 +141,7 @@ _OPTICAL_ROWS: dict[str, Any] = {
 #: section 7 "future work" knobs, which it never evaluates; for
 #: ``"electrical"`` the Table 2 rows of ``repro.electrical.config``.
 #: Written so that every spec digest, cache key and manifest stays
-#: byte-identical; read back and dropped, and any other value is refused.
+#: byte-identical.
 RETIRED_KEYS: dict[str, dict[str, Any]] = {
     "phastlane": {
         **_OPTICAL_ROWS,
@@ -187,8 +173,7 @@ def config_to_dict(config: NetworkConfig) -> dict[str, Any]:
 
     A ``topology`` field holding the default (``"mesh"``) is omitted —
     mirroring the disabled-``FaultConfig`` normalisation — so every
-    pre-topology digest and cache key stays byte-identical; absent keys
-    deserialise back to the default.
+    pre-topology digest and cache key stays byte-identical.
     """
     payload: dict[str, Any] = {"kind": config_kind(config)}
     for field_ in fields(config):
@@ -203,21 +188,12 @@ def config_to_dict(config: NetworkConfig) -> dict[str, Any]:
     return payload
 
 
-def config_from_dict(payload: dict[str, Any]) -> NetworkConfig:
-    payload = dict(payload)
-    kind = payload.pop("kind", "")
-    config_type = config_type_for(kind)
-    drop_retired(payload, RETIRED_KEYS.get(kind, {}), f"a {kind} config")
-    width, height = payload.pop("mesh")
-    return config_type(mesh=MeshGeometry(width, height), **payload)
-
-
 # -- run specification -------------------------------------------------------
 
 #: Keys a serialised spec still carries at the one value every run used:
 #: the ``cycles // 5`` warm-up (``None``) and the trace-drain budget
 #: (``runner.MAX_DRAIN_CYCLES``).  Written so that every digest, cache key
-#: and manifest stays byte-identical; any other stored value is refused.
+#: and manifest stays byte-identical.
 RETIRED_SPEC_KEYS: dict[str, Any] = {
     "warmup": None,
     "max_drain_cycles": MAX_DRAIN_CYCLES,
@@ -284,18 +260,6 @@ class RunSpec:
         if self.faults is not None:
             payload["faults"] = self.faults.to_dict()
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "RunSpec":
-        drop_retired(dict(payload), RETIRED_SPEC_KEYS, "a run spec")
-        faults = payload.get("faults")
-        return cls(
-            config=config_from_dict(payload["config"]),
-            workload=workload_from_dict(payload["workload"]),
-            cycles=int(payload["cycles"]),
-            seed=int(payload.get("seed", 1)),
-            faults=FaultConfig.from_dict(faults) if faults is not None else None,
-        )
 
     def digest(self) -> str:
         """Stable content digest of the spec (sha256 of canonical JSON)."""

@@ -79,7 +79,6 @@ class LiveDashboard:
         self._last_paint = 0.0
         self._worst_ever = (0, 0)  # (occupancy, node)
         self._health_counts = {"warn": 0, "critical": 0}
-        self._closed = False
 
     # -- executor callbacks ----------------------------------------------------
 
@@ -122,13 +121,6 @@ class LiveDashboard:
                 self._health_counts[row.health] += 1
             self._paint(force=True)
 
-    def close(self) -> None:
-        """Freeze the panel: nothing paints after this, so the cursor stays
-        below the last frame (every completion already painted one) and
-        output printed beneath it is never overwritten."""
-        with self._lock:
-            self._closed = True
-
     # -- rendering -------------------------------------------------------------
 
     def _aggregate_flits_per_s(self) -> float:
@@ -170,8 +162,8 @@ class LiveDashboard:
         return lines
 
     def _paint(self, force: bool = False) -> None:
-        """Repaint the panel in place (throttled); no-op off a TTY or closed."""
-        if not self._tty or self._closed:
+        """Repaint the panel in place (throttled); no-op off a TTY."""
+        if not self._tty:
             return
         now = time.perf_counter()
         if not force and now - self._last_paint < MIN_REDRAW_S:

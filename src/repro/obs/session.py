@@ -23,13 +23,16 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs.config import ObsConfig
 from repro.obs.export import JsonlStreamWriter
 from repro.obs.health import HealthMonitor, HealthReport
 from repro.obs.timeseries import SeriesBuilder, TimeSeries
 from repro.obs.tracers import ChromeTraceWriter, EventTally, JsonlTraceWriter, sampled
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fabric.base import MeshNetworkBase
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,7 @@ class ObsSession:
     def __init__(
         self,
         config: ObsConfig | None,
-        network: Any,
+        network: MeshNetworkBase,
         engine: Any,
         meta: dict[str, Any] | None = None,
     ) -> None:

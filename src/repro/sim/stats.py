@@ -36,10 +36,6 @@ class RunningMean:
         if value > self.max:
             self.max = value
 
-    @property
-    def total(self) -> float:
-        return self.mean * self.count
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RunningMean):
             return NotImplemented

@@ -97,9 +97,6 @@ class Topology(abc.ABC):
     def coord(self, node: int) -> Coord:
         return self.mesh.coord(node)
 
-    def node(self, coord: Coord) -> int:
-        return self.mesh.node(coord)
-
     # ------------------------------------------------------------------
     # what a subclass states
     # ------------------------------------------------------------------

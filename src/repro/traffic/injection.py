@@ -20,27 +20,19 @@ class InjectionProcess(abc.ABC):
     @abc.abstractmethod
     def should_inject(self, cycle: int, rng: DeterministicRng) -> bool: ...
 
-    @property
-    @abc.abstractmethod
-    def mean_rate(self) -> float:
-        """Long-run packets per cycle."""
-
 
 class BernoulliInjector(InjectionProcess):
     """Memoryless injection at a fixed rate (packets/node/cycle).
 
-    >>> BernoulliInjector(0.1).mean_rate
-    0.1
+    >>> rng = DeterministicRng(1)
+    >>> [BernoulliInjector(rate).should_inject(0, rng) for rate in (0.0, 1.0)]
+    [False, True]
     """
 
     def __init__(self, rate: float):
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"injection rate must be in [0, 1], got {rate}")
         self.rate = rate
-
-    @property
-    def mean_rate(self) -> float:
-        return self.rate
 
     def should_inject(self, cycle: int, rng: DeterministicRng) -> bool:
         return rng.bernoulli(self.rate)
@@ -66,11 +58,6 @@ class BurstyInjector(InjectionProcess):
         self._p_exit_burst = 1.0 / burst_length
         self._p_exit_gap = 1.0 if gap_length == 0 else 1.0 / gap_length
         self._in_burst = True
-
-    @property
-    def mean_rate(self) -> float:
-        duty = self.burst_length / (self.burst_length + self.gap_length)
-        return self.burst_rate * duty
 
     def should_inject(self, cycle: int, rng: DeterministicRng) -> bool:
         if self._in_burst:

@@ -88,21 +88,14 @@ class Trace:
             raise ValueError("trace needs a positive node count")
         self.events.sort(key=_sort_key)
         for event in self.events:
-            self._validate(event)
-
-    def _validate(self, event: TraceEvent) -> None:
-        if event.source >= self.num_nodes:
-            raise ValueError(f"event source {event.source} >= {self.num_nodes} nodes")
-        if event.destination is not None and event.destination >= self.num_nodes:
-            raise ValueError(
-                f"event destination {event.destination} >= {self.num_nodes} nodes"
-            )
-
-    def append(self, event: TraceEvent) -> None:
-        self._validate(event)
-        if self.events and event.cycle < self.events[-1].cycle:
-            raise ValueError("events must be appended in non-decreasing cycle order")
-        self.events.append(event)
+            if event.source >= self.num_nodes:
+                raise ValueError(
+                    f"event source {event.source} >= {self.num_nodes} nodes"
+                )
+            if event.destination is not None and event.destination >= self.num_nodes:
+                raise ValueError(
+                    f"event destination {event.destination} >= {self.num_nodes} nodes"
+                )
 
     def __len__(self) -> int:
         return len(self.events)

@@ -3,17 +3,10 @@
 :class:`FabricError` is the user-facing "you asked for something the
 fabric cannot do" error: unknown backend kinds, bad registrations,
 honest refusals (a backend that cannot model faults, a pattern that is
-undefined on a topology).  It historically lived in
-:mod:`repro.fabric.protocol`, which still re-exports it; the class
-itself lives here so that low-level packages (:mod:`repro.topology`,
-:mod:`repro.traffic`) can raise it without importing :mod:`repro.fabric`
-— whose package init pulls in the simulators and would create an import
-cycle.
+undefined on a topology).  It lives here, below every layer, so that
+low-level packages (:mod:`repro.topology`, :mod:`repro.traffic`) raise it
+without importing :mod:`repro.fabric`.
 """
-
-from __future__ import annotations
-
-from typing import Any
 
 
 class FabricError(Exception):
@@ -30,14 +23,3 @@ class SpecError(FabricError, ValueError):
     the experiment layer).
     """
 
-
-def drop_retired(payload: dict[str, Any], retired: dict[str, Any], owner: str) -> None:
-    """Pop ``retired``'s keys, which the wire keeps at their one value, from
-    a stored ``payload``; refuse any other value in one line."""
-    for key, kept in retired.items():
-        value = payload.pop(key, kept)
-        if value != kept:
-            raise SpecError(
-                f"{key}={value!r} is retired: no paper figure varies it, and "
-                f"{owner} simulates only {kept!r}"
-            )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
+from importlib import import_module
 from typing import Iterator
 from unittest import mock
 
@@ -12,6 +13,12 @@ from repro.sim.stats import nearest_rank
 from repro.topology.base import Topology
 from repro.topology.registry import TOPOLOGIES, topology_for
 from repro.util.geometry import Direction
+
+
+def config_type(kind: str) -> type:
+    """The config class of backend ``kind``, loaded from its table row."""
+    module, _, name = BACKENDS[kind][0].rpartition(".")
+    return getattr(import_module(module), name)
 
 
 def drain(network, inject_cycles: int, max_extra: int = 20_000) -> SimulationEngine:

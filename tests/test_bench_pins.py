@@ -11,8 +11,10 @@ does in CI: no unused import under ``src/repro``.  The third is the rule no
 linter has: module-level state under ``src/repro`` is a short list of named
 caches and registries, and the next one has to be added to it by name.  A
 layering gate keeps ``repro.sim`` and ``repro.util`` below ``repro.obs`` and
-the trace hub free of a per-cycle hook.  The last is a census of config
-fields, so a new option is a visible edit here.
+the trace hub free of a per-cycle hook.  A reach census holds every public
+name under ``src/repro`` to being reached from what runs, or listed with
+why it stays.  The last is a census of config fields, so a new option is a
+visible edit here.
 """
 
 import ast
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import plan_hops
+from helpers import config_type, plan_hops
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILES = sorted((ROOT / "bench").glob("*.py"))
@@ -403,7 +405,7 @@ def test_the_state_scan_sees_what_it_should(tmp_path):
     assert module_state(sample) == {"NAMES", "_MEMO", "_BY_KIND", "_SEEN"}
 
 
-# -- every public name under src/ has a caller in src/ ----------------------------
+# -- every public name under src/ is reached from what runs ---------------------
 
 #: Where a caller may live: the package itself.  What a command reaches is
 #: called from here; a name only an example or a benchmark reads is listed in
@@ -418,6 +420,12 @@ def parsed(path):
     """``path``'s syntax tree, parsed once per session: the census reads
     every file under src/ up to five times."""
     return ast.parse(path.read_text())
+
+
+@functools.cache
+def walked(node):
+    """Every node under ``node`` (a parsed, never-edited tree), listed once."""
+    return list(ast.walk(node))
 
 
 def files_under(*roots):
@@ -474,11 +482,16 @@ REACHED_FROM_OUTSIDE = {
         ("bench",), "times the trace parse alone; " + _BENCH_TOOL),
     "obs/analysis.py:reconstruct_spans": (
         ("bench",), "times the span walk alone; " + _BENCH_TOOL),
+    "obs/timeseries.py:Window.rate": (
+        ("examples",), "drop_storm_timeline prints each window's drop and "
+        "injection rates"),
     "obs/tracers.py:CollectingTracer": (
         ("bench",), "the in-memory tracer whose cost the bench measures; "
         + _BENCH_TOOL),
     "photonics/dse.py:DesignPoint.feasible": (
         ("examples",), "design_space prints the feasible design points"),
+    "photonics/dse.py:DesignSpaceExplorer.sweep": (
+        ("examples",), "design_space walks the WDM x scenario grid"),
     "harness/exec.py:Executor.cache_hits": (
         ("examples", "bench"), "the runs the cache served: the sweep examples "
         "print it, the bench's cache-hit share divides it"),
@@ -492,6 +505,9 @@ REACHED_FROM_OUTSIDE = {
         ("benchmarks",), "Fig 7's feasibility claims"),
     "topology/registry.py:policy_by_name": (
         ("bench",), "the route probe's policy; " + _ITEM_1),
+    "topology/registry.py:_DorPolicy.plan": (
+        ("bench",), "the route probe's plan call; " + _ITEM_1
+        + " with policy_by_name"),
     "util/plot.py:render_heatmap": (
         ("examples",), "the drop and congestion examples draw the mesh"),
     "vectorized/config.py:as_phastlane": (
@@ -501,71 +517,19 @@ REACHED_FROM_OUTSIDE = {
 }
 
 
-def public_definitions(tree):
-    """``(line, name)`` of each public top-level def and class, and of each
-    public method of a top-level class as ``Class.method``."""
-    defining = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    for node in tree.body:
-        if not isinstance(node, defining):
-            continue
-        if not node.name.startswith("_"):
-            yield node.lineno, node.name
-        if isinstance(node, ast.ClassDef):
-            for inner in node.body:
-                if isinstance(inner, defining[:2]) and not inner.name.startswith("_"):
-                    yield inner.lineno, f"{node.name}.{inner.name}"
-
-
-def definitions(sources, package):
-    """``{prefix: names}`` of what ``sources`` define: each module's
-    top-level defs and classes under its dotted name, and each top-level
-    class's methods under the class name."""
-    defined = {}
-    for path in sources:
-        names = defined.setdefault(module_of(path, package), set())
-        for node in parsed(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names.add(node.name)
-            if isinstance(node, ast.ClassDef):
-                defined.setdefault(node.name, set()).update(
-                    inner.name for inner in node.body
-                    if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
-                )
-    return defined
-
-
-def referenced_names(path, defined):
-    """``(name, member)`` of each name ``path`` reads: a bare name
-    (``member`` false), or an attribute, the last part of a dotted string
-    whose prefix names a module or class in ``defined`` that defines it
-    (a backend table row, a patched method), or the name a
-    ``getattr``/``hasattr`` call reads (``member`` true).  An import, a
-    bare-word string (a table header, a multiprocessing context), a dotted
-    string whose prefix defines nothing of that name (a span or metric
-    name) and a string in a package ``__init__`` (its re-export lists) are
-    no reference."""
-    for node in ast.walk(parsed(path)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, False
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr, True
-        elif (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and path.name != "__init__.py"
-            and re.fullmatch(r"\w+(\.\w+)+", node.value)
-        ):
-            prefix, _, last = node.value.rpartition(".")
-            if last in defined.get(prefix, ()):
-                yield last, True
-        elif (
-            isinstance(node, ast.Call)
-            and getattr(node.func, "id", None) in ("getattr", "hasattr")
-            and len(node.args) > 1
-            and isinstance(node.args[1], ast.Constant)
-            and isinstance(node.args[1].value, str)
-        ):
-            yield node.args[1].value, True
+#: Method names a builtin container defines: ``x.append(...)`` on a
+#: receiver of unknown type is as likely a list's as a class's.
+CONTAINER_METHODS = frozenset(
+    name for kind in (list, dict, set, tuple, str) for name in dir(kind)
+    if not name.startswith("_")
+)
+#: Generic annotations that yield their argument when iterated, and the
+#: ones that map a key type to a value type.
+ITERABLES = {"list", "tuple", "set", "frozenset", "Sequence", "Iterable",
+             "Iterator", "Collection", "deque", "Generator"}
+MAPPINGS = {"dict", "Mapping", "MutableMapping", "defaultdict", "OrderedDict"}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+NOTHING = frozenset()
 
 
 def module_of(path, package):
@@ -584,17 +548,14 @@ def dotted(node):
     return None
 
 
-def qualified_reads(path):
-    """``(imported, reads)`` of ``path``: the ``(module, name)`` pairs it
-    imports by name, and the ``(module, name)`` pairs it reads through a
-    module: ``fig10.compute`` after ``from ... import fig10``, through a
-    name indexed out of a literal table of modules (``figure =
-    {"fig04": fig04, ...}[name]`` reads ``figure.compute`` from each), or a
-    dotted string such as a backend table row (not in a package
-    ``__init__``)."""
-    tree = parsed(path)
-    bound, imported, reads = {}, set(), set()
-    for node in ast.walk(tree):
+@functools.cache
+def module_bindings(path):
+    """``(tables, imported)`` of a module: each name bound to modules (an
+    imported module, or a name indexed out of a literal table of them:
+    ``figure = {"fig04": fig04, ...}[name]``), and the ``(module, name)``
+    pairs it imports by name."""
+    bound, imported = {}, set()
+    for node in walked(parsed(path)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:
@@ -607,100 +568,510 @@ def qualified_reads(path):
                 bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
                 imported.add((node.module, alias.name))
     tables = {head: [module] for head, module in bound.items()}
-    for node in ast.walk(tree):
+    for node in walked(parsed(path)):
         if (
             isinstance(node, ast.Assign)
             and [type(target) for target in node.targets] == [ast.Name]
             and isinstance(node.value, ast.Subscript)
             and isinstance(node.value.value, ast.Dict)
         ):
-            rows = [
-                bound.get(getattr(row, "id", None)) for row in node.value.value.values
-            ]
+            rows = [bound.get(getattr(row, "id", None)) for row in node.value.value.values]
             if all(rows):
                 tables[node.targets[0].id] = rows
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            chain = dotted(node.value)
-            if chain is not None:
-                head, _, rest = chain.partition(".")
-                for module in tables.get(head, ()):
-                    reads.add((".".join(filter(None, (module, rest))), node.attr))
-        elif (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and path.name != "__init__.py"
-            and re.fullmatch(r"[\w.]+\.\w+", node.value)
+    return tables, imported
+
+
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def named(node):
+    """The name a ``Name`` or the last part an ``Attribute`` spells."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+class Census:
+    """What runs, read from the source: the definitions in ``sources`` that
+    the code reached from ``callers``' roots reads.
+
+    A root is what runs without being called: module-level code, class
+    bodies, decorators, defaults and annotations (``main`` is reached
+    through ``__main__``'s module-level call), and every def of a test
+    module or ``conftest``, which the test runner collects.  A def is
+    reached when a reached def reads it; a method when, besides, its class
+    or a subclass is reached.  A method whose name a builtin container
+    also has, or a class outside its line (its bases, its subclasses and
+    the protocols it meets) also defines, is read only through a receiver
+    of its line: ``self``, ``cls``, ``Class.method``, or a name, attribute
+    or element whose type the annotations, the constructor calls and the
+    assignments on ``self`` state.
+    """
+
+    def __init__(self, sources, callers, package):
+        self.package = package
+        self.sources = sorted(sources)
+        self.files = sorted(set(sources) | set(callers))
+        #: A file outside the package runs with its own directory on the path.
+        self.modules = {
+            path: module_of(path, package) if path in self.sources else path.stem
+            for path in self.files
+        }
+        self.classes, self.functions, self.aliases = {}, {}, {}
+        for path in self.sources + self.files:  # the package's name wins
+            for node in parsed(path).body:
+                if isinstance(node, ast.ClassDef):
+                    self.classes.setdefault(node.name, node)
+                elif isinstance(node, FUNCTIONS):
+                    self.functions.setdefault(node.name, node)
+                elif (
+                    isinstance(node, ast.Assign)
+                    and isinstance(node.targets[0], ast.Name)
+                    and isinstance(node.value, ast.BinOp)
+                ):
+                    self.aliases.setdefault(node.targets[0].id, node.value)
+        #: ``{class: {attribute: [(method, assignment)]}}`` of ``self.x = ...``.
+        self.assigned = {}
+        for name, node in self.classes.items():
+            table = self.assigned[name] = {}
+            for method in node.body:
+                for inner in walked(method) if isinstance(method, FUNCTIONS) else ():
+                    for target in getattr(inner, "targets", [getattr(inner, "target", None)]):
+                        if isinstance(target, ast.Attribute) and named(target.value) == "self":
+                            table.setdefault(target.attr, []).append((method, inner))
+        self.members = {name: self._members(name) for name in self.classes}
+        self.parents = {
+            name: {named(base) for base in node.bases} & set(self.classes)
+            for name, node in self.classes.items()
+        }
+        protocols = [
+            name for name, node in self.classes.items()
+            if "Protocol" in {named(base) for base in node.bases}
+        ]
+        for name in self.classes:
+            own = set().union(*(self.members[c] for c in self._above(name) | {name}))
+            self.parents[name] |= {
+                protocol for protocol in protocols
+                if protocol != name and set(self.members[protocol]) <= own
+            }
+        self.ancestors = {name: self._above(name) for name in self.classes}
+        self.line = {
+            name: {name} | self.ancestors[name]
+            | {other for other in self.classes if name in self.ancestors[other]}
+            for name in self.classes
+        }
+        self._attributes, self._environments, self._families = {}, {}, {}
+
+    def _members(self, name):
+        """``{name: def or annotation}`` of what a class body defines, and
+        ``{name: None}`` of each attribute its methods assign on ``self``."""
+        found = dict.fromkeys(self.assigned[name])
+        for inner in self.classes[name].body:
+            if isinstance(inner, FUNCTIONS):
+                found[inner.name] = inner
+            elif isinstance(inner, ast.AnnAssign) and isinstance(inner.target, ast.Name):
+                found[inner.target.id] = inner.annotation
+        return found
+
+    def _above(self, name):
+        seen, todo = set(), [name]
+        while todo:
+            for base in self.parents.get(todo.pop(), ()):
+                if base not in seen:
+                    seen.add(base)
+                    todo.append(base)
+        return seen
+
+    def family(self, name):
+        """Every class joined to ``name`` by inheritance or a protocol."""
+        group, todo = set(), [name]
+        while todo:
+            current = todo.pop()
+            if current not in group:
+                group.add(current)
+                todo.extend(self.line[current] - group)
+        return group
+
+    def strict(self, owner, method):
+        """True when ``owner.method`` is read only through its line."""
+        if owner not in self._families:
+            self._families[owner] = self.family(owner)
+        family = self._families[owner]
+        return method in CONTAINER_METHODS or any(
+            method in self.members[other] for other in self.classes if other not in family
+        )
+
+    # -- types: sets of class names, ("of", items) and ("map", keys, values) --
+
+    def annotation(self, node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return self.annotation(ast.parse(node.value, mode="eval").body)
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            name = named(node)
+            if name in self.aliases:
+                return self.annotation(self.aliases[name])
+            return frozenset({name}) if name in self.classes else NOTHING
+        if isinstance(node, ast.BinOp):
+            return self.annotation(node.left) | self.annotation(node.right)
+        if isinstance(node, ast.Subscript):
+            head = named(node.value)
+            args = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+            kinds = [self.annotation(arg) for arg in args]
+            if head in ("Optional", "Union", "type"):
+                return frozenset().union(*kinds)
+            if head in ITERABLES:
+                return frozenset({("of", frozenset().union(*kinds))})
+            if head in MAPPINGS and len(kinds) == 2:
+                return frozenset({("map", *kinds)})
+        return NOTHING
+
+    def items(self, kind):
+        """What iterating a value of type ``kind`` yields."""
+        found = NOTHING
+        for term in kind:
+            if isinstance(term, tuple):
+                found |= term[1]
+            else:  # a class that subclasses list[X] yields X
+                for base in self.classes[term].bases:
+                    found |= self.items(self.annotation(base))
+        return found
+
+    def returns(self, kind, method):
+        """What ``receiver.method(...)`` returns for a receiver of ``kind``."""
+        found = NOTHING
+        for term in kind:
+            if isinstance(term, str):
+                for owner in [term, *self.ancestors[term]]:
+                    definition = self.members[owner].get(method)
+                    if isinstance(definition, FUNCTIONS):
+                        found |= self.annotation(definition.returns)
+                        break
+            elif term[0] == "map" and method in ("values", "keys"):
+                found |= {("of", term[2 if method == "values" else 1])}
+            elif method in ("get", "pop", "popleft", "setdefault"):
+                found |= term[-1]
+        return found
+
+    def attribute(self, owner, attribute):
+        """The type of ``attribute`` on an instance of any class in
+        ``owner``'s line: its annotation, its property's return annotation,
+        and what each method assigns to it on ``self``."""
+        key = (owner, attribute)
+        if key not in self._attributes:
+            self._attributes[key] = found = set()
+            for cls in self.line[owner]:
+                definition = self.members[cls].get(attribute)
+                if isinstance(definition, FUNCTIONS):
+                    if {"property", "cached_property"} & {
+                        named(decorator) for decorator in definition.decorator_list
+                    }:
+                        found |= self.annotation(definition.returns)
+                elif definition is not None:
+                    found |= self.annotation(definition)
+                for method, node in self.assigned[cls].get(attribute, ()):
+                    if isinstance(node, ast.AnnAssign):
+                        found |= self.annotation(node.annotation)
+                    elif isinstance(node, ast.Assign):
+                        env = self.environment(method, cls)
+                        found |= self.typeof(node.value, env, cls)
+            self._attributes[key] = frozenset(found)
+        return self._attributes[key]
+
+    def environment(self, scope, owner):
+        """``{local name: type}`` of a def (or a module), flow-insensitive:
+        annotated parameters, ``self``/``cls``, and each name a plain,
+        annotated, ``for``, comprehension, ``with`` or walrus binding gives
+        a type."""
+        if id(scope) in self._environments:
+            return self._environments[id(scope)]
+        env = self._environments[id(scope)] = {}
+        if owner is not None:
+            env["self"] = env["cls"] = frozenset({owner})
+        nodes = walked(scope)
+        for node in nodes:
+            if isinstance(node, (*FUNCTIONS, ast.Lambda)):
+                arguments = node.args
+                for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs:
+                    if arg.annotation is not None:
+                        env[arg.arg] = self.annotation(arg.annotation)
+        for _ in range(2):  # a name typed through a name bound below it
+            for node in nodes:
+                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    bindings = [(node.targets[0], self.typeof(node.value, env, owner))]
+                elif isinstance(node, ast.AnnAssign):
+                    bindings = [(node.target, self.annotation(node.annotation))]
+                elif isinstance(node, ast.NamedExpr):
+                    bindings = [(node.target, self.typeof(node.value, env, owner))]
+                elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+                    bindings = [(node.optional_vars, self.typeof(node.context_expr, env, owner))]
+                elif isinstance(node, (ast.For, ast.comprehension)):
+                    bindings = self.loop_bindings(node, env, owner)
+                else:
+                    continue
+                for target, kind in bindings:
+                    if isinstance(target, ast.Name):
+                        env[target.id] = env.get(target.id, NOTHING) | kind
+        return env
+
+    def loop_bindings(self, loop, env, owner):
+        """``(target, type)`` of a loop's names: its items, or the keys and
+        values of a ``for key, value in mapping.items()``."""
+        source = loop.iter
+        if (
+            isinstance(loop.target, ast.Tuple) and len(loop.target.elts) == 2
+            and isinstance(source, ast.Call) and named(source.func) == "items"
+            and isinstance(source.func, ast.Attribute)
         ):
-            reads.add(tuple(node.value.rsplit(".", 1)))
-    return imported, reads
+            maps = [t for t in self.typeof(source.func.value, env, owner)
+                    if isinstance(t, tuple) and t[0] == "map"]
+            return [
+                (target, frozenset().union(*(m[side] for m in maps)))
+                for side, target in enumerate(loop.target.elts, start=1)
+            ]
+        return [(loop.target, self.items(self.typeof(source, env, owner)))]
 
+    def typeof(self, node, env, owner):
+        """The type of expression ``node`` where ``env`` types the names."""
+        def of(inner):
+            return self.typeof(inner, env, owner)
 
-def uncalled_names(sources, callers, package=ROOT / "src" / "repro"):
-    """``file:name`` of each public definition in ``sources`` that no file
-    in ``callers`` reads.  A method is read as an attribute or as a part of
-    a dotted string, never as a bare name: a loop variable ``column`` calls
-    no ``TimeSeries.column``.  A top-level def or class is read only in its
-    own module, through its module (``fig10.compute``, a dotted table row),
-    or as a name imported from its module or from a package above it: a
-    namesake in another module is no caller."""
-    defined = definitions(sources, package)
-    references = {path: set(referenced_names(path, defined)) for path in callers}
-    names_read = {
-        path: {name for name, _ in found} for path, found in references.items()
-    }
-    qualified = {path: qualified_reads(path) for path in callers}
-    members_read = {
-        name for found in references.values() for name, member in found if member
-    }
-    for path in sources:
-        module = module_of(path, package)
-        homes = {module}
-        while "." in module:
-            module = module.rpartition(".")[0]
-            homes.add(module)
-        module = module_of(path, package)
-        for _, name in public_definitions(parsed(path)):
-            owner, _, last = name.rpartition(".")
-            if owner:
-                called = last in members_read
+        if isinstance(node, ast.Name):
+            if node.id in env:
+                return env[node.id]
+            return frozenset({node.id}) if node.id in self.classes else NOTHING
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                return self.returns(of(func.value), func.attr)
+            name = named(func)
+            if name in self.classes:
+                return frozenset({name})
+            if name in ("cls", "super") and owner:
+                return frozenset({owner})
+            if name in self.functions and name not in env:
+                return self.annotation(self.functions[name].returns)
+            if name in ("sorted", "list", "tuple", "reversed", "set") and node.args:
+                return frozenset({("of", self.items(of(node.args[0])))})
+            if name == "next" and node.args:
+                return self.items(of(node.args[0]))
+            return NOTHING
+        if isinstance(node, ast.Attribute):
+            return frozenset().union(*(
+                self.attribute(term, node.attr) for term in of(node.value)
+                if isinstance(term, str)
+            ))
+        if isinstance(node, ast.Subscript):
+            return frozenset().union(*(
+                term[-1] for term in of(node.value) if isinstance(term, tuple)
+            ))
+        if isinstance(node, ast.BoolOp):
+            return frozenset().union(*map(of, node.values))
+        if isinstance(node, ast.IfExp):
+            return of(node.body) | of(node.orelse)
+        if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
+            return frozenset({("of", of(node.elt))})
+        if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
+            return frozenset({("of", frozenset().union(*map(of, node.elts)))})
+        return NOTHING
+
+    # -- reads and reach ----------------------------------------------------
+
+    def units(self, path):
+        """``{unit: (def, class, nodes)}`` of a file: unit ``""`` is what runs
+        on import (module level, class bodies, decorators, defaults,
+        annotations), ``"f"`` a top-level def's body, ``"C.m"`` a method's."""
+        found = {"": (parsed(path), None, [])}
+
+        def add(unit, scope, owner, parts):
+            entry = found.setdefault(unit, (scope, owner, []))
+            for part in parts:
+                entry[2].extend(walked(part))
+
+        def define(function, unit, owner):
+            header = function.decorator_list + [function.args]
+            add("", None, None, header + [function.returns] * bool(function.returns))
+            add(unit, function, owner, function.body)
+
+        for statement in parsed(path).body:
+            if isinstance(statement, FUNCTIONS):
+                define(statement, statement.name, None)
+            elif isinstance(statement, ast.ClassDef):
+                add("", None, None, statement.bases + statement.keywords
+                    + statement.decorator_list)
+                for inner in statement.body:
+                    if isinstance(inner, FUNCTIONS):
+                        define(inner, f"{statement.name}.{inner.name}", statement.name)
+                    else:
+                        add("", None, None, [inner])
             else:
-                called = any(
-                    (module, name) in reads
-                    or name in names_read[caller]
-                    and (caller == path or any((h, name) in imported for h in homes))
-                    for caller, (imported, reads) in qualified.items()
+                add("", None, None, [statement])
+        return found
+
+    def reads(self, path):
+        """``{unit: (names, attributes, qualified)}``: the bare names a unit
+        reads; ``(attribute, receiver classes)`` of each attribute it reads,
+        of each ``getattr``/``hasattr`` name (receiver unknown) and of the
+        last part of a dotted string whose prefix ends in a class; and the
+        ``(module, name)`` pairs it reads through a module or a dotted
+        string (a backend table row).  Strings in a package ``__init__``
+        are its re-export lists, no reads."""
+        tables, _ = module_bindings(path)
+        found = {}
+        for unit, (scope, owner, nodes) in self.units(path).items():
+            env = self.environment(scope, owner)
+            names, attributes, qualified = set(), set(), set()
+            for node in nodes:
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    kind = self.typeof(node.value, env, owner)
+                    attributes.add((node.attr, frozenset(t for t in kind if isinstance(t, str))))
+                    head, _, rest = (dotted(node.value) or "").partition(".")
+                    for module in tables.get(head, ()):
+                        qualified.add((".".join(filter(None, (module, rest))), node.attr))
+                elif (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and path.name != "__init__.py"
+                    and re.fullmatch(r"\w+(\.\w+)+", node.value)
+                ):
+                    prefix, _, last = node.value.rpartition(".")
+                    qualified.add((prefix, last))
+                    if prefix.rpartition(".")[2] in self.classes:
+                        attributes.add((last, frozenset({prefix.rpartition(".")[2]})))
+                elif (
+                    isinstance(node, ast.Call)
+                    and named(node.func) in ("getattr", "hasattr")
+                    and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)
+                ):
+                    attributes.add((node.args[1].value, NOTHING))
+            found[unit] = names, attributes, qualified
+        return found
+
+    def reached(self, roots=()):
+        """The ``(path, def)`` pairs reached; ``roots`` are more of them."""
+        by_name, by_attribute, by_qualified, imported = {}, {}, {}, {}
+        definitions = {}
+        for path in self.files:
+            imported[path] = module_bindings(path)[1]
+            for unit, (names, attributes, qualified) in self.reads(path).items():
+                for name in names:
+                    by_name.setdefault(name, []).append((path, unit))
+                for attribute, receivers in attributes:
+                    by_attribute.setdefault(attribute, []).append(((path, unit), receivers))
+                for pair in qualified:
+                    by_qualified.setdefault(pair, []).append((path, unit))
+                if unit:
+                    definitions[path, unit] = unit.partition(".")[0] if "." in unit else None
+            for node in parsed(path).body:
+                if isinstance(node, ast.ClassDef):
+                    definitions[path, node.name] = None
+        homes = {}
+        for path, module in self.modules.items():
+            homes[path] = {module}
+            while "." in module:
+                module = module.rpartition(".")[0]
+                homes[path].add(module)
+        classes = {}
+        for path in self.sources + self.files:
+            for node in parsed(path).body:
+                if isinstance(node, ast.ClassDef):
+                    classes.setdefault(node.name, (path, node.name))
+        reached = {(path, "") for path in self.files} | set(roots)
+        reached |= {
+            key for key, owner in definitions.items()
+            if key[0].name.startswith(("test_", "conftest"))
+            or owner is None and is_dunder(key[1])
+        }
+
+        def read(key):
+            path, name = key
+            owner = definitions[key]
+            if owner is None:
+                return any(
+                    reader in reached for reader in by_qualified.get((self.modules[path], name), ())
+                ) or any(
+                    reader in reached and (reader[0] == path or any(
+                        (home, name) in imported[reader[0]] for home in homes[path]))
+                    for reader in by_name.get(name, ())
                 )
-            if not called:
-                yield f"{path.relative_to(package)}:{name}"
+            if not any(
+                classes.get(cls) in reached
+                for cls in self.line[owner] - self.ancestors[owner]
+            ):
+                return False
+            method = name.rpartition(".")[2]
+            if is_dunder(method):
+                return True
+            strict = self.strict(owner, method)
+            return any(
+                reader in reached and (not strict or receivers & self.line[owner])
+                for reader, receivers in by_attribute.get(method, ())
+            )
+
+        grown = True
+        while grown:
+            grown = False
+            for key in definitions.keys() - reached:
+                if read(key):
+                    reached.add(key)
+                    grown = True
+        return reached
+
+    def uncalled(self, roots=()):
+        """``file:name`` of each public def, class and method in the sources
+        that is not reached; ``roots`` (``file:name``) are reached."""
+        keys = {f"{path.relative_to(self.package)}:{name}": (path, name)
+                for path in self.sources for name in self._public(path)}
+        reached = self.reached({keys[root] for root in roots if root in keys})
+        for label, key in keys.items():
+            if key not in reached:
+                yield label
+
+    @staticmethod
+    def _public(path):
+        for node in parsed(path).body:
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    yield node.name
+                for inner in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(inner, FUNCTIONS) and not inner.name.startswith("_"):
+                        yield f"{node.name}.{inner.name}"
+
+
+def uncalled_names(sources, callers, package=ROOT / "src" / "repro", roots=()):
+    """``file:name`` of each public definition in ``sources`` that nothing
+    reached from ``callers`` reads (:class:`Census`); each of ``roots``
+    counts as reached, and so does what only it reaches."""
+    return set(Census(sources, callers, package).uncalled(roots))
 
 
 def test_every_public_name_under_src_has_a_caller():
-    """A public def, class or method that nothing in the package reads is
-    surface no command reaches: it gets a caller, goes with its tests, or
-    is listed with why it stays, in ``UNCALLED`` if only tests read it and
-    in ``REACHED_FROM_OUTSIDE`` if an example or a benchmark does.  The two
-    lists partition what the census finds."""
-    found = set(uncalled_names(SOURCE_FILES, CALLER_FILES))
+    """A public def, class or method that nothing reached in the package
+    reads is surface no command reaches: it gets a caller, goes with its
+    tests, or is listed with why it stays, in ``UNCALLED`` if only tests
+    read it and in ``REACHED_FROM_OUTSIDE`` if an example or a benchmark
+    does.  What only a listed name reaches needs no row of its own."""
+    found = uncalled_names(SOURCE_FILES, CALLER_FILES)
     assert set(UNCALLED).isdisjoint(REACHED_FROM_OUTSIDE)
     listed = set(UNCALLED) | set(REACHED_FROM_OUTSIDE)
-    assert found == listed, (
-        f"uncalled, not listed: {sorted(found - listed)}; "
-        f"listed, now called or gone: {sorted(listed - found)}"
-    )
+    assert listed <= found, f"listed, now called or gone: {sorted(listed - found)}"
+    unlisted = uncalled_names(SOURCE_FILES, CALLER_FILES, roots=listed)
+    assert not unlisted, f"uncalled, not listed: {sorted(unlisted)}"
 
 
 def test_only_tests_read_an_uncalled_name():
     """With examples, ``bench/`` and ``benchmarks/`` read as callers too,
-    every ``REACHED_FROM_OUTSIDE`` name drops out and every ``UNCALLED`` one
-    stays: no entry of either list hides where its readers are."""
-    found = set(uncalled_names(SOURCE_FILES, CALLER_FILES + files_under(*OUTSIDE)))
-    assert found == set(UNCALLED)
+    every ``REACHED_FROM_OUTSIDE`` name is reached and every ``UNCALLED``
+    one is not: no entry of either list hides where its readers are."""
+    found = uncalled_names(SOURCE_FILES, CALLER_FILES + files_under(*OUTSIDE))
+    assert set(UNCALLED) <= found
+    assert found.isdisjoint(REACHED_FROM_OUTSIDE)
 
 
 @pytest.mark.parametrize("outside", OUTSIDE)
 def test_each_outside_entry_names_the_directories_that_reach_it(outside):
-    found = set(uncalled_names(SOURCE_FILES, CALLER_FILES + files_under(outside)))
+    found = uncalled_names(SOURCE_FILES, CALLER_FILES + files_under(outside))
     claimed = {
         name for name, (roots, _) in REACHED_FROM_OUTSIDE.items() if outside in roots
     }
@@ -715,7 +1086,12 @@ def test_the_caller_census_sees_what_it_should(tmp_path):
     its module, nor a method whose name only a local variable, a bare-word
     string or the last part of a span name (a dotted string whose prefix
     defines nothing) shares; a ``getattr`` name is read, and so is a method
-    named through its class in a dotted string."""
+    named through its class in a dotted string.  Reach is transitive: a def
+    only an uncalled def calls is uncalled, and so is what only a listed
+    root reaches until the root is given.  A method another class outside
+    its line also defines (or a container also has) is read only through a
+    receiver of its line: ``self``, the class, a constructed or annotated
+    name, an attribute or an element whose type is stated."""
     (package := tmp_path / "pkg").mkdir()
     (defining := package / "defining.py").write_text(
         "class Shape:\n"
@@ -726,6 +1102,22 @@ def test_the_caller_census_sees_what_it_should(tmp_path):
         "    def headed(self): ...\n"
         "    def spanned(self): ...\n"
         "    def patched(self): ...\n"
+        "class Grid:\n"
+        "    def node(self): ...\n"
+        "    def cell(self): ...\n"
+        "    def side(self): ...\n"
+        "    def append(self, item): ...\n"
+        "    def extend(self, items): ...\n"
+        "class Mesh:\n"
+        "    node: int\n"
+        "    cell: int\n"
+        "    side: int\n"
+        "    def corner(self): return self.side\n"
+        "class Torus(Grid): ...\n"
+        "class Board:\n"
+        "    def __init__(self):\n"
+        "        self.grid = Torus()\n"
+        "    def rows(self) -> 'list[Grid]': ...\n"
         "def called(): ...\n"
         "def dotted(): ...\n"
         "def exported(): ...\n"
@@ -734,13 +1126,17 @@ def test_the_caller_census_sees_what_it_should(tmp_path):
         "def namesake(): ...\n"
         "def own(): ...\n"
         "def tabled(): ...\n"
+        "def dead(): chained()\n"
+        "def chained(): ...\n"
+        "def listed(): behind()\n"
+        "def behind(): ...\n"
         "def _helper(): ...\n"
         "own()\n"
     )
     (calling := package / "calling.py").write_text(
         "import pkg.defining\n"
         "from pkg import defining\n"
-        "from pkg.defining import Shape, imported\n"
+        "from pkg.defining import Board, Grid, Mesh, Shape, imported\n"
         "from pkg import upward\n"
         "TABLE = {'row': 'pkg.defining.dotted'}\n"
         "pkg.defining.called()\n"
@@ -753,6 +1149,12 @@ def test_the_caller_census_sees_what_it_should(tmp_path):
         "HEADER = ['headed', 'rows']\n"
         "getattr(Shape(), 'probed', None)\n"
         "SPANS = {'Shape.patched': 'layer.calling.spanned'}\n"
+        "def reach(mesh: Mesh, items: list, board: Board):\n"
+        "    mesh.node, mesh.cell, items.append(1), Mesh().corner()\n"
+        "    board.grid.cell()\n"
+        "    for grid in board.rows():\n"
+        "        grid.extend([])\n"
+        "reach(Mesh(), [], Board())\n"
     )
     (other := package / "other.py").write_text(
         "def namesake(): ...\nnamesake()\n"
@@ -762,12 +1164,16 @@ def test_the_caller_census_sees_what_it_should(tmp_path):
         "__all__ = ['exported', 'upward']\n"
     )
     callers = [defining, calling, other, reexport]
-    found = set(uncalled_names([defining, other], callers, package))
+    found = uncalled_names([defining, other], callers, package)
     assert found == {
         f"defining.py:{name}"
         for name in ("Shape.unused", "Shape.headed", "Shape.spanned",
-                     "exported", "imported", "namesake")
+                     "Grid.node", "Grid.side", "Grid.append",
+                     "exported", "imported", "namesake", "dead", "chained",
+                     "listed", "behind")
     }
+    rooted = uncalled_names([defining, other], callers, package, roots={"defining.py:listed"})
+    assert found - rooted == {"defining.py:listed", "defining.py:behind"}
 
 
 # -- src/ is what runs: every module is one the package loads -------------------
@@ -850,6 +1256,50 @@ def test_the_oracle_and_the_package_do_not_import_each_other():
     assert not shipped, shipped
 
 
+def imports_through_tests(path):
+    """``(line, module)`` of each import of a ``tests.``-prefixed module."""
+    for node in ast.walk(parsed(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name == "tests" or name.startswith("tests."):
+                yield node.lineno, name
+
+
+def test_a_test_module_has_one_import_name():
+    """``tests/`` is a package, so each of its modules is importable both as
+    ``oracle.network`` (``pythonpath = ["tests"]``) and as
+    ``tests.oracle.network``; the second name would build a second
+    ``PhastlaneNetwork`` class, which ``TestOracleIsReal``'s ``type(...) is``
+    checks refuse.  Only the first name is used."""
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {module}"
+        for path in files_under("tests", "bench", "benchmarks")
+        for line, module in imports_through_tests(path)
+    ]
+    assert not found, found
+
+
+def test_the_import_name_scan_sees_what_it_should(tmp_path):
+    """The canary: an import and a from-import of ``tests.`` are found; the
+    ``oracle.`` name, a relative import and a ``testsuite`` module are not."""
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import tests.oracle.network\n"
+        "from tests.helpers import drain\n"
+        "from oracle.network import PhastlaneNetwork\n"
+        "from . import helpers\n"
+        "import testsuite\n"
+    )
+    assert list(imports_through_tests(sample)) == [
+        (1, "tests.oracle.network"), (2, "tests.helpers")
+    ]
+
+
 def test_the_module_scan_sees_what_it_should(tmp_path):
     """The canary: a module imported by a statement, through its package,
     by a dotted string or as the package above one is loaded; one only
@@ -894,10 +1344,10 @@ CONFIG_FIELDS = {
 def registered_fields():
     from dataclasses import fields
 
-    from repro.fabric.registry import BACKENDS, config_type_for
+    from repro.fabric.registry import BACKENDS
 
     return {
-        kind: tuple(field_.name for field_ in fields(config_type_for(kind)))
+        kind: tuple(field_.name for field_ in fields(config_type(kind)))
         for kind in BACKENDS
     }
 

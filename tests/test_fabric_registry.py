@@ -9,7 +9,7 @@ from repro.core.config import PhastlaneConfig
 from repro.electrical.config import ElectricalConfig
 from repro.electrical.network import ElectricalNetwork
 from repro.fabric.ideal import IdealConfig, IdealNetwork
-from repro.fabric.registry import BACKENDS, config_kind, config_type_for, make_network
+from repro.fabric.registry import BACKENDS, config_kind, make_network
 from repro.faults.config import FaultConfig
 from repro.harness.experiments.configs import optical_configs
 from repro.traffic.trace import Trace, TraceEvent, TraceSource
@@ -17,6 +17,8 @@ from repro.util.errors import FabricError
 from repro.util.geometry import MeshGeometry
 from repro.vectorized.config import VectorizedConfig
 from repro.vectorized.network import VectorizedNetwork
+
+from helpers import config_type
 
 
 #: The one alternative a ``PhastlaneConfig`` carries (paper footnote 3).
@@ -35,7 +37,7 @@ class TestDispatch:
         for config, network_type, kind in cases:
             assert type(make_network(config)) is network_type
             assert config_kind(config) == kind
-            assert config_type_for(kind) is type(config)
+            assert config_type(kind) is type(config)
 
     @pytest.mark.parametrize("arbitration", ARBITRATIONS)
     @pytest.mark.parametrize("topology", ["mesh", "torus"])
@@ -85,7 +87,7 @@ class TestDispatch:
     def test_dispatch_is_on_the_exact_config_type(self):
         """No config type subclasses another, so a subclass is a type the
         table does not have."""
-        types = [config_type_for(kind) for kind in BACKENDS]
+        types = [config_type(kind) for kind in BACKENDS]
         assert not any(a is not b and issubclass(a, b) for a in types for b in types)
 
         class FancyIdealConfig(IdealConfig):
@@ -93,11 +95,6 @@ class TestDispatch:
 
         with pytest.raises(FabricError, match="FancyIdealConfig"):
             make_network(FancyIdealConfig(mesh=MeshGeometry(4, 4)))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(FabricError) as excinfo:
-            config_type_for("quantum")
-        assert "quantum" in str(excinfo.value)
 
     def test_source_and_stats_forwarded(self):
         from repro.sim.stats import NetworkStats
@@ -111,5 +108,5 @@ class TestFaultSupport:
     def test_builtin_backends_all_take_faults(self):
         # The ideal backend takes the parameter to refuse it in its own words.
         for kind in BACKENDS:
-            network = make_network(config_type_for(kind)(mesh=MeshGeometry(2, 2)))
+            network = make_network(config_type(kind)(mesh=MeshGeometry(2, 2)))
             assert "faults" in inspect.signature(type(network)).parameters

@@ -209,14 +209,6 @@ class TestLiveDashboardNonTty:
             )
         assert stream.getvalue() == ""
 
-    def test_close_is_idempotent(self):
-        dashboard, stream = self._dashboard()
-        dashboard.on_event(fake_event())
-        dashboard.close()
-        once = stream.getvalue()
-        dashboard.close()
-        assert stream.getvalue() == once
-
 
 class TestLiveDashboardTty:
     class _Tty(io.StringIO):
@@ -241,12 +233,13 @@ class TestLiveDashboardTty:
         assert "Optical4" in out and "150/300" in out
         assert "#" in out  # the progress bar is partially filled
         dashboard.on_event(fake_event(index=0))
-        dashboard.close()
         assert stream.getvalue().endswith("\n")
 
     def test_nothing_is_written_after_the_last_completion(self):
-        # close() used to repaint after the command's stdout: on a terminal
-        # its cursor-up erased the last table row.
+        # A repaint after the command's stdout would move the cursor up and
+        # erase the last table row: the last completion paints the final
+        # frame and ends its line, and no callback fires after the
+        # executor returns.
         stream = self._Tty()
         dashboard = LiveDashboard(stream=stream)
         progress = RunProgress(
@@ -257,9 +250,7 @@ class TestLiveDashboardTty:
         dashboard.on_event(fake_event(index=0))
         painted = stream.getvalue()
         assert painted.endswith("\n")
-        dashboard.close()
-        dashboard.on_progress(progress)
-        assert stream.getvalue() == painted
+        assert "runs: 1/2" in painted.rpartition("\x1b[")[2]
 
     def test_second_frame_moves_the_cursor_up(self):
         stream = self._Tty()

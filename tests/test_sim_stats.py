@@ -19,12 +19,6 @@ class TestRunningMean:
         assert mean.max == max(values)
         assert mean.count == len(values)
 
-    def test_total(self):
-        mean = RunningMean()
-        for v in (1.0, 2.0, 3.0):
-            mean.add(v)
-        assert mean.total == pytest.approx(6.0)
-
     def test_empty_stream_extremes_are_sentinels(self):
         # An empty stream keeps the identity sentinels: min is +inf and
         # max is -inf, so min > max flags "no samples" unambiguously.
@@ -41,7 +35,6 @@ class TestRunningMean:
         assert mean.min == 7.5
         assert mean.max == 7.5
         assert mean.mean == 7.5
-        assert mean.total == 7.5
 
 
 class TestHistogram:

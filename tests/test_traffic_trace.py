@@ -64,12 +64,6 @@ class TestTrace:
         trace = Trace("t", 16, events=[TraceEvent(5, 0, 1), TraceEvent(1, 2, 3)])
         assert [e.cycle for e in trace] == [1, 5]
 
-    def test_append_enforces_order(self):
-        trace = Trace("t", 16)
-        trace.append(TraceEvent(5, 0, 1))
-        with pytest.raises(ValueError):
-            trace.append(TraceEvent(4, 0, 1))
-
     def test_out_of_mesh_event_rejected(self):
         with pytest.raises(ValueError):
             Trace("t", 16, events=[TraceEvent(0, 16, 1)])
