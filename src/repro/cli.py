@@ -75,18 +75,6 @@ def _dead_ports(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(ports)
 
 
-def _trace_sample(text: str) -> float:
-    """Parse ``--trace-sample``, refusing a fraction no trace can keep
-    while parsing, in :class:`~repro.obs.config.ObsConfig`'s own words (the
-    stand-in path leaves only the value's check to fail)."""
-    from repro.obs.config import ObsConfig
-
-    try:
-        return ObsConfig(trace_path="-", trace_sample=float(text)).trace_sample
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
 #: The field each fault model fills with ``--link-flip-prob`` (and with
 #: each of ``fault-sweep``'s ``--fault-rates``).
 _FAULT_MODELS = {"bernoulli": "link_flip_prob", "burst": "burst_enter_prob"}
@@ -116,7 +104,7 @@ _FLAGS: dict[str, tuple[tuple[str, str | None, str, dict[str, Any]], ...]] = {
          "selects JSONL); campaigns with several runs get per-run suffixed "
          "paths", _PATH),
         ("--trace-sample", "trace_sample", "fraction of packet lifecycles to "
-         "trace; requires --trace-out", {"type": _trace_sample, "metavar": "RATE"}),
+         "trace; requires --trace-out", {"type": float, "metavar": "RATE"}),
         ("--metrics-interval", "metrics_interval", "collect windowed "
          "time-series metrics every CYCLES cycles (serialised into JSON "
          "reports)", {"type": int, "metavar": "CYCLES"}),

@@ -59,8 +59,9 @@ class PhastlaneConfig:
     mesh: MeshGeometry = field(default_factory=lambda: MeshGeometry(8, 8))
     #: Registered topology family over the mesh's addressable grid
     #: (``"mesh"``, ``"torus"``, ...).  Part of spec identity, but the
-    #: default normalises away in serialisation so pre-topology digests
-    #: and cache keys stay byte-identical.
+    #: default normalises away in serialisation so pre-topology spec
+    #: digests (pinned, and written into trace headers and manifests) stay
+    #: byte-identical.
     topology: str = "mesh"
     max_hops_per_cycle: int = 4
     buffer_entries: int | None = 10

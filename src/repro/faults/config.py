@@ -6,8 +6,9 @@ a run spec's identity.  Two specs differing only in their fault config (or
 fault seed) simulate different physics, so they hash, compare and digest
 differently — which is exactly what keeps the on-disk result cache honest.
 A disabled config (the default) is normalised away by the spec, so the
-no-fault serialisation — and therefore every pre-existing cache key — is
-byte-identical to a tree that predates this module.
+no-fault serialisation — and therefore every pinned spec digest, trace
+header and manifest — is byte-identical to a tree that predates this
+module.
 """
 
 from __future__ import annotations

@@ -140,7 +140,8 @@ _OPTICAL_ROWS: dict[str, Any] = {
 #: varies, each a named constant now; for ``"phastlane"`` also the paper's
 #: section 7 "future work" knobs, which it never evaluates; for
 #: ``"electrical"`` the Table 2 rows of ``repro.electrical.config``.
-#: Written so that every spec digest, cache key and manifest stays
+#: Written so that the pinned spec digests, the ``spec`` of a JSONL trace
+#: header (which ``repro analyze --diff`` keys on) and the manifests stay
 #: byte-identical.
 RETIRED_KEYS: dict[str, dict[str, Any]] = {
     "phastlane": {
@@ -173,7 +174,8 @@ def config_to_dict(config: NetworkConfig) -> dict[str, Any]:
 
     A ``topology`` field holding the default (``"mesh"``) is omitted —
     mirroring the disabled-``FaultConfig`` normalisation — so every
-    pre-topology digest and cache key stays byte-identical.
+    pre-topology spec digest stays byte-identical: the pinned ones, and
+    the ones written into trace headers and manifests.
     """
     payload: dict[str, Any] = {"kind": config_kind(config)}
     for field_ in fields(config):
@@ -192,8 +194,9 @@ def config_to_dict(config: NetworkConfig) -> dict[str, Any]:
 
 #: Keys a serialised spec still carries at the one value every run used:
 #: the ``cycles // 5`` warm-up (``None``) and the trace-drain budget
-#: (``runner.MAX_DRAIN_CYCLES``).  Written so that every digest, cache key
-#: and manifest stays byte-identical.
+#: (``runner.MAX_DRAIN_CYCLES``).  Written so that the pinned spec digests,
+#: the ``spec`` of a JSONL trace header and the manifests stay
+#: byte-identical.
 RETIRED_SPEC_KEYS: dict[str, Any] = {
     "warmup": None,
     "max_drain_cycles": MAX_DRAIN_CYCLES,
@@ -214,7 +217,8 @@ class RunSpec:
     specs differing only in their fault model must hash, compare and cache
     differently.  A disabled fault config is normalised to ``None`` at
     construction, keeping the serialisation (and therefore every pre-fault
-    cache key and digest pin) byte-identical to a tree without faults.
+    digest pin, trace header and manifest) byte-identical to a tree
+    without faults.
 
     ``obs`` configures observability (tracing / time-series metrics /
     health watchdogs) and is *not* part of the spec's identity: it is excluded
@@ -255,8 +259,8 @@ class RunSpec:
             "max_drain_cycles": RETIRED_SPEC_KEYS["max_drain_cycles"],
         }
         # Key present only for enabled fault models: a fault-free spec
-        # serialises exactly as it did before faults existed, so digests
-        # (and every cached result) from older trees remain valid.
+        # serialises exactly as it did before faults existed, so its pinned
+        # digest, trace header and manifest entry keep their bytes.
         if self.faults is not None:
             payload["faults"] = self.faults.to_dict()
         return payload
@@ -363,9 +367,8 @@ class RunProgress:
 
     Forwarded to the executor's ``live`` callback while a run executes —
     the per-run complement to the completion-level :class:`RunEvent`.
-    ``sample`` carries cycles-completed, counters, the worst router and
-    the watchdog verdict (see
-    :class:`~repro.obs.session.ProgressSample`).
+    ``sample`` carries cycles completed, flits, the worst router and the
+    watchdog verdict (see :class:`~repro.obs.session.ProgressSample`).
     """
 
     index: int

@@ -24,6 +24,7 @@ from typing import Any, Iterable, Sequence
 from repro.harness.exec import RunEvent
 from repro.obs.analysis import BlameReport, analyze_trace_file
 from repro.obs.health import SEVERITIES
+from repro.sim.stats import PERCENTILES
 
 _BADGE_COLOURS = {"ok": "#2e7d32", "warn": "#ef6c00", "critical": "#c62828"}
 
@@ -99,7 +100,7 @@ def _blame_section(entries: list[tuple[RunEvent, Any]]) -> str:
         )
         tail = " &middot; ".join(
             f"{name} {report.tail.get(name)}"
-            for name in ("p50", "p95", "p99", "p999")
+            for name, _ in PERCENTILES
             if report.tail.get(name) is not None
         )
         rows = "".join(

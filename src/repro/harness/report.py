@@ -73,8 +73,8 @@ def stats_to_dict(stats: NetworkStats) -> dict[str, Any]:
         "average_power_w": stats.average_power_w(CYCLE_TIME_PS),
     }
     # Present only when fault injection actually fired: fault-free runs
-    # keep the exact pre-fault payload shape, so Fig 9/10 sha256 pins and
-    # cached reports from older trees stay byte-identical.
+    # keep the exact pre-fault payload shape, so the Fig 9/10 sha256 pins
+    # and the reports of fault-free runs stay byte-identical.
     if stats.faults_injected or stats.packets_lost:
         payload["faults"] = {
             "injected": stats.faults_injected,

@@ -94,7 +94,7 @@ def run(spec: "RunSpec", progress: ProgressSink | None = None) -> RunResult:
     workload type and stamps the result with its wall time.  ``progress``,
     when given, receives intra-run
     :class:`~repro.obs.session.ProgressSample` snapshots at a
-    fixed cycle cadence (plus a final ``done=True`` sample).
+    fixed cycle cadence, the last at the run's final cycle.
     """
     from repro.harness.exec import (
         Splash2Workload,

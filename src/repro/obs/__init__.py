@@ -7,8 +7,7 @@ module docstring for the attach set and the order reducers are fed):
 - **packet-lifecycle tracing** — both simulators carry a
   :class:`~repro.obs.events.TraceHub` with explicit emit points (no
   monkeypatching); any :class:`~repro.obs.tracers.Tracer` registered on the
-  hub receives each event's five fields, or a
-  :class:`~repro.obs.events.PacketEvent` if it overrides ``emit``
+  hub receives each event's five fields in its one method, ``record``
   (``generated``, ``injected``, ``hop``, ``blocked``, ``buffered``,
   ``dropped``, ``retransmitted``, ``delivered``).  Exporters write JSONL or
   Chrome ``trace_event`` JSON (loadable in Perfetto / ``chrome://tracing``).

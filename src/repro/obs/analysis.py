@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import starmap
 from operator import itemgetter
 from pathlib import Path
@@ -57,7 +57,7 @@ from typing import Any, Iterable, Iterator
 
 from repro.obs.events import EVENT_KINDS, PacketEvent
 from repro.obs.tracers import COMMON_RECORD, SCALAR_EXTRA, SCALAR_RECORD, TRACE_SCHEMA
-from repro.sim.stats import nearest_rank
+from repro.sim.stats import PERCENTILES, nearest_rank
 
 #: The wait components every delivered latency decomposes into.
 COMPONENTS = (
@@ -66,9 +66,6 @@ COMPONENTS = (
     "link_transit",
     "retransmit_backoff",
 )
-
-#: Tail percentiles reported by :class:`BlameReport`, as (name, p) pairs.
-TAIL_PERCENTILES = (("p50", 50.0), ("p95", 95.0), ("p99", 99.0), ("p999", 99.9))
 
 
 @dataclass
@@ -83,27 +80,27 @@ class PacketSpan:
     packet: int
     origin: int
     generated_cycle: int
-    destination: int | None = None
-    delivered_cycle: int | None = None
-    multicast: bool = False
-    lost: bool = False
-    deliveries: int = 0
-    hops: int = 0
-    blocked: int = 0
-    drops: int = 0
-    retransmits: int = 0
-    faults: int = 0
-    source_queue: int = 0
+    destination: int | None
+    delivered_cycle: int | None
+    multicast: bool
+    lost: bool
+    deliveries: int
+    hops: int
+    blocked: int
+    drops: int
+    retransmits: int
+    faults: int
+    source_queue: int
     #: node -> cycles parked waiting for arbitration/ejection there.
-    contention: Counter = field(default_factory=Counter)
+    contention: Counter
     #: (from, to) -> cycles in flight on that directed link.
-    transit: Counter = field(default_factory=Counter)
+    transit: Counter
     #: node -> cycles lost to drop signalling and retry backoff there.
-    backoff: Counter = field(default_factory=Counter)
-    timeline: list = field(default_factory=list)
+    backoff: Counter
+    timeline: list
     #: (from, to) -> ``hop`` arrivals over that directed link, counted for
     #: every packet (the report's link traversals), not in :meth:`to_dict`.
-    traversals: Counter = field(default_factory=Counter)
+    traversals: Counter
 
     @property
     def delivered(self) -> bool:
@@ -408,7 +405,7 @@ class BlameReport:
     causes: dict[str, int]
     tail: dict[str, Any]
     anatomies: list[dict[str, Any]]
-    meta: dict[str, Any] = field(default_factory=dict)
+    meta: dict[str, Any]
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -435,13 +432,13 @@ class BlameReport:
         """Canonical JSON rendering (the byte-identity surface)."""
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
-    def top_routers(self, top: int = 5) -> list[tuple[int, dict[str, int]]]:
+    def top_routers(self, top: int) -> list[tuple[int, dict[str, int]]]:
         """Routers by total blamed cycles, descending (ties by node id)."""
         return sorted(
             self.routers.items(), key=lambda item: (-item[1]["total"], item[0])
         )[:top]
 
-    def top_links(self, top: int = 5) -> list[tuple[tuple[int, int], dict[str, int]]]:
+    def top_links(self, top: int) -> list[tuple[tuple[int, int], dict[str, int]]]:
         """Links by transit cycles then traversals, descending."""
         return sorted(
             self.links.items(),
@@ -504,7 +501,7 @@ def analyze_spans(
     pairs = sorted(Counter(latencies).items())
     tail: dict[str, Any] = {
         name: nearest_rank(pairs, len(latencies), p) if latencies else None
-        for name, p in TAIL_PERCENTILES
+        for name, p in PERCENTILES
     }
     beyond = [
         span.components() for latency, span in delivered if latency >= tail["p99"]
@@ -612,7 +609,7 @@ def diff_reports(a: BlameReport, b: BlameReport) -> dict[str, Any]:
         },
         "tail": {
             name: delta(a.tail.get(name), b.tail.get(name))
-            for name, _ in TAIL_PERCENTILES
+            for name, _ in PERCENTILES
         },
         "routers": routers,
     }
@@ -680,7 +677,7 @@ def render_markdown(
     out += [f"## {heading}", "", _md_table(headers, rows), ""]
     tail_rows = [
         [name, report.tail.get(name) if report.tail.get(name) is not None else "-"]
-        for name, _ in TAIL_PERCENTILES
+        for name, _ in PERCENTILES
     ]
     out += [
         "## Tail latency",

@@ -32,9 +32,7 @@ class JsonlStreamWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle: IO[str] | None = self.path.open("w")
 
-    def window(
-        self, window: Window, spatial_slice: dict[str, Any] | None = None
-    ) -> None:
+    def window(self, window: Window, spatial_slice: dict[str, Any] | None) -> None:
         """One closed metrics window, with its per-node slice if spatial."""
         payload: dict[str, Any] = {"event": "window", **asdict(window)}
         if spatial_slice is not None:

@@ -124,16 +124,14 @@ class HealthMonitor:
     :meth:`evaluate` at each boundary; :attr:`report` is the run's verdict
     so far.  Works with any network exposing ``stats``, ``routers`` and
     ``nics`` (all registered backends do).  ``tally`` must be attached to
-    the network's trace hub for the whole run.
+    the network's trace hub for the whole run.  ``interval`` and
+    ``stall_windows`` are :class:`~repro.obs.config.ObsConfig`'s, checked
+    there.
     """
 
     def __init__(
         self, network: Any, tally: EventTally, interval: int, stall_windows: int
     ) -> None:
-        if interval <= 0:
-            raise ValueError(f"health interval must be positive, got {interval}")
-        if stall_windows < 1:
-            raise ValueError(f"stall_windows must be >= 1, got {stall_windows}")
         self.network = network
         self.stall_windows = stall_windows
         self._tally = tally

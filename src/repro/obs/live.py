@@ -7,12 +7,14 @@ and completion :class:`~repro.harness.exec.RunEvent` records (its
 ``progress`` callback) — and paints them on a terminal as one in-place
 panel (ANSI cursor movement): a header with the runs done, aggregate
 flits/s, the worst router occupancy seen and the health flags, then one
-progress bar per run in flight.  It writes nothing to a stream that is
-not a TTY; the CLI prints plain lines there instead.
+progress bar per run in flight, drawn from that run's latest
+:class:`~repro.harness.exec.RunProgress`.  It writes nothing to a stream
+that is not a TTY; the CLI prints plain lines there instead.
 
 The panel is thread-safe: with a worker pool the ``live`` callback
 fires on the executor's queue-drain thread while completions arrive on
-the main thread.
+the main thread, so a run's last samples can arrive after its
+completion; they are ignored.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - the harness imports obs, not vice versa
@@ -35,30 +36,8 @@ MIN_REDRAW_S = 0.1
 BAR_WIDTH = 12
 
 
-@dataclass
-class _Row:
-    """Live state of one campaign run."""
-
-    label: str
-    workload: str
-    cycle: int = 0
-    cycles_total: int = 0
-    flits: int = 0
-    worst_node: int = 0
-    worst_occupancy: int = 0
-    health: str | None = None
-    done: bool = False
-
-    @property
-    def fraction(self) -> float:
-        if self.done:
-            return 1.0
-        if self.cycles_total <= 0:
-            return 0.0
-        return min(1.0, self.cycle / self.cycles_total)
-
-
-def _bar(fraction: float) -> str:
+def _bar(cycle: int, cycles_total: int) -> str:
+    fraction = min(1.0, cycle / cycles_total) if cycles_total > 0 else 0.0
     filled = int(round(fraction * BAR_WIDTH))
     return "#" * filled + "-" * (BAR_WIDTH - filled)
 
@@ -70,9 +49,11 @@ class LiveDashboard:
         self.stream = stream if stream is not None else sys.stderr
         self._tty = bool(getattr(self.stream, "isatty", lambda: False)())
         self._lock = threading.Lock()
-        self._rows: dict[int, _Row] = {}
+        #: The latest sample of each run in flight, by index.
+        self._running: dict[int, RunProgress] = {}
+        self._finished: set[int] = set()
+        self._finished_flits = 0
         self._total = 0
-        self._completed = 0
         self._cache_hits = 0
         self._started = time.perf_counter()
         self._painted_lines = 0
@@ -86,18 +67,10 @@ class LiveDashboard:
         """Executor ``live`` callback: one intra-run sample."""
         sample = progress.sample
         with self._lock:
+            if progress.index in self._finished:
+                return
             self._total = max(self._total, progress.total)
-            row = self._rows.setdefault(
-                progress.index, _Row(label=progress.label, workload=progress.workload)
-            )
-            row.cycle = sample.cycle
-            row.cycles_total = sample.cycles_total
-            row.flits = sample.flits
-            row.worst_node = sample.worst_node
-            row.worst_occupancy = sample.worst_occupancy
-            row.health = sample.health
-            if sample.done:
-                row.done = True
+            self._running[progress.index] = progress
             if sample.worst_occupancy > self._worst_ever[0]:
                 self._worst_ever = (sample.worst_occupancy, sample.worst_node)
             self._paint()
@@ -106,19 +79,13 @@ class LiveDashboard:
         """Executor ``progress`` callback: one completed run."""
         with self._lock:
             self._total = max(self._total, event.total)
-            row = self._rows.setdefault(
-                event.index,
-                _Row(label=event.spec.label, workload=event.spec.workload_name),
-            )
-            row.done = True
-            row.flits = event.result.stats.flits_processed
-            if event.result.health is not None:
-                row.health = event.result.health.status
-            self._completed += 1
-            if event.cache_hit:
-                self._cache_hits += 1
-            if row.health in self._health_counts:
-                self._health_counts[row.health] += 1
+            self._running.pop(event.index, None)
+            self._finished.add(event.index)
+            self._finished_flits += event.result.stats.flits_processed
+            self._cache_hits += event.cache_hit
+            health = event.result.health
+            if health is not None and health.status in self._health_counts:
+                self._health_counts[health.status] += 1
             self._paint(force=True)
 
     # -- rendering -------------------------------------------------------------
@@ -127,7 +94,8 @@ class LiveDashboard:
         elapsed = time.perf_counter() - self._started
         if elapsed <= 0.0:
             return 0.0
-        return sum(row.flits for row in self._rows.values()) / elapsed
+        running = sum(progress.sample.flits for progress in self._running.values())
+        return (self._finished_flits + running) / elapsed
 
     def _header(self) -> str:
         worst_occ, worst_node = self._worst_ever
@@ -138,7 +106,7 @@ class LiveDashboard:
             flags.append(f"{self._health_counts['warn']} warn")
         health = ", ".join(flags) if flags else "all ok"
         return (
-            f"runs: {self._completed}/{self._total or len(self._rows)} "
+            f"runs: {len(self._finished)}/{self._total} "
             f"({self._cache_hits} cached) | {self._aggregate_flits_per_s():,.0f} "
             f"flits/s | worst router occupancy {worst_occ} (node {worst_node}) "
             f"| health: {health}"
@@ -146,15 +114,15 @@ class LiveDashboard:
 
     def _render_lines(self) -> list[str]:
         lines = [self._header()]
-        in_flight = [
-            (index, row) for index, row in sorted(self._rows.items()) if not row.done
-        ]
-        for index, row in in_flight[:MAX_ROWS]:
-            flag = _HEALTH_FLAGS.get(row.health, "?")
+        in_flight = [self._running[index] for index in sorted(self._running)]
+        for progress in in_flight[:MAX_ROWS]:
+            sample = progress.sample
+            flag = _HEALTH_FLAGS.get(sample.health, "?")
             lines.append(
-                f" [{_bar(row.fraction)}] {flag} {row.label:<14} "
-                f"{row.workload:<16} {row.cycle}/{row.cycles_total} "
-                f"occ {row.worst_occupancy}@{row.worst_node}"
+                f" [{_bar(sample.cycle, sample.cycles_total)}] {flag} "
+                f"{progress.label:<14} {progress.workload:<16} "
+                f"{sample.cycle}/{sample.cycles_total} "
+                f"occ {sample.worst_occupancy}@{sample.worst_node}"
             )
         hidden = len(in_flight) - MAX_ROWS
         if hidden > 0:

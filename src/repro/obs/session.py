@@ -39,22 +39,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ProgressSample:
     """A point-in-time snapshot of a running simulation.
 
-    Emitted to a :data:`ProgressSink` at fixed cycle intervals (and once
-    more with ``done=True`` when the run completes), read-only over the
-    simulator's live state.  ``cycles_total`` is the planned injection
-    span; ``cycle`` may exceed it while a trace run drains.
+    Emitted to a :data:`ProgressSink` at fixed cycle intervals, the last
+    one at the run's final cycle, read-only over the simulator's live
+    state.  ``cycles_total`` is the planned injection span; ``cycle`` may
+    exceed it while a trace run drains.  That a run finished is the
+    executor's completion record, not a sample.
     """
 
     cycle: int
     cycles_total: int
-    generated: int
-    delivered: int
-    dropped: int
     flits: int
     worst_node: int
     worst_occupancy: int
-    health: str | None = None
-    done: bool = False
+    health: str | None
 
 
 #: Receives intra-run :class:`ProgressSample` snapshots.
@@ -64,14 +61,13 @@ ProgressSink = Callable[[ProgressSample], None]
 @dataclass
 class _Period:
     """One consumer of the window clock: ``close(session, start, end)``
-    every ``interval`` cycles, and once more over a trailing partial
-    window at the end of the run when ``trailing`` is set.  ``close`` is
-    a plain function, not a bound method: a session must not refer to
-    itself (see :class:`ObsSession`)."""
+    every ``interval`` cycles, and once more over the trailing partial
+    window at the end of the run.  ``close`` is a plain function, not a
+    bound method: a session must not refer to itself (see
+    :class:`ObsSession`)."""
 
     interval: int
     close: Callable[["ObsSession", int, int], None]
-    trailing: bool = True
     start: int = 0
 
 
@@ -141,11 +137,11 @@ class ObsSession:
     def report_progress(self, sink: ProgressSink, cycles_total: int) -> None:
         """Feed ``sink`` a :class:`ProgressSample` at each metrics-window
         boundary (every twentieth of ``cycles_total`` without a metrics
-        window), and a final ``done=True`` one from :meth:`finish`."""
+        window) and at the end of the trailing partial window."""
         self._sink = sink
         self._cycles_total = cycles_total
         interval = self.config.metrics_interval or max(1, cycles_total // 20)
-        self._every(interval, ObsSession._sample_progress, trailing=False)
+        self._every(interval, ObsSession._sample_progress)
 
     def finish(self) -> tuple[TimeSeries | None, HealthReport | None]:
         """Close the trailing partial windows, then all sinks (the last
@@ -153,7 +149,7 @@ class ObsSession:
         health report)."""
         final_cycle = self._engine.cycle
         for period in self._periods:
-            if period.trailing and final_cycle > period.start:
+            if final_cycle > period.start:
                 period.close(self, period.start, final_cycle)
         if self._tracer is not None:
             self._tracer.close()
@@ -163,8 +159,6 @@ class ObsSession:
             if health is not None:
                 summary["health"] = health.status
             self._stream.close(summary)
-        if self._sink is not None:
-            self._sample_progress(final_cycle, final_cycle, done=True)
         return (
             self._series.series if self._series is not None else None,
             health,
@@ -173,15 +167,12 @@ class ObsSession:
     # -- the engine watcher: one clock, one sweep ------------------------------
 
     def _every(
-        self,
-        interval: int,
-        close: Callable[["ObsSession", int, int], None],
-        trailing: bool = True,
+        self, interval: int, close: Callable[["ObsSession", int, int], None]
     ) -> None:
         """Put ``close`` on the window clock; attach the clock on first use."""
         if not self._periods:
             self._engine.add_watcher(self)
-        self._periods.append(_Period(interval, close, trailing))
+        self._periods.append(_Period(interval, close))
         self._due = min(period.start + period.interval for period in self._periods)
 
     def __call__(self, cycle: int) -> None:
@@ -227,9 +218,8 @@ class ObsSession:
             for finding in findings:
                 self._stream.finding(finding)
 
-    def _sample_progress(self, _start: int, cycle: int, done: bool = False) -> None:
+    def _sample_progress(self, _start: int, cycle: int) -> None:
         assert self._sink is not None
-        stats = self._network.stats
         worst_node, worst_occupancy = 0, 0
         for router in self._network.routers:
             occupancy = router.occupancy()
@@ -239,15 +229,11 @@ class ObsSession:
             ProgressSample(
                 cycle=cycle,
                 cycles_total=self._cycles_total,
-                generated=stats.packets_generated,
-                delivered=stats.packets_delivered,
-                dropped=stats.packets_dropped,
-                flits=stats.flits_processed,
+                flits=self._network.stats.flits_processed,
                 worst_node=worst_node,
                 worst_occupancy=worst_occupancy,
                 health=(
                     self._monitor.report.status if self._monitor is not None else None
                 ),
-                done=done,
             )
         )

@@ -27,10 +27,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.obs.tracers import EventTally
-from repro.sim.stats import nearest_rank
-
-#: Percentiles reported per window, as (field suffix, p) pairs.
-_PERCENTILES = (("p50", 50.0), ("p95", 95.0), ("p99", 99.0), ("p999", 99.9))
+from repro.sim.stats import PERCENTILES, nearest_rank
 
 
 @dataclass(frozen=True)
@@ -53,10 +50,10 @@ class Window:
     latency_p99: int | None
     #: Fault-injection activity (both zero for fault-free runs): faults
     #: that fired in this window, and packets lost to exhausted retries.
-    faulted: int = 0
-    lost: int = 0
+    faulted: int
+    lost: int
     #: p99.9 tail latency, ``None`` like its siblings.
-    latency_p999: int | None = None
+    latency_p999: int | None
 
     @property
     def cycles(self) -> int:
@@ -153,9 +150,7 @@ class SeriesBuilder:
     and the network must expose ``mesh`` too.
     """
 
-    def __init__(
-        self, network: Any, interval: int, tally: EventTally | None = None
-    ) -> None:
+    def __init__(self, network: Any, interval: int, tally: EventTally | None) -> None:
         self.network = network
         self.series = TimeSeries(interval=interval)
         self._tally = tally
@@ -181,7 +176,7 @@ class SeriesBuilder:
         start: int,
         end: int,
         occupancy_sum: int,
-        node_occupancy: list[int] | None = None,
+        node_occupancy: list[int] | None,
     ) -> tuple[Window, dict[str, Any] | None]:
         """Append the window ``[start, end)``; return it and its spatial slice.
 
@@ -204,7 +199,7 @@ class SeriesBuilder:
                 f"latency_{suffix}": nearest_rank(pairs, delta_count, p)
                 if delta_count
                 else None
-                for suffix, p in _PERCENTILES
+                for suffix, p in PERCENTILES
             },
         )
         self.series.windows.append(window)

@@ -1,9 +1,10 @@
 """Tracer implementations: in-memory collection and file exporters.
 
 A :class:`Tracer` receives every event a simulator emits, as the five
-fields ``record(kind, cycle, node, uid, extra)``; the base class turns them
-into a :class:`~repro.obs.events.PacketEvent` for a tracer that overrides
-``emit(event)`` instead.  Two file exporters are provided:
+fields ``record(kind, cycle, node, uid, extra)``, the one method a sink
+overrides; ``emit(event)`` hands it a
+:class:`~repro.obs.events.PacketEvent`'s fields.  Two file exporters are
+provided:
 
 - :class:`JsonlTraceWriter` — one JSON object per line, trivially
   greppable and streamable;
@@ -97,30 +98,18 @@ SCALAR_EXTRA = re.compile(f'"({_NAME})": ({_VALUE})')
 
 
 class Tracer:
-    """Base tracer: a no-op sink with the full receiving surface."""
+    """Base tracer: a no-op sink.  A sink overrides :meth:`record` only."""
 
-    def record(
-        self, kind: str, cycle: int, node: int, uid: int, extra: Any = None
-    ) -> None:
-        """Receive one event as the hub sends it, five positional fields.
-
-        A sink that reads the fields overrides this; the default builds the
-        :class:`PacketEvent` that a tracer overriding :meth:`emit` keeps.
-        """
-        self.emit(PacketEvent(kind, cycle, node, uid, extra))
+    def record(self, kind: str, cycle: int, node: int, uid: int, extra: Any) -> None:
+        """Receive one event as the hub sends it, five positional fields."""
 
     def emit(self, event: PacketEvent) -> None:
-        """Receive one lifecycle event as an object."""
+        """Receive one lifecycle event as an object: its fields go to
+        :meth:`record`."""
+        self.record(*event)
 
     def close(self) -> None:
         """Flush any buffered output; called once after the run."""
-
-
-class _FieldTracer(Tracer):
-    """A sink that overrides :meth:`record`: an object is read as its fields."""
-
-    def emit(self, event: PacketEvent) -> None:
-        self.record(*event)
 
 
 class CollectingTracer(Tracer):
@@ -129,8 +118,8 @@ class CollectingTracer(Tracer):
     def __init__(self) -> None:
         self.events: list[PacketEvent] = []
 
-    def emit(self, event: PacketEvent) -> None:
-        self.events.append(event)
+    def record(self, kind: str, cycle: int, node: int, uid: int, extra: Any) -> None:
+        self.events.append(PacketEvent(kind, cycle, node, uid, extra))
 
     def by_kind(self, kind: str) -> list[PacketEvent]:
         return [event for event in self.events if event.kind == kind]
@@ -146,7 +135,7 @@ ACTIVITY_KINDS = frozenset(EVENT_KINDS) - {
 }
 
 
-class EventTally(_FieldTracer):
+class EventTally(Tracer):
     """The one counting tracer: everything a consumer reads off the stream.
 
     It counts events per kind and node, and sums the packets :attr:`lost`
@@ -162,9 +151,7 @@ class EventTally(_FieldTracer):
         self._counts: dict[str, defaultdict[int, int]] = {}
         self.lost = 0
 
-    def record(
-        self, kind: str, cycle: int, node: int, uid: int, extra: Any = None
-    ) -> None:
+    def record(self, kind: str, cycle: int, node: int, uid: int, extra: Any) -> None:
         by_node = self._counts.get(kind)
         if by_node is None:
             by_node = self._counts[kind] = defaultdict(int)
@@ -205,7 +192,7 @@ class EventTally(_FieldTracer):
         return self._per_node(ACTIVITY_KINDS)
 
 
-class _FileTracer(_FieldTracer):
+class _FileTracer(Tracer):
     """Shared buffering/writing machinery for the file exporters.
 
     Each event's five fields are appended to one flat list until
@@ -218,9 +205,7 @@ class _FileTracer(_FieldTracer):
         self._fields: list[Any] = []
         self._closed = False
 
-    def record(
-        self, kind: str, cycle: int, node: int, uid: int, extra: Any = None
-    ) -> None:
+    def record(self, kind: str, cycle: int, node: int, uid: int, extra: Any) -> None:
         self._fields.extend((kind, cycle, node, uid, extra))
 
     def close(self) -> None:
@@ -343,7 +328,7 @@ class ChromeTraceWriter(_FileTracer):
         )
 
 
-class _SamplingTracer(_FieldTracer):
+class _SamplingTracer(Tracer):
     """Forward only the lifecycles whose uid hashes under the sample rate."""
 
     def __init__(self, inner: Tracer, rate: float) -> None:
@@ -358,9 +343,7 @@ class _SamplingTracer(_FieldTracer):
         # lifecycle; hashing -1 would drop them below rate 0.382.
         return uid < 0 or ((uid * 2654435761) & 0xFFFFFFFF) < self._threshold
 
-    def record(
-        self, kind: str, cycle: int, node: int, uid: int, extra: Any = None
-    ) -> None:
+    def record(self, kind: str, cycle: int, node: int, uid: int, extra: Any) -> None:
         if self._keep(uid):
             self.inner.record(kind, cycle, node, uid, extra)
 
@@ -373,10 +356,9 @@ def sampled(tracer: Tracer, rate: float) -> Tracer:
 
     ``rate=1`` returns the tracer unwrapped; the decision is per packet
     uid, so a kept packet's whole lifecycle (including retransmissions) is
-    kept.  Monitor events (``uid < 0``) are always kept.
+    kept.  Monitor events (``uid < 0``) are always kept.  The rate is
+    :class:`~repro.obs.config.ObsConfig`'s ``trace_sample``, checked there.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"sample rate must be in [0, 1], got {rate}")
     if rate >= 1.0:
         return tracer
     return _SamplingTracer(tracer, rate)

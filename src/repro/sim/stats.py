@@ -50,6 +50,11 @@ class RunningMean:
         return f"RunningMean(count={self.count}, mean={self.mean:.3f})"
 
 
+#: The latency percentiles every report states, as (name, p) pairs: a
+#: blame report's tail and each time-series window's ``latency_<name>``.
+PERCENTILES = (("p50", 50.0), ("p95", 95.0), ("p99", 99.0), ("p999", 99.9))
+
+
 def nearest_rank(pairs: Iterable[tuple[int, int]], count: int, p: float) -> int:
     """Nearest-rank ``p``-th percentile of a non-empty distribution.
 

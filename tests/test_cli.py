@@ -303,6 +303,7 @@ class TestRefusals:
             # parser states no check of its own.
             ["sweep", "--workers", "0"],
             ["sweep", "--metrics-interval", "0"],
+            ["sweep", "--trace-sample", "2", "--trace-out", "x.jsonl"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -325,8 +326,6 @@ class TestRefusals:
             ["figure", "fig99"],
             ["trace", "generate", "ocean"],
             [],
-            # Refused while parsing, in ObsConfig's words.
-            ["sweep", "--trace-sample", "2", "--trace-out", "x.jsonl"],
         ],
         ids=lambda argv: " ".join(argv) or "no command",
     )
@@ -568,15 +567,15 @@ class TestFlagTable:
                 assert field is None or field in parameters, (group, flag)
 
     def test_no_row_states_a_default_or_a_check(self):
-        from repro.cli import _FLAGS, _dead_ports, _trace_sample
+        from repro.cli import _FLAGS, _dead_ports
 
         rows = [row for rows in _FLAGS.values() for row in rows]
         assert [flag for flag, _, _, keywords in rows if "default" in keywords] == [
             "--fault-model"  # fills no field
         ]
         types = {keywords.get("type") for _, _, _, keywords in rows}
-        # Parsers; the one that refuses a value asks ObsConfig.
-        assert types <= {None, int, float, _dead_ports, _trace_sample}
+        # Parsers only: every value's check is its config's.
+        assert types <= {None, int, float, _dead_ports}
 
     def test_an_unset_flag_leaves_the_fields_default(self):
         from repro.cli import _from_flags, build_parser

@@ -4,8 +4,9 @@ The hashes below were captured on the pre-fabric tree (commit 65665da,
 where ``make_network`` was an isinstance chain inside the runner).  They
 pin two independent guarantees:
 
-* ``RunSpec`` digests are part of the on-disk cache key — if they drift,
-  every cached campaign silently invalidates.
+* ``RunSpec`` digests are written into every JSONL trace header (which
+  ``repro analyze --diff`` keys runs on) and every campaign manifest — if
+  they drift, the traces and manifests of one spec stop matching.
 * Fig 9/10 payload hashes prove the refactored simulators produce
   *bit-identical* results, not merely statistically similar ones.
 
@@ -127,7 +128,7 @@ def test_run_spec_digests_unchanged():
 def test_disabled_fault_config_keeps_pre_fault_digests():
     """A default (disabled) FaultConfig is normalised away by the spec, so
     it must reproduce the digests captured before fault injection existed
-    — otherwise every cached campaign on disk silently invalidates."""
+    — otherwise every fault-free trace header and manifest would change."""
     specs = {
         "opt_default_uniform": RunSpec(
             PhastlaneConfig(),

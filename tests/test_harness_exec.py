@@ -352,7 +352,8 @@ class TestExecutorDeterminism:
         ]
         assert {record.index for record in records} == set(range(len(specs)))
         assert all(
-            [r for r in records if r.index == index][-1].sample.done
+            [r for r in records if r.index == index][-1].sample.cycle
+            == live[index].cycles
             for index in range(len(specs))
         )
         # A later plain pool installs no queue: nothing more is forwarded.

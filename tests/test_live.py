@@ -10,7 +10,13 @@ import pytest
 
 from repro.core.config import PhastlaneConfig
 from repro.fabric.registry import make_network
-from repro.harness.exec import Executor, RunProgress, RunSpec, SyntheticWorkload
+from repro.harness.exec import (
+    Executor,
+    RunProgress,
+    RunSpec,
+    Splash2Workload,
+    SyntheticWorkload,
+)
 from repro.harness.htmlreport import render_campaign_html, write_campaign_html
 from repro.harness.runner import run
 from repro.obs.config import ObsConfig
@@ -30,18 +36,14 @@ def spec(rate=0.15, cycles=300, obs=None):
     )
 
 
-def sample(cycle=100, done=False, health=None):
+def sample(cycle=100, health=None):
     return ProgressSample(
         cycle=cycle,
         cycles_total=300,
-        generated=50,
-        delivered=40,
-        dropped=1,
         flits=500,
         worst_node=5,
         worst_occupancy=3,
         health=health,
-        done=done,
     )
 
 
@@ -70,10 +72,9 @@ class TestRunProgressPlumbing:
         assert records[0].workload == "uniform@0.15"
         cycles = [r.sample.cycle for r in records]
         assert cycles == sorted(cycles)
-        assert records[-1].sample.done
         assert records[-1].sample.cycles_total == 300
-        # Window-boundary samples plus the final done sample.
-        assert len(records) >= 3
+        # One sample per window boundary, the last at the final cycle.
+        assert cycles == [100, 200, 300]
 
     def test_pool_executor_forwards_samples_from_workers(self):
         records = []
@@ -86,7 +87,7 @@ class TestRunProgressPlumbing:
         assert indices == {0, 1}
         for index in indices:
             mine = [r for r in records if r.index == index]
-            assert mine[-1].sample.done
+            assert mine[-1].sample.cycle == results[index].cycles
         # Order within one run is preserved even across the queue.
         for index in indices:
             cycles = [r.sample.cycle for r in records if r.index == index]
@@ -95,9 +96,27 @@ class TestRunProgressPlumbing:
     def test_progress_samples_track_cycles_completed(self):
         seen = []
         run(spec(obs=ObsConfig(metrics_interval=100)), progress=seen.append)
-        assert [s.cycle for s in seen] == [100, 200, 300, 300]
-        assert [s.done for s in seen] == [False, False, False, True]
-        assert seen[-1].delivered > 0
+        assert [s.cycle for s in seen] == [100, 200, 300]
+        assert seen[-1].flits > 0
+
+    @pytest.mark.parametrize(
+        "run_spec",
+        [
+            spec(cycles=250, obs=ObsConfig(metrics_interval=100)),
+            spec(cycles=250),  # a twentieth of the run per sample
+            RunSpec(OPTICAL, Splash2Workload("fft"), cycles=200, seed=7),
+        ],
+        ids=["partial", "twentieths", "drained-trace"],
+    )
+    def test_the_last_sample_is_at_the_final_cycle(self, run_spec):
+        seen = []
+        result = run(run_spec, progress=seen.append)
+        cycles = [s.cycle for s in seen]
+        assert cycles == sorted(set(cycles))  # one sample per cycle at most
+        assert cycles[-1] == result.cycles
+        if isinstance(run_spec.workload, Splash2Workload):
+            # The replay drained past its span: the samples followed it.
+            assert result.cycles > seen[-1].cycles_total
 
     def test_no_live_callback_means_no_overhead_path(self):
         executor = Executor(workers=1)
@@ -251,6 +270,24 @@ class TestLiveDashboardTty:
         painted = stream.getvalue()
         assert painted.endswith("\n")
         assert "runs: 1/2" in painted.rpartition("\x1b[")[2]
+
+    def test_a_sample_after_its_runs_completion_paints_nothing(self):
+        # The pool's drain thread can hand over a run's last samples after
+        # the main thread reported the run complete.
+        stream = self._Tty()
+        dashboard = LiveDashboard(stream=stream)
+        late = RunProgress(
+            index=0, total=2, label="Optical4",
+            workload="uniform@0.15", sample=sample(250),
+        )
+        dashboard.on_progress(late)
+        dashboard.on_event(fake_event(index=0))
+        painted = stream.getvalue()
+        dashboard.on_progress(late)
+        assert stream.getvalue() == painted
+        lines = dashboard._render_lines()
+        assert lines[0].startswith("runs: 1/2 ")
+        assert lines[1:] == []  # the finished run has no bar
 
     def test_second_frame_moves_the_cursor_up(self):
         stream = self._Tty()

@@ -40,6 +40,10 @@ CONFIGS = {
 #: label -> cycles -> (result sha, stream sha, trace sha, progress sha).
 #: The vectorized engine is exact here, so its stream, trace events and
 #: progress equal Optical4's; its result and trace header carry its label.
+#: The progress column was recaptured when ``ProgressSample`` dropped its
+#: unread counters and ``done``: each new value is the old samples'
+#: ``(cycle, cycles_total, flits, worst_node, worst_occupancy, health)``,
+#: the same count, the last now closing the trailing window.
 #: Each trace ends with the health lines of the trailing partial window,
 #: which ``ObsSession.finish`` closes before it closes the trace.
 OBSERVED = {
@@ -48,13 +52,13 @@ OBSERVED = {
             "d472c930a5f2caf201cedbc50c3a522fef113ba79f24579df0b6f6a275f8b7dc",
             "0d8a5222965ccde87bbf6c7e08ff9d6a711ff186fb955ebb1b968a69f4c45552",
             "7cd0d030cba7c16a06ca9eed3e58ce0f43e002492791f6700cdb48864eb28915",
-            "cdf0e8eea35020a106cca514f703bc2b37dc6c62b84c4c30da9e2e185b3a5fe1",
+            "bd28bf6a9ad41316e3d7e9886bfcb42fb63ca5bf3dcec445abdb705476de854c",
         ),
         1490: (
             "4b25296ec33cb0770f825abe52edb6eba818ee1a65c297741a4e9f2c9c7e81e6",
             "bcc37a7cc300ca709e8ba2cb3ae9717023f646d84793b64c8c25add40e0abe53",
             "f5e30f6617918d2cc44e7d18873e0e81d3034bea269b016acf0124f76731eaed",
-            "cf62b1c27808e01387c264510cdfdc049c7e12eeb62f4bef6e9d74f61c8df7fb",
+            "9709b4dc5ce63ed428716ea17868b113264d00854e292871ecc009ba6f3c7101",
         ),
     },
     "Electrical3": {
@@ -62,13 +66,13 @@ OBSERVED = {
             "391db2a14ec4fe5c4e431471ddfab92fa96ba675067afe73216e74fd83272f21",
             "05f2999fff5f45ccfa7022c892ac2765c112ef2525ff59735c42e6dbaf78e1c1",
             "cb3eb5de971592e91f80addc0f77d9bd32ff47736908b4244f9ebd606eb71f74",
-            "b199ae9ba59576ca8ae230e6053239e27ab5875a16b21ebae1f33cc55cb986cf",
+            "4b919f86f8ac3a4cef5c78477c4d90a38c8dbf7a6d9fe63aaf42347215a25843",
         ),
         1490: (
             "c18a91840ebabc10e69879a5dd9f0d855e4cd3c83e6bb916594d956bcf9849b2",
             "15a3796bf358871a8af680dc04772e8c6ddc727b1c0014b43c7cf8b556b166d4",
             "d9b78e7fa710e5a1d020f23584958ccfcfba717a8611dedeb462239ede6071d4",
-            "a0e9f425ea0a5b69f1378b85cf0dc8e234ddf7196af190559b40a617e747902f",
+            "c9e3a63e6a01fd797cfc4f403d21e0b353656d4a59b57d1ddcbcb56da699be20",
         ),
     },
     "Vector8x8": {
@@ -76,13 +80,13 @@ OBSERVED = {
             "6509db886bae1cf2baf951799e39e2883f99937d84b2e93e7e7ef4709ebb7d50",
             "0d8a5222965ccde87bbf6c7e08ff9d6a711ff186fb955ebb1b968a69f4c45552",
             "36272a07a45fc9936b175f12771974822284922cc5fb23c3770d2db50ffe9385",
-            "cdf0e8eea35020a106cca514f703bc2b37dc6c62b84c4c30da9e2e185b3a5fe1",
+            "bd28bf6a9ad41316e3d7e9886bfcb42fb63ca5bf3dcec445abdb705476de854c",
         ),
         1490: (
             "58d6fb6dda4fe6b6424dae306d64587af325024b0fead5674f9a347e3148ea43",
             "bcc37a7cc300ca709e8ba2cb3ae9717023f646d84793b64c8c25add40e0abe53",
             "ce143b3ead5b216adae573cd74219396977bf33c59a61ef054497880c0542179",
-            "cf62b1c27808e01387c264510cdfdc049c7e12eeb62f4bef6e9d74f61c8df7fb",
+            "9709b4dc5ce63ed428716ea17868b113264d00854e292871ecc009ba6f3c7101",
         ),
     },
 }

@@ -369,6 +369,10 @@ class TestCliObs:
         assert entry["health"] == "ok"
 
     def test_trace_sample_flag_validated(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--config", "Optical4", "--rates", "0.05",
-                  "--trace-out", "t.json", "--trace-sample", "2.0"])
+        assert main(["sweep", "--config", "Optical4", "--rates", "0.05",
+                     "--trace-out", "t.json", "--trace-sample", "2.0"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "repro: invalid observability config: "
+            "trace_sample must be in [0, 1], got 2.0\n"
+        )

@@ -505,22 +505,25 @@ class TestEventIsATuple:
             event.cycle = 18
 
     def test_a_user_tracer_still_receives_the_five_attributes(self):
+        """A sink overrides ``record`` alone; ``emit(event)`` reaches it
+        through the base class's adapter."""
         seen = []
 
         class Mine(Tracer):
-            def emit(self, event):
-                seen.append(
-                    (event.kind, event.cycle, event.node, event.uid, event.extra)
-                )
+            def record(self, kind, cycle, node, uid, extra):
+                seen.append((kind, cycle, node, uid, extra))
 
         hub = TraceHub()
-        hub.add(Mine())
+        mine = Mine()
+        hub.add(mine)
         collector = CollectingTracer()
         hub.add(collector)
         hub.emit("hop", cycle=3, node=7, uid=42, extra={"deflected": True})
         hub.emit("delivered", 4, 9, 42)
+        mine.emit(PacketEvent("dropped", 5, 9, 43))
         assert seen == [
             ("hop", 3, 7, 42, {"deflected": True}),
             ("delivered", 4, 9, 42, None),
+            ("dropped", 5, 9, 43, None),
         ]
-        assert collector.events == [PacketEvent(*fields) for fields in seen]
+        assert collector.events == [PacketEvent(*fields) for fields in seen[:2]]
