@@ -66,6 +66,12 @@ class TestSampling:
         tracer = CollectingTracer()
         assert sampled(tracer, 1.0) is tracer
 
+    @pytest.mark.parametrize("rate", [-0.1, 1.1])
+    def test_invalid_rate_rejected(self, rate):
+        """A rate reaches ``sampled`` only through a checked ObsConfig."""
+        with pytest.raises(ValueError, match="trace_sample"):
+            ObsConfig(trace_path="t.jsonl", trace_sample=rate)
+
     def test_keeps_whole_lifecycles_deterministically(self):
         inner = CollectingTracer()
         tracer = sampled(inner, 0.5)
@@ -214,8 +220,6 @@ class TestObsConfig:
         ``HealthMonitor`` take these values from a checked config."""
         for kwargs in (
             {"trace_sample": 1.5},
-            {"trace_path": "t.jsonl", "trace_sample": -0.1},
-            {"trace_path": "t.jsonl", "trace_sample": 1.1},
             {"metrics_interval": 0},
             {"health": True, "health_interval": 0},
             {"health_interval": 100},  # needs health

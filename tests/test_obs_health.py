@@ -302,6 +302,11 @@ class TestProgressCheck:
         assert [(f.node, f.cycle) for f in findings] == [(9, 200)]
         assert "starved" in findings[0].message
 
+    def test_rejects_bad_stall_windows(self):
+        """HealthMonitor takes its stall count from a checked ObsConfig."""
+        with pytest.raises(ValueError, match="stall_windows"):
+            ObsConfig(health=True, health_stall_windows=0)
+
 
 class TestHealthMonitor:
     def test_evaluates_at_window_boundaries_only(self):
@@ -382,6 +387,11 @@ class TestHealthMonitor:
         assert second.stall_windows == 3
         assert stalled(first, 30) == [3]
         assert [stalled(second, end) for end in (30, 40, 50)] == [[], [], [3]]
+
+    def test_rejects_bad_interval(self):
+        """HealthMonitor takes its interval from a checked ObsConfig."""
+        with pytest.raises(ValueError, match="health_interval"):
+            ObsConfig(health=True, health_interval=0)
 
 
 class TestHealthyRuns:
