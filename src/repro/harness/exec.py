@@ -31,7 +31,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import threading
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
@@ -40,6 +39,7 @@ from typing import Any, Callable, Iterator, Sequence
 from repro.fabric.protocol import NetworkConfig
 from repro.fabric.registry import config_kind
 from repro.faults.config import FaultConfig
+from repro.harness.report import result_from_dict, result_to_dict
 from repro.harness.runner import MAX_DRAIN_CYCLES, RunResult, run
 from repro.obs.config import ObsConfig
 from repro.obs.session import ProgressSample, ProgressSink
@@ -303,10 +303,6 @@ class ResultCache:
         return self.root / f"v{calibration_stamp()}" / f"{spec.digest()}.json"
 
     def load(self, spec: RunSpec) -> RunResult | None:
-        # Imported here, not at module top: report imports sweeps, which
-        # imports this module (the cycle is broken at the last edge).
-        from repro.harness.report import result_from_dict
-
         path = self.path_for(spec)
         try:
             payload = json.loads(path.read_text())
@@ -325,8 +321,6 @@ class ResultCache:
         return replace(result, wall_time_s=wall_time)
 
     def store(self, spec: RunSpec, result: RunResult) -> Path:
-        from repro.harness.report import result_to_dict
-
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
@@ -354,8 +348,11 @@ class RunEvent:
     spec: RunSpec
     digest: str
     cache_hit: bool
-    wall_time_s: float
     result: RunResult
+
+    @property
+    def wall_time_s(self) -> float:
+        return self.result.wall_time_s
 
 
 ProgressCallback = Callable[[RunEvent], None]
@@ -392,6 +389,10 @@ def _progress_sink(
     return sink
 
 
+#: How long the pool path waits on a result before draining the progress
+#: pipe again (a full pipe blocks the workers writing to it).
+_DRAIN_EVERY_S = 0.05
+
 #: Worker-global progress queue, installed by the pool initializer (None
 #: when live telemetry is off).  Plain module state is the only channel a
 #: ``Pool`` worker function can reach.
@@ -401,6 +402,12 @@ _progress_queue: Any = None
 def _init_progress_queue(queue: Any) -> None:
     global _progress_queue
     _progress_queue = queue
+
+
+def _drain(queue: Any, live: LiveCallback) -> None:
+    """Hand every record in the progress pipe to ``live``."""
+    while not queue.empty():
+        live(queue.get())
 
 
 def _run_spec(task: tuple[int, int, RunSpec]) -> RunResult:
@@ -444,11 +451,10 @@ class Executor:
         self.progress = progress
         self.obs = obs
         #: Intra-run telemetry: called with :class:`RunProgress` records
-        #: while runs execute.  With a worker pool the records cross a
-        #: multiprocessing queue and the callback fires on a drain thread,
-        #: so it must be thread-safe.  Cache hits emit no live records
-        #: (they never execute); their completion still reaches
-        #: ``progress``.
+        #: while runs execute, on the caller's thread like ``progress``,
+        #: each run's records in cycle order and before its
+        #: :class:`RunEvent`.  Cache hits emit no live records (they never
+        #: execute); their completion still reaches ``progress``.
         self.live = live
         self.events: list[RunEvent] = []
 
@@ -475,8 +481,8 @@ class Executor:
 
         if misses:
             miss_specs = [specs[index] for index in misses]
-            # strict: zip must run the generator to its end, not drop it at
-            # its last yield, so a pool winds down instead of being killed.
+            # strict: zip runs the generator to its end, so the pool shuts
+            # down here rather than whenever the generator is collected.
             computed = self._compute(miss_specs, misses, total)
             for index, result in zip(misses, computed, strict=True):
                 results[index] = result
@@ -522,38 +528,31 @@ class Executor:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
             context = multiprocessing.get_context()
-        # With live telemetry, workers put RunProgress records on a shared
-        # queue and a daemon thread hands them to the callback until the
-        # None sentinel arrives.  Results stream back through imap in
-        # submission order either way.
-        queue: Any = None
-        thread: threading.Thread | None = None
-        if self.live is not None:
-            live, queue = self.live, context.Queue()
-
-            def drain() -> None:
-                for record in iter(queue.get, None):
-                    live(record)
-
-            thread = threading.Thread(target=drain, daemon=True)
-            thread.start()
-        try:
-            with context.Pool(
-                processes=min(self.workers, len(specs)),
-                initializer=_init_progress_queue,
-                initargs=(queue,),
-            ) as pool:
-                yield from pool.imap(_run_spec, tasks, chunksize=1)
-                # Let the workers exit on their own before the with-block
-                # terminates them: one killed while its queue feeder still
-                # holds the queue's write lock would leave the sentinel
-                # below unwritable and the join waiting for ever.
-                pool.close()
-                pool.join()
-        finally:
-            if thread is not None:
-                queue.put(None)
-                thread.join()
+        # With live telemetry, workers put RunProgress records on a pipe
+        # whose put returns only once the record is written, so a run's
+        # records are in the pipe before its result leaves the worker.
+        # Draining the pipe while waiting on each result, and once more
+        # before yielding it, hands them over in order on this thread.
+        queue = None if self.live is None else context.SimpleQueue()
+        with context.Pool(
+            processes=min(self.workers, len(specs)),
+            initializer=_init_progress_queue,
+            initargs=(queue,),
+        ) as pool:
+            results = pool.imap(_run_spec, tasks, chunksize=1)
+            if self.live is None:
+                yield from results
+                return
+            while True:
+                _drain(queue, self.live)
+                try:
+                    result = results.next(timeout=_DRAIN_EVERY_S)
+                except multiprocessing.TimeoutError:
+                    continue
+                except StopIteration:
+                    return
+                _drain(queue, self.live)
+                yield result
 
     def _emit(
         self,
@@ -570,7 +569,6 @@ class Executor:
             spec=spec,
             digest=digest,
             cache_hit=cache_hit,
-            wall_time_s=result.wall_time_s,
             result=result,
         )
         self.events.append(event)

@@ -19,12 +19,14 @@ import math
 from collections import Counter
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.harness.runner import RunResult
-from repro.harness.sweeps import LatencyPoint
 from repro.photonics.constants import CYCLE_TIME_PS
 from repro.sim.stats import Histogram, LatencyStats, NetworkStats, RunningMean
+
+if TYPE_CHECKING:  # pragma: no cover - sweeps imports exec, which imports this
+    from repro.harness.sweeps import LatencyPoint
 
 
 def _mean_to_dict(mean: RunningMean) -> dict[str, Any]:

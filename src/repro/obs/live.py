@@ -10,17 +10,11 @@ flits/s, the worst router occupancy seen and the health flags, then one
 progress bar per run in flight, drawn from that run's latest
 :class:`~repro.harness.exec.RunProgress`.  It writes nothing to a stream
 that is not a TTY; the CLI prints plain lines there instead.
-
-The panel is thread-safe: with a worker pool the ``live`` callback
-fires on the executor's queue-drain thread while completions arrive on
-the main thread, so a run's last samples can arrive after its
-completion; they are ignored.
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 import time
 from typing import IO, TYPE_CHECKING
 
@@ -48,10 +42,9 @@ class LiveDashboard:
     def __init__(self, stream: IO[str] | None = None) -> None:
         self.stream = stream if stream is not None else sys.stderr
         self._tty = bool(getattr(self.stream, "isatty", lambda: False)())
-        self._lock = threading.Lock()
         #: The latest sample of each run in flight, by index.
         self._running: dict[int, RunProgress] = {}
-        self._finished: set[int] = set()
+        self._finished = 0
         self._finished_flits = 0
         self._total = 0
         self._cache_hits = 0
@@ -66,27 +59,23 @@ class LiveDashboard:
     def on_progress(self, progress: RunProgress) -> None:
         """Executor ``live`` callback: one intra-run sample."""
         sample = progress.sample
-        with self._lock:
-            if progress.index in self._finished:
-                return
-            self._total = max(self._total, progress.total)
-            self._running[progress.index] = progress
-            if sample.worst_occupancy > self._worst_ever[0]:
-                self._worst_ever = (sample.worst_occupancy, sample.worst_node)
-            self._paint()
+        self._total = max(self._total, progress.total)
+        self._running[progress.index] = progress
+        if sample.worst_occupancy > self._worst_ever[0]:
+            self._worst_ever = (sample.worst_occupancy, sample.worst_node)
+        self._paint()
 
     def on_event(self, event: RunEvent) -> None:
         """Executor ``progress`` callback: one completed run."""
-        with self._lock:
-            self._total = max(self._total, event.total)
-            self._running.pop(event.index, None)
-            self._finished.add(event.index)
-            self._finished_flits += event.result.stats.flits_processed
-            self._cache_hits += event.cache_hit
-            health = event.result.health
-            if health is not None and health.status in self._health_counts:
-                self._health_counts[health.status] += 1
-            self._paint(force=True)
+        self._total = max(self._total, event.total)
+        self._running.pop(event.index, None)
+        self._finished += 1
+        self._finished_flits += event.result.stats.flits_processed
+        self._cache_hits += event.cache_hit
+        health = event.result.health
+        if health is not None and health.status in self._health_counts:
+            self._health_counts[health.status] += 1
+        self._paint(force=True)
 
     # -- rendering -------------------------------------------------------------
 
@@ -106,7 +95,7 @@ class LiveDashboard:
             flags.append(f"{self._health_counts['warn']} warn")
         health = ", ".join(flags) if flags else "all ok"
         return (
-            f"runs: {len(self._finished)}/{self._total} "
+            f"runs: {self._finished}/{self._total} "
             f"({self._cache_hits} cached) | {self._aggregate_flits_per_s():,.0f} "
             f"flits/s | worst router occupancy {worst_occ} (node {worst_node}) "
             f"| health: {health}"

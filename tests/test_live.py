@@ -4,6 +4,7 @@ of progress renderer and the HTML campaign report."""
 
 import io
 import itertools
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -92,6 +93,29 @@ class TestRunProgressPlumbing:
         for index in indices:
             cycles = [r.sample.cycle for r in records if r.index == index]
             assert cycles == sorted(cycles)
+
+    def test_a_pools_samples_reach_the_caller_before_their_runs_completion(self):
+        # One list logs both callbacks, as a consumer of both sees them.
+        for _ in range(3):
+            calls = []
+
+            def log(record):
+                calls.append((record, threading.get_ident()))
+
+            executor = Executor(workers=2, progress=log, live=log)
+            executor.map([spec(rate=rate) for rate in (0.05, 0.1, 0.15, 0.2)])
+            assert {thread for _, thread in calls} == {threading.get_ident()}
+            cycles = {index: [] for index in range(4)}
+            completed = set()
+            for record, _ in calls:
+                if isinstance(record, RunProgress):
+                    assert record.index not in completed
+                    cycles[record.index].append(record.sample.cycle)
+                else:
+                    completed.add(record.index)
+            assert completed == set(cycles)
+            for seen in cycles.values():
+                assert seen and seen == sorted(seen)
 
     def test_progress_samples_track_cycles_completed(self):
         seen = []
@@ -270,24 +294,6 @@ class TestLiveDashboardTty:
         painted = stream.getvalue()
         assert painted.endswith("\n")
         assert "runs: 1/2" in painted.rpartition("\x1b[")[2]
-
-    def test_a_sample_after_its_runs_completion_paints_nothing(self):
-        # The pool's drain thread can hand over a run's last samples after
-        # the main thread reported the run complete.
-        stream = self._Tty()
-        dashboard = LiveDashboard(stream=stream)
-        late = RunProgress(
-            index=0, total=2, label="Optical4",
-            workload="uniform@0.15", sample=sample(250),
-        )
-        dashboard.on_progress(late)
-        dashboard.on_event(fake_event(index=0))
-        painted = stream.getvalue()
-        dashboard.on_progress(late)
-        assert stream.getvalue() == painted
-        lines = dashboard._render_lines()
-        assert lines[0].startswith("runs: 1/2 ")
-        assert lines[1:] == []  # the finished run has no bar
 
     def test_second_frame_moves_the_cursor_up(self):
         stream = self._Tty()
